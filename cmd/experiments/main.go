@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,57 +24,38 @@ import (
 	"repro/internal/experiments"
 )
 
-func main() {
-	run := flag.String("run", "all", "comma-separated experiments: fig10a,fig10b,fig11,fig12,fig12x,fig13,table1,fig14,fig15,fig16,recirc,freshness,ablations,faults,fig-takeover,fig-ctlchan,fig-fabric,fig-reroute,fig-place")
-	scale := flag.Float64("scale", 0.05, "fig14 trace scale relative to one full CAIDA block (8.9M packets)")
-	trials := flag.Int("trials", 5, "fig16 trials per parameter point")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max simulation trials in flight at once (1 = serial; results are identical at any value)")
-	seed := flag.Int64("seed", 1, "random seed")
-	jsonDir := flag.String("json", "", "directory to write BENCH_<name>.json machine-readable results into (created if missing)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "json dir: %v\n", err)
-			os.Exit(1)
+// experiment is one runnable step: it returns the human-readable report
+// plus a structured value which, with -json, lands in
+// BENCH_<jsonName>.json.
+type experiment struct {
+	name, jsonName string
+	fn             func() (string, any, error)
+}
+
+// run is the command: 0 on success, 1 if an experiment failed, 2 for a
+// usage error — a flag that does not parse, or a -run name that is not
+// an experiment (nothing runs in that case).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "all", "comma-separated experiments, or all (an unknown name lists the valid ones)")
+	scale := fs.Float64("scale", 0.05, "fig14 trace scale relative to one full CAIDA block (8.9M packets)")
+	trials := fs.Int("trials", 5, "fig16 trials per parameter point")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max simulation trials in flight at once (1 = serial; results are identical at any value)")
+	seed := fs.Int64("seed", 1, "random seed")
+	jsonDir := fs.String("json", "", "directory to write BENCH_<name>.json machine-readable results into (created if missing)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-	failed := false
-
-	// Each step returns the human-readable report plus a structured
-	// value; with -json the latter lands in BENCH_<jsonName>.json
-	// (jsonName defaults to the step name).
+	var steps []experiment
 	stepNamed := func(name, jsonName string, fn func() (string, any, error)) {
-		if !all && !want[name] {
-			return
-		}
-		out, val, err := fn()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			failed = true
-			return
-		}
-		fmt.Println(out)
-		if *jsonDir != "" && val != nil {
-			path := filepath.Join(*jsonDir, "BENCH_"+jsonName+".json")
-			buf, err := json.MarshalIndent(val, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: marshal: %v\n", name, err)
-				failed = true
-				return
-			}
-			buf = append(buf, '\n')
-			if err := os.WriteFile(path, buf, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				failed = true
-			}
-		}
+		steps = append(steps, experiment{name, jsonName, fn})
 	}
 	step := func(name string, fn func() (string, any, error)) { stepNamed(name, name, fn) }
 
@@ -221,7 +204,63 @@ func main() {
 		return experiments.FormatPlacement(res), res, nil
 	})
 
-	if failed {
-		os.Exit(1)
+	valid := []string{"all"}
+	known := map[string]bool{"all": true}
+	for _, st := range steps {
+		valid = append(valid, st.name)
+		known[st.name] = true
 	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(*runList, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+		want[name] = true
+	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(stderr, "experiments: unknown experiment %s; valid names: %s\n",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+		return 2
+	}
+	all := want["all"]
+
+	if *jsonDir != "" {
+		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "json dir: %v\n", err)
+			return 1
+		}
+	}
+	failed := false
+	for _, st := range steps {
+		if !all && !want[st.name] {
+			continue
+		}
+		out, val, err := st.fn()
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", st.name, err)
+			failed = true
+			continue
+		}
+		fmt.Fprintln(stdout, out)
+		if *jsonDir == "" || val == nil {
+			continue
+		}
+		buf, err := json.MarshalIndent(val, "", "  ")
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: marshal: %v\n", st.name, err)
+			failed = true
+			continue
+		}
+		path := filepath.Join(*jsonDir, "BENCH_"+st.jsonName+".json")
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", st.name, err)
+			failed = true
+		}
+	}
+	if failed {
+		return 1
+	}
+	return 0
 }

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,6 +195,11 @@ type Agent struct {
 
 	tables   map[string]*tableManager
 	regCache map[string]*regCacheState
+	// tableNames is the key set of tables in sorted order, fixed at
+	// construction; regNames is the same for regCache, rebuilt when the
+	// cache has grown (see sortedRegNames).
+	tableNames []string
+	regNames   []string
 
 	reactions []*runtimeReaction
 	natives   map[string]NativeReaction
@@ -224,9 +230,13 @@ type Agent struct {
 	flipFn        func() error
 	flipOpName    string
 
-	// intentScratch is the pooled write-ahead intent record; the journal
-	// stores serialize on write and never retain the pointer.
+	// intentScratch, cpScratch and targetInit are the pooled write-ahead
+	// intent record, checkpoint record and commit-target init data,
+	// refilled in place each iteration; the journal stores serialize on
+	// write and never retain them (the journal.Store contract).
 	intentScratch journal.Intent
+	cpScratch     journal.Checkpoint
+	targetInit    [][]uint64
 
 	// stopReq and err may be touched from outside the simulation
 	// goroutine (Stop from a test's main goroutine, Err after Run
@@ -287,7 +297,9 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 	a.stats.Latencies = make([]time.Duration, 0, opts.LatencySamples)
 	for name, info := range plan.MblTables {
 		a.tables[name] = newTableManager(a, info)
+		a.tableNames = append(a.tableNames, name)
 	}
+	sort.Strings(a.tableNames)
 	a.registerDefaultBuiltins()
 	return a
 }
@@ -800,15 +812,17 @@ func (a *Agent) commit(p *sim.Proc) error {
 	newMaster := a.masterScratch
 
 	if a.journaling() {
-		targetInit := make([][]uint64, len(a.initData))
+		if len(a.targetInit) != len(a.initData) {
+			a.targetInit = make([][]uint64, len(a.initData))
+		}
 		for i := range a.initData {
-			targetInit[i] = append([]uint64(nil), a.initData[i]...)
+			a.targetInit[i] = refill(a.targetInit[i], a.initData[i])
 		}
 		for _, ch := range nmChanges {
-			targetInit[ch.t] = append([]uint64(nil), ch.data...)
+			a.targetInit[ch.t] = refill(a.targetInit[ch.t], ch.data)
 		}
-		targetInit[0] = append([]uint64(nil), newMaster...)
-		if err := a.journalCommitStaged(p, targetInit); err != nil {
+		a.targetInit[0] = refill(a.targetInit[0], newMaster)
+		if err := a.journalCommitStaged(p, a.targetInit); err != nil {
 			return err
 		}
 	}

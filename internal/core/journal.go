@@ -92,67 +92,91 @@ func specFromJournal(es journal.EntrySpec) UserEntry {
 	}
 }
 
-// sortedTableNames returns the agent's malleable table names in
-// deterministic order.
-func (a *Agent) sortedTableNames() []string {
-	names := make([]string, 0, len(a.tables))
-	for name := range a.tables {
-		names = append(names, name)
+// refill overwrites dst with a copy of src, reusing dst's capacity. An
+// empty src yields nil, as the append([]T(nil), src...) it replaces did:
+// the journal encodes nil and empty slices differently, and a recycled
+// record must encode exactly like a fresh one.
+func refill[T any](dst, src []T) []T {
+	if len(src) == 0 {
+		return nil
 	}
-	sort.Strings(names)
-	return names
+	return append(dst[:0], src...)
+}
+
+// sortedRegNames returns the register-cache names in sorted order. The
+// cache only ever grows (prologue, Recover), so the list is current
+// exactly when it is as long as the cache.
+func (a *Agent) sortedRegNames() []string {
+	if len(a.regNames) != len(a.regCache) {
+		a.regNames = a.regNames[:0]
+		for name := range a.regCache {
+			a.regNames = append(a.regNames, name)
+		}
+		sort.Strings(a.regNames)
+	}
+	return a.regNames
 }
 
 // buildCheckpoint captures the committed configuration as a journal
 // checkpoint. Called only between iterations (or at prologue end), when
-// every in-memory spec reflects committed state.
+// every in-memory spec reflects committed state. The record is the
+// agent's own, refilled in place: it is valid until the next call, which
+// the journal.Store contract (serialize before returning) makes enough.
 func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
-	cp := &journal.Checkpoint{
-		Iteration: a.stats.Iterations,
-		VV:        a.vv,
-		MV:        a.mv,
-		SavedAt:   int64(now),
+	cp := &a.cpScratch
+	cp.Iteration, cp.VV, cp.MV, cp.SavedAt = a.stats.Iterations, a.vv, a.mv, int64(now)
+
+	if cp.InitData == nil || len(cp.InitData) != len(a.initData) {
+		cp.InitData = make([][]uint64, len(a.initData))
 	}
-	cp.InitData = make([][]uint64, len(a.initData))
 	for i, d := range a.initData {
-		cp.InitData[i] = append([]uint64(nil), d...)
+		cp.InitData[i] = refill(cp.InitData[i], d)
 	}
-	if len(a.mblCache) > 0 {
+	if len(a.mblCache) > 0 && cp.Mbl == nil {
 		cp.Mbl = make(map[string]uint64, len(a.mblCache))
-		for k, v := range a.mblCache {
-			cp.Mbl[k] = v
+	}
+	clear(cp.Mbl)
+	for k, v := range a.mblCache {
+		cp.Mbl[k] = v
+	}
+
+	if len(cp.Tables) != len(a.tableNames) {
+		cp.Tables = make([]journal.TableState, len(a.tableNames))
+	}
+	for i, name := range a.tableNames {
+		tm, ts := a.tables[name], &cp.Tables[i]
+		ts.Table, ts.NextHandle = name, uint64(tm.nextHandle)
+		ts.Entries = ts.Entries[:0]
+		for _, h := range tm.handles() {
+			// Take the next slot, stale contents and all: its slices are
+			// refilled in place below.
+			n := len(ts.Entries)
+			if n < cap(ts.Entries) {
+				ts.Entries = ts.Entries[:n+1]
+			} else {
+				ts.Entries = append(ts.Entries, journal.EntryState{})
+			}
+			es, spec := &ts.Entries[n], &tm.entries[h].spec
+			es.Handle = uint64(h)
+			es.Spec.Priority, es.Spec.Action = spec.Priority, spec.Action
+			es.Spec.Keys = refill(es.Spec.Keys, spec.Keys)
+			es.Spec.Data = refill(es.Spec.Data, spec.Data)
+		}
+		if len(ts.Entries) == 0 {
+			ts.Entries = nil // encodes as null, like a fresh record
 		}
 	}
-	for _, name := range a.sortedTableNames() {
-		tm := a.tables[name]
-		ts := journal.TableState{Table: name, NextHandle: uint64(tm.nextHandle)}
-		handles := make([]UserHandle, 0, len(tm.entries))
-		for h := range tm.entries {
-			handles = append(handles, h)
-		}
-		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-		for _, h := range handles {
-			ts.Entries = append(ts.Entries, journal.EntryState{
-				Handle: uint64(h), Spec: specToJournal(tm.entries[h].spec),
-			})
-		}
-		cp.Tables = append(cp.Tables, ts)
+
+	regNames := a.sortedRegNames()
+	if len(cp.RegCaches) != len(regNames) {
+		cp.RegCaches = make([]journal.RegCache, len(regNames))
 	}
-	regNames := make([]string, 0, len(a.regCache))
-	for name := range a.regCache {
-		regNames = append(regNames, name)
-	}
-	sort.Strings(regNames)
-	for _, name := range regNames {
-		rc := a.regCache[name]
-		cp.RegCaches = append(cp.RegCaches, journal.RegCache{
-			Name: name,
-			Vals: append([]uint64(nil), rc.vals...),
-			LastTs: [2][]uint64{
-				append([]uint64(nil), rc.lastTs[0]...),
-				append([]uint64(nil), rc.lastTs[1]...),
-			},
-		})
+	for i, name := range regNames {
+		rc, out := a.regCache[name], &cp.RegCaches[i]
+		out.Name = name
+		out.Vals = refill(out.Vals, rc.vals)
+		out.LastTs[0] = refill(out.LastTs[0], rc.lastTs[0])
+		out.LastTs[1] = refill(out.LastTs[1], rc.lastTs[1])
 	}
 	return cp
 }

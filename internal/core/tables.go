@@ -34,7 +34,12 @@ type tableManager struct {
 	agent *Agent
 	info  *compiler.MblTableInfo
 
+	// entries is written only through put and drop, which invalidate
+	// sorted, the handle list in ascending order that checkpoints,
+	// takeover and Entries walk.
 	entries    map[UserHandle]*userEntry
+	sorted     []UserHandle
+	sortedOK   bool
 	nextHandle UserHandle
 
 	// fields and combos are derived from the (immutable) table info once
@@ -68,6 +73,30 @@ func newTableManager(a *Agent, info *compiler.MblTableInfo) *tableManager {
 	tm.fields = tm.expandFields()
 	tm.combos = tm.allCombos()
 	return tm
+}
+
+func (tm *tableManager) put(h UserHandle, ue *userEntry) {
+	tm.entries[h] = ue
+	tm.sortedOK = false
+}
+
+func (tm *tableManager) drop(h UserHandle) {
+	delete(tm.entries, h)
+	tm.sortedOK = false
+}
+
+// handles returns the user handles in ascending order. The slice is
+// the manager's own, valid until the next put or drop.
+func (tm *tableManager) handles() []UserHandle {
+	if !tm.sortedOK {
+		tm.sorted = tm.sorted[:0]
+		for h := range tm.entries {
+			tm.sorted = append(tm.sorted, h)
+		}
+		sort.Slice(tm.sorted, func(i, j int) bool { return tm.sorted[i] < tm.sorted[j] })
+		tm.sortedOK = true
+	}
+	return tm.sorted
 }
 
 // expandFields returns the malleable fields involved in this table's
@@ -239,11 +268,11 @@ func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error
 			_ = tm.uninstall(p, ue, 0)
 			return 0, err
 		}
-		tm.entries[h] = ue
+		tm.put(h, ue)
 		return h, nil
 	}
 	shadow := tm.agent.vv ^ 1
-	tm.entries[h] = ue
+	tm.put(h, ue)
 	if tm.agent.inReaction {
 		// Journal first: if the install below fails partway (or a later
 		// staged operation fails), rollback removes whatever landed.
@@ -251,14 +280,14 @@ func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error
 			if err := tm.uninstall(p, ue, shadow); err != nil {
 				return err
 			}
-			delete(tm.entries, h)
+			tm.drop(h)
 			return nil
 		}})
 	}
 	if err := tm.install(p, ue, shadow); err != nil {
 		if !tm.agent.inReaction {
 			_ = tm.uninstall(p, ue, shadow)
-			delete(tm.entries, h)
+			tm.drop(h)
 		}
 		return 0, err
 	}
@@ -335,7 +364,7 @@ func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
 		if err := tm.uninstall(p, ue, 0); err != nil {
 			return err
 		}
-		delete(tm.entries, h)
+		tm.drop(h)
 		return nil
 	}
 	shadow := tm.agent.vv ^ 1
@@ -356,7 +385,7 @@ func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
 		if err := tm.uninstall(p, ue, shadow^1); err != nil {
 			return err
 		}
-		delete(tm.entries, h)
+		tm.drop(h)
 		return nil
 	}
 	tm.agent.recordStagedOp(journal.TableOp{
@@ -366,7 +395,7 @@ func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
 		if err := tm.uninstall(p, ue, shadow^1); err != nil {
 			return err
 		}
-		delete(tm.entries, h)
+		tm.drop(h)
 		return nil
 	})
 	return nil
@@ -449,11 +478,7 @@ func (th *TableHandle) SetDefault(p *sim.Proc, call *p4.ActionCall) error {
 
 // Entries returns the user-level entries (sorted by handle).
 func (th *TableHandle) Entries() []UserEntry {
-	hs := make([]UserHandle, 0, len(th.tm.entries))
-	for h := range th.tm.entries {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	hs := th.tm.handles()
 	out := make([]UserEntry, len(hs))
 	for i, h := range hs {
 		out[i] = th.tm.entries[h].spec

@@ -215,10 +215,10 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 		}
 		tm.nextHandle = UserHandle(ts.NextHandle)
 		for _, es := range ts.Entries {
-			tm.entries[UserHandle(es.Handle)] = &userEntry{
+			tm.put(UserHandle(es.Handle), &userEntry{
 				spec:   specFromJournal(es.Spec),
 				combos: tm.allCombos(),
-			}
+			})
 		}
 	}
 	// Register caches resume from the checkpointed measurement snapshot,
@@ -444,19 +444,14 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 			})
 		}
 	}
-	for _, name := range a.sortedTableNames() {
+	for _, name := range a.tableNames {
 		tm := a.tables[name]
 		fields := tm.expandFields()
 		versions := []uint64{0}
 		if tm.versioned() {
 			versions = []uint64{0, 1}
 		}
-		handles := make([]UserHandle, 0, len(tm.entries))
-		for h := range tm.entries {
-			handles = append(handles, h)
-		}
-		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-		for _, h := range handles {
+		for _, h := range tm.handles() {
 			ue := tm.entries[h]
 			for _, v := range versions {
 				ue.concrete[v] = make([]rmt.EntryHandle, len(ue.combos))

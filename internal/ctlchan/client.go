@@ -104,12 +104,17 @@ type ClientStats struct {
 	LastDegradedCause DegradeCause
 }
 
-// call is one in-flight request.
+// call is one in-flight request. Calls are recycled through
+// Client.free and embed their request, response and backoff, so an
+// operation allocates nothing. While a call is live its request aliases
+// the caller's arguments (the caller is parked, so they are stable
+// across retransmits) and, for a batched read, its response rows are the
+// caller's; release drops every such reference.
 type call struct {
 	seq      uint64
-	req      *request
+	req      request
 	waiter   *sim.Proc
-	bo       *faults.Backoff
+	bo       faults.Backoff
 	timer    sim.EventID
 	armed    bool
 	lastTx   sim.Time
@@ -117,7 +122,7 @@ type call struct {
 
 	done      bool
 	abandoned bool // past deadline, in MSL quarantine, no longer retransmitting
-	resp      *response
+	resp      response
 	failErr   error
 }
 
@@ -144,6 +149,17 @@ type Client struct {
 	inFlight int
 	waitq    []*sim.Proc
 
+	// Per-call plumbing, owned by the client and reused: the call
+	// freelist, the retransmission-timer callback (bound once), the
+	// encode buffer (the link copies on Send), the name table of decoded
+	// responses, and the response scratch for frames no call is waiting
+	// on.
+	free    []*call
+	timerFn func(any)
+	txBuf   []byte
+	names   names
+	late    response
+
 	// degraded latches true when an op times out and clears on the next
 	// response (late ones included) — the channel-health signal the
 	// agent's staleness budget consumes.
@@ -157,7 +173,10 @@ type Client struct {
 	stats ClientStats
 }
 
-var _ driver.Channel = (*Client)(nil)
+var (
+	_ driver.Channel     = (*Client)(nil)
+	_ driver.RangeReader = (*Client)(nil)
+)
 
 // rtoServiceAllowance is the server-side execution budget folded into
 // the default RTO: a request is not late until wire + driver-op + wire
@@ -183,8 +202,9 @@ func NewClient(s *sim.Simulator, link *netsim.Link, side int, opts ClientOptions
 	}
 	c := &Client{
 		sim: s, link: link, side: side, opts: opts,
-		nextSeq: 1, pending: make(map[uint64]*call),
+		nextSeq: 1, pending: make(map[uint64]*call), names: make(names),
 	}
+	c.timerFn = func(arg any) { c.onTimer(arg.(*call)) }
 	link.SetRecv(side, c.onFrame)
 	return c
 }
@@ -251,7 +271,8 @@ func (c *Client) transmit(cl *call) {
 	cl.req.Ack = c.ackFloor()
 	cl.lastTx = c.sim.Now()
 	c.stats.Sent++
-	c.link.Send(c.side, encodeRequest(cl.req))
+	c.txBuf = appendRequest(c.txBuf[:0], &cl.req)
+	c.link.Send(c.side, c.txBuf)
 }
 
 // arm schedules the call's retransmission timer: RTO plus a full-jitter
@@ -259,7 +280,7 @@ func (c *Client) transmit(cl *call) {
 // heal do not retransmit in lockstep.
 func (c *Client) arm(cl *call) {
 	cl.armed = true
-	cl.timer = c.sim.Schedule(c.opts.RTO+cl.bo.Next(), func() { c.onTimer(cl) })
+	cl.timer = c.sim.ScheduleCall(c.opts.RTO+cl.bo.Next(), c.timerFn, cl)
 }
 
 // onTimer fires when a call's retransmission timer expires.
@@ -286,8 +307,12 @@ func (c *Client) onTimer(cl *call) {
 				c.fail(cl, c.degradedErr(cl))
 				return
 			}
+			// By then the call may have completed and its record been
+			// recycled for another operation: only a call still pending
+			// under this seq is ours to fail.
+			seq := cl.seq
 			c.sim.At(quarantineEnd, func() {
-				if !cl.done {
+				if c.pending[seq] == cl {
 					c.fail(cl, c.degradedErr(cl))
 				}
 			})
@@ -307,15 +332,25 @@ func (c *Client) degradedErr(cl *call) error {
 		verbNames[cl.req.Verb], cl.seq, c.opts.OpDeadline, driver.ErrChannelDegraded)
 }
 
-// onFrame handles a response frame arriving from the server.
+// onFrame handles a response frame arriving from the server. The frame
+// is the link's and is gone when onFrame returns, so it is decoded here:
+// into the waiting call's own response (which is how a batched read
+// lands in its caller's rows), or into scratch when no call is waiting —
+// a call that has returned never has its rows written again.
 func (c *Client) onFrame(msg []byte) {
-	resp, err := decodeResponse(msg)
-	if err != nil {
+	var cl *call
+	if seq, ok := responseSeq(msg); ok {
+		cl = c.pending[seq]
+	}
+	resp := &c.late
+	if cl != nil {
+		resp = &cl.resp
+	}
+	if err := decodeResponse(resp, msg, c.names); err != nil {
 		c.stats.BadFrames++
 		return
 	}
-	cl, ok := c.pending[resp.Seq]
-	if !ok || cl.done {
+	if cl == nil {
 		// Resolved already (duplicate response, or a ghost's answer
 		// arriving after abandon). Still a proof of life for the wire.
 		c.stats.LateResponses++
@@ -323,7 +358,6 @@ func (c *Client) onFrame(msg []byte) {
 		return
 	}
 	cl.done = true
-	cl.resp = resp
 	c.degraded = false
 	if cl.armed {
 		c.sim.Cancel(cl.timer)
@@ -357,13 +391,44 @@ func (c *Client) resolve(cl *call) {
 	}
 }
 
+// newCall takes a call record for one operation of verb.
+func (c *Client) newCall(verb uint8) *call {
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		cl = &call{bo: *faults.NewBackoff(c.sim.Rand(), c.opts.RTO, c.opts.MaxRTO)}
+	}
+	cl.req.Verb = verb
+	return cl
+}
+
+// release recycles a finished call, dropping its references to the
+// caller's arguments and to any result the caller now owns.
+func (c *Client) release(cl *call) {
+	*cl = call{bo: cl.bo}
+	c.free = append(c.free, cl)
+}
+
+// do runs a call to completion and recycles it, handing back a copy of
+// the response (whose payload the caller now owns).
+func (c *Client) do(p *sim.Proc, cl *call) (response, error) {
+	err := c.roundTrip(p, cl)
+	resp := cl.resp
+	c.release(cl)
+	return resp, err
+}
+
 // roundTrip runs one request to completion: admission, transmit,
-// retransmit until response or deadline, classify.
-func (c *Client) roundTrip(p *sim.Proc, req *request) (*response, error) {
+// retransmit until response or deadline, classify. On success the
+// response is in cl.resp.
+func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
+	req := &cl.req
 	c.stats.Ops++
 	if c.fenced && mutatingVerb(req.Verb) {
 		c.stats.FencedOps++
-		return nil, fmt.Errorf("ctlchan: %s refused: %w", verbNames[req.Verb], ErrFenced)
+		return fmt.Errorf("ctlchan: %s refused: %w", verbNames[req.Verb], ErrFenced)
 	}
 	for c.inFlight >= c.opts.Window {
 		c.stats.WindowWaits++
@@ -378,38 +443,35 @@ func (c *Client) roundTrip(p *sim.Proc, req *request) (*response, error) {
 	req.Seq = c.nextSeq
 	c.nextSeq++
 
-	cl := &call{
-		seq: req.Seq, req: req, waiter: p,
-		bo:       faults.NewBackoff(c.sim.Rand(), c.opts.RTO, c.opts.MaxRTO),
-		deadline: c.sim.Now().Add(c.opts.OpDeadline),
-	}
+	cl.seq, cl.waiter = req.Seq, p
+	cl.bo.Reset()
+	cl.deadline = c.sim.Now().Add(c.opts.OpDeadline)
 	c.pending[cl.seq] = cl
 	c.transmit(cl)
 	c.arm(cl)
 	p.Park()
 
 	if cl.failErr != nil {
-		return nil, cl.failErr
+		return cl.failErr
 	}
-	resp := cl.resp
-	switch resp.Status {
+	switch resp := &cl.resp; resp.Status {
 	case statusOK:
-		return resp, nil
+		return nil
 	case statusTransient:
-		return nil, fmt.Errorf("ctlchan: remote %s: %s: %w",
+		return fmt.Errorf("ctlchan: remote %s: %s: %w",
 			verbNames[req.Verb], resp.ErrMsg, driver.ErrTransient)
 	case statusFenced:
 		c.fenced = true
 		c.stats.FencedOps++
-		return nil, fmt.Errorf("ctlchan: %s seq %d: %w", verbNames[req.Verb], cl.seq, ErrFenced)
+		return fmt.Errorf("ctlchan: %s seq %d: %w", verbNames[req.Verb], cl.seq, ErrFenced)
 	case statusStale:
 		// A live call answered stale means the server's floor passed our
 		// seq — only possible through frame corruption or a server bug.
 		// Surface as degraded: the op's fate is unknown.
-		return nil, fmt.Errorf("ctlchan: %s seq %d: stale-rejected: %w",
+		return fmt.Errorf("ctlchan: %s seq %d: stale-rejected: %w",
 			verbNames[req.Verb], cl.seq, driver.ErrChannelDegraded)
 	default:
-		return nil, fmt.Errorf("ctlchan: remote %s: %s", verbNames[req.Verb], resp.ErrMsg)
+		return fmt.Errorf("ctlchan: remote %s: %s", verbNames[req.Verb], resp.ErrMsg)
 	}
 }
 
@@ -417,101 +479,124 @@ func (c *Client) roundTrip(p *sim.Proc, req *request) (*response, error) {
 
 // AddEntry installs a match-action entry over the wire.
 func (c *Client) AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error) {
-	resp, err := c.roundTrip(p, &request{Verb: verbAddEntry, Table: table, Entry: e})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Handle, nil
+	cl := c.newCall(verbAddEntry)
+	cl.req.Table, cl.req.Entry = table, e
+	resp, err := c.do(p, cl)
+	return resp.Handle, err
 }
 
 // ModifyEntry rewrites an installed entry's action over the wire.
 func (c *Client) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
-	_, err := c.roundTrip(p, &request{Verb: verbModifyEntry, Table: table, Handle: h, Action: action, Data: data})
+	cl := c.newCall(verbModifyEntry)
+	cl.req.Table, cl.req.Handle, cl.req.Action, cl.req.Data = table, h, action, data
+	_, err := c.do(p, cl)
 	return err
 }
 
 // DeleteEntry removes an installed entry over the wire.
 func (c *Client) DeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
-	_, err := c.roundTrip(p, &request{Verb: verbDeleteEntry, Table: table, Handle: h})
+	cl := c.newCall(verbDeleteEntry)
+	cl.req.Table, cl.req.Handle = table, h
+	_, err := c.do(p, cl)
 	return err
 }
 
 // SetDefaultAction rewrites a table's default action over the wire.
 func (c *Client) SetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
-	_, err := c.roundTrip(p, &request{Verb: verbSetDefaultAction, Table: table, Call: call})
+	cl := c.newCall(verbSetDefaultAction)
+	cl.req.Table, cl.req.Call = table, call
+	_, err := c.do(p, cl)
 	return err
 }
 
 // SetHashSeed reseeds a hash unit over the wire.
 func (c *Client) SetHashSeed(p *sim.Proc, name string, seed uint64) error {
-	_, err := c.roundTrip(p, &request{Verb: verbSetHashSeed, Name: name, Seed: seed})
+	cl := c.newCall(verbSetHashSeed)
+	cl.req.Name, cl.req.Seed = name, seed
+	_, err := c.do(p, cl)
 	return err
 }
 
 // RegWrite writes one register cell over the wire.
 func (c *Client) RegWrite(p *sim.Proc, reg string, idx uint64, v uint64) error {
-	_, err := c.roundTrip(p, &request{Verb: verbRegWrite, Reg: reg, Idx: idx, Val: v})
+	cl := c.newCall(verbRegWrite)
+	cl.req.Reg, cl.req.Idx, cl.req.Val = reg, idx, v
+	_, err := c.do(p, cl)
 	return err
 }
 
 // RegRead reads one register cell over the wire.
 func (c *Client) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
-	resp, err := c.roundTrip(p, &request{Verb: verbRegRead, Reg: reg, Idx: idx})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Val, nil
+	cl := c.newCall(verbRegRead)
+	cl.req.Reg, cl.req.Idx = reg, idx
+	resp, err := c.do(p, cl)
+	return resp.Val, err
 }
 
-// BatchRead reads register ranges in one request frame.
-func (c *Client) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	resp, err := c.roundTrip(p, &request{Verb: verbBatchRead, Reqs: reqs})
-	if err != nil {
-		return nil, err
+// BatchReadInto reads register ranges in one request frame, decoding
+// the response straight into dst (one row per range, refilled in
+// place): the deployed stack's poll allocates nothing here.
+func (c *Client) BatchReadInto(p *sim.Proc, reqs []driver.ReadReq, dst [][]uint64) error {
+	if len(dst) != len(reqs) {
+		return fmt.Errorf("ctlchan: %d result rows for %d requests: %w", len(dst), len(reqs), driver.ErrBadBatch)
 	}
-	return resp.Vals, nil
+	cl := c.newCall(verbBatchRead)
+	cl.req.Reqs = reqs
+	cl.resp.Vals = dst[:0]
+	resp, err := c.do(p, cl)
+	if err != nil {
+		return err
+	}
+	if len(resp.Vals) != len(dst) {
+		return fmt.Errorf("ctlchan: BatchRead answered %d rows for %d ranges", len(resp.Vals), len(dst))
+	}
+	copy(dst, resp.Vals) // a no-op unless a row outgrew its capacity
+	return nil
+}
+
+// BatchRead is BatchReadInto with a fresh result matrix.
+func (c *Client) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
+	return driver.ReadFresh(c, p, reqs)
 }
 
 // UnbatchedRead reads register ranges one request frame each — the
 // unbatched baseline pays a full channel round trip per range here just
 // as it pays per-op channel latency below.
 func (c *Client) UnbatchedRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	out := make([][]uint64, 0, len(reqs))
-	for _, rq := range reqs {
-		resp, err := c.roundTrip(p, &request{Verb: verbBatchRead, Reqs: []driver.ReadReq{rq}})
-		if err != nil {
+	out := make([][]uint64, len(reqs))
+	for i := range reqs {
+		if err := c.BatchReadInto(p, reqs[i:i+1], out[i:i+1]); err != nil {
 			return nil, err
 		}
-		out = append(out, resp.Vals...)
 	}
 	return out, nil
 }
 
 // ReadEntries audits a table's installed entries over the wire.
 func (c *Client) ReadEntries(p *sim.Proc, table string) ([]rmt.Entry, error) {
-	resp, err := c.roundTrip(p, &request{Verb: verbReadEntries, Table: table})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
+	cl := c.newCall(verbReadEntries)
+	cl.req.Table = table
+	resp, err := c.do(p, cl)
+	return resp.Entries, err
 }
 
 // ReadDefaultAction audits a table's default action over the wire.
 func (c *Client) ReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, error) {
-	resp, err := c.roundTrip(p, &request{Verb: verbReadDefaultAction, Table: table})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Call, nil
+	cl := c.newCall(verbReadDefaultAction)
+	cl.req.Table = table
+	resp, err := c.do(p, cl)
+	return resp.Call, err
 }
 
 // Memoize ships as a fire-and-forget datagram: it is a hint, losing one
 // costs a future lookup, not correctness, so it gets no retransmission.
 func (c *Client) Memoize(table string, handle rmt.EntryHandle) {
-	c.link.Send(c.side, encodeRequest(&request{
+	r := request{
 		Kind: frameDatagram, Session: c.opts.Session, Epoch: c.opts.Epoch,
 		Ack: c.ackFloor(), Verb: verbMemoize, Table: table, Handle: handle,
-	}))
+	}
+	c.txBuf = appendRequest(c.txBuf[:0], &r)
+	c.link.Send(c.side, c.txBuf)
 }
 
 // Switch returns the wired switch via the Meta backdoor (simulation

@@ -1,0 +1,421 @@
+package ctlchan
+
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+
+	"repro/internal/driver"
+	"repro/internal/p4"
+	"repro/internal/rmt"
+)
+
+// sampleRequests holds one frame per verb (plus the optional-field
+// variants): the codec tests' cases and the fuzz targets' seed corpus.
+func sampleRequests() []*request {
+	rs := []*request{
+		{Verb: verbAddEntry, Table: "t1", Entry: rmt.Entry{
+			Handle: 3, Priority: -2, Action: "set1",
+			Keys: []rmt.KeySpec{{Value: 7, Mask: 0xFF}, {Lo: 1, Hi: 9}},
+			Data: []uint64{1, 2, 3},
+		}},
+		{Verb: verbModifyEntry, Table: "t2", Handle: 9, Action: "set2", Data: []uint64{42}},
+		{Verb: verbModifyEntry, Table: "t2", Handle: 9, Action: "noop"}, // zero-length data
+		{Verb: verbDeleteEntry, Table: "t1", Handle: 5},
+		{Verb: verbSetDefaultAction, Table: "t1", Call: &p4.ActionCall{Action: "drop", Data: []uint64{0xDEAD}}},
+		{Verb: verbSetDefaultAction, Table: "t1"}, // nil call
+		{Verb: verbSetHashSeed, Name: "ecmp", Seed: 0xFEEDFACE},
+		{Verb: verbRegWrite, Reg: "cnt", Idx: 12, Val: ^uint64(0)},
+		{Verb: verbRegRead, Reg: "cnt", Idx: 12},
+		{Verb: verbBatchRead, Reqs: []driver.ReadReq{{Reg: "a", Lo: 0, Hi: 3}, {Reg: "b", Lo: 5, Hi: 5}}},
+		{Verb: verbReadEntries, Table: "t2"},
+		{Verb: verbReadDefaultAction, Table: "t2"},
+		{Kind: frameDatagram, Verb: verbMemoize, Table: "t1", Handle: 77},
+	}
+	for i, r := range rs {
+		if r.Kind == 0 {
+			r.Kind = frameRequest
+		}
+		r.Session, r.Epoch, r.Seq, r.Ack = 0xA1B2C3D4, 3, uint64(i)+1, uint64(i)
+	}
+	return rs
+}
+
+// sampleResponses covers every payload a response can carry.
+func sampleResponses() []*response {
+	return []*response{
+		{Session: 1, Seq: 2, Status: statusOK, Handle: 7, Val: 99,
+			Vals:    [][]uint64{{1, 2}, nil, {3}},
+			Entries: []rmt.Entry{{Handle: 1, Action: "a", Keys: []rmt.KeySpec{{Value: 4}}, Data: []uint64{8}}},
+			Call:    &p4.ActionCall{Action: "fwd", Data: []uint64{1}}},
+		{Session: 1, Seq: 4, Status: statusOK, Vals: [][]uint64{{5, 6, 7, 8}}},
+		{Session: 9, Seq: 1, Status: statusError, ErrMsg: "unknown table \"zap\""},
+		{Session: 9, Seq: 3, Status: statusStale},
+	}
+}
+
+// requestFields lists what a decoded request carries, field by field, so
+// a test can say which field kept residue. Slices are compared by
+// content: a truncated slice and a nil one are the same request.
+func requestDiff(t *testing.T, what string, got, want *request) {
+	t.Helper()
+	eqU64 := func(a, b []uint64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(field string, ok bool) {
+		if !ok {
+			t.Errorf("%s: field %s differs:\n got %+v\nwant %+v", what, field, got, want)
+		}
+	}
+	check("header", got.Kind == want.Kind && got.Session == want.Session && got.Epoch == want.Epoch &&
+		got.Seq == want.Seq && got.Ack == want.Ack && got.Verb == want.Verb)
+	check("Table", got.Table == want.Table)
+	check("Entry", got.Entry.Handle == want.Entry.Handle && got.Entry.Priority == want.Entry.Priority &&
+		got.Entry.Action == want.Entry.Action && eqU64(got.Entry.Data, want.Entry.Data) &&
+		len(got.Entry.Keys) == len(want.Entry.Keys))
+	for i := range want.Entry.Keys {
+		if i < len(got.Entry.Keys) {
+			check("Entry.Keys", got.Entry.Keys[i] == want.Entry.Keys[i])
+		}
+	}
+	check("Handle", got.Handle == want.Handle)
+	check("Action", got.Action == want.Action)
+	check("Data", eqU64(got.Data, want.Data))
+	check("Call", (got.Call == nil) == (want.Call == nil))
+	if got.Call != nil && want.Call != nil {
+		check("Call", got.Call.Action == want.Call.Action && eqU64(got.Call.Data, want.Call.Data))
+	}
+	check("Name/Seed", got.Name == want.Name && got.Seed == want.Seed)
+	check("Reg/Idx/Val", got.Reg == want.Reg && got.Idx == want.Idx && got.Val == want.Val)
+	check("Reqs", len(got.Reqs) == len(want.Reqs))
+	for i := range want.Reqs {
+		if i < len(got.Reqs) {
+			check("Reqs", got.Reqs[i] == want.Reqs[i])
+		}
+	}
+}
+
+func TestCodecRequestRoundTrip(t *testing.T) {
+	in := make(names)
+	var got request // one request, reused for every frame like the server's
+	for _, r := range sampleRequests() {
+		b := appendRequest(nil, r)
+		if err := decodeRequest(&got, b, in); err != nil {
+			t.Fatalf("verb %s: decode: %v", verbNames[r.Verb], err)
+		}
+		requestDiff(t, "verb "+verbNames[r.Verb], &got, r)
+		if again := appendRequest(nil, &got); !bytes.Equal(again, b) {
+			t.Fatalf("verb %s: re-encoding the decoded request changed the frame", verbNames[r.Verb])
+		}
+	}
+}
+
+func TestCodecResponseRoundTrip(t *testing.T) {
+	in := make(names)
+	var got response
+	for _, r := range sampleResponses() {
+		b := appendResponse(nil, r)
+		if err := decodeResponse(&got, b, in); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if again := appendResponse(nil, &got); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoding the decoded response changed the frame:\n got %+v\nwant %+v", &got, r)
+		}
+		if got.Session != r.Session || got.Seq != r.Seq || got.Status != r.Status || got.ErrMsg != r.ErrMsg ||
+			got.Handle != r.Handle || got.Val != r.Val || len(got.Vals) != len(r.Vals) ||
+			len(got.Entries) != len(r.Entries) || (got.Call == nil) != (r.Call == nil) {
+			t.Fatalf("roundtrip:\n got %+v\nwant %+v", &got, r)
+		}
+	}
+}
+
+// TestCodecAppendsToCallerBuffer: encoding appends after what the buffer
+// already holds and reuses its capacity.
+func TestCodecAppendsToCallerBuffer(t *testing.T) {
+	r := sampleRequests()[0]
+	want := appendRequest(nil, r)
+	buf := make([]byte, 3, 4096)
+	copy(buf, "abc")
+	out := appendRequest(buf, r)
+	if string(out[:3]) != "abc" || !bytes.Equal(out[3:], want) {
+		t.Fatal("appendRequest did not append after the buffer's contents")
+	}
+	if &out[0] != &buf[0] {
+		t.Fatal("appendRequest reallocated a buffer with room to spare")
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = appendRequest(buf[:0], r) }); n != 0 {
+		t.Fatalf("encoding into a warm buffer allocates %v times", n)
+	}
+}
+
+// TestCodecRejectsCorruptFrames truncates every valid frame at every
+// length and appends trailing garbage: each variant must error, never
+// misparse or panic.
+func TestCodecRejectsCorruptFrames(t *testing.T) {
+	var req request
+	for _, r := range sampleRequests() {
+		b := appendRequest(nil, r)
+		for cut := 0; cut < len(b); cut++ {
+			if err := decodeRequest(&req, b[:cut], nil); err == nil {
+				t.Fatalf("verb %s: truncation at %d/%d decoded cleanly", verbNames[r.Verb], cut, len(b))
+			}
+		}
+		if err := decodeRequest(&req, append(append([]byte(nil), b...), 0), nil); err == nil {
+			t.Fatalf("verb %s: trailing byte accepted", verbNames[r.Verb])
+		}
+	}
+	var resp response
+	for _, r := range sampleResponses() {
+		b := appendResponse(nil, r)
+		for cut := 0; cut < len(b); cut++ {
+			if err := decodeResponse(&resp, b[:cut], nil); err == nil {
+				t.Fatalf("response truncation at %d/%d decoded cleanly", cut, len(b))
+			}
+		}
+	}
+	if err := decodeRequest(&req, []byte{0x55}, nil); err == nil {
+		t.Fatal("bad frame kind accepted")
+	}
+	if err := decodeRequest(&req, appendResponse(nil, &response{}), nil); err == nil {
+		t.Fatal("response frame accepted as request")
+	}
+}
+
+// oversizedFrames are frames whose first variable-length prefix claims
+// more than the frame (or any frame) can hold.
+func oversizedFrames() (reqs, resps [][]byte) {
+	header := func(verb uint8) *enc {
+		e := &enc{}
+		e.u8(frameRequest)
+		e.u32(1)
+		e.u64(1)
+		e.u64(1)
+		e.u64(0)
+		e.u8(verb)
+		return e
+	}
+	for _, n := range []uint32{maxSliceLen + 1, 1 << 30, 1<<32 - 1, 1 << 16} {
+		e := header(verbReadEntries)
+		e.u32(n) // table-name length
+		reqs = append(reqs, e.b)
+
+		e = header(verbModifyEntry)
+		e.str("t")
+		e.u64(1)
+		e.str("a")
+		e.u32(n) // data length
+		reqs = append(reqs, e.b)
+
+		e = header(verbBatchRead)
+		e.u32(n) // range count
+		reqs = append(reqs, e.b)
+
+		e = &enc{}
+		e.u8(frameResponse)
+		e.u32(1)
+		e.u64(1)
+		e.u8(statusOK)
+		e.str("")
+		e.u64(0)
+		e.u64(0)
+		e.u32(n) // row count
+		resps = append(resps, e.b)
+	}
+	return reqs, resps
+}
+
+// TestCodecOversizedPrefixDoesNotAllocate: a length prefix above
+// maxSliceLen, or above what the rest of the frame could hold, fails
+// before the slice it describes is allocated.
+func TestCodecOversizedPrefixDoesNotAllocate(t *testing.T) {
+	reqs, resps := oversizedFrames()
+	var req request
+	var resp response
+	for i, b := range reqs {
+		var err error
+		if n := testing.AllocsPerRun(10, func() { err = decodeRequest(&req, b, nil) }); n != 0 {
+			t.Errorf("request %d: decoding an oversized prefix allocates %v times", i, n)
+		}
+		if err == nil {
+			t.Errorf("request %d: oversized prefix accepted", i)
+		}
+	}
+	for i, b := range resps {
+		var err error
+		if n := testing.AllocsPerRun(10, func() { err = decodeResponse(&resp, b, nil) }); n != 0 {
+			t.Errorf("response %d: decoding an oversized prefix allocates %v times", i, n)
+		}
+		if err == nil {
+			t.Errorf("response %d: oversized prefix accepted", i)
+		}
+	}
+}
+
+// aliases reports whether s's bytes lie inside buf.
+func aliases(s string, buf []byte) bool {
+	if len(s) == 0 || len(buf) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(&buf[0]))
+	return p >= lo && p < lo+uintptr(cap(buf))
+}
+
+// TestCodecDecodeReuseLeavesNoResidue: decoding a short frame into a
+// request (response) that last held a long BatchRead (ReadEntries) frame
+// must equal decoding it into a fresh one, field for field, and the
+// interned names must survive the frame buffer being overwritten.
+func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
+	in := make(names)
+	long := &request{Kind: frameRequest, Session: 7, Epoch: 9, Seq: 100, Ack: 99, Verb: verbBatchRead}
+	for i := 0; i < 64; i++ {
+		long.Reqs = append(long.Reqs, driver.ReadReq{Reg: "a_rather_long_register_name", Lo: uint64(i), Hi: uint64(i) + 32})
+	}
+	longAdd := &request{Kind: frameRequest, Verb: verbAddEntry, Table: "big", Entry: rmt.Entry{
+		Handle: 1, Priority: 5, Action: "wide", Keys: make([]rmt.KeySpec, 12), Data: make([]uint64, 40)}}
+	longMod := &request{Kind: frameRequest, Verb: verbModifyEntry, Table: "big", Handle: 4, Action: "wide", Data: make([]uint64, 40)}
+	longDef := &request{Kind: frameRequest, Verb: verbSetDefaultAction, Table: "big",
+		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 40)}}
+
+	for _, short := range sampleRequests() {
+		var reused request
+		for _, l := range []*request{long, longAdd, longMod, longDef} {
+			if err := decodeRequest(&reused, appendRequest(nil, l), in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame := appendRequest(nil, short)
+		if err := decodeRequest(&reused, frame, in); err != nil {
+			t.Fatal(err)
+		}
+		var fresh request
+		if err := decodeRequest(&fresh, frame, nil); err != nil {
+			t.Fatal(err)
+		}
+		requestDiff(t, "reused vs fresh, verb "+verbNames[short.Verb], &reused, &fresh)
+
+		for _, s := range []string{reused.Table, reused.Action, reused.Name, reused.Reg, reused.Entry.Action} {
+			if aliases(s, frame) {
+				t.Fatalf("verb %s: decoded name %q aliases the frame buffer", verbNames[short.Verb], s)
+			}
+		}
+		// Overwrite the frame, as the link does when it recycles the
+		// buffer: the decoded request must not change.
+		before := appendRequest(nil, &reused)
+		for i := range frame {
+			frame[i] = 0xEE
+		}
+		if !bytes.Equal(appendRequest(nil, &reused), before) {
+			t.Fatalf("verb %s: decoded request changed when its frame buffer was overwritten", verbNames[short.Verb])
+		}
+	}
+
+	// Responses: a long ReadEntries/BatchRead answer, then short ones.
+	longResp := &response{Session: 1, Seq: 50, Status: statusOK, ErrMsg: "long ago", Handle: 9, Val: 9,
+		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 8)}}
+	for i := 0; i < 32; i++ {
+		longResp.Entries = append(longResp.Entries, rmt.Entry{Handle: rmt.EntryHandle(i + 1), Action: "wide",
+			Keys: make([]rmt.KeySpec, 3), Data: make([]uint64, 4)})
+		longResp.Vals = append(longResp.Vals, make([]uint64, 64))
+	}
+	for _, short := range sampleResponses() {
+		var reused response
+		if err := decodeResponse(&reused, appendResponse(nil, longResp), in); err != nil {
+			t.Fatal(err)
+		}
+		frame := appendResponse(nil, short)
+		if err := decodeResponse(&reused, frame, in); err != nil {
+			t.Fatal(err)
+		}
+		if again := appendResponse(nil, &reused); !bytes.Equal(again, frame) {
+			t.Fatalf("response seq %d decoded over a long one re-encodes differently: %+v", short.Seq, &reused)
+		}
+		if reused.ErrMsg != short.ErrMsg || len(reused.Entries) != len(short.Entries) ||
+			(reused.Call == nil) != (short.Call == nil) || len(reused.Vals) != len(short.Vals) {
+			t.Fatalf("response seq %d kept residue: %+v", short.Seq, &reused)
+		}
+		if aliases(reused.ErrMsg, frame) {
+			t.Fatal("decoded error text aliases the frame buffer")
+		}
+	}
+}
+
+// TestCodecDecodeIntoCallerRows: a batched read's response decodes into
+// the rows it is handed, reusing their capacity.
+func TestCodecDecodeIntoCallerRows(t *testing.T) {
+	frame := appendResponse(nil, &response{Seq: 1, Vals: [][]uint64{{1, 2, 3}, {4}}})
+	rows := [][]uint64{make([]uint64, 0, 8), make([]uint64, 0, 8)}
+	r := response{Vals: rows[:0]}
+	if err := decodeResponse(&r, frame, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Vals) != 2 || &r.Vals[0][0] != &rows[0][:1][0] || &r.Vals[1][0] != &rows[1][:1][0] {
+		t.Fatal("decodeResponse did not refill the caller's rows in place")
+	}
+	if r.Vals[0][2] != 3 || r.Vals[1][0] != 4 {
+		t.Fatalf("rows = %v", r.Vals)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Vals = rows[:0]
+		if err := decodeResponse(&r, frame, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("decoding into warm rows allocates %v times", n)
+	}
+}
+
+// FuzzDecodeRequest: arbitrary bytes never panic, and every accepted
+// frame is canonical — encoding what was decoded reproduces it exactly.
+// The request is reused across inputs, as the server reuses its own.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, r := range sampleRequests() {
+		f.Add(appendRequest(nil, r))
+	}
+	reqs, _ := oversizedFrames()
+	for _, b := range reqs {
+		f.Add(b)
+	}
+	var r request
+	in := make(names)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := decodeRequest(&r, b, in); err != nil {
+			return
+		}
+		if again := appendRequest(nil, &r); !bytes.Equal(again, b) {
+			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", b, again)
+		}
+	})
+}
+
+// FuzzDecodeResponse is FuzzDecodeRequest for the other direction.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, r := range sampleResponses() {
+		f.Add(appendResponse(nil, r))
+	}
+	_, resps := oversizedFrames()
+	for _, b := range resps {
+		f.Add(b)
+	}
+	var r response
+	in := make(names)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := decodeResponse(&r, b, in); err != nil {
+			return
+		}
+		if again := appendResponse(nil, &r); !bytes.Equal(again, b) {
+			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", b, again)
+		}
+		if seq, ok := responseSeq(b); !ok || seq != r.Seq {
+			t.Fatalf("responseSeq = %d, %v for an accepted frame with seq %d", seq, ok, r.Seq)
+		}
+	})
+}

@@ -81,7 +81,7 @@ const (
 	verbMemoize
 )
 
-var verbNames = map[uint8]string{
+var verbNames = [...]string{
 	verbAddEntry:          "AddEntry",
 	verbModifyEntry:       "ModifyEntry",
 	verbDeleteEntry:       "DeleteEntry",
@@ -125,6 +125,11 @@ const (
 
 // request is the decoded form of one client→server frame. Exactly the
 // fields of its verb are meaningful.
+//
+// A request is reused across frames. On the sending side its slices
+// alias the caller's arguments for the duration of one call; on the
+// receiving side decodeRequest refills it in place, truncating every
+// slice and keeping its capacity, so neither side allocates per frame.
 type request struct {
 	Kind    uint8
 	Session uint32
@@ -147,9 +152,16 @@ type request struct {
 	Idx    uint64
 	Val    uint64
 	Reqs   []driver.ReadReq
+
+	// callBuf backs a decoded Call, so a SetDefaultAction frame decodes
+	// without allocating one.
+	callBuf p4.ActionCall
 }
 
-// response is the decoded form of one server→client frame.
+// response is the decoded form of one server→client frame. Like a
+// request it is refilled in place: decodeResponse reuses the capacity of
+// Vals and of each of its rows, which is how a batched read lands in
+// rows the caller supplied.
 type response struct {
 	Session uint32
 	Seq     uint64
@@ -163,11 +175,34 @@ type response struct {
 	Call    *p4.ActionCall
 }
 
+// names interns the table, register and action names of decoded frames:
+// an endpoint sees the same few names on every frame, so after the first
+// sighting a name costs a map lookup instead of a string. Interned
+// strings are copies and never alias a frame buffer.
+type names map[string]string
+
+// maxNames bounds the table; past it (garbage frames inventing names)
+// decoding falls back to allocating.
+const maxNames = 1024
+
+func (in names) get(b []byte) string {
+	if s, ok := in[string(b)]; ok { // no-alloc lookup form
+		return s
+	}
+	s := string(b)
+	if in != nil && len(in) < maxNames {
+		in[s] = s
+	}
+	return s
+}
+
 // ---- Wire codec ----
 //
 // Fixed-width little-endian integers with length-prefixed strings and
 // slices: simple enough to decode incrementally and strict enough that
 // a truncated or corrupted frame fails loudly instead of misparsing.
+// Encoding appends to a caller-supplied buffer; decoding fills a
+// caller-supplied request or response.
 
 type enc struct{ b []byte }
 
@@ -193,7 +228,7 @@ func (e *enc) keys(ks []rmt.KeySpec) {
 		e.u64(k.Hi)
 	}
 }
-func (e *enc) entry(en rmt.Entry) {
+func (e *enc) entry(en *rmt.Entry) {
 	e.u64(uint64(en.Handle))
 	e.u64(uint64(int64(en.Priority)))
 	e.str(en.Action)
@@ -217,9 +252,10 @@ var errShortFrame = errors.New("ctlchan: truncated frame")
 const maxSliceLen = 1 << 20
 
 type dec struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	names names
 }
 
 func (d *dec) fail() { d.err = errShortFrame }
@@ -252,66 +288,68 @@ func (d *dec) u64() uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
-func (d *dec) str() string {
+
+// count reads a length prefix for elements of at least size bytes each
+// and fails, before anything is allocated, if it exceeds maxSliceLen or
+// what the rest of the frame could hold.
+func (d *dec) count(size int) int {
 	n := int(d.u32())
-	if d.err != nil || n > maxSliceLen || d.off+n > len(d.b) {
+	if d.err != nil || n > maxSliceLen || n*size > len(d.b)-d.off {
 		d.fail()
-		return ""
+		return 0
 	}
-	s := string(d.b[d.off : d.off+n])
+	return n
+}
+
+// bytes returns the next length-prefixed byte string, still inside the
+// frame buffer.
+func (d *dec) bytes() []byte {
+	n := d.count(1)
+	b := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return b
 }
-func (d *dec) u64s() []uint64 {
-	n := int(d.u32())
-	if d.err != nil || n > maxSliceLen {
-		d.fail()
-		return nil
+
+// name decodes an interned string; text decodes a one-off.
+func (d *dec) name() string { return d.names.get(d.bytes()) }
+func (d *dec) text() string { return string(d.bytes()) }
+
+// u64s and keys refill dst (truncated, capacity kept).
+func (d *dec) u64s(dst []uint64) []uint64 {
+	dst = dst[:0]
+	for n := d.count(8); n > 0 && d.err == nil; n-- {
+		dst = append(dst, d.u64())
 	}
-	if n == 0 {
-		return nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = d.u64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return vs
+	return dst
 }
-func (d *dec) keys() []rmt.KeySpec {
-	n := int(d.u32())
-	if d.err != nil || n > maxSliceLen {
-		d.fail()
-		return nil
+func (d *dec) keys(dst []rmt.KeySpec) []rmt.KeySpec {
+	dst = dst[:0]
+	for n := d.count(32); n > 0 && d.err == nil; n-- {
+		dst = append(dst, rmt.KeySpec{Value: d.u64(), Mask: d.u64(), Lo: d.u64(), Hi: d.u64()})
 	}
-	if n == 0 {
-		return nil
-	}
-	ks := make([]rmt.KeySpec, n)
-	for i := range ks {
-		ks[i] = rmt.KeySpec{Value: d.u64(), Mask: d.u64(), Lo: d.u64(), Hi: d.u64()}
-	}
-	if d.err != nil {
-		return nil
-	}
-	return ks
+	return dst
 }
-func (d *dec) entry() rmt.Entry {
-	return rmt.Entry{
-		Handle:   rmt.EntryHandle(d.u64()),
-		Priority: int(int64(d.u64())),
-		Action:   d.str(),
-		Keys:     d.keys(),
-		Data:     d.u64s(),
-	}
+func (d *dec) entry(en *rmt.Entry) {
+	en.Handle = rmt.EntryHandle(d.u64())
+	en.Priority = int(int64(d.u64()))
+	en.Action = d.name()
+	en.Keys = d.keys(en.Keys)
+	en.Data = d.u64s(en.Data)
 }
-func (d *dec) callv() *p4.ActionCall {
-	if d.u8() == 0 {
+
+// call decodes an optional action call into buf, returning buf or nil.
+// The presence byte is 0 or 1; anything else is corruption.
+func (d *dec) call(buf *p4.ActionCall) *p4.ActionCall {
+	switch d.u8() {
+	case 0:
 		return nil
+	case 1:
+		buf.Action = d.name()
+		buf.Data = d.u64s(buf.Data)
+		return buf
 	}
-	return &p4.ActionCall{Action: d.str(), Data: d.u64s()}
+	d.fail()
+	return nil
 }
 
 // leftover fails the decode if trailing bytes remain: a frame must be
@@ -326,9 +364,16 @@ func (d *dec) leftover() error {
 	return nil
 }
 
-// encodeRequest serializes a request (or datagram) frame.
-func encodeRequest(r *request) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
+// Minimum encoded sizes of the variable-length elements, for dec.count.
+const (
+	minReadReqSize = 4 + 8 + 8         // empty name, Lo, Hi
+	minRowSize     = 4                 // empty row
+	minEntrySize   = 8 + 8 + 4 + 4 + 4 // handle, priority, empty action/keys/data
+)
+
+// appendRequest appends r's frame (request or datagram) to b.
+func appendRequest(b []byte, r *request) []byte {
+	e := enc{b: b}
 	e.u8(r.Kind)
 	e.u32(r.Session)
 	e.u64(r.Epoch)
@@ -338,7 +383,7 @@ func encodeRequest(r *request) []byte {
 	switch r.Verb {
 	case verbAddEntry:
 		e.str(r.Table)
-		e.entry(r.Entry)
+		e.entry(&r.Entry)
 	case verbModifyEntry:
 		e.str(r.Table)
 		e.u64(uint64(r.Handle))
@@ -373,12 +418,21 @@ func encodeRequest(r *request) []byte {
 	return e.b
 }
 
-// decodeRequest parses a request or datagram frame.
-func decodeRequest(b []byte) (*request, error) {
-	d := &dec{b: b}
-	r := &request{Kind: d.u8()}
+// decodeRequest parses a request or datagram frame into r, replacing
+// whatever r held: every field is reset first, slices are truncated with
+// their capacity kept. Names are interned through in (nil: allocated).
+// On error r's contents are unspecified.
+func decodeRequest(r *request, b []byte, in names) error {
+	*r = request{
+		Entry:   rmt.Entry{Keys: r.Entry.Keys[:0], Data: r.Entry.Data[:0]},
+		Data:    r.Data[:0],
+		Reqs:    r.Reqs[:0],
+		callBuf: p4.ActionCall{Data: r.callBuf.Data[:0]},
+	}
+	d := dec{b: b, names: in}
+	r.Kind = d.u8()
 	if r.Kind != frameRequest && r.Kind != frameDatagram {
-		return nil, fmt.Errorf("ctlchan: not a request frame (kind 0x%02x)", r.Kind)
+		return fmt.Errorf("ctlchan: not a request frame (kind 0x%02x)", r.Kind)
 	}
 	r.Session = d.u32()
 	r.Epoch = d.u64()
@@ -387,51 +441,44 @@ func decodeRequest(b []byte) (*request, error) {
 	r.Verb = d.u8()
 	switch r.Verb {
 	case verbAddEntry:
-		r.Table = d.str()
-		r.Entry = d.entry()
+		r.Table = d.name()
+		d.entry(&r.Entry)
 	case verbModifyEntry:
-		r.Table = d.str()
+		r.Table = d.name()
 		r.Handle = rmt.EntryHandle(d.u64())
-		r.Action = d.str()
-		r.Data = d.u64s()
+		r.Action = d.name()
+		r.Data = d.u64s(r.Data)
 	case verbDeleteEntry, verbMemoize:
-		r.Table = d.str()
+		r.Table = d.name()
 		r.Handle = rmt.EntryHandle(d.u64())
 	case verbSetDefaultAction:
-		r.Table = d.str()
-		r.Call = d.callv()
+		r.Table = d.name()
+		r.Call = d.call(&r.callBuf)
 	case verbSetHashSeed:
-		r.Name = d.str()
+		r.Name = d.name()
 		r.Seed = d.u64()
 	case verbRegWrite:
-		r.Reg = d.str()
+		r.Reg = d.name()
 		r.Idx = d.u64()
 		r.Val = d.u64()
 	case verbRegRead:
-		r.Reg = d.str()
+		r.Reg = d.name()
 		r.Idx = d.u64()
 	case verbBatchRead:
-		n := int(d.u32())
-		if d.err == nil && n > maxSliceLen {
-			d.fail()
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Reqs = append(r.Reqs, driver.ReadReq{Reg: d.str(), Lo: d.u64(), Hi: d.u64()})
+		for n := d.count(minReadReqSize); n > 0 && d.err == nil; n-- {
+			r.Reqs = append(r.Reqs, driver.ReadReq{Reg: d.name(), Lo: d.u64(), Hi: d.u64()})
 		}
 	case verbReadEntries, verbReadDefaultAction:
-		r.Table = d.str()
+		r.Table = d.name()
 	default:
-		return nil, fmt.Errorf("ctlchan: unknown verb %d", r.Verb)
+		return fmt.Errorf("ctlchan: unknown verb %d", r.Verb)
 	}
-	if err := d.leftover(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return d.leftover()
 }
 
-// encodeResponse serializes a response frame.
-func encodeResponse(r *response) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
+// appendResponse appends r's frame to b.
+func appendResponse(b []byte, r *response) []byte {
+	e := enc{b: b}
 	e.u8(frameResponse)
 	e.u32(r.Session)
 	e.u64(r.Seq)
@@ -444,44 +491,62 @@ func encodeResponse(r *response) []byte {
 		e.u64s(vs)
 	}
 	e.u32(uint32(len(r.Entries)))
-	for _, en := range r.Entries {
-		e.entry(en)
+	for i := range r.Entries {
+		e.entry(&r.Entries[i])
 	}
 	e.call(r.Call)
 	return e.b
 }
 
-// decodeResponse parses a response frame.
-func decodeResponse(b []byte) (*response, error) {
-	d := &dec{b: b}
+// responseSeq reads the sequence number out of a response frame's fixed
+// header without decoding the rest, so the client can pick the call the
+// body should be decoded into. ok is false for anything too short or
+// not a response; decodeResponse reports why.
+func responseSeq(b []byte) (seq uint64, ok bool) {
+	d := dec{b: b}
+	if d.u8() != frameResponse {
+		return 0, false
+	}
+	d.u32()
+	seq = d.u64()
+	return seq, d.err == nil
+}
+
+// decodeResponse parses a response frame into r, replacing whatever r
+// held. Vals and its rows are refilled in place (truncated, capacity
+// kept); Entries and Call, which only audit reads carry, are allocated.
+// On error r's contents are unspecified.
+func decodeResponse(r *response, b []byte, in names) error {
+	*r = response{Vals: r.Vals[:0]}
+	d := dec{b: b, names: in}
 	if k := d.u8(); k != frameResponse {
-		return nil, fmt.Errorf("ctlchan: not a response frame (kind 0x%02x)", k)
+		return fmt.Errorf("ctlchan: not a response frame (kind 0x%02x)", k)
 	}
-	r := &response{
-		Session: d.u32(),
-		Seq:     d.u64(),
-		Status:  d.u8(),
-		ErrMsg:  d.str(),
-		Handle:  rmt.EntryHandle(d.u64()),
-		Val:     d.u64(),
+	r.Session = d.u32()
+	r.Seq = d.u64()
+	r.Status = d.u8()
+	r.ErrMsg = d.text()
+	r.Handle = rmt.EntryHandle(d.u64())
+	r.Val = d.u64()
+	for n := d.count(minRowSize); n > 0 && d.err == nil; n-- {
+		var row []uint64
+		if n := len(r.Vals); n < cap(r.Vals) {
+			row = r.Vals[:n+1][n] // the row this slot last held: reuse its capacity
+		}
+		r.Vals = append(r.Vals, d.u64s(row))
 	}
-	nv := int(d.u32())
-	if d.err == nil && nv > maxSliceLen {
+	if n := d.count(minEntrySize); n > 0 {
+		r.Entries = make([]rmt.Entry, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			d.entry(&r.Entries[i])
+		}
+	}
+	switch d.u8() {
+	case 0:
+	case 1:
+		r.Call = &p4.ActionCall{Action: d.name(), Data: d.u64s(nil)}
+	default:
 		d.fail()
 	}
-	for i := 0; i < nv && d.err == nil; i++ {
-		r.Vals = append(r.Vals, d.u64s())
-	}
-	ne := int(d.u32())
-	if d.err == nil && ne > maxSliceLen {
-		d.fail()
-	}
-	for i := 0; i < ne && d.err == nil; i++ {
-		r.Entries = append(r.Entries, d.entry())
-	}
-	r.Call = d.callv()
-	if err := d.leftover(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return d.leftover()
 }

@@ -27,9 +27,20 @@ type Server struct {
 	sim      *sim.Simulator
 	sessions map[uint32]*serverSession
 
+	// queue holds frames awaiting the dispatcher, consumed from head. An
+	// arriving frame is the link's only until the receive callback
+	// returns, so it is copied into a buffer from bufs, the freelist that
+	// also supplies the dedup caches' response buffers.
 	queue []inbound
+	head  int
+	bufs  [][]byte
 	disp  *sim.Proc
 	idle  bool
+
+	// Dispatcher scratch, reused for every frame: the response under
+	// construction and the name table of decoded requests.
+	resp  response
+	names names
 
 	// epoch is the highest election epoch seen on any session; mutations
 	// below it are fenced. epochAt records when it last rose — the
@@ -51,12 +62,20 @@ type serverSession struct {
 	link  *netsim.Link
 	side  int // the server's side of the link; replies go out here
 	ch    driver.Channel
+	rd    driver.RangeReader // ch's batched-read path
 
 	// floor is the client's lowest unresolved seq: responses below it
 	// are garbage-collected, and mutating requests below it are stale.
 	floor uint64
-	// cache holds encoded responses by seq for retransmit replay.
+	// cache holds encoded responses by seq for retransmit replay. Each
+	// response is encoded once, into a buffer the cache owns from then
+	// until the floor passes its seq.
 	cache map[uint64][]byte
+
+	// req is the decoded form of the frame in hand and rows the result
+	// matrix of its batched read; both are refilled in place per frame.
+	req  request
+	rows [][]uint64
 
 	executed       uint64
 	mutations      uint64
@@ -100,7 +119,7 @@ type SessionInfo struct {
 // NewServer starts a control-channel server. Its dispatcher process
 // spawns immediately and parks until the first frame arrives.
 func NewServer(s *sim.Simulator) *Server {
-	srv := &Server{sim: s, sessions: make(map[uint32]*serverSession)}
+	srv := &Server{sim: s, sessions: make(map[uint32]*serverSession), names: make(names)}
 	srv.disp = s.Spawn("ctlchan-server", srv.run)
 	return srv
 }
@@ -108,10 +127,13 @@ func NewServer(s *sim.Simulator) *Server {
 // Attach binds a session to the server: frames arriving at side of link
 // are decoded and executed on ch (typically a ctlplane session opened
 // with ElectionID == epoch, so demotion fences writes below this layer
-// too). Replies are sent back out the same side.
+// too). Replies are sent back out the same side. ch is handed slices of
+// the session's decoded request, which the next frame overwrites; like
+// every driver.Channel it copies what it keeps.
 func (srv *Server) Attach(link *netsim.Link, side int, sessionID uint32, epoch uint64, ch driver.Channel) {
 	sess := &serverSession{
 		id: sessionID, epoch: epoch, link: link, side: side, ch: ch,
+		rd:    driver.RangeReaderOf(ch),
 		cache: make(map[uint64][]byte),
 	}
 	srv.sessions[sessionID] = sess
@@ -120,9 +142,33 @@ func (srv *Server) Attach(link *netsim.Link, side int, sessionID uint32, epoch u
 		srv.epochAt = srv.sim.Now()
 	}
 	link.SetRecv(side, func(msg []byte) {
-		srv.queue = append(srv.queue, inbound{sess: sess, msg: msg})
+		srv.enqueue(sess, msg)
 		srv.kick()
 	})
+}
+
+// enqueue copies an arriving frame into a recycled buffer and queues it.
+// The consumed prefix of the queue is reclaimed before the slice would
+// grow, so the queue's footprint tracks the deepest backlog, not the
+// frame count.
+func (srv *Server) enqueue(sess *serverSession, msg []byte) {
+	if srv.head > 0 && len(srv.queue) == cap(srv.queue) {
+		n := copy(srv.queue, srv.queue[srv.head:])
+		clear(srv.queue[n:])
+		srv.queue, srv.head = srv.queue[:n], 0
+	}
+	srv.queue = append(srv.queue, inbound{sess: sess, msg: append(srv.takeBuf(), msg...)})
+}
+
+// takeBuf pops an empty buffer off the freelist (nil if it has none).
+func (srv *Server) takeBuf() []byte {
+	n := len(srv.bufs)
+	if n == 0 {
+		return nil
+	}
+	buf := srv.bufs[n-1][:0]
+	srv.bufs = srv.bufs[:n-1]
+	return buf
 }
 
 // Stats returns a copy of the server counters.
@@ -159,14 +205,17 @@ func (srv *Server) kick() {
 // when empty.
 func (srv *Server) run(p *sim.Proc) {
 	for {
-		if len(srv.queue) == 0 {
+		if srv.head == len(srv.queue) {
+			srv.queue, srv.head = srv.queue[:0], 0
 			srv.idle = true
 			p.Park()
 			continue
 		}
-		in := srv.queue[0]
-		srv.queue = srv.queue[1:]
+		in := srv.queue[srv.head]
+		srv.queue[srv.head] = inbound{}
+		srv.head++
 		srv.handle(p, in.sess, in.msg)
+		srv.bufs = append(srv.bufs, in.msg)
 	}
 }
 
@@ -174,8 +223,8 @@ func (srv *Server) run(p *sim.Proc) {
 // cache, reply.
 func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	srv.stats.Frames++
-	req, err := decodeRequest(msg)
-	if err != nil {
+	req := &sess.req
+	if err := decodeRequest(req, msg, srv.names); err != nil {
 		srv.stats.BadFrames++
 		return
 	}
@@ -192,9 +241,10 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	// it is settled client-side, so its cached responses can go.
 	if req.Ack > sess.floor {
 		sess.floor = req.Ack
-		for seq := range sess.cache {
+		for seq, buf := range sess.cache {
 			if seq < sess.floor {
 				delete(sess.cache, seq)
+				srv.bufs = append(srv.bufs, buf)
 			}
 		}
 	}
@@ -215,7 +265,10 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 		if mutatingVerb(req.Verb) {
 			srv.stats.StaleWrites++
 		}
-		srv.reply(sess, &response{Session: sess.id, Seq: req.Seq, Status: statusStale})
+		srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusStale}
+		buf := appendResponse(srv.takeBuf(), &srv.resp)
+		sess.link.Send(sess.side, buf)
+		srv.bufs = append(srv.bufs, buf)
 		return
 	}
 
@@ -228,21 +281,21 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	}
 	if mutatingVerb(req.Verb) && req.Epoch < srv.epoch {
 		srv.stats.FencedWrites++
-		resp := &response{Session: sess.id, Seq: req.Seq, Status: statusFenced}
-		sess.cache[req.Seq] = encodeResponse(resp)
-		srv.reply(sess, resp)
+		srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusFenced}
+		srv.reply(sess)
 		return
 	}
 
-	resp := srv.execute(p, sess, req)
-	sess.cache[req.Seq] = encodeResponse(resp)
-	srv.reply(sess, resp)
+	srv.execute(p, sess, req)
+	srv.reply(sess)
 }
 
 // execute runs the request on the session's inner channel (paying its
-// channel latency on the dispatcher process) and builds the response.
-func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) *response {
-	resp := &response{Session: sess.id, Seq: req.Seq, Status: statusOK}
+// channel latency on the dispatcher process) and builds the response in
+// srv.resp.
+func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
+	srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusOK}
+	resp := &srv.resp
 	var err error
 	switch req.Verb {
 	case verbAddEntry:
@@ -260,7 +313,13 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) *resp
 	case verbRegRead:
 		resp.Val, err = sess.ch.RegRead(p, req.Reg, req.Idx)
 	case verbBatchRead:
-		resp.Vals, err = sess.ch.BatchRead(p, req.Reqs)
+		for len(sess.rows) < len(req.Reqs) {
+			sess.rows = append(sess.rows, nil)
+		}
+		rows := sess.rows[:len(req.Reqs)]
+		if err = sess.rd.BatchReadInto(p, req.Reqs, rows); err == nil {
+			resp.Vals = rows
+		}
 	case verbReadEntries:
 		resp.Entries, err = sess.ch.ReadEntries(p, req.Table)
 	case verbReadDefaultAction:
@@ -268,7 +327,7 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) *resp
 	default:
 		resp.Status = statusError
 		resp.ErrMsg = "unknown verb"
-		return resp
+		return
 	}
 	srv.stats.Executed++
 	sess.executed++
@@ -290,9 +349,13 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) *resp
 		resp.Status = statusError
 		resp.ErrMsg = err.Error()
 	}
-	return resp
 }
 
-func (srv *Server) reply(sess *serverSession, resp *response) {
-	sess.link.Send(sess.side, encodeResponse(resp))
+// reply encodes srv.resp once, into a buffer the session's dedup cache
+// keeps, and sends those bytes; a retransmit is answered from the same
+// bytes.
+func (srv *Server) reply(sess *serverSession) {
+	buf := appendResponse(srv.takeBuf(), &srv.resp)
+	sess.cache[srv.resp.Seq] = buf
+	sess.link.Send(sess.side, buf)
 }

@@ -174,11 +174,14 @@ type Service struct {
 	rrNext map[Class]int
 
 	// ring is the driver submission ring every write request flushes
-	// through; batchBuf and free are dispatcher/sync-path scratch that
-	// keep the steady-state write path allocation-free.
+	// through; rd is the channel's batched-read path. batchBuf, free and
+	// reads are dispatcher/sync-path scratch that keep the steady-state
+	// paths allocation-free.
 	ring     *driver.Ring
+	rd       driver.RangeReader
 	batchBuf []*request
 	free     []*request
+	reads    readScratch
 
 	stats Stats
 }
@@ -200,6 +203,7 @@ func New(s *sim.Simulator, ch driver.Channel, opts Options) *Service {
 	}
 	svc := &Service{sim: s, ch: ch, opts: opts, rrNext: make(map[Class]int)}
 	svc.ring = driver.NewRing(ch, opts.RingSize)
+	svc.rd = driver.RangeReaderOf(ch)
 	svc.disp = s.Spawn("ctlplane-dispatcher", svc.run)
 	return svc
 }
@@ -312,7 +316,11 @@ func (svc *Service) dispatch(p *sim.Proc, req *request) {
 			batch = append(batch, s.queue[len(batch)])
 		}
 	}
-	s.queue = s.queue[len(batch):]
+	// Shift the remainder down rather than re-slicing from the front: the
+	// queue keeps its capacity, so enqueue does not reallocate it.
+	n := copy(s.queue, s.queue[len(batch):])
+	clear(s.queue[n:])
+	s.queue = s.queue[:n]
 
 	start := p.Now()
 	for _, r := range batch {
@@ -422,37 +430,55 @@ func (svc *Service) executeRing(p *sim.Proc, batch []*request) {
 	}
 }
 
+// readScratch is the dispatcher's working storage for one coalesced
+// read: the concatenated ranges, each request's span in them, the merge
+// plan, and the result matrix the driver fills. All of it is overwritten
+// by the next read.
+type readScratch struct {
+	all    []driver.ReadReq
+	spans  [][2]int // [start,len) into all, per request
+	order  []int
+	merged []driver.ReadReq
+	where  []readSlot
+	rows   [][]uint64
+}
+
 // executeReads merges the batch's register ranges into one driver
-// transaction and splits the values back per request. All requests in
-// the batch observe values captured at the same completion instant —
-// the same snapshot semantics a single BatchRead already has.
+// transaction and copies the values out to each request's rows (the
+// caller's own, on the synchronous path). All requests in the batch
+// observe values captured at the same completion instant — the same
+// snapshot semantics a single BatchRead already has.
 func (svc *Service) executeReads(p *sim.Proc, batch []*request) {
-	var all []driver.ReadReq
-	slots := make([][2]int, len(batch)) // [start,len) into all, per request
-	for i, r := range batch {
-		slots[i] = [2]int{len(all), len(r.reads)}
-		all = append(all, r.reads...)
+	sc := &svc.reads
+	sc.all, sc.spans = sc.all[:0], sc.spans[:0]
+	for _, r := range batch {
+		sc.spans = append(sc.spans, [2]int{len(sc.all), len(r.reads)})
+		sc.all = append(sc.all, r.reads...)
 	}
-	merged, where := mergeRanges(all)
+	merged := sc.merge()
 	svc.stats.ReadTransactions++
 	svc.stats.ReadsCoalesced += uint64(len(batch) - 1)
-	svc.stats.RangesMerged += uint64(len(all) - len(merged))
+	svc.stats.RangesMerged += uint64(len(sc.all) - len(merged))
 
-	vals, err := svc.ch.BatchRead(p, merged)
-	if err != nil {
+	for len(sc.rows) < len(merged) {
+		sc.rows = append(sc.rows, nil)
+	}
+	vals := sc.rows[:len(merged)]
+	if err := svc.rd.BatchReadInto(p, merged, vals); err != nil {
 		for _, r := range batch {
 			r.err = err
 		}
 		return
 	}
 	for i, r := range batch {
-		lo, n := slots[i][0], slots[i][1]
-		out := make([][]uint64, n)
-		for j := 0; j < n; j++ {
-			w := where[lo+j]
-			out[j] = vals[w.idx][w.off : w.off+w.n]
+		lo, n := sc.spans[i][0], sc.spans[i][1]
+		if r.out == nil {
+			r.out = make([][]uint64, n)
 		}
-		r.out = out
+		for j := 0; j < n; j++ {
+			w := sc.where[lo+j]
+			r.out[j] = append(r.out[j][:0], vals[w.idx][w.off:w.off+w.n]...)
+		}
 	}
 }
 
@@ -483,23 +509,26 @@ type readSlot struct {
 	n   int // cell count
 }
 
-// mergeRanges folds overlapping or adjacent ranges on the same register
-// into unions, returning the merged list and, for each original range,
-// where its values live in the merged results. Ranges on distinct
-// registers or with gaps between them stay separate — merging across a
-// gap would DMA cells nobody asked for.
-func mergeRanges(reqs []driver.ReadReq) ([]driver.ReadReq, []readSlot) {
+// merge folds overlapping or adjacent ranges of sc.all on the same
+// register into unions, returning the merged list and leaving in
+// sc.where, for each original range, where its values live in the
+// merged results. Ranges on distinct registers or with gaps between them
+// stay separate — merging across a gap would DMA cells nobody asked for.
+func (sc *readScratch) merge() []driver.ReadReq {
+	reqs := sc.all
+	sc.where = sc.where[:0]
 	if len(reqs) <= 1 {
-		slots := make([]readSlot, len(reqs))
 		for i, r := range reqs {
-			slots[i] = readSlot{idx: i, n: int(r.Hi - r.Lo)}
+			sc.where = append(sc.where, readSlot{idx: i, n: int(r.Hi - r.Lo)})
 		}
-		return reqs, slots
+		return reqs
 	}
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+	order := sc.order[:0]
+	for i := range reqs {
+		order = append(order, i)
+		sc.where = append(sc.where, readSlot{})
 	}
+	sc.order = order
 	// Insertion sort by (register, Lo): request lists are short (a
 	// handful of reactions' params), and stability is irrelevant since
 	// ties resolve identically.
@@ -513,8 +542,7 @@ func mergeRanges(reqs []driver.ReadReq) ([]driver.ReadReq, []readSlot) {
 			}
 		}
 	}
-	var merged []driver.ReadReq
-	slots := make([]readSlot, len(reqs))
+	merged := sc.merged[:0]
 	for _, oi := range order {
 		r := reqs[oi]
 		if n := len(merged); n > 0 && merged[n-1].Reg == r.Reg && r.Lo <= merged[n-1].Hi {
@@ -525,7 +553,8 @@ func mergeRanges(reqs []driver.ReadReq) ([]driver.ReadReq, []readSlot) {
 			merged = append(merged, r)
 		}
 		last := merged[len(merged)-1]
-		slots[oi] = readSlot{idx: len(merged) - 1, off: int(r.Lo - last.Lo), n: int(r.Hi - r.Lo)}
+		sc.where[oi] = readSlot{idx: len(merged) - 1, off: int(r.Lo - last.Lo), n: int(r.Hi - r.Lo)}
 	}
-	return merged, slots
+	sc.merged = merged
+	return merged
 }

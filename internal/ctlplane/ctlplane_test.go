@@ -481,8 +481,13 @@ func TestMergeRanges(t *testing.T) {
 		{Reg: "r0", Lo: 0, Hi: 8},
 		{Reg: "r0", Lo: 20, Hi: 24}, // gap after 16: must NOT merge
 	}
-	merged, slots := mergeRanges(reqs)
-	if len(merged) != 3 {
+	// Stale scratch from a longer, differently-shaped read must not leak in.
+	sc := readScratch{all: []driver.ReadReq{{Reg: "z", Lo: 0, Hi: 9}, {Reg: "a", Lo: 0, Hi: 1}, {Reg: "a", Lo: 1, Hi: 2},
+		{Reg: "b", Lo: 0, Hi: 1}, {Reg: "c", Lo: 0, Hi: 1}, {Reg: "d", Lo: 0, Hi: 1}}}
+	sc.merge()
+	sc.all = append(sc.all[:0], reqs...)
+	merged, slots := sc.merge(), sc.where
+	if len(merged) != 3 || len(slots) != len(reqs) {
 		t.Fatalf("merged = %+v, want 3 ranges", merged)
 	}
 	// Every original range must map inside its merged range.

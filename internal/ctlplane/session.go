@@ -109,7 +109,9 @@ type request struct {
 
 	// exec runs an opaque kindExec operation against the channel.
 	exec func(p *sim.Proc, ch driver.Channel) error
-	// reads/out carry a kindRead request's ranges and results.
+	// reads/out carry a kindRead request's ranges and results. On the
+	// synchronous path out is the caller's row matrix, refilled in place;
+	// an asynchronous read leaves it nil and the dispatcher allocates it.
 	reads []driver.ReadReq
 	out   [][]uint64
 
@@ -209,7 +211,10 @@ type Session struct {
 	stats SessionStats
 }
 
-var _ driver.Channel = (*Session)(nil)
+var (
+	_ driver.Channel     = (*Session)(nil)
+	_ driver.RangeReader = (*Session)(nil)
+)
 
 // Open creates a session. Primary opens are arbitrated by election id:
 // a higher id than the incumbent wins and demotes it; an equal or lower
@@ -487,20 +492,30 @@ func (s *Session) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
 	return vals[0][0], nil
 }
 
-// BatchRead reads register ranges through the session queue; adjacent
-// queued reads share one driver transaction.
+// BatchReadInto reads register ranges through the session queue into
+// dst (one row per range, refilled in place); adjacent queued reads
+// share one driver transaction. Like the write verbs it rides a pooled
+// request, so a steady-state poll allocates nothing here.
+func (s *Session) BatchReadInto(p *sim.Proc, reqs []driver.ReadReq, dst [][]uint64) error {
+	if len(reqs) == 0 {
+		return nil
+	}
+	if len(dst) != len(reqs) {
+		return fmt.Errorf("ctlplane: %d result rows for %d requests: %w", len(dst), len(reqs), driver.ErrBadBatch)
+	}
+	r := s.svc.getReq()
+	r.kind, r.reads, r.out = kindRead, reqs, dst
+	err := s.syncRun(p, r)
+	s.svc.putReq(r)
+	return err
+}
+
+// BatchRead is BatchReadInto with a fresh result matrix.
 func (s *Session) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	pn, err := s.SubmitRead(reqs)
-	if err != nil {
-		return nil, err
-	}
-	if err := pn.Wait(p); err != nil {
-		return nil, err
-	}
-	return pn.Values(), nil
+	return driver.ReadFresh(s, p, reqs)
 }
 
 // UnbatchedRead issues one transaction per range (the batching

@@ -298,11 +298,7 @@ func (d *Driver) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	out := make([][]uint64, len(reqs))
-	if err := d.readInto(p, reqs, out, true); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ReadFresh(d, p, reqs)
 }
 
 // BatchReadInto is BatchRead without the result allocation: dst must

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/p4"
 	"repro/internal/rmt"
@@ -43,7 +44,11 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 // agent uses. *Driver implements it directly; fault-injection or other
 // interposing layers wrap another Channel with the same contract:
 // operations block the calling process for their channel latency and
-// mutate switch state only at completion time.
+// mutate switch state only at completion time. An implementation copies
+// whatever it keeps of its arguments (entry keys and data, action-call
+// data): callers — the agent's commit scratch, the ring's slots, the
+// control-channel server's decoded request — reuse those buffers as soon
+// as the call returns.
 type Channel interface {
 	AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error)
 	ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error
@@ -68,13 +73,50 @@ type Channel interface {
 var _ Channel = (*Driver)(nil)
 
 // RangeReader is the optional allocation-free read extension of a
-// Channel. The agent probes for it once at setup: when the channel
-// supports it (the raw *Driver does), steady-state polls refill a
-// preallocated result matrix instead of allocating one per BatchRead;
-// when it doesn't (session, fault, or message-channel wrappers), the
-// agent falls back to BatchRead and copies.
+// Channel: BatchRead into rows the caller owns. dst must have one row
+// per request; each row is refilled in place (truncated, capacity kept).
+// The driver and every shipped wrapper (faults.Injector,
+// ctlplane.Session, ctlchan.Client) implement it, so a poll lands in the
+// agent's preallocated matrix through the whole deployed stack. A
+// consumer probes for it once at setup — the agent with a type
+// assertion, the wrappers with RangeReaderOf.
 type RangeReader interface {
 	BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error
 }
 
 var _ RangeReader = (*Driver)(nil)
+
+// RangeReaderOf returns ch's own RangeReader when it has the extension,
+// and otherwise an adapter that calls BatchRead and copies the rows out.
+func RangeReaderOf(ch Channel) RangeReader {
+	if rr, ok := ch.(RangeReader); ok {
+		return rr
+	}
+	return copyReader{ch}
+}
+
+type copyReader struct{ ch Channel }
+
+func (c copyReader) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
+	if len(dst) != len(reqs) {
+		return fmt.Errorf("driver: %d result rows for %d requests: %w", len(dst), len(reqs), ErrBadBatch)
+	}
+	vals, err := c.ch.BatchRead(p, reqs)
+	if err != nil {
+		return err
+	}
+	for i := range vals {
+		dst[i] = append(dst[i][:0], vals[i]...)
+	}
+	return nil
+}
+
+// ReadFresh is BatchRead written in terms of BatchReadInto — a fresh
+// result matrix, filled by rd — so a layer implements its read path once.
+func ReadFresh(rd RangeReader, p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
+	out := make([][]uint64, len(reqs))
+	if err := rd.BatchReadInto(p, reqs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -108,6 +108,11 @@ type RingOp struct {
 	// Tag is an opaque caller cookie (e.g. a request pointer index)
 	// carried through to Drain.
 	Tag any
+
+	// call is the ActionCall an OpSetDefault hands the channel: slot
+	// resident, so the flush does not allocate one (channels copy what
+	// they keep).
+	call p4.ActionCall
 }
 
 // reset clears a descriptor for reuse, keeping slice capacity.
@@ -304,8 +309,8 @@ func (rg *Ring) execute(p *sim.Proc, op *RingOp) error {
 	case OpDeleteEntry:
 		return rg.ch.DeleteEntry(p, op.Table, op.Handle)
 	case OpSetDefault:
-		call := p4.ActionCall{Action: op.Action, Data: op.Data}
-		return rg.ch.SetDefaultAction(p, op.Table, &call)
+		op.call = p4.ActionCall{Action: op.Action, Data: op.Data}
+		return rg.ch.SetDefaultAction(p, op.Table, &op.call)
 	case OpSetHashSeed:
 		return rg.ch.SetHashSeed(p, op.Table, op.Val)
 	case OpRegWrite:

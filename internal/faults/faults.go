@@ -197,6 +197,7 @@ type Stats struct {
 // It implements driver.Channel itself, so it stacks.
 type Injector struct {
 	inner   driver.Channel
+	rd      driver.RangeReader // inner's batched-read path
 	sim     *sim.Simulator
 	prof    Profile
 	rng     *rand.Rand
@@ -214,7 +215,10 @@ type Injector struct {
 	stats Stats
 }
 
-var _ driver.Channel = (*Injector)(nil)
+var (
+	_ driver.Channel     = (*Injector)(nil)
+	_ driver.RangeReader = (*Injector)(nil)
+)
 
 // Wrap interposes an Injector between a control-plane client and inner.
 // The injector draws fault decisions from its own RNG seeded with seed,
@@ -223,6 +227,7 @@ var _ driver.Channel = (*Injector)(nil)
 func Wrap(s *sim.Simulator, inner driver.Channel, prof Profile, seed int64) *Injector {
 	return &Injector{
 		inner:   inner,
+		rd:      driver.RangeReaderOf(inner),
 		sim:     s,
 		prof:    prof,
 		rng:     rand.New(rand.NewSource(seed)),
@@ -389,24 +394,30 @@ func (f *Injector) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) 
 	return f.inner.RegRead(p, reg, idx)
 }
 
-// BatchRead forwards to the wrapped channel; besides the common faults
-// it can abort partway, paying for a prefix of the ranges and
-// returning no values.
-func (f *Injector) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
+// BatchReadInto forwards to the wrapped channel, reading into the
+// caller's rows; besides the common faults it can abort partway, paying
+// for a prefix of the ranges and reporting no values (the prefix's rows
+// are overwritten and must not be used).
+func (f *Injector) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
 	if err := f.inject(p, "BatchRead"); err != nil {
-		return nil, err
+		return err
 	}
 	if f.enabled && f.prof.PartialBatchRate > 0 && len(reqs) > 1 &&
 		f.rng.Float64() < f.prof.PartialBatchRate {
 		f.stats.PartialBatches++
 		cut := 1 + f.rng.Intn(len(reqs)-1)
-		if _, err := f.inner.BatchRead(p, reqs[:cut]); err != nil {
-			return nil, err
+		if err := f.rd.BatchReadInto(p, reqs[:cut], dst[:cut]); err != nil {
+			return err
 		}
-		return nil, fmt.Errorf("faults: batch read aborted after %d/%d ranges at %v: %w",
+		return fmt.Errorf("faults: batch read aborted after %d/%d ranges at %v: %w",
 			cut, len(reqs), p.Now(), driver.ErrTransient)
 	}
-	return f.inner.BatchRead(p, reqs)
+	return f.rd.BatchReadInto(p, reqs, dst)
+}
+
+// BatchRead is BatchReadInto with a fresh result matrix.
+func (f *Injector) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
+	return driver.ReadFresh(f, p, reqs)
 }
 
 // UnbatchedRead issues the requests one transaction at a time through

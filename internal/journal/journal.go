@@ -168,12 +168,14 @@ type Intent struct {
 // need the same reachability: a standby that can read the journal can
 // also see the primary stopped beating.
 type Store interface {
+	// SaveCheckpoint and WriteIntent must serialize (or deep-copy) the
+	// record before returning: the agent refills one Checkpoint and one
+	// Intent — and the slices and maps they reference — in place every
+	// iteration, so retaining the pointer or anything reachable from it
+	// is a bug.
 	SaveCheckpoint(c *Checkpoint) error
 	// LoadCheckpoint returns nil, nil when no checkpoint was ever saved.
 	LoadCheckpoint() (*Checkpoint, error)
-	// WriteIntent must serialize (or deep-copy) the intent before
-	// returning: callers reuse the *Intent and the slices/maps it
-	// references across iterations, so retaining either is a bug.
 	WriteIntent(it *Intent) error
 	// LoadIntent returns nil, nil when no intent is outstanding.
 	LoadIntent() (*Intent, error)

@@ -22,6 +22,13 @@ import (
 // with the partition, while a message held back by reordering past the
 // heal is delivered — the reorder-across-heal case the transport layer
 // must survive.
+//
+// Frame ownership. A message in flight lives in a link-owned buffer:
+// Send copies msg in, so the sender may reuse its buffer as soon as Send
+// returns; a duplicate gets its own copy at send time, so no two
+// deliveries ever share bytes. The receive callback borrows the buffer:
+// msg is valid only until the callback returns, after which the link
+// recycles it — a receiver that needs the bytes later copies them.
 type Link struct {
 	sim   *sim.Simulator
 	delay time.Duration
@@ -38,7 +45,20 @@ type Link struct {
 	// PeerDown to tell "peer crashed" from "link partitioned".
 	peerDown [2]bool
 
+	// free recycles in-flight frame records (and their buffers, which
+	// grow to the largest frame each has carried); arriveFn is the
+	// delivery callback, bound once so scheduling a frame allocates
+	// nothing.
+	free     []*frame
+	arriveFn func(any)
+
 	stats LinkStats
+}
+
+// frame is one scheduled delivery.
+type frame struct {
+	to  int
+	buf []byte
 }
 
 // LinkSideA and LinkSideB name the two endpoints of a Link.
@@ -76,13 +96,15 @@ func NewLink(s *sim.Simulator, delay time.Duration, prof faults.LinkProfile, see
 	if delay <= 0 {
 		delay = time.Nanosecond
 	}
-	return &Link{sim: s, delay: delay, prof: prof, rng: rand.New(rand.NewSource(seed))}
+	l := &Link{sim: s, delay: delay, prof: prof, rng: rand.New(rand.NewSource(seed))}
+	l.arriveFn = func(arg any) { l.arrive(arg.(*frame)) }
+	return l
 }
 
 // SetRecv installs the receive callback of one side. Messages sent from
 // the opposite side are delivered to it; messages arriving at a side
 // with no receiver are dropped silently (counted as delivered — the
-// wire did its job).
+// wire did its job). fn must not retain msg past its return.
 func (l *Link) SetRecv(side int, fn func(msg []byte)) { l.recv[side] = fn }
 
 // Profile returns the link's fault profile.
@@ -130,7 +152,7 @@ func (l *Link) Stats() LinkStats { return l.stats }
 
 // Send transmits msg from one side toward the other. The message is
 // copied at send time, so the caller may reuse its buffer; each
-// delivery hands the receiver its own copy. Zero-length messages are
+// delivery lends the receiver its own copy. Zero-length messages are
 // legal and travel like any other.
 func (l *Link) Send(from int, msg []byte) {
 	l.stats.Sent++
@@ -155,31 +177,44 @@ func (l *Link) Send(from int, msg []byte) {
 		l.stats.Reordered++
 		d += time.Duration(l.rng.Int63n(int64(l.prof.ReorderDelay)))
 	}
-	held := append([]byte(nil), msg...)
-	l.sim.Schedule(d, func() { l.arrive(to, held) })
+	l.schedule(d, to, msg)
 	if l.prof.Dup > 0 && l.rng.Float64() < l.prof.Dup {
 		l.stats.Duplicated++
 		dd := d
 		if l.prof.DupDelay > 0 {
 			dd += time.Duration(l.rng.Int63n(int64(l.prof.DupDelay)))
 		}
-		l.sim.Schedule(dd, func() { l.arrive(to, append([]byte(nil), held...)) })
+		l.schedule(dd, to, msg)
 	}
 }
 
-// arrive completes one delivery attempt: a message landing inside a
-// partition window dies with it.
-func (l *Link) arrive(to int, msg []byte) {
-	if l.peerDown[to] {
+// schedule copies msg into a recycled frame and queues its delivery.
+func (l *Link) schedule(d time.Duration, to int, msg []byte) {
+	var f *frame
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = new(frame)
+	}
+	f.to = to
+	f.buf = append(f.buf[:0], msg...)
+	l.sim.ScheduleCall(d, l.arriveFn, f)
+}
+
+// arrive completes one delivery attempt — a message landing inside a
+// partition window dies with it — and takes the frame back.
+func (l *Link) arrive(f *frame) {
+	switch {
+	case l.peerDown[f.to]:
 		l.stats.PeerDownDrops++
-		return
-	}
-	if l.Partitioned() {
+	case l.Partitioned():
 		l.stats.PartitionDrops++
-		return
+	default:
+		l.stats.Delivered++
+		if fn := l.recv[f.to]; fn != nil {
+			fn(f.buf)
+		}
 	}
-	l.stats.Delivered++
-	if fn := l.recv[to]; fn != nil {
-		fn(msg)
-	}
+	l.free = append(l.free, f)
 }

@@ -16,7 +16,8 @@ func TestLinkDeliversOwnedCopies(t *testing.T) {
 	s := sim.New(1)
 	l := NewLink(s, time.Microsecond, faults.LinkNone(), 7)
 	var got [][]byte
-	l.SetRecv(LinkSideB, func(msg []byte) { got = append(got, msg) })
+	// msg is the link's and only lent for the callback: keep a copy.
+	l.SetRecv(LinkSideB, func(msg []byte) { got = append(got, append([]byte{}, msg...)) })
 
 	buf := []byte{1, 2, 3}
 	l.Send(LinkSideA, buf)
@@ -38,6 +39,109 @@ func TestLinkDeliversOwnedCopies(t *testing.T) {
 	st := l.Stats()
 	if st.Sent != 3 || st.Delivered != 3 || st.Lost != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// ownershipMsg fills buf with message id: an 8-byte id, then a payload
+// whose length and bytes follow from the id, so a receiver can check a
+// frame against nothing but itself.
+func ownershipMsg(buf []byte, id uint64) []byte {
+	buf = buf[:0]
+	for i := 0; i < 8; i++ {
+		buf = append(buf, byte(id>>(8*i)))
+	}
+	for j := uint64(0); j < id*37%200; j++ {
+		buf = append(buf, byte(id+j))
+	}
+	return buf
+}
+
+// TestLinkFrameOwnership pins the ownership rules under every delivery
+// perturbation at once (loss, duplication with skew, reordering): the
+// sender overwrites its one buffer the moment Send returns, the receiver
+// scribbles over each frame once it has read it, and still every
+// delivery — duplicates and late arrivals included — carries exactly the
+// bytes that were sent. In-flight frames therefore never share storage
+// with the sender, with each other, or with a recycled buffer.
+func TestLinkFrameOwnership(t *testing.T) {
+	s := sim.New(1)
+	prof := faults.LinkProfile{
+		Name: "ownership", Loss: 0.02,
+		Dup: 0.2, DupDelay: 7 * time.Microsecond,
+		Reorder: 0.2, ReorderDelay: 9 * time.Microsecond,
+	}
+	l := NewLink(s, time.Microsecond, prof, 11)
+	const n = 5000
+	seen := make([]int, n)
+	var want []byte
+	l.SetRecv(LinkSideB, func(msg []byte) {
+		if len(msg) < 8 {
+			t.Fatalf("runt frame %x", msg)
+		}
+		var id uint64
+		for i := 0; i < 8; i++ {
+			id |= uint64(msg[i]) << (8 * i)
+		}
+		if id >= n {
+			t.Fatalf("frame carries id %d: corrupted", id)
+		}
+		want = ownershipMsg(want, id)
+		if string(msg) != string(want) {
+			t.Fatalf("frame %d delivered as %x, sent as %x", id, msg, want)
+		}
+		seen[id]++
+		for i := range msg {
+			msg[i] = 0xEE
+		}
+	})
+	buf := make([]byte, 0, 256)
+	for i := 0; i < n; i++ {
+		id := uint64(i)
+		s.Schedule(time.Duration(i)*500*time.Nanosecond, func() {
+			buf = ownershipMsg(buf, id)
+			l.Send(LinkSideA, buf)
+			for j := range buf {
+				buf[j] = 0xFF
+			}
+		})
+	}
+	s.Run()
+
+	st := l.Stats()
+	var delivered, dups uint64
+	for _, c := range seen {
+		delivered += uint64(c)
+		if c > 1 {
+			dups++
+		}
+	}
+	if delivered != st.Delivered || st.Delivered != n-st.Lost+st.Duplicated {
+		t.Fatalf("checked %d deliveries; stats %+v", delivered, st)
+	}
+	if st.Lost == 0 || dups == 0 || st.Reordered == 0 {
+		t.Fatalf("profile exercised nothing: %+v, %d duplicated ids", st, dups)
+	}
+}
+
+// TestLinkRecyclesFrames: once its buffers have grown to the traffic, a
+// send-and-deliver cycle allocates nothing.
+func TestLinkRecyclesFrames(t *testing.T) {
+	s := sim.New(1)
+	l := NewLink(s, time.Microsecond, faults.LinkNone(), 7)
+	var sum int
+	l.SetRecv(LinkSideB, func(msg []byte) { sum += len(msg) })
+	msg := make([]byte, 700)
+	cycle := func() {
+		l.Send(LinkSideA, msg)
+		l.Send(LinkSideA, msg[:64])
+		s.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("a warm send/deliver cycle allocates %v times", n)
+	}
+	if sum == 0 {
+		t.Fatal("nothing delivered")
 	}
 }
 

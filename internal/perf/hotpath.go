@@ -2,10 +2,16 @@ package perf
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/ctlchan"
+	"repro/internal/ctlplane"
 	"repro/internal/driver"
+	"repro/internal/faults"
+	"repro/internal/journal"
+	"repro/internal/netsim"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/rcl"
@@ -32,6 +38,7 @@ func HotPathBenchmarks() []NamedBench {
 		{"ternary_lookup_linear_1k", benchTernaryLinear},
 		{"pipeline_packet", benchPipelinePacket},
 		{"dialogue_iteration", benchDialogueIteration},
+		{"dialogue_iteration@ctlchan", benchDialogueIterationCtlchan},
 		{"poll_batch", benchPollBatch},
 		{"reaction_dispatch", benchReactionDispatch},
 		{"ring_submit", benchRingSubmit},
@@ -228,6 +235,82 @@ func benchDialogueIteration(b *testing.B) {
 	s.Run()
 	if err := agent.Err(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// stackedDialogue is dialogueSrc's agent behind the control stack
+// fabric.buildNode deploys for every node: core.Agent → ctlchan.Client →
+// 1µs netsim.Link → ctlchan.Server → primary ctlplane.Session →
+// driver.Ring → driver.Driver, journaling to a journal.MemStore with the
+// channel-scaled recovery options. The raw-driver dialogue_iteration
+// measures the loop; this measures what the fabric runs.
+type stackedDialogue struct {
+	sim   *sim.Simulator
+	agent *core.Agent
+}
+
+func newStackedDialogue() (*stackedDialogue, error) {
+	plan, err := compiler.CompileSource(dialogueSrc, compiler.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	s := sim.New(1)
+	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	drv := driver.New(s, sw, driver.DefaultCostModel())
+	svc := ctlplane.New(s, drv, ctlplane.Options{})
+	sess, err := svc.Open(ctlplane.SessionOptions{Name: "agent", Role: ctlplane.RolePrimary, ElectionID: 1})
+	if err != nil {
+		return nil, err
+	}
+	link := netsim.NewLink(s, time.Microsecond, faults.LinkNone(), 1)
+	ctlchan.NewServer(s).Attach(link, netsim.LinkSideB, 1, 1, sess)
+	cli := ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: drv})
+	d := &stackedDialogue{sim: s}
+	d.agent = core.NewAgent(s, cli, plan, core.Options{
+		Recovery:       core.RecoveryForChannel(cli.RTT()),
+		Journal:        &core.JournalConfig{Store: journal.NewMemStore()},
+		LatencySamples: 1,
+		AfterIteration: func(*sim.Proc, *core.Agent) { s.Stop() },
+	})
+	d.agent.Start()
+	return d, nil
+}
+
+// step runs the simulation until the agent has finished one more
+// iteration (poll → react → commit → checkpoint).
+func (d *stackedDialogue) step() error {
+	d.sim.Run()
+	return d.agent.Err()
+}
+
+// stackedWarmup fills the stack's freelists, buffers and name tables
+// before anything is measured.
+const stackedWarmup = 256
+
+// benchDialogueIterationCtlchan measures the host cost of one dialogue
+// iteration through the deployed control stack. What still allocates
+// here is the journal's JSON encoding (the durability model) and the
+// agent's staging of a commit; TestStackedIterationAllocBudget pins the
+// count.
+func benchDialogueIterationCtlchan(b *testing.B) {
+	d, err := newStackedDialogue()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < stackedWarmup; i++ {
+		if err := d.step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -165,3 +165,46 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// stackedIterationAllocs is the allocation budget of one steady-state
+// dialogue iteration through the deployed control stack (see
+// newStackedDialogue): the count achieved when the stack stopped
+// allocating per call. All of it is the journal's JSON encoding of two
+// intents and a checkpoint — the durability model, kept on purpose; the
+// client, link, server, session, ring and driver contribute nothing.
+const stackedIterationAllocs = 9
+
+// TestStackedIterationAllocBudget drives poll → react → commit through
+// Client → Link → Server → Session → Ring → Driver with a MemStore
+// journal and holds the iteration to its budget, so a per-call
+// allocation creeping back into any layer of the stack fails here with
+// the count. Skipped under the race detector, whose instrumentation
+// allocates.
+func TestStackedIterationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	d, err := newStackedDialogue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < stackedWarmup; i++ {
+		if err := d.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := d.agent.Stats()
+	got := testing.AllocsPerRun(500, func() {
+		if err := d.step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := d.agent.Stats()
+	if n := after.Commits - before.Commits; n != 501 || after.Abandoned != 0 {
+		t.Fatalf("measured %d commits (%d abandoned), want 501 clean iterations", n, after.Abandoned)
+	}
+	if got > stackedIterationAllocs {
+		t.Fatalf("a steady-state iteration through the deployed stack allocates %.2f times, budget %d", got, stackedIterationAllocs)
+	}
+	t.Logf("%.2f allocs per iteration (budget %d)", got, stackedIterationAllocs)
+}

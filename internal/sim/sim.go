@@ -57,7 +57,13 @@ type event struct {
 	fn  func()
 	afn func(any)
 	arg any
-	id  uint64
+	// slot is the struct's fixed index in Simulator.events; gen counts
+	// its uses. Together they are the EventID, so an id names one
+	// scheduling of the struct and goes stale the moment that event runs.
+	slot      uint32
+	gen       uint64
+	queued    bool
+	cancelled bool
 }
 
 type eventQueue []*event
@@ -82,26 +88,24 @@ func (q *eventQueue) Pop() any {
 
 // Simulator owns the virtual clock and the pending event queue.
 type Simulator struct {
-	now       Time
-	queue     eventQueue
-	seq       uint64
-	nextID    uint64
-	cancelled map[uint64]bool
-	stopped   bool
-	rng       *rand.Rand
-	executed  uint64
-	// free recycles event structs so steady-state scheduling does not
-	// allocate (one event is reused as soon as it has run).
-	free []*event
+	now      Time
+	queue    eventQueue
+	seq      uint64
+	stopped  bool
+	rng      *rand.Rand
+	executed uint64
+	// events holds every event struct ever allocated, indexed by slot, so
+	// Cancel can find the struct an EventID names. free recycles them so
+	// steady-state scheduling does not allocate (one event is reused as
+	// soon as it has run).
+	events []*event
+	free   []*event
 }
 
 // New returns a Simulator whose clock starts at 0 and whose deterministic
 // RNG is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{
-		cancelled: make(map[uint64]bool),
-		rng:       rand.New(rand.NewSource(seed)),
-	}
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -110,8 +114,15 @@ func (s *Simulator) Now() Time { return s.now }
 // Rand returns the simulator's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// EventID identifies a scheduled event so it can be cancelled.
+// EventID identifies a scheduled event so it can be cancelled. The zero
+// value names no event.
 type EventID uint64
+
+// genBits is the width of the use counter in an EventID; the slot index
+// takes the bits above it.
+const genBits = 40
+
+func (e *event) eventID() EventID { return EventID(uint64(e.slot)<<genBits | e.gen) }
 
 // Schedule runs fn after delay of virtual time. A negative delay is
 // treated as zero (run as soon as the current event completes).
@@ -129,7 +140,7 @@ func (s *Simulator) At(t Time, fn func()) EventID {
 	e := s.newEvent(t)
 	e.fn = fn
 	heap.Push(&s.queue, e)
-	return EventID(e.id)
+	return e.eventID()
 }
 
 // ScheduleCall runs fn(arg) after delay of virtual time. Unlike
@@ -149,39 +160,49 @@ func (s *Simulator) AtCall(t Time, fn func(any), arg any) EventID {
 	e := s.newEvent(t)
 	e.afn, e.arg = fn, arg
 	heap.Push(&s.queue, e)
-	return EventID(e.id)
+	return e.eventID()
 }
 
 // newEvent takes an event from the freelist (or allocates one), stamps
-// it with the next sequence number and ID, and clamps t to now.
+// it with the next sequence number, and clamps t to now.
 func (s *Simulator) newEvent(t Time) *event {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.nextID++
 	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = new(event)
+		e = &event{slot: uint32(len(s.events)), gen: 1}
+		s.events = append(s.events, e)
 	}
-	e.at, e.seq, e.id = t, s.seq, s.nextID
+	e.at, e.seq, e.queued = t, s.seq, true
 	return e
 }
 
 // release clears an executed (or cancelled) event and returns it to the
-// freelist for reuse by the next schedule call.
+// freelist for reuse by the next schedule call. Bumping gen retires the
+// EventID of the use that just ended.
 func (s *Simulator) release(e *event) {
-	*e = event{}
+	*e = event{slot: e.slot, gen: (e.gen + 1) & (1<<genBits - 1)}
 	s.free = append(s.free, e)
 }
 
 // Cancel prevents a pending event from running. Cancelling an event that
-// already ran is a no-op.
-func (s *Simulator) Cancel(id EventID) { s.cancelled[uint64(id)] = true }
+// already ran (or is running: a callback cancelling itself) is a no-op
+// that leaves nothing behind.
+func (s *Simulator) Cancel(id EventID) {
+	slot := uint64(id) >> genBits
+	if slot >= uint64(len(s.events)) {
+		return
+	}
+	if e := s.events[slot]; e.queued && e.eventID() == id {
+		e.cancelled = true
+	}
+}
 
 // Pending reports the number of events waiting to run (including
 // cancelled ones not yet drained).
@@ -218,8 +239,7 @@ func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
 func (s *Simulator) step() {
 	e := heap.Pop(&s.queue).(*event)
-	if s.cancelled[e.id] {
-		delete(s.cancelled, e.id)
+	if e.cancelled {
 		s.release(e)
 		return
 	}

@@ -205,3 +205,54 @@ func TestTimeHelpers(t *testing.T) {
 		t.Fatalf("String = %q", tm.String())
 	}
 }
+
+// cancelledEvents counts event structs carrying a cancellation mark,
+// queued or free: the residue a mis-aimed Cancel would leave behind.
+func cancelledEvents(s *Simulator) int {
+	n := 0
+	for _, e := range s.events {
+		if e.cancelled {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCancelFiredEventIsNoOp: cancelling an id whose event already ran —
+// Ticker.Stop from inside its own tick, where pending names the event
+// that is running — must leave no tombstone, and must not hit the event
+// that has since reused the struct.
+func TestCancelFiredEventIsNoOp(t *testing.T) {
+	s := New(1)
+	ticks := 0
+	var tk *Ticker
+	tk = s.Every(10*Nanosecond, func() {
+		ticks++
+		if ticks == 3 {
+			tk.Stop()
+		}
+	})
+	s.Run()
+	if ticks != 3 {
+		t.Fatalf("ticker ran %d times, want 3", ticks)
+	}
+	if n := cancelledEvents(s); n != 0 || s.Pending() != 0 {
+		t.Fatalf("after drain: %d cancelled events, %d pending; want 0, 0", n, s.Pending())
+	}
+
+	// A stale id must not cancel the struct's next use.
+	stale := s.Schedule(Nanosecond, func() {})
+	s.Run()
+	ran := false
+	s.Schedule(Nanosecond, func() { ran = true }) // reuses the freed struct
+	s.Cancel(stale)
+	s.Cancel(0)
+	s.Cancel(EventID(1 << 62)) // a slot that was never allocated
+	s.Run()
+	if !ran {
+		t.Fatal("a stale EventID cancelled the event that reused its struct")
+	}
+	if n := cancelledEvents(s); n != 0 {
+		t.Fatalf("%d cancelled events left behind", n)
+	}
+}
