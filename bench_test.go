@@ -1,7 +1,7 @@
 // Package mantis_test benchmarks the Mantis reproduction: one benchmark
-// per evaluation table/figure (regenerating its data), plus hot-path
-// microbenchmarks of the substrate (pipeline, dialogue loop, compiler,
-// reaction interpreter).
+// per evaluation table/figure (regenerating its data), plus
+// microbenchmarks of the compiler and the reaction interpreter and, via
+// BenchmarkHotPaths, the gated perf suite (pipeline, dialogue loop).
 package mantis_test
 
 import (
@@ -10,13 +10,9 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/compiler"
-	"repro/internal/core"
-	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/perf"
 	"repro/internal/rcl"
-	"repro/internal/rmt"
-	"repro/internal/sim"
 	"repro/internal/usecases"
 	"repro/internal/workload"
 )
@@ -149,54 +145,6 @@ func BenchmarkCompile(b *testing.B) {
 		if _, err := compiler.CompileSource(benchSrc, compiler.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkDialogueIteration measures the real (host CPU) cost of one
-// virtual dialogue iteration including measurement, the interpreted
-// reaction, and the serializable commit.
-func BenchmarkDialogueIteration(b *testing.B) {
-	b.ReportAllocs()
-	plan, err := compiler.CompileSource(benchSrc, compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sim.New(1)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
-	agent := core.NewAgent(s, drv, plan, core.Options{MaxIterations: uint64(b.N)})
-	b.ResetTimer()
-	agent.Start()
-	s.Run()
-	if err := agent.Err(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSwitchPipeline measures packets/second through the full
-// compiled pipeline (init tables, user tables, measurement export,
-// register mirroring).
-func BenchmarkSwitchPipeline(b *testing.B) {
-	b.ReportAllocs()
-	plan, err := compiler.CompileSource(benchSrc, compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sim.New(1)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkt := plan.Prog.Schema.New()
-	pkt.Size = 256
-	pkt.SetName("hdr.port", 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.Inject(0, pkt.Clone())
-		s.Run()
 	}
 }
 

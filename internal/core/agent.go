@@ -143,11 +143,11 @@ type runtimeReaction struct {
 	native NativeReaction // native override (nil if interpreted)
 
 	// Compiled poll plan: the full ReadReq batch per checkpoint bit, a
-	// reusable result matrix, and prebound retry closures so drvOp gets
-	// no per-iteration allocation.
+	// reusable result matrix, and the persistent read op that carries
+	// them through drvDo, so a poll allocates nothing.
 	pollReqs [2][]driver.ReadReq
 	rows     [][]uint64
-	pollFns  [2]func() error
+	poll     driver.Op
 
 	// Persistent parameter storage, refilled in place each iteration.
 	fields map[string]uint64
@@ -177,10 +177,15 @@ type runtimeReaction struct {
 
 // Agent is one Mantis control-plane instance driving one pipeline.
 type Agent struct {
-	sim  *sim.Simulator
-	drv  driver.Channel
-	plan *compiler.Plan
-	opts Options
+	sim *sim.Simulator
+	drv driver.Channel
+	// retry is drv with the retry policy applied: an Adapter over drvDo
+	// (recovery.go). Raw drv calls are the exceptions that must not
+	// retry — repair bodies (drainRepairs retries them whole) and the
+	// flip-resolution read.
+	retry driver.Adapter
+	plan  *compiler.Plan
+	opts  Options
 
 	vv, mv uint64
 	// initData mirrors the currently-committed action data of each init
@@ -205,7 +210,6 @@ type Agent struct {
 	natives   map[string]NativeReaction
 	builtins  map[string]BuiltinFunc
 
-	proc       *sim.Proc
 	started    bool
 	inReaction bool
 	// pendingSwaps holds reaction reloads staged by SwapReaction; the
@@ -215,20 +219,16 @@ type Agent struct {
 	// batchedReads selects one driver transaction per reaction poll
 	// (default) vs one per range — the batching ablation.
 	batchedReads bool
-	// rangeRd is the channel's optional allocation-free read extension
-	// (driver.RangeReader), probed once at construction. Nil when the
-	// channel only supports BatchRead.
-	rangeRd driver.RangeReader
-	stats   Stats
+	stats        Stats
 
 	// Control-plane fast-path scratch: the master init table's action
-	// data and call are persistent buffers refilled per flip, and flipFn
-	// is the prebound retry body, so the twice-per-iteration master
-	// update allocates nothing. Set up in prologue.
+	// data and call are persistent buffers refilled per flip, and flipOp
+	// is the persistent op that carries the call through drvDo, so the
+	// twice-per-iteration master update allocates nothing. Set up in
+	// prologue.
 	masterScratch []uint64
 	masterCall    p4.ActionCall
-	flipFn        func() error
-	flipOpName    string
+	flipOp        driver.Op
 
 	// intentScratch, cpScratch and targetInit are the pooled write-ahead
 	// intent record, checkpoint record and commit-target init data,
@@ -293,7 +293,7 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 		builtins:    make(map[string]BuiltinFunc),
 	}
 	a.batchedReads = true
-	a.rangeRd, _ = drv.(driver.RangeReader)
+	a.retry = driver.NewAdapter(a.drvDo, drv)
 	a.stats.Latencies = make([]time.Duration, 0, opts.LatencySamples)
 	for name, info := range plan.MblTables {
 		a.tables[name] = newTableManager(a, info)
@@ -379,7 +379,7 @@ func (a *Agent) Start() {
 		panic("core: agent started twice")
 	}
 	a.started = true
-	a.proc = a.sim.Spawn("mantis-agent", a.run)
+	a.sim.Spawn("mantis-agent", a.run)
 }
 
 // Stop requests the dialogue loop to exit. Safe to call from any
@@ -553,7 +553,7 @@ func (a *Agent) prologue(p *sim.Proc) error {
 		// Master init table: configure via default action.
 		if len(a.plan.InitTables) > 0 {
 			master := a.plan.InitTables[0]
-			if err := a.drvSetDefaultAction(p, master.Table, &p4.ActionCall{
+			if err := a.retry.SetDefaultAction(p, master.Table, &p4.ActionCall{
 				Action: master.Action, Data: append([]uint64(nil), a.initData[0]...),
 			}); err != nil {
 				return err
@@ -565,7 +565,7 @@ func (a *Agent) prologue(p *sim.Proc) error {
 			it := a.plan.InitTables[t]
 			var handles [2]rmt.EntryHandle
 			for v := uint64(0); v < 2; v++ {
-				h, err := a.drvAddEntry(p, it.Table, rmt.Entry{
+				h, err := a.retry.AddEntry(p, it.Table, rmt.Entry{
 					Keys: []rmt.KeySpec{rmt.ExactKey(v)}, Action: it.Action,
 					Data: append([]uint64(nil), a.initData[t]...),
 				})
@@ -580,14 +580,14 @@ func (a *Agent) prologue(p *sim.Proc) error {
 
 		// Static entries (carrier loaders).
 		for _, se := range a.plan.StaticEntries {
-			if _, err := a.drvAddEntry(p, se.Table, se.Entry); err != nil {
+			if _, err := a.retry.AddEntry(p, se.Table, se.Entry); err != nil {
 				return err
 			}
 		}
 	}
 
 	// The master flip fast path: one persistent ActionCall + data
-	// scratch and a prebound retry body, shared by the mv flip and the
+	// scratch and the op that carries them, shared by the mv flip and the
 	// commit flip (they never overlap within an iteration). rmt's
 	// setDefault deep-copies, so reusing the scratch across flips is
 	// safe. Recovered agents need this too.
@@ -595,9 +595,7 @@ func (a *Agent) prologue(p *sim.Proc) error {
 		master := a.plan.InitTables[0]
 		a.masterCall.Action = master.Action
 		a.masterScratch = make([]uint64, 0, len(master.Params))
-		a.flipOpName = "SetDefaultAction " + master.Table
-		table := master.Table
-		a.flipFn = func() error { return a.drv.SetDefaultAction(a.proc, table, &a.masterCall) }
+		a.flipOp = driver.Op{Kind: driver.OpSetDefault, Table: master.Table, Call: &a.masterCall}
 	}
 
 	// Reaction bodies: native overrides win; otherwise compile the
@@ -662,11 +660,11 @@ func (a *Agent) masterData(dst []uint64, vv, mv uint64, applyPending bool) []uin
 }
 
 // updateMaster issues the master default-action update through the
-// persistent call + prebound retry body. rmt deep-copies the data on
+// persistent call and op. rmt deep-copies the data on
 // install, so handing it the scratch is safe across retries and flips.
 func (a *Agent) updateMaster(p *sim.Proc, data []uint64) error {
 	a.masterCall.Data = data
-	return a.drvOp(p, a.flipOpName, a.flipFn)
+	return a.drvDo(p, &a.flipOp)
 }
 
 // iteration executes one turn of the dialogue loop, mirroring the §6
@@ -833,7 +831,7 @@ func (a *Agent) commit(p *sim.Proc) error {
 	var prepared []nonMasterChange
 	for _, ch := range nmChanges {
 		it := a.plan.InitTables[ch.t]
-		if err := a.drvModifyEntry(p, it.Table, a.initHandles[ch.t][newVV], it.Action, ch.data); err != nil {
+		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[ch.t][newVV], it.Action, ch.data); err != nil {
 			a.undoNonMaster(p, prepared, newVV)
 			return err
 		}
@@ -884,7 +882,7 @@ func (a *Agent) commit(p *sim.Proc) error {
 	for _, ch := range nmChanges {
 		it := a.plan.InitTables[ch.t]
 		a.initData[ch.t] = ch.data
-		if err := a.drvModifyEntry(p, it.Table, a.initHandles[ch.t][oldVV], it.Action, ch.data); err != nil {
+		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[ch.t][oldVV], it.Action, ch.data); err != nil {
 			if !a.opts.Recovery.Enabled() {
 				return err
 			}
@@ -918,7 +916,7 @@ func (a *Agent) undoNonMaster(p *sim.Proc, changes []nonMasterChange, shadowVV u
 		it := a.plan.InitTables[ch.t]
 		table, h, action := it.Table, a.initHandles[ch.t][shadowVV], it.Action
 		committed := append([]uint64(nil), a.initData[ch.t]...)
-		if err := a.drvModifyEntry(p, table, h, action, committed); err != nil {
+		if err := a.retry.ModifyEntry(p, table, h, action, committed); err != nil {
 			a.queueRepair(chanOp{desc: "restore init " + table, fn: func(p *sim.Proc) error {
 				return a.drv.ModifyEntry(p, table, h, action, committed)
 			}})

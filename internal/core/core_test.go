@@ -831,79 +831,6 @@ control ingress { apply(t); }
 	r.sim.Run()
 }
 
-// TestMultiAgentPerPipeline: two pipelines with distinct register
-// state, one agent each; every agent reacts to its own pipeline only.
-func TestMultiAgentPerPipeline(t *testing.T) {
-	plan, err := compiler.CompileSource(fig1Src, compiler.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New(1)
-	var drivers []*driver.Driver
-	var switches []*rmt.Switch
-	for pipe := 0; pipe < 2; pipe++ {
-		sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		switches = append(switches, sw)
-		drivers = append(drivers, driver.New(s, sw, driver.DefaultCostModel()))
-	}
-	m, err := NewMultiAgent(s, drivers, plan, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxPort := [2]uint64{}
-	if err := m.RegisterNativeReaction("my_reaction", func(pipe int, ctx *Ctx) error {
-		q := ctx.Reg("qdepths")
-		best := uint64(0)
-		for i, v := range q {
-			if v > q[best] {
-				best = uint64(i)
-			}
-			_ = i
-		}
-		maxPort[pipe] = best
-		return ctx.SetMbl("value_var", best)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	// Pipe 0 sees its max on port 4; pipe 1 on port 9.
-	s.Schedule(30*sim.Microsecond, func() {
-		pkt := plan.Prog.Schema.New()
-		pkt.Size = 900
-		pkt.SetName("hdr.port", 4)
-		switches[0].Inject(0, pkt)
-		pkt2 := plan.Prog.Schema.New()
-		pkt2.Size = 900
-		pkt2.SetName("hdr.port", 9)
-		switches[1].Inject(0, pkt2)
-	})
-	s.RunFor(2 * time.Millisecond)
-	m.Stop()
-	s.Run()
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if maxPort[0] != 4 || maxPort[1] != 9 {
-		t.Fatalf("per-pipe isolation broken: %v", maxPort)
-	}
-	// Each pipeline's malleable reflects its own state.
-	if v, _ := m.Agent(0).Mbl("value_var"); v != 4 {
-		t.Fatalf("pipe 0 value_var = %d", v)
-	}
-	if v, _ := m.Agent(1).Mbl("value_var"); v != 9 {
-		t.Fatalf("pipe 1 value_var = %d", v)
-	}
-}
-
-func TestMultiAgentValidation(t *testing.T) {
-	if _, err := NewMultiAgent(sim.New(1), nil, nil, Options{}); err == nil {
-		t.Fatal("empty driver list accepted")
-	}
-}
-
 // TestPropertyTableExpansion: for random alt counts, a user entry in a
 // table matching two malleable fields expands into exactly
 // prod(|alts|) x 2 concrete entries, and for every selector assignment

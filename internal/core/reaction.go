@@ -70,7 +70,7 @@ func (c *Ctx) Table(name string) (*RxnTable, error) {
 // SetHashSeed reprograms a hash calculation's seed (used by the hash
 // polarization use case). Hash seeds are not vv-protected.
 func (c *Ctx) SetHashSeed(name string, seed uint64) error {
-	return c.agent.drvSetHashSeed(c.proc, name, seed)
+	return c.agent.retry.SetHashSeed(c.proc, name, seed)
 }
 
 // RxnTable is a TableHandle bound to the reaction's process.
@@ -150,8 +150,8 @@ func (rc *regCacheState) merge(copyIdx uint64, lo int, dup, ts []uint64) {
 //     change after setup, so per-iteration stores never allocate;
 //   - interpreted bodies run through a prepared rcl.Frame with scalar
 //     parameters bound by pointer and arrays by reference;
-//   - pollFns are prebound retry closures, so drvOp is not handed a
-//     freshly allocated closure per iteration.
+//   - the poll is one persistent driver.Op, so drvDo is handed nothing
+//     freshly allocated per iteration.
 
 // scalarBind routes one polled field (or malleable param) into a bound
 // rcl frame scalar.
@@ -202,11 +202,7 @@ func (a *Agent) setupReactionRuntime(p *sim.Proc, rr *runtimeReaction) {
 		rr.rows[i] = make([]uint64, 0, n)
 	}
 
-	// Prebound retry bodies for both checkpoint bits.
-	for v := uint64(0); v < 2; v++ {
-		v := v
-		rr.pollFns[v] = func() error { return a.pollRead(a.proc, rr, v) }
-	}
+	rr.poll = driver.Op{Kind: driver.OpRead, Rows: rr.rows}
 
 	// Persistent parameter storage. The key sets are fixed at setup;
 	// per-iteration refills overwrite existing keys and never allocate.
@@ -264,33 +260,6 @@ func (a *Agent) setupReactionRuntime(p *sim.Proc, rr *runtimeReaction) {
 	}
 }
 
-// pollRead issues the precompiled read batch for one checkpoint bit and
-// leaves the raw values in rr.rows. On a RangeReader channel the rows
-// are refilled in place (zero allocation); otherwise the returned matrix
-// is copied into the persistent rows so extraction is uniform.
-func (a *Agent) pollRead(p *sim.Proc, rr *runtimeReaction, checkpoint uint64) error {
-	reqs := rr.pollReqs[checkpoint]
-	if a.batchedReads && a.rangeRd != nil {
-		return a.rangeRd.BatchReadInto(p, reqs, rr.rows)
-	}
-	var (
-		vals [][]uint64
-		err  error
-	)
-	if a.batchedReads {
-		vals, err = a.drv.BatchRead(p, reqs)
-	} else {
-		vals, err = a.drv.UnbatchedRead(p, reqs)
-	}
-	if err != nil {
-		return err
-	}
-	for i := range vals {
-		rr.rows[i] = append(rr.rows[i][:0], vals[i]...)
-	}
-	return nil
-}
-
 // extractPoll decodes rr.rows into the persistent parameter storage:
 // packed slot words are unpacked into rr.fields, register dup/ts pairs
 // are merged through the timestamp-guarded cache into rr.regs.
@@ -345,17 +314,16 @@ func (rr *runtimeReaction) restoreSnapshot() {
 }
 
 // pollReaction reads one reaction's parameters from the checkpoint
-// copies (a single batched driver transaction on the default path) into
-// the reaction's persistent parameter storage.
+// copies (a single batched driver transaction on the default path; one
+// per range under the batching ablation) into rr.rows — refilled in
+// place down the whole stack — and from there into the reaction's
+// persistent parameter storage.
 func (a *Agent) pollReaction(p *sim.Proc, rr *runtimeReaction, checkpoint uint64) error {
-	if len(rr.pollReqs[checkpoint]) == 0 {
+	rr.poll.Reqs, rr.poll.Batched = rr.pollReqs[checkpoint], a.batchedReads
+	if len(rr.poll.Reqs) == 0 {
 		return nil
 	}
-	op := "BatchRead"
-	if !a.batchedReads {
-		op = "UnbatchedRead"
-	}
-	if err := a.drvOp(p, op, rr.pollFns[checkpoint]); err != nil {
+	if err := a.drvDo(p, &rr.poll); err != nil {
 		return err
 	}
 	a.extractPoll(rr, checkpoint)
@@ -502,7 +470,7 @@ func (a *Agent) registerDefaultBuiltins() {
 		if len(args) != 2 || !args[0].IsStr || args[1].IsStr {
 			return 0, fmt.Errorf("set_hash_seed(\"calc\", seed)")
 		}
-		return 0, ag.drvSetHashSeed(p, args[0].S, uint64(args[1].I))
+		return 0, ag.retry.SetHashSeed(p, args[0].S, uint64(args[1].I))
 	}
 	a.builtins["port_count"] = func(_ *sim.Proc, ag *Agent, _ []rcl.Arg) (int64, error) {
 		return int64(ag.drv.Switch().Config().NumPorts), nil

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/faults"
-	"repro/internal/p4"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -176,140 +174,78 @@ func (a *Agent) recoverable(err error) bool {
 		driver.IsTransient(err) || errors.Is(err, driver.ErrChannelDegraded)
 }
 
-// drvOp runs one driver operation with the retry policy: transient
-// failures back off exponentially (with jitter) and reissue, up to
-// MaxAttempts per op and RetryBudget per iteration, never past the
-// iteration deadline or a stop request.
-func (a *Agent) drvOp(p *sim.Proc, op string, fn func() error) error {
+// backoff builds the full-jitter retry backoff (faults.Backoff), drawn
+// from the simulation RNG, with the documented defaults applied: agents
+// that tripped over the same fault window retry decorrelated instead of
+// in lockstep.
+func (r RecoveryOptions) backoff(s *sim.Simulator) *faults.Backoff {
+	base, limit := r.RetryBackoff, r.MaxBackoff
+	if base <= 0 {
+		base = 2 * time.Microsecond
+	}
+	if limit <= 0 {
+		limit = 64 * time.Microsecond
+	}
+	return faults.NewBackoff(s.Rand(), base, limit)
+}
+
+// drvDo runs one driver operation under the retry policy. Every driver
+// call the agent makes reaches it — a.retry, the agent's driver.Channel
+// view of its own channel, is an Adapter over drvDo — so the policy
+// applies uniformly: prologue, measurement polls, three-phase prepares,
+// the master flip, mirrors, undos, audits and repairs.
+func (a *Agent) drvDo(p *sim.Proc, op *driver.Op) error { return a.withRetry(p, op, nil) }
+
+// withRetry is the retry loop: it applies op to the channel — or, for
+// queued repair work, runs rep — until it succeeds or fails for good.
+// Transient failures back off exponentially (with jitter) and reissue,
+// up to MaxAttempts per op and RetryBudget per iteration, never past the
+// iteration deadline or a stop request. The operation is named only on
+// the error path; the fault-free path allocates nothing.
+func (a *Agent) withRetry(p *sim.Proc, op *driver.Op, rep *chanOp) error {
 	rec := a.opts.Recovery
-	attempts := rec.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	name := func() string {
+		if rep != nil {
+			return "repair: " + rep.desc
+		}
+		return op.Name()
 	}
-	backoff := rec.RetryBackoff
-	if backoff <= 0 {
-		backoff = 2 * time.Microsecond
-	}
-	maxBackoff := rec.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 64 * time.Microsecond
-	}
-	// The backoff state is built lazily, only once a retry is actually
-	// needed: the fault-free steady-state path through drvOp stays
-	// allocation-free.
-	var bo *faults.Backoff
+	var bo *faults.Backoff // built on the first retry
 	for attempt := 1; ; attempt++ {
 		if a.iterDeadline > 0 && p.Now() >= a.iterDeadline {
-			return fmt.Errorf("%s: %w", op, ErrWatchdog)
+			return fmt.Errorf("%s: %w", name(), ErrWatchdog)
 		}
-		err := fn()
+		var err error
+		if rep != nil {
+			err = rep.fn(p)
+		} else {
+			err = driver.Apply(a.drv, p, op)
+		}
 		if err == nil {
 			return nil
 		}
 		if !driver.IsTransient(err) {
-			return fmt.Errorf("%s: %w", op, err)
+			return fmt.Errorf("%s: %w", name(), err)
 		}
 		if a.stopRequested() {
-			return fmt.Errorf("%s: %w (last transient: %v)", op, ErrStopped, err)
+			return fmt.Errorf("%s: %w (last transient: %v)", name(), ErrStopped, err)
 		}
 		if a.iterDeadline > 0 && p.Now() >= a.iterDeadline {
-			return fmt.Errorf("%s: %w (last transient: %v)", op, ErrWatchdog, err)
+			return fmt.Errorf("%s: %w (last transient: %v)", name(), ErrWatchdog, err)
 		}
-		if attempt >= attempts {
-			return fmt.Errorf("%s: %d attempts: %w: %w", op, attempt, ErrRetriesExhausted, err)
+		if attempt >= max(rec.MaxAttempts, 1) {
+			return fmt.Errorf("%s: %d attempts: %w: %w", name(), attempt, ErrRetriesExhausted, err)
 		}
 		if rec.RetryBudget > 0 && a.iterRetries >= rec.RetryBudget {
-			return fmt.Errorf("%s: iteration retry budget %d spent: %w: %w", op, rec.RetryBudget, ErrRetriesExhausted, err)
+			return fmt.Errorf("%s: iteration retry budget %d spent: %w: %w", name(), rec.RetryBudget, ErrRetriesExhausted, err)
 		}
 		a.iterRetries++
 		a.stats.Retries++
-		// Full-jitter backoff (faults.Backoff): agents that tripped over
-		// the same fault window retry decorrelated instead of in lockstep.
 		if bo == nil {
-			bo = faults.NewBackoff(a.sim.Rand(), backoff, maxBackoff)
+			bo = rec.backoff(a.sim)
 		}
 		p.Sleep(bo.Next())
 	}
-}
-
-// ---- Retry-wrapped driver operations ----
-//
-// Every driver call the agent makes goes through one of these, so the
-// retry policy is applied uniformly: prologue, measurement polls,
-// three-phase prepares, the master flip, mirrors, undos and repairs.
-
-func (a *Agent) drvAddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error) {
-	var h rmt.EntryHandle
-	err := a.drvOp(p, "AddEntry "+table, func() error {
-		var err error
-		h, err = a.drv.AddEntry(p, table, e)
-		return err
-	})
-	return h, err
-}
-
-func (a *Agent) drvModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
-	return a.drvOp(p, "ModifyEntry "+table, func() error {
-		return a.drv.ModifyEntry(p, table, h, action, data)
-	})
-}
-
-func (a *Agent) drvDeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
-	return a.drvOp(p, "DeleteEntry "+table, func() error {
-		return a.drv.DeleteEntry(p, table, h)
-	})
-}
-
-func (a *Agent) drvSetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
-	return a.drvOp(p, "SetDefaultAction "+table, func() error {
-		return a.drv.SetDefaultAction(p, table, call)
-	})
-}
-
-func (a *Agent) drvSetHashSeed(p *sim.Proc, name string, seed uint64) error {
-	return a.drvOp(p, "SetHashSeed "+name, func() error {
-		return a.drv.SetHashSeed(p, name, seed)
-	})
-}
-
-func (a *Agent) drvBatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	var vals [][]uint64
-	err := a.drvOp(p, "BatchRead", func() error {
-		var err error
-		vals, err = a.drv.BatchRead(p, reqs)
-		return err
-	})
-	return vals, err
-}
-
-func (a *Agent) drvReadEntries(p *sim.Proc, table string) ([]rmt.Entry, error) {
-	var es []rmt.Entry
-	err := a.drvOp(p, "ReadEntries "+table, func() error {
-		var err error
-		es, err = a.drv.ReadEntries(p, table)
-		return err
-	})
-	return es, err
-}
-
-func (a *Agent) drvReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, error) {
-	var call *p4.ActionCall
-	err := a.drvOp(p, "ReadDefaultAction "+table, func() error {
-		var err error
-		call, err = a.drv.ReadDefaultAction(p, table)
-		return err
-	})
-	return call, err
-}
-
-func (a *Agent) drvUnbatchedRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	var vals [][]uint64
-	err := a.drvOp(p, "UnbatchedRead", func() error {
-		var err error
-		vals, err = a.drv.UnbatchedRead(p, reqs)
-		return err
-	})
-	return vals, err
 }
 
 // ---- Rollback and repair ----
@@ -329,8 +265,7 @@ func (a *Agent) queueRepair(op chanOp) {
 // happens over an unconverged shadow).
 func (a *Agent) drainRepairs(p *sim.Proc) error {
 	for len(a.pendingRepairs) > 0 {
-		op := a.pendingRepairs[0]
-		if err := a.drvOp(p, "repair: "+op.desc, func() error { return op.fn(p) }); err != nil {
+		if err := a.withRetry(p, nil, &a.pendingRepairs[0]); err != nil {
 			return err
 		}
 		a.pendingRepairs = a.pendingRepairs[1:]

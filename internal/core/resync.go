@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/compiler"
-	"repro/internal/faults"
+	"repro/internal/p4"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -36,6 +35,27 @@ import (
 //     what the read observes is the flip's final fate), then either
 //     continue the commit as a success or reissue the flip.
 
+// masterVersions reads the version bits out of an audited master
+// default action: the vv and mv slots of call's data, or the given
+// fallbacks where the call is absent or too short to carry a slot.
+func masterVersions(master *compiler.InitTableInfo, call *p4.ActionCall, vv, mv uint64) (uint64, uint64) {
+	if call == nil {
+		return vv, mv
+	}
+	for i, ip := range master.Params {
+		if i >= len(call.Data) {
+			break
+		}
+		switch ip.Kind {
+		case compiler.InitVV:
+			vv = call.Data[i]
+		case compiler.InitMV:
+			mv = call.Data[i]
+		}
+	}
+	return vv, mv
+}
+
 // resync audits the switch against the committed image and reconciles
 // any divergence left by operations whose fate was unknown. Runs at
 // iteration start, after repair debt drains and before anything new is
@@ -47,24 +67,11 @@ func (a *Agent) resync(p *sim.Proc) error {
 		return nil
 	}
 	master := a.plan.InitTables[0]
-	masterCall, err := a.drvReadDefaultAction(p, master.Table)
+	masterCall, err := a.retry.ReadDefaultAction(p, master.Table)
 	if err != nil {
 		return fmt.Errorf("resync: master audit: %w", err)
 	}
-	actualVV, actualMV := a.vv, a.mv
-	if masterCall != nil {
-		for i, ip := range master.Params {
-			if i >= len(masterCall.Data) {
-				break
-			}
-			switch ip.Kind {
-			case compiler.InitVV:
-				actualVV = masterCall.Data[i]
-			case compiler.InitMV:
-				actualMV = masterCall.Data[i]
-			}
-		}
-	}
+	actualVV, actualMV := masterVersions(master, masterCall, a.vv, a.mv)
 	// vv never moves ambiguously: commit resolves degraded flips inline
 	// before the iteration can be abandoned. A mismatch here means that
 	// invariant broke — stop rather than guess which copies are live.
@@ -88,7 +95,7 @@ func (a *Agent) resync(p *sim.Proc) error {
 	auditTables := auditTableSet(a.plan)
 	audited := make(map[string][]rmt.Entry, len(auditTables))
 	for _, table := range auditTables {
-		es, err := a.drvReadEntries(p, table)
+		es, err := a.retry.ReadEntries(p, table)
 		if err != nil {
 			return fmt.Errorf("resync: audit %s: %w", table, err)
 		}
@@ -120,30 +127,14 @@ func (a *Agent) resolveFlip(p *sim.Proc, newVV uint64) (bool, error) {
 	// deadline.
 	a.iterDeadline = 0
 	master := a.plan.InitTables[0]
-	rec := a.opts.Recovery
-	base := rec.RetryBackoff
-	if base <= 0 {
-		base = 2 * time.Microsecond
-	}
-	maxB := rec.MaxBackoff
-	if maxB <= 0 {
-		maxB = 64 * time.Microsecond
-	}
-	bo := faults.NewBackoff(a.sim.Rand(), base, maxB)
+	bo := a.opts.Recovery.backoff(a.sim)
 	for {
-		// Raw read, outside drvOp: the retry budget and watchdog must not
+		// Raw read, outside drvDo: the retry budget and watchdog must not
 		// apply, and every error class (transient, degraded) just means
 		// "ask again".
 		call, err := a.drv.ReadDefaultAction(p, master.Table)
 		if err == nil {
-			actualVV := a.vv
-			if call != nil {
-				for i, ip := range master.Params {
-					if i < len(call.Data) && ip.Kind == compiler.InitVV {
-						actualVV = call.Data[i]
-					}
-				}
-			}
+			actualVV, _ := masterVersions(master, call, a.vv, a.mv)
 			return actualVV == newVV, nil
 		}
 		if a.stopRequested() {

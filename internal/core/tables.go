@@ -206,7 +206,7 @@ func (tm *tableManager) install(p *sim.Proc, ue *userEntry, version uint64) erro
 		if err != nil {
 			return err
 		}
-		rh, err := tm.agent.drvAddEntry(p, tm.info.Table, e)
+		rh, err := tm.agent.retry.AddEntry(p, tm.info.Table, e)
 		if err != nil {
 			return err
 		}
@@ -220,7 +220,7 @@ func (tm *tableManager) install(p *sim.Proc, ue *userEntry, version uint64) erro
 func (tm *tableManager) uninstall(p *sim.Proc, ue *userEntry, version uint64) error {
 	for len(ue.concrete[version]) > 0 {
 		i := len(ue.concrete[version]) - 1
-		if err := tm.agent.drvDeleteEntry(p, tm.info.Table, ue.concrete[version][i]); err != nil {
+		if err := tm.agent.retry.DeleteEntry(p, tm.info.Table, ue.concrete[version][i]); err != nil {
 			return err
 		}
 		ue.concrete[version] = ue.concrete[version][:i]
@@ -238,7 +238,7 @@ func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, spe
 		if err != nil {
 			return err
 		}
-		if err := tm.agent.drvModifyEntry(p, tm.info.Table, ue.concrete[version][i], e.Action, e.Data); err != nil {
+		if err := tm.agent.retry.ModifyEntry(p, tm.info.Table, ue.concrete[version][i], e.Action, e.Data); err != nil {
 			return err
 		}
 	}
@@ -473,7 +473,7 @@ func (th *TableHandle) SetDefault(p *sim.Proc, call *p4.ActionCall) error {
 	if th.tm.versioned() {
 		return fmt.Errorf("table %s: default actions on vv-protected tables are fixed; install entries instead", th.tm.info.Table)
 	}
-	return th.tm.agent.drvSetDefaultAction(p, th.tm.info.Table, call)
+	return th.tm.agent.retry.SetDefaultAction(p, th.tm.info.Table, call)
 }
 
 // Entries returns the user-level entries (sorted by handle).

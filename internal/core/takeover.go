@@ -137,28 +137,15 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 	// ---- Audit: read back version bits and every reconciled table ----
 	auditStart := p.Now()
 	master := plan.InitTables[0]
-	masterCall, err := a.drvReadDefaultAction(p, master.Table)
+	masterCall, err := a.retry.ReadDefaultAction(p, master.Table)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recover: audit master: %w", err)
 	}
-	actualVV, actualMV := cp.VV, cp.MV
-	if masterCall != nil {
-		for i, ip := range master.Params {
-			if i >= len(masterCall.Data) {
-				break
-			}
-			switch ip.Kind {
-			case compiler.InitVV:
-				actualVV = masterCall.Data[i]
-			case compiler.InitMV:
-				actualMV = masterCall.Data[i]
-			}
-		}
-	}
+	actualVV, actualMV := masterVersions(master, masterCall, cp.VV, cp.MV)
 	audited := make(map[string][]rmt.Entry)
 	auditTables := auditTableSet(plan)
 	for _, table := range auditTables {
-		es, err := a.drvReadEntries(p, table)
+		es, err := a.retry.ReadEntries(p, table)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: recover: audit %s: %w", table, err)
 		}
@@ -416,7 +403,7 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 	}
 	a.initData[0] = expMaster
 	if masterCall == nil || masterCall.Action != master.Action || !equalU64(masterCall.Data, expMaster) {
-		if err := a.drvSetDefaultAction(p, master.Table, &p4.ActionCall{
+		if err := a.retry.SetDefaultAction(p, master.Table, &p4.ActionCall{
 			Action: master.Action, Data: append([]uint64(nil), expMaster...),
 		}); err != nil {
 			return writes, err
@@ -487,7 +474,7 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 				byFP[fp] = slots[1:]
 				sl.matched = true
 				if got.Action != sl.entry.Action || !equalU64(got.Data, sl.entry.Data) {
-					if err := a.drvModifyEntry(p, table, got.Handle, sl.entry.Action, sl.entry.Data); err != nil {
+					if err := a.retry.ModifyEntry(p, table, got.Handle, sl.entry.Action, sl.entry.Data); err != nil {
 						return writes, err
 					}
 					writes++
@@ -499,7 +486,7 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 			}
 			// No expected entry has this identity: a torn write from the
 			// dead primary (e.g. a partially staged add). Remove it.
-			if err := a.drvDeleteEntry(p, table, got.Handle); err != nil {
+			if err := a.retry.DeleteEntry(p, table, got.Handle); err != nil {
 				return writes, err
 			}
 			writes++
@@ -508,7 +495,7 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 			if sl.matched {
 				continue
 			}
-			h, err := a.drvAddEntry(p, table, sl.entry)
+			h, err := a.retry.AddEntry(p, table, sl.entry)
 			if err != nil {
 				return writes, err
 			}

@@ -403,22 +403,19 @@ control ingress { apply(t); }
 // partition cannot produce it — there the measurement-version flip fails
 // before any poll is attempted and the iteration abandons early.)
 type readFaultChan struct {
-	driver.Channel
+	driver.Adapter
 	fail bool
 }
 
-func (c *readFaultChan) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	if c.fail {
-		return nil, fmt.Errorf("measurement unit offline: %w", driver.ErrTransient)
-	}
-	return c.Channel.BatchRead(p, reqs)
-}
-
-func (c *readFaultChan) UnbatchedRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	if c.fail {
-		return nil, fmt.Errorf("measurement unit offline: %w", driver.ErrTransient)
-	}
-	return c.Channel.UnbatchedRead(p, reqs)
+func newReadFaultChan(inner driver.Channel) *readFaultChan {
+	c := &readFaultChan{}
+	c.Adapter = driver.NewAdapter(func(p *sim.Proc, op *driver.Op) error {
+		if c.fail && op.Kind == driver.OpRead {
+			return fmt.Errorf("measurement unit offline: %w", driver.ErrTransient)
+		}
+		return driver.Apply(inner, p, op)
+	}, inner)
+	return c
 }
 
 // TestStalenessBudgetAborts: while polls fail, degraded reactions run on
@@ -436,7 +433,7 @@ func TestStalenessBudgetAborts(t *testing.T) {
 		t.Fatalf("switch: %v", err)
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	inner := &readFaultChan{Channel: drv}
+	inner := newReadFaultChan(drv)
 	link := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 31)
 	srv := NewServer(s)
 	srv.Attach(link, netsim.LinkSideB, 1, 1, inner)

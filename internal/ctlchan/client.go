@@ -7,7 +7,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/p4"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -106,10 +105,10 @@ type ClientStats struct {
 
 // call is one in-flight request. Calls are recycled through
 // Client.free and embed their request, response and backoff, so an
-// operation allocates nothing. While a call is live its request aliases
-// the caller's arguments (the caller is parked, so they are stable
-// across retransmits) and, for a batched read, its response rows are the
-// caller's; release drops every such reference.
+// operation allocates nothing. While a call is live its request's op is a
+// copy of the caller's — aliasing the caller's slices, who is parked, so
+// they are stable across retransmits — and, for a batched read, its
+// response rows are the caller's; release drops every such reference.
 type call struct {
 	seq      uint64
 	req      request
@@ -126,8 +125,9 @@ type call struct {
 	failErr   error
 }
 
-// Client is the agent-side endpoint: a driver.Channel whose every
-// operation becomes a sequenced request frame on a netsim.Link, with
+// Client is the agent-side endpoint: a driver.Channel (the embedded
+// Adapter, over Do) whose every operation becomes a sequenced request
+// frame on a netsim.Link, with
 // retransmission, in-flight windowing, idempotent delivery (via server
 // dedup keyed on the seq), epoch fencing, and an MSL quarantine before
 // any mutation is reported as possibly-lost.
@@ -139,6 +139,7 @@ type call struct {
 // — by the time a mutation's failure is reported, no copy of it remains
 // in flight, so a subsequent audit read observes its final effect.
 type Client struct {
+	driver.Adapter
 	sim  *sim.Simulator
 	link *netsim.Link
 	side int
@@ -204,6 +205,9 @@ func NewClient(s *sim.Simulator, link *netsim.Link, side int, opts ClientOptions
 		sim: s, link: link, side: side, opts: opts,
 		nextSeq: 1, pending: make(map[uint64]*call), names: make(names),
 	}
+	// Switch() and Stats() are simulation plumbing, not control messages:
+	// they go to opts.Meta without crossing the wire.
+	c.Adapter = driver.NewAdapter(c.Do, opts.Meta)
 	c.timerFn = func(arg any) { c.onTimer(arg.(*call)) }
 	link.SetRecv(side, c.onFrame)
 	return c
@@ -295,7 +299,7 @@ func (c *Client) onTimer(cl *call) {
 		c.degraded = true
 		c.lastCause = c.classifyDegrade()
 		c.stats.LastDegradedCause = c.lastCause
-		if mutatingVerb(cl.req.Verb) {
+		if cl.req.op.Kind.Mutating() {
 			// Ambiguous abandon: the request (or only its ack) may be
 			// lost. Quarantine until every copy we ever sent is off the
 			// wire, so the failure we report is stable: either a
@@ -329,7 +333,7 @@ func (c *Client) onTimer(cl *call) {
 
 func (c *Client) degradedErr(cl *call) error {
 	return fmt.Errorf("ctlchan: %s seq %d: no response within %v: %w",
-		verbNames[cl.req.Verb], cl.seq, c.opts.OpDeadline, driver.ErrChannelDegraded)
+		cl.req.op.Kind, cl.seq, c.opts.OpDeadline, driver.ErrChannelDegraded)
 }
 
 // onFrame handles a response frame arriving from the server. The frame
@@ -391,17 +395,14 @@ func (c *Client) resolve(cl *call) {
 	}
 }
 
-// newCall takes a call record for one operation of verb.
-func (c *Client) newCall(verb uint8) *call {
-	var cl *call
+// newCall takes a call record for one operation.
+func (c *Client) newCall() *call {
 	if n := len(c.free); n > 0 {
-		cl = c.free[n-1]
+		cl := c.free[n-1]
 		c.free = c.free[:n-1]
-	} else {
-		cl = &call{bo: *faults.NewBackoff(c.sim.Rand(), c.opts.RTO, c.opts.MaxRTO)}
+		return cl
 	}
-	cl.req.Verb = verb
-	return cl
+	return &call{bo: *faults.NewBackoff(c.sim.Rand(), c.opts.RTO, c.opts.MaxRTO)}
 }
 
 // release recycles a finished call, dropping its references to the
@@ -411,24 +412,15 @@ func (c *Client) release(cl *call) {
 	c.free = append(c.free, cl)
 }
 
-// do runs a call to completion and recycles it, handing back a copy of
-// the response (whose payload the caller now owns).
-func (c *Client) do(p *sim.Proc, cl *call) (response, error) {
-	err := c.roundTrip(p, cl)
-	resp := cl.resp
-	c.release(cl)
-	return resp, err
-}
-
 // roundTrip runs one request to completion: admission, transmit,
 // retransmit until response or deadline, classify. On success the
 // response is in cl.resp.
 func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
 	req := &cl.req
 	c.stats.Ops++
-	if c.fenced && mutatingVerb(req.Verb) {
+	if c.fenced && req.op.Kind.Mutating() {
 		c.stats.FencedOps++
-		return fmt.Errorf("ctlchan: %s refused: %w", verbNames[req.Verb], ErrFenced)
+		return fmt.Errorf("ctlchan: %s refused: %w", req.op.Kind, ErrFenced)
 	}
 	for c.inFlight >= c.opts.Window {
 		c.stats.WindowWaits++
@@ -459,160 +451,53 @@ func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
 		return nil
 	case statusTransient:
 		return fmt.Errorf("ctlchan: remote %s: %s: %w",
-			verbNames[req.Verb], resp.ErrMsg, driver.ErrTransient)
+			req.op.Kind, resp.ErrMsg, driver.ErrTransient)
 	case statusFenced:
 		c.fenced = true
 		c.stats.FencedOps++
-		return fmt.Errorf("ctlchan: %s seq %d: %w", verbNames[req.Verb], cl.seq, ErrFenced)
+		return fmt.Errorf("ctlchan: %s seq %d: %w", req.op.Kind, cl.seq, ErrFenced)
 	case statusStale:
 		// A live call answered stale means the server's floor passed our
 		// seq — only possible through frame corruption or a server bug.
 		// Surface as degraded: the op's fate is unknown.
 		return fmt.Errorf("ctlchan: %s seq %d: stale-rejected: %w",
-			verbNames[req.Verb], cl.seq, driver.ErrChannelDegraded)
+			req.op.Kind, cl.seq, driver.ErrChannelDegraded)
 	default:
-		return fmt.Errorf("ctlchan: remote %s: %s", verbNames[req.Verb], resp.ErrMsg)
+		return fmt.Errorf("ctlchan: remote %s: %s", req.op.Kind, resp.ErrMsg)
 	}
 }
 
-// ---- driver.Channel ----
-
-// AddEntry installs a match-action entry over the wire.
-func (c *Client) AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error) {
-	cl := c.newCall(verbAddEntry)
-	cl.req.Table, cl.req.Entry = table, e
-	resp, err := c.do(p, cl)
-	return resp.Handle, err
-}
-
-// ModifyEntry rewrites an installed entry's action over the wire.
-func (c *Client) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
-	cl := c.newCall(verbModifyEntry)
-	cl.req.Table, cl.req.Handle, cl.req.Action, cl.req.Data = table, h, action, data
-	_, err := c.do(p, cl)
-	return err
-}
-
-// DeleteEntry removes an installed entry over the wire.
-func (c *Client) DeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
-	cl := c.newCall(verbDeleteEntry)
-	cl.req.Table, cl.req.Handle = table, h
-	_, err := c.do(p, cl)
-	return err
-}
-
-// SetDefaultAction rewrites a table's default action over the wire.
-func (c *Client) SetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
-	cl := c.newCall(verbSetDefaultAction)
-	cl.req.Table, cl.req.Call = table, call
-	_, err := c.do(p, cl)
-	return err
-}
-
-// SetHashSeed reseeds a hash unit over the wire.
-func (c *Client) SetHashSeed(p *sim.Proc, name string, seed uint64) error {
-	cl := c.newCall(verbSetHashSeed)
-	cl.req.Name, cl.req.Seed = name, seed
-	_, err := c.do(p, cl)
-	return err
-}
-
-// RegWrite writes one register cell over the wire.
-func (c *Client) RegWrite(p *sim.Proc, reg string, idx uint64, v uint64) error {
-	cl := c.newCall(verbRegWrite)
-	cl.req.Reg, cl.req.Idx, cl.req.Val = reg, idx, v
-	_, err := c.do(p, cl)
-	return err
-}
-
-// RegRead reads one register cell over the wire.
-func (c *Client) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
-	cl := c.newCall(verbRegRead)
-	cl.req.Reg, cl.req.Idx = reg, idx
-	resp, err := c.do(p, cl)
-	return resp.Val, err
-}
-
-// BatchReadInto reads register ranges in one request frame, decoding
-// the response straight into dst (one row per range, refilled in
-// place): the deployed stack's poll allocates nothing here.
-func (c *Client) BatchReadInto(p *sim.Proc, reqs []driver.ReadReq, dst [][]uint64) error {
-	if len(dst) != len(reqs) {
-		return fmt.Errorf("ctlchan: %d result rows for %d requests: %w", len(dst), len(reqs), driver.ErrBadBatch)
+// Do sends one operation over the wire and blocks until its response or
+// deadline: the whole synchronous driver.Channel surface. A batched
+// read's response decodes straight into the op's rows (one per range,
+// refilled in place), so the deployed stack's poll allocates nothing
+// here. An unbatched read is one request frame per range — the baseline
+// pays a full channel round trip per range here just as it pays per-op
+// channel latency below.
+func (c *Client) Do(p *sim.Proc, op *driver.Op) error {
+	if op.Kind == driver.OpRead && !op.Batched {
+		return driver.PerRange(op, func(sub *driver.Op) error { return c.Do(p, sub) })
 	}
-	cl := c.newCall(verbBatchRead)
-	cl.req.Reqs = reqs
-	cl.resp.Vals = dst[:0]
-	resp, err := c.do(p, cl)
-	if err != nil {
-		return err
+	cl := c.newCall()
+	cl.req.op = *op
+	if op.Kind == driver.OpRead {
+		cl.resp.Vals = op.Rows[:0]
 	}
-	if len(resp.Vals) != len(dst) {
-		return fmt.Errorf("ctlchan: BatchRead answered %d rows for %d ranges", len(resp.Vals), len(dst))
+	err := c.roundTrip(p, cl)
+	if err == nil {
+		err = cl.resp.deliver(op)
 	}
-	copy(dst, resp.Vals) // a no-op unless a row outgrew its capacity
-	return nil
-}
-
-// BatchRead is BatchReadInto with a fresh result matrix.
-func (c *Client) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	return driver.ReadFresh(c, p, reqs)
-}
-
-// UnbatchedRead reads register ranges one request frame each — the
-// unbatched baseline pays a full channel round trip per range here just
-// as it pays per-op channel latency below.
-func (c *Client) UnbatchedRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	out := make([][]uint64, len(reqs))
-	for i := range reqs {
-		if err := c.BatchReadInto(p, reqs[i:i+1], out[i:i+1]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// ReadEntries audits a table's installed entries over the wire.
-func (c *Client) ReadEntries(p *sim.Proc, table string) ([]rmt.Entry, error) {
-	cl := c.newCall(verbReadEntries)
-	cl.req.Table = table
-	resp, err := c.do(p, cl)
-	return resp.Entries, err
-}
-
-// ReadDefaultAction audits a table's default action over the wire.
-func (c *Client) ReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, error) {
-	cl := c.newCall(verbReadDefaultAction)
-	cl.req.Table = table
-	resp, err := c.do(p, cl)
-	return resp.Call, err
+	c.release(cl)
+	return err
 }
 
 // Memoize ships as a fire-and-forget datagram: it is a hint, losing one
 // costs a future lookup, not correctness, so it gets no retransmission.
 func (c *Client) Memoize(table string, handle rmt.EntryHandle) {
 	r := request{
-		Kind: frameDatagram, Session: c.opts.Session, Epoch: c.opts.Epoch,
-		Ack: c.ackFloor(), Verb: verbMemoize, Table: table, Handle: handle,
+		Kind: frameDatagram, Session: c.opts.Session, Epoch: c.opts.Epoch, Ack: c.ackFloor(),
+		op: driver.Op{Kind: opMemoize, Table: table, Handle: handle},
 	}
 	c.txBuf = appendRequest(c.txBuf[:0], &r)
 	c.link.Send(c.side, c.txBuf)
-}
-
-// Switch returns the wired switch via the Meta backdoor (simulation
-// plumbing — not a control message).
-func (c *Client) Switch() *rmt.Switch {
-	if c.opts.Meta == nil {
-		return nil
-	}
-	return c.opts.Meta.Switch()
-}
-
-// Stats returns the underlying driver's op counters via the Meta
-// backdoor. The client's own wire counters live in ChanStats.
-func (c *Client) Stats() driver.Stats {
-	if c.opts.Meta == nil {
-		return driver.Stats{}
-	}
-	return c.opts.Meta.Stats()
 }

@@ -2,6 +2,7 @@ package ctlchan
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"unsafe"
 
@@ -10,35 +11,113 @@ import (
 	"repro/internal/rmt"
 )
 
-// sampleRequests holds one frame per verb (plus the optional-field
-// variants): the codec tests' cases and the fuzz targets' seed corpus.
-func sampleRequests() []*request {
-	rs := []*request{
-		{Verb: verbAddEntry, Table: "t1", Entry: rmt.Entry{
-			Handle: 3, Priority: -2, Action: "set1",
-			Keys: []rmt.KeySpec{{Value: 7, Mask: 0xFF}, {Lo: 1, Hi: 9}},
-			Data: []uint64{1, 2, 3},
-		}},
-		{Verb: verbModifyEntry, Table: "t2", Handle: 9, Action: "set2", Data: []uint64{42}},
-		{Verb: verbModifyEntry, Table: "t2", Handle: 9, Action: "noop"}, // zero-length data
-		{Verb: verbDeleteEntry, Table: "t1", Handle: 5},
-		{Verb: verbSetDefaultAction, Table: "t1", Call: &p4.ActionCall{Action: "drop", Data: []uint64{0xDEAD}}},
-		{Verb: verbSetDefaultAction, Table: "t1"}, // nil call
-		{Verb: verbSetHashSeed, Name: "ecmp", Seed: 0xFEEDFACE},
-		{Verb: verbRegWrite, Reg: "cnt", Idx: 12, Val: ^uint64(0)},
-		{Verb: verbRegRead, Reg: "cnt", Idx: 12},
-		{Verb: verbBatchRead, Reqs: []driver.ReadReq{{Reg: "a", Lo: 0, Hi: 3}, {Reg: "b", Lo: 5, Hi: 5}}},
-		{Verb: verbReadEntries, Table: "t2"},
-		{Verb: verbReadDefaultAction, Table: "t2"},
-		{Kind: frameDatagram, Verb: verbMemoize, Table: "t1", Handle: 77},
-	}
-	for i, r := range rs {
-		if r.Kind == 0 {
-			r.Kind = frameRequest
+// sampleOps returns, for one verb, ops that fill every field its frame
+// carries — two where a field is optional. A kind without a case here
+// fails TestEveryKindHasACodecArm.
+func sampleOps(k driver.OpKind) []driver.Op {
+	switch k {
+	case driver.OpAddEntry:
+		return []driver.Op{{Table: "t1", Handle: 3, Priority: -2, Action: "set1",
+			Keys: []rmt.KeySpec{{Value: 7, Mask: 0xFF}, {Lo: 1, Hi: 9}}, Data: []uint64{1, 2, 3}}}
+	case driver.OpModifyEntry:
+		return []driver.Op{
+			{Table: "t2", Handle: 9, Action: "set2", Data: []uint64{42}},
+			{Table: "t2", Handle: 9, Action: "noop"}, // zero-length data
 		}
-		r.Session, r.Epoch, r.Seq, r.Ack = 0xA1B2C3D4, 3, uint64(i)+1, uint64(i)
+	case driver.OpDeleteEntry:
+		return []driver.Op{{Table: "t1", Handle: 5}}
+	case driver.OpSetDefault:
+		return []driver.Op{
+			{Table: "t1", Call: &p4.ActionCall{Action: "drop", Data: []uint64{0xDEAD}}},
+			{Table: "t1"}, // nil call
+		}
+	case driver.OpSetHashSeed:
+		return []driver.Op{{Table: "ecmp", Val: 0xFEEDFACE}}
+	case driver.OpRegWrite:
+		return []driver.Op{{Table: "cnt", Idx: 12, Val: ^uint64(0)}}
+	case driver.OpRegRead:
+		return []driver.Op{{Table: "cnt", Idx: 12}}
+	case driver.OpRead:
+		return []driver.Op{{Batched: true, Reqs: []driver.ReadReq{{Reg: "a", Lo: 0, Hi: 3}, {Reg: "b", Lo: 5, Hi: 5}}}}
+	case driver.OpReadEntries, driver.OpReadDefault:
+		return []driver.Op{{Table: "t2"}}
+	case opMemoize:
+		return []driver.Op{{Table: "t1", Handle: 77}}
+	}
+	return nil
+}
+
+// sampleRequests holds the sample frames of every verb, in verb order:
+// the codec tests' cases and the fuzz targets' seed corpus.
+func sampleRequests() []*request {
+	var rs []*request
+	for k := driver.OpNone + 1; k <= opMemoize; k++ {
+		for _, op := range sampleOps(k) {
+			op.Kind = k
+			r := &request{Kind: frameRequest, op: op}
+			if k == opMemoize {
+				r.Kind = frameDatagram
+			}
+			r.Session, r.Epoch, r.Seq, r.Ack = 0xA1B2C3D4, 3, uint64(len(rs))+1, uint64(len(rs))
+			rs = append(rs, r)
+		}
 	}
 	return rs
+}
+
+// goldenFrames are sampleRequests' frames as the codec encoded them
+// before the verbs became driver.OpKinds: the wire format is pinned byte
+// for byte.
+var goldenFrames = []string{
+	"c1d4c3b2a1030000000000000001000000000000000000000000000000010200000074310300000000000000feffffffffffffff0400000073657431020000000700000000000000ff0000000000000000000000000000000000000000000000000000000000000000000000000000000100000000000000090000000000000003000000010000000000000002000000000000000300000000000000",
+	"c1d4c3b2a10300000000000000020000000000000001000000000000000202000000743209000000000000000400000073657432010000002a00000000000000",
+	"c1d4c3b2a1030000000000000003000000000000000200000000000000020200000074320900000000000000040000006e6f6f7000000000",
+	"c1d4c3b2a1030000000000000004000000000000000300000000000000030200000074310500000000000000",
+	"c1d4c3b2a103000000000000000500000000000000040000000000000004020000007431010400000064726f7001000000adde000000000000",
+	"c1d4c3b2a10300000000000000060000000000000005000000000000000402000000743100",
+	"c1d4c3b2a1030000000000000007000000000000000600000000000000050400000065636d70cefaedfe00000000",
+	"c1d4c3b2a10300000000000000080000000000000007000000000000000603000000636e740c00000000000000ffffffffffffffff",
+	"c1d4c3b2a10300000000000000090000000000000008000000000000000703000000636e740c00000000000000",
+	"c1d4c3b2a103000000000000000a0000000000000009000000000000000802000000010000006100000000000000000300000000000000010000006205000000000000000500000000000000",
+	"c1d4c3b2a103000000000000000b000000000000000a0000000000000009020000007432",
+	"c1d4c3b2a103000000000000000c000000000000000b000000000000000a020000007432",
+	"c3d4c3b2a103000000000000000d000000000000000c000000000000000b0200000074314d00000000000000",
+}
+
+// TestWireFormatPinned: every sample frame encodes to its golden bytes.
+func TestWireFormatPinned(t *testing.T) {
+	rs := sampleRequests()
+	if len(rs) != len(goldenFrames) {
+		t.Fatalf("%d sample requests for %d golden frames", len(rs), len(goldenFrames))
+	}
+	for i, r := range rs {
+		if got := hex.EncodeToString(appendRequest(nil, r)); got != goldenFrames[i] {
+			t.Errorf("verb %v: frame changed:\n got %s\nwant %s", r.op.Kind, got, goldenFrames[i])
+		}
+	}
+}
+
+// TestEveryKindHasACodecArm: every driver.OpKind (and the wire's own
+// Memoize) has samples, and each encodes to a frame that decodes back to
+// the same kind — a kind added to the vocabulary without a codec arm
+// fails here.
+func TestEveryKindHasACodecArm(t *testing.T) {
+	var got request
+	for k := driver.OpNone + 1; k <= opMemoize; k++ {
+		ops := sampleOps(k)
+		if len(ops) == 0 {
+			t.Errorf("kind %d (%v) has no sample op", k, k)
+		}
+		for _, op := range ops {
+			op.Kind = k
+			b := appendRequest(nil, &request{Kind: frameRequest, op: op})
+			if err := decodeRequest(&got, b, nil); err != nil {
+				t.Errorf("kind %d (%v): %v", k, k, err)
+			} else if got.op.Kind != k || !bytes.Equal(appendRequest(nil, &got), b) {
+				t.Errorf("kind %d (%v) does not survive the codec", k, k)
+			}
+		}
+	}
 }
 
 // sampleResponses covers every payload a response can carry.
@@ -54,8 +133,8 @@ func sampleResponses() []*response {
 	}
 }
 
-// requestFields lists what a decoded request carries, field by field, so
-// a test can say which field kept residue. Slices are compared by
+// requestDiff compares what two decoded requests carry, field by field,
+// so a test can say which field kept residue. Slices are compared by
 // content: a truncated slice and a nil one are the same request.
 func requestDiff(t *testing.T, what string, got, want *request) {
 	t.Helper()
@@ -75,30 +154,28 @@ func requestDiff(t *testing.T, what string, got, want *request) {
 			t.Errorf("%s: field %s differs:\n got %+v\nwant %+v", what, field, got, want)
 		}
 	}
+	g, w := &got.op, &want.op
 	check("header", got.Kind == want.Kind && got.Session == want.Session && got.Epoch == want.Epoch &&
-		got.Seq == want.Seq && got.Ack == want.Ack && got.Verb == want.Verb)
-	check("Table", got.Table == want.Table)
-	check("Entry", got.Entry.Handle == want.Entry.Handle && got.Entry.Priority == want.Entry.Priority &&
-		got.Entry.Action == want.Entry.Action && eqU64(got.Entry.Data, want.Entry.Data) &&
-		len(got.Entry.Keys) == len(want.Entry.Keys))
-	for i := range want.Entry.Keys {
-		if i < len(got.Entry.Keys) {
-			check("Entry.Keys", got.Entry.Keys[i] == want.Entry.Keys[i])
+		got.Seq == want.Seq && got.Ack == want.Ack && g.Kind == w.Kind)
+	check("Table", g.Table == w.Table)
+	check("Handle/Priority", g.Handle == w.Handle && g.Priority == w.Priority)
+	check("Action", g.Action == w.Action)
+	check("Data", eqU64(g.Data, w.Data))
+	check("Keys", len(g.Keys) == len(w.Keys))
+	for i := range w.Keys {
+		if i < len(g.Keys) {
+			check("Keys", g.Keys[i] == w.Keys[i])
 		}
 	}
-	check("Handle", got.Handle == want.Handle)
-	check("Action", got.Action == want.Action)
-	check("Data", eqU64(got.Data, want.Data))
-	check("Call", (got.Call == nil) == (want.Call == nil))
-	if got.Call != nil && want.Call != nil {
-		check("Call", got.Call.Action == want.Call.Action && eqU64(got.Call.Data, want.Call.Data))
+	check("Call", (g.Call == nil) == (w.Call == nil))
+	if g.Call != nil && w.Call != nil {
+		check("Call", g.Call.Action == w.Call.Action && eqU64(g.Call.Data, w.Call.Data))
 	}
-	check("Name/Seed", got.Name == want.Name && got.Seed == want.Seed)
-	check("Reg/Idx/Val", got.Reg == want.Reg && got.Idx == want.Idx && got.Val == want.Val)
-	check("Reqs", len(got.Reqs) == len(want.Reqs))
-	for i := range want.Reqs {
-		if i < len(got.Reqs) {
-			check("Reqs", got.Reqs[i] == want.Reqs[i])
+	check("Idx/Val", g.Idx == w.Idx && g.Val == w.Val)
+	check("Reqs", len(g.Reqs) == len(w.Reqs) && g.Batched == w.Batched)
+	for i := range w.Reqs {
+		if i < len(g.Reqs) {
+			check("Reqs", g.Reqs[i] == w.Reqs[i])
 		}
 	}
 }
@@ -109,11 +186,11 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 	for _, r := range sampleRequests() {
 		b := appendRequest(nil, r)
 		if err := decodeRequest(&got, b, in); err != nil {
-			t.Fatalf("verb %s: decode: %v", verbNames[r.Verb], err)
+			t.Fatalf("verb %v: decode: %v", r.op.Kind, err)
 		}
-		requestDiff(t, "verb "+verbNames[r.Verb], &got, r)
+		requestDiff(t, "verb "+r.op.Kind.String(), &got, r)
 		if again := appendRequest(nil, &got); !bytes.Equal(again, b) {
-			t.Fatalf("verb %s: re-encoding the decoded request changed the frame", verbNames[r.Verb])
+			t.Fatalf("verb %s: re-encoding the decoded request changed the frame", r.op.Kind.String())
 		}
 	}
 }
@@ -165,11 +242,11 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 		b := appendRequest(nil, r)
 		for cut := 0; cut < len(b); cut++ {
 			if err := decodeRequest(&req, b[:cut], nil); err == nil {
-				t.Fatalf("verb %s: truncation at %d/%d decoded cleanly", verbNames[r.Verb], cut, len(b))
+				t.Fatalf("verb %s: truncation at %d/%d decoded cleanly", r.op.Kind.String(), cut, len(b))
 			}
 		}
 		if err := decodeRequest(&req, append(append([]byte(nil), b...), 0), nil); err == nil {
-			t.Fatalf("verb %s: trailing byte accepted", verbNames[r.Verb])
+			t.Fatalf("verb %s: trailing byte accepted", r.op.Kind.String())
 		}
 	}
 	var resp response
@@ -192,29 +269,29 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 // oversizedFrames are frames whose first variable-length prefix claims
 // more than the frame (or any frame) can hold.
 func oversizedFrames() (reqs, resps [][]byte) {
-	header := func(verb uint8) *enc {
+	header := func(verb driver.OpKind) *enc {
 		e := &enc{}
 		e.u8(frameRequest)
 		e.u32(1)
 		e.u64(1)
 		e.u64(1)
 		e.u64(0)
-		e.u8(verb)
+		e.u8(uint8(verb))
 		return e
 	}
 	for _, n := range []uint32{maxSliceLen + 1, 1 << 30, 1<<32 - 1, 1 << 16} {
-		e := header(verbReadEntries)
+		e := header(driver.OpReadEntries)
 		e.u32(n) // table-name length
 		reqs = append(reqs, e.b)
 
-		e = header(verbModifyEntry)
+		e = header(driver.OpModifyEntry)
 		e.str("t")
 		e.u64(1)
 		e.str("a")
 		e.u32(n) // data length
 		reqs = append(reqs, e.b)
 
-		e = header(verbBatchRead)
+		e = header(driver.OpRead)
 		e.u32(n) // range count
 		reqs = append(reqs, e.b)
 
@@ -275,15 +352,16 @@ func aliases(s string, buf []byte) bool {
 // interned names must survive the frame buffer being overwritten.
 func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 	in := make(names)
-	long := &request{Kind: frameRequest, Session: 7, Epoch: 9, Seq: 100, Ack: 99, Verb: verbBatchRead}
+	long := &request{Kind: frameRequest, Session: 7, Epoch: 9, Seq: 100, Ack: 99, op: driver.Op{Kind: driver.OpRead}}
 	for i := 0; i < 64; i++ {
-		long.Reqs = append(long.Reqs, driver.ReadReq{Reg: "a_rather_long_register_name", Lo: uint64(i), Hi: uint64(i) + 32})
+		long.op.Reqs = append(long.op.Reqs, driver.ReadReq{Reg: "a_rather_long_register_name", Lo: uint64(i), Hi: uint64(i) + 32})
 	}
-	longAdd := &request{Kind: frameRequest, Verb: verbAddEntry, Table: "big", Entry: rmt.Entry{
+	longAdd := &request{Kind: frameRequest, op: driver.Op{Kind: driver.OpAddEntry, Table: "big",
 		Handle: 1, Priority: 5, Action: "wide", Keys: make([]rmt.KeySpec, 12), Data: make([]uint64, 40)}}
-	longMod := &request{Kind: frameRequest, Verb: verbModifyEntry, Table: "big", Handle: 4, Action: "wide", Data: make([]uint64, 40)}
-	longDef := &request{Kind: frameRequest, Verb: verbSetDefaultAction, Table: "big",
-		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 40)}}
+	longMod := &request{Kind: frameRequest, op: driver.Op{Kind: driver.OpModifyEntry, Table: "big", Handle: 4,
+		Action: "wide", Data: make([]uint64, 40)}}
+	longDef := &request{Kind: frameRequest, op: driver.Op{Kind: driver.OpSetDefault, Table: "big",
+		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 40)}}}
 
 	for _, short := range sampleRequests() {
 		var reused request
@@ -300,11 +378,11 @@ func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 		if err := decodeRequest(&fresh, frame, nil); err != nil {
 			t.Fatal(err)
 		}
-		requestDiff(t, "reused vs fresh, verb "+verbNames[short.Verb], &reused, &fresh)
+		requestDiff(t, "reused vs fresh, verb "+short.op.Kind.String(), &reused, &fresh)
 
-		for _, s := range []string{reused.Table, reused.Action, reused.Name, reused.Reg, reused.Entry.Action} {
+		for _, s := range []string{reused.op.Table, reused.op.Action} {
 			if aliases(s, frame) {
-				t.Fatalf("verb %s: decoded name %q aliases the frame buffer", verbNames[short.Verb], s)
+				t.Fatalf("verb %s: decoded name %q aliases the frame buffer", short.op.Kind.String(), s)
 			}
 		}
 		// Overwrite the frame, as the link does when it recycles the
@@ -314,7 +392,7 @@ func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 			frame[i] = 0xEE
 		}
 		if !bytes.Equal(appendRequest(nil, &reused), before) {
-			t.Fatalf("verb %s: decoded request changed when its frame buffer was overwritten", verbNames[short.Verb])
+			t.Fatalf("verb %s: decoded request changed when its frame buffer was overwritten", short.op.Kind.String())
 		}
 	}
 

@@ -66,45 +66,13 @@ const (
 	frameDatagram uint8 = 0xC3 // fire-and-forget request, no response
 )
 
-// Verbs, one per driver.Channel operation that crosses the wire.
-const (
-	verbAddEntry uint8 = iota + 1
-	verbModifyEntry
-	verbDeleteEntry
-	verbSetDefaultAction
-	verbSetHashSeed
-	verbRegWrite
-	verbRegRead
-	verbBatchRead
-	verbReadEntries
-	verbReadDefaultAction
-	verbMemoize
-)
+// The verb byte of a frame is the operation's driver.OpKind — the wire
+// and the in-process layers share one vocabulary — plus one verb only
+// the wire has: Memoize, the fire-and-forget descriptor hint.
+const opMemoize = driver.OpKind(11)
 
-var verbNames = [...]string{
-	verbAddEntry:          "AddEntry",
-	verbModifyEntry:       "ModifyEntry",
-	verbDeleteEntry:       "DeleteEntry",
-	verbSetDefaultAction:  "SetDefaultAction",
-	verbSetHashSeed:       "SetHashSeed",
-	verbRegWrite:          "RegWrite",
-	verbRegRead:           "RegRead",
-	verbBatchRead:         "BatchRead",
-	verbReadEntries:       "ReadEntries",
-	verbReadDefaultAction: "ReadDefaultAction",
-	verbMemoize:           "Memoize",
-}
-
-// mutatingVerb reports whether the verb changes switch state — the set
-// subject to idempotency tokens, the MSL quarantine, and epoch fencing.
-func mutatingVerb(v uint8) bool {
-	switch v {
-	case verbAddEntry, verbModifyEntry, verbDeleteEntry, verbSetDefaultAction,
-		verbSetHashSeed, verbRegWrite:
-		return true
-	}
-	return false
-}
+// A kind added to the vocabulary must not collide with it.
+const _ = uint(opMemoize - driver.NumOpKinds)
 
 // Response status codes.
 const (
@@ -123,10 +91,10 @@ const (
 	statusError
 )
 
-// request is the decoded form of one client→server frame. Exactly the
-// fields of its verb are meaningful.
+// request is the decoded form of one client→server frame: the header and
+// the operation it carries (for opMemoize, just op.Table and op.Handle).
 //
-// A request is reused across frames. On the sending side its slices
+// A request is reused across frames. On the sending side its op's slices
 // alias the caller's arguments for the duration of one call; on the
 // receiving side decodeRequest refills it in place, truncating every
 // slice and keeping its capacity, so neither side allocates per frame.
@@ -137,24 +105,12 @@ type request struct {
 	Seq     uint64
 	// Ack is the client's lowest unresolved seq: everything below it is
 	// resolved client-side and can be dropped from the server's caches.
-	Ack  uint64
-	Verb uint8
+	Ack uint64
 
-	Table  string
-	Entry  rmt.Entry
-	Handle rmt.EntryHandle
-	Action string
-	Data   []uint64
-	Call   *p4.ActionCall
-	Name   string
-	Seed   uint64
-	Reg    string
-	Idx    uint64
-	Val    uint64
-	Reqs   []driver.ReadReq
+	op driver.Op
 
-	// callBuf backs a decoded Call, so a SetDefaultAction frame decodes
-	// without allocating one.
+	// callBuf backs a decoded op.Call, so a SetDefaultAction frame
+	// decodes without allocating one.
 	callBuf p4.ActionCall
 }
 
@@ -173,6 +129,45 @@ type response struct {
 	Vals    [][]uint64
 	Entries []rmt.Entry
 	Call    *p4.ActionCall
+}
+
+// carry puts a completed op's result in the response field that travels
+// it; deliver, on the other side of the wire, hands it back to the
+// caller's op. Between them they are the whole mapping from a kind's
+// result to the wire.
+func (r *response) carry(op *driver.Op) {
+	switch op.Kind {
+	case driver.OpAddEntry:
+		r.Handle = op.NewHandle
+	case driver.OpRegRead:
+		r.Val = op.Val
+	case driver.OpRead:
+		r.Vals = op.Rows
+	case driver.OpReadEntries:
+		r.Entries = op.Entries
+	case driver.OpReadDefault:
+		r.Call = op.Call
+	}
+}
+
+func (r *response) deliver(op *driver.Op) error {
+	switch op.Kind {
+	case driver.OpAddEntry:
+		op.NewHandle = r.Handle
+	case driver.OpRegRead:
+		op.Val = r.Val
+	case driver.OpRead:
+		// The rows were decoded in place (Client.Do lent them to r.Vals).
+		if len(r.Vals) != len(op.Rows) {
+			return fmt.Errorf("ctlchan: BatchRead answered %d rows for %d ranges", len(r.Vals), len(op.Rows))
+		}
+		copy(op.Rows, r.Vals) // a no-op unless a row outgrew its capacity
+	case driver.OpReadEntries:
+		op.Entries = r.Entries
+	case driver.OpReadDefault:
+		op.Call = r.Call
+	}
+	return nil
 }
 
 // names interns the table, register and action names of decoded frames:
@@ -379,41 +374,42 @@ func appendRequest(b []byte, r *request) []byte {
 	e.u64(r.Epoch)
 	e.u64(r.Seq)
 	e.u64(r.Ack)
-	e.u8(r.Verb)
-	switch r.Verb {
-	case verbAddEntry:
-		e.str(r.Table)
-		e.entry(&r.Entry)
-	case verbModifyEntry:
-		e.str(r.Table)
-		e.u64(uint64(r.Handle))
-		e.str(r.Action)
-		e.u64s(r.Data)
-	case verbDeleteEntry, verbMemoize:
-		e.str(r.Table)
-		e.u64(uint64(r.Handle))
-	case verbSetDefaultAction:
-		e.str(r.Table)
-		e.call(r.Call)
-	case verbSetHashSeed:
-		e.str(r.Name)
-		e.u64(r.Seed)
-	case verbRegWrite:
-		e.str(r.Reg)
-		e.u64(r.Idx)
-		e.u64(r.Val)
-	case verbRegRead:
-		e.str(r.Reg)
-		e.u64(r.Idx)
-	case verbBatchRead:
-		e.u32(uint32(len(r.Reqs)))
-		for _, rq := range r.Reqs {
+	op := &r.op
+	e.u8(uint8(op.Kind))
+	switch op.Kind {
+	case driver.OpAddEntry:
+		e.str(op.Table)
+		e.entry(&rmt.Entry{Handle: op.Handle, Priority: op.Priority, Action: op.Action, Keys: op.Keys, Data: op.Data})
+	case driver.OpModifyEntry:
+		e.str(op.Table)
+		e.u64(uint64(op.Handle))
+		e.str(op.Action)
+		e.u64s(op.Data)
+	case driver.OpDeleteEntry, opMemoize:
+		e.str(op.Table)
+		e.u64(uint64(op.Handle))
+	case driver.OpSetDefault:
+		e.str(op.Table)
+		e.call(op.Call)
+	case driver.OpSetHashSeed:
+		e.str(op.Table)
+		e.u64(op.Val)
+	case driver.OpRegWrite:
+		e.str(op.Table)
+		e.u64(op.Idx)
+		e.u64(op.Val)
+	case driver.OpRegRead:
+		e.str(op.Table)
+		e.u64(op.Idx)
+	case driver.OpRead:
+		e.u32(uint32(len(op.Reqs)))
+		for _, rq := range op.Reqs {
 			e.str(rq.Reg)
 			e.u64(rq.Lo)
 			e.u64(rq.Hi)
 		}
-	case verbReadEntries, verbReadDefaultAction:
-		e.str(r.Table)
+	case driver.OpReadEntries, driver.OpReadDefault:
+		e.str(op.Table)
 	}
 	return e.b
 }
@@ -424,9 +420,7 @@ func appendRequest(b []byte, r *request) []byte {
 // On error r's contents are unspecified.
 func decodeRequest(r *request, b []byte, in names) error {
 	*r = request{
-		Entry:   rmt.Entry{Keys: r.Entry.Keys[:0], Data: r.Entry.Data[:0]},
-		Data:    r.Data[:0],
-		Reqs:    r.Reqs[:0],
+		op:      driver.Op{Keys: r.op.Keys[:0], Data: r.op.Data[:0], Reqs: r.op.Reqs[:0]},
 		callBuf: p4.ActionCall{Data: r.callBuf.Data[:0]},
 	}
 	d := dec{b: b, names: in}
@@ -438,40 +432,44 @@ func decodeRequest(r *request, b []byte, in names) error {
 	r.Epoch = d.u64()
 	r.Seq = d.u64()
 	r.Ack = d.u64()
-	r.Verb = d.u8()
-	switch r.Verb {
-	case verbAddEntry:
-		r.Table = d.name()
-		d.entry(&r.Entry)
-	case verbModifyEntry:
-		r.Table = d.name()
-		r.Handle = rmt.EntryHandle(d.u64())
-		r.Action = d.name()
-		r.Data = d.u64s(r.Data)
-	case verbDeleteEntry, verbMemoize:
-		r.Table = d.name()
-		r.Handle = rmt.EntryHandle(d.u64())
-	case verbSetDefaultAction:
-		r.Table = d.name()
-		r.Call = d.call(&r.callBuf)
-	case verbSetHashSeed:
-		r.Name = d.name()
-		r.Seed = d.u64()
-	case verbRegWrite:
-		r.Reg = d.name()
-		r.Idx = d.u64()
-		r.Val = d.u64()
-	case verbRegRead:
-		r.Reg = d.name()
-		r.Idx = d.u64()
-	case verbBatchRead:
+	op := &r.op
+	op.Kind = driver.OpKind(d.u8())
+	switch op.Kind {
+	case driver.OpAddEntry:
+		op.Table = d.name()
+		en := rmt.Entry{Keys: op.Keys, Data: op.Data}
+		d.entry(&en)
+		op.Handle, op.Priority, op.Action, op.Keys, op.Data = en.Handle, en.Priority, en.Action, en.Keys, en.Data
+	case driver.OpModifyEntry:
+		op.Table = d.name()
+		op.Handle = rmt.EntryHandle(d.u64())
+		op.Action = d.name()
+		op.Data = d.u64s(op.Data)
+	case driver.OpDeleteEntry, opMemoize:
+		op.Table = d.name()
+		op.Handle = rmt.EntryHandle(d.u64())
+	case driver.OpSetDefault:
+		op.Table = d.name()
+		op.Call = d.call(&r.callBuf)
+	case driver.OpSetHashSeed:
+		op.Table = d.name()
+		op.Val = d.u64()
+	case driver.OpRegWrite:
+		op.Table = d.name()
+		op.Idx = d.u64()
+		op.Val = d.u64()
+	case driver.OpRegRead:
+		op.Table = d.name()
+		op.Idx = d.u64()
+	case driver.OpRead:
+		op.Batched = true
 		for n := d.count(minReadReqSize); n > 0 && d.err == nil; n-- {
-			r.Reqs = append(r.Reqs, driver.ReadReq{Reg: d.name(), Lo: d.u64(), Hi: d.u64()})
+			op.Reqs = append(op.Reqs, driver.ReadReq{Reg: d.name(), Lo: d.u64(), Hi: d.u64()})
 		}
-	case verbReadEntries, verbReadDefaultAction:
-		r.Table = d.name()
+	case driver.OpReadEntries, driver.OpReadDefault:
+		op.Table = d.name()
 	default:
-		return fmt.Errorf("ctlchan: unknown verb %d", r.Verb)
+		return fmt.Errorf("ctlchan: unknown verb %d", op.Kind)
 	}
 	return d.leftover()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/netsim"
@@ -14,9 +15,11 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeChan is an in-memory driver.Channel that records mutations —
-// enough switch to assert at-most-once without an RMT pipeline under it.
+// fakeChan is an in-memory driver.Channel (a Do over the adapter) that
+// records mutations — enough switch to assert at-most-once without an
+// RMT pipeline under it.
 type fakeChan struct {
+	driver.Adapter
 	regs     map[string]map[uint64]uint64
 	writes   uint64 // mutating calls executed
 	memoized uint64
@@ -29,108 +32,60 @@ type fakeChan struct {
 }
 
 func newFakeChan() *fakeChan {
-	return &fakeChan{regs: map[string]map[uint64]uint64{}}
+	f := &fakeChan{regs: map[string]map[uint64]uint64{}}
+	f.Adapter = driver.NewAdapter(f.Do, nil)
+	return f
 }
 
-func (f *fakeChan) take() error { err := f.failNext; f.failNext = nil; return err }
-
-func (f *fakeChan) AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error) {
-	if err := f.take(); err != nil {
-		return 0, err
-	}
-	f.writes++
-	// Like every real channel, copy what is kept: the caller reuses e's
-	// slices as soon as the call returns.
-	e.Handle = rmt.EntryHandle(len(f.entries) + 1)
-	e.Keys = append([]rmt.KeySpec(nil), e.Keys...)
-	e.Data = append([]uint64(nil), e.Data...)
-	f.entries = append(f.entries, e)
-	return e.Handle, nil
-}
-func (f *fakeChan) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
-	if err := f.take(); err != nil {
-		return err
-	}
-	f.writes++
-	return nil
-}
-func (f *fakeChan) DeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
-	if err := f.take(); err != nil {
-		return err
-	}
-	f.writes++
-	return nil
-}
-func (f *fakeChan) SetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
-	if err := f.take(); err != nil {
-		return err
-	}
-	f.writes++
-	f.call = nil
-	if call != nil {
-		f.call = &p4.ActionCall{Action: call.Action, Data: append([]uint64(nil), call.Data...)}
-	}
-	return nil
-}
-func (f *fakeChan) SetHashSeed(p *sim.Proc, name string, seed uint64) error {
-	if err := f.take(); err != nil {
-		return err
-	}
-	f.writes++
-	return nil
-}
-func (f *fakeChan) RegWrite(p *sim.Proc, reg string, idx uint64, v uint64) error {
-	if err := f.take(); err != nil {
-		return err
-	}
-	if f.slow > 0 {
-		p.Sleep(f.slow)
-	}
-	f.writes++
-	if f.regs[reg] == nil {
-		f.regs[reg] = map[uint64]uint64{}
-	}
-	f.regs[reg][idx] = v
-	return nil
-}
-func (f *fakeChan) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
-	if err := f.take(); err != nil {
-		return 0, err
-	}
-	return f.regs[reg][idx], nil
-}
-func (f *fakeChan) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	if err := f.take(); err != nil {
-		return nil, err
-	}
-	out := make([][]uint64, 0, len(reqs))
-	for _, rq := range reqs {
-		vs := make([]uint64, 0, rq.Hi-rq.Lo+1)
-		for i := rq.Lo; i <= rq.Hi; i++ {
-			vs = append(vs, f.regs[rq.Reg][i])
-		}
-		out = append(out, vs)
-	}
-	return out, nil
-}
-func (f *fakeChan) UnbatchedRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	return f.BatchRead(p, reqs)
-}
-func (f *fakeChan) ReadEntries(p *sim.Proc, table string) ([]rmt.Entry, error) {
-	if err := f.take(); err != nil {
-		return nil, err
-	}
-	return f.entries, nil
-}
-func (f *fakeChan) ReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, error) {
-	if err := f.take(); err != nil {
-		return nil, err
-	}
-	return f.call, nil
-}
 func (f *fakeChan) Memoize(table string, handle rmt.EntryHandle) { f.memoized++ }
-func (f *fakeChan) Switch() *rmt.Switch                          { return nil }
-func (f *fakeChan) Stats() driver.Stats                          { return driver.Stats{} }
+
+func (f *fakeChan) Do(p *sim.Proc, op *driver.Op) error {
+	if err := f.failNext; err != nil {
+		f.failNext = nil
+		return err
+	}
+	switch op.Kind {
+	case driver.OpAddEntry:
+		// Like every real channel, copy what is kept: the caller reuses
+		// the op's slices as soon as the call returns.
+		op.NewHandle = rmt.EntryHandle(len(f.entries) + 1)
+		f.entries = append(f.entries, rmt.Entry{
+			Handle: op.NewHandle, Priority: op.Priority, Action: op.Action,
+			Keys: append([]rmt.KeySpec(nil), op.Keys...), Data: append([]uint64(nil), op.Data...),
+		})
+	case driver.OpSetDefault:
+		f.call = nil
+		if op.Call != nil {
+			f.call = &p4.ActionCall{Action: op.Call.Action, Data: append([]uint64(nil), op.Call.Data...)}
+		}
+	case driver.OpRegWrite:
+		if f.slow > 0 {
+			p.Sleep(f.slow)
+		}
+		if f.regs[op.Table] == nil {
+			f.regs[op.Table] = map[uint64]uint64{}
+		}
+		f.regs[op.Table][op.Idx] = op.Val
+	case driver.OpRegRead:
+		op.Val = f.regs[op.Table][op.Idx]
+	case driver.OpRead:
+		for i, rq := range op.Reqs {
+			row := op.Rows[i][:0]
+			for c := rq.Lo; c <= rq.Hi; c++ {
+				row = append(row, f.regs[rq.Reg][c])
+			}
+			op.Rows[i] = row
+		}
+	case driver.OpReadEntries:
+		op.Entries = f.entries
+	case driver.OpReadDefault:
+		op.Call = f.call
+	}
+	if op.Kind.Mutating() {
+		f.writes++
+	}
+	return nil
+}
 
 // ---- Client/server harness ----
 
@@ -390,7 +345,7 @@ func TestGhostMutationStaleRejected(t *testing.T) {
 	// Replay a ghost of seq 1 — as the network would after a dup held it.
 	ghost := appendRequest(nil, &request{
 		Kind: frameRequest, Session: 1, Epoch: 1, Seq: 1, Ack: 3,
-		Verb: verbRegWrite, Reg: "cnt", Idx: 0, Val: 1,
+		op: driver.Op{Kind: driver.OpRegWrite, Table: "cnt", Idx: 0, Val: 1},
 	})
 	r.link.Send(netsim.LinkSideA, ghost)
 	r.sim.RunFor(100 * time.Microsecond)
@@ -583,5 +538,62 @@ func TestDegradedCauseClassification(t *testing.T) {
 	}
 	if cs := r.cli.ChanStats(); cs.LastDegradedCause != CauseLoss {
 		t.Fatalf("post-mortem latch lost: %+v", cs)
+	}
+}
+
+// TestEmptyReadIsNoOp: a read of no ranges is a no-op at every layer —
+// decided once, in the adapter — so it costs no virtual time, no frame,
+// no queue slot and no fault draw, whichever layer it enters at.
+func TestEmptyReadIsNoOp(t *testing.T) {
+	s := sim.New(1)
+	prog := p4.NewProgram("empty-read")
+	prog.DefineStandardMetadata()
+	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := driver.New(s, sw, driver.DefaultCostModel())
+	inj := faults.Wrap(s, drv, faults.TransientErrors(), 3)
+	svc := ctlplane.New(s, inj, ctlplane.Options{})
+	sess, err := svc.Open(ctlplane.SessionOptions{Role: ctlplane.RolePrimary, ElectionID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 7)
+	NewServer(s).Attach(link, netsim.LinkSideB, 1, 1, sess)
+	cli := NewClient(s, link, netsim.LinkSideA, ClientOptions{Session: 1, Epoch: 1})
+
+	layers := []struct {
+		name string
+		ch   driver.Channel
+	}{{"Driver", drv}, {"Injector", inj}, {"Session", sess}, {"Client", cli}}
+	s.Spawn("reader", func(p *sim.Proc) {
+		for _, l := range layers {
+			if rows, err := l.ch.BatchRead(p, nil); rows != nil || err != nil {
+				t.Errorf("%s.BatchRead(nil) = %v, %v", l.name, rows, err)
+			}
+			if rows, err := l.ch.UnbatchedRead(p, []driver.ReadReq{}); rows != nil || err != nil {
+				t.Errorf("%s.UnbatchedRead(empty) = %v, %v", l.name, rows, err)
+			}
+			if err := l.ch.(driver.RangeReader).BatchReadInto(p, nil, nil); err != nil {
+				t.Errorf("%s.BatchReadInto(nil) = %v", l.name, err)
+			}
+		}
+		if now := p.Now(); now != 0 {
+			t.Errorf("empty reads took %v of virtual time", now)
+		}
+	})
+	s.Run()
+	if n := cli.ChanStats().Sent + link.Stats().Sent; n != 0 {
+		t.Errorf("empty reads sent %d frames", n)
+	}
+	if n := inj.FaultStats().Ops; n != 0 {
+		t.Errorf("empty reads entered the injector %d times", n)
+	}
+	if n := sess.SessionStats().Submitted; n != 0 {
+		t.Errorf("empty reads took %d queue slots", n)
+	}
+	if st := drv.Stats(); st.RegReads != 0 || st.Busy != 0 {
+		t.Errorf("empty reads reached the driver: %+v", st)
 	}
 }

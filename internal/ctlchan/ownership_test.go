@@ -38,7 +38,7 @@ func TestDedupReplayIsByteIdentical(t *testing.T) {
 	send := func(seq uint64, reqs []driver.ReadReq) {
 		link.Send(netsim.LinkSideA, appendRequest(nil, &request{
 			Kind: frameRequest, Session: 1, Epoch: 1, Seq: seq, Ack: 1,
-			Verb: verbBatchRead, Reqs: reqs,
+			op: driver.Op{Kind: driver.OpRead, Batched: true, Reqs: reqs},
 		}))
 		s.RunFor(10 * time.Microsecond)
 	}

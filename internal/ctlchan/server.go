@@ -62,7 +62,6 @@ type serverSession struct {
 	link  *netsim.Link
 	side  int // the server's side of the link; replies go out here
 	ch    driver.Channel
-	rd    driver.RangeReader // ch's batched-read path
 
 	// floor is the client's lowest unresolved seq: responses below it
 	// are garbage-collected, and mutating requests below it are stale.
@@ -133,7 +132,6 @@ func NewServer(s *sim.Simulator) *Server {
 func (srv *Server) Attach(link *netsim.Link, side int, sessionID uint32, epoch uint64, ch driver.Channel) {
 	sess := &serverSession{
 		id: sessionID, epoch: epoch, link: link, side: side, ch: ch,
-		rd:    driver.RangeReaderOf(ch),
 		cache: make(map[uint64][]byte),
 	}
 	srv.sessions[sessionID] = sess
@@ -231,8 +229,8 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 
 	// Datagrams execute without sequencing or reply; a lost one is lost.
 	if req.Kind == frameDatagram {
-		if req.Verb == verbMemoize {
-			sess.ch.Memoize(req.Table, req.Handle)
+		if req.op.Kind == opMemoize {
+			sess.ch.Memoize(req.op.Table, req.op.Handle)
 		}
 		return
 	}
@@ -262,7 +260,7 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	// anything else), so executing it now would be a lost update wearing
 	// a valid seq. Refuse; mutations are the dangerous case.
 	if req.Seq < sess.floor {
-		if mutatingVerb(req.Verb) {
+		if req.op.Kind.Mutating() {
 			srv.stats.StaleWrites++
 		}
 		srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusStale}
@@ -279,7 +277,7 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 		srv.epoch = req.Epoch
 		srv.epochAt = srv.sim.Now()
 	}
-	if mutatingVerb(req.Verb) && req.Epoch < srv.epoch {
+	if req.op.Kind.Mutating() && req.Epoch < srv.epoch {
 		srv.stats.FencedWrites++
 		srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusFenced}
 		srv.reply(sess)
@@ -290,48 +288,30 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	srv.reply(sess)
 }
 
-// execute runs the request on the session's inner channel (paying its
-// channel latency on the dispatcher process) and builds the response in
-// srv.resp.
+// execute runs the request's op on the session's inner channel (paying
+// its channel latency on the dispatcher process) and builds the response
+// in srv.resp.
 func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
 	srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusOK}
-	resp := &srv.resp
-	var err error
-	switch req.Verb {
-	case verbAddEntry:
-		resp.Handle, err = sess.ch.AddEntry(p, req.Table, req.Entry)
-	case verbModifyEntry:
-		err = sess.ch.ModifyEntry(p, req.Table, req.Handle, req.Action, req.Data)
-	case verbDeleteEntry:
-		err = sess.ch.DeleteEntry(p, req.Table, req.Handle)
-	case verbSetDefaultAction:
-		err = sess.ch.SetDefaultAction(p, req.Table, req.Call)
-	case verbSetHashSeed:
-		err = sess.ch.SetHashSeed(p, req.Name, req.Seed)
-	case verbRegWrite:
-		err = sess.ch.RegWrite(p, req.Reg, req.Idx, req.Val)
-	case verbRegRead:
-		resp.Val, err = sess.ch.RegRead(p, req.Reg, req.Idx)
-	case verbBatchRead:
-		for len(sess.rows) < len(req.Reqs) {
-			sess.rows = append(sess.rows, nil)
-		}
-		rows := sess.rows[:len(req.Reqs)]
-		if err = sess.rd.BatchReadInto(p, req.Reqs, rows); err == nil {
-			resp.Vals = rows
-		}
-	case verbReadEntries:
-		resp.Entries, err = sess.ch.ReadEntries(p, req.Table)
-	case verbReadDefaultAction:
-		resp.Call, err = sess.ch.ReadDefaultAction(p, req.Table)
-	default:
+	resp, op := &srv.resp, &req.op
+	if op.Kind >= driver.NumOpKinds {
 		resp.Status = statusError
 		resp.ErrMsg = "unknown verb"
 		return
 	}
+	if op.Kind == driver.OpRead {
+		for len(sess.rows) < len(op.Reqs) {
+			sess.rows = append(sess.rows, nil)
+		}
+		op.Rows = sess.rows[:len(op.Reqs)]
+	}
+	err := driver.Apply(sess.ch, p, op)
+	if err == nil {
+		resp.carry(op)
+	}
 	srv.stats.Executed++
 	sess.executed++
-	if err == nil && mutatingVerb(req.Verb) {
+	if err == nil && op.Kind.Mutating() {
 		srv.stats.MutationsExecuted++
 		sess.mutations++
 		sess.lastMutationAt = srv.sim.Now()

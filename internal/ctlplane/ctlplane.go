@@ -45,8 +45,6 @@ package ctlplane
 
 import (
 	"repro/internal/driver"
-	"repro/internal/p4"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -174,11 +172,9 @@ type Service struct {
 	rrNext map[Class]int
 
 	// ring is the driver submission ring every write request flushes
-	// through; rd is the channel's batched-read path. batchBuf, free and
-	// reads are dispatcher/sync-path scratch that keep the steady-state
-	// paths allocation-free.
+	// through. batchBuf, free and reads are dispatcher/sync-path scratch
+	// that keep the steady-state paths allocation-free.
 	ring     *driver.Ring
-	rd       driver.RangeReader
 	batchBuf []*request
 	free     []*request
 	reads    readScratch
@@ -203,7 +199,6 @@ func New(s *sim.Simulator, ch driver.Channel, opts Options) *Service {
 	}
 	svc := &Service{sim: s, ch: ch, opts: opts, rrNext: make(map[Class]int)}
 	svc.ring = driver.NewRing(ch, opts.RingSize)
-	svc.rd = driver.RangeReaderOf(ch)
 	svc.disp = s.Spawn("ctlplane-dispatcher", svc.run)
 	return svc
 }
@@ -300,21 +295,16 @@ func (svc *Service) nextInClass(class Class) *request {
 
 // dispatch executes the head request of req's session, folding in any
 // coalescible run of adjacent queued requests behind it. Reads merge
-// into one driver transaction; field-encoded writes of any verb stage
-// into the submission ring and flush as one doorbell.
+// into one driver transaction; writes of any kind stage into the
+// submission ring and flush as one doorbell; everything else (audit
+// reads, the unbatched ablation, opaque closures) is applied alone.
 func (svc *Service) dispatch(p *sim.Proc, req *request) {
 	s := req.sess
 	batch := append(svc.batchBuf[:0], req)
 	limit := svc.opts.CoalesceLimit
-	switch {
-	case req.kind == kindRead:
-		for len(batch) < limit && len(s.queue) > len(batch) && s.queue[len(batch)].kind == kindRead {
-			batch = append(batch, s.queue[len(batch)])
-		}
-	case req.kind.ringable():
-		for len(batch) < limit && len(s.queue) > len(batch) && s.queue[len(batch)].kind.ringable() {
-			batch = append(batch, s.queue[len(batch)])
-		}
+	ln := req.lane()
+	for ln != laneAlone && len(batch) < limit && len(s.queue) > len(batch) && s.queue[len(batch)].lane() == ln {
+		batch = append(batch, s.queue[len(batch)])
 	}
 	// Shift the remainder down rather than re-slicing from the front: the
 	// queue keeps its capacity, so enqueue does not reallocate it.
@@ -332,20 +322,19 @@ func (svc *Service) dispatch(p *sim.Proc, req *request) {
 	}
 
 	switch {
-	case req.kind == kindRead:
+	case ln == laneRead:
 		svc.executeReads(p, batch)
-	case req.kind.ringable():
+	case ln == laneRing:
 		svc.executeRing(p, batch)
+	case req.op != nil:
+		req.err = driver.Apply(svc.ch, p, req.op)
 	default:
+		// An opaque write re-checks permission at dispatch time: the
+		// session may have been demoted or closed while it was queued.
 		if req.write {
-			if err := req.sess.writable(); err != nil {
-				// Re-checked at dispatch time: the session may have been
-				// demoted or closed while the request was queued.
-				req.err = err
-			} else {
-				req.err = req.exec(p, svc.ch)
-			}
-		} else {
+			req.err = req.sess.writable()
+		}
+		if req.err == nil {
 			req.err = req.exec(p, svc.ch)
 		}
 	}
@@ -357,8 +346,9 @@ func (svc *Service) dispatch(p *sim.Proc, req *request) {
 	svc.batchBuf = batch[:0]
 }
 
-// executeRing stages a run of field-encoded write requests into the
-// driver submission ring and flushes them as one doorbell. Pipelined
+// executeRing stages a run of write requests into the driver submission
+// ring — each op copied into its slot with one Set — and flushes them as
+// one doorbell. Pipelined
 // writes to the same table entry collapse to the newest queued value
 // before any descriptor is reserved (write-behind: a synchronous client
 // never has two writes queued, so it is unaffected), and every request
@@ -366,11 +356,11 @@ func (svc *Service) dispatch(p *sim.Proc, req *request) {
 // been demoted while it was queued.
 func (svc *Service) executeRing(p *sim.Proc, batch []*request) {
 	for i, r := range batch {
-		if r.kind != kindModify {
+		if r.op.Kind != driver.OpModifyEntry {
 			continue
 		}
 		for _, later := range batch[i+1:] {
-			if later.kind == kindModify && later.sameEntry(r) {
+			if later.op.Kind == driver.OpModifyEntry && later.sameEntry(r) {
 				r.superseded = later
 				svc.stats.WritesCoalesced++
 				break
@@ -386,37 +376,24 @@ func (svc *Service) executeRing(p *sim.Proc, batch []*request) {
 			r.err = err
 			continue
 		}
-		op, err := svc.ring.Reserve()
+		slot, err := svc.ring.Reserve()
 		if err != nil {
 			// Unreachable when RingSize >= CoalesceLimit (New enforces
 			// it), but a typed refusal beats a silent drop.
 			r.err = err
 			continue
 		}
-		switch r.kind {
-		case kindModify:
-			op.SetModify(r.table, r.handle, r.action, r.data)
-		case kindAdd:
-			op.SetAdd(r.table, rmt.Entry{Keys: r.keys, Priority: r.priority, Action: r.action, Data: r.data})
-		case kindDelete:
-			op.SetDelete(r.table, r.handle)
-		case kindSetDefault:
-			op.SetDefault(r.table, &p4.ActionCall{Action: r.action, Data: r.data})
-		case kindHashSeed:
-			op.SetHashSeed(r.table, r.val)
-		case kindRegWrite:
-			op.SetRegWrite(r.table, r.idx, r.val)
-		}
-		op.Tag = r
+		slot.Set(r.op)
+		slot.Tag = r
 		staged = true
 	}
 	if staged {
 		svc.stats.WriteTransactions++
 		svc.ring.Flush(p)
-		svc.ring.Drain(func(op *driver.RingOp) {
-			r := op.Tag.(*request)
-			r.err = op.Err
-			r.newHandle = op.NewHandle
+		svc.ring.Drain(func(slot *driver.Op) {
+			r := slot.Tag.(*request)
+			r.err = slot.Err
+			r.op.NewHandle = slot.NewHandle
 		})
 	}
 	// Superseded writes complete with their winner's outcome. Walk
@@ -452,8 +429,13 @@ func (svc *Service) executeReads(p *sim.Proc, batch []*request) {
 	sc := &svc.reads
 	sc.all, sc.spans = sc.all[:0], sc.spans[:0]
 	for _, r := range batch {
-		sc.spans = append(sc.spans, [2]int{len(sc.all), len(r.reads)})
-		sc.all = append(sc.all, r.reads...)
+		lo := len(sc.all)
+		if r.op.Kind == driver.OpRegRead {
+			sc.all = append(sc.all, driver.ReadReq{Reg: r.op.Table, Lo: r.op.Idx, Hi: r.op.Idx + 1})
+		} else {
+			sc.all = append(sc.all, r.op.Reqs...)
+		}
+		sc.spans = append(sc.spans, [2]int{lo, len(sc.all) - lo})
 	}
 	merged := sc.merge()
 	svc.stats.ReadTransactions++
@@ -464,7 +446,8 @@ func (svc *Service) executeReads(p *sim.Proc, batch []*request) {
 		sc.rows = append(sc.rows, nil)
 	}
 	vals := sc.rows[:len(merged)]
-	if err := svc.rd.BatchReadInto(p, merged, vals); err != nil {
+	read := driver.Op{Kind: driver.OpRead, Batched: true, Reqs: merged, Rows: vals}
+	if err := driver.Apply(svc.ch, p, &read); err != nil {
 		for _, r := range batch {
 			r.err = err
 		}
@@ -472,12 +455,17 @@ func (svc *Service) executeReads(p *sim.Proc, batch []*request) {
 	}
 	for i, r := range batch {
 		lo, n := sc.spans[i][0], sc.spans[i][1]
-		if r.out == nil {
-			r.out = make([][]uint64, n)
+		if r.op.Kind == driver.OpRegRead {
+			w := sc.where[lo]
+			r.op.Val = vals[w.idx][w.off]
+			continue
+		}
+		if r.op.Rows == nil {
+			r.op.Rows = make([][]uint64, n)
 		}
 		for j := 0; j < n; j++ {
 			w := sc.where[lo+j]
-			r.out[j] = append(r.out[j][:0], vals[w.idx][w.off:w.off+w.n]...)
+			r.op.Rows[j] = append(r.op.Rows[j][:0], vals[w.idx][w.off:w.off+w.n]...)
 		}
 	}
 }

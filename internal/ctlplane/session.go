@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/driver"
-	"repro/internal/p4"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -77,59 +76,21 @@ type SessionStats struct {
 	TotalService time.Duration
 }
 
-// requestKind tells the scheduler what it may coalesce.
-type requestKind int
-
-const (
-	kindExec       requestKind = iota // opaque operation, never coalesced
-	kindRead                          // batched register read, merges with adjacent reads
-	kindModify                        // table-entry write, superseded by adjacent same-entry writes
-	kindAdd                           // table-entry install (completion carries the new handle)
-	kindDelete                        // table-entry removal
-	kindSetDefault                    // table miss-action replacement
-	kindHashSeed                      // hash-calculation reseed
-	kindRegWrite                      // single register-cell write
-)
-
-// ringable reports whether the kind is a field-encoded write verb the
-// dispatcher stages into the driver submission ring. kindExec writes
-// stay opaque (the closure could do anything) and dispatch one at a
-// time as before.
-func (k requestKind) ringable() bool { return k >= kindModify }
-
-// request is one queued control-plane operation.
+// request is one queued control-plane operation: an op (the synchronous
+// path's is the caller's own, valid while the caller is parked) or, from
+// SubmitExec only, an opaque closure.
 type request struct {
 	sess       *Session
 	seq        uint64
-	kind       requestKind
 	class      Class
 	write      bool
-	pooled     bool // recyclable via Service.putReq (sync-path requests only)
 	enqueuedAt sim.Time
 
-	// exec runs an opaque kindExec operation against the channel.
+	op *driver.Op
+	// exec runs an opaque operation against the channel (op is nil); the
+	// closure could do anything, so it dispatches alone.
 	exec func(p *sim.Proc, ch driver.Channel) error
-	// reads/out carry a kindRead request's ranges and results. On the
-	// synchronous path out is the caller's row matrix, refilled in place;
-	// an asynchronous read leaves it nil and the dispatcher allocates it.
-	reads []driver.ReadReq
-	out   [][]uint64
 
-	// Field-encoded write verbs: ring descriptors in waiting. The
-	// dispatcher copies these into ring slots, so a write costs no
-	// closure and (on the pooled sync path) no allocation at all.
-	// table doubles as the register or hash-calculation name;
-	// table/handle/action also key same-entry write coalescing.
-	table    string
-	handle   rmt.EntryHandle
-	action   string
-	data     []uint64 // reused capacity when pooled
-	keys     []rmt.KeySpec
-	priority int
-	idx, val uint64
-
-	// newHandle carries a kindAdd's installed entry handle back.
-	newHandle rmt.EntryHandle
 	// superseded points at the newer same-entry write that replaced this
 	// modify within one dispatch batch (write-behind newest-wins).
 	superseded *request
@@ -139,39 +100,61 @@ type request struct {
 	waiter *sim.Proc
 }
 
+// lane is how the dispatcher executes a request, read off its op.
+type lane int
+
+const (
+	// laneAlone requests are applied one at a time: audit reads, the
+	// unbatched-read ablation (merging it would measure nothing) and
+	// opaque closures (which could do anything).
+	laneAlone lane = iota
+	// laneRead requests are register reads; adjacent ones fold into one
+	// driver transaction.
+	laneRead
+	// laneRing requests are writes; adjacent ones stage into the driver
+	// submission ring and share one doorbell.
+	laneRing
+)
+
+func (r *request) lane() lane {
+	switch {
+	case r.op == nil:
+		return laneAlone
+	case r.op.Kind.Mutating():
+		return laneRing
+	case r.op.Kind == driver.OpRegRead, r.op.Kind == driver.OpRead && r.op.Batched:
+		return laneRead
+	}
+	return laneAlone
+}
+
 // sameEntry reports whether two modify requests target the same table
 // entry with the same action (so the newer data can supersede).
 func (r *request) sameEntry(o *request) bool {
-	return r.table == o.table && r.handle == o.handle && r.action == o.action
+	return r.op.Table == o.op.Table && r.op.Handle == o.op.Handle && r.op.Action == o.op.Action
 }
 
-// getReq hands out a request from the freelist (or a fresh poolable
-// one). Only the synchronous Channel methods use pooled requests: they
-// own the full lifecycle (submit, wait, extract, release), so a recycled
-// request can never be observed through a stale Pending.
+// getReq hands out a request from the freelist (or a fresh one). Only
+// the synchronous path (Do) recycles requests: it owns the full lifecycle
+// (submit, wait, release), so a recycled request can never be observed
+// through a stale Pending.
 func (svc *Service) getReq() *request {
 	if n := len(svc.free); n > 0 {
 		r := svc.free[n-1]
 		svc.free = svc.free[:n-1]
 		return r
 	}
-	return &request{pooled: true}
+	return new(request)
 }
 
-// putReq recycles a pooled request, keeping its data/keys capacity so
-// the steady-state write path stops allocating once warmed up.
 func (svc *Service) putReq(r *request) {
-	if !r.pooled {
-		return
-	}
-	data, keys := r.data[:0], r.keys[:0]
-	*r = request{pooled: true, data: data, keys: keys}
+	*r = request{}
 	svc.free = append(svc.free, r)
 }
 
 // Pending is a handle to an in-flight request (the asynchronous
-// submission API). Synchronous callers never see one: the Channel
-// methods submit and wait internally.
+// submission API). Synchronous callers never see one: Do submits and
+// waits internally.
 type Pending struct{ req *request }
 
 // Done reports whether the request completed.
@@ -189,13 +172,21 @@ func (pn *Pending) Wait(p *sim.Proc) error {
 
 // Values returns a completed read request's register values, aligned
 // with the submitted ranges. Nil until done or on error.
-func (pn *Pending) Values() [][]uint64 { return pn.req.out }
+func (pn *Pending) Values() [][]uint64 {
+	if pn.req.op == nil {
+		return nil
+	}
+	return pn.req.op.Rows
+}
 
 // Session is one client's connection to the control-plane service. It
-// implements driver.Channel, so anything written against a raw driver
-// (the Mantis agent, experiment harnesses) runs through a session
-// unchanged.
+// implements driver.Channel (the embedded Adapter, over Do), so anything
+// written against a raw driver (the Mantis agent, experiment harnesses)
+// runs through a session unchanged. Memoize, Switch and Stats pass
+// straight to the service's channel: they consume no channel time and
+// need no scheduling.
 type Session struct {
+	driver.Adapter
 	svc        *Service
 	id         int
 	name       string
@@ -242,6 +233,7 @@ func (svc *Service) Open(opts SessionOptions) (*Session, error) {
 		electionID: opts.ElectionID,
 		queueLimit: opts.QueueLimit,
 	}
+	s.Adapter = driver.NewAdapter(s.Do, svc.ch)
 	if opts.Role == RolePrimary {
 		if cur := svc.Primary(); cur != nil {
 			if opts.ElectionID <= cur.electionID {
@@ -277,8 +269,8 @@ func (s *Session) Demoted() bool { return s.demoted }
 // dispatched).
 func (s *Session) QueueDepth() int { return len(s.queue) }
 
-// SessionStats returns a copy of the session counters. (Named to keep
-// Stats() free for the driver.Channel pass-through.)
+// SessionStats returns a copy of the session counters. (Stats() is the
+// driver.Channel pass-through to the underlying driver counters.)
 func (s *Session) SessionStats() SessionStats { return s.stats }
 
 // Close closes the session. Requests still queued complete immediately
@@ -324,6 +316,9 @@ func (s *Session) enqueue(r *request) error {
 	if s.closed {
 		return fmt.Errorf("ctlplane: session %q: %w", s.name, ErrClosed)
 	}
+	if r.op != nil {
+		r.write = r.op.Kind.Mutating()
+	}
 	if r.write {
 		if err := s.writable(); err != nil {
 			return err
@@ -357,21 +352,6 @@ func (s *Session) submit(r *request) (*Pending, error) {
 	return &Pending{req: r}, nil
 }
 
-// syncRun enqueues r and parks until it completes. The caller still
-// owns r afterwards (to extract results) and must release pooled
-// requests via putReq.
-func (s *Session) syncRun(p *sim.Proc, r *request) error {
-	if err := s.enqueue(r); err != nil {
-		return err
-	}
-	for !r.done {
-		r.waiter = p
-		p.Park()
-		r.waiter = nil
-	}
-	return r.err
-}
-
 // ---- Asynchronous submission API ----
 //
 // Pipelined clients submit several requests and Wait on the Pendings
@@ -381,188 +361,42 @@ func (s *Session) syncRun(p *sim.Proc, r *request) error {
 // SubmitExec enqueues an opaque channel operation. write marks
 // operations that mutate switch state, enforcing the session role.
 func (s *Session) SubmitExec(write bool, fn func(p *sim.Proc, ch driver.Channel) error) (*Pending, error) {
-	return s.submit(&request{kind: kindExec, write: write, exec: fn})
+	return s.submit(&request{write: write, exec: fn})
 }
 
 // SubmitRead enqueues a batched register read; the scheduler may merge
-// it with adjacent queued reads into one driver transaction.
+// it with adjacent queued reads into one driver transaction. The result
+// rows are allocated at dispatch (Pending.Values).
 func (s *Session) SubmitRead(reqs []driver.ReadReq) (*Pending, error) {
-	return s.submit(&request{kind: kindRead, reads: reqs})
+	return s.submit(&request{op: &driver.Op{Kind: driver.OpRead, Batched: true, Reqs: reqs}})
 }
 
 // SubmitModify enqueues a table-entry write; while it queues, a newer
 // write to the same entry supersedes its data (write-behind).
 func (s *Session) SubmitModify(table string, h rmt.EntryHandle, action string, data []uint64) (*Pending, error) {
-	return s.submit(&request{
-		kind: kindModify, write: true, table: table, handle: h, action: action,
-		data: append([]uint64(nil), data...),
-	})
+	return s.submit(&request{op: &driver.Op{
+		Kind: driver.OpModifyEntry, Table: table, Handle: h, Action: action,
+		Data: append([]uint64(nil), data...),
+	}})
 }
 
-// doSync submits one opaque operation and blocks until it completes.
-func (s *Session) doSync(p *sim.Proc, write bool, fn func(dp *sim.Proc, ch driver.Channel) error) error {
-	pn, err := s.SubmitExec(write, fn)
-	if err != nil {
-		return err
+// Do runs one operation through the session queue and blocks until it
+// completes: the whole synchronous driver.Channel surface. The op rides
+// a pooled request and is never copied here — the dispatcher copies a
+// write into its ring slot and reads land in the op's own rows — so a
+// steady-state call allocates nothing.
+func (s *Session) Do(p *sim.Proc, op *driver.Op) error {
+	r := s.svc.getReq()
+	r.op = op
+	err := s.enqueue(r)
+	if err == nil {
+		for !r.done {
+			r.waiter = p
+			p.Park()
+			r.waiter = nil
+		}
+		err = r.err
 	}
-	return pn.Wait(p)
-}
-
-// ---- driver.Channel implementation ----
-//
-// The write verbs are field-encoded onto pooled requests: the dispatcher
-// copies the fields straight into driver submission-ring descriptors, so
-// a steady-state synchronous write allocates nothing.
-
-// AddEntry installs a table entry through the session queue.
-func (s *Session) AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error) {
-	r := s.svc.getReq()
-	r.kind, r.write = kindAdd, true
-	r.table, r.action = table, e.Action
-	r.keys = append(r.keys[:0], e.Keys...)
-	r.priority = e.Priority
-	r.data = append(r.data[:0], e.Data...)
-	err := s.syncRun(p, r)
-	h := r.newHandle
-	s.svc.putReq(r)
-	return h, err
-}
-
-// ModifyEntry rebinds an entry's action and data through the session
-// queue (coalescible when pipelined).
-func (s *Session) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
-	r := s.svc.getReq()
-	r.kind, r.write = kindModify, true
-	r.table, r.handle, r.action = table, h, action
-	r.data = append(r.data[:0], data...)
-	err := s.syncRun(p, r)
 	s.svc.putReq(r)
 	return err
 }
-
-// DeleteEntry removes an entry through the session queue.
-func (s *Session) DeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
-	r := s.svc.getReq()
-	r.kind, r.write = kindDelete, true
-	r.table, r.handle = table, h
-	err := s.syncRun(p, r)
-	s.svc.putReq(r)
-	return err
-}
-
-// SetDefaultAction replaces a table's miss action through the session
-// queue.
-func (s *Session) SetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
-	r := s.svc.getReq()
-	r.kind, r.write = kindSetDefault, true
-	r.table, r.action = table, call.Action
-	r.data = append(r.data[:0], call.Data...)
-	err := s.syncRun(p, r)
-	s.svc.putReq(r)
-	return err
-}
-
-// SetHashSeed reprograms a hash calculation through the session queue.
-func (s *Session) SetHashSeed(p *sim.Proc, name string, seed uint64) error {
-	r := s.svc.getReq()
-	r.kind, r.write = kindHashSeed, true
-	r.table, r.val = name, seed
-	err := s.syncRun(p, r)
-	s.svc.putReq(r)
-	return err
-}
-
-// RegWrite writes one register cell through the session queue.
-func (s *Session) RegWrite(p *sim.Proc, reg string, idx uint64, v uint64) error {
-	r := s.svc.getReq()
-	r.kind, r.write = kindRegWrite, true
-	r.table, r.idx, r.val = reg, idx, v
-	err := s.syncRun(p, r)
-	s.svc.putReq(r)
-	return err
-}
-
-// RegRead reads one register cell; as a single-range read it rides the
-// coalescer like any other read.
-func (s *Session) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
-	vals, err := s.BatchRead(p, []driver.ReadReq{{Reg: reg, Lo: idx, Hi: idx + 1}})
-	if err != nil {
-		return 0, err
-	}
-	return vals[0][0], nil
-}
-
-// BatchReadInto reads register ranges through the session queue into
-// dst (one row per range, refilled in place); adjacent queued reads
-// share one driver transaction. Like the write verbs it rides a pooled
-// request, so a steady-state poll allocates nothing here.
-func (s *Session) BatchReadInto(p *sim.Proc, reqs []driver.ReadReq, dst [][]uint64) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if len(dst) != len(reqs) {
-		return fmt.Errorf("ctlplane: %d result rows for %d requests: %w", len(dst), len(reqs), driver.ErrBadBatch)
-	}
-	r := s.svc.getReq()
-	r.kind, r.reads, r.out = kindRead, reqs, dst
-	err := s.syncRun(p, r)
-	s.svc.putReq(r)
-	return err
-}
-
-// BatchRead is BatchReadInto with a fresh result matrix.
-func (s *Session) BatchRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	return driver.ReadFresh(s, p, reqs)
-}
-
-// UnbatchedRead issues one transaction per range (the batching
-// ablation); by design it bypasses the read coalescer, or the ablation
-// would measure nothing.
-func (s *Session) UnbatchedRead(p *sim.Proc, reqs []driver.ReadReq) ([][]uint64, error) {
-	var vals [][]uint64
-	err := s.doSync(p, false, func(dp *sim.Proc, ch driver.Channel) error {
-		var err error
-		vals, err = ch.UnbatchedRead(dp, reqs)
-		return err
-	})
-	return vals, err
-}
-
-// ReadEntries dumps a table's installed entries through the session
-// queue (the recovery audit path; reads are open to any role).
-func (s *Session) ReadEntries(p *sim.Proc, table string) ([]rmt.Entry, error) {
-	var out []rmt.Entry
-	err := s.doSync(p, false, func(dp *sim.Proc, ch driver.Channel) error {
-		var err error
-		out, err = ch.ReadEntries(dp, table)
-		return err
-	})
-	return out, err
-}
-
-// ReadDefaultAction reads back a table's miss action through the
-// session queue.
-func (s *Session) ReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, error) {
-	var out *p4.ActionCall
-	err := s.doSync(p, false, func(dp *sim.Proc, ch driver.Channel) error {
-		var err error
-		out, err = ch.ReadDefaultAction(dp, table)
-		return err
-	})
-	return out, err
-}
-
-// Memoize passes through: descriptor precomputation is control-plane
-// local, consumes no channel time, and needs no scheduling.
-func (s *Session) Memoize(table string, handle rmt.EntryHandle) { s.svc.ch.Memoize(table, handle) }
-
-// Switch exposes the underlying switch (instantaneous, for wiring and
-// tests).
-func (s *Session) Switch() *rmt.Switch { return s.svc.ch.Switch() }
-
-// Stats returns the underlying driver counters (the driver.Channel
-// contract; session-level counters live in SessionStats).
-func (s *Session) Stats() driver.Stats { return s.svc.ch.Stats() }

@@ -251,8 +251,8 @@ func (d *Driver) readInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64, batched b
 		// time is spent.
 		return nil
 	}
-	if len(dst) != len(reqs) {
-		return fmt.Errorf("driver: %d result rows for %d requests: %w", len(dst), len(reqs), ErrBadBatch)
+	if err := checkRows(reqs, dst); err != nil {
+		return err
 	}
 	// Validate every range (and size the batched DMA) before any channel
 	// time is spent, in both modes.
@@ -295,10 +295,7 @@ func (d *Driver) readInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64, batched b
 // one base cost plus the per-byte DMA cost of all ranges. Values are
 // captured at the completion time of the whole batch.
 func (d *Driver) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	return ReadFresh(d, p, reqs)
+	return d.readFresh(p, reqs, true)
 }
 
 // BatchReadInto is BatchRead without the result allocation: dst must
@@ -335,11 +332,16 @@ func (d *Driver) ReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, e
 // the base cost — the ablation counterpart of BatchRead. It shares
 // BatchRead's validation and range-cost loop via readInto.
 func (d *Driver) UnbatchedRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
+	return d.readFresh(p, reqs, false)
+}
+
+// readFresh is readInto with a fresh result matrix.
+func (d *Driver) readFresh(p *sim.Proc, reqs []ReadReq, batched bool) ([][]uint64, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	out := make([][]uint64, len(reqs))
-	if err := d.readInto(p, reqs, out, false); err != nil {
+	if err := d.readInto(p, reqs, out, batched); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/p4"
+	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -17,6 +18,7 @@ func testSwitch(t testing.TB, s *sim.Simulator) *rmt.Switch {
 	egr := prog.Schema.MustID(p4.FieldEgressSpec)
 	prog.AddRegister(&p4.Register{Name: "ctr", Width: 32, Instances: 64})
 	prog.AddRegister(&p4.Register{Name: "wide", Width: 64, Instances: 16})
+	prog.AddHash(&p4.HashCalc{Name: "ecmp", Fields: []packet.FieldID{dst}, Width: 16})
 	prog.AddAction(&p4.Action{
 		Name:   "fwd",
 		Params: []p4.Param{{Name: "port", Width: 16}},

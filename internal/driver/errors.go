@@ -2,7 +2,6 @@ package driver
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/p4"
 	"repro/internal/rmt"
@@ -42,9 +41,10 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 // Channel is the control-plane method set a client needs from a driver
 // stack: the access points of §6 plus the stats/wiring accessors the
 // agent uses. *Driver implements it directly; fault-injection or other
-// interposing layers wrap another Channel with the same contract:
+// interposing layers wrap another Channel with the same contract —
 // operations block the calling process for their channel latency and
-// mutate switch state only at completion time. An implementation copies
+// mutate switch state only at completion time — by embedding an Adapter
+// and handling each call as an Op (op.go). An implementation copies
 // whatever it keeps of its arguments (entry keys and data, action-call
 // data): callers — the agent's commit scratch, the ring's slots, the
 // control-channel server's decoded request — reuse those buffers as soon
@@ -75,48 +75,13 @@ var _ Channel = (*Driver)(nil)
 // RangeReader is the optional allocation-free read extension of a
 // Channel: BatchRead into rows the caller owns. dst must have one row
 // per request; each row is refilled in place (truncated, capacity kept).
-// The driver and every shipped wrapper (faults.Injector,
-// ctlplane.Session, ctlchan.Client) implement it, so a poll lands in the
-// agent's preallocated matrix through the whole deployed stack. A
-// consumer probes for it once at setup — the agent with a type
-// assertion, the wrappers with RangeReaderOf.
+// The driver and, through the Adapter, every shipped wrapper
+// (faults.Injector, ctlplane.Session, ctlchan.Client) implement it, so a
+// poll lands in the agent's preallocated matrix through the whole
+// deployed stack. Apply probes for it and falls back to BatchRead plus a
+// copy on a channel without it.
 type RangeReader interface {
 	BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error
 }
 
 var _ RangeReader = (*Driver)(nil)
-
-// RangeReaderOf returns ch's own RangeReader when it has the extension,
-// and otherwise an adapter that calls BatchRead and copies the rows out.
-func RangeReaderOf(ch Channel) RangeReader {
-	if rr, ok := ch.(RangeReader); ok {
-		return rr
-	}
-	return copyReader{ch}
-}
-
-type copyReader struct{ ch Channel }
-
-func (c copyReader) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
-	if len(dst) != len(reqs) {
-		return fmt.Errorf("driver: %d result rows for %d requests: %w", len(dst), len(reqs), ErrBadBatch)
-	}
-	vals, err := c.ch.BatchRead(p, reqs)
-	if err != nil {
-		return err
-	}
-	for i := range vals {
-		dst[i] = append(dst[i][:0], vals[i]...)
-	}
-	return nil
-}
-
-// ReadFresh is BatchRead written in terms of BatchReadInto — a fresh
-// result matrix, filled by rd — so a layer implements its read path once.
-func ReadFresh(rd RangeReader, p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	out := make([][]uint64, len(reqs))
-	if err := rd.BatchReadInto(p, reqs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

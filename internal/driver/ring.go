@@ -1,11 +1,8 @@
 package driver
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/p4"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -17,8 +14,10 @@ import (
 // semantics: a control-plane client that issues many small writes per
 // dialogue iteration reserves slots in a preallocated ring and flushes
 // them in one call, so the steady state touches no heap at all —
-// descriptors, their data buffers, and their completion records are
-// all ring-resident and reused lap after lap.
+// descriptors (Ops, the same type every other layer handles), their
+// data buffers, and their completion records are all ring-resident and
+// reused lap after lap: a slot is filled with Op.Set, which copies the
+// request into the slot's own buffers.
 //
 // The cost model is untouched: Flush executes each descriptor against
 // the underlying Channel exactly as if the caller had made the call
@@ -31,8 +30,8 @@ import (
 // (FIFO), and Flush is the only point where switch state changes. A
 // client that journals its write-ahead intent before calling Flush
 // therefore keeps the journal-before-mutation invariant for every
-// descriptor in the ring; Reserve and the Set* encoders are pure
-// host-memory staging.
+// descriptor in the ring; Reserve and Op.Set are pure host-memory
+// staging.
 
 // ErrRingFull reports a Reserve on a ring with no free slots: every
 // slot holds either a staged descriptor or an unconsumed completion.
@@ -40,146 +39,6 @@ import (
 // ErrTransient — like a full hardware queue, retrying after draining
 // succeeds.
 var ErrRingFull = fmt.Errorf("submission ring full: %w", ErrTransient)
-
-// OpKind selects the channel verb a ring descriptor encodes.
-type OpKind uint8
-
-const (
-	// OpNone marks an unused descriptor (zero value).
-	OpNone OpKind = iota
-	// OpAddEntry installs a table entry (completion carries NewHandle).
-	OpAddEntry
-	// OpModifyEntry rebinds an entry's action and data.
-	OpModifyEntry
-	// OpDeleteEntry removes an entry.
-	OpDeleteEntry
-	// OpSetDefault replaces a table's miss action.
-	OpSetDefault
-	// OpSetHashSeed reprograms a hash calculation.
-	OpSetHashSeed
-	// OpRegWrite writes one register cell.
-	OpRegWrite
-)
-
-// String names the kind for stats and errors.
-func (k OpKind) String() string {
-	switch k {
-	case OpAddEntry:
-		return "AddEntry"
-	case OpModifyEntry:
-		return "ModifyEntry"
-	case OpDeleteEntry:
-		return "DeleteEntry"
-	case OpSetDefault:
-		return "SetDefaultAction"
-	case OpSetHashSeed:
-		return "SetHashSeed"
-	case OpRegWrite:
-		return "RegWrite"
-	default:
-		return "None"
-	}
-}
-
-// RingOp is one descriptor: the encoded operation before Flush, plus
-// its completion record (Err, NewHandle) after. Slots are reused in
-// place — the keys/data slices keep their capacity across laps, which
-// is what makes steady-state submission allocation-free. Callers fill
-// descriptors with the Set* encoders rather than assigning fields so
-// buffer reuse stays in one place.
-type RingOp struct {
-	Kind   OpKind
-	Table  string // table, register, or hash-calculation name
-	Handle rmt.EntryHandle
-	Action string
-	Data   []uint64 // action data (reused capacity)
-	// keys/priority stage an OpAddEntry's match spec (reused capacity).
-	Keys     []rmt.KeySpec
-	Priority int
-	// Idx/Val carry OpRegWrite's cell and value, and OpSetHashSeed's
-	// seed (in Val).
-	Idx uint64
-	Val uint64
-
-	// Completion record, valid after Flush until the slot is reused.
-	Err       error
-	NewHandle rmt.EntryHandle
-
-	// Tag is an opaque caller cookie (e.g. a request pointer index)
-	// carried through to Drain.
-	Tag any
-
-	// call is the ActionCall an OpSetDefault hands the channel: slot
-	// resident, so the flush does not allocate one (channels copy what
-	// they keep).
-	call p4.ActionCall
-}
-
-// reset clears a descriptor for reuse, keeping slice capacity.
-func (op *RingOp) reset() {
-	op.Kind = OpNone
-	op.Table = ""
-	op.Handle = 0
-	op.Action = ""
-	op.Data = op.Data[:0]
-	op.Keys = op.Keys[:0]
-	op.Priority = 0
-	op.Idx = 0
-	op.Val = 0
-	op.Err = nil
-	op.NewHandle = 0
-	op.Tag = nil
-}
-
-// SetModify encodes a ModifyEntry, copying data into the slot's buffer.
-func (op *RingOp) SetModify(table string, h rmt.EntryHandle, action string, data []uint64) {
-	op.Kind = OpModifyEntry
-	op.Table = table
-	op.Handle = h
-	op.Action = action
-	op.Data = append(op.Data[:0], data...)
-}
-
-// SetAdd encodes an AddEntry, copying the entry spec into the slot's
-// buffers. The handle is reported in NewHandle after Flush.
-func (op *RingOp) SetAdd(table string, e rmt.Entry) {
-	op.Kind = OpAddEntry
-	op.Table = table
-	op.Keys = append(op.Keys[:0], e.Keys...)
-	op.Priority = e.Priority
-	op.Action = e.Action
-	op.Data = append(op.Data[:0], e.Data...)
-}
-
-// SetDelete encodes a DeleteEntry.
-func (op *RingOp) SetDelete(table string, h rmt.EntryHandle) {
-	op.Kind = OpDeleteEntry
-	op.Table = table
-	op.Handle = h
-}
-
-// SetDefault encodes a SetDefaultAction, copying the call's data.
-func (op *RingOp) SetDefault(table string, call *p4.ActionCall) {
-	op.Kind = OpSetDefault
-	op.Table = table
-	op.Action = call.Action
-	op.Data = append(op.Data[:0], call.Data...)
-}
-
-// SetHashSeed encodes a SetHashSeed.
-func (op *RingOp) SetHashSeed(name string, seed uint64) {
-	op.Kind = OpSetHashSeed
-	op.Table = name
-	op.Val = seed
-}
-
-// SetRegWrite encodes a RegWrite.
-func (op *RingOp) SetRegWrite(reg string, idx, v uint64) {
-	op.Kind = OpRegWrite
-	op.Table = reg
-	op.Idx = idx
-	op.Val = v
-}
 
 // RingStats counts ring activity.
 type RingStats struct {
@@ -208,7 +67,7 @@ type RingStats struct {
 //	Drain     — yield completions [consumed, flushed), advance consumed
 type Ring struct {
 	ch    Channel
-	slots []RingOp
+	slots []Op
 
 	reserved uint64
 	flushed  uint64
@@ -227,7 +86,7 @@ func NewRing(ch Channel, size int) *Ring {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Ring{ch: ch, slots: make([]RingOp, size)}
+	return &Ring{ch: ch, slots: make([]Op, size)}
 }
 
 // Cap returns the ring depth.
@@ -246,7 +105,7 @@ func (rg *Ring) Stats() RingStats { return rg.stats }
 // encode. The slot stays valid until the lap after its completion is
 // consumed. Returns ErrRingFull when every slot is staged or awaiting
 // Drain.
-func (rg *Ring) Reserve() (*RingOp, error) {
+func (rg *Ring) Reserve() (*Op, error) {
 	if rg.reserved-rg.consumed >= uint64(len(rg.slots)) {
 		rg.stats.FullRejections++
 		return nil, ErrRingFull
@@ -274,7 +133,7 @@ func (rg *Ring) Flush(p *sim.Proc) error {
 	var first error
 	for ; rg.flushed < rg.reserved; rg.flushed++ {
 		op := &rg.slots[rg.flushed%uint64(len(rg.slots))]
-		op.Err = rg.execute(p, op)
+		op.Err = Apply(rg.ch, p, op)
 		rg.stats.OpsFlushed++
 		if op.Err != nil {
 			rg.stats.OpErrors++
@@ -287,34 +146,10 @@ func (rg *Ring) Flush(p *sim.Proc) error {
 }
 
 // Drain yields each unconsumed completion in order, then releases its
-// slot for reuse. The *RingOp (and its buffers) must not be retained
-// past the callback.
-func (rg *Ring) Drain(fn func(op *RingOp)) {
+// slot for reuse. The *Op (and its buffers) must not be retained past
+// the callback.
+func (rg *Ring) Drain(fn func(op *Op)) {
 	for ; rg.consumed < rg.flushed; rg.consumed++ {
 		fn(&rg.slots[rg.consumed%uint64(len(rg.slots))])
 	}
-}
-
-// execute runs one descriptor against the channel.
-func (rg *Ring) execute(p *sim.Proc, op *RingOp) error {
-	switch op.Kind {
-	case OpAddEntry:
-		h, err := rg.ch.AddEntry(p, op.Table, rmt.Entry{
-			Keys: op.Keys, Priority: op.Priority, Action: op.Action, Data: op.Data,
-		})
-		op.NewHandle = h
-		return err
-	case OpModifyEntry:
-		return rg.ch.ModifyEntry(p, op.Table, op.Handle, op.Action, op.Data)
-	case OpDeleteEntry:
-		return rg.ch.DeleteEntry(p, op.Table, op.Handle)
-	case OpSetDefault:
-		op.call = p4.ActionCall{Action: op.Action, Data: op.Data}
-		return rg.ch.SetDefaultAction(p, op.Table, &op.call)
-	case OpSetHashSeed:
-		return rg.ch.SetHashSeed(p, op.Table, op.Val)
-	case OpRegWrite:
-		return rg.ch.RegWrite(p, op.Table, op.Idx, op.Val)
-	}
-	return errors.New("driver: flush of unencoded ring descriptor")
 }

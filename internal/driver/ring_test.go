@@ -23,7 +23,7 @@ func TestRingFull(t *testing.T) {
 				t.Errorf("Reserve %d: %v", i, err)
 				return
 			}
-			op.SetRegWrite("ctr", uint64(i), uint64(i))
+			op.Set(&Op{Kind: OpRegWrite, Table: "ctr", Idx: uint64(i), Val: uint64(i)})
 		}
 		if _, err := rg.Reserve(); !errors.Is(err, ErrRingFull) {
 			t.Errorf("Reserve on full ring: err = %v, want ErrRingFull", err)
@@ -38,7 +38,7 @@ func TestRingFull(t *testing.T) {
 		if _, err := rg.Reserve(); !errors.Is(err, ErrRingFull) {
 			t.Errorf("Reserve before Drain: err = %v, want ErrRingFull", err)
 		}
-		rg.Drain(func(*RingOp) {})
+		rg.Drain(func(*Op) {})
 		if _, err := rg.Reserve(); err != nil {
 			t.Errorf("Reserve after Drain: %v", err)
 		}
@@ -66,13 +66,13 @@ func TestRingWraparound(t *testing.T) {
 					t.Errorf("Reserve: %v", err)
 					return
 				}
-				op.SetRegWrite("ctr", uint64(n%64), uint64(n))
+				op.Set(&Op{Kind: OpRegWrite, Table: "ctr", Idx: uint64(n % 64), Val: uint64(n)})
 				n++
 			}
 			if err := rg.Flush(p); err != nil {
 				t.Errorf("Flush: %v", err)
 			}
-			rg.Drain(func(op *RingOp) {
+			rg.Drain(func(op *Op) {
 				if op.Err != nil {
 					t.Errorf("op %v: %v", op.Kind, op.Err)
 				}
@@ -106,20 +106,20 @@ func TestRingOrderingAndCompletions(t *testing.T) {
 	rg := NewRing(d, 8)
 	s.Spawn("cp", func(p *sim.Proc) {
 		add, _ := rg.Reserve()
-		add.SetAdd("fw", rmt.Entry{Keys: []rmt.KeySpec{rmt.ExactKey(9)}, Action: "fwd", Data: []uint64{1}})
+		add.Set(&Op{Kind: OpAddEntry, Table: "fw", Keys: []rmt.KeySpec{rmt.ExactKey(9)}, Action: "fwd", Data: []uint64{1}})
 		add.Tag = "add"
 		bad, _ := rg.Reserve()
-		bad.SetModify("no-such-table", 1, "fwd", []uint64{0})
+		bad.Set(&Op{Kind: OpModifyEntry, Table: "no-such-table", Handle: 1, Action: "fwd", Data: []uint64{0}})
 		bad.Tag = "bad"
 		wr, _ := rg.Reserve()
-		wr.SetRegWrite("ctr", 5, 77)
+		wr.Set(&Op{Kind: OpRegWrite, Table: "ctr", Idx: 5, Val: 77})
 		wr.Tag = "wr"
 		if err := rg.Flush(p); err == nil {
 			t.Error("Flush with a failing descriptor should return its error")
 		}
 		var order []string
 		var addHandle rmt.EntryHandle
-		rg.Drain(func(op *RingOp) {
+		rg.Drain(func(op *Op) {
 			order = append(order, op.Tag.(string))
 			switch op.Tag {
 			case "add":
@@ -184,12 +184,12 @@ func TestRingCostEquivalence(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					op.SetRegWrite("ctr", uint64(i), 1)
+					op.Set(&Op{Kind: OpRegWrite, Table: "ctr", Idx: uint64(i), Val: 1})
 				}
 				if err := rg.Flush(p); err != nil {
 					t.Error(err)
 				}
-				rg.Drain(func(*RingOp) {})
+				rg.Drain(func(*Op) {})
 			} else {
 				for i := 0; i < n; i++ {
 					if err := d.RegWrite(p, "ctr", uint64(i), 1); err != nil {
@@ -216,7 +216,7 @@ func TestRingStagedVisibility(t *testing.T) {
 	rg := NewRing(d, 4)
 	s.Spawn("cp", func(p *sim.Proc) {
 		op, _ := rg.Reserve()
-		op.SetRegWrite("ctr", 0, 42)
+		op.Set(&Op{Kind: OpRegWrite, Table: "ctr", Idx: 0, Val: 42})
 		if got, _ := d.RegRead(p, "ctr", 0); got != 0 {
 			t.Errorf("ctr[0] = %d before Flush, want 0", got)
 		}

@@ -11,8 +11,8 @@
 // demand.
 //
 // An Injector wraps any driver.Channel and presents the same method
-// set, so it drops between the agent and the driver without either
-// noticing. Fault decisions are keyed off the simulation's virtual
+// set (through driver.Adapter: every call reaches it as one Do(op)), so
+// it drops between the agent and the driver without either noticing. Fault decisions are keyed off the simulation's virtual
 // clock and the injector's own seeded RNG, so a given (profile, seed)
 // pair reproduces the identical fault schedule on every run — a failing
 // chaos test replays exactly.
@@ -34,8 +34,6 @@ import (
 	"time"
 
 	"repro/internal/driver"
-	"repro/internal/p4"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -194,10 +192,13 @@ type Stats struct {
 }
 
 // Injector wraps a driver.Channel and injects faults per its Profile.
-// It implements driver.Channel itself, so it stacks.
+// It implements driver.Channel itself (the embedded Adapter, over Do),
+// so it stacks; Memoize, Switch and Stats pass through to the wrapped
+// channel, since prologue metadata precomputation is local to the
+// control plane and cannot fault.
 type Injector struct {
+	driver.Adapter
 	inner   driver.Channel
-	rd      driver.RangeReader // inner's batched-read path
 	sim     *sim.Simulator
 	prof    Profile
 	rng     *rand.Rand
@@ -225,14 +226,15 @@ var (
 // independent of the simulator's stream, so adding or removing fault
 // injection never perturbs workload randomness.
 func Wrap(s *sim.Simulator, inner driver.Channel, prof Profile, seed int64) *Injector {
-	return &Injector{
+	f := &Injector{
 		inner:   inner,
-		rd:      driver.RangeReaderOf(inner),
 		sim:     s,
 		prof:    prof,
 		rng:     rand.New(rand.NewSource(seed)),
 		enabled: true,
 	}
+	f.Adapter = driver.NewAdapter(f.Do, inner)
+	return f
 }
 
 // SetEnabled toggles injection at runtime (e.g. to confine faults to a
@@ -243,8 +245,8 @@ func (f *Injector) SetEnabled(on bool) { f.enabled = on }
 // Profile returns the active fault profile.
 func (f *Injector) Profile() Profile { return f.prof }
 
-// FaultStats returns a copy of the injection counters. (Named to keep
-// Stats() free for the driver.Channel pass-through.)
+// FaultStats returns a copy of the injection counters. (Stats() is the
+// driver.Channel pass-through to the wrapped channel's driver counters.)
 func (f *Injector) FaultStats() Stats { return f.stats }
 
 // failCost returns the channel time one injected failure consumes.
@@ -336,132 +338,32 @@ func (f *Injector) fail(p *sim.Proc, op string) error {
 	return fmt.Errorf("faults: injected %s failure at %v: %w", op, p.Now(), driver.ErrTransient)
 }
 
-// ---- driver.Channel implementation ----
-
-// AddEntry forwards to the wrapped channel unless a fault fires.
-func (f *Injector) AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error) {
-	if err := f.inject(p, "AddEntry"); err != nil {
-		return 0, err
+// Do runs one operation through the injector: the common fault prologue,
+// keyed by the op's Channel method name, then the wrapped channel. A
+// batched read can additionally abort partway, paying for a prefix of its
+// ranges and reporting no values (the prefix's rows are overwritten and
+// must not be used). An unbatched read is one transaction per range, so
+// each range passes through here — and can fault — on its own.
+func (f *Injector) Do(p *sim.Proc, op *driver.Op) error {
+	if op.Kind == driver.OpRead && !op.Batched {
+		return driver.PerRange(op, func(sub *driver.Op) error { return f.Do(p, sub) })
 	}
-	return f.inner.AddEntry(p, table, e)
-}
-
-// ModifyEntry forwards to the wrapped channel unless a fault fires.
-func (f *Injector) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
-	if err := f.inject(p, "ModifyEntry"); err != nil {
+	if err := f.inject(p, op.Kind.String()); err != nil {
 		return err
 	}
-	return f.inner.ModifyEntry(p, table, h, action, data)
-}
-
-// DeleteEntry forwards to the wrapped channel unless a fault fires.
-func (f *Injector) DeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
-	if err := f.inject(p, "DeleteEntry"); err != nil {
-		return err
-	}
-	return f.inner.DeleteEntry(p, table, h)
-}
-
-// SetDefaultAction forwards to the wrapped channel unless a fault fires.
-func (f *Injector) SetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
-	if err := f.inject(p, "SetDefaultAction"); err != nil {
-		return err
-	}
-	return f.inner.SetDefaultAction(p, table, call)
-}
-
-// SetHashSeed forwards to the wrapped channel unless a fault fires.
-func (f *Injector) SetHashSeed(p *sim.Proc, name string, seed uint64) error {
-	if err := f.inject(p, "SetHashSeed"); err != nil {
-		return err
-	}
-	return f.inner.SetHashSeed(p, name, seed)
-}
-
-// RegWrite forwards to the wrapped channel unless a fault fires.
-func (f *Injector) RegWrite(p *sim.Proc, reg string, idx uint64, v uint64) error {
-	if err := f.inject(p, "RegWrite"); err != nil {
-		return err
-	}
-	return f.inner.RegWrite(p, reg, idx, v)
-}
-
-// RegRead forwards to the wrapped channel unless a fault fires.
-func (f *Injector) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
-	if err := f.inject(p, "RegRead"); err != nil {
-		return 0, err
-	}
-	return f.inner.RegRead(p, reg, idx)
-}
-
-// BatchReadInto forwards to the wrapped channel, reading into the
-// caller's rows; besides the common faults it can abort partway, paying
-// for a prefix of the ranges and reporting no values (the prefix's rows
-// are overwritten and must not be used).
-func (f *Injector) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
-	if err := f.inject(p, "BatchRead"); err != nil {
-		return err
-	}
-	if f.enabled && f.prof.PartialBatchRate > 0 && len(reqs) > 1 &&
+	if op.Kind == driver.OpRead && f.enabled && f.prof.PartialBatchRate > 0 && len(op.Reqs) > 1 &&
 		f.rng.Float64() < f.prof.PartialBatchRate {
 		f.stats.PartialBatches++
-		cut := 1 + f.rng.Intn(len(reqs)-1)
-		if err := f.rd.BatchReadInto(p, reqs[:cut], dst[:cut]); err != nil {
+		cut := 1 + f.rng.Intn(len(op.Reqs)-1)
+		prefix := driver.Op{Kind: driver.OpRead, Batched: true, Reqs: op.Reqs[:cut], Rows: op.Rows[:cut]}
+		if err := driver.Apply(f.inner, p, &prefix); err != nil {
 			return err
 		}
 		return fmt.Errorf("faults: batch read aborted after %d/%d ranges at %v: %w",
-			cut, len(reqs), p.Now(), driver.ErrTransient)
+			cut, len(op.Reqs), p.Now(), driver.ErrTransient)
 	}
-	return f.rd.BatchReadInto(p, reqs, dst)
+	return driver.Apply(f.inner, p, op)
 }
-
-// BatchRead is BatchReadInto with a fresh result matrix.
-func (f *Injector) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	return driver.ReadFresh(f, p, reqs)
-}
-
-// UnbatchedRead issues the requests one transaction at a time through
-// the injector, so each can fault independently (the unbatched ablation
-// under faults).
-func (f *Injector) UnbatchedRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	out := make([][]uint64, len(reqs))
-	for i, req := range reqs {
-		vals, err := f.BatchRead(p, []ReadReq{req})
-		if err != nil {
-			return nil, err
-		}
-		out[i] = vals[0]
-	}
-	return out, nil
-}
-
-// ReadEntries forwards to the wrapped channel unless a fault fires
-// (the recovery audit path is as fallible as any other operation).
-func (f *Injector) ReadEntries(p *sim.Proc, table string) ([]rmt.Entry, error) {
-	if err := f.inject(p, "ReadEntries"); err != nil {
-		return nil, err
-	}
-	return f.inner.ReadEntries(p, table)
-}
-
-// ReadDefaultAction forwards to the wrapped channel unless a fault
-// fires.
-func (f *Injector) ReadDefaultAction(p *sim.Proc, table string) (*p4.ActionCall, error) {
-	if err := f.inject(p, "ReadDefaultAction"); err != nil {
-		return nil, err
-	}
-	return f.inner.ReadDefaultAction(p, table)
-}
-
-// Memoize passes through (prologue metadata precomputation is local to
-// the control plane and cannot fault).
-func (f *Injector) Memoize(table string, handle rmt.EntryHandle) { f.inner.Memoize(table, handle) }
-
-// Switch exposes the wrapped channel's switch.
-func (f *Injector) Switch() *rmt.Switch { return f.inner.Switch() }
-
-// Stats returns the wrapped channel's driver counters.
-func (f *Injector) Stats() driver.Stats { return f.inner.Stats() }
 
 // ReadReq aliases the driver's batched-read request type for callers
 // importing only this package.

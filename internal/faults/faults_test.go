@@ -227,3 +227,45 @@ func TestInjectedErrorClassification(t *testing.T) {
 	})
 	s.Run()
 }
+
+// TestCrashProfilesNameOpKinds pins the crash profiles to the op
+// vocabulary: the injector matches CrashOp against driver.OpKind names,
+// so each named profile must spell the kind it means, and the agent's
+// measurement poll — a BatchReadInto — must count as "BatchRead".
+func TestCrashProfilesNameOpKinds(t *testing.T) {
+	for _, tc := range []struct {
+		prof Profile
+		kind driver.OpKind
+	}{
+		{CrashMidPrepare(), driver.OpModifyEntry},
+		{CrashAtCommit(), driver.OpSetDefault},
+		{CrashMidMirror(), driver.OpModifyEntry},
+	} {
+		if tc.prof.CrashOp != tc.kind.String() {
+			t.Errorf("profile %s crashes at %q, but that kind is named %q", tc.prof.Name, tc.prof.CrashOp, tc.kind)
+		}
+	}
+
+	s := sim.New(7)
+	inj := Wrap(s, testChannel(t, s), Profile{CrashOp: "BatchRead", CrashAtOp: 2}, 1)
+	polls := 0
+	s.Spawn("poller", func(p *sim.Proc) {
+		reqs := []ReadReq{{Reg: "ctr", Lo: 0, Hi: 4}}
+		dst := make([][]uint64, 1)
+		for {
+			if err := inj.RegWrite(p, "ctr", 0, 1); err != nil { // not counted toward the crash
+				t.Error(err)
+				return
+			}
+			if err := inj.BatchReadInto(p, reqs, dst); err != nil {
+				t.Error(err)
+				return
+			}
+			polls++
+		}
+	})
+	s.Run()
+	if !inj.Crashed() || polls != 1 {
+		t.Fatalf("crashed = %v after %d polls, want a crash at the 2nd BatchReadInto", inj.Crashed(), polls)
+	}
+}

@@ -21,21 +21,21 @@ import (
 // reconciliation replay, which checkpoint afterwards) are not flagged —
 // the invariant binds the two together only where both occur.
 //
-// The mutation vocabulary is scoped per package subtree: internal/core
-// mutates through its drv* wrappers; internal/ctlchan's mutation sites
-// are the Channel mutation methods (client-side encode-and-send, and
-// the server's execute path calling the same methods on the inner
-// channel); internal/ctlplane mutates through the driver submission
-// ring. The bare Channel names are registered only for ctlchan and
-// ctlplane — applying them to core would flag its own legitimate call
-// sites.
+// The mutation vocabulary is the control path's one op vocabulary
+// (internal/driver/op.go), the same in every package:
 //
-// The ring submit API (internal/driver.Ring) splits submission into
-// staging and execution: Reserve and the Set* encoders are pure host
-// memory and impose no ordering, while Flush is the doorbell that
-// applies every staged descriptor to the switch. Flush is therefore
-// the mutation verb — an intent journaled after Reserve but before
-// Flush still covers the crash window.
+//   - the mutating driver.Channel methods, on any receiver — the raw
+//     channel, a layer's Adapter, core's retrying view of its channel;
+//   - a call that executes a driver.Op — Apply, a layer's Do, core's
+//     drvDo — when the op it is handed is visibly of a mutating kind: a
+//     literal in the call, or a variable the function gave such a kind.
+//     An op that merely passes through (a layer's Do forwarding to
+//     Apply) carries no kind the function can see and is not a site;
+//   - Flush, the submission ring's doorbell. The ring splits submission
+//     into staging and execution: Reserve and Op.Set are pure host
+//     memory and impose no ordering, while Flush applies every staged
+//     descriptor to the switch — an intent journaled after staging but
+//     before Flush still covers the crash window.
 var JournalIntentAnalyzer = &Analyzer{
 	Name: "journalintent",
 	Doc:  "journal intent writes in internal/core, internal/ctlchan, and internal/ctlplane must precede the driver mutations they cover",
@@ -50,40 +50,74 @@ var intentWriters = map[string]bool{
 	"journalBegin": true, "journalCommitStaged": true, "WriteIntent": true,
 }
 
-// driverMutators maps a package subtree to its switch-mutating entry
-// points. "Flush" (the ring doorbell) appears in every vocabulary that
-// may submit through a ring; the staging half of the ring API
-// (Reserve/Set*) deliberately does not.
-var driverMutators = map[string]map[string]bool{
-	"repro/internal/core": {
-		"drvAddEntry": true, "drvModifyEntry": true, "drvDeleteEntry": true,
-		"drvSetDefaultAction": true, "drvSetHashSeed": true,
-		"Flush": true,
-	},
-	"repro/internal/ctlchan": {
-		"AddEntry": true, "ModifyEntry": true, "DeleteEntry": true,
-		"SetDefaultAction": true, "SetHashSeed": true, "RegWrite": true,
-		"Flush": true,
-	},
-	"repro/internal/ctlplane": {
-		"AddEntry": true, "ModifyEntry": true, "DeleteEntry": true,
-		"SetDefaultAction": true, "SetHashSeed": true, "RegWrite": true,
-		"Flush": true,
-	},
+// channelMutators are the driver.Channel methods that change switch
+// state (driver.OpKind.Mutating names the same set), plus the ring
+// doorbell.
+var channelMutators = map[string]bool{
+	"AddEntry": true, "ModifyEntry": true, "DeleteEntry": true,
+	"SetDefaultAction": true, "SetHashSeed": true, "RegWrite": true,
+	"Flush": true,
 }
 
-// mutatorsFor picks the vocabulary whose subtree contains path.
-func mutatorsFor(path string) map[string]bool {
-	for root, set := range driverMutators {
-		if pathIn(path, root) {
-			return set
+// opExecutors run a driver.Op; mutatingKinds are the kinds that make
+// such a call a mutation.
+var (
+	opExecutors   = map[string]bool{"Apply": true, "Do": true, "drvDo": true}
+	mutatingKinds = map[string]bool{
+		"OpAddEntry": true, "OpModifyEntry": true, "OpDeleteEntry": true,
+		"OpSetDefault": true, "OpSetHashSeed": true, "OpRegWrite": true,
+	}
+)
+
+// mentionsMutatingKind reports whether e names a mutating op kind.
+func mentionsMutatingKind(e ast.Node) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && mutatingKinds[id.Name] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// opVar names the variable an expression designates — x for x, &x and
+// x.Kind; a.op for &a.op — or "" if it is not a plain variable path.
+func opVar(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.UnaryExpr:
+		return opVar(e.X)
+	case *ast.SelectorExpr:
+		if e.Sel.Name == "Kind" {
+			return opVar(e.X)
+		}
+		if base := opVar(e.X); base != "" {
+			return base + "." + e.Sel.Name
 		}
 	}
-	return nil
+	return ""
+}
+
+// mutatingOpVars collects the variables body binds to an op of a
+// mutating kind: op := driver.Op{Kind: driver.OpRegWrite}, op.Kind = ….
+func mutatingOpVars(body *ast.BlockStmt) map[string]bool {
+	vars := map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				if v := opVar(as.Lhs[i]); v != "" && mentionsMutatingKind(rhs) {
+					vars[v] = true
+				}
+			}
+		}
+		return true
+	})
+	return vars
 }
 
 func runJournalIntent(pass *Pass) error {
-	mutators := mutatorsFor(pass.Path)
 	for _, f := range pass.Files {
 		if pass.TestFile(f.Pos()) {
 			continue
@@ -95,6 +129,18 @@ func runJournalIntent(pass *Pass) error {
 			}
 			var firstIntent, firstMut token.Pos
 			var mutName string
+			opVars := mutatingOpVars(fn.Body)
+			mutates := func(name string, call *ast.CallExpr) bool {
+				if !opExecutors[name] {
+					return channelMutators[name]
+				}
+				for _, arg := range call.Args {
+					if mentionsMutatingKind(arg) || opVars[opVar(arg)] {
+						return true
+					}
+				}
+				return false
+			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -106,7 +152,7 @@ func runJournalIntent(pass *Pass) error {
 					if firstIntent == token.NoPos {
 						firstIntent = call.Pos()
 					}
-				case mutators[name]:
+				case mutates(name, call):
 					if firstMut == token.NoPos {
 						firstMut = call.Pos()
 						mutName = name

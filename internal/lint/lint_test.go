@@ -24,14 +24,6 @@ func TestJournalIntent(t *testing.T) {
 	linttest.Run(t, lint.JournalIntentAnalyzer, filepath.Join("testdata", "journalintent"), "repro/internal/core")
 }
 
-func TestJournalIntentCtlchan(t *testing.T) {
-	linttest.Run(t, lint.JournalIntentAnalyzer, filepath.Join("testdata", "journalintent_ctlchan"), "repro/internal/ctlchan")
-}
-
-func TestJournalIntentCtlplane(t *testing.T) {
-	linttest.Run(t, lint.JournalIntentAnalyzer, filepath.Join("testdata", "journalintent_ctlplane"), "repro/internal/ctlplane")
-}
-
 func TestDiagcode(t *testing.T) {
 	linttest.Run(t, lint.DiagcodeAnalyzer, filepath.Join("testdata", "diagcode"), "repro/internal/compiler/place")
 }

@@ -1,68 +1,146 @@
 // Fixture for the journalintent analyzer (analyzed as
-// repro/internal/core).
+// repro/internal/core; the vocabulary is the same in every package the
+// analyzer matches).
 package core
 
-type agent struct{}
+type opKind int
 
-func (a *agent) journalBegin() error            { return nil }
-func (a *agent) journalCommitStaged() error     { return nil }
-func (a *agent) journalCheckpoint() error       { return nil }
-func (a *agent) drvModifyEntry(t string, k int) {}
-func (a *agent) drvAddEntry(t string, k int)    {}
-func (a *agent) drvBatchRead() int              { return 0 }
+const (
+	OpModifyEntry opKind = iota + 1
+	OpRegWrite
+	OpRead
+)
+
+type Op struct {
+	Kind  opKind
+	Table string
+}
+
+type channel struct{}
+
+func (c *channel) ModifyEntry(t string, k int) error    { return nil }
+func (c *channel) AddEntry(t string, k int) error       { return nil }
+func (c *channel) RegWrite(r string, i, v uint64) error { return nil }
+func (c *channel) BatchRead() int                       { return 0 }
+
+func Apply(ch *channel, op *Op) error { return nil }
+
+type agent struct {
+	retry *channel
+	drv   *channel
+	op    Op
+}
+
+func (a *agent) journalBegin() error          { return nil }
+func (a *agent) journalCommitStaged() error   { return nil }
+func (a *agent) journalCheckpoint() error     { return nil }
+func (a *agent) WriteIntent(rec string) error { return nil }
+func (a *agent) drvDo(op *Op) error           { return nil }
+func (a *agent) Do(op *Op) error              { return nil }
 
 func (a *agent) goodCommit() {
 	// Intent first, mutation second: the crash window is covered.
 	_ = a.journalCommitStaged()
-	a.drvModifyEntry("t", 1)
+	_ = a.retry.ModifyEntry("t", 1)
 }
 
 func (a *agent) badCommit() {
-	a.drvModifyEntry("t", 1) // want "driver mutation drvModifyEntry precedes the intent journal write"
+	_ = a.retry.ModifyEntry("t", 1) // want "driver mutation ModifyEntry precedes the intent journal write"
 	_ = a.journalCommitStaged()
 }
 
 func (a *agent) badBegin() {
-	a.drvAddEntry("t", 2) // want "driver mutation drvAddEntry precedes the intent journal write"
+	_ = a.drv.AddEntry("t", 2) // want "driver mutation AddEntry precedes the intent journal write"
 	_ = a.journalBegin()
-	a.drvModifyEntry("t", 3)
+	_ = a.retry.ModifyEntry("t", 3)
+}
+
+func (a *agent) badReplay() {
+	_ = a.drv.RegWrite("r", 0, 1) // want "driver mutation RegWrite precedes the intent journal write"
+	_ = a.WriteIntent("write r")
 }
 
 func (a *agent) mutateOnly() {
-	// No intent write in scope: reconciliation-style replay, not flagged.
-	a.drvAddEntry("t", 4)
-	a.drvModifyEntry("t", 5)
+	// No intent write in scope: reconciliation-style replay or ordinary
+	// request dispatch, not flagged.
+	_ = a.retry.AddEntry("t", 4)
+	_ = a.retry.ModifyEntry("t", 5)
 }
 
 func (a *agent) checkpointAfter() {
 	// Checkpoints summarize state after the fact; they are not intent
 	// writes and impose no ordering.
-	a.drvModifyEntry("t", 6)
+	_ = a.retry.ModifyEntry("t", 6)
 	_ = a.journalCheckpoint()
 }
 
 func (a *agent) readsDontCount() {
-	_ = a.drvBatchRead()
+	_ = a.retry.BatchRead()
+	_ = a.drvDo(&Op{Kind: OpRead})
 	_ = a.journalBegin()
-	a.drvModifyEntry("t", 7)
+	_ = a.retry.ModifyEntry("t", 7)
 }
+
+// ---- Ops as data: a call that executes an op mutates when the op is
+// visibly of a mutating kind.
+
+func (a *agent) goodOpLiteral() {
+	_ = a.journalCommitStaged()
+	_ = a.drvDo(&Op{Kind: OpModifyEntry, Table: "t"})
+}
+
+func (a *agent) badOpLiteral() {
+	_ = a.drvDo(&Op{Kind: OpModifyEntry, Table: "t"}) // want "driver mutation drvDo precedes the intent journal write"
+	_ = a.journalCommitStaged()
+}
+
+func (a *agent) badOpVariable() {
+	op := Op{Kind: OpRegWrite, Table: "r"}
+	_ = Apply(a.drv, &op) // want "driver mutation Apply precedes the intent journal write"
+	_ = a.WriteIntent("write r")
+}
+
+func (a *agent) badOpField() {
+	a.op.Kind = OpModifyEntry
+	_ = a.Do(&a.op) // want "driver mutation Do precedes the intent journal write"
+	_ = a.journalBegin()
+}
+
+func (a *agent) passThrough(op *Op) {
+	// A layer forwarding an op it was handed: no kind is visible here, so
+	// this is not a mutation site (the site is wherever the op was built).
+	_ = Apply(a.drv, op)
+	_ = a.WriteIntent("x")
+}
+
+// ---- The submission ring: staging is free, the doorbell mutates.
 
 type ring struct{}
 
-func (rg *ring) Reserve() *ring { return rg }
-func (rg *ring) SetModify()     {}
-func (rg *ring) Flush() error   { return nil }
+func (rg *ring) Reserve() *Op { return &Op{} }
+func (rg *ring) Flush() error { return nil }
+func (rg *ring) Drain()       {}
+
+func (op *Op) Set(src *Op) {}
 
 func (a *agent) goodRingSubmit(rg *ring) {
-	// Reserve/Set* are pure staging: journaling the intent after filling
+	// Reserve/Set are pure staging: journaling the intent after filling
 	// descriptors but before the doorbell still covers the crash window.
-	rg.Reserve().SetModify()
+	rg.Reserve().Set(&Op{Kind: OpModifyEntry})
 	_ = a.journalCommitStaged()
 	_ = rg.Flush()
+	rg.Drain()
 }
 
 func (a *agent) badRingSubmit(rg *ring) {
-	rg.Reserve().SetModify()
+	rg.Reserve().Set(&Op{Kind: OpRegWrite})
 	_ = rg.Flush() // want "driver mutation Flush precedes the intent journal write"
 	_ = a.journalCommitStaged()
+}
+
+func (a *agent) flushOnly(rg *ring) {
+	// No intent write in scope: dispatcher fast path, not flagged.
+	rg.Reserve().Set(&Op{Kind: OpModifyEntry})
+	_ = rg.Flush()
+	rg.Drain()
 }

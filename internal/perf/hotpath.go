@@ -398,18 +398,20 @@ func benchRingSubmit(b *testing.B) {
 	drv := driver.New(s, sw, driver.DefaultCostModel())
 	ring := driver.NewRing(drv, opsPerLap)
 	s.Spawn("submit", func(p *sim.Proc) {
+		write := driver.Op{Kind: driver.OpRegWrite, Table: "qdepths"}
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < opsPerLap; j++ {
-				op, err := ring.Reserve()
+				slot, err := ring.Reserve()
 				if err != nil {
 					b.Fatal(err)
 				}
-				op.SetRegWrite("qdepths", uint64(j%16), uint64(i))
+				write.Idx, write.Val = uint64(j%16), uint64(i)
+				slot.Set(&write)
 			}
 			if err := ring.Flush(p); err != nil {
 				b.Fatal(err)
 			}
-			ring.Drain(func(op *driver.RingOp) {
+			ring.Drain(func(op *driver.Op) {
 				if op.Err != nil {
 					b.Fatal(op.Err)
 				}

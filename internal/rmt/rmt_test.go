@@ -589,22 +589,6 @@ func TestNewRejectsInvalidProgram(t *testing.T) {
 	}
 }
 
-func BenchmarkPipelinePacket(b *testing.B) {
-	s := sim.New(1)
-	sw, err := New(s, testProgram(b), DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sw.AddEntry("forward", Entry{Keys: []KeySpec{ExactKey(1)}, Action: "set_egress", Data: []uint64{2}})
-	pkt := mkPacket(sw, 1, 9, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pkt.Clone()
-		sw.Inject(0, p)
-		s.Run()
-	}
-}
-
 // TestPriorityQueueing: high-priority packets jump a congested queue
 // and are never the ones tail-dropped — the property heartbeats rely on.
 func TestPriorityQueueing(t *testing.T) {
