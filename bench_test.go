@@ -160,10 +160,11 @@ func BenchmarkRclReaction(b *testing.B) {
 		b.Fatal(err)
 	}
 	host := benchHost{}
-	params := map[string]any{"q": make([]int64, 16)}
+	f := prog.NewFrame()
+	f.BindArray("q", make([]int64, 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := prog.Exec(host, params); err != nil {
+		if err := f.Exec(host); err != nil {
 			b.Fatal(err)
 		}
 	}

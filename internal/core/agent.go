@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -221,22 +222,25 @@ type Agent struct {
 	batchedReads bool
 	stats        Stats
 
-	// Control-plane fast-path scratch: the master init table's action
-	// data and call are persistent buffers refilled per flip, and flipOp
-	// is the persistent op that carries the call through drvDo, so the
-	// twice-per-iteration master update allocates nothing. Set up in
-	// prologue.
+	// Control-plane fast-path scratch: the master init table's call is a
+	// persistent buffer whose data is masterScratch for the mv flip and
+	// targetInit[0] for the commit flip, and flipOp is the persistent op
+	// that carries it through drvDo, so the twice-per-iteration master
+	// update allocates nothing. Set up in prologue.
 	masterScratch []uint64
 	masterCall    p4.ActionCall
 	flipOp        driver.Op
 
-	// intentScratch, cpScratch and targetInit are the pooled write-ahead
-	// intent record, checkpoint record and commit-target init data,
-	// refilled in place each iteration; the journal stores serialize on
-	// write and never retain them (the journal.Store contract).
+	// intentScratch and cpScratch are the pooled write-ahead intent and
+	// checkpoint records, refilled in place each iteration; the journal
+	// stores serialize on write and never retain them (the journal.Store
+	// contract). targetInit is commit's scratch: the init data of every
+	// init table as the commit will leave it, with nmChanged the indices
+	// of the non-master tables it changes.
 	intentScratch journal.Intent
 	cpScratch     journal.Checkpoint
 	targetInit    [][]uint64
+	nmChanged     []int
 
 	// stopReq and err may be touched from outside the simulation
 	// goroutine (Stop from a test's main goroutine, Err after Run
@@ -265,11 +269,11 @@ type Agent struct {
 	resyncPending  bool
 	flipUnresolved bool
 
-	// Journal state (see journal.go). stagedOps accumulates the
-	// iteration's user-level table ops in global staging order for the
-	// CommitStaged intent; recovered marks an agent reconstructed by
-	// Recover, whose prologue must not re-install switch state.
-	stagedOps []journal.TableOp
+	// staged is the iteration's staged-op log (staged.go): every table op
+	// its reactions staged, in global staging order.
+	staged []stagedOp
+	// recovered marks an agent reconstructed by Recover, whose prologue
+	// must not re-install switch state.
 	recovered bool
 }
 
@@ -350,7 +354,7 @@ func (a *Agent) Table(name string) (*TableHandle, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: table %q is not malleable (no runtime info)", name)
 	}
-	return &TableHandle{tm: tm}, nil
+	return &tm.th, nil
 }
 
 // RegisterNativeReaction replaces the interpreted body of the named
@@ -586,11 +590,11 @@ func (a *Agent) prologue(p *sim.Proc) error {
 		}
 	}
 
-	// The master flip fast path: one persistent ActionCall + data
-	// scratch and the op that carries them, shared by the mv flip and the
-	// commit flip (they never overlap within an iteration). rmt's
-	// setDefault deep-copies, so reusing the scratch across flips is
-	// safe. Recovered agents need this too.
+	// The master flip fast path: one persistent ActionCall and the op
+	// that carries it, shared by the mv flip and the commit flip (they
+	// never overlap within an iteration). rmt's setDefault deep-copies,
+	// so reusing the data scratch across flips is safe. Recovered agents
+	// need this too.
 	if len(a.plan.InitTables) > 0 {
 		master := a.plan.InitTables[0]
 		a.masterCall.Action = master.Action
@@ -736,12 +740,7 @@ func (a *Agent) iteration(p *sim.Proc) error {
 	if a.stopRequested() {
 		return ErrStopped
 	}
-	hasChanges := len(a.pendingMbl) > 0
-	for _, tm := range a.tables {
-		if tm.pendingMirrors() > 0 {
-			hasChanges = true
-		}
-	}
+	hasChanges := len(a.pendingMbl) > 0 || len(a.staged) > 0
 	if a.plan.UsesVV && len(a.plan.InitTables) > 0 && (hasChanges || !a.opts.SkipIdleCommit) {
 		if err := a.commit(p); err != nil {
 			return err
@@ -753,11 +752,9 @@ func (a *Agent) iteration(p *sim.Proc) error {
 	if a.iterDegraded {
 		a.stats.Degraded++
 	}
-	// The iteration's prepares are now committed (or there were none);
-	// the undo journals are obsolete.
-	for _, tm := range a.tables {
-		tm.undo = nil
-	}
+	// The iteration's prepares are now committed and mirrored (or there
+	// were none); the log is obsolete.
+	a.staged = a.staged[:0]
 	// Checkpoint the committed configuration and retire the intent.
 	if err := a.journalIterationEnd(p); err != nil {
 		return err
@@ -788,54 +785,41 @@ func (a *Agent) commit(p *sim.Proc) error {
 	// shadow data and the master action data — so the CommitStaged
 	// intent can describe every write this commit will issue before any
 	// of them reaches the switch.
-	var nmChanges []nonMasterChange
+	if len(a.targetInit) != len(a.initData) {
+		a.targetInit = make([][]uint64, len(a.initData))
+	}
+	changed := a.nmChanged[:0]
 	for t := 1; t < len(a.plan.InitTables); t++ {
-		it := a.plan.InitTables[t]
-		changed := false
-		data := append([]uint64(nil), a.initData[t]...)
-		for i, ip := range it.Params {
+		data, hit := append(a.targetInit[t][:0], a.initData[t]...), false
+		for i, ip := range a.plan.InitTables[t].Params {
 			if ip.Kind != compiler.InitValue && ip.Kind != compiler.InitField {
 				continue
 			}
 			if v, ok := a.pendingMbl[ip.Mbl]; ok {
-				data[i] = v
-				changed = true
+				data[i], hit = v, true
 			}
 		}
-		if changed {
-			nmChanges = append(nmChanges, nonMasterChange{t, data})
+		a.targetInit[t] = data
+		if hit {
+			changed = append(changed, t)
 		}
 	}
-	a.masterScratch = a.masterData(a.masterScratch, newVV, a.mv, true)
-	newMaster := a.masterScratch
-
-	if a.journaling() {
-		if len(a.targetInit) != len(a.initData) {
-			a.targetInit = make([][]uint64, len(a.initData))
-		}
-		for i := range a.initData {
-			a.targetInit[i] = refill(a.targetInit[i], a.initData[i])
-		}
-		for _, ch := range nmChanges {
-			a.targetInit[ch.t] = refill(a.targetInit[ch.t], ch.data)
-		}
-		a.targetInit[0] = refill(a.targetInit[0], newMaster)
-		if err := a.journalCommitStaged(p, a.targetInit); err != nil {
-			return err
-		}
+	a.nmChanged = changed
+	a.targetInit[0] = a.masterData(a.targetInit[0], newVV, a.mv, true)
+	newMaster := a.targetInit[0]
+	if err := a.journalCommitStaged(p, a.targetInit); err != nil {
+		return err
 	}
 
 	// Prepare: stage non-master init-table changes in their shadow
 	// (vv^1) entries. (Malleable-table entry prepares already happened
 	// inside the reaction's table calls.)
-	var prepared []nonMasterChange
-	for _, ch := range nmChanges {
-		it := a.plan.InitTables[ch.t]
-		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[ch.t][newVV], it.Action, ch.data); err != nil {
-			a.undoNonMaster(p, prepared, newVV)
+	for i, t := range changed {
+		it := a.plan.InitTables[t]
+		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[t][newVV], it.Action, a.targetInit[t]); err != nil {
+			a.undoNonMaster(p, changed[:i], newVV)
 			return err
 		}
-		prepared = append(prepared, ch)
 	}
 
 	// Commit: one atomic master update flips vv and applies all pending
@@ -856,7 +840,7 @@ func (a *Agent) commit(p *sim.Proc) error {
 			break
 		}
 		if !a.opts.Recovery.Enabled() || !errors.Is(err, driver.ErrChannelDegraded) {
-			a.undoNonMaster(p, prepared, newVV)
+			a.undoNonMaster(p, changed, newVV)
 			return err
 		}
 		flipped, rerr := a.resolveFlip(p, newVV)
@@ -868,8 +852,7 @@ func (a *Agent) commit(p *sim.Proc) error {
 		}
 		// Definitively not applied: reissue the identical flip.
 	}
-	// Copy rather than alias: newMaster is the agent's reusable scratch
-	// and will be overwritten by the next iteration's mv flip.
+	// Copy rather than alias: targetInit is rebuilt by the next commit.
 	a.initData[0] = append(a.initData[0][:0], newMaster...)
 	oldVV := a.vv
 	a.vv = newVV
@@ -879,31 +862,26 @@ func (a *Agent) commit(p *sim.Proc) error {
 	clear(a.pendingMbl)
 
 	// Mirror: re-apply to the now-shadow copies so a future flip is safe.
-	for _, ch := range nmChanges {
-		it := a.plan.InitTables[ch.t]
-		a.initData[ch.t] = ch.data
-		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[ch.t][oldVV], it.Action, ch.data); err != nil {
+	for _, t := range changed {
+		it := a.plan.InitTables[t]
+		a.initData[t] = append(a.initData[t][:0], a.targetInit[t]...)
+		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[t][oldVV], it.Action, a.initData[t]); err != nil {
 			if !a.opts.Recovery.Enabled() {
 				return err
 			}
-			table, h, action, data := it.Table, a.initHandles[ch.t][oldVV], it.Action, ch.data
-			a.queueRepair(chanOp{desc: "mirror init " + table, fn: func(p *sim.Proc) error {
-				return a.drv.ModifyEntry(p, table, h, action, data)
-			}})
+			a.repairInit("mirror init", t, oldVV)
 		}
 	}
-	for _, tm := range a.tables {
-		if err := tm.fillShadow(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.fillShadow(p)
 }
 
-// nonMasterChange records one prepared non-master init-table update.
-type nonMasterChange struct {
-	t    int
-	data []uint64
+// repairInit queues rewriting version v of non-master init table t with
+// a copy of its committed data as repair debt.
+func (a *Agent) repairInit(desc string, t int, v uint64) {
+	it, h, data := a.plan.InitTables[t], a.initHandles[t][v], slices.Clone(a.initData[t])
+	a.queueRepair(chanOp{desc: desc + " " + it.Table, fn: func(p *sim.Proc) error {
+		return a.drv.ModifyEntry(p, it.Table, h, it.Action, data)
+	}})
 }
 
 // undoNonMaster restores already-prepared non-master shadow entries to
@@ -911,15 +889,11 @@ type nonMasterChange struct {
 // write itself fails, it is queued as repair debt — the dirty entry is
 // in a shadow copy, invisible to packets, and repairs drain before any
 // future flip could expose it.
-func (a *Agent) undoNonMaster(p *sim.Proc, changes []nonMasterChange, shadowVV uint64) {
-	for _, ch := range changes {
-		it := a.plan.InitTables[ch.t]
-		table, h, action := it.Table, a.initHandles[ch.t][shadowVV], it.Action
-		committed := append([]uint64(nil), a.initData[ch.t]...)
-		if err := a.retry.ModifyEntry(p, table, h, action, committed); err != nil {
-			a.queueRepair(chanOp{desc: "restore init " + table, fn: func(p *sim.Proc) error {
-				return a.drv.ModifyEntry(p, table, h, action, committed)
-			}})
+func (a *Agent) undoNonMaster(p *sim.Proc, prepared []int, shadowVV uint64) {
+	for _, t := range prepared {
+		it := a.plan.InitTables[t]
+		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[t][shadowVV], it.Action, a.initData[t]); err != nil {
+			a.repairInit("restore init", t, shadowVV)
 		}
 	}
 }

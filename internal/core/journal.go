@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -62,45 +62,9 @@ func (a *Agent) journalWrite(p *sim.Proc, desc string, fn func() error) error {
 	return nil
 }
 
-// recordStagedOp appends one user-level table op to the iteration's
-// intent, preserving global staging order across tables (roll-forward
-// replays in this order).
-func (a *Agent) recordStagedOp(op journal.TableOp) {
-	if !a.journaling() {
-		return
-	}
-	a.stagedOps = append(a.stagedOps, op)
-}
-
-// specToJournal deep-copies a user entry spec into its journal form.
-func specToJournal(spec UserEntry) journal.EntrySpec {
-	return journal.EntrySpec{
-		Keys:     append([]rmt.KeySpec(nil), spec.Keys...),
-		Priority: spec.Priority,
-		Action:   spec.Action,
-		Data:     append([]uint64(nil), spec.Data...),
-	}
-}
-
-// specFromJournal is the inverse of specToJournal.
+// specFromJournal deep-copies a journaled entry spec into a user entry.
 func specFromJournal(es journal.EntrySpec) UserEntry {
-	return UserEntry{
-		Keys:     append([]rmt.KeySpec(nil), es.Keys...),
-		Priority: es.Priority,
-		Action:   es.Action,
-		Data:     append([]uint64(nil), es.Data...),
-	}
-}
-
-// refill overwrites dst with a copy of src, reusing dst's capacity. An
-// empty src yields nil, as the append([]T(nil), src...) it replaces did:
-// the journal encodes nil and empty slices differently, and a recycled
-// record must encode exactly like a fresh one.
-func refill[T any](dst, src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	return append(dst[:0], src...)
+	return UserEntry{Keys: slices.Clone(es.Keys), Priority: es.Priority, Action: es.Action, Data: slices.Clone(es.Data)}
 }
 
 // sortedRegNames returns the register-cache names in sorted order. The
@@ -126,13 +90,13 @@ func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
 	cp := &a.cpScratch
 	cp.Iteration, cp.VV, cp.MV, cp.SavedAt = a.stats.Iterations, a.vv, a.mv, int64(now)
 
-	if cp.InitData == nil || len(cp.InitData) != len(a.initData) {
+	if len(cp.InitData) != len(a.initData) {
 		cp.InitData = make([][]uint64, len(a.initData))
 	}
 	for i, d := range a.initData {
-		cp.InitData[i] = refill(cp.InitData[i], d)
+		cp.InitData[i] = append(cp.InitData[i][:0], d...)
 	}
-	if len(a.mblCache) > 0 && cp.Mbl == nil {
+	if cp.Mbl == nil {
 		cp.Mbl = make(map[string]uint64, len(a.mblCache))
 	}
 	clear(cp.Mbl)
@@ -148,22 +112,12 @@ func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
 		ts.Table, ts.NextHandle = name, uint64(tm.nextHandle)
 		ts.Entries = ts.Entries[:0]
 		for _, h := range tm.handles() {
-			// Take the next slot, stale contents and all: its slices are
-			// refilled in place below.
-			n := len(ts.Entries)
-			if n < cap(ts.Entries) {
-				ts.Entries = ts.Entries[:n+1]
-			} else {
-				ts.Entries = append(ts.Entries, journal.EntryState{})
-			}
-			es, spec := &ts.Entries[n], &tm.entries[h].spec
+			ts.Entries = next(ts.Entries)
+			es, spec := &ts.Entries[len(ts.Entries)-1], &tm.entries[h].spec
 			es.Handle = uint64(h)
 			es.Spec.Priority, es.Spec.Action = spec.Priority, spec.Action
-			es.Spec.Keys = refill(es.Spec.Keys, spec.Keys)
-			es.Spec.Data = refill(es.Spec.Data, spec.Data)
-		}
-		if len(ts.Entries) == 0 {
-			ts.Entries = nil // encodes as null, like a fresh record
+			es.Spec.Keys = append(es.Spec.Keys[:0], spec.Keys...)
+			es.Spec.Data = append(es.Spec.Data[:0], spec.Data...)
 		}
 	}
 
@@ -174,11 +128,19 @@ func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
 	for i, name := range regNames {
 		rc, out := a.regCache[name], &cp.RegCaches[i]
 		out.Name = name
-		out.Vals = refill(out.Vals, rc.vals)
-		out.LastTs[0] = refill(out.LastTs[0], rc.lastTs[0])
-		out.LastTs[1] = refill(out.LastTs[1], rc.lastTs[1])
+		out.Vals = append(out.Vals[:0], rc.vals...)
+		out.LastTs[0] = append(out.LastTs[0][:0], rc.lastTs[0]...)
+		out.LastTs[1] = append(out.LastTs[1][:0], rc.lastTs[1]...)
 	}
 	return cp
+}
+
+// saveCheckpoint writes a fresh checkpoint.
+func (a *Agent) saveCheckpoint(p *sim.Proc) error {
+	cp := a.buildCheckpoint(p.Now())
+	return a.journalWrite(p, "checkpoint", func() error {
+		return a.opts.Journal.Store.SaveCheckpoint(cp)
+	})
 }
 
 // journalCheckpoint saves a fresh checkpoint and heartbeats.
@@ -186,10 +148,7 @@ func (a *Agent) journalCheckpoint(p *sim.Proc) error {
 	if !a.journaling() {
 		return nil
 	}
-	cp := a.buildCheckpoint(p.Now())
-	if err := a.journalWrite(p, "checkpoint", func() error {
-		return a.opts.Journal.Store.SaveCheckpoint(cp)
-	}); err != nil {
+	if err := a.saveCheckpoint(p); err != nil {
 		return err
 	}
 	return a.heartbeat(p)
@@ -203,50 +162,42 @@ func (a *Agent) heartbeat(p *sim.Proc) error {
 	return nil
 }
 
+// writeIntent stamps it with the iteration in flight and writes it from
+// the pooled intent record: Store.WriteIntent serializes before
+// returning (the journal.Store contract), so reusing the record — and
+// handing it slices the agent goes on to refill — is safe.
+func (a *Agent) writeIntent(p *sim.Proc, desc string, it journal.Intent) error {
+	it.Iteration, it.StartVV, it.TargetVV, it.WrittenAt = a.stats.Iterations+1, a.vv, a.vv^1, int64(p.Now())
+	a.intentScratch = it
+	return a.journalWrite(p, desc, func() error {
+		return a.opts.Journal.Store.WriteIntent(&a.intentScratch)
+	})
+}
+
 // journalBegin write-ahead-logs the start of an iteration.
 func (a *Agent) journalBegin(p *sim.Proc) error {
 	if !a.journaling() {
 		return nil
 	}
-	// The intent scratch is reused every iteration: Store.WriteIntent
-	// serializes before returning (see the journal.Store contract), so
-	// handing it a pooled value is safe.
-	a.intentScratch = journal.Intent{
-		Iteration: a.stats.Iterations + 1,
-		Phase:     journal.PhaseBegun,
-		StartVV:   a.vv,
-		TargetVV:  a.vv ^ 1,
-		WrittenAt: int64(p.Now()),
-	}
-	return a.journalWrite(p, "begin intent", func() error {
-		return a.opts.Journal.Store.WriteIntent(&a.intentScratch)
-	})
+	return a.writeIntent(p, "begin intent", journal.Intent{Phase: journal.PhaseBegun, Ops: a.intentScratch.Ops[:0]})
 }
 
-// journalCommitStaged upgrades the iteration's intent with the full
-// staged op list and the init data the flip will install. Must complete
-// before the prepare phase issues its first driver write.
+// journalCommitStaged upgrades the iteration's intent with the staged
+// ops — the log's prepared slots, whose buffers the record aliases — and
+// the init data the flip will install. Must complete before the prepare
+// phase issues its first driver write.
 func (a *Agent) journalCommitStaged(p *sim.Proc, targetInit [][]uint64) error {
 	if !a.journaling() {
 		return nil
 	}
-	// Ops references the staged-op slice directly (no defensive copy):
-	// WriteIntent serializes synchronously and the slice is not mutated
-	// until the intent is retired.
-	a.intentScratch = journal.Intent{
-		Iteration: a.stats.Iterations + 1,
-		Phase:     journal.PhaseCommitStaged,
-		StartVV:   a.vv,
-		TargetVV:  a.vv ^ 1,
-		Ops:       a.stagedOps,
-		WrittenAt: int64(p.Now()),
+	ops := a.intentScratch.Ops[:0]
+	for i := range a.staged {
+		if s := &a.staged[i]; s.prepared {
+			ops = append(ops, s.tableOp())
+		}
 	}
-	if len(a.pendingMbl) > 0 {
-		a.intentScratch.PendingMbl = a.pendingMbl
-	}
-	a.intentScratch.TargetInitData = targetInit
-	return a.journalWrite(p, "commit intent", func() error {
-		return a.opts.Journal.Store.WriteIntent(&a.intentScratch)
+	return a.writeIntent(p, "commit intent", journal.Intent{
+		Phase: journal.PhaseCommitStaged, Ops: ops, PendingMbl: a.pendingMbl, TargetInitData: targetInit,
 	})
 }
 
@@ -254,26 +205,19 @@ func (a *Agent) journalCommitStaged(p *sim.Proc, targetInit [][]uint64) error {
 // retires the iteration's intent (checkpoint strictly first; see the
 // file comment for why).
 func (a *Agent) journalIterationEnd(p *sim.Proc) error {
-	a.stagedOps = a.stagedOps[:0]
 	if !a.journaling() {
 		return nil
 	}
-	cp := a.buildCheckpoint(p.Now())
-	if err := a.journalWrite(p, "checkpoint", func() error {
-		return a.opts.Journal.Store.SaveCheckpoint(cp)
-	}); err != nil {
+	if err := a.saveCheckpoint(p); err != nil {
 		return err
 	}
-	if err := a.opts.Journal.Store.TruncateIntent(); err != nil {
-		return fmt.Errorf("journal truncate: %w", err)
-	}
-	return a.heartbeat(p)
+	return a.journalAbandon(p)
 }
 
-// journalAbandon retires the intent of an iteration whose staged state
-// was just rolled back. The checkpoint is untouched: nothing committed.
+// journalAbandon retires the intent of an iteration — one just
+// committed and checkpointed, or one whose staged state was just rolled
+// back, where the checkpoint is untouched: nothing committed.
 func (a *Agent) journalAbandon(p *sim.Proc) error {
-	a.stagedOps = a.stagedOps[:0]
 	if !a.journaling() {
 		return nil
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -17,13 +16,14 @@ import (
 // the pointers themselves.
 type retainingStore struct {
 	*journal.MemStore
-	lastCP     *journal.Checkpoint
-	lastCPJSON []byte
+	enc       journal.Encoder
+	lastCP    *journal.Checkpoint
+	lastCPRec []byte
 }
 
 func (s *retainingStore) SaveCheckpoint(cp *journal.Checkpoint) error {
 	s.lastCP = cp
-	s.lastCPJSON, _ = json.Marshal(cp)
+	s.lastCPRec = s.enc.AppendCheckpoint(nil, cp)
 	return s.MemStore.SaveCheckpoint(cp)
 }
 
@@ -31,8 +31,9 @@ func (s *retainingStore) SaveCheckpoint(cp *journal.Checkpoint) error {
 // tables (entries added in one iteration, deleted in a later one) so the
 // recycled checkpoint record holds stale slots and capacity, and checks
 // after every iteration that it encodes byte for byte like a record
-// built from nothing — no residue from an earlier, larger configuration,
-// and nil-versus-empty distinctions intact — and that the cached sorted
+// built from nothing — no residue from an earlier, larger configuration;
+// the record encoding is canonical, so a table emptied back to zero
+// entries needs no nil-versus-empty care — and that the cached sorted
 // handle lists follow every add and delete.
 func TestCheckpointScratchEncodesLikeFresh(t *testing.T) {
 	store := &retainingStore{MemStore: journal.NewMemStore()}
@@ -55,18 +56,20 @@ func TestCheckpointScratchEncodesLikeFresh(t *testing.T) {
 				a.Stop()
 				return
 			}
-			reused, _ := json.Marshal(a.buildCheckpoint(p.Now()))
-			if !bytes.Equal(reused, store.lastCPJSON) {
-				t.Errorf("iteration %d: the record handed to the store was\n%s\nrebuilt now it is\n%s", iter, store.lastCPJSON, reused)
+			var enc journal.Encoder
+			reused := enc.AppendCheckpoint(nil, a.buildCheckpoint(p.Now()))
+			if !bytes.Equal(reused, store.lastCPRec) {
+				t.Errorf("iteration %d: the record handed to the store was\n%x\nrebuilt now it is\n%x", iter, store.lastCPRec, reused)
 			}
 			a.cpScratch = journal.Checkpoint{}
-			fresh, _ := json.Marshal(a.buildCheckpoint(p.Now()))
+			fresh := enc.AppendCheckpoint(nil, a.buildCheckpoint(p.Now()))
 			if !bytes.Equal(reused, fresh) {
-				t.Errorf("iteration %d: recycled checkpoint encodes as\n%s\na fresh one as\n%s", iter, reused, fresh)
+				t.Errorf("iteration %d: recycled checkpoint encodes as\n%x\na fresh one as\n%x", iter, reused, fresh)
 			}
-			var cp journal.Checkpoint
-			if err := json.Unmarshal(fresh, &cp); err != nil {
+			cp, err := journal.DecodeCheckpoint(fresh)
+			if err != nil {
 				t.Error(err)
+				return
 			}
 			for _, ts := range cp.Tables {
 				tm := a.tables[ts.Table]

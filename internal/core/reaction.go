@@ -64,7 +64,8 @@ func (c *Ctx) Table(name string) (*RxnTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RxnTable{th: th, p: c.proc}, nil
+	th.tm.rxn = RxnTable{th: th, p: c.proc}
+	return &th.tm.rxn, nil
 }
 
 // SetHashSeed reprograms a hash calculation's seed (used by the hash

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/driver"
@@ -264,12 +265,14 @@ func (a *Agent) queueRepair(op chanOp) {
 // remaining repairs stay queued and the commit is abandoned (no flip
 // happens over an unconverged shadow).
 func (a *Agent) drainRepairs(p *sim.Proc) error {
-	for len(a.pendingRepairs) > 0 {
-		if err := a.withRetry(p, nil, &a.pendingRepairs[0]); err != nil {
+	for i := range a.pendingRepairs {
+		if err := a.withRetry(p, nil, &a.pendingRepairs[i]); err != nil {
+			// Keep what is left at the front of the same backing array.
+			a.pendingRepairs = slices.Delete(a.pendingRepairs, 0, i)
 			return err
 		}
-		a.pendingRepairs = a.pendingRepairs[1:]
 	}
+	a.pendingRepairs = slices.Delete(a.pendingRepairs, 0, len(a.pendingRepairs))
 	return nil
 }
 
@@ -283,14 +286,9 @@ func (a *Agent) rollbackIteration(p *sim.Proc) {
 	// retry budget.
 	a.iterDeadline = 0
 	a.iterRetries = 0
-	dirty := len(a.pendingMbl) > 0
-	clear(a.pendingMbl)
-	for _, tm := range a.tables {
-		if tm.rollback(p) {
-			dirty = true
-		}
-	}
-	if dirty {
+	if len(a.pendingMbl) > 0 || len(a.staged) > 0 {
 		a.stats.Rollbacks++
 	}
+	clear(a.pendingMbl)
+	a.rollbackStaged(p)
 }

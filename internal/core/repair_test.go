@@ -28,7 +28,16 @@ type flakyMirrorChannel struct {
 	sinceFlip        int
 	latched          bool
 	failures         int
+	// poisoned counts writes that carried what the rig scribbles over the
+	// staged-op log between iterations: a repair that aliased its slot
+	// instead of copying it out would send exactly that.
+	poisoned int
 }
+
+const (
+	poisonAction = "scribbled"
+	poisonData   = 0xDEAD
+)
 
 func (f *flakyMirrorChannel) SetDefaultAction(p *sim.Proc, table string, call *p4.ActionCall) error {
 	f.sinceFlip = 0
@@ -36,6 +45,9 @@ func (f *flakyMirrorChannel) SetDefaultAction(p *sim.Proc, table string, call *p
 }
 
 func (f *flakyMirrorChannel) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error {
+	if action == poisonAction || (len(data) > 0 && data[0] == poisonData) {
+		f.poisoned++
+	}
 	f.sinceFlip++
 	now := f.sim.Now()
 	if now < f.failFrom || now >= f.failTo {
@@ -52,7 +64,9 @@ func (f *flakyMirrorChannel) ModifyEntry(p *sim.Proc, table string, h rmt.EntryH
 
 // buildRepairRig wires the two-table workload over a flaky-mirror
 // channel, with a tight retry policy so mirror failures exhaust their
-// retries quickly and become repair debt.
+// retries quickly and become repair debt. After every iteration the rig
+// does to the staged-op log the worst the next iteration's reuse of it
+// could: it overwrites every slot, buffers included.
 func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirrorChannel, *int, *int) {
 	t.Helper()
 	var h1, h2 UserHandle
@@ -63,6 +77,18 @@ func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirror
 	rec.RetryBackoff = time.Microsecond
 	agent := NewAgent(base.sim, fc, base.plan, Options{
 		Recovery: rec,
+		AfterIteration: func(_ *sim.Proc, a *Agent) {
+			slots := a.staged[:cap(a.staged)]
+			for i := range slots {
+				s := &slots[i]
+				s.oldAction, s.newAction, s.ue, s.tm = poisonAction, poisonAction, nil, nil
+				for _, buf := range [][]uint64{s.oldData[:cap(s.oldData)], s.newData[:cap(s.newData)]} {
+					for j := range buf {
+						buf[j] = poisonData
+					}
+				}
+			}
+		},
 		Prologue: func(p *sim.Proc, a *Agent) error {
 			t1, _ := a.Table("t1")
 			t2, _ := a.Table("t2")
@@ -102,7 +128,9 @@ func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirror
 // boundaries: debt queued by fillShadow must survive repeated failed
 // drainRepairs calls (each an abandoned iteration), then drain fully
 // once the window heals, with no packet ever observing mixed state and
-// no flip happening over an unconverged shadow.
+// no flip happening over an unconverged shadow — and what drains is the
+// slot as it was copied out, although the log it came from has been
+// overwritten since.
 func TestRepairDebtAcrossIterations(t *testing.T) {
 	r, fc, violations, packets := buildRepairRig(t,
 		sim.Time(200*sim.Microsecond), sim.Time(450*sim.Microsecond))
@@ -130,6 +158,9 @@ func TestRepairDebtAcrossIterations(t *testing.T) {
 	}
 	if len(r.agent.pendingRepairs) != 0 {
 		t.Fatalf("%d repairs still queued after the window healed", len(r.agent.pendingRepairs))
+	}
+	if fc.poisoned != 0 {
+		t.Fatalf("%d writes carried the scribbled-over log's content: repair debt aliases its slot", fc.poisoned)
 	}
 	if st.Commits < 100 {
 		t.Fatalf("agent made little progress after healing: %+v", st)

@@ -1,0 +1,372 @@
+package core
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/compiler"
+	"repro/internal/driver"
+	"repro/internal/journal"
+	"repro/internal/rmt"
+	"repro/internal/sim"
+)
+
+var updateStagedGolden = flag.Bool("update-staged-golden", false,
+	"rewrite testdata/staged_log.golden from this build's behaviour")
+
+// faultChan sits between an agent and the raw driver. Once armed it
+// numbers every op that reaches it (a retry is a new op), records it,
+// and faults by number: ops [at, at+burst) fail transiently, or — with
+// crash set — the calling process halts for good at op at.
+type faultChan struct {
+	driver.Adapter
+	below driver.Channel
+
+	armed   bool
+	at      int
+	burst   int
+	crash   bool
+	crashed bool
+	trace   []string
+}
+
+func newFaultChan(below driver.Channel) *faultChan {
+	f := &faultChan{below: below, at: -1}
+	f.Adapter = driver.NewAdapter(f.do, below)
+	return f
+}
+
+func (f *faultChan) do(p *sim.Proc, op *driver.Op) error {
+	if !f.armed {
+		return driver.Apply(f.below, p, op)
+	}
+	i := len(f.trace)
+	f.trace = append(f.trace, fmt.Sprintf("%s %s %d", op.Kind, op.Table, op.Handle))
+	if f.crash && (f.crashed || i == f.at) {
+		f.crashed = true
+		for {
+			p.Park()
+		}
+	}
+	if !f.crash && f.at >= 0 && i >= f.at && i < f.at+f.burst {
+		return fmt.Errorf("injected at op %d: %w", i, driver.ErrTransient)
+	}
+	return driver.Apply(f.below, p, op)
+}
+
+// intentLog is a MemStore that also writes every intent it is handed
+// into a transcript, times left out.
+type intentLog struct {
+	*journal.MemStore
+	out *strings.Builder
+}
+
+func (s *intentLog) WriteIntent(it *journal.Intent) error {
+	fmtIntent(s.out, it)
+	return s.MemStore.WriteIntent(it)
+}
+
+func fmtIntent(out *strings.Builder, it *journal.Intent) {
+	if it == nil {
+		fmt.Fprintln(out, "intent none")
+		return
+	}
+	fmt.Fprintf(out, "intent it=%d phase=%s vv=%d->%d\n", it.Iteration, it.Phase, it.StartVV, it.TargetVV)
+	for _, op := range it.Ops {
+		fmt.Fprintf(out, "  %s %s h=%d keys=%v prio=%d action=%q data=%v\n",
+			op.Kind, op.Table, op.Handle, op.Spec.Keys, op.Spec.Priority, op.Spec.Action, op.Spec.Data)
+	}
+	names := make([]string, 0, len(it.PendingMbl))
+	for k := range it.PendingMbl {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		fmt.Fprintf(out, "  mbl %s=%d\n", k, it.PendingMbl[k])
+	}
+	for i, d := range it.TargetInitData {
+		fmt.Fprintf(out, "  init[%d]=%v\n", i, d)
+	}
+}
+
+// fmtState writes the user-level entries of both tables as a sees them
+// and the switch's own content: the master default action and every
+// audited table, entries ordered by identity rather than by handle.
+func fmtState(out *strings.Builder, a *Agent, sw *rmt.Switch) {
+	for _, name := range []string{"t1", "t2"} {
+		th, _ := a.Table(name)
+		for _, e := range th.Entries() {
+			fmt.Fprintf(out, "user %s keys=%v prio=%d action=%q data=%v\n", name, e.Keys, e.Priority, e.Action, e.Data)
+		}
+	}
+	master := a.plan.InitTables[0]
+	call, _ := sw.DefaultAction(master.Table)
+	fmt.Fprintf(out, "switch %s default %s %v\n", master.Table, call.Action, call.Data)
+	for _, table := range auditTableSet(a.plan) {
+		es, _ := sw.Entries(table)
+		lines := make([]string, len(es))
+		for i, e := range es {
+			lines[i] = fmt.Sprintf("switch %s %s action=%q data=%v", table, entryFP(e), e.Action, e.Data)
+		}
+		sort.Strings(lines)
+		for _, l := range lines {
+			fmt.Fprintln(out, l)
+		}
+	}
+}
+
+const stagedIterations = 8
+
+// runStagedScenario runs a journaled agent for stagedIterations
+// committed iterations of a seeded random reaction — one to four adds,
+// modifies and deletes per iteration over the two tables — with one
+// fault: burst transient failures from op at on (burst 0: a crash at op
+// at, followed by a Recover on the raw driver). at < 0 injects nothing.
+// It returns the transcript (every intent written, the outcome, the
+// final user-level and switch state) and the armed op trace.
+func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst int) (string, []string) {
+	t.Helper()
+	s := sim.New(1)
+	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := driver.New(s, sw, driver.DefaultCostModel())
+	fc := newFaultChan(drv)
+	fc.at, fc.burst, fc.crash = at, burst, burst == 0 && at >= 0
+	var out strings.Builder
+	store := &intentLog{MemStore: journal.NewMemStore(), out: &out}
+	rec := DefaultRecovery()
+	rec.MaxAttempts = 2
+	rec.RetryBackoff = time.Microsecond
+
+	var agent *Agent
+	rng := rand.New(rand.NewSource(seed))
+	nextKey := [2]uint64{10, 10}
+	tableNames := [2]string{"t1", "t2"}
+	actions := [2]string{"set1", "set2"}
+	reaction := func(ctx *Ctx) error {
+		gone := map[UserHandle]bool{}
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			ti := rng.Intn(2)
+			tbl, err := ctx.Table(tableNames[ti])
+			if err != nil {
+				return err
+			}
+			var live []UserHandle
+			for _, h := range agent.tables[tableNames[ti]].handles() {
+				if !gone[h] {
+					live = append(live, h)
+				}
+			}
+			kind, val := rng.Intn(4), uint64(rng.Intn(1000))
+			switch {
+			case len(live) == 0 || (kind == 0 && len(live) < 3):
+				nextKey[ti]++
+				_, err = tbl.AddEntry(UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(nextKey[ti])}, Action: actions[ti], Data: []uint64{val}})
+			case kind == 3 && len(live) > 1:
+				h := live[rng.Intn(len(live))]
+				gone[h] = true
+				err = tbl.DeleteEntry(h)
+			default:
+				err = tbl.ModifyEntry(live[rng.Intn(len(live))], actions[ti], []uint64{val})
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	agent = NewAgent(s, fc, plan, Options{
+		Recovery:      rec,
+		Journal:       &JournalConfig{Store: store},
+		MaxIterations: stagedIterations,
+		Prologue: func(p *sim.Proc, a *Agent) error {
+			for ti, name := range tableNames {
+				th, _ := a.Table(name)
+				for k := uint64(1); k <= 2; k++ {
+					if _, err := th.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(k)}, Action: actions[ti], Data: []uint64{k}}); err != nil {
+						return err
+					}
+				}
+			}
+			fc.armed = true
+			return nil
+		},
+	})
+	if err := agent.RegisterNativeReaction("bump", reaction); err != nil {
+		t.Fatal(err)
+	}
+	agent.Start()
+	s.RunFor(5 * time.Millisecond)
+	if err := agent.Err(); err != nil {
+		t.Fatalf("seed %d at %d burst %d: agent died: %v", seed, at, burst, err)
+	}
+	fc.armed = false
+	trace := fc.trace
+
+	final := agent
+	if fc.crashed {
+		it, err := store.LoadIntent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprint(&out, "crashed with ")
+		fmtIntent(&out, it)
+		s.Spawn("successor", func(p *sim.Proc) {
+			succ, rep, err := Recover(p, s, drv, store.MemStore, plan, Options{})
+			if err != nil {
+				t.Errorf("seed %d at %d: recover: %v", seed, at, err)
+				return
+			}
+			fmt.Fprintf(&out, "recovered %s iteration=%d vv=%d\n", rep.Outcome, rep.Iteration, rep.VV)
+			final = succ
+		})
+		s.RunFor(time.Millisecond)
+	} else {
+		st := agent.Stats()
+		if st.Iterations != stagedIterations {
+			t.Fatalf("seed %d at %d burst %d: %d iterations completed, want %d", seed, at, burst, st.Iterations, stagedIterations)
+		}
+		// Abandoned is left out: a burst over the mirror phase used to
+		// abandon one iteration more or fewer depending on the order the
+		// table map was walked in.
+		fmt.Fprintf(&out, "done commits=%d rollbacks=%d\n", st.Commits, st.Rollbacks)
+	}
+	fmtState(&out, final, sw)
+	return out.String(), trace
+}
+
+const stagedGoldenFile = "testdata/staged_log.golden"
+
+// stagedFaultWindow is how many op indices from the start of the
+// dialogue the sweeps fault: the first three iterations or so, leaving
+// the rest of the run to drain repair debt.
+const stagedFaultWindow = 36
+
+// TestStagedLogMatchesParent is the differential test of the staged-op
+// log: seeded random reactions, a transient burst (one retry heals it,
+// or it outlasts the retries and the iteration is abandoned or its
+// mirror becomes repair debt) or a crash at every op index of the first
+// iterations, compared with the behaviour of the commit before the log
+// replaced the per-table closure lists — every intent journaled, the
+// outcome, the final user-level entries and the switch's content, as a
+// digest per scenario captured there.
+func TestStagedLogMatchesParent(t *testing.T) {
+	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	var order []string
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, burst := range []int{1, 3, 6, 0} {
+			for at := 0; at < stagedFaultWindow; at++ {
+				name := fmt.Sprintf("seed%d/burst%d/op%d", seed, burst, at)
+				tr, _ := runStagedScenario(t, plan, seed, at, burst)
+				got[name] = fmt.Sprintf("%x", sha256.Sum256([]byte(tr)))[:16]
+				order = append(order, name)
+			}
+		}
+	}
+	if *updateStagedGolden {
+		var b strings.Builder
+		for _, name := range order {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stagedGoldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(stagedGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	checked := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		name, want, _ := strings.Cut(sc.Text(), " ")
+		if got[name] != want {
+			t.Errorf("%s: transcript digest %s, the parent commit's was %s", name, got[name], want)
+		}
+		checked++
+	}
+	if checked != len(order) {
+		t.Fatalf("golden file has %d scenarios, the sweep ran %d", checked, len(order))
+	}
+}
+
+// TestStagedOrderIsDeterministic pins the bug the log fixed: commit and
+// rollback used to walk the agent's table map, so the cross-table order
+// of mirror and undo ops — and with it which op a fault schedule hit —
+// changed from run to run. With a fault at every op index, twenty runs
+// each must issue the identical op sequence.
+func TestStagedOrderIsDeterministic(t *testing.T) {
+	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 0; at < stagedFaultWindow; at++ {
+		_, want := runStagedScenario(t, plan, 1, at, 3)
+		for run := 1; run < 20; run++ {
+			if _, got := runStagedScenario(t, plan, 1, at, 3); !slices.Equal(got, want) {
+				t.Fatalf("fault at op %d: run %d issued\n%v\nrun 0 issued\n%v", at, run, got, want)
+			}
+		}
+	}
+}
+
+// TestUndoIsReverseStagingOrder abandons an iteration at its flip and
+// checks the rollback's writes against the prepares: same entries,
+// exactly reversed.
+func TestUndoIsReverseStagingOrder(t *testing.T) {
+	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clean := runStagedScenario(t, plan, 1, -1, 0)
+	// The program polls nothing, so an iteration's ops are: mv flip,
+	// prepares, vv flip, mirrors. Take the first iteration that stages at
+	// least three ops.
+	var flips []int
+	for i, op := range clean {
+		if strings.HasPrefix(op, "SetDefaultAction") {
+			flips = append(flips, i)
+		}
+	}
+	var prepares []string
+	flip := -1
+	for j := 0; j+1 < len(flips); j += 2 {
+		if flips[j+1]-flips[j] > 3 {
+			prepares, flip = clean[flips[j]+1:flips[j+1]], flips[j+1]
+			break
+		}
+	}
+	if flip < 0 {
+		t.Fatalf("no iteration stages three ops: %v", clean)
+	}
+	_, trace := runStagedScenario(t, plan, 1, flip, 2) // both flip attempts fail: abandon
+	undos := trace[flip+2 : flip+2+len(prepares)]
+	for i, undo := range undos {
+		// A modify is undone by a modify of the same concrete entry; an add
+		// by a delete and a delete by an add, of the same table.
+		prep := prepares[len(prepares)-1-i]
+		pf, uf := strings.Fields(prep), strings.Fields(undo)
+		if pf[1] != uf[1] || (pf[0] == "ModifyEntry" && prep != undo) {
+			t.Fatalf("undo %d was %q, reversing the prepares wants %q\nprepares %v\nundos %v", i, undo, prep, prepares, undos)
+		}
+	}
+}

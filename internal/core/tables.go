@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compiler"
@@ -29,7 +30,8 @@ type UserEntry struct {
 
 // tableManager owns the user-to-concrete entry mapping for one
 // malleable (or alt-expanded) table and implements the three-phase
-// prepare/commit/mirror protocol of §5.1.2.
+// prepare/commit/mirror protocol of §5.1.2. What an iteration staged is
+// not kept here but in the agent's staged-op log (staged.go).
 type tableManager struct {
 	agent *Agent
 	info  *compiler.MblTableInfo
@@ -42,37 +44,70 @@ type tableManager struct {
 	sortedOK   bool
 	nextHandle UserHandle
 
-	// fields and combos are derived from the (immutable) table info once
-	// at construction: the expansion fields in selector-column order and
-	// every alt combination over them. All user entries share them.
-	fields []string
-	combos [][]int
+	// Derived from the (immutable) table info once at construction and
+	// shared by all user entries: the expansion fields in selector-column
+	// order, every alt combination over them, and each specialised
+	// action's generated variant per combination.
+	fields   []string
+	combos   [][]int
+	variants map[string][]string
 
-	// mirror holds closures to run in the fill-shadow phase (step 3),
-	// re-applying this iteration's changes to the now-shadow copy. The
-	// closures are resumable: re-running one after a partial failure
-	// continues where it stopped.
-	mirror []func(p *sim.Proc) error
-	// undo journals how to revert this iteration's shadow prepares if
-	// the iteration is abandoned before its commit. Cleared (without
-	// running) once the commit lands; run in reverse order on rollback.
-	undo []chanOp
+	// keyScratch backs the generated keys install hands the channel,
+	// which copies what it keeps (the driver.Channel contract).
+	keyScratch []rmt.KeySpec
+
+	// mirrorDeferred is fillShadow's mark, for one mirror phase, that one
+	// of the table's mirrors failed and the rest are repair debt.
+	mirrorDeferred bool
+
+	// th and rxn are the handles Agent.Table and Ctx.Table hand out.
+	th  TableHandle
+	rxn RxnTable
 }
 
 type userEntry struct {
+	// spec is the entry's own copy: Keys never change after the add, Data
+	// is refilled in place by every modify.
 	spec UserEntry
-	// concrete[v] holds the installed rmt handles for version v. For
-	// non-vv tables only concrete[0] is used.
+	// concrete[v] holds the installed rmt handles for version v, aligned
+	// with the manager's combos. For non-vv tables only concrete[0] is
+	// used.
 	concrete [2][]rmt.EntryHandle
-	// combos caches the alt combinations, aligned with concrete[v].
-	combos [][]int
+}
+
+// setSpec rebinds the entry's action and data in place.
+func (ue *userEntry) setSpec(action string, data []uint64) {
+	ue.spec.Action = action
+	ue.spec.Data = append(ue.spec.Data[:0], data...)
 }
 
 func newTableManager(a *Agent, info *compiler.MblTableInfo) *tableManager {
-	tm := &tableManager{agent: a, info: info, entries: make(map[UserHandle]*userEntry)}
+	tm := &tableManager{
+		agent: a, info: info, entries: make(map[UserHandle]*userEntry),
+		keyScratch: make([]rmt.KeySpec, info.GenKeyCount), variants: make(map[string][]string),
+	}
+	tm.th = TableHandle{tm: tm}
 	tm.fields = tm.expandFields()
 	tm.combos = tm.allCombos()
+	for name, as := range info.ActionSpec {
+		alts := make([]int, len(as.Fields))
+		for _, combo := range tm.combos {
+			for i, f := range as.Fields {
+				alts[i] = tm.alt(combo, f)
+			}
+			tm.variants[name] = append(tm.variants[name], as.VariantFor(alts))
+		}
+	}
 	return tm
+}
+
+// alt is the alternative combo selects for malleable field f; a field
+// outside the table's expansion stays at alternative 0.
+func (tm *tableManager) alt(combo []int, f string) int {
+	if i := slices.Index(tm.fields, f); i >= 0 {
+		return combo[i]
+	}
+	return 0
 }
 
 func (tm *tableManager) put(h UserHandle, ue *userEntry) {
@@ -93,15 +128,14 @@ func (tm *tableManager) handles() []UserHandle {
 		for h := range tm.entries {
 			tm.sorted = append(tm.sorted, h)
 		}
-		sort.Slice(tm.sorted, func(i, j int) bool { return tm.sorted[i] < tm.sorted[j] })
+		slices.Sort(tm.sorted)
 		tm.sortedOK = true
 	}
 	return tm.sorted
 }
 
 // expandFields returns the malleable fields involved in this table's
-// expansion, ordered by selector column for determinism. Called once at
-// construction; use tm.fields afterwards.
+// expansion, ordered by selector column for determinism.
 func (tm *tableManager) expandFields() []string {
 	fields := make([]string, 0, len(tm.info.SelectorCol))
 	for f := range tm.info.SelectorCol {
@@ -114,9 +148,8 @@ func (tm *tableManager) expandFields() []string {
 }
 
 // allCombos enumerates all alt combinations over the expansion fields.
-// Called once at construction; use tm.combos afterwards.
 func (tm *tableManager) allCombos() [][]int {
-	fields := tm.expandFields()
+	fields := tm.fields
 	if len(fields) == 0 {
 		return [][]int{nil}
 	}
@@ -144,45 +177,38 @@ func (tm *tableManager) allCombos() [][]int {
 }
 
 // concreteEntry builds the generated-table entry for one user entry,
-// one alt combination, and one vv version.
-func (tm *tableManager) concreteEntry(spec UserEntry, fields []string, combo []int, version uint64) (rmt.Entry, error) {
+// combination ci, and one vv version, with its keys in gen (nil: fresh).
+func (tm *tableManager) concreteEntry(gen []rmt.KeySpec, spec *UserEntry, ci int, version uint64) (rmt.Entry, error) {
 	if len(spec.Keys) != len(tm.info.Keys) {
 		return rmt.Entry{}, fmt.Errorf("table %s: entry has %d user keys, want %d", tm.info.Table, len(spec.Keys), len(tm.info.Keys))
 	}
-	altOf := map[string]int{}
-	for i, f := range fields {
-		altOf[f] = combo[i]
+	combo := tm.combos[ci]
+	if gen == nil {
+		gen = make([]rmt.KeySpec, tm.info.GenKeyCount)
 	}
-	gen := make([]rmt.KeySpec, tm.info.GenKeyCount)
 	for i := range gen {
 		gen[i] = rmt.WildcardKey()
 	}
 	for ui, uk := range tm.info.Keys {
-		off := tm.info.ColOffset[ui]
-		if uk.MblField == "" {
-			gen[off] = spec.Keys[ui]
-			continue
-		}
 		// Fig. 6: the active alternative's column carries the user key
 		// (ternary full-mask for user-exact); the others stay wildcard.
-		alt := altOf[uk.MblField]
-		gen[off+alt] = spec.Keys[ui]
+		gen[tm.info.ColOffset[ui]+tm.alt(combo, uk.MblField)] = spec.Keys[ui]
 	}
-	for f, col := range tm.info.SelectorCol {
-		gen[col] = rmt.ExactKey(uint64(altOf[f]))
+	for i, f := range tm.fields {
+		gen[tm.info.SelectorCol[f]] = rmt.ExactKey(uint64(combo[i]))
 	}
 	if tm.info.VVCol >= 0 {
 		gen[tm.info.VVCol] = rmt.ExactKey(version)
 	}
-	action := spec.Action
-	if as, ok := tm.info.ActionSpec[spec.Action]; ok {
-		alts := make([]int, len(as.Fields))
-		for i, f := range as.Fields {
-			alts[i] = altOf[f]
-		}
-		action = as.VariantFor(alts)
+	return rmt.Entry{Keys: gen, Priority: spec.Priority, Action: tm.variant(spec.Action, ci), Data: spec.Data}, nil
+}
+
+// variant is the generated action combination ci runs for a user action.
+func (tm *tableManager) variant(action string, ci int) string {
+	if vs := tm.variants[action]; vs != nil {
+		return vs[ci]
 	}
-	return rmt.Entry{Keys: gen, Priority: spec.Priority, Action: action, Data: spec.Data}, nil
+	return action
 }
 
 // versioned reports whether the table carries the vv column.
@@ -191,7 +217,7 @@ func (tm *tableManager) versioned() bool { return tm.info.VVCol >= 0 }
 // ---- Resumable concrete-entry operations ----
 //
 // All three maintain the invariant that ue.concrete[version] holds the
-// handles of a prefix of ue.combos, so re-running an operation after a
+// handles of a prefix of tm.combos, so re-running an operation after a
 // mid-way transient failure resumes instead of duplicating work: that
 // is what lets a failed prepare be retried, undone, or queued as a
 // repair without tracking per-combo state externally.
@@ -199,10 +225,8 @@ func (tm *tableManager) versioned() bool { return tm.info.VVCol >= 0 }
 // install extends version's concrete entries until every combo is
 // installed, using the entry's current spec.
 func (tm *tableManager) install(p *sim.Proc, ue *userEntry, version uint64) error {
-	fields := tm.fields
-	for len(ue.concrete[version]) < len(ue.combos) {
-		i := len(ue.concrete[version])
-		e, err := tm.concreteEntry(ue.spec, fields, ue.combos[i], version)
+	for len(ue.concrete[version]) < len(tm.combos) {
+		e, err := tm.concreteEntry(tm.keyScratch, &ue.spec, len(ue.concrete[version]), version)
 		if err != nil {
 			return err
 		}
@@ -228,17 +252,12 @@ func (tm *tableManager) uninstall(p *sim.Proc, ue *userEntry, version uint64) er
 	return nil
 }
 
-// applyAll modifies every concrete entry of version to spec. Modifying
-// an entry to data it already carries is harmless, so re-running after
-// a partial failure is safe without progress tracking.
-func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, spec UserEntry) error {
-	fields := tm.fields
-	for i, combo := range ue.combos {
-		e, err := tm.concreteEntry(spec, fields, combo, version)
-		if err != nil {
-			return err
-		}
-		if err := tm.agent.retry.ModifyEntry(p, tm.info.Table, ue.concrete[version][i], e.Action, e.Data); err != nil {
+// applyAll modifies every concrete entry of version to action and data.
+// Modifying an entry to data it already carries is harmless, so
+// re-running after a partial failure is safe without progress tracking.
+func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, action string, data []uint64) error {
+	for ci, rh := range ue.concrete[version] {
+		if err := tm.agent.retry.ModifyEntry(p, tm.info.Table, rh, tm.variant(action, ci), data); err != nil {
 			return err
 		}
 	}
@@ -247,15 +266,16 @@ func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, spe
 
 // addEntry prepares a new user entry: concrete entries are installed
 // for the shadow version (vv^1) immediately; installation for the
-// primary version is deferred to the mirror phase. For unversioned
-// tables the entries install directly.
+// primary version is the op's mirror (see Agent.perform for when that
+// runs). For unversioned tables the entries install directly.
 func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error) {
 	if _, ok := tm.agent.plan.Prog.Actions[spec.Action]; !ok {
 		if _, specialized := tm.info.ActionSpec[spec.Action]; !specialized {
 			return 0, fmt.Errorf("table %s: unknown action %q: %w", tm.info.Table, spec.Action, rmt.ErrUnknownAction)
 		}
 	}
-	ue := &userEntry{spec: spec, combos: tm.combos}
+	spec.Keys, spec.Data = slices.Clone(spec.Keys), slices.Clone(spec.Data)
+	ue := &userEntry{spec: spec}
 	tm.nextHandle++
 	h := tm.nextHandle
 
@@ -271,39 +291,14 @@ func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error
 		tm.put(h, ue)
 		return h, nil
 	}
-	shadow := tm.agent.vv ^ 1
 	tm.put(h, ue)
-	if tm.agent.inReaction {
-		// Journal first: if the install below fails partway (or a later
-		// staged operation fails), rollback removes whatever landed.
-		tm.undo = append(tm.undo, chanOp{desc: "undo add " + tm.info.Table, fn: func(p *sim.Proc) error {
-			if err := tm.uninstall(p, ue, shadow); err != nil {
-				return err
-			}
-			tm.drop(h)
-			return nil
-		}})
-	}
-	if err := tm.install(p, ue, shadow); err != nil {
-		if !tm.agent.inReaction {
-			_ = tm.uninstall(p, ue, shadow)
-			tm.drop(h)
-		}
+	s := tm.agent.stage(journal.OpAdd, tm, h, ue)
+	s.setNew(spec.Action, spec.Data)
+	err := tm.agent.perform(p, s)
+	if !s.prepared {
 		return 0, err
 	}
-	if !tm.agent.inReaction {
-		// Outside a reaction (prologue or ad-hoc): install both copies
-		// immediately; there is no pending commit to mirror after.
-		return h, tm.install(p, ue, shadow^1)
-	}
-	tm.agent.recordStagedOp(journal.TableOp{
-		Table: tm.info.Table, Kind: journal.OpAdd, Handle: uint64(h), Spec: specToJournal(spec),
-	})
-	// Phase 3 (mirror): install the other copy after commit.
-	tm.mirror = append(tm.mirror, func(p *sim.Proc) error {
-		return tm.install(p, ue, shadow^1)
-	})
-	return h, nil
+	return h, err
 }
 
 // modifyEntry rebinds a user entry's action/data via three-phase update.
@@ -312,45 +307,20 @@ func (tm *tableManager) modifyEntry(p *sim.Proc, h UserHandle, action string, da
 	if !ok {
 		return fmt.Errorf("table %s: no user entry %d: %w", tm.info.Table, h, rmt.ErrUnknownEntry)
 	}
-	newSpec := ue.spec
-	newSpec.Action = action
-	newSpec.Data = append([]uint64(nil), data...)
-
 	if !tm.versioned() {
-		if err := tm.applyAll(p, ue, 0, newSpec); err != nil {
-			// Re-apply the old spec so the packet-visible copy is not
-			// left half-updated.
-			_ = tm.applyAll(p, ue, 0, ue.spec)
+		// Packet-visible as it lands: on failure re-apply the old spec so
+		// the copy is not left half-updated.
+		if err := tm.applyAll(p, ue, 0, action, data); err != nil {
+			_ = tm.applyAll(p, ue, 0, ue.spec.Action, ue.spec.Data)
 			return err
 		}
-		ue.spec = newSpec
+		ue.setSpec(action, data)
 		return nil
 	}
-	shadow := tm.agent.vv ^ 1
-	if tm.agent.inReaction {
-		oldSpec := ue.spec
-		tm.undo = append(tm.undo, chanOp{desc: "undo modify " + tm.info.Table, fn: func(p *sim.Proc) error {
-			ue.spec = oldSpec
-			return tm.applyAll(p, ue, shadow, oldSpec)
-		}})
-	}
-	if err := tm.applyAll(p, ue, shadow, newSpec); err != nil {
-		if !tm.agent.inReaction {
-			_ = tm.applyAll(p, ue, shadow, ue.spec)
-		}
-		return err
-	}
-	ue.spec = newSpec
-	if !tm.agent.inReaction {
-		return tm.applyAll(p, ue, shadow^1, newSpec)
-	}
-	tm.agent.recordStagedOp(journal.TableOp{
-		Table: tm.info.Table, Kind: journal.OpModify, Handle: uint64(h), Spec: specToJournal(newSpec),
-	})
-	tm.mirror = append(tm.mirror, func(p *sim.Proc) error {
-		return tm.applyAll(p, ue, shadow^1, newSpec)
-	})
-	return nil
+	s := tm.agent.stage(journal.OpModify, tm, h, ue)
+	s.oldAction, s.oldData = ue.spec.Action, append(s.oldData[:0], ue.spec.Data...)
+	s.setNew(action, data)
+	return tm.agent.perform(p, s)
 }
 
 // deleteEntry removes a user entry: the shadow copy is deleted in the
@@ -367,84 +337,8 @@ func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
 		tm.drop(h)
 		return nil
 	}
-	shadow := tm.agent.vv ^ 1
-	if tm.agent.inReaction {
-		// Undo reinstates the deleted shadow entries (install resumes the
-		// combo prefix, so a partial delete is repaired too).
-		tm.undo = append(tm.undo, chanOp{desc: "undo delete " + tm.info.Table, fn: func(p *sim.Proc) error {
-			return tm.install(p, ue, shadow)
-		}})
-	}
-	if err := tm.uninstall(p, ue, shadow); err != nil {
-		if !tm.agent.inReaction {
-			_ = tm.install(p, ue, shadow)
-		}
-		return err
-	}
-	if !tm.agent.inReaction {
-		if err := tm.uninstall(p, ue, shadow^1); err != nil {
-			return err
-		}
-		tm.drop(h)
-		return nil
-	}
-	tm.agent.recordStagedOp(journal.TableOp{
-		Table: tm.info.Table, Kind: journal.OpDelete, Handle: uint64(h),
-	})
-	tm.mirror = append(tm.mirror, func(p *sim.Proc) error {
-		if err := tm.uninstall(p, ue, shadow^1); err != nil {
-			return err
-		}
-		tm.drop(h)
-		return nil
-	})
-	return nil
+	return tm.agent.perform(p, tm.agent.stage(journal.OpDelete, tm, h, ue))
 }
-
-// fillShadow runs the deferred mirror operations (phase 3). When
-// recovery is enabled, a mirror that keeps failing is queued as repair
-// debt instead of killing the agent: the flip already committed the
-// change, and the unfinished shadow work is invisible to packets until
-// the next flip, which drainRepairs gates.
-func (tm *tableManager) fillShadow(p *sim.Proc) error {
-	ops := tm.mirror
-	tm.mirror = nil
-	for i, op := range ops {
-		if err := op(p); err != nil {
-			if !tm.agent.opts.Recovery.Enabled() {
-				return err
-			}
-			for _, rest := range ops[i:] {
-				tm.agent.queueRepair(chanOp{desc: "mirror " + tm.info.Table, fn: rest})
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// rollback reverts this iteration's staged changes: mirror closures are
-// dropped and the undo journal runs in reverse. An undo that still
-// fails is queued as repair debt (its target is a shadow copy, so
-// deferring it is safe). Reports whether anything was staged.
-func (tm *tableManager) rollback(p *sim.Proc) bool {
-	had := len(tm.undo) > 0 || len(tm.mirror) > 0
-	tm.mirror = nil
-	ops := tm.undo
-	tm.undo = nil
-	for i := len(ops) - 1; i >= 0; i-- {
-		// The closures use the retry-wrapped helpers internally, so a
-		// failure here means retries were already spent.
-		if err := ops[i].fn(p); err != nil {
-			tm.agent.queueRepair(ops[i])
-		}
-	}
-	return had
-}
-
-// pendingMirrors reports whether the table has staged changes awaiting
-// commit.
-func (tm *tableManager) pendingMirrors() int { return len(tm.mirror) }
 
 // TableHandle is the user-facing API of a malleable table.
 type TableHandle struct {
@@ -482,6 +376,8 @@ func (th *TableHandle) Entries() []UserEntry {
 	out := make([]UserEntry, len(hs))
 	for i, h := range hs {
 		out[i] = th.tm.entries[h].spec
+		// The entry refills its data in place; hand out a copy.
+		out[i].Data = slices.Clone(out[i].Data)
 	}
 	return out
 }

@@ -202,10 +202,7 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 		}
 		tm.nextHandle = UserHandle(ts.NextHandle)
 		for _, es := range ts.Entries {
-			tm.put(UserHandle(es.Handle), &userEntry{
-				spec:   specFromJournal(es.Spec),
-				combos: tm.allCombos(),
-			})
+			tm.put(UserHandle(es.Handle), &userEntry{spec: specFromJournal(es.Spec)})
 		}
 	}
 	// Register caches resume from the checkpointed measurement snapshot,
@@ -433,7 +430,6 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 	}
 	for _, name := range a.tableNames {
 		tm := a.tables[name]
-		fields := tm.expandFields()
 		versions := []uint64{0}
 		if tm.versioned() {
 			versions = []uint64{0, 1}
@@ -441,9 +437,9 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 		for _, h := range tm.handles() {
 			ue := tm.entries[h]
 			for _, v := range versions {
-				ue.concrete[v] = make([]rmt.EntryHandle, len(ue.combos))
-				for ci, combo := range ue.combos {
-					e, err := tm.concreteEntry(ue.spec, fields, combo, v)
+				ue.concrete[v] = make([]rmt.EntryHandle, len(tm.combos))
+				for ci := range tm.combos {
+					e, err := tm.concreteEntry(nil, &ue.spec, ci, v)
 					if err != nil {
 						return writes, err
 					}

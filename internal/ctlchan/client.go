@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rmt"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // ClientOptions tunes the agent-side endpoint of the control channel.
@@ -158,7 +159,7 @@ type Client struct {
 	free    []*call
 	timerFn func(any)
 	txBuf   []byte
-	names   names
+	names   wire.Names
 	late    response
 
 	// degraded latches true when an op times out and clears on the next
@@ -203,7 +204,7 @@ func NewClient(s *sim.Simulator, link *netsim.Link, side int, opts ClientOptions
 	}
 	c := &Client{
 		sim: s, link: link, side: side, opts: opts,
-		nextSeq: 1, pending: make(map[uint64]*call), names: make(names),
+		nextSeq: 1, pending: make(map[uint64]*call), names: make(wire.Names),
 	}
 	// Switch() and Stats() are simulation plumbing, not control messages:
 	// they go to opts.Meta without crossing the wire.

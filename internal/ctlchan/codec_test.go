@@ -9,6 +9,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/p4"
 	"repro/internal/rmt"
+	"repro/internal/wire"
 )
 
 // sampleOps returns, for one verb, ops that fill every field its frame
@@ -181,7 +182,7 @@ func requestDiff(t *testing.T, what string, got, want *request) {
 }
 
 func TestCodecRequestRoundTrip(t *testing.T) {
-	in := make(names)
+	in := make(wire.Names)
 	var got request // one request, reused for every frame like the server's
 	for _, r := range sampleRequests() {
 		b := appendRequest(nil, r)
@@ -196,7 +197,7 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 }
 
 func TestCodecResponseRoundTrip(t *testing.T) {
-	in := make(names)
+	in := make(wire.Names)
 	var got response
 	for _, r := range sampleResponses() {
 		b := appendResponse(nil, r)
@@ -269,48 +270,48 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 // oversizedFrames are frames whose first variable-length prefix claims
 // more than the frame (or any frame) can hold.
 func oversizedFrames() (reqs, resps [][]byte) {
-	header := func(verb driver.OpKind) *enc {
-		e := &enc{}
-		e.u8(frameRequest)
-		e.u32(1)
-		e.u64(1)
-		e.u64(1)
-		e.u64(0)
-		e.u8(uint8(verb))
+	header := func(verb driver.OpKind) *wire.Enc {
+		e := &wire.Enc{}
+		e.U8(frameRequest)
+		e.U32(1)
+		e.U64(1)
+		e.U64(1)
+		e.U64(0)
+		e.U8(uint8(verb))
 		return e
 	}
-	for _, n := range []uint32{maxSliceLen + 1, 1 << 30, 1<<32 - 1, 1 << 16} {
+	for _, n := range []uint32{wire.MaxSliceLen + 1, 1 << 30, 1<<32 - 1, 1 << 16} {
 		e := header(driver.OpReadEntries)
-		e.u32(n) // table-name length
-		reqs = append(reqs, e.b)
+		e.U32(n) // table-name length
+		reqs = append(reqs, e.B)
 
 		e = header(driver.OpModifyEntry)
-		e.str("t")
-		e.u64(1)
-		e.str("a")
-		e.u32(n) // data length
-		reqs = append(reqs, e.b)
+		e.Str("t")
+		e.U64(1)
+		e.Str("a")
+		e.U32(n) // data length
+		reqs = append(reqs, e.B)
 
 		e = header(driver.OpRead)
-		e.u32(n) // range count
-		reqs = append(reqs, e.b)
+		e.U32(n) // range count
+		reqs = append(reqs, e.B)
 
-		e = &enc{}
-		e.u8(frameResponse)
-		e.u32(1)
-		e.u64(1)
-		e.u8(statusOK)
-		e.str("")
-		e.u64(0)
-		e.u64(0)
-		e.u32(n) // row count
-		resps = append(resps, e.b)
+		e = &wire.Enc{}
+		e.U8(frameResponse)
+		e.U32(1)
+		e.U64(1)
+		e.U8(statusOK)
+		e.Str("")
+		e.U64(0)
+		e.U64(0)
+		e.U32(n) // row count
+		resps = append(resps, e.B)
 	}
 	return reqs, resps
 }
 
 // TestCodecOversizedPrefixDoesNotAllocate: a length prefix above
-// maxSliceLen, or above what the rest of the frame could hold, fails
+// wire.MaxSliceLen, or above what the rest of the frame could hold, fails
 // before the slice it describes is allocated.
 func TestCodecOversizedPrefixDoesNotAllocate(t *testing.T) {
 	reqs, resps := oversizedFrames()
@@ -351,7 +352,7 @@ func aliases(s string, buf []byte) bool {
 // must equal decoding it into a fresh one, field for field, and the
 // interned names must survive the frame buffer being overwritten.
 func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
-	in := make(names)
+	in := make(wire.Names)
 	long := &request{Kind: frameRequest, Session: 7, Epoch: 9, Seq: 100, Ack: 99, op: driver.Op{Kind: driver.OpRead}}
 	for i := 0; i < 64; i++ {
 		long.op.Reqs = append(long.op.Reqs, driver.ReadReq{Reg: "a_rather_long_register_name", Lo: uint64(i), Hi: uint64(i) + 32})
@@ -463,7 +464,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(b)
 	}
 	var r request
-	in := make(names)
+	in := make(wire.Names)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if err := decodeRequest(&r, b, in); err != nil {
 			return
@@ -484,7 +485,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		f.Add(b)
 	}
 	var r response
-	in := make(names)
+	in := make(wire.Names)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if err := decodeResponse(&r, b, in); err != nil {
 			return

@@ -51,6 +51,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/p4"
 	"repro/internal/rmt"
+	"repro/internal/wire"
 )
 
 // ErrFenced marks a mutation rejected because a higher election epoch
@@ -170,192 +171,50 @@ func (r *response) deliver(op *driver.Op) error {
 	return nil
 }
 
-// names interns the table, register and action names of decoded frames:
-// an endpoint sees the same few names on every frame, so after the first
-// sighting a name costs a map lookup instead of a string. Interned
-// strings are copies and never alias a frame buffer.
-type names map[string]string
-
-// maxNames bounds the table; past it (garbage frames inventing names)
-// decoding falls back to allocating.
-const maxNames = 1024
-
-func (in names) get(b []byte) string {
-	if s, ok := in[string(b)]; ok { // no-alloc lookup form
-		return s
-	}
-	s := string(b)
-	if in != nil && len(in) < maxNames {
-		in[s] = s
-	}
-	return s
-}
-
 // ---- Wire codec ----
 //
-// Fixed-width little-endian integers with length-prefixed strings and
-// slices: simple enough to decode incrementally and strict enough that
-// a truncated or corrupted frame fails loudly instead of misparsing.
-// Encoding appends to a caller-supplied buffer; decoding fills a
-// caller-supplied request or response.
+// Frames are built from the internal/wire primitives (shared with the
+// journal's records). Encoding appends to a caller-supplied buffer;
+// decoding fills a caller-supplied request or response.
 
-type enc struct{ b []byte }
+func encEntry(e *wire.Enc, en *rmt.Entry) {
+	e.U64(uint64(en.Handle))
+	e.U64(uint64(int64(en.Priority)))
+	e.Str(en.Action)
+	e.Keys(en.Keys)
+	e.U64s(en.Data)
+}
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *enc) u64(v uint64) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-func (e *enc) u64s(vs []uint64) {
-	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u64(v)
-	}
-}
-func (e *enc) keys(ks []rmt.KeySpec) {
-	e.u32(uint32(len(ks)))
-	for _, k := range ks {
-		e.u64(k.Value)
-		e.u64(k.Mask)
-		e.u64(k.Lo)
-		e.u64(k.Hi)
-	}
-}
-func (e *enc) entry(en *rmt.Entry) {
-	e.u64(uint64(en.Handle))
-	e.u64(uint64(int64(en.Priority)))
-	e.str(en.Action)
-	e.keys(en.Keys)
-	e.u64s(en.Data)
-}
-func (e *enc) call(c *p4.ActionCall) {
+func encCall(e *wire.Enc, c *p4.ActionCall) {
 	if c == nil {
-		e.u8(0)
+		e.U8(0)
 		return
 	}
-	e.u8(1)
-	e.str(c.Action)
-	e.u64s(c.Data)
+	e.U8(1)
+	e.Str(c.Action)
+	e.U64s(c.Data)
 }
 
-var errShortFrame = errors.New("ctlchan: truncated frame")
-
-// maxSliceLen rejects length prefixes a sane frame cannot carry, so a
-// corrupted frame fails instead of allocating gigabytes.
-const maxSliceLen = 1 << 20
-
-type dec struct {
-	b     []byte
-	off   int
-	err   error
-	names names
+func decEntry(d *wire.Dec, en *rmt.Entry) {
+	en.Handle = rmt.EntryHandle(d.U64())
+	en.Priority = int(int64(d.U64()))
+	en.Action = d.Name()
+	en.Keys = d.Keys(en.Keys)
+	en.Data = d.U64s(en.Data)
 }
 
-func (d *dec) fail() { d.err = errShortFrame }
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	b := d.b[d.off:]
-	d.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	b := d.b[d.off:]
-	d.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// count reads a length prefix for elements of at least size bytes each
-// and fails, before anything is allocated, if it exceeds maxSliceLen or
-// what the rest of the frame could hold.
-func (d *dec) count(size int) int {
-	n := int(d.u32())
-	if d.err != nil || n > maxSliceLen || n*size > len(d.b)-d.off {
-		d.fail()
-		return 0
-	}
-	return n
-}
-
-// bytes returns the next length-prefixed byte string, still inside the
-// frame buffer.
-func (d *dec) bytes() []byte {
-	n := d.count(1)
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// name decodes an interned string; text decodes a one-off.
-func (d *dec) name() string { return d.names.get(d.bytes()) }
-func (d *dec) text() string { return string(d.bytes()) }
-
-// u64s and keys refill dst (truncated, capacity kept).
-func (d *dec) u64s(dst []uint64) []uint64 {
-	dst = dst[:0]
-	for n := d.count(8); n > 0 && d.err == nil; n-- {
-		dst = append(dst, d.u64())
-	}
-	return dst
-}
-func (d *dec) keys(dst []rmt.KeySpec) []rmt.KeySpec {
-	dst = dst[:0]
-	for n := d.count(32); n > 0 && d.err == nil; n-- {
-		dst = append(dst, rmt.KeySpec{Value: d.u64(), Mask: d.u64(), Lo: d.u64(), Hi: d.u64()})
-	}
-	return dst
-}
-func (d *dec) entry(en *rmt.Entry) {
-	en.Handle = rmt.EntryHandle(d.u64())
-	en.Priority = int(int64(d.u64()))
-	en.Action = d.name()
-	en.Keys = d.keys(en.Keys)
-	en.Data = d.u64s(en.Data)
-}
-
-// call decodes an optional action call into buf, returning buf or nil.
-// The presence byte is 0 or 1; anything else is corruption.
-func (d *dec) call(buf *p4.ActionCall) *p4.ActionCall {
-	switch d.u8() {
+// decCall decodes an optional action call into buf, returning buf or
+// nil. The presence byte is 0 or 1; anything else is corruption.
+func decCall(d *wire.Dec, buf *p4.ActionCall) *p4.ActionCall {
+	switch d.U8() {
 	case 0:
 		return nil
 	case 1:
-		buf.Action = d.name()
-		buf.Data = d.u64s(buf.Data)
+		buf.Action = d.Name()
+		buf.Data = d.U64s(buf.Data)
 		return buf
 	}
-	d.fail()
-	return nil
-}
-
-// leftover fails the decode if trailing bytes remain: a frame must be
-// consumed exactly.
-func (d *dec) leftover() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("ctlchan: %d trailing bytes in frame", len(d.b)-d.off)
-	}
+	d.Fail()
 	return nil
 }
 
@@ -368,132 +227,132 @@ const (
 
 // appendRequest appends r's frame (request or datagram) to b.
 func appendRequest(b []byte, r *request) []byte {
-	e := enc{b: b}
-	e.u8(r.Kind)
-	e.u32(r.Session)
-	e.u64(r.Epoch)
-	e.u64(r.Seq)
-	e.u64(r.Ack)
+	e := wire.Enc{B: b}
+	e.U8(r.Kind)
+	e.U32(r.Session)
+	e.U64(r.Epoch)
+	e.U64(r.Seq)
+	e.U64(r.Ack)
 	op := &r.op
-	e.u8(uint8(op.Kind))
+	e.U8(uint8(op.Kind))
 	switch op.Kind {
 	case driver.OpAddEntry:
-		e.str(op.Table)
-		e.entry(&rmt.Entry{Handle: op.Handle, Priority: op.Priority, Action: op.Action, Keys: op.Keys, Data: op.Data})
+		e.Str(op.Table)
+		encEntry(&e, &rmt.Entry{Handle: op.Handle, Priority: op.Priority, Action: op.Action, Keys: op.Keys, Data: op.Data})
 	case driver.OpModifyEntry:
-		e.str(op.Table)
-		e.u64(uint64(op.Handle))
-		e.str(op.Action)
-		e.u64s(op.Data)
+		e.Str(op.Table)
+		e.U64(uint64(op.Handle))
+		e.Str(op.Action)
+		e.U64s(op.Data)
 	case driver.OpDeleteEntry, opMemoize:
-		e.str(op.Table)
-		e.u64(uint64(op.Handle))
+		e.Str(op.Table)
+		e.U64(uint64(op.Handle))
 	case driver.OpSetDefault:
-		e.str(op.Table)
-		e.call(op.Call)
+		e.Str(op.Table)
+		encCall(&e, op.Call)
 	case driver.OpSetHashSeed:
-		e.str(op.Table)
-		e.u64(op.Val)
+		e.Str(op.Table)
+		e.U64(op.Val)
 	case driver.OpRegWrite:
-		e.str(op.Table)
-		e.u64(op.Idx)
-		e.u64(op.Val)
+		e.Str(op.Table)
+		e.U64(op.Idx)
+		e.U64(op.Val)
 	case driver.OpRegRead:
-		e.str(op.Table)
-		e.u64(op.Idx)
+		e.Str(op.Table)
+		e.U64(op.Idx)
 	case driver.OpRead:
-		e.u32(uint32(len(op.Reqs)))
+		e.U32(uint32(len(op.Reqs)))
 		for _, rq := range op.Reqs {
-			e.str(rq.Reg)
-			e.u64(rq.Lo)
-			e.u64(rq.Hi)
+			e.Str(rq.Reg)
+			e.U64(rq.Lo)
+			e.U64(rq.Hi)
 		}
 	case driver.OpReadEntries, driver.OpReadDefault:
-		e.str(op.Table)
+		e.Str(op.Table)
 	}
-	return e.b
+	return e.B
 }
 
 // decodeRequest parses a request or datagram frame into r, replacing
 // whatever r held: every field is reset first, slices are truncated with
 // their capacity kept. Names are interned through in (nil: allocated).
 // On error r's contents are unspecified.
-func decodeRequest(r *request, b []byte, in names) error {
+func decodeRequest(r *request, b []byte, in wire.Names) error {
 	*r = request{
 		op:      driver.Op{Keys: r.op.Keys[:0], Data: r.op.Data[:0], Reqs: r.op.Reqs[:0]},
 		callBuf: p4.ActionCall{Data: r.callBuf.Data[:0]},
 	}
-	d := dec{b: b, names: in}
-	r.Kind = d.u8()
+	d := wire.Dec{B: b, Names: in}
+	r.Kind = d.U8()
 	if r.Kind != frameRequest && r.Kind != frameDatagram {
 		return fmt.Errorf("ctlchan: not a request frame (kind 0x%02x)", r.Kind)
 	}
-	r.Session = d.u32()
-	r.Epoch = d.u64()
-	r.Seq = d.u64()
-	r.Ack = d.u64()
+	r.Session = d.U32()
+	r.Epoch = d.U64()
+	r.Seq = d.U64()
+	r.Ack = d.U64()
 	op := &r.op
-	op.Kind = driver.OpKind(d.u8())
+	op.Kind = driver.OpKind(d.U8())
 	switch op.Kind {
 	case driver.OpAddEntry:
-		op.Table = d.name()
+		op.Table = d.Name()
 		en := rmt.Entry{Keys: op.Keys, Data: op.Data}
-		d.entry(&en)
+		decEntry(&d, &en)
 		op.Handle, op.Priority, op.Action, op.Keys, op.Data = en.Handle, en.Priority, en.Action, en.Keys, en.Data
 	case driver.OpModifyEntry:
-		op.Table = d.name()
-		op.Handle = rmt.EntryHandle(d.u64())
-		op.Action = d.name()
-		op.Data = d.u64s(op.Data)
+		op.Table = d.Name()
+		op.Handle = rmt.EntryHandle(d.U64())
+		op.Action = d.Name()
+		op.Data = d.U64s(op.Data)
 	case driver.OpDeleteEntry, opMemoize:
-		op.Table = d.name()
-		op.Handle = rmt.EntryHandle(d.u64())
+		op.Table = d.Name()
+		op.Handle = rmt.EntryHandle(d.U64())
 	case driver.OpSetDefault:
-		op.Table = d.name()
-		op.Call = d.call(&r.callBuf)
+		op.Table = d.Name()
+		op.Call = decCall(&d, &r.callBuf)
 	case driver.OpSetHashSeed:
-		op.Table = d.name()
-		op.Val = d.u64()
+		op.Table = d.Name()
+		op.Val = d.U64()
 	case driver.OpRegWrite:
-		op.Table = d.name()
-		op.Idx = d.u64()
-		op.Val = d.u64()
+		op.Table = d.Name()
+		op.Idx = d.U64()
+		op.Val = d.U64()
 	case driver.OpRegRead:
-		op.Table = d.name()
-		op.Idx = d.u64()
+		op.Table = d.Name()
+		op.Idx = d.U64()
 	case driver.OpRead:
 		op.Batched = true
-		for n := d.count(minReadReqSize); n > 0 && d.err == nil; n-- {
-			op.Reqs = append(op.Reqs, driver.ReadReq{Reg: d.name(), Lo: d.u64(), Hi: d.u64()})
+		for n := d.Count(minReadReqSize); n > 0 && d.Err == nil; n-- {
+			op.Reqs = append(op.Reqs, driver.ReadReq{Reg: d.Name(), Lo: d.U64(), Hi: d.U64()})
 		}
 	case driver.OpReadEntries, driver.OpReadDefault:
-		op.Table = d.name()
+		op.Table = d.Name()
 	default:
 		return fmt.Errorf("ctlchan: unknown verb %d", op.Kind)
 	}
-	return d.leftover()
+	return d.Leftover()
 }
 
 // appendResponse appends r's frame to b.
 func appendResponse(b []byte, r *response) []byte {
-	e := enc{b: b}
-	e.u8(frameResponse)
-	e.u32(r.Session)
-	e.u64(r.Seq)
-	e.u8(r.Status)
-	e.str(r.ErrMsg)
-	e.u64(uint64(r.Handle))
-	e.u64(r.Val)
-	e.u32(uint32(len(r.Vals)))
+	e := wire.Enc{B: b}
+	e.U8(frameResponse)
+	e.U32(r.Session)
+	e.U64(r.Seq)
+	e.U8(r.Status)
+	e.Str(r.ErrMsg)
+	e.U64(uint64(r.Handle))
+	e.U64(r.Val)
+	e.U32(uint32(len(r.Vals)))
 	for _, vs := range r.Vals {
-		e.u64s(vs)
+		e.U64s(vs)
 	}
-	e.u32(uint32(len(r.Entries)))
+	e.U32(uint32(len(r.Entries)))
 	for i := range r.Entries {
-		e.entry(&r.Entries[i])
+		encEntry(&e, &r.Entries[i])
 	}
-	e.call(r.Call)
-	return e.b
+	encCall(&e, r.Call)
+	return e.B
 }
 
 // responseSeq reads the sequence number out of a response frame's fixed
@@ -501,50 +360,50 @@ func appendResponse(b []byte, r *response) []byte {
 // body should be decoded into. ok is false for anything too short or
 // not a response; decodeResponse reports why.
 func responseSeq(b []byte) (seq uint64, ok bool) {
-	d := dec{b: b}
-	if d.u8() != frameResponse {
+	d := wire.Dec{B: b}
+	if d.U8() != frameResponse {
 		return 0, false
 	}
-	d.u32()
-	seq = d.u64()
-	return seq, d.err == nil
+	d.U32()
+	seq = d.U64()
+	return seq, d.Err == nil
 }
 
 // decodeResponse parses a response frame into r, replacing whatever r
 // held. Vals and its rows are refilled in place (truncated, capacity
 // kept); Entries and Call, which only audit reads carry, are allocated.
 // On error r's contents are unspecified.
-func decodeResponse(r *response, b []byte, in names) error {
+func decodeResponse(r *response, b []byte, in wire.Names) error {
 	*r = response{Vals: r.Vals[:0]}
-	d := dec{b: b, names: in}
-	if k := d.u8(); k != frameResponse {
+	d := wire.Dec{B: b, Names: in}
+	if k := d.U8(); k != frameResponse {
 		return fmt.Errorf("ctlchan: not a response frame (kind 0x%02x)", k)
 	}
-	r.Session = d.u32()
-	r.Seq = d.u64()
-	r.Status = d.u8()
-	r.ErrMsg = d.text()
-	r.Handle = rmt.EntryHandle(d.u64())
-	r.Val = d.u64()
-	for n := d.count(minRowSize); n > 0 && d.err == nil; n-- {
+	r.Session = d.U32()
+	r.Seq = d.U64()
+	r.Status = d.U8()
+	r.ErrMsg = d.Text()
+	r.Handle = rmt.EntryHandle(d.U64())
+	r.Val = d.U64()
+	for n := d.Count(minRowSize); n > 0 && d.Err == nil; n-- {
 		var row []uint64
 		if n := len(r.Vals); n < cap(r.Vals) {
 			row = r.Vals[:n+1][n] // the row this slot last held: reuse its capacity
 		}
-		r.Vals = append(r.Vals, d.u64s(row))
+		r.Vals = append(r.Vals, d.U64s(row))
 	}
-	if n := d.count(minEntrySize); n > 0 {
+	if n := d.Count(minEntrySize); n > 0 {
 		r.Entries = make([]rmt.Entry, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			d.entry(&r.Entries[i])
+		for i := 0; i < n && d.Err == nil; i++ {
+			decEntry(&d, &r.Entries[i])
 		}
 	}
-	switch d.u8() {
+	switch d.U8() {
 	case 0:
 	case 1:
-		r.Call = &p4.ActionCall{Action: d.name(), Data: d.u64s(nil)}
+		r.Call = &p4.ActionCall{Action: d.Name(), Data: d.U64s(nil)}
 	default:
-		d.fail()
+		d.Fail()
 	}
-	return d.leftover()
+	return d.Leftover()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Server is the switch-side endpoint of the control channel: it decodes
@@ -40,7 +41,7 @@ type Server struct {
 	// Dispatcher scratch, reused for every frame: the response under
 	// construction and the name table of decoded requests.
 	resp  response
-	names names
+	names wire.Names
 
 	// epoch is the highest election epoch seen on any session; mutations
 	// below it are fenced. epochAt records when it last rose — the
@@ -118,7 +119,7 @@ type SessionInfo struct {
 // NewServer starts a control-channel server. Its dispatcher process
 // spawns immediately and parks until the first frame arrives.
 func NewServer(s *sim.Simulator) *Server {
-	srv := &Server{sim: s, sessions: make(map[uint32]*serverSession), names: make(names)}
+	srv := &Server{sim: s, sessions: make(map[uint32]*serverSession), names: make(wire.Names)}
 	srv.disp = s.Spawn("ctlchan-server", srv.run)
 	return srv
 }

@@ -1,47 +1,57 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
-// FileStore persists the journal as JSON files in a directory — the
-// backend for agents that genuinely restart (examples, operational
+// FileStore persists the journal as one file per cell in a directory —
+// the backend for agents that genuinely restart (examples, operational
 // tooling) rather than failing over to an in-process standby. Writes go
-// through a temp file + rename, so a reader never observes a torn
-// record even if the writer dies mid-write.
+// through a temp file + rename (the file system's double buffer), so a
+// reader never observes a torn record even if the writer dies mid-write.
 type FileStore struct {
-	dir string
+	store
+	dir directory
 }
 
-const (
-	checkpointFile = "checkpoint.json"
-	intentFile     = "intent.json"
-	heartbeatFile  = "heartbeat"
-)
+// directory is the medium: files[c] under the path.
+type directory string
 
-// NewFileStore opens (creating if needed) a journal directory.
+var files = [numCells]string{"checkpoint.rec", "intent.rec", "heartbeat"}
+
+// legacyFiles are the record files of the JSON journal this format
+// replaced.
+var legacyFiles = [...]string{"checkpoint.json", "intent.json"}
+
+// NewFileStore opens (creating if needed) a journal directory. A
+// directory written by the JSON journal is refused: its records are not
+// this format's, and ignoring them would read as "no checkpoint".
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &FileStore{dir: dir}, nil
+	for _, name := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("journal: %s holds %s, written by the JSON journal; the record format is now binary (%s) and cannot read it — recover with the build that wrote it, or start from an empty directory", dir, name, files[cellCheckpoint])
+		}
+	}
+	fs := &FileStore{dir: directory(dir)}
+	fs.m = fs.dir
+	return fs, nil
 }
 
 // Dir returns the journal directory.
-func (fs *FileStore) Dir() string { return fs.dir }
+func (fs *FileStore) Dir() string { return string(fs.dir) }
 
-// writeAtomic writes buf to name via temp file + rename.
-func (fs *FileStore) writeAtomic(name string, buf []byte) error {
-	tmp, err := os.CreateTemp(fs.dir, name+".tmp*")
+// put writes b to the cell's file via temp file + rename.
+func (d directory) put(c cell, b []byte) error {
+	tmp, err := os.CreateTemp(string(d), files[c]+".tmp*")
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("journal: %w", err)
@@ -50,16 +60,16 @@ func (fs *FileStore) writeAtomic(name string, buf []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(fs.dir, name)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(string(d), files[c])); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
 
-// readFile returns the named record's bytes, nil if absent.
-func (fs *FileStore) readFile(name string) ([]byte, error) {
-	buf, err := os.ReadFile(filepath.Join(fs.dir, name))
+// get returns the cell's file content, nil if absent.
+func (d directory) get(c cell) ([]byte, error) {
+	buf, err := os.ReadFile(filepath.Join(string(d), files[c]))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -69,75 +79,13 @@ func (fs *FileStore) readFile(name string) ([]byte, error) {
 	return buf, nil
 }
 
-// SaveCheckpoint atomically replaces the checkpoint file.
-func (fs *FileStore) SaveCheckpoint(c *Checkpoint) error {
-	buf, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("journal: encode checkpoint: %w", err)
-	}
-	return fs.writeAtomic(checkpointFile, buf)
-}
-
-// LoadCheckpoint returns the saved checkpoint (nil, nil if none).
-func (fs *FileStore) LoadCheckpoint() (*Checkpoint, error) {
-	buf, err := fs.readFile(checkpointFile)
-	if buf == nil || err != nil {
-		return nil, err
-	}
-	var c Checkpoint
-	if err := json.Unmarshal(buf, &c); err != nil {
-		return nil, fmt.Errorf("journal: decode checkpoint: %w", err)
-	}
-	return &c, nil
-}
-
-// WriteIntent atomically replaces the intent file.
-func (fs *FileStore) WriteIntent(it *Intent) error {
-	buf, err := json.Marshal(it)
-	if err != nil {
-		return fmt.Errorf("journal: encode intent: %w", err)
-	}
-	return fs.writeAtomic(intentFile, buf)
-}
-
-// LoadIntent returns the outstanding intent (nil, nil if none).
-func (fs *FileStore) LoadIntent() (*Intent, error) {
-	buf, err := fs.readFile(intentFile)
-	if buf == nil || err != nil {
-		return nil, err
-	}
-	var it Intent
-	if err := json.Unmarshal(buf, &it); err != nil {
-		return nil, fmt.Errorf("journal: decode intent: %w", err)
-	}
-	return &it, nil
-}
-
-// TruncateIntent removes the intent file.
-func (fs *FileStore) TruncateIntent() error {
-	err := os.Remove(filepath.Join(fs.dir, intentFile))
+// del removes the cell's file.
+func (d directory) del(c cell) error {
+	err := os.Remove(filepath.Join(string(d), files[c]))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
-}
-
-// Heartbeat records the primary's liveness.
-func (fs *FileStore) Heartbeat(now int64) error {
-	return fs.writeAtomic(heartbeatFile, []byte(strconv.FormatInt(now, 10)))
-}
-
-// LastHeartbeat returns the last recorded beat (0 = never).
-func (fs *FileStore) LastHeartbeat() (int64, error) {
-	buf, err := fs.readFile(heartbeatFile)
-	if buf == nil || err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(string(buf)), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("journal: decode heartbeat: %w", err)
-	}
-	return v, nil
 }
 
 var _ Store = (*FileStore)(nil)

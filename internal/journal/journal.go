@@ -37,11 +37,12 @@
 // Store implementations must be atomic per record: a reader sees either
 // the previous record or the new one, never a torn write. MemStore
 // models battery-backed controller RAM shared with a standby; FileStore
-// persists JSON files for processes that genuinely restart.
+// persists files for processes that genuinely restart. Both hold the
+// framed binary records of record.go.
 package journal
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -186,18 +187,34 @@ type Store interface {
 	LastHeartbeat() (int64, error)
 }
 
-// MemStore is an in-memory Store: the model of a journal region in
-// battery-backed controller RAM (or a replicated KV namespace) that a
-// standby on the same failure domain boundary can read after the
-// primary dies. Records are stored serialized, so a loaded record is
-// always a deep copy — exactly the aliasing semantics a real durable
-// store gives.
-type MemStore struct {
-	mu         sync.Mutex
-	checkpoint []byte
-	intent     []byte
-	beat       int64
+// cell names one of the three things a store holds.
+type cell int
 
+const (
+	cellCheckpoint cell = iota
+	cellIntent
+	cellHeartbeat
+	numCells
+)
+
+// medium is where a store keeps its cells' bytes. put must be atomic — a
+// get sees the previous bytes or the new ones, never a mixture — and
+// copies b; get returns nil, nil for a cell never put (or deleted), and
+// bytes valid until the next put.
+type medium interface {
+	put(c cell, b []byte) error
+	get(c cell) ([]byte, error)
+	del(c cell) error
+}
+
+// store implements Store over a medium: the one place records are
+// encoded, decoded and counted. Every record is encoded into the store's
+// own buffer, so a steady-state write allocates nothing.
+type store struct {
+	mu    sync.Mutex
+	m     medium
+	enc   Encoder
+	buf   []byte
 	stats StoreStats
 }
 
@@ -209,95 +226,127 @@ type StoreStats struct {
 	Heartbeats      uint64
 }
 
-// NewMemStore returns an empty in-memory journal store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
 // Stats returns a copy of the store counters.
-func (m *MemStore) Stats() StoreStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+func (s *store) Stats() StoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // SaveCheckpoint atomically replaces the checkpoint record.
-func (m *MemStore) SaveCheckpoint(c *Checkpoint) error {
-	buf, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("journal: encode checkpoint: %w", err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.checkpoint = buf
-	m.stats.CheckpointSaves++
-	return nil
+func (s *store) SaveCheckpoint(c *Checkpoint) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = s.enc.AppendCheckpoint(s.buf[:0], c)
+	s.stats.CheckpointSaves++
+	return s.m.put(cellCheckpoint, s.buf)
 }
 
 // LoadCheckpoint returns the last saved checkpoint (nil, nil if none).
-func (m *MemStore) LoadCheckpoint() (*Checkpoint, error) {
-	m.mu.Lock()
-	buf := m.checkpoint
-	m.mu.Unlock()
-	if buf == nil {
-		return nil, nil
+func (s *store) LoadCheckpoint() (*Checkpoint, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, err := s.m.get(cellCheckpoint)
+	if b == nil || err != nil {
+		return nil, err
 	}
-	var c Checkpoint
-	if err := json.Unmarshal(buf, &c); err != nil {
-		return nil, fmt.Errorf("journal: decode checkpoint: %w", err)
-	}
-	return &c, nil
+	return DecodeCheckpoint(b)
 }
 
 // WriteIntent atomically replaces the intent record.
-func (m *MemStore) WriteIntent(it *Intent) error {
-	buf, err := json.Marshal(it)
-	if err != nil {
-		return fmt.Errorf("journal: encode intent: %w", err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.intent = buf
-	m.stats.IntentWrites++
-	return nil
+func (s *store) WriteIntent(it *Intent) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = s.enc.AppendIntent(s.buf[:0], it)
+	s.stats.IntentWrites++
+	return s.m.put(cellIntent, s.buf)
 }
 
 // LoadIntent returns the outstanding intent (nil, nil if none).
-func (m *MemStore) LoadIntent() (*Intent, error) {
-	m.mu.Lock()
-	buf := m.intent
-	m.mu.Unlock()
-	if buf == nil {
-		return nil, nil
+func (s *store) LoadIntent() (*Intent, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, err := s.m.get(cellIntent)
+	if b == nil || err != nil {
+		return nil, err
 	}
-	var it Intent
-	if err := json.Unmarshal(buf, &it); err != nil {
-		return nil, fmt.Errorf("journal: decode intent: %w", err)
-	}
-	return &it, nil
+	return DecodeIntent(b)
 }
 
 // TruncateIntent clears the intent record.
-func (m *MemStore) TruncateIntent() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.intent = nil
-	m.stats.Truncates++
-	return nil
+func (s *store) TruncateIntent() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Truncates++
+	return s.m.del(cellIntent)
 }
 
 // Heartbeat records the primary's liveness.
-func (m *MemStore) Heartbeat(now int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.beat = now
-	m.stats.Heartbeats++
-	return nil
+func (s *store) Heartbeat(now int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = binary.LittleEndian.AppendUint64(s.buf[:0], uint64(now))
+	s.stats.Heartbeats++
+	return s.m.put(cellHeartbeat, s.buf)
 }
 
 // LastHeartbeat returns the last recorded beat (0 = never).
-func (m *MemStore) LastHeartbeat() (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.beat, nil
+func (s *store) LastHeartbeat() (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, err := s.m.get(cellHeartbeat)
+	if b == nil || err != nil {
+		return 0, err
+	}
+	if len(b) != 8 {
+		return 0, fmt.Errorf("%w: %d-byte heartbeat", ErrCorrupt, len(b))
+	}
+	return int64(binary.LittleEndian.Uint64(b)), nil
+}
+
+// MemStore is an in-memory Store: the model of a journal region in
+// battery-backed controller RAM (or a replicated KV namespace) that a
+// standby on the same failure domain boundary can read after the
+// primary dies. Records are stored encoded, so a loaded record is always
+// a deep copy — exactly the aliasing semantics a real durable store
+// gives.
+type MemStore struct{ store }
+
+// NewMemStore returns an empty in-memory journal store.
+func NewMemStore() *MemStore {
+	m := &MemStore{}
+	m.m = new(memory)
+	return m
+}
+
+// memory holds each cell in two store-owned buffers: a put fills the
+// spare one and only then makes it current, so whatever interrupts a
+// write, a get sees the old bytes or the new ones, never half of each —
+// and a steady-state put allocates nothing.
+type memory [numCells]struct {
+	bufs [2][]byte
+	cur  int
+	set  bool
+}
+
+func (m *memory) put(c cell, b []byte) error {
+	s := &m[c]
+	spare := s.cur ^ 1
+	s.bufs[spare] = append(s.bufs[spare][:0], b...)
+	s.cur, s.set = spare, true
+	return nil
+}
+
+func (m *memory) get(c cell) ([]byte, error) {
+	if s := &m[c]; s.set {
+		return s.bufs[s.cur], nil
+	}
+	return nil, nil
+}
+
+func (m *memory) del(c cell) error {
+	m[c].set = false
+	return nil
 }
 
 var _ Store = (*MemStore)(nil)

@@ -39,6 +39,7 @@ func HotPathBenchmarks() []NamedBench {
 		{"pipeline_packet", benchPipelinePacket},
 		{"dialogue_iteration", benchDialogueIteration},
 		{"dialogue_iteration@ctlchan", benchDialogueIterationCtlchan},
+		{"update_commit@ctlchan", benchUpdateCommitCtlchan},
 		{"poll_batch", benchPollBatch},
 		{"reaction_dispatch", benchReactionDispatch},
 		{"ring_submit", benchRingSubmit},
@@ -238,7 +239,7 @@ func benchDialogueIteration(b *testing.B) {
 	}
 }
 
-// stackedDialogue is dialogueSrc's agent behind the control stack
+// stackedDialogue is an agent behind the control stack
 // fabric.buildNode deploys for every node: core.Agent → ctlchan.Client →
 // 1µs netsim.Link → ctlchan.Server → primary ctlplane.Session →
 // driver.Ring → driver.Driver, journaling to a journal.MemStore with the
@@ -249,8 +250,11 @@ type stackedDialogue struct {
 	agent *core.Agent
 }
 
-func newStackedDialogue() (*stackedDialogue, error) {
-	plan, err := compiler.CompileSource(dialogueSrc, compiler.DefaultOptions())
+// newStackedDialogue compiles src and starts its agent behind the stack.
+// configure, if set, sees the agent before it starts; prologue is the
+// agent's.
+func newStackedDialogue(src string, prologue func(*sim.Proc, *core.Agent) error, configure func(*core.Agent) error) (*stackedDialogue, error) {
+	plan, err := compiler.CompileSource(src, compiler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -273,8 +277,14 @@ func newStackedDialogue() (*stackedDialogue, error) {
 		Recovery:       core.RecoveryForChannel(cli.RTT()),
 		Journal:        &core.JournalConfig{Store: journal.NewMemStore()},
 		LatencySamples: 1,
+		Prologue:       prologue,
 		AfterIteration: func(*sim.Proc, *core.Agent) { s.Stop() },
 	})
+	if configure != nil {
+		if err := configure(d.agent); err != nil {
+			return nil, err
+		}
+	}
 	d.agent.Start()
 	return d, nil
 }
@@ -290,16 +300,8 @@ func (d *stackedDialogue) step() error {
 // before anything is measured.
 const stackedWarmup = 256
 
-// benchDialogueIterationCtlchan measures the host cost of one dialogue
-// iteration through the deployed control stack. What still allocates
-// here is the journal's JSON encoding (the durability model) and the
-// agent's staging of a commit; TestStackedIterationAllocBudget pins the
-// count.
-func benchDialogueIterationCtlchan(b *testing.B) {
-	d, err := newStackedDialogue()
-	if err != nil {
-		b.Fatal(err)
-	}
+// run warms d up and measures b.N iterations.
+func (d *stackedDialogue) run(b *testing.B) {
 	for i := 0; i < stackedWarmup; i++ {
 		if err := d.step(); err != nil {
 			b.Fatal(err)
@@ -312,6 +314,97 @@ func benchDialogueIterationCtlchan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchDialogueIterationCtlchan measures the host cost of one dialogue
+// iteration through the deployed control stack, journal included: two
+// intents and a checkpoint, encoded into the store's own buffers.
+// Nothing in it allocates; TestStackedIterationAllocBudget pins that.
+func benchDialogueIterationCtlchan(b *testing.B) {
+	d, err := newStackedDialogue(dialogueSrc, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.run(b)
+}
+
+// updateSrc is the write path: two malleable tables of four entries
+// each, all eight rewritten every iteration by a native reaction.
+const updateSrc = `
+header_type h_t { fields { k : 8; o1 : 32; o2 : 32; } }
+header h_t hdr;
+action set1(v) { modify_field(hdr.o1, v); }
+action set2(v) { modify_field(hdr.o2, v); modify_field(standard_metadata.egress_spec, 1); }
+malleable table t1 { reads { hdr.k : exact; } actions { set1; } size : 8; }
+malleable table t2 { reads { hdr.k : exact; } actions { set2; } size : 8; }
+reaction bump() { }
+control ingress { apply(t1); apply(t2); }
+`
+
+// updateKeys is the number of entries per table the write path rewrites.
+const updateKeys = 4
+
+// newStackedUpdate is the write path behind the deployed stack: per
+// iteration, eight staged modifies (sixteen entry writes and two master
+// flips on the channel), a CommitStaged intent listing them and a
+// checkpoint of both tables.
+func newStackedUpdate() (*stackedDialogue, error) {
+	var h1, h2 [updateKeys]core.UserHandle
+	prologue := func(p *sim.Proc, a *core.Agent) error {
+		t1, err := a.Table("t1")
+		if err != nil {
+			return err
+		}
+		t2, err := a.Table("t2")
+		if err != nil {
+			return err
+		}
+		for k := range h1 {
+			key := []rmt.KeySpec{rmt.ExactKey(uint64(k))}
+			if h1[k], err = t1.AddEntry(p, core.UserEntry{Keys: key, Action: "set1", Data: []uint64{0}}); err != nil {
+				return err
+			}
+			if h2[k], err = t2.AddEntry(p, core.UserEntry{Keys: key, Action: "set2", Data: []uint64{0}}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	data := make([]uint64, 1)
+	return newStackedDialogue(updateSrc, prologue, func(a *core.Agent) error {
+		return a.RegisterNativeReaction("bump", func(ctx *core.Ctx) error {
+			t1, err := ctx.Table("t1")
+			if err != nil {
+				return err
+			}
+			t2, err := ctx.Table("t2")
+			if err != nil {
+				return err
+			}
+			data[0]++
+			for k := range h1 {
+				if err := t1.ModifyEntry(h1[k], "set1", data); err != nil {
+					return err
+				}
+				if err := t2.ModifyEntry(h2[k], "set2", data); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// benchUpdateCommitCtlchan measures the host cost of one write-path
+// iteration through the deployed control stack. Steady state must be
+// allocation-free: the staged-op log, the entries' data and the journal
+// records are all refilled in place (TestUpdateCommitAllocFree).
+func benchUpdateCommitCtlchan(b *testing.B) {
+	d, err := newStackedUpdate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.run(b)
 }
 
 // perfRegProgram builds a minimal switch with one 16-cell register for

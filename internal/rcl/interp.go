@@ -128,38 +128,6 @@ func (in *interp) tick() error {
 	return nil
 }
 
-// Exec runs the reaction once. params binds polled reaction parameters
-// by name: values must be int64 (scalar fields/malleables) or []int64
-// (register slices). Parameter arrays are bound by reference.
-//
-// Exec builds a throwaway Frame per call and is the convenience path;
-// hot loops (the agent dialogue) should prepare a Frame once and call
-// Frame.Exec so parameter binding and interpreter scratch are reused.
-func (p *Program) Exec(host Host, params map[string]any) error {
-	f := p.NewFrame()
-	for name, v := range params {
-		switch val := v.(type) {
-		case int64:
-			*f.BindScalar(name) = val
-		case uint64:
-			*f.BindScalar(name) = int64(val)
-		case int:
-			*f.BindScalar(name) = int64(val)
-		case []int64:
-			f.BindArray(name, val)
-		case []uint64:
-			arr := make([]int64, len(val))
-			for i, x := range val {
-				arr[i] = int64(x)
-			}
-			f.BindArray(name, arr)
-		default:
-			return fmt.Errorf("rcl: parameter %s has unsupported type %T", name, v)
-		}
-	}
-	return f.Exec(host)
-}
-
 func boolToInt(b bool) int64 {
 	if b {
 		return 1

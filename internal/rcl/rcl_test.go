@@ -535,3 +535,34 @@ func TestPropertySumLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Exec runs the reaction once. params binds polled reaction parameters
+// by name: values must be int64 (scalar fields/malleables) or []int64
+// (register slices). Parameter arrays are bound by reference.
+//
+// Exec builds a throwaway Frame per call: the tests' convenience. The
+// agent prepares a Frame once and calls Frame.Exec.
+func (p *Program) Exec(host Host, params map[string]any) error {
+	f := p.NewFrame()
+	for name, v := range params {
+		switch val := v.(type) {
+		case int64:
+			*f.BindScalar(name) = val
+		case uint64:
+			*f.BindScalar(name) = int64(val)
+		case int:
+			*f.BindScalar(name) = int64(val)
+		case []int64:
+			f.BindArray(name, val)
+		case []uint64:
+			arr := make([]int64, len(val))
+			for i, x := range val {
+				arr[i] = int64(x)
+			}
+			f.BindArray(name, arr)
+		default:
+			return fmt.Errorf("rcl: parameter %s has unsupported type %T", name, v)
+		}
+	}
+	return f.Exec(host)
+}
