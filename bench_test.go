@@ -1,7 +1,7 @@
 // Package mantis_test benchmarks the Mantis reproduction: one benchmark
 // per evaluation table/figure (regenerating its data), plus
-// microbenchmarks of the compiler and the reaction interpreter and, via
-// BenchmarkHotPaths, the gated perf suite (pipeline, dialogue loop).
+// microbenchmarks of the compiler and the reaction interpreter. The
+// gated hot-path suite is internal/perf's BenchmarkHotPaths.
 package mantis_test
 
 import (
@@ -11,7 +11,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/compiler"
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/rcl"
 	"repro/internal/usecases"
 	"repro/internal/workload"
@@ -215,13 +214,4 @@ func BenchmarkEstimators(b *testing.B) {
 			baseline.RunEstimator(tr, baseline.NewCountMin(2, 8192, 1))
 		}
 	})
-}
-
-// BenchmarkHotPaths runs the perf-regression suite (the source of
-// BENCH_rmt.json) under the normal `go test -bench` machinery, so its
-// metrics are reproducible without cmd/perfbench.
-func BenchmarkHotPaths(b *testing.B) {
-	for _, nb := range perf.HotPathBenchmarks() {
-		b.Run(nb.Name, nb.Bench)
-	}
 }

@@ -446,7 +446,7 @@ func main() {
 	if crash {
 		// A crash profile kills the agent process outright, so the wiring
 		// is the failover stack: the injector wraps the primary's own
-		// session (the shared dispatcher must survive the crash), the
+		// session (the shared service must survive the crash), the
 		// agent write-ahead journals every iteration, and a hot standby
 		// watches the journal heartbeat, ready to elect itself primary
 		// and reconcile the switch.
@@ -611,8 +611,8 @@ func main() {
 	fmt.Printf("driver:            %d table ops (%d memoized), %d reads (%d bytes)\n",
 		dst.TableOps, dst.MemoizedOps, dst.RegReads, dst.RegReadBytes)
 	cst := svc.Stats()
-	fmt.Printf("ctlplane:          policy %s, %d sessions, %d dialogue ops, %d bulk ops, %d reads coalesced, %d writes coalesced, %d rejections, %d demotions\n",
-		policy, len(svc.Sessions()), cst.DialogueOps, cst.BulkOps, cst.ReadsCoalesced, cst.WritesCoalesced, cst.Rejections, cst.Demotions)
+	fmt.Printf("ctlplane:          policy %s, %d sessions, %d dialogue ops, %d bulk ops, %d rejections, %d demotions\n",
+		policy, len(svc.Sessions()), cst.DialogueOps, cst.BulkOps, cst.Rejections, cst.Demotions)
 	for _, sess := range svc.Sessions() {
 		sst := sess.SessionStats()
 		meanWait := time.Duration(0)

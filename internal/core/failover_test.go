@@ -29,7 +29,7 @@ const armAtIteration = 50
 // failoverRig is the two-controller crash rig: a journaled primary
 // agent runs through a ctlplane session with a crash injector between
 // agent and session (so only the primary's own channel halts, never the
-// shared dispatcher), and a hot standby watches the shared journal.
+// shared service), and a hot standby watches the shared journal.
 //
 //	primary agent -> crash injector -> session(e=1) -> service -> driver
 //	standby agent ---------------------> session(e=2) (on takeover)

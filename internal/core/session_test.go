@@ -93,8 +93,8 @@ func TestSessionAgentDialogue(t *testing.T) {
 
 // TestChaosSerializabilityThroughSession is the chaos-suite extension
 // for the control-plane service: under the representative transient-
-// error profile — injected BELOW the service, so scheduler, coalescer,
-// and sessions all sit in the blast radius — the session-routed agent
+// error profile — injected BELOW the service, so scheduler and sessions
+// both sit in the blast radius — the session-routed agent
 // with recovery still never lets a packet observe a mixed (vv, config)
 // snapshot, while two legacy bulk sessions churn an unrelated table
 // through the same scheduler.

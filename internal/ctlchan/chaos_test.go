@@ -221,7 +221,7 @@ func mustOpen(t *testing.T, svc *ctlplane.Service, name string, electionID uint6
 // TestSplitBrainFencedOnTakeover is the split-brain property: a primary
 // partitioned across a standby takeover must have every post-takeover
 // mutation fenced — by epoch at the channel server, and by election at
-// the ctlplane dispatcher — so its stale writes never reach the switch.
+// the ctlplane service — so its stale writes never reach the switch.
 func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	// Assembled by hand rather than via buildStack: the two controllers
 	// need separate links into one server over one ctlplane service.

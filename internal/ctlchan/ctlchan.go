@@ -36,7 +36,7 @@
 //     primary cannot push stale writes past a standby takeover. The
 //     per-session execution channel is expected to be a ctlplane
 //     session opened with the same epoch as its election ID, so
-//     demotion fences writes at the dispatcher too — two independent
+//     demotion fences writes at the service too — two independent
 //     fences.
 //
 // In-flight windowing bounds the number of outstanding requests per

@@ -21,7 +21,7 @@ import (
 // mutations whose seq has fallen below the session's resolved floor —
 // ghost copies of operations the client already abandoned — are
 // rejected without executing. Epoch fencing is also enforced here (and
-// again by the ctlplane dispatcher below, when the inner channel is a
+// again by the ctlplane service below, when the inner channel is a
 // ctlplane session): a mutation carrying an epoch lower than the
 // highest the server has seen is refused.
 type Server struct {

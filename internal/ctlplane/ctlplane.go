@@ -19,15 +19,13 @@
 //     fairness within a class, and an optional global-FIFO policy that
 //     serves as the no-scheduler baseline in the fig12x experiment.
 //
-//   - Explicit backpressure: a submission to a full queue is rejected
-//     with a typed error (ErrQueueFull), never dropped or silently
-//     delayed.
+//   - Explicit backpressure: a call on a session whose queue is full is
+//     rejected with a typed error (ErrQueueFull), never dropped or
+//     silently delayed.
 //
-//   - Batching: adjacent register-read requests queued on one session
-//     coalesce into a single driver transaction (one base cost instead
-//     of many — the same economics as the driver's own BatchRead), and
-//     adjacent pipelined writes to the same table entry collapse to the
-//     final value before any reaches the device.
+//   - Range merging: overlapping or adjacent register ranges inside one
+//     read reach the driver as one range (one per-range setup cost
+//     instead of several).
 //
 // A Session implements driver.Channel, so existing clients — the
 // Mantis agent, the fault-injection chaos suite, the experiment
@@ -35,12 +33,14 @@
 // injector sits *below* the service (driver -> faults.Injector ->
 // Service), so chaos profiles exercise the whole stack.
 //
-// The service runs as one simulated process (the dispatcher) that
-// executes requests against the underlying channel one scheduling
-// decision at a time. Service is non-preemptive at operation
-// granularity, like the PCIe channel it fronts: a dialogue request
-// never interrupts a bulk operation already in flight, it only jumps
-// the queue ahead of bulk operations not yet started.
+// The service is an arbiter, not a process: every client is a
+// synchronous caller, so a call queues, parks until the scheduler hands
+// it the service, runs its operation on the caller's own process, and
+// hands the service to the next caller the policy picks. Service is
+// non-preemptive at operation granularity, like the PCIe channel it
+// fronts: a dialogue request never interrupts a bulk operation already
+// in flight, it only jumps the queue ahead of bulk operations not yet
+// started.
 package ctlplane
 
 import (
@@ -48,17 +48,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Class is a scheduling class. The dialogue class is always served
-// before the bulk class under the priority policy.
+// Class is a scheduling class, derived from the session role: primaries
+// are ClassDialogue, observers and legacy writers ClassBulk. The
+// dialogue class is always served before the bulk class under the
+// priority policy.
 type Class int
 
 const (
-	// ClassAuto derives the class from the session role: primaries get
-	// ClassDialogue, observers and legacy writers get ClassBulk.
-	ClassAuto Class = iota
 	// ClassDialogue is the high-priority class of the Mantis reaction
 	// loop: short, latency-critical operation streams.
-	ClassDialogue
+	ClassDialogue Class = iota
 	// ClassBulk is the low-priority class of legacy control planes and
 	// observers: throughput-oriented, tolerant of queueing.
 	ClassBulk
@@ -66,20 +65,16 @@ const (
 
 // String names the class for stats output.
 func (c Class) String() string {
-	switch c {
-	case ClassDialogue:
+	if c == ClassDialogue {
 		return "dialogue"
-	case ClassBulk:
-		return "bulk"
-	default:
-		return "auto"
 	}
+	return "bulk"
 }
 
 // classOrder is the strict priority order of the scheduler.
 var classOrder = [...]Class{ClassDialogue, ClassBulk}
 
-// Policy selects how the dispatcher picks the next request.
+// Policy selects how the service picks the next caller.
 type Policy int
 
 const (
@@ -104,49 +99,29 @@ func (p Policy) String() string {
 type Options struct {
 	// Policy is the scheduling policy (default PolicyPriority).
 	Policy Policy
-	// DefaultQueueLimit bounds each session's request queue when the
-	// session does not set its own limit. 0 = 64.
-	DefaultQueueLimit int
-	// CoalesceLimit caps how many adjacent queued requests merge into
-	// one dispatch (reads into one driver transaction, same-entry writes
-	// into the last value). 0 = 8; 1 disables coalescing.
-	CoalesceLimit int
-	// RingSize is the depth of the driver submission ring write requests
-	// flush through. 0 = driver.DefaultRingSize; values below
-	// CoalesceLimit are raised to it so one dispatch batch always fits.
-	RingSize int
 }
 
-// DefaultQueueLimit is the per-session queue bound when neither the
-// service options nor the session options set one.
-const DefaultQueueLimit = 64
-
-// DefaultCoalesceLimit is the default cap on requests merged per
-// dispatch.
-const DefaultCoalesceLimit = 8
+// MaxQueued bounds how many callers may wait on one session at once.
+const MaxQueued = 64
 
 // Stats counts service-wide scheduler activity. Per-session counters
 // live in SessionStats.
 type Stats struct {
-	// DialogueOps and BulkOps count dispatched requests per class.
+	// DialogueOps and BulkOps count served requests per class.
 	DialogueOps uint64
 	BulkOps     uint64
-	// ReadTransactions counts driver read transactions issued; when
-	// reads coalesce, one transaction completes several requests.
+	// ReadTransactions counts driver read transactions issued.
 	ReadTransactions uint64
-	// ReadsCoalesced counts read requests that rode along in another
-	// request's driver transaction (the saved base costs).
+	// ReadsCoalesced is always 0: requests are no longer merged across
+	// calls. The field stays because bench/ reads it, until a [benchmark]
+	// PR drops ctlplane.reads_coalesced_per_kop.
 	ReadsCoalesced uint64
 	// RangesMerged counts register ranges folded into an adjacent range
-	// within one transaction (the saved per-range setup costs).
+	// within one read (the saved per-range setup costs).
 	RangesMerged uint64
-	// WritesCoalesced counts pipelined same-entry writes superseded by a
-	// newer queued value before reaching the driver.
-	WritesCoalesced uint64
-	// WriteTransactions counts submission-ring flushes (doorbells); when
-	// adjacent writes batch, several requests share one flush.
+	// WriteTransactions counts submission-ring flushes (doorbells).
 	WriteTransactions uint64
-	// Rejections counts submissions refused with ErrQueueFull.
+	// Rejections counts calls refused with ErrQueueFull.
 	Rejections uint64
 	// Demotions counts primaries displaced by a higher election id.
 	Demotions uint64
@@ -154,7 +129,6 @@ type Stats struct {
 
 // Service mediates control-plane access to one driver channel.
 type Service struct {
-	sim  *sim.Simulator
 	ch   driver.Channel
 	opts Options
 
@@ -164,43 +138,30 @@ type Service struct {
 
 	primary *Session // current primary writer, nil if none
 
-	disp *sim.Proc
-	idle bool
+	// held is set while some caller has the service: it is running its
+	// operation, has been granted the service and not yet resumed, or is
+	// the first arrival deciding whom to grant it to.
+	held bool
 
 	// rrNext[class] is the session index to start the round-robin scan
 	// at for that class.
 	rrNext map[Class]int
 
-	// ring is the driver submission ring every write request flushes
-	// through. batchBuf, free and reads are dispatcher/sync-path scratch
-	// that keep the steady-state paths allocation-free.
-	ring     *driver.Ring
-	batchBuf []*request
-	free     []*request
-	reads    readScratch
+	// ring is the driver submission ring every write flushes through.
+	// free and reads keep the steady-state paths allocation-free.
+	ring  *driver.Ring
+	free  []*waiter
+	reads readScratch
 
 	stats Stats
 }
 
-// New starts a control-plane service over ch. The dispatcher process
-// spawns immediately and parks until the first request arrives.
-func New(s *sim.Simulator, ch driver.Channel, opts Options) *Service {
-	if opts.DefaultQueueLimit <= 0 {
-		opts.DefaultQueueLimit = DefaultQueueLimit
-	}
-	if opts.CoalesceLimit <= 0 {
-		opts.CoalesceLimit = DefaultCoalesceLimit
-	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = driver.DefaultRingSize
-	}
-	if opts.RingSize < opts.CoalesceLimit {
-		opts.RingSize = opts.CoalesceLimit
-	}
-	svc := &Service{sim: s, ch: ch, opts: opts, rrNext: make(map[Class]int)}
-	svc.ring = driver.NewRing(ch, opts.RingSize)
-	svc.disp = s.Spawn("ctlplane-dispatcher", svc.run)
-	return svc
+// New returns a control-plane service over ch. The service is not a
+// process and keeps no clock of its own, so the simulator is unused; the
+// parameter stays because bench/, which this package may not change,
+// passes it.
+func New(_ *sim.Simulator, ch driver.Channel, opts Options) *Service {
+	return &Service{ch: ch, opts: opts, rrNext: make(map[Class]int), ring: driver.NewRing(ch, 0)}
 }
 
 // Channel returns the underlying driver channel the service fronts.
@@ -231,35 +192,11 @@ func (svc *Service) Primary() *Session {
 	return svc.primary
 }
 
-// kick wakes the dispatcher if it is parked on empty queues. The idle
-// flag flips here, not when Park returns, so two submissions at the
-// same instant cannot double-unpark the dispatcher.
-func (svc *Service) kick() {
-	if svc.idle {
-		svc.idle = false
-		svc.disp.Unpark()
-	}
-}
-
-// run is the dispatcher process: pick a request by policy, execute it
-// (plus anything coalescible behind it), repeat; park when idle.
-func (svc *Service) run(p *sim.Proc) {
-	for {
-		req := svc.next()
-		if req == nil {
-			svc.idle = true
-			p.Park()
-			continue
-		}
-		svc.dispatch(p, req)
-	}
-}
-
-// next picks the request to serve — always the head of some session's
+// next picks the caller to serve — always the head of some session's
 // queue, so per-session ordering is preserved under every policy.
-func (svc *Service) next() *request {
+func (svc *Service) next() *waiter {
 	if svc.opts.Policy == PolicyFIFO {
-		var best *request
+		var best *waiter
 		for _, s := range svc.sessions {
 			if len(s.queue) > 0 && (best == nil || s.queue[0].seq < best.seq) {
 				best = s.queue[0]
@@ -268,8 +205,8 @@ func (svc *Service) next() *request {
 		return best
 	}
 	for _, class := range classOrder {
-		if r := svc.nextInClass(class); r != nil {
-			return r
+		if w := svc.nextInClass(class); w != nil {
+			return w
 		}
 	}
 	return nil
@@ -277,7 +214,7 @@ func (svc *Service) next() *request {
 
 // nextInClass round-robins across the class's sessions with pending
 // work, resuming after the last session served.
-func (svc *Service) nextInClass(class Class) *request {
+func (svc *Service) nextInClass(class Class) *waiter {
 	n := len(svc.sessions)
 	if n == 0 {
 		return nil
@@ -293,154 +230,122 @@ func (svc *Service) nextInClass(class Class) *request {
 	return nil
 }
 
-// dispatch executes the head request of req's session, folding in any
-// coalescible run of adjacent queued requests behind it. Reads merge
-// into one driver transaction; writes of any kind stage into the
-// submission ring and flush as one doorbell; everything else (audit
-// reads, the unbatched ablation, opaque closures) is applied alone.
-func (svc *Service) dispatch(p *sim.Proc, req *request) {
-	s := req.sess
-	batch := append(svc.batchBuf[:0], req)
-	limit := svc.opts.CoalesceLimit
-	ln := req.lane()
-	for ln != laneAlone && len(batch) < limit && len(s.queue) > len(batch) && s.queue[len(batch)].lane() == ln {
-		batch = append(batch, s.queue[len(batch)])
+// grant hands the service to the caller the policy picks, or marks it
+// free when nobody waits. The pick leaves its session's queue here, so
+// closing the session no longer fails it: like a request in flight, it
+// runs (a write re-checks its permission first).
+func (svc *Service) grant() {
+	w := svc.next()
+	if w == nil {
+		svc.held = false
+		return
 	}
 	// Shift the remainder down rather than re-slicing from the front: the
-	// queue keeps its capacity, so enqueue does not reallocate it.
-	n := copy(s.queue, s.queue[len(batch):])
-	clear(s.queue[n:])
-	s.queue = s.queue[:n]
+	// queue keeps its capacity, so queueing does not reallocate it.
+	q := w.sess.queue
+	n := copy(q, q[1:])
+	q[n] = nil
+	w.sess.queue = q[:n]
+	w.granted = true
+	w.wake()
+}
 
+// serve runs the granted caller's operation on its own process, records
+// it on the session and passes the service on — at the completion
+// instant, before the caller returns, so a request it submits next queues
+// behind the pick.
+func (svc *Service) serve(p *sim.Proc, w *waiter, op *driver.Op) error {
+	s := w.sess
+	if s.class == ClassDialogue {
+		svc.stats.DialogueOps++
+	} else {
+		svc.stats.BulkOps++
+	}
 	start := p.Now()
-	for _, r := range batch {
-		if r.class == ClassDialogue {
-			svc.stats.DialogueOps++
-		} else {
-			svc.stats.BulkOps++
-		}
-	}
-
+	var err error
 	switch {
-	case ln == laneRead:
-		svc.executeReads(p, batch)
-	case ln == laneRing:
-		svc.executeRing(p, batch)
-	case req.op != nil:
-		req.err = driver.Apply(svc.ch, p, req.op)
+	case op.Kind.Mutating():
+		err = svc.write(p, s, op)
+	case op.Kind == driver.OpRegRead, op.Kind == driver.OpRead && op.Batched:
+		err = svc.read(p, op)
 	default:
-		// An opaque write re-checks permission at dispatch time: the
-		// session may have been demoted or closed while it was queued.
-		if req.write {
-			req.err = req.sess.writable()
-		}
-		if req.err == nil {
-			req.err = req.exec(p, svc.ch)
-		}
+		// Audit reads and the unbatched-read ablation (merging it would
+		// measure nothing) go to the channel as they are.
+		err = driver.Apply(svc.ch, p, op)
 	}
 
-	end := p.Now()
-	for _, r := range batch {
-		svc.complete(r, start, end)
+	st := &s.stats
+	st.Completed++
+	if err != nil {
+		st.Failed++
 	}
-	svc.batchBuf = batch[:0]
+	wait := start.Sub(w.enqueuedAt)
+	st.TotalWait += wait
+	if wait > st.MaxWait {
+		st.MaxWait = wait
+	}
+	st.TotalService += p.Now().Sub(start)
+	svc.grant()
+	if svc.held {
+		// The next operation starts one event from now, on its own caller's
+		// process. Resume behind it, so that whatever this caller schedules
+		// next — a wake-up that may tie with that operation's completion —
+		// is ordered after the completion. That order decides whether a
+		// caller whose think time equals the next service time is in time
+		// for the next pick; TestScheduleMatchesParent pins it.
+		p.Yield()
+	}
+	return err
 }
 
-// executeRing stages a run of write requests into the driver submission
-// ring — each op copied into its slot with one Set — and flushes them as
-// one doorbell. Pipelined
-// writes to the same table entry collapse to the newest queued value
-// before any descriptor is reserved (write-behind: a synchronous client
-// never has two writes queued, so it is unaffected), and every request
-// re-checks write permission at dispatch time — the session may have
-// been demoted while it was queued.
-func (svc *Service) executeRing(p *sim.Proc, batch []*request) {
-	for i, r := range batch {
-		if r.op.Kind != driver.OpModifyEntry {
-			continue
-		}
-		for _, later := range batch[i+1:] {
-			if later.op.Kind == driver.OpModifyEntry && later.sameEntry(r) {
-				r.superseded = later
-				svc.stats.WritesCoalesced++
-				break
-			}
-		}
+// write copies op into a submission-ring slot and rings the doorbell.
+// Permission is re-checked here, not only on admission: the session may
+// have been demoted or closed while the caller waited.
+func (svc *Service) write(p *sim.Proc, s *Session, op *driver.Op) error {
+	if err := s.writable(); err != nil {
+		return err
 	}
-	staged := false
-	for _, r := range batch {
-		if r.superseded != nil {
-			continue
-		}
-		if err := r.sess.writable(); err != nil {
-			r.err = err
-			continue
-		}
-		slot, err := svc.ring.Reserve()
-		if err != nil {
-			// Unreachable when RingSize >= CoalesceLimit (New enforces
-			// it), but a typed refusal beats a silent drop.
-			r.err = err
-			continue
-		}
-		slot.Set(r.op)
-		slot.Tag = r
-		staged = true
+	slot, err := svc.ring.Reserve()
+	if err != nil {
+		// Unreachable (every flush is drained before the service moves
+		// on), but a typed refusal beats a silent drop.
+		return err
 	}
-	if staged {
-		svc.stats.WriteTransactions++
-		svc.ring.Flush(p)
-		svc.ring.Drain(func(slot *driver.Op) {
-			r := slot.Tag.(*request)
-			r.err = slot.Err
-			r.op.NewHandle = slot.NewHandle
-		})
-	}
-	// Superseded writes complete with their winner's outcome. Walk
-	// backwards so supersession chains resolve: the winner's error is
-	// already settled when an older write copies it.
-	for i := len(batch) - 1; i >= 0; i-- {
-		if w := batch[i].superseded; w != nil {
-			batch[i].err = w.err
-			batch[i].superseded = nil
-		}
-	}
+	slot.Set(op)
+	svc.stats.WriteTransactions++
+	svc.ring.Flush(p)
+	svc.ring.Drain(func(slot *driver.Op) {
+		err = slot.Err
+		op.NewHandle = slot.NewHandle
+	})
+	return err
 }
 
-// readScratch is the dispatcher's working storage for one coalesced
-// read: the concatenated ranges, each request's span in them, the merge
-// plan, and the result matrix the driver fills. All of it is overwritten
-// by the next read.
+// readScratch is the service's working storage for one register read:
+// the single range of a RegRead, the merge plan, and the result matrix
+// the driver fills. All of it is overwritten by the next read.
 type readScratch struct {
-	all    []driver.ReadReq
-	spans  [][2]int // [start,len) into all, per request
+	one    [1]driver.ReadReq
 	order  []int
 	merged []driver.ReadReq
 	where  []readSlot
 	rows   [][]uint64
 }
 
-// executeReads merges the batch's register ranges into one driver
-// transaction and copies the values out to each request's rows (the
-// caller's own, on the synchronous path). All requests in the batch
-// observe values captured at the same completion instant — the same
-// snapshot semantics a single BatchRead already has.
-func (svc *Service) executeReads(p *sim.Proc, batch []*request) {
+// read merges op's register ranges into one driver transaction and
+// copies the values out to the caller's rows (or Val). Every range
+// observes values captured at the same completion instant — the snapshot
+// semantics a BatchRead already has.
+func (svc *Service) read(p *sim.Proc, op *driver.Op) error {
 	sc := &svc.reads
-	sc.all, sc.spans = sc.all[:0], sc.spans[:0]
-	for _, r := range batch {
-		lo := len(sc.all)
-		if r.op.Kind == driver.OpRegRead {
-			sc.all = append(sc.all, driver.ReadReq{Reg: r.op.Table, Lo: r.op.Idx, Hi: r.op.Idx + 1})
-		} else {
-			sc.all = append(sc.all, r.op.Reqs...)
-		}
-		sc.spans = append(sc.spans, [2]int{lo, len(sc.all) - lo})
+	reqs := op.Reqs
+	if op.Kind == driver.OpRegRead {
+		sc.one[0] = driver.ReadReq{Reg: op.Table, Lo: op.Idx, Hi: op.Idx + 1}
+		reqs = sc.one[:]
 	}
-	merged := sc.merge()
+	merged := sc.merge(reqs)
 	svc.stats.ReadTransactions++
-	svc.stats.ReadsCoalesced += uint64(len(batch) - 1)
-	svc.stats.RangesMerged += uint64(len(sc.all) - len(merged))
+	svc.stats.RangesMerged += uint64(len(reqs) - len(merged))
 
 	for len(sc.rows) < len(merged) {
 		sc.rows = append(sc.rows, nil)
@@ -448,46 +353,16 @@ func (svc *Service) executeReads(p *sim.Proc, batch []*request) {
 	vals := sc.rows[:len(merged)]
 	read := driver.Op{Kind: driver.OpRead, Batched: true, Reqs: merged, Rows: vals}
 	if err := driver.Apply(svc.ch, p, &read); err != nil {
-		for _, r := range batch {
-			r.err = err
-		}
-		return
+		return err
 	}
-	for i, r := range batch {
-		lo, n := sc.spans[i][0], sc.spans[i][1]
-		if r.op.Kind == driver.OpRegRead {
-			w := sc.where[lo]
-			r.op.Val = vals[w.idx][w.off]
-			continue
-		}
-		if r.op.Rows == nil {
-			r.op.Rows = make([][]uint64, n)
-		}
-		for j := 0; j < n; j++ {
-			w := sc.where[lo+j]
-			r.op.Rows[j] = append(r.op.Rows[j][:0], vals[w.idx][w.off:w.off+w.n]...)
-		}
+	if op.Kind == driver.OpRegRead {
+		op.Val = vals[0][0]
+		return nil
 	}
-}
-
-// complete finishes one request: record wait/service time on its
-// session, mark it done, and wake its waiter.
-func (svc *Service) complete(r *request, start, end sim.Time) {
-	st := &r.sess.stats
-	st.Completed++
-	if r.err != nil {
-		st.Failed++
+	for j, w := range sc.where {
+		op.Rows[j] = append(op.Rows[j][:0], vals[w.idx][w.off:w.off+w.n]...)
 	}
-	wait := start.Sub(r.enqueuedAt)
-	st.TotalWait += wait
-	if wait > st.MaxWait {
-		st.MaxWait = wait
-	}
-	st.TotalService += end.Sub(start)
-	r.done = true
-	if r.waiter != nil {
-		r.waiter.Unpark()
-	}
+	return nil
 }
 
 // readSlot locates one original range inside the merged request list.
@@ -497,13 +372,12 @@ type readSlot struct {
 	n   int // cell count
 }
 
-// merge folds overlapping or adjacent ranges of sc.all on the same
+// merge folds overlapping or adjacent ranges of reqs on the same
 // register into unions, returning the merged list and leaving in
 // sc.where, for each original range, where its values live in the
 // merged results. Ranges on distinct registers or with gaps between them
 // stay separate — merging across a gap would DMA cells nobody asked for.
-func (sc *readScratch) merge() []driver.ReadReq {
-	reqs := sc.all
+func (sc *readScratch) merge(reqs []driver.ReadReq) []driver.ReadReq {
 	sc.where = sc.where[:0]
 	if len(reqs) <= 1 {
 		for i, r := range reqs {

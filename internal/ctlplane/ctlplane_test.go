@@ -3,6 +3,7 @@ package ctlplane
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,6 +88,10 @@ func TestSessionRoundTrip(t *testing.T) {
 	if st.Submitted != 5 || st.Completed != 5 || st.Failed != 0 {
 		t.Fatalf("session stats: %+v", st)
 	}
+	// Every write went through the submission ring, one doorbell each.
+	if rs := svc.RingStats(); rs.OpsFlushed != 3 || rs.Flushes != 3 || svc.Stats().WriteTransactions != 3 {
+		t.Fatalf("ring stats: %+v, write transactions %d", rs, svc.Stats().WriteTransactions)
+	}
 }
 
 func TestPrimaryArbitration(t *testing.T) {
@@ -153,65 +158,61 @@ func TestObserverReadOnly(t *testing.T) {
 	s.Run()
 }
 
+// The scheduler tests below put several synchronous callers on the
+// service at one instant: processes spawned back to back all run their
+// first call at the spawn time, in spawn order.
+
 func TestBackpressureTypedRejection(t *testing.T) {
 	s, _, _, svc := testRig(t, Options{})
-	sess, err := svc.Open(SessionOptions{Name: "bulk", Role: RoleLegacy, QueueLimit: 2})
+	sess, err := svc.Open(SessionOptions{Name: "bulk", Role: RoleLegacy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Spawn("client", func(p *sim.Proc) {
-		var pendings []*Pending
-		for i := 0; i < 2; i++ {
-			pn, err := sess.SubmitExec(true, func(dp *sim.Proc, ch driver.Channel) error {
-				return ch.RegWrite(dp, "r0", 0, 1)
-			})
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
+	sess.maxQueued = 2
+	errs := make([]error, 3)
+	for i := range errs {
+		s.Spawn(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+			errs[i] = sess.RegWrite(p, "r0", 0, 1)
+			if i == 2 {
+				// After draining, calls are accepted again.
+				p.Sleep(10 * time.Microsecond)
+				if err := sess.RegWrite(p, "r0", 1, 2); err != nil {
+					t.Errorf("post-drain write: %v", err)
+				}
 			}
-			pendings = append(pendings, pn)
-		}
-		// Third submission while two are queued: explicit typed rejection.
-		_, err := sess.SubmitExec(true, func(dp *sim.Proc, ch driver.Channel) error { return nil })
-		if !errors.Is(err, ErrQueueFull) {
-			t.Errorf("overflow error = %v, want ErrQueueFull", err)
-		}
-		// Backpressure is advertised as retryable.
-		if !driver.IsTransient(err) {
-			t.Errorf("ErrQueueFull is not transient: %v", err)
-		}
-		for _, pn := range pendings {
-			if err := pn.Wait(p); err != nil {
-				t.Errorf("queued op failed: %v", err)
-			}
-		}
-		// After draining, submissions are accepted again.
-		if err := sess.RegWrite(p, "r0", 1, 2); err != nil {
-			t.Errorf("post-drain write: %v", err)
-		}
-	})
+		})
+	}
 	s.Run()
+	for i, err := range errs[:2] {
+		if err != nil {
+			t.Errorf("queued op %d failed: %v", i, err)
+		}
+	}
+	// Third call while two are queued: explicit typed rejection,
+	// advertised as retryable.
+	if !errors.Is(errs[2], ErrQueueFull) || !driver.IsTransient(errs[2]) {
+		t.Errorf("overflow error = %v, want a transient ErrQueueFull", errs[2])
+	}
 	st := sess.SessionStats()
-	if st.Rejected != 1 || svc.Stats().Rejections != 1 {
-		t.Fatalf("rejected = %d / %d, want 1", st.Rejected, svc.Stats().Rejections)
+	if st.Rejected != 1 || svc.Stats().Rejections != 1 || st.MaxQueueDepth != 2 {
+		t.Fatalf("rejected = %d / %d, max depth %d; want 1, 1, 2", st.Rejected, svc.Stats().Rejections, st.MaxQueueDepth)
 	}
 }
 
-// submitOrderProbe enqueues one channel op that records its execution
-// order.
-func submitOrderProbe(t *testing.T, sess *Session, tag string, order *[]string) *Pending {
-	t.Helper()
-	pn, err := sess.SubmitExec(sess.Role() != RoleObserver, func(dp *sim.Proc, ch driver.Channel) error {
+// spawnOrderProbe starts one caller that writes once through sess and
+// appends tag to order when the write completes — the service is
+// exclusive, so completion order is service order.
+func spawnOrderProbe(t *testing.T, s *sim.Simulator, sess *Session, tag string, order *[]string) {
+	s.Spawn(tag, func(p *sim.Proc) {
+		if err := sess.RegWrite(p, "r0", 0, 1); err != nil {
+			t.Errorf("%s: %v", tag, err)
+		}
 		*order = append(*order, tag)
-		return ch.RegWrite(dp, "r0", 0, 1)
 	})
-	if err != nil {
-		t.Fatalf("submit %s: %v", tag, err)
-	}
-	return pn
 }
 
-// priorityOrFIFOOrder submits 4 bulk ops then 1 dialogue op at the same
-// instant and returns the execution order.
+// priorityOrFIFOOrder has 4 bulk callers then 1 dialogue caller arrive
+// at the same instant and returns the service order.
 func priorityOrFIFOOrder(t *testing.T, policy Policy) []string {
 	s, _, _, svc := testRig(t, Options{Policy: policy})
 	bulk, err := svc.Open(SessionOptions{Name: "legacy", Role: RoleLegacy})
@@ -223,36 +224,25 @@ func priorityOrFIFOOrder(t *testing.T, policy Policy) []string {
 		t.Fatal(err)
 	}
 	var order []string
-	s.Spawn("client", func(p *sim.Proc) {
-		var pendings []*Pending
-		for i := 0; i < 4; i++ {
-			pendings = append(pendings, submitOrderProbe(t, bulk, fmt.Sprintf("bulk%d", i), &order))
-		}
-		pendings = append(pendings, submitOrderProbe(t, prim, "dialogue", &order))
-		for _, pn := range pendings {
-			if err := pn.Wait(p); err != nil {
-				t.Errorf("op failed: %v", err)
-			}
-		}
-	})
-	s.Run()
-	if len(order) != 5 {
-		t.Fatalf("order = %v", order)
+	for i := 0; i < 4; i++ {
+		spawnOrderProbe(t, s, bulk, fmt.Sprintf("bulk%d", i), &order)
 	}
+	spawnOrderProbe(t, s, prim, "dialogue", &order)
+	s.Run()
 	return order
 }
 
 func TestPriorityServesDialogueFirst(t *testing.T) {
 	order := priorityOrFIFOOrder(t, PolicyPriority)
-	if order[0] != "dialogue" {
-		t.Fatalf("priority order = %v, want dialogue first", order)
+	if want := []string{"dialogue", "bulk0", "bulk1", "bulk2", "bulk3"}; !slices.Equal(order, want) {
+		t.Fatalf("priority order = %v, want %v", order, want)
 	}
 }
 
 func TestFIFOServesArrivalOrder(t *testing.T) {
 	order := priorityOrFIFOOrder(t, PolicyFIFO)
-	if order[len(order)-1] != "dialogue" {
-		t.Fatalf("fifo order = %v, want dialogue last", order)
+	if want := []string{"bulk0", "bulk1", "bulk2", "bulk3", "dialogue"}; !slices.Equal(order, want) {
+		t.Fatalf("fifo order = %v, want %v", order, want)
 	}
 }
 
@@ -261,33 +251,31 @@ func TestRoundRobinFairnessWithinClass(t *testing.T) {
 	a, _ := svc.Open(SessionOptions{Name: "a", Role: RoleLegacy})
 	b, _ := svc.Open(SessionOptions{Name: "b", Role: RoleLegacy})
 	var order []string
-	s.Spawn("client", func(p *sim.Proc) {
-		var pendings []*Pending
-		// Session a enqueues all its work first; round-robin must still
-		// interleave b's ops instead of draining a completely.
-		for i := 0; i < 3; i++ {
-			pendings = append(pendings, submitOrderProbe(t, a, "a", &order))
-		}
-		for i := 0; i < 3; i++ {
-			pendings = append(pendings, submitOrderProbe(t, b, "b", &order))
-		}
-		for _, pn := range pendings {
-			if err := pn.Wait(p); err != nil {
-				t.Errorf("op failed: %v", err)
-			}
-		}
-	})
+	// Session a's callers all arrive first; round-robin must still
+	// interleave b's ops instead of draining a completely.
+	for i := 0; i < 3; i++ {
+		spawnOrderProbe(t, s, a, "a", &order)
+	}
+	for i := 0; i < 3; i++ {
+		spawnOrderProbe(t, s, b, "b", &order)
+	}
 	s.Run()
-	want := []string{"a", "b", "a", "b", "a", "b"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want strict alternation", order)
-		}
+	if want := []string{"a", "b", "a", "b", "a", "b"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want strict alternation", order)
 	}
 }
 
+// TestReadCoalescing: adjacent ranges inside one read reach the driver
+// as one range, and every caller range still gets its own values.
 func TestReadCoalescing(t *testing.T) {
-	s, sw, drv, svc := testRig(t, Options{})
+	s := sim.New(1)
+	sw, err := rmt.New(s, testProgram(), rmt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := driver.New(s, sw, driver.DefaultCostModel())
+	log := newServiceLog(drv)
+	svc := New(s, log, Options{})
 	sess, _ := svc.Open(SessionOptions{Name: "obs"})
 	for i := uint64(0); i < 16; i++ {
 		if err := sw.RegWrite("r0", i, 100+i); err != nil {
@@ -298,179 +286,59 @@ func TestReadCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Spawn("client", func(p *sim.Proc) {
-		// Three pipelined reads: two adjacent ranges of r0 (merge into
-		// one range) and one of r1 — a single driver transaction total.
-		p1, err := sess.SubmitRead([]driver.ReadReq{{Reg: "r0", Lo: 0, Hi: 8}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := sess.SubmitRead([]driver.ReadReq{{Reg: "r0", Lo: 8, Hi: 16}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p3, err := sess.SubmitRead([]driver.ReadReq{{Reg: "r1", Lo: 2, Hi: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pn := range []*Pending{p1, p2, p3} {
-			if err := pn.Wait(p); err != nil {
-				t.Errorf("read failed: %v", err)
-			}
-		}
-		if v := p1.Values()[0][0]; v != 100 {
-			t.Errorf("p1[0] = %d, want 100", v)
-		}
-		if v := p2.Values()[0][7]; v != 115 {
-			t.Errorf("p2[7] = %d, want 115", v)
-		}
-		if v := p3.Values()[0][0]; v != 7 {
-			t.Errorf("p3[0] = %d, want 7", v)
-		}
-	})
-	s.Run()
-	if got := drv.Stats().RegReads; got != 1 {
-		t.Fatalf("driver transactions = %d, want 1 (coalesced)", got)
-	}
-	st := svc.Stats()
-	if st.ReadsCoalesced != 2 || st.RangesMerged != 1 {
-		t.Fatalf("coalescing stats: %+v", st)
-	}
-}
-
-func TestWriteCoalescing(t *testing.T) {
-	s, sw, drv, svc := testRig(t, Options{})
-	sess, _ := svc.Open(SessionOptions{Name: "legacy", Role: RoleLegacy})
-	s.Spawn("client", func(p *sim.Proc) {
-		h, err := sess.AddEntry(p, "tbl", rmt.Entry{
-			Keys: []rmt.KeySpec{rmt.ExactKey(1)}, Action: "act", Data: []uint64{0},
+		// Two adjacent ranges of r0 (merge into one range) and one of r1.
+		vals, err := sess.BatchRead(p, []driver.ReadReq{
+			{Reg: "r0", Lo: 8, Hi: 16}, {Reg: "r1", Lo: 2, Hi: 3}, {Reg: "r0", Lo: 0, Hi: 8},
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("read failed: %v", err)
+			return
 		}
-		base := drv.Stats().TableOps
-		// Three pipelined writes to the same entry: only the last value
-		// reaches the device.
-		var pendings []*Pending
-		for _, v := range []uint64{1, 2, 3} {
-			pn, err := sess.SubmitModify("tbl", h, "act", []uint64{v})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pendings = append(pendings, pn)
-		}
-		for _, pn := range pendings {
-			if err := pn.Wait(p); err != nil {
-				t.Errorf("write failed: %v", err)
-			}
-		}
-		if ops := drv.Stats().TableOps - base; ops != 1 {
-			t.Errorf("device table ops = %d, want 1 (coalesced)", ops)
-		}
-		entries, err := sw.Entries("tbl")
-		if err != nil || len(entries) != 1 || len(entries[0].Data) == 0 || entries[0].Data[0] != 3 {
-			t.Errorf("entries = %+v, %v; want one entry with final value 3", entries, err)
+		if vals[0][7] != 115 || vals[1][0] != 7 || vals[2][0] != 100 {
+			t.Errorf("values = %v", vals)
 		}
 	})
 	s.Run()
-	if svc.Stats().WritesCoalesced != 2 {
-		t.Fatalf("WritesCoalesced = %d, want 2", svc.Stats().WritesCoalesced)
+	if got := drv.Stats().RegReads; got != 1 || !slices.Equal(log.ranges, []int{2}) {
+		t.Fatalf("driver transactions = %d with %v ranges, want 1 with [2]", got, log.ranges)
+	}
+	if st := svc.Stats(); st.ReadTransactions != 1 || st.RangesMerged != 1 || st.ReadsCoalesced != 0 {
+		t.Fatalf("read stats: %+v", st)
 	}
 }
 
-// TestWriteRingBatching pipelines writes to distinct entries: unlike
-// same-entry coalescing, every write must reach the device, but the run
-// shares a single submission-ring flush (one doorbell, one transaction).
-func TestWriteRingBatching(t *testing.T) {
-	s, sw, drv, svc := testRig(t, Options{})
-	sess, _ := svc.Open(SessionOptions{Name: "legacy", Role: RoleLegacy})
-	s.Spawn("client", func(p *sim.Proc) {
-		var hs []rmt.EntryHandle
-		for i := uint64(0); i < 3; i++ {
-			h, err := sess.AddEntry(p, "tbl", rmt.Entry{
-				Keys: []rmt.KeySpec{rmt.ExactKey(i)}, Action: "act", Data: []uint64{0},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs = append(hs, h)
-		}
-		base := drv.Stats().TableOps
-		baseTx := svc.Stats().WriteTransactions
-		var pendings []*Pending
-		for i, h := range hs {
-			pn, err := sess.SubmitModify("tbl", h, "act", []uint64{uint64(10 + i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pendings = append(pendings, pn)
-		}
-		for _, pn := range pendings {
-			if err := pn.Wait(p); err != nil {
-				t.Errorf("write failed: %v", err)
-			}
-		}
-		if ops := drv.Stats().TableOps - base; ops != 3 {
-			t.Errorf("device table ops = %d, want 3 (distinct entries must all land)", ops)
-		}
-		if tx := svc.Stats().WriteTransactions - baseTx; tx != 1 {
-			t.Errorf("write transactions = %d, want 1 (batched into one ring flush)", tx)
-		}
-		for i := range hs {
-			entries, err := sw.Entries("tbl")
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, e := range entries {
-				if e.Keys[0].Value == uint64(i) && len(e.Data) > 0 && e.Data[0] == uint64(10+i) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("entry %d missing final value %d: %+v", i, 10+i, entries)
-			}
-		}
-	})
-	s.Run()
-	if svc.Stats().WritesCoalesced != 0 {
-		t.Fatalf("WritesCoalesced = %d, want 0 (distinct entries)", svc.Stats().WritesCoalesced)
-	}
-	if rs := svc.RingStats(); rs.OpsFlushed < 3 {
-		t.Fatalf("ring ops flushed = %d, want >= 3", rs.OpsFlushed)
-	}
-}
-
-// TestDemotedWhileQueued submits pipelined writes, demotes the session
-// before the dispatcher runs, and expects the dispatch-time permission
-// re-check to fail them all with ErrNotPrimary.
+// TestDemotedWhileQueued has two writers queue on a primary session and
+// a newer primary open at the same instant — after both were admitted,
+// before either is served — and expects the run-time permission re-check
+// to fail them with ErrNotPrimary.
 func TestDemotedWhileQueued(t *testing.T) {
 	s, _, drv, svc := testRig(t, Options{})
 	old, err := svc.Open(SessionOptions{Name: "old", Role: RolePrimary, ElectionID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Spawn("client", func(p *sim.Proc) {
-		var pendings []*Pending
-		for i := uint64(0); i < 2; i++ {
-			pn, err := old.SubmitModify("tbl", 1, "act", []uint64{i})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pendings = append(pendings, pn)
-		}
-		// Demote before the dispatcher gets to run (we have not parked).
-		if _, err := svc.Open(SessionOptions{Name: "new", Role: RolePrimary, ElectionID: 2}); err != nil {
-			t.Fatal(err)
-		}
-		for _, pn := range pendings {
-			if err := pn.Wait(p); !errors.Is(err, ErrNotPrimary) {
+	for i := uint64(0); i < 2; i++ {
+		s.Spawn(fmt.Sprintf("writer%d", i), func(p *sim.Proc) {
+			if err := old.ModifyEntry(p, "tbl", 1, "act", []uint64{i}); !errors.Is(err, ErrNotPrimary) {
 				t.Errorf("queued write after demotion: %v, want ErrNotPrimary", err)
 			}
+		})
+	}
+	s.Spawn("rival", func(p *sim.Proc) {
+		if old.QueueDepth() != 2 {
+			t.Errorf("queue depth = %d at demotion, want both writers queued", old.QueueDepth())
+		}
+		if _, err := svc.Open(SessionOptions{Name: "new", Role: RolePrimary, ElectionID: 2}); err != nil {
+			t.Error(err)
 		}
 	})
 	s.Run()
-	if drv.Stats().TableOps != 0 {
-		t.Fatalf("device ops = %d, want 0 (demoted writes must not land)", drv.Stats().TableOps)
+	if st := old.SessionStats(); st.Submitted != 2 || st.Failed != 2 {
+		t.Fatalf("session stats: %+v, want both writes admitted then failed", st)
+	}
+	if drv.Stats().TableOps != 0 || svc.RingStats().Reserved != 0 {
+		t.Fatalf("device ops = %d, ring slots = %d; want 0 (demoted writes must not land)",
+			drv.Stats().TableOps, svc.RingStats().Reserved)
 	}
 }
 
@@ -482,11 +350,10 @@ func TestMergeRanges(t *testing.T) {
 		{Reg: "r0", Lo: 20, Hi: 24}, // gap after 16: must NOT merge
 	}
 	// Stale scratch from a longer, differently-shaped read must not leak in.
-	sc := readScratch{all: []driver.ReadReq{{Reg: "z", Lo: 0, Hi: 9}, {Reg: "a", Lo: 0, Hi: 1}, {Reg: "a", Lo: 1, Hi: 2},
-		{Reg: "b", Lo: 0, Hi: 1}, {Reg: "c", Lo: 0, Hi: 1}, {Reg: "d", Lo: 0, Hi: 1}}}
-	sc.merge()
-	sc.all = append(sc.all[:0], reqs...)
-	merged, slots := sc.merge(), sc.where
+	var sc readScratch
+	sc.merge([]driver.ReadReq{{Reg: "z", Lo: 0, Hi: 9}, {Reg: "a", Lo: 0, Hi: 1}, {Reg: "a", Lo: 1, Hi: 2},
+		{Reg: "b", Lo: 0, Hi: 1}, {Reg: "c", Lo: 0, Hi: 1}, {Reg: "d", Lo: 0, Hi: 1}})
+	merged, slots := sc.merge(reqs), sc.where
 	if len(merged) != 3 || len(slots) != len(reqs) {
 		t.Fatalf("merged = %+v, want 3 ranges", merged)
 	}
@@ -499,25 +366,50 @@ func TestMergeRanges(t *testing.T) {
 	}
 }
 
+// TestSessionCloseFailsQueuedRequests closes a session at the instant
+// two callers queued on it: the first is mid-arbitration (it found the
+// service free and has not picked yet), the second parked behind it.
+// Both fail with ErrClosed, and the arbitrating caller still hands the
+// service to the other session's caller.
 func TestSessionCloseFailsQueuedRequests(t *testing.T) {
 	s, _, _, svc := testRig(t, Options{})
 	sess, _ := svc.Open(SessionOptions{Name: "legacy", Role: RoleLegacy})
-	s.Spawn("client", func(p *sim.Proc) {
-		pn, err := sess.SubmitExec(true, func(dp *sim.Proc, ch driver.Channel) error {
-			return ch.RegWrite(dp, "r0", 0, 1)
+	other, _ := svc.Open(SessionOptions{Name: "other", Role: RoleLegacy})
+	for i := 0; i < 2; i++ {
+		s.Spawn(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+			if err := sess.RegWrite(p, "r0", 0, 1); !errors.Is(err, ErrClosed) {
+				t.Errorf("queued request after close: %v, want ErrClosed", err)
+			}
+			if err := sess.RegWrite(p, "r0", 0, 1); !errors.Is(err, ErrClosed) {
+				t.Errorf("write after close: %v, want ErrClosed", err)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
+	}
+	served := false
+	s.Spawn("bystander", func(p *sim.Proc) {
+		if err := other.RegWrite(p, "r0", 1, 1); err != nil {
+			t.Errorf("other session: %v", err)
 		}
-		sess.Close() // before the dispatcher ever runs
-		if err := pn.Wait(p); !errors.Is(err, ErrClosed) {
-			t.Errorf("queued request after close: %v, want ErrClosed", err)
-		}
-		if err := sess.RegWrite(p, "r0", 0, 1); !errors.Is(err, ErrClosed) {
-			t.Errorf("write after close: %v, want ErrClosed", err)
+		served = true
+	})
+	s.Spawn("closer", func(p *sim.Proc) { sess.Close() })
+	s.Run()
+	if !served {
+		t.Fatal("the other session's caller was never served")
+	}
+	if st := sess.SessionStats(); st.Submitted != 2 || st.Completed != 2 || st.Failed != 2 {
+		t.Fatalf("closed session stats: %+v", st)
+	}
+	// The service is free again, not wedged behind the closed session.
+	s.Spawn("late", func(p *sim.Proc) {
+		if err := other.RegWrite(p, "r0", 2, 1); err != nil {
+			t.Errorf("late write: %v", err)
 		}
 	})
 	s.Run()
+	if got := other.SessionStats().Completed; got != 2 {
+		t.Fatalf("other session completed %d, want 2", got)
+	}
 }
 
 // TestSessionStressManyClients hammers one service (and through it one

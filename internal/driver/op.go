@@ -12,7 +12,7 @@ import (
 // This file is the control path's one op vocabulary. Channel stays the
 // boundary language — callers and pass-through recorders speak its
 // methods — but every layer that does something to an operation (inject
-// a fault, queue and coalesce it, put it on the wire, retry it) handles
+// a fault, queue it, put it on the wire, retry it) handles
 // it as data: an Op. Each direction of the conversion is written once:
 // the Adapter turns Channel calls into Ops, Apply turns an Op back into
 // the Channel call it describes.

@@ -182,11 +182,12 @@ type Reroute struct {
 }
 
 // Coordinator subscribes to every agent's events and composes
-// network-wide reactions. It runs entirely on the virtual clock: a
-// dispatcher process consumes the event queue, and one installer
-// process per node applies filters through that node's own lossy
-// control channel — so one partitioned switch can stall only its own
-// installer, never the dispatcher or its peers.
+// network-wide reactions. It runs entirely on the virtual clock:
+// deciding never blocks, so an event is handled where it is observed,
+// inside the emitting agent's process; one installer process per node
+// applies the decisions through that node's own lossy control channel —
+// so one partitioned switch can stall only its own installer, never the
+// agents or its peers.
 //
 // At-most-once discipline: an install abandoned with
 // driver.ErrChannelDegraded MAY have executed server-side, and by the
@@ -202,9 +203,6 @@ type Coordinator struct {
 	installers map[string]*installer
 	order      []string // node names, deterministic dispatch order
 
-	disp    *sim.Proc
-	queue   []core.Event
-	idle    bool
 	stopped bool
 
 	escalations map[uint64]*Escalation
@@ -225,7 +223,7 @@ type Coordinator struct {
 }
 
 func newCoordinator(s *sim.Simulator, opts CoordinatorOptions) *Coordinator {
-	co := &Coordinator{
+	return &Coordinator{
 		sim: s, opts: opts,
 		installers:  make(map[string]*installer),
 		escalations: make(map[uint64]*Escalation),
@@ -233,8 +231,6 @@ func newCoordinator(s *sim.Simulator, opts CoordinatorOptions) *Coordinator {
 		exclude:     make(map[string]map[int]bool),
 		assign:      make(map[string]map[uint32]int),
 	}
-	co.disp = s.Spawn("fabric-coordinator", co.run)
-	return co
 }
 
 // attach wires the coordinator to the built fabric: one installer
@@ -253,37 +249,13 @@ func (co *Coordinator) attach(f *Fabric) {
 	}
 }
 
-// Observe is the core.Options.EventSink of every fabric agent: enqueue
-// and wake the dispatcher. It runs inside the emitting agent's process
-// and must stay non-blocking.
+// Observe is the core.Options.EventSink of every fabric agent. It runs
+// inside the emitting agent's process and never blocks: it updates the
+// coordinator's view and enqueues work on the per-node installers.
 func (co *Coordinator) Observe(ev core.Event) {
 	if co.stopped {
 		return
 	}
-	co.queue = append(co.queue, ev)
-	if co.idle {
-		co.idle = false
-		co.disp.Unpark()
-	}
-}
-
-func (co *Coordinator) run(p *sim.Proc) {
-	for {
-		if co.stopped {
-			return
-		}
-		if len(co.queue) == 0 {
-			co.idle = true
-			p.Park()
-			continue
-		}
-		ev := co.queue[0]
-		co.queue = co.queue[1:]
-		co.handle(ev)
-	}
-}
-
-func (co *Coordinator) handle(ev core.Event) {
 	co.stats.Events++
 	switch ev.Kind {
 	case co.opts.BlockEvent:
@@ -555,10 +527,6 @@ func (co *Coordinator) Stats() CoordinatorStats { return co.stats }
 
 func (co *Coordinator) stop() {
 	co.stopped = true
-	if co.idle {
-		co.idle = false
-		co.disp.Unpark()
-	}
 	for _, ins := range co.installers {
 		ins.stop()
 	}
@@ -630,89 +598,76 @@ func (ins *installer) run(p *sim.Proc) {
 	}
 }
 
-// moveRoute applies one route modification with the same at-most-once
-// discipline as install: a degraded modify MAY have executed, so audit
-// the route table (reads are idempotent) and reissue only if the entry
-// still shows a different port. Modify is idempotent in effect, but a
-// blind retry would still burn channel budget and blur the stats that
-// separate ambiguity from repetition.
+// moveRoute applies one route modification; it has landed once the
+// entry shows the new port. Modify is idempotent in effect, but a blind
+// retry would still burn channel budget and blur the stats that separate
+// ambiguity from repetition.
 func (ins *installer) moveRoute(p *sim.Proc, op *routeOp) {
-	co := ins.co
-	for !co.stopped {
-		err := ins.node.CoordCli.ModifyEntry(p, RouteTable, op.handle, RouteAction, []uint64{op.port})
-		switch {
-		case err == nil:
-			co.finishRoute(op)
-			return
-		case errors.Is(err, driver.ErrChannelDegraded):
-			co.stats.DegradedRouteMoves++
-			for !co.stopped {
-				applied, aerr := ins.auditRoute(p, op)
-				if aerr == nil {
-					if applied {
-						co.stats.RouteAuditConfirmed++
-						co.finishRoute(op)
-						return
-					}
-					co.stats.RouteReissues++
-					break
-				}
-				co.stats.AuditRetries++
-				p.Sleep(co.opts.RetryBackoff)
-			}
-		case errors.Is(err, driver.ErrTransient):
-			co.stats.TransientRetries++
-			p.Sleep(co.opts.RetryBackoff)
-		default:
-			co.stats.InstallErrors++
-			co.setErr(fmt.Errorf("fabric: move route %#x on %s: %w", op.dst, ins.node.Name, err))
-			return
-		}
+	st := &ins.co.stats
+	if ins.apply(p, write{
+		what: "move route", table: RouteTable, key: uint64(op.dst),
+		issue: func() error {
+			return ins.node.CoordCli.ModifyEntry(p, RouteTable, op.handle, RouteAction, []uint64{op.port})
+		},
+		landed:   func(e rmt.Entry) bool { return len(e.Data) == 1 && e.Data[0] == op.port },
+		degraded: &st.DegradedRouteMoves, confirmed: &st.RouteAuditConfirmed, reissued: &st.RouteReissues,
+	}) {
+		ins.co.finishRoute(op)
 	}
 }
 
-// auditRoute reads the node's route table and reports whether op's
-// destination already routes out op.port.
-func (ins *installer) auditRoute(p *sim.Proc, op *routeOp) (bool, error) {
-	entries, err := ins.node.CoordCli.ReadEntries(p, RouteTable)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		if len(e.Keys) == 1 && e.Keys[0].Value == uint64(op.dst) {
-			return len(e.Data) == 1 && e.Data[0] == op.port, nil
-		}
-	}
-	return false, nil
-}
-
-// install applies one filter with the at-most-once discipline
-// described on Coordinator.
+// install applies one filter; it has landed once an entry for the
+// source exists.
 func (ins *installer) install(p *sim.Proc, op installOp) {
-	co := ins.co
-	entry := rmt.Entry{
-		Keys: []rmt.KeySpec{rmt.ExactKey(op.src)}, Action: FilterAction,
+	st := &ins.co.stats
+	if ins.apply(p, write{
+		what: "install filter", table: FilterTable, key: op.src,
+		issue: func() error {
+			_, err := ins.node.CoordCli.AddEntry(p, FilterTable, rmt.Entry{
+				Keys: []rmt.KeySpec{rmt.ExactKey(op.src)}, Action: FilterAction,
+			})
+			return err
+		},
+		landed:   func(rmt.Entry) bool { return true },
+		degraded: &st.DegradedInstalls, confirmed: &st.AuditConfirmed, reissued: &st.Reissues,
+	}) {
+		ins.co.finishInstall(ins.node, op)
 	}
+}
+
+// write is one installer write and what recovering it needs: the table
+// and key to audit it by, whether the audited entry shows it landed, and
+// the stats that count its degraded / found-landed / reissued outcomes.
+type write struct {
+	what, table string
+	key         uint64
+	issue       func() error
+	landed      func(rmt.Entry) bool
+
+	degraded, confirmed, reissued *uint64
+}
+
+// apply issues w with the at-most-once discipline described on
+// Coordinator — after a degraded channel, audit, and reissue only if the
+// entry is absent or does not show the write — and reports whether w is
+// known to have landed.
+func (ins *installer) apply(p *sim.Proc, w write) bool {
+	co := ins.co
 	for !co.stopped {
-		_, err := ins.node.CoordCli.AddEntry(p, FilterTable, entry)
+		err := w.issue()
 		switch {
 		case err == nil:
-			co.finishInstall(ins.node, op)
-			return
+			return true
 		case errors.Is(err, driver.ErrChannelDegraded):
-			co.stats.DegradedInstalls++
-			// Ambiguous fate, but no copy is in flight anymore (the
-			// client's MSL quarantine elapsed before this error
-			// surfaced) — audit, then reissue only on definite absence.
+			*w.degraded++
 			for !co.stopped {
-				present, aerr := ins.audit(p, op.src)
+				ok, aerr := ins.audit(p, w)
 				if aerr == nil {
-					if present {
-						co.stats.AuditConfirmed++
-						co.finishInstall(ins.node, op)
-						return
+					if ok {
+						*w.confirmed++
+						return true
 					}
-					co.stats.Reissues++
+					*w.reissued++
 					break
 				}
 				co.stats.AuditRetries++
@@ -723,22 +678,23 @@ func (ins *installer) install(p *sim.Proc, op installOp) {
 			p.Sleep(co.opts.RetryBackoff)
 		default:
 			co.stats.InstallErrors++
-			co.setErr(fmt.Errorf("fabric: install filter %#x on %s: %w", op.src, ins.node.Name, err))
-			return
+			co.setErr(fmt.Errorf("fabric: %s %#x on %s: %w", w.what, w.key, ins.node.Name, err))
+			return false
 		}
 	}
+	return false
 }
 
-// audit reads the node's filter table and reports whether src is
-// already filtered.
-func (ins *installer) audit(p *sim.Proc, src uint64) (bool, error) {
-	entries, err := ins.node.CoordCli.ReadEntries(p, FilterTable)
+// audit reads w's table (reads are idempotent) and reports whether the
+// entry under w's key is there and shows the write.
+func (ins *installer) audit(p *sim.Proc, w write) (bool, error) {
+	entries, err := ins.node.CoordCli.ReadEntries(p, w.table)
 	if err != nil {
 		return false, err
 	}
 	for _, e := range entries {
-		if len(e.Keys) == 1 && e.Keys[0].Value == src {
-			return true, nil
+		if len(e.Keys) == 1 && e.Keys[0].Value == w.key {
+			return w.landed(e), nil
 		}
 	}
 	return false, nil
