@@ -55,11 +55,6 @@ type Options struct {
 	// Pacing inserts a sleep between dialogue iterations, trading
 	// reaction latency for CPU utilization (Fig. 11). Zero = busy loop.
 	Pacing time.Duration
-	// SkipIdleCommit omits the vv commit and shadow fill on iterations
-	// where no reaction staged any change. The paper's pseudocode always
-	// commits; this is the measure-only optimization used by the
-	// microbenchmarks.
-	SkipIdleCommit bool
 	// MaxIterations stops the dialogue after this many iterations
 	// (0 = run until Stop).
 	MaxIterations uint64
@@ -740,8 +735,7 @@ func (a *Agent) iteration(p *sim.Proc) error {
 	if a.stopRequested() {
 		return ErrStopped
 	}
-	hasChanges := len(a.pendingMbl) > 0 || len(a.staged) > 0
-	if a.plan.UsesVV && len(a.plan.InitTables) > 0 && (hasChanges || !a.opts.SkipIdleCommit) {
+	if a.plan.UsesVV && len(a.plan.InitTables) > 0 {
 		if err := a.commit(p); err != nil {
 			return err
 		}

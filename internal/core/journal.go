@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/sim"
@@ -39,27 +38,11 @@ type JournalConfig struct {
 	// battery-backed journal region a standby can read; journal.FileStore
 	// persists across real process restarts).
 	Store journal.Store
-	// WriteLatency models the durability cost of one checkpoint or
-	// intent write (an NVMe flush, a replication ack). Zero = free.
-	// Heartbeats are piggybacked and never pay it.
-	WriteLatency time.Duration
 }
 
 // journaling reports whether the agent writes a durable journal.
 func (a *Agent) journaling() bool {
 	return a.opts.Journal != nil && a.opts.Journal.Store != nil
-}
-
-// journalWrite pays the configured durability latency, then runs one
-// store operation.
-func (a *Agent) journalWrite(p *sim.Proc, desc string, fn func() error) error {
-	if d := a.opts.Journal.WriteLatency; d > 0 {
-		p.Sleep(d)
-	}
-	if err := fn(); err != nil {
-		return fmt.Errorf("journal %s: %w", desc, err)
-	}
-	return nil
 }
 
 // specFromJournal deep-copies a journaled entry spec into a user entry.
@@ -137,10 +120,10 @@ func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
 
 // saveCheckpoint writes a fresh checkpoint.
 func (a *Agent) saveCheckpoint(p *sim.Proc) error {
-	cp := a.buildCheckpoint(p.Now())
-	return a.journalWrite(p, "checkpoint", func() error {
-		return a.opts.Journal.Store.SaveCheckpoint(cp)
-	})
+	if err := a.opts.Journal.Store.SaveCheckpoint(a.buildCheckpoint(p.Now())); err != nil {
+		return fmt.Errorf("journal checkpoint: %w", err)
+	}
+	return nil
 }
 
 // journalCheckpoint saves a fresh checkpoint and heartbeats.
@@ -154,7 +137,7 @@ func (a *Agent) journalCheckpoint(p *sim.Proc) error {
 	return a.heartbeat(p)
 }
 
-// heartbeat records liveness (free: piggybacked on journal traffic).
+// heartbeat records liveness.
 func (a *Agent) heartbeat(p *sim.Proc) error {
 	if err := a.opts.Journal.Store.Heartbeat(int64(p.Now())); err != nil {
 		return fmt.Errorf("journal heartbeat: %w", err)
@@ -169,9 +152,10 @@ func (a *Agent) heartbeat(p *sim.Proc) error {
 func (a *Agent) writeIntent(p *sim.Proc, desc string, it journal.Intent) error {
 	it.Iteration, it.StartVV, it.TargetVV, it.WrittenAt = a.stats.Iterations+1, a.vv, a.vv^1, int64(p.Now())
 	a.intentScratch = it
-	return a.journalWrite(p, desc, func() error {
-		return a.opts.Journal.Store.WriteIntent(&a.intentScratch)
-	})
+	if err := a.opts.Journal.Store.WriteIntent(&a.intentScratch); err != nil {
+		return fmt.Errorf("journal %s: %w", desc, err)
+	}
+	return nil
 }
 
 // journalBegin write-ahead-logs the start of an iteration.

@@ -20,20 +20,16 @@ type ClientOptions struct {
 	Epoch   uint64
 
 	// RTO is the initial retransmission timeout; each retransmit re-arms
-	// at RTO plus a full-jitter backoff draw capped at MaxRTO. Default:
+	// at RTO plus a full-jitter backoff draw capped at 8x RTO. Default:
 	// 2 link RTTs plus a fixed service allowance (the server executes a
 	// request on its driver before replying, so the response takes wire +
 	// execution + wire — an RTO of bare wire time retransmits spuriously
-	// on a perfectly healthy channel). MaxRTO defaults to 8x RTO.
-	RTO    time.Duration
-	MaxRTO time.Duration
+	// on a perfectly healthy channel).
+	RTO time.Duration
 	// OpDeadline bounds how long one operation retransmits before the
 	// client gives up and reports driver.ErrChannelDegraded. Default
 	// 5x RTO — roughly four retransmission opportunities.
 	OpDeadline time.Duration
-	// Window bounds in-flight requests; excess callers queue FIFO.
-	// Default 8.
-	Window int
 
 	// Meta, when set, serves the instantaneous wiring accessors of
 	// driver.Channel — Switch() and Stats() — which are simulation
@@ -88,7 +84,9 @@ type ClientStats struct {
 	// LateResponses counts responses that arrived after their operation
 	// was already resolved (duplicate or post-abandon arrivals).
 	LateResponses uint64
-	// WindowWaits counts callers that had to queue for a window slot.
+	// WindowWaits counts callers that found a call outstanding and had to
+	// wait their turn. (The name is from when the client had a window;
+	// bench/ reads it.)
 	WindowWaits uint64
 	// BadFrames counts undecodable response frames.
 	BadFrames uint64
@@ -104,12 +102,12 @@ type ClientStats struct {
 	LastDegradedCause DegradeCause
 }
 
-// call is one in-flight request. Calls are recycled through
-// Client.free and embed their request, response and backoff, so an
-// operation allocates nothing. While a call is live its request's op is a
-// copy of the caller's — aliasing the caller's slices, who is parked, so
-// they are stable across retransmits — and, for a batched read, its
-// response rows are the caller's; release drops every such reference.
+// call is the record of one request. The client has a single one, reused
+// by every operation and embedding its request, response and backoff, so
+// an operation allocates nothing. While an operation owns it its request's
+// op is a copy of the caller's — aliasing the caller's slices, who is
+// parked, so they are stable across retransmits — and, for a batched read,
+// its response rows are the caller's; release drops every such reference.
 type call struct {
 	seq      uint64
 	req      request
@@ -129,9 +127,11 @@ type call struct {
 // Client is the agent-side endpoint: a driver.Channel (the embedded
 // Adapter, over Do) whose every operation becomes a sequenced request
 // frame on a netsim.Link, with
-// retransmission, in-flight windowing, idempotent delivery (via server
-// dedup keyed on the seq), epoch fencing, and an MSL quarantine before
-// any mutation is reported as possibly-lost.
+// retransmission, idempotent delivery (via server dedup keyed on the
+// seq), epoch fencing, and an MSL quarantine before any mutation is
+// reported as possibly-lost. The channel is stop-and-wait: one request is
+// outstanding at a time, and a caller that arrives meanwhile waits its
+// turn.
 //
 // The client assumes the single-threaded simulator discipline of the
 // rest of the tree: all calls come from simulator processes, and the
@@ -146,18 +146,21 @@ type Client struct {
 	side int
 	opts ClientOptions
 
-	nextSeq  uint64
-	pending  map[uint64]*call
-	inFlight int
-	waitq    []*sim.Proc
+	nextSeq uint64
+	// call is the one call record: owned by a single operation from
+	// acquire to release (busy), and awaiting its response — sent, not yet
+	// resolved — exactly while cur points at it. Callers that find it busy
+	// park in waitq and are handed it in arrival order.
+	call  call
+	busy  bool
+	cur   *call
+	waitq []*sim.Proc
 
-	// Per-call plumbing, owned by the client and reused: the call
-	// freelist, the retransmission-timer callback (bound once), the
-	// encode buffer (the link copies on Send), the name table of decoded
-	// responses, and the response scratch for frames no call is waiting
-	// on.
-	free    []*call
-	timerFn func(any)
+	// Per-call plumbing, owned by the client and reused: the
+	// retransmission-timer callback (bound once), the encode buffer (the
+	// link copies on Send), the name table of decoded responses, and the
+	// response scratch for frames no call is waiting on.
+	timerFn func()
 	txBuf   []byte
 	names   wire.Names
 	late    response
@@ -193,23 +196,18 @@ func NewClient(s *sim.Simulator, link *netsim.Link, side int, opts ClientOptions
 	if opts.RTO <= 0 {
 		opts.RTO = 4*link.Delay() + rtoServiceAllowance
 	}
-	if opts.MaxRTO <= 0 {
-		opts.MaxRTO = 8 * opts.RTO
-	}
 	if opts.OpDeadline <= 0 {
 		opts.OpDeadline = 5 * opts.RTO
 	}
-	if opts.Window <= 0 {
-		opts.Window = 8
-	}
 	c := &Client{
 		sim: s, link: link, side: side, opts: opts,
-		nextSeq: 1, pending: make(map[uint64]*call), names: make(wire.Names),
+		nextSeq: 1, names: make(wire.Names),
+		call: call{bo: *faults.NewBackoff(s.Rand(), opts.RTO, 8*opts.RTO)},
 	}
 	// Switch() and Stats() are simulation plumbing, not control messages:
 	// they go to opts.Meta without crossing the wire.
 	c.Adapter = driver.NewAdapter(c.Do, opts.Meta)
-	c.timerFn = func(arg any) { c.onTimer(arg.(*call)) }
+	c.timerFn = c.onTimer
 	link.SetRecv(side, c.onFrame)
 	return c
 }
@@ -259,16 +257,10 @@ func (c *Client) ChanStats() ClientStats { return c.stats }
 // settled client-side. Piggybacked on every frame so the server can
 // garbage-collect its response cache and reject ghost mutations.
 func (c *Client) ackFloor() uint64 {
-	if len(c.pending) == 0 {
-		return c.nextSeq
+	if c.cur != nil {
+		return c.cur.seq
 	}
-	min := ^uint64(0)
-	for seq := range c.pending {
-		if seq < min {
-			min = seq
-		}
-	}
-	return min
+	return c.nextSeq
 }
 
 // transmit (re-)encodes and sends a call's frame with a fresh ack.
@@ -285,11 +277,12 @@ func (c *Client) transmit(cl *call) {
 // heal do not retransmit in lockstep.
 func (c *Client) arm(cl *call) {
 	cl.armed = true
-	cl.timer = c.sim.ScheduleCall(c.opts.RTO+cl.bo.Next(), c.timerFn, cl)
+	cl.timer = c.sim.Schedule(c.opts.RTO+cl.bo.Next(), c.timerFn)
 }
 
-// onTimer fires when a call's retransmission timer expires.
-func (c *Client) onTimer(cl *call) {
+// onTimer fires when the call's retransmission timer expires.
+func (c *Client) onTimer() {
+	cl := &c.call
 	if cl.done || cl.abandoned {
 		return
 	}
@@ -312,12 +305,12 @@ func (c *Client) onTimer(cl *call) {
 				c.fail(cl, c.degradedErr(cl))
 				return
 			}
-			// By then the call may have completed and its record been
-			// recycled for another operation: only a call still pending
+			// By then the call may have completed and the record be
+			// serving another operation: only a call still outstanding
 			// under this seq is ours to fail.
 			seq := cl.seq
 			c.sim.At(quarantineEnd, func() {
-				if c.pending[seq] == cl {
+				if c.cur != nil && c.cur.seq == seq {
 					c.fail(cl, c.degradedErr(cl))
 				}
 			})
@@ -344,8 +337,8 @@ func (c *Client) degradedErr(cl *call) error {
 // a call that has returned never has its rows written again.
 func (c *Client) onFrame(msg []byte) {
 	var cl *call
-	if seq, ok := responseSeq(msg); ok {
-		cl = c.pending[seq]
+	if seq, ok := responseSeq(msg); ok && c.cur != nil && c.cur.seq == seq {
+		cl = c.cur
 	}
 	resp := &c.late
 	if cl != nil {
@@ -368,7 +361,7 @@ func (c *Client) onFrame(msg []byte) {
 		c.sim.Cancel(cl.timer)
 		cl.armed = false
 	}
-	c.resolve(cl)
+	c.cur = nil
 	cl.waiter.Unpark()
 }
 
@@ -380,56 +373,43 @@ func (c *Client) fail(cl *call, err error) {
 		c.sim.Cancel(cl.timer)
 		cl.armed = false
 	}
-	c.resolve(cl)
+	c.cur = nil
 	cl.waiter.Unpark()
 }
 
-// resolve releases a finished call's bookkeeping: pending entry and
-// window slot, waking the next queued caller if any.
-func (c *Client) resolve(cl *call) {
-	delete(c.pending, cl.seq)
-	c.inFlight--
-	if len(c.waitq) > 0 {
-		next := c.waitq[0]
-		c.waitq = c.waitq[1:]
-		next.Unpark()
-	}
-}
-
-// newCall takes a call record for one operation.
-func (c *Client) newCall() *call {
-	if n := len(c.free); n > 0 {
-		cl := c.free[n-1]
-		c.free = c.free[:n-1]
-		return cl
-	}
-	return &call{bo: *faults.NewBackoff(c.sim.Rand(), c.opts.RTO, c.opts.MaxRTO)}
-}
-
-// release recycles a finished call, dropping its references to the
-// caller's arguments and to any result the caller now owns.
-func (c *Client) release(cl *call) {
-	*cl = call{bo: cl.bo}
-	c.free = append(c.free, cl)
-}
-
-// roundTrip runs one request to completion: admission, transmit,
-// retransmit until response or deadline, classify. On success the
-// response is in cl.resp.
-func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
-	req := &cl.req
-	c.stats.Ops++
-	if c.fenced && req.op.Kind.Mutating() {
-		c.stats.FencedOps++
-		return fmt.Errorf("ctlchan: %s refused: %w", req.op.Kind, ErrFenced)
-	}
-	for c.inFlight >= c.opts.Window {
+// acquire takes the call record for one operation: at once when it is
+// free, otherwise after parking until release hands it over.
+func (c *Client) acquire(p *sim.Proc) *call {
+	if c.busy {
 		c.stats.WindowWaits++
 		c.waitq = append(c.waitq, p)
 		p.Park()
 	}
-	c.inFlight++
+	c.busy = true
+	return &c.call
+}
 
+// release clears the finished call, dropping its references to the
+// caller's arguments and to any result the caller now owns, and hands the
+// record to the longest-waiting caller, if there is one. It runs on the
+// finished caller's process, once that has taken its result out of the
+// record; waking the next caller any earlier would let it overwrite it.
+func (c *Client) release() {
+	c.call = call{bo: c.call.bo}
+	if len(c.waitq) == 0 {
+		c.busy = false
+		return
+	}
+	next := c.waitq[0]
+	c.waitq = c.waitq[1:]
+	next.Unpark()
+}
+
+// roundTrip runs the request in cl to completion: transmit, retransmit
+// until response or deadline, classify. On success the response is in
+// cl.resp.
+func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
+	req := &cl.req
 	req.Kind = frameRequest
 	req.Session = c.opts.Session
 	req.Epoch = c.opts.Epoch
@@ -439,7 +419,7 @@ func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
 	cl.seq, cl.waiter = req.Seq, p
 	cl.bo.Reset()
 	cl.deadline = c.sim.Now().Add(c.opts.OpDeadline)
-	c.pending[cl.seq] = cl
+	c.cur = cl
 	c.transmit(cl)
 	c.arm(cl)
 	p.Park()
@@ -479,7 +459,12 @@ func (c *Client) Do(p *sim.Proc, op *driver.Op) error {
 	if op.Kind == driver.OpRead && !op.Batched {
 		return driver.PerRange(op, func(sub *driver.Op) error { return c.Do(p, sub) })
 	}
-	cl := c.newCall()
+	c.stats.Ops++
+	if c.fenced && op.Kind.Mutating() {
+		c.stats.FencedOps++
+		return fmt.Errorf("ctlchan: %s refused: %w", op.Kind, ErrFenced)
+	}
+	cl := c.acquire(p)
 	cl.req.op = *op
 	if op.Kind == driver.OpRead {
 		cl.resp.Vals = op.Rows[:0]
@@ -488,7 +473,7 @@ func (c *Client) Do(p *sim.Proc, op *driver.Op) error {
 	if err == nil {
 		err = cl.resp.deliver(op)
 	}
-	c.release(cl)
+	c.release()
 	return err
 }
 

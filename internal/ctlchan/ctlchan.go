@@ -39,9 +39,10 @@
 //     demotion fences writes at the service too — two independent
 //     fences.
 //
-// In-flight windowing bounds the number of outstanding requests per
-// client; excess callers queue FIFO. Reads share the same machinery but
-// skip the quarantine (a stale read executing late is harmless).
+// The channel is stop-and-wait: a client has one request outstanding,
+// and a caller that arrives meanwhile waits its turn. Reads share the
+// same machinery but skip the quarantine (a stale read executing late is
+// harmless).
 package ctlchan
 
 import (

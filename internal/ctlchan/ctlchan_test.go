@@ -245,27 +245,55 @@ func TestAtMostOnceUnderLossAndDup(t *testing.T) {
 	}
 }
 
-// TestWindowQueuesExcessCallers: concurrent callers beyond the window
-// queue FIFO and all complete.
-func TestWindowQueuesExcessCallers(t *testing.T) {
-	r := buildChanRig(t, faults.LinkNone(), ClientOptions{Window: 2})
-	const n = 6
-	doneCount := 0
-	for i := 0; i < n; i++ {
-		idx := uint64(i)
-		r.sim.Spawn("caller", func(p *sim.Proc) {
-			if _, err := r.cli.RegRead(p, "cnt", idx); err != nil {
-				t.Errorf("caller %d: %v", idx, err)
+// TestSecondCallerWaitsItsTurn: the channel is stop-and-wait. A second
+// process calling into a client whose call is outstanding parks, its
+// frame is not sent before the first call resolves, both complete, and
+// the server executes each mutation once.
+func TestSecondCallerWaitsItsTurn(t *testing.T) {
+	r := buildChanRig(t, faults.LinkNone(), ClientOptions{})
+	r.fake.slow = 10 * time.Microsecond
+	var done [2]sim.Time
+	for i := range done {
+		r.sim.Spawn(fmt.Sprintf("caller%d", i), func(p *sim.Proc) {
+			if err := r.cli.RegWrite(p, "cnt", uint64(i), 1); err != nil {
+				t.Errorf("caller %d: %v", i, err)
 			}
-			doneCount++
+			done[i] = p.Now()
 		})
 	}
-	r.sim.RunFor(time.Millisecond)
-	if doneCount != n {
-		t.Fatalf("%d/%d callers completed", doneCount, n)
+	// Half-way through the first call the second caller has been counted
+	// and parked, and has put nothing on the wire.
+	r.sim.RunFor(5 * time.Microsecond)
+	if cs := r.cli.ChanStats(); cs.Ops != 2 || cs.Sent != 1 || cs.WindowWaits != 1 {
+		t.Fatalf("with the first call outstanding: %+v; want 2 ops, 1 frame sent, 1 waiter", cs)
 	}
-	if ws := r.cli.ChanStats().WindowWaits; ws == 0 {
-		t.Fatal("window never queued anyone")
+	r.sim.RunFor(time.Millisecond)
+	if done[0] == 0 || done[1] == 0 {
+		t.Fatalf("calls returned at %v: one never completed", done)
+	}
+	if gap := done[1].Sub(done[0]); gap < r.cli.RTT()+r.fake.slow {
+		t.Fatalf("second call returned %v after the first; a full round trip takes %v", gap, r.cli.RTT()+r.fake.slow)
+	}
+	cs, ss := r.cli.ChanStats(), r.srv.Stats()
+	if cs.Sent != 2 || cs.WindowWaits != 1 || r.fake.writes != 2 || ss.MutationsExecuted != 2 {
+		t.Fatalf("client %+v, server %+v, %d writes applied; want 2 frames, 1 waiter, each mutation once", cs, ss, r.fake.writes)
+	}
+}
+
+// TestSessionsInIDOrder: the snapshot is sorted, whatever order sessions
+// attached in.
+func TestSessionsInIDOrder(t *testing.T) {
+	s := sim.New(1)
+	srv := NewServer(s)
+	for _, id := range []uint32{9, 2, 7, 1, 8, 3} {
+		srv.Attach(netsim.NewLink(s, time.Microsecond, faults.LinkNone(), 1), netsim.LinkSideB, id, 1, newFakeChan())
+	}
+	var ids []uint32
+	for _, si := range srv.Sessions() {
+		ids = append(ids, si.ID)
+	}
+	if fmt.Sprint(ids) != "[1 2 3 7 8 9]" {
+		t.Fatalf("Sessions() ids = %v, want ascending", ids)
 	}
 }
 

@@ -1,7 +1,9 @@
 package ctlchan
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
@@ -178,8 +180,7 @@ func (srv *Server) Stats() ServerStats {
 	return st
 }
 
-// Sessions returns a snapshot of every attached session, in id order
-// for small maps (callers sort if they care).
+// Sessions returns a snapshot of every attached session, in id order.
 func (srv *Server) Sessions() []SessionInfo {
 	out := make([]SessionInfo, 0, len(srv.sessions))
 	for _, s := range srv.sessions {
@@ -188,6 +189,7 @@ func (srv *Server) Sessions() []SessionInfo {
 			Mutations: s.mutations, LastMutationAt: s.lastMutationAt,
 		})
 	}
+	slices.SortFunc(out, func(a, b SessionInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

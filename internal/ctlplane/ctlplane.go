@@ -119,7 +119,7 @@ type Stats struct {
 	// RangesMerged counts register ranges folded into an adjacent range
 	// within one read (the saved per-range setup costs).
 	RangesMerged uint64
-	// WriteTransactions counts submission-ring flushes (doorbells).
+	// WriteTransactions counts writes issued to the driver channel.
 	WriteTransactions uint64
 	// Rejections counts calls refused with ErrQueueFull.
 	Rejections uint64
@@ -147,9 +147,7 @@ type Service struct {
 	// at for that class.
 	rrNext map[Class]int
 
-	// ring is the driver submission ring every write flushes through.
 	// free and reads keep the steady-state paths allocation-free.
-	ring  *driver.Ring
 	free  []*waiter
 	reads readScratch
 
@@ -161,7 +159,7 @@ type Service struct {
 // parameter stays because bench/, which this package may not change,
 // passes it.
 func New(_ *sim.Simulator, ch driver.Channel, opts Options) *Service {
-	return &Service{ch: ch, opts: opts, rrNext: make(map[Class]int), ring: driver.NewRing(ch, 0)}
+	return &Service{ch: ch, opts: opts, rrNext: make(map[Class]int)}
 }
 
 // Channel returns the underlying driver channel the service fronts.
@@ -170,8 +168,20 @@ func (svc *Service) Channel() driver.Channel { return svc.ch }
 // Stats returns a copy of the service counters.
 func (svc *Service) Stats() Stats { return svc.stats }
 
-// RingStats returns a copy of the driver submission-ring counters.
-func (svc *Service) RingStats() driver.RingStats { return svc.ring.Stats() }
+// RingStats is what is left of the driver submission ring's counters:
+// a write is one op applied to the channel, so both equal
+// Stats.WriteTransactions. The type and accessor stay because bench/
+// reads them, until a [benchmark] PR drops ctlplane.writes_per_flush.
+type RingStats struct {
+	Flushes    uint64
+	OpsFlushed uint64
+}
+
+// RingStats returns the write count under both of its legacy names.
+func (svc *Service) RingStats() RingStats {
+	n := svc.stats.WriteTransactions
+	return RingStats{Flushes: n, OpsFlushed: n}
+}
 
 // Sessions returns the open sessions (closed ones are pruned).
 func (svc *Service) Sessions() []*Session {
@@ -298,27 +308,15 @@ func (svc *Service) serve(p *sim.Proc, w *waiter, op *driver.Op) error {
 	return err
 }
 
-// write copies op into a submission-ring slot and rings the doorbell.
-// Permission is re-checked here, not only on admission: the session may
-// have been demoted or closed while the caller waited.
+// write applies the caller's op to the channel. Permission is re-checked
+// here, not only on admission: the session may have been demoted or
+// closed while the caller waited.
 func (svc *Service) write(p *sim.Proc, s *Session, op *driver.Op) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
-	slot, err := svc.ring.Reserve()
-	if err != nil {
-		// Unreachable (every flush is drained before the service moves
-		// on), but a typed refusal beats a silent drop.
-		return err
-	}
-	slot.Set(op)
 	svc.stats.WriteTransactions++
-	svc.ring.Flush(p)
-	svc.ring.Drain(func(slot *driver.Op) {
-		err = slot.Err
-		op.NewHandle = slot.NewHandle
-	})
-	return err
+	return driver.Apply(svc.ch, p, op)
 }
 
 // readScratch is the service's working storage for one register read:

@@ -3,12 +3,15 @@ package ctlplane
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/driver"
 	"repro/internal/p4"
+	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -88,9 +91,114 @@ func TestSessionRoundTrip(t *testing.T) {
 	if st.Submitted != 5 || st.Completed != 5 || st.Failed != 0 {
 		t.Fatalf("session stats: %+v", st)
 	}
-	// Every write went through the submission ring, one doorbell each.
+	// The counters bench/ reads still say one op per write.
 	if rs := svc.RingStats(); rs.OpsFlushed != 3 || rs.Flushes != 3 || svc.Stats().WriteTransactions != 3 {
 		t.Fatalf("ring stats: %+v, write transactions %d", rs, svc.Stats().WriteTransactions)
+	}
+}
+
+// TestSessionWriteMatchesDriver is the differential test of the write
+// path: one random sequence of every mutating kind, successes and
+// failures, through a primary session and straight into a *driver.Driver
+// must report the same results and handles at the same virtual times and
+// leave the same driver counters and switch state. The service arbitrates;
+// it adds no cost and applies the caller's own op.
+func TestSessionWriteMatchesDriver(t *testing.T) {
+	type result struct {
+		trace []string
+		stats driver.Stats
+		end   sim.Time
+		state string
+	}
+	run := func(viaSession bool) result {
+		s := sim.New(1)
+		prog := testProgram()
+		prog.AddHash(&p4.HashCalc{Name: "ecmp", Fields: []packet.FieldID{prog.Schema.MustID("h.k")}, Width: 16})
+		sw, err := rmt.New(s, prog, rmt.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv := driver.New(s, sw, driver.DefaultCostModel())
+		do := func(p *sim.Proc, op *driver.Op) error { return driver.Apply(drv, p, op) }
+		if viaSession {
+			sess, err := New(s, drv, Options{}).Open(SessionOptions{Role: RolePrimary, ElectionID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			do = sess.Do
+		}
+		var r result
+		s.Spawn("cp", func(p *sim.Proc) {
+			rng := rand.New(rand.NewSource(18))
+			var live []rmt.EntryHandle
+			var ok, failed [driver.NumOpKinds]int
+			for i := 0; i < 400; i++ {
+				op := driver.Op{Kind: driver.OpAddEntry + driver.OpKind(rng.Intn(6)), Table: "tbl"}
+				if rng.Intn(12) == 0 {
+					op.Table = "nope"
+				}
+				// A handle that exists most of the time, a stale or bogus one otherwise.
+				op.Handle = rmt.EntryHandle(rng.Intn(8))
+				if len(live) > 0 && rng.Intn(5) > 0 {
+					op.Handle = live[rng.Intn(len(live))]
+				}
+				data := []uint64{uint64(rng.Intn(512))}
+				switch op.Kind {
+				case driver.OpAddEntry:
+					// 48 keys over 400 ops: duplicate-key refusals happen.
+					op.Handle, op.Keys, op.Action, op.Data = 0, []rmt.KeySpec{rmt.ExactKey(uint64(rng.Intn(48)))}, "act", data
+				case driver.OpModifyEntry:
+					op.Action, op.Data = "act", data
+				case driver.OpSetDefault:
+					if rng.Intn(3) > 0 {
+						op.Call = &p4.ActionCall{Action: "act", Data: data}
+					}
+				case driver.OpSetHashSeed:
+					op.Table, op.Val = [2]string{"ecmp", "nope"}[rng.Intn(8)/7], rng.Uint64()
+				case driver.OpRegWrite:
+					// Index 64 is one past the end.
+					op.Table, op.Idx, op.Val = [2]string{"r0", "nope"}[rng.Intn(8)/7], uint64(rng.Intn(65)), uint64(rng.Uint32())
+				}
+				err := do(p, &op)
+				if err != nil {
+					failed[op.Kind]++
+				} else {
+					ok[op.Kind]++
+					switch op.Kind {
+					case driver.OpAddEntry:
+						live = append(live, op.NewHandle)
+					case driver.OpDeleteEntry:
+						live = slices.DeleteFunc(live, func(h rmt.EntryHandle) bool { return h == op.Handle })
+					}
+				}
+				r.trace = append(r.trace, fmt.Sprintf("%v h=%d new=%d err=%v at %v", op.Kind, op.Handle, op.NewHandle, err, p.Now()))
+			}
+			for k := driver.OpAddEntry; k.Mutating(); k++ {
+				if ok[k] == 0 || failed[k] == 0 {
+					t.Errorf("%v: %d successes, %d failures; the sequence must cover both", k, ok[k], failed[k])
+				}
+			}
+		})
+		s.Run()
+		r.stats, r.end = drv.Stats(), s.Now()
+		es, _ := sw.Entries("tbl")
+		for _, e := range es {
+			r.state += fmt.Sprintf("{%d %v %s %v}", e.Handle, e.Keys, e.Action, e.Data)
+		}
+		def, _ := sw.DefaultAction("tbl")
+		regs, _ := sw.RegReadRange("r0", 0, 64)
+		r.state += fmt.Sprintf(" default %+v regs %v", def, regs)
+		return r
+	}
+	direct, session := run(false), run(true)
+	for i := range direct.trace {
+		if direct.trace[i] != session.trace[i] {
+			t.Fatalf("op %d: direct %q, session %q", i, direct.trace[i], session.trace[i])
+		}
+	}
+	direct.trace, session.trace = nil, nil
+	if !reflect.DeepEqual(direct, session) {
+		t.Errorf("end state differs:\n direct  %+v\n session %+v", direct, session)
 	}
 }
 
@@ -336,9 +444,9 @@ func TestDemotedWhileQueued(t *testing.T) {
 	if st := old.SessionStats(); st.Submitted != 2 || st.Failed != 2 {
 		t.Fatalf("session stats: %+v, want both writes admitted then failed", st)
 	}
-	if drv.Stats().TableOps != 0 || svc.RingStats().Reserved != 0 {
-		t.Fatalf("device ops = %d, ring slots = %d; want 0 (demoted writes must not land)",
-			drv.Stats().TableOps, svc.RingStats().Reserved)
+	if drv.Stats().TableOps != 0 || svc.Stats().WriteTransactions != 0 {
+		t.Fatalf("device ops = %d, write transactions = %d; want 0 (demoted writes must not land)",
+			drv.Stats().TableOps, svc.Stats().WriteTransactions)
 	}
 }
 

@@ -250,9 +250,9 @@ func (s *Session) admit(op *driver.Op) error {
 // Do runs one operation through the service and blocks until it
 // completes: the whole driver.Channel surface. The caller queues, parks
 // until the scheduler grants it the service, and runs op on its own
-// process. The op is never copied here — a write is copied into its ring
-// slot and reads land in the op's own rows — and the queue record is
-// pooled, so a steady-state call allocates nothing.
+// process. The op is never copied — a write is applied as it is and reads
+// land in the op's own rows — and the queue record is pooled, so a
+// steady-state call allocates nothing.
 func (s *Session) Do(p *sim.Proc, op *driver.Op) error {
 	if err := s.admit(op); err != nil {
 		return err

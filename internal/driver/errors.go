@@ -46,9 +46,9 @@ func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 // mutate switch state only at completion time — by embedding an Adapter
 // and handling each call as an Op (op.go). An implementation copies
 // whatever it keeps of its arguments (entry keys and data, action-call
-// data): callers — the agent's commit scratch, the ring's slots, the
-// control-channel server's decoded request — reuse those buffers as soon
-// as the call returns.
+// data): callers — the agent's commit scratch, the control-channel
+// server's decoded request — reuse those buffers as soon as the call
+// returns.
 type Channel interface {
 	AddEntry(p *sim.Proc, table string, e rmt.Entry) (rmt.EntryHandle, error)
 	ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, action string, data []uint64) error

@@ -81,15 +81,13 @@ func (k OpKind) String() string {
 func (k OpKind) Mutating() bool { return k >= OpAddEntry && k <= OpRegWrite }
 
 // Op is one control operation as data: the request, and after it ran
-// its completion (Err is the ring's; everywhere else the error is Do's
-// or Apply's return value).
+// its completion (the error is Do's or Apply's return value).
 //
 // Ownership: an Op's slices (Data, Keys, Reqs, Rows, Call.Data) belong
 // to whoever filled it. The Adapter aliases its caller's arguments for
-// the duration of one call; a layer that holds an op past the call that
-// delivered it — the ring, between Reserve and Drain — copies it with
-// Set. Results (Entries, a read-back Call, refilled Rows) belong to the
-// caller once the op completes.
+// the duration of one call, and no layer holds an op past the call that
+// delivered it. Results (Entries, a read-back Call, refilled Rows) belong
+// to the caller once the op completes.
 type Op struct {
 	Kind OpKind
 	// Batched is an OpRead's cost flag: one transaction for all of Reqs,
@@ -114,15 +112,8 @@ type Op struct {
 	Rows [][]uint64
 
 	// Completion record.
-	Err       error
 	NewHandle rmt.EntryHandle
 	Entries   []rmt.Entry
-
-	// Tag is an opaque caller cookie carried through a ring to Drain.
-	Tag any
-
-	// call backs Call in a copy made by Set.
-	call p4.ActionCall
 }
 
 // Name labels the op for error text: its verb and, when it has one, the
@@ -142,33 +133,6 @@ func checkRows(reqs []ReadReq, dst [][]uint64) error {
 		return fmt.Errorf("driver: %d result rows for %d requests: %w", len(dst), len(reqs), ErrBadBatch)
 	}
 	return nil
-}
-
-// reset clears an op for reuse, keeping slice capacity.
-func (op *Op) reset() {
-	*op = Op{
-		Data: op.Data[:0], Keys: op.Keys[:0], Reqs: op.Reqs[:0],
-		call: p4.ActionCall{Data: op.call.Data[:0]},
-	}
-}
-
-// Set makes op an independent copy of src's request: every input slice
-// is copied into op's own buffers (capacity reused, so a recycled op
-// stops allocating once warm). Rows stay the caller's — they are where
-// the result is wanted. Completion fields and Tag are cleared.
-func (op *Op) Set(src *Op) {
-	op.reset()
-	op.Kind, op.Table, op.Handle, op.Action = src.Kind, src.Table, src.Handle, src.Action
-	op.Data = append(op.Data, src.Data...)
-	op.Keys = append(op.Keys, src.Keys...)
-	op.Priority, op.Idx, op.Val = src.Priority, src.Idx, src.Val
-	if src.Call != nil {
-		op.call.Action = src.Call.Action
-		op.call.Data = append(op.call.Data, src.Call.Data...)
-		op.Call = &op.call
-	}
-	op.Reqs = append(op.Reqs, src.Reqs...)
-	op.Rows, op.Batched = src.Rows, src.Batched
 }
 
 // Apply performs op on ch with the Channel method it describes and
@@ -258,7 +222,8 @@ type Adapter struct {
 	do    func(p *sim.Proc, op *Op) error
 	below Channel
 	// free recycles ops: several processes may be inside Do at once (a
-	// windowed client, a shared session), so one scratch op is not enough.
+	// second caller parked on a client, a shared session), so one scratch
+	// op is not enough.
 	free []*Op
 }
 

@@ -30,12 +30,7 @@ import (
 //     drvDo — when the op it is handed is visibly of a mutating kind: a
 //     literal in the call, or a variable the function gave such a kind.
 //     An op that merely passes through (a layer's Do forwarding to
-//     Apply) carries no kind the function can see and is not a site;
-//   - Flush, the submission ring's doorbell. The ring splits submission
-//     into staging and execution: Reserve and Op.Set are pure host
-//     memory and impose no ordering, while Flush applies every staged
-//     descriptor to the switch — an intent journaled after staging but
-//     before Flush still covers the crash window.
+//     Apply) carries no kind the function can see and is not a site.
 var JournalIntentAnalyzer = &Analyzer{
 	Name: "journalintent",
 	Doc:  "journal intent writes in internal/core, internal/ctlchan, and internal/ctlplane must precede the driver mutations they cover",
@@ -51,12 +46,10 @@ var intentWriters = map[string]bool{
 }
 
 // channelMutators are the driver.Channel methods that change switch
-// state (driver.OpKind.Mutating names the same set), plus the ring
-// doorbell.
+// state (driver.OpKind.Mutating names the same set).
 var channelMutators = map[string]bool{
 	"AddEntry": true, "ModifyEntry": true, "DeleteEntry": true,
 	"SetDefaultAction": true, "SetHashSeed": true, "RegWrite": true,
-	"Flush": true,
 }
 
 // opExecutors run a driver.Op; mutatingKinds are the kinds that make

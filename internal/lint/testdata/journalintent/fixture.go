@@ -112,35 +112,3 @@ func (a *agent) passThrough(op *Op) {
 	_ = Apply(a.drv, op)
 	_ = a.WriteIntent("x")
 }
-
-// ---- The submission ring: staging is free, the doorbell mutates.
-
-type ring struct{}
-
-func (rg *ring) Reserve() *Op { return &Op{} }
-func (rg *ring) Flush() error { return nil }
-func (rg *ring) Drain()       {}
-
-func (op *Op) Set(src *Op) {}
-
-func (a *agent) goodRingSubmit(rg *ring) {
-	// Reserve/Set are pure staging: journaling the intent after filling
-	// descriptors but before the doorbell still covers the crash window.
-	rg.Reserve().Set(&Op{Kind: OpModifyEntry})
-	_ = a.journalCommitStaged()
-	_ = rg.Flush()
-	rg.Drain()
-}
-
-func (a *agent) badRingSubmit(rg *ring) {
-	rg.Reserve().Set(&Op{Kind: OpRegWrite})
-	_ = rg.Flush() // want "driver mutation Flush precedes the intent journal write"
-	_ = a.journalCommitStaged()
-}
-
-func (a *agent) flushOnly(rg *ring) {
-	// No intent write in scope: dispatcher fast path, not flagged.
-	rg.Reserve().Set(&Op{Kind: OpModifyEntry})
-	_ = rg.Flush()
-	rg.Drain()
-}

@@ -42,7 +42,6 @@ func HotPathBenchmarks() []NamedBench {
 		{"update_commit@ctlchan", benchUpdateCommitCtlchan},
 		{"poll_batch", benchPollBatch},
 		{"reaction_dispatch", benchReactionDispatch},
-		{"ring_submit", benchRingSubmit},
 	}
 }
 
@@ -242,7 +241,7 @@ func benchDialogueIteration(b *testing.B) {
 // stackedDialogue is an agent behind the control stack
 // fabric.buildNode deploys for every node: core.Agent → ctlchan.Client →
 // 1µs netsim.Link → ctlchan.Server → primary ctlplane.Session →
-// driver.Ring → driver.Driver, journaling to a journal.MemStore with the
+// driver.Driver, journaling to a journal.MemStore with the
 // channel-scaled recovery options. The raw-driver dialogue_iteration
 // measures the loop; this measures what the fabric runs.
 type stackedDialogue struct {
@@ -407,22 +406,16 @@ func benchUpdateCommitCtlchan(b *testing.B) {
 	d.run(b)
 }
 
-// perfRegProgram builds a minimal switch with one 16-cell register for
-// the poll and ring-submit probes.
-func perfRegProgram(name string) *p4.Program {
-	prog := p4.NewProgram(name)
-	prog.DefineStandardMetadata()
-	prog.AddRegister(&p4.Register{Name: "qdepths", Width: 32, Instances: 16})
-	return prog
-}
-
 // benchPollBatch measures the agent's measurement-poll shape: one
 // batched register read per iteration into a caller-owned dst matrix.
 // Steady state must be allocation-free (BatchReadInto refills rows in
 // place).
 func benchPollBatch(b *testing.B) {
 	s := sim.New(1)
-	sw, err := rmt.New(s, perfRegProgram("perf-poll"), rmt.DefaultConfig())
+	prog := p4.NewProgram("perf-poll")
+	prog.DefineStandardMetadata()
+	prog.AddRegister(&p4.Register{Name: "qdepths", Width: 32, Instances: 16})
+	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -476,45 +469,6 @@ func (h *noopHost) ReadMbl(string) (int64, error)                   { return h.l
 func (h *noopHost) WriteMbl(_ string, v int64) error                { h.last = v; return nil }
 func (h *noopHost) TableOp(_, _ string, _ []rcl.Arg) (int64, error) { return 0, nil }
 func (h *noopHost) Call(_ string, _ []rcl.Arg) (int64, error)       { return 0, nil }
-
-// benchRingSubmit measures one submission-ring lap: reserve and encode
-// a dialogue iteration's worth of register writes, flush the doorbell,
-// and drain completions. The descriptors and their buffers are
-// ring-resident, so steady state must be allocation-free.
-func benchRingSubmit(b *testing.B) {
-	const opsPerLap = 8
-	s := sim.New(1)
-	sw, err := rmt.New(s, perfRegProgram("perf-ring"), rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
-	ring := driver.NewRing(drv, opsPerLap)
-	s.Spawn("submit", func(p *sim.Proc) {
-		write := driver.Op{Kind: driver.OpRegWrite, Table: "qdepths"}
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < opsPerLap; j++ {
-				slot, err := ring.Reserve()
-				if err != nil {
-					b.Fatal(err)
-				}
-				write.Idx, write.Val = uint64(j%16), uint64(i)
-				slot.Set(&write)
-			}
-			if err := ring.Flush(p); err != nil {
-				b.Fatal(err)
-			}
-			ring.Drain(func(op *driver.Op) {
-				if op.Err != nil {
-					b.Fatal(op.Err)
-				}
-			})
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
-}
 
 // Run executes the whole suite via testing.Benchmark and returns the
 // measured metrics in suite order. It is the entry point cmd/perfbench

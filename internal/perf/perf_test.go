@@ -153,7 +153,6 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		"dialogue_iteration": true,
 		"poll_batch":         true,
 		"reaction_dispatch":  true,
-		"ring_submit":        true,
 	}
 	for _, nb := range HotPathBenchmarks() {
 		if !targets[nb.Name] {
@@ -189,7 +188,7 @@ func stackedAllocs(t *testing.T, d *stackedDialogue) float64 {
 }
 
 // TestStackedIterationAllocBudget drives poll → react → commit through
-// Client → Link → Server → Session → Ring → Driver with a MemStore
+// Client → Link → Server → Session → Driver with a MemStore
 // journal and holds the iteration to its budget — zero, since the journal
 // records are encoded into store-owned buffers — so a per-call allocation
 // creeping back into any layer of the stack fails here with the count.

@@ -17,7 +17,7 @@ import (
 
 // opStack is one channel call at a time through every op-handling layer
 // there is: faults.Injector → ctlchan.Client → netsim.Link →
-// ctlchan.Server → ctlplane.Session → driver.Ring → driver.Driver.
+// ctlchan.Server → ctlplane.Session → driver.Driver.
 type opStack struct {
 	sim *sim.Simulator
 	top driver.Channel
@@ -84,9 +84,9 @@ func (st *opStack) allocs(t *testing.T, ch driver.Channel, call func(p *sim.Proc
 }
 
 // TestStackedOpsAllocateNothing: every write kind and the range read,
-// carried through all six layers as one Op per layer, costs exactly the
+// carried through all five layers as one Op per layer, costs exactly the
 // allocations the same call costs on the raw driver — the adapters, the
-// injector, client, link, server, session and ring add none. (Only
+// injector, client, link, server and session add none. (Only
 // AddEntry costs any: the switch keeps a copy of the entry.) Skipped
 // under the race detector, whose instrumentation allocates.
 func TestStackedOpsAllocateNothing(t *testing.T) {

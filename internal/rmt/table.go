@@ -229,8 +229,8 @@ func (ti *tableInstance) add(e Entry) (EntryHandle, error) {
 	e.act = ti.prog.Actions[e.Action]
 	e.code = ti.codeOf[e.Action]
 	// Own the Keys and Data storage: modify reuses Data capacity in
-	// place, and callers staging entries in reusable buffers (the driver
-	// submission ring) recycle both slices after the call returns —
+	// place, and callers staging entries in reusable buffers (the agent's
+	// commit scratch) recycle both slices after the call returns —
 	// neither must ever scribble over an installed entry.
 	e.Keys = append(make([]KeySpec, 0, len(e.Keys)), e.Keys...)
 	e.Data = append(make([]uint64, 0, len(e.Data)), e.Data...)

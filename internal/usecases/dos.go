@@ -10,6 +10,7 @@ package usecases
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/compiler"
@@ -288,9 +289,15 @@ func BuildDos(seed int64, cfg DosConfig, routes map[uint32]int) (*DosRig, error)
 	det := NewDosDetector(cfg)
 	agent := core.NewAgent(s, drv, plan, core.Options{
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			for dst, port := range routes {
+			// Ascending address order, so entry handles repeat from run to run.
+			dsts := make([]uint32, 0, len(routes))
+			for dst := range routes {
+				dsts = append(dsts, dst)
+			}
+			slices.Sort(dsts)
+			for _, dst := range dsts {
 				if _, err := drv.AddEntry(p, "route", rmt.Entry{
-					Keys: []rmt.KeySpec{rmt.ExactKey(uint64(dst))}, Action: "route_pkt", Data: []uint64{uint64(port)},
+					Keys: []rmt.KeySpec{rmt.ExactKey(uint64(dst))}, Action: "route_pkt", Data: []uint64{uint64(routes[dst])},
 				}); err != nil {
 					return err
 				}

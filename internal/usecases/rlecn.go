@@ -199,10 +199,11 @@ func BuildRL(seed int64, td time.Duration, bottleneckBps float64) (*RLRig, error
 	agent := core.NewAgent(s, drv, plan, core.Options{
 		Pacing: td,
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			routes := map[uint64]uint64{2: 1, 1: 0}
-			for dst, port := range routes {
+			// dst → port, in ascending address order: a slice, not a map, so
+			// entry handles repeat from run to run.
+			for _, r := range [][2]uint64{{1, 0}, {2, 1}} {
 				if _, err := drv.AddEntry(p, "route", rmt.Entry{
-					Keys: []rmt.KeySpec{rmt.ExactKey(dst)}, Action: "route_pkt", Data: []uint64{port},
+					Keys: []rmt.KeySpec{rmt.ExactKey(r[0])}, Action: "route_pkt", Data: []uint64{r[1]},
 				}); err != nil {
 					return err
 				}

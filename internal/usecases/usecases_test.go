@@ -1,12 +1,14 @@
 package usecases
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/rmt"
 	"repro/internal/workload"
 )
 
@@ -69,6 +71,57 @@ func TestDosNoFalsePositivesWithoutAttack(t *testing.T) {
 	if len(rig.Detector.Blocked) != 0 {
 		t.Fatalf("blocked %v without any traffic", rig.Detector.Blocked)
 	}
+}
+
+// TestPrologueRouteHandlesRepeat: two builds with one seed install the
+// same route under the same entry handle. The prologues used to range a
+// Go map, so the handle → key listing changed from run to run.
+func TestPrologueRouteHandlesRepeat(t *testing.T) {
+	routes := map[uint32]int{}
+	for i := uint32(0); i < 16; i++ {
+		routes[0xD0000000+i*7919%251] = int(i)
+	}
+	listings := map[string]func() (string, error){
+		"dos": func() (string, error) {
+			rig, err := BuildDos(1, DefaultDosConfig(), routes)
+			if err != nil {
+				return "", err
+			}
+			rig.Agent.Start()
+			rig.Sim.RunFor(time.Millisecond)
+			return routeListing(rig.Sw)
+		},
+		"rlecn": func() (string, error) {
+			rig, err := BuildRL(1, 50*time.Microsecond, 10e9)
+			if err != nil {
+				return "", err
+			}
+			rig.Agent.Start()
+			rig.Sim.RunFor(time.Millisecond)
+			return routeListing(rig.Sw)
+		},
+	}
+	for name, list := range listings {
+		first, err := list()
+		if err != nil || first == "" {
+			t.Fatalf("%s: listing %q, %v", name, first, err)
+		}
+		for i := 0; i < 4; i++ {
+			if again, _ := list(); again != first {
+				t.Fatalf("%s: route handles differ between builds:\n %s\n %s", name, first, again)
+			}
+		}
+	}
+}
+
+// routeListing renders the route table as handle → key, in handle order.
+func routeListing(sw *rmt.Switch) (string, error) {
+	es, err := sw.Entries("route")
+	var sb strings.Builder
+	for _, e := range es {
+		fmt.Fprintf(&sb, "%d→%#x ", e.Handle, e.Keys[0].Value)
+	}
+	return sb.String(), err
 }
 
 // TestFig16GrayFailure checks detection + reroute lands in the
