@@ -298,7 +298,11 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	var recErr error
 	s.Schedule(305*time.Microsecond, func() {
 		s.Spawn("takeover", func(p *sim.Proc) {
-			sess2 := mustOpen(t, svc, "successor", 2)
+			var sess2 *ctlplane.Session
+			sess2, recErr = svc.Open(ctlplane.SessionOptions{Name: "successor", Role: ctlplane.RolePrimary, ElectionID: 2})
+			if recErr != nil {
+				return // not mustOpen: t.Fatal must stay off a process goroutine
+			}
 			link2 := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 22)
 			srv.Attach(link2, netsim.LinkSideB, 2, 2, sess2)
 			cli2 := NewClient(s, link2, netsim.LinkSideA, ClientOptions{Session: 2, Epoch: 2, Meta: drv})

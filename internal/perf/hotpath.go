@@ -42,6 +42,8 @@ func HotPathBenchmarks() []NamedBench {
 		{"update_commit@ctlchan", benchUpdateCommitCtlchan},
 		{"poll_batch", benchPollBatch},
 		{"reaction_dispatch", benchReactionDispatch},
+		{"proc_sleep", benchProcSleep},
+		{"proc_handoff", benchProcHandoff},
 	}
 }
 
@@ -425,7 +427,8 @@ func benchPollBatch(b *testing.B) {
 	s.Spawn("poll", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			if err := drv.BatchReadInto(p, reqs, dst); err != nil {
-				b.Fatal(err)
+				b.Error(err) // not Fatal: this is a process goroutine
+				return
 			}
 		}
 	})
@@ -459,6 +462,43 @@ func benchReactionDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchProcSleep measures the kernel's cheapest modelled wait: a process
+// whose own wake-up is the next event, so Sleep schedules, pops and
+// returns without leaving its goroutine.
+func benchProcSleep(b *testing.B) {
+	s := sim.New(1)
+	s.Spawn("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// benchProcHandoff measures the kernel's dearest wait: a Park/Unpark
+// round trip between two processes, each wake-up one goroutine switch.
+func benchProcHandoff(b *testing.B) {
+	s := sim.New(1)
+	var ping, pong *sim.Proc
+	pong = s.Spawn("pong", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Park()
+			ping.Unpark()
+		}
+	})
+	ping = s.Spawn("ping", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Unpark()
+			p.Park()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
 }
 
 // noopHost absorbs malleable writes so benchReactionDispatch measures

@@ -153,6 +153,8 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		"dialogue_iteration": true,
 		"poll_batch":         true,
 		"reaction_dispatch":  true,
+		"proc_sleep":         true,
+		"proc_handoff":       true,
 	}
 	for _, nb := range HotPathBenchmarks() {
 		if !targets[nb.Name] {

@@ -12,69 +12,70 @@ import (
 // result — exactly the shape of the Mantis agent's dialogue loop and of
 // a legacy control-plane application. Proc provides blocking-style
 // execution on top of the event queue: the process body runs in its own
-// goroutine, but control strictly alternates between the simulator and
-// at most one runnable process, so execution remains deterministic.
+// goroutine, but exactly one goroutine — the Run caller or one process —
+// holds control at any time, so execution remains deterministic. A
+// process that blocks keeps control and runs the event loop itself
+// (Simulator.loop) until its own wake-up comes up or control has to go to
+// another goroutine.
 //
 // A Proc may only interact with the simulation between Spawn and the
-// return of its body, and must block only via Sleep/WaitUntil.
+// return of its body, and must block only via Sleep/WaitUntil/Park.
 type Proc struct {
 	sim  *Simulator
 	name string
-	// resume wakes the process goroutine; yield returns control to the
-	// simulator goroutine.
-	resume chan struct{}
-	yield  chan struct{}
-	// handoffFn is the handoff method value, bound once at Spawn so the
-	// steady-state Sleep/Unpark path does not allocate a fresh closure
-	// per scheduling (method values capture the receiver on the heap).
-	handoffFn func()
-	done      bool
+	// fn is the body until the first wake-up starts its goroutine; from
+	// then on control reaches the blocked goroutine through wake.
+	fn   func(*Proc)
+	wake chan struct{}
+	done bool
 }
 
 // Spawn starts fn as a simulated process at the current virtual time.
-// fn begins executing when the scheduler reaches the spawn event.
+// fn begins executing when the scheduler reaches the spawn event, which
+// is the process's first wake-up.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	p.handoffFn = p.handoff
-	s.Schedule(0, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.done = true
-			p.yield <- struct{}{}
-		}()
-		p.handoff()
-	})
+	p := &Proc{sim: s, name: name, fn: fn, wake: make(chan struct{})}
+	s.wakeAt(s.now, p)
 	return p
 }
 
-// handoff transfers control from the simulator goroutine to the process
-// goroutine and waits for it to block or finish. Must be called from
-// the simulator goroutine (inside an event).
-func (p *Proc) handoff() {
-	p.resume <- struct{}{}
-	<-p.yield
+// wakeAt schedules p's wake-up at t: an event that carries the process
+// instead of a callback.
+func (s *Simulator) wakeAt(t Time, p *Proc) {
+	e := s.newEvent(t)
+	e.proc = p
+	s.push(e)
 }
 
-// block transfers control from the process goroutine back to the
-// simulator and waits to be resumed. Must be called from the process
-// goroutine.
-func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
+// resume hands control to p, whose wake-up the caller has just popped.
+// The caller must not touch simulator state afterwards (see loop).
+func (p *Proc) resume() {
+	if p.done {
+		panic(fmt.Sprintf("sim: wake of finished proc %q", p.name))
+	}
+	p.sim.transfers++
+	if fn := p.fn; fn != nil {
+		p.fn = nil
+		go p.run(fn)
+		return
+	}
+	p.wake <- struct{}{}
+}
+
+// run is the process goroutine. When the body returns, control goes
+// back to the Run caller.
+func (p *Proc) run(fn func(*Proc)) {
+	fn(p)
+	p.done = true
+	p.sim.transfers++
+	p.sim.main <- struct{}{}
 }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.Now() }
 
 // Sim returns the underlying simulator. Scheduling events from within a
-// running process is safe: the simulator goroutine is parked while the
-// process runs.
+// running process is safe: the process holds control while it runs.
 func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Sleep suspends the process for d of virtual time. Other events (data
@@ -86,8 +87,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		d = 0
 	}
-	p.sim.Schedule(d, p.handoffFn)
-	p.block()
+	p.sim.wakeAt(p.sim.now.Add(d), p)
+	p.sim.loop(p)
 }
 
 // WaitUntil suspends the process until the absolute virtual time t. If
@@ -119,11 +120,12 @@ func (p *Proc) Park() {
 	if p.done {
 		panic(fmt.Sprintf("sim: Park on finished proc %q", p.name))
 	}
-	p.block()
+	p.sim.loop(p)
 }
 
 // Unpark schedules a parked process to resume at the current virtual
 // time (after already-queued same-time events). It must be called from
 // simulator context: inside an event callback or from another running
-// process.
-func (p *Proc) Unpark() { p.sim.Schedule(0, p.handoffFn) }
+// process. Unparking a process whose body has returned panics when the
+// wake-up comes up.
+func (p *Proc) Unpark() { p.sim.wakeAt(p.sim.now, p) }

@@ -12,12 +12,13 @@
 // time in (time, sequence) order, so every run is exactly reproducible
 // given the same seed. Components that are conceptually concurrent (the
 // data plane, the Mantis agent, a legacy control plane) interleave by
-// scheduling events rather than by using goroutines.
+// scheduling events; a Proc gives one of them a goroutine for its stack,
+// but only the goroutine that holds control ever runs (see loop).
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -46,17 +47,19 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback: either a plain closure fn, or an
-// arg-passing afn(arg) pair (see ScheduleCall). The latter lets hot
+// Event is a scheduled callback — either a plain closure fn, or an
+// arg-passing afn(arg) pair (see ScheduleCall) — or the wake-up of a
+// process, which carries the Proc and no callback. ScheduleCall lets hot
 // paths schedule per-packet work without allocating a capturing
 // closure; combined with the simulator's event freelist the schedule
 // operation itself is allocation-free in steady state.
 type event struct {
-	at  Time
-	seq uint64 // tie-break so equal-time events run FIFO
-	fn  func()
-	afn func(any)
-	arg any
+	at   Time
+	seq  uint64 // tie-break so equal-time events run FIFO
+	fn   func()
+	afn  func(any)
+	arg  any
+	proc *Proc
 	// slot is the struct's fixed index in Simulator.events; gen counts
 	// its uses. Together they are the EventID, so an id names one
 	// scheduling of the struct and goes stale the moment that event runs.
@@ -66,34 +69,70 @@ type event struct {
 	cancelled bool
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before is the queue order: time, then scheduling sequence.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// push and pop keep Simulator.queue a binary min-heap on before.
+func (s *Simulator) push(e *event) {
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	s.queue = q
+}
+
+func (s *Simulator) pop() *event {
+	q := s.queue
+	top, n := q[0], len(q)-1
+	e := q[n]
+	q[n] = nil
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
+	return top
 }
 
 // Simulator owns the virtual clock and the pending event queue.
 type Simulator struct {
 	now      Time
-	queue    eventQueue
+	queue    []*event
 	seq      uint64
 	stopped  bool
+	limit    Time // the current run executes events with timestamps <= limit
 	rng      *rand.Rand
 	executed uint64
+	// main hands control back to the Run caller; transfers counts every
+	// hand-over of control between goroutines (read by tests).
+	main      chan struct{}
+	transfers uint64
 	// events holds every event struct ever allocated, indexed by slot, so
 	// Cancel can find the struct an EventID names. free recycles them so
 	// steady-state scheduling does not allocate (one event is reused as
@@ -105,7 +144,7 @@ type Simulator struct {
 // New returns a Simulator whose clock starts at 0 and whose deterministic
 // RNG is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), main: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -139,7 +178,7 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) EventID {
 func (s *Simulator) At(t Time, fn func()) EventID {
 	e := s.newEvent(t)
 	e.fn = fn
-	heap.Push(&s.queue, e)
+	s.push(e)
 	return e.eventID()
 }
 
@@ -159,7 +198,7 @@ func (s *Simulator) ScheduleCall(delay time.Duration, fn func(any), arg any) Eve
 func (s *Simulator) AtCall(t Time, fn func(any), arg any) EventID {
 	e := s.newEvent(t)
 	e.afn, e.arg = fn, arg
-	heap.Push(&s.queue, e)
+	s.push(e)
 	return e.eventID()
 }
 
@@ -215,20 +254,12 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called.
-func (s *Simulator) Run() {
-	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
-		s.step()
-	}
-}
+func (s *Simulator) Run() { s.run(math.MaxInt64) }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t (even if no event lands on it).
 func (s *Simulator) RunUntil(t Time) {
-	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped && s.queue[0].at <= t {
-		s.step()
-	}
+	s.run(t)
 	if !s.stopped && s.now < t {
 		s.now = t
 	}
@@ -237,25 +268,60 @@ func (s *Simulator) RunUntil(t Time) {
 // RunFor executes events for d of virtual time from the current instant.
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
-func (s *Simulator) step() {
-	e := heap.Pop(&s.queue).(*event)
-	if e.cancelled {
+func (s *Simulator) run(limit Time) {
+	s.stopped, s.limit = false, limit
+	s.loop(nil)
+}
+
+// loop is the event loop. Whichever goroutine holds control runs it: the
+// Run caller (self == nil), or a process blocked in Sleep or Park, which
+// runs the clock itself instead of giving control up to wait. Callbacks
+// execute inline on that goroutine's stack. A wake-up for self is a plain
+// return; a wake-up for another process hands control straight to it,
+// after which self only waits for its own. When the run is over — queue
+// empty, Stop, or the next event beyond the RunUntil bound — control goes
+// back to the Run caller, and a blocked process stays where it is until a
+// later run reaches its wake-up.
+//
+// A goroutine that has handed control over touches no simulator state
+// until control comes back to it: the two would otherwise run
+// concurrently.
+func (s *Simulator) loop(self *Proc) {
+	for len(s.queue) > 0 && !s.stopped && s.queue[0].at <= s.limit {
+		e := s.pop()
+		if e.cancelled {
+			s.release(e)
+			continue
+		}
+		if e.at > s.now {
+			s.now = e.at
+		}
+		s.executed++
+		// Copy the event out and recycle it before acting on it, so events
+		// the callback schedules can reuse the struct immediately.
+		fn, afn, arg, p := e.fn, e.afn, e.arg, e.proc
 		s.release(e)
-		return
+		switch {
+		case afn != nil:
+			afn(arg)
+		case p == nil:
+			fn()
+		case p == self:
+			return
+		default:
+			p.resume()
+			if self != nil {
+				<-self.wake
+				return
+			}
+			<-s.main // the run is over, or a process body returned
+		}
 	}
-	if e.at > s.now {
-		s.now = e.at
+	if self != nil {
+		s.transfers++
+		s.main <- struct{}{}
+		<-self.wake
 	}
-	s.executed++
-	// Copy the callback out and recycle the event before running it, so
-	// events the callback schedules can reuse the struct immediately.
-	fn, afn, arg := e.fn, e.afn, e.arg
-	s.release(e)
-	if afn != nil {
-		afn(arg)
-		return
-	}
-	fn()
 }
 
 // Every schedules fn to run repeatedly with the given period, starting
@@ -266,29 +332,33 @@ func (s *Simulator) Every(period time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
 	t := &Ticker{sim: s, period: period, fn: fn}
+	t.tick = t.run
 	t.arm()
 	return t
 }
 
 // Ticker is a repeating event created by Every.
 type Ticker struct {
-	sim     *Simulator
-	period  time.Duration
-	fn      func()
+	sim    *Simulator
+	period time.Duration
+	fn     func()
+	// tick is the run method value, bound once so that re-arming does not
+	// allocate a closure per tick.
+	tick    func()
 	pending EventID
 	stopped bool
 }
 
-func (t *Ticker) arm() {
-	t.pending = t.sim.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.pending = t.sim.Schedule(t.period, t.tick) }
+
+func (t *Ticker) run() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels all future ticks.
