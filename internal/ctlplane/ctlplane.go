@@ -23,10 +23,6 @@
 //     rejected with a typed error (ErrQueueFull), never dropped or
 //     silently delayed.
 //
-//   - Range merging: overlapping or adjacent register ranges inside one
-//     read reach the driver as one range (one per-range setup cost
-//     instead of several).
-//
 // A Session implements driver.Channel, so existing clients — the
 // Mantis agent, the fault-injection chaos suite, the experiment
 // drivers — drop onto the service without code changes; the fault
@@ -116,9 +112,6 @@ type Stats struct {
 	// calls. The field stays because bench/ reads it, until a [benchmark]
 	// PR drops ctlplane.reads_coalesced_per_kop.
 	ReadsCoalesced uint64
-	// RangesMerged counts register ranges folded into an adjacent range
-	// within one read (the saved per-range setup costs).
-	RangesMerged uint64
 	// WriteTransactions counts writes issued to the driver channel.
 	WriteTransactions uint64
 	// Rejections counts calls refused with ErrQueueFull.
@@ -147,9 +140,8 @@ type Service struct {
 	// at for that class.
 	rrNext map[Class]int
 
-	// free and reads keep the steady-state paths allocation-free.
-	free  []*waiter
-	reads readScratch
+	// free keeps the steady-state path allocation-free.
+	free []*waiter
 
 	stats Stats
 }
@@ -273,14 +265,10 @@ func (svc *Service) serve(p *sim.Proc, w *waiter, op *driver.Op) error {
 	}
 	start := p.Now()
 	var err error
-	switch {
-	case op.Kind.Mutating():
+	if op.Kind.Mutating() {
 		err = svc.write(p, s, op)
-	case op.Kind == driver.OpRegRead, op.Kind == driver.OpRead && op.Batched:
-		err = svc.read(p, op)
-	default:
-		// Audit reads and the unbatched-read ablation (merging it would
-		// measure nothing) go to the channel as they are.
+	} else {
+		svc.stats.ReadTransactions++
 		err = driver.Apply(svc.ch, p, op)
 	}
 
@@ -317,104 +305,4 @@ func (svc *Service) write(p *sim.Proc, s *Session, op *driver.Op) error {
 	}
 	svc.stats.WriteTransactions++
 	return driver.Apply(svc.ch, p, op)
-}
-
-// readScratch is the service's working storage for one register read:
-// the single range of a RegRead, the merge plan, and the result matrix
-// the driver fills. All of it is overwritten by the next read.
-type readScratch struct {
-	one    [1]driver.ReadReq
-	order  []int
-	merged []driver.ReadReq
-	where  []readSlot
-	rows   [][]uint64
-}
-
-// read merges op's register ranges into one driver transaction and
-// copies the values out to the caller's rows (or Val). Every range
-// observes values captured at the same completion instant — the snapshot
-// semantics a BatchRead already has.
-func (svc *Service) read(p *sim.Proc, op *driver.Op) error {
-	sc := &svc.reads
-	reqs := op.Reqs
-	if op.Kind == driver.OpRegRead {
-		sc.one[0] = driver.ReadReq{Reg: op.Table, Lo: op.Idx, Hi: op.Idx + 1}
-		reqs = sc.one[:]
-	}
-	merged := sc.merge(reqs)
-	svc.stats.ReadTransactions++
-	svc.stats.RangesMerged += uint64(len(reqs) - len(merged))
-
-	for len(sc.rows) < len(merged) {
-		sc.rows = append(sc.rows, nil)
-	}
-	vals := sc.rows[:len(merged)]
-	read := driver.Op{Kind: driver.OpRead, Batched: true, Reqs: merged, Rows: vals}
-	if err := driver.Apply(svc.ch, p, &read); err != nil {
-		return err
-	}
-	if op.Kind == driver.OpRegRead {
-		op.Val = vals[0][0]
-		return nil
-	}
-	for j, w := range sc.where {
-		op.Rows[j] = append(op.Rows[j][:0], vals[w.idx][w.off:w.off+w.n]...)
-	}
-	return nil
-}
-
-// readSlot locates one original range inside the merged request list.
-type readSlot struct {
-	idx int // merged range index
-	off int // cell offset within the merged range
-	n   int // cell count
-}
-
-// merge folds overlapping or adjacent ranges of reqs on the same
-// register into unions, returning the merged list and leaving in
-// sc.where, for each original range, where its values live in the
-// merged results. Ranges on distinct registers or with gaps between them
-// stay separate — merging across a gap would DMA cells nobody asked for.
-func (sc *readScratch) merge(reqs []driver.ReadReq) []driver.ReadReq {
-	sc.where = sc.where[:0]
-	if len(reqs) <= 1 {
-		for i, r := range reqs {
-			sc.where = append(sc.where, readSlot{idx: i, n: int(r.Hi - r.Lo)})
-		}
-		return reqs
-	}
-	order := sc.order[:0]
-	for i := range reqs {
-		order = append(order, i)
-		sc.where = append(sc.where, readSlot{})
-	}
-	sc.order = order
-	// Insertion sort by (register, Lo): request lists are short (a
-	// handful of reactions' params), and stability is irrelevant since
-	// ties resolve identically.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := reqs[order[j]], reqs[order[j-1]]
-			if a.Reg < b.Reg || (a.Reg == b.Reg && a.Lo < b.Lo) {
-				order[j], order[j-1] = order[j-1], order[j]
-			} else {
-				break
-			}
-		}
-	}
-	merged := sc.merged[:0]
-	for _, oi := range order {
-		r := reqs[oi]
-		if n := len(merged); n > 0 && merged[n-1].Reg == r.Reg && r.Lo <= merged[n-1].Hi {
-			if r.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = r.Hi
-			}
-		} else {
-			merged = append(merged, r)
-		}
-		last := merged[len(merged)-1]
-		sc.where[oi] = readSlot{idx: len(merged) - 1, off: int(r.Lo - last.Lo), n: int(r.Hi - r.Lo)}
-	}
-	sc.merged = merged
-	return merged
 }

@@ -76,8 +76,11 @@ func TestSessionRoundTrip(t *testing.T) {
 		if err != nil || v != 42 {
 			t.Errorf("RegRead = %d, %v; want 42", v, err)
 		}
-		if _, err := sess.BatchRead(p, []driver.ReadReq{{Reg: "r1", Lo: 0, Hi: 8}}); err != nil {
-			t.Errorf("BatchRead: %v", err)
+		// Touching ranges out of register order: rows come back per range,
+		// in the caller's order.
+		vals, err := sess.BatchRead(p, []driver.ReadReq{{Reg: "r1", Lo: 0, Hi: 8}, {Reg: "r0", Lo: 3, Hi: 4}, {Reg: "r0", Lo: 0, Hi: 3}})
+		if err != nil || len(vals) != 3 || len(vals[0]) != 8 || vals[1][0] != 42 || len(vals[2]) != 3 {
+			t.Errorf("BatchRead = %v, %v", vals, err)
 		}
 	})
 	s.Run()
@@ -94,6 +97,9 @@ func TestSessionRoundTrip(t *testing.T) {
 	// The counters bench/ reads still say one op per write.
 	if rs := svc.RingStats(); rs.OpsFlushed != 3 || rs.Flushes != 3 || svc.Stats().WriteTransactions != 3 {
 		t.Fatalf("ring stats: %+v, write transactions %d", rs, svc.Stats().WriteTransactions)
+	}
+	if got := svc.Stats().ReadTransactions; got != 2 {
+		t.Fatalf("read transactions = %d, want 2", got)
 	}
 }
 
@@ -373,48 +379,6 @@ func TestRoundRobinFairnessWithinClass(t *testing.T) {
 	}
 }
 
-// TestReadCoalescing: adjacent ranges inside one read reach the driver
-// as one range, and every caller range still gets its own values.
-func TestReadCoalescing(t *testing.T) {
-	s := sim.New(1)
-	sw, err := rmt.New(s, testProgram(), rmt.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
-	log := newServiceLog(drv)
-	svc := New(s, log, Options{})
-	sess, _ := svc.Open(SessionOptions{Name: "obs"})
-	for i := uint64(0); i < 16; i++ {
-		if err := sw.RegWrite("r0", i, 100+i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.RegWrite("r1", 2, 7); err != nil {
-		t.Fatal(err)
-	}
-	s.Spawn("client", func(p *sim.Proc) {
-		// Two adjacent ranges of r0 (merge into one range) and one of r1.
-		vals, err := sess.BatchRead(p, []driver.ReadReq{
-			{Reg: "r0", Lo: 8, Hi: 16}, {Reg: "r1", Lo: 2, Hi: 3}, {Reg: "r0", Lo: 0, Hi: 8},
-		})
-		if err != nil {
-			t.Errorf("read failed: %v", err)
-			return
-		}
-		if vals[0][7] != 115 || vals[1][0] != 7 || vals[2][0] != 100 {
-			t.Errorf("values = %v", vals)
-		}
-	})
-	s.Run()
-	if got := drv.Stats().RegReads; got != 1 || !slices.Equal(log.ranges, []int{2}) {
-		t.Fatalf("driver transactions = %d with %v ranges, want 1 with [2]", got, log.ranges)
-	}
-	if st := svc.Stats(); st.ReadTransactions != 1 || st.RangesMerged != 1 || st.ReadsCoalesced != 0 {
-		t.Fatalf("read stats: %+v", st)
-	}
-}
-
 // TestDemotedWhileQueued has two writers queue on a primary session and
 // a newer primary open at the same instant — after both were admitted,
 // before either is served — and expects the run-time permission re-check
@@ -447,30 +411,6 @@ func TestDemotedWhileQueued(t *testing.T) {
 	if drv.Stats().TableOps != 0 || svc.Stats().WriteTransactions != 0 {
 		t.Fatalf("device ops = %d, write transactions = %d; want 0 (demoted writes must not land)",
 			drv.Stats().TableOps, svc.Stats().WriteTransactions)
-	}
-}
-
-func TestMergeRanges(t *testing.T) {
-	reqs := []driver.ReadReq{
-		{Reg: "r1", Lo: 2, Hi: 3},
-		{Reg: "r0", Lo: 8, Hi: 16},
-		{Reg: "r0", Lo: 0, Hi: 8},
-		{Reg: "r0", Lo: 20, Hi: 24}, // gap after 16: must NOT merge
-	}
-	// Stale scratch from a longer, differently-shaped read must not leak in.
-	var sc readScratch
-	sc.merge([]driver.ReadReq{{Reg: "z", Lo: 0, Hi: 9}, {Reg: "a", Lo: 0, Hi: 1}, {Reg: "a", Lo: 1, Hi: 2},
-		{Reg: "b", Lo: 0, Hi: 1}, {Reg: "c", Lo: 0, Hi: 1}, {Reg: "d", Lo: 0, Hi: 1}})
-	merged, slots := sc.merge(reqs), sc.where
-	if len(merged) != 3 || len(slots) != len(reqs) {
-		t.Fatalf("merged = %+v, want 3 ranges", merged)
-	}
-	// Every original range must map inside its merged range.
-	for i, r := range reqs {
-		m := merged[slots[i].idx]
-		if m.Reg != r.Reg || uint64(slots[i].off) != r.Lo-m.Lo || slots[i].n != int(r.Hi-r.Lo) {
-			t.Fatalf("slot %d = %+v for %+v in %+v", i, slots[i], r, m)
-		}
 	}
 }
 

@@ -206,7 +206,6 @@ type Coordinator struct {
 	stopped bool
 
 	escalations map[uint64]*Escalation
-	escOrder    []uint64
 	hh          map[uint64]uint64
 
 	// health[sp] merges per-leaf probe evidence about spine sp; exclude
@@ -458,7 +457,6 @@ func (co *Coordinator) escalate(ev core.Event) {
 		Installed: make(map[string]sim.Time),
 	}
 	co.escalations[ev.Key] = esc
-	co.escOrder = append(co.escOrder, ev.Key)
 	if co.opts.OnEscalation != nil {
 		co.opts.OnEscalation(esc)
 	}
@@ -492,15 +490,6 @@ func (co *Coordinator) finishInstall(n *Node, op installOp) {
 
 // Escalation returns the escalation for src, or nil.
 func (co *Coordinator) Escalation(src uint64) *Escalation { return co.escalations[src] }
-
-// Escalations returns all escalations in creation order.
-func (co *Coordinator) Escalations() []*Escalation {
-	out := make([]*Escalation, 0, len(co.escOrder))
-	for _, src := range co.escOrder {
-		out = append(out, co.escalations[src])
-	}
-	return out
-}
 
 // TopK returns the fabric-wide heavy-hitter view: the k largest merged
 // per-sender estimates, bytes descending (source ascending on ties —

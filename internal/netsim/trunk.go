@@ -158,9 +158,6 @@ func (t *Trunk) GrayRate() float64 { return t.grayRate }
 // Stats returns the counters for the direction sending from side.
 func (t *Trunk) Stats(side int) TrunkStats { return t.stats[side] }
 
-// End returns the (network, port) of side.
-func (t *Trunk) End(side int) (*Network, int) { return t.ends[side].net, t.ends[side].port }
-
 // Inject transmits pkt from side as if the local switch had routed it
 // out the trunk port — the hook for link-level probe traffic (BFD-style
 // liveness heartbeats emitted by the port hardware rather than the

@@ -37,20 +37,6 @@ func (p *Program) DefineStandardMetadata() {
 	p.Schema.Define(FieldPriority, 8)
 }
 
-// Env is the execution environment a switch model provides to primitive
-// operations: field access on the current packet, stateful register
-// access, hash evaluation, and packet disposition.
-type Env interface {
-	Get(packet.FieldID) uint64
-	Set(packet.FieldID, uint64)
-	RegRead(reg string, idx uint64) uint64
-	RegWrite(reg string, idx uint64, v uint64)
-	Hash(name string) uint64
-	Drop()
-	// Param returns the i'th action-data value bound by the matched entry.
-	Param(i int) uint64
-}
-
 // OperandKind discriminates Operand variants.
 type OperandKind int
 
@@ -86,18 +72,6 @@ func ParamOp(i int, name string) Operand {
 	return Operand{Kind: OpParam, Param: i, ParamName: name}
 }
 
-// Value evaluates the operand.
-func (o Operand) Value(env Env) uint64 {
-	switch o.Kind {
-	case OpField:
-		return env.Get(o.Field)
-	case OpConst:
-		return o.Const
-	default:
-		return env.Param(o.Param)
-	}
-}
-
 func (o Operand) check(p *Program, a *Action) error {
 	switch o.Kind {
 	case OpField:
@@ -114,9 +88,10 @@ func (o Operand) check(p *Program, a *Action) error {
 
 // Primitive is one step of an action body. The set of primitives matches
 // the RMT constraint envelope described in §2 of the paper: simple ALU
-// ops only — no multiplication, division, or loops.
+// ops only — no multiplication, division, or loops. The set is closed
+// (check is unexported), and rmt compiles each member at switch
+// construction.
 type Primitive interface {
-	Exec(env Env)
 	check(p *Program, a *Action) error
 }
 
@@ -134,8 +109,6 @@ type ModifyField struct {
 	Src     Operand
 }
 
-// Exec implements Primitive.
-func (m ModifyField) Exec(env Env) { env.Set(m.Dst, m.Src.Value(env)) }
 func (m ModifyField) check(p *Program, a *Action) error {
 	if err := checkDst(p, m.Dst, m.DstName); err != nil {
 		return err
@@ -183,12 +156,8 @@ func (op ALUOp) String() string {
 	return fmt.Sprintf("ALUOp(%d)", int(op))
 }
 
-// Apply computes the operation over two operand values. Exposed so
-// execution engines (e.g. the rmt compiled pipeline) can evaluate ALU
-// primitives without going through the Primitive interface.
-func (op ALUOp) Apply(a, b uint64) uint64 { return op.apply(a, b) }
-
-func (op ALUOp) apply(a, b uint64) uint64 {
+// Apply computes the operation over two operand values.
+func (op ALUOp) Apply(a, b uint64) uint64 {
 	switch op {
 	case ALUAdd:
 		return a + b
@@ -227,8 +196,6 @@ type ALU struct {
 	A, B    Operand
 }
 
-// Exec implements Primitive.
-func (x ALU) Exec(env Env) { env.Set(x.Dst, x.Op.apply(x.A.Value(env), x.B.Value(env))) }
 func (x ALU) check(p *Program, a *Action) error {
 	if err := checkDst(p, x.Dst, x.DstName); err != nil {
 		return err
@@ -242,15 +209,11 @@ func (x ALU) check(p *Program, a *Action) error {
 // Drop marks the packet to be discarded at the end of the pipeline.
 type Drop struct{}
 
-// Exec implements Primitive.
-func (Drop) Exec(env Env)                  { env.Drop() }
 func (Drop) check(*Program, *Action) error { return nil }
 
 // NoOp does nothing.
 type NoOp struct{}
 
-// Exec implements Primitive.
-func (NoOp) Exec(Env)                      {}
 func (NoOp) check(*Program, *Action) error { return nil }
 
 // RegisterRead loads Reg[Index] into Dst.
@@ -261,8 +224,6 @@ type RegisterRead struct {
 	Index   Operand
 }
 
-// Exec implements Primitive.
-func (r RegisterRead) Exec(env Env) { env.Set(r.Dst, env.RegRead(r.Reg, r.Index.Value(env))) }
 func (r RegisterRead) check(p *Program, a *Action) error {
 	if err := checkDst(p, r.Dst, r.DstName); err != nil {
 		return err
@@ -280,8 +241,6 @@ type RegisterWrite struct {
 	Value Operand
 }
 
-// Exec implements Primitive.
-func (r RegisterWrite) Exec(env Env) { env.RegWrite(r.Reg, r.Index.Value(env), r.Value.Value(env)) }
 func (r RegisterWrite) check(p *Program, a *Action) error {
 	if _, ok := p.Registers[r.Reg]; !ok {
 		return fmt.Errorf("unknown register %q", r.Reg)
@@ -300,11 +259,6 @@ type RegisterIncrement struct {
 	By    Operand
 }
 
-// Exec implements Primitive.
-func (r RegisterIncrement) Exec(env Env) {
-	idx := r.Index.Value(env)
-	env.RegWrite(r.Reg, idx, env.RegRead(r.Reg, idx)+r.By.Value(env))
-}
 func (r RegisterIncrement) check(p *Program, a *Action) error {
 	if _, ok := p.Registers[r.Reg]; !ok {
 		return fmt.Errorf("unknown register %q", r.Reg)
@@ -326,14 +280,6 @@ type ModifyFieldWithHash struct {
 	Size    uint64
 }
 
-// Exec implements Primitive.
-func (m ModifyFieldWithHash) Exec(env Env) {
-	h := env.Hash(m.Hash)
-	if m.Size > 0 {
-		h = m.Base + h%m.Size
-	}
-	env.Set(m.Dst, h)
-}
 func (m ModifyFieldWithHash) check(p *Program, a *Action) error {
 	if err := checkDst(p, m.Dst, m.DstName); err != nil {
 		return err
@@ -348,11 +294,4 @@ func (m ModifyFieldWithHash) check(p *Program, a *Action) error {
 // after the egress pipeline completes.
 type Recirculate struct{}
 
-// Exec implements Primitive; the rmt model watches for the recirculate
-// flag via the env.
-func (Recirculate) Exec(env Env) {
-	if r, ok := env.(interface{ Recirculate() }); ok {
-		r.Recirculate()
-	}
-}
 func (Recirculate) check(*Program, *Action) error { return nil }

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/packet"
 )
 
 // buildTestProgram constructs a small two-table program used across the
@@ -131,7 +129,7 @@ func TestALUOps(t *testing.T) {
 		{ALUMax, 5, 9, 9},
 	}
 	for _, c := range cases {
-		if got := c.op.apply(c.a, c.b); got != c.want {
+		if got := c.op.Apply(c.a, c.b); got != c.want {
 			t.Errorf("%v(%d,%d) = %d, want %d", c.op, c.a, c.b, got, c.want)
 		}
 	}
@@ -289,72 +287,10 @@ func TestFlattenAppliesIncludesBranches(t *testing.T) {
 	}
 }
 
-type fakeEnv struct {
-	fields map[packet.FieldID]uint64
-	regs   map[string]map[uint64]uint64
-	params []uint64
-	drops  int
-	recirc int
-}
-
-func newFakeEnv() *fakeEnv {
-	return &fakeEnv{fields: map[packet.FieldID]uint64{}, regs: map[string]map[uint64]uint64{}}
-}
-func (e *fakeEnv) Get(id packet.FieldID) uint64    { return e.fields[id] }
-func (e *fakeEnv) Set(id packet.FieldID, v uint64) { e.fields[id] = v }
-func (e *fakeEnv) RegRead(r string, i uint64) uint64 {
-	return e.regs[r][i]
-}
-func (e *fakeEnv) RegWrite(r string, i uint64, v uint64) {
-	if e.regs[r] == nil {
-		e.regs[r] = map[uint64]uint64{}
-	}
-	e.regs[r][i] = v
-}
-func (e *fakeEnv) Hash(string) uint64 { return 42 }
-func (e *fakeEnv) Drop()              { e.drops++ }
-func (e *fakeEnv) Param(i int) uint64 { return e.params[i] }
-func (e *fakeEnv) Recirculate()       { e.recirc++ }
-
-func TestPrimitiveExec(t *testing.T) {
-	env := newFakeEnv()
-	env.params = []uint64{99}
-	ModifyField{Dst: 1, Src: ParamOp(0, "p")}.Exec(env)
-	if env.fields[1] != 99 {
-		t.Fatal("ModifyField from param failed")
-	}
-	ALU{Op: ALUAdd, Dst: 2, A: FieldOp(1, ""), B: ConstOp(1)}.Exec(env)
-	if env.fields[2] != 100 {
-		t.Fatal("ALU add failed")
-	}
-	RegisterWrite{Reg: "r", Index: ConstOp(3), Value: FieldOp(2, "")}.Exec(env)
-	RegisterIncrement{Reg: "r", Index: ConstOp(3), By: ConstOp(5)}.Exec(env)
-	RegisterRead{Dst: 4, Reg: "r", Index: ConstOp(3)}.Exec(env)
-	if env.fields[4] != 105 {
-		t.Fatalf("register round trip = %d, want 105", env.fields[4])
-	}
-	Drop{}.Exec(env)
-	if env.drops != 1 {
-		t.Fatal("Drop not recorded")
-	}
-	ModifyFieldWithHash{Dst: 5, Hash: "h", Base: 10, Size: 8}.Exec(env)
-	if env.fields[5] != 10+42%8 {
-		t.Fatalf("hash offset = %d", env.fields[5])
-	}
-	ModifyFieldWithHash{Dst: 6, Hash: "h", Size: 0}.Exec(env)
-	if env.fields[6] != 42 {
-		t.Fatal("raw hash value not stored")
-	}
-	Recirculate{}.Exec(env)
-	if env.recirc != 1 {
-		t.Fatal("Recirculate not propagated")
-	}
-}
-
 // Property: ALU add/sub are inverses modulo 2^64 for any operands.
 func TestPropertyALUAddSubInverse(t *testing.T) {
 	f := func(a, b uint64) bool {
-		return ALUSub.apply(ALUAdd.apply(a, b), b) == a
+		return ALUSub.Apply(ALUAdd.Apply(a, b), b) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -364,7 +300,7 @@ func TestPropertyALUAddSubInverse(t *testing.T) {
 // Property: min/max ordering invariant.
 func TestPropertyMinMax(t *testing.T) {
 	f := func(a, b uint64) bool {
-		lo, hi := ALUMin.apply(a, b), ALUMax.apply(a, b)
+		lo, hi := ALUMin.Apply(a, b), ALUMax.Apply(a, b)
 		return lo <= hi && (lo == a || lo == b) && (hi == a || hi == b)
 	}
 	if err := quick.Check(f, nil); err != nil {

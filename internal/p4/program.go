@@ -108,16 +108,6 @@ type Action struct {
 	Body   []Primitive
 }
 
-// ParamIndex returns the index of the named parameter, or -1.
-func (a *Action) ParamIndex(name string) int {
-	for i, p := range a.Params {
-		if p.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // ParamWidthBits is the total width of all parameters (action data),
 // which bounds how much configuration a single table entry can carry —
 // the constraint that forces the Mantis compiler to split init tables.

@@ -1,6 +1,8 @@
 package rmt
 
 import (
+	"fmt"
+
 	"repro/internal/p4"
 	"repro/internal/packet"
 )
@@ -75,7 +77,7 @@ func (sw *Switch) runCompiled(env *execEnv, prog []instr) {
 			pc = in.target
 			continue
 		case opJumpIfNot:
-			if !evalCond(env, in.cond) {
+			if !evalCond(env, &in.cond) {
 				pc = in.target
 				continue
 			}
@@ -85,7 +87,7 @@ func (sw *Switch) runCompiled(env *execEnv, prog []instr) {
 }
 
 // applyTable looks the packet up in ti and executes the matched (or
-// default) action. The key buffer, resolved action, and action data are
+// default) action. The key buffer, compiled action, and action data are
 // all preallocated, keeping this allocation-free.
 func (sw *Switch) applyTable(env *execEnv, ti *tableInstance) {
 	vals := ti.keyScratch
@@ -97,25 +99,15 @@ func (sw *Switch) applyTable(env *execEnv, ti *tableInstance) {
 		}
 		vals[i] = v
 	}
-	var act *p4.Action
-	var code *caction
-	var data []uint64
+	code, data := ti.defaultCode, ti.defaultData
 	if e := ti.lookup(vals); e != nil {
-		act, code, data = e.act, e.code, e.Data
-	} else {
-		act, code, data = ti.defaultAct, ti.defaultCode, ti.defaultData
+		code, data = e.code, e.Data
 	}
-	env.params = data
-	if code != nil {
+	if code != nil { // nil: a miss on a table with no default action
+		env.params = data
 		sw.runAction(env, code)
-	} else if act != nil {
-		// Fallback for tables wired up without compiled actions (only
-		// reachable from unit tests driving tableInstance directly).
-		for _, prim := range act.Body {
-			prim.Exec(env)
-		}
+		env.params = nil
 	}
-	env.params = nil
 }
 
 // ---- Compiled action bodies ----
@@ -123,9 +115,9 @@ func (sw *Switch) applyTable(env *execEnv, ti *tableInstance) {
 // Action bodies are likewise specialized at New(): register and hash
 // names are resolved to their runtime instances and each primitive
 // becomes one flat cprim, so executing an action does no map lookups
-// and no interface dispatch for the standard primitive set. Primitive
-// types the compiler does not know fall back to Exec through the
-// p4.Primitive interface, preserving extensibility.
+// and no interface dispatch. The primitive set is closed (p4.Primitive
+// has an unexported method), so compileAction is exhaustive and this is
+// the only interpreter of action bodies.
 
 type cprimKind uint8
 
@@ -138,7 +130,6 @@ const (
 	cpRegInc
 	cpHash
 	cpRecirc
-	cpGeneric
 )
 
 // cprim is one compiled primitive operation.
@@ -151,7 +142,6 @@ type cprim struct {
 	hashIdx int
 	base    uint64
 	size    uint64
-	generic p4.Primitive
 }
 
 // caction is a compiled action body.
@@ -194,7 +184,7 @@ func (sw *Switch) compileAction(a *p4.Action) *caction {
 		case p4.Recirculate:
 			ca.prims = append(ca.prims, cprim{kind: cpRecirc})
 		default:
-			ca.prims = append(ca.prims, cprim{kind: cpGeneric, generic: prim})
+			panic(fmt.Sprintf("rmt: action %s: no lowering for primitive %T", a.Name, prim))
 		}
 	}
 	return ca
@@ -227,8 +217,6 @@ func (sw *Switch) runAction(env *execEnv, ca *caction) {
 			pkt.Set(pr.dst, h)
 		case cpRecirc:
 			env.recirculate = true
-		case cpGeneric:
-			pr.generic.Exec(env)
 		}
 	}
 }

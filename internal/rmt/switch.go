@@ -86,8 +86,6 @@ type port struct {
 	head, n int
 	up      bool
 	busy    bool
-	txBytes uint64
-	txPkts  uint64
 	// bandwidth overrides Config.PortBandwidth when > 0.
 	bandwidth float64
 }
@@ -200,7 +198,6 @@ func New(s *sim.Simulator, prog *p4.Program, cfg Config) (*Switch, error) {
 	for i := range sw.ports {
 		sw.ports[i] = &port{up: true, buf: make([]*packet.Packet, cfg.QueueCapacity)}
 	}
-	sw.env.sw = sw
 	sw.enqueueFn = sw.enqueueArg
 	sw.txDoneFn = sw.txDoneArg
 	sw.admitFn = sw.admitArg
@@ -247,9 +244,6 @@ func (sw *Switch) PortUp(portN int) bool { return sw.ports[portN].up }
 // QueueDepth returns the instantaneous egress queue occupancy of a port,
 // in packets.
 func (sw *Switch) QueueDepth(portN int) int { return sw.ports[portN].n }
-
-// PortTxBytes returns the cumulative bytes transmitted by a port.
-func (sw *Switch) PortTxBytes(portN int) uint64 { return sw.ports[portN].txBytes }
 
 // Inject delivers a packet to the switch on the given ingress port at
 // the current virtual time. Processing of the ingress pipeline happens
@@ -434,17 +428,14 @@ func (sw *Switch) finishEgress(portN int, pkt *packet.Packet) {
 		sw.sim.ScheduleCall(sw.cfg.RecirculationLatency, sw.admitFn, pkt)
 		return
 	}
-	p := sw.ports[portN]
-	p.txBytes += uint64(pkt.Size)
-	p.txPkts++
 	sw.stats.TxPackets++
 	if sw.Tx != nil {
 		sw.Tx(portN, pkt)
 	}
 }
 
-func evalCond(env *execEnv, c p4.CondExpr) bool {
-	l, r := c.Left.Value(env), c.Right.Value(env)
+func evalCond(env *execEnv, c *p4.CondExpr) bool {
+	l, r := env.operand(&c.Left), env.operand(&c.Right)
 	switch c.Op {
 	case p4.CmpEQ:
 		return l == r
@@ -462,29 +453,12 @@ func evalCond(env *execEnv, c p4.CondExpr) bool {
 	return false
 }
 
-// execEnv implements p4.Env for one packet's pipeline pass.
+// execEnv is the state of one packet's pipeline pass.
 type execEnv struct {
-	sw          *Switch
 	pkt         *packet.Packet
 	params      []uint64
 	dropped     bool
 	recirculate bool
-}
-
-func (e *execEnv) Get(id packet.FieldID) uint64    { return e.pkt.Get(id) }
-func (e *execEnv) Set(id packet.FieldID, v uint64) { e.pkt.Set(id, v) }
-func (e *execEnv) RegRead(reg string, idx uint64) uint64 {
-	return e.sw.registers[reg].read(idx)
-}
-func (e *execEnv) RegWrite(reg string, idx uint64, v uint64) {
-	e.sw.registers[reg].write(idx, v)
-}
-func (e *execEnv) Drop()              { e.dropped = true }
-func (e *execEnv) Param(i int) uint64 { return e.params[i] }
-func (e *execEnv) Recirculate()       { e.recirculate = true }
-
-func (e *execEnv) Hash(name string) uint64 {
-	return e.sw.hashValue(e.pkt, e.sw.hashIndex[name])
 }
 
 // hashValue computes hash idx over pkt's fields. Written without an

@@ -63,10 +63,8 @@ type Entry struct {
 	Action   string
 	Data     []uint64
 
-	// act and code cache the resolved and compiled action so the
-	// per-packet path skips the program's Actions map and interprets no
-	// AST. Both are filled on add/modify.
-	act  *p4.Action
+	// code caches the compiled action so the per-packet path skips the
+	// program's Actions map and interprets no AST. Filled on add/modify.
 	code *caction
 }
 
@@ -124,9 +122,8 @@ type tableInstance struct {
 	buckets   map[uint64][]*Entry
 
 	defaultAction *p4.ActionCall
-	// defaultAct/defaultCode/defaultData cache the resolved default
-	// action for the per-packet miss path.
-	defaultAct  *p4.Action
+	// defaultCode/defaultData cache the compiled default action for the
+	// per-packet miss path.
 	defaultCode *caction
 	defaultData []uint64
 	// ownedCall/ownedData back setDefault with table-owned storage: the
@@ -175,7 +172,6 @@ func newTableInstance(prog *p4.Program, def *p4.Table) *tableInstance {
 	if def.DefaultAction != nil {
 		da := *def.DefaultAction
 		ti.defaultAction = &da
-		ti.defaultAct = prog.Actions[da.Action]
 		ti.defaultData = da.Data
 	}
 	return ti
@@ -199,6 +195,25 @@ func (ti *tableInstance) encodeExact(keys []KeySpec) exactKey {
 func (ti *tableInstance) validate(e *Entry) error {
 	if len(e.Keys) != len(ti.def.Keys) {
 		return fmt.Errorf("table %s: entry has %d key columns, want %d: %w", ti.def.Name, len(e.Keys), len(ti.def.Keys), ErrBadEntry)
+	}
+	// applyTable masks the packet value with StaticMask before lookup, so
+	// an entry that cares about a bit outside the mask can never match.
+	for i := range ti.def.Keys {
+		k, spec := &ti.def.Keys[i], e.Keys[i]
+		if k.StaticMask == 0 {
+			continue
+		}
+		var care uint64
+		switch k.Kind {
+		case p4.MatchExact:
+			care = spec.Value
+		case p4.MatchTernary, p4.MatchLPM:
+			care = spec.Value & spec.Mask
+		}
+		if care&^k.StaticMask != 0 {
+			return fmt.Errorf("table %s: key %s value %#x has bits outside the column's static mask %#x: %w",
+				ti.def.Name, k.FieldName, spec.Value, k.StaticMask, ErrBadEntry)
+		}
 	}
 	allowed := false
 	for _, an := range ti.def.ActionNames {
@@ -226,7 +241,6 @@ func (ti *tableInstance) add(e Entry) (EntryHandle, error) {
 	if ti.def.Size > 0 && len(ti.byHandle) >= ti.def.Size {
 		return 0, fmt.Errorf("table %s: full (%d entries): %w", ti.def.Name, ti.def.Size, ErrTableFull)
 	}
-	e.act = ti.prog.Actions[e.Action]
 	e.code = ti.codeOf[e.Action]
 	// Own the Keys and Data storage: modify reuses Data capacity in
 	// place, and callers staging entries in reusable buffers (the agent's
@@ -296,7 +310,6 @@ func (ti *tableInstance) modify(h EntryHandle, action string, data []uint64) err
 		return err
 	}
 	e.Action = action
-	e.act = ti.prog.Actions[action]
 	e.code = ti.codeOf[action]
 	e.Data = append(e.Data[:0], data...)
 	return nil
@@ -349,13 +362,11 @@ func (ti *tableInstance) setDefault(call *p4.ActionCall) error {
 		ti.ownedData = append(ti.ownedData[:0], call.Data...)
 		ti.ownedCall = p4.ActionCall{Action: call.Action, Data: ti.ownedData}
 		ti.defaultAction = &ti.ownedCall
-		ti.defaultAct = a
 		ti.defaultCode = ti.codeOf[call.Action]
 		ti.defaultData = ti.ownedData
 		return nil
 	}
 	ti.defaultAction = nil
-	ti.defaultAct = nil
 	ti.defaultCode = nil
 	ti.defaultData = nil
 	return nil

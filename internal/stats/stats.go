@@ -102,15 +102,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[rank]
 }
 
-// DurationPercentile is Percentile over time.Durations.
-func DurationPercentile(ds []time.Duration, p float64) time.Duration {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	return time.Duration(Percentile(xs, p))
-}
-
 // DurationStats summarizes a latency distribution.
 type DurationStats struct {
 	Count  int
