@@ -1,6 +1,7 @@
-// Package mantis_test benchmarks the Mantis reproduction: one benchmark
-// per evaluation table/figure (regenerating its data), plus
-// microbenchmarks of the compiler and the reaction interpreter. The
+// Package mantis_test holds the four microbenchmarks nothing else
+// measures: the compiler end to end, the interpreted reaction body, the
+// workload generator and the Fig. 14 estimators. The paper's tables and
+// figures are regenerated and byte-compared by cmd/experiments; the
 // gated hot-path suite is internal/perf's BenchmarkHotPaths.
 package mantis_test
 
@@ -10,111 +11,9 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/compiler"
-	"repro/internal/experiments"
 	"repro/internal/rcl"
-	"repro/internal/usecases"
 	"repro/internal/workload"
 )
-
-// ---- One benchmark per table/figure ----
-
-func BenchmarkFig10aMeasurement(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig10a(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10bUpdate(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig10b(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11DutyCycle(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig11(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12LegacyContention(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig12(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13TCAMUsage(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig13a(32); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.RunFig13b(4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1Inventory(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := usecases.Table1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig14Estimation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig14(0.01, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig15DosMitigation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := usecases.RunFig15(usecases.DefaultFig15Config(), int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig16GrayFailure(b *testing.B) {
-	b.ReportAllocs()
-	ports := []int{2, 3, 4, 5}
-	for i := 0; i < b.N; i++ {
-		res, err := usecases.RunFig16(int64(i+1), ports, 3, 300*time.Microsecond, 50*time.Microsecond, 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Detected {
-			b.Fatal("failure not detected")
-		}
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAblations(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // ---- Substrate hot paths ----
 

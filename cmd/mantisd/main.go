@@ -51,6 +51,9 @@ import (
 // the link partitions for FOR every EVERY (e.g. 700us/300us).
 func ctlLinkProfile(loss float64, partition string) (faults.LinkProfile, error) {
 	prof := faults.LinkProfile{Name: "ctl", Loss: loss}
+	if !(loss >= 0 && loss < 1) {
+		return prof, fmt.Errorf("-ctl-loss %g: want a probability in [0,1)", loss)
+	}
 	if partition != "" {
 		parts := strings.SplitN(partition, "/", 2)
 		if len(parts) != 2 {
@@ -70,6 +73,22 @@ func ctlLinkProfile(loss float64, partition string) (faults.LinkProfile, error) 
 		prof.PartitionEvery, prof.PartitionFor = every, for_
 	}
 	return prof, nil
+}
+
+// trafficInterval checks -duration and turns -pps into the period of the
+// synthetic-traffic ticker (0 = no traffic).
+func trafficInterval(duration time.Duration, pps float64) (time.Duration, error) {
+	if duration <= 0 {
+		return 0, fmt.Errorf("-duration %v: must be positive", duration)
+	}
+	if !(pps > 0) {
+		return 0, nil
+	}
+	interval := time.Duration(float64(time.Second) / pps)
+	if interval <= 0 {
+		return 0, fmt.Errorf("-pps %g: the packet interval rounds to under 1ns (want at most 1e9)", pps)
+	}
+	return interval, nil
 }
 
 // faultProfile maps the -faults flag value to an injector profile.
@@ -348,6 +367,15 @@ func main() {
 	grayTrunk := flag.String("gray-trunk", "", "with -topology: silently degrade one leaf↔spine trunk, L,S[:RATE] (e.g. 0,1:0.3), over the same fail/heal window")
 	flag.Parse()
 
+	ctlProf, err := ctlLinkProfile(*ctlLoss, *ctlPartition)
+	var interval time.Duration
+	if err == nil {
+		interval, err = trafficInterval(*duration, *pps)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
+		os.Exit(2)
+	}
 	if *topology != "" {
 		if flag.NArg() != 0 {
 			fmt.Fprintln(os.Stderr, "mantisd: -topology uses the built-in fabric programs; no program argument")
@@ -355,11 +383,6 @@ func main() {
 		}
 		if *faultsFlag != "" || *legacyClients > 0 {
 			fmt.Fprintln(os.Stderr, "mantisd: -topology cannot be combined with -faults or -legacy-clients")
-			os.Exit(2)
-		}
-		ctlProf, err := ctlLinkProfile(*ctlLoss, *ctlPartition)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
 			os.Exit(2)
 		}
 		runTopology(*topology, *duration, *pacing, *seed, *ctlDelay, ctlProf, *failSpine, *grayTrunk, *target)
@@ -477,11 +500,6 @@ func main() {
 		// numbers, retransmission, and epoch fencing — instead of
 		// in-process calls. The link starts clean so the prologue installs
 		// reliably; the configured faults arm at 50µs.
-		ctlProf, err := ctlLinkProfile(*ctlLoss, *ctlPartition)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-			os.Exit(2)
-		}
 		delay := *ctlDelay
 		if delay <= 0 {
 			delay = 500 * time.Nanosecond
@@ -569,10 +587,9 @@ func main() {
 	}
 
 	// Synthetic traffic: random field values at the requested rate.
-	if *pps > 0 {
+	if interval > 0 {
 		rng := s.Rand()
 		names := plan.Prog.Schema.Names()
-		interval := time.Duration(float64(time.Second) / *pps)
 		s.Every(interval, func() {
 			pkt := plan.Prog.Schema.New()
 			pkt.Size = 64 + rng.Intn(1400)

@@ -1,0 +1,57 @@
+package main
+
+import (
+	"math"
+	"testing"
+	"time"
+)
+
+func TestCtlLinkProfile(t *testing.T) {
+	for _, c := range []struct {
+		loss      float64
+		partition string
+		ok        bool
+	}{
+		{0, "", true},
+		{0.02, "", true},
+		{0.999, "700us/300us", true},
+		{1, "", false},    // every frame lost after the prologue
+		{1.5, "", false},  // not a probability
+		{-0.5, "", false}, // used to select the in-process path silently
+		{math.NaN(), "", false},
+		{0, "700us", false},
+		{0, "700us/0s", false},
+		{0, "soon/300us", false},
+	} {
+		prof, err := ctlLinkProfile(c.loss, c.partition)
+		if (err == nil) != c.ok {
+			t.Errorf("ctlLinkProfile(%g, %q): err = %v, want ok=%v", c.loss, c.partition, err, c.ok)
+		}
+		if err == nil && (prof.Loss != c.loss || (c.partition != "") != (prof.PartitionEvery > 0)) {
+			t.Errorf("ctlLinkProfile(%g, %q) = %+v", c.loss, c.partition, prof)
+		}
+	}
+}
+
+func TestTrafficInterval(t *testing.T) {
+	for _, c := range []struct {
+		duration time.Duration
+		pps      float64
+		want     time.Duration
+		ok       bool
+	}{
+		{10 * time.Millisecond, 100000, 10 * time.Microsecond, true},
+		{time.Millisecond, 1e9, time.Nanosecond, true},
+		{time.Millisecond, 0, 0, true},    // no traffic
+		{time.Millisecond, -5, 0, true},   // no traffic
+		{time.Millisecond, 2e9, 0, false}, // used to panic: ticker period 0
+		{time.Millisecond, math.Inf(1), 0, false},
+		{0, 100000, 0, false},
+		{-time.Millisecond, 100000, 0, false},
+	} {
+		got, err := trafficInterval(c.duration, c.pps)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("trafficInterval(%v, %g) = %v, %v; want %v, ok=%v", c.duration, c.pps, got, err, c.want, c.ok)
+		}
+	}
+}

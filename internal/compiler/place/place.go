@@ -32,9 +32,6 @@ type Options struct {
 	// Pos maps lowered table and register names to the source position
 	// to attach to diagnostics about them.
 	Pos map[string]Pos
-	// Occupancy overrides the charged entry count per table; tables not
-	// listed charge their declared (post-expansion) Size.
-	Occupancy map[string]int
 }
 
 // TablePlacement records where one table landed.
@@ -112,9 +109,6 @@ func (pl *Placement) placePipeline(prog *p4.Program, pipeline string, flow []p4.
 	for _, name := range order {
 		t := prog.Tables[name]
 		cap := t.Size
-		if occ, ok := opts.Occupancy[name]; ok {
-			cap = occ
-		}
 		if cap <= 0 {
 			cap = 1 // unbounded tables still occupy at least one entry's worth
 		}

@@ -233,15 +233,6 @@ func TestEgressPlacedAfterIngress(t *testing.T) {
 	}
 }
 
-func TestOccupancyOverridesDeclaredSize(t *testing.T) {
-	// Declared size would overflow, live occupancy fits.
-	prog := independentProg(1, 64, 4096, false)
-	pl := Place(prog, mini(t), Options{Occupancy: map[string]int{"t" + field(0): 10}})
-	if !pl.Fits() {
-		t.Fatalf("10 live entries should fit: %v", pl.Diags)
-	}
-}
-
 func TestFindUnknownProfile(t *testing.T) {
 	_, derr := Find("no-such-switch")
 	if derr == nil || derr.Code != diag.PlaceProfile {

@@ -94,7 +94,7 @@ type Stats struct {
 	Abandoned uint64
 	// Degraded counts iterations where at least one reaction fell back
 	// to its last checkpointed measurement snapshot because polling
-	// failed (RecoveryOptions.DegradeOnPollFailure).
+	// failed.
 	Degraded uint64
 	// RepairOps counts shadow-side operations that could not complete
 	// during rollback or mirror and were queued to drain before the
@@ -160,11 +160,11 @@ type runtimeReaction struct {
 	host rclHost // reused for interpreted dispatch
 
 	// lastFields/lastRegs hold the most recent successfully polled
-	// parameters — the degradation snapshot used when polling fails and
-	// RecoveryOptions.DegradeOnPollFailure is set (explicit copies of
-	// the working storage; hasSnapshot arms them after the first
-	// successful poll). lastPollAt stamps that poll, so the staleness
-	// budget can refuse snapshots that have aged past usefulness.
+	// parameters — the degradation snapshot used when polling fails with
+	// recovery enabled (explicit copies of the working storage;
+	// hasSnapshot arms them after the first successful poll). lastPollAt
+	// stamps that poll, so the staleness budget can refuse snapshots that
+	// have aged past usefulness.
 	lastFields  map[string]uint64
 	lastRegs    map[string][]uint64
 	hasSnapshot bool

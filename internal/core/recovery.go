@@ -57,16 +57,10 @@ type RecoveryOptions struct {
 	MaxAttempts int
 	// RetryBackoff seeds the full-jitter exponential backoff between
 	// retries (faults.Backoff): retry k sleeps uniform in
-	// [0, min(MaxBackoff, RetryBackoff<<k)], drawn deterministically
-	// from the simulation RNG. Zero defaults to 2µs, matching the scale
-	// of one driver op.
+	// [0, min(cap, RetryBackoff<<k)], drawn deterministically from the
+	// simulation RNG, where cap is five doublings of RetryBackoff and at
+	// least minMaxBackoff.
 	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. Zero defaults to 64µs.
-	MaxBackoff time.Duration
-	// RetryBudget bounds the total retries spent inside one dialogue
-	// iteration; past it the iteration is abandoned rather than retried
-	// op by op. Zero = no per-iteration bound.
-	RetryBudget int
 	// IterationDeadline is the watchdog: an iteration that has not
 	// finished within this much virtual time is abandoned at the next
 	// operation boundary, its staged updates rolled back. Zero = off.
@@ -74,17 +68,16 @@ type RecoveryOptions struct {
 	// call, so the watchdog is cooperative: it fires when the stuck
 	// operation finally returns, bounding damage to one op.)
 	IterationDeadline time.Duration
-	// DegradeOnPollFailure lets a reaction run on its previous
-	// checkpointed measurement snapshot when polling fails past the
-	// retry limits, instead of abandoning the iteration. Reactions go
-	// briefly stale rather than silent — the paper's measurement
-	// checkpoint (Fig. 9) is exactly a consistent snapshot, so reusing
-	// the last one preserves serializability.
-	DegradeOnPollFailure bool
 	// StalenessBudget bounds how old a degraded reaction's snapshot may
-	// be: once the last successful poll is further in the past than
-	// this, the iteration is abandoned instead of reacting to ancient
-	// data. Zero = no bound (a reaction degrades indefinitely).
+	// be. With recovery enabled, a reaction whose poll fails past the
+	// retry limits runs on its previous checkpointed measurement
+	// snapshot instead of abandoning the iteration: reactions go briefly
+	// stale rather than silent — the paper's measurement checkpoint
+	// (Fig. 9) is exactly a consistent snapshot, so reusing the last one
+	// preserves serializability. Once the last successful poll is
+	// further in the past than this, the iteration is abandoned instead
+	// of reacting to ancient data. Zero = no bound (a reaction degrades
+	// indefinitely).
 	StalenessBudget time.Duration
 	// ChannelRTT, when set with WatchdogRTTs, scales the iteration
 	// watchdog to the control channel: an explicit IterationDeadline
@@ -98,18 +91,24 @@ type RecoveryOptions struct {
 }
 
 // DefaultRecovery returns the recovery configuration used by cmd/mantisd
-// and the chaos suite: retries with backoff, a 2ms watchdog, and poll
-// degradation.
+// and the chaos suite: retries with backoff (2µs matches the scale of one
+// driver op) and a 2ms watchdog.
 func DefaultRecovery() RecoveryOptions {
 	return RecoveryOptions{
-		MaxAttempts:          5,
-		RetryBackoff:         2 * time.Microsecond,
-		MaxBackoff:           64 * time.Microsecond,
-		RetryBudget:          64,
-		IterationDeadline:    2 * time.Millisecond,
-		DegradeOnPollFailure: true,
+		MaxAttempts:       5,
+		RetryBackoff:      2 * time.Microsecond,
+		IterationDeadline: 2 * time.Millisecond,
 	}
 }
+
+const (
+	// retryBudget bounds the total retries spent inside one dialogue
+	// iteration; past it the iteration is abandoned rather than retried
+	// op by op.
+	retryBudget = 64
+	// minMaxBackoff is the floor of the exponential backoff's cap.
+	minMaxBackoff = 64 * time.Microsecond
+)
 
 // RecoveryForChannel returns DefaultRecovery rescaled to a message
 // channel with the given fault-free round trip time: the watchdog
@@ -122,9 +121,6 @@ func RecoveryForChannel(rtt time.Duration) RecoveryOptions {
 		r.ChannelRTT = rtt
 		r.WatchdogRTTs = DefaultWatchdogRTTs
 		r.RetryBackoff = rtt
-		if r.MaxBackoff < 32*rtt {
-			r.MaxBackoff = 32 * rtt
-		}
 	}
 	return r
 }
@@ -150,7 +146,7 @@ func (r RecoveryOptions) watchdogDeadline(start sim.Time) sim.Time {
 
 // Enabled reports whether any recovery behavior is configured.
 func (r RecoveryOptions) Enabled() bool {
-	return r.MaxAttempts > 1 || r.IterationDeadline > 0 || r.DegradeOnPollFailure ||
+	return r.MaxAttempts > 1 || r.IterationDeadline > 0 ||
 		(r.ChannelRTT > 0 && r.WatchdogRTTs > 0)
 }
 
@@ -176,18 +172,10 @@ func (a *Agent) recoverable(err error) bool {
 }
 
 // backoff builds the full-jitter retry backoff (faults.Backoff), drawn
-// from the simulation RNG, with the documented defaults applied: agents
-// that tripped over the same fault window retry decorrelated instead of
-// in lockstep.
+// from the simulation RNG: agents that tripped over the same fault
+// window retry decorrelated instead of in lockstep.
 func (r RecoveryOptions) backoff(s *sim.Simulator) *faults.Backoff {
-	base, limit := r.RetryBackoff, r.MaxBackoff
-	if base <= 0 {
-		base = 2 * time.Microsecond
-	}
-	if limit <= 0 {
-		limit = 64 * time.Microsecond
-	}
-	return faults.NewBackoff(s.Rand(), base, limit)
+	return faults.NewBackoff(s.Rand(), r.RetryBackoff, max(minMaxBackoff, 32*r.RetryBackoff))
 }
 
 // drvDo runs one driver operation under the retry policy. Every driver
@@ -200,7 +188,7 @@ func (a *Agent) drvDo(p *sim.Proc, op *driver.Op) error { return a.withRetry(p, 
 // withRetry is the retry loop: it applies op to the channel — or, for
 // queued repair work, runs rep — until it succeeds or fails for good.
 // Transient failures back off exponentially (with jitter) and reissue,
-// up to MaxAttempts per op and RetryBudget per iteration, never past the
+// up to MaxAttempts per op and retryBudget per iteration, never past the
 // iteration deadline or a stop request. The operation is named only on
 // the error path; the fault-free path allocates nothing.
 func (a *Agent) withRetry(p *sim.Proc, op *driver.Op, rep *chanOp) error {
@@ -237,8 +225,8 @@ func (a *Agent) withRetry(p *sim.Proc, op *driver.Op, rep *chanOp) error {
 		if attempt >= max(rec.MaxAttempts, 1) {
 			return fmt.Errorf("%s: %d attempts: %w: %w", name(), attempt, ErrRetriesExhausted, err)
 		}
-		if rec.RetryBudget > 0 && a.iterRetries >= rec.RetryBudget {
-			return fmt.Errorf("%s: iteration retry budget %d spent: %w: %w", name(), rec.RetryBudget, ErrRetriesExhausted, err)
+		if a.iterRetries >= retryBudget {
+			return fmt.Errorf("%s: iteration retry budget %d spent: %w: %w", name(), retryBudget, ErrRetriesExhausted, err)
 		}
 		a.iterRetries++
 		a.stats.Retries++

@@ -5,15 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ctlchan"
-	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/netsim"
-	"repro/internal/packet"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -97,42 +93,32 @@ type CtlchanResult struct {
 // ctlchanRig is the message-channel stack under the fault-sweep
 // workload (polled register + lock-step two-table updates).
 type ctlchanRig struct {
-	sim   *sim.Simulator
-	sw    *rmt.Switch
+	*lockstep
 	link  *netsim.Link
 	srv   *ctlchan.Server
 	cli   *ctlchan.Client
 	agent *core.Agent
 
-	packets     int
-	violations  int
 	commitTimes []sim.Time
 }
 
 // buildCtlchanRig wires the stack; the link starts clean (so the
 // prologue installs over a working wire) and swaps to prof at 50µs.
 func buildCtlchanRig(prof faults.LinkProfile, seed int64) (*ctlchanRig, error) {
-	plan, err := compiler.CompileSource(faultSweepSrc, compiler.DefaultOptions())
+	l, err := newLockstep(seed)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(seed)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
+	s := l.sim
 	link := netsim.NewLink(s, ctlchanLinkDelay, faults.LinkNone(), seed)
 	srv := ctlchan.NewServer(s)
-	srv.Attach(link, netsim.LinkSideB, 1, 1, drv)
-	cli := ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: drv})
+	srv.Attach(link, netsim.LinkSideB, 1, 1, l.drv)
+	cli := ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: l.drv})
 	s.Schedule(50*time.Microsecond, func() { link.SetProfile(prof) })
 
-	r := &ctlchanRig{sim: s, sw: sw, link: link, srv: srv, cli: cli}
-	var h1, h2 core.UserHandle
-	gen := uint64(0)
+	r := &ctlchanRig{lockstep: l, link: link, srv: srv, cli: cli}
 	var lastCommits uint64
-	r.agent = core.NewAgent(s, cli, plan, core.Options{
+	r.agent, err = l.agent(cli, core.Options{
 		Recovery: core.RecoveryForChannel(cli.RTT()),
 		Journal:  &core.JournalConfig{Store: journal.NewMemStore()},
 		AfterIteration: func(p *sim.Proc, a *core.Agent) {
@@ -141,49 +127,14 @@ func buildCtlchanRig(prof faults.LinkProfile, seed int64) (*ctlchanRig, error) {
 				r.commitTimes = append(r.commitTimes, p.Now())
 			}
 		},
-		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
 	})
-	if err := r.agent.RegisterNativeReaction("react", func(ctx *core.Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}); err != nil {
-		return nil, err
-	}
-	sw.Tx = func(_ int, pkt *packet.Packet) {
-		r.packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			r.violations++
-		}
-	}
-	return r, nil
+	return r, err
 }
 
 // run drives traffic for d, then stops and drains.
 func (r *ctlchanRig) run(d time.Duration) {
 	r.agent.Start()
-	i := 0
-	tick := r.sim.Every(200*sim.Nanosecond, func() {
-		pkt := r.sw.Program().Schema.New()
-		pkt.Size = 64 + (i%8)*100
-		pkt.SetName("hdr.k", 7)
-		pkt.SetName("hdr.port", uint64(i%8))
-		r.sw.Inject(0, pkt)
-		i++
-	})
+	tick := r.traffic()
 	r.sim.RunFor(d)
 	tick.Stop()
 	r.agent.Stop()

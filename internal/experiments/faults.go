@@ -5,12 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/driver"
 	"repro/internal/faults"
-	"repro/internal/packet"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -49,27 +45,6 @@ type FaultRow struct {
 	TakeoverOutcome string
 	TakeoverMTTR    time.Duration
 }
-
-// faultSweepSrc combines the two ingredients the chaos scenario needs:
-// a polled register (so batched measurement reads are on the fault
-// path) and two malleable tables updated together (so every packet
-// audits cross-table serializability).
-const faultSweepSrc = `
-header_type h_t { fields { k : 8; o1 : 32; o2 : 32; port : 8; } }
-header h_t hdr;
-register qd { width : 32; instance_count : 8; }
-action meas() { register_write(qd, hdr.port, standard_metadata.packet_length); }
-action set1(v) { modify_field(hdr.o1, v); }
-action set2(v) {
-  modify_field(hdr.o2, v);
-  modify_field(standard_metadata.egress_spec, 1);
-}
-table m { actions { meas; } default_action : meas; size : 1; }
-malleable table t1 { reads { hdr.k : exact; } actions { set1; } size : 4; }
-malleable table t2 { reads { hdr.k : exact; } actions { set2; } size : 4; }
-reaction react(reg qd) { }
-control ingress { apply(m); apply(t1); apply(t2); }
-`
 
 // RunFaultSweep runs the chaos scenario once per fault profile: the
 // agent (with DefaultRecovery) updates two tables in lockstep every
@@ -130,42 +105,14 @@ func runCrashProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 }
 
 func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
-	plan, err := compiler.CompileSource(faultSweepSrc, compiler.DefaultOptions())
+	l, err := newLockstep(seed)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(seed)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
+	s := l.sim
+	inj := faults.Wrap(s, l.drv, prof, seed)
+	agent, err := l.agent(inj, core.Options{Recovery: core.DefaultRecovery()})
 	if err != nil {
-		return nil, err
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
-	inj := faults.Wrap(s, drv, prof, seed)
-
-	var h1, h2 core.UserHandle
-	agent := core.NewAgent(s, inj, plan, core.Options{
-		Recovery: core.DefaultRecovery(),
-		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
-	})
-	gen := uint64(0)
-	if err := agent.RegisterNativeReaction("react", func(ctx *core.Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}); err != nil {
 		return nil, err
 	}
 
@@ -174,22 +121,7 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 	s.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
 	agent.Start()
 
-	row := &FaultRow{Profile: prof.Name}
-	sw.Tx = func(_ int, pkt *packet.Packet) {
-		row.Packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			row.Violations++
-		}
-	}
-	i := 0
-	tick := s.Every(200*sim.Nanosecond, func() {
-		pkt := plan.Prog.Schema.New()
-		pkt.Size = 64 + (i%8)*100
-		pkt.SetName("hdr.k", 7)
-		pkt.SetName("hdr.port", uint64(i%8))
-		sw.Inject(0, pkt)
-		i++
-	})
+	tick := l.traffic()
 	s.RunFor(5 * time.Millisecond)
 	tick.Stop()
 	agent.Stop()
@@ -198,6 +130,7 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 		return nil, err
 	}
 
+	row := &FaultRow{Profile: prof.Name, Packets: l.packets, Violations: l.violations}
 	ast := agent.Stats()
 	row.Iterations = ast.Iterations
 	row.Commits = ast.Commits

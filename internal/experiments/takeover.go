@@ -5,14 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ctlplane"
-	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/packet"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -75,30 +71,21 @@ type TakeoverResult struct {
 // takeoverRig is the two-controller failover stack used by both the
 // fig-takeover sweep and the crash rows of the fault sweep.
 type takeoverRig struct {
-	sim   *sim.Simulator
-	sw    *rmt.Switch
+	*lockstep
 	inj   *faults.Injector
 	agent *core.Agent
 	sb    *core.Standby
-
-	packets    int
-	violations int
 }
 
 // buildTakeoverRig wires primary (journaled, crash-injected session),
 // standby, and serializability-auditing traffic over faultSweepSrc.
 func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
-	plan, err := compiler.CompileSource(faultSweepSrc, compiler.DefaultOptions())
+	l, err := newLockstep(seed)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(seed)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
-	svc := ctlplane.New(s, drv, ctlplane.Options{})
+	s := l.sim
+	svc := ctlplane.New(s, l.drv, ctlplane.Options{})
 	sess, err := svc.Open(ctlplane.SessionOptions{Name: "primary", Role: ctlplane.RolePrimary, ElectionID: 1})
 	if err != nil {
 		return nil, err
@@ -106,21 +93,9 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 	inj := faults.Wrap(s, sess, prof, seed)
 	inj.SetEnabled(false)
 	store := journal.NewMemStore()
-	r := &takeoverRig{sim: s, sw: sw, inj: inj}
+	r := &takeoverRig{lockstep: l, inj: inj}
 
-	var h1, h2 core.UserHandle
-	gen := uint64(0)
-	reaction := func(ctx *core.Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}
-
-	r.agent = core.NewAgent(s, inj, plan, core.Options{
+	r.agent, err = l.agent(inj, core.Options{
 		Recovery: core.DefaultRecovery(),
 		Journal:  &core.JournalConfig{Store: store},
 		AfterIteration: func(p *sim.Proc, a *core.Agent) {
@@ -128,18 +103,8 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 				inj.SetEnabled(true)
 			}
 		},
-		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
 	})
-	if err := r.agent.RegisterNativeReaction("react", reaction); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -147,21 +112,14 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 		Name:             "standby",
 		ElectionID:       2,
 		Store:            store,
-		Plan:             plan,
+		Plan:             l.plan,
 		HeartbeatTimeout: 50 * time.Microsecond,
 		CheckEvery:       3 * time.Microsecond,
 		Agent:            core.Options{Recovery: core.DefaultRecovery()},
 		Configure: func(a *core.Agent) error {
-			return a.RegisterNativeReaction("react", reaction)
+			return a.RegisterNativeReaction("react", l.react)
 		},
 	})
-
-	sw.Tx = func(_ int, pkt *packet.Packet) {
-		r.packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			r.violations++
-		}
-	}
 	return r, nil
 }
 
@@ -169,15 +127,7 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 // detection, recovery, and post-takeover progress.
 func (r *takeoverRig) run() {
 	r.agent.Start()
-	i := 0
-	tick := r.sim.Every(200*sim.Nanosecond, func() {
-		pkt := r.sw.Program().Schema.New()
-		pkt.Size = 64 + (i%8)*100
-		pkt.SetName("hdr.k", 7)
-		pkt.SetName("hdr.port", uint64(i%8))
-		r.sw.Inject(0, pkt)
-		i++
-	})
+	tick := r.traffic()
 	r.sim.RunFor(3 * time.Millisecond)
 	tick.Stop()
 	r.sb.Stop()

@@ -11,37 +11,20 @@ import (
 	"repro/internal/driver"
 	"repro/internal/rmt"
 	"repro/internal/sim"
+	"repro/internal/usecases"
 )
 
-// CoordinatorOptions tunes the fabric coordinator.
+// CoordinatorOptions carries the coordinator's test hook.
 type CoordinatorOptions struct {
-	// BlockEvent is the event kind that triggers a network-wide
-	// escalation (default "dos.block"; Key = offending source).
-	BlockEvent string
-	// HHEvent is the per-sender estimate kind merged into the global
-	// heavy-hitter view (default "hh.estimate"; Key = source, Val =
-	// estimated bytes).
-	HHEvent string
-	// RetryBackoff spaces install/audit retries while a node's control
-	// channel is degraded (default 50µs).
-	RetryBackoff time.Duration
 	// OnEscalation, if set, runs synchronously when an escalation is
 	// created, before any install is issued — the chaos tests' hook for
 	// injecting faults "mid-escalation".
 	OnEscalation func(esc *Escalation)
 }
 
-func (o *CoordinatorOptions) setDefaults() {
-	if o.BlockEvent == "" {
-		o.BlockEvent = "dos.block"
-	}
-	if o.HHEvent == "" {
-		o.HHEvent = "hh.estimate"
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Microsecond
-	}
-}
+// retryBackoff spaces install/audit retries while a node's control
+// channel is degraded.
+const retryBackoff = 50 * time.Microsecond
 
 // Escalation tracks one network-wide reaction: a source blocked by one
 // switch's local agent being filtered at every other switch.
@@ -91,7 +74,7 @@ type CoordinatorStats struct {
 	AuditConfirmed   uint64
 	Reissues         uint64
 	// AuditRetries counts audit reads that themselves failed (channel
-	// still down) and were retried after RetryBackoff.
+	// still down) and were retried after retryBackoff.
 	AuditRetries uint64
 	// TransientRetries counts installs retried on ErrTransient.
 	TransientRetries uint64
@@ -257,10 +240,10 @@ func (co *Coordinator) Observe(ev core.Event) {
 	}
 	co.stats.Events++
 	switch ev.Kind {
-	case co.opts.BlockEvent:
+	case usecases.EventDosBlock:
 		co.stats.Blocks++
 		co.escalate(ev)
-	case co.opts.HHEvent:
+	case usecases.EventHHEstimate:
 		co.stats.HHReports++
 		// Estimates are monotone per sender; keep the best view.
 		if ev.Val > co.hh[ev.Key] {
@@ -660,11 +643,11 @@ func (ins *installer) apply(p *sim.Proc, w write) bool {
 					break
 				}
 				co.stats.AuditRetries++
-				p.Sleep(co.opts.RetryBackoff)
+				p.Sleep(retryBackoff)
 			}
 		case errors.Is(err, driver.ErrTransient):
 			co.stats.TransientRetries++
-			p.Sleep(co.opts.RetryBackoff)
+			p.Sleep(retryBackoff)
 		default:
 			co.stats.InstallErrors++
 			co.setErr(fmt.Errorf("fabric: %s %#x on %s: %w", w.what, w.key, ins.node.Name, err))

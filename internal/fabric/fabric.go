@@ -86,10 +86,9 @@ type Config struct {
 	// HostPorts is the number of host-facing ports per leaf (default 4).
 	HostPorts int
 
-	// LeafProgram/SpineProgram are the P4R sources compiled onto each
-	// role (defaults LeafP4R/SpineP4R). All programs in one fabric must
-	// produce identical packet schemas; Build verifies.
-	LeafProgram  string
+	// SpineProgram is the P4R source compiled onto the spines (default
+	// SpineP4R; leaves run LeafP4R). Both roles must produce identical
+	// wire headers; Build verifies.
 	SpineProgram string
 
 	// Target is the switch profile both programs must place under
@@ -97,11 +96,6 @@ type Config struct {
 	// skips the placement check — every simulated switch then behaves
 	// as if it had unbounded stages.
 	Target string
-
-	// TrunkDelay is the one-way inter-switch propagation delay (default
-	// 1µs); TrunkProfile its fault profile (default none).
-	TrunkDelay   time.Duration
-	TrunkProfile faults.LinkProfile
 
 	// CtlDelay is the one-way control-link delay per node (default
 	// 1µs); CtlProfile the fault profile of the agent and coordinator
@@ -115,77 +109,40 @@ type Config struct {
 	// per-op degrade probability wedges some node most runs.
 	CtlOpDeadline time.Duration
 
-	// HostBandwidth/HostPropagation parameterize host access links
-	// (defaults 25 Gbps, 1µs).
-	HostBandwidth   float64
-	HostPropagation time.Duration
-
 	// Pacing is each agent's dialogue pacing (default 5µs).
 	Pacing time.Duration
 
 	// Seed derives every per-node and per-link RNG seed.
 	Seed int64
 
-	// Coordinator tunes the fabric coordinator.
+	// Coordinator carries the coordinator's test hook.
 	Coordinator CoordinatorOptions
-
-	// Gray tunes the fabric's link-failure detection: per-trunk probe
-	// heartbeats injected at each spine and a per-leaf gray-failure
-	// detector (the Fig. 16 program run per-leaf) whose suspect/clear
-	// events feed the coordinator's health view.
-	Gray GrayOptions
-
-	// Prologue, if set, runs inside each node's agent prologue after
-	// the fabric's route installation.
-	Prologue func(n *Node, p *sim.Proc, a *core.Agent) error
 }
 
-// GrayOptions tunes fabric-wide gray-failure detection.
-type GrayOptions struct {
-	// Disabled turns off probe heartbeats and the per-leaf detectors.
-	Disabled bool
-	// Ts is the per-trunk probe period (default 500ns): each spine
-	// emits one probe per leaf trunk every Ts, so a leaf's dialogue
-	// window of Td carries Td/Ts samples per uplink.
-	Ts time.Duration
-	// Eta is the detection expectation (default 0.75): a window
-	// delivering under floor(Eta·Td/Ts) probes on an uplink strikes it.
-	Eta float64
-	// HealEta is the recovery expectation (default 0.99): hysteresis —
-	// a latched uplink must deliver essentially every probe for
-	// RecoverStrikes consecutive windows before it is declared healed.
-	// A 30% gray link clears a symmetric bar often enough to flap.
-	HealEta float64
-	// Strikes and RecoverStrikes are the consecutive-window counts for
-	// detection and recovery (defaults 2 and 3).
-	Strikes        int
-	RecoverStrikes int
-	// MaxTd, when > 0, additionally discards dialogue windows longer
-	// than MaxTd (see usecases.GrayConfig.MaxTd). The fabric's primary
-	// guard is channel evidence, not time: windows during which the
-	// leaf's own control channel retransmitted or timed out are never
-	// judged, because their register reads can be dedup-cache stale —
-	// the count window and the time window no longer line up.
-	MaxTd time.Duration
-}
+// Fixed parameters of every fabric.
+const (
+	// trunkDelay is the one-way inter-switch propagation delay; host
+	// access links are hostBandwidth with hostPropagation one way.
+	trunkDelay      = time.Microsecond
+	hostBandwidth   = 25e9
+	hostPropagation = time.Microsecond
 
-func (g *GrayOptions) setDefaults() {
-	if g.Ts <= 0 {
-		g.Ts = 500 * time.Nanosecond
-	}
-	if g.Eta <= 0 {
-		g.Eta = 0.75
-	}
-	if g.HealEta <= 0 {
-		g.HealEta = 0.99
-	}
-	if g.Strikes <= 0 {
-		g.Strikes = 2
-	}
-	if g.RecoverStrikes <= 0 {
-		g.RecoverStrikes = 3
-	}
-}
+	// Link-failure detection: each spine emits one probe per leaf trunk
+	// every grayTs, so a leaf's dialogue window of Td carries Td/grayTs
+	// samples per uplink, and a per-leaf gray-failure detector (the
+	// Fig. 16 program) feeds suspect/clear events to the coordinator's
+	// health view. A window delivering under floor(grayEta·Td/grayTs)
+	// probes strikes its uplink; grayStrikes consecutive strikes latch
+	// it. Recovery has hysteresis: a latched uplink must deliver
+	// essentially every probe (grayHealEta) for grayRecoverStrikes
+	// consecutive windows — a 30% gray link clears a symmetric bar often
+	// enough to flap.
+	grayTs             = 500 * time.Nanosecond
+	grayEta            = 0.75
+	grayHealEta        = 0.99
+	grayStrikes        = 2
+	grayRecoverStrikes = 3
+)
 
 func (cfg *Config) setDefaults() error {
 	if cfg.Leaves < 1 || cfg.Spines < 1 {
@@ -194,32 +151,18 @@ func (cfg *Config) setDefaults() error {
 	if cfg.HostPorts <= 0 {
 		cfg.HostPorts = 4
 	}
-	if cfg.LeafProgram == "" {
-		cfg.LeafProgram = LeafP4R
-	}
 	if cfg.SpineProgram == "" {
 		cfg.SpineProgram = SpineP4R
 	}
 	if cfg.Target == "" {
 		cfg.Target = place.DefaultTarget
 	}
-	if cfg.TrunkDelay <= 0 {
-		cfg.TrunkDelay = time.Microsecond
-	}
 	if cfg.CtlDelay <= 0 {
 		cfg.CtlDelay = time.Microsecond
-	}
-	if cfg.HostBandwidth <= 0 {
-		cfg.HostBandwidth = 25e9
-	}
-	if cfg.HostPropagation <= 0 {
-		cfg.HostPropagation = time.Microsecond
 	}
 	if cfg.Pacing <= 0 {
 		cfg.Pacing = 5 * time.Microsecond
 	}
-	cfg.Coordinator.setDefaults()
-	cfg.Gray.setDefaults()
 	return nil
 }
 
@@ -252,7 +195,7 @@ type Node struct {
 	RouteHandles map[uint32]rmt.EntryHandle
 
 	// GrayDet is the leaf's per-uplink gray-failure detector (nil on
-	// spines or when Config.Gray.Disabled).
+	// spines).
 	GrayDet *usecases.GrayDetector
 }
 
@@ -288,7 +231,7 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 	if cfg.Target != "none" {
 		opts.Target = cfg.Target
 	}
-	leafPlan, err := compiler.CompileSource(cfg.LeafProgram, opts)
+	leafPlan, err := compiler.CompileSource(LeafP4R, opts)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: leaf program: %w", err)
 	}
@@ -324,7 +267,7 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 		row := make([]*netsim.Trunk, cfg.Spines)
 		for sp, spine := range f.Spines {
 			tr, err := netsim.ConnectTrunk(leaf.Net, f.UplinkPort(sp), spine.Net, l,
-				cfg.TrunkDelay, cfg.TrunkProfile, cfg.Seed*7919+int64(l*64+sp))
+				trunkDelay, faults.LinkProfile{}, cfg.Seed*7919+int64(l*64+sp))
 			if err != nil {
 				return nil, err
 			}
@@ -332,10 +275,8 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 		}
 		f.Trunks = append(f.Trunks, row)
 	}
-	if !cfg.Gray.Disabled {
-		if err := f.wireGrayDetection(spinePlan.Prog.Schema); err != nil {
-			return nil, err
-		}
+	if err := f.wireGrayDetection(spinePlan.Prog.Schema); err != nil {
+		return nil, err
 	}
 	f.Coord.attach(f)
 	return f, nil
@@ -367,11 +308,11 @@ func (f *Fabric) wireGrayDetection(spineSchema *packet.Schema) error {
 			return dirty
 		}
 		det := usecases.NewGrayDetector(usecases.GrayConfig{
-			Ts: cfg.Gray.Ts, Eta: cfg.Gray.Eta, HealEta: cfg.Gray.HealEta,
-			ConsecutiveStrikes: cfg.Gray.Strikes, RecoverStrikes: cfg.Gray.RecoverStrikes,
-			MaxTd: cfg.Gray.MaxTd, SkipWindow: skip,
-			Monitored: uplinks,
-			Event:     EventGraySuspect, ClearEvent: EventGrayClear,
+			Ts: grayTs, Eta: grayEta, HealEta: grayHealEta,
+			ConsecutiveStrikes: grayStrikes, RecoverStrikes: grayRecoverStrikes,
+			SkipWindow: skip,
+			Monitored:  uplinks,
+			Event:      EventGraySuspect, ClearEvent: EventGrayClear,
 		}, nil)
 		if err := leaf.Agent.RegisterNativeReaction("gray_react", det.React); err != nil {
 			return fmt.Errorf("fabric: %s: %w", leaf.Name, err)
@@ -389,10 +330,10 @@ func (f *Fabric) wireGrayDetection(spineSchema *packet.Schema) error {
 // unroutable: the leaf's hb_tbl counts and absorbs them, and if that
 // entry is not installed yet the route table's default drops them.
 func (f *Fabric) startHeartbeats() {
-	if f.Cfg.Gray.Disabled || f.hbTicker != nil {
+	if f.hbTicker != nil {
 		return
 	}
-	f.hbTicker = f.Sim.Every(f.Cfg.Gray.Ts, func() {
+	f.hbTicker = f.Sim.Every(grayTs, func() {
 		for sp, spine := range f.Spines {
 			if f.crashed[spine.Name] {
 				continue
@@ -455,7 +396,7 @@ func (f *Fabric) buildNode(name string, idx int, isSpine bool, plan *compiler.Pl
 		ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: n.Drv, OpDeadline: cfg.CtlOpDeadline})
 	n.CoordCli = ctlchan.NewClient(f.Sim, n.CoordLink, netsim.LinkSideA,
 		ctlchan.ClientOptions{Session: 2, Epoch: 1, Meta: n.Drv, OpDeadline: cfg.CtlOpDeadline})
-	n.Net = netsim.New(f.Sim, sw, cfg.HostBandwidth, cfg.HostPropagation)
+	n.Net = netsim.New(f.Sim, sw, hostBandwidth, hostPropagation)
 
 	n.Agent = core.NewAgent(f.Sim, n.AgentCli, plan, core.Options{
 		Name:      name,
@@ -464,13 +405,7 @@ func (f *Fabric) buildNode(name string, idx int, isSpine bool, plan *compiler.Pl
 		Recovery:  core.RecoveryForChannel(n.AgentCli.RTT()),
 		Journal:   &core.JournalConfig{Store: journal.NewMemStore()},
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			if err := f.installRoutes(n, p, a); err != nil {
-				return err
-			}
-			if cfg.Prologue != nil {
-				return cfg.Prologue(n, p, a)
-			}
-			return nil
+			return f.installRoutes(n, p, a)
 		},
 	})
 	return n, nil
@@ -482,13 +417,11 @@ func (f *Fabric) buildNode(name string, idx int, isSpine bool, plan *compiler.Pl
 func (f *Fabric) installRoutes(n *Node, p *sim.Proc, a *core.Agent) error {
 	if !n.IsSpine {
 		n.RouteHandles = make(map[uint32]rmt.EntryHandle)
-		if !f.Cfg.Gray.Disabled {
-			// Count-and-absorb probe heartbeats per ingress port.
-			if _, err := a.Driver().AddEntry(p, HeartbeatTable, rmt.Entry{
-				Keys: []rmt.KeySpec{rmt.ExactKey(HeartbeatProto)}, Action: HeartbeatAction,
-			}); err != nil {
-				return fmt.Errorf("fabric: %s: heartbeat table: %w", n.Name, err)
-			}
+		// Count-and-absorb probe heartbeats per ingress port.
+		if _, err := a.Driver().AddEntry(p, HeartbeatTable, rmt.Entry{
+			Keys: []rmt.KeySpec{rmt.ExactKey(HeartbeatProto)}, Action: HeartbeatAction,
+		}); err != nil {
+			return fmt.Errorf("fabric: %s: heartbeat table: %w", n.Name, err)
 		}
 	}
 	for l := 0; l < f.Cfg.Leaves; l++ {

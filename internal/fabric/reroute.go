@@ -38,36 +38,22 @@ type RerouteFabricConfig struct {
 	Fabric Config
 	// Mode is the injected failure (default ModeLinkDown).
 	Mode RerouteMode
-	// GrayRate is ModeGray's silent drop probability (default 0.30).
-	GrayRate float64
-	// SendersPerLeaf paces this many TCP senders per leaf (default 2),
-	// each at PerSenderBps (default 400 Mbps), to the receiver on the
-	// next leaf around the ring.
-	SendersPerLeaf int
-	PerSenderBps   float64
-	// Bucket is the goodput-series resolution (default 200µs — wide
-	// enough that a paced sender lands several MSS per bucket, so the
-	// recovery bar is not defeated by packet granularity).
-	Bucket time.Duration
 }
 
-func (cfg *RerouteFabricConfig) setDefaults() {
-	if cfg.Mode == "" {
-		cfg.Mode = ModeLinkDown
-	}
-	if cfg.GrayRate <= 0 {
-		cfg.GrayRate = 0.30
-	}
-	if cfg.SendersPerLeaf <= 0 {
-		cfg.SendersPerLeaf = 2
-	}
-	if cfg.PerSenderBps <= 0 {
-		cfg.PerSenderBps = 400e6
-	}
-	if cfg.Bucket <= 0 {
-		cfg.Bucket = 200 * time.Microsecond
-	}
-}
+// Fixed parameters of the scenario.
+const (
+	// rerouteGrayRate is ModeGray's silent drop probability.
+	rerouteGrayRate = 0.30
+	// rerouteSendersPerLeaf TCP senders per leaf, each paced at
+	// reroutePerSenderBps, stream to the receiver on the next leaf
+	// around the ring.
+	rerouteSendersPerLeaf = 2
+	reroutePerSenderBps   = 400e6
+	// rerouteBucket is the goodput-series resolution — wide enough that
+	// a paced sender lands several MSS per bucket, so the recovery bar is
+	// not defeated by packet granularity.
+	rerouteBucket = 200 * time.Microsecond
+)
 
 // RerouteFabric is a built fabric running the failure scenario.
 type RerouteFabric struct {
@@ -86,13 +72,15 @@ type RerouteFabric struct {
 	HealAt sim.Time
 
 	// buckets[i] is legitimate bytes delivered (in order, at any
-	// receiver) during [i·Bucket, (i+1)·Bucket).
+	// receiver) during [i·rerouteBucket, (i+1)·rerouteBucket).
 	buckets []uint64
 }
 
 // NewRerouteFabric builds the fabric and wires the ring traffic.
 func NewRerouteFabric(s *sim.Simulator, cfg RerouteFabricConfig) (*RerouteFabric, error) {
-	cfg.setDefaults()
+	if cfg.Mode == "" {
+		cfg.Mode = ModeLinkDown
+	}
 	if cfg.Fabric.Leaves < 2 {
 		return nil, fmt.Errorf("fabric: reroute scenario needs ≥2 leaves")
 	}
@@ -123,7 +111,7 @@ func NewRerouteFabric(s *sim.Simulator, cfg RerouteFabricConfig) (*RerouteFabric
 	schema := f.Leaves[0].Plan.Prog.Schema
 	rcvPort := fc.HostPorts - 1
 	record := func(at sim.Time, bytes int) {
-		idx := int(int64(at) / int64(cfg.Bucket))
+		idx := int(int64(at) / int64(rerouteBucket))
 		for len(r.buckets) <= idx {
 			r.buckets = append(r.buckets, 0)
 		}
@@ -137,7 +125,7 @@ func NewRerouteFabric(s *sim.Simulator, cfg RerouteFabricConfig) (*RerouteFabric
 		})
 		lCopy := l
 		senderPorts := fc.HostPorts - 1
-		usecases.WireDosSenders(leaf.Net, schema, cfg.SendersPerLeaf, cfg.PerSenderBps,
+		usecases.WireDosSenders(leaf.Net, schema, rerouteSendersPerLeaf, reroutePerSenderBps,
 			usecases.DosAddressing{
 				VictimAddr: rcvAddr, VictimPort: rcvPort,
 				SenderAddr: func(i int) uint32 { return HostAddr(lCopy, i%senderPorts) },
@@ -182,7 +170,7 @@ func (r *RerouteFabric) inject(fail bool) error {
 	case ModeGray:
 		rate := 0.0
 		if fail {
-			rate = r.Cfg.GrayRate
+			rate = rerouteGrayRate
 		}
 		r.F.Trunks[0][r.TargetSpine].SetGray(rate)
 	case ModeCrash:
@@ -200,7 +188,7 @@ func (r *RerouteFabric) inject(fail bool) error {
 // Goodput returns the mean delivered rate (bytes/sec) across buckets
 // fully inside [from, to). Zero if the window holds no full bucket.
 func (r *RerouteFabric) Goodput(from, to sim.Time) float64 {
-	b := int64(r.Cfg.Bucket)
+	const b = int64(rerouteBucket)
 	first := (int64(from) + b - 1) / b
 	last := int64(to) / b // exclusive
 	if last <= first {
@@ -218,7 +206,7 @@ func (r *RerouteFabric) Goodput(from, to sim.Time) float64 {
 // MinGoodput returns the smallest single-bucket rate (bytes/sec) over
 // buckets fully inside [from, to).
 func (r *RerouteFabric) MinGoodput(from, to sim.Time) float64 {
-	b := int64(r.Cfg.Bucket)
+	const b = int64(rerouteBucket)
 	first := (int64(from) + b - 1) / b
 	last := int64(to) / b
 	min := -1.0
@@ -227,7 +215,7 @@ func (r *RerouteFabric) MinGoodput(from, to sim.Time) float64 {
 		if i >= 0 && int(i) < len(r.buckets) {
 			v = r.buckets[i]
 		}
-		rate := float64(v) / r.Cfg.Bucket.Seconds()
+		rate := float64(v) / rerouteBucket.Seconds()
 		if min < 0 || rate < min {
 			min = rate
 		}
@@ -242,10 +230,10 @@ func (r *RerouteFabric) MinGoodput(from, to sim.Time) float64 {
 // from which two consecutive buckets deliver at least frac·ref
 // bytes/sec, or zero if goodput never recovers before `to`.
 func (r *RerouteFabric) RecoveredAt(from, to sim.Time, ref, frac float64) sim.Time {
-	b := int64(r.Cfg.Bucket)
+	const b = int64(rerouteBucket)
 	first := (int64(from) + b - 1) / b
 	last := int64(to) / b
-	bar := ref * frac * r.Cfg.Bucket.Seconds() // bytes per bucket
+	bar := ref * frac * rerouteBucket.Seconds() // bytes per bucket
 	for i := first; i+1 < last; i++ {
 		ok := true
 		for j := i; j <= i+1; j++ {

@@ -32,58 +32,38 @@ const AttackerAddr = 0xBAD00001
 // DosFabricConfig parameterizes the fabric-wide DoS scenario.
 type DosFabricConfig struct {
 	Fabric Config
-	// Dos tunes each leaf's detector (default usecases.DefaultDosConfig).
-	Dos usecases.DosConfig
-	// SendersPerLeaf benign TCP senders per leaf (default 4), each
-	// paced at PerSenderBps scaled by (1 + leaf/2) so per-sender rates
-	// differ and the fabric-wide top-k has a real ranking to find.
-	//
-	// Defaults are sized so the aggregate benign load converging on the
-	// victim leaf stays well under the detector's threshold: the
-	// detector attributes each total-byte delta to the sampled sender,
-	// so a src's estimate tends toward its packet share of the leaf's
-	// aggregate — push the aggregate near the threshold and heavily
-	// sampled benign sources (the victim's own ACK stream above all)
-	// get falsely blocked.
-	SendersPerLeaf int
-	PerSenderBps   float64
-	// AttackBps is the flood rate (default 25 Gbps); BottleneckBps the
-	// victim access link (default 10 Gbps).
-	AttackBps     float64
-	BottleneckBps float64
 }
 
-func (cfg *DosFabricConfig) setDefaults() {
-	if cfg.Dos == (usecases.DosConfig{}) {
-		cfg.Dos = usecases.DefaultDosConfig()
-		// Longer estimate window than the single-switch scenario: the
-		// fabric funnels every leaf's benign flows through the victim
-		// leaf, so early small-denominator estimates are noisier here.
-		cfg.Dos.MinDuration = 200 * time.Microsecond
-	}
-	if cfg.SendersPerLeaf <= 0 {
-		cfg.SendersPerLeaf = 4
-	}
-	if cfg.PerSenderBps <= 0 {
-		// Size the default so the benign aggregate converging on the
-		// victim stays near 400 Mbps at ANY fabric size: every leaf's
-		// senders funnel through the victim leaf, so a fixed per-sender
-		// default would push large fabrics over the detector threshold
-		// via attribution noise. Σ over leaves of the (1 + l/2) scale
-		// is L + L(L-1)/4.
-		l := float64(cfg.Fabric.Leaves)
-		weight := float64(cfg.SendersPerLeaf) * (l + l*(l-1)/4)
-		if weight <= 0 {
-			weight = float64(cfg.SendersPerLeaf)
-		}
-		cfg.PerSenderBps = 400e6 / weight
-	}
-	if cfg.AttackBps <= 0 {
-		cfg.AttackBps = 25e9
-	}
-	if cfg.BottleneckBps <= 0 {
-		cfg.BottleneckBps = 10e9
-	}
+// Fixed parameters of the scenario.
+const (
+	// dosSendersPerLeaf benign TCP senders run on every leaf.
+	dosSendersPerLeaf = 4
+	// dosBenignBps is the benign aggregate converging on the victim. It
+	// is held at ANY fabric size: every leaf's senders funnel through
+	// the victim leaf, and the detector attributes each total-byte delta
+	// to the sampled sender, so a src's estimate tends toward its packet
+	// share of the leaf's aggregate — push the aggregate near the
+	// threshold and heavily sampled benign sources (the victim's own ACK
+	// stream above all) get falsely blocked.
+	dosBenignBps = 400e6
+	// dosAttackBps is the flood rate; dosBottleneckBps the victim access
+	// link.
+	dosAttackBps     = 25e9
+	dosBottleneckBps = 10e9
+	// dosMinDuration is a longer estimate window than the single-switch
+	// scenario's: the fabric funnels every leaf's benign flows through
+	// the victim leaf, so early small-denominator estimates are noisier
+	// here.
+	dosMinDuration = 200 * time.Microsecond
+)
+
+// dosPerSenderBps is the base benign rate on a fabric of the given
+// size: leaf l's senders are paced at (1 + l/2) times it, so per-sender
+// rates differ and the fabric-wide top-k has a real ranking to find. Σ
+// over leaves of that scale is L + L(L-1)/4.
+func dosPerSenderBps(leaves int) float64 {
+	l := float64(leaves)
+	return dosBenignBps / (dosSendersPerLeaf * (l + l*(l-1)/4))
 }
 
 // DosFabric is a built fabric running the DoS scenario.
@@ -113,12 +93,13 @@ type DosFabric struct {
 
 // NewDosFabric builds the fabric and wires the scenario onto it.
 func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
-	cfg.setDefaults()
 	f, err := Build(s, cfg.Fabric)
 	if err != nil {
 		return nil, err
 	}
 	fc := f.Cfg // defaults resolved
+	dos := usecases.DefaultDosConfig()
+	dos.MinDuration = dosMinDuration
 	d := &DosFabric{
 		Sim: s, F: f, Cfg: cfg,
 		Detectors:      make(map[string]*usecases.DosDetector),
@@ -127,7 +108,7 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 		DeliveredBySrc: make(map[uint64]uint64),
 	}
 	for _, leaf := range f.Leaves {
-		det := usecases.NewDosDetector(cfg.Dos)
+		det := usecases.NewDosDetector(dos)
 		if err := leaf.Agent.RegisterNativeReaction("dos_react", det.React); err != nil {
 			return nil, err
 		}
@@ -140,10 +121,11 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 	d.Victim = usecases.WireDosVictim(victimLeaf.Net, usecases.DosAddressing{
 		VictimAddr: d.VictimAddr, VictimPort: victimPort,
 	})
-	victimLeaf.Sw.SetPortBandwidth(victimPort, cfg.BottleneckBps)
+	victimLeaf.Sw.SetPortBandwidth(victimPort, dosBottleneckBps)
 
 	// Benign senders: every leaf, host ports 0..HostPorts-2 (the last
 	// port is reserved for the victim), rates scaled per leaf.
+	perSender := dosPerSenderBps(fc.Leaves)
 	for l, leaf := range f.Leaves {
 		lCopy := l
 		senderPorts := fc.HostPorts - 1
@@ -152,8 +134,8 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 			SenderAddr: func(i int) uint32 { return HostAddr(lCopy, i%senderPorts) },
 			SenderPort: func(i int) int { return i % senderPorts },
 		}
-		rate := cfg.PerSenderBps * (1 + float64(l)/2)
-		flows := usecases.WireDosSenders(leaf.Net, schema, cfg.SendersPerLeaf, rate, ad, nil)
+		rate := perSender * (1 + float64(l)/2)
+		flows := usecases.WireDosSenders(leaf.Net, schema, dosSendersPerLeaf, rate, ad, nil)
 		for i, fl := range flows {
 			src := uint64(ad.SenderAddr(i))
 			fl.OnDeliver = func(at sim.Time, bytes int) {
@@ -163,7 +145,7 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 	}
 
 	// The flood enters at spine 0's border port.
-	d.Flood = usecases.WireDosAttacker(f.Spines[0].Net, schema, cfg.AttackBps, usecases.DosAddressing{
+	d.Flood = usecases.WireDosAttacker(f.Spines[0].Net, schema, dosAttackBps, usecases.DosAddressing{
 		VictimAddr:   d.VictimAddr,
 		AttackerAddr: AttackerAddr,
 		AttackerPort: f.BorderPort(),

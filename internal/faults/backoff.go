@@ -50,10 +50,6 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Ceil exposes the current window ceiling (the next Next draws below
-// it) — diagnostics and tests.
-func (b *Backoff) Ceil() time.Duration { return b.ceil }
-
 // Reset shrinks the window back to Base, for callers that reuse one
 // Backoff across independent operations.
 func (b *Backoff) Reset() { b.ceil = b.Base }

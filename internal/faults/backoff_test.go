@@ -13,7 +13,7 @@ func TestBackoffWindowDoubles(t *testing.T) {
 		16 * time.Microsecond, 16 * time.Microsecond, 16 * time.Microsecond,
 	}
 	for i, want := range wantCeils {
-		ceil := b.Ceil()
+		ceil := b.ceil
 		if ceil != want {
 			t.Fatalf("attempt %d: ceil = %v, want %v", i, ceil, want)
 		}
@@ -23,8 +23,8 @@ func TestBackoffWindowDoubles(t *testing.T) {
 		}
 	}
 	b.Reset()
-	if b.Ceil() != 2*time.Microsecond {
-		t.Fatalf("after Reset, ceil = %v, want base", b.Ceil())
+	if b.ceil != 2*time.Microsecond {
+		t.Fatalf("after Reset, ceil = %v, want base", b.ceil)
 	}
 }
 

@@ -44,7 +44,7 @@ type Profile struct {
 	Name string
 
 	// ErrorRate is the per-operation probability of a transient failure:
-	// the op consumes FailCost of channel time and returns an error
+	// the op consumes failCost of channel time and returns an error
 	// wrapping driver.ErrTransient without touching the switch.
 	ErrorRate float64
 	// ErrorBurst makes each triggered failure repeat for the next
@@ -70,10 +70,6 @@ type Profile struct {
 	StuckEvery time.Duration
 	StuckFor   time.Duration
 
-	// FailCost is the channel time a transiently failed operation
-	// consumes (the timeout the caller waited out). Defaults to 2µs.
-	FailCost time.Duration
-
 	// CrashAtOp, when > 0, halts the calling process immediately before
 	// the Nth matching operation observed while injection is enabled
 	// (1-based) — the model of a control-plane process crash: the op
@@ -94,9 +90,9 @@ type Profile struct {
 	CrashOp string
 }
 
-// DefaultFailCost is the channel time consumed by an injected failure
-// when Profile.FailCost is zero.
-const DefaultFailCost = 2 * time.Microsecond
+// failCost is the channel time a transiently failed operation consumes
+// (the timeout the caller waited out).
+const failCost = 2 * time.Microsecond
 
 // Predefined profiles, one per fault class the chaos suite exercises.
 
@@ -249,14 +245,6 @@ func (f *Injector) Profile() Profile { return f.prof }
 // driver.Channel pass-through to the wrapped channel's driver counters.)
 func (f *Injector) FaultStats() Stats { return f.stats }
 
-// failCost returns the channel time one injected failure consumes.
-func (f *Injector) failCost() time.Duration {
-	if f.prof.FailCost > 0 {
-		return f.prof.FailCost
-	}
-	return DefaultFailCost
-}
-
 // stall blocks p until the current stuck window (if any) closes.
 func (f *Injector) stall(p *sim.Proc) {
 	if f.prof.StuckEvery <= 0 || f.prof.StuckFor <= 0 {
@@ -334,7 +322,7 @@ func (f *Injector) CrashedAt() sim.Time { return f.crashedAt }
 // fail consumes the timeout cost and returns a transient error.
 func (f *Injector) fail(p *sim.Proc, op string) error {
 	f.stats.InjectedErrors++
-	p.Sleep(f.failCost())
+	p.Sleep(failCost)
 	return fmt.Errorf("faults: injected %s failure at %v: %w", op, p.Now(), driver.ErrTransient)
 }
 

@@ -336,7 +336,7 @@ func tcpEdgeRig(t *testing.T) (*netRig, *TCPFlow, *Host, *[]uint64) {
 
 func (r *netRig) dataSegment(f *TCPFlow, seq uint64) *packet.Packet {
 	pkt := r.sw.Program().Schema.New()
-	pkt.Size = f.cfg.MSS
+	pkt.Size = tcpMSS
 	pkt.SetName(testFM.Src, 2)
 	pkt.SetName(testFM.Dst, 1)
 	pkt.SetName(testFM.Proto, ProtoTCP)
@@ -356,7 +356,7 @@ func TestTCPDuplicateAfterRetransmit(t *testing.T) {
 	flow.HandlePacket(r.dataSegment(flow, 0), b) // the late original
 	r.sim.RunFor(time.Millisecond)
 
-	if want := uint64(flow.cfg.MSS); flow.DeliveredBytes != want {
+	if want := uint64(tcpMSS); flow.DeliveredBytes != want {
 		t.Fatalf("DeliveredBytes = %d, want %d (duplicate must not double-count)", flow.DeliveredBytes, want)
 	}
 	if len(*acks) != 2 || (*acks)[0] != 1 || (*acks)[1] != 1 {
@@ -383,7 +383,7 @@ func TestTCPReorderAcrossHeal(t *testing.T) {
 	flow.HandlePacket(r.dataSegment(flow, 0), b) // the heal
 	r.sim.RunFor(time.Millisecond)
 
-	if want := uint64(3 * flow.cfg.MSS); flow.DeliveredBytes != want {
+	if want := uint64(3 * tcpMSS); flow.DeliveredBytes != want {
 		t.Fatalf("DeliveredBytes = %d, want %d", flow.DeliveredBytes, want)
 	}
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {

@@ -198,8 +198,8 @@ func TestTCPTransfersAndGrows(t *testing.T) {
 	if flow.Retransmits != 0 {
 		t.Fatalf("retransmits = %d on loss-free path", flow.Retransmits)
 	}
-	if flow.Cwnd() <= DefaultTCPConfig().InitialCwnd {
-		t.Fatalf("cwnd = %v never grew", flow.Cwnd())
+	if flow.cwnd <= tcpInitialCwnd {
+		t.Fatalf("cwnd = %v never grew", flow.cwnd)
 	}
 	// Goodput should be a decent share of the 25 Gbps path over 2ms.
 	gbps := float64(flow.DeliveredBytes*8) / (2e-3) / 1e9
@@ -356,7 +356,7 @@ func TestDCTCPRespondsToMarks(t *testing.T) {
 	if flow.MarkedAcks == 0 {
 		t.Fatal("no ECN-marked ACKs observed")
 	}
-	if flow.DCTCPAlpha() <= 0 {
+	if flow.dctcpAlpha <= 0 {
 		t.Fatal("DCTCP alpha never moved")
 	}
 	if flow.DeliveredBytes < 1_000_000 {

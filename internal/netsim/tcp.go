@@ -9,32 +9,31 @@ import (
 
 // TCPConfig tunes the compact TCP implementation.
 type TCPConfig struct {
-	// MSS is the data segment size in bytes.
-	MSS int
-	// InitialCwnd is the initial window in segments.
-	InitialCwnd float64
 	// RTO is the retransmission timeout.
 	RTO time.Duration
-	// AckSize is the ACK segment wire size.
-	AckSize int
-	// MaxCwnd caps the window (segments).
-	MaxCwnd float64
 	// DCTCP enables ECN-reaction: the sender maintains the DCTCP alpha
 	// estimate of the marked fraction and cuts cwnd by alpha/2 once per
 	// window. Requires FieldMap.ECN.
 	DCTCP bool
-	// DCTCPGain is the EWMA gain g for alpha (default 1/16).
-	DCTCPGain float64
 	// PacedRate, when positive, caps the flow's send rate (bits/s) —
 	// an application-limited flow, used to model the Fig. 15 benign
 	// senders that together hold the bottleneck at 20%.
 	PacedRate float64
 }
 
+// Fixed TCP parameters.
+const (
+	tcpMSS         = 1500 // data segment size in bytes
+	tcpAckSize     = 64   // ACK segment wire size
+	tcpInitialCwnd = 10   // initial window in segments
+	tcpMaxCwnd     = 256  // window cap in segments
+	dctcpGain      = 1.0 / 16
+)
+
 // DefaultTCPConfig returns datacenter-ish parameters: in a network with
 // ~10 µs RTTs an RTO of 1 ms plays the role of the real-world min-RTO.
 func DefaultTCPConfig() TCPConfig {
-	return TCPConfig{MSS: 1500, InitialCwnd: 10, RTO: time.Millisecond, AckSize: 64, MaxCwnd: 256}
+	return TCPConfig{RTO: time.Millisecond}
 }
 
 // TCPFlow is a one-directional TCP-like flow between two hosts through
@@ -88,12 +87,9 @@ type TCPFlow struct {
 // NewTCPFlow wires a flow from sender toward dst. Data packets carry
 // the flow in Payload; endpoints dispatch via HandlePacket.
 func NewTCPFlow(sender *Host, schema *packet.Schema, fm FieldMap, dst uint32, cfg TCPConfig) *TCPFlow {
-	if cfg.DCTCPGain == 0 {
-		cfg.DCTCPGain = 1.0 / 16
-	}
 	return &TCPFlow{
 		cfg: cfg, sender: sender, fm: fm, schema: schema, dst: dst,
-		cwnd: cfg.InitialCwnd, ssthresh: cfg.MaxCwnd,
+		cwnd: tcpInitialCwnd, ssthresh: tcpMaxCwnd,
 		rcvBuf: make(map[uint64]bool),
 	}
 }
@@ -113,7 +109,7 @@ func (f *TCPFlow) outstanding() float64 { return float64(f.nextSeq - f.highestAc
 
 func (f *TCPFlow) sendSegment(seq uint64, retx bool) {
 	pkt := f.schema.New()
-	pkt.Size = f.cfg.MSS
+	pkt.Size = tcpMSS
 	pkt.SetName(f.fm.Src, uint64(f.sender.Addr))
 	pkt.SetName(f.fm.Dst, uint64(f.dst))
 	pkt.SetName(f.fm.Proto, ProtoTCP)
@@ -139,7 +135,7 @@ func (f *TCPFlow) pump() {
 		return
 	}
 	now := f.sender.net.Sim.Now()
-	interval := time.Duration(float64(f.cfg.MSS*8) / f.cfg.PacedRate * float64(time.Second))
+	interval := time.Duration(float64(tcpMSS*8) / f.cfg.PacedRate * float64(time.Second))
 	for f.outstanding() < f.cwnd {
 		if f.nextSendAt > now {
 			// Pacing-blocked with window open: resume at the token time.
@@ -221,7 +217,7 @@ func (f *TCPFlow) onData(pkt *packet.Packet, receiver *Host) {
 	}
 	// Cumulative ACK (a duplicate ACK when data arrived out of order).
 	ack := f.schema.New()
-	ack.Size = f.cfg.AckSize
+	ack.Size = tcpAckSize
 	ack.SetName(f.fm.Src, uint64(f.dst))
 	ack.SetName(f.fm.Dst, uint64(f.sender.Addr))
 	ack.SetName(f.fm.Proto, ProtoTCP)
@@ -236,9 +232,9 @@ func (f *TCPFlow) onData(pkt *packet.Packet, receiver *Host) {
 }
 
 func (f *TCPFlow) deliver(receiver *Host) {
-	f.DeliveredBytes += uint64(f.cfg.MSS)
+	f.DeliveredBytes += uint64(tcpMSS)
 	if f.OnDeliver != nil {
-		f.OnDeliver(receiver.net.Sim.Now(), f.cfg.MSS)
+		f.OnDeliver(receiver.net.Sim.Now(), tcpMSS)
 	}
 }
 
@@ -274,8 +270,8 @@ func (f *TCPFlow) onAck(ack uint64, marked bool) {
 		} else {
 			f.cwnd += newly / f.cwnd // congestion avoidance
 		}
-		if f.cwnd > f.cfg.MaxCwnd {
-			f.cwnd = f.cfg.MaxCwnd
+		if f.cwnd > tcpMaxCwnd {
+			f.cwnd = tcpMaxCwnd
 		}
 		f.pump()
 	case ack == f.highestAck && f.outstanding() > 0:
@@ -293,7 +289,7 @@ func (f *TCPFlow) onAck(ack uint64, marked bool) {
 			f.sendSegment(f.highestAck, true)
 		} else if f.inRecovery {
 			// Window inflation keeps the pipe full during recovery.
-			if f.cwnd < f.cfg.MaxCwnd {
+			if f.cwnd < tcpMaxCwnd {
 				f.cwnd++
 			}
 			f.pump()
@@ -312,7 +308,7 @@ func (f *TCPFlow) dctcpWindow(newly float64, marked bool) {
 		return
 	}
 	frac := f.windowMarked / f.windowAcked
-	g := f.cfg.DCTCPGain
+	const g = dctcpGain // EWMA gain for alpha
 	f.dctcpAlpha = (1-g)*f.dctcpAlpha + g*frac
 	if frac > 0 {
 		f.cwnd *= 1 - f.dctcpAlpha/2
@@ -328,9 +324,3 @@ func (f *TCPFlow) dctcpWindow(newly float64, marked bool) {
 	}
 	f.windowAcked, f.windowMarked = 0, 0
 }
-
-// DCTCPAlpha exposes the running marked-fraction estimate.
-func (f *TCPFlow) DCTCPAlpha() float64 { return f.dctcpAlpha }
-
-// Cwnd exposes the current congestion window (segments).
-func (f *TCPFlow) Cwnd() float64 { return f.cwnd }

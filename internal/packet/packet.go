@@ -147,17 +147,9 @@ func (p *Packet) GetName(name string) uint64 { return p.fields[p.schema.MustID(n
 // SetName stores a value by field name.
 func (p *Packet) SetName(name string, v uint64) { p.Set(p.schema.MustID(name), v) }
 
-// Clone returns a deep copy of the packet (Payload is copied by
-// reference).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.fields = append([]uint64(nil), p.fields...)
-	return &q
-}
-
 // CloneInto deep-copies p into dst (same schema), reusing dst's field
-// storage. It is the allocation-free counterpart of Clone for callers
-// that recycle packets through a Pool.
+// storage, for callers that recycle packets through a Pool. Payload is
+// copied by reference.
 func (p *Packet) CloneInto(dst *Packet) {
 	fields := dst.fields
 	*dst = *p

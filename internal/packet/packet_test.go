@@ -106,13 +106,14 @@ func TestClone(t *testing.T) {
 	p := s.New()
 	p.Set(f, 7)
 	p.Size = 100
-	q := p.Clone()
+	q := s.New()
+	p.CloneInto(q)
+	if q.Get(f) != 7 || q.Size != 100 {
+		t.Fatal("CloneInto lost state")
+	}
 	q.Set(f, 9)
 	if p.Get(f) != 7 {
-		t.Fatal("Clone aliases field storage")
-	}
-	if q.Size != 100 {
-		t.Fatal("Clone lost scalar state")
+		t.Fatal("CloneInto aliases field storage")
 	}
 }
 

@@ -38,13 +38,8 @@ type Config struct {
 	NumPorts int
 	// QueueCapacity is the per-port egress queue depth, in packets.
 	QueueCapacity int
-	// PipelineLatency is the time from ingress MAC to egress queue
-	// admission (100s of ns on real hardware).
-	PipelineLatency time.Duration
 	// PortBandwidth is the drain rate of each port in bits per second.
 	PortBandwidth float64
-	// RecirculationLatency is the extra delay of one recirculation pass.
-	RecirculationLatency time.Duration
 	// MaxRecirculations bounds recirculation loops (safety net).
 	MaxRecirculations int
 	// IngressCapacityPPS bounds the packet rate the ingress pipeline can
@@ -57,14 +52,17 @@ type Config struct {
 // DefaultConfig matches the paper's testbed scale: a 32x25Gbps switch.
 func DefaultConfig() Config {
 	return Config{
-		NumPorts:             32,
-		QueueCapacity:        256,
-		PipelineLatency:      400 * time.Nanosecond,
-		PortBandwidth:        25e9,
-		RecirculationLatency: 400 * time.Nanosecond,
-		MaxRecirculations:    4,
+		NumPorts:          32,
+		QueueCapacity:     256,
+		PortBandwidth:     25e9,
+		MaxRecirculations: 4,
 	}
 }
+
+// pipelineLatency is the time from ingress MAC to egress queue admission
+// (100s of ns on real hardware); one recirculation pass costs the same
+// again.
+const pipelineLatency = 400 * time.Nanosecond
 
 // Stats aggregates switch-level counters.
 type Stats struct {
@@ -328,7 +326,7 @@ func (sw *Switch) runIngress(pkt *packet.Packet) {
 		pkt.Recirculations++
 	}
 	// Traffic-manager admission happens after the ingress pipeline delay.
-	sw.sim.ScheduleCall(sw.cfg.PipelineLatency, sw.enqueueFn, pkt)
+	sw.sim.ScheduleCall(pipelineLatency, sw.enqueueFn, pkt)
 }
 
 func (sw *Switch) enqueue(portN int, pkt *packet.Packet) {
@@ -425,7 +423,7 @@ func (sw *Switch) finishEgress(portN int, pkt *packet.Packet) {
 	if env.recirculate && pkt.Recirculations < sw.cfg.MaxRecirculations {
 		sw.stats.Recirculated++
 		pkt.Recirculations++
-		sw.sim.ScheduleCall(sw.cfg.RecirculationLatency, sw.admitFn, pkt)
+		sw.sim.ScheduleCall(pipelineLatency, sw.admitFn, pkt)
 		return
 	}
 	sw.stats.TxPackets++

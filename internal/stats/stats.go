@@ -1,7 +1,7 @@
 // Package stats provides the metrics used by the paper's evaluation:
-// relative estimation error (Fig. 14), median absolute deviation (the
-// hash-polarization trigger of §8.3.3), percentiles and CDFs for
-// latency distributions (Figs. 12, 16), and simple time series.
+// the deviation-from-median imbalance statistic (the hash-polarization
+// trigger of §8.3.3), percentiles for latency distributions (Figs. 12,
+// 16), and simple time series.
 package stats
 
 import (
@@ -10,18 +10,6 @@ import (
 	"sort"
 	"time"
 )
-
-// RelativeError returns |est - actual| / actual. An actual of zero
-// returns 0 when est is also zero, else +Inf.
-func RelativeError(est, actual float64) float64 {
-	if actual == 0 {
-		if est == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(est-actual) / actual
-}
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -50,25 +38,11 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// MAD returns the median absolute deviation from the median — the
-// imbalance statistic of use case #3.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
-}
-
 // MeanAbsDevFromMedian returns the mean absolute deviation from the
-// median. Unlike the median-of-deviations MAD, it flags a single hot
-// outlier among many idle values (MAD proper is 0 when fewer than half
-// the values deviate) — which is exactly the single-hot-path shape of
-// hash polarization.
+// median — the imbalance statistic of use case #3. Unlike the
+// median-of-deviations MAD, it flags a single hot outlier among many idle
+// values (MAD proper is 0 when fewer than half the values deviate) —
+// which is exactly the single-hot-path shape of hash polarization.
 func MeanAbsDevFromMedian(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -141,42 +115,6 @@ func SummarizeDurations(ds []time.Duration) DurationStats {
 func (s DurationStats) String() string {
 	return fmt.Sprintf("n=%d mean=%v median=%v p99=%v min=%v max=%v",
 		s.Count, s.Mean, s.Median, s.P99, s.Min, s.Max)
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-// CDF returns the empirical CDF of xs (sorted by X).
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of positive values; zero entries
-// are skipped (0 if none remain).
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // TimeSeries accumulates (t, value) points, e.g. goodput over time for

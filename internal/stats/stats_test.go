@@ -8,21 +8,6 @@ import (
 	"time"
 )
 
-func TestRelativeError(t *testing.T) {
-	if RelativeError(110, 100) != 0.1 {
-		t.Fatal("10% error")
-	}
-	if RelativeError(90, 100) != 0.1 {
-		t.Fatal("symmetric error")
-	}
-	if RelativeError(0, 0) != 0 {
-		t.Fatal("0/0")
-	}
-	if !math.IsInf(RelativeError(5, 0), 1) {
-		t.Fatal("x/0")
-	}
-}
-
 func TestMeanMedian(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean")
@@ -42,19 +27,27 @@ func TestMeanMedian(t *testing.T) {
 }
 
 func TestMAD(t *testing.T) {
-	// Balanced: identical values -> MAD 0.
-	if MAD([]float64{7, 7, 7, 7}) != 0 {
-		t.Fatal("uniform MAD")
+	// Balanced: identical values -> deviation 0.
+	if MeanAbsDevFromMedian([]float64{7, 7, 7, 7}) != 0 {
+		t.Fatal("uniform")
 	}
-	// {1,2,3,4,9}: median 3, deviations {2,1,0,1,6}, median 1.
-	if MAD([]float64{1, 2, 3, 4, 9}) != 1 {
-		t.Fatal("MAD")
+	// {1,2,3,4,9}: median 3, deviations {2,1,0,1,6}, mean 2.
+	if MeanAbsDevFromMedian([]float64{1, 2, 3, 4, 9}) != 2 {
+		t.Fatal("mean absolute deviation")
 	}
-	// An imbalanced port distribution has larger MAD than a balanced one.
-	balanced := MAD([]float64{100, 101, 99, 100})
-	skewed := MAD([]float64{10, 200, 15, 180})
+	// One hot path among idle ones — the polarized shape — is flagged,
+	// where the median of the deviations would read 0.
+	if MeanAbsDevFromMedian([]float64{0, 0, 0, 400}) != 100 {
+		t.Fatal("single hot outlier")
+	}
+	// An imbalanced port distribution deviates more than a balanced one.
+	balanced := MeanAbsDevFromMedian([]float64{100, 101, 99, 100})
+	skewed := MeanAbsDevFromMedian([]float64{10, 200, 15, 180})
 	if skewed <= balanced {
-		t.Fatalf("MAD skewed=%v balanced=%v", skewed, balanced)
+		t.Fatalf("skewed=%v balanced=%v", skewed, balanced)
+	}
+	if MeanAbsDevFromMedian(nil) != 0 {
+		t.Fatal("empty")
 	}
 }
 
@@ -88,26 +81,6 @@ func TestSummarizeDurations(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("String")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 || pts[0].X != 1 || pts[2].P != 1.0 {
-		t.Fatalf("cdf = %v", pts)
-	}
-	if pts[0].P <= 0 || pts[1].P != 2.0/3 {
-		t.Fatalf("cdf = %v", pts)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g := GeoMean([]float64{1, 100})
-	if math.Abs(g-10) > 1e-9 {
-		t.Fatalf("geomean = %v", g)
-	}
-	if GeoMean([]float64{0, 0}) != 0 {
-		t.Fatal("all-zero")
 	}
 }
 
@@ -156,7 +129,7 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Property: MAD is translation invariant.
+// Property: the deviation from the median is translation invariant.
 func TestPropertyMADTranslationInvariant(t *testing.T) {
 	f := func(raw []int16, shift int16) bool {
 		if len(raw) == 0 {
@@ -168,7 +141,7 @@ func TestPropertyMADTranslationInvariant(t *testing.T) {
 			a[i] = float64(x)
 			b[i] = float64(x) + float64(shift)
 		}
-		return math.Abs(MAD(a)-MAD(b)) < 1e-9
+		return math.Abs(MeanAbsDevFromMedian(a)-MeanAbsDevFromMedian(b)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

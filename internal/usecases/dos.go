@@ -331,51 +331,47 @@ type Fig15Result struct {
 
 // Fig15Config scales the scenario.
 type Fig15Config struct {
-	// Senders is the number of benign TCP senders (paper: 250, scaled
-	// here to the port count).
-	Senders int
-	// PerSenderBps paces each benign flow; senders*rate should sit near
-	// 20% of the bottleneck.
-	PerSenderBps float64
-	// BottleneckBps is the victim link (paper: 10 Gbps).
-	BottleneckBps float64
 	// AttackBps is the flood rate (paper: 25 Gbps).
 	AttackBps float64
-	// Warmup before the flood starts; Run length after it.
-	Warmup time.Duration
-	Tail   time.Duration
+	// Tail is the run length after the flood starts.
+	Tail time.Duration
 }
 
-// DefaultFig15Config mirrors the paper's setup scaled to one switch.
+// The paper's setup scaled to one switch.
+const (
+	// fig15Senders benign TCP senders (paper: 250, scaled here to the
+	// port count), each paced at fig15PerSenderBps: 25 x 80 Mbps = 2 Gbps
+	// = 20% of the fig15BottleneckBps victim link (paper: 10 Gbps).
+	fig15Senders       = 25
+	fig15PerSenderBps  = 80e6
+	fig15BottleneckBps = 10e9
+	// fig15Warmup runs before the flood starts.
+	fig15Warmup = 2 * time.Millisecond
+)
+
+// DefaultFig15Config mirrors the paper's setup.
 func DefaultFig15Config() Fig15Config {
-	return Fig15Config{
-		Senders:       25,
-		PerSenderBps:  80e6, // 25 x 80 Mbps = 2 Gbps = 20% of 10 Gbps
-		BottleneckBps: 10e9,
-		AttackBps:     25e9,
-		Warmup:        2 * time.Millisecond,
-		Tail:          3 * time.Millisecond,
-	}
+	return Fig15Config{AttackBps: 25e9, Tail: 3 * time.Millisecond}
 }
 
 // RunFig15 runs the DoS mitigation scenario and returns the timeline.
 func RunFig15(cfg Fig15Config, seed int64) (*Fig15Result, error) {
 	ad := DefaultDosAddressing()
-	rig, err := BuildDos(seed, DefaultDosConfig(), ad.Routes(cfg.Senders))
+	rig, err := BuildDos(seed, DefaultDosConfig(), ad.Routes(fig15Senders))
 	if err != nil {
 		return nil, err
 	}
-	rig.Sw.SetPortBandwidth(ad.VictimPort, cfg.BottleneckBps)
+	rig.Sw.SetPortBandwidth(ad.VictimPort, fig15BottleneckBps)
 
 	res := &Fig15Result{}
 	WireDosVictim(rig.Net, ad)
-	WireDosSenders(rig.Net, rig.Plan.Prog.Schema, cfg.Senders, cfg.PerSenderBps, ad, func(at sim.Time, bytes int) {
+	WireDosSenders(rig.Net, rig.Plan.Prog.Schema, fig15Senders, fig15PerSenderBps, ad, func(at sim.Time, bytes int) {
 		res.Goodput.Add(at.Duration(), float64(bytes))
 	})
 	flood := WireDosAttacker(rig.Net, rig.Plan.Prog.Schema, cfg.AttackBps, ad)
 
 	rig.Agent.Start()
-	rig.Sim.RunFor(cfg.Warmup)
+	rig.Sim.RunFor(fig15Warmup)
 	res.FloodStart = rig.Sim.Now()
 	flood.Start()
 	rig.Sim.RunFor(cfg.Tail)

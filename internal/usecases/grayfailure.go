@@ -57,37 +57,14 @@ control ingress {
 }
 `
 
-// GrayAddressing places the heartbeat sources of the gray-failure
-// scenario onto a switch's ports — the use case #2 counterpart of
-// DosAddressing, so a fabric can instantiate the detector per-leaf
-// with its own address plan instead of copy-pasting the scenario body.
-type GrayAddressing struct {
-	// NeighborAddr is the heartbeat source address on monitored-port
-	// index i.
-	NeighborAddr func(i int) uint32
-	// HeartbeatDst is the destination stamped on heartbeats — an address
-	// the route table never resolves, so heartbeats die in the switch
-	// after being counted.
-	HeartbeatDst uint32
-}
-
-// DefaultGrayAddressing is the single-switch Fig. 16 layout.
-func DefaultGrayAddressing() GrayAddressing {
-	return GrayAddressing{
-		NeighborAddr: func(i int) uint32 { return uint32(0x0A00FF00 + i) },
-		HeartbeatDst: 0xFFFFFFFF,
-	}
-}
-
-func (ad *GrayAddressing) setDefaults() {
-	def := DefaultGrayAddressing()
-	if ad.NeighborAddr == nil {
-		ad.NeighborAddr = def.NeighborAddr
-	}
-	if ad.HeartbeatDst == 0 {
-		ad.HeartbeatDst = def.HeartbeatDst
-	}
-}
+// The single-switch Fig. 16 address plan: the neighbor on monitored-port
+// index i sends heartbeats from grayNeighborBase+i to grayHeartbeatDst —
+// an address the route table never resolves, so heartbeats die in the
+// switch after being counted.
+const (
+	grayNeighborBase = 0x0A00FF00
+	grayHeartbeatDst = 0xFFFFFFFF
+)
 
 // GrayConfig parameterizes the detector (§8.3.2).
 type GrayConfig struct {
@@ -102,10 +79,6 @@ type GrayConfig struct {
 	ConsecutiveStrikes int
 	// Monitored lists the ports carrying heartbeats.
 	Monitored []int
-
-	// Addr places the heartbeat sources (zero value: the single-switch
-	// Fig. 16 constants).
-	Addr GrayAddressing
 
 	// Event, when set, is emitted via the agent's event sink at each
 	// detection with Key = the failed port; ClearEvent likewise when a
@@ -123,20 +96,14 @@ type GrayConfig struct {
 	// often enough to flap a symmetric latch, but almost never clears a
 	// near-full delivery bar, so heal evidence stays trustworthy.
 	HealEta float64
-	// MaxTd, when > 0, discards measurement windows longer than MaxTd:
-	// a degraded control channel stretches the dialogue (and dedup-
-	// cached responses carry counts executed long before the reply is
-	// processed), so the count window and the time window no longer
-	// line up and the sample says nothing about the link. Counts still
-	// roll forward; strike and heal evidence is just not taken from the
-	// oversized window. 0 (the Fig. 16 default) judges every window.
-	MaxTd time.Duration
 	// SkipWindow, when set, is consulted once per dialogue; a true
-	// return discards that window's evidence the same way an oversized
-	// window is — counts roll forward, no strike or heal is taken. The
-	// fabric wires it to "the agent's control channel retransmitted or
-	// timed out since the last poll": exactly the windows whose dedup-
-	// cached register reads can be stale.
+	// return discards that window's evidence — counts roll forward, no
+	// strike or heal is taken. The fabric wires it to "the agent's
+	// control channel retransmitted or timed out since the last poll": a
+	// degraded channel stretches the dialogue, and dedup-cached responses
+	// carry counts executed long before the reply is processed, so the
+	// count window and the time window no longer line up and the sample
+	// says nothing about the link.
 	SkipWindow func() bool
 	// Sink, when set, is wired as the BuildGray agent's EventSink so
 	// Event/ClearEvent emissions land somewhere observable.
@@ -233,12 +200,7 @@ func (g *GrayDetector) React(ctx *core.Ctx) error {
 		healEta = g.cfg.Eta
 	}
 	healExpected := uint64(healEta * float64(td) / float64(g.cfg.Ts))
-	measurable := g.cfg.MaxTd <= 0 || td <= g.cfg.MaxTd
-	// SkipWindow runs every window regardless, so delta-based hooks keep
-	// their baseline current.
-	if g.cfg.SkipWindow != nil && g.cfg.SkipWindow() {
-		measurable = false
-	}
+	measurable := g.cfg.SkipWindow == nil || !g.cfg.SkipWindow()
 	for _, port := range g.cfg.Monitored {
 		got := counts[port] - g.lastCounts[port]
 		g.lastCounts[port] = counts[port]
@@ -359,7 +321,6 @@ type GrayRig struct {
 // monitored ports, managed routes, and the detection reaction. td sets
 // the dialogue pacing (the measurement window T_d).
 func BuildGray(seed int64, cfg GrayConfig, routes []RouteSpec, td time.Duration) (*GrayRig, error) {
-	cfg.Addr.setDefaults()
 	plan, err := compiler.CompileSource(GrayP4R, compiler.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -393,8 +354,8 @@ func BuildGray(seed int64, cfg GrayConfig, routes []RouteSpec, td time.Duration)
 		Detector: det, Heartbeaters: make(map[int]*netsim.Heartbeater),
 	}
 	for i, port := range cfg.Monitored {
-		h := net.AddHost(port, cfg.Addr.NeighborAddr(i))
-		hb := netsim.NewHeartbeater(h, plan.Prog.Schema, FM, cfg.Addr.HeartbeatDst, cfg.Ts)
+		h := net.AddHost(port, uint32(grayNeighborBase+i))
+		hb := netsim.NewHeartbeater(h, plan.Prog.Schema, FM, grayHeartbeatDst, cfg.Ts)
 		rig.Heartbeaters[port] = hb
 	}
 	return rig, nil

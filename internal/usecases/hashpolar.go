@@ -80,24 +80,18 @@ control egress {
 }
 `
 
-// PolarConfig tunes the imbalance detector.
-type PolarConfig struct {
-	// Paths lists the ECMP egress ports.
-	Paths []int
-	// MADRatio triggers a shift when MAD/mean of per-port deltas exceeds
-	// it for Persist consecutive windows.
-	MADRatio float64
-	Persist  int
-}
+// polarPaths lists the ECMP egress ports the imbalance detector watches.
+var polarPaths = [...]int{1, 2, 3, 4}
 
-// DefaultPolarConfig watches 4 paths.
-func DefaultPolarConfig() PolarConfig {
-	return PolarConfig{Paths: []int{1, 2, 3, 4}, MADRatio: 0.5, Persist: 3}
-}
+// A shift triggers when MAD/mean of the per-port deltas exceeds
+// polarMADRatio for polarPersist consecutive windows.
+const (
+	polarMADRatio = 0.5
+	polarPersist  = 3
+)
 
 // PolarDetector is the native reaction body of use case #3.
 type PolarDetector struct {
-	cfg        PolarConfig
 	lastCounts []uint64
 	strikes    int
 	altCount   int
@@ -111,16 +105,16 @@ type PolarDetector struct {
 
 // NewPolarDetector builds the detector. altCount is the malleable
 // field's alternative count.
-func NewPolarDetector(cfg PolarConfig, altCount int) *PolarDetector {
-	return &PolarDetector{cfg: cfg, lastCounts: make([]uint64, 32), altCount: altCount}
+func NewPolarDetector(altCount int) *PolarDetector {
+	return &PolarDetector{lastCounts: make([]uint64, 32), altCount: altCount}
 }
 
 // React is the reaction body (registered for "polar_react").
 func (d *PolarDetector) React(ctx *core.Ctx) error {
 	counts := ctx.Reg("egr_pkts")
-	deltas := make([]float64, len(d.cfg.Paths))
+	deltas := make([]float64, len(polarPaths))
 	total := 0.0
-	for i, port := range d.cfg.Paths {
+	for i, port := range polarPaths {
 		deltas[i] = float64(counts[port] - d.lastCounts[port])
 		d.lastCounts[port] = counts[port]
 		total += deltas[i]
@@ -136,12 +130,12 @@ func (d *PolarDetector) React(ctx *core.Ctx) error {
 	mean := total / float64(len(deltas))
 	ratio := mad / mean
 	d.MADHistory = append(d.MADHistory, ratio)
-	if ratio <= d.cfg.MADRatio {
+	if ratio <= polarMADRatio {
 		d.strikes = 0
 		return nil
 	}
 	d.strikes++
-	if d.strikes < d.cfg.Persist {
+	if d.strikes < polarPersist {
 		return nil
 	}
 	// Persistent imbalance: shift the hash input to the next alternative
@@ -165,9 +159,9 @@ type PolarRig struct {
 	Detector *PolarDetector
 }
 
-// BuildPolar compiles and wires use case #3: ECMP over cfg.Paths with a
+// BuildPolar compiles and wires use case #3: ECMP over polarPaths with a
 // malleable hash input, dialogue period td.
-func BuildPolar(seed int64, cfg PolarConfig, td time.Duration) (*PolarRig, error) {
+func BuildPolar(seed int64, td time.Duration) (*PolarRig, error) {
 	plan, err := compiler.CompileSource(HashPolarP4R, compiler.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -178,11 +172,11 @@ func BuildPolar(seed int64, cfg PolarConfig, td time.Duration) (*PolarRig, error
 		return nil, err
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	det := NewPolarDetector(cfg, len(plan.MblFields["hash_in"].Alts))
+	det := NewPolarDetector(len(plan.MblFields["hash_in"].Alts))
 	agent := core.NewAgent(s, drv, plan, core.Options{
 		Pacing: td,
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			for i, port := range cfg.Paths {
+			for i, port := range polarPaths {
 				if _, err := drv.AddEntry(p, "ecmp_sel", rmt.Entry{
 					Keys: []rmt.KeySpec{rmt.ExactKey(uint64(i))}, Action: "set_egress", Data: []uint64{uint64(port)},
 				}); err != nil {
@@ -216,8 +210,7 @@ type PolarResult struct {
 // hash-input value) through the ECMP group and reports whether the
 // reaction de-polarized it.
 func RunPolar(seed int64, td time.Duration, duration time.Duration) (*PolarResult, error) {
-	cfg := DefaultPolarConfig()
-	rig, err := BuildPolar(seed, cfg, td)
+	rig, err := BuildPolar(seed, td)
 	if err != nil {
 		return nil, err
 	}
@@ -248,12 +241,12 @@ func RunPolar(seed int64, td time.Duration, duration time.Duration) (*PolarResul
 		res.Shifted = true
 		res.ShiftAt = det.ShiftedAt[0]
 	}
-	// Split MAD history around the first shift: the first Persist
+	// Split MAD history around the first shift: the first polarPersist
 	// windows (which triggered it) are the polarized "before" phase.
 	var before, after []float64
 	shiftIdx := len(det.MADHistory)
 	if res.Shifted {
-		shiftIdx = det.cfg.Persist
+		shiftIdx = polarPersist
 	}
 	for i, r := range det.MADHistory {
 		if i < shiftIdx {
@@ -265,8 +258,8 @@ func RunPolar(seed int64, td time.Duration, duration time.Duration) (*PolarResul
 	res.MADBefore = stats.Mean(before)
 	res.MADAfter = stats.Mean(after)
 	var totalPkts float64
-	counts := make([]float64, len(cfg.Paths))
-	for i, port := range cfg.Paths {
+	counts := make([]float64, len(polarPaths))
+	for i, port := range polarPaths {
 		v, _ := rig.Sw.RegRead("egr_pkts", uint64(port))
 		counts[i] = float64(v)
 		totalPkts += counts[i]

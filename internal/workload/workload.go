@@ -153,25 +153,6 @@ func (tr *Trace) SenderBytes() map[uint32]uint64 {
 	return out
 }
 
-// FlowBytes returns per-flow byte totals indexed by flow ID.
-func (tr *Trace) FlowBytes() map[int]uint64 {
-	out := make(map[int]uint64, len(tr.Flows))
-	for _, f := range tr.Flows {
-		out[f.ID] = f.Bytes
-	}
-	return out
-}
-
-// TopFlows returns the n largest flows by bytes, descending.
-func (tr *Trace) TopFlows(n int) []*Flow {
-	s := append([]*Flow(nil), tr.Flows...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Bytes > s[j].Bytes })
-	if n > len(s) {
-		n = len(s)
-	}
-	return s[:n]
-}
-
 // TotalBytes sums all packet bytes in the trace.
 func (tr *Trace) TotalBytes() uint64 {
 	var b uint64

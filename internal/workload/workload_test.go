@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -35,9 +36,10 @@ func TestGenerateShape(t *testing.T) {
 
 func TestHeavyTail(t *testing.T) {
 	tr := Generate(smallCfg())
-	top := tr.TopFlows(50) // top 10% of flows
+	byBytes := append([]*Flow(nil), tr.Flows...)
+	sort.Slice(byBytes, func(i, j int) bool { return byBytes[i].Bytes > byBytes[j].Bytes })
 	var topBytes uint64
-	for _, f := range top {
+	for _, f := range byBytes[:50] { // top 10% of flows
 		topBytes += f.Bytes
 	}
 	frac := float64(topBytes) / float64(tr.TotalBytes())
@@ -88,22 +90,14 @@ func TestAggregations(t *testing.T) {
 	if sum != tr.TotalBytes() {
 		t.Fatal("SenderBytes does not partition total")
 	}
-	fb := tr.FlowBytes()
-	sum = 0
-	for _, b := range fb {
-		sum += b
-	}
-	if sum != tr.TotalBytes() {
-		t.Fatal("FlowBytes does not partition total")
-	}
 	// Flow bytes match packet sizes.
 	perFlow := map[int]uint64{}
 	for _, p := range tr.Packets {
 		perFlow[p.Flow.ID] += uint64(p.Size)
 	}
-	for id, b := range perFlow {
-		if fb[id] != b {
-			t.Fatalf("flow %d: bytes %d != packet sum %d", id, fb[id], b)
+	for _, f := range tr.Flows {
+		if f.Bytes != perFlow[f.ID] {
+			t.Fatalf("flow %d: bytes %d != packet sum %d", f.ID, f.Bytes, perFlow[f.ID])
 		}
 	}
 }
@@ -131,19 +125,6 @@ func TestDegenerateConfigs(t *testing.T) {
 		if p.Size < 64 {
 			t.Fatalf("default min size not applied: %d", p.Size)
 		}
-	}
-}
-
-func TestTopFlowsOrdering(t *testing.T) {
-	tr := Generate(smallCfg())
-	top := tr.TopFlows(10)
-	for i := 1; i < len(top); i++ {
-		if top[i].Bytes > top[i-1].Bytes {
-			t.Fatal("TopFlows not descending")
-		}
-	}
-	if len(tr.TopFlows(100000)) != len(tr.Flows) {
-		t.Fatal("TopFlows clamp")
 	}
 }
 
