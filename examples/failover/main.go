@@ -17,36 +17,21 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
-const program = `
-header_type h_t { fields { k : 8; o1 : 32; o2 : 32; port : 8; } }
-header h_t hdr;
-register qd { width : 32; instance_count : 8; }
-action meas() { register_write(qd, hdr.port, standard_metadata.packet_length); }
-action set1(v) { modify_field(hdr.o1, v); }
-action set2(v) {
-  modify_field(hdr.o2, v);
-  modify_field(standard_metadata.egress_spec, 1);
-}
-table m { actions { meas; } default_action : meas; size : 1; }
-malleable table t1 { reads { hdr.k : exact; } actions { set1; } size : 4; }
-malleable table t2 { reads { hdr.k : exact; } actions { set2; } size : 4; }
-reaction react(reg qd) { }
-control ingress { apply(m); apply(t1); apply(t2); }
-`
-
 func main() {
-	plan, err := compiler.CompileSource(program, compiler.DefaultOptions())
+	// The program is internal/check's polled lockstep program: t1 writes
+	// hdr.o1 and t2 writes hdr.o2, behind a register the reaction polls.
+	plan, err := compiler.CompileSource(check.FaultSweepSrc, compiler.DefaultOptions())
 	if err != nil {
 		log.Fatalf("compile: %v", err)
 	}
@@ -132,24 +117,10 @@ func main() {
 	})
 
 	// Every forwarded packet audits cross-table consistency.
-	packets, violations := 0, 0
-	sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			violations++
-		}
-	}
+	audit := check.Attach(sw)
 
 	primary.Start()
-	i := 0
-	tick := s.Every(200*sim.Nanosecond, func() {
-		pkt := plan.Prog.Schema.New()
-		pkt.Size = 64 + (i%8)*100
-		pkt.SetName("hdr.k", 7)
-		pkt.SetName("hdr.port", uint64(i%8))
-		sw.Inject(0, pkt)
-		i++
-	})
+	tick := check.FaultSweepTraffic(s, sw)
 	s.RunFor(2 * time.Millisecond)
 	tick.Stop()
 	sb.Stop()
@@ -187,8 +158,8 @@ func main() {
 	fmt.Printf("successor:  %d commits after takeover (resumed from iteration %d)\n",
 		sst.Commits, rep.Recover.Iteration)
 	fmt.Printf("audit:      %d packets crossed the failover, %d saw torn cross-table state\n",
-		packets, violations)
-	if violations != 0 {
-		log.Fatal("serializability violated across the takeover")
+		audit.Packets, audit.Violations)
+	if err := audit.Err(); err != nil {
+		log.Fatalf("serializability violated across the takeover: %v", err)
 	}
 }

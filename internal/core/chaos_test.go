@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/driver"
 	"repro/internal/faults"
-	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -34,33 +34,12 @@ func buildChaosRig(t testing.TB, src string, prof faults.Profile, seed int64, op
 
 // chaosScenario drives the two-table serializability workload (the
 // Figs. 7/8 setup of TestThreePhaseTableConsistency) under a fault
-// profile and returns (violations, packets, generations).
-func chaosScenario(t *testing.T, prof faults.Profile, seed int64, rec RecoveryOptions, run time.Duration) (*rig, *faults.Injector, int, int, uint64) {
+// profile and returns its audit and the generations the reaction made.
+func chaosScenario(t *testing.T, prof faults.Profile, seed int64, rec RecoveryOptions, run time.Duration) (*rig, *faults.Injector, *check.Audit, uint64) {
 	t.Helper()
-	var h1, h2 UserHandle
-	r, inj := buildChaosRig(t, twoTableSrc, prof, seed, Options{
-		Recovery: rec,
-		Prologue: func(p *sim.Proc, a *Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
-	})
-	gen := uint64(0)
-	if err := r.agent.RegisterNativeReaction("bump", func(ctx *Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}); err != nil {
+	ls := &lockstep{}
+	r, inj := buildChaosRig(t, check.TwoTableSrc, prof, seed, Options{Recovery: rec, Prologue: ls.prologue})
+	if err := r.agent.RegisterNativeReaction("bump", ls.react); err != nil {
 		t.Fatal(err)
 	}
 	// Let the prologue install cleanly; faults start shortly after. (A
@@ -68,23 +47,9 @@ func chaosScenario(t *testing.T, prof faults.Profile, seed int64, rec RecoveryOp
 	// failure, not a dialogue-robustness scenario.)
 	inj.SetEnabled(false)
 	r.sim.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
-	r.agent.Start()
-
-	violations, packets := 0, 0
-	r.sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			violations++
-		}
-	}
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(0, 64, map[string]uint64{"hdr.k": 7})
-	})
-	r.sim.RunFor(run)
-	tick.Stop()
-	r.agent.Stop()
-	r.sim.RunFor(time.Millisecond)
-	return r, inj, violations, packets, gen
+	audit := check.Attach(r.sw)
+	r.runTraffic(run)
+	return r, inj, audit, ls.gen
 }
 
 // TestChaosSerializability is the chaos suite's core property: under
@@ -104,18 +69,17 @@ func TestChaosSerializability(t *testing.T) {
 				checkFailover(t, r)
 				return
 			}
-			r, inj, violations, packets, gen := chaosScenario(t, prof, 1234, DefaultRecovery(), 4*time.Millisecond)
+			r, inj, audit, gen := chaosScenario(t, prof, 1234, DefaultRecovery(), 4*time.Millisecond)
 			if err := r.agent.Err(); err != nil {
 				t.Fatalf("agent died under %s faults: %v", prof.Name, err)
 			}
 			st := r.agent.Stats()
-			if violations != 0 {
-				t.Fatalf("%d/%d packets observed inconsistent cross-table state under %s faults",
-					violations, packets, prof.Name)
+			if err := audit.Err(); err != nil {
+				t.Fatalf("under %s faults: %v", prof.Name, err)
 			}
-			if packets < 1000 || gen < 5 || st.Commits == 0 {
+			if audit.Packets < 1000 || gen < 5 || st.Commits == 0 {
 				t.Fatalf("no progress under %s faults: packets=%d generations=%d commits=%d",
-					prof.Name, packets, gen, st.Commits)
+					prof.Name, audit.Packets, gen, st.Commits)
 			}
 			fst := inj.FaultStats()
 			switch prof.Name {
@@ -146,7 +110,7 @@ func TestChaosRollback(t *testing.T) {
 	prof := faults.Profile{Name: "harsh", ErrorRate: 0.30, ErrorBurst: 6}
 	rec := DefaultRecovery()
 	rec.MaxAttempts = 2 // give up fast so abandons actually happen
-	r, _, violations, packets, _ := chaosScenario(t, prof, 99, rec, 6*time.Millisecond)
+	r, _, audit, _ := chaosScenario(t, prof, 99, rec, 6*time.Millisecond)
 	if err := r.agent.Err(); err != nil {
 		t.Fatalf("agent died: %v", err)
 	}
@@ -157,8 +121,8 @@ func TestChaosRollback(t *testing.T) {
 	if st.Commits == 0 {
 		t.Fatalf("no iteration ever committed: %+v", st)
 	}
-	if violations != 0 {
-		t.Fatalf("%d/%d packets observed inconsistency despite rollback", violations, packets)
+	if err := audit.Err(); err != nil {
+		t.Fatalf("despite rollback: %v", err)
 	}
 }
 
@@ -169,7 +133,7 @@ func TestChaosWatchdog(t *testing.T) {
 	prof := faults.StuckChannel() // wedges 300µs out of every 2ms
 	rec := DefaultRecovery()
 	rec.IterationDeadline = 150 * time.Microsecond
-	r, inj, violations, packets, _ := chaosScenario(t, prof, 7, rec, 10*time.Millisecond)
+	r, inj, audit, _ := chaosScenario(t, prof, 7, rec, 10*time.Millisecond)
 	if err := r.agent.Err(); err != nil {
 		t.Fatalf("agent died: %v", err)
 	}
@@ -180,8 +144,8 @@ func TestChaosWatchdog(t *testing.T) {
 	if st.WatchdogTrips == 0 {
 		t.Fatalf("stuck channel never tripped the %v watchdog: %+v", rec.IterationDeadline, st)
 	}
-	if violations != 0 {
-		t.Fatalf("%d/%d packets observed inconsistency after watchdog abandons", violations, packets)
+	if err := audit.Err(); err != nil {
+		t.Fatalf("after watchdog abandons: %v", err)
 	}
 }
 
@@ -260,7 +224,7 @@ func TestStopAndErrAreRaceSafe(t *testing.T) {
 func TestStopHonoredMidIteration(t *testing.T) {
 	var h1 UserHandle
 	stopNow := false
-	r := buildRig(t, twoTableSrc, Options{
+	r := buildRig(t, check.TwoTableSrc, Options{
 		Prologue: func(p *sim.Proc, a *Agent) error {
 			t1, _ := a.Table("t1")
 			var err error

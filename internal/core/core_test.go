@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/driver"
 	"repro/internal/packet"
@@ -127,13 +128,13 @@ func TestReactionLatencyTensOfMicroseconds(t *testing.T) {
 }
 
 const twoValueSrc = `
-header_type h_t { fields { x : 16; y : 16; } }
+header_type h_t { fields { o1 : 16; o2 : 16; } }
 header h_t hdr;
 malleable value a { width : 16; init : 0; }
 malleable value b { width : 16; init : 0; }
 action tag() {
-  modify_field(hdr.x, ${a});
-  modify_field(hdr.y, ${b});
+  modify_field(hdr.o1, ${a});
+  modify_field(hdr.o2, ${b});
   modify_field(standard_metadata.egress_spec, 1);
 }
 table t { actions { tag; } default_action : tag; size : 1; }
@@ -152,13 +153,7 @@ control ingress { apply(t); }
 func TestAtomicMultiMalleableCommit(t *testing.T) {
 	r := buildRig(t, twoValueSrc, Options{})
 	r.agent.Start()
-	violations, packets := 0, 0
-	r.sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.x") != pkt.GetName("hdr.y") {
-			violations++
-		}
-	}
+	audit := check.Attach(r.sw)
 	// Dense traffic: a packet every 100ns while the agent spins.
 	tick := r.sim.Every(100*sim.Nanosecond, func() {
 		r.inject(0, 64, nil)
@@ -168,11 +163,11 @@ func TestAtomicMultiMalleableCommit(t *testing.T) {
 	r.agent.Stop()
 	r.sim.RunFor(time.Millisecond)
 
-	if packets < 1000 {
-		t.Fatalf("only %d packets observed", packets)
+	if audit.Packets < 1000 {
+		t.Fatalf("only %d packets observed", audit.Packets)
 	}
-	if violations != 0 {
-		t.Fatalf("%d/%d packets observed torn malleable state", violations, packets)
+	if err := audit.Err(); err != nil {
+		t.Fatal(err)
 	}
 	// Sanity: values actually advanced.
 	if v, _ := r.agent.Mbl("a"); v == 0 {
@@ -249,75 +244,68 @@ func TestMalleableFieldShift(t *testing.T) {
 	}
 }
 
-const twoTableSrc = `
-header_type h_t { fields { k : 8; o1 : 32; o2 : 32; } }
-header h_t hdr;
-malleable value dummy { width : 8; init : 0; }
-action set1(v) { modify_field(hdr.o1, v); }
-action set2(v) {
-  modify_field(hdr.o2, v);
-  modify_field(standard_metadata.egress_spec, 1);
+// lockstep drives check's two-table programs from the agent side: the
+// prologue installs one entry in each table, and every run of the
+// reaction moves both to the next generation. Reaction and prologue
+// share the handles, so a successor that recovered the journal can
+// reuse them as they are.
+type lockstep struct {
+	h1, h2 UserHandle
+	gen    uint64
 }
-malleable table t1 { reads { hdr.k : exact; } actions { set1; } size : 4; }
-malleable table t2 { reads { hdr.k : exact; } actions { set2; } size : 4; }
-reaction bump() { }
-control ingress { apply(t1); apply(t2); }
-`
+
+func (l *lockstep) prologue(p *sim.Proc, a *Agent) error {
+	t1, _ := a.Table("t1")
+	t2, _ := a.Table("t2")
+	var err error
+	if l.h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
+		return err
+	}
+	l.h2, err = t2.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
+	return err
+}
+
+func (l *lockstep) react(ctx *Ctx) error {
+	l.gen++
+	t1, _ := ctx.Table("t1")
+	t2, _ := ctx.Table("t2")
+	if err := t1.ModifyEntry(l.h1, "set1", []uint64{l.gen}); err != nil {
+		return err
+	}
+	return t2.ModifyEntry(l.h2, "set2", []uint64{l.gen})
+}
+
+// runTraffic starts the agent, runs d of check.TwoTableTraffic, then
+// stops the agent and drains for a millisecond.
+func (r *rig) runTraffic(d time.Duration) {
+	r.agent.Start()
+	tick := check.TwoTableTraffic(r.sim, r.sw)
+	r.sim.RunFor(d)
+	tick.Stop()
+	r.agent.Stop()
+	r.sim.RunFor(time.Millisecond)
+}
 
 // TestThreePhaseTableConsistency drives the Figs. 7/8 protocol: a
 // native reaction updates entries in two tables every iteration; with
 // the vv commit no packet may observe t1's new value with t2's old one.
 func TestThreePhaseTableConsistency(t *testing.T) {
-	var h1, h2 UserHandle
-	r := buildRig(t, twoTableSrc, Options{
-		Prologue: func(p *sim.Proc, a *Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
-	})
-	gen := uint64(0)
-	if err := r.agent.RegisterNativeReaction("bump", func(ctx *Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}); err != nil {
+	ls := &lockstep{}
+	r := buildRig(t, check.TwoTableSrc, Options{Prologue: ls.prologue})
+	if err := r.agent.RegisterNativeReaction("bump", ls.react); err != nil {
 		t.Fatal(err)
 	}
-	r.agent.Start()
-
-	violations, packets := 0, 0
-	r.sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			violations++
-		}
-	}
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(0, 64, map[string]uint64{"hdr.k": 7})
-	})
-	r.sim.RunFor(3 * time.Millisecond)
-	tick.Stop()
-	r.agent.Stop()
-	r.sim.RunFor(time.Millisecond)
+	audit := check.Attach(r.sw)
+	r.runTraffic(3 * time.Millisecond)
 
 	if err := r.agent.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if packets < 1000 || gen < 10 {
-		t.Fatalf("packets = %d, generations = %d", packets, gen)
+	if audit.Packets < 1000 || ls.gen < 10 {
+		t.Fatalf("packets = %d, generations = %d", audit.Packets, ls.gen)
 	}
-	if violations != 0 {
-		t.Fatalf("%d/%d packets observed inconsistent cross-table state", violations, packets)
+	if err := audit.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -325,7 +313,7 @@ func TestThreePhaseTableConsistency(t *testing.T) {
 // same two-table update performed as direct driver writes (no version
 // bit) lets packets observe mixed configurations.
 func TestNaiveUpdatesViolateConsistency(t *testing.T) {
-	r := buildRig(t, twoTableSrc, Options{})
+	r := buildRig(t, check.TwoTableSrc, Options{})
 	// Bypass the agent: install entries directly in both tables with
 	// vv=0 (the initial version) and update them from a plain process.
 	key := func(v uint64) []rmt.KeySpec {
@@ -347,24 +335,16 @@ func TestNaiveUpdatesViolateConsistency(t *testing.T) {
 			r.drv.ModifyEntry(p, "t2", rh2, "set2", []uint64{gen})
 		}
 	})
-	violations, packets := 0, 0
-	r.sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			violations++
-		}
-	}
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(0, 64, map[string]uint64{"hdr.k": 7})
-	})
+	audit := check.Attach(r.sw)
+	tick := check.TwoTableTraffic(r.sim, r.sw)
 	r.sim.RunFor(2 * time.Millisecond)
 	tick.Stop()
 	r.sim.Run()
-	if packets < 1000 {
-		t.Fatalf("packets = %d", packets)
+	if audit.Packets < 1000 {
+		t.Fatalf("packets = %d", audit.Packets)
 	}
-	if violations == 0 {
-		t.Fatal("naive updates produced no visible inconsistency; the control experiment is broken")
+	if err := audit.Err(); err == nil || !strings.Contains(err.Error(), "one-version invariant") {
+		t.Fatalf("naive updates produced no visible inconsistency (audit: %v); the control experiment is broken", err)
 	}
 }
 
@@ -902,7 +882,7 @@ control ingress { apply(t); }
 // and packets never miss while the entry logically exists.
 func TestThreePhaseDeleteFromReaction(t *testing.T) {
 	var handle UserHandle
-	r := buildRig(t, twoTableSrc, Options{
+	r := buildRig(t, check.TwoTableSrc, Options{
 		Prologue: func(p *sim.Proc, a *Agent) error {
 			t1, _ := a.Table("t1")
 			var err error
@@ -1046,7 +1026,7 @@ control ingress { apply(t); }
 // unversioned (non-malleable-annotated but alt-expanded) tables is
 // rejected on vv tables with a clear error.
 func TestSetDefaultRejectedOnVersionedTable(t *testing.T) {
-	r := buildRig(t, twoTableSrc, Options{})
+	r := buildRig(t, check.TwoTableSrc, Options{})
 	th, err := r.agent.Table("t1")
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/journal"
-	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -44,24 +44,13 @@ type failoverRig struct {
 	agent *Agent // the primary
 	sb    *Standby
 
-	// Serializability bookkeeping, filled by the Tx hook and by the
-	// AfterIteration hooks of both controllers. The reaction bumps a
-	// shared generation once per iteration, so generation == iteration
-	// number throughout (both controllers share the closure).
-	packets    int
-	violations int
-	observed   map[uint64]bool // every o1/o2 value any egress packet carried
-	committed  map[uint64]bool // every generation some controller committed
-	stagedGen  uint64          // generation staged by the current iteration
-}
-
-func (r *failoverRig) inject(fields map[string]uint64) {
-	pkt := r.plan.Prog.Schema.New()
-	pkt.Size = 64
-	for name, v := range fields {
-		pkt.SetName(name, v)
-	}
-	r.sw.Inject(0, pkt)
+	// Serializability bookkeeping, filled by the audit on the switch's
+	// egress and by the AfterIteration hooks of both controllers. Both
+	// controllers run the one lockstep, which bumps its generation once
+	// per iteration, so generation == iteration number throughout.
+	ls        *lockstep
+	audit     *check.Audit
+	committed map[uint64]bool // every generation some controller committed
 }
 
 // switchVV reads the committed version bit straight off the switch's
@@ -90,7 +79,7 @@ func (r *failoverRig) afterIterationHook(arm bool) func(p *sim.Proc, a *Agent) {
 	return func(p *sim.Proc, a *Agent) {
 		if a.stats.Commits > seen {
 			seen = a.stats.Commits
-			r.committed[r.stagedGen] = true
+			r.committed[r.ls.gen] = true
 		}
 		if arm && a.stats.Iterations == armAtIteration {
 			r.inj.SetEnabled(true)
@@ -102,7 +91,7 @@ func (r *failoverRig) afterIterationHook(arm bool) func(p *sim.Proc, a *Agent) {
 // two-table serializability workload.
 func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRig {
 	t.Helper()
-	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -123,41 +112,15 @@ func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRi
 
 	r := &failoverRig{
 		sim: s, sw: sw, drv: drv, svc: svc, plan: plan, store: store, inj: inj,
-		observed: make(map[uint64]bool), committed: make(map[uint64]bool),
+		ls: &lockstep{}, audit: check.Attach(sw), committed: make(map[uint64]bool),
 	}
-
-	// h1/h2 and gen are shared closures: user handles are stable across
-	// a takeover (the journal records them), so the successor's reaction
-	// reuses them as-is.
-	var h1, h2 UserHandle
-	gen := uint64(0)
-	reaction := func(ctx *Ctx) error {
-		gen++
-		r.stagedGen = gen
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}
-
 	r.agent = NewAgent(s, inj, plan, Options{
 		Recovery:       DefaultRecovery(),
 		Journal:        &JournalConfig{Store: store},
 		AfterIteration: r.afterIterationHook(true),
-		Prologue: func(p *sim.Proc, a *Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
+		Prologue:       r.ls.prologue,
 	})
-	if err := r.agent.RegisterNativeReaction("bump", reaction); err != nil {
+	if err := r.agent.RegisterNativeReaction("bump", r.ls.react); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,19 +136,9 @@ func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRi
 			AfterIteration: r.afterIterationHook(false),
 		},
 		Configure: func(a *Agent) error {
-			return a.RegisterNativeReaction("bump", reaction)
+			return a.RegisterNativeReaction("bump", r.ls.react)
 		},
 	})
-
-	r.sw.Tx = func(_ int, pkt *packet.Packet) {
-		r.packets++
-		o1, o2 := pkt.GetName("hdr.o1"), pkt.GetName("hdr.o2")
-		if o1 != o2 {
-			r.violations++
-		}
-		r.observed[o1] = true
-		r.observed[o2] = true
-	}
 	return r
 }
 
@@ -196,9 +149,7 @@ func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRi
 func runFailoverScenario(t testing.TB, r *failoverRig) {
 	t.Helper()
 	r.agent.Start()
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(map[string]uint64{"hdr.k": 7})
-	})
+	tick := check.TwoTableTraffic(r.sim, r.sw)
 	r.sim.RunFor(2 * time.Millisecond)
 	tick.Stop()
 	r.sb.Stop()
@@ -214,6 +165,12 @@ func runFailoverScenario(t testing.TB, r *failoverRig) {
 // from a torn iteration ever became packet-visible.
 func checkFailover(t *testing.T, r *failoverRig) *TakeoverReport {
 	t.Helper()
+	if err := r.audit.Err(); err != nil {
+		t.Fatalf("across the takeover: %v", err)
+	}
+	if r.audit.Packets < 1000 {
+		t.Fatalf("only %d packets audited; traffic generator misconfigured", r.audit.Packets)
+	}
 	if !r.inj.Crashed() {
 		t.Fatal("the crash point never fired; the scenario is vacuous")
 	}
@@ -234,12 +191,6 @@ func checkFailover(t *testing.T, r *failoverRig) *TakeoverReport {
 	if succ.Stats().Commits == 0 {
 		t.Fatalf("successor made no commits after %s recovery", rep.Recover.Outcome)
 	}
-	if r.violations != 0 {
-		t.Fatalf("%d/%d packets observed mixed cross-table state across the takeover", r.violations, r.packets)
-	}
-	if r.packets < 1000 {
-		t.Fatalf("only %d packets audited; traffic generator misconfigured", r.packets)
-	}
 	// Leak check: every generation any packet carried must be one some
 	// controller committed (0 is the prologue value). The crashed
 	// iteration's generation equals its iteration number (the reaction
@@ -253,7 +204,7 @@ func checkFailover(t *testing.T, r *failoverRig) *TakeoverReport {
 	if rep.Recover.Outcome == OutcomeCommittedUnmirrored {
 		allowed[rep.Recover.Iteration] = true
 	}
-	for g := range r.observed {
+	for _, g := range r.audit.Generations() {
 		if !allowed[g] {
 			t.Fatalf("packets observed generation %d, which no controller committed (outcome %s)", g, rep.Recover.Outcome)
 		}
@@ -408,9 +359,7 @@ func TestReelectionDuringIteration(t *testing.T) {
 	r.sb.Stop() // takeover is explicit here, not heartbeat-driven
 
 	r.agent.Start()
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(map[string]uint64{"hdr.k": 7})
-	})
+	tick := check.TwoTableTraffic(r.sim, r.sw)
 	var succ *Agent
 	var rep *RecoverReport
 	r.sim.Schedule(500*sim.Microsecond, func() {
@@ -442,8 +391,8 @@ func TestReelectionDuringIteration(t *testing.T) {
 	if succ == nil || rep == nil {
 		t.Fatal("successor never recovered")
 	}
-	if r.violations != 0 {
-		t.Fatalf("%d/%d packets observed mixed state across the demotion", r.violations, r.packets)
+	if err := r.audit.Err(); err != nil {
+		t.Fatalf("across the demotion: %v", err)
 	}
 	if got, want := succ.VV(), r.switchVV(t); got != want {
 		t.Fatalf("successor vv=%d disagrees with switch vv=%d", got, want)

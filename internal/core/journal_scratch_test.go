@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/journal"
 	"repro/internal/rmt"
 	"repro/internal/sim"
@@ -41,7 +42,7 @@ func TestCheckpointScratchEncodesLikeFresh(t *testing.T) {
 	var extra []UserHandle
 	iter := 0
 	checked := 0
-	r := buildRig(t, twoTableSrc, Options{
+	r := buildRig(t, check.TwoTableSrc, Options{
 		Journal: &JournalConfig{Store: store},
 		Prologue: func(p *sim.Proc, a *Agent) error {
 			t1, _ := a.Table("t1")

@@ -68,8 +68,12 @@ func (c *Ctx) Table(name string) (*RxnTable, error) {
 	return &th.tm.rxn, nil
 }
 
-// SetHashSeed reprograms a hash calculation's seed (used by the hash
-// polarization use case). Hash seeds are not vv-protected.
+// SetHashSeed reprograms a hash calculation's seed. No non-test code
+// calls it: the hash-polarization use case reacts through a malleable
+// field. The write bypasses the staged log, the vv flip and
+// the journal intent, so it is outside §5 isolation and a successor's
+// Recover cannot see it; ROADMAP's "paper's verbs, and only those" item
+// deletes it.
 func (c *Ctx) SetHashSeed(name string, seed uint64) error {
 	return c.agent.retry.SetHashSeed(c.proc, name, seed)
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/driver"
 	"repro/internal/p4"
-	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -67,10 +67,10 @@ func (f *flakyMirrorChannel) ModifyEntry(p *sim.Proc, table string, h rmt.EntryH
 // retries quickly and become repair debt. After every iteration the rig
 // does to the staged-op log the worst the next iteration's reuse of it
 // could: it overwrites every slot, buffers included.
-func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirrorChannel, *int, *int) {
+func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirrorChannel, *check.Audit) {
 	t.Helper()
-	var h1, h2 UserHandle
-	base := buildRig(t, twoTableSrc, Options{})
+	ls := &lockstep{}
+	base := buildRig(t, check.TwoTableSrc, Options{})
 	fc := &flakyMirrorChannel{Channel: base.drv, sim: base.sim, failFrom: failFrom, failTo: failTo}
 	rec := DefaultRecovery()
 	rec.MaxAttempts = 2
@@ -89,38 +89,13 @@ func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirror
 				}
 			}
 		},
-		Prologue: func(p *sim.Proc, a *Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
+		Prologue: ls.prologue,
 	})
 	base.agent = agent
-	gen := uint64(0)
-	if err := agent.RegisterNativeReaction("bump", func(ctx *Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}); err != nil {
+	if err := agent.RegisterNativeReaction("bump", ls.react); err != nil {
 		t.Fatal(err)
 	}
-	violations, packets := new(int), new(int)
-	base.sw.Tx = func(_ int, pkt *packet.Packet) {
-		*packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			*violations++
-		}
-	}
-	return base, fc, violations, packets
+	return base, fc, check.Attach(base.sw)
 }
 
 // TestRepairDebtAcrossIterations opens a mirror-failure window long
@@ -132,16 +107,9 @@ func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirror
 // slot as it was copied out, although the log it came from has been
 // overwritten since.
 func TestRepairDebtAcrossIterations(t *testing.T) {
-	r, fc, violations, packets := buildRepairRig(t,
+	r, fc, audit := buildRepairRig(t,
 		sim.Time(200*sim.Microsecond), sim.Time(450*sim.Microsecond))
-	r.agent.Start()
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(0, 64, map[string]uint64{"hdr.k": 7})
-	})
-	r.sim.RunFor(2 * time.Millisecond)
-	tick.Stop()
-	r.agent.Stop()
-	r.sim.RunFor(time.Millisecond)
+	r.runTraffic(2 * time.Millisecond)
 
 	if err := r.agent.Err(); err != nil {
 		t.Fatalf("agent died: %v", err)
@@ -165,8 +133,8 @@ func TestRepairDebtAcrossIterations(t *testing.T) {
 	if st.Commits < 100 {
 		t.Fatalf("agent made little progress after healing: %+v", st)
 	}
-	if *violations != 0 {
-		t.Fatalf("%d/%d packets observed mixed cross-table state despite repair gating", *violations, *packets)
+	if err := audit.Err(); err != nil {
+		t.Fatalf("despite repair gating: %v", err)
 	}
 }
 
@@ -176,12 +144,10 @@ func TestRepairDebtAcrossIterations(t *testing.T) {
 // or dying on the transient failures.
 func TestRepairStopRace(t *testing.T) {
 	// The window opens at 200µs and never heals.
-	r, fc, violations, _ := buildRepairRig(t,
+	r, fc, audit := buildRepairRig(t,
 		sim.Time(200*sim.Microsecond), sim.Time(1<<62))
 	r.agent.Start()
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(0, 64, map[string]uint64{"hdr.k": 7})
-	})
+	tick := check.TwoTableTraffic(r.sim, r.sw)
 	// Stop lands while drainRepairs is failing back to back.
 	r.sim.Schedule(600*sim.Microsecond, func() { r.agent.Stop() })
 	r.sim.RunFor(2 * time.Millisecond)
@@ -201,7 +167,7 @@ func TestRepairStopRace(t *testing.T) {
 	if len(r.agent.pendingRepairs) == 0 {
 		t.Fatal("unhealable window left no queued repairs at exit")
 	}
-	if *violations != 0 {
-		t.Fatalf("%d packets observed mixed state", *violations)
+	if err := audit.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,16 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/faults"
-	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
-// sessionChaosSrc is twoTableSrc plus a legacy (non-malleable) table so
+// sessionChaosSrc is check.TwoTableSrc plus a legacy (non-malleable) table so
 // legacy bulk sessions have something to churn that is outside the
 // agent's serializability domain. The legacy table applies after t1/t2,
 // so its entries never perturb the invariant fields.
@@ -63,8 +63,8 @@ func buildSessionRig(t testing.TB, src string, prof faults.Profile, seed int64, 
 		t.Fatalf("session agent: %v", err)
 	}
 	return &sessionRig{
-		rig:  rig{sim: s, sw: sw, drv: drv, plan: plan, agent: agent},
-		inj:  inj, svc: svc, sess: sess,
+		rig: rig{sim: s, sw: sw, drv: drv, plan: plan, agent: agent},
+		inj: inj, svc: svc, sess: sess,
 	}
 }
 
@@ -100,30 +100,9 @@ func TestSessionAgentDialogue(t *testing.T) {
 // through the same scheduler.
 func TestChaosSerializabilityThroughSession(t *testing.T) {
 	prof := faults.TransientErrors()
-	var h1, h2 UserHandle
-	r := buildSessionRig(t, sessionChaosSrc, prof, 4321, Options{
-		Recovery: DefaultRecovery(),
-		Prologue: func(p *sim.Proc, a *Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
-	})
-	gen := uint64(0)
-	if err := r.agent.RegisterNativeReaction("bump", func(ctx *Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}); err != nil {
+	ls := &lockstep{}
+	r := buildSessionRig(t, sessionChaosSrc, prof, 4321, Options{Recovery: DefaultRecovery(), Prologue: ls.prologue})
+	if err := r.agent.RegisterNativeReaction("bump", ls.react); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,32 +135,18 @@ func TestChaosSerializabilityThroughSession(t *testing.T) {
 
 	r.inj.SetEnabled(false)
 	r.sim.Schedule(50*sim.Microsecond, func() { r.inj.SetEnabled(true) })
-	r.agent.Start()
-
-	violations, packets := 0, 0
-	r.sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			violations++
-		}
-	}
-	tick := r.sim.Every(150*sim.Nanosecond, func() {
-		r.inject(0, 64, map[string]uint64{"hdr.k": 7})
-	})
-	r.sim.RunFor(4 * time.Millisecond)
-	tick.Stop()
-	r.agent.Stop()
-	r.sim.RunFor(time.Millisecond)
+	audit := check.Attach(r.sw)
+	r.runTraffic(4 * time.Millisecond)
 
 	if err := r.agent.Err(); err != nil {
 		t.Fatalf("agent died under session-routed faults: %v", err)
 	}
 	st := r.agent.Stats()
-	if violations != 0 {
-		t.Fatalf("%d/%d packets observed inconsistent cross-table state through the session", violations, packets)
+	if err := audit.Err(); err != nil {
+		t.Fatalf("through the session: %v", err)
 	}
-	if packets < 1000 || gen < 5 || st.Commits == 0 {
-		t.Fatalf("no progress: packets=%d generations=%d commits=%d", packets, gen, st.Commits)
+	if audit.Packets < 1000 || ls.gen < 5 || st.Commits == 0 {
+		t.Fatalf("no progress: packets=%d generations=%d commits=%d", audit.Packets, ls.gen, st.Commits)
 	}
 	if r.inj.FaultStats().InjectedErrors == 0 {
 		t.Fatal("profile injected nothing; the test exercised no faults")

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/driver"
 	"repro/internal/journal"
@@ -262,7 +263,7 @@ const stagedFaultWindow = 36
 // outcome, the final user-level entries and the switch's content, as a
 // digest per scenario captured there.
 func TestStagedLogMatchesParent(t *testing.T) {
-	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestStagedLogMatchesParent(t *testing.T) {
 // changed from run to run. With a fault at every op index, twenty runs
 // each must issue the identical op sequence.
 func TestStagedOrderIsDeterministic(t *testing.T) {
-	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestStagedOrderIsDeterministic(t *testing.T) {
 // checks the rollback's writes against the prepares: same entries,
 // exactly reversed.
 func TestUndoIsReverseStagingOrder(t *testing.T) {
-	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

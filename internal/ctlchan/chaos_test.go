@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ctlplane"
@@ -13,28 +14,39 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
-// twoTableSrc is the serializability workload (same as the core chaos
-// suite): a reaction bumps entries in two tables every iteration, and no
-// packet may ever observe t1's new value alongside t2's old one.
-const twoTableSrc = `
-header_type h_t { fields { k : 8; o1 : 32; o2 : 32; } }
-header h_t hdr;
-malleable value dummy { width : 8; init : 0; }
-action set1(v) { modify_field(hdr.o1, v); }
-action set2(v) {
-  modify_field(hdr.o2, v);
-  modify_field(standard_metadata.egress_spec, 1);
+// lockstep drives check.TwoTableSrc from the agent side: the prologue
+// installs one entry in each table, and every run of the reaction moves
+// both to the next generation. Reaction and prologue share the handles,
+// so a successor that recovered the journal can reuse them as they are.
+type lockstep struct {
+	h1, h2 core.UserHandle
+	gen    uint64
 }
-malleable table t1 { reads { hdr.k : exact; } actions { set1; } size : 4; }
-malleable table t2 { reads { hdr.k : exact; } actions { set2; } size : 4; }
-reaction bump() { }
-control ingress { apply(t1); apply(t2); }
-`
+
+func (l *lockstep) prologue(p *sim.Proc, a *core.Agent) error {
+	t1, _ := a.Table("t1")
+	t2, _ := a.Table("t2")
+	var err error
+	if l.h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
+		return err
+	}
+	l.h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
+	return err
+}
+
+func (l *lockstep) react(ctx *core.Ctx) error {
+	l.gen++
+	t1, _ := ctx.Table("t1")
+	t2, _ := ctx.Table("t2")
+	if err := t1.ModifyEntry(l.h1, "set1", []uint64{l.gen}); err != nil {
+		return err
+	}
+	return t2.ModifyEntry(l.h2, "set2", []uint64{l.gen})
+}
 
 // stackRig is the full message-channel stack under the two-table
 // workload:
@@ -54,15 +66,13 @@ type stackRig struct {
 	cli   *Client
 	store *journal.MemStore
 	agent *core.Agent
-
-	gen        uint64
-	packets    int
-	violations int
+	ls    lockstep
+	audit *check.Audit
 }
 
 func buildStack(t testing.TB, linkDelay time.Duration, cliOpts ClientOptions, mod func(*core.RecoveryOptions)) *stackRig {
 	t.Helper()
-	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -90,39 +100,15 @@ func buildStack(t testing.TB, linkDelay time.Duration, cliOpts ClientOptions, mo
 	}
 	r := &stackRig{
 		sim: s, sw: sw, drv: drv, plan: plan, link: link, srv: srv, cli: cli,
-		store: journal.NewMemStore(),
+		store: journal.NewMemStore(), audit: check.Attach(sw),
 	}
-	var h1, h2 core.UserHandle
 	r.agent = core.NewAgent(s, cli, plan, core.Options{
 		Recovery: rec,
 		Journal:  &core.JournalConfig{Store: r.store},
-		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
+		Prologue: r.ls.prologue,
 	})
-	if err := r.agent.RegisterNativeReaction("bump", func(ctx *core.Ctx) error {
-		r.gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{r.gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{r.gen})
-	}); err != nil {
+	if err := r.agent.RegisterNativeReaction("bump", r.ls.react); err != nil {
 		t.Fatal(err)
-	}
-	sw.Tx = func(_ int, pkt *packet.Packet) {
-		r.packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			r.violations++
-		}
 	}
 	return r
 }
@@ -132,12 +118,7 @@ func buildStack(t testing.TB, linkDelay time.Duration, cliOpts ClientOptions, mo
 func (r *stackRig) run(prof faults.LinkProfile, d time.Duration) {
 	r.sim.Schedule(50*time.Microsecond, func() { r.link.SetProfile(prof) })
 	r.agent.Start()
-	tick := r.sim.Every(150*time.Nanosecond, func() {
-		pkt := r.plan.Prog.Schema.New()
-		pkt.Size = 64
-		pkt.SetName("hdr.k", 7)
-		r.sw.Inject(0, pkt)
-	})
+	tick := check.TwoTableTraffic(r.sim, r.sw)
 	r.sim.RunFor(d)
 	tick.Stop()
 	r.agent.Stop()
@@ -154,17 +135,16 @@ func TestChannelChaosSerializability(t *testing.T) {
 			r := buildStack(t, 500*time.Nanosecond, ClientOptions{}, nil)
 			r.run(prof, 5*time.Millisecond)
 
+			if err := r.audit.Err(); err != nil {
+				t.Fatalf("under %s channel faults: %v", prof.Name, err)
+			}
 			if err := r.agent.Err(); err != nil {
 				t.Fatalf("agent died under %s channel faults: %v", prof.Name, err)
 			}
-			if r.violations != 0 {
-				t.Fatalf("%d/%d packets observed inconsistent cross-table state under %s channel faults",
-					r.violations, r.packets, prof.Name)
-			}
 			st := r.agent.Stats()
-			if r.packets < 1000 || r.gen < 5 || st.Commits == 0 {
+			if r.audit.Packets < 1000 || r.ls.gen < 5 || st.Commits == 0 {
 				t.Fatalf("no progress under %s channel faults: packets=%d generations=%d commits=%d",
-					prof.Name, r.packets, r.gen, st.Commits)
+					prof.Name, r.audit.Packets, r.ls.gen, st.Commits)
 			}
 			cs, ss := r.cli.ChanStats(), r.srv.Stats()
 			// At-most-once, asserted globally: the server never executed a
@@ -225,7 +205,7 @@ func mustOpen(t *testing.T, svc *ctlplane.Service, name string, electionID uint6
 func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	// Assembled by hand rather than via buildStack: the two controllers
 	// need separate links into one server over one ctlplane service.
-	plan, err := compiler.CompileSource(twoTableSrc, compiler.DefaultOptions())
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -244,49 +224,18 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	srv.Attach(link1, netsim.LinkSideB, 1, 1, sess1)
 	cli1 := NewClient(s, link1, netsim.LinkSideA, ClientOptions{Session: 1, Epoch: 1, Meta: drv})
 
-	packets, violations := 0, 0
-	sw.Tx = func(_ int, pkt *packet.Packet) {
-		packets++
-		if pkt.GetName("hdr.o1") != pkt.GetName("hdr.o2") {
-			violations++
-		}
-	}
-
-	var h1, h2 core.UserHandle
-	gen := uint64(0)
-	reaction := func(ctx *core.Ctx) error {
-		gen++
-		t1, _ := ctx.Table("t1")
-		t2, _ := ctx.Table("t2")
-		if err := t1.ModifyEntry(h1, "set1", []uint64{gen}); err != nil {
-			return err
-		}
-		return t2.ModifyEntry(h2, "set2", []uint64{gen})
-	}
+	audit := check.Attach(sw)
+	ls := &lockstep{}
 	agent1 := core.NewAgent(s, cli1, plan, core.Options{
 		Recovery: core.RecoveryForChannel(cli1.RTT()),
 		Journal:  &core.JournalConfig{Store: store},
-		Prologue: func(p *sim.Proc, a *core.Agent) error {
-			t1, _ := a.Table("t1")
-			t2, _ := a.Table("t2")
-			var err error
-			if h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
-				return err
-			}
-			h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-			return err
-		},
+		Prologue: ls.prologue,
 	})
-	if err := agent1.RegisterNativeReaction("bump", reaction); err != nil {
+	if err := agent1.RegisterNativeReaction("bump", ls.react); err != nil {
 		t.Fatal(err)
 	}
 	agent1.Start()
-	tick := s.Every(150*time.Nanosecond, func() {
-		pkt := plan.Prog.Schema.New()
-		pkt.Size = 64
-		pkt.SetName("hdr.k", 7)
-		sw.Inject(0, pkt)
-	})
+	tick := check.TwoTableTraffic(s, sw)
 
 	// t=300µs: the primary's link partitions. Its in-flight ops
 	// retransmit into the void (well inside their 100µs deadline).
@@ -312,7 +261,7 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 			if recErr != nil {
 				return
 			}
-			if recErr = agent2.RegisterNativeReaction("bump", reaction); recErr != nil {
+			if recErr = agent2.RegisterNativeReaction("bump", ls.react); recErr != nil {
 				return
 			}
 			agent2.Start()
@@ -364,17 +313,17 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 				si.LastMutationAt, ss.EpochBumpedAt)
 		}
 	}
-	if violations != 0 {
-		t.Fatalf("%d/%d packets observed mixed cross-table state across the takeover", violations, packets)
+	if err := audit.Err(); err != nil {
+		t.Fatalf("across the takeover: %v", err)
 	}
-	if packets < 1000 {
-		t.Fatalf("only %d packets audited", packets)
+	if audit.Packets < 1000 {
+		t.Fatalf("only %d packets audited", audit.Packets)
 	}
 }
 
 // fig1Src is the paper's Figure 1 workload (same as the core suite): a
 // register the reaction polls, with the result written back through a
-// malleable value. Unlike twoTableSrc's bump(), my_reaction actually
+// malleable value. Unlike check.TwoTableSrc's bump(), my_reaction actually
 // polls the switch — which is what the staleness budget governs.
 const fig1Src = `
 header_type h_t { fields { tag : 16; port : 8; } }

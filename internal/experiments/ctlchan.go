@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ctlchan"
 	"repro/internal/faults"
@@ -134,7 +135,7 @@ func buildCtlchanRig(prof faults.LinkProfile, seed int64) (*ctlchanRig, error) {
 // run drives traffic for d, then stops and drains.
 func (r *ctlchanRig) run(d time.Duration) {
 	r.agent.Start()
-	tick := r.traffic()
+	tick := check.FaultSweepTraffic(r.sim, r.sw)
 	r.sim.RunFor(d)
 	tick.Stop()
 	r.agent.Stop()
@@ -146,12 +147,12 @@ func (r *ctlchanRig) check(label string) error {
 	if err := r.agent.Err(); err != nil {
 		return fmt.Errorf("%s: agent died: %w", label, err)
 	}
-	if r.violations != 0 {
-		return fmt.Errorf("%s: %d/%d packets observed mixed cross-table state", label, r.violations, r.packets)
+	if err := r.audit.Err(); err != nil {
+		return fmt.Errorf("%s: %w", label, err)
 	}
 	st := r.agent.Stats()
-	if st.Commits == 0 || r.packets == 0 {
-		return fmt.Errorf("%s: no progress (commits=%d packets=%d)", label, st.Commits, r.packets)
+	if st.Commits == 0 || r.audit.Packets == 0 {
+		return fmt.Errorf("%s: no progress (commits=%d packets=%d)", label, st.Commits, r.audit.Packets)
 	}
 	if cs, ss := r.cli.ChanStats(), r.srv.Stats(); ss.MutationsExecuted > cs.Ops {
 		return fmt.Errorf("%s: more mutations executed (%d) than ops issued (%d)", label, ss.MutationsExecuted, cs.Ops)
@@ -186,8 +187,8 @@ func RunCtlchan(seed int64) (*CtlchanResult, error) {
 			DedupHits:         ss.DedupHits,
 			MutationsExecuted: ss.MutationsExecuted,
 			Latency:           stats.SummarizeDurations(st.Latencies),
-			Packets:           r.packets,
-			Violations:        r.violations,
+			Packets:           r.audit.Packets,
+			Violations:        r.audit.Violations,
 		}
 		if clean := res.Points; len(clean) > 0 && clean[0].Latency.P99 > 0 {
 			pt.P99VsClean = float64(pt.Latency.P99) / float64(clean[0].Latency.P99)
@@ -254,8 +255,8 @@ func RunCtlchan(seed int64) (*CtlchanResult, error) {
 		Timeouts:     cs.Timeouts,
 		Commits:      st.Commits,
 		SessionEpoch: ss.Epoch,
-		Packets:      r.packets,
-		Violations:   r.violations,
+		Packets:      r.audit.Packets,
+		Violations:   r.audit.Violations,
 	}
 	if res.Partition.SessionEpoch != 1 {
 		return nil, fmt.Errorf("session epoch rose to %d — recovery restarted the session", res.Partition.SessionEpoch)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -121,7 +122,7 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 	s.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
 	agent.Start()
 
-	tick := l.traffic()
+	tick := check.FaultSweepTraffic(s, l.sw)
 	s.RunFor(5 * time.Millisecond)
 	tick.Stop()
 	agent.Stop()
@@ -129,8 +130,11 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 	if err := agent.Err(); err != nil {
 		return nil, err
 	}
+	if err := l.audit.Err(); err != nil {
+		return nil, err
+	}
 
-	row := &FaultRow{Profile: prof.Name, Packets: l.packets, Violations: l.violations}
+	row := &FaultRow{Profile: prof.Name, Packets: l.audit.Packets, Violations: l.audit.Violations}
 	ast := agent.Stats()
 	row.Iterations = ast.Iterations
 	row.Commits = ast.Commits

@@ -173,7 +173,14 @@ func (c *checker) buildSymbols() {
 			continue
 		}
 		for _, fd := range ht.Fields {
-			c.fields[inst.Name+"."+fd.Name] = fd.Width
+			// One schema slot per name: the same name at another width
+			// (a repeated field, or a standard_metadata instance) has none.
+			name := inst.Name + "." + fd.Name
+			if w, dup := c.fields[name]; dup && w != fd.Width {
+				c.errorf(diag.DuplicateDecl, inst.Line, inst.Col, "field %s redefined with width %d (was %d)", name, fd.Width, w)
+				continue
+			}
+			c.fields[name] = fd.Width
 		}
 	}
 	for _, r := range c.f.Registers {
@@ -608,13 +615,14 @@ type reactionScope struct {
 	locals     map[string]bool
 }
 
-// checkBody parses the C-like reaction body and walks it. Bodies that do
-// not parse as RCL are assumed to be stand-ins for native Go reactions
-// (the runtime requires a registered native implementation for them) and
-// are skipped.
+// checkBody parses the C-like reaction body and walks it. A body that
+// does not parse is reported at its line, even if a native reaction
+// could replace it at run time: the agent compiles every body it runs.
 func (rx *reactionScope) checkBody() {
 	stmts, err := rcl.ParseBody(rx.r.Body)
 	if err != nil {
+		d := err.(*diag.Diagnostic)
+		rx.c.errorf(d.Code, rx.r.Line+d.Line-1, 0, "reaction %s: %s", rx.r.Name, d.Msg)
 		return
 	}
 	// First collect every declared local (including statics and loop-init

@@ -207,7 +207,8 @@ type ReactionParam struct {
 }
 
 // Reaction is a reaction declaration. Body is the raw C-like source,
-// parsed and executed by internal/rcl.
+// parsed and executed by internal/rcl; its line 1 is line Line of the
+// file.
 type Reaction struct {
 	Name   string
 	Params []ReactionParam

@@ -66,7 +66,7 @@ const (
 	IsolationHazard = "M010" // unpolled read of a data-plane-written register
 	UnreachableDecl = "M011" // declared action/register reachable from no table or reaction (warning)
 	TableExpansion  = "M012" // generated entries exceed platform table capacity
-	DuplicateDecl   = "M013" // duplicate top-level declaration
+	DuplicateDecl   = "M013" // duplicate top-level declaration, or a field redefined at another width
 	UnknownSymbol   = "M014" // reference to an undeclared field, action, or table
 )
 

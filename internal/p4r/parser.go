@@ -1,6 +1,8 @@
 package p4r
 
 import (
+	"strings"
+
 	"repro/internal/p4r/diag"
 )
 
@@ -711,12 +713,14 @@ func (p *Parser) parseReaction() error {
 	}
 	// The lexer sits just past the '{' of the body: capture raw C-like
 	// source up to the matching brace and hand it to the reaction
-	// language (internal/rcl) later.
+	// language (internal/rcl) later. A header that spans lines is padded
+	// with newlines, so line n of the body is line Line+n-1 of the file.
+	pad := strings.Repeat("\n", p.cur.Line-line)
 	body, err := p.lx.captureBraceBlock()
 	if err != nil {
 		return err
 	}
-	r.Body = body
+	r.Body = pad + body
 	if err := p.next(); err != nil {
 		return err
 	}

@@ -71,6 +71,8 @@ func Compile(src string) (*Program, error) {
 // ParseBody parses a reaction body and returns its statement AST without
 // building an executable Program. Static analyzers (internal/p4r/analysis)
 // use this to walk reaction bodies for reads, writes, and declarations.
+// Its error, like Compile's, is a *diag.Diagnostic whose line counts
+// from the body's first line.
 func ParseBody(src string) ([]Stmt, error) { return parseBody(src) }
 
 // cell is a variable binding: a scalar or an array, with an optional

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"strconv"
 	"unicode"
+
+	"repro/internal/p4r/diag"
 )
 
 type tokKind int
@@ -90,7 +92,7 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i+1 >= n {
-				return nil, fmt.Errorf("line %d: unterminated comment", line)
+				return nil, diag.Errorf(diag.BadLiteral, line, 0, "unterminated comment")
 			}
 			i += 2
 		case c == '$' && i+1 < n && src[i+1] == '{':
@@ -100,7 +102,7 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i >= n || src[i] != '}' || i == start {
-				return nil, fmt.Errorf("line %d: malformed malleable reference", line)
+				return nil, diag.Errorf(diag.BadLiteral, line, 0, "malformed malleable reference")
 			}
 			toks = append(toks, token{kind: tMbl, text: src[start:i], line: line})
 			i++
@@ -109,12 +111,12 @@ func lex(src string) ([]token, error) {
 			start := i
 			for i < n && src[i] != '"' {
 				if src[i] == '\n' {
-					return nil, fmt.Errorf("line %d: newline in string literal", line)
+					return nil, diag.Errorf(diag.BadLiteral, line, 0, "newline in string literal")
 				}
 				i++
 			}
 			if i >= n {
-				return nil, fmt.Errorf("line %d: unterminated string literal", line)
+				return nil, diag.Errorf(diag.BadLiteral, line, 0, "unterminated string literal")
 			}
 			toks = append(toks, token{kind: tString, text: src[start:i], line: line})
 			i++
@@ -140,7 +142,7 @@ func lex(src string) ([]token, error) {
 				// Allow the full uint64 range to wrap into int64.
 				u, uerr := strconv.ParseUint(text, 0, 64)
 				if uerr != nil {
-					return nil, fmt.Errorf("line %d: bad number %q", line, text)
+					return nil, diag.Errorf(diag.BadLiteral, line, 0, "bad number %q", text)
 				}
 				v = int64(u)
 			}
@@ -175,7 +177,7 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{kind: tPunct, text: string(c), line: line})
 				i++
 			default:
-				return nil, fmt.Errorf("line %d: unexpected character %q", line, string(c))
+				return nil, diag.Errorf(diag.BadLiteral, line, 0, "unexpected character %q", string(c))
 			}
 		}
 	}

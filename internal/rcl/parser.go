@@ -1,6 +1,6 @@
 package rcl
 
-import "fmt"
+import "repro/internal/p4r/diag"
 
 // ---- AST ----
 
@@ -160,6 +160,10 @@ var typeWidths = map[string]int{
 	"int8_t": 64, "int16_t": 64, "int32_t": 64, "int64_t": 64,
 }
 
+// maxArraySize bounds a declared array's length. Arrays live in the
+// reaction's frame; the largest one in the repository has 8 cells.
+const maxArraySize = 4096
+
 // ---- Parser ----
 
 type parser struct {
@@ -184,8 +188,10 @@ func min(a, b int) int {
 	return b
 }
 
+// errf reports a syntax error at the current token as an S001
+// diagnostic whose line is the body's.
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("reaction body line %d: %s", p.cur().line, fmt.Sprintf(format, args...))
+	return diag.Errorf(diag.SyntaxError, p.cur().line, 0, format, args...)
 }
 
 func (p *parser) isPunct(s string) bool {
@@ -311,10 +317,14 @@ func (p *parser) parseDecl(static bool) (Stmt, error) {
 			if p.cur().kind != tNumber {
 				return nil, p.errf("array size must be a constant")
 			}
-			v.ArraySize = int(p.advance().num)
-			if v.ArraySize <= 0 {
+			n := p.advance().num
+			if n <= 0 {
 				return nil, p.errf("array size must be positive")
 			}
+			if n > maxArraySize {
+				return nil, p.errf("array size %d exceeds the limit of %d", n, maxArraySize)
+			}
+			v.ArraySize = int(n)
 			if err := p.expect("]"); err != nil {
 				return nil, err
 			}

@@ -289,6 +289,19 @@ func TestArrayOutOfRange(t *testing.T) {
 	}
 }
 
+// TestArraySizeBounded: an array longer than maxArraySize, local or
+// static, is a syntax error at its line, not a frame the first
+// execution cannot allocate.
+func TestArraySizeBounded(t *testing.T) {
+	for _, src := range []string{"\nint big[99999999999999];", "\nstatic int big[4097];"} {
+		_, err := Compile(src)
+		if err == nil || !strings.Contains(err.Error(), "line 2: error[S001]: array size") {
+			t.Errorf("%q: err = %v, want an S001 on the array size", src, err)
+		}
+	}
+	run(t, "int a[4096]; a[4095] = 1; ${out} = a[4095];", nil)
+}
+
 func TestStaticsPersistAcrossInvocations(t *testing.T) {
 	// The paper's "stateful dialogue": statics retain values across
 	// iterations of the reaction loop.
