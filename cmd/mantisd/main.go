@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -162,17 +163,20 @@ func legacyReadTarget(prog *p4.Program) (reg string, n uint64, ok bool) {
 	return names[0], n, true
 }
 
-// parseGrayTrunk parses -gray-trunk's L,S[:RATE] form.
+// parseGrayTrunk parses -gray-trunk's L,S[:RATE] form. Every part must
+// parse in full, and RATE must be a number in (0,1].
 func parseGrayTrunk(spec string) (leaf, spine int, rate float64, err error) {
 	rate = 0.3
-	lhs := spec
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		lhs = spec[:i]
-		if _, err = fmt.Sscanf(spec[i+1:], "%g", &rate); err != nil || rate <= 0 || rate > 1 {
+	lhs, rhs, hasRate := strings.Cut(spec, ":")
+	if hasRate {
+		if rate, err = strconv.ParseFloat(rhs, 64); err != nil || !(rate > 0 && rate <= 1) {
 			return 0, 0, 0, fmt.Errorf("-gray-trunk %q: rate must be in (0,1]", spec)
 		}
 	}
-	if _, err = fmt.Sscanf(lhs, "%d,%d", &leaf, &spine); err != nil {
+	l, sp, ok := strings.Cut(lhs, ",")
+	leaf, errL := strconv.Atoi(l)
+	spine, errS := strconv.Atoi(sp)
+	if !ok || errL != nil || errS != nil {
 		return 0, 0, 0, fmt.Errorf("-gray-trunk %q: want L,S[:RATE] (e.g. 0,1:0.3)", spec)
 	}
 	return leaf, spine, rate, nil

@@ -55,3 +55,32 @@ func TestTrafficInterval(t *testing.T) {
 		}
 	}
 }
+
+func TestParseGrayTrunk(t *testing.T) {
+	for _, c := range []struct {
+		spec        string
+		leaf, spine int
+		rate        float64
+		ok          bool
+	}{
+		{"0,1", 0, 1, 0.3, true},
+		{"2,0:0.5", 2, 0, 0.5, true},
+		{"1,1:1", 1, 1, 1, true},
+		{"0,1:NaN", 0, 0, 0, false}, // used to be accepted: SetGray(NaN) left the trunk healthy
+		{"0,1:0.3x", 0, 0, 0, false},
+		{"0,1,7", 0, 0, 0, false},
+		{"0,1:0.5:9", 0, 0, 0, false},
+		{"0,1:0", 0, 0, 0, false},
+		{"0,1:1.5", 0, 0, 0, false},
+		{"0,1:Inf", 0, 0, 0, false},
+		{"0", 0, 0, 0, false},
+		{"a,1", 0, 0, 0, false},
+		{"", 0, 0, 0, false},
+	} {
+		leaf, spine, rate, err := parseGrayTrunk(c.spec)
+		if (err == nil) != c.ok || leaf != c.leaf || spine != c.spine || rate != c.rate {
+			t.Errorf("parseGrayTrunk(%q) = %d, %d, %g, %v; want %d, %d, %g, ok=%v",
+				c.spec, leaf, spine, rate, err, c.leaf, c.spine, c.rate, c.ok)
+		}
+	}
+}

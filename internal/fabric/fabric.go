@@ -217,7 +217,6 @@ type Fabric struct {
 	hbSrc    packet.FieldID
 	hbDst    packet.FieldID
 	hbProto  packet.FieldID
-	hbSchema *packet.Schema
 }
 
 // Build constructs the fabric on s: switches, trunks, per-node control
@@ -287,7 +286,6 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 // (the tickers start with the fabric).
 func (f *Fabric) wireGrayDetection(spineSchema *packet.Schema) error {
 	cfg := &f.Cfg
-	f.hbSchema = spineSchema
 	f.hbSrc = spineSchema.MustID(usecases.FM.Src)
 	f.hbDst = spineSchema.MustID(usecases.FM.Dst)
 	f.hbProto = spineSchema.MustID(usecases.FM.Proto)
@@ -339,7 +337,7 @@ func (f *Fabric) startHeartbeats() {
 				continue
 			}
 			for l := range f.Leaves {
-				pkt := f.hbSchema.New()
+				pkt := spine.Net.NewPacket()
 				pkt.Size = 64
 				pkt.Priority = 7
 				pkt.Set(f.hbSrc, uint64(0x0AFE0000|uint32(sp)))

@@ -108,7 +108,6 @@ func NewRerouteFabric(s *sim.Simulator, cfg RerouteFabricConfig) (*RerouteFabric
 		}
 	}
 
-	schema := f.Leaves[0].Plan.Prog.Schema
 	rcvPort := fc.HostPorts - 1
 	record := func(at sim.Time, bytes int) {
 		idx := int(int64(at) / int64(rerouteBucket))
@@ -125,7 +124,7 @@ func NewRerouteFabric(s *sim.Simulator, cfg RerouteFabricConfig) (*RerouteFabric
 		})
 		lCopy := l
 		senderPorts := fc.HostPorts - 1
-		usecases.WireDosSenders(leaf.Net, schema, rerouteSendersPerLeaf, reroutePerSenderBps,
+		usecases.WireDosSenders(leaf.Net, rerouteSendersPerLeaf, reroutePerSenderBps,
 			usecases.DosAddressing{
 				VictimAddr: rcvAddr, VictimPort: rcvPort,
 				SenderAddr: func(i int) uint32 { return HostAddr(lCopy, i%senderPorts) },

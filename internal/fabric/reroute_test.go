@@ -71,3 +71,44 @@ func TestRerouteScenarioModes(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyStatePacketPathAllocFree pins the packet path's ownership
+// rule end to end: a warmed 2×2 reroute fabric — probes on every trunk
+// every 500 ns, the TCP ring, six agents polling — runs 100 µs slices of
+// steady state with at most 0.01 heap allocations per packet the
+// switches receive. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestSteadyStatePacketPathAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := sim.New(1)
+	r, err := NewRerouteFabric(s, RerouteFabricConfig{Fabric: Config{Leaves: 2, Spines: 2, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := func() (n uint64) {
+		for _, nd := range r.F.Nodes() {
+			n += nd.Sw.Stats().RxPackets
+		}
+		return n
+	}
+	r.F.Start()
+	s.RunFor(2 * time.Millisecond) // prologues, TCP ramp-up, freelists
+	const runs = 20
+	before := rx()
+	allocs := testing.AllocsPerRun(runs, func() { s.RunFor(100 * time.Microsecond) })
+	pkts := float64(rx()-before) / (runs + 1) // AllocsPerRun adds one warm-up call
+	if pkts < 500 {
+		t.Fatalf("only %.0f packets received per 100 µs; the fabric is not carrying traffic", pkts)
+	}
+	t.Logf("%.0f allocations per 100 µs, %.0f packets received", allocs, pkts)
+	if perPkt := allocs / pkts; perPkt > 0.01 {
+		t.Fatalf("%.0f allocations per 100 µs over %.0f packets = %.4f per packet, budget 0.01", allocs, pkts, perPkt)
+	}
+	r.F.Stop()
+	s.RunFor(200 * time.Microsecond)
+	if err := r.F.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

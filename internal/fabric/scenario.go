@@ -135,7 +135,7 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 			SenderPort: func(i int) int { return i % senderPorts },
 		}
 		rate := perSender * (1 + float64(l)/2)
-		flows := usecases.WireDosSenders(leaf.Net, schema, dosSendersPerLeaf, rate, ad, nil)
+		flows := usecases.WireDosSenders(leaf.Net, dosSendersPerLeaf, rate, ad, nil)
 		for i, fl := range flows {
 			src := uint64(ad.SenderAddr(i))
 			fl.OnDeliver = func(at sim.Time, bytes int) {
@@ -145,7 +145,7 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 	}
 
 	// The flood enters at spine 0's border port.
-	d.Flood = usecases.WireDosAttacker(f.Spines[0].Net, schema, dosAttackBps, usecases.DosAddressing{
+	d.Flood = usecases.WireDosAttacker(f.Spines[0].Net, dosAttackBps, usecases.DosAddressing{
 		VictimAddr:   d.VictimAddr,
 		AttackerAddr: AttackerAddr,
 		AttackerPort: f.BorderPort(),

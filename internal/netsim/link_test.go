@@ -323,7 +323,7 @@ func tcpEdgeRig(t *testing.T) (*netRig, *TCPFlow, *Host, *[]uint64) {
 	b := r.net.AddHost(1, 2)
 	r.route(t, 2, 1)
 	r.route(t, 1, 0)
-	flow := NewTCPFlow(a, r.sw.Program().Schema, testFM, 2, DefaultTCPConfig())
+	flow := NewTCPFlow(a, testFM, 2, DefaultTCPConfig())
 	flow.Stop() // receiver-only: keep the sender machinery quiet
 	acks := new([]uint64)
 	a.Rx = func(pkt *packet.Packet) {
@@ -335,7 +335,7 @@ func tcpEdgeRig(t *testing.T) (*netRig, *TCPFlow, *Host, *[]uint64) {
 }
 
 func (r *netRig) dataSegment(f *TCPFlow, seq uint64) *packet.Packet {
-	pkt := r.sw.Program().Schema.New()
+	pkt := r.net.NewPacket()
 	pkt.Size = tcpMSS
 	pkt.SetName(testFM.Src, 2)
 	pkt.SetName(testFM.Dst, 1)
@@ -407,9 +407,9 @@ func TestTCPIgnoresForeignTraffic(t *testing.T) {
 	r.route(t, 2, 1)
 	r.route(t, 1, 0)
 	wireFlow(a, b)
-	flow := NewTCPFlow(a, r.sw.Program().Schema, testFM, 2, DefaultTCPConfig())
+	flow := NewTCPFlow(a, testFM, 2, DefaultTCPConfig())
 
-	pkt := r.sw.Program().Schema.New()
+	pkt := r.net.NewPacket()
 	pkt.Size = 64
 	pkt.SetName(testFM.Dst, 2)
 	pkt.SetName(testFM.Seq, 5) // looks like data, but carries no flow

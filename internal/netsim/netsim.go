@@ -42,10 +42,14 @@ type Host struct {
 	net  *Network
 	Port int
 	Addr uint32
-	// Rx is invoked for every packet delivered to this host.
+	// Rx is invoked for every packet delivered to this host. The packet
+	// goes back to the network's pool when Rx returns: Rx must not keep it.
 	Rx func(pkt *packet.Packet)
 	// linkBusyUntil paces the host's uplink.
 	linkBusyUntil sim.Time
+	// injectFn/rxFn carry a packet onto the switch and off to Rx; bound
+	// once in AddHost so a hop schedules no closure.
+	injectFn, rxFn func(any)
 }
 
 // Network wires hosts to a switch.
@@ -60,6 +64,9 @@ type Network struct {
 	hosts  map[int]*Host        // by port
 	trunks map[int]*trunkAttach // by port
 	stats  NetworkStats
+	// pool holds the network's idle packets: hosts and trunk deliveries
+	// draw from it, and each packet goes back where its life ends.
+	pool *packet.Pool
 }
 
 // NetworkStats counts network-level drop events.
@@ -71,31 +78,38 @@ type NetworkStats struct {
 	DroppedNoPeer uint64
 }
 
-// New wires a network around sw. It takes over sw.Tx: a transmitted
-// packet is delivered to the host on the egress port, carried over the
-// trunk attached there to a peer switch, or — with neither — dropped
-// and counted in Stats().DroppedNoPeer.
+// New wires a network around sw. It takes over sw.Tx and sw.Pool: a
+// transmitted packet is delivered to the host on the egress port,
+// carried over the trunk attached there to a peer switch, or — with
+// neither — dropped and counted in Stats().DroppedNoPeer.
 func New(s *sim.Simulator, sw *rmt.Switch, linkBW float64, prop time.Duration) *Network {
 	n := &Network{
 		Sim: s, Sw: sw, LinkBandwidth: linkBW, Propagation: prop,
 		hosts:  make(map[int]*Host),
 		trunks: make(map[int]*trunkAttach),
+		pool:   packet.NewPool(sw.Program().Schema),
 	}
+	sw.Pool = n.pool
 	sw.Tx = func(portN int, pkt *packet.Packet) {
 		if h, ok := n.hosts[portN]; ok {
 			if h.Rx != nil {
-				s.Schedule(prop, func() { h.Rx(pkt) })
+				s.ScheduleCall(prop, h.rxFn, pkt)
+				return
 			}
-			return
-		}
-		if ta, ok := n.trunks[portN]; ok {
+		} else if ta, ok := n.trunks[portN]; ok {
 			ta.trunk.send(ta.side, pkt)
 			return
+		} else {
+			n.stats.DroppedNoPeer++
 		}
-		n.stats.DroppedNoPeer++
+		n.pool.Put(pkt)
 	}
 	return n
 }
+
+// NewPacket returns a zeroed packet in the switch's schema from the
+// network's pool; sending it hands it back to the network.
+func (n *Network) NewPacket() *packet.Packet { return n.pool.Get() }
 
 // Stats returns the network's drop counters.
 func (n *Network) Stats() NetworkStats { return n.stats }
@@ -103,6 +117,12 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 // AddHost attaches a host to a switch port.
 func (n *Network) AddHost(port int, addr uint32) *Host {
 	h := &Host{net: n, Port: port, Addr: addr}
+	h.injectFn = func(arg any) { n.Sw.Inject(h.Port, arg.(*packet.Packet)) }
+	h.rxFn = func(arg any) {
+		pkt := arg.(*packet.Packet)
+		h.Rx(pkt)
+		n.pool.Put(pkt)
+	}
 	n.hosts[port] = h
 	return h
 }
@@ -126,7 +146,7 @@ func (h *Host) Send(pkt *packet.Packet) {
 	done := start.Add(ser)
 	h.linkBusyUntil = done
 	arrive := done.Add(h.net.Propagation)
-	h.net.Sim.At(arrive, func() { h.net.Sw.Inject(h.Port, pkt) })
+	h.net.Sim.AtCall(arrive, h.injectFn, pkt)
 }
 
 // ---- UDP flooder ----
@@ -136,7 +156,6 @@ func (h *Host) Send(pkt *packet.Packet) {
 type Flooder struct {
 	host   *Host
 	fm     FieldMap
-	schema *packet.Schema
 	Dst    uint32
 	Rate   float64 // bits per second
 	Size   int
@@ -145,8 +164,8 @@ type Flooder struct {
 }
 
 // NewFlooder creates a flooder on h targeting dst at rate bps.
-func NewFlooder(h *Host, schema *packet.Schema, fm FieldMap, dst uint32, rate float64, size int) *Flooder {
-	return &Flooder{host: h, fm: fm, schema: schema, Dst: dst, Rate: rate, Size: size}
+func NewFlooder(h *Host, fm FieldMap, dst uint32, rate float64, size int) *Flooder {
+	return &Flooder{host: h, fm: fm, Dst: dst, Rate: rate, Size: size}
 }
 
 // Start begins flooding at the configured rate.
@@ -156,7 +175,7 @@ func (f *Flooder) Start() {
 		interval = time.Nanosecond
 	}
 	f.ticker = f.host.net.Sim.Every(interval, func() {
-		pkt := f.schema.New()
+		pkt := f.host.net.NewPacket()
 		pkt.Size = f.Size
 		pkt.SetName(f.fm.Src, uint64(f.host.Addr))
 		pkt.SetName(f.fm.Dst, uint64(f.Dst))
@@ -179,7 +198,6 @@ func (f *Flooder) Stop() {
 // period — the gray-failure detector's signal source (§8.3.2).
 type Heartbeater struct {
 	host   *Host
-	schema *packet.Schema
 	fm     FieldMap
 	Dst    uint32
 	Period time.Duration
@@ -191,8 +209,8 @@ type Heartbeater struct {
 }
 
 // NewHeartbeater creates a heartbeat source on h.
-func NewHeartbeater(h *Host, schema *packet.Schema, fm FieldMap, dst uint32, period time.Duration) *Heartbeater {
-	return &Heartbeater{host: h, schema: schema, fm: fm, Dst: dst, Period: period, Enabled: true}
+func NewHeartbeater(h *Host, fm FieldMap, dst uint32, period time.Duration) *Heartbeater {
+	return &Heartbeater{host: h, fm: fm, Dst: dst, Period: period, Enabled: true}
 }
 
 // Start begins emitting heartbeats.
@@ -201,7 +219,7 @@ func (hb *Heartbeater) Start() {
 		if !hb.Enabled {
 			return
 		}
-		pkt := hb.schema.New()
+		pkt := hb.host.net.NewPacket()
 		pkt.Size = 64
 		pkt.Priority = 7
 		pkt.SetName(hb.fm.Src, uint64(hb.host.Addr))

@@ -80,7 +80,7 @@ func TestHostSendDelivery(t *testing.T) {
 	r.route(t, 2, 1)
 	var deliveredAt sim.Time
 	b.Rx = func(pkt *packet.Packet) { deliveredAt = r.sim.Now() }
-	pkt := r.sw.Program().Schema.New()
+	pkt := r.net.NewPacket()
 	pkt.Size = 1500
 	pkt.SetName("ipv4.dstAddr", 2)
 	a.Send(pkt)
@@ -103,7 +103,7 @@ func TestHostLinkSerializes(t *testing.T) {
 	var times []sim.Time
 	b.Rx = func(pkt *packet.Packet) { times = append(times, r.sim.Now()) }
 	for i := 0; i < 3; i++ {
-		pkt := r.sw.Program().Schema.New()
+		pkt := r.net.NewPacket()
 		pkt.Size = 1500
 		pkt.SetName("ipv4.dstAddr", 2)
 		a.Send(pkt)
@@ -124,7 +124,7 @@ func TestFlooderRate(t *testing.T) {
 	a := r.net.AddHost(0, 1)
 	r.net.AddHost(1, 2)
 	r.route(t, 2, 1)
-	f := NewFlooder(a, r.sw.Program().Schema, testFM, 2, 10e9, 1500)
+	f := NewFlooder(a, testFM, 2, 10e9, 1500)
 	f.Start()
 	r.sim.RunFor(time.Millisecond)
 	f.Stop()
@@ -145,7 +145,7 @@ func TestHeartbeater(t *testing.T) {
 			got++
 		}
 	}
-	hb := NewHeartbeater(a, r.sw.Program().Schema, testFM, 2, time.Microsecond)
+	hb := NewHeartbeater(a, testFM, 2, time.Microsecond)
 	hb.Start()
 	r.sim.RunFor(100 * time.Microsecond)
 	if hb.Sent < 95 || hb.Sent > 105 {
@@ -187,7 +187,7 @@ func TestTCPTransfersAndGrows(t *testing.T) {
 	r.route(t, 2, 1)
 	r.route(t, 1, 0)
 	wireFlow(a, b)
-	flow := NewTCPFlow(a, r.sw.Program().Schema, testFM, 2, DefaultTCPConfig())
+	flow := NewTCPFlow(a, testFM, 2, DefaultTCPConfig())
 	flow.Start()
 	r.sim.RunFor(2 * time.Millisecond)
 	flow.Stop()
@@ -220,7 +220,7 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 	r.route(t, 1, 0)
 	wireFlow(a, b)
 	tcpCfg := DefaultTCPConfig()
-	flow := NewTCPFlow(a, r.sw.Program().Schema, testFM, 2, tcpCfg)
+	flow := NewTCPFlow(a, testFM, 2, tcpCfg)
 	flow.Start()
 	r.sim.RunFor(20 * time.Millisecond)
 	flow.Stop()
@@ -252,8 +252,8 @@ func TestTwoTCPFlowsShare(t *testing.T) {
 	// dst.Rx dispatches on payload, so both flows work through it; b
 	// also needs ACK dispatch.
 	b.Rx = a.Rx
-	f1 := NewTCPFlow(a, r.sw.Program().Schema, testFM, 3, DefaultTCPConfig())
-	f2 := NewTCPFlow(b, r.sw.Program().Schema, testFM, 3, DefaultTCPConfig())
+	f1 := NewTCPFlow(a, testFM, 3, DefaultTCPConfig())
+	f2 := NewTCPFlow(b, testFM, 3, DefaultTCPConfig())
 	f1.Start()
 	f2.Start()
 	r.sim.RunFor(20 * time.Millisecond)
@@ -280,10 +280,10 @@ func TestFloodStarvesThenRecovery(t *testing.T) {
 	r.route(t, 1, 0)
 	r.route(t, 9, 1)
 	wireFlow(a, dst)
-	flow := NewTCPFlow(a, r.sw.Program().Schema, testFM, 3, DefaultTCPConfig())
+	flow := NewTCPFlow(a, testFM, 3, DefaultTCPConfig())
 	flow.Start()
 
-	flood := NewFlooder(atk, r.sw.Program().Schema, testFM, 3, 20e9, 1500)
+	flood := NewFlooder(atk, testFM, 3, 20e9, 1500)
 	r.sim.RunFor(5 * time.Millisecond)
 	preFlood := flow.DeliveredBytes
 	flood.Start()
@@ -342,7 +342,7 @@ func dctcpRig(t *testing.T, useDCTCP bool) (*sim.Simulator, *rmt.Switch, *TCPFlo
 	fm.ECN = "ipv4.ecn"
 	tcfg := DefaultTCPConfig()
 	tcfg.DCTCP = useDCTCP
-	flow := NewTCPFlow(a, sw.Program().Schema, fm, 2, tcfg)
+	flow := NewTCPFlow(a, fm, 2, tcfg)
 	flow.Start()
 	return s, sw, flow
 }

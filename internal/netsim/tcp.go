@@ -44,7 +44,6 @@ type TCPFlow struct {
 	cfg    TCPConfig
 	sender *Host
 	fm     FieldMap
-	schema *packet.Schema
 	dst    uint32
 
 	nextSeq    uint64 // next new segment to send
@@ -70,6 +69,11 @@ type TCPFlow struct {
 	nextSendAt  sim.Time
 	pumpPending bool
 
+	// resumeFn restarts a pacing-blocked pump; rtoFn fires the one pending
+	// RTO timer, armed at rtoAsOf. Both are bound once, in NewTCPFlow.
+	resumeFn, rtoFn func(any)
+	rtoAsOf         sim.Time
+
 	// receiver state
 	rcvNext uint64          // next expected seq
 	rcvBuf  map[uint64]bool // out-of-order segments
@@ -86,12 +90,18 @@ type TCPFlow struct {
 
 // NewTCPFlow wires a flow from sender toward dst. Data packets carry
 // the flow in Payload; endpoints dispatch via HandlePacket.
-func NewTCPFlow(sender *Host, schema *packet.Schema, fm FieldMap, dst uint32, cfg TCPConfig) *TCPFlow {
-	return &TCPFlow{
-		cfg: cfg, sender: sender, fm: fm, schema: schema, dst: dst,
+func NewTCPFlow(sender *Host, fm FieldMap, dst uint32, cfg TCPConfig) *TCPFlow {
+	f := &TCPFlow{
+		cfg: cfg, sender: sender, fm: fm, dst: dst,
 		cwnd: tcpInitialCwnd, ssthresh: tcpMaxCwnd,
 		rcvBuf: make(map[uint64]bool),
 	}
+	f.resumeFn = func(any) {
+		f.pumpPending = false
+		f.pump()
+	}
+	f.rtoFn = func(any) { f.checkRTO(f.rtoAsOf) }
+	return f
 }
 
 // Start opens the flow and sends the initial window.
@@ -108,7 +118,7 @@ func (f *TCPFlow) Stop() { f.stopped = true }
 func (f *TCPFlow) outstanding() float64 { return float64(f.nextSeq - f.highestAck) }
 
 func (f *TCPFlow) sendSegment(seq uint64, retx bool) {
-	pkt := f.schema.New()
+	pkt := f.sender.net.NewPacket()
 	pkt.Size = tcpMSS
 	pkt.SetName(f.fm.Src, uint64(f.sender.Addr))
 	pkt.SetName(f.fm.Dst, uint64(f.dst))
@@ -141,10 +151,7 @@ func (f *TCPFlow) pump() {
 			// Pacing-blocked with window open: resume at the token time.
 			if !f.pumpPending {
 				f.pumpPending = true
-				f.sender.net.Sim.At(f.nextSendAt, func() {
-					f.pumpPending = false
-					f.pump()
-				})
+				f.sender.net.Sim.AtCall(f.nextSendAt, f.resumeFn, nil)
 			}
 			return
 		}
@@ -161,8 +168,8 @@ func (f *TCPFlow) pump() {
 }
 
 func (f *TCPFlow) armRTO() {
-	asOf := f.lastProgress
-	f.sender.net.Sim.Schedule(f.cfg.RTO, func() { f.checkRTO(asOf) })
+	f.rtoAsOf = f.lastProgress
+	f.sender.net.Sim.ScheduleCall(f.cfg.RTO, f.rtoFn, nil)
 }
 
 func (f *TCPFlow) checkRTO(asOf sim.Time) {
@@ -216,7 +223,7 @@ func (f *TCPFlow) onData(pkt *packet.Packet, receiver *Host) {
 		f.rcvBuf[seq] = true
 	}
 	// Cumulative ACK (a duplicate ACK when data arrived out of order).
-	ack := f.schema.New()
+	ack := receiver.net.NewPacket()
 	ack.Size = tcpAckSize
 	ack.SetName(f.fm.Src, uint64(f.dst))
 	ack.SetName(f.fm.Dst, uint64(f.sender.Addr))

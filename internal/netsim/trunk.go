@@ -54,13 +54,15 @@ type Trunk struct {
 	ends  [2]trunkEnd
 	stats [2]TrunkStats
 	// wire[side] re-serializes packets sent from side into the peer
-	// switch's schema.
-	wire [2]wireXlat
+	// switch's schema; deliverFn[side] lands one at the peer, bound once
+	// so a hop schedules no closure.
+	wire      [2]wireXlat
+	deliverFn [2]func(any)
 
 	// Tap, if set, observes every delivered packet at its arrival
 	// instant, just before injection into the receiving switch. from is
 	// the sending side (0 or 1). Experiments use it to meter what a
-	// trunk actually carries.
+	// trunk actually carries. Tap must not keep the packet.
 	Tap func(from int, pkt *packet.Packet)
 }
 
@@ -112,6 +114,8 @@ func ConnectTrunk(a *Network, portA int, b *Network, portB int, delay time.Durat
 		ends:  [2]trunkEnd{{a, portA}, {b, portB}},
 		wire:  [2]wireXlat{newWireXlat(sa, sb), newWireXlat(sb, sa)},
 	}
+	t.deliverFn[0] = func(arg any) { t.deliver(0, arg.(*packet.Packet)) }
+	t.deliverFn[1] = func(arg any) { t.deliver(1, arg.(*packet.Packet)) }
 	a.trunks[portA] = &trunkAttach{trunk: t, side: 0}
 	b.trunks[portB] = &trunkAttach{trunk: t, side: 1}
 	return t, nil
@@ -139,11 +143,12 @@ func (t *Trunk) AdminDown() bool { return t.admin }
 
 // SetGray turns the trunk gray: every packet in either direction is
 // silently dropped with probability rate, on top of (and independent
-// of) the profile's Loss. rate <= 0 restores a healthy link; rate is
-// clamped to [0, 1]. Gray drops draw from the trunk's own fault RNG,
-// so schedules replay deterministically per (seed, rate) history.
+// of) the profile's Loss. A rate that is not above 0, NaN included,
+// restores a healthy link; rate is clamped to [0, 1]. Gray drops draw
+// from the trunk's own fault RNG, so schedules replay deterministically
+// per (seed, rate) history.
 func (t *Trunk) SetGray(rate float64) {
-	if rate < 0 {
+	if !(rate > 0) {
 		rate = 0
 	}
 	if rate > 1 {
@@ -161,46 +166,51 @@ func (t *Trunk) Stats(side int) TrunkStats { return t.stats[side] }
 // Inject transmits pkt from side as if the local switch had routed it
 // out the trunk port — the hook for link-level probe traffic (BFD-style
 // liveness heartbeats emitted by the port hardware rather than the
-// forwarding pipeline). The packet must already be in side's schema; it
-// rides the same fault path as routed traffic, so probes see exactly
-// the drops data packets would.
+// forwarding pipeline). The packet must come from side's network
+// (Network.NewPacket), and the trunk takes it over; it rides the same
+// fault path as routed traffic, so probes see exactly the drops data
+// packets would.
 func (t *Trunk) Inject(side int, pkt *packet.Packet) { t.send(side, pkt) }
 
 // send carries pkt from side toward its peer, applying the fault
-// profile. Called from the sending switch's Tx path.
+// profile. Called from the sending switch's Tx path. Every drop is
+// decided before a pool is touched, so the fault RNG's draws do not
+// depend on packet recycling.
 func (t *Trunk) send(side int, pkt *packet.Packet) {
 	st := &t.stats[side]
 	st.Sent++
-	now := t.sim.Now()
-	if t.admin {
+	switch {
+	case t.admin:
 		st.AdminDownDrops++
-		return
-	}
-	if t.forced || t.prof.Partitioned(now) {
+	case t.forced || t.prof.Partitioned(t.sim.Now()):
 		st.PartitionDrops++
-		return
-	}
-	if t.grayRate > 0 && t.rng.Float64() < t.grayRate {
+	case t.grayRate > 0 && t.rng.Float64() < t.grayRate:
 		st.GrayDrops++
-		return
-	}
-	if t.prof.Loss > 0 && t.rng.Float64() < t.prof.Loss {
+	case t.prof.Loss > 0 && t.rng.Float64() < t.prof.Loss:
 		st.Lost++
+	default:
+		d := t.delay
+		if t.prof.Jitter > 0 {
+			d += time.Duration(t.rng.Int63n(int64(t.prof.Jitter)))
+		}
+		t.sim.ScheduleCall(d, t.deliverFn[side], pkt)
 		return
 	}
-	d := t.delay
-	if t.prof.Jitter > 0 {
-		d += time.Duration(t.rng.Int63n(int64(t.prof.Jitter)))
-	}
+	t.ends[side].net.pool.Put(pkt)
+}
+
+// deliver lands a packet sent from side at the peer, as a copy of its
+// wire state from the peer's pool; the original goes back to the sender's.
+func (t *Trunk) deliver(side int, pkt *packet.Packet) {
+	t.stats[side].Delivered++
 	peer := t.ends[1-side]
-	t.sim.Schedule(d, func() {
-		st.Delivered++
-		out := t.wire[side].translate(pkt)
-		if t.Tap != nil {
-			t.Tap(side, out)
-		}
-		peer.net.Sw.Inject(peer.port, out)
-	})
+	out := peer.net.NewPacket()
+	t.wire[side].translate(pkt, out)
+	t.ends[side].net.pool.Put(pkt)
+	if t.Tap != nil {
+		t.Tap(side, out)
+	}
+	peer.net.Sw.Inject(peer.port, out)
 }
 
 // ---- wire translation ----
@@ -243,31 +253,28 @@ func wireFieldIDs(s *packet.Schema) []packet.FieldID {
 // wireXlat re-serializes packets from one schema into another whose
 // wire fields match (checked by WireCompatible at trunk setup).
 type wireXlat struct {
-	dst   *packet.Schema
 	pairs [][2]packet.FieldID // src id → dst id, wire fields only
 }
 
 func newWireXlat(src, dst *packet.Schema) wireXlat {
 	sa, da := wireFieldIDs(src), wireFieldIDs(dst)
-	x := wireXlat{dst: dst, pairs: make([][2]packet.FieldID, len(sa))}
+	x := wireXlat{pairs: make([][2]packet.FieldID, len(sa))}
 	for i := range sa {
 		x.pairs[i] = [2]packet.FieldID{sa[i], da[i]}
 	}
 	return x
 }
 
-// translate builds the receiving switch's view of pkt: a fresh packet
-// in the destination schema carrying the wire fields plus the
+// translate fills out, a zeroed packet in the destination schema, with
+// the receiving switch's view of pkt: the wire fields plus the
 // simulator bookkeeping that models payload (Size, Priority, Payload).
-// Scratch metadata starts zeroed and the receiver's ingress re-stamps
+// Scratch metadata stays zeroed and the receiver's ingress re-stamps
 // it.
-func (x wireXlat) translate(pkt *packet.Packet) *packet.Packet {
-	out := x.dst.New()
+func (x wireXlat) translate(pkt, out *packet.Packet) {
 	out.Size = pkt.Size
 	out.Priority = pkt.Priority
 	out.Payload = pkt.Payload
 	for _, pr := range x.pairs {
 		out.Set(pr[1], pkt.Get(pr[0]))
 	}
-	return out
 }

@@ -69,7 +69,7 @@ func buildChain(t testing.TB, delays []time.Duration, profs []faults.LinkProfile
 }
 
 func (r *chainRig) sendSeq(seq uint64) {
-	pkt := r.nets[0].Sw.Program().Schema.New()
+	pkt := r.nets[0].NewPacket()
 	pkt.Size = 200
 	pkt.SetName(testFM.Src, chainSrcAddr)
 	pkt.SetName(testFM.Dst, chainDstAddr)
@@ -83,7 +83,7 @@ func TestDroppedNoPeer(t *testing.T) {
 	r := buildNet(t, rmt.DefaultConfig())
 	a := r.net.AddHost(0, 1)
 	r.route(t, 7, 5) // port 5 has no host and no trunk
-	pkt := r.sw.Program().Schema.New()
+	pkt := r.net.NewPacket()
 	pkt.Size = 100
 	pkt.SetName(testFM.Src, 1)
 	pkt.SetName(testFM.Dst, 7)
@@ -262,7 +262,7 @@ func TestChainLossIsolation(t *testing.T) {
 	// A second source on the middle switch only crosses the clean trunk.
 	mid := r.nets[1].AddHost(0, 50)
 	sendMid := func() {
-		pkt := r.nets[1].Sw.Program().Schema.New()
+		pkt := r.nets[1].NewPacket()
 		pkt.Size = 200
 		pkt.SetName(testFM.Src, 50)
 		pkt.SetName(testFM.Dst, chainDstAddr)

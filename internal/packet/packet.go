@@ -111,6 +111,9 @@ type Packet struct {
 	EgressPort int
 	// Dropped marks the packet as discarded.
 	Dropped bool
+	// released marks a packet in a Pool's freelist; it fits Dropped's
+	// padding, where an owner pointer would leave the 96 B size class.
+	released bool
 	// Recirculations counts trips back through the pipeline.
 	Recirculations int
 	// Priority selects the egress queue (higher is more urgent).
@@ -131,6 +134,10 @@ func (s *Schema) New() *Packet {
 
 // Schema returns the schema the packet was created from.
 func (p *Packet) Schema() *Schema { return p.schema }
+
+// Released reports whether the packet has been put back into a Pool and
+// not handed out again; nobody may use it until then.
+func (p *Packet) Released() bool { return p.released }
 
 // Get returns the value of a field.
 func (p *Packet) Get(id FieldID) uint64 { return p.fields[id] }
@@ -171,14 +178,16 @@ func (p *Packet) Reset() {
 	p.Payload = nil
 }
 
-// Pool recycles packets of one schema so per-packet hot paths (traffic
-// generators, benchmarks) run allocation-free in steady state. It is a
-// plain freelist, not a sync.Pool: simulations are single-threaded by
-// design, and a deterministic freelist keeps runs reproducible. Not
-// safe for concurrent use; give each simulation its own Pool.
+// Pool recycles packets of one schema so per-packet hot paths (a
+// network's hosts and trunks, benchmarks) run allocation-free in steady
+// state. It is a plain freelist, not a sync.Pool: simulations are
+// single-threaded by design, and a deterministic freelist keeps runs
+// reproducible. Not safe for concurrent use; give each simulation its
+// own Pool.
 type Pool struct {
 	schema *Schema
 	free   []*Packet
+	made   int
 }
 
 // NewPool returns an empty pool producing packets of schema s.
@@ -190,14 +199,28 @@ func (pl *Pool) Get() *Packet {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
+		p.released = false
 		return p
 	}
+	pl.made++
 	return pl.schema.New()
 }
 
 // Put resets p and returns it to the pool. The caller must not use p
-// afterwards.
+// afterwards. Putting a packet twice, or one of another schema, is an
+// ownership bug and panics.
 func (pl *Pool) Put(p *Packet) {
+	if p.released {
+		panic("packet: Put of a packet already released")
+	}
+	if p.schema != pl.schema {
+		panic("packet: Put of a packet from another schema")
+	}
 	p.Reset()
+	p.released = true
 	pl.free = append(pl.free, p)
 }
+
+// Counts reports how many packets Get has allocated and how many sit in
+// the pool now: once every packet drawn has been put back, idle == made.
+func (pl *Pool) Counts() (made, idle int) { return pl.made, len(pl.free) }

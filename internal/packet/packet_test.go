@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDefineAndLookup(t *testing.T) {
@@ -152,4 +153,50 @@ func TestPropertySetGetMasked(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPacketSizeClass pins Packet at 96 B. The next size class is 112 B,
+// and moving there costs every freshly allocated packet 16 B: the raw
+// data-plane benchmark (dataplane_trace, one packet per op) would go
+// from 240 to 256 bytes_per_op. Ownership state must fit the padding.
+func TestPacketSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 96", got)
+	}
+}
+
+// TestPoolOwnership: Get hands out a live packet, Put takes it back
+// exactly once, and misuse panics instead of corrupting the freelist.
+func TestPoolOwnership(t *testing.T) {
+	s := NewSchema()
+	f := s.Define("a", 8)
+	pl := NewPool(s)
+	p := pl.Get()
+	p.Set(f, 7)
+	p.Dropped = true
+	pl.Put(p)
+	if !p.Released() || p.Get(f) != 0 || p.Dropped || p.EgressPort != -1 {
+		t.Fatalf("Put did not reset and release: %+v", p)
+	}
+	if made, idle := pl.Counts(); made != 1 || idle != 1 {
+		t.Fatalf("Counts = %d made, %d idle; want 1, 1", made, idle)
+	}
+	mustPanic(t, "second Put", func() { pl.Put(p) })
+	mustPanic(t, "Put of another schema", func() { pl.Put(NewSchema().New()) })
+	if q := pl.Get(); q != p || q.Released() {
+		t.Fatalf("Get did not reuse and revive the released packet")
+	}
+	if made, idle := pl.Counts(); made != 1 || idle != 0 {
+		t.Fatalf("Counts = %d made, %d idle; want 1, 0", made, idle)
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
 }

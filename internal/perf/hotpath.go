@@ -37,6 +37,8 @@ func HotPathBenchmarks() []NamedBench {
 		{"ternary_lookup_bucketed_1k", benchTernaryBucketed},
 		{"ternary_lookup_linear_1k", benchTernaryLinear},
 		{"pipeline_packet", benchPipelinePacket},
+		{"trunk_hop", benchTrunkHop},
+		{"tcp_segment", benchTCPSegment},
 		{"dialogue_iteration", benchDialogueIteration},
 		{"dialogue_iteration@ctlchan", benchDialogueIterationCtlchan},
 		{"update_commit@ctlchan", benchUpdateCommitCtlchan},

@@ -136,9 +136,10 @@ func TestHotPathSuite(t *testing.T) {
 	}
 }
 
-// TestZeroAllocSteadyState pins the control-plane fast-path invariant:
-// one dialogue iteration — and each of its decomposed hot stages — heap
-// allocates nothing at steady state. Prologue and warmup costs amortize
+// TestZeroAllocSteadyState pins the fast-path invariants: one dialogue
+// iteration — and each of its decomposed hot stages — and one pooled
+// packet's trip over a trunk or through a TCP exchange heap allocate
+// nothing at steady state. Prologue and warmup costs amortize
 // to zero across testing.Benchmark's iteration count; any per-iteration
 // allocation survives the division and fails here. Skipped under the
 // race detector, whose instrumentation allocates.
@@ -155,6 +156,8 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		"reaction_dispatch":  true,
 		"proc_sleep":         true,
 		"proc_handoff":       true,
+		"trunk_hop":          true,
+		"tcp_segment":        true,
 	}
 	for _, nb := range HotPathBenchmarks() {
 		if !targets[nb.Name] {

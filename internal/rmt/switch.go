@@ -128,8 +128,13 @@ type Switch struct {
 	ingressFn func(any)
 
 	// Tx is invoked when a packet leaves a port (after egress pipeline
-	// and serialization). The netsim layer wires this to links.
+	// and serialization) and takes ownership of it. The netsim layer
+	// wires this to links.
 	Tx func(portN int, pkt *packet.Packet)
+	// Pool, if set, takes back every packet whose life ends inside the
+	// switch: each drop, and a transmit with no Tx. netsim.New is its one
+	// setter; with nil the packet is left to the garbage collector.
+	Pool *packet.Pool
 
 	stats Stats
 
@@ -248,6 +253,9 @@ func (sw *Switch) QueueDepth(portN int) int { return sw.ports[portN].n }
 // immediately (atomically with respect to other events); queueing and
 // egress follow on the virtual clock.
 func (sw *Switch) Inject(portN int, pkt *packet.Packet) {
+	if pkt.Released() {
+		panic("rmt: Inject of a released packet")
+	}
 	sw.stats.RxPackets++
 	pkt.IngressPort = portN
 	sw.admit(pkt)
@@ -270,8 +278,7 @@ func (sw *Switch) admit(pkt *packet.Packet) {
 		start = sw.ingressBusyUntil
 	}
 	if backlog := int(start.Sub(now) / slot); backlog >= 64 {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	sw.ingressBusyUntil = start.Add(slot)
@@ -317,8 +324,7 @@ func (sw *Switch) runIngress(pkt *packet.Packet) {
 	sw.runCompiled(env, sw.ingressProg)
 
 	if env.dropped {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	pkt.EgressPort = int(pkt.Get(sw.fEgressSpec))
@@ -331,14 +337,12 @@ func (sw *Switch) runIngress(pkt *packet.Packet) {
 
 func (sw *Switch) enqueue(portN int, pkt *packet.Packet) {
 	if portN < 0 || portN >= len(sw.ports) {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	p := sw.ports[portN]
 	if !p.up {
-		pkt.Dropped = true
-		sw.stats.PortDownDrops++
+		sw.drop(pkt, &sw.stats.PortDownDrops)
 		return
 	}
 	if p.n >= len(p.buf) {
@@ -353,12 +357,10 @@ func (sw *Switch) enqueue(portN int, pkt *packet.Packet) {
 			}
 		}
 		if victim < 0 {
-			pkt.Dropped = true
-			sw.stats.QueueDrops++
+			sw.drop(pkt, &sw.stats.QueueDrops)
 			return
 		}
-		p.buf[victim].Dropped = true
-		sw.stats.QueueDrops++
+		sw.drop(p.buf[victim], &sw.stats.QueueDrops)
 		copy(p.buf[victim:], p.buf[victim+1:p.head+p.n])
 		p.n--
 		p.buf[p.head+p.n] = nil
@@ -416,8 +418,7 @@ func (sw *Switch) finishEgress(portN int, pkt *packet.Packet) {
 	env := sw.resetEnv(pkt)
 	sw.runCompiled(env, sw.egressProg)
 	if env.dropped {
-		pkt.Dropped = true
-		sw.stats.IngressDrops++
+		sw.drop(pkt, &sw.stats.IngressDrops)
 		return
 	}
 	if env.recirculate && pkt.Recirculations < sw.cfg.MaxRecirculations {
@@ -429,6 +430,22 @@ func (sw *Switch) finishEgress(portN int, pkt *packet.Packet) {
 	sw.stats.TxPackets++
 	if sw.Tx != nil {
 		sw.Tx(portN, pkt)
+		return
+	}
+	sw.release(pkt)
+}
+
+// drop ends pkt's life in the switch, counting it under reason.
+func (sw *Switch) drop(pkt *packet.Packet, reason *uint64) {
+	pkt.Dropped = true
+	*reason++
+	sw.release(pkt)
+}
+
+// release hands a packet whose life has ended back to Pool, if any.
+func (sw *Switch) release(pkt *packet.Packet) {
+	if sw.Pool != nil {
+		sw.Pool.Put(pkt)
 	}
 }
 

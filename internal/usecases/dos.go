@@ -235,7 +235,7 @@ func WireDosVictim(net *netsim.Network, ad DosAddressing) *netsim.Host {
 // the addressing, all targeting the victim, with starts staggered so
 // the paced senders do not phase-lock. onDeliver observes every byte
 // the victim acknowledges (the goodput series).
-func WireDosSenders(net *netsim.Network, schema *packet.Schema, senders int, perSenderBps float64, ad DosAddressing, onDeliver func(at sim.Time, bytes int)) []*netsim.TCPFlow {
+func WireDosSenders(net *netsim.Network, senders int, perSenderBps float64, ad DosAddressing, onDeliver func(at sim.Time, bytes int)) []*netsim.TCPFlow {
 	tcpCfg := netsim.DefaultTCPConfig()
 	tcpCfg.PacedRate = perSenderBps
 	tcpCfg.RTO = 500 * time.Microsecond
@@ -246,7 +246,7 @@ func WireDosSenders(net *netsim.Network, schema *packet.Schema, senders int, per
 			h = net.AddHost(ad.SenderPort(i), ad.SenderAddr(i))
 			dosRxDispatch(h)
 		}
-		flow := netsim.NewTCPFlow(h, schema, FM, ad.VictimAddr, tcpCfg)
+		flow := netsim.NewTCPFlow(h, FM, ad.VictimAddr, tcpCfg)
 		flow.OnDeliver = onDeliver
 		flows = append(flows, flow)
 		f := flow
@@ -257,9 +257,9 @@ func WireDosSenders(net *netsim.Network, schema *packet.Schema, senders int, per
 
 // WireDosAttacker attaches the attacker host and its flooder (not yet
 // started) to net per the addressing.
-func WireDosAttacker(net *netsim.Network, schema *packet.Schema, attackBps float64, ad DosAddressing) *netsim.Flooder {
+func WireDosAttacker(net *netsim.Network, attackBps float64, ad DosAddressing) *netsim.Flooder {
 	attacker := net.AddHost(ad.AttackerPort, ad.AttackerAddr)
-	return netsim.NewFlooder(attacker, schema, FM, ad.VictimAddr, attackBps, 1500)
+	return netsim.NewFlooder(attacker, FM, ad.VictimAddr, attackBps, 1500)
 }
 
 // DosRig is a ready-to-run use case #1 deployment.
@@ -365,10 +365,10 @@ func RunFig15(cfg Fig15Config, seed int64) (*Fig15Result, error) {
 
 	res := &Fig15Result{}
 	WireDosVictim(rig.Net, ad)
-	WireDosSenders(rig.Net, rig.Plan.Prog.Schema, fig15Senders, fig15PerSenderBps, ad, func(at sim.Time, bytes int) {
+	WireDosSenders(rig.Net, fig15Senders, fig15PerSenderBps, ad, func(at sim.Time, bytes int) {
 		res.Goodput.Add(at.Duration(), float64(bytes))
 	})
-	flood := WireDosAttacker(rig.Net, rig.Plan.Prog.Schema, cfg.AttackBps, ad)
+	flood := WireDosAttacker(rig.Net, cfg.AttackBps, ad)
 
 	rig.Agent.Start()
 	rig.Sim.RunFor(fig15Warmup)

@@ -355,7 +355,7 @@ func BuildGray(seed int64, cfg GrayConfig, routes []RouteSpec, td time.Duration)
 	}
 	for i, port := range cfg.Monitored {
 		h := net.AddHost(port, uint32(grayNeighborBase+i))
-		hb := netsim.NewHeartbeater(h, plan.Prog.Schema, FM, grayHeartbeatDst, cfg.Ts)
+		hb := netsim.NewHeartbeater(h, FM, grayHeartbeatDst, cfg.Ts)
 		rig.Heartbeaters[port] = hb
 	}
 	return rig, nil

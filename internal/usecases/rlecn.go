@@ -253,7 +253,7 @@ func RunRL(seed int64, duration time.Duration) (*RLResult, error) {
 	wire(b)
 	tcfg := netsim.DefaultTCPConfig()
 	tcfg.DCTCP = true
-	flow := netsim.NewTCPFlow(a, rig.Plan.Prog.Schema, FM, 2, tcfg)
+	flow := netsim.NewTCPFlow(a, FM, 2, tcfg)
 	rig.Agent.Start()
 	flow.Start()
 	rig.Sim.RunFor(duration)
