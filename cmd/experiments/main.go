@@ -3,10 +3,15 @@
 // Usage:
 //
 //	experiments -run all
-//	experiments -run fig10a,fig10b,fig11,fig12,fig12x,fig13,table1,fig14,fig15,fig16,ablations
 //	experiments -run fig14 -scale 0.1
 //	experiments -run fig16 -trials 5 -parallel 4
 //	experiments -run fig10a,fig10b -json out/   # also write out/BENCH_<name>.json
+//
+// An unknown -run name lists every experiment. Each result prints as
+// tables; EXPERIMENTS.md holds the same tables in markdown, and
+// `go test ./cmd/experiments -update` regenerates the checked-in
+// BENCH_*.json files, PLACEMENT_fabric_leaf.txt, testdata/all.golden and
+// those tables.
 package main
 
 import (
@@ -22,193 +27,107 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/usecases"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	code, _ := run(os.Args[1:], os.Stdout, os.Stderr)
+	os.Exit(code)
+}
 
-// experiment is one runnable step: it returns the human-readable report
-// plus a structured value which, with -json, lands in
+// params are the flag values an experiment may read.
+type params struct {
+	scale           float64
+	trials, workers int
+	seed            int64
+	jsonDir         string
+}
+
+// result is an experiment's JSON record, which also yields its tables.
+type result interface{ Tables() []experiments.Table }
+
+// experiment is one registered run; with -json its result lands in
 // BENCH_<jsonName>.json.
 type experiment struct {
 	name, jsonName string
-	fn             func() (string, any, error)
+	run            func(params) (result, error)
 }
 
-// run is the command: 0 on success, 1 if an experiment failed, 2 for a
-// usage error — a flag that does not parse, or a -run name that is not
-// an experiment (nothing runs in that case).
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	runList := fs.String("run", "all", "comma-separated experiments, or all (an unknown name lists the valid ones)")
-	scale := fs.Float64("scale", 0.05, "fig14 trace scale relative to one full CAIDA block (8.9M packets)")
-	trials := fs.Int("trials", 5, "fig16 trials per parameter point")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max simulation trials in flight at once (1 = serial; results are identical at any value)")
-	seed := fs.Int64("seed", 1, "random seed")
-	jsonDir := fs.String("json", "", "directory to write BENCH_<name>.json machine-readable results into (created if missing)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
+// placementReport is fig-place's stage map of the fabric leaf program.
+const placementReport = "PLACEMENT_fabric_leaf.txt"
 
-	var steps []experiment
-	stepNamed := func(name, jsonName string, fn func() (string, any, error)) {
-		steps = append(steps, experiment{name, jsonName, fn})
-	}
-	step := func(name string, fn func() (string, any, error)) { stepNamed(name, name, fn) }
-
-	step("fig10a", func() (string, any, error) {
-		rows, err := experiments.RunFig10a()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig10a(rows), rows, nil
-	})
-	step("fig10b", func() (string, any, error) {
-		rows, err := experiments.RunFig10b()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig10b(rows), rows, nil
-	})
-	step("fig11", func() (string, any, error) {
-		rows, err := experiments.RunFig11()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig11(rows), rows, nil
-	})
-	step("fig12", func() (string, any, error) {
-		res, err := experiments.RunFig12()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig12(res), res, nil
-	})
-	step("fig12x", func() (string, any, error) {
+// registry lists every experiment in report order.
+var registry = []experiment{
+	{"fig10a", "fig10a", func(params) (result, error) { return experiments.RunFig10a() }},
+	{"fig10b", "fig10b", func(params) (result, error) { return experiments.RunFig10b() }},
+	{"fig11", "fig11", func(params) (result, error) { return experiments.RunFig11() }},
+	{"fig12", "fig12", func(params) (result, error) { return experiments.RunFig12() }},
+	{"fig12x", "fig12x", func(params) (result, error) {
 		clients := make([]int, 16)
 		for i := range clients {
 			clients[i] = i + 1
 		}
-		res, err := experiments.RunFig12x(clients, 10*time.Millisecond)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig12x(res), res, nil
-	})
-	step("fig13", func() (string, any, error) {
-		a, err := experiments.RunFig13a(32)
-		if err != nil {
-			return "", nil, err
-		}
-		b, err := experiments.RunFig13b(4)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig13(a, b), map[string]any{"a": a, "b": b}, nil
-	})
-	step("table1", func() (string, any, error) {
-		out, err := experiments.RunTable1()
-		return out, out, err
-	})
-	step("fig14", func() (string, any, error) {
-		res, err := experiments.RunFig14(*scale, *seed)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig14(res), res, nil
-	})
-	step("fig15", func() (string, any, error) {
-		res, err := experiments.RunFig15(*seed)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig15(res), res, nil
-	})
-	step("fig16", func() (string, any, error) {
-		res, err := experiments.RunFig16Parallel(*trials, *parallel)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFig16(res), res, nil
-	})
-	step("recirc", func() (string, any, error) {
-		rows, err := experiments.RunRecirculation()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatRecirculation(rows), rows, nil
-	})
-	step("freshness", func() (string, any, error) {
-		res, err := experiments.RunFreshness()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFreshness(res), res, nil
-	})
-	step("ablations", func() (string, any, error) {
-		res, err := experiments.RunAblations()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatAblations(res), res, nil
-	})
-	step("faults", func() (string, any, error) {
-		rows, err := experiments.RunFaultSweep(*seed)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFaultSweep(rows), rows, nil
-	})
-	stepNamed("fig-takeover", "takeover", func() (string, any, error) {
-		res, err := experiments.RunTakeover(*seed)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatTakeover(res), res, nil
-	})
-	stepNamed("fig-ctlchan", "ctlchan", func() (string, any, error) {
-		res, err := experiments.RunCtlchan(*seed)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatCtlchan(res), res, nil
-	})
-	stepNamed("fig-fabric", "fabric", func() (string, any, error) {
-		res, err := experiments.RunFabric(*seed, *parallel)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatFabric(res), res, nil
-	})
-	stepNamed("fig-reroute", "reroute", func() (string, any, error) {
-		res, err := experiments.RunReroute(*seed, *parallel)
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatReroute(res), res, nil
-	})
-	stepNamed("fig-place", "place", func() (string, any, error) {
+		return experiments.RunFig12x(clients, 10*time.Millisecond)
+	}},
+	{"fig13", "fig13", func(params) (result, error) { return experiments.RunFig13() }},
+	{"table1", "table1", func(params) (result, error) {
+		rows, err := usecases.Table1()
+		return experiments.Table1Rows(rows), err
+	}},
+	{"fig14", "fig14", func(p params) (result, error) { return experiments.RunFig14(p.scale, p.seed) }},
+	{"fig15", "fig15", func(p params) (result, error) { return experiments.RunFig15(p.seed) }},
+	{"fig16", "fig16", func(p params) (result, error) { return experiments.RunFig16(p.trials, p.workers) }},
+	{"recirc", "recirc", func(params) (result, error) { return experiments.RunRecirculation() }},
+	{"freshness", "freshness", func(params) (result, error) { return experiments.RunFreshness() }},
+	{"ablations", "ablations", func(params) (result, error) { return experiments.RunAblations() }},
+	{"faults", "faults", func(p params) (result, error) { return experiments.RunFaultSweep(p.seed) }},
+	{"fig-takeover", "takeover", func(p params) (result, error) { return experiments.RunTakeover(p.seed) }},
+	{"fig-ctlchan", "ctlchan", func(p params) (result, error) { return experiments.RunCtlchan(p.seed) }},
+	{"fig-fabric", "fabric", func(p params) (result, error) { return experiments.RunFabric(p.seed, p.workers) }},
+	{"fig-reroute", "reroute", func(p params) (result, error) { return experiments.RunReroute(p.seed, p.workers) }},
+	{"fig-place", "place", func(p params) (result, error) {
 		res, err := experiments.RunPlacement()
-		if err != nil {
-			return "", nil, err
+		if err == nil && p.jsonDir != "" {
+			err = os.WriteFile(filepath.Join(p.jsonDir, placementReport), []byte(res.LeafReport), 0o644)
 		}
-		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "PLACEMENT_fabric_leaf.txt")
-			if err := os.WriteFile(path, []byte(res.LeafReport), 0o644); err != nil {
-				return "", nil, err
-			}
+		return res, err
+	}},
+}
+
+// run is the command. It returns the exit code — 0 on success, 1 if an
+// experiment failed, 2 for a usage error: a flag that does not parse or
+// is out of range, or a -run name that is not an experiment (nothing runs
+// in that case) — and each successful experiment's result by name.
+func run(args []string, stdout, stderr io.Writer) (int, map[string]result) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "all", "comma-separated experiments, or all (an unknown name lists the valid ones)")
+	var p params
+	fs.Float64Var(&p.scale, "scale", 0.05, "fig14 trace scale in (0,1] relative to one full CAIDA block (8.9M packets)")
+	fs.IntVar(&p.trials, "trials", 5, "fig16 trials per parameter point (at least 1)")
+	fs.IntVar(&p.workers, "parallel", runtime.GOMAXPROCS(0), "max simulation trials in flight at once (1 = serial; results are identical at any value)")
+	fs.Int64Var(&p.seed, "seed", 1, "random seed")
+	fs.StringVar(&p.jsonDir, "json", "", "directory to write BENCH_<name>.json machine-readable results into (created if missing)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
 		}
-		return experiments.FormatPlacement(res), res, nil
-	})
+		return 2, nil
+	}
+	if p.trials < 1 {
+		fmt.Fprintf(stderr, "experiments: -trials %d, want at least 1\n", p.trials)
+		return 2, nil
+	}
+	if !(p.scale > 0 && p.scale <= 1) {
+		fmt.Fprintf(stderr, "experiments: -scale %v out of (0,1]\n", p.scale)
+		return 2, nil
+	}
 
 	valid := []string{"all"}
 	known := map[string]bool{"all": true}
-	for _, st := range steps {
-		valid = append(valid, st.name)
-		known[st.name] = true
+	for _, e := range registry {
+		valid = append(valid, e.name)
+		known[e.name] = true
 	}
 	want := map[string]bool{}
 	var unknown []string
@@ -222,45 +141,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(unknown) > 0 {
 		fmt.Fprintf(stderr, "experiments: unknown experiment %s; valid names: %s\n",
 			strings.Join(unknown, ", "), strings.Join(valid, ", "))
-		return 2
+		return 2, nil
 	}
-	all := want["all"]
 
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
+	if p.jsonDir != "" {
+		if err := os.MkdirAll(p.jsonDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "json dir: %v\n", err)
-			return 1
+			return 1, nil
 		}
 	}
+	results := map[string]result{}
 	failed := false
-	for _, st := range steps {
-		if !all && !want[st.name] {
+	for _, e := range registry {
+		if !want["all"] && !want[e.name] {
 			continue
 		}
-		out, val, err := st.fn()
+		res, err := e.run(p)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", st.name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
 			failed = true
 			continue
 		}
-		fmt.Fprintln(stdout, out)
-		if *jsonDir == "" || val == nil {
+		results[e.name] = res
+		fmt.Fprintln(stdout, experiments.Text(res.Tables()))
+		if p.jsonDir == "" {
 			continue
 		}
-		buf, err := json.MarshalIndent(val, "", "  ")
+		buf, err := json.MarshalIndent(res, "", "  ")
+		if err == nil {
+			err = os.WriteFile(filepath.Join(p.jsonDir, "BENCH_"+e.jsonName+".json"), append(buf, '\n'), 0o644)
+		}
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: marshal: %v\n", st.name, err)
-			failed = true
-			continue
-		}
-		path := filepath.Join(*jsonDir, "BENCH_"+st.jsonName+".json")
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", st.name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
 			failed = true
 		}
 	}
 	if failed {
-		return 1
+		return 1, results
 	}
-	return 0
+	return 0, results
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/baseline"
@@ -214,17 +213,26 @@ func RunAblations() (*AblationResult, error) {
 	return res, nil
 }
 
-// FormatAblations renders the ablation summary.
-func FormatAblations(r *AblationResult) string {
-	var b strings.Builder
-	b.WriteString("Ablations — design choices called out in DESIGN.md\n\n")
-	fmt.Fprintf(&b, "One-entry change in a %d-entry configuration:\n", r.ConfigSize)
-	fmt.Fprintf(&b, "  Mantis three-phase: %3d driver ops, iteration latency %v\n", r.ThreePhaseOps, r.ThreePhaseTime)
-	fmt.Fprintf(&b, "  Two-phase reinstall: %3d driver ops, %v\n\n", r.TwoPhaseOps, r.TwoPhaseTime)
-	b.WriteString("Dialogue iteration latency vs driver optimizations:\n")
-	fmt.Fprintf(&b, "  memoization + batching: %v\n", r.IterOptimized)
-	fmt.Fprintf(&b, "  no memoization:         %v\n", r.IterNoMemo)
-	fmt.Fprintf(&b, "  no batching:            %v\n", r.IterNoBatch)
-	fmt.Fprintf(&b, "  neither:                %v\n", r.IterNeither)
-	return b.String()
+// Tables is the update-protocol comparison and the driver-optimization
+// ablation.
+func (r *AblationResult) Tables() []Table {
+	proto := Table{Title: fmt.Sprintf("Ablations — one-entry change in a %d-entry configuration", r.ConfigSize),
+		Columns: []string{"update protocol", "driver ops", "latency"},
+		Rows: [][]string{
+			row("Mantis three-phase (iteration)", r.ThreePhaseOps, r.ThreePhaseTime),
+			row("two-phase full reinstall", r.TwoPhaseOps, r.TwoPhaseTime),
+		},
+		Notes: []string{fmt.Sprintf("three-phase issues %.1fx fewer driver ops", float64(r.TwoPhaseOps)/float64(r.ThreePhaseOps))},
+	}
+	drv := Table{Title: "Ablations — dialogue iteration latency vs driver optimizations",
+		Columns: []string{"driver", "iteration"},
+		Rows: [][]string{
+			row("memoization + batching", r.IterOptimized),
+			row("no memoization", r.IterNoMemo),
+			row("no batching", r.IterNoBatch),
+			row("neither", r.IterNeither),
+		},
+		Notes: []string{fmt.Sprintf("both optimizations together: %.2fx faster than neither", float64(r.IterNeither)/float64(r.IterOptimized))},
+	}
+	return []Table{proto, drv}
 }

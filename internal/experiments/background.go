@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/p4"
@@ -21,13 +20,16 @@ type RecircRow struct {
 	UsableThroughput float64
 }
 
+// RecircRows is the recirculation study.
+type RecircRows []RecircRow
+
 // RunRecirculation quantifies §2's workaround cost: each recirculation
 // pass consumes pipeline capacity, so recirculating every packet N
 // times divides usable throughput by ~(N+1). The paper cites 38% at two
 // and 16% at three recirculations on real hardware (where additional
 // overheads apply); the model reproduces the sharp 1/(N+1) decay.
-func RunRecirculation() ([]RecircRow, error) {
-	var rows []RecircRow
+func RunRecirculation() (RecircRows, error) {
+	var rows RecircRows
 	for _, n := range []int{0, 1, 2, 3} {
 		prog := p4.NewProgram("recirc")
 		prog.DefineStandardMetadata()
@@ -93,15 +95,14 @@ func RunRecirculation() ([]RecircRow, error) {
 	return rows, nil
 }
 
-// FormatRecirculation renders the recirculation study.
-func FormatRecirculation(rows []RecircRow) string {
-	var b strings.Builder
-	b.WriteString("§2 background — usable throughput vs per-packet recirculations\n")
-	fmt.Fprintf(&b, "%8s %12s\n", "recircs", "throughput")
+// Tables is the throughput per recirculation count.
+func (rows RecircRows) Tables() []Table {
+	t := Table{Title: "§2 background — usable throughput vs per-packet recirculations",
+		Columns: []string{"recirculations", "usable throughput"}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %11.0f%%\n", r.Recirculations, r.UsableThroughput*100)
+		t.Rows = append(t.Rows, row(r.Recirculations, fmt.Sprintf("%.0f%%", r.UsableThroughput*100)))
 	}
-	return b.String()
+	return []Table{t}
 }
 
 // ---- §4.2 R3: pull-based polling vs digest export freshness ----
@@ -169,11 +170,11 @@ func RunFreshness() (*FreshnessResult, error) {
 	}, nil
 }
 
-// FormatFreshness renders the freshness comparison.
-func FormatFreshness(r *FreshnessResult) string {
-	var b strings.Builder
-	b.WriteString("§4.2 R3 — measurement freshness: pull-based polling vs digest export\n")
-	fmt.Fprintf(&b, "  Mantis poll staleness:  %v\n", r.PollStaleness)
-	fmt.Fprintf(&b, "  digest-queue staleness: %v\n", r.DigestStaleness)
-	return b.String()
+// Tables is the staleness distribution of each model.
+func (r *FreshnessResult) Tables() []Table {
+	return []Table{{
+		Title:   "§4.2 R3 — measurement staleness: pull-based polling vs digest export",
+		Columns: append([]string{"model"}, durColumns...),
+		Rows:    [][]string{durRow("Mantis poll", r.PollStaleness), durRow("digest queue", r.DigestStaleness)},
+	}}
 }

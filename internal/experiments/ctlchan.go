@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -264,22 +263,22 @@ func RunCtlchan(seed int64) (*CtlchanResult, error) {
 	return res, nil
 }
 
-// FormatCtlchan renders both sweeps.
-func FormatCtlchan(res *CtlchanResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Message control channel — reaction latency vs. loss (%v one-way link)\n", res.LinkDelay)
-	fmt.Fprintf(&b, "%7s %6s %7s %6s %7s %6s %6s %9s %9s %9s %7s %5s\n",
-		"loss", "iters", "commits", "degr", "retx", "tmo", "dedup", "mean", "p99", "max", "p99/0%", "viol")
+// Tables is the loss sweep and the partition-heal summary.
+func (res *CtlchanResult) Tables() []Table {
+	loss := Table{Title: fmt.Sprintf("Message control channel — reaction latency vs loss (%v one-way link)", res.LinkDelay),
+		Columns: []string{"loss", "iterations", "commits", "degraded", "retransmits", "timeouts", "dedup hits",
+			"mean", "p99", "max", "p99 vs 0%", "violations"}}
 	for _, p := range res.Points {
-		fmt.Fprintf(&b, "%6.1f%% %6d %7d %6d %7d %6d %6d %9v %9v %9v %6.2fx %5d\n",
-			p.Loss*100, p.Iterations, p.Commits, p.Degraded, p.Retransmits, p.Timeouts, p.DedupHits,
-			p.Latency.Mean, p.Latency.P99, p.Latency.Max, p.P99VsClean, p.Violations)
+		loss.Rows = append(loss.Rows, row(fmt.Sprintf("%.1f%%", p.Loss*100), p.Iterations, p.Commits, p.Degraded,
+			p.Retransmits, p.Timeouts, p.DedupHits, p.Latency.Mean, p.Latency.P99, p.Latency.Max,
+			fmt.Sprintf("%.2fx", p.P99VsClean), p.Violations))
 	}
 	pr := res.Partition
-	b.WriteString("\nPartition-heal recovery (300µs partitions every 700µs, one session throughout):\n")
-	fmt.Fprintf(&b, "  %d partitions healed; heal-to-commit: mean %v, p99 %v, max %v\n",
-		pr.Partitions, pr.Recovery.Mean, pr.Recovery.P99, pr.Recovery.Max)
-	fmt.Fprintf(&b, "  resyncs %d, degraded ops %d, commits %d, epoch %d, violations %d/%d\n",
-		pr.Resyncs, pr.Timeouts, pr.Commits, pr.SessionEpoch, pr.Violations, pr.Packets)
-	return b.String()
+	part := Table{Title: "Partition-heal recovery (300µs partitions every 700µs, one session throughout)",
+		Columns: []string{"partitions healed", "heal→commit mean", "p99", "max", "resyncs", "degraded ops",
+			"commits", "epoch", "violations", "packets"},
+		Rows: [][]string{row(pr.Partitions, pr.Recovery.Mean, pr.Recovery.P99, pr.Recovery.Max, pr.Resyncs,
+			pr.Timeouts, pr.Commits, pr.SessionEpoch, pr.Violations, pr.Packets)},
+	}
+	return []Table{loss, part}
 }

@@ -5,11 +5,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/usecases"
 )
+
+// column returns the cells of tab under the column headed name.
+func column(t *testing.T, tab Table, name string) []string {
+	t.Helper()
+	c := slices.Index(tab.Columns, name)
+	if c < 0 {
+		t.Fatalf("%q has no column %q: %q", tab.Title, name, tab.Columns)
+	}
+	var cells []string
+	for _, r := range tab.Rows {
+		cells = append(cells, r[c])
+	}
+	return cells
+}
 
 func TestFig10aShapes(t *testing.T) {
 	rows, err := RunFig10a()
@@ -33,9 +50,6 @@ func TestFig10aShapes(t *testing.T) {
 	if regSlope < 10 || regSlope > 100 {
 		t.Fatalf("register marginal cost %.1f ns/B, want 10s of ns", regSlope)
 	}
-	if FormatFig10a(rows) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 func TestFig10bShapes(t *testing.T) {
@@ -53,9 +67,6 @@ func TestFig10bShapes(t *testing.T) {
 	wantRatio := float64(last.Updates) / float64(first.Updates)
 	if ratio < wantRatio*0.9 || ratio > wantRatio*1.1 {
 		t.Fatalf("table latency ratio %.1f, want ~%.0f (linear)", ratio, wantRatio)
-	}
-	if FormatFig10b(rows) == "" {
-		t.Fatal("format empty")
 	}
 }
 
@@ -84,9 +95,6 @@ func TestFig11Tradeoff(t *testing.T) {
 			t.Fatalf("at %.0f%% utilization the reaction period is %v", r.Utilization*100, r.ReactionPeriod)
 		}
 	}
-	if FormatFig11(rows) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 func TestFig12Contention(t *testing.T) {
@@ -111,20 +119,14 @@ func TestFig12Contention(t *testing.T) {
 	if res.With.Max <= res.With.Min {
 		t.Fatal("no bimodality under contention")
 	}
-	if FormatFig12(res) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 func TestFig13Shapes(t *testing.T) {
-	a, err := RunFig13a(32)
+	res, err := RunFig13()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFig13b(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := res.A, res.B
 	// 13a at occupancy 1024: write grows ~linearly in A; read grows
 	// super-linearly (quadratic term from A extra ternary columns).
 	var w2, w8, r2, r8 int
@@ -154,9 +156,6 @@ func TestFig13Shapes(t *testing.T) {
 	if b[len(b)-1].ReadTCAMBits <= b[0].ReadTCAMBits {
 		t.Fatalf("read TCAM not increasing with width: %+v", b)
 	}
-	if FormatFig13(a, b) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 func TestFig14SmallScale(t *testing.T) {
@@ -170,19 +169,23 @@ func TestFig14SmallScale(t *testing.T) {
 	if len(res.Results) != 6 {
 		t.Fatalf("results = %d", len(res.Results))
 	}
-	out := FormatFig14(res)
-	if !strings.Contains(out, "mantis") || !strings.Contains(out, "count-min/16K") {
-		t.Fatalf("format incomplete:\n%s", out)
+	estimators := column(t, res.Tables()[0], "estimator")
+	if !slices.Contains(estimators, "mantis") || !slices.Contains(estimators, "count-min/16K") {
+		t.Fatalf("estimator column incomplete: %q", estimators)
 	}
 }
 
 func TestTable1Report(t *testing.T) {
-	out, err := RunTable1()
+	rows, err := usecases.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Hash polarization") {
-		t.Fatalf("incomplete:\n%s", out)
+	tab := Table1Rows(rows).Tables()[0]
+	if names := column(t, tab, "use case"); !slices.Contains(names, "Hash polarization mitigation") {
+		t.Fatalf("use cases incomplete: %q", names)
+	}
+	if got := column(t, tab, "P4R LoC")[2]; got != fmt.Sprint(rows[2].P4RLoC) {
+		t.Fatalf("P4R LoC cell %q, want %d", got, rows[2].P4RLoC)
 	}
 }
 
@@ -205,16 +208,16 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("neither %v should be slowest (%v, %v)",
 			res.IterNeither, res.IterNoMemo, res.IterNoBatch)
 	}
-	if FormatAblations(res) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 func TestFig16Sweep(t *testing.T) {
+	if _, err := RunFig16(0, 1); err == nil {
+		t.Error("a sweep of 0 trials per point succeeded")
+	}
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	s, err := RunFig16(3)
+	s, err := RunFig16(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +244,6 @@ func TestFig16Sweep(t *testing.T) {
 	if float64(maxM) > 4*float64(minM) {
 		t.Fatalf("eta impact too large: %v .. %v", minM, maxM)
 	}
-	if FormatFig16(s) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 // TestFig16ParallelDeterminism: the worker-pool fan-out must be
@@ -253,11 +253,11 @@ func TestFig16ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	serial, err := RunFig16Parallel(2, 1)
+	serial, err := RunFig16(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFig16Parallel(2, 4)
+	par, err := RunFig16(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +315,12 @@ func TestFig15Report(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatFig15(r)
-	if !strings.Contains(out, "mitigation install") {
-		t.Fatalf("incomplete:\n%s", out)
+	if r.BlockedAt == 0 {
+		t.Fatal("the flood was never blocked")
+	}
+	timeline := r.Tables()[0]
+	if got := column(t, timeline, "mitigation install")[0]; got != r.BlockedAt.String() {
+		t.Fatalf("mitigation install cell %q, want %v", got, r.BlockedAt)
 	}
 }
 
@@ -347,9 +350,6 @@ func TestRecirculationThroughput(t *testing.T) {
 			t.Fatalf("throughput not decreasing: %+v", rows)
 		}
 	}
-	if FormatRecirculation(rows) == "" {
-		t.Fatal("format empty")
-	}
 }
 
 // TestMeasurementFreshness: §4.2 R3 — polled data is as fresh as the
@@ -366,8 +366,5 @@ func TestMeasurementFreshness(t *testing.T) {
 	if r.DigestStaleness.P99 < 100*r.PollStaleness.Max {
 		t.Fatalf("digest staleness %v not orders beyond poll staleness %v",
 			r.DigestStaleness.P99, r.PollStaleness.Max)
-	}
-	if FormatFreshness(r) == "" {
-		t.Fatal("format empty")
 	}
 }

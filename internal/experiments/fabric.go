@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/fabric"
@@ -169,19 +168,20 @@ func fabricHHRecall(d *fabric.DosFabric, k int) float64 {
 	return float64(hits) / float64(k)
 }
 
-// FormatFabric renders the sweep.
-func FormatFabric(res *FabricResult) string {
-	var b strings.Builder
-	b.WriteString("Fabric-wide reaction — DoS escalation across a leaf–spine fabric\n")
-	fmt.Fprintf(&b, "%8s %3s %8s %10s %10s %10s %8s %8s %7s %7s %9s\n",
-		"fabric", "sw", "detect", "to-spines", "to-all", "suppress", "arrives", "hh-rec", "events", "blocks", "installs")
-	for _, p := range res.Points {
-		fmt.Fprintf(&b, "%7dx%-3d%2d %8v %10v %10v %9.1f%% %8d %7.0f%% %7d %7d %9d\n",
-			p.Leaves, p.Spines, p.Switches, p.DetectLatency, p.SpineLatency, p.FullLatency,
-			p.Suppression*100, p.AttackArrivals, p.HHRecall*100, p.Events, p.Blocks, p.FilterInstalls)
+// Tables is the sweep.
+func (res *FabricResult) Tables() []Table {
+	t := Table{Title: "Fabric-wide reaction — DoS escalation across a leaf–spine fabric",
+		Columns: []string{"fabric", "switches", "detect", "to-spines", "to-all", "suppress", "attack arrivals",
+			"hh recall", "events", "blocks", "installs"},
+		Notes: []string{"detect: flood start → victim leaf's local block; to-spines: block → last spine filter " +
+			"committed (upstream path cut); to-all: block → every switch filtered. suppress: attack arrival-rate " +
+			"drop at the victim leaf's trunks. hh recall: the coordinator's merged benign top-k against " +
+			"delivered-bytes truth."},
 	}
-	b.WriteString("\ndetect: flood start → victim leaf's local block; to-spines: block → last\n")
-	b.WriteString("spine filter committed (upstream path cut); to-all: block → every switch\n")
-	b.WriteString("filtered. suppress: attack arrival-rate drop at the victim leaf's trunks.\n")
-	return b.String()
+	for _, p := range res.Points {
+		t.Rows = append(t.Rows, row(fmt.Sprintf("%dx%d", p.Leaves, p.Spines), p.Switches, p.DetectLatency,
+			p.SpineLatency, p.FullLatency, fmt.Sprintf("%.1f%%", p.Suppression*100), p.AttackArrivals,
+			fmt.Sprintf("%.0f%% of %d", p.HHRecall*100, p.HHK), p.Events, p.Blocks, p.FilterInstalls))
+	}
+	return []Table{t}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -47,13 +46,16 @@ type FaultRow struct {
 	TakeoverMTTR    time.Duration
 }
 
+// FaultRows is the fault sweep, one row per profile.
+type FaultRows []FaultRow
+
 // RunFaultSweep runs the chaos scenario once per fault profile: the
 // agent (with DefaultRecovery) updates two tables in lockstep every
 // iteration while the injector disturbs the driver channel, and every
 // forwarded packet checks that it observed a consistent (vv, config)
 // snapshot.
-func RunFaultSweep(seed int64) ([]FaultRow, error) {
-	var rows []FaultRow
+func RunFaultSweep(seed int64) (FaultRows, error) {
+	var rows FaultRows
 	for _, prof := range faults.Profiles() {
 		var row *FaultRow
 		var err error
@@ -153,35 +155,25 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 	return row, nil
 }
 
-// FormatFaultSweep renders the sweep as a table.
-func FormatFaultSweep(rows []FaultRow) string {
-	var b strings.Builder
-	b.WriteString("Fault injection sweep — dialogue robustness under driver-channel faults\n")
-	b.WriteString("(two-table lockstep updates; every packet audits cross-table consistency)\n\n")
-	fmt.Fprintf(&b, "%-14s %6s %7s %7s %6s %6s %5s %5s %8s %8s %10s %6s\n",
-		"profile", "iters", "commits", "retries", "rollbk", "abandn", "wdog", "degr",
-		"inj.err", "inj.flt", "iter p99", "viol")
-	for _, r := range rows {
-		otherFaults := r.InjectedSpikes + r.PartialBatches + r.StuckWaits
-		fmt.Fprintf(&b, "%-14s %6d %7d %7d %6d %6d %5d %5d %8d %8d %10v %6d\n",
-			r.Profile, r.Iterations, r.Commits, r.Retries, r.Rollbacks, r.Abandoned,
-			r.WatchdogTrips, r.Degraded, r.InjectedErrors, otherFaults,
-			r.IterLatency.P99, r.Violations)
+// Tables is the per-profile recovery counters and latency, and the
+// takeover verdict of the crash profiles.
+func (rows FaultRows) Tables() []Table {
+	sweep := Table{Title: "Fault injection sweep — dialogue robustness under driver-channel faults",
+		Columns: []string{"profile", "iterations", "commits", "retries", "rollbacks", "abandoned", "watchdog",
+			"degraded", "injected errors", "other faults", "iter mean", "iter p99", "packets", "violations"},
+		Notes: []string{"Two-table lockstep updates; every packet audits cross-table consistency. " +
+			"A crash profile kills the primary: its counters are the standby successor's."},
 	}
-	b.WriteString("\nmean iteration latency per profile:\n")
+	crash := Table{Title: "Fault injection sweep — crash profiles (standby takeover)",
+		Columns: []string{"profile", "outcome", "MTTR"}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s mean %v, p99 %v over %d iterations (%d packets audited)\n",
-			r.Profile, r.IterLatency.Mean, r.IterLatency.P99, r.IterLatency.Count, r.Packets)
-	}
-	crashed := false
-	for _, r := range rows {
+		sweep.Rows = append(sweep.Rows, row(r.Profile, r.Iterations, r.Commits, r.Retries, r.Rollbacks,
+			r.Abandoned, r.WatchdogTrips, r.Degraded, r.InjectedErrors,
+			r.InjectedSpikes+r.PartialBatches+r.StuckWaits, r.IterLatency.Mean, r.IterLatency.P99,
+			r.Packets, r.Violations))
 		if r.Crashes > 0 {
-			if !crashed {
-				b.WriteString("\ncrash profiles (standby takeover; counters are the successor's):\n")
-				crashed = true
-			}
-			fmt.Fprintf(&b, "  %-14s outcome %-22s MTTR %v\n", r.Profile, r.TakeoverOutcome, r.TakeoverMTTR)
+			crash.Rows = append(crash.Rows, row(r.Profile, r.TakeoverOutcome, r.TakeoverMTTR))
 		}
 	}
-	return b.String()
+	return []Table{sweep, crash}
 }

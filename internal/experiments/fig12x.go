@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/compiler"
@@ -90,7 +89,6 @@ func runFig12xCell(nClients int, policy ctlplane.Policy, dur time.Duration) (*Fi
 
 	var legacyLats []time.Duration
 	for c := 0; c < nClients; c++ {
-		c := c
 		sess, err := svc.Open(ctlplane.SessionOptions{
 			Name: fmt.Sprintf("legacy%d", c), Role: ctlplane.RoleLegacy,
 		})
@@ -130,29 +128,22 @@ func runFig12xCell(nClients int, policy ctlplane.Policy, dur time.Duration) (*Fi
 	}, nil
 }
 
-// FormatFig12x renders the sweep as one table per policy plus the
-// headline priority-vs-FIFO comparison at the largest client count.
-func FormatFig12x(r *Fig12xResult) string {
-	var b strings.Builder
-	b.WriteString("Fig 12x — dialogue vs legacy latency, N legacy clients × scheduling policy\n")
-	fmt.Fprintf(&b, "%10s %4s %14s %14s %14s %14s %9s\n",
-		"policy", "N", "dialogue p50", "dialogue p99", "legacy p50", "legacy p99", "rejected")
+// Tables is the sweep plus the headline priority-vs-FIFO comparison at
+// the largest client count.
+func (r *Fig12xResult) Tables() []Table {
+	t := Table{Title: "Fig 12x — dialogue vs legacy latency, N legacy clients × scheduling policy",
+		Columns: []string{"policy", "N", "dialogue p50", "dialogue p99", "legacy p50", "legacy p99", "rejected"}}
 	maxN := 0
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%10s %4d %14v %14v %14v %14v %9d\n",
-			row.Policy, row.Clients,
-			row.Dialogue.Median, row.Dialogue.P99,
-			row.Legacy.Median, row.Legacy.P99, row.Rejected)
-		if row.Clients > maxN {
-			maxN = row.Clients
-		}
+	for _, rw := range r.Rows {
+		t.Rows = append(t.Rows, row(rw.Policy, rw.Clients, rw.Dialogue.Median, rw.Dialogue.P99,
+			rw.Legacy.Median, rw.Legacy.P99, rw.Rejected))
+		maxN = max(maxN, rw.Clients)
 	}
 	pr, ff := r.row(maxN, ctlplane.PolicyPriority.String()), r.row(maxN, ctlplane.PolicyFIFO.String())
 	if pr != nil && ff != nil && pr.Dialogue.Median > 0 {
-		fmt.Fprintf(&b, "at N=%d: FIFO dialogue p50 is %.2fx priority's, p99 %.2fx\n",
-			maxN,
-			float64(ff.Dialogue.Median)/float64(pr.Dialogue.Median),
-			float64(ff.Dialogue.P99)/float64(pr.Dialogue.P99))
+		t.Notes = append(t.Notes, fmt.Sprintf("at N=%d: FIFO dialogue p50 is %.2fx priority's, p99 %.2fx",
+			maxN, float64(ff.Dialogue.Median)/float64(pr.Dialogue.Median),
+			float64(ff.Dialogue.P99)/float64(pr.Dialogue.P99)))
 	}
-	return b.String()
+	return []Table{t}
 }

@@ -56,7 +56,4 @@ func TestFig12xPriorityBeatsFIFO(t *testing.T) {
 	if p8.Legacy.Count < 100 {
 		t.Fatalf("legacy starved under priority: %d ops", p8.Legacy.Count)
 	}
-	if FormatFig12x(res) == "" {
-		t.Fatal("format empty")
-	}
 }

@@ -19,6 +19,12 @@ type Fig13Row struct {
 	ReadTCAMBits  int
 }
 
+// Fig13Result is both Fig. 13 sweeps.
+type Fig13Result struct {
+	A []Fig13Row `json:"a"`
+	B []Fig13Row `json:"b"`
+}
+
 // fig13Src generates the benchmark program for a given width and alt
 // count: the malleable field's alternatives are K-bit header fields.
 func fig13Src(width, alts int) string {
@@ -72,35 +78,29 @@ control ingress { apply(tblWriteX); apply(tblReadX); }
 	return b.String()
 }
 
-// RunFig13a sweeps the alternative count A at fixed width for both
-// occupancies (512 and 1024 user entries): tblWriteX grows linearly in
-// A, tblReadX asymptotically quadratically.
-func RunFig13a(width int) ([]Fig13Row, error) {
-	var rows []Fig13Row
+// RunFig13 sweeps the alternative count A at K=32 for both occupancies
+// (Fig. 13a: tblWriteX grows linearly in A, tblReadX asymptotically
+// quadratically), then the field width K at A=4 and occupancy 1024
+// (Fig. 13b: tblReadX usage is proportional to K, tblWriteX constant).
+func RunFig13() (*Fig13Result, error) {
+	res := &Fig13Result{}
 	for _, alts := range []int{2, 3, 4, 5, 6, 7, 8} {
 		for _, occ := range []int{512, 1024} {
-			row, err := fig13Point(width, alts, occ)
+			row, err := fig13Point(32, alts, occ)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, *row)
+			res.A = append(res.A, *row)
 		}
 	}
-	return rows, nil
-}
-
-// RunFig13b sweeps the field width K at fixed A: tblReadX usage is
-// proportional to K; tblWriteX is constant in K.
-func RunFig13b(alts int) ([]Fig13Row, error) {
-	var rows []Fig13Row
 	for _, width := range []int{8, 16, 32, 48, 64} {
-		row, err := fig13Point(width, alts, 1024)
+		row, err := fig13Point(width, 4, 1024)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, *row)
+		res.B = append(res.B, *row)
 	}
-	return rows, nil
+	return res, nil
 }
 
 func fig13Point(width, alts, occupancy int) (*Fig13Row, error) {
@@ -127,20 +127,29 @@ func fig13Point(width, alts, occupancy int) (*Fig13Row, error) {
 	return row, nil
 }
 
-// FormatFig13 renders the TCAM-usage tables.
-func FormatFig13(a []Fig13Row, b []Fig13Row) string {
-	var out strings.Builder
-	out.WriteString("Fig 13a — TCAM usage vs alternatives (K=32)\n")
-	fmt.Fprintf(&out, "%5s %6s %10s %14s %14s\n", "alts", "width", "occupancy", "tblWriteX(Kb)", "tblReadX(Kb)")
-	for _, r := range a {
-		fmt.Fprintf(&out, "%5d %6d %10d %14.0f %14.0f\n", r.Alts, r.Width, r.Occupancy,
-			float64(r.WriteTCAMBits)/1024, float64(r.ReadTCAMBits)/1024)
+// Tables is one table per sweep; Fig. 13a's note is the growth of both
+// tables from the fewest to the most alternatives at occupancy 1024.
+func (r *Fig13Result) Tables() []Table {
+	sweep := func(title string, rows []Fig13Row) Table {
+		t := Table{Title: title, Columns: []string{"alts", "width", "occupancy", "tblWriteX (Kb)", "tblReadX (Kb)"}}
+		for _, r := range rows {
+			t.Rows = append(t.Rows, row(r.Alts, r.Width, r.Occupancy,
+				fmt.Sprintf("%.0f", float64(r.WriteTCAMBits)/1024), fmt.Sprintf("%.0f", float64(r.ReadTCAMBits)/1024)))
+		}
+		return t
 	}
-	out.WriteString("\nFig 13b — TCAM usage vs field width (A=4, occupancy 1024)\n")
-	fmt.Fprintf(&out, "%5s %6s %10s %14s %14s\n", "alts", "width", "occupancy", "tblWriteX(Kb)", "tblReadX(Kb)")
-	for _, r := range b {
-		fmt.Fprintf(&out, "%5d %6d %10d %14.0f %14.0f\n", r.Alts, r.Width, r.Occupancy,
-			float64(r.WriteTCAMBits)/1024, float64(r.ReadTCAMBits)/1024)
+	a := sweep("Fig 13a — TCAM usage vs alternatives (K=32)", r.A)
+	var lo, hi Fig13Row // occupancy 1024 at the fewest and the most alternatives
+	for _, p := range r.A {
+		if p.Occupancy == 1024 && (lo.Alts == 0 || p.Alts < lo.Alts) {
+			lo = p
+		}
+		if p.Occupancy == 1024 && p.Alts > hi.Alts {
+			hi = p
+		}
 	}
-	return out.String()
+	a.Notes = []string{fmt.Sprintf("A=%d→%d at occupancy 1024: tblWriteX grows %.2fx, tblReadX %.2fx",
+		lo.Alts, hi.Alts, float64(hi.WriteTCAMBits)/float64(lo.WriteTCAMBits),
+		float64(hi.ReadTCAMBits)/float64(lo.ReadTCAMBits))}
+	return []Table{a, sweep("Fig 13b — TCAM usage vs field width (A=4, occupancy 1024)", r.B)}
 }

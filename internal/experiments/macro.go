@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/baseline"
@@ -63,60 +62,54 @@ func RunFig14(scale float64, seed int64) (*Fig14Result, error) {
 	return res, nil
 }
 
-// FormatFig14 renders the per-bucket mean relative errors.
-func FormatFig14(r *Fig14Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 14 — mean relative estimation error (%d flows, %d packets)\n", r.TraceFlows, r.TracePackets)
-	if len(r.Results) == 0 {
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-16s", "estimator")
-	for _, bk := range r.Results[0].Buckets {
-		fmt.Fprintf(&b, " %12s", bk)
-	}
-	b.WriteString("\n")
+// Tables is the per-bucket mean relative error of every estimator.
+func (r *Fig14Result) Tables() []Table {
+	t := Table{Title: fmt.Sprintf("Fig 14 — mean relative estimation error (%d flows, %d packets)", r.TraceFlows, r.TracePackets),
+		Columns: append([]string{"estimator"}, r.Results[0].Buckets...)}
+	// Repeated estimators are told apart by size.
+	sized := map[int]string{2: "count-min/8K", 3: "count-min/16K", 4: "hashtable/8K", 5: "hashtable/16K"}
 	for i, res := range r.Results {
-		name := res.Name
-		// Disambiguate repeated estimators by size.
-		switch i {
-		case 2:
-			name = "count-min/8K"
-		case 3:
-			name = "count-min/16K"
-		case 4:
-			name = "hashtable/8K"
-		case 5:
-			name = "hashtable/16K"
+		name, ok := sized[i]
+		if !ok {
+			name = res.Name
 		}
-		fmt.Fprintf(&b, "%-16s", name)
+		cells := []string{name}
 		for _, e := range res.MeanErr {
-			fmt.Fprintf(&b, " %12.4f", e)
+			cells = append(cells, fmt.Sprintf("%.4f", e))
 		}
-		b.WriteString("\n")
+		t.Rows = append(t.Rows, cells)
 	}
-	return b.String()
+	return []Table{t}
 }
 
-// RunFig15 wraps the use-case runner.
-func RunFig15(seed int64) (*usecases.Fig15Result, error) {
-	return usecases.RunFig15(usecases.DefaultFig15Config(), seed)
+// Fig15Result is the DoS timeline of usecases.RunFig15; its JSON is that
+// type's.
+type Fig15Result usecases.Fig15Result
+
+// RunFig15 runs the use case at its default configuration.
+func RunFig15(seed int64) (*Fig15Result, error) {
+	r, err := usecases.RunFig15(usecases.DefaultFig15Config(), seed)
+	return (*Fig15Result)(r), err
 }
 
-// FormatFig15 renders the DoS timeline.
-func FormatFig15(r *usecases.Fig15Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 15 — DoS mitigation timeline\n")
-	fmt.Fprintf(&b, "  flood start:        %v\n", r.FloodStart)
-	fmt.Fprintf(&b, "  mitigation install: %v (detection latency %v)\n", r.BlockedAt, r.DetectionLatency)
-	fmt.Fprintf(&b, "  benign goodput:     pre %.2f Gbps | during flood %.2f Gbps | recovered %.2f Gbps\n",
-		r.PreGbps, r.FloodGbps, r.PostGbps)
-	starts, sums := r.Goodput.Bucketize(300 * time.Microsecond)
-	b.WriteString("  goodput (Gbps per 300µs bucket):\n")
+// fig15Bucket is the width of the goodput timeline's buckets.
+const fig15Bucket = 300 * time.Microsecond
+
+// Tables is the mitigation timeline and the benign goodput per bucket.
+func (r *Fig15Result) Tables() []Table {
+	head := Table{Title: "Fig 15 — DoS mitigation timeline",
+		Columns: []string{"flood start", "mitigation install", "detection latency",
+			"pre (Gbps)", "during flood (Gbps)", "recovered (Gbps)"},
+		Rows: [][]string{row(r.FloodStart, r.BlockedAt, r.DetectionLatency,
+			fmt.Sprintf("%.2f", r.PreGbps), fmt.Sprintf("%.2f", r.FloodGbps), fmt.Sprintf("%.2f", r.PostGbps))},
+	}
+	series := Table{Title: fmt.Sprintf("Fig 15 — benign goodput per %v bucket", fig15Bucket),
+		Columns: []string{"bucket start", "goodput (Gbps)"}}
+	starts, sums := r.Goodput.Bucketize(fig15Bucket)
 	for i := range starts {
-		gbps := sums[i] * 8 / 300e-6 / 1e9
-		fmt.Fprintf(&b, "    t=%8v %6.2f %s\n", starts[i], gbps, strings.Repeat("#", int(gbps*4)))
+		series.Rows = append(series.Rows, row(starts[i], fmt.Sprintf("%.2f", sums[i]*8/fig15Bucket.Seconds()/1e9)))
 	}
-	return b.String()
+	return []Table{head, series}
 }
 
 // Fig16Sweep holds the reaction-time sweeps of Figs. 16a and 16b.
@@ -127,13 +120,6 @@ type Fig16Sweep struct {
 	// ByEta maps eta -> reaction-time stats at fixed Td.
 	EtaValues []float64
 	ByEta     []stats.DurationStats
-}
-
-// RunFig16 sweeps the measurement period T_d (Fig. 16a) and the
-// delivery expectation eta (Fig. 16b), with several failure phases per
-// point to capture the variance from failure position in the window.
-func RunFig16(trials int) (*Fig16Sweep, error) {
-	return RunFig16Parallel(trials, 1)
 }
 
 // fig16Point is one parameter point of the Fig. 16 sweeps.
@@ -157,12 +143,18 @@ func fig16Points() []fig16Point {
 	return pts
 }
 
-// RunFig16Parallel runs the Fig. 16 sweeps with up to workers trials in
-// flight at once. Every (parameter point, trial) pair is an independent
-// deterministic simulation seeded by its trial number, and reaction
-// times land in slices indexed by (point, trial), so the result is
-// bit-identical to the serial run (workers <= 1) for any worker count.
-func RunFig16Parallel(trials, workers int) (*Fig16Sweep, error) {
+// RunFig16 sweeps the measurement period T_d (Fig. 16a) and the
+// delivery expectation eta (Fig. 16b), with trials failure phases per
+// point to capture the variance from failure position in the window.
+// Up to workers trials are in flight at once. Every (parameter point,
+// trial) pair is an independent deterministic simulation seeded by its
+// trial number, and reaction times land in slices indexed by (point,
+// trial), so the result is bit-identical to the serial run (workers <=
+// 1) for any worker count.
+func RunFig16(trials, workers int) (*Fig16Sweep, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("trials %d, want at least 1", trials)
+	}
 	ports := []int{2, 3, 4, 5}
 	pts := fig16Points()
 	durs := make([][]time.Duration, len(pts))
@@ -200,28 +192,32 @@ func RunFig16Parallel(trials, workers int) (*Fig16Sweep, error) {
 	return sweep, nil
 }
 
-// FormatFig16 renders the gray-failure sweeps.
-func FormatFig16(s *Fig16Sweep) string {
-	var b strings.Builder
-	b.WriteString("Fig 16a — failure reaction time vs measurement period T_d (eta=0.5)\n")
-	fmt.Fprintf(&b, "%12s %12s %12s %12s\n", "T_d", "median", "min", "max")
-	for i, td := range s.TdValues {
-		fmt.Fprintf(&b, "%12v %12v %12v %12v\n", td, s.ByTd[i].Median, s.ByTd[i].Min, s.ByTd[i].Max)
+// Tables is one table per sweep.
+func (s *Fig16Sweep) Tables() []Table {
+	td := Table{Title: "Fig 16a — failure reaction time vs measurement period T_d (eta=0.5)",
+		Columns: []string{"T_d", "median", "min", "max"}}
+	for i, v := range s.TdValues {
+		td.Rows = append(td.Rows, row(v, s.ByTd[i].Median, s.ByTd[i].Min, s.ByTd[i].Max))
 	}
-	b.WriteString("\nFig 16b — failure reaction time vs eta (T_d=50µs)\n")
-	fmt.Fprintf(&b, "%12s %12s %12s %12s\n", "eta", "median", "min", "max")
-	for i, eta := range s.EtaValues {
-		fmt.Fprintf(&b, "%12.1f %12v %12v %12v\n", eta, s.ByEta[i].Median, s.ByEta[i].Min, s.ByEta[i].Max)
+	eta := Table{Title: "Fig 16b — failure reaction time vs eta (T_d=50µs)",
+		Columns: []string{"eta", "median", "min", "max"}}
+	for i, v := range s.EtaValues {
+		eta.Rows = append(eta.Rows, row(fmt.Sprintf("%.1f", v), s.ByEta[i].Median, s.ByEta[i].Min, s.ByEta[i].Max))
 	}
-	return b.String()
+	return []Table{td, eta}
 }
 
-// RunTable1 wraps the use-case inventory.
-func RunTable1() (string, error) {
-	rows, err := usecases.Table1()
-	if err != nil {
-		return "", err
+// Table1Rows is the use-case inventory of usecases.Table1.
+type Table1Rows []usecases.Table1Row
+
+// Tables is the inventory as the paper's Table 1 lays it out.
+func (rows Table1Rows) Tables() []Table {
+	t := Table{Title: "Table 1 — use-case inventory (marginal cost over a basic router)",
+		Columns: []string{"use case", "mbl values", "mbl fields", "mbl tables", "P4R LoC", "P4 LoC",
+			"stages", "tables", "registers", "SRAM (KB)", "TCAM (KB)", "metadata (b)"}}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, row(r.Name, r.MblValues, r.MblFields, r.MblTables, r.P4RLoC, r.P4LoC,
+			r.Stages, r.Tables, r.Registers, fmt.Sprintf("%.1f", r.SRAMKB), fmt.Sprintf("%.1f", r.TCAMKB), r.MetadataBits))
 	}
-	return "Table 1 — use-case inventory (marginal cost over a basic router)\n" +
-		usecases.FormatTable1(rows), nil
+	return []Table{t}
 }

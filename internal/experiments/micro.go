@@ -1,12 +1,13 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§8) against the simulated substrate. Each RunX
-// function returns a formatted report; cmd/experiments is a thin CLI
-// over them. EXPERIMENTS.md records paper-vs-measured for each.
+// function returns a result that is the experiment's JSON record and
+// yields its tables (Tables); cmd/experiments renders them as text, and
+// EXPERIMENTS.md holds their markdown rendering beside the paper's
+// claims.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/compiler"
@@ -54,13 +55,15 @@ type Fig10aRow struct {
 	RegLatency   time.Duration // one register-array range
 }
 
+// Fig10aRows is the Fig. 10a series.
+type Fig10aRows []Fig10aRow
+
 // RunFig10a measures raw measurement latency versus total state size,
 // for field arguments (one packed register per 64-bit slot) and
 // register-array arguments (a single DMA range).
-func RunFig10a() ([]Fig10aRow, error) {
-	sizes := []int{8, 16, 32, 64, 128, 256, 512}
-	var rows []Fig10aRow
-	for _, bytes := range sizes {
+func RunFig10a() (Fig10aRows, error) {
+	var rows Fig10aRows
+	for _, bytes := range []int{8, 16, 32, 64, 128, 256, 512} {
 		slots := bytes / 8
 		prog := microProgram(slots, 1024, 16)
 		s := sim.New(1)
@@ -95,15 +98,20 @@ func RunFig10a() ([]Fig10aRow, error) {
 	return rows, nil
 }
 
-// FormatFig10a renders the Fig. 10a series.
-func FormatFig10a(rows []Fig10aRow) string {
-	var b strings.Builder
-	b.WriteString("Fig 10a — measurement latency vs state size\n")
-	fmt.Fprintf(&b, "%8s %14s %14s\n", "bytes", "field args", "register args")
+// Tables is the series plus the marginal cost per byte of each argument
+// kind between the smallest and the largest size.
+func (rows Fig10aRows) Tables() []Table {
+	t := Table{Title: "Fig 10a — measurement latency vs state size",
+		Columns: []string{"bytes", "field args", "register args"}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %14v %14v\n", r.Bytes, r.FieldLatency, r.RegLatency)
+		t.Rows = append(t.Rows, row(r.Bytes, r.FieldLatency, r.RegLatency))
 	}
-	return b.String()
+	first, last := rows[0], rows[len(rows)-1]
+	span := float64(last.Bytes - first.Bytes)
+	t.Notes = []string{fmt.Sprintf("marginal cost %d→%d B: field args %.1f ns/B, register args %.1f ns/B",
+		first.Bytes, last.Bytes, float64(last.FieldLatency-first.FieldLatency)/span,
+		float64(last.RegLatency-first.RegLatency)/span)}
+	return []Table{t}
 }
 
 // Fig10bRow is one point of the update-latency microbenchmark.
@@ -113,13 +121,15 @@ type Fig10bRow struct {
 	TableLatency  time.Duration // table entry modifications
 }
 
+// Fig10bRows is the Fig. 10b series.
+type Fig10bRows []Fig10bRow
+
 // RunFig10b measures raw update latency versus update count: scalar
 // malleables collapse into a single init-table write; table entry
 // modifications scale linearly.
-func RunFig10b() ([]Fig10bRow, error) {
-	counts := []int{1, 2, 4, 8, 16, 32, 64}
-	var rows []Fig10bRow
-	for _, n := range counts {
+func RunFig10b() (Fig10bRows, error) {
+	var rows Fig10bRows
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
 		prog := microProgram(1, 16, 128)
 		s := sim.New(1)
 		sw, err := rmt.New(s, prog, rmt.DefaultConfig())
@@ -128,7 +138,6 @@ func RunFig10b() ([]Fig10bRow, error) {
 		}
 		drv := driver.New(s, sw, driver.DefaultCostModel())
 		row := Fig10bRow{Updates: n}
-		n := n
 		s.Spawn("cp", func(p *sim.Proc) {
 			// Table mods: install n entries, memoize, then time n updates.
 			handles := make([]rmt.EntryHandle, n)
@@ -161,15 +170,14 @@ func RunFig10b() ([]Fig10bRow, error) {
 	return rows, nil
 }
 
-// FormatFig10b renders the Fig. 10b series.
-func FormatFig10b(rows []Fig10bRow) string {
-	var b strings.Builder
-	b.WriteString("Fig 10b — update latency vs number of updates\n")
-	fmt.Fprintf(&b, "%8s %16s %14s\n", "updates", "scalar malleable", "table entries")
+// Tables is the series.
+func (rows Fig10bRows) Tables() []Table {
+	t := Table{Title: "Fig 10b — update latency vs number of updates",
+		Columns: []string{"updates", "scalar malleable", "table entries"}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %16v %14v\n", r.Updates, r.ScalarLatency, r.TableLatency)
+		t.Rows = append(t.Rows, row(r.Updates, r.ScalarLatency, r.TableLatency))
 	}
-	return b.String()
+	return []Table{t}
 }
 
 // fig11Src is a minimal reactive program: one malleable field updated
@@ -211,12 +219,15 @@ type Fig11Row struct {
 	ReactionPeriod time.Duration
 }
 
+// Fig11Rows is the Fig. 11 pacing sweep.
+type Fig11Rows []Fig11Row
+
 // RunFig11 sweeps nanosleep pacing and reports the CPU-utilization /
 // reaction-time tradeoff.
-func RunFig11() ([]Fig11Row, error) {
+func RunFig11() (Fig11Rows, error) {
 	pacings := []time.Duration{0, 5 * time.Microsecond, 10 * time.Microsecond,
 		20 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond, 500 * time.Microsecond}
-	var rows []Fig11Row
+	var rows Fig11Rows
 	for _, pacing := range pacings {
 		plan, err := compiler.CompileSource(fig11Src, compiler.DefaultOptions())
 		if err != nil {
@@ -251,15 +262,14 @@ func RunFig11() ([]Fig11Row, error) {
 	return rows, nil
 }
 
-// FormatFig11 renders the utilization/latency tradeoff.
-func FormatFig11(rows []Fig11Row) string {
-	var b strings.Builder
-	b.WriteString("Fig 11 — CPU utilization vs reaction time (nanosleep pacing)\n")
-	fmt.Fprintf(&b, "%12s %12s %14s %16s\n", "pacing", "utilization", "mean iter", "reaction period")
+// Tables is the utilization/latency tradeoff.
+func (rows Fig11Rows) Tables() []Table {
+	t := Table{Title: "Fig 11 — CPU utilization vs reaction time (nanosleep pacing)",
+		Columns: []string{"pacing", "utilization", "mean iter", "reaction period"}}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%12v %11.1f%% %14v %16v\n", r.Pacing, r.Utilization*100, r.MeanIteration, r.ReactionPeriod)
+		t.Rows = append(t.Rows, row(r.Pacing, fmt.Sprintf("%.1f%%", r.Utilization*100), r.MeanIteration, r.ReactionPeriod))
 	}
-	return b.String()
+	return []Table{t}
 }
 
 // Fig12Result compares concurrent legacy-operation latency with and
@@ -344,12 +354,12 @@ func RunFig12() (*Fig12Result, error) {
 	return res, nil
 }
 
-// FormatFig12 renders the legacy-contention comparison.
-func FormatFig12(r *Fig12Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 12 — legacy table-update latency with/without Mantis\n")
-	fmt.Fprintf(&b, "  without: %v\n", r.Without)
-	fmt.Fprintf(&b, "  with:    %v\n", r.With)
-	fmt.Fprintf(&b, "  overhead: median %+.2f%%, p99 %+.2f%%\n", r.MedianOverheadPct, r.P99OverheadPct)
-	return b.String()
+// Tables is the legacy-contention comparison.
+func (r *Fig12Result) Tables() []Table {
+	return []Table{{
+		Title:   "Fig 12 — legacy table-update latency with/without Mantis",
+		Columns: append([]string{"legacy updater"}, durColumns...),
+		Rows:    [][]string{durRow("without Mantis", r.Without), durRow("with Mantis", r.With)},
+		Notes:   []string{fmt.Sprintf("overhead: median %+.2f%%, p99 %+.2f%%", r.MedianOverheadPct, r.P99OverheadPct)},
+	}}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/compiler/place"
@@ -120,20 +119,17 @@ func maxPct(cur, used, budget int) int {
 	return cur
 }
 
-// FormatPlacement renders the sweep as one table per profile.
-func FormatPlacement(res *PlaceResult) string {
-	var b strings.Builder
-	b.WriteString("Placement — shipped programs vs switch profiles\n")
-	fmt.Fprintf(&b, "%-22s %-16s %6s %8s %9s %9s %8s\n",
-		"program", "profile", "fits", "stages", "maxSRAM", "maxTCAM", "maxReg")
+// Tables is the sweep, one row per (program, profile).
+func (res *PlaceResult) Tables() []Table {
+	t := Table{Title: "Placement — shipped programs vs switch profiles",
+		Columns: []string{"program", "profile", "fits", "stages", "max SRAM", "max TCAM", "max registers"}}
 	for _, r := range res.Rows {
 		fits := "yes"
 		if !r.Fits {
-			fits = fmt.Sprintf("no(%d)", r.Errors)
+			fits = fmt.Sprintf("no (%d errors)", r.Errors)
 		}
-		fmt.Fprintf(&b, "%-22s %-16s %6s %5d/%-2d %8d%% %8d%% %7d%%\n",
-			r.Program, r.Profile, fits, r.StagesUsed, r.Stages,
-			r.MaxSRAMPct, r.MaxTCAMPct, r.MaxRegPct)
+		t.Rows = append(t.Rows, row(r.Program, r.Profile, fits, fmt.Sprintf("%d/%d", r.StagesUsed, r.Stages),
+			fmt.Sprintf("%d%%", r.MaxSRAMPct), fmt.Sprintf("%d%%", r.MaxTCAMPct), fmt.Sprintf("%d%%", r.MaxRegPct)))
 	}
-	return b.String()
+	return []Table{t}
 }

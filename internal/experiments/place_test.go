@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,8 +39,7 @@ func TestPlacementSweep(t *testing.T) {
 	if !strings.Contains(res.LeafReport, "FITS") || !strings.Contains(res.LeafReport, place.DefaultTarget) {
 		t.Errorf("leaf report missing header:\n%s", res.LeafReport)
 	}
-	out := FormatPlacement(res)
-	if !strings.Contains(out, "fabric/leaf") || !strings.Contains(out, "maxSRAM") {
-		t.Errorf("formatted sweep missing columns:\n%s", out)
+	if programs := column(t, res.Tables()[0], "program"); !slices.Contains(programs, "fabric/leaf") {
+		t.Errorf("program column missing fabric/leaf: %q", programs)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/fabric"
@@ -146,22 +145,21 @@ func RunReroute(seed int64, workers int) (*RerouteResult, error) {
 	return res, nil
 }
 
-// FormatReroute renders the sweep.
-func FormatReroute(res *RerouteResult) string {
-	var b strings.Builder
-	b.WriteString("Fabric failure resilience — detect, ECMP-exclude reroute, recover, restore\n")
-	fmt.Fprintf(&b, "%-10s %6s %9s %9s %8s %8s %8s %8s %8s %6s\n",
-		"mode", "fabric", "pre", "dip", "detect", "reroute", "recover", "restore", "recov%", "moves")
-	for _, p := range res.Points {
-		fmt.Fprintf(&b, "%-10s %4dx%-2d %8.2fG %8.2fG %8v %8v %8v %8v %7.1f%% %6d\n",
-			p.Mode, p.Leaves, p.Spines, p.PreGoodput/1e9, p.DipGoodput/1e9,
-			p.DetectLatency, p.RerouteLatency, p.RecoverLatency, p.RestoreLatency,
-			p.Recovery*100, p.RouteMoves)
+// Tables is the sweep.
+func (res *RerouteResult) Tables() []Table {
+	t := Table{Title: "Fabric failure resilience — detect, ECMP-exclude reroute, recover, restore",
+		Columns: []string{"mode", "fabric", "pre (Gbps)", "dip (Gbps)", "detect", "reroute", "recover",
+			"restore", "recovery", "route moves"},
+		Notes: []string{"pre/dip: delivered goodput before the failure and at the worst bucket after it. " +
+			"detect: failure → first coordinator exclude-reroute; reroute: → last route move committed; " +
+			"recover: → goodput back above 90% of pre; restore: heal → last route moved home. " +
+			"recovery: steady goodput under the failure as a fraction of pre."},
 	}
-	b.WriteString("\npre/dip: delivered goodput before the failure and at the worst bucket\n")
-	b.WriteString("after it. detect: failure → first coordinator exclude-reroute; reroute:\n")
-	b.WriteString("→ last route move committed; recover: → goodput back above 90% of pre;\n")
-	b.WriteString("restore: heal → last route moved home. recov%: steady goodput under the\n")
-	b.WriteString("failure as a fraction of pre.\n")
-	return b.String()
+	for _, p := range res.Points {
+		t.Rows = append(t.Rows, row(p.Mode, fmt.Sprintf("%dx%d", p.Leaves, p.Spines),
+			fmt.Sprintf("%.2f", p.PreGoodput/1e9), fmt.Sprintf("%.2f", p.DipGoodput/1e9),
+			p.DetectLatency, p.RerouteLatency, p.RecoverLatency, p.RestoreLatency,
+			fmt.Sprintf("%.1f%%", p.Recovery*100), p.RouteMoves))
+	}
+	return []Table{t}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -208,23 +207,20 @@ func RunTakeover(seed int64) (*TakeoverResult, error) {
 	return res, nil
 }
 
-// FormatTakeover renders the sweep as a table plus the MTTR breakdown.
-func FormatTakeover(res *TakeoverResult) string {
-	var b strings.Builder
-	b.WriteString("Primary takeover — crash-point sweep with journal-driven recovery\n")
-	b.WriteString("(primary killed before its k-th driver op; standby audits, reconciles, resumes)\n\n")
-	fmt.Fprintf(&b, "%4s %-22s %9s %9s %9s %9s %9s %7s %7s %6s\n",
-		"op", "outcome", "detect", "audit", "reconcile", "resume", "MTTR", "repairs", "commits", "viol")
+// Tables is the per-crash-point sweep and the MTTR decomposition.
+func (res *TakeoverResult) Tables() []Table {
+	sweep := Table{Title: "Primary takeover — crash-point sweep with journal-driven recovery",
+		Columns: []string{"crash before op", "outcome", "detect", "audit", "reconcile", "resume", "MTTR",
+			"repair writes", "successor commits", "violations"}}
 	for _, p := range res.Points {
-		fmt.Fprintf(&b, "%4d %-22s %9v %9v %9v %9v %9v %7d %7d %6d\n",
-			p.CrashOp, p.Outcome, p.Detect, p.Audit, p.Reconcile, p.Resume, p.MTTR,
-			p.RepairWrites, p.PostCommits, p.Violations)
+		sweep.Rows = append(sweep.Rows, row(p.CrashOp, p.Outcome, p.Detect, p.Audit, p.Reconcile, p.Resume,
+			p.MTTR, p.RepairWrites, p.PostCommits, p.Violations))
 	}
-	fmt.Fprintf(&b, "\nMTTR decomposition over %d crash points:\n", len(res.Points))
-	fmt.Fprintf(&b, "  detect:    mean %v, p99 %v (heartbeat timeout dominates)\n", res.Detect.Mean, res.Detect.P99)
-	fmt.Fprintf(&b, "  audit:     mean %v, p99 %v\n", res.Audit.Mean, res.Audit.P99)
-	fmt.Fprintf(&b, "  reconcile: mean %v, p99 %v\n", res.Reconcile.Mean, res.Reconcile.P99)
-	fmt.Fprintf(&b, "  resume:    mean %v, p99 %v\n", res.Resume.Mean, res.Resume.P99)
-	fmt.Fprintf(&b, "  MTTR:      mean %v, p99 %v, max %v\n", res.MTTR.Mean, res.MTTR.P99, res.MTTR.Max)
-	return b.String()
+	phase := func(name string, st stats.DurationStats) []string { return row(name, st.Mean, st.P99, st.Max) }
+	return []Table{sweep, {
+		Title:   fmt.Sprintf("Primary takeover — MTTR decomposition over %d crash points", len(res.Points)),
+		Columns: []string{"phase", "mean", "p99", "max"},
+		Rows: [][]string{phase("detect", res.Detect), phase("audit", res.Audit),
+			phase("reconcile", res.Reconcile), phase("resume", res.Resume), phase("MTTR", res.MTTR)},
+	}}
 }

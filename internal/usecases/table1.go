@@ -2,7 +2,6 @@ package usecases
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/compiler"
 )
@@ -114,18 +113,4 @@ func Table1() ([]Table1Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatTable1 renders rows the way the paper's Table 1 reads.
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-42s %3s %3s %3s | %5s %5s | %4s %4s %4s | %9s %9s %8s\n",
-		"Example", "val", "fld", "tbl", "P4R", "P4", "Stgs", "Tbls", "Regs", "SRAM", "TCAM", "Metadata")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-42s %3d %3d %3d | %5d %5d | %4d %4d %4d | %7.1fKB %7.1fKB %7db\n",
-			r.Name, r.MblValues, r.MblFields, r.MblTables,
-			r.P4RLoC, r.P4LoC, r.Stages, r.Tables, r.Registers,
-			r.SRAMKB, r.TCAMKB, r.MetadataBits)
-	}
-	return b.String()
 }
