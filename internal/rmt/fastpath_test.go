@@ -12,8 +12,8 @@ import (
 
 // ---- Zero-allocation guarantees of the per-packet fast path ----
 
-// TestExactLookupZeroAlloc pins the tentpole claim: an exact-match
-// lookup builds its comparable key on the stack and allocates nothing.
+// TestExactLookupZeroAlloc: an exact-match lookup hashes the column
+// words in place and allocates nothing.
 func TestExactLookupZeroAlloc(t *testing.T) {
 	_, sw := newTestSwitch(t)
 	for i := 0; i < 8; i++ {
@@ -130,7 +130,7 @@ func TestModifyDoesNotAliasCallerData(t *testing.T) {
 	}
 }
 
-// ---- TCAM bucket index ----
+// ---- Buckets of the match index ----
 
 // buildTCAMTable builds a two-column (exact proto, ternary addr) or
 // pure-ternary TCAM table with n entries, one per proto value.
@@ -171,29 +171,6 @@ func buildTCAMTable(t testing.TB, n int, exactCol bool) *tableInstance {
 	return ti
 }
 
-// TestBucketedLookupMatchesLinear: the bucketed index must return
-// exactly what the linear scan returns for every probe, including
-// priority ordering within a bucket and misses.
-func TestBucketedLookupMatchesLinear(t *testing.T) {
-	bucketed := buildTCAMTable(t, 64, true)
-	if bucketed.buckets == nil {
-		t.Fatal("table with exact column not bucketed")
-	}
-	linear := buildTCAMTable(t, 64, true)
-	linear.buckets = nil // force the fallback scan over ordered
-	for probe := uint64(0); probe < 80; probe++ {
-		got := bucketed.lookup([]uint64{probe, 12345})
-		want := linear.lookup([]uint64{probe, 12345})
-		switch {
-		case (got == nil) != (want == nil):
-			t.Fatalf("probe %d: bucketed=%v linear=%v", probe, got, want)
-		case got != nil && (got.Data[0] != want.Data[0] || got.Priority != want.Priority):
-			t.Fatalf("probe %d: bucketed entry %d prio %d, linear entry %d prio %d",
-				probe, got.Data[0], got.Priority, want.Data[0], want.Priority)
-		}
-	}
-}
-
 // TestBucketedPriorityWithinBucket: several entries sharing the exact
 // column must still match by descending priority (handle breaks ties).
 func TestBucketedPriorityWithinBucket(t *testing.T) {
@@ -219,30 +196,33 @@ func TestBucketedPriorityWithinBucket(t *testing.T) {
 	if got := ti.lookup([]uint64{5, 0xAA}); got != nil {
 		t.Fatalf("empty bucket still matches: %+v", got)
 	}
-	if len(ti.buckets) != 0 {
-		t.Fatalf("empty buckets not pruned: %d left", len(ti.buckets))
+	for _, s := range ti.slots {
+		if ti.tuples != 0 || len(s.entries) != 0 {
+			t.Fatalf("empty bucket not pruned: %d tuples left", ti.tuples)
+		}
 	}
 }
 
 // TestPureTernaryFallsBackToLinear: without an exact column there is
-// nothing to partition on, and the table keeps the full scan.
+// nothing to partition on, and every entry shares the one bucket.
 func TestPureTernaryFallsBackToLinear(t *testing.T) {
 	ti := buildTCAMTable(t, 16, false)
-	if ti.buckets != nil {
-		t.Fatal("pure-ternary table should not be bucketed")
+	if len(ti.exact) != 0 || ti.tuples != 1 {
+		t.Fatalf("pure-ternary table keyed by %v with %d buckets, want one", ti.exact, ti.tuples)
 	}
 	if got := ti.lookup([]uint64{3, 0}); got == nil || got.Data[0] != 3 {
 		t.Fatalf("linear fallback lookup: %+v", got)
 	}
 }
 
-// TestWideExactKeyFallback: exact tables wider than the inline key
-// still index correctly through the string fallback.
-func TestWideExactKeyFallback(t *testing.T) {
+// TestSixColumnExactKey: an exact key of six columns, wider than any
+// shipped program's, is indexed on every column's word, so a difference
+// in the last one is a different key.
+func TestSixColumnExactKey(t *testing.T) {
 	prog := p4.NewProgram("wide")
 	prog.DefineStandardMetadata()
 	var keys []p4.MatchKey
-	for i := 0; i < exactKeyWidth+2; i++ {
+	for i := 0; i < 6; i++ {
 		f := prog.Schema.Define(fmt.Sprintf("h.k%d", i), 32)
 		keys = append(keys, p4.MatchKey{FieldName: fmt.Sprintf("h.k%d", i), Field: f, Width: 32, Kind: p4.MatchExact})
 	}
@@ -259,14 +239,14 @@ func TestWideExactKeyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ti.lookup(vals) == nil {
-		t.Fatal("wide exact key missed")
+		t.Fatal("six-column exact key missed")
 	}
-	vals[exactKeyWidth+1] = 999
+	vals[5] = 999
 	if ti.lookup(vals) != nil {
-		t.Fatal("wide exact key false positive")
+		t.Fatal("six-column exact key false positive")
 	}
 	if _, err := ti.add(Entry{Keys: spec, Action: "a"}); err == nil {
-		t.Fatal("wide duplicate accepted")
+		t.Fatal("six-column duplicate accepted")
 	}
 }
 

@@ -197,3 +197,44 @@ func TestStaticMaskEntryValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestFieldWidthEntryValidation: a packet value is always masked to its
+// field's width, so an entry that cares about a bit above it could never
+// match; the table refuses it, whatever the column's kind.
+func TestFieldWidthEntryValidation(t *testing.T) {
+	p := p4.NewProgram("width-entries")
+	p.DefineStandardMetadata()
+	f := p.Schema.Define("h.x", 32)
+	p.AddAction(&p4.Action{Name: "a", Body: []p4.Primitive{p4.NoOp{}}})
+	for _, kind := range []p4.MatchKind{p4.MatchExact, p4.MatchTernary, p4.MatchLPM, p4.MatchRange} {
+		p.AddTable(&p4.Table{
+			Name:        kind.String(),
+			Keys:        []p4.MatchKey{{FieldName: "h.x", Field: f, Width: 32, Kind: kind}},
+			ActionNames: []string{"a"},
+			Size:        8,
+		})
+	}
+	sw, err := New(sim.New(1), p, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		table string
+		key   KeySpec
+		ok    bool
+	}{
+		{"exact", ExactKey(0xFFFFFFFF), true},
+		{"exact", ExactKey(1 << 40), false},
+		{"ternary", TernaryKey(1<<40|1, 0xFF), true}, // the high bit is a don't-care
+		{"ternary", TernaryKey(1<<40, ^uint64(0)), false},
+		{"lpm", LPMKey(0x0A000000, 8, 32), true},
+		{"lpm", LPMKey(^uint64(0), 8, 64), false}, // a prefix laid out for a 64-bit field
+		{"range", RangeKey(10, 1<<40), true},      // values up to the field's max still match
+		{"range", RangeKey(1<<32, 1<<40), false},
+	} {
+		_, err := sw.AddEntry(c.table, Entry{Keys: []KeySpec{c.key}, Action: "a"})
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrBadEntry) {
+			t.Errorf("%s %+v: err = %v, want ok = %v", c.table, c.key, err, c.ok)
+		}
+	}
+}

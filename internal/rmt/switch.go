@@ -597,20 +597,23 @@ func (sw *Switch) TableCounters(table string) (hits, misses uint64, err error) {
 }
 
 // TableStats describes one table's runtime state: occupancy, lookup
-// counters, and which index the lookups took. It makes the fast-path
-// index structures observable from the control plane instead of
-// trusted.
+// counters, and the shape of its match index. It makes the fast-path
+// index observable from the control plane instead of trusted.
+//
+// Every table has one index, keyed by the words of its exact columns
+// (DESIGN.md §2b); a bucket holds the entries that share those words.
 type TableStats struct {
 	// Entries is the current occupancy.
 	Entries int
 	// Hits and Misses count data-plane lookups.
 	Hits, Misses uint64
-	// Index names the lookup structure in use: "exact" (hash index),
-	// "bucketed" (TCAM partitioned by an exact column), or "linear"
-	// (full TCAM scan).
+	// Index names how a lookup uses the index: "exact" when every column
+	// is exact (a bucket holds one entry and a hit is its head),
+	// "bucketed" when some are (a lookup scans one bucket), "linear" when
+	// none are (every entry shares the one bucket a lookup scans).
 	Index string
-	// Buckets is the number of populated partitions when Index is
-	// "bucketed" (0 otherwise).
+	// Buckets is the number of populated buckets: distinct exact-column
+	// tuples among the installed entries.
 	Buckets int
 }
 
@@ -621,13 +624,12 @@ func (sw *Switch) TableStats(table string) (TableStats, error) {
 	if !ok {
 		return TableStats{}, fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
 	}
-	st := TableStats{Entries: len(ti.byHandle), Hits: ti.Hits, Misses: ti.Misses}
+	st := TableStats{Entries: len(ti.byHandle), Hits: ti.Hits, Misses: ti.Misses, Buckets: ti.tuples}
 	switch {
-	case ti.allExact:
+	case len(ti.rest) == 0:
 		st.Index = "exact"
-	case ti.buckets != nil:
+	case len(ti.exact) > 0:
 		st.Index = "bucketed"
-		st.Buckets = len(ti.buckets)
 	default:
 		st.Index = "linear"
 	}

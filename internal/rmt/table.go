@@ -1,11 +1,12 @@
 package rmt
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/p4"
+	"repro/internal/packet"
 )
 
 // EntryHandle identifies an installed table entry for later modify or
@@ -68,58 +69,25 @@ type Entry struct {
 	code *caction
 }
 
-// exactKeyWidth is the number of key columns an exactKey holds inline.
-// Wider keys fall back to a heap-encoded string (none of the paper's
-// programs get near this: the widest Mantis table has 3 columns).
-const exactKeyWidth = 4
-
-// exactKey is a comparable fixed-size map key for all-exact tables.
-// Building one from a lookup's column values is allocation-free for up
-// to exactKeyWidth columns, unlike the old []byte-to-string encoding
-// which heap-allocated on every lookup.
-type exactKey struct {
-	vals [exactKeyWidth]uint64
-	n    uint8
-	// wide is the fallback encoding for tables with more than
-	// exactKeyWidth key columns; empty otherwise.
-	wide string
-}
-
-func makeExactKey(vals []uint64) exactKey {
-	var k exactKey
-	if len(vals) <= exactKeyWidth {
-		k.n = uint8(len(vals))
-		copy(k.vals[:], vals)
-		return k
-	}
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(buf[i*8:], v)
-	}
-	k.wide = string(buf)
-	return k
-}
-
 // tableInstance is the runtime state of one match-action table.
 type tableInstance struct {
-	def      *p4.Table
-	prog     *p4.Program
-	allExact bool
+	def  *p4.Table
+	prog *p4.Program
 
 	byHandle map[EntryHandle]*Entry
-	// exactIdx indexes entries by encoded key for all-exact tables.
-	exactIdx map[exactKey]*Entry
-	// ordered holds entries in match-priority order for TCAM tables.
-	ordered []*Entry
 
-	// bucketCol, when >= 0, is an all-exact key column of a TCAM table.
-	// Entries are then partitioned into buckets by that column's value:
-	// a lookup only ever scans the one bucket whose key equals the
-	// packet's column value, turning the O(entries) TCAM scan into
-	// O(bucket). Each bucket keeps the same (priority desc, handle asc)
-	// order as ordered, so match priority is preserved.
-	bucketCol int
-	buckets   map[uint64][]*Entry
+	// The match index (DESIGN.md §2b). exact lists the key columns whose
+	// words key it, in column order: every column of an exact table, the
+	// exact subset of a TCAM table, none of a pure-ternary or keyless one.
+	// rest lists the other columns, which a lookup tests entry by entry.
+	// slots is open-addressed and linearly probed; its length is a power
+	// of two and at most half of it is populated (tuples counts those).
+	exact  []int
+	rest   []restCol
+	slots  []matchSlot
+	tuples int
+	// tuple is the key buffer add and del probe the index with.
+	tuple []uint64
 
 	defaultAction *p4.ActionCall
 	// defaultCode/defaultData cache the compiled default action for the
@@ -149,24 +117,36 @@ type tableInstance struct {
 	Hits, Misses uint64
 }
 
+// restCol is a key column outside the match index's key.
+type restCol struct {
+	col  int
+	kind p4.MatchKind
+}
+
+// matchSlot holds the entries whose exact columns carry one tuple of
+// words, in match order (priority desc, handle asc). The tuple's hash
+// and first word sit inline, so a probe reads no entry until both agree.
+// A slot without entries is empty.
+type matchSlot struct {
+	hash    uint64
+	word0   uint64
+	entries []*Entry
+}
+
 func newTableInstance(prog *p4.Program, def *p4.Table) *tableInstance {
 	ti := &tableInstance{
 		def:        def,
 		prog:       prog,
-		allExact:   !def.HasTernary(),
 		byHandle:   make(map[EntryHandle]*Entry),
-		bucketCol:  -1,
+		slots:      make([]matchSlot, 1),
+		tuple:      make([]uint64, len(def.Keys)),
 		keyScratch: make([]uint64, len(def.Keys)),
 	}
-	if ti.allExact {
-		ti.exactIdx = make(map[exactKey]*Entry)
-	} else {
-		for i, k := range def.Keys {
-			if k.Kind == p4.MatchExact {
-				ti.bucketCol = i
-				ti.buckets = make(map[uint64][]*Entry)
-				break
-			}
+	for i, k := range def.Keys {
+		if k.Kind == p4.MatchExact {
+			ti.exact = append(ti.exact, i)
+		} else {
+			ti.rest = append(ti.rest, restCol{col: i, kind: k.Kind})
 		}
 	}
 	if def.DefaultAction != nil {
@@ -177,40 +157,31 @@ func newTableInstance(prog *p4.Program, def *p4.Table) *tableInstance {
 	return ti
 }
 
-func (ti *tableInstance) encodeExact(keys []KeySpec) exactKey {
-	var vals [exactKeyWidth]uint64
-	if len(keys) <= exactKeyWidth {
-		for i, k := range keys {
-			vals[i] = k.Value
-		}
-		return exactKey{vals: vals, n: uint8(len(keys))}
-	}
-	wide := make([]uint64, len(keys))
-	for i, k := range keys {
-		wide[i] = k.Value
-	}
-	return makeExactKey(wide)
-}
-
 func (ti *tableInstance) validate(e *Entry) error {
 	if len(e.Keys) != len(ti.def.Keys) {
 		return fmt.Errorf("table %s: entry has %d key columns, want %d: %w", ti.def.Name, len(e.Keys), len(ti.def.Keys), ErrBadEntry)
 	}
-	// applyTable masks the packet value with StaticMask before lookup, so
-	// an entry that cares about a bit outside the mask can never match.
+	// A packet value is masked to its field's width, and applyTable masks
+	// it with StaticMask before lookup, so an entry that cares about a bit
+	// outside either can never match.
 	for i := range ti.def.Keys {
 		k, spec := &ti.def.Keys[i], e.Keys[i]
-		if k.StaticMask == 0 {
-			continue
-		}
 		var care uint64
 		switch k.Kind {
 		case p4.MatchExact:
 			care = spec.Value
 		case p4.MatchTernary, p4.MatchLPM:
 			care = spec.Value & spec.Mask
+		case p4.MatchRange:
+			care = spec.Lo
 		}
-		if care&^k.StaticMask != 0 {
+		if width := ti.prog.Schema.Width(k.Field); care&^packet.Mask(width) != 0 {
+			return fmt.Errorf("table %s: key %s cares about bits %#x outside the field's %d-bit width: %w",
+				ti.def.Name, k.FieldName, care, width, ErrBadEntry)
+		}
+		// A range's lower bound is not a set of cared-about bits under a
+		// mask: a masked value can still reach it.
+		if k.StaticMask != 0 && k.Kind != p4.MatchRange && care&^k.StaticMask != 0 {
 			return fmt.Errorf("table %s: key %s value %#x has bits outside the column's static mask %#x: %w",
 				ti.def.Name, k.FieldName, spec.Value, k.StaticMask, ErrBadEntry)
 		}
@@ -232,14 +203,20 @@ func (ti *tableInstance) validate(e *Entry) error {
 	return nil
 }
 
-// add installs an entry and returns its handle. For all-exact tables a
-// duplicate key is rejected the way hardware drivers reject it.
+// add installs an entry and returns its handle. A table with no
+// non-exact column rejects a duplicate key the way hardware drivers
+// reject it; a TCAM table keeps every entry of a tuple, in match order.
 func (ti *tableInstance) add(e Entry) (EntryHandle, error) {
 	if err := ti.validate(&e); err != nil {
 		return 0, err
 	}
 	if ti.def.Size > 0 && len(ti.byHandle) >= ti.def.Size {
 		return 0, fmt.Errorf("table %s: full (%d entries): %w", ti.def.Name, ti.def.Size, ErrTableFull)
+	}
+	vals := ti.tupleOf(e.Keys)
+	i, h := ti.find(vals)
+	if len(ti.slots[i].entries) > 0 && len(ti.rest) == 0 {
+		return 0, fmt.Errorf("table %s: %w", ti.def.Name, ErrDuplicateEntry)
 	}
 	e.code = ti.codeOf[e.Action]
 	// Own the Keys and Data storage: modify reuses Data capacity in
@@ -248,28 +225,19 @@ func (ti *tableInstance) add(e Entry) (EntryHandle, error) {
 	// neither must ever scribble over an installed entry.
 	e.Keys = append(make([]KeySpec, 0, len(e.Keys)), e.Keys...)
 	e.Data = append(make([]uint64, 0, len(e.Data)), e.Data...)
-	if ti.allExact {
-		key := ti.encodeExact(e.Keys)
-		if _, dup := ti.exactIdx[key]; dup {
-			return 0, fmt.Errorf("table %s: %w", ti.def.Name, ErrDuplicateEntry)
-		}
-		ti.nextHandle++
-		e.Handle = ti.nextHandle
-		stored := e
-		ti.byHandle[e.Handle] = &stored
-		ti.exactIdx[key] = &stored
-		return e.Handle, nil
-	}
 	ti.nextHandle++
 	e.Handle = ti.nextHandle
 	stored := e
 	ti.byHandle[e.Handle] = &stored
-	ti.ordered = append(ti.ordered, &stored)
-	ti.sortEntries()
-	if ti.buckets != nil {
-		bk := stored.Keys[ti.bucketCol].Value
-		ti.buckets[bk] = insertByPriority(ti.buckets[bk], &stored)
+	if len(ti.slots[i].entries) == 0 {
+		if 2*(ti.tuples+1) > len(ti.slots) {
+			ti.grow()
+			i, _ = ti.find(vals)
+		}
+		ti.slots[i].hash, ti.slots[i].word0 = h, ti.word0(vals)
+		ti.tuples++
 	}
+	ti.slots[i].entries = insertByPriority(ti.slots[i].entries, &stored)
 	return e.Handle, nil
 }
 
@@ -288,12 +256,6 @@ func insertByPriority(bucket []*Entry, e *Entry) []*Entry {
 	copy(bucket[pos+1:], bucket[pos:])
 	bucket[pos] = e
 	return bucket
-}
-
-func (ti *tableInstance) sortEntries() {
-	sort.SliceStable(ti.ordered, func(i, j int) bool {
-		return entryLess(ti.ordered[i], ti.ordered[j])
-	})
 }
 
 // modify rebinds an entry's action and data without touching its keys,
@@ -321,30 +283,13 @@ func (ti *tableInstance) del(h EntryHandle) error {
 		return fmt.Errorf("table %s: no entry with handle %d: %w", ti.def.Name, h, ErrUnknownEntry)
 	}
 	delete(ti.byHandle, h)
-	if ti.allExact {
-		delete(ti.exactIdx, ti.encodeExact(e.Keys))
-		return nil
-	}
-	for i, x := range ti.ordered {
-		if x.Handle == h {
-			ti.ordered = append(ti.ordered[:i], ti.ordered[i+1:]...)
-			break
-		}
-	}
-	if ti.buckets != nil {
-		bk := e.Keys[ti.bucketCol].Value
-		bucket := ti.buckets[bk]
-		for i, x := range bucket {
-			if x.Handle == h {
-				bucket = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(ti.buckets, bk)
-		} else {
-			ti.buckets[bk] = bucket
-		}
+	i, _ := ti.find(ti.tupleOf(e.Keys))
+	s := &ti.slots[i]
+	k := slices.Index(s.entries, e)
+	s.entries = slices.Delete(s.entries, k, k+1)
+	if len(s.entries) == 0 {
+		ti.vacate(i)
+		ti.tuples--
 	}
 	return nil
 }
@@ -384,10 +329,11 @@ func matchKey(kind p4.MatchKind, spec KeySpec, v uint64) bool {
 	return false
 }
 
-// matches reports whether entry e matches the key column values.
-func (ti *tableInstance) matches(e *Entry, vals []uint64) bool {
-	for i := range ti.def.Keys {
-		if !matchKey(ti.def.Keys[i].Kind, e.Keys[i], vals[i]) {
+// matchesRest reports whether e matches vals on the columns outside the
+// index's key; the slot a lookup found already agrees on the others.
+func (ti *tableInstance) matchesRest(e *Entry, vals []uint64) bool {
+	for _, r := range ti.rest {
+		if !matchKey(r.kind, e.Keys[r.col], vals[r.col]) {
 			return false
 		}
 	}
@@ -395,30 +341,111 @@ func (ti *tableInstance) matches(e *Entry, vals []uint64) bool {
 }
 
 // lookup finds the matching entry for the given key column values, or
-// nil on a miss (caller then applies the default action).
+// nil on a miss (caller then applies the default action): the first
+// entry of the values' tuple that matches on the other columns. An
+// exact table has no other columns, so that is the tuple's only entry.
 func (ti *tableInstance) lookup(vals []uint64) *Entry {
-	if ti.allExact {
-		if e, ok := ti.exactIdx[makeExactKey(vals)]; ok {
-			ti.Hits++
-			return e
-		}
-		ti.Misses++
-		return nil
-	}
-	scan := ti.ordered
-	if ti.buckets != nil {
-		// Only the bucket whose exact column equals the packet value can
-		// contain a match; other buckets' entries fail that column.
-		scan = ti.buckets[vals[ti.bucketCol]]
-	}
-	for _, e := range scan {
-		if ti.matches(e, vals) {
+	i, _ := ti.find(vals)
+	for _, e := range ti.slots[i].entries {
+		if ti.matchesRest(e, vals) {
 			ti.Hits++
 			return e
 		}
 	}
 	ti.Misses++
 	return nil
+}
+
+// ---- The match index ----
+
+// mixWord folds one exact-column word into a tuple's hash with the
+// splitmix64 finalizer. It is seedless, so the index is laid out alike
+// in every run.
+func mixWord(h, w uint64) uint64 {
+	x := h + w + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// word0 is the first exact word of vals, which slots keep inline (0 for
+// a table without an exact column).
+func (ti *tableInstance) word0(vals []uint64) uint64 {
+	if len(ti.exact) == 0 {
+		return 0
+	}
+	return vals[ti.exact[0]]
+}
+
+// find probes the index for the tuple of vals' exact columns. It returns
+// the slot holding that tuple, or else the empty slot that ends its
+// probe, and the tuple's hash.
+func (ti *tableInstance) find(vals []uint64) (int, uint64) {
+	var h uint64
+	for _, c := range ti.exact {
+		h = mixWord(h, vals[c])
+	}
+	w0 := ti.word0(vals)
+	mask := len(ti.slots) - 1
+	for i := int(h & uint64(mask)); ; i = (i + 1) & mask {
+		s := &ti.slots[i]
+		if len(s.entries) == 0 || s.hash == h && s.word0 == w0 && ti.sameTuple(s.entries[0], vals) {
+			return i, h
+		}
+	}
+}
+
+// sameTuple reports whether e's exact columns past the first, which the
+// slot compared inline, hold vals' words.
+func (ti *tableInstance) sameTuple(e *Entry, vals []uint64) bool {
+	for k := 1; k < len(ti.exact); k++ {
+		if c := ti.exact[k]; e.Keys[c].Value != vals[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// tupleOf copies keys' values into the table's own buffer, so add and
+// del probe with the words a lookup of the same key would.
+func (ti *tableInstance) tupleOf(keys []KeySpec) []uint64 {
+	for i, k := range keys {
+		ti.tuple[i] = k.Value
+	}
+	return ti.tuple
+}
+
+// grow doubles the slot array, re-placing each tuple by its stored hash.
+func (ti *tableInstance) grow() {
+	old := ti.slots
+	ti.slots = make([]matchSlot, 2*len(old))
+	mask := len(ti.slots) - 1
+	for _, s := range old {
+		if len(s.entries) == 0 {
+			continue
+		}
+		i := int(s.hash & uint64(mask))
+		for len(ti.slots[i].entries) > 0 {
+			i = (i + 1) & mask
+		}
+		ti.slots[i] = s
+	}
+}
+
+// vacate empties slot i by backward shift: each later slot of its probe
+// cluster whose home is not between the hole and itself moves into the
+// hole, which moves on to it. Every tuple stays reachable from its home
+// slot, with no tombstones for a probe to skip.
+func (ti *tableInstance) vacate(i int) {
+	mask := len(ti.slots) - 1
+	for j := (i + 1) & mask; len(ti.slots[j].entries) > 0; j = (j + 1) & mask {
+		home := int(ti.slots[j].hash & uint64(mask))
+		if (j-home)&mask >= (j-i)&mask {
+			ti.slots[i] = ti.slots[j]
+			i = j
+		}
+	}
+	ti.slots[i] = matchSlot{}
 }
 
 // entries returns a snapshot of all installed entries sorted by handle.

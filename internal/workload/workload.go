@@ -8,9 +8,10 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -140,7 +141,9 @@ func Generate(cfg TraceConfig) *Trace {
 			})
 		}
 	}
-	sort.Slice(tr.Packets, func(i, j int) bool { return tr.Packets[i].Time < tr.Packets[j].Time })
+	// Not a stable sort: equal times keep the pdqsort order that
+	// TestGenerateOrderPinned pins.
+	slices.SortFunc(tr.Packets, func(a, b Packet) int { return cmp.Compare(a.Time, b.Time) })
 	return tr
 }
 
