@@ -12,9 +12,45 @@ import (
 )
 
 var updateKernelGolden = flag.Bool("update-kernel-golden", false,
-	"rewrite testdata/kernel.golden from this build's behaviour")
+	"rewrite testdata/kernel.golden and testdata/chain.golden from this build's behaviour")
 
-const kernelGoldenFile = "testdata/kernel.golden"
+const (
+	kernelGoldenFile = "testdata/kernel.golden"
+	chainGoldenFile  = "testdata/chain.golden"
+)
+
+// matchGolden compares a step-by-step transcript with the golden file
+// captured at the commit before the kernel was replaced, or rewrites the
+// file under -update-kernel-golden.
+func matchGolden(t *testing.T, file, got string) {
+	t.Helper()
+	if *updateKernelGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range wantLines {
+		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+			g := "<end of transcript>"
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			t.Fatalf("%s step %d: %q, the parent commit's kernel did %q", file, i, g, wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s: %d steps, the parent commit's kernel took %d", file, len(gotLines)-1, len(wantLines)-1)
+	}
+}
 
 // kernelTranscript drives every kernel entry point from one seed — eight
 // processes of different lengths doing Sleep/Yield/WaitUntil/Park, Unpark
@@ -168,32 +204,63 @@ func kernelTranscript(t *testing.T, seed int64) string {
 // produced at the commit before it was replaced, captured there with
 // -update-kernel-golden.
 func TestKernelScheduleMatchesParent(t *testing.T) {
-	got := kernelTranscript(t, 1) + kernelTranscript(t, 7919)
+	matchGolden(t, kernelGoldenFile, kernelTranscript(t, 1)+kernelTranscript(t, 7919))
+}
+
+// ring runs k processes passing one token around for rounds rounds; each
+// holder logs, sleeps 10 ns and wakes the next. With bound > 0 the first
+// run ends at that RunUntil bound and a later Run finishes the ring. It
+// returns the step-by-step transcript and the transfers count.
+func ring(k, rounds int, bound Time) (string, uint64) {
+	s := New(1)
+	var out strings.Builder
+	log := func(actor, format string, args ...any) {
+		fmt.Fprintf(&out, "%d %d %s %s\n", int64(s.Now()), s.Executed(), actor, fmt.Sprintf(format, args...))
+	}
+	procs := make([]*Proc, k)
+	for i := range procs {
+		i := i
+		procs[i] = s.Spawn(fmt.Sprintf("r%d", i), func(p *Proc) {
+			for n := 0; n < rounds; n++ {
+				p.Park()
+				log(p.name, "token %d", n)
+				p.Sleep(10 * Nanosecond)
+				if i < k-1 || n < rounds-1 {
+					procs[(i+1)%k].Unpark()
+				}
+			}
+			log(p.name, "exit")
+		})
+	}
+	procs[0].Unpark()
+	if bound > 0 {
+		s.RunUntil(bound)
+		log("driver", "rununtil %d returned pending %d", int64(bound), s.Pending())
+	}
+	s.Run()
+	log("driver", "run returned pending %d", s.Pending())
+	return out.String(), s.transfers
+}
+
+// TestChainUnwind drives the unwinding half of the hand-over: in a ring of
+// three, the last holder's wake-up of the first is for a process further
+// up the chain. At 25 ns the third process is asleep with the chain three
+// deep, so the RunUntil bound unwinds it to the Run caller, and the next
+// Run resumes the ring from there. The transcript must equal the one the
+// channel kernel produced at the commit before it was replaced; the count
+// pins the cost: per round, k-1 resumes and k-1 yields.
+func TestChainUnwind(t *testing.T) {
+	got, _ := ring(3, 4, 25)
+	matchGolden(t, chainGoldenFile, got)
 	if *updateKernelGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(kernelGoldenFile, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		return
 	}
-	want, err := os.ReadFile(kernelGoldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range wantLines {
-		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
-			g := "<end of transcript>"
-			if i < len(gotLines) {
-				g = gotLines[i]
-			}
-			t.Fatalf("step %d: %q, the parent commit's kernel did %q", i, g, wantLines[i])
+	for k := 2; k <= 5; k++ {
+		_, few := ring(k, 10, 0)
+		_, many := ring(k, 20, 0)
+		if got, want := many-few, uint64(10*(2*k-2)); got != want {
+			t.Errorf("ring of %d: 10 rounds cost %d transfers, want %d (2k-2 per round)", k, got, want)
 		}
-	}
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d steps, the parent commit's kernel took %d", len(gotLines)-1, len(wantLines)-1)
 	}
 }
 

@@ -1,7 +1,13 @@
+//go:build go1.23
+
+// The constraint gives this file the language version iter.Pull needs
+// while go.mod stays at go 1.22 (README, "Quick start").
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -11,30 +17,41 @@ import (
 // that reads state, blocks for a device latency, then branches on the
 // result — exactly the shape of the Mantis agent's dialogue loop and of
 // a legacy control-plane application. Proc provides blocking-style
-// execution on top of the event queue: the process body runs in its own
-// goroutine, but exactly one goroutine — the Run caller or one process —
-// holds control at any time, so execution remains deterministic. A
-// process that blocks keeps control and runs the event loop itself
-// (Simulator.loop) until its own wake-up comes up or control has to go to
-// another goroutine.
+// execution on top of the event queue: the process body runs as a
+// coroutine (iter.Pull), but exactly one goroutine — the Run caller or
+// one process — holds control at any time, so execution remains
+// deterministic. A process that blocks keeps control and runs the event
+// loop itself (Simulator.loop) until its own wake-up comes up or control
+// has to go to another process, which is one coroutine switch.
 //
 // A Proc may only interact with the simulation between Spawn and the
 // return of its body, and must block only via Sleep/WaitUntil/Park.
 type Proc struct {
 	sim  *Simulator
 	name string
-	// fn is the body until the first wake-up starts its goroutine; from
-	// then on control reaches the blocked goroutine through wake.
-	fn   func(*Proc)
-	wake chan struct{}
-	done bool
+	// next resumes the body's coroutine (the first call starts it) and
+	// returns when the body yields or returns; yield, captured when the
+	// body starts, suspends it and hands control back to that next's
+	// caller.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// chained is set while the process is on the chain: running, or
+	// suspended inside a next() it made.
+	chained bool
+	done    bool
 }
 
 // Spawn starts fn as a simulated process at the current virtual time.
 // fn begins executing when the scheduler reaches the spawn event, which
 // is the process's first wake-up.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, fn: fn, wake: make(chan struct{})}
+	p := &Proc{sim: s, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+		p.done = true
+		s.transfers++ // back to the resumer
+	})
 	s.wakeAt(s.now, p)
 	return p
 }
@@ -47,28 +64,25 @@ func (s *Simulator) wakeAt(t Time, p *Proc) {
 	s.push(e)
 }
 
-// resume hands control to p, whose wake-up the caller has just popped.
-// The caller must not touch simulator state afterwards (see loop).
+// resume hands control to p, which is not on the chain and whose wake-up
+// the caller has just popped. It returns when control comes back: p's
+// body returned, or p yielded to pass control down the chain (see loop).
+// A panic or runtime.Goexit in p's body comes out of here too.
 func (p *Proc) resume() {
 	if p.done {
 		panic(fmt.Sprintf("sim: wake of finished proc %q", p.name))
 	}
 	p.sim.transfers++
-	if fn := p.fn; fn != nil {
-		p.fn = nil
-		go p.run(fn)
-		return
-	}
-	p.wake <- struct{}{}
+	p.chained = true
+	p.next()
+	p.chained = false
 }
 
-// run is the process goroutine. When the body returns, control goes
-// back to the Run caller.
-func (p *Proc) run(fn func(*Proc)) {
-	fn(p)
-	p.done = true
+// suspend hands control back to p's resumer. It returns when a later
+// resume of p — the pop of p's own wake-up — brings control back.
+func (p *Proc) suspend() {
 	p.sim.transfers++
-	p.sim.main <- struct{}{}
+	p.yield(struct{}{})
 }
 
 // Now returns the current virtual time.

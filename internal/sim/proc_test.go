@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -164,6 +165,54 @@ func TestProcParkedProcDoesNotBlockDrain(t *testing.T) {
 	s.Run()
 	if !reached || s.Pending() != 0 {
 		t.Fatalf("reached=%v pending=%d", reached, s.Pending())
+	}
+}
+
+// twoDeep builds a chain two processes deep: "outer" parks, so the
+// loop it runs resumes "inner", whose body is fn.
+func twoDeep(s *Simulator, fn func(*Proc)) {
+	s.Spawn("outer", func(p *Proc) { p.Park() })
+	s.Spawn("inner", fn)
+}
+
+// TestBodyPanicReachesRunCaller: a panic two levels down the chain
+// unwinds every process on it and comes out of Run, where the Run caller
+// recovers the value.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	s := New(1)
+	twoDeep(s, func(p *Proc) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("Run caller recovered %v, want boom", r)
+		}
+	}()
+	s.Run()
+	t.Fatal("Run returned normally after a body panicked")
+}
+
+// TestGoexitInBodyUnwindsRunCaller: runtime.Goexit (what t.Fatal calls) in
+// a body two levels down the chain ends the Run caller's goroutine too, so
+// its deferred functions run instead of Run waiting forever.
+func TestGoexitInBodyUnwindsRunCaller(t *testing.T) {
+	exited := make(chan bool, 1)
+	go func() {
+		returned := false
+		defer func() { exited <- returned }()
+		s := New(1)
+		twoDeep(s, func(*Proc) { runtime.Goexit() })
+		s.Run()
+		returned = true
+	}()
+	select {
+	case returned := <-exited:
+		if returned {
+			t.Fatal("Run returned normally after a body called runtime.Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Run caller's deferred functions did not run within 10 s: Run is stuck")
 	}
 }
 

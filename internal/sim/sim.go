@@ -12,8 +12,9 @@
 // time in (time, sequence) order, so every run is exactly reproducible
 // given the same seed. Components that are conceptually concurrent (the
 // data plane, the Mantis agent, a legacy control plane) interleave by
-// scheduling events; a Proc gives one of them a goroutine for its stack,
-// but only the goroutine that holds control ever runs (see loop).
+// scheduling events; a Proc gives one of them a coroutine for its stack,
+// but only the goroutine that holds control ever runs, and control moves
+// by coroutine switch, not through the Go scheduler (see loop).
 package sim
 
 import (
@@ -129,9 +130,10 @@ type Simulator struct {
 	limit    Time // the current run executes events with timestamps <= limit
 	rng      *rand.Rand
 	executed uint64
-	// main hands control back to the Run caller; transfers counts every
-	// hand-over of control between goroutines (read by tests).
-	main      chan struct{}
+	// to is where control is unwinding to (nil: the Run caller; see
+	// loop); transfers counts every coroutine switch — each next, each
+	// yield, each body return (read by tests).
+	to        *Proc
 	transfers uint64
 	// events holds every event struct ever allocated, indexed by slot, so
 	// Cancel can find the struct an EventID names. free recycles them so
@@ -144,7 +146,7 @@ type Simulator struct {
 // New returns a Simulator whose clock starts at 0 and whose deterministic
 // RNG is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), main: make(chan struct{})}
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -253,7 +255,10 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // Stop makes Run return after the current event finishes.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty or Stop is called. A panic
+// or runtime.Goexit in a process body or in a callback comes out of Run,
+// RunUntil and RunFor on their caller's goroutine; the Simulator is not
+// reusable after that.
 func (s *Simulator) Run() { s.run(math.MaxInt64) }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
@@ -277,15 +282,19 @@ func (s *Simulator) run(limit Time) {
 // Run caller (self == nil), or a process blocked in Sleep or Park, which
 // runs the clock itself instead of giving control up to wait. Callbacks
 // execute inline on that goroutine's stack. A wake-up for self is a plain
-// return; a wake-up for another process hands control straight to it,
-// after which self only waits for its own. When the run is over — queue
-// empty, Stop, or the next event beyond the RunUntil bound — control goes
-// back to the Run caller, and a blocked process stays where it is until a
-// later run reaches its wake-up.
+// return. The chain is the Run caller plus the processes running or
+// suspended inside a resume they made, the holder last. A wake-up for a
+// process off the chain resumes it (one coroutine switch); a wake-up for
+// one further up the chain, or the end of the run — queue empty, Stop, or
+// the next event beyond the RunUntil bound — unwinds to it or to the Run
+// caller, one yield per level. A process that yields stays where it is
+// until a later pop of its wake-up, in this run or a later one, resumes
+// it; a body that returns hands control back to its resumer, which goes
+// on with the loop.
 //
-// A goroutine that has handed control over touches no simulator state
-// until control comes back to it: the two would otherwise run
-// concurrently.
+// iter.Pull's switches are the only synchronisation: a goroutine that has
+// handed control over touches no simulator state until control comes
+// back to it.
 func (s *Simulator) loop(self *Proc) {
 	for len(s.queue) > 0 && !s.stopped && s.queue[0].at <= s.limit {
 		e := s.pop()
@@ -308,19 +317,27 @@ func (s *Simulator) loop(self *Proc) {
 			fn()
 		case p == self:
 			return
+		case p.chained:
+			s.unwind(self, p)
+			return
 		default:
 			p.resume()
-			if self != nil {
-				<-self.wake
+			if !p.done { // p yielded: control is unwinding to s.to
+				s.unwind(self, s.to)
 				return
 			}
-			<-s.main // the run is over, or a process body returned
 		}
 	}
-	if self != nil {
-		s.transfers++
-		s.main <- struct{}{}
-		<-self.wake
+	s.unwind(self, nil)
+}
+
+// unwind passes control down the chain to the process to (nil: the Run
+// caller). If self is not the target it yields, and returns once its own
+// wake-up comes up and resumes it.
+func (s *Simulator) unwind(self, to *Proc) {
+	if self != to {
+		s.to = to
+		self.suspend()
 	}
 }
 
