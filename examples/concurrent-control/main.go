@@ -13,7 +13,8 @@
 //     state and session statistics; any write it attempts is refused.
 //
 // The run also demonstrates arbitration: halfway in, a would-be
-// controller with a lower election id fails to take over.
+// controller with a lower election id fails to take over; once the agent
+// closes its session at the end, the same controller may.
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 	svc := ctlplane.New(s, drv, ctlplane.Options{})
 
 	// The Mantis agent holds the primary session (election id 10).
-	agent, _, err := core.NewSessionAgent(s, svc, 10, plan, core.Options{})
+	agent, primary, err := core.NewSessionAgent(s, svc, 10, plan, core.Options{})
 	if err != nil {
 		log.Fatalf("agent session: %v", err)
 	}
@@ -170,4 +171,13 @@ func main() {
 		fmt.Printf("  %-12s %s/%s: %d completed, %d failed, max wait %v\n",
 			sess.Name(), sess.Role(), sess.Class(), st.Completed, st.Failed, st.MaxWait)
 	}
+
+	// A closed primary relinquishes primacy: the rival's lower election
+	// id no longer matters.
+	primary.Close()
+	rival, err := svc.Open(ctlplane.SessionOptions{Name: "rival", Role: ctlplane.RolePrimary, ElectionID: 3})
+	if err != nil || svc.Primary() != rival {
+		log.Fatalf("rival after the agent closed its session: %v", err)
+	}
+	fmt.Printf("\nagent session closed; rival controller (election id 3) is now primary\n")
 }

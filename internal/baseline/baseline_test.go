@@ -228,8 +228,8 @@ func TestTwoPhaseInstallReplacesConfig(t *testing.T) {
 		}
 	})
 	s.Run()
-	if tp.Version() != 2 {
-		t.Fatalf("version = %d", tp.Version())
+	if tp.version != 2 {
+		t.Fatalf("version = %d", tp.version)
 	}
 	// Config 2: 10 installs + flip; plus deletion of config 1's rules.
 	// Total ops: (10+1) + (10+1+10) = 32.

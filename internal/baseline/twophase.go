@@ -86,6 +86,3 @@ func (tp *TwoPhase) Install(p *sim.Proc, rules []Rule) error {
 	tp.version = next
 	return nil
 }
-
-// Version returns the currently committed version number.
-func (tp *TwoPhase) Version() uint64 { return tp.version }

@@ -74,7 +74,7 @@ func TestMalleableValueTransformation(t *testing.T) {
 	if tbl.DefaultAction == nil {
 		t.Fatal("master init table has no default action")
 	}
-	idx := master.ParamIndexOf("value_var")
+	idx := paramIndexOf(master, "value_var")
 	if idx < 0 || tbl.DefaultAction.Data[idx] != 1 {
 		t.Fatalf("init data = %v (value_var at %d)", tbl.DefaultAction.Data, idx)
 	}
@@ -247,10 +247,21 @@ control ingress { apply(t); }
 	// Every malleable is assigned to exactly one init slot.
 	for name, mv := range plan.MblValues {
 		it := plan.InitTables[mv.InitTable]
-		if it.ParamIndexOf(name) != mv.ParamIdx {
+		if paramIndexOf(it, name) != mv.ParamIdx {
 			t.Fatalf("%s slot mismatch", name)
 		}
 	}
+}
+
+// paramIndexOf returns the action-parameter index of a malleable in an
+// init table, or -1.
+func paramIndexOf(it *InitTableInfo, mbl string) int {
+	for i, p := range it.Params {
+		if p.Mbl == mbl && (p.Kind == InitValue || p.Kind == InitField) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestSortedFirstFitProperty(t *testing.T) {

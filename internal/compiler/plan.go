@@ -128,16 +128,6 @@ type InitTableInfo struct {
 	Master bool
 }
 
-// ParamIndexOf returns the action-parameter index of a malleable, or -1.
-func (it *InitTableInfo) ParamIndexOf(mbl string) int {
-	for i, p := range it.Params {
-		if p.Mbl == mbl && (p.Kind == InitValue || p.Kind == InitField) {
-			return i
-		}
-	}
-	return -1
-}
-
 // UserKey describes one user-visible key column of a malleable table,
 // before vv and alt expansion.
 type UserKey struct {

@@ -124,8 +124,8 @@ type Stats struct {
 	Latencies []time.Duration
 }
 
-// BuiltinFunc is a host function callable from reaction bodies.
-type BuiltinFunc func(p *sim.Proc, a *Agent, args []rcl.Arg) (int64, error)
+// builtinFunc is a host function callable from reaction bodies.
+type builtinFunc func(p *sim.Proc, a *Agent, args []rcl.Arg) (int64, error)
 
 // runtimeReaction pairs a plan reaction with its executable body and
 // the dispatch state compiled at setup (see setupReactionRuntime in
@@ -204,7 +204,7 @@ type Agent struct {
 
 	reactions []*runtimeReaction
 	natives   map[string]NativeReaction
-	builtins  map[string]BuiltinFunc
+	builtins  map[string]builtinFunc
 
 	started    bool
 	inReaction bool
@@ -289,7 +289,7 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 		tables:      make(map[string]*tableManager),
 		regCache:    make(map[string]*regCacheState),
 		natives:     make(map[string]NativeReaction),
-		builtins:    make(map[string]BuiltinFunc),
+		builtins:    make(map[string]builtinFunc),
 	}
 	a.batchedReads = true
 	a.retry = driver.NewAdapter(a.drvDo, drv)
@@ -302,9 +302,6 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 	a.registerDefaultBuiltins()
 	return a
 }
-
-// Plan returns the compiled plan the agent operates.
-func (a *Agent) Plan() *compiler.Plan { return a.plan }
 
 // Driver returns the agent's driver channel.
 func (a *Agent) Driver() driver.Channel { return a.drv }
@@ -329,12 +326,6 @@ func (a *Agent) setErr(err error) {
 	a.err = err
 	a.errMu.Unlock()
 }
-
-// VV and MV expose the current version bits (for tests and debugging).
-func (a *Agent) VV() uint64 { return a.vv }
-
-// MV returns the current measurement version bit.
-func (a *Agent) MV() uint64 { return a.mv }
 
 // Mbl returns the last committed value of a malleable (the alt index
 // for malleable fields).
@@ -365,11 +356,6 @@ func (a *Agent) RegisterNativeReaction(name string, fn NativeReaction) error {
 		}
 	}
 	return fmt.Errorf("core: no reaction %q in plan", name)
-}
-
-// RegisterBuiltin adds a host function callable from reaction bodies.
-func (a *Agent) RegisterBuiltin(name string, fn BuiltinFunc) {
-	a.builtins[name] = fn
 }
 
 // Start spawns the agent process (prologue then dialogue loop).

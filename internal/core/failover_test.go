@@ -315,8 +315,8 @@ func TestRecoverCleanRestart(t *testing.T) {
 		if rep.Iteration != 20 {
 			t.Errorf("recovered iteration = %d, want 20", rep.Iteration)
 		}
-		if a.VV() != r.agent.VV() {
-			t.Errorf("recovered vv = %d, primary had %d", a.VV(), r.agent.VV())
+		if a.vv != r.agent.vv {
+			t.Errorf("recovered vv = %d, primary had %d", a.vv, r.agent.vv)
 		}
 		if rep.AuditedTables == 0 || rep.AuditedEntries == 0 {
 			t.Errorf("clean recovery audited nothing: %+v", rep)
@@ -394,7 +394,7 @@ func TestReelectionDuringIteration(t *testing.T) {
 	if err := r.audit.Err(); err != nil {
 		t.Fatalf("across the demotion: %v", err)
 	}
-	if got, want := succ.VV(), r.switchVV(t); got != want {
+	if got, want := succ.vv, r.switchVV(t); got != want {
 		t.Fatalf("successor vv=%d disagrees with switch vv=%d", got, want)
 	}
 }

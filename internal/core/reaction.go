@@ -32,9 +32,6 @@ type Ctx struct {
 // Now returns the current virtual time.
 func (c *Ctx) Now() sim.Time { return c.proc.Now() }
 
-// Proc returns the agent process (for advanced driver access).
-func (c *Ctx) Proc() *sim.Proc { return c.proc }
-
 // Field returns a polled ing/egr field parameter by its P4R name.
 func (c *Ctx) Field(name string) uint64 { return c.fields[name] }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/journal"
-	"repro/internal/p4"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -359,15 +358,6 @@ func (th *TableHandle) ModifyEntry(p *sim.Proc, h UserHandle, action string, dat
 // DeleteEntry removes a user entry.
 func (th *TableHandle) DeleteEntry(p *sim.Proc, h UserHandle) error {
 	return th.tm.deleteEntry(p, h)
-}
-
-// SetDefault replaces the table's default action. Only valid for
-// unversioned tables (a versioned default cannot match on vv).
-func (th *TableHandle) SetDefault(p *sim.Proc, call *p4.ActionCall) error {
-	if th.tm.versioned() {
-		return fmt.Errorf("table %s: default actions on vv-protected tables are fixed; install entries instead", th.tm.info.Table)
-	}
-	return th.tm.agent.retry.SetDefaultAction(p, th.tm.info.Table, call)
 }
 
 // Entries returns the user-level entries (sorted by handle).

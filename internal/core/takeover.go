@@ -536,7 +536,7 @@ type StandbyOptions struct {
 	// Agent configures the successor agent Recover constructs.
 	Agent Options
 	// Configure, if set, runs on the recovered agent before Start —
-	// the place to register native reactions and builtins.
+	// the place to register native reactions.
 	Configure func(a *Agent) error
 }
 

@@ -307,11 +307,9 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	}
 	// Split-brain freedom, asserted from the server's ledger: the old
 	// session's last executed mutation predates the epoch bump.
-	for _, si := range srv.Sessions() {
-		if si.ID == 1 && si.LastMutationAt > ss.EpochBumpedAt {
-			t.Fatalf("session 1 executed a mutation at %v, after the epoch rose at %v — split brain",
-				si.LastMutationAt, ss.EpochBumpedAt)
-		}
+	if at := srv.sessions[1].lastMutationAt; at > ss.EpochBumpedAt {
+		t.Fatalf("session 1 executed a mutation at %v, after the epoch rose at %v — split brain",
+			at, ss.EpochBumpedAt)
 	}
 	if err := audit.Err(); err != nil {
 		t.Fatalf("across the takeover: %v", err)

@@ -57,20 +57,6 @@ const (
 	CausePeerDead
 )
 
-// String names the cause for reports.
-func (dc DegradeCause) String() string {
-	switch dc {
-	case CauseLoss:
-		return "loss"
-	case CausePartition:
-		return "partition"
-	case CausePeerDead:
-		return "peer-dead"
-	default:
-		return "none"
-	}
-}
-
 // ClientStats counts client-side channel behavior.
 type ClientStats struct {
 	// Ops counts operations issued through the client.
@@ -216,10 +202,6 @@ func NewClient(s *sim.Simulator, link *netsim.Link, side int, opts ClientOptions
 // watchdog and deadline budgets should scale from.
 func (c *Client) RTT() time.Duration { return 2 * c.link.Delay() }
 
-// Degraded reports whether the most recent channel evidence is bad: an
-// operation timed out and no response has arrived since.
-func (c *Client) Degraded() bool { return c.degraded }
-
 // DegradedCause classifies the current degradation: CauseNone while the
 // channel is healthy, otherwise the wire's state when the most recent
 // operation expired (loss, partition, or peer dead).
@@ -245,9 +227,6 @@ func (c *Client) classifyDegrade() DegradeCause {
 		return CauseLoss
 	}
 }
-
-// Fenced reports whether the session has been fenced by a higher epoch.
-func (c *Client) Fenced() bool { return c.fenced }
 
 // ChanStats returns a copy of the client counters. (Stats() is taken by
 // the driver.Channel interface for switch-op accounting.)

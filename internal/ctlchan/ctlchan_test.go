@@ -208,7 +208,7 @@ func TestClientServerCleanOps(t *testing.T) {
 	if ss.MutationsExecuted != 6 {
 		t.Fatalf("MutationsExecuted = %d, want 6", ss.MutationsExecuted)
 	}
-	if r.cli.Degraded() || r.cli.Fenced() {
+	if r.cli.degraded || r.cli.fenced {
 		t.Fatal("clean link left client degraded/fenced")
 	}
 }
@@ -280,23 +280,6 @@ func TestSecondCallerWaitsItsTurn(t *testing.T) {
 	}
 }
 
-// TestSessionsInIDOrder: the snapshot is sorted, whatever order sessions
-// attached in.
-func TestSessionsInIDOrder(t *testing.T) {
-	s := sim.New(1)
-	srv := NewServer(s)
-	for _, id := range []uint32{9, 2, 7, 1, 8, 3} {
-		srv.Attach(netsim.NewLink(s, time.Microsecond, faults.LinkNone(), 1), netsim.LinkSideB, id, 1, newFakeChan())
-	}
-	var ids []uint32
-	for _, si := range srv.Sessions() {
-		ids = append(ids, si.ID)
-	}
-	if fmt.Sprint(ids) != "[1 2 3 7 8 9]" {
-		t.Fatalf("Sessions() ids = %v, want ascending", ids)
-	}
-}
-
 // TestReadDeadlineFailsFast: a read op on a dead link reports
 // ErrChannelDegraded at its deadline, without the mutation quarantine.
 func TestReadDeadlineFailsFast(t *testing.T) {
@@ -314,7 +297,7 @@ func TestReadDeadlineFailsFast(t *testing.T) {
 	if failedAt < sim.Time(100*time.Microsecond) {
 		t.Fatalf("failed at %v, before the deadline", failedAt)
 	}
-	if !r.cli.Degraded() {
+	if !r.cli.degraded {
 		t.Fatal("client not marked degraded")
 	}
 	if r.cli.ChanStats().Timeouts != 1 {
@@ -411,7 +394,7 @@ func TestEpochFencing(t *testing.T) {
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-epoch write: err = %v, want ErrFenced", err)
 	}
-	if !r.cli.Fenced() {
+	if !r.cli.fenced {
 		t.Fatal("client did not latch fenced")
 	}
 	if v := r.fake.regs["cnt"][0]; v != 1 {
@@ -491,8 +474,8 @@ func TestDegradedClearsOnHeal(t *testing.T) {
 		_, rerr := r.cli.RegRead(p, "cnt", 0)
 		return rerr
 	})
-	if !errors.Is(err, driver.ErrChannelDegraded) || !r.cli.Degraded() {
-		t.Fatalf("setup: err=%v degraded=%v", err, r.cli.Degraded())
+	if !errors.Is(err, driver.ErrChannelDegraded) || !r.cli.degraded {
+		t.Fatalf("setup: err=%v degraded=%v", err, r.cli.degraded)
 	}
 	r.link.SetPartitioned(false)
 	err = r.do(t, time.Millisecond, func(p *sim.Proc) error {
@@ -502,7 +485,7 @@ func TestDegradedClearsOnHeal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-heal read: %v", err)
 	}
-	if r.cli.Degraded() {
+	if r.cli.degraded {
 		t.Fatal("degraded latch did not clear on heal")
 	}
 }

@@ -1,9 +1,7 @@
 package ctlchan
 
 import (
-	"cmp"
 	"errors"
-	"slices"
 
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
@@ -79,8 +77,7 @@ type serverSession struct {
 	req  request
 	rows [][]uint64
 
-	executed       uint64
-	mutations      uint64
+	// lastMutationAt is when the session last executed a mutation.
 	lastMutationAt sim.Time
 }
 
@@ -107,15 +104,6 @@ type ServerStats struct {
 	// last rose.
 	Epoch         uint64
 	EpochBumpedAt sim.Time
-}
-
-// SessionInfo is a snapshot of one attached session's counters.
-type SessionInfo struct {
-	ID             uint32
-	Epoch          uint64
-	Executed       uint64
-	Mutations      uint64
-	LastMutationAt sim.Time
 }
 
 // NewServer starts a control-channel server. Its dispatcher process
@@ -178,19 +166,6 @@ func (srv *Server) Stats() ServerStats {
 	st.Epoch = srv.epoch
 	st.EpochBumpedAt = srv.epochAt
 	return st
-}
-
-// Sessions returns a snapshot of every attached session, in id order.
-func (srv *Server) Sessions() []SessionInfo {
-	out := make([]SessionInfo, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		out = append(out, SessionInfo{
-			ID: s.id, Epoch: s.epoch, Executed: s.executed,
-			Mutations: s.mutations, LastMutationAt: s.lastMutationAt,
-		})
-	}
-	slices.SortFunc(out, func(a, b SessionInfo) int { return cmp.Compare(a.ID, b.ID) })
-	return out
 }
 
 // kick wakes the dispatcher if it is parked; the idle flag flips here
@@ -313,10 +288,8 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
 		resp.carry(op)
 	}
 	srv.stats.Executed++
-	sess.executed++
 	if err == nil && op.Kind.Mutating() {
 		srv.stats.MutationsExecuted++
-		sess.mutations++
 		sess.lastMutationAt = srv.sim.Now()
 	}
 	switch {

@@ -154,9 +154,6 @@ func New(_ *sim.Simulator, ch driver.Channel, opts Options) *Service {
 	return &Service{ch: ch, opts: opts, rrNext: make(map[Class]int)}
 }
 
-// Channel returns the underlying driver channel the service fronts.
-func (svc *Service) Channel() driver.Channel { return svc.ch }
-
 // Stats returns a copy of the service counters.
 func (svc *Service) Stats() Stats { return svc.stats }
 

@@ -192,7 +192,7 @@ func TestSessionWriteMatchesDriver(t *testing.T) {
 			r.state += fmt.Sprintf("{%d %v %s %v}", e.Handle, e.Keys, e.Action, e.Data)
 		}
 		def, _ := sw.DefaultAction("tbl")
-		regs, _ := sw.RegReadRange("r0", 0, 64)
+		regs, _ := sw.RegReadRangeInto("r0", 0, 64, nil)
 		r.state += fmt.Sprintf(" default %+v regs %v", def, regs)
 		return r
 	}
@@ -226,7 +226,7 @@ func TestPrimaryArbitration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !old.Demoted() || svc.Primary() != neu {
+	if !old.demoted || svc.Primary() != neu {
 		t.Fatalf("demotion did not happen")
 	}
 	s.Spawn("client", func(p *sim.Proc) {
@@ -397,8 +397,8 @@ func TestDemotedWhileQueued(t *testing.T) {
 		})
 	}
 	s.Spawn("rival", func(p *sim.Proc) {
-		if old.QueueDepth() != 2 {
-			t.Errorf("queue depth = %d at demotion, want both writers queued", old.QueueDepth())
+		if len(old.queue) != 2 {
+			t.Errorf("queue depth = %d at demotion, want both writers queued", len(old.queue))
 		}
 		if _, err := svc.Open(SessionOptions{Name: "new", Role: RolePrimary, ElectionID: 2}); err != nil {
 			t.Error(err)

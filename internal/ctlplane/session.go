@@ -179,16 +179,6 @@ func (s *Session) Role() Role { return s.role }
 // Class returns the session's scheduling class.
 func (s *Session) Class() Class { return s.class }
 
-// ElectionID returns the id the session opened with.
-func (s *Session) ElectionID() uint64 { return s.electionID }
-
-// Demoted reports whether a newer primary displaced this session.
-func (s *Session) Demoted() bool { return s.demoted }
-
-// QueueDepth returns the number of callers waiting (not yet granted the
-// service).
-func (s *Session) QueueDepth() int { return len(s.queue) }
-
 // SessionStats returns a copy of the session counters. (Stats() is the
 // driver.Channel pass-through to the underlying driver counters.)
 func (s *Session) SessionStats() SessionStats { return s.stats }

@@ -519,12 +519,6 @@ func (f *Fabric) Node(name string) *Node {
 	return nil
 }
 
-// AddHost attaches a host at leaf l, host port h, with its canonical
-// fabric address.
-func (f *Fabric) AddHost(l, h int) *netsim.Host {
-	return f.Leaves[l].Net.AddHost(h, HostAddr(l, h))
-}
-
 // Start launches every node's agent, the probe heartbeats, and the
 // coordinator.
 func (f *Fabric) Start() {
@@ -589,9 +583,6 @@ func (f *Fabric) Restore(name string) error {
 	n.CoordLink.SetPeerDown(netsim.LinkSideB, false)
 	return nil
 }
-
-// Crashed reports whether the named node is currently crashed.
-func (f *Fabric) Crashed(name string) bool { return f.crashed[name] }
 
 // eachTrunk visits every trunk touching n.
 func (f *Fabric) eachTrunk(n *Node, fn func(tr *netsim.Trunk)) {

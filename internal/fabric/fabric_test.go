@@ -83,8 +83,8 @@ func TestFabricCrossLeafDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := f.AddHost(0, 0)
-	dst := f.AddHost(1, 1)
+	src := f.Leaves[0].Net.AddHost(0, HostAddr(0, 0))
+	dst := f.Leaves[1].Net.AddHost(1, HostAddr(1, 1))
 	got := 0
 	dst.Rx = func(pkt *packet.Packet) { got++ }
 
@@ -276,8 +276,8 @@ func TestFabricGrayRerouteAndHeal(t *testing.T) {
 	}
 
 	// Traffic now crosses a healthy spine end to end.
-	src := f.AddHost(0, 0)
-	rx := f.AddHost(1, 1)
+	src := f.Leaves[0].Net.AddHost(0, HostAddr(0, 0))
+	rx := f.Leaves[1].Net.AddHost(1, HostAddr(1, 1))
 	got := 0
 	rx.Rx = func(pkt *packet.Packet) { got++ }
 	schema := f.Leaves[0].Plan.Prog.Schema
@@ -352,8 +352,8 @@ func TestFabricSpineCrashHealthDead(t *testing.T) {
 		}
 	}
 	// Cross-leaf traffic survives on the remaining spine.
-	src := f.AddHost(0, 0)
-	rx := f.AddHost(1, 0)
+	src := f.Leaves[0].Net.AddHost(0, HostAddr(0, 0))
+	rx := f.Leaves[1].Net.AddHost(0, HostAddr(1, 0))
 	got := 0
 	rx.Rx = func(pkt *packet.Packet) { got++ }
 	schema := f.Leaves[0].Plan.Prog.Schema

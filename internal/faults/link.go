@@ -67,57 +67,37 @@ func (lp LinkProfile) MaxSkew() time.Duration {
 	return lp.Jitter + lp.ReorderDelay + lp.DupDelay
 }
 
-// Predefined link profiles, one per channel fault class plus the
-// composition, mirroring the Profiles() operation-fault sweep.
-
 // LinkNone injects nothing (control profile).
 func LinkNone() LinkProfile { return LinkProfile{Name: "none"} }
 
-// LinkLossy drops 2% of messages in each direction.
-func LinkLossy() LinkProfile { return LinkProfile{Name: "lossy", Loss: 0.02} }
-
-// LinkDup duplicates 5% of messages, the duplicate trailing by up to
-// 4µs — past a typical retransmission timeout, so duplicates interleave
-// with retransmits.
-func LinkDup() LinkProfile {
-	return LinkProfile{Name: "dup", Dup: 0.05, DupDelay: 4 * time.Microsecond}
-}
-
-// LinkReorder holds back 10% of messages by up to 6µs, enough for
-// several later sends to overtake.
-func LinkReorder() LinkProfile {
-	return LinkProfile{Name: "reorder", Reorder: 0.10, ReorderDelay: 6 * time.Microsecond}
-}
-
-// LinkJitter smears every delivery by up to 2µs — on the order of
-// several base RTTs, so responses routinely cross requests.
-func LinkJitter() LinkProfile {
-	return LinkProfile{Name: "jitter", Jitter: 2 * time.Microsecond}
-}
-
-// LinkPartition cuts the channel for 150µs out of every 600µs.
-func LinkPartition() LinkProfile {
-	return LinkProfile{Name: "partition", PartitionEvery: 450 * time.Microsecond, PartitionFor: 150 * time.Microsecond}
-}
-
-// LinkChaos composes every channel fault at once: loss, duplication,
-// reordering, jitter, and partitions.
-func LinkChaos() LinkProfile {
-	return LinkProfile{
-		Name: "chaos",
-		Loss: 0.02,
-		Dup:  0.03, DupDelay: 4 * time.Microsecond,
-		Reorder: 0.05, ReorderDelay: 6 * time.Microsecond,
-		Jitter:         time.Microsecond,
-		PartitionEvery: 600 * time.Microsecond, PartitionFor: 100 * time.Microsecond,
-	}
-}
-
-// LinkProfiles returns the channel chaos sweep: every predefined link
-// profile, control first, composition last.
+// LinkProfiles returns the channel chaos sweep, mirroring the Profiles()
+// operation-fault sweep: one profile per channel fault class, control
+// first, their composition last.
 func LinkProfiles() []LinkProfile {
 	return []LinkProfile{
-		LinkNone(), LinkLossy(), LinkDup(), LinkReorder(), LinkJitter(),
-		LinkPartition(), LinkChaos(),
+		LinkNone(),
+		// Drops 2% of messages in each direction.
+		{Name: "lossy", Loss: 0.02},
+		// Duplicates 5% of messages, the duplicate trailing by up to 4µs —
+		// past a typical retransmission timeout, so duplicates interleave
+		// with retransmits.
+		{Name: "dup", Dup: 0.05, DupDelay: 4 * time.Microsecond},
+		// Holds back 10% of messages by up to 6µs, enough for several
+		// later sends to overtake.
+		{Name: "reorder", Reorder: 0.10, ReorderDelay: 6 * time.Microsecond},
+		// Smears every delivery by up to 2µs — on the order of several
+		// base RTTs, so responses routinely cross requests.
+		{Name: "jitter", Jitter: 2 * time.Microsecond},
+		// Cuts the channel for 150µs out of every 600µs.
+		{Name: "partition", PartitionEvery: 450 * time.Microsecond, PartitionFor: 150 * time.Microsecond},
+		// Every channel fault at once.
+		{
+			Name: "chaos",
+			Loss: 0.02,
+			Dup:  0.03, DupDelay: 4 * time.Microsecond,
+			Reorder: 0.05, ReorderDelay: 6 * time.Microsecond,
+			Jitter:         time.Microsecond,
+			PartitionEvery: 600 * time.Microsecond, PartitionFor: 100 * time.Microsecond,
+		},
 	}
 }

@@ -226,13 +226,6 @@ type StoreStats struct {
 	Heartbeats      uint64
 }
 
-// Stats returns a copy of the store counters.
-func (s *store) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
 // SaveCheckpoint atomically replaces the checkpoint record.
 func (s *store) SaveCheckpoint(c *Checkpoint) error {
 	s.mu.Lock()

@@ -154,7 +154,7 @@ func TestMemStoreStats(t *testing.T) {
 	_ = st.WriteIntent(sampleIntent())
 	_ = st.TruncateIntent()
 	_ = st.Heartbeat(1)
-	got := st.Stats()
+	got := st.stats
 	want := StoreStats{CheckpointSaves: 1, IntentWrites: 2, Truncates: 1, Heartbeats: 1}
 	if got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)

@@ -107,9 +107,6 @@ func NewLink(s *sim.Simulator, delay time.Duration, prof faults.LinkProfile, see
 // wire did its job). fn must not retain msg past its return.
 func (l *Link) SetRecv(side int, fn func(msg []byte)) { l.recv[side] = fn }
 
-// Profile returns the link's fault profile.
-func (l *Link) Profile() faults.LinkProfile { return l.prof }
-
 // SetProfile swaps the fault profile at runtime — the chaos harness's
 // way of letting a prologue install over a clean wire before faults
 // start (the message-channel analogue of faults.Injector.SetEnabled).

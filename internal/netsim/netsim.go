@@ -229,10 +229,3 @@ func (hb *Heartbeater) Start() {
 		hb.Sent++
 	})
 }
-
-// Stop halts the generator entirely.
-func (hb *Heartbeater) Stop() {
-	if hb.ticker != nil {
-		hb.ticker.Stop()
-	}
-}

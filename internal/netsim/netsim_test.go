@@ -163,7 +163,6 @@ func TestHeartbeater(t *testing.T) {
 	if got != before {
 		t.Fatal("heartbeats delivered after gray failure")
 	}
-	hb.Stop()
 }
 
 // wireFlow connects Rx handlers so data reaches the receiver flow logic

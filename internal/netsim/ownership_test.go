@@ -58,9 +58,10 @@ func TestEveryPacketReturnsToItsPool(t *testing.T) {
 	tr.SetAdminDown(true)
 	send(chainDstAddr, 20)
 	tr.SetAdminDown(false)
-	tr.SetPartitioned(true)
+	prof := tr.prof
+	tr.prof = faults.LinkProfile{Name: "cut", PartitionEvery: time.Nanosecond, PartitionFor: time.Hour}
 	send(chainDstAddr, 20)
-	tr.SetPartitioned(false)
+	tr.prof = prof
 	tr.SetGray(0.5)
 	send(chainDstAddr, 100) // gray and profile loss both draw
 	tr.SetGray(0)
@@ -101,8 +102,8 @@ func TestSetGrayClampsRate(t *testing.T) {
 		{0.3, 0.3}, {math.NaN(), 0}, {-0.5, 0}, {0, 0}, {1.5, 1}, {math.Inf(1), 1},
 	} {
 		tr.SetGray(c.in)
-		if got := tr.GrayRate(); got != c.want {
-			t.Errorf("SetGray(%g): GrayRate() = %g, want %g", c.in, got, c.want)
+		if got := tr.grayRate; got != c.want {
+			t.Errorf("SetGray(%g): grayRate = %g, want %g", c.in, got, c.want)
 		}
 	}
 }

@@ -40,8 +40,6 @@ type Trunk struct {
 	prof  faults.LinkProfile
 	rng   *rand.Rand
 
-	// forced cuts the trunk in both directions regardless of profile.
-	forced bool
 	// admin is an administrative down — the "link pulled" failure mode,
 	// distinct from a transient partition so drop accounting can tell
 	// operator action from fault-profile behavior.
@@ -127,19 +125,10 @@ type trunkAttach struct {
 	side  int
 }
 
-// Delay returns the trunk's one-way propagation delay.
-func (t *Trunk) Delay() time.Duration { return t.delay }
-
-// SetPartitioned forces the trunk down (both directions) or restores it.
-func (t *Trunk) SetPartitioned(down bool) { t.forced = down }
-
 // SetAdminDown takes the trunk administratively down (both directions)
-// or brings it back up. Unlike SetPartitioned it is accounted as its
-// own drop reason — the injected-failure counterpart of a partition.
+// or brings it back up. Unlike a partition it is accounted as its own
+// drop reason — the injected-failure counterpart of a partition.
 func (t *Trunk) SetAdminDown(down bool) { t.admin = down }
-
-// AdminDown reports whether the trunk is administratively down.
-func (t *Trunk) AdminDown() bool { return t.admin }
 
 // SetGray turns the trunk gray: every packet in either direction is
 // silently dropped with probability rate, on top of (and independent
@@ -156,9 +145,6 @@ func (t *Trunk) SetGray(rate float64) {
 	}
 	t.grayRate = rate
 }
-
-// GrayRate returns the current gray drop probability (0 = healthy).
-func (t *Trunk) GrayRate() float64 { return t.grayRate }
 
 // Stats returns the counters for the direction sending from side.
 func (t *Trunk) Stats(side int) TrunkStats { return t.stats[side] }
@@ -182,7 +168,7 @@ func (t *Trunk) send(side int, pkt *packet.Packet) {
 	switch {
 	case t.admin:
 		st.AdminDownDrops++
-	case t.forced || t.prof.Partitioned(t.sim.Now()):
+	case t.prof.Partitioned(t.sim.Now()):
 		st.PartitionDrops++
 	case t.grayRate > 0 && t.rng.Float64() < t.grayRate:
 		st.GrayDrops++

@@ -174,8 +174,8 @@ func TestTrunkAdminDown(t *testing.T) {
 	r.b.Rx = func(pkt *packet.Packet) { delivered++ }
 
 	r.trunks[0].SetAdminDown(true)
-	if !r.trunks[0].AdminDown() {
-		t.Fatal("AdminDown() = false after SetAdminDown(true)")
+	if !r.trunks[0].admin {
+		t.Fatal("admin = false after SetAdminDown(true)")
 	}
 	const down = 10
 	for i := uint64(1); i <= down; i++ {

@@ -205,7 +205,7 @@ control ingress { apply(t); }
 		t.Fatalf("default compile should succeed: %v", err)
 	}
 	if got := len(plan.Diags.Warnings()); got != 1 {
-		t.Fatalf("want 1 warning, got %d: %v", got, plan.Diags.Err())
+		t.Fatalf("want 1 warning, got %d: %v", got, plan.Diags)
 	}
 	_, err = compiler.CompileSource(src, compiler.Options{Werror: true})
 	if err == nil {

@@ -1,7 +1,5 @@
 package p4r
 
-import "fmt"
-
 // File is the parsed representation of one .p4r source file.
 type File struct {
 	HeaderTypes []*HeaderType
@@ -90,17 +88,6 @@ type Arg struct {
 	Mbl   string
 	Line  int
 	Col   int
-}
-
-func (a Arg) String() string {
-	switch a.Kind {
-	case ArgIdent:
-		return a.Ident
-	case ArgConst:
-		return fmt.Sprintf("%d", a.Value)
-	default:
-		return fmt.Sprintf("${%s}", a.Mbl)
-	}
 }
 
 // PrimCall is one primitive invocation in an action body.
@@ -242,37 +229,4 @@ type CondExpr struct {
 	Left  Arg
 	Op    string
 	Right Arg
-}
-
-// BodyLineCount counts the non-blank lines of all reaction bodies plus
-// declarations — used for the Table-1 "P4R LoC" metric.
-func (f *File) BodyLineCount(src string) int {
-	n := 0
-	for _, line := range splitLines(src) {
-		if line != "" {
-			n++
-		}
-	}
-	return n
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '\n' {
-			line := s[start:i]
-			// trim spaces
-			j, k := 0, len(line)
-			for j < k && (line[j] == ' ' || line[j] == '\t' || line[j] == '\r') {
-				j++
-			}
-			for k > j && (line[k-1] == ' ' || line[k-1] == '\t' || line[k-1] == '\r') {
-				k--
-			}
-			out = append(out, line[j:k])
-			start = i + 1
-		}
-	}
-	return out
 }

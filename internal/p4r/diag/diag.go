@@ -218,12 +218,3 @@ func (l *List) Error() string {
 	}
 	return strings.Join(lines, "\n")
 }
-
-// Err returns l as an error if it is non-empty, else nil. Callers that
-// only fail on hard errors should test HasErrors first.
-func (l *List) Err() error {
-	if l == nil || len(l.Diags) == 0 {
-		return nil
-	}
-	return l
-}

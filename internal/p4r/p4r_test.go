@@ -364,14 +364,6 @@ table t {
 	}
 }
 
-func TestBodyLineCount(t *testing.T) {
-	f := &File{}
-	n := f.BodyLineCount("a\n\n  b  \n\t\nc")
-	if n != 3 {
-		t.Fatalf("BodyLineCount = %d, want 3", n)
-	}
-}
-
 func TestParseMaskedRead(t *testing.T) {
 	src := `
 action nop() { no_op(); }

@@ -132,9 +132,6 @@ func (s *Schema) New() *Packet {
 	}
 }
 
-// Schema returns the schema the packet was created from.
-func (p *Packet) Schema() *Schema { return p.schema }
-
 // Released reports whether the packet has been put back into a Pool and
 // not handed out again; nobody may use it until then.
 func (p *Packet) Released() bool { return p.released }

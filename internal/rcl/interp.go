@@ -23,7 +23,7 @@ type Host interface {
 	// WriteMbl stages a write to a malleable value or field.
 	WriteMbl(name string, v int64) error
 	// TableOp performs a malleable-table library call
-	// (addEntry/modEntry/delEntry/setDefault) and returns a handle or 0.
+	// (addEntry/modEntry/delEntry) and returns a handle or 0.
 	TableOp(table, method string, args []Arg) (int64, error)
 	// Call invokes a host builtin (now(), set_hash_seed(...), ...).
 	Call(name string, args []Arg) (int64, error)

@@ -10,7 +10,7 @@
 //   - arbitrary (Turing-complete) computation over polled parameters,
 //   - reads and writes of malleables via ${name},
 //   - malleable table manipulation via generated library functions
-//     (table.addEntry / modEntry / delEntry / setDefault),
+//     (table.addEntry / modEntry / delEntry),
 //   - `static` variables that persist across dialogue iterations (the
 //     paper's "stateful dialogue" via C statics), and
 //   - host builtins (now(), min(), max(), ...).

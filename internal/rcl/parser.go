@@ -131,8 +131,7 @@ type CallExpr struct {
 }
 
 // TableCallExpr invokes a generated malleable-table library function:
-// table.addEntry(...), table.modEntry(...), table.delEntry(...),
-// table.setDefault(...).
+// table.addEntry(...), table.modEntry(...) or table.delEntry(...).
 type TableCallExpr struct {
 	Table  string
 	Method string
@@ -179,13 +178,6 @@ func (p *parser) advance() token {
 		p.pos++
 	}
 	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // errf reports a syntax error at the current token as an S001

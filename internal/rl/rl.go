@@ -62,9 +62,6 @@ func New(cfg Config) (*QLearner, error) {
 	return &QLearner{cfg: cfg, q: q, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// Q returns the current action-value estimate.
-func (l *QLearner) Q(state, action int) float64 { return l.q[state][action] }
-
 // Best returns the greedy action for a state (ties break toward the
 // lowest index, deterministically).
 func (l *QLearner) Best(state int) int {
@@ -98,6 +95,3 @@ func (l *QLearner) Update(s, a int, r float64, s2 int) {
 		}
 	}
 }
-
-// Epsilon returns the current exploration rate.
-func (l *QLearner) Epsilon() float64 { return l.cfg.Epsilon }

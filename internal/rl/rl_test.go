@@ -23,12 +23,12 @@ func TestNewValidation(t *testing.T) {
 func TestUpdateMovesTowardTarget(t *testing.T) {
 	l, _ := New(Config{States: 2, Actions: 2, Alpha: 0.5, Gamma: 0, Seed: 1})
 	l.Update(0, 1, 10, 1)
-	if l.Q(0, 1) != 5 { // 0 + 0.5*(10 - 0)
-		t.Fatalf("Q(0,1) = %v", l.Q(0, 1))
+	if l.q[0][1] != 5 { // 0 + 0.5*(10 - 0)
+		t.Fatalf("Q(0,1) = %v", l.q[0][1])
 	}
 	l.Update(0, 1, 10, 1)
-	if l.Q(0, 1) != 7.5 {
-		t.Fatalf("Q(0,1) = %v", l.Q(0, 1))
+	if l.q[0][1] != 7.5 {
+		t.Fatalf("Q(0,1) = %v", l.q[0][1])
 	}
 }
 
@@ -52,8 +52,8 @@ func TestEpsilonDecay(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Update(0, 0, 0, 0)
 	}
-	if l.Epsilon() != 0.1 {
-		t.Fatalf("epsilon = %v, want floor 0.1", l.Epsilon())
+	if l.cfg.Epsilon != 0.1 {
+		t.Fatalf("epsilon = %v, want floor 0.1", l.cfg.Epsilon)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestLearnsSimpleMDP(t *testing.T) {
 		l.Update(0, a, r, 0)
 	}
 	if l.Best(0) != 1 {
-		t.Fatalf("did not learn the bandit: Q = [%v %v]", l.Q(0, 0), l.Q(0, 1))
+		t.Fatalf("did not learn the bandit: Q = [%v %v]", l.q[0][0], l.q[0][1])
 	}
 }
 

@@ -250,7 +250,21 @@ func TestSixColumnExactKey(t *testing.T) {
 	}
 }
 
-// ---- TableStats observability ----
+// ---- Index shape and lookup counters ----
+
+// indexKind names how a lookup uses a table's match index: "exact" when
+// every column is exact (a bucket holds one entry and a hit is its head),
+// "bucketed" when some are (a lookup scans one bucket), "linear" when
+// none are (every entry shares the one bucket a lookup scans).
+func indexKind(ti *tableInstance) string {
+	switch {
+	case len(ti.rest) == 0:
+		return "exact"
+	case len(ti.exact) > 0:
+		return "bucketed"
+	}
+	return "linear"
+}
 
 func TestTableStats(t *testing.T) {
 	s, sw := newTestSwitch(t)
@@ -259,32 +273,21 @@ func TestTableStats(t *testing.T) {
 	sw.Inject(0, mkPacket(sw, 1, 9, 64)) // forward hit
 	sw.Inject(0, mkPacket(sw, 2, 9, 64)) // forward miss
 	s.Run()
-	fw, err := sw.TableStats("forward")
-	if err != nil {
-		t.Fatal(err)
+	fw := sw.tables["forward"]
+	if indexKind(fw) != "exact" || len(fw.byHandle) != 1 || fw.Hits != 1 || fw.Misses != 1 {
+		t.Fatalf("forward: %s index, %d entries, %d hits, %d misses", indexKind(fw), len(fw.byHandle), fw.Hits, fw.Misses)
 	}
-	if fw.Index != "exact" || fw.Entries != 1 || fw.Hits != 1 || fw.Misses != 1 {
-		t.Fatalf("forward stats = %+v", fw)
-	}
-	acl, err := sw.TableStats("acl")
-	if err != nil {
-		t.Fatal(err)
-	}
+	acl := sw.tables["acl"]
 	// acl's only key column is ternary: no exact column to bucket on.
-	if acl.Index != "linear" || acl.Entries != 1 {
-		t.Fatalf("acl stats = %+v", acl)
+	if indexKind(acl) != "linear" || len(acl.byHandle) != 1 {
+		t.Fatalf("acl: %s index, %d entries", indexKind(acl), len(acl.byHandle))
 	}
 	if acl.Hits+acl.Misses != 2 {
 		t.Fatalf("acl lookups = %d hits %d misses, want 2 total", acl.Hits, acl.Misses)
 	}
-	if _, err := sw.TableStats("ghost"); err == nil {
-		t.Fatal("unknown table accepted")
-	}
-	// recirc_tbl has an exact column and is not all-exact? It is
-	// all-exact (single exact key), so it reports the exact index.
-	rc, _ := sw.TableStats("recirc_tbl")
-	if rc.Index != "exact" {
-		t.Fatalf("recirc_tbl index = %q", rc.Index)
+	// recirc_tbl's single key is exact, so it uses the exact index.
+	if k := indexKind(sw.tables["recirc_tbl"]); k != "exact" {
+		t.Fatalf("recirc_tbl index = %q", k)
 	}
 }
 
@@ -321,12 +324,9 @@ func TestTableStatsBucketed(t *testing.T) {
 	pkt.SetName("h.proto", 2)
 	sw.Inject(0, pkt)
 	s.Run()
-	st, err := sw.TableStats("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Index != "bucketed" || st.Buckets != 4 || st.Hits != 1 {
-		t.Fatalf("stats = %+v", st)
+	ti := sw.tables["t"]
+	if indexKind(ti) != "bucketed" || ti.tuples != 4 || ti.Hits != 1 {
+		t.Fatalf("%s index, %d buckets, %d hits", indexKind(ti), ti.tuples, ti.Hits)
 	}
 }
 

@@ -117,7 +117,7 @@ func (c *column) key(src source) KeySpec {
 		m := [...]uint64{0, packet.Mask(c.width), 0xF, src.Uint64()}[src.Intn(4)] & packet.Mask(c.width)
 		return TernaryKey(c.value(src)&m, m)
 	case p4.MatchLPM:
-		return LPMKey(c.value(src), src.Intn(c.width+1), c.width)
+		return lpmKey(c.value(src), src.Intn(c.width+1), c.width)
 	default:
 		lo := c.value(src)
 		return RangeKey(lo, lo+uint64(src.Intn(16)))

@@ -44,12 +44,6 @@ func TestDropsReturnPacketsToPool(t *testing.T) {
 			r.sw.Inject(0, get(1, 64, 0))
 			return &r.sw.stats.IngressDrops
 		}},
-		{"port down", nil, func(r rig, get func(uint64, int, int) *packet.Packet) *uint64 {
-			forward(r, 2)
-			r.sw.SetPortUp(2, false)
-			r.sw.Inject(0, get(1, 64, 0))
-			return &r.sw.stats.PortDownDrops
-		}},
 		// One packet serializes and two fill the queue; the fourth arrival
 		// is tail-dropped, or, outranking them, evicts one.
 		{"tail drop", func(c *Config) { c.QueueCapacity, c.PortBandwidth = 2, 1e8 }, func(r rig, get func(uint64, int, int) *packet.Packet) *uint64 {

@@ -227,8 +227,8 @@ func TestFieldWidthEntryValidation(t *testing.T) {
 		{"exact", ExactKey(1 << 40), false},
 		{"ternary", TernaryKey(1<<40|1, 0xFF), true}, // the high bit is a don't-care
 		{"ternary", TernaryKey(1<<40, ^uint64(0)), false},
-		{"lpm", LPMKey(0x0A000000, 8, 32), true},
-		{"lpm", LPMKey(^uint64(0), 8, 64), false}, // a prefix laid out for a 64-bit field
+		{"lpm", lpmKey(0x0A000000, 8, 32), true},
+		{"lpm", lpmKey(^uint64(0), 8, 64), false}, // a prefix laid out for a 64-bit field
 		{"range", RangeKey(10, 1<<40), true},      // values up to the field's max still match
 		{"range", RangeKey(1<<32, 1<<40), false},
 	} {

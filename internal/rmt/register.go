@@ -52,10 +52,6 @@ func (r *registerInstance) writeChecked(idx uint64, v uint64) error {
 	return nil
 }
 
-func (r *registerInstance) readRange(lo, hi uint64) ([]uint64, error) {
-	return r.readRangeInto(lo, hi, nil)
-}
-
 // readRangeInto appends cells [lo, hi) to dst and returns the extended
 // slice; with sufficient capacity no allocation occurs. Callers pass
 // buf[:0] to reuse a per-iteration poll buffer.

@@ -66,10 +66,12 @@ const pipelineLatency = 400 * time.Nanosecond
 
 // Stats aggregates switch-level counters.
 type Stats struct {
-	RxPackets     uint64
-	TxPackets     uint64
-	IngressDrops  uint64 // dropped by a data-plane drop() action
-	QueueDrops    uint64 // tail drops at full egress queues
+	RxPackets    uint64
+	TxPackets    uint64
+	IngressDrops uint64 // dropped by a data-plane drop() action
+	QueueDrops   uint64 // tail drops at full egress queues
+	// PortDownDrops is always 0: a switch port has no down state (a
+	// failed link is a netsim trunk's). It stays because bench/ reads it.
 	PortDownDrops uint64
 	Recirculated  uint64
 }
@@ -82,7 +84,6 @@ type Stats struct {
 type port struct {
 	buf     []*packet.Packet
 	head, n int
-	up      bool
 	busy    bool
 	// bandwidth overrides Config.PortBandwidth when > 0.
 	bandwidth float64
@@ -137,9 +138,6 @@ type Switch struct {
 	Pool *packet.Pool
 
 	stats Stats
-
-	// configWrites counts control-plane mutations, for diagnostics.
-	configWrites uint64
 
 	// ingressBusyUntil serializes pipeline admission when
 	// IngressCapacityPPS is set.
@@ -199,7 +197,7 @@ func New(s *sim.Simulator, prog *p4.Program, cfg Config) (*Switch, error) {
 	sw.egressProg = sw.compileControl(nil, prog.Egress)
 	sw.ports = make([]*port, cfg.NumPorts)
 	for i := range sw.ports {
-		sw.ports[i] = &port{up: true, buf: make([]*packet.Packet, cfg.QueueCapacity)}
+		sw.ports[i] = &port{buf: make([]*packet.Packet, cfg.QueueCapacity)}
 	}
 	sw.enqueueFn = sw.enqueueArg
 	sw.txDoneFn = sw.txDoneArg
@@ -225,24 +223,11 @@ func (sw *Switch) Config() Config { return sw.cfg }
 // Stats returns a copy of the aggregate counters.
 func (sw *Switch) Stats() Stats { return sw.stats }
 
-// Now returns the current virtual time (convenience for callers holding
-// only the switch).
-func (sw *Switch) Now() sim.Time { return sw.sim.Now() }
-
-// SetPortUp raises or lowers a port. Packets destined to a down port are
-// dropped at the traffic manager.
-func (sw *Switch) SetPortUp(portN int, up bool) {
-	sw.ports[portN].up = up
-}
-
 // SetPortBandwidth overrides one port's drain rate (bits per second),
 // e.g. to model a 10 Gbps bottleneck on an otherwise 25 Gbps switch.
 func (sw *Switch) SetPortBandwidth(portN int, bps float64) {
 	sw.ports[portN].bandwidth = bps
 }
-
-// PortUp reports the port's administrative state.
-func (sw *Switch) PortUp(portN int) bool { return sw.ports[portN].up }
 
 // QueueDepth returns the instantaneous egress queue occupancy of a port,
 // in packets.
@@ -341,10 +326,6 @@ func (sw *Switch) enqueue(portN int, pkt *packet.Packet) {
 		return
 	}
 	p := sw.ports[portN]
-	if !p.up {
-		sw.drop(pkt, &sw.stats.PortDownDrops)
-		return
-	}
 	if p.n >= len(p.buf) {
 		// Strict-priority admission: a higher-priority arrival may evict
 		// the lowest-priority tail packet (how heartbeats survive a
@@ -511,7 +492,6 @@ func (sw *Switch) SetHashSeed(name string, seed uint64) error {
 		return fmt.Errorf("rmt: unknown hash calculation %q: %w", name, ErrUnknownHash)
 	}
 	sw.hashSeeds[idx] = seed
-	sw.configWrites++
 	return nil
 }
 
@@ -527,7 +507,6 @@ func (sw *Switch) AddEntry(table string, e Entry) (EntryHandle, error) {
 	if !ok {
 		return 0, fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
 	}
-	sw.configWrites++
 	return ti.add(e)
 }
 
@@ -537,7 +516,6 @@ func (sw *Switch) ModifyEntry(table string, h EntryHandle, action string, data [
 	if !ok {
 		return fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
 	}
-	sw.configWrites++
 	return ti.modify(h, action, data)
 }
 
@@ -547,7 +525,6 @@ func (sw *Switch) DeleteEntry(table string, h EntryHandle) error {
 	if !ok {
 		return fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
 	}
-	sw.configWrites++
 	return ti.del(h)
 }
 
@@ -557,7 +534,6 @@ func (sw *Switch) SetDefaultAction(table string, call *p4.ActionCall) error {
 	if !ok {
 		return fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
 	}
-	sw.configWrites++
 	return ti.setDefault(call)
 }
 
@@ -587,55 +563,6 @@ func (sw *Switch) Entries(table string) ([]Entry, error) {
 	return ti.entries(), nil
 }
 
-// TableCounters returns hit/miss counters for a table.
-func (sw *Switch) TableCounters(table string) (hits, misses uint64, err error) {
-	ti, ok := sw.tables[table]
-	if !ok {
-		return 0, 0, fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
-	}
-	return ti.Hits, ti.Misses, nil
-}
-
-// TableStats describes one table's runtime state: occupancy, lookup
-// counters, and the shape of its match index. It makes the fast-path
-// index observable from the control plane instead of trusted.
-//
-// Every table has one index, keyed by the words of its exact columns
-// (DESIGN.md §2b); a bucket holds the entries that share those words.
-type TableStats struct {
-	// Entries is the current occupancy.
-	Entries int
-	// Hits and Misses count data-plane lookups.
-	Hits, Misses uint64
-	// Index names how a lookup uses the index: "exact" when every column
-	// is exact (a bucket holds one entry and a hit is its head),
-	// "bucketed" when some are (a lookup scans one bucket), "linear" when
-	// none are (every entry shares the one bucket a lookup scans).
-	Index string
-	// Buckets is the number of populated buckets: distinct exact-column
-	// tuples among the installed entries.
-	Buckets int
-}
-
-// TableStats reports a table's occupancy, hit/miss counters, and index
-// kind.
-func (sw *Switch) TableStats(table string) (TableStats, error) {
-	ti, ok := sw.tables[table]
-	if !ok {
-		return TableStats{}, fmt.Errorf("rmt: unknown table %q: %w", table, ErrUnknownTable)
-	}
-	st := TableStats{Entries: len(ti.byHandle), Hits: ti.Hits, Misses: ti.Misses, Buckets: ti.tuples}
-	switch {
-	case len(ti.rest) == 0:
-		st.Index = "exact"
-	case len(ti.exact) > 0:
-		st.Index = "bucketed"
-	default:
-		st.Index = "linear"
-	}
-	return st, nil
-}
-
 // LookupProbe returns a function performing raw match lookups against
 // one table, bypassing action execution. This is the microbenchmark and
 // diagnostics hook behind cmd/perfbench: it exposes exactly the lookup
@@ -659,19 +586,9 @@ func (sw *Switch) RegRead(reg string, idx uint64) (uint64, error) {
 	return ri.readChecked(idx)
 }
 
-// RegReadRange reads cells [lo, hi) of a register array.
-func (sw *Switch) RegReadRange(reg string, lo, hi uint64) ([]uint64, error) {
-	ri, ok := sw.registers[reg]
-	if !ok {
-		return nil, fmt.Errorf("rmt: unknown register %q: %w", reg, ErrUnknownRegister)
-	}
-	return ri.readRange(lo, hi)
-}
-
 // RegReadRangeInto appends cells [lo, hi) of a register array to dst and
-// returns the extended slice. The allocation-free variant of
-// RegReadRange: with cap(dst) ≥ hi-lo no heap allocation occurs, which
-// the driver's batched poll path relies on.
+// returns the extended slice: with cap(dst) ≥ hi-lo no heap allocation
+// occurs, which the driver's batched poll path relies on.
 func (sw *Switch) RegReadRangeInto(reg string, lo, hi uint64, dst []uint64) ([]uint64, error) {
 	ri, ok := sw.registers[reg]
 	if !ok {
@@ -686,9 +603,5 @@ func (sw *Switch) RegWrite(reg string, idx uint64, v uint64) error {
 	if !ok {
 		return fmt.Errorf("rmt: unknown register %q: %w", reg, ErrUnknownRegister)
 	}
-	sw.configWrites++
 	return ri.writeChecked(idx, v)
 }
-
-// ConfigWrites reports the number of control-plane mutations applied.
-func (sw *Switch) ConfigWrites() uint64 { return sw.configWrites }

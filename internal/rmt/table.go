@@ -18,7 +18,7 @@ type EntryHandle uint64
 //
 //   - exact:   packet value == Value
 //   - ternary: packet value & Mask == Value & Mask
-//   - lpm:     ternary with a contiguous prefix Mask (see LPMKey)
+//   - lpm:     ternary with a contiguous prefix Mask
 //   - range:   Lo <= packet value <= Hi
 type KeySpec struct {
 	Value uint64
@@ -36,22 +36,6 @@ func TernaryKey(v, mask uint64) KeySpec { return KeySpec{Value: v, Mask: mask} }
 
 // WildcardKey matches any value.
 func WildcardKey() KeySpec { return KeySpec{} }
-
-// LPMKey returns a KeySpec matching the top prefixLen bits of v within a
-// width-bit field.
-func LPMKey(v uint64, prefixLen, width int) KeySpec {
-	if prefixLen <= 0 {
-		return KeySpec{}
-	}
-	if prefixLen > width {
-		prefixLen = width
-	}
-	mask := (^uint64(0) << uint(width-prefixLen)) & ((1 << uint(width)) - 1)
-	if width == 64 {
-		mask = ^uint64(0) << uint(64-prefixLen)
-	}
-	return KeySpec{Value: v & mask, Mask: mask}
-}
 
 // RangeKey returns a KeySpec matching values in [lo, hi].
 func RangeKey(lo, hi uint64) KeySpec { return KeySpec{Lo: lo, Hi: hi} }

@@ -88,10 +88,6 @@ func (p *Proc) suspend() {
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.Now() }
 
-// Sim returns the underlying simulator. Scheduling events from within a
-// running process is safe: the process holds control while it runs.
-func (p *Proc) Sim() *Simulator { return p.sim }
-
 // Sleep suspends the process for d of virtual time. Other events (data
 // plane packets, other processes) run in the meantime.
 func (p *Proc) Sleep(d time.Duration) {

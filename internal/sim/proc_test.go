@@ -108,7 +108,7 @@ func TestProcSchedulingFromProc(t *testing.T) {
 	s := New(1)
 	hit := false
 	s.Spawn("p", func(p *Proc) {
-		p.Sim().Schedule(20*Nanosecond, func() { hit = true })
+		p.sim.Schedule(20*Nanosecond, func() { hit = true })
 		p.Sleep(30 * Nanosecond)
 		if !hit {
 			t.Error("event scheduled from proc did not run during sleep")
