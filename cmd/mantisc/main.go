@@ -8,12 +8,12 @@
 //	mantisc [-o out.p4] [-plan] [-check] [-Werror] [-target profile] [-report] program.p4r
 //
 // With -check, mantisc runs the full analysis pipeline (semantic
-// analyzer, and — unless -target none — lowering plus the RMT placement
-// pass) printing every diagnostic without generating code. -target
-// selects the switch profile the placement pass charges the program
-// against (a built-in name like generic-16stage/tofino-like/mini, or a
-// JSON profile file); -report prints the placement stage map with
-// per-stage utilization to stdout.
+// analyzer, lowering and the RMT placement pass) printing every
+// diagnostic without generating code. -target selects the switch
+// profile the placement pass charges the program against (a built-in
+// name like generic-16stage/tofino-like/mini, a JSON profile file, or
+// none: assign stages without budgets); -report prints the placement
+// stage map with per-stage utilization to stdout.
 //
 // Both the -check and full compile paths end with a one-line summary
 // "path: N errors, M warnings" on stderr, and exit non-zero iff N > 0.
@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkOnly := fs.Bool("check", false, "analyze and place only; report diagnostics, generate nothing")
 	werror := fs.Bool("Werror", false, "treat warnings as errors")
 	target := fs.String("target", place.DefaultTarget,
-		"switch profile for the RMT placement pass: a built-in name, a .json profile file, or \"none\" to skip placement")
+		"switch profile for the RMT placement pass: a built-in name, a .json profile file, or \"none\" for no budgets")
 	report := fs.Bool("report", false, "print the placement stage map and per-stage utilization to stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -64,13 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.ProgramName = path
 	opts.MaxInitActionBits = *maxInitBits
 	opts.Werror = *werror
-	if *target != "" && *target != "none" {
-		opts.Target = *target
-	}
-	if *report && opts.Target == "" {
-		fmt.Fprintln(stderr, "mantisc: -report needs a placement target (drop -target none)")
-		return 2
-	}
+	opts.Target = *target
 
 	plan, cerr := compiler.CompileSource(string(src), opts)
 	// Render every diagnostic: the error side (which may be a structured
@@ -85,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// A placement report is printed even when placement failed — the
 	// stage map (with its overflow rows) is how you see why.
-	if *report && plan != nil && plan.Placement != nil {
+	if *report && plan != nil {
 		fmt.Fprint(stdout, plan.Placement.Report())
 	}
 
@@ -174,11 +168,9 @@ func printPlan(w io.Writer, plan *compiler.Plan) {
 		fmt.Fprintf(w, "reaction %s: %d ing slots, %d egr slots, %d register params, %d malleable params\n",
 			rxn.Name, len(rxn.IngSlots), len(rxn.EgrSlots), len(rxn.RegParams), len(rxn.MblParams))
 	}
-	res := plan.Prog.EstimateResources(nil)
-	fmt.Fprintf(w, "resources: %d stages, %d tables, %d registers, SRAM %dKb, TCAM %dKb, metadata %db\n",
-		res.Stages, res.NumTables, res.NumRegisters, res.SRAMBits/1024, res.TCAMBits/1024, res.MetadataBits)
-	if plan.Placement != nil {
-		fmt.Fprintf(w, "placement: profile %s, %d+%d stages, fits=%v (use -report for the stage map)\n",
-			plan.Placement.Profile.Name, plan.Placement.IngressStages, plan.Placement.EgressStages, plan.Placement.Fits())
-	}
+	pl := plan.Placement
+	sram, tcam := pl.Bits()
+	fmt.Fprintf(w, "placement: profile %s, %d+%d stages, %d tables, %d registers, SRAM %dKb, TCAM %dKb, metadata %db, fits=%v (use -report for the stage map)\n",
+		pl.Profile.Name, pl.IngressStages, pl.EgressStages, len(plan.Prog.TableOrder), len(plan.Prog.RegisterOrder),
+		sram/1024, tcam/1024, plan.Prog.MetadataBits(), pl.Fits())
 }

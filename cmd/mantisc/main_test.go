@@ -60,8 +60,8 @@ func TestFullCompileWritesProgram(t *testing.T) {
 	if err != nil || len(gen) == 0 {
 		t.Fatalf("no generated program: %v", err)
 	}
-	if !strings.Contains(stderr, "placement: profile generic-16stage") {
-		t.Errorf("plan summary missing placement line:\n%s", stderr)
+	if !strings.Contains(stderr, "placement: profile generic-16stage, 2+0 stages, ") || strings.Contains(stderr, "resources:") {
+		t.Errorf("plan summary should be one placement line:\n%s", stderr)
 	}
 }
 
@@ -137,7 +137,27 @@ func TestBadUsageExitsTwo(t *testing.T) {
 	if code, _, _ := runCLI(t); code != 2 {
 		t.Fatalf("no-args exit %d, want 2", code)
 	}
-	if code, _, _ := runCLI(t, "-report", "-target", "none", fig1Path); code != 2 {
-		t.Fatalf("-report without target exit %d, want 2", code)
+}
+
+// TestReportWithoutBudgets: -target none still places, so -report
+// prints the stage map of the unbounded profile.
+func TestReportWithoutBudgets(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-check", "-report", "-target", "none", fig1Path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"placement: profile none (unbounded", "FITS", "ingress", "Kb"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report missing %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestRegisterInTwoStagesFailsWithoutTarget: single-stage register
+// access is checked on every compile, not only under a -target.
+func TestRegisterInTwoStagesFailsWithoutTarget(t *testing.T) {
+	code, _, stderr := runCLI(t, "-check", "-target", "none", "../../internal/p4r/analysis/testdata/place_reg_multistage.p4r")
+	if code != 1 || strings.Count(stderr, "error[P008]") != 1 {
+		t.Fatalf("exit %d, want 1 with one P008:\n%s", code, stderr)
 	}
 }

@@ -366,7 +366,7 @@ func main() {
 	ctlLoss := flag.Float64("ctl-loss", 0, "control-channel frame loss probability per direction (implies the message channel)")
 	ctlPartition := flag.String("ctl-partition", "", "periodic control-channel partitions, EVERY/FOR (e.g. 700us/300us; implies the message channel)")
 	topology := flag.String("topology", "", "run a multi-switch fabric instead of one switch: leafspine:L,S (uses built-in programs; no program argument)")
-	target := flag.String("target", "", "switch profile the program must place under (default: the compiler's generic-16stage; \"none\" skips the placement check)")
+	target := flag.String("target", place.DefaultTarget, "switch profile the program must place under: a built-in name, a .json profile file, or \"none\" to assign stages without budgets")
 	failSpine := flag.Int("fail-spine", -1, "with -topology: crash this spine (all trunks down, control endpoints dead, agent halted) at duration/3, restore at 2·duration/3")
 	grayTrunk := flag.String("gray-trunk", "", "with -topology: silently degrade one leaf↔spine trunk, L,S[:RATE] (e.g. 0,1:0.3), over the same fail/heal window")
 	flag.Parse()
@@ -407,22 +407,14 @@ func main() {
 		os.Exit(1)
 	}
 	copts := compiler.DefaultOptions()
-	switch *target {
-	case "none":
-	case "":
-		copts.Target = place.DefaultTarget
-	default:
-		copts.Target = *target
-	}
+	copts.Target = *target
 	plan, err := compiler.CompileSource(string(src), copts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
 		os.Exit(1)
 	}
-	if plan.Placement != nil {
-		fmt.Printf("placement:         profile %s, %d ingress + %d egress stages, fits\n",
-			plan.Placement.Profile.Name, plan.Placement.IngressStages, plan.Placement.EgressStages)
-	}
+	fmt.Printf("placement:         profile %s, %d ingress + %d egress stages, fits\n",
+		plan.Placement.Profile.Name, plan.Placement.IngressStages, plan.Placement.EgressStages)
 
 	s := sim.New(*seed)
 	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())

@@ -30,11 +30,13 @@ type Options struct {
 	MaxTableEntries int
 	// Werror promotes analyzer warnings to errors (mantisc -Werror).
 	Werror bool
-	// Target names a switch profile (a place registry name or a JSON
-	// profile path) to run the RMT placement pass against after
-	// lowering. Empty skips placement: library callers that compile
-	// deliberately oversized programs (the Fig. 13 resource sweeps)
-	// must stay unconstrained unless they opt in.
+	// Target names the switch profile the RMT placement pass charges
+	// the program against after lowering: a place registry name or a
+	// JSON profile path. Placement always runs; empty (or "none")
+	// selects the unbounded profile, which assigns stages and checks
+	// single-stage register access but enforces no budget, so library
+	// callers that compile deliberately oversized programs (the Fig. 13
+	// resource sweeps) stay unconstrained unless they opt in.
 	Target string
 }
 
@@ -66,11 +68,11 @@ type compiler struct {
 	mvID, vvID int
 }
 
-// Compile lowers a parsed P4R file into a program + plan. When
-// opts.Target names a switch profile and the generated program does not
-// place under its budgets, Compile returns the plan (with
-// Plan.Placement populated, so callers can render the stage map)
-// alongside the non-nil diagnostic error.
+// Compile lowers a parsed P4R file into a program + plan and places it
+// under the opts.Target profile. When the generated program does not
+// place, Compile returns the plan (with Plan.Placement populated, so
+// callers can render the stage map) alongside the non-nil diagnostic
+// error.
 func Compile(f *p4r.File, opts Options) (*Plan, error) {
 	if opts.MaxInitActionBits == 0 {
 		opts.MaxInitActionBits = 512
@@ -128,18 +130,16 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 	if err := c.prog.Validate(); err != nil {
 		return nil, lerr(diag.LowerInternal, 0, 0, "generated program invalid: %v", err)
 	}
-	if opts.Target != "" {
-		prof, derr := place.Find(opts.Target)
-		if derr != nil {
-			c.plan.Diags.Add(derr)
-			return nil, c.plan.Diags
-		}
-		pl := place.Place(c.prog, prof, place.Options{Pos: c.placementPositions()})
-		c.plan.Placement = pl
-		c.plan.Diags.Merge(pl.Diags)
-		if pl.Diags.HasErrors() {
-			return c.plan, c.plan.Diags
-		}
+	prof, derr := place.Find(opts.Target)
+	if derr != nil {
+		c.plan.Diags.Add(derr)
+		return nil, c.plan.Diags
+	}
+	pl := place.Place(c.prog, prof, place.Options{Pos: c.placementPositions()})
+	c.plan.Placement = pl
+	c.plan.Diags.Merge(pl.Diags)
+	if pl.Diags.HasErrors() {
+		return c.plan, c.plan.Diags
 	}
 	return c.plan, nil
 }

@@ -583,10 +583,9 @@ func TestGeneratedProgramValidatesAndPrints(t *testing.T) {
 
 func TestMetadataBitsAccounted(t *testing.T) {
 	plan := compile(t, valueSrc)
-	res := plan.Prog.EstimateResources(nil)
 	// value_var (16) + vv (1): generated metadata.
-	if res.MetadataBits != 17 {
-		t.Fatalf("MetadataBits = %d, want 17", res.MetadataBits)
+	if got := plan.Prog.MetadataBits(); got != 17 {
+		t.Fatalf("MetadataBits = %d, want 17", got)
 	}
 }
 

@@ -1,9 +1,12 @@
-// Package place implements the RMT resource-placement pass: after
-// lowering, every table of the generated program is assigned to a
-// physical match stage honoring match/action dependency order, and
-// charged against the per-stage SRAM/TCAM/slot budgets of a target
-// switch Profile; stateful registers are charged against the per-stage
-// register file of the stage that accesses them.
+// Package place implements the RMT resource-placement pass, the
+// compiler's one stage allocator and resource model: after lowering,
+// every table of the generated program is assigned to a physical match
+// stage honoring match/action dependency order, and charged against the
+// per-stage SRAM/TCAM/slot budgets of a target switch Profile; stateful
+// registers are charged against the per-stage register file of the one
+// stage that accesses them. Under the unbounded profile the pass still
+// assigns stages and checks single-stage register access, but enforces
+// no budget.
 //
 // Like the semantic analyzer the pass collects every violation instead
 // of dying on the first: a table that does not fit is force-placed (in
@@ -15,6 +18,7 @@ package place
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/p4"
 	"repro/internal/p4r/diag"
@@ -38,8 +42,9 @@ type Options struct {
 type TablePlacement struct {
 	Name     string
 	Pipeline string // "ingress" or "egress"
-	// Stage is the assigned physical stage (1-based). Stages greater
-	// than Profile.Stages are overflow: the table did not fit.
+	// Stage is the assigned physical stage (1-based). Under a bounded
+	// profile, stages greater than Profile.Stages are overflow: the
+	// table did not fit.
 	Stage int
 	// MinStage is the earliest stage the dependency order allows.
 	MinStage  int
@@ -60,7 +65,7 @@ type StageUse struct {
 type Placement struct {
 	Profile Profile
 	// Stages is indexed by stage-1 and may extend past Profile.Stages
-	// when the program overflows.
+	// when the program overflows a bounded profile.
 	Stages    []StageUse
 	Tables    map[string]*TablePlacement
 	Registers map[string]int // register name -> charged stage
@@ -73,6 +78,22 @@ type Placement struct {
 
 // Fits reports whether the program placed without violations.
 func (pl *Placement) Fits() bool { return !pl.Diags.HasErrors() }
+
+// Bits totals the memory the placement charges across all stages, the
+// way RMT hardware bills it: register arrays count as SRAM.
+func (pl *Placement) Bits() (sram, tcam int) {
+	for _, su := range pl.Stages {
+		sram += su.SRAMBits + su.RegisterBits
+		tcam += su.TCAMBits
+	}
+	return sram, tcam
+}
+
+// overflow reports whether stage s lies past a bounded profile's last
+// physical stage.
+func (pl *Placement) overflow(s int) bool {
+	return pl.Profile.bounded() && s > pl.Profile.Stages
+}
 
 // stage returns the StageUse for 1-based stage s, growing as needed.
 func (pl *Placement) stage(s int) *StageUse {
@@ -139,6 +160,9 @@ func (pl *Placement) placePipeline(prog *p4.Program, pipeline string, flow []p4.
 // start empty), so placement continues for the rest of the program.
 func (pl *Placement) fit(name string, f p4.TableFootprint, min int, opts Options) int {
 	prof := pl.Profile
+	if !prof.bounded() {
+		return min
+	}
 	pos := opts.Pos[name]
 
 	// A table bigger than an empty stage will never fit anywhere: flag
@@ -212,28 +236,43 @@ func (pl *Placement) fit(name string, f p4.TableFootprint, min int, opts Options
 }
 
 // placeRegisters charges every register array against the register file
-// of the stage holding the first table that accesses it (registers are
-// bound to a single stage on RMT hardware; RegisterStageViolations
-// covers multi-stage access separately). Registers no table touches are
-// charged to stage 1 — they still occupy SRAM somewhere.
+// of the stage holding the first table that accesses it. Registers are
+// bound to a single stage on RMT hardware (the paper's §2), so a
+// register whose accessing tables sit in more than one stage is a P008
+// error under every profile. Registers no table touches are charged to
+// stage 1 — they still occupy SRAM somewhere.
 func (pl *Placement) placeRegisters(prog *p4.Program, opts Options) {
 	accessors := prog.RegisterAccessors()
 	for _, name := range prog.RegisterOrder {
 		reg := prog.Registers[name]
-		stage := 1
+		pos := opts.Pos[name]
+		stage, split := 0, false
+		var where []string
 		for _, tbl := range accessors[name] {
-			if tp := pl.Tables[tbl]; tp != nil {
-				stage = tp.Stage
-				break
+			tp := pl.Tables[tbl]
+			if tp == nil {
+				continue // declared but never applied
 			}
+			if stage == 0 {
+				stage = tp.Stage
+			}
+			split = split || tp.Stage != stage
+			where = append(where, fmt.Sprintf("%s (stage %d)", tbl, tp.Stage))
+		}
+		if split {
+			pl.Diags.Add(diag.Errorf(diag.PlaceRegStages, pos.Line, pos.Col,
+				"register %q is reached from more than one stage: %s", name, strings.Join(where, ", ")).
+				WithHint("RMT binds a register to one stage: access %s from tables that share a stage", name))
+		}
+		if stage == 0 {
+			stage = 1
 		}
 		su := pl.stage(stage)
 		before := su.RegisterBits
 		su.RegisterBits += reg.Bits()
 		su.Registers = append(su.Registers, name)
 		pl.Registers[name] = stage
-		if before <= pl.Profile.StageRegisterBits && su.RegisterBits > pl.Profile.StageRegisterBits {
-			pos := opts.Pos[name]
+		if pl.Profile.bounded() && before <= pl.Profile.StageRegisterBits && su.RegisterBits > pl.Profile.StageRegisterBits {
 			pl.Diags.Add(diag.Errorf(diag.PlaceRegFile, pos.Line, pos.Col,
 				"register %q (%d bits) overflows the stage %d register file: %d of %d bits used",
 				name, reg.Bits(), stage, su.RegisterBits, pl.Profile.StageRegisterBits).
@@ -247,7 +286,7 @@ func (pl *Placement) placeRegisters(prog *p4.Program, opts Options) {
 func (pl *Placement) overBudgetStages() []int {
 	var out []int
 	for _, su := range pl.Stages {
-		if su.Stage > pl.Profile.Stages && (len(su.Tables) > 0 || len(su.Registers) > 0) {
+		if pl.overflow(su.Stage) && (len(su.Tables) > 0 || len(su.Registers) > 0) {
 			out = append(out, su.Stage)
 		}
 	}
@@ -255,13 +294,16 @@ func (pl *Placement) overBudgetStages() []int {
 	return out
 }
 
-// pct renders used/budget as an integer percentage; budget 0 with use
-// renders as "inf".
-func pct(used, budget int) string {
-	if budget <= 0 {
-		if used == 0 {
-			return "0%"
-		}
+// util renders one stage's use of a budget: an integer percentage under
+// a bounded profile (budget 0 with use renders as "inf"), the size in
+// Kbit under the unbounded one.
+func (pl *Placement) util(used, budget int) string {
+	switch {
+	case !pl.Profile.bounded():
+		return fmt.Sprintf("%dKb", (used+1023)/1024)
+	case budget <= 0 && used == 0:
+		return "0%"
+	case budget <= 0:
 		return "inf"
 	}
 	return fmt.Sprintf("%d%%", (used*100+budget-1)/budget)

@@ -42,6 +42,11 @@ const (
 	// MiniTarget is a deliberately tight profile used by tests to force
 	// placement failures on realistic programs.
 	MiniTarget = "mini"
+	// Unbounded names the profile an empty target resolves to: it
+	// assigns every table the earliest stage its dependencies allow and
+	// enforces no budget. It is not in the registry, so Names (and the
+	// fig-place sweep) leave it out.
+	Unbounded = "none"
 )
 
 // registry holds the built-in profiles. generic-16stage approximates a
@@ -75,6 +80,10 @@ var registry = map[string]Profile{
 	},
 }
 
+// bounded reports whether the profile enforces budgets. The unbounded
+// profile is the one with zero stages; a profile file cannot produce it.
+func (p Profile) bounded() bool { return p.Stages > 0 }
+
 // Names returns the built-in profile names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))
@@ -85,11 +94,14 @@ func Names() []string {
 	return out
 }
 
-// Find resolves a -target argument: a built-in profile name, or a path
-// to a JSON profile file (anything containing a path separator or a
-// .json suffix). On failure it returns a positioned-at-zero P007
+// Find resolves a -target argument: "" or "none" for the unbounded
+// profile, a built-in profile name, or a path to a JSON profile file
+// (anything containing a path separator or a .json suffix). On failure it returns a positioned-at-zero P007
 // diagnostic suitable for merging into a compile's diagnostic list.
 func Find(target string) (Profile, *diag.Diagnostic) {
+	if target == "" || target == Unbounded {
+		return Profile{Name: Unbounded}, nil
+	}
 	if p, ok := registry[target]; ok {
 		return p, nil
 	}
@@ -97,7 +109,7 @@ func Find(target string) (Profile, *diag.Diagnostic) {
 		return loadFile(target)
 	}
 	return Profile{}, diag.Errorf(diag.PlaceProfile, 0, 0, "unknown target profile %q", target).
-		WithHint("built-in profiles: %s; or pass a .json profile file", strings.Join(Names(), ", "))
+		WithHint("built-in profiles: %s; %s for no budgets; or pass a .json profile file", strings.Join(Names(), ", "), Unbounded)
 }
 
 // loadFile reads a JSON profile and validates its budgets.

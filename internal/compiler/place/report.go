@@ -6,7 +6,8 @@ import (
 )
 
 // Report renders the placement as a human-readable stage map with
-// per-stage utilization percentages, the format behind mantisc -report:
+// per-stage utilization percentages (sizes in Kbit under the unbounded
+// profile), the format behind mantisc -report:
 //
 //	placement: profile generic-16stage (16 stages) — FITS
 //	stage  pipeline  tables                      sram        tcam        regs
@@ -18,11 +19,18 @@ func (pl *Placement) Report() string {
 	if !pl.Fits() {
 		verdict = "DOES NOT FIT"
 	}
-	fmt.Fprintf(&b, "placement: profile %s (%d stages, %d b SRAM / %d b TCAM / %d b regs / %d tables per stage) — %s\n",
-		pl.Profile.Name, pl.Profile.Stages, pl.Profile.StageSRAMBits, pl.Profile.StageTCAMBits,
-		pl.Profile.StageRegisterBits, pl.Profile.StageTables, verdict)
-	fmt.Fprintf(&b, "stages used: %d ingress + %d egress = %d of %d\n",
-		pl.IngressStages, pl.EgressStages, pl.IngressStages+pl.EgressStages, pl.Profile.Stages)
+	used := pl.IngressStages + pl.EgressStages
+	if pl.Profile.bounded() {
+		fmt.Fprintf(&b, "placement: profile %s (%d stages, %d b SRAM / %d b TCAM / %d b regs / %d tables per stage) — %s\n",
+			pl.Profile.Name, pl.Profile.Stages, pl.Profile.StageSRAMBits, pl.Profile.StageTCAMBits,
+			pl.Profile.StageRegisterBits, pl.Profile.StageTables, verdict)
+		fmt.Fprintf(&b, "stages used: %d ingress + %d egress = %d of %d\n",
+			pl.IngressStages, pl.EgressStages, used, pl.Profile.Stages)
+	} else {
+		fmt.Fprintf(&b, "placement: profile %s (unbounded: dependency order, no budgets) — %s\n",
+			pl.Profile.Name, verdict)
+		fmt.Fprintf(&b, "stages used: %d ingress + %d egress = %d\n", pl.IngressStages, pl.EgressStages, used)
+	}
 
 	const rowFmt = "%5s  %-8s  %-44s %6s %6s %6s\n"
 	fmt.Fprintf(&b, rowFmt, "stage", "pipeline", "tables (registers)", "sram", "tcam", "regs")
@@ -39,7 +47,7 @@ func (pl *Placement) Report() string {
 			label += " (" + strings.Join(su.Registers, ", ") + ")"
 		}
 		stageNo := fmt.Sprintf("%d", su.Stage)
-		if su.Stage > pl.Profile.Stages {
+		if pl.overflow(su.Stage) {
 			stageNo += "!" // overflow stage past the physical pipeline
 		}
 		// Wrap long table lists rather than truncating them.
@@ -53,9 +61,9 @@ func (pl *Placement) Report() string {
 			stageNo, pipeline = "", ""
 		}
 		fmt.Fprintf(&b, rowFmt, stageNo, pipeline, label,
-			pct(su.SRAMBits, pl.Profile.StageSRAMBits),
-			pct(su.TCAMBits, pl.Profile.StageTCAMBits),
-			pct(su.RegisterBits, pl.Profile.StageRegisterBits))
+			pl.util(su.SRAMBits, pl.Profile.StageSRAMBits),
+			pl.util(su.TCAMBits, pl.Profile.StageTCAMBits),
+			pl.util(su.RegisterBits, pl.Profile.StageRegisterBits))
 	}
 	if over := pl.overBudgetStages(); len(over) > 0 {
 		fmt.Fprintf(&b, "overflow: %d table(s)/register(s) spilled past stage %d (marked !)\n",

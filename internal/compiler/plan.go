@@ -55,12 +55,14 @@ type Plan struct {
 	UsesMV bool
 
 	// Diags holds the semantic analyzer's findings for this compile
-	// (warnings included even when compilation succeeds), plus any
-	// placement findings when Options.Target was set.
+	// (warnings included even when compilation succeeds), plus the
+	// placement findings.
 	Diags *diag.List
 
-	// Placement is the RMT stage assignment computed when
-	// Options.Target was set; nil otherwise.
+	// Placement is the RMT stage assignment under the Options.Target
+	// profile (the unbounded one when Target is empty). It is the
+	// program's one resource model: stage counts and SRAM/TCAM totals
+	// are read from it.
 	Placement *place.Placement
 }
 

@@ -111,20 +111,12 @@ func fig13Point(width, alts, occupancy int) (*Fig13Row, error) {
 	// Occupancy is user entries; the generated tables hold
 	// occupancy x A x 2 (alts x versions) concrete entries.
 	gen := occupancy * alts * 2
-	res := plan.Prog.EstimateResources(map[string]int{
-		"tblWriteX": gen,
-		"tblReadX":  gen,
-	})
-	row := &Fig13Row{Alts: alts, Width: width, Occupancy: occupancy}
-	for _, tr := range res.Tables {
-		switch tr.Name {
-		case "tblWriteX":
-			row.WriteTCAMBits = tr.Bits
-		case "tblReadX":
-			row.ReadTCAMBits = tr.Bits
-		}
-	}
-	return row, nil
+	prog := plan.Prog
+	return &Fig13Row{
+		Alts: alts, Width: width, Occupancy: occupancy,
+		WriteTCAMBits: prog.FootprintOf(prog.Tables["tblWriteX"], gen).TCAMBits,
+		ReadTCAMBits:  prog.FootprintOf(prog.Tables["tblReadX"], gen).TCAMBits,
+	}, nil
 }
 
 // Tables is one table per sweep; Fig. 13a's note is the growth of both

@@ -93,8 +93,8 @@ type Config struct {
 
 	// Target is the switch profile both programs must place under
 	// (compiler.Options.Target; default place.DefaultTarget). "none"
-	// skips the placement check — every simulated switch then behaves
-	// as if it had unbounded stages.
+	// places them without budgets: stages are still assigned and a
+	// register reached from two stages is still rejected.
 	Target string
 
 	// CtlDelay is the one-way control-link delay per node (default
@@ -227,9 +227,7 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 		return nil, err
 	}
 	opts := compiler.DefaultOptions()
-	if cfg.Target != "none" {
-		opts.Target = cfg.Target
-	}
+	opts.Target = cfg.Target
 	leafPlan, err := compiler.CompileSource(LeafP4R, opts)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: leaf program: %w", err)

@@ -297,17 +297,26 @@ func TestOversizedCountsDoNotAllocate(t *testing.T) {
 		w.U32(n) // ops
 		bodies = append(bodies, w.B)
 	}
+	// TotalAlloc is process-wide, so a goroutine the runtime or the
+	// testing package runs meanwhile can add to one reading. The decoder's
+	// own allocations recur on every call, so the fewest bytes over a few
+	// calls is what decoding costs.
+	const tries = 5
 	for i, body := range bodies {
 		rec := frame(body)
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		_, _, cpErr, itErr := decodeBoth(rec)
-		runtime.ReadMemStats(&ms1)
-		if !errors.Is(cpErr, journal.ErrCorrupt) || !errors.Is(itErr, journal.ErrCorrupt) {
-			t.Errorf("body %d: oversized count accepted (%v / %v)", i, cpErr, itErr)
+		least := ^uint64(0)
+		for try := 0; try < tries; try++ {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			_, _, cpErr, itErr := decodeBoth(rec)
+			runtime.ReadMemStats(&ms1)
+			if try == 0 && (!errors.Is(cpErr, journal.ErrCorrupt) || !errors.Is(itErr, journal.ErrCorrupt)) {
+				t.Errorf("body %d: oversized count accepted (%v / %v)", i, cpErr, itErr)
+			}
+			least = min(least, ms1.TotalAlloc-ms0.TotalAlloc)
 		}
-		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 4096 {
-			t.Errorf("body %d: decoding a %d-byte record allocated %d bytes", i, len(rec), got)
+		if least > 4096 {
+			t.Errorf("body %d: decoding a %d-byte record allocated %d bytes", i, len(rec), least)
 		}
 	}
 }

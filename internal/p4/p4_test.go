@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,16 +153,9 @@ func TestTableHelpers(t *testing.T) {
 	}
 }
 
-func TestStageAllocationDependency(t *testing.T) {
-	p := buildTestProgram(t)
-	// forward writes egress_spec; counter_tbl reads ingress_port &
-	// packet_length only, so they are independent and share stage 1.
-	res := p.EstimateResources(nil)
-	if res.IngressStages != 1 {
-		t.Fatalf("IngressStages = %d, want 1 (independent tables share)", res.IngressStages)
-	}
-}
-
+// TestStageAllocationChain: t2 matches the field t1's action writes, so
+// t2 depends on t1 and placement must put it in a later stage; t1
+// depends on nothing. A repeated apply adds no second entry.
 func TestStageAllocationChain(t *testing.T) {
 	p := NewProgram("chain")
 	p.DefineStandardMetadata()
@@ -172,39 +166,40 @@ func TestStageAllocationChain(t *testing.T) {
 	p.AddTable(&Table{Name: "t1", ActionNames: []string{"wa"}, DefaultAction: &ActionCall{Action: "wa"}, Size: 1})
 	p.AddTable(&Table{Name: "t2", Keys: []MatchKey{{FieldName: "m.a", Field: a, Width: 32, Kind: MatchExact}},
 		ActionNames: []string{"rb"}, Size: 8})
-	p.Ingress = []ControlStmt{Apply{Table: "t1"}, Apply{Table: "t2"}}
+	p.Ingress = []ControlStmt{Apply{Table: "t1"}, Apply{Table: "t2"}, Apply{Table: "t1"}}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := p.EstimateResources(nil)
-	if res.IngressStages != 2 {
-		t.Fatalf("IngressStages = %d, want 2 (t2 matches field t1 writes)", res.IngressStages)
+	order, deps := p.TableDependencies(p.Ingress)
+	if !reflect.DeepEqual(order, []string{"t1", "t2"}) {
+		t.Fatalf("order = %v, want [t1 t2]", order)
+	}
+	if len(deps["t1"]) != 0 {
+		t.Errorf("t1 depends on %v, want nothing", deps["t1"])
+	}
+	if !reflect.DeepEqual(deps["t2"], []string{"t1"}) {
+		t.Errorf("t2 depends on %v, want [t1] (t2 matches field t1 writes)", deps["t2"])
 	}
 }
 
 func TestResourceAccounting(t *testing.T) {
 	p := buildTestProgram(t)
-	res := p.EstimateResources(nil)
-	if res.NumTables != 2 || res.NumRegisters != 1 {
-		t.Fatalf("tables=%d regs=%d", res.NumTables, res.NumRegisters)
-	}
 	// forward: LPM -> TCAM; only the match key (value+mask) lives in
-	// TCAM: 2*32 bits x 1024 entries.
-	wantTCAM := 2 * 32 * 1024
-	if res.TCAMBits != wantTCAM {
-		t.Fatalf("TCAMBits = %d, want %d", res.TCAMBits, wantTCAM)
+	// TCAM, 2*32 bits x 1024 entries, and its action data (16b) in SRAM.
+	fwd := p.FootprintOf(p.Tables["forward"], 1024)
+	if !fwd.TCAM || fwd.TCAMBits != 2*32*1024 || fwd.SRAMBits != 16*1024 {
+		t.Fatalf("forward = %+v, want TCAM %d bits and SRAM %d bits", fwd, 2*32*1024, 16*1024)
 	}
-	// SRAM: forward's action data (16b x 1024) + counter_tbl (0) +
-	// register 64x64.
-	if res.SRAMBits != 16*1024+64*64 {
-		t.Fatalf("SRAMBits = %d, want %d", res.SRAMBits, 16*1024+64*64)
+	// counter_tbl has no key and no action data.
+	if c := p.FootprintOf(p.Tables["counter_tbl"], 1); c.TCAM || c.SRAMBits != 0 || c.TCAMBits != 0 {
+		t.Fatalf("counter_tbl = %+v, want no memory", c)
 	}
 }
 
 func TestResourceOccupancyOverride(t *testing.T) {
 	p := buildTestProgram(t)
-	full := p.EstimateResources(nil).TCAMBits
-	half := p.EstimateResources(map[string]int{"forward": 512}).TCAMBits
+	full := p.FootprintOf(p.Tables["forward"], p.Tables["forward"].Size).TCAMBits
+	half := p.FootprintOf(p.Tables["forward"], 512).TCAMBits
 	if half*2 != full {
 		t.Fatalf("occupancy override: half=%d full=%d", half, full)
 	}
@@ -215,18 +210,8 @@ func TestMetadataBits(t *testing.T) {
 	p.Schema.Define("p4r_meta_.value_var", 16)
 	p.Schema.Define("p4r_meta_.alt", 1)
 	p.Schema.Define("hdr.x", 32)
-	res := p.EstimateResources(nil)
-	if res.MetadataBits != 17 {
-		t.Fatalf("MetadataBits = %d, want 17", res.MetadataBits)
-	}
-}
-
-func TestResourcesDelta(t *testing.T) {
-	a := Resources{Stages: 5, NumTables: 10, SRAMBits: 1000, TCAMBits: 200, MetadataBits: 64}
-	b := Resources{Stages: 3, NumTables: 8, SRAMBits: 400, TCAMBits: 200, MetadataBits: 0}
-	d := a.Delta(b)
-	if d.Stages != 2 || d.NumTables != 2 || d.SRAMBits != 600 || d.TCAMBits != 0 || d.MetadataBits != 64 {
-		t.Fatalf("Delta = %+v", d)
+	if got := p.MetadataBits(); got != 17 {
+		t.Fatalf("MetadataBits = %d, want 17", got)
 	}
 }
 
@@ -305,42 +290,5 @@ func TestPropertyMinMax(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRegisterStageViolations(t *testing.T) {
-	p := NewProgram("stages")
-	p.DefineStandardMetadata()
-	a := p.Schema.Define("m.a", 32)
-	p.AddRegister(&Register{Name: "shared", Width: 32, Instances: 4})
-	// t1 writes m.a and touches the register; t2 matches m.a (forcing a
-	// later stage) and touches the same register: violation.
-	p.AddAction(&Action{Name: "w1", Body: []Primitive{
-		ModifyField{Dst: a, DstName: "m.a", Src: ConstOp(1)},
-		RegisterIncrement{Reg: "shared", Index: ConstOp(0), By: ConstOp(1)},
-	}})
-	p.AddAction(&Action{Name: "w2", Body: []Primitive{
-		RegisterIncrement{Reg: "shared", Index: ConstOp(1), By: ConstOp(1)},
-	}})
-	p.AddTable(&Table{Name: "t1", ActionNames: []string{"w1"}, DefaultAction: &ActionCall{Action: "w1"}, Size: 1})
-	p.AddTable(&Table{Name: "t2", Keys: []MatchKey{{FieldName: "m.a", Field: a, Width: 32, Kind: MatchExact}},
-		ActionNames: []string{"w2"}, Size: 4})
-	p.Ingress = []ControlStmt{Apply{Table: "t1"}, Apply{Table: "t2"}}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	v := p.RegisterStageViolations()
-	if len(v) != 1 || v[0].Register != "shared" {
-		t.Fatalf("violations = %+v", v)
-	}
-	if v[0].Stages["t1"] == v[0].Stages["t2"] {
-		t.Fatalf("stages should differ: %+v", v[0].Stages)
-	}
-}
-
-func TestNoStageViolationSingleTable(t *testing.T) {
-	p := buildTestProgram(t)
-	if v := p.RegisterStageViolations(); len(v) != 0 {
-		t.Fatalf("unexpected violations: %+v", v)
 	}
 }

@@ -26,11 +26,13 @@ var corpusLimits = map[string]analysis.Limits{
 // placementTargets routes the placement-failure corpus files through
 // the full compile pipeline against a named switch profile, so the
 // goldens pin the positioned P diagnostics rather than analyzer output.
+// An empty target is the unbounded profile a plain compile uses.
 var placementTargets = map[string]string{
 	"place_stage_chain.p4r":     "mini",
 	"place_tcam_budget.p4r":     "mini",
 	"place_regfile.p4r":         "mini",
 	"place_table_expansion.p4r": "mini",
+	"place_reg_multistage.p4r":  "",
 }
 
 // run parses and analyzes one corpus file, rendering the diagnostics in

@@ -80,9 +80,10 @@ const (
 )
 
 // Placement codes (internal/compiler/place). The placement pass runs
-// after lowering and charges the generated program against a switch
-// profile's per-stage budgets; like the semantic analyzer it collects
-// every violation instead of dying on the first.
+// after every lowering and charges the generated program against a
+// switch profile's per-stage budgets; like the semantic analyzer it
+// collects every violation instead of dying on the first. P001–P006
+// fire only under a bounded profile; P008 fires under every profile.
 const (
 	PlaceStages    = "P001" // dependency chain needs more stages than the profile has
 	PlaceSRAM      = "P002" // no stage has enough SRAM left for a table
@@ -91,6 +92,7 @@ const (
 	PlaceOversized = "P005" // one table exceeds an empty stage's budget outright
 	PlaceSlots     = "P006" // no stage has a free logical table slot
 	PlaceProfile   = "P007" // unknown -target profile or malformed profile file
+	PlaceRegStages = "P008" // a register is reached from tables in more than one stage
 )
 
 // Diagnostic is one analyzer or compiler finding. Line and Col are

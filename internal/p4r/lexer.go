@@ -218,24 +218,32 @@ func isHex(c byte) bool {
 
 // captureBraceBlock returns the raw source between the current position
 // (which must be just after an opening '{') and its matching '}',
-// honoring nested braces and comments. Used to extract reaction bodies,
-// which are parsed separately by the reaction-language interpreter.
+// honoring nested braces. Comments and string literals, in the forms
+// the reaction language accepts, are copied verbatim: a brace inside
+// one neither opens nor closes the block. Used to extract reaction
+// bodies, which are parsed separately by the reaction-language
+// interpreter.
 func (lx *Lexer) captureBraceBlock() (string, error) {
 	depth := 1
 	var b strings.Builder
 	startLine, startCol := lx.line, lx.col
 	for lx.pos < len(lx.src) {
 		c := lx.peekByte()
-		if c == '/' && lx.peekByteAt(1) == '/' {
-			for lx.pos < len(lx.src) && lx.peekByte() != '\n' {
-				b.WriteByte(lx.advance())
-			}
+		switch {
+		case c == '/' && lx.peekByteAt(1) == '/':
+			lx.copyPast(&b, 2, "\n")
 			continue
-		}
-		switch c {
-		case '{':
+		case c == '/' && lx.peekByteAt(1) == '*':
+			lx.copyPast(&b, 2, "*/")
+			continue
+		case c == '"':
+			// An rcl string ends at its closing quote; a newline inside
+			// one is rcl's error to report.
+			lx.copyPast(&b, 1, "\"", "\n")
+			continue
+		case c == '{':
 			depth++
-		case '}':
+		case c == '}':
 			depth--
 			if depth == 0 {
 				lx.advance()
@@ -245,4 +253,23 @@ func (lx *Lexer) captureBraceBlock() (string, error) {
 		b.WriteByte(lx.advance())
 	}
 	return "", diag.Errorf(diag.BadLiteral, startLine, startCol, "unterminated block")
+}
+
+// copyPast copies the n-byte opener at the cursor into b, then every
+// byte up to and including the first of stops (or to end of input).
+func (lx *Lexer) copyPast(b *strings.Builder, n int, stops ...string) {
+	for i := 0; i < n; i++ {
+		b.WriteByte(lx.advance())
+	}
+	for lx.pos < len(lx.src) {
+		for _, stop := range stops {
+			if strings.HasPrefix(lx.src[lx.pos:], stop) {
+				for i := 0; i < len(stop); i++ {
+					b.WriteByte(lx.advance())
+				}
+				return
+			}
+		}
+		b.WriteByte(lx.advance())
+	}
 }

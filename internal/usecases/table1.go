@@ -73,6 +73,25 @@ var useCaseSources = []struct {
 		"Reads queue depth and byte counters as RL state; Q-learning tunes the DCTCP ECN marking threshold."},
 }
 
+// cost is a compiled program's resource footprint in Table 1's units,
+// read from its placement (the compiler's one resource model).
+type cost struct {
+	stages, tables, registers, sramBits, tcamBits, metadataBits int
+}
+
+func costOf(plan *compiler.Plan) cost {
+	pl := plan.Placement
+	sram, tcam := pl.Bits()
+	return cost{
+		stages:       pl.IngressStages + pl.EgressStages,
+		tables:       len(plan.Prog.TableOrder),
+		registers:    len(plan.Prog.RegisterOrder),
+		sramBits:     sram,
+		tcamBits:     tcam,
+		metadataBits: plan.Prog.MetadataBits(),
+	}
+}
+
 // Table1 compiles all four use cases and reports their marginal costs
 // over the basic router.
 func Table1() ([]Table1Row, error) {
@@ -80,7 +99,7 @@ func Table1() ([]Table1Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("base router: %w", err)
 	}
-	baseRes := basePlan.Prog.EstimateResources(nil)
+	base := costOf(basePlan)
 
 	var rows []Table1Row
 	for _, uc := range useCaseSources {
@@ -88,8 +107,7 @@ func Table1() ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", uc.name, err)
 		}
-		res := plan.Prog.EstimateResources(nil)
-		d := res.Delta(baseRes)
+		c := costOf(plan)
 		mblTables := 0
 		for _, ti := range plan.MblTables {
 			if ti.VVCol >= 0 {
@@ -104,12 +122,12 @@ func Table1() ([]Table1Row, error) {
 			MblTables:    mblTables,
 			P4RLoC:       plan.SourceLines,
 			P4LoC:        plan.Prog.LineCount(),
-			Stages:       d.Stages,
-			Tables:       d.NumTables,
-			Registers:    d.NumRegisters,
-			SRAMKB:       float64(d.SRAMBits) / 8 / 1024,
-			TCAMKB:       float64(d.TCAMBits) / 8 / 1024,
-			MetadataBits: d.MetadataBits,
+			Stages:       c.stages - base.stages,
+			Tables:       c.tables - base.tables,
+			Registers:    c.registers - base.registers,
+			SRAMKB:       float64(c.sramBits-base.sramBits) / 8 / 1024,
+			TCAMKB:       float64(c.tcamBits-base.tcamBits) / 8 / 1024,
+			MetadataBits: c.metadataBits - base.metadataBits,
 		})
 	}
 	return rows, nil

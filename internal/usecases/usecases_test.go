@@ -412,18 +412,3 @@ func TestFig15Deterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: %+v vs %+v", a.BlockedAt, b.BlockedAt)
 	}
 }
-
-// TestGeneratedProgramsRespectRegisterStageConstraint: the compiler's
-// output must not require a register to be reachable from multiple
-// stages (the §2 hardware constraint).
-func TestGeneratedProgramsRespectRegisterStageConstraint(t *testing.T) {
-	for _, src := range []string{DosP4R, GrayP4R, HashPolarP4R, RLECNP4R} {
-		plan, err := compiler.CompileSource(src, compiler.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := plan.Prog.RegisterStageViolations(); len(v) != 0 {
-			t.Fatalf("generated program violates the single-stage SRAM constraint: %+v", v)
-		}
-	}
-}
