@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/usecases"
 )
 
@@ -44,7 +45,7 @@ type params struct {
 }
 
 // result is an experiment's JSON record, which also yields its tables.
-type result interface{ Tables() []experiments.Table }
+type result interface{ Tables() []report.Table }
 
 // experiment is one registered run; with -json its result lands in
 // BENCH_<jsonName>.json.
@@ -163,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) (int, map[string]result) {
 			continue
 		}
 		results[e.name] = res
-		fmt.Fprintln(stdout, experiments.Text(res.Tables()))
+		fmt.Fprintln(stdout, report.Text(res.Tables()))
 		if p.jsonDir == "" {
 			continue
 		}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/report"
 )
 
 var update = flag.Bool("update", false,
@@ -153,7 +153,7 @@ func TestRunAllMatchesCheckedIn(t *testing.T) {
 		if !ok {
 			t.Fatalf("EXPERIMENTS.md has a generated block for %q, which is not an experiment", b.name)
 		}
-		md := "\n" + experiments.Markdown(res.Tables()) + "\n"
+		md := "\n" + report.Markdown(res.Tables()) + "\n"
 		if !*update && string(doc[b.lo:b.hi]) != md {
 			t.Errorf("EXPERIMENTS.md's %s block differs from its tables; regenerate with go test ./cmd/experiments -update", b.name)
 		}

@@ -1,7 +1,8 @@
 // Command mantisd runs a Mantis agent against a simulated switch
 // loaded with a compiled .p4r program, drives synthetic traffic through
 // it, and reports dialogue-loop statistics — a miniature of deploying
-// the Mantis agent on a switch CPU.
+// the Mantis agent on a switch CPU. The report is a set of tables: one
+// per stats struct of each layer it ran, plus the run's own facts.
 //
 // Usage:
 //
@@ -20,11 +21,15 @@
 //
 //	mantisd -topology leafspine:4,2 -fail-spine 1
 //	mantisd -topology leafspine:4,2 -gray-trunk 0,1:0.3
+//
+// A usage error exits 2, a failed run 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -42,10 +47,97 @@ import (
 	"repro/internal/journal"
 	"repro/internal/netsim"
 	"repro/internal/p4"
+	"repro/internal/report"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// usageError is a bad invocation: run exits 2 for it, 1 for any other
+// error.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// config is the parsed command line.
+type config struct {
+	duration, pacing, ctlDelay, interval time.Duration
+	pps, ctlLoss                         float64
+	seed, faultSeed                      int64
+	legacyClients, failSpine             int
+	faults, sched, ctlPartition          string
+	topology, target, grayTrunk          string
+	ctlProf                              faults.LinkProfile
+}
+
+// run is the command: it parses args, runs one switch or a fabric, and
+// writes the report to stdout. It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mantisd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c config
+	fs.DurationVar(&c.duration, "duration", 10*time.Millisecond, "virtual run time")
+	fs.DurationVar(&c.pacing, "pacing", 0, "dialogue pacing (0 = busy loop)")
+	fs.Float64Var(&c.pps, "pps", 100000, "synthetic traffic rate (packets/second)")
+	fs.Int64Var(&c.seed, "seed", 1, "random seed")
+	fs.StringVar(&c.faults, "faults", "", "inject driver-channel faults: none|transient|latency|partial-batch|stuck (enables agent recovery), or crash the primary with crash-prepare|crash-commit|crash-mirror (enables journaled failover to a standby)")
+	fs.Int64Var(&c.faultSeed, "fault-seed", 1, "fault injector seed (independent of -seed)")
+	fs.IntVar(&c.legacyClients, "legacy-clients", 0, "concurrent legacy control-plane clients churning a table through bulk sessions")
+	fs.StringVar(&c.sched, "sched", "priority", "control-plane scheduling policy: priority|fifo")
+	fs.DurationVar(&c.ctlDelay, "ctl-delay", 0, "run the dialogue over a message-based control channel with this one-way link delay (0 = in-process calls unless another -ctl-* flag is set, then 500ns)")
+	fs.Float64Var(&c.ctlLoss, "ctl-loss", 0, "control-channel frame loss probability per direction (implies the message channel)")
+	fs.StringVar(&c.ctlPartition, "ctl-partition", "", "periodic control-channel partitions, EVERY/FOR (e.g. 700us/300us; implies the message channel)")
+	fs.StringVar(&c.topology, "topology", "", "run a multi-switch fabric instead of one switch: leafspine:L,S (uses built-in programs; no program argument)")
+	fs.StringVar(&c.target, "target", place.DefaultTarget, "switch profile the program must place under: a built-in name, a .json profile file, or \"none\" to assign stages without budgets")
+	fs.IntVar(&c.failSpine, "fail-spine", -1, "with -topology: crash this spine (all trunks down, control endpoints dead, agent halted) at duration/3, restore at 2·duration/3")
+	fs.StringVar(&c.grayTrunk, "gray-trunk", "", "with -topology: silently degrade one leaf↔spine trunk, L,S[:RATE] (e.g. 0,1:0.3), over the same fail/heal window")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	tables, err := daemon(&c, fs.Args())
+	if err != nil {
+		fmt.Fprintf(stderr, "mantisd: %v\n", err)
+		if errors.As(err, &usageError{}) {
+			return 2
+		}
+		return 1
+	}
+	fmt.Fprint(stdout, report.Text(tables))
+	return 0
+}
+
+// daemon checks the flags that do not depend on the mode, then runs the
+// mode they select.
+func daemon(c *config, args []string) ([]report.Table, error) {
+	var err error
+	if c.ctlProf, err = ctlLinkProfile(c.ctlLoss, c.ctlPartition); err != nil {
+		return nil, usageError{err}
+	}
+	if c.interval, err = trafficInterval(c.duration, c.pps); err != nil {
+		return nil, usageError{err}
+	}
+	if c.topology != "" {
+		if len(args) != 0 {
+			return nil, usagef("-topology uses the built-in fabric programs; no program argument")
+		}
+		if c.faults != "" || c.legacyClients > 0 {
+			return nil, usagef("-topology cannot be combined with -faults or -legacy-clients")
+		}
+		return runTopology(c)
+	}
+	if c.failSpine >= 0 || c.grayTrunk != "" {
+		return nil, usagef("-fail-spine and -gray-trunk require -topology")
+	}
+	if len(args) != 1 {
+		return nil, usagef("usage: mantisd [flags] program.p4r")
+	}
+	return runSwitch(c, args[0])
+}
 
 // ctlLinkProfile assembles the message-channel fault profile from the
 // -ctl-* flags. The -ctl-partition value is EVERY/FOR, two durations:
@@ -92,32 +184,6 @@ func trafficInterval(duration time.Duration, pps float64) (time.Duration, error)
 	return interval, nil
 }
 
-// faultProfile maps the -faults flag value to an injector profile.
-func faultProfile(name string) (faults.Profile, bool) {
-	switch name {
-	case "", "none":
-		return faults.None(), name != ""
-	case "transient":
-		return faults.TransientErrors(), true
-	case "latency":
-		return faults.LatencySpikes(), true
-	case "partial":
-		return faults.PartialBatches(), true
-	case "stuck":
-		return faults.StuckChannel(), true
-	case "crash-prepare":
-		return faults.CrashMidPrepare(), true
-	case "crash-commit":
-		return faults.CrashAtCommit(), true
-	case "crash-mirror":
-		return faults.CrashMidMirror(), true
-	default:
-		fmt.Fprintf(os.Stderr, "mantisd: unknown fault profile %q (want none|transient|latency|partial|stuck|crash-prepare|crash-commit|crash-mirror)\n", name)
-		os.Exit(2)
-		panic("unreachable")
-	}
-}
-
 // legacyChurnTarget picks a table for legacy bulk clients to churn: the
 // first (alphabetically) non-malleable table that is not part of the
 // compiler-generated init/loader machinery. Falls back to register
@@ -155,12 +221,7 @@ func legacyReadTarget(prog *p4.Program) (reg string, n uint64, ok bool) {
 		return "", 0, false
 	}
 	sort.Strings(names)
-	r := prog.Registers[names[0]]
-	n = uint64(r.Instances)
-	if n > 16 {
-		n = 16
-	}
-	return names[0], n, true
+	return names[0], min(uint64(prog.Registers[names[0]].Instances), 16), true
 }
 
 // parseGrayTrunk parses -gray-trunk's L,S[:RATE] form. Every part must
@@ -184,274 +245,196 @@ func parseGrayTrunk(spec string) (leaf, spine int, rate float64, err error) {
 
 // runTopology is the -topology mode: a leaf–spine fabric of switches,
 // each with its own agent over a lossy control channel, running the
-// network-wide DoS scenario end to end. failSpine ≥ 0 crashes that
-// spine at duration/3 and restores it at 2·duration/3; grayTrunk (if
-// non-empty) silently degrades one leaf↔spine trunk over the same
-// window instead.
-func runTopology(spec string, duration, pacing time.Duration, seed int64, ctlDelay time.Duration, ctlProf faults.LinkProfile, failSpine int, grayTrunk, target string) {
-	rest, ok := strings.CutPrefix(spec, "leafspine:")
+// network-wide DoS scenario end to end. -fail-spine crashes that spine
+// at duration/3 and restores it at 2·duration/3; -gray-trunk silently
+// degrades one leaf↔spine trunk over the same window instead.
+func runTopology(c *config) ([]report.Table, error) {
 	var leaves, spines int
-	if ok {
-		if _, err := fmt.Sscanf(rest, "%d,%d", &leaves, &spines); err != nil {
-			ok = false
-		}
+	if _, err := fmt.Sscanf(c.topology, "leafspine:%d,%d", &leaves, &spines); err != nil || leaves < 1 || spines < 1 {
+		return nil, usagef("-topology %q: want leafspine:L,S with L,S ≥ 1", c.topology)
 	}
-	if !ok || leaves < 1 || spines < 1 {
-		fmt.Fprintf(os.Stderr, "mantisd: -topology %q: want leafspine:L,S with L,S ≥ 1\n", spec)
-		os.Exit(2)
+	if c.failSpine >= spines {
+		return nil, usagef("-fail-spine %d: fabric has spines 0..%d", c.failSpine, spines-1)
+	}
+	var gl, gs int
+	var rate float64
+	if c.grayTrunk != "" {
+		var err error
+		if gl, gs, rate, err = parseGrayTrunk(c.grayTrunk); err != nil {
+			return nil, usageError{err}
+		}
+		if gl < 0 || gl >= leaves || gs < 0 || gs >= spines {
+			return nil, usagef("-gray-trunk %d,%d: fabric is %d×%d", gl, gs, leaves, spines)
+		}
 	}
 
 	cfg := fabric.DosFabricConfig{Fabric: fabric.Config{
-		Leaves: leaves, Spines: spines, Seed: seed,
-		Pacing: pacing, CtlDelay: ctlDelay, CtlProfile: ctlProf,
-		Target: target,
+		Leaves: leaves, Spines: spines, Seed: c.seed,
+		Pacing: c.pacing, CtlDelay: c.ctlDelay, CtlProfile: c.ctlProf,
+		Target: c.target,
 	}}
-	if ctlProf.Loss > 0 || ctlProf.PartitionEvery > 0 {
+	if c.ctlProf.Loss > 0 || c.ctlProf.PartitionEvery > 0 {
 		// Sustained channel faults need a longer per-op budget; see
 		// fabric.Config.CtlOpDeadline.
 		cfg.Fabric.CtlOpDeadline = 2 * time.Millisecond
 	}
-	s := sim.New(seed)
+	s := sim.New(c.seed)
 	d, err := fabric.NewDosFabric(s, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
 	// Failure injection: land at 1/3 of the run, heal at 2/3, so the
 	// report shows detection, reroute, and restore all inside -duration.
-	failAt, healAt := duration/3, 2*duration/3
-	if failSpine >= 0 {
-		if failSpine >= spines {
-			fmt.Fprintf(os.Stderr, "mantisd: -fail-spine %d: fabric has spines 0..%d\n", failSpine, spines-1)
-			os.Exit(2)
-		}
-		name := d.F.Spines[failSpine].Name
-		s.Schedule(failAt, func() {
-			if err := d.F.Crash(name); err != nil {
-				fmt.Fprintf(os.Stderr, "mantisd: crash %s: %v\n", name, err)
-			}
-		})
-		s.Schedule(healAt, func() {
-			if err := d.F.Restore(name); err != nil {
-				fmt.Fprintf(os.Stderr, "mantisd: restore %s: %v\n", name, err)
-			}
-		})
+	failAt, healAt := c.duration/3, 2*c.duration/3
+	var injectErr error
+	if c.failSpine >= 0 {
+		name := d.F.Spines[c.failSpine].Name
+		s.Schedule(failAt, func() { injectErr = errors.Join(injectErr, d.F.Crash(name)) })
+		s.Schedule(healAt, func() { injectErr = errors.Join(injectErr, d.F.Restore(name)) })
 	}
-	if grayTrunk != "" {
-		gl, gs, rate, err := parseGrayTrunk(grayTrunk)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-			os.Exit(2)
-		}
-		if gl < 0 || gl >= leaves || gs < 0 || gs >= spines {
-			fmt.Fprintf(os.Stderr, "mantisd: -gray-trunk %d,%d: fabric is %d×%d\n", gl, gs, leaves, spines)
-			os.Exit(2)
-		}
+	if c.grayTrunk != "" {
 		tr := d.F.Trunks[gl][gs]
 		s.Schedule(failAt, func() { tr.SetGray(rate) })
 		s.Schedule(healAt, func() { tr.SetGray(0) })
 	}
 
 	const warmup = 2 * time.Millisecond
-	tail := duration - warmup
-	if tail < time.Millisecond {
-		tail = time.Millisecond
-	}
-	if err := d.Run(warmup, tail); err != nil {
-		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-		os.Exit(1)
+	if err := errors.Join(d.Run(warmup, max(c.duration-warmup, time.Millisecond)), injectErr); err != nil {
+		return nil, err
 	}
 
-	fmt.Printf("topology:          leaf-spine %d×%d (%d switches), victim on leaf0, flood at spine0's border port\n",
-		leaves, spines, leaves+spines)
-	fmt.Printf("virtual time:      %v\n", s.Now())
+	tables := []report.Table{{Title: "mantisd: leaf-spine fabric", Columns: []string{"run", "value"}, Rows: [][]string{
+		{"topology", fmt.Sprintf("leaf-spine %d×%d (%d switches), victim on leaf0, flood at spine0's border port", leaves, spines, leaves+spines)},
+		{"virtual time", s.Now().String()},
+	}}}
+	var names []string
+	var agents []core.Stats
+	var agentChs, coordChs []ctlchan.ClientStats
 	for _, n := range d.F.Nodes() {
-		ast := n.Agent.Stats()
-		cs := n.AgentCli.ChanStats()
-		ccs := n.CoordCli.ChanStats()
-		fmt.Printf("  %-8s %6d iterations, %5d commits, agent ch %d ops (%d retx), coord ch %d ops (%d retx)\n",
-			n.Name, ast.Iterations, ast.Commits, cs.Ops, cs.Retransmits, ccs.Ops, ccs.Retransmits)
+		names = append(names, n.Name)
+		agents = append(agents, n.Agent.Stats())
+		agentChs = append(agentChs, n.AgentCli.ChanStats())
+		coordChs = append(coordChs, n.CoordCli.ChanStats())
 	}
-	var up, down netsim.TrunkStats
-	for _, row := range d.F.Trunks {
-		for _, tr := range row {
-			u, dn := tr.Stats(0), tr.Stats(1)
-			up.Sent += u.Sent
-			up.Delivered += u.Delivered
-			up.Lost += u.Lost
-			down.Sent += dn.Sent
-			down.Delivered += dn.Delivered
-			down.Lost += dn.Lost
-		}
-	}
-	fmt.Printf("trunks:            leaf→spine %d sent / %d delivered, spine→leaf %d sent / %d delivered, %d lost\n",
-		up.Sent, up.Delivered, down.Sent, down.Delivered, up.Lost+down.Lost)
-	// Per-trunk drop-reason accounting: only trunks that dropped
-	// anything are listed, with the cause split out.
+	var trunkNames []string
+	var ups, downs []netsim.TrunkStats
 	for l, row := range d.F.Trunks {
 		for sp, tr := range row {
-			var t netsim.TrunkStats
-			for _, st := range []netsim.TrunkStats{tr.Stats(0), tr.Stats(1)} {
-				t.Lost += st.Lost
-				t.PartitionDrops += st.PartitionDrops
-				t.AdminDownDrops += st.AdminDownDrops
-				t.GrayDrops += st.GrayDrops
-			}
-			if t.Lost+t.PartitionDrops+t.AdminDownDrops+t.GrayDrops == 0 {
-				continue
-			}
-			fmt.Printf("  leaf%d↔spine%d: %d lost (profile), %d partition, %d admin-down, %d gray\n",
-				l, sp, t.Lost, t.PartitionDrops, t.AdminDownDrops, t.GrayDrops)
+			trunkNames = append(trunkNames, fmt.Sprintf("leaf%d↔spine%d", l, sp))
+			ups, downs = append(ups, tr.Stats(0)), append(downs, tr.Stats(1))
 		}
 	}
-
 	cst := d.F.Coord.Stats()
-	fmt.Printf("coordinator:       %d events (%d blocks, %d hh reports), %d filter installs, %d degraded (%d audited present, %d reissued)\n",
-		cst.Events, cst.Blocks, cst.HHReports, cst.FilterInstalls, cst.DegradedInstalls, cst.AuditConfirmed, cst.Reissues)
+	tables = append(tables,
+		report.Stats("agents", names, agents),
+		report.Stats("agent channels", names, agentChs),
+		report.Stats("coordinator channels", names, coordChs),
+		report.Stats("trunks leaf→spine", trunkNames, ups),
+		report.Stats("trunks spine→leaf", trunkNames, downs),
+		report.Stats("coordinator", []string{"coordinator"}, []fabric.CoordinatorStats{cst}))
+
 	if cst.GraySuspects+cst.GrayClears > 0 {
-		fmt.Printf("health:            %d gray suspects, %d clears, %d reroutes (%d route moves, %d degraded, %d reissued)\n",
-			cst.GraySuspects, cst.GrayClears, cst.Reroutes, cst.RouteMoves, cst.DegradedRouteMoves, cst.RouteReissues)
+		health := report.Table{Title: "spine health", Columns: []string{"spine", "state", "suspected by"}}
 		for sp := range d.F.Spines {
 			h := d.F.Coord.Health(sp)
-			suspects := make([]string, 0, len(h.Suspects))
+			var suspects []string
 			for name := range h.Suspects {
 				suspects = append(suspects, name)
 			}
 			sort.Strings(suspects)
-			line := fmt.Sprintf("  spine%d: %v", sp, h.State)
-			if len(suspects) > 0 {
-				line += fmt.Sprintf(" (suspected by %s)", strings.Join(suspects, ", "))
-			}
-			fmt.Println(line)
+			health.Rows = append(health.Rows, report.Row(fmt.Sprintf("spine%d", sp), h.State, strings.Join(suspects, ", ")))
 		}
+		reroutes := report.Table{Title: "reroutes", Columns: []string{"at", "verb", "spine", "evidence", "moves", "committed after"}}
 		for _, rr := range d.F.Coord.Reroutes() {
-			verb := "exclude"
+			verb, done := "exclude", "pending"
 			if !rr.Exclude {
 				verb = "restore"
 			}
-			done := "pending"
 			if rr.DoneAt != 0 {
-				done = fmt.Sprintf("committed +%v", rr.DoneAt.Sub(rr.At))
+				done = rr.DoneAt.Sub(rr.At).String()
 			}
-			fmt.Printf("  reroute @%v: %s spine%d (evidence %s), %d moves, %s\n",
-				rr.At, verb, rr.Spine, rr.Leaf, rr.Moves, done)
+			reroutes.Rows = append(reroutes.Rows, report.Row(rr.At, verb, fmt.Sprintf("spine%d", rr.Spine), rr.Leaf, rr.Moves, done))
 		}
+		tables = append(tables, health, reroutes)
 	}
-	if esc := d.Escalation(); esc != nil {
-		fmt.Printf("escalation:        detected by %s %v after flood start; spines filtered +%v, all %d switches +%v\n",
-			esc.DetectedBy, esc.DetectedAt.Sub(d.FloodStart), esc.SpinesDoneAt.Sub(esc.DetectedAt),
-			len(esc.Installed), esc.AllDoneAt.Sub(esc.DetectedAt))
+
+	esc := report.Table{Title: "escalation", Columns: []string{"step", "value"}}
+	if e := d.Escalation(); e != nil {
+		esc.Rows = [][]string{
+			{"detected by", e.DetectedBy},
+			{"detected after flood start", e.DetectedAt.Sub(d.FloodStart).String()},
+			{"spines filtered after detection", e.SpinesDoneAt.Sub(e.DetectedAt).String()},
+			{fmt.Sprintf("all %d switches filtered after detection", len(e.Installed)), e.AllDoneAt.Sub(e.DetectedAt).String()},
+		}
 		if sup, err := d.Suppression(s.Now()); err == nil {
-			fmt.Printf("suppression:       %.1f%% of attack traffic removed from the victim leaf's trunks\n", sup*100)
+			esc.Rows = append(esc.Rows, []string{"attack traffic removed from the victim leaf's trunks", fmt.Sprintf("%.1f%%", sup*100)})
 		}
 	} else {
-		fmt.Printf("escalation:        none (flood never detected within -duration)\n")
+		esc.Notes = []string{"none: the flood was never detected within -duration"}
 	}
-	fmt.Printf("heavy hitters:     top 5 of %d tracked senders:\n", len(d.DeliveredBySrc))
+	hh := report.Table{Title: fmt.Sprintf("heavy hitters: top 5 of %d tracked senders", len(d.DeliveredBySrc)),
+		Columns: []string{"src", "est bytes", "delivered bytes"}}
 	for _, e := range d.F.Coord.TopK(5) {
-		fmt.Printf("  %#x  est %d bytes  (delivered %d)\n", e.Src, e.Bytes, d.DeliveredBySrc[e.Src])
+		hh.Rows = append(hh.Rows, report.Row(fmt.Sprintf("%#x", e.Src), e.Bytes, d.DeliveredBySrc[e.Src]))
 	}
+	return append(tables, esc, hh), nil
 }
 
-func main() {
-	duration := flag.Duration("duration", 10*time.Millisecond, "virtual run time")
-	pacing := flag.Duration("pacing", 0, "dialogue pacing (0 = busy loop)")
-	pps := flag.Float64("pps", 100000, "synthetic traffic rate (packets/second)")
-	seed := flag.Int64("seed", 1, "random seed")
-	faultsFlag := flag.String("faults", "", "inject driver-channel faults: none|transient|latency|partial|stuck (enables agent recovery), or crash the primary with crash-prepare|crash-commit|crash-mirror (enables journaled failover to a standby)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed (independent of -seed)")
-	legacyClients := flag.Int("legacy-clients", 0, "concurrent legacy control-plane clients churning a table through bulk sessions")
-	sched := flag.String("sched", "priority", "control-plane scheduling policy: priority|fifo")
-	ctlDelay := flag.Duration("ctl-delay", 0, "run the dialogue over a message-based control channel with this one-way link delay (0 = in-process calls unless another -ctl-* flag is set, then 500ns)")
-	ctlLoss := flag.Float64("ctl-loss", 0, "control-channel frame loss probability per direction (implies the message channel)")
-	ctlPartition := flag.String("ctl-partition", "", "periodic control-channel partitions, EVERY/FOR (e.g. 700us/300us; implies the message channel)")
-	topology := flag.String("topology", "", "run a multi-switch fabric instead of one switch: leafspine:L,S (uses built-in programs; no program argument)")
-	target := flag.String("target", place.DefaultTarget, "switch profile the program must place under: a built-in name, a .json profile file, or \"none\" to assign stages without budgets")
-	failSpine := flag.Int("fail-spine", -1, "with -topology: crash this spine (all trunks down, control endpoints dead, agent halted) at duration/3, restore at 2·duration/3")
-	grayTrunk := flag.String("gray-trunk", "", "with -topology: silently degrade one leaf↔spine trunk, L,S[:RATE] (e.g. 0,1:0.3), over the same fail/heal window")
-	flag.Parse()
-
-	ctlProf, err := ctlLinkProfile(*ctlLoss, *ctlPartition)
-	var interval time.Duration
-	if err == nil {
-		interval, err = trafficInterval(*duration, *pps)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-		os.Exit(2)
-	}
-	if *topology != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "mantisd: -topology uses the built-in fabric programs; no program argument")
-			os.Exit(2)
+// runSwitch is the single-switch mode: the program at path on one
+// switch, its agent over the selected control path, synthetic traffic,
+// and optionally faults, a standby, and legacy clients.
+func runSwitch(c *config, path string) ([]report.Table, error) {
+	var prof faults.Profile
+	var profiles []string
+	for _, p := range faults.Profiles() {
+		profiles = append(profiles, p.Name)
+		if p.Name == c.faults {
+			prof = p
 		}
-		if *faultsFlag != "" || *legacyClients > 0 {
-			fmt.Fprintln(os.Stderr, "mantisd: -topology cannot be combined with -faults or -legacy-clients")
-			os.Exit(2)
-		}
-		runTopology(*topology, *duration, *pacing, *seed, *ctlDelay, ctlProf, *failSpine, *grayTrunk, *target)
-		return
 	}
-	if *failSpine >= 0 || *grayTrunk != "" {
-		fmt.Fprintln(os.Stderr, "mantisd: -fail-spine and -gray-trunk require -topology")
-		os.Exit(2)
+	if c.faults != "" && prof.Name == "" {
+		return nil, usagef("unknown fault profile %q (want %s)", c.faults, strings.Join(profiles, "|"))
 	}
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mantisd [flags] program.p4r")
-		os.Exit(2)
+	crash := prof.CrashEnabled()
+	policy := ctlplane.PolicyPriority
+	if c.sched == "fifo" {
+		policy = ctlplane.PolicyFIFO
+	} else if c.sched != "priority" {
+		return nil, usagef("unknown scheduling policy %q (want priority|fifo)", c.sched)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	ctlEnabled := c.ctlDelay > 0 || c.ctlLoss > 0 || c.ctlPartition != ""
+	if ctlEnabled && crash {
+		return nil, usagef("-ctl-* flags cannot be combined with crash fault profiles (the standby takes over through the control-plane service, not the message channel)")
+	}
+	src, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
 	copts := compiler.DefaultOptions()
-	copts.Target = *target
+	copts.Target = c.target
 	plan, err := compiler.CompileSource(string(src), copts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	fmt.Printf("placement:         profile %s, %d ingress + %d egress stages, fits\n",
-		plan.Placement.Profile.Name, plan.Placement.IngressStages, plan.Placement.EgressStages)
 
-	s := sim.New(*seed)
+	s := sim.New(c.seed)
 	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
 	ch := driver.Channel(drv)
 	var inj *faults.Injector
-	opts := core.Options{Pacing: *pacing}
-	prof, faultsActive := faultProfile(*faultsFlag)
-	crash := faultsActive && prof.CrashEnabled()
-	if faultsActive && !crash {
+	opts := core.Options{Pacing: c.pacing}
+	if c.faults != "" && !crash {
 		// In-process fault classes wrap the shared channel below the
 		// control-plane service; the agent's recovery loop survives them.
-		inj = faults.Wrap(s, drv, prof, *faultSeed)
+		inj = faults.Wrap(s, drv, prof, c.faultSeed)
 		ch = inj
 		opts.Recovery = core.DefaultRecovery()
 		// Let the prologue install cleanly; faults start shortly after.
 		inj.SetEnabled(false)
 		s.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
-	}
-	var policy ctlplane.Policy
-	switch *sched {
-	case "priority":
-		policy = ctlplane.PolicyPriority
-	case "fifo":
-		policy = ctlplane.PolicyFIFO
-	default:
-		fmt.Fprintf(os.Stderr, "mantisd: unknown scheduling policy %q (want priority|fifo)\n", *sched)
-		os.Exit(2)
-	}
-	ctlEnabled := *ctlDelay > 0 || *ctlLoss > 0 || *ctlPartition != ""
-	if ctlEnabled && crash {
-		fmt.Fprintln(os.Stderr, "mantisd: -ctl-* flags cannot be combined with crash fault profiles (the standby takes over through the control-plane service, not the message channel)")
-		os.Exit(2)
 	}
 	// The control-plane service sits above the (possibly fault-injected)
 	// channel: the agent holds the primary session, legacy clients get
@@ -462,6 +445,12 @@ func main() {
 	var ctlLink *netsim.Link
 	var ctlSrv *ctlchan.Server
 	var ctlCli *ctlchan.Client
+	var sess *ctlplane.Session
+	if crash || ctlEnabled {
+		if sess, err = svc.Open(ctlplane.SessionOptions{Name: "mantis-agent", Role: ctlplane.RolePrimary, ElectionID: 1}); err != nil {
+			return nil, err
+		}
+	}
 	if crash {
 		// A crash profile kills the agent process outright, so the wiring
 		// is the failover stack: the injector wraps the primary's own
@@ -469,14 +458,7 @@ func main() {
 		// agent write-ahead journals every iteration, and a hot standby
 		// watches the journal heartbeat, ready to elect itself primary
 		// and reconcile the switch.
-		sess, err := svc.Open(ctlplane.SessionOptions{
-			Name: "mantis-agent", Role: ctlplane.RolePrimary, ElectionID: 1,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-			os.Exit(1)
-		}
-		inj = faults.Wrap(s, sess, prof, *faultSeed)
+		inj = faults.Wrap(s, sess, prof, c.faultSeed)
 		store := journal.NewMemStore()
 		opts.Recovery = core.DefaultRecovery()
 		opts.Journal = &core.JournalConfig{Store: store}
@@ -488,7 +470,7 @@ func main() {
 			ElectionID: 2,
 			Store:      store,
 			Plan:       plan,
-			Agent:      core.Options{Pacing: *pacing, Recovery: core.DefaultRecovery()},
+			Agent:      core.Options{Pacing: c.pacing, Recovery: core.DefaultRecovery()},
 		})
 	} else if ctlEnabled {
 		// Message-channel mode: the agent's session is reached over a
@@ -496,63 +478,48 @@ func main() {
 		// numbers, retransmission, and epoch fencing — instead of
 		// in-process calls. The link starts clean so the prologue installs
 		// reliably; the configured faults arm at 50µs.
-		delay := *ctlDelay
+		delay := c.ctlDelay
 		if delay <= 0 {
 			delay = 500 * time.Nanosecond
 		}
-		sess, err := svc.Open(ctlplane.SessionOptions{
-			Name: "mantis-agent", Role: ctlplane.RolePrimary, ElectionID: 1,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-			os.Exit(1)
-		}
-		ctlLink = netsim.NewLink(s, delay, faults.LinkNone(), *seed)
+		ctlLink = netsim.NewLink(s, delay, faults.LinkNone(), c.seed)
 		ctlSrv = ctlchan.NewServer(s)
 		ctlSrv.Attach(ctlLink, netsim.LinkSideB, 1, 1, sess)
 		ctlCli = ctlchan.NewClient(s, ctlLink, netsim.LinkSideA, ctlchan.ClientOptions{
 			Session: 1, Epoch: 1, Meta: drv,
 		})
-		s.Schedule(50*sim.Microsecond, func() { ctlLink.SetProfile(ctlProf) })
+		s.Schedule(50*sim.Microsecond, func() { ctlLink.SetProfile(c.ctlProf) })
 		opts.Recovery = core.RecoveryForChannel(ctlCli.RTT())
 		opts.Journal = &core.JournalConfig{Store: journal.NewMemStore()}
 		agent = core.NewAgent(s, ctlCli, plan, opts)
-	} else {
-		var err error
-		agent, _, err = core.NewSessionAgent(s, svc, 1, plan, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-			os.Exit(1)
-		}
+	} else if agent, _, err = core.NewSessionAgent(s, svc, 1, plan, opts); err != nil {
+		return nil, err
 	}
 	agent.Start()
 
 	// Legacy clients churn a non-Mantis table (or fall back to register
 	// reads) through their own bulk sessions, best-effort under faults.
 	legacyErrs := 0
-	if *legacyClients > 0 {
+	if c.legacyClients > 0 {
 		table, action, nKeys, nParams, haveTable := legacyChurnTarget(plan)
 		reg, regN, haveReg := legacyReadTarget(plan.Prog)
 		if !haveTable && !haveReg {
-			fmt.Fprintln(os.Stderr, "mantisd: -legacy-clients: program has no non-Mantis table or register to churn")
-			os.Exit(2)
+			return nil, usagef("-legacy-clients: program has no non-Mantis table or register to churn")
 		}
-		for c := 0; c < *legacyClients; c++ {
-			c := c
+		for i := 0; i < c.legacyClients; i++ {
 			sess, err := svc.Open(ctlplane.SessionOptions{
-				Name: fmt.Sprintf("legacy%d", c), Role: ctlplane.RoleLegacy,
+				Name: fmt.Sprintf("legacy%d", i), Role: ctlplane.RoleLegacy,
 			})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mantisd: %v\n", err)
-				os.Exit(1)
+				return nil, err
 			}
 			s.Spawn(sess.Name(), func(p *sim.Proc) {
 				rng := s.Rand()
 				var h rmt.EntryHandle
 				if haveTable {
 					keys := make([]rmt.KeySpec, nKeys)
-					for i := range keys {
-						keys[i] = rmt.ExactKey(uint64(c + 1))
+					for k := range keys {
+						keys[k] = rmt.ExactKey(uint64(i + 1))
 					}
 					var err error
 					if h, err = sess.AddEntry(p, table, rmt.Entry{
@@ -562,13 +529,13 @@ func main() {
 						return
 					}
 				}
-				for i := 0; ; i++ {
+				for n := 0; ; n++ {
 					p.Sleep(time.Duration(rng.Intn(5000)) * time.Nanosecond)
 					var err error
 					if haveTable {
 						data := make([]uint64, nParams)
 						for j := range data {
-							data[j] = uint64(i)
+							data[j] = uint64(n)
 						}
 						err = sess.ModifyEntry(p, table, h, action, data)
 					} else {
@@ -583,10 +550,10 @@ func main() {
 	}
 
 	// Synthetic traffic: random field values at the requested rate.
-	if interval > 0 {
+	if c.interval > 0 {
 		rng := s.Rand()
 		names := plan.Prog.Schema.Names()
-		s.Every(interval, func() {
+		s.Every(c.interval, func() {
 			pkt := plan.Prog.Schema.New()
 			pkt.Size = 64 + rng.Intn(1400)
 			for _, n := range names {
@@ -598,7 +565,7 @@ func main() {
 		})
 	}
 
-	s.RunFor(*duration)
+	s.RunFor(c.duration)
 	agent.Stop()
 	if sb != nil {
 		sb.Stop()
@@ -608,79 +575,85 @@ func main() {
 	}
 	s.RunFor(time.Millisecond)
 	if err := agent.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "mantisd: agent: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("agent: %v", err)
 	}
 
-	ast := agent.Stats()
-	sst := sw.Stats()
-	dst := drv.Stats()
-	fmt.Printf("virtual time:      %v\n", s.Now())
-	fmt.Printf("dialogue:          %d iterations, %d commits, busy %v (%.1f%% CPU)\n",
-		ast.Iterations, ast.Commits, ast.Busy, 100*float64(ast.Busy)/float64(s.Now().Duration()))
-	fmt.Printf("iteration latency: %v\n", stats.SummarizeDurations(ast.Latencies))
-	fmt.Printf("switch:            rx %d, tx %d, drops %d (ingress) / %d (queue)\n",
-		sst.RxPackets, sst.TxPackets, sst.IngressDrops, sst.QueueDrops)
-	fmt.Printf("driver:            %d table ops (%d memoized), %d reads (%d bytes)\n",
-		dst.TableOps, dst.MemoizedOps, dst.RegReads, dst.RegReadBytes)
-	cst := svc.Stats()
-	fmt.Printf("ctlplane:          policy %s, %d sessions, %d dialogue ops, %d bulk ops, %d rejections, %d demotions\n",
-		policy, len(svc.Sessions()), cst.DialogueOps, cst.BulkOps, cst.Rejections, cst.Demotions)
-	for _, sess := range svc.Sessions() {
-		sst := sess.SessionStats()
-		meanWait := time.Duration(0)
-		if sst.Completed > 0 {
-			meanWait = sst.TotalWait / time.Duration(sst.Completed)
-		}
-		fmt.Printf("  session %-14s %s/%s: %d completed, %d failed, %d rejected, max queue %d, mean wait %v, max wait %v\n",
-			sess.Name(), sess.Role(), sess.Class(), sst.Completed, sst.Failed, sst.Rejected, sst.MaxQueueDepth, meanWait, sst.MaxWait)
+	var reactions []string
+	for _, rxn := range plan.Reactions {
+		reactions = append(reactions, rxn.Name)
 	}
-	if legacyErrs > 0 {
-		fmt.Printf("legacy clients:    %d operations failed (best-effort churn under faults)\n", legacyErrs)
+	summary := report.Table{Title: "mantisd: one switch", Columns: []string{"run", "value"}, Rows: [][]string{
+		{"placement", fmt.Sprintf("profile %s, %d ingress + %d egress stages, fits",
+			plan.Placement.Profile.Name, plan.Placement.IngressStages, plan.Placement.EgressStages)},
+		{"reactions", strings.Join(reactions, ", ")},
+		{"ctlplane policy", policy.String()},
+		{"virtual time", s.Now().String()},
+	}}
+	if c.legacyClients > 0 {
+		summary.Rows = append(summary.Rows, report.Row("failed legacy operations", legacyErrs))
 	}
-	if inj != nil {
-		fst := inj.FaultStats()
-		fmt.Printf("faults (%s):   %d ops, %d errors, %d spikes, %d partial batches, %d stuck waits (%v wedged)\n",
-			inj.Profile().Name, fst.Ops, fst.InjectedErrors, fst.InjectedSpikes, fst.PartialBatches, fst.StuckWaits, fst.StuckTime)
-		fmt.Printf("recovery:          %d retries, %d rollbacks, %d watchdog trips, %d abandoned, %d degraded, %d repair ops\n",
-			ast.Retries, ast.Rollbacks, ast.WatchdogTrips, ast.Abandoned, ast.Degraded, ast.RepairOps)
-	}
-	if ctlCli != nil {
-		cs, css, ls := ctlCli.ChanStats(), ctlSrv.Stats(), ctlLink.Stats()
-		fmt.Printf("ctl channel:       rtt %v, %d ops, %d frames sent, %d retransmits, %d timeouts, %d late responses, %d window waits\n",
-			ctlCli.RTT(), cs.Ops, cs.Sent, cs.Retransmits, cs.Timeouts, cs.LateResponses, cs.WindowWaits)
-		fmt.Printf("  server:          %d frames, %d executed (%d mutations), %d dedup hits, %d stale rejected, %d fenced\n",
-			css.Frames, css.Executed, css.MutationsExecuted, css.DedupHits, css.StaleWrites, css.FencedWrites)
-		fmt.Printf("  link:            %d sent, %d delivered, %d lost, %d partition drops, %d duplicated, %d reordered\n",
-			ls.Sent, ls.Delivered, ls.Lost, ls.PartitionDrops, ls.Duplicated, ls.Reordered)
-		fmt.Printf("  recovery:        %d retries, %d abandoned, %d degraded, %d resyncs (%d repair writes), %d staleness aborts\n",
-			ast.Retries, ast.Abandoned, ast.Degraded, ast.Resyncs, ast.ResyncWrites, ast.StalenessAborts)
-	}
+	// ran is how many iterations each agent ran itself: a successor's
+	// counter resumes from the journal's.
+	agentNames, agents, ran := []string{"agent"}, []core.Stats{agent.Stats()}, []uint64{agent.Stats().Iterations}
+	var takeover []report.Table
 	if sb != nil {
 		if err := sb.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "mantisd: standby: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("standby: %v", err)
 		}
+		tk := report.Table{Title: "takeover", Columns: []string{"step", "value"}}
 		if !sb.TookOver() {
-			fmt.Printf("takeover:          none (crash never fired within -duration, or primary still healthy)\n")
+			tk.Rows = [][]string{{"outcome", "none"}}
+			tk.Notes = []string{"the crash never fired within -duration, or the primary is still healthy"}
+			takeover = append(takeover, tk)
 		} else {
-			rep := sb.Report()
-			succ := sb.Agent()
+			rep, succ := sb.Report(), sb.Agent()
 			if err := succ.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "mantisd: successor: %v\n", err)
-				os.Exit(1)
+				return nil, fmt.Errorf("successor: %v", err)
 			}
 			crashAt := inj.CrashedAt()
-			sst := succ.Stats()
-			fmt.Printf("takeover:          outcome %s, %d repair writes over %d audited entries\n",
-				rep.Recover.Outcome, rep.Recover.RepairWrites, rep.Recover.AuditedEntries)
-			fmt.Printf("  MTTR:            %v (detect %v, audit %v, reconcile %v, resume %v)\n",
-				rep.ResumedAt.Sub(crashAt), rep.DetectedAt.Sub(crashAt),
-				rep.Recover.AuditTime, rep.Recover.ReconcileTime, rep.ResumedAt.Sub(rep.RecoveredAt))
-			fmt.Printf("  successor:       %d iterations, %d commits after takeover\n", sst.Iterations-rep.Recover.Iteration, sst.Commits)
+			st := succ.Stats()
+			agentNames, agents, ran = append(agentNames, "successor"), append(agents, st), append(ran, st.Iterations-rep.Recover.Iteration)
+			tk.Rows = [][]string{
+				report.Row("crash", crashAt),
+				report.Row("MTTR", rep.ResumedAt.Sub(crashAt)),
+				report.Row("detect", rep.DetectedAt.Sub(crashAt)),
+				report.Row("resume after recovery", rep.ResumedAt.Sub(rep.RecoveredAt)),
+			}
+			takeover = append(takeover, tk, report.Stats("recovery", []string{"successor"}, []core.RecoverReport{*rep.Recover}))
 		}
 	}
-	for _, rxn := range plan.Reactions {
-		fmt.Printf("reaction:          %s\n", rxn.Name)
+	lat := report.Table{Title: "iteration latency", Columns: append([]string{"agent"}, report.DurColumns...)}
+	for i, st := range agents {
+		lat.Rows = append(lat.Rows, report.DurRow(agentNames[i], stats.SummarizeDurations(st.Latencies)))
+		if n := uint64(len(st.Latencies)); n < ran[i] {
+			lat.Notes = append(lat.Notes, fmt.Sprintf("%s: first %d of %d iterations", agentNames[i], n, ran[i]))
+		}
 	}
+	var sessNames, roles []string
+	var sessions []ctlplane.SessionStats
+	for _, sess := range svc.Sessions() {
+		sessNames = append(sessNames, sess.Name())
+		roles = append(roles, fmt.Sprintf("%s %s/%s", sess.Name(), sess.Role(), sess.Class()))
+		sessions = append(sessions, sess.SessionStats())
+	}
+	sessTable := report.Stats("sessions", sessNames, sessions)
+	sessTable.Notes = []string{"roles: " + strings.Join(roles, ", ")}
+	tables := []report.Table{summary,
+		report.Stats("agent", agentNames, agents), lat,
+		report.Stats("switch", []string{"switch"}, []rmt.Stats{sw.Stats()}),
+		report.Stats("driver", []string{"driver"}, []driver.Stats{drv.Stats()}),
+		report.Stats("ctlplane", []string{"service"}, []ctlplane.Stats{svc.Stats()}),
+		sessTable,
+	}
+	if inj != nil {
+		tables = append(tables, report.Stats("faults", []string{inj.Profile().Name}, []faults.Stats{inj.FaultStats()}))
+	}
+	if ctlCli != nil {
+		cli := report.Stats("ctl client", []string{"client"}, []ctlchan.ClientStats{ctlCli.ChanStats()})
+		cli.Notes = []string{fmt.Sprintf("rtt %v", ctlCli.RTT())}
+		tables = append(tables, cli,
+			report.Stats("ctl server", []string{"server"}, []ctlchan.ServerStats{ctlSrv.Stats()}),
+			report.Stats("ctl link", []string{"link"}, []netsim.LinkStats{ctlLink.Stats()}))
+	}
+	return append(tables, takeover...), nil
 }

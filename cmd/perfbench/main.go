@@ -1,17 +1,17 @@
 // Command perfbench runs the hot-path microbenchmark suite and manages
-// the checked-in performance baseline.
+// the checked-in performance baseline. It prints the suite as one
+// table; with -check the table also holds the baseline and a verdict
+// per benchmark.
 //
 // Regenerate the baseline (after intentional perf-relevant changes):
 //
 //	perfbench -out BENCH_rmt.json -note "dev laptop, go1.24"
 //
-// Check the current tree against the baseline (CI runs this enforcing:
-// non-zero exit on regression, with the default 2x time tolerance and
-// zero allocation tolerance; -report-only downgrades regressions to a
-// log line for ad-hoc comparisons on very noisy machines):
+// Check the current tree against the baseline (CI runs this: a
+// regression beyond the default 2x time tolerance or zero allocation
+// tolerance exits 1):
 //
 //	perfbench -baseline BENCH_rmt.json -check
-//	perfbench -baseline BENCH_rmt.json -check -report-only
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"repro/internal/perf"
+	"repro/internal/report"
 )
 
 func main() {
@@ -30,7 +31,6 @@ func main() {
 		"allowed relative ns/op growth before a time regression is flagged")
 	allocTolerance := flag.Int64("alloc-tolerance", perf.DefaultOptions().AllocTolerance,
 		"allowed absolute allocs/op growth before an alloc regression is flagged")
-	reportOnly := flag.Bool("report-only", false, "report regressions but exit 0")
 	note := flag.String("note", "", "provenance note stored in the baseline")
 	flag.Parse()
 
@@ -38,15 +38,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench: nothing to do: pass -out and/or -check (see -h)")
 		os.Exit(2)
 	}
-	if *check && *baseline == "" {
-		fmt.Fprintln(os.Stderr, "perfbench: -check requires -baseline")
-		os.Exit(2)
+	var base *perf.Baseline
+	if *check {
+		if *baseline == "" {
+			fmt.Fprintln(os.Stderr, "perfbench: -check requires -baseline")
+			os.Exit(2)
+		}
+		var err error
+		if base, err = perf.Load(*baseline); err != nil {
+			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	fmt.Fprintf(os.Stderr, "perfbench: running %d benchmarks...\n", len(perf.HotPathBenchmarks()))
 	cur := &perf.Baseline{Note: *note, Metrics: perf.Run()}
-	fmt.Print(perf.FormatMetrics(cur.Metrics))
-
 	if *out != "" {
 		if err := cur.Save(*out); err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
@@ -54,15 +60,12 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "perfbench: wrote %s\n", *out)
 	}
-	if *check {
-		base, err := perf.Load(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
-			os.Exit(1)
-		}
-		opt := perf.Options{NsTolerance: *tolerance, AllocTolerance: *allocTolerance}
-		regs := perf.Compare(base, cur, opt)
-		fmt.Print(perf.FormatReport(regs))
-		os.Exit(perf.CheckResult(regs, *reportOnly))
+	var regs []perf.Regression
+	if base != nil {
+		regs = perf.Compare(base, cur, perf.Options{NsTolerance: *tolerance, AllocTolerance: *allocTolerance})
+	}
+	fmt.Print(report.Text([]report.Table{perf.Table(cur, base, regs)}))
+	if len(regs) > 0 {
+		os.Exit(1)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/p4"
+	"repro/internal/report"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -215,24 +216,24 @@ func RunAblations() (*AblationResult, error) {
 
 // Tables is the update-protocol comparison and the driver-optimization
 // ablation.
-func (r *AblationResult) Tables() []Table {
-	proto := Table{Title: fmt.Sprintf("Ablations — one-entry change in a %d-entry configuration", r.ConfigSize),
+func (r *AblationResult) Tables() []report.Table {
+	proto := report.Table{Title: fmt.Sprintf("Ablations — one-entry change in a %d-entry configuration", r.ConfigSize),
 		Columns: []string{"update protocol", "driver ops", "latency"},
 		Rows: [][]string{
-			row("Mantis three-phase (iteration)", r.ThreePhaseOps, r.ThreePhaseTime),
-			row("two-phase full reinstall", r.TwoPhaseOps, r.TwoPhaseTime),
+			report.Row("Mantis three-phase (iteration)", r.ThreePhaseOps, r.ThreePhaseTime),
+			report.Row("two-phase full reinstall", r.TwoPhaseOps, r.TwoPhaseTime),
 		},
 		Notes: []string{fmt.Sprintf("three-phase issues %.1fx fewer driver ops", float64(r.TwoPhaseOps)/float64(r.ThreePhaseOps))},
 	}
-	drv := Table{Title: "Ablations — dialogue iteration latency vs driver optimizations",
+	drv := report.Table{Title: "Ablations — dialogue iteration latency vs driver optimizations",
 		Columns: []string{"driver", "iteration"},
 		Rows: [][]string{
-			row("memoization + batching", r.IterOptimized),
-			row("no memoization", r.IterNoMemo),
-			row("no batching", r.IterNoBatch),
-			row("neither", r.IterNeither),
+			report.Row("memoization + batching", r.IterOptimized),
+			report.Row("no memoization", r.IterNoMemo),
+			report.Row("no batching", r.IterNoBatch),
+			report.Row("neither", r.IterNeither),
 		},
 		Notes: []string{fmt.Sprintf("both optimizations together: %.2fx faster than neither", float64(r.IterNeither)/float64(r.IterOptimized))},
 	}
-	return []Table{proto, drv}
+	return []report.Table{proto, drv}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/p4"
+	"repro/internal/report"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -96,13 +97,13 @@ func RunRecirculation() (RecircRows, error) {
 }
 
 // Tables is the throughput per recirculation count.
-func (rows RecircRows) Tables() []Table {
-	t := Table{Title: "§2 background — usable throughput vs per-packet recirculations",
+func (rows RecircRows) Tables() []report.Table {
+	t := report.Table{Title: "§2 background — usable throughput vs per-packet recirculations",
 		Columns: []string{"recirculations", "usable throughput"}}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, row(r.Recirculations, fmt.Sprintf("%.0f%%", r.UsableThroughput*100)))
+		t.Rows = append(t.Rows, report.Row(r.Recirculations, fmt.Sprintf("%.0f%%", r.UsableThroughput*100)))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }
 
 // ---- §4.2 R3: pull-based polling vs digest export freshness ----
@@ -171,10 +172,10 @@ func RunFreshness() (*FreshnessResult, error) {
 }
 
 // Tables is the staleness distribution of each model.
-func (r *FreshnessResult) Tables() []Table {
-	return []Table{{
+func (r *FreshnessResult) Tables() []report.Table {
+	return []report.Table{{
 		Title:   "§4.2 R3 — measurement staleness: pull-based polling vs digest export",
-		Columns: append([]string{"model"}, durColumns...),
-		Rows:    [][]string{durRow("Mantis poll", r.PollStaleness), durRow("digest queue", r.DigestStaleness)},
+		Columns: append([]string{"model"}, report.DurColumns...),
+		Rows:    [][]string{report.DurRow("Mantis poll", r.PollStaleness), report.DurRow("digest queue", r.DigestStaleness)},
 	}}
 }

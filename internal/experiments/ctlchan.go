@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/netsim"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -264,21 +265,21 @@ func RunCtlchan(seed int64) (*CtlchanResult, error) {
 }
 
 // Tables is the loss sweep and the partition-heal summary.
-func (res *CtlchanResult) Tables() []Table {
-	loss := Table{Title: fmt.Sprintf("Message control channel — reaction latency vs loss (%v one-way link)", res.LinkDelay),
+func (res *CtlchanResult) Tables() []report.Table {
+	loss := report.Table{Title: fmt.Sprintf("Message control channel — reaction latency vs loss (%v one-way link)", res.LinkDelay),
 		Columns: []string{"loss", "iterations", "commits", "degraded", "retransmits", "timeouts", "dedup hits",
 			"mean", "p99", "max", "p99 vs 0%", "violations"}}
 	for _, p := range res.Points {
-		loss.Rows = append(loss.Rows, row(fmt.Sprintf("%.1f%%", p.Loss*100), p.Iterations, p.Commits, p.Degraded,
+		loss.Rows = append(loss.Rows, report.Row(fmt.Sprintf("%.1f%%", p.Loss*100), p.Iterations, p.Commits, p.Degraded,
 			p.Retransmits, p.Timeouts, p.DedupHits, p.Latency.Mean, p.Latency.P99, p.Latency.Max,
 			fmt.Sprintf("%.2fx", p.P99VsClean), p.Violations))
 	}
 	pr := res.Partition
-	part := Table{Title: "Partition-heal recovery (300µs partitions every 700µs, one session throughout)",
+	part := report.Table{Title: "Partition-heal recovery (300µs partitions every 700µs, one session throughout)",
 		Columns: []string{"partitions healed", "heal→commit mean", "p99", "max", "resyncs", "degraded ops",
 			"commits", "epoch", "violations", "packets"},
-		Rows: [][]string{row(pr.Partitions, pr.Recovery.Mean, pr.Recovery.P99, pr.Recovery.Max, pr.Resyncs,
+		Rows: [][]string{report.Row(pr.Partitions, pr.Recovery.Mean, pr.Recovery.P99, pr.Recovery.Max, pr.Resyncs,
 			pr.Timeouts, pr.Commits, pr.SessionEpoch, pr.Violations, pr.Packets)},
 	}
-	return []Table{loss, part}
+	return []report.Table{loss, part}
 }

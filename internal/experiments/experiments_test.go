@@ -11,11 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/report"
 	"repro/internal/usecases"
 )
 
 // column returns the cells of tab under the column headed name.
-func column(t *testing.T, tab Table, name string) []string {
+func column(t *testing.T, tab report.Table, name string) []string {
 	t.Helper()
 	c := slices.Index(tab.Columns, name)
 	if c < 0 {

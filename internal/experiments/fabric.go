@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/report"
 	"repro/internal/sim"
 )
 
@@ -169,8 +170,8 @@ func fabricHHRecall(d *fabric.DosFabric, k int) float64 {
 }
 
 // Tables is the sweep.
-func (res *FabricResult) Tables() []Table {
-	t := Table{Title: "Fabric-wide reaction — DoS escalation across a leaf–spine fabric",
+func (res *FabricResult) Tables() []report.Table {
+	t := report.Table{Title: "Fabric-wide reaction — DoS escalation across a leaf–spine fabric",
 		Columns: []string{"fabric", "switches", "detect", "to-spines", "to-all", "suppress", "attack arrivals",
 			"hh recall", "events", "blocks", "installs"},
 		Notes: []string{"detect: flood start → victim leaf's local block; to-spines: block → last spine filter " +
@@ -179,9 +180,9 @@ func (res *FabricResult) Tables() []Table {
 			"delivered-bytes truth."},
 	}
 	for _, p := range res.Points {
-		t.Rows = append(t.Rows, row(fmt.Sprintf("%dx%d", p.Leaves, p.Spines), p.Switches, p.DetectLatency,
+		t.Rows = append(t.Rows, report.Row(fmt.Sprintf("%dx%d", p.Leaves, p.Spines), p.Switches, p.DetectLatency,
 			p.SpineLatency, p.FullLatency, fmt.Sprintf("%.1f%%", p.Suppression*100), p.AttackArrivals,
 			fmt.Sprintf("%.0f%% of %d", p.HHRecall*100, p.HHK), p.Events, p.Blocks, p.FilterInstalls))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -157,23 +158,23 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 
 // Tables is the per-profile recovery counters and latency, and the
 // takeover verdict of the crash profiles.
-func (rows FaultRows) Tables() []Table {
-	sweep := Table{Title: "Fault injection sweep — dialogue robustness under driver-channel faults",
+func (rows FaultRows) Tables() []report.Table {
+	sweep := report.Table{Title: "Fault injection sweep — dialogue robustness under driver-channel faults",
 		Columns: []string{"profile", "iterations", "commits", "retries", "rollbacks", "abandoned", "watchdog",
 			"degraded", "injected errors", "other faults", "iter mean", "iter p99", "packets", "violations"},
 		Notes: []string{"Two-table lockstep updates; every packet audits cross-table consistency. " +
 			"A crash profile kills the primary: its counters are the standby successor's."},
 	}
-	crash := Table{Title: "Fault injection sweep — crash profiles (standby takeover)",
+	crash := report.Table{Title: "Fault injection sweep — crash profiles (standby takeover)",
 		Columns: []string{"profile", "outcome", "MTTR"}}
 	for _, r := range rows {
-		sweep.Rows = append(sweep.Rows, row(r.Profile, r.Iterations, r.Commits, r.Retries, r.Rollbacks,
+		sweep.Rows = append(sweep.Rows, report.Row(r.Profile, r.Iterations, r.Commits, r.Retries, r.Rollbacks,
 			r.Abandoned, r.WatchdogTrips, r.Degraded, r.InjectedErrors,
 			r.InjectedSpikes+r.PartialBatches+r.StuckWaits, r.IterLatency.Mean, r.IterLatency.P99,
 			r.Packets, r.Violations))
 		if r.Crashes > 0 {
-			crash.Rows = append(crash.Rows, row(r.Profile, r.TakeoverOutcome, r.TakeoverMTTR))
+			crash.Rows = append(crash.Rows, report.Row(r.Profile, r.TakeoverOutcome, r.TakeoverMTTR))
 		}
 	}
-	return []Table{sweep, crash}
+	return []report.Table{sweep, crash}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
+	"repro/internal/report"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -130,12 +131,12 @@ func runFig12xCell(nClients int, policy ctlplane.Policy, dur time.Duration) (*Fi
 
 // Tables is the sweep plus the headline priority-vs-FIFO comparison at
 // the largest client count.
-func (r *Fig12xResult) Tables() []Table {
-	t := Table{Title: "Fig 12x — dialogue vs legacy latency, N legacy clients × scheduling policy",
+func (r *Fig12xResult) Tables() []report.Table {
+	t := report.Table{Title: "Fig 12x — dialogue vs legacy latency, N legacy clients × scheduling policy",
 		Columns: []string{"policy", "N", "dialogue p50", "dialogue p99", "legacy p50", "legacy p99", "rejected"}}
 	maxN := 0
 	for _, rw := range r.Rows {
-		t.Rows = append(t.Rows, row(rw.Policy, rw.Clients, rw.Dialogue.Median, rw.Dialogue.P99,
+		t.Rows = append(t.Rows, report.Row(rw.Policy, rw.Clients, rw.Dialogue.Median, rw.Dialogue.P99,
 			rw.Legacy.Median, rw.Legacy.P99, rw.Rejected))
 		maxN = max(maxN, rw.Clients)
 	}
@@ -145,5 +146,5 @@ func (r *Fig12xResult) Tables() []Table {
 			maxN, float64(ff.Dialogue.Median)/float64(pr.Dialogue.Median),
 			float64(ff.Dialogue.P99)/float64(pr.Dialogue.P99)))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/compiler"
+	"repro/internal/report"
 )
 
 // Fig13Row is one point of the malleable-field TCAM-usage study: a
@@ -121,11 +122,11 @@ func fig13Point(width, alts, occupancy int) (*Fig13Row, error) {
 
 // Tables is one table per sweep; Fig. 13a's note is the growth of both
 // tables from the fewest to the most alternatives at occupancy 1024.
-func (r *Fig13Result) Tables() []Table {
-	sweep := func(title string, rows []Fig13Row) Table {
-		t := Table{Title: title, Columns: []string{"alts", "width", "occupancy", "tblWriteX (Kb)", "tblReadX (Kb)"}}
+func (r *Fig13Result) Tables() []report.Table {
+	sweep := func(title string, rows []Fig13Row) report.Table {
+		t := report.Table{Title: title, Columns: []string{"alts", "width", "occupancy", "tblWriteX (Kb)", "tblReadX (Kb)"}}
 		for _, r := range rows {
-			t.Rows = append(t.Rows, row(r.Alts, r.Width, r.Occupancy,
+			t.Rows = append(t.Rows, report.Row(r.Alts, r.Width, r.Occupancy,
 				fmt.Sprintf("%.0f", float64(r.WriteTCAMBits)/1024), fmt.Sprintf("%.0f", float64(r.ReadTCAMBits)/1024)))
 		}
 		return t
@@ -143,5 +144,5 @@ func (r *Fig13Result) Tables() []Table {
 	a.Notes = []string{fmt.Sprintf("A=%d→%d at occupancy 1024: tblWriteX grows %.2fx, tblReadX %.2fx",
 		lo.Alts, hi.Alts, float64(hi.WriteTCAMBits)/float64(lo.WriteTCAMBits),
 		float64(hi.ReadTCAMBits)/float64(lo.ReadTCAMBits))}
-	return []Table{a, sweep("Fig 13b — TCAM usage vs field width (A=4, occupancy 1024)", r.B)}
+	return []report.Table{a, sweep("Fig 13b — TCAM usage vs field width (A=4, occupancy 1024)", r.B)}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/usecases"
 	"repro/internal/workload"
@@ -63,8 +64,8 @@ func RunFig14(scale float64, seed int64) (*Fig14Result, error) {
 }
 
 // Tables is the per-bucket mean relative error of every estimator.
-func (r *Fig14Result) Tables() []Table {
-	t := Table{Title: fmt.Sprintf("Fig 14 — mean relative estimation error (%d flows, %d packets)", r.TraceFlows, r.TracePackets),
+func (r *Fig14Result) Tables() []report.Table {
+	t := report.Table{Title: fmt.Sprintf("Fig 14 — mean relative estimation error (%d flows, %d packets)", r.TraceFlows, r.TracePackets),
 		Columns: append([]string{"estimator"}, r.Results[0].Buckets...)}
 	// Repeated estimators are told apart by size.
 	sized := map[int]string{2: "count-min/8K", 3: "count-min/16K", 4: "hashtable/8K", 5: "hashtable/16K"}
@@ -79,7 +80,7 @@ func (r *Fig14Result) Tables() []Table {
 		}
 		t.Rows = append(t.Rows, cells)
 	}
-	return []Table{t}
+	return []report.Table{t}
 }
 
 // Fig15Result is the DoS timeline of usecases.RunFig15; its JSON is that
@@ -96,20 +97,20 @@ func RunFig15(seed int64) (*Fig15Result, error) {
 const fig15Bucket = 300 * time.Microsecond
 
 // Tables is the mitigation timeline and the benign goodput per bucket.
-func (r *Fig15Result) Tables() []Table {
-	head := Table{Title: "Fig 15 — DoS mitigation timeline",
+func (r *Fig15Result) Tables() []report.Table {
+	head := report.Table{Title: "Fig 15 — DoS mitigation timeline",
 		Columns: []string{"flood start", "mitigation install", "detection latency",
 			"pre (Gbps)", "during flood (Gbps)", "recovered (Gbps)"},
-		Rows: [][]string{row(r.FloodStart, r.BlockedAt, r.DetectionLatency,
+		Rows: [][]string{report.Row(r.FloodStart, r.BlockedAt, r.DetectionLatency,
 			fmt.Sprintf("%.2f", r.PreGbps), fmt.Sprintf("%.2f", r.FloodGbps), fmt.Sprintf("%.2f", r.PostGbps))},
 	}
-	series := Table{Title: fmt.Sprintf("Fig 15 — benign goodput per %v bucket", fig15Bucket),
+	series := report.Table{Title: fmt.Sprintf("Fig 15 — benign goodput per %v bucket", fig15Bucket),
 		Columns: []string{"bucket start", "goodput (Gbps)"}}
 	starts, sums := r.Goodput.Bucketize(fig15Bucket)
 	for i := range starts {
-		series.Rows = append(series.Rows, row(starts[i], fmt.Sprintf("%.2f", sums[i]*8/fig15Bucket.Seconds()/1e9)))
+		series.Rows = append(series.Rows, report.Row(starts[i], fmt.Sprintf("%.2f", sums[i]*8/fig15Bucket.Seconds()/1e9)))
 	}
-	return []Table{head, series}
+	return []report.Table{head, series}
 }
 
 // Fig16Sweep holds the reaction-time sweeps of Figs. 16a and 16b.
@@ -193,31 +194,31 @@ func RunFig16(trials, workers int) (*Fig16Sweep, error) {
 }
 
 // Tables is one table per sweep.
-func (s *Fig16Sweep) Tables() []Table {
-	td := Table{Title: "Fig 16a — failure reaction time vs measurement period T_d (eta=0.5)",
+func (s *Fig16Sweep) Tables() []report.Table {
+	td := report.Table{Title: "Fig 16a — failure reaction time vs measurement period T_d (eta=0.5)",
 		Columns: []string{"T_d", "median", "min", "max"}}
 	for i, v := range s.TdValues {
-		td.Rows = append(td.Rows, row(v, s.ByTd[i].Median, s.ByTd[i].Min, s.ByTd[i].Max))
+		td.Rows = append(td.Rows, report.Row(v, s.ByTd[i].Median, s.ByTd[i].Min, s.ByTd[i].Max))
 	}
-	eta := Table{Title: "Fig 16b — failure reaction time vs eta (T_d=50µs)",
+	eta := report.Table{Title: "Fig 16b — failure reaction time vs eta (T_d=50µs)",
 		Columns: []string{"eta", "median", "min", "max"}}
 	for i, v := range s.EtaValues {
-		eta.Rows = append(eta.Rows, row(fmt.Sprintf("%.1f", v), s.ByEta[i].Median, s.ByEta[i].Min, s.ByEta[i].Max))
+		eta.Rows = append(eta.Rows, report.Row(fmt.Sprintf("%.1f", v), s.ByEta[i].Median, s.ByEta[i].Min, s.ByEta[i].Max))
 	}
-	return []Table{td, eta}
+	return []report.Table{td, eta}
 }
 
 // Table1Rows is the use-case inventory of usecases.Table1.
 type Table1Rows []usecases.Table1Row
 
 // Tables is the inventory as the paper's Table 1 lays it out.
-func (rows Table1Rows) Tables() []Table {
-	t := Table{Title: "Table 1 — use-case inventory (marginal cost over a basic router)",
+func (rows Table1Rows) Tables() []report.Table {
+	t := report.Table{Title: "Table 1 — use-case inventory (marginal cost over a basic router)",
 		Columns: []string{"use case", "mbl values", "mbl fields", "mbl tables", "P4R LoC", "P4 LoC",
 			"stages", "tables", "registers", "SRAM (KB)", "TCAM (KB)", "metadata (b)"}}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, row(r.Name, r.MblValues, r.MblFields, r.MblTables, r.P4RLoC, r.P4LoC,
+		t.Rows = append(t.Rows, report.Row(r.Name, r.MblValues, r.MblFields, r.MblTables, r.P4RLoC, r.P4LoC,
 			r.Stages, r.Tables, r.Registers, fmt.Sprintf("%.1f", r.SRAMKB), fmt.Sprintf("%.1f", r.TCAMKB), r.MetadataBits))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }

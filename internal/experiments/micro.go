@@ -15,6 +15,7 @@ import (
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/p4"
+	"repro/internal/report"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -100,18 +101,18 @@ func RunFig10a() (Fig10aRows, error) {
 
 // Tables is the series plus the marginal cost per byte of each argument
 // kind between the smallest and the largest size.
-func (rows Fig10aRows) Tables() []Table {
-	t := Table{Title: "Fig 10a — measurement latency vs state size",
+func (rows Fig10aRows) Tables() []report.Table {
+	t := report.Table{Title: "Fig 10a — measurement latency vs state size",
 		Columns: []string{"bytes", "field args", "register args"}}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, row(r.Bytes, r.FieldLatency, r.RegLatency))
+		t.Rows = append(t.Rows, report.Row(r.Bytes, r.FieldLatency, r.RegLatency))
 	}
 	first, last := rows[0], rows[len(rows)-1]
 	span := float64(last.Bytes - first.Bytes)
 	t.Notes = []string{fmt.Sprintf("marginal cost %d→%d B: field args %.1f ns/B, register args %.1f ns/B",
 		first.Bytes, last.Bytes, float64(last.FieldLatency-first.FieldLatency)/span,
 		float64(last.RegLatency-first.RegLatency)/span)}
-	return []Table{t}
+	return []report.Table{t}
 }
 
 // Fig10bRow is one point of the update-latency microbenchmark.
@@ -171,13 +172,13 @@ func RunFig10b() (Fig10bRows, error) {
 }
 
 // Tables is the series.
-func (rows Fig10bRows) Tables() []Table {
-	t := Table{Title: "Fig 10b — update latency vs number of updates",
+func (rows Fig10bRows) Tables() []report.Table {
+	t := report.Table{Title: "Fig 10b — update latency vs number of updates",
 		Columns: []string{"updates", "scalar malleable", "table entries"}}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, row(r.Updates, r.ScalarLatency, r.TableLatency))
+		t.Rows = append(t.Rows, report.Row(r.Updates, r.ScalarLatency, r.TableLatency))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }
 
 // fig11Src is a minimal reactive program: one malleable field updated
@@ -263,13 +264,13 @@ func RunFig11() (Fig11Rows, error) {
 }
 
 // Tables is the utilization/latency tradeoff.
-func (rows Fig11Rows) Tables() []Table {
-	t := Table{Title: "Fig 11 — CPU utilization vs reaction time (nanosleep pacing)",
+func (rows Fig11Rows) Tables() []report.Table {
+	t := report.Table{Title: "Fig 11 — CPU utilization vs reaction time (nanosleep pacing)",
 		Columns: []string{"pacing", "utilization", "mean iter", "reaction period"}}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, row(r.Pacing, fmt.Sprintf("%.1f%%", r.Utilization*100), r.MeanIteration, r.ReactionPeriod))
+		t.Rows = append(t.Rows, report.Row(r.Pacing, fmt.Sprintf("%.1f%%", r.Utilization*100), r.MeanIteration, r.ReactionPeriod))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }
 
 // Fig12Result compares concurrent legacy-operation latency with and
@@ -355,11 +356,11 @@ func RunFig12() (*Fig12Result, error) {
 }
 
 // Tables is the legacy-contention comparison.
-func (r *Fig12Result) Tables() []Table {
-	return []Table{{
+func (r *Fig12Result) Tables() []report.Table {
+	return []report.Table{{
 		Title:   "Fig 12 — legacy table-update latency with/without Mantis",
-		Columns: append([]string{"legacy updater"}, durColumns...),
-		Rows:    [][]string{durRow("without Mantis", r.Without), durRow("with Mantis", r.With)},
+		Columns: append([]string{"legacy updater"}, report.DurColumns...),
+		Rows:    [][]string{report.DurRow("without Mantis", r.Without), report.DurRow("with Mantis", r.With)},
 		Notes:   []string{fmt.Sprintf("overhead: median %+.2f%%, p99 %+.2f%%", r.MedianOverheadPct, r.P99OverheadPct)},
 	}}
 }

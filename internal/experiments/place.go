@@ -7,6 +7,7 @@ import (
 	"repro/internal/compiler/place"
 	"repro/internal/fabric"
 	"repro/internal/p4r/diag"
+	"repro/internal/report"
 	"repro/internal/usecases"
 )
 
@@ -120,16 +121,16 @@ func maxPct(cur, used, budget int) int {
 }
 
 // Tables is the sweep, one row per (program, profile).
-func (res *PlaceResult) Tables() []Table {
-	t := Table{Title: "Placement — shipped programs vs switch profiles",
+func (res *PlaceResult) Tables() []report.Table {
+	t := report.Table{Title: "Placement — shipped programs vs switch profiles",
 		Columns: []string{"program", "profile", "fits", "stages", "max SRAM", "max TCAM", "max registers"}}
 	for _, r := range res.Rows {
 		fits := "yes"
 		if !r.Fits {
 			fits = fmt.Sprintf("no (%d errors)", r.Errors)
 		}
-		t.Rows = append(t.Rows, row(r.Program, r.Profile, fits, fmt.Sprintf("%d/%d", r.StagesUsed, r.Stages),
+		t.Rows = append(t.Rows, report.Row(r.Program, r.Profile, fits, fmt.Sprintf("%d/%d", r.StagesUsed, r.Stages),
 			fmt.Sprintf("%d%%", r.MaxSRAMPct), fmt.Sprintf("%d%%", r.MaxTCAMPct), fmt.Sprintf("%d%%", r.MaxRegPct)))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }

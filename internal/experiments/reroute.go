@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/report"
 	"repro/internal/sim"
 )
 
@@ -146,8 +147,8 @@ func RunReroute(seed int64, workers int) (*RerouteResult, error) {
 }
 
 // Tables is the sweep.
-func (res *RerouteResult) Tables() []Table {
-	t := Table{Title: "Fabric failure resilience — detect, ECMP-exclude reroute, recover, restore",
+func (res *RerouteResult) Tables() []report.Table {
+	t := report.Table{Title: "Fabric failure resilience — detect, ECMP-exclude reroute, recover, restore",
 		Columns: []string{"mode", "fabric", "pre (Gbps)", "dip (Gbps)", "detect", "reroute", "recover",
 			"restore", "recovery", "route moves"},
 		Notes: []string{"pre/dip: delivered goodput before the failure and at the worst bucket after it. " +
@@ -156,10 +157,10 @@ func (res *RerouteResult) Tables() []Table {
 			"recovery: steady goodput under the failure as a fraction of pre."},
 	}
 	for _, p := range res.Points {
-		t.Rows = append(t.Rows, row(p.Mode, fmt.Sprintf("%dx%d", p.Leaves, p.Spines),
+		t.Rows = append(t.Rows, report.Row(p.Mode, fmt.Sprintf("%dx%d", p.Leaves, p.Spines),
 			fmt.Sprintf("%.2f", p.PreGoodput/1e9), fmt.Sprintf("%.2f", p.DipGoodput/1e9),
 			p.DetectLatency, p.RerouteLatency, p.RecoverLatency, p.RestoreLatency,
 			fmt.Sprintf("%.1f%%", p.Recovery*100), p.RouteMoves))
 	}
-	return []Table{t}
+	return []report.Table{t}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ctlplane"
 	"repro/internal/faults"
 	"repro/internal/journal"
+	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -208,16 +209,16 @@ func RunTakeover(seed int64) (*TakeoverResult, error) {
 }
 
 // Tables is the per-crash-point sweep and the MTTR decomposition.
-func (res *TakeoverResult) Tables() []Table {
-	sweep := Table{Title: "Primary takeover — crash-point sweep with journal-driven recovery",
+func (res *TakeoverResult) Tables() []report.Table {
+	sweep := report.Table{Title: "Primary takeover — crash-point sweep with journal-driven recovery",
 		Columns: []string{"crash before op", "outcome", "detect", "audit", "reconcile", "resume", "MTTR",
 			"repair writes", "successor commits", "violations"}}
 	for _, p := range res.Points {
-		sweep.Rows = append(sweep.Rows, row(p.CrashOp, p.Outcome, p.Detect, p.Audit, p.Reconcile, p.Resume,
+		sweep.Rows = append(sweep.Rows, report.Row(p.CrashOp, p.Outcome, p.Detect, p.Audit, p.Reconcile, p.Resume,
 			p.MTTR, p.RepairWrites, p.PostCommits, p.Violations))
 	}
-	phase := func(name string, st stats.DurationStats) []string { return row(name, st.Mean, st.P99, st.Max) }
-	return []Table{sweep, {
+	phase := func(name string, st stats.DurationStats) []string { return report.Row(name, st.Mean, st.P99, st.Max) }
+	return []report.Table{sweep, {
 		Title:   fmt.Sprintf("Primary takeover — MTTR decomposition over %d crash points", len(res.Points)),
 		Columns: []string{"phase", "mean", "p99", "max"},
 		Rows: [][]string{phase("detect", res.Detect), phase("audit", res.Audit),

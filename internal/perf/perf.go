@@ -6,11 +6,14 @@
 package perf
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/report"
 )
 
 // Metric is one benchmark's measured cost.
@@ -91,20 +94,6 @@ type Regression struct {
 	// baseline but absent from the current run — a renamed or dropped
 	// benchmark hides regressions, so it fails the comparison).
 	Kind string
-	Base float64
-	Cur  float64
-}
-
-func (r Regression) String() string {
-	switch r.Kind {
-	case "missing":
-		return fmt.Sprintf("%s: present in baseline but not measured", r.Name)
-	case "allocs":
-		return fmt.Sprintf("%s: %.0f allocs/op, baseline %.0f", r.Name, r.Cur, r.Base)
-	default:
-		return fmt.Sprintf("%s: %.1f ns/op, baseline %.1f (+%.0f%%)",
-			r.Name, r.Cur, r.Base, 100*(r.Cur-r.Base)/r.Base)
-	}
 }
 
 // Compare checks cur against base and returns every regression. Metrics
@@ -119,46 +108,42 @@ func Compare(base, cur *Baseline, opt Options) []Regression {
 			continue
 		}
 		if bm.NsPerOp > 0 && cm.NsPerOp > bm.NsPerOp*(1+opt.NsTolerance) {
-			regs = append(regs, Regression{Name: bm.Name, Kind: "time", Base: bm.NsPerOp, Cur: cm.NsPerOp})
+			regs = append(regs, Regression{Name: bm.Name, Kind: "time"})
 		}
 		if cm.AllocsPerOp > bm.AllocsPerOp+opt.AllocTolerance {
-			regs = append(regs, Regression{
-				Name: bm.Name, Kind: "allocs",
-				Base: float64(bm.AllocsPerOp), Cur: float64(cm.AllocsPerOp),
-			})
+			regs = append(regs, Regression{Name: bm.Name, Kind: "allocs"})
 		}
 	}
 	return regs
 }
 
-// FormatReport renders a comparison result for humans.
-func FormatReport(regs []Regression) string {
-	if len(regs) == 0 {
-		return "perf: no regressions against baseline\n"
+// Table is the measured suite as one table: a row per benchmark with
+// its cost and, when base is not nil, the baseline's ns/op and allocs/op
+// beside it and a verdict from regs: "ok", "new", or the regressed kinds
+// ("time", "allocs", "missing" for a baseline metric the run lacks).
+func Table(cur, base *Baseline, regs []Regression) report.Table {
+	t := report.Table{Title: "perfbench", Columns: []string{"benchmark", "ns/op", "allocs/op", "B/op"}}
+	for _, m := range cur.Metrics {
+		t.Rows = append(t.Rows, report.Row(m.Name, fmt.Sprintf("%.1f", m.NsPerOp), m.AllocsPerOp, m.BytesPerOp))
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "perf: %d regression(s) against baseline:\n", len(regs))
+	if base == nil {
+		return t
+	}
+	t.Columns = append(t.Columns, "base ns/op", "base allocs/op", "verdict")
+	t.Notes = []string{fmt.Sprintf("%d regression(s) against the baseline", len(regs))}
+	verdict := map[string][]string{}
 	for _, r := range regs {
-		fmt.Fprintf(&sb, "  %s\n", r)
+		verdict[r.Name] = append(verdict[r.Name], r.Kind)
+		if r.Kind == "missing" {
+			t.Rows = append(t.Rows, []string{r.Name, "-", "-", "-"})
+		}
 	}
-	return sb.String()
-}
-
-// CheckResult maps a comparison to a process exit code: 0 when clean or
-// when reportOnly is set, 1 when regressions should fail the run.
-func CheckResult(regs []Regression, reportOnly bool) int {
-	if len(regs) == 0 || reportOnly {
-		return 0
+	for i, row := range t.Rows {
+		if b := base.Metric(row[0]); b == nil {
+			t.Rows[i] = append(row, "-", "-", "new")
+		} else {
+			t.Rows[i] = append(row, fmt.Sprintf("%.1f", b.NsPerOp), fmt.Sprint(b.AllocsPerOp), cmp.Or(strings.Join(verdict[b.Name], ", "), "ok"))
+		}
 	}
-	return 1
-}
-
-// FormatMetrics renders the measured suite for humans.
-func FormatMetrics(ms []Metric) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s %14s %12s %12s\n", "benchmark", "ns/op", "allocs/op", "B/op")
-	for _, m := range ms {
-		fmt.Fprintf(&sb, "%-28s %14.1f %12d %12d\n", m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
-	}
-	return sb.String()
+	return t
 }

@@ -18,8 +18,8 @@ func baselineFixture() *Baseline {
 }
 
 // TestCompareSyntheticRegression is the harness's own regression test:
-// an inflated current run must be flagged and must map to a non-zero
-// exit, while report-only mode and a clean run must not.
+// an inflated current run must be flagged, each regression named in the
+// verdict column of the report, while a clean run must not.
 func TestCompareSyntheticRegression(t *testing.T) {
 	base := baselineFixture()
 	opt := Options{NsTolerance: 0.5, AllocTolerance: 0}
@@ -43,18 +43,16 @@ func TestCompareSyntheticRegression(t *testing.T) {
 	if regs[1].Kind != "allocs" || regs[1].Name != "pipeline_packet" {
 		t.Fatalf("second regression = %+v", regs[1])
 	}
-	if got := CheckResult(regs, false); got != 1 {
-		t.Fatalf("CheckResult(regressions) = %d, want 1", got)
+	tab := Table(bad, base, regs)
+	verdict := map[string]string{}
+	for _, r := range tab.Rows {
+		verdict[r[0]] = r[len(r)-1]
 	}
-	if got := CheckResult(regs, true); got != 0 {
-		t.Fatalf("CheckResult(report-only) = %d, want 0", got)
+	if verdict["exact_lookup_1k"] != "time" || verdict["pipeline_packet"] != "allocs" || verdict["dialogue_iteration"] != "ok" {
+		t.Fatalf("verdicts = %v", verdict)
 	}
-	if got := CheckResult(nil, false); got != 0 {
-		t.Fatalf("CheckResult(clean) = %d, want 0", got)
-	}
-	out := FormatReport(regs)
-	if !strings.Contains(out, "exact_lookup_1k") || !strings.Contains(out, "allocs/op") {
-		t.Fatalf("report incomplete:\n%s", out)
+	if len(tab.Notes) != 1 || !strings.HasPrefix(tab.Notes[0], "2 regression(s)") {
+		t.Fatalf("notes = %q", tab.Notes)
 	}
 }
 
@@ -68,11 +66,17 @@ func TestCompareMissingMetric(t *testing.T) {
 	if len(regs) != 1 || regs[0].Kind != "missing" || regs[0].Name != "exact_lookup_1k" {
 		t.Fatalf("regressions = %v", regs)
 	}
+	if rows := Table(cur, base, regs).Rows; rows[len(rows)-1][0] != "exact_lookup_1k" || rows[len(rows)-1][6] != "missing" {
+		t.Fatalf("report rows = %q, want a missing row for exact_lookup_1k", rows)
+	}
 	// The reverse — a brand-new benchmark — is not a regression.
 	grown := baselineFixture()
 	grown.Metrics = append(grown.Metrics, Metric{Name: "new_bench", NsPerOp: 1})
 	if regs := Compare(base, grown, DefaultOptions()); len(regs) != 0 {
 		t.Fatalf("new metric flagged: %v", regs)
+	}
+	if rows := Table(grown, base, nil).Rows; rows[len(rows)-1][6] != "new" {
+		t.Fatalf("report rows = %q, want new_bench marked new", rows)
 	}
 }
 

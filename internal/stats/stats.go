@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -110,11 +109,6 @@ func SummarizeDurations(ds []time.Duration) DurationStats {
 		Min:    min,
 		Max:    max,
 	}
-}
-
-func (s DurationStats) String() string {
-	return fmt.Sprintf("n=%d mean=%v median=%v p99=%v min=%v max=%v",
-		s.Count, s.Mean, s.Median, s.P99, s.Min, s.Max)
 }
 
 // TimeSeries accumulates (t, value) points, e.g. goodput over time for

@@ -79,9 +79,6 @@ func TestSummarizeDurations(t *testing.T) {
 	if SummarizeDurations(nil).Count != 0 {
 		t.Fatal("empty")
 	}
-	if s.String() == "" {
-		t.Fatal("String")
-	}
 }
 
 func TestTimeSeriesBucketize(t *testing.T) {

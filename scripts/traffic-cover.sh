@@ -5,10 +5,10 @@
 # Builds every entry point with coverage counters over the whole module,
 # runs each the way it is really run (the five BENCHMARK.json workloads
 # traced and untraced, cmd/experiments -run all, the examples, mantisd's
-# flag combinations, mantisc on the shipped program, on a switch profile
-# read from a file and on every analyzer test program, perfbench
-# measuring and comparing against BENCH_rmt.json), merges the counters
-# and prints
+# flag cases from cmd/mantisd/testdata/cases.txt, mantisc on the shipped
+# program, on a switch profile read from a file and on every analyzer
+# test program, perfbench measuring and comparing against
+# BENCH_rmt.json), merges the counters and prints
 #
 #   - every function under internal/ at 0 %, as "file:line<TAB>Recv.Name",
 #     and
@@ -80,17 +80,13 @@ for e in "$bin"/example-*; do
 	run "$e"
 done
 p4r=examples/p4r/fig1.p4r
-for flags in \
-	"" \
-	"-faults transient" "-faults latency" "-faults partial" "-faults stuck" \
-	"-faults crash-prepare" "-faults crash-commit" "-faults crash-mirror" \
-	"-legacy-clients 4" "-legacy-clients 4 -sched fifo" \
-	"-ctl-delay 1us" "-ctl-loss 0.02" "-ctl-partition 700us/300us"; do
-	# shellcheck disable=SC2086 # $flags is a word list
-	run "$bin/mantisd" -duration 3ms $flags "$p4r"
-done
-run "$bin/mantisd" -duration 3ms -topology leafspine:4,2 -fail-spine 1
-run "$bin/mantisd" -duration 3ms -topology leafspine:4,2 -gray-trunk 0,1:0.3
+# mantisd's flag cases are the ones its golden test runs.
+while read -r name flags; do
+	case $name in '' | '#'*) continue ;; esac
+	case " $flags " in *" -topology "*) prog= ;; *) prog=$p4r ;; esac
+	# shellcheck disable=SC2086 # $flags is a word list, $prog empty or one path
+	run "$bin/mantisd" -duration 3ms $flags $prog </dev/null
+done <cmd/mantisd/testdata/cases.txt
 run "$bin/mantisc" -check -Werror -target generic-16stage "$p4r"
 run "$bin/mantisc" -report -o "$out/fig1.p4" "$p4r"
 # A switch profile read from a file, as an operator passes one (the
