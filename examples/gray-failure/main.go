@@ -13,10 +13,9 @@ import (
 )
 
 func main() {
-	ports := []int{2, 3, 4, 5}
 	fmt.Println("T_s = 1µs heartbeats on ports 2-5; gray failure on port 3 at t=500µs")
 	for _, td := range []time.Duration{20 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond} {
-		res, err := usecases.RunFig16(1, ports, 3, 500*time.Microsecond, td, 0.5)
+		res, err := usecases.RunFig16(1, 3, 500*time.Microsecond, td, 0.5)
 		if err != nil {
 			log.Fatal(err)
 		}

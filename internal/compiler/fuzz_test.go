@@ -1,12 +1,16 @@
 package compiler
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/p4r"
 	"repro/internal/p4r/diag"
+	"repro/internal/rcl"
 )
 
 // FuzzCompileSource: no source text panics the compiler. Every input
@@ -17,6 +21,13 @@ import (
 // programs, the benchmark's programs, internal/check's programs and
 // the analyzer's corpus (broken programs, and reaction bodies with a
 // brace inside a comment or a string).
+//
+// Reaction bodies are parsed once, with the file, so the fuzzer also
+// holds the file parser and the reaction language to one reading of a
+// body: a body rcl accepts (the input itself, taken as one), embedded in
+// a reaction, yields the same statements, and so does every parsed
+// reaction's body text on its own. Positions aside: embedded, they are
+// the file's.
 func FuzzCompileSource(f *testing.F) {
 	f.Add(check.TwoTableSrc)
 	f.Add(check.FaultSweepSrc)
@@ -40,6 +51,26 @@ func FuzzCompileSource(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if stmts, err := rcl.ParseBody(src); err == nil {
+			file, err := p4r.Parse("reaction r() {" + src + "\n}\n")
+			if err != nil {
+				t.Fatalf("a body rcl accepts does not parse in a reaction: %v", err)
+			}
+			if got, want := shape(file.Reactions[0].Stmts), shape(stmts); got != want {
+				t.Fatalf("embedded body parses to\n%s\nalone to\n%s", got, want)
+			}
+		}
+		if file, err := p4r.Parse(src); err == nil {
+			for _, r := range file.Reactions {
+				stmts, err := rcl.ParseBody(r.Body)
+				if err != nil {
+					t.Fatalf("reaction %s: its body alone does not parse: %v", r.Name, err)
+				}
+				if got, want := shape(r.Stmts), shape(stmts); got != want {
+					t.Fatalf("reaction %s parses to\n%s\nits body alone to\n%s", r.Name, got, want)
+				}
+			}
+		}
 		opts := DefaultOptions()
 		opts.Target = "generic-16stage"
 		if plan, err := CompileSource(src, opts); plan == nil && err == nil {
@@ -62,4 +93,11 @@ func FuzzCompileSource(f *testing.F) {
 			}
 		}
 	})
+}
+
+var linePos = regexp.MustCompile(`Line:\d+`)
+
+// shape renders statements with their positions blanked.
+func shape(stmts []rcl.Stmt) string {
+	return linePos.ReplaceAllString(fmt.Sprintf("%#v", stmts), "Line:_")
 }

@@ -20,7 +20,7 @@ func (c *compiler) lowerReactions() error {
 	dupRegs := make(map[string]*RegParamInfo)
 
 	for _, r := range c.f.Reactions {
-		info := &ReactionInfo{Name: r.Name, Body: r.Body}
+		info := &ReactionInfo{Name: r.Name, Body: r.Body, Stmts: r.Stmts}
 		var ingFields, egrFields []SlotField
 
 		for _, p := range r.Params {

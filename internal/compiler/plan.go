@@ -18,6 +18,7 @@ import (
 	"repro/internal/compiler/place"
 	"repro/internal/p4"
 	"repro/internal/p4r/diag"
+	"repro/internal/rcl"
 	"repro/internal/rmt"
 )
 
@@ -234,7 +235,10 @@ type MblParamInfo struct {
 // ReactionInfo is one reaction's runtime description.
 type ReactionInfo struct {
 	Name string
-	Body string
+	// Body is the reaction's source text and Stmts its statements, parsed
+	// once with the program; each agent builds its Program from Stmts.
+	Body  string
+	Stmts []rcl.Stmt
 	// IngSlots/EgrSlots are packed measurement registers written at the
 	// end of the respective pipeline.
 	IngSlots  []MeasSlot

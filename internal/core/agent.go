@@ -583,19 +583,16 @@ func (a *Agent) prologue(p *sim.Proc) error {
 		a.flipOp = driver.Op{Kind: driver.OpSetDefault, Table: master.Table, Call: &a.masterCall}
 	}
 
-	// Reaction bodies: native overrides win; otherwise compile the
-	// embedded C-like body. setupReactionRuntime then compiles the
-	// dispatch (poll plan, persistent buffers, prepared frame).
+	// Reaction bodies: native overrides win; otherwise build the
+	// embedded C-like body from its parsed statements. setupReactionRuntime
+	// then compiles the dispatch (poll plan, persistent buffers, prepared
+	// frame).
 	for _, info := range a.plan.Reactions {
 		rr := &runtimeReaction{info: info}
 		if fn, ok := a.natives[info.Name]; ok {
 			rr.native = fn
 		} else {
-			prog, err := rcl.Compile(info.Body)
-			if err != nil {
-				return fmt.Errorf("reaction %s: %w", info.Name, err)
-			}
-			rr.prog = prog
+			rr.prog = rcl.NewProgram(info.Stmts)
 		}
 		a.reactions = append(a.reactions, rr)
 		for _, rp := range info.RegParams {

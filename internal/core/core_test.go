@@ -567,11 +567,12 @@ action tag() { modify_field(hdr.x, ${v}); }
 table t { actions { tag; } default_action : tag; size : 1; }
 reaction r() {
   ${v} = now();
-  set_hash_seed("hc", 42);
+  emit("tick", channel_clean(), 7);
 }
 control ingress { apply(t); }
 `
-	r := buildRig(t, src, Options{MaxIterations: 3})
+	var events []Event
+	r := buildRig(t, src, Options{MaxIterations: 3, EventSink: func(ev Event) { events = append(events, ev) }})
 	r.agent.Start()
 	r.sim.Run()
 	if err := r.agent.Err(); err != nil {
@@ -579,6 +580,15 @@ control ingress { apply(t); }
 	}
 	if v, _ := r.agent.Mbl("v"); v == 0 {
 		t.Fatal("now() builtin returned 0")
+	}
+	// The raw driver counts no channel faults, so it is always clean.
+	if len(events) != 3 {
+		t.Fatalf("%d events, want one per iteration: %+v", len(events), events)
+	}
+	for _, ev := range events {
+		if ev.Kind != "tick" || ev.Key != 1 || ev.Val != 7 || ev.At == 0 {
+			t.Fatalf("event %+v, want tick 1 7 with a time", ev)
+		}
 	}
 }
 
@@ -924,7 +934,7 @@ func TestThreePhaseDeleteFromReaction(t *testing.T) {
 }
 
 // TestCtxAccessors exercises the native-reaction context surface: Mbl,
-// Now, Proc, SetHashSeed, and RxnTable add/delete.
+// Now, and RxnTable add/delete.
 func TestCtxAccessors(t *testing.T) {
 	src := `
 header_type h_t { fields { k : 8; x : 16; } }
@@ -953,9 +963,6 @@ control ingress { apply(t); }
 		case 1:
 			sawMbl = ctx.Mbl("v")
 			sawNow = uint64(ctx.Now())
-			if err := ctx.SetHashSeed("hc", 99); err != nil {
-				return err
-			}
 			tbl, err := ctx.Table("t")
 			if err != nil {
 				return err

@@ -6,7 +6,8 @@ package core
 
 import "repro/internal/sim"
 
-// Event is one notification exported by a reaction through Ctx.Emit.
+// Event is one notification exported by a reaction through Ctx.Emit
+// or the emit builtin.
 // Kind is an application-level tag (e.g. "dos.block"); Key and Val are
 // its payload, with meaning fixed by the kind. Events are facts about
 // committed or in-flight reaction decisions, not control messages: the
@@ -25,10 +26,10 @@ type Event struct {
 
 // Emit exports an event to the agent's EventSink. Without a sink it is
 // a no-op, so reaction bodies can emit unconditionally.
-func (c *Ctx) Emit(kind string, key, val uint64) {
-	sink := c.agent.opts.EventSink
-	if sink == nil {
-		return
+func (c *Ctx) Emit(kind string, key, val uint64) { c.agent.emit(c.proc, kind, key, val) }
+
+func (a *Agent) emit(p *sim.Proc, kind string, key, val uint64) {
+	if sink := a.opts.EventSink; sink != nil {
+		sink(Event{At: p.Now(), Agent: a.opts.Name, Kind: kind, Key: key, Val: val})
 	}
-	sink(Event{At: c.proc.Now(), Agent: c.agent.opts.Name, Kind: kind, Key: key, Val: val})
 }

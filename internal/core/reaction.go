@@ -65,16 +65,6 @@ func (c *Ctx) Table(name string) (*RxnTable, error) {
 	return &th.tm.rxn, nil
 }
 
-// SetHashSeed reprograms a hash calculation's seed. No non-test code
-// calls it: the hash-polarization use case reacts through a malleable
-// field. The write bypasses the staged log, the vv flip and
-// the journal intent, so it is outside §5 isolation and a successor's
-// Recover cannot see it; ROADMAP's "paper's verbs, and only those" item
-// deletes it.
-func (c *Ctx) SetHashSeed(name string, seed uint64) error {
-	return c.agent.retry.SetHashSeed(c.proc, name, seed)
-}
-
 // RxnTable is a TableHandle bound to the reaction's process.
 type RxnTable struct {
 	th *TableHandle
@@ -468,13 +458,35 @@ func (a *Agent) registerDefaultBuiltins() {
 	a.builtins["now"] = func(p *sim.Proc, _ *Agent, _ []rcl.Arg) (int64, error) {
 		return int64(p.Now()), nil
 	}
-	a.builtins["set_hash_seed"] = func(p *sim.Proc, ag *Agent, args []rcl.Arg) (int64, error) {
-		if len(args) != 2 || !args[0].IsStr || args[1].IsStr {
-			return 0, fmt.Errorf("set_hash_seed(\"calc\", seed)")
-		}
-		return 0, ag.retry.SetHashSeed(p, args[0].S, uint64(args[1].I))
-	}
 	a.builtins["port_count"] = func(_ *sim.Proc, ag *Agent, _ []rcl.Arg) (int64, error) {
 		return int64(ag.drv.Switch().Config().NumPorts), nil
+	}
+	// emit("kind", key, val) is Ctx.Emit for interpreted bodies.
+	a.builtins["emit"] = func(p *sim.Proc, ag *Agent, args []rcl.Arg) (int64, error) {
+		if len(args) != 3 || !args[0].IsStr || args[1].IsStr || args[2].IsStr {
+			return 0, fmt.Errorf(`emit("kind", key, val)`)
+		}
+		ag.emit(p, args[0].S, uint64(args[1].I), uint64(args[2].I))
+		return 0, nil
+	}
+	// channel_clean() is 1 unless the agent's control channel retransmitted
+	// or timed out since the previous call. A reaction that measures over
+	// its dialogue window discards a window the channel stretched: a
+	// dedup-cached response carries counts read long before the reply, so
+	// the count window and the time window no longer line up. A channel
+	// that does not count faults is always clean.
+	var lastFaults uint64
+	a.builtins["channel_clean"] = func(_ *sim.Proc, ag *Agent, _ []rcl.Arg) (int64, error) {
+		ch, ok := ag.drv.(interface{ Faults() uint64 })
+		if !ok {
+			return 1, nil
+		}
+		n := ch.Faults()
+		clean := n == lastFaults
+		lastFaults = n
+		if clean {
+			return 1, nil
+		}
+		return 0, nil
 	}
 }

@@ -232,6 +232,10 @@ func (c *Client) classifyDegrade() DegradeCause {
 // the driver.Channel interface for switch-op accounting.)
 func (c *Client) ChanStats() ClientStats { return c.stats }
 
+// Faults counts the retransmits and timeouts so far; the agent's
+// channel_clean() reaction builtin compares it between calls.
+func (c *Client) Faults() uint64 { return c.stats.Retransmits + c.stats.Timeouts }
+
 // ackFloor is the lowest unresolved seq — everything below it is
 // settled client-side. Piggybacked on every frame so the server can
 // garbage-collect its response cache and reject ghost mutations.

@@ -156,7 +156,6 @@ func RunFig16(trials, workers int) (*Fig16Sweep, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("trials %d, want at least 1", trials)
 	}
-	ports := []int{2, 3, 4, 5}
 	pts := fig16Points()
 	durs := make([][]time.Duration, len(pts))
 	for i := range durs {
@@ -166,7 +165,7 @@ func RunFig16(trials, workers int) (*Fig16Sweep, error) {
 		pi, trial := j/trials, j%trials
 		p := pts[pi]
 		failAt := 300*time.Microsecond + time.Duration(trial)*p.td/time.Duration(trials)
-		res, err := usecases.RunFig16(int64(trial+1), ports, 3, failAt, p.td, p.eta)
+		res, err := usecases.RunFig16(int64(trial+1), 3, failAt, p.td, p.eta)
 		if err != nil {
 			return err
 		}

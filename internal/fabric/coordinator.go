@@ -249,10 +249,10 @@ func (co *Coordinator) Observe(ev core.Event) {
 		if ev.Val > co.hh[ev.Key] {
 			co.hh[ev.Key] = ev.Val
 		}
-	case EventGraySuspect:
+	case usecases.EventGraySuspect:
 		co.stats.GraySuspects++
 		co.graySuspect(ev)
-	case EventGrayClear:
+	case usecases.EventGrayClear:
 		co.stats.GrayClears++
 		co.grayClear(ev)
 	}

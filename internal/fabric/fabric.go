@@ -25,6 +25,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/compiler"
@@ -60,14 +61,6 @@ const (
 	HeartbeatTable  = "hb_tbl"
 	HeartbeatAction = "count_hb"
 	HeartbeatProto  = 0xFD
-)
-
-// Gray-failure events exported by each leaf's per-uplink detector (use
-// case #2 lifted fabric-wide). Key is the leaf's uplink port; the
-// coordinator maps it back to a spine via the fabric's port layout.
-const (
-	EventGraySuspect = "gray.suspect"
-	EventGrayClear   = "gray.clear"
 )
 
 // HostAddr returns the canonical address of host h on leaf l.
@@ -128,20 +121,11 @@ const (
 	hostPropagation = time.Microsecond
 
 	// Link-failure detection: each spine emits one probe per leaf trunk
-	// every grayTs, so a leaf's dialogue window of Td carries Td/grayTs
-	// samples per uplink, and a per-leaf gray-failure detector (the
-	// Fig. 16 program) feeds suspect/clear events to the coordinator's
-	// health view. A window delivering under floor(grayEta·Td/grayTs)
-	// probes strikes its uplink; grayStrikes consecutive strikes latch
-	// it. Recovery has hysteresis: a latched uplink must deliver
-	// essentially every probe (grayHealEta) for grayRecoverStrikes
-	// consecutive windows — a 30% gray link clears a symmetric bar often
-	// enough to flap.
-	grayTs             = 500 * time.Nanosecond
-	grayEta            = 0.75
-	grayHealEta        = 0.99
-	grayStrikes        = 2
-	grayRecoverStrikes = 3
+	// every grayTs (LeafP4R's gray_react counts on it), so a leaf's
+	// dialogue window of Td carries Td/grayTs samples per uplink, and the
+	// reaction's gray.suspect / gray.clear events feed the coordinator's
+	// health view.
+	grayTs = 500 * time.Nanosecond
 )
 
 func (cfg *Config) setDefaults() error {
@@ -193,10 +177,6 @@ type Node struct {
 	// for ECMP-exclude reroutes. Leaf nodes only (spines route each
 	// destination straight to its leaf and are never rerouted).
 	RouteHandles map[uint32]rmt.EntryHandle
-
-	// GrayDet is the leaf's per-uplink gray-failure detector (nil on
-	// spines).
-	GrayDet *usecases.GrayDetector
 }
 
 // Fabric is a built topology plus its coordinator.
@@ -220,15 +200,16 @@ type Fabric struct {
 }
 
 // Build constructs the fabric on s: switches, trunks, per-node control
-// stacks, and the coordinator. Agents are not yet started — register
-// natives on the nodes first, then call Start.
+// stacks, and the coordinator. Agents are not yet started: a caller
+// that replaces a reaction with a native registers it before Start.
 func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
 	opts := compiler.DefaultOptions()
 	opts.Target = cfg.Target
-	leafPlan, err := compiler.CompileSource(LeafP4R, opts)
+	leafPlan, err := compiler.CompileSource(strings.Replace(LeafP4R, leafUplinks,
+		fmt.Sprintf("int first_uplink = %d, last_uplink = %d;", cfg.HostPorts, cfg.HostPorts+cfg.Spines-1), 1), opts)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: leaf program: %w", err)
 	}
@@ -272,50 +253,12 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 		}
 		f.Trunks = append(f.Trunks, row)
 	}
-	if err := f.wireGrayDetection(spinePlan.Prog.Schema); err != nil {
-		return nil, err
-	}
+	// Probe heartbeats are stamped in the spine schema (the tickers start
+	// with the fabric).
+	sch := spinePlan.Prog.Schema
+	f.hbSrc, f.hbDst, f.hbProto = sch.MustID(usecases.FM.Src), sch.MustID(usecases.FM.Dst), sch.MustID(usecases.FM.Proto)
 	f.Coord.attach(f)
 	return f, nil
-}
-
-// wireGrayDetection registers the Fig. 16 detector on every leaf,
-// monitoring the uplink ports, and prepares the probe-heartbeat fields
-// (the tickers start with the fabric).
-func (f *Fabric) wireGrayDetection(spineSchema *packet.Schema) error {
-	cfg := &f.Cfg
-	f.hbSrc = spineSchema.MustID(usecases.FM.Src)
-	f.hbDst = spineSchema.MustID(usecases.FM.Dst)
-	f.hbProto = spineSchema.MustID(usecases.FM.Proto)
-	uplinks := make([]int, cfg.Spines)
-	for sp := range uplinks {
-		uplinks[sp] = f.UplinkPort(sp)
-	}
-	for _, leaf := range f.Leaves {
-		// Channel-evidence gating: a retransmit or timeout on the leaf's
-		// own agent channel since the last poll marks the window
-		// unjudgeable (its register reads may be dedup-cache stale).
-		ch := leaf.AgentCli
-		var lastRetx, lastTimeouts uint64
-		skip := func() bool {
-			st := ch.ChanStats()
-			dirty := st.Retransmits != lastRetx || st.Timeouts != lastTimeouts
-			lastRetx, lastTimeouts = st.Retransmits, st.Timeouts
-			return dirty
-		}
-		det := usecases.NewGrayDetector(usecases.GrayConfig{
-			Ts: grayTs, Eta: grayEta, HealEta: grayHealEta,
-			ConsecutiveStrikes: grayStrikes, RecoverStrikes: grayRecoverStrikes,
-			SkipWindow: skip,
-			Monitored:  uplinks,
-			Event:      EventGraySuspect, ClearEvent: EventGrayClear,
-		}, nil)
-		if err := leaf.Agent.RegisterNativeReaction("gray_react", det.React); err != nil {
-			return fmt.Errorf("fabric: %s: %w", leaf.Name, err)
-		}
-		leaf.GrayDet = det
-	}
-	return nil
 }
 
 // startHeartbeats launches the per-trunk probe ticker: every Ts, each

@@ -24,13 +24,6 @@ func TestFabricBuild(t *testing.T) {
 	if len(f.Trunks) != 2 || len(f.Trunks[0]) != 2 {
 		t.Fatalf("trunk matrix %dx%d, want 2x2", len(f.Trunks), len(f.Trunks[0]))
 	}
-	// Leaf agents need their native reaction before starting.
-	for _, leaf := range f.Leaves {
-		det := usecases.NewDosDetector(usecases.DefaultDosConfig())
-		if err := leaf.Agent.RegisterNativeReaction("dos_react", det.React); err != nil {
-			t.Fatal(err)
-		}
-	}
 	f.Start()
 	s.RunFor(2 * time.Millisecond)
 	f.Stop()
@@ -76,12 +69,6 @@ func TestFabricCrossLeafDelivery(t *testing.T) {
 	f, err := Build(s, Config{Leaves: 2, Spines: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, leaf := range f.Leaves {
-		det := usecases.NewDosDetector(usecases.DefaultDosConfig())
-		if err := leaf.Agent.RegisterNativeReaction("dos_react", det.React); err != nil {
-			t.Fatal(err)
-		}
 	}
 	src := f.Leaves[0].Net.AddHost(0, HostAddr(0, 0))
 	dst := f.Leaves[1].Net.AddHost(1, HostAddr(1, 1))
@@ -182,8 +169,17 @@ func TestDosFabricEscalation(t *testing.T) {
 	if sup < 0.9 {
 		t.Fatalf("suppression %.3f, want ≥ 0.9", sup)
 	}
-	// The local block at the detecting leaf must also be in place.
-	if _, ok := d.Detectors["leaf0"].Blocked[AttackerAddr]; !ok {
+	// The local block at the detecting leaf (the dos.block event it
+	// escalated from) must also be in place.
+	local, err := d.F.Leaves[0].Agent.Table("blocklist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := false
+	for _, e := range local.Entries() {
+		blocked = blocked || e.Keys[0].Value == AttackerAddr && e.Action == "drop_pkt"
+	}
+	if !blocked {
 		t.Fatal("victim leaf never blocked the attacker locally")
 	}
 	// Heavy hitters: every benign sender reported, view sorted.
@@ -215,17 +211,6 @@ func routePort(t *testing.T, n *Node, dst uint32) uint64 {
 	return 0
 }
 
-// registerDos gives every leaf its required dos_react native.
-func registerDos(t *testing.T, f *Fabric) {
-	t.Helper()
-	for _, leaf := range f.Leaves {
-		det := usecases.NewDosDetector(usecases.DefaultDosConfig())
-		if err := leaf.Agent.RegisterNativeReaction("dos_react", det.React); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestFabricGrayRerouteAndHeal runs the tentpole loop on a single gray
 // trunk: leaf0's detector latches the uplink, the coordinator excludes
 // the spine from leaf0's ECMP set and moves its affected destinations,
@@ -236,7 +221,6 @@ func TestFabricGrayRerouteAndHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerDos(t, f)
 	f.Start()
 	s.RunFor(time.Millisecond) // prologues install routes
 
@@ -252,9 +236,8 @@ func TestFabricGrayRerouteAndHeal(t *testing.T) {
 	f.Trunks[0][sp].SetGray(1.0)
 	s.RunFor(500 * time.Microsecond)
 
-	up := f.UplinkPort(sp)
-	if _, failed := f.Leaves[0].GrayDet.FailedPorts[up]; !failed {
-		t.Fatalf("leaf0 detector never latched uplink %d", up)
+	if st := f.Coord.Stats(); st.GraySuspects != 1 {
+		t.Fatalf("%d gray.suspect events, want leaf0's one on uplink %d", st.GraySuspects, f.UplinkPort(sp))
 	}
 	h := f.Coord.Health(sp)
 	if h.State != SpineGray || !h.Suspects["leaf0"] || len(h.Suspects) != 1 {
@@ -329,7 +312,6 @@ func TestFabricSpineCrashHealthDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerDos(t, f)
 	f.Start()
 	s.RunFor(time.Millisecond)
 

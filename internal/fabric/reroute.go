@@ -93,12 +93,12 @@ func NewRerouteFabric(s *sim.Simulator, cfg RerouteFabricConfig) (*RerouteFabric
 	}
 	fc := f.Cfg
 	r := &RerouteFabric{Sim: s, F: f, Cfg: cfg}
-	// The leaf program carries dos_react, so a native must be registered
-	// — but the ring traffic here is all legitimate, and the detector
-	// attributes each leaf's whole marginal byte count to the sampled
-	// sender, so at the paper's 1 Gbps bar the ~1.6 Gbps aggregate per
-	// leaf would blocklist benign senders. Park the threshold far above
-	// anything this scenario can generate.
+	// The ring traffic here is all legitimate, but the leaf program's
+	// dos_react attributes each leaf's whole marginal byte count to the
+	// sampled sender, so at its 1 Gbps bar the ~1.6 Gbps aggregate per
+	// leaf would blocklist benign senders. The Go detector replaces it,
+	// with the threshold parked far above anything this scenario can
+	// generate.
 	for _, leaf := range f.Leaves {
 		det := usecases.NewDosDetector(usecases.DosConfig{
 			ThresholdBps: 1e12, MinDuration: 50 * time.Microsecond,

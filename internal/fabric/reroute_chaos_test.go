@@ -38,7 +38,6 @@ func TestChaosSpineCrashMidGrayReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerDos(t, f)
 	f.Start()
 	s.RunFor(time.Millisecond)
 
@@ -114,7 +113,6 @@ func TestChaosGrayRerouteOverPartitionedChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerDos(t, f)
 	f.Start()
 	s.RunFor(time.Millisecond)
 
@@ -169,7 +167,6 @@ func TestChaosFlappingTrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerDos(t, f)
 	f.Start()
 	s.RunFor(time.Millisecond)
 

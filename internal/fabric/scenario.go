@@ -50,11 +50,6 @@ const (
 	// link.
 	dosAttackBps     = 25e9
 	dosBottleneckBps = 10e9
-	// dosMinDuration is a longer estimate window than the single-switch
-	// scenario's: the fabric funnels every leaf's benign flows through
-	// the victim leaf, so early small-denominator estimates are noisier
-	// here.
-	dosMinDuration = 200 * time.Microsecond
 )
 
 // dosPerSenderBps is the base benign rate on a fabric of the given
@@ -72,10 +67,8 @@ type DosFabric struct {
 	F   *Fabric
 	Cfg DosFabricConfig
 
-	// Detectors holds each leaf's DoS detector by node name.
-	Detectors map[string]*usecases.DosDetector
-	Victim    *netsim.Host
-	Flood     *netsim.Flooder
+	Victim *netsim.Host
+	Flood  *netsim.Flooder
 	// VictimAddr is the victim's fabric address; VictimLeaf its leaf.
 	VictimAddr uint32
 	VictimLeaf int
@@ -98,21 +91,11 @@ func NewDosFabric(s *sim.Simulator, cfg DosFabricConfig) (*DosFabric, error) {
 		return nil, err
 	}
 	fc := f.Cfg // defaults resolved
-	dos := usecases.DefaultDosConfig()
-	dos.MinDuration = dosMinDuration
 	d := &DosFabric{
 		Sim: s, F: f, Cfg: cfg,
-		Detectors:      make(map[string]*usecases.DosDetector),
 		VictimLeaf:     0,
 		VictimAddr:     HostAddr(0, fc.HostPorts-1),
 		DeliveredBySrc: make(map[uint64]uint64),
-	}
-	for _, leaf := range f.Leaves {
-		det := usecases.NewDosDetector(dos)
-		if err := leaf.Agent.RegisterNativeReaction("dos_react", det.React); err != nil {
-			return nil, err
-		}
-		d.Detectors[leaf.Name] = det
 	}
 
 	schema := f.Leaves[0].Plan.Prog.Schema

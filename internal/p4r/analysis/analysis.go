@@ -615,16 +615,10 @@ type reactionScope struct {
 	locals     map[string]bool
 }
 
-// checkBody parses the C-like reaction body and walks it. A body that
-// does not parse is reported at its line, even if a native reaction
-// could replace it at run time: the agent compiles every body it runs.
+// checkBody walks the reaction body the parser already parsed (a body
+// that does not parse is a syntax error of the file).
 func (rx *reactionScope) checkBody() {
-	stmts, err := rcl.ParseBody(rx.r.Body)
-	if err != nil {
-		d := err.(*diag.Diagnostic)
-		rx.c.errorf(d.Code, rx.r.Line+d.Line-1, 0, "reaction %s: %s", rx.r.Name, d.Msg)
-		return
-	}
+	stmts := rx.r.Stmts
 	// First collect every declared local (including statics and loop-init
 	// declarations) so use-sites resolve regardless of order.
 	var collect func(stmts []rcl.Stmt)
@@ -845,14 +839,13 @@ func (rx *reactionScope) checkCompareWidths(x rcl.BinaryExpr) {
 	}
 }
 
-// bodyLine converts a 1-based line within a reaction body to an absolute
-// source line. The body starts on the reaction declaration's line (the
-// capture begins right after the opening brace).
-func bodyLine(r *p4r.Reaction, rel int) int {
-	if rel <= 0 {
+// bodyLine is a body node's line in the file, or the reaction's own
+// line for a node that carries none.
+func bodyLine(r *p4r.Reaction, line int) int {
+	if line <= 0 {
 		return r.Line
 	}
-	return r.Line + rel - 1
+	return line
 }
 
 func sanitize(name string) string { return strings.ReplaceAll(name, ".", "_") }

@@ -1,5 +1,7 @@
 package p4r
 
+import "repro/internal/rcl"
+
 // File is the parsed representation of one .p4r source file.
 type File struct {
 	HeaderTypes []*HeaderType
@@ -193,15 +195,17 @@ type ReactionParam struct {
 	Col    int
 }
 
-// Reaction is a reaction declaration. Body is the raw C-like source,
-// parsed and executed by internal/rcl; its line 1 is line Line of the
-// file.
+// Reaction is a reaction declaration with a C-like body in the
+// reaction language (internal/rcl).
 type Reaction struct {
 	Name   string
 	Params []ReactionParam
-	Body   string
-	Line   int
-	Col    int
+	// Body is the source text between the braces; Stmts is that text
+	// parsed once by the reaction language, positioned in the file.
+	Body  string
+	Stmts []rcl.Stmt
+	Line  int
+	Col   int
 }
 
 // Stmt is a control-flow statement (apply or if).

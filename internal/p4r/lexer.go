@@ -13,7 +13,6 @@ package p4r
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 
 	"repro/internal/p4r/diag"
@@ -214,62 +213,4 @@ func (lx *Lexer) Next() (Token, error) {
 
 func isHex(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
-}
-
-// captureBraceBlock returns the raw source between the current position
-// (which must be just after an opening '{') and its matching '}',
-// honoring nested braces. Comments and string literals, in the forms
-// the reaction language accepts, are copied verbatim: a brace inside
-// one neither opens nor closes the block. Used to extract reaction
-// bodies, which are parsed separately by the reaction-language
-// interpreter.
-func (lx *Lexer) captureBraceBlock() (string, error) {
-	depth := 1
-	var b strings.Builder
-	startLine, startCol := lx.line, lx.col
-	for lx.pos < len(lx.src) {
-		c := lx.peekByte()
-		switch {
-		case c == '/' && lx.peekByteAt(1) == '/':
-			lx.copyPast(&b, 2, "\n")
-			continue
-		case c == '/' && lx.peekByteAt(1) == '*':
-			lx.copyPast(&b, 2, "*/")
-			continue
-		case c == '"':
-			// An rcl string ends at its closing quote; a newline inside
-			// one is rcl's error to report.
-			lx.copyPast(&b, 1, "\"", "\n")
-			continue
-		case c == '{':
-			depth++
-		case c == '}':
-			depth--
-			if depth == 0 {
-				lx.advance()
-				return b.String(), nil
-			}
-		}
-		b.WriteByte(lx.advance())
-	}
-	return "", diag.Errorf(diag.BadLiteral, startLine, startCol, "unterminated block")
-}
-
-// copyPast copies the n-byte opener at the cursor into b, then every
-// byte up to and including the first of stops (or to end of input).
-func (lx *Lexer) copyPast(b *strings.Builder, n int, stops ...string) {
-	for i := 0; i < n; i++ {
-		b.WriteByte(lx.advance())
-	}
-	for lx.pos < len(lx.src) {
-		for _, stop := range stops {
-			if strings.HasPrefix(lx.src[lx.pos:], stop) {
-				for i := 0; i < len(stop); i++ {
-					b.WriteByte(lx.advance())
-				}
-				return
-			}
-		}
-		b.WriteByte(lx.advance())
-	}
 }

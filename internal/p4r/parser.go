@@ -1,9 +1,10 @@
 package p4r
 
 import (
-	"strings"
+	"fmt"
 
 	"repro/internal/p4r/diag"
+	"repro/internal/rcl"
 )
 
 // Parser is a recursive-descent parser for P4R source with one token of
@@ -711,16 +712,20 @@ func (p *Parser) parseReaction() error {
 	if !p.isPunct("{") {
 		return p.errf("expected reaction body, got %s", p.cur)
 	}
-	// The lexer sits just past the '{' of the body: capture raw C-like
-	// source up to the matching brace and hand it to the reaction
-	// language (internal/rcl) later. A header that spans lines is padded
-	// with newlines, so line n of the body is line Line+n-1 of the file.
-	pad := strings.Repeat("\n", p.cur.Line-line)
-	body, err := p.lx.captureBraceBlock()
+	// The lexer sits just past the '{' of the body: the reaction
+	// language parses from there to the matching brace, and this lexer
+	// resumes after it.
+	lx := p.lx
+	at := rcl.Pos{Off: lx.pos, Line: lx.line, Col: lx.col}
+	stmts, end, err := rcl.ParseBlock(lx.src, at)
+	if d, ok := err.(*diag.Diagnostic); ok {
+		d.Msg = fmt.Sprintf("reaction %s: %s", r.Name, d.Msg)
+	}
 	if err != nil {
 		return err
 	}
-	r.Body = pad + body
+	r.Body, r.Stmts = lx.src[at.Off:end.Off-1], stmts
+	lx.pos, lx.line, lx.col = end.Off, end.Line, end.Col
 	if err := p.next(); err != nil {
 		return err
 	}

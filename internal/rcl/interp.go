@@ -25,7 +25,7 @@ type Host interface {
 	// TableOp performs a malleable-table library call
 	// (addEntry/modEntry/delEntry) and returns a handle or 0.
 	TableOp(table, method string, args []Arg) (int64, error)
-	// Call invokes a host builtin (now(), set_hash_seed(...), ...).
+	// Call invokes a host builtin (now(), emit(...), ...).
 	Call(name string, args []Arg) (int64, error)
 }
 
@@ -55,25 +55,26 @@ const defaultMaxSteps = 10_000_000
 
 // Compile parses a reaction body into an executable Program.
 func Compile(src string) (*Program, error) {
-	stmts, err := parseBody(src)
+	stmts, err := ParseBody(src)
 	if err != nil {
 		return nil, err
 	}
+	return NewProgram(stmts), nil
+}
+
+// NewProgram lowers parsed statements into an executable Program with
+// its own statics. A P4R file's bodies are parsed once, with the file
+// (p4r.Reaction.Stmts); each agent that runs one builds its Program
+// from those statements.
+func NewProgram(stmts []Stmt) *Program {
 	p := &Program{
 		stmts:       stmts,
 		params:      make(map[string]int),
 		staticCells: make(map[string]*staticCell),
 	}
 	p.compile()
-	return p, nil
+	return p
 }
-
-// ParseBody parses a reaction body and returns its statement AST without
-// building an executable Program. Static analyzers (internal/p4r/analysis)
-// use this to walk reaction bodies for reads, writes, and declarations.
-// Its error, like Compile's, is a *diag.Diagnostic whose line counts
-// from the body's first line.
-func ParseBody(src string) ([]Stmt, error) { return parseBody(src) }
 
 // cell is a variable binding: a scalar or an array, with an optional
 // width mask applied on store.

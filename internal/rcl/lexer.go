@@ -23,6 +23,7 @@ package rcl
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 
 	"repro/internal/p4r/diag"
@@ -44,11 +45,15 @@ type token struct {
 	text string
 	num  int64
 	line int
+	col  int
 }
 
 func (t token) String() string {
 	switch t.kind {
 	case tEOF:
+		if t.text != "" {
+			return fmt.Sprintf("%q", t.text) // the brace that closes a block
+		}
 		return "end of input"
 	case tMbl:
 		return fmt.Sprintf("${%s}", t.text)
@@ -59,6 +64,10 @@ func (t token) String() string {
 	}
 }
 
+// Pos is a position in a source text: a byte offset and the 1-based
+// line and byte column there, counted the way the P4R lexer counts them.
+type Pos struct{ Off, Line, Col int }
+
 // twoCharOps are multi-character operators, longest-match-first.
 var threeCharOps = []string{"<<=", ">>="}
 var twoCharOps = []string{
@@ -66,17 +75,27 @@ var twoCharOps = []string{
 	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
 }
 
-func lex(src string) ([]token, error) {
+// lex tokenizes src from at. In block mode at sits just past a '{' and
+// lexing stops at the '}' that closes it: the tEOF token stands at that
+// brace, and the returned position is just past it. Otherwise lexing
+// runs to the end of src. Token and error positions are src's.
+func lex(src string, at Pos, block bool) ([]token, Pos, error) {
 	var toks []token
-	line := 1
-	i := 0
+	line, lineStart := at.Line, at.Off-(at.Col-1)
+	depth := 0
+	i := at.Off
 	n := len(src)
 	for i < n {
 		c := src[i]
+		col := i - lineStart + 1
+		tok := func(k tokKind, text string) {
+			toks = append(toks, token{kind: k, text: text, line: line, col: col})
+		}
 		switch {
 		case c == '\n':
 			line++
 			i++
+			lineStart = i
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
 		case c == '/' && i+1 < n && src[i+1] == '/':
@@ -84,15 +103,17 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 		case c == '/' && i+1 < n && src[i+1] == '*':
+			startLine := line
 			i += 2
 			for i+1 < n && !(src[i] == '*' && src[i+1] == '/') {
 				if src[i] == '\n' {
 					line++
+					lineStart = i + 1
 				}
 				i++
 			}
 			if i+1 >= n {
-				return nil, diag.Errorf(diag.BadLiteral, line, 0, "unterminated comment")
+				return nil, Pos{}, diag.Errorf(diag.BadLiteral, startLine, col, "unterminated comment")
 			}
 			i += 2
 		case c == '$' && i+1 < n && src[i+1] == '{':
@@ -102,30 +123,30 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i >= n || src[i] != '}' || i == start {
-				return nil, diag.Errorf(diag.BadLiteral, line, 0, "malformed malleable reference")
+				return nil, Pos{}, diag.Errorf(diag.BadLiteral, line, col, "malformed malleable reference")
 			}
-			toks = append(toks, token{kind: tMbl, text: src[start:i], line: line})
+			tok(tMbl, src[start:i])
 			i++
 		case c == '"':
 			i++
 			start := i
 			for i < n && src[i] != '"' {
 				if src[i] == '\n' {
-					return nil, diag.Errorf(diag.BadLiteral, line, 0, "newline in string literal")
+					return nil, Pos{}, diag.Errorf(diag.BadLiteral, line, col, "newline in string literal")
 				}
 				i++
 			}
 			if i >= n {
-				return nil, diag.Errorf(diag.BadLiteral, line, 0, "unterminated string literal")
+				return nil, Pos{}, diag.Errorf(diag.BadLiteral, line, col, "unterminated string literal")
 			}
-			toks = append(toks, token{kind: tString, text: src[start:i], line: line})
+			tok(tString, src[start:i])
 			i++
 		case c == '_' || unicode.IsLetter(rune(c)):
 			start := i
 			for i < n && (src[i] == '_' || unicode.IsLetter(rune(src[i])) || unicode.IsDigit(rune(src[i]))) {
 				i++
 			}
-			toks = append(toks, token{kind: tIdent, text: src[start:i], line: line})
+			tok(tIdent, src[start:i])
 		case unicode.IsDigit(rune(c)):
 			start := i
 			base := 10
@@ -142,47 +163,52 @@ func lex(src string) ([]token, error) {
 				// Allow the full uint64 range to wrap into int64.
 				u, uerr := strconv.ParseUint(text, 0, 64)
 				if uerr != nil {
-					return nil, diag.Errorf(diag.BadLiteral, line, 0, "bad number %q", text)
+					return nil, Pos{}, diag.Errorf(diag.BadLiteral, line, col, "bad number %q", text)
 				}
 				v = int64(u)
 			}
-			toks = append(toks, token{kind: tNumber, text: text, num: v, line: line})
+			toks = append(toks, token{kind: tNumber, text: text, num: v, line: line, col: col})
 		default:
-			matched := false
-			for _, op := range threeCharOps {
-				if i+3 <= n && src[i:i+3] == op {
-					toks = append(toks, token{kind: tPunct, text: op, line: line})
-					i += 3
-					matched = true
+			op := ""
+			for _, o := range threeCharOps {
+				if strings.HasPrefix(src[i:], o) {
+					op = o
 					break
 				}
 			}
-			if matched {
-				continue
-			}
-			for _, op := range twoCharOps {
-				if i+2 <= n && src[i:i+2] == op {
-					toks = append(toks, token{kind: tPunct, text: op, line: line})
-					i += 2
-					matched = true
+			for _, o := range twoCharOps {
+				if op == "" && strings.HasPrefix(src[i:], o) {
+					op = o
 					break
 				}
 			}
-			if matched {
-				continue
+			if op == "" {
+				switch c {
+				case '+', '-', '*', '/', '%', '&', '|', '^', '~', '!', '<', '>', '=',
+					'(', ')', '{', '}', '[', ']', ';', ',', '?', ':', '.':
+					op = src[i : i+1]
+				default:
+					return nil, Pos{}, diag.Errorf(diag.BadLiteral, line, col, "unexpected character %q", string(c))
+				}
 			}
-			switch c {
-			case '+', '-', '*', '/', '%', '&', '|', '^', '~', '!', '<', '>', '=',
-				'(', ')', '{', '}', '[', ']', ';', ',', '?', ':', '.':
-				toks = append(toks, token{kind: tPunct, text: string(c), line: line})
-				i++
-			default:
-				return nil, diag.Errorf(diag.BadLiteral, line, 0, "unexpected character %q", string(c))
+			switch {
+			case op == "{":
+				depth++
+			case op == "}" && block && depth == 0:
+				tok(tEOF, op)
+				return toks, Pos{Off: i + 1, Line: line, Col: col + 1}, nil
+			case op == "}":
+				depth--
 			}
+			tok(tPunct, op)
+			i += len(op)
 		}
 	}
-	toks = append(toks, token{kind: tEOF, line: line})
-	return toks, nil
+	if block {
+		return nil, Pos{}, diag.Errorf(diag.BadLiteral, at.Line, at.Col, "unterminated block")
+	}
+	toks = append(toks, token{kind: tEOF, line: line, col: n - lineStart + 1})
+	return toks, Pos{Off: n, Line: line, Col: n - lineStart + 1}, nil
 }
 
 func isHexDigit(c byte) bool {

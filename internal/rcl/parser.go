@@ -181,9 +181,9 @@ func (p *parser) advance() token {
 }
 
 // errf reports a syntax error at the current token as an S001
-// diagnostic whose line is the body's.
+// diagnostic at its line and column.
 func (p *parser) errf(format string, args ...any) error {
-	return diag.Errorf(diag.SyntaxError, p.cur().line, 0, format, args...)
+	return diag.Errorf(diag.SyntaxError, p.cur().line, p.cur().col, format, args...)
 }
 
 func (p *parser) isPunct(s string) bool {
@@ -198,22 +198,38 @@ func (p *parser) expect(s string) error {
 	return nil
 }
 
-// parseBody parses a full reaction body: a statement list.
-func parseBody(src string) ([]Stmt, error) {
-	toks, err := lex(src)
+// ParseBody parses a whole text as a reaction body: a statement list,
+// positioned from line 1, column 1. Its error, like ParseBlock's, is a
+// *diag.Diagnostic.
+func ParseBody(src string) ([]Stmt, error) {
+	stmts, _, err := parse(src, Pos{Line: 1, Col: 1}, false)
+	return stmts, err
+}
+
+// ParseBlock parses the reaction body that opens just before at in src
+// (at sits past its '{') up to the matching '}', and returns the
+// position just past that brace. Comments and string literals are the
+// body's own tokens, so a brace inside one neither opens nor closes the
+// block, and every position is src's.
+func ParseBlock(src string, at Pos) ([]Stmt, Pos, error) {
+	return parse(src, at, true)
+}
+
+func parse(src string, at Pos, block bool) ([]Stmt, Pos, error) {
+	toks, end, err := lex(src, at, block)
 	if err != nil {
-		return nil, err
+		return nil, Pos{}, err
 	}
 	p := &parser{toks: toks}
 	var stmts []Stmt
 	for p.cur().kind != tEOF {
 		s, err := p.parseStmt()
 		if err != nil {
-			return nil, err
+			return nil, Pos{}, err
 		}
 		stmts = append(stmts, s)
 	}
-	return stmts, nil
+	return stmts, end, nil
 }
 
 // parseBlockOrStmt parses `{ ... }` or a single statement.
@@ -309,13 +325,12 @@ func (p *parser) parseDecl(static bool) (Stmt, error) {
 			if p.cur().kind != tNumber {
 				return nil, p.errf("array size must be a constant")
 			}
-			n := p.advance().num
-			if n <= 0 {
+			if n := p.cur().num; n <= 0 {
 				return nil, p.errf("array size must be positive")
-			}
-			if n > maxArraySize {
+			} else if n > maxArraySize {
 				return nil, p.errf("array size %d exceeds the limit of %d", n, maxArraySize)
 			}
+			n := p.advance().num
 			v.ArraySize = int(n)
 			if err := p.expect("]"); err != nil {
 				return nil, err

@@ -293,9 +293,9 @@ func TestArrayOutOfRange(t *testing.T) {
 // static, is a syntax error at its line, not a frame the first
 // execution cannot allocate.
 func TestArraySizeBounded(t *testing.T) {
-	for _, src := range []string{"\nint big[99999999999999];", "\nstatic int big[4097];"} {
+	for src, at := range map[string]string{"\nint big[99999999999999];": "line 2:9:", "\nstatic int big[4097];": "line 2:16:"} {
 		_, err := Compile(src)
-		if err == nil || !strings.Contains(err.Error(), "line 2: error[S001]: array size") {
+		if err == nil || !strings.HasPrefix(err.Error(), at+" error[S001]: array size") {
 			t.Errorf("%q: err = %v, want an S001 on the array size", src, err)
 		}
 	}

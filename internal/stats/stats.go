@@ -37,23 +37,6 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// MeanAbsDevFromMedian returns the mean absolute deviation from the
-// median — the imbalance statistic of use case #3. Unlike the
-// median-of-deviations MAD, it flags a single hot outlier among many idle
-// values (MAD proper is 0 when fewer than half the values deviate) —
-// which is exactly the single-hot-path shape of hash polarization.
-func MeanAbsDevFromMedian(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	med := Median(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += math.Abs(x - med)
-	}
-	return s / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using
 // nearest-rank on a sorted copy; 0 for empty input.
 func Percentile(xs []float64, p float64) float64 {

@@ -26,31 +26,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 }
 
-func TestMAD(t *testing.T) {
-	// Balanced: identical values -> deviation 0.
-	if MeanAbsDevFromMedian([]float64{7, 7, 7, 7}) != 0 {
-		t.Fatal("uniform")
-	}
-	// {1,2,3,4,9}: median 3, deviations {2,1,0,1,6}, mean 2.
-	if MeanAbsDevFromMedian([]float64{1, 2, 3, 4, 9}) != 2 {
-		t.Fatal("mean absolute deviation")
-	}
-	// One hot path among idle ones — the polarized shape — is flagged,
-	// where the median of the deviations would read 0.
-	if MeanAbsDevFromMedian([]float64{0, 0, 0, 400}) != 100 {
-		t.Fatal("single hot outlier")
-	}
-	// An imbalanced port distribution deviates more than a balanced one.
-	balanced := MeanAbsDevFromMedian([]float64{100, 101, 99, 100})
-	skewed := MeanAbsDevFromMedian([]float64{10, 200, 15, 180})
-	if skewed <= balanced {
-		t.Fatalf("skewed=%v balanced=%v", skewed, balanced)
-	}
-	if MeanAbsDevFromMedian(nil) != 0 {
-		t.Fatal("empty")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if Percentile(xs, 50) != 5 {
@@ -120,25 +95,6 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		return Percentile(xs, 0) == s[0] &&
 			Percentile(xs, 100) == s[len(s)-1] &&
 			Percentile(xs, pa) <= Percentile(xs, pb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the deviation from the median is translation invariant.
-func TestPropertyMADTranslationInvariant(t *testing.T) {
-	f := func(raw []int16, shift int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		a := make([]float64, len(raw))
-		b := make([]float64, len(raw))
-		for i, x := range raw {
-			a[i] = float64(x)
-			b[i] = float64(x) + float64(shift)
-		}
-		return math.Abs(MeanAbsDevFromMedian(a)-MeanAbsDevFromMedian(b)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

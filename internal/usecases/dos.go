@@ -31,7 +31,10 @@ var FM = netsim.FieldMap{
 
 // DosP4R is use case #1's program: per-sender statistics in the data
 // plane (last source + total byte counter), a malleable blocklist for
-// mitigation, and a plain routing table. The reaction body is native.
+// mitigation, and a plain routing table. The reaction attributes each
+// poll's byte-counter growth to the sampled sender, estimates its rate
+// as bytes·8/(now − first seen), and blocks it at 1 Gbps once it has been
+// seen for 50 µs.
 const DosP4R = `
 header_type ipv4_t {
   fields { srcAddr : 32; dstAddr : 32; protocol : 8; ecn : 1; }
@@ -70,7 +73,33 @@ table counter_tbl {
 }
 
 reaction dos_react(ing ipv4.srcAddr, reg total_bytes) {
-  // Implemented natively: per-sender rate estimation + blocking.
+  // Per-sender state, open-addressed by address, as large as the
+  // blocklist: the sender (0 = free), when it was first seen, its byte
+  // estimate, and whether it is blocked.
+  static int sender[256];
+  static int first[256];
+  static int bytes[256];
+  static int blocked[256];
+  static int last_total = 0;
+  int delta = total_bytes[0] - last_total;
+  last_total = total_bytes[0];
+  if (delta == 0 || ipv4_srcAddr == 0) return;
+  int i = ipv4_srcAddr % 256;
+  for (int n = 0; n < 256 && sender[i] != ipv4_srcAddr && sender[i] != 0; n++) i = (i + 1) % 256;
+  if (sender[i] != ipv4_srcAddr) {
+    if (sender[i] != 0) return; // table full: the sender goes unestimated
+    sender[i] = ipv4_srcAddr;
+    first[i] = now();
+  }
+  bytes[i] += delta;
+  emit("hh.estimate", ipv4_srcAddr, bytes[i]);
+  if (blocked[i]) return;
+  // 1 Gbps is 1 bit/ns: rate >= threshold iff bytes*8 >= dur in ns.
+  int dur = now() - first[i];
+  if (dur < 50000 || bytes[i] * 8 < dur) return;
+  blocklist.addEntry(ipv4_srcAddr, "drop_pkt");
+  blocked[i] = 1;
+  emit("dos.block", ipv4_srcAddr, bytes[i] * 8 / dur * 1000000000 + bytes[i] * 8 % dur * 1000000000 / dur);
 }
 
 control ingress {
@@ -80,9 +109,10 @@ control ingress {
 }
 `
 
-// Event kinds the DoS detector exports through core.Options.EventSink.
-// A fabric coordinator subscribes to these to compose network-wide
-// reactions out of per-switch decisions.
+// Event kinds the use-case reactions export through
+// core.Options.EventSink. A scenario runner reads its outcome from them,
+// and a fabric coordinator subscribes to compose network-wide reactions
+// out of per-switch decisions.
 const (
 	// EventDosBlock reports a committed local block: Key is the blocked
 	// source address, Val its estimated rate in bits per second.
@@ -90,6 +120,16 @@ const (
 	// EventHHEstimate reports an updated per-sender byte estimate: Key
 	// is the source address, Val the estimated byte total.
 	EventHHEstimate = "hh.estimate"
+	// EventGraySuspect reports a port latched as gray-failed (Key, with
+	// Val the window's heartbeat count); EventGrayClear its heal.
+	EventGraySuspect = "gray.suspect"
+	EventGrayClear   = "gray.clear"
+	// EventPolarWindow reports one window's imbalance: Key is the sum of
+	// the doubled per-path deltas' distances from their doubled median,
+	// Val the window's packet total, so MAD/mean = Key/(2·Val).
+	EventPolarWindow = "polar.window"
+	// EventPolarShift reports a hash-input shift to alternative Key.
+	EventPolarShift = "polar.shift"
 )
 
 // DosAddressing places one instance of the DoS scenario onto a
@@ -128,7 +168,7 @@ func (ad DosAddressing) Routes(senders int) map[uint32]int {
 	return routes
 }
 
-// DosConfig tunes the detector.
+// DosConfig tunes DosDetector.
 type DosConfig struct {
 	// ThresholdBps blocks senders whose estimated rate exceeds this.
 	ThresholdBps float64
@@ -136,24 +176,19 @@ type DosConfig struct {
 	MinDuration time.Duration
 }
 
-// DefaultDosConfig uses the paper's 1 Gbps threshold.
-func DefaultDosConfig() DosConfig {
-	return DosConfig{ThresholdBps: 1e9, MinDuration: 50 * time.Microsecond}
-}
-
-// DosDetector is the native reaction body of use case #1: it keeps a
-// hash table of senders, attributes the marginal byte-count increase to
-// the sampled sender, estimates rates as (f_t - f_t0)/(t - t0), and
-// installs a blocklist entry once a sender exceeds the threshold.
+// DosDetector is use case #1's reaction written in Go. It keeps a hash
+// table of senders, attributes the marginal byte-count increase to the
+// sampled sender, estimates rates as (f_t - f_t0)/(t - t0), and installs
+// a blocklist entry once a sender exceeds the threshold. The scenarios
+// that block run DosP4R's body; this one serves the switches that must
+// estimate without ever blocking, whose callers park the threshold far
+// above their traffic (the reroute fabric's leaves, the repository
+// benchmark's trace), and the tests that hold the body to it.
 type DosDetector struct {
 	cfg DosConfig
 
 	lastTotal uint64
 	senders   map[uint64]*senderState
-	// Blocked maps blocked senders to the block-committed time.
-	Blocked map[uint64]sim.Time
-	// Estimates exposes the current per-sender byte estimates.
-	Estimates map[uint64]uint64
 }
 
 type senderState struct {
@@ -164,40 +199,49 @@ type senderState struct {
 
 // NewDosDetector builds the detector.
 func NewDosDetector(cfg DosConfig) *DosDetector {
-	return &DosDetector{
-		cfg:       cfg,
-		senders:   make(map[uint64]*senderState),
-		Blocked:   make(map[uint64]sim.Time),
-		Estimates: make(map[uint64]uint64),
+	return &DosDetector{cfg: cfg, senders: make(map[uint64]*senderState)}
+}
+
+// Observe folds one poll (the sampled sender, the byte counter) into the
+// per-sender state. It returns src's byte estimate, 0 when the poll
+// attributes nothing, and block with src's rate in bits per second when
+// src crosses the threshold for the first time.
+func (d *DosDetector) Observe(now sim.Time, src, total uint64) (est, rate uint64, block bool) {
+	delta := total - d.lastTotal
+	d.lastTotal = total
+	if delta == 0 || src == 0 {
+		return 0, 0, false
 	}
+	st := d.senders[src]
+	if st == nil {
+		st = &senderState{firstSeen: now}
+		d.senders[src] = st
+	}
+	st.bytes += delta
+	if st.blocked {
+		return st.bytes, 0, false
+	}
+	dur := now.Sub(st.firstSeen)
+	if dur < d.cfg.MinDuration {
+		return st.bytes, 0, false
+	}
+	r := float64(st.bytes*8) / dur.Seconds()
+	if r < d.cfg.ThresholdBps {
+		return st.bytes, 0, false
+	}
+	st.blocked = true
+	return st.bytes, uint64(r), true
 }
 
 // React is the reaction body (registered for "dos_react").
 func (d *DosDetector) React(ctx *core.Ctx) error {
 	src := ctx.Field("ipv4.srcAddr")
-	total := ctx.Reg("total_bytes")[0]
-	delta := total - d.lastTotal
-	d.lastTotal = total
-	if delta == 0 || src == 0 {
+	est, rate, block := d.Observe(ctx.Now(), src, ctx.Reg("total_bytes")[0])
+	if est == 0 {
 		return nil
 	}
-	st := d.senders[src]
-	if st == nil {
-		st = &senderState{firstSeen: ctx.Now()}
-		d.senders[src] = st
-	}
-	st.bytes += delta
-	d.Estimates[src] = st.bytes
-	ctx.Emit(EventHHEstimate, src, st.bytes)
-	if st.blocked {
-		return nil
-	}
-	dur := ctx.Now().Sub(st.firstSeen)
-	if dur < d.cfg.MinDuration {
-		return nil
-	}
-	rate := float64(st.bytes*8) / dur.Seconds()
-	if rate < d.cfg.ThresholdBps {
+	ctx.Emit(EventHHEstimate, src, est)
+	if !block {
 		return nil
 	}
 	tbl, err := ctx.Table("blocklist")
@@ -207,11 +251,10 @@ func (d *DosDetector) React(ctx *core.Ctx) error {
 	if _, err := tbl.AddEntry(core.UserEntry{
 		Keys: []rmt.KeySpec{rmt.ExactKey(src)}, Action: "drop_pkt",
 	}); err != nil {
+		d.senders[src].blocked = false // a later poll tries again
 		return fmt.Errorf("dos: blocking %#x: %w", src, err)
 	}
-	st.blocked = true
-	d.Blocked[src] = ctx.Now()
-	ctx.Emit(EventDosBlock, src, uint64(rate))
+	ctx.Emit(EventDosBlock, src, rate)
 	return nil
 }
 
@@ -264,18 +307,19 @@ func WireDosAttacker(net *netsim.Network, attackBps float64, ad DosAddressing) *
 
 // DosRig is a ready-to-run use case #1 deployment.
 type DosRig struct {
-	Sim      *sim.Simulator
-	Sw       *rmt.Switch
-	Drv      *driver.Driver
-	Plan     *compiler.Plan
-	Agent    *core.Agent
-	Net      *netsim.Network
-	Detector *DosDetector
+	Sim   *sim.Simulator
+	Sw    *rmt.Switch
+	Drv   *driver.Driver
+	Plan  *compiler.Plan
+	Agent *core.Agent
+	Net   *netsim.Network
+	// Events is every event the reaction emitted, in order.
+	Events []core.Event
 }
 
 // BuildDos compiles and wires use case #1 on a fresh simulator. routes
 // maps destination addresses to egress ports (installed in prologue).
-func BuildDos(seed int64, cfg DosConfig, routes map[uint32]int) (*DosRig, error) {
+func BuildDos(seed int64, routes map[uint32]int) (*DosRig, error) {
 	plan, err := compiler.CompileSource(DosP4R, compiler.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -286,8 +330,9 @@ func BuildDos(seed int64, cfg DosConfig, routes map[uint32]int) (*DosRig, error)
 		return nil, err
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	det := NewDosDetector(cfg)
-	agent := core.NewAgent(s, drv, plan, core.Options{
+	rig := &DosRig{Sim: s, Sw: sw, Drv: drv, Plan: plan}
+	rig.Agent = core.NewAgent(s, drv, plan, core.Options{
+		EventSink: func(ev core.Event) { rig.Events = append(rig.Events, ev) },
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
 			// Ascending address order, so entry handles repeat from run to run.
 			dsts := make([]uint32, 0, len(routes))
@@ -305,11 +350,8 @@ func BuildDos(seed int64, cfg DosConfig, routes map[uint32]int) (*DosRig, error)
 			return nil
 		},
 	})
-	if err := agent.RegisterNativeReaction("dos_react", det.React); err != nil {
-		return nil, err
-	}
-	net := netsim.New(s, sw, 25e9, time.Microsecond)
-	return &DosRig{Sim: s, Sw: sw, Drv: drv, Plan: plan, Agent: agent, Net: net, Detector: det}, nil
+	rig.Net = netsim.New(s, sw, 25e9, time.Microsecond)
+	return rig, nil
 }
 
 // Fig15Result holds the DoS-mitigation timeline of Figure 15.
@@ -356,11 +398,17 @@ func DefaultFig15Config() Fig15Config {
 
 // RunFig15 runs the DoS mitigation scenario and returns the timeline.
 func RunFig15(cfg Fig15Config, seed int64) (*Fig15Result, error) {
-	ad := DefaultDosAddressing()
-	rig, err := BuildDos(seed, DefaultDosConfig(), ad.Routes(fig15Senders))
+	rig, err := BuildDos(seed, DefaultDosAddressing().Routes(fig15Senders))
 	if err != nil {
 		return nil, err
 	}
+	return rig.RunFig15(cfg)
+}
+
+// RunFig15 drives a rig built for Fig. 15 (BuildDos with the default
+// addressing's routes for its 25 senders) through the scenario.
+func (rig *DosRig) RunFig15(cfg Fig15Config) (*Fig15Result, error) {
+	ad := DefaultDosAddressing()
 	rig.Sw.SetPortBandwidth(ad.VictimPort, fig15BottleneckBps)
 
 	res := &Fig15Result{}
@@ -382,9 +430,11 @@ func RunFig15(cfg Fig15Config, seed int64) (*Fig15Result, error) {
 		return nil, err
 	}
 
-	if at, ok := rig.Detector.Blocked[uint64(ad.AttackerAddr)]; ok {
-		res.BlockedAt = at
-		res.DetectionLatency = at.Sub(res.FloodStart)
+	for _, ev := range rig.Events {
+		if ev.Kind == EventDosBlock && ev.Key == uint64(ad.AttackerAddr) {
+			res.BlockedAt = ev.At
+			res.DetectionLatency = ev.At.Sub(res.FloodStart)
+		}
 	}
 	res.PreGbps = goodputGbps(&res.Goodput, 0, res.FloodStart.Duration())
 	if res.BlockedAt > 0 {

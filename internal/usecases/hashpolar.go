@@ -16,7 +16,9 @@ import (
 // malleable field (per the paper, the 5-tuple inputs become malleable
 // references that a reaction can shift). The carrier-loading
 // optimization of §4.1 keeps the field list from exploding. Egress
-// packet counts per port feed the MAD imbalance detector.
+// packet counts per port feed the reaction's imbalance detector: when
+// MAD/mean of the per-path deltas exceeds 0.5 for three consecutive
+// windows, it shifts the hash input.
 const HashPolarP4R = `
 header_type ipv4_t {
   fields { srcAddr : 32; dstAddr : 32; protocol : 8; ecn : 1; }
@@ -68,7 +70,40 @@ table egr_counter {
 }
 
 reaction polar_react(reg egr_pkts) {
-  // Implemented natively: MAD-based imbalance detection + input shift.
+  // The ECMP group's paths leave on ports 1-4. A window's imbalance is
+  // the mean absolute deviation of the per-path packet deltas from their
+  // median, over their mean. On doubled deltas the median of four is the
+  // sum of the middle two, so MAD/mean > 1/2 iff dev > total below.
+  static int last[5];
+  static int strikes = 0;
+  static int alt = 0;
+  int d[4];
+  int sorted[4];
+  int total = 0;
+  for (int i = 0; i < 4; i++) {
+    d[i] = egr_pkts[i + 1] - last[i + 1];
+    last[i + 1] = egr_pkts[i + 1];
+    total += d[i];
+    int j = i;
+    for (; j > 0 && sorted[j - 1] > d[i]; j--) sorted[j] = sorted[j - 1];
+    sorted[j] = d[i];
+  }
+  if (total == 0) return;
+  int dev = 0;
+  for (int i = 0; i < 4; i++) dev += abs(2 * d[i] - sorted[1] - sorted[2]);
+  emit("polar.window", dev, total);
+  if (dev <= total) {
+    strikes = 0;
+    return;
+  }
+  // Three imbalanced windows in a row: shift the hash input to its
+  // other alternative.
+  strikes++;
+  if (strikes < 3) return;
+  strikes = 0;
+  alt = (alt + 1) % 2;
+  ${hash_in} = alt;
+  emit("polar.shift", alt, 0);
 }
 
 control ingress {
@@ -80,83 +115,18 @@ control egress {
 }
 `
 
-// polarPaths lists the ECMP egress ports the imbalance detector watches.
+// polarPaths lists the ECMP egress ports (the reaction's ports 1-4).
 var polarPaths = [...]int{1, 2, 3, 4}
-
-// A shift triggers when MAD/mean of the per-port deltas exceeds
-// polarMADRatio for polarPersist consecutive windows.
-const (
-	polarMADRatio = 0.5
-	polarPersist  = 3
-)
-
-// PolarDetector is the native reaction body of use case #3.
-type PolarDetector struct {
-	lastCounts []uint64
-	strikes    int
-	altCount   int
-	currentAlt uint64
-
-	// ShiftedAt records hash reconfiguration times.
-	ShiftedAt []sim.Time
-	// MADHistory records the observed imbalance metric per window.
-	MADHistory []float64
-}
-
-// NewPolarDetector builds the detector. altCount is the malleable
-// field's alternative count.
-func NewPolarDetector(altCount int) *PolarDetector {
-	return &PolarDetector{lastCounts: make([]uint64, 32), altCount: altCount}
-}
-
-// React is the reaction body (registered for "polar_react").
-func (d *PolarDetector) React(ctx *core.Ctx) error {
-	counts := ctx.Reg("egr_pkts")
-	deltas := make([]float64, len(polarPaths))
-	total := 0.0
-	for i, port := range polarPaths {
-		deltas[i] = float64(counts[port] - d.lastCounts[port])
-		d.lastCounts[port] = counts[port]
-		total += deltas[i]
-	}
-	if total == 0 {
-		return nil
-	}
-	// Deviation of port loads from their median, normalized by the mean
-	// load. The mean-absolute variant is used because polarization onto
-	// a minority of paths is an outlier pattern that the
-	// median-of-deviations MAD is (by design) blind to.
-	mad := stats.MeanAbsDevFromMedian(deltas)
-	mean := total / float64(len(deltas))
-	ratio := mad / mean
-	d.MADHistory = append(d.MADHistory, ratio)
-	if ratio <= polarMADRatio {
-		d.strikes = 0
-		return nil
-	}
-	d.strikes++
-	if d.strikes < polarPersist {
-		return nil
-	}
-	// Persistent imbalance: shift the hash input to the next alternative
-	// (wrapping), per §8.3.3.
-	d.strikes = 0
-	d.currentAlt = (d.currentAlt + 1) % uint64(d.altCount)
-	if err := ctx.SetMbl("hash_in", d.currentAlt); err != nil {
-		return err
-	}
-	d.ShiftedAt = append(d.ShiftedAt, ctx.Now())
-	return nil
-}
 
 // PolarRig is a ready-to-run use case #3 deployment.
 type PolarRig struct {
-	Sim      *sim.Simulator
-	Sw       *rmt.Switch
-	Drv      *driver.Driver
-	Plan     *compiler.Plan
-	Agent    *core.Agent
-	Detector *PolarDetector
+	Sim   *sim.Simulator
+	Sw    *rmt.Switch
+	Drv   *driver.Driver
+	Plan  *compiler.Plan
+	Agent *core.Agent
+	// Events is every event the reaction emitted, in order.
+	Events []core.Event
 }
 
 // BuildPolar compiles and wires use case #3: ECMP over polarPaths with a
@@ -172,9 +142,10 @@ func BuildPolar(seed int64, td time.Duration) (*PolarRig, error) {
 		return nil, err
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	det := NewPolarDetector(len(plan.MblFields["hash_in"].Alts))
-	agent := core.NewAgent(s, drv, plan, core.Options{
-		Pacing: td,
+	rig := &PolarRig{Sim: s, Sw: sw, Drv: drv, Plan: plan}
+	rig.Agent = core.NewAgent(s, drv, plan, core.Options{
+		Pacing:    td,
+		EventSink: func(ev core.Event) { rig.Events = append(rig.Events, ev) },
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
 			for i, port := range polarPaths {
 				if _, err := drv.AddEntry(p, "ecmp_sel", rmt.Entry{
@@ -186,10 +157,7 @@ func BuildPolar(seed int64, td time.Duration) (*PolarRig, error) {
 			return nil
 		},
 	})
-	if err := agent.RegisterNativeReaction("polar_react", det.React); err != nil {
-		return nil, err
-	}
-	return &PolarRig{Sim: s, Sw: sw, Drv: drv, Plan: plan, Agent: agent, Detector: det}, nil
+	return rig, nil
 }
 
 // PolarResult summarizes a hash-polarization run.
@@ -214,6 +182,11 @@ func RunPolar(seed int64, td time.Duration, duration time.Duration) (*PolarResul
 	if err != nil {
 		return nil, err
 	}
+	return rig.RunPolar(duration)
+}
+
+// RunPolar drives the rig's workload for duration.
+func (rig *PolarRig) RunPolar(duration time.Duration) (*PolarResult, error) {
 	schema := rig.Plan.Prog.Schema
 	rng := rig.Sim.Rand()
 	// Polarizing workload: a single destination (the initial hash
@@ -236,24 +209,22 @@ func RunPolar(seed int64, td time.Duration, duration time.Duration) (*PolarResul
 	}
 
 	res := &PolarResult{}
-	det := rig.Detector
-	if len(det.ShiftedAt) > 0 {
-		res.Shifted = true
-		res.ShiftAt = det.ShiftedAt[0]
-	}
-	// Split MAD history around the first shift: the first polarPersist
-	// windows (which triggered it) are the polarized "before" phase.
-	var before, after []float64
-	shiftIdx := len(det.MADHistory)
-	if res.Shifted {
-		shiftIdx = polarPersist
-	}
-	for i, r := range det.MADHistory {
-		if i < shiftIdx {
-			before = append(before, r)
-		} else {
-			after = append(after, r)
+	var ratios []float64
+	for _, ev := range rig.Events {
+		switch {
+		case ev.Kind == EventPolarShift && !res.Shifted:
+			res.Shifted, res.ShiftAt = true, ev.At
+		case ev.Kind == EventPolarWindow:
+			// MAD/mean = (Key/8) / (Val/4): both operands are exact, so
+			// this is the ratio a float computation over the deltas gives.
+			ratios = append(ratios, float64(ev.Key)/8/(float64(ev.Val)/4))
 		}
+	}
+	// After a shift, the first three windows (the imbalance that
+	// triggered it) are the polarized "before" phase.
+	before, after := ratios, []float64(nil)
+	if res.Shifted {
+		before, after = ratios[:3], ratios[3:]
 	}
 	res.MADBefore = stats.Mean(before)
 	res.MADAfter = stats.Mean(after)

@@ -64,13 +64,13 @@ var useCaseSources = []struct {
 	reaction string
 }{
 	{"Flow size estimation and DoS mitigation", DosP4R,
-		"Derives per-sender rate estimates from sampled headers and a byte counter; blocks senders exceeding a threshold rate."},
+		"Attributes each poll's byte-counter growth to the sampled sender, keeps per-sender estimates in a static open-addressed table, and blocks a sender at 1 Gbps."},
 	{"Route recomputation", GrayP4R,
-		"Detects gray failures from per-port heartbeat counts against delta = floor(eta*Td/Ts); recomputes routes on detection."},
+		"Strikes a port whose window brings fewer than delta = floor(eta*Td/Ts) heartbeats; two strikes in a row move its route to the backup port."},
 	{"Hash polarization mitigation", HashPolarP4R,
-		"Watches per-path packet counters; on persistent MAD imbalance, shifts the ECMP hash input field."},
+		"Compares MAD/mean of the per-path packet deltas with 0.5 in integers; three imbalanced windows in a row shift the ECMP hash input field."},
 	{"Reinforcement Learning", RLECNP4R,
-		"Reads queue depth and byte counters as RL state; Q-learning tunes the DCTCP ECN marking threshold."},
+		"Native Go, not rcl (Q-values are float64, rcl is int64): Q-learning over queue depth and byte counters tunes the DCTCP ECN marking threshold."},
 }
 
 // cost is a compiled program's resource footprint in Table 1's units,
