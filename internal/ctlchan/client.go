@@ -3,6 +3,7 @@ package ctlchan
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"repro/internal/driver"
 	"repro/internal/faults"
@@ -29,6 +30,11 @@ type ClientOptions struct {
 	// OpDeadline bounds how long one operation retransmits before the
 	// client gives up and reports driver.ErrChannelDegraded. Default
 	// 5x RTO — roughly four retransmission opportunities.
+	//
+	// A run of n ops stretches both by its extra service time: the RTO
+	// by n-1 service allowances, and the deadline in proportion, so a run
+	// on a clean link is never retransmitted and gets as many
+	// retransmission opportunities as one op.
 	OpDeadline time.Duration
 
 	// Meta, when set, serves the instantaneous wiring accessors of
@@ -59,13 +65,15 @@ const (
 
 // ClientStats counts client-side channel behavior.
 type ClientStats struct {
-	// Ops counts operations issued through the client.
+	// Ops counts operations issued through the client, each op of a run
+	// once.
 	Ops uint64
-	// Sent counts frames transmitted (first sends and retransmits).
+	// Sent counts frames transmitted (first sends and retransmits); a run
+	// is one frame.
 	Sent uint64
 	// Retransmits counts re-sends after an un-acked timeout.
 	Retransmits uint64
-	// Timeouts counts operations that hit OpDeadline and were abandoned.
+	// Timeouts counts frames that hit their deadline and were abandoned.
 	Timeouts uint64
 	// LateResponses counts responses that arrived after their operation
 	// was already resolved (duplicate or post-abandon arrivals).
@@ -76,7 +84,8 @@ type ClientStats struct {
 	WindowWaits uint64
 	// BadFrames counts undecodable response frames.
 	BadFrames uint64
-	// FencedOps counts operations refused because the session is fenced.
+	// FencedOps counts operations refused because the session is fenced
+	// (every op of a refused run).
 	FencedOps uint64
 	// DegradedLoss, DegradedPartition, and DegradedPeerDead split
 	// Timeouts by classified cause; LastDegradedCause is the most recent
@@ -89,11 +98,11 @@ type ClientStats struct {
 }
 
 // call is the record of one request. The client has a single one, reused
-// by every operation and embedding its request, response and backoff, so
-// an operation allocates nothing. While an operation owns it its request's
-// op is a copy of the caller's — aliasing the caller's slices, who is
-// parked, so they are stable across retransmits — and, for a batched read,
-// its response rows are the caller's; release drops every such reference.
+// by every run and embedding its request, response and backoff, so a run
+// allocates nothing. While a run owns it its request's ops are copies of
+// the caller's — aliasing the caller's slices, who is parked, so they are
+// stable across retransmits — and, for a batched read, its result's rows
+// are the caller's; release drops every such reference.
 type call struct {
 	seq      uint64
 	req      request
@@ -102,6 +111,7 @@ type call struct {
 	timer    sim.EventID
 	armed    bool
 	lastTx   sim.Time
+	rto      time.Duration // the client's RTO stretched to this run's length
 	deadline sim.Time
 
 	done      bool
@@ -111,8 +121,8 @@ type call struct {
 }
 
 // Client is the agent-side endpoint: a driver.Channel (the embedded
-// Adapter, over Do) whose every operation becomes a sequenced request
-// frame on a netsim.Link, with
+// Adapter, over Do) whose every run of operations (DoRun; Do is a run of
+// one) becomes a sequenced request frame on a netsim.Link, with
 // retransmission, idempotent delivery (via server dedup keyed on the
 // seq), epoch fencing, and an MSL quarantine before any mutation is
 // reported as possibly-lost. The channel is stop-and-wait: one request is
@@ -260,7 +270,7 @@ func (c *Client) transmit(cl *call) {
 // heal do not retransmit in lockstep.
 func (c *Client) arm(cl *call) {
 	cl.armed = true
-	cl.timer = c.sim.Schedule(c.opts.RTO+cl.bo.Next(), c.timerFn)
+	cl.timer = c.sim.Schedule(cl.rto+cl.bo.Next(), c.timerFn)
 }
 
 // onTimer fires when the call's retransmission timer expires.
@@ -276,7 +286,7 @@ func (c *Client) onTimer() {
 		c.degraded = true
 		c.lastCause = c.classifyDegrade()
 		c.stats.LastDegradedCause = c.lastCause
-		if cl.req.op.Kind.Mutating() {
+		if mutating(cl.req.ops) > 0 {
 			// Ambiguous abandon: the request (or only its ack) may be
 			// lost. Quarantine until every copy we ever sent is off the
 			// wire, so the failure we report is stable: either a
@@ -309,8 +319,9 @@ func (c *Client) onTimer() {
 }
 
 func (c *Client) degradedErr(cl *call) error {
+	_, deadline := c.runTimers(len(cl.req.ops))
 	return fmt.Errorf("ctlchan: %s seq %d: no response within %v: %w",
-		cl.req.op.Kind, cl.seq, c.opts.OpDeadline, driver.ErrChannelDegraded)
+		runName(cl.req.ops), cl.seq, deadline, driver.ErrChannelDegraded)
 }
 
 // onFrame handles a response frame arriving from the server. The frame
@@ -378,7 +389,12 @@ func (c *Client) acquire(p *sim.Proc) *call {
 // finished caller's process, once that has taken its result out of the
 // record; waking the next caller any earlier would let it overwrite it.
 func (c *Client) release() {
-	c.call = call{bo: c.call.bo}
+	// The op and result arrays are kept for the next run, emptied: no
+	// slot may still point at a returned caller's arguments or rows.
+	ops, res := c.call.req.ops, c.call.resp.Results
+	clear(ops)
+	clear(res[:cap(res)])
+	c.call = call{bo: c.call.bo, req: request{ops: ops[:0]}, resp: response{Results: res[:0]}}
 	if len(c.waitq) == 0 {
 		c.busy = false
 		return
@@ -388,10 +404,19 @@ func (c *Client) release() {
 	next.Unpark()
 }
 
-// roundTrip runs the request in cl to completion: transmit, retransmit
-// until response or deadline, classify. On success the response is in
-// cl.resp.
-func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
+// runTimers stretches the client's RTO and deadline to a run of n ops:
+// each op past the first adds one service allowance to the RTO, and the
+// deadline keeps its ratio to the RTO. A run of one gets them as set.
+func (c *Client) runTimers(n int) (rto, deadline time.Duration) {
+	rto = c.opts.RTO + time.Duration(n-1)*rtoServiceAllowance
+	return rto, time.Duration(int64(c.opts.OpDeadline) * int64(rto) / int64(c.opts.RTO))
+}
+
+// roundTrip runs the request in cl, a copy of ops, to completion:
+// transmit, retransmit until response or deadline, then hand each applied
+// op of ops its result. It returns how many ops applied and the error of
+// the op that stopped the run.
+func (c *Client) roundTrip(p *sim.Proc, cl *call, ops []driver.Op) (int, error) {
 	req := &cl.req
 	req.Kind = frameRequest
 	req.Session = c.opts.Session
@@ -401,62 +426,92 @@ func (c *Client) roundTrip(p *sim.Proc, cl *call) error {
 
 	cl.seq, cl.waiter = req.Seq, p
 	cl.bo.Reset()
-	cl.deadline = c.sim.Now().Add(c.opts.OpDeadline)
+	rto, deadline := c.runTimers(len(req.ops))
+	cl.rto, cl.deadline = rto, c.sim.Now().Add(deadline)
 	c.cur = cl
 	c.transmit(cl)
 	c.arm(cl)
 	p.Park()
 
 	if cl.failErr != nil {
-		return cl.failErr
+		return 0, cl.failErr
 	}
-	switch resp := &cl.resp; resp.Status {
-	case statusOK:
-		return nil
+	resp := &cl.resp
+	n := len(resp.Results)
+	if n > len(ops) || (n == len(ops)) != (resp.Status == statusOK) {
+		return 0, fmt.Errorf("ctlchan: %s seq %d: answered %d applied with status %d", runName(ops), cl.seq, n, resp.Status)
+	}
+	for i := 0; i < n; i++ {
+		if err := resp.Results[i].deliver(&ops[i]); err != nil {
+			return i, err
+		}
+	}
+	if n == len(ops) {
+		return n, nil
+	}
+	kind := ops[n].Kind
+	switch resp.Status {
 	case statusTransient:
-		return fmt.Errorf("ctlchan: remote %s: %s: %w",
-			req.op.Kind, resp.ErrMsg, driver.ErrTransient)
+		return n, fmt.Errorf("ctlchan: remote %s: %s: %w", kind, resp.ErrMsg, driver.ErrTransient)
 	case statusFenced:
 		c.fenced = true
-		c.stats.FencedOps++
-		return fmt.Errorf("ctlchan: %s seq %d: %w", req.op.Kind, cl.seq, ErrFenced)
+		c.stats.FencedOps += uint64(len(ops) - n)
+		return n, fmt.Errorf("ctlchan: %s seq %d: %w", kind, cl.seq, ErrFenced)
 	case statusStale:
 		// A live call answered stale means the server's floor passed our
 		// seq — only possible through frame corruption or a server bug.
 		// Surface as degraded: the op's fate is unknown.
-		return fmt.Errorf("ctlchan: %s seq %d: stale-rejected: %w",
-			req.op.Kind, cl.seq, driver.ErrChannelDegraded)
+		return n, fmt.Errorf("ctlchan: %s seq %d: stale-rejected: %w", kind, cl.seq, driver.ErrChannelDegraded)
 	default:
-		return fmt.Errorf("ctlchan: remote %s: %s", req.op.Kind, resp.ErrMsg)
+		return n, fmt.Errorf("ctlchan: remote %s: %s", kind, resp.ErrMsg)
 	}
 }
 
-// Do sends one operation over the wire and blocks until its response or
-// deadline: the whole synchronous driver.Channel surface. A batched
-// read's response decodes straight into the op's rows (one per range,
-// refilled in place), so the deployed stack's poll allocates nothing
-// here. An unbatched read is one request frame per range — the baseline
-// pays a full channel round trip per range here just as it pays per-op
-// channel latency below.
+// DoRun sends ops as one run — one frame, one sequence number, one dedup
+// entry — and blocks until its response or deadline. The server applies
+// the ops in order and stops at the first that fails, so the run takes
+// effect all-or-prefix: applied is the length of the prefix that did,
+// each op of it holding its result, and err is the error of the op that
+// stopped the run (nil when none did). A deadline expiry reports 0 and
+// driver.ErrChannelDegraded: any prefix may have applied, and once the
+// error surfaces an audit read shows which.
+//
+// A batched read's result decodes straight into the op's rows (one per
+// range, refilled in place), so the deployed stack's poll allocates
+// nothing here. A run holds no unbatched read: Do sends one as a frame
+// per range.
+func (c *Client) DoRun(p *sim.Proc, ops []driver.Op) (applied int, err error) {
+	if len(ops) == 0 {
+		return 0, nil
+	}
+	c.stats.Ops += uint64(len(ops))
+	if c.fenced && mutating(ops) > 0 {
+		c.stats.FencedOps += uint64(len(ops))
+		return 0, fmt.Errorf("ctlchan: %s refused: %w", runName(ops), ErrFenced)
+	}
+	cl := c.acquire(p)
+	cl.req.ops = append(cl.req.ops, ops...)
+	for i := range ops {
+		var rows [][]uint64
+		if ops[i].Kind == driver.OpRead {
+			rows = ops[i].Rows[:0]
+		}
+		cl.resp.Results = append(cl.resp.Results, result{Vals: rows})
+	}
+	applied, err = c.roundTrip(p, cl, ops)
+	c.release()
+	return applied, err
+}
+
+// Do sends one operation as a run of one: the whole synchronous
+// driver.Channel surface. An unbatched read is one run per range — the
+// baseline pays a full channel round trip per range here just as it pays
+// per-op channel latency below.
 func (c *Client) Do(p *sim.Proc, op *driver.Op) error {
 	if op.Kind == driver.OpRead && !op.Batched {
 		return driver.PerRange(op, func(sub *driver.Op) error { return c.Do(p, sub) })
 	}
-	c.stats.Ops++
-	if c.fenced && op.Kind.Mutating() {
-		c.stats.FencedOps++
-		return fmt.Errorf("ctlchan: %s refused: %w", op.Kind, ErrFenced)
-	}
-	cl := c.acquire(p)
-	cl.req.op = *op
-	if op.Kind == driver.OpRead {
-		cl.resp.Vals = op.Rows[:0]
-	}
-	err := c.roundTrip(p, cl)
-	if err == nil {
-		err = cl.resp.deliver(op)
-	}
-	c.release()
+	_, err := c.DoRun(p, unsafe.Slice(op, 1))
 	return err
 }
 
@@ -465,7 +520,7 @@ func (c *Client) Do(p *sim.Proc, op *driver.Op) error {
 func (c *Client) Memoize(table string, handle rmt.EntryHandle) {
 	r := request{
 		Kind: frameDatagram, Session: c.opts.Session, Epoch: c.opts.Epoch, Ack: c.ackFloor(),
-		op: driver.Op{Kind: opMemoize, Table: table, Handle: handle},
+		ops: []driver.Op{{Kind: opMemoize, Table: table, Handle: handle}},
 	}
 	c.txBuf = appendRequest(c.txBuf[:0], &r)
 	c.link.Send(c.side, c.txBuf)

@@ -55,7 +55,7 @@ func sampleRequests() []*request {
 	for k := driver.OpNone + 1; k <= opMemoize; k++ {
 		for _, op := range sampleOps(k) {
 			op.Kind = k
-			r := &request{Kind: frameRequest, op: op}
+			r := &request{Kind: frameRequest, ops: []driver.Op{op}}
 			if k == opMemoize {
 				r.Kind = frameDatagram
 			}
@@ -93,7 +93,7 @@ func TestWireFormatPinned(t *testing.T) {
 	}
 	for i, r := range rs {
 		if got := hex.EncodeToString(appendRequest(nil, r)); got != goldenFrames[i] {
-			t.Errorf("verb %v: frame changed:\n got %s\nwant %s", r.op.Kind, got, goldenFrames[i])
+			t.Errorf("verb %v: frame changed:\n got %s\nwant %s", r.ops[0].Kind, got, goldenFrames[i])
 		}
 	}
 }
@@ -111,27 +111,52 @@ func TestEveryKindHasACodecArm(t *testing.T) {
 		}
 		for _, op := range ops {
 			op.Kind = k
-			b := appendRequest(nil, &request{Kind: frameRequest, op: op})
+			b := appendRequest(nil, &request{Kind: frameRequest, ops: []driver.Op{op}})
 			if err := decodeRequest(&got, b, nil); err != nil {
 				t.Errorf("kind %d (%v): %v", k, k, err)
-			} else if got.op.Kind != k || !bytes.Equal(appendRequest(nil, &got), b) {
+			} else if len(got.ops) != 1 || got.ops[0].Kind != k || !bytes.Equal(appendRequest(nil, &got), b) {
 				t.Errorf("kind %d (%v) does not survive the codec", k, k)
 			}
 		}
 	}
 }
 
-// sampleResponses covers every payload a response can carry.
+// sampleResponses covers every result a response can carry, a run
+// stopped part-way and a frame refused whole.
 func sampleResponses() []*response {
 	return []*response{
-		{Session: 1, Seq: 2, Status: statusOK, Handle: 7, Val: 99,
-			Vals:    [][]uint64{{1, 2}, nil, {3}},
-			Entries: []rmt.Entry{{Handle: 1, Action: "a", Keys: []rmt.KeySpec{{Value: 4}}, Data: []uint64{8}}},
-			Call:    &p4.ActionCall{Action: "fwd", Data: []uint64{1}}},
-		{Session: 1, Seq: 4, Status: statusOK, Vals: [][]uint64{{5, 6, 7, 8}}},
+		{Session: 1, Seq: 2, Status: statusOK, Results: []result{
+			{Kind: driver.OpAddEntry, Handle: 7},
+			{Kind: driver.OpRegRead, Val: 99},
+			{Kind: driver.OpRead, Vals: [][]uint64{{1, 2}, nil, {3}}},
+			{Kind: driver.OpReadEntries, Entries: []rmt.Entry{{Handle: 1, Action: "a", Keys: []rmt.KeySpec{{Value: 4}}, Data: []uint64{8}}}},
+			{Kind: driver.OpReadDefault, Call: &p4.ActionCall{Action: "fwd", Data: []uint64{1}}},
+			{Kind: driver.OpReadDefault},
+			{Kind: driver.OpModifyEntry},
+		}},
+		{Session: 1, Seq: 4, Status: statusOK, Results: []result{{Kind: driver.OpRead, Vals: [][]uint64{{5, 6, 7, 8}}}}},
 		{Session: 9, Seq: 1, Status: statusError, ErrMsg: "unknown table \"zap\""},
 		{Session: 9, Seq: 3, Status: statusStale},
+		partialRunResponse(),
 	}
+}
+
+// sampleRun is a 7-op run of route moves, the shape the fabric installer
+// sends after a trunk fails.
+func sampleRun() *request {
+	r := &request{Kind: frameRequest, Session: 2, Epoch: 1, Seq: 41, Ack: 41}
+	for i := 0; i < 7; i++ {
+		r.ops = append(r.ops, driver.Op{Kind: driver.OpModifyEntry, Table: "route",
+			Handle: rmt.EntryHandle(10 + i), Action: "fwd", Data: []uint64{uint64(i % 2)}})
+	}
+	return r
+}
+
+// partialRunResponse answers sampleRun with three ops applied and the
+// fourth failed transiently.
+func partialRunResponse() *response {
+	return &response{Session: 2, Seq: 41, Status: statusTransient, ErrMsg: "busy",
+		Results: []result{{Kind: driver.OpModifyEntry}, {Kind: driver.OpModifyEntry}, {Kind: driver.OpModifyEntry}}}
 }
 
 // requestDiff compares what two decoded requests carry, field by field,
@@ -155,9 +180,17 @@ func requestDiff(t *testing.T, what string, got, want *request) {
 			t.Errorf("%s: field %s differs:\n got %+v\nwant %+v", what, field, got, want)
 		}
 	}
-	g, w := &got.op, &want.op
 	check("header", got.Kind == want.Kind && got.Session == want.Session && got.Epoch == want.Epoch &&
-		got.Seq == want.Seq && got.Ack == want.Ack && g.Kind == w.Kind)
+		got.Seq == want.Seq && got.Ack == want.Ack && len(got.ops) == len(want.ops))
+	for i := range want.ops {
+		if i < len(got.ops) {
+			opDiff(check, &got.ops[i], &want.ops[i], eqU64)
+		}
+	}
+}
+
+func opDiff(check func(string, bool), g, w *driver.Op, eqU64 func(a, b []uint64) bool) {
+	check("Kind", g.Kind == w.Kind)
 	check("Table", g.Table == w.Table)
 	check("Handle/Priority", g.Handle == w.Handle && g.Priority == w.Priority)
 	check("Action", g.Action == w.Action)
@@ -187,11 +220,11 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 	for _, r := range sampleRequests() {
 		b := appendRequest(nil, r)
 		if err := decodeRequest(&got, b, in); err != nil {
-			t.Fatalf("verb %v: decode: %v", r.op.Kind, err)
+			t.Fatalf("verb %v: decode: %v", r.ops[0].Kind, err)
 		}
-		requestDiff(t, "verb "+r.op.Kind.String(), &got, r)
+		requestDiff(t, "verb "+r.ops[0].Kind.String(), &got, r)
 		if again := appendRequest(nil, &got); !bytes.Equal(again, b) {
-			t.Fatalf("verb %s: re-encoding the decoded request changed the frame", r.op.Kind.String())
+			t.Fatalf("verb %s: re-encoding the decoded request changed the frame", r.ops[0].Kind.String())
 		}
 	}
 }
@@ -208,9 +241,15 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 			t.Fatalf("re-encoding the decoded response changed the frame:\n got %+v\nwant %+v", &got, r)
 		}
 		if got.Session != r.Session || got.Seq != r.Seq || got.Status != r.Status || got.ErrMsg != r.ErrMsg ||
-			got.Handle != r.Handle || got.Val != r.Val || len(got.Vals) != len(r.Vals) ||
-			len(got.Entries) != len(r.Entries) || (got.Call == nil) != (r.Call == nil) {
+			len(got.Results) != len(r.Results) {
 			t.Fatalf("roundtrip:\n got %+v\nwant %+v", &got, r)
+		}
+		for i, w := range r.Results {
+			g := got.Results[i]
+			if g.Kind != w.Kind || g.Handle != w.Handle || g.Val != w.Val || len(g.Vals) != len(w.Vals) ||
+				len(g.Entries) != len(w.Entries) || (g.Call == nil) != (w.Call == nil) {
+				t.Fatalf("roundtrip result %d:\n got %+v\nwant %+v", i, g, w)
+			}
 		}
 	}
 }
@@ -243,11 +282,11 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 		b := appendRequest(nil, r)
 		for cut := 0; cut < len(b); cut++ {
 			if err := decodeRequest(&req, b[:cut], nil); err == nil {
-				t.Fatalf("verb %s: truncation at %d/%d decoded cleanly", r.op.Kind.String(), cut, len(b))
+				t.Fatalf("verb %s: truncation at %d/%d decoded cleanly", r.ops[0].Kind.String(), cut, len(b))
 			}
 		}
 		if err := decodeRequest(&req, append(append([]byte(nil), b...), 0), nil); err == nil {
-			t.Fatalf("verb %s: trailing byte accepted", r.op.Kind.String())
+			t.Fatalf("verb %s: trailing byte accepted", r.ops[0].Kind.String())
 		}
 	}
 	var resp response
@@ -302,8 +341,8 @@ func oversizedFrames() (reqs, resps [][]byte) {
 		e.U64(1)
 		e.U8(statusOK)
 		e.Str("")
-		e.U64(0)
-		e.U64(0)
+		e.U32(1) // result count
+		e.U8(uint8(driver.OpRead))
 		e.U32(n) // row count
 		resps = append(resps, e.B)
 	}
@@ -353,20 +392,23 @@ func aliases(s string, buf []byte) bool {
 // interned names must survive the frame buffer being overwritten.
 func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 	in := make(wire.Names)
-	long := &request{Kind: frameRequest, Session: 7, Epoch: 9, Seq: 100, Ack: 99, op: driver.Op{Kind: driver.OpRead}}
+	read := driver.Op{Kind: driver.OpRead}
 	for i := 0; i < 64; i++ {
-		long.op.Reqs = append(long.op.Reqs, driver.ReadReq{Reg: "a_rather_long_register_name", Lo: uint64(i), Hi: uint64(i) + 32})
+		read.Reqs = append(read.Reqs, driver.ReadReq{Reg: "a_rather_long_register_name", Lo: uint64(i), Hi: uint64(i) + 32})
 	}
-	longAdd := &request{Kind: frameRequest, op: driver.Op{Kind: driver.OpAddEntry, Table: "big",
-		Handle: 1, Priority: 5, Action: "wide", Keys: make([]rmt.KeySpec, 12), Data: make([]uint64, 40)}}
-	longMod := &request{Kind: frameRequest, op: driver.Op{Kind: driver.OpModifyEntry, Table: "big", Handle: 4,
-		Action: "wide", Data: make([]uint64, 40)}}
-	longDef := &request{Kind: frameRequest, op: driver.Op{Kind: driver.OpSetDefault, Table: "big",
-		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 40)}}}
+	long := &request{Kind: frameRequest, Session: 7, Epoch: 9, Seq: 100, Ack: 99, ops: []driver.Op{read}}
+	longAdd := &request{Kind: frameRequest, ops: []driver.Op{{Kind: driver.OpAddEntry, Table: "big",
+		Handle: 1, Priority: 5, Action: "wide", Keys: make([]rmt.KeySpec, 12), Data: make([]uint64, 40)}}}
+	longMod := &request{Kind: frameRequest, ops: []driver.Op{{Kind: driver.OpModifyEntry, Table: "big", Handle: 4,
+		Action: "wide", Data: make([]uint64, 40)}}}
+	longDef := &request{Kind: frameRequest, ops: []driver.Op{{Kind: driver.OpSetDefault, Table: "big",
+		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 40)}}}}
+	// A long run leaves every slot of the op array holding something.
+	longRun := &request{Kind: frameRequest, ops: append(append(append([]driver.Op{}, longDef.ops...), longAdd.ops...), read, longMod.ops[0], longDef.ops[0])}
 
-	for _, short := range sampleRequests() {
+	for _, short := range append(sampleRequests(), sampleRun()) {
 		var reused request
-		for _, l := range []*request{long, longAdd, longMod, longDef} {
+		for _, l := range []*request{long, longAdd, longMod, longDef, longRun} {
 			if err := decodeRequest(&reused, appendRequest(nil, l), in); err != nil {
 				t.Fatal(err)
 			}
@@ -379,11 +421,11 @@ func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 		if err := decodeRequest(&fresh, frame, nil); err != nil {
 			t.Fatal(err)
 		}
-		requestDiff(t, "reused vs fresh, verb "+short.op.Kind.String(), &reused, &fresh)
+		requestDiff(t, "reused vs fresh, verb "+short.ops[0].Kind.String(), &reused, &fresh)
 
-		for _, s := range []string{reused.op.Table, reused.op.Action} {
+		for _, s := range []string{reused.ops[0].Table, reused.ops[0].Action} {
 			if aliases(s, frame) {
-				t.Fatalf("verb %s: decoded name %q aliases the frame buffer", short.op.Kind.String(), s)
+				t.Fatalf("verb %s: decoded name %q aliases the frame buffer", short.ops[0].Kind.String(), s)
 			}
 		}
 		// Overwrite the frame, as the link does when it recycles the
@@ -393,17 +435,23 @@ func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 			frame[i] = 0xEE
 		}
 		if !bytes.Equal(appendRequest(nil, &reused), before) {
-			t.Fatalf("verb %s: decoded request changed when its frame buffer was overwritten", short.op.Kind.String())
+			t.Fatalf("verb %s: decoded request changed when its frame buffer was overwritten", short.ops[0].Kind.String())
 		}
 	}
 
 	// Responses: a long ReadEntries/BatchRead answer, then short ones.
-	longResp := &response{Session: 1, Seq: 50, Status: statusOK, ErrMsg: "long ago", Handle: 9, Val: 9,
-		Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 8)}}
-	for i := 0; i < 32; i++ {
-		longResp.Entries = append(longResp.Entries, rmt.Entry{Handle: rmt.EntryHandle(i + 1), Action: "wide",
-			Keys: make([]rmt.KeySpec, 3), Data: make([]uint64, 4)})
-		longResp.Vals = append(longResp.Vals, make([]uint64, 64))
+	longResp := &response{Session: 1, Seq: 50, Status: statusOK, ErrMsg: "long ago"}
+	for i := 0; i < 8; i++ {
+		entries := &result{Kind: driver.OpReadEntries}
+		rows := &result{Kind: driver.OpRead}
+		for j := 0; j < 32; j++ {
+			entries.Entries = append(entries.Entries, rmt.Entry{Handle: rmt.EntryHandle(j + 1), Action: "wide",
+				Keys: make([]rmt.KeySpec, 3), Data: make([]uint64, 4)})
+			rows.Vals = append(rows.Vals, make([]uint64, 64))
+		}
+		longResp.Results = append(longResp.Results, *rows, *entries,
+			result{Kind: driver.OpReadDefault, Call: &p4.ActionCall{Action: "wide", Data: make([]uint64, 8)}},
+			result{Kind: driver.OpAddEntry, Handle: 9}, result{Kind: driver.OpRegRead, Val: 9})
 	}
 	for _, short := range sampleResponses() {
 		var reused response
@@ -417,9 +465,15 @@ func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 		if again := appendResponse(nil, &reused); !bytes.Equal(again, frame) {
 			t.Fatalf("response seq %d decoded over a long one re-encodes differently: %+v", short.Seq, &reused)
 		}
-		if reused.ErrMsg != short.ErrMsg || len(reused.Entries) != len(short.Entries) ||
-			(reused.Call == nil) != (short.Call == nil) || len(reused.Vals) != len(short.Vals) {
+		if reused.ErrMsg != short.ErrMsg || len(reused.Results) != len(short.Results) {
 			t.Fatalf("response seq %d kept residue: %+v", short.Seq, &reused)
+		}
+		for i, w := range short.Results {
+			g := reused.Results[i]
+			if g.Kind != w.Kind || g.Handle != w.Handle || g.Val != w.Val || len(g.Entries) != len(w.Entries) ||
+				(g.Call == nil) != (w.Call == nil) || len(g.Vals) != len(w.Vals) {
+				t.Fatalf("response seq %d result %d kept residue: %+v", short.Seq, i, g)
+			}
 		}
 		if aliases(reused.ErrMsg, frame) {
 			t.Fatal("decoded error text aliases the frame buffer")
@@ -430,20 +484,22 @@ func TestCodecDecodeReuseLeavesNoResidue(t *testing.T) {
 // TestCodecDecodeIntoCallerRows: a batched read's response decodes into
 // the rows it is handed, reusing their capacity.
 func TestCodecDecodeIntoCallerRows(t *testing.T) {
-	frame := appendResponse(nil, &response{Seq: 1, Vals: [][]uint64{{1, 2, 3}, {4}}})
+	frame := appendResponse(nil, &response{Seq: 1, Results: []result{
+		{Kind: driver.OpModifyEntry}, {Kind: driver.OpRead, Vals: [][]uint64{{1, 2, 3}, {4}}}}})
 	rows := [][]uint64{make([]uint64, 0, 8), make([]uint64, 0, 8)}
-	r := response{Vals: rows[:0]}
+	r := response{Results: []result{{}, {Vals: rows[:0]}}}
 	if err := decodeResponse(&r, frame, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Vals) != 2 || &r.Vals[0][0] != &rows[0][:1][0] || &r.Vals[1][0] != &rows[1][:1][0] {
+	vals := r.Results[1].Vals
+	if len(vals) != 2 || &vals[0][0] != &rows[0][:1][0] || &vals[1][0] != &rows[1][:1][0] {
 		t.Fatal("decodeResponse did not refill the caller's rows in place")
 	}
-	if r.Vals[0][2] != 3 || r.Vals[1][0] != 4 {
-		t.Fatalf("rows = %v", r.Vals)
+	if vals[0][2] != 3 || vals[1][0] != 4 {
+		t.Fatalf("rows = %v", vals)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		r.Vals = rows[:0]
+		r.Results[1].Vals = rows[:0]
 		if err := decodeResponse(&r, frame, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -463,6 +519,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, b := range reqs {
 		f.Add(b)
 	}
+	f.Add(appendRequest(nil, sampleRun()))
 	var r request
 	in := make(wire.Names)
 	f.Fuzz(func(t *testing.T, b []byte) {

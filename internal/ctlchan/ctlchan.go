@@ -94,12 +94,15 @@ const (
 )
 
 // request is the decoded form of one client→server frame: the header and
-// the operation it carries (for opMemoize, just op.Table and op.Handle).
+// the run of operations it carries, in order (for opMemoize, just
+// op.Table and op.Handle). The ops follow the header until the frame
+// ends, so a one-op frame is exactly what the wire carried before runs.
 //
-// A request is reused across frames. On the sending side its op's slices
-// alias the caller's arguments for the duration of one call; on the
+// A request is reused across frames. On the sending side ops copies the
+// caller's run, aliasing its slices for the duration of one call; on the
 // receiving side decodeRequest refills it in place, truncating every
-// slice and keeping its capacity, so neither side allocates per frame.
+// slice (each op's too) and keeping its capacity, so neither side
+// allocates per frame.
 type request struct {
 	Kind    uint8
 	Session uint32
@@ -109,23 +112,54 @@ type request struct {
 	// resolved client-side and can be dropped from the server's caches.
 	Ack uint64
 
-	op driver.Op
+	ops []driver.Op
 
-	// callBuf backs a decoded op.Call, so a SetDefaultAction frame
-	// decodes without allocating one.
-	callBuf p4.ActionCall
+	// calls backs the decoded ops' Call, one slot per op, so a
+	// SetDefaultAction decodes without allocating one.
+	calls []p4.ActionCall
+}
+
+// mutating counts the run's ops that change switch state.
+func mutating(ops []driver.Op) int {
+	n := 0
+	for i := range ops {
+		if ops[i].Kind.Mutating() {
+			n++
+		}
+	}
+	return n
+}
+
+// runName labels a run for error text: the op's verb for a run of one
+// (a kind boxes without allocating), otherwise its length.
+func runName(ops []driver.Op) any {
+	if len(ops) == 1 {
+		return ops[0].Kind
+	}
+	return fmt.Sprintf("run of %d ops", len(ops))
 }
 
 // response is the decoded form of one server→client frame. Like a
 // request it is refilled in place: decodeResponse reuses the capacity of
-// Vals and of each of its rows, which is how a batched read lands in
-// rows the caller supplied.
+// Results and of each result's rows, which is how a batched read lands
+// in rows the caller supplied.
 type response struct {
 	Session uint32
 	Seq     uint64
-	Status  uint8
-	ErrMsg  string
+	// Status and ErrMsg are the outcome of the op that stopped the run:
+	// statusOK and empty when every op applied. A frame refused whole
+	// (stale, fenced) stops at its first op.
+	Status uint8
+	ErrMsg string
+	// Results holds one result per applied op, in run order: its length
+	// is the applied count.
+	Results []result
+}
 
+// result is one applied op's completion as it travels. Kind is the op's,
+// and says which field, if any, carries the result.
+type result struct {
+	Kind    driver.OpKind
 	Handle  rmt.EntryHandle
 	Val     uint64
 	Vals    [][]uint64
@@ -133,11 +167,12 @@ type response struct {
 	Call    *p4.ActionCall
 }
 
-// carry puts a completed op's result in the response field that travels
-// it; deliver, on the other side of the wire, hands it back to the
-// caller's op. Between them they are the whole mapping from a kind's
-// result to the wire.
-func (r *response) carry(op *driver.Op) {
+// carry puts a completed op's result in the field that travels it;
+// deliver, on the other side of the wire, hands it back to the caller's
+// op. Between them they are the whole mapping from a kind's result to
+// the wire.
+func (r *result) carry(op *driver.Op) {
+	r.Kind = op.Kind
 	switch op.Kind {
 	case driver.OpAddEntry:
 		r.Handle = op.NewHandle
@@ -152,14 +187,17 @@ func (r *response) carry(op *driver.Op) {
 	}
 }
 
-func (r *response) deliver(op *driver.Op) error {
+func (r *result) deliver(op *driver.Op) error {
+	if r.Kind != op.Kind {
+		return fmt.Errorf("ctlchan: %s answered with a %s result", op.Kind, r.Kind)
+	}
 	switch op.Kind {
 	case driver.OpAddEntry:
 		op.NewHandle = r.Handle
 	case driver.OpRegRead:
 		op.Val = r.Val
 	case driver.OpRead:
-		// The rows were decoded in place (Client.Do lent them to r.Vals).
+		// The rows were decoded in place (DoRun lent them to r.Vals).
 		if len(r.Vals) != len(op.Rows) {
 			return fmt.Errorf("ctlchan: BatchRead answered %d rows for %d ranges", len(r.Vals), len(op.Rows))
 		}
@@ -224,9 +262,11 @@ const (
 	minReadReqSize = 4 + 8 + 8         // empty name, Lo, Hi
 	minRowSize     = 4                 // empty row
 	minEntrySize   = 8 + 8 + 4 + 4 + 4 // handle, priority, empty action/keys/data
+	minResultSize  = 1                 // a kind that returns nothing
 )
 
-// appendRequest appends r's frame (request or datagram) to b.
+// appendRequest appends r's frame (request or datagram) to b: the
+// header, then each op of the run.
 func appendRequest(b []byte, r *request) []byte {
 	e := wire.Enc{B: b}
 	e.U8(r.Kind)
@@ -234,12 +274,18 @@ func appendRequest(b []byte, r *request) []byte {
 	e.U64(r.Epoch)
 	e.U64(r.Seq)
 	e.U64(r.Ack)
-	op := &r.op
+	for i := range r.ops {
+		encOp(&e, &r.ops[i])
+	}
+	return e.B
+}
+
+func encOp(e *wire.Enc, op *driver.Op) {
 	e.U8(uint8(op.Kind))
 	switch op.Kind {
 	case driver.OpAddEntry:
 		e.Str(op.Table)
-		encEntry(&e, &rmt.Entry{Handle: op.Handle, Priority: op.Priority, Action: op.Action, Keys: op.Keys, Data: op.Data})
+		encEntry(e, &rmt.Entry{Handle: op.Handle, Priority: op.Priority, Action: op.Action, Keys: op.Keys, Data: op.Data})
 	case driver.OpModifyEntry:
 		e.Str(op.Table)
 		e.U64(uint64(op.Handle))
@@ -250,7 +296,7 @@ func appendRequest(b []byte, r *request) []byte {
 		e.U64(uint64(op.Handle))
 	case driver.OpSetDefault:
 		e.Str(op.Table)
-		encCall(&e, op.Call)
+		encCall(e, op.Call)
 	case driver.OpSetHashSeed:
 		e.Str(op.Table)
 		e.U64(op.Val)
@@ -271,18 +317,15 @@ func appendRequest(b []byte, r *request) []byte {
 	case driver.OpReadEntries, driver.OpReadDefault:
 		e.Str(op.Table)
 	}
-	return e.B
 }
 
 // decodeRequest parses a request or datagram frame into r, replacing
 // whatever r held: every field is reset first, slices are truncated with
-// their capacity kept. Names are interned through in (nil: allocated).
-// On error r's contents are unspecified.
+// their capacity kept. A frame carries at least one op. Names are
+// interned through in (nil: allocated). On error r's contents are
+// unspecified.
 func decodeRequest(r *request, b []byte, in wire.Names) error {
-	*r = request{
-		op:      driver.Op{Keys: r.op.Keys[:0], Data: r.op.Data[:0], Reqs: r.op.Reqs[:0]},
-		callBuf: p4.ActionCall{Data: r.callBuf.Data[:0]},
-	}
+	*r = request{ops: r.ops[:0], calls: r.calls[:0]}
 	d := wire.Dec{B: b, Names: in}
 	r.Kind = d.U8()
 	if r.Kind != frameRequest && r.Kind != frameDatagram {
@@ -292,13 +335,41 @@ func decodeRequest(r *request, b []byte, in wire.Names) error {
 	r.Epoch = d.U64()
 	r.Seq = d.U64()
 	r.Ack = d.U64()
-	op := &r.op
+	for d.Err == nil && (len(r.ops) == 0 || d.Off < len(d.B)) {
+		// Refill the slot this op last held: reuse its slices' capacity.
+		i := len(r.ops)
+		var op driver.Op
+		var call p4.ActionCall
+		if i < cap(r.ops) {
+			old := r.ops[:i+1][i]
+			op = driver.Op{Keys: old.Keys[:0], Data: old.Data[:0], Reqs: old.Reqs[:0]}
+		}
+		if i < cap(r.calls) {
+			call.Data = r.calls[:i+1][i].Data[:0]
+		}
+		r.ops, r.calls = append(r.ops, op), append(r.calls, call)
+		if err := decOp(&d, &r.ops[i], &r.calls[i]); err != nil {
+			return err
+		}
+	}
+	// Growing calls may have moved it: point each decoded Call at its slot.
+	for i := range r.ops {
+		if r.ops[i].Call != nil {
+			r.ops[i].Call = &r.calls[i]
+		}
+	}
+	return d.Leftover()
+}
+
+// decOp decodes one op of a run into op, a SetDefaultAction's call into
+// callBuf.
+func decOp(d *wire.Dec, op *driver.Op, callBuf *p4.ActionCall) error {
 	op.Kind = driver.OpKind(d.U8())
 	switch op.Kind {
 	case driver.OpAddEntry:
 		op.Table = d.Name()
 		en := rmt.Entry{Keys: op.Keys, Data: op.Data}
-		decEntry(&d, &en)
+		decEntry(d, &en)
 		op.Handle, op.Priority, op.Action, op.Keys, op.Data = en.Handle, en.Priority, en.Action, en.Keys, en.Data
 	case driver.OpModifyEntry:
 		op.Table = d.Name()
@@ -310,7 +381,7 @@ func decodeRequest(r *request, b []byte, in wire.Names) error {
 		op.Handle = rmt.EntryHandle(d.U64())
 	case driver.OpSetDefault:
 		op.Table = d.Name()
-		op.Call = decCall(&d, &r.callBuf)
+		op.Call = decCall(d, callBuf)
 	case driver.OpSetHashSeed:
 		op.Table = d.Name()
 		op.Val = d.U64()
@@ -329,12 +400,16 @@ func decodeRequest(r *request, b []byte, in wire.Names) error {
 	case driver.OpReadEntries, driver.OpReadDefault:
 		op.Table = d.Name()
 	default:
+		if d.Err != nil {
+			return d.Err
+		}
 		return fmt.Errorf("ctlchan: unknown verb %d", op.Kind)
 	}
-	return d.Leftover()
+	return nil
 }
 
-// appendResponse appends r's frame to b.
+// appendResponse appends r's frame to b: the header, the stopping op's
+// status and message, then each applied op's result.
 func appendResponse(b []byte, r *response) []byte {
 	e := wire.Enc{B: b}
 	e.U8(frameResponse)
@@ -342,18 +417,34 @@ func appendResponse(b []byte, r *response) []byte {
 	e.U64(r.Seq)
 	e.U8(r.Status)
 	e.Str(r.ErrMsg)
-	e.U64(uint64(r.Handle))
-	e.U64(r.Val)
-	e.U32(uint32(len(r.Vals)))
-	for _, vs := range r.Vals {
-		e.U64s(vs)
+	e.U32(uint32(len(r.Results)))
+	for i := range r.Results {
+		encResult(&e, &r.Results[i])
 	}
-	e.U32(uint32(len(r.Entries)))
-	for i := range r.Entries {
-		encEntry(&e, &r.Entries[i])
-	}
-	encCall(&e, r.Call)
 	return e.B
+}
+
+// encResult writes one result: its kind, then what that kind returns.
+func encResult(e *wire.Enc, r *result) {
+	e.U8(uint8(r.Kind))
+	switch r.Kind {
+	case driver.OpAddEntry:
+		e.U64(uint64(r.Handle))
+	case driver.OpRegRead:
+		e.U64(r.Val)
+	case driver.OpRead:
+		e.U32(uint32(len(r.Vals)))
+		for _, vs := range r.Vals {
+			e.U64s(vs)
+		}
+	case driver.OpReadEntries:
+		e.U32(uint32(len(r.Entries)))
+		for i := range r.Entries {
+			encEntry(e, &r.Entries[i])
+		}
+	case driver.OpReadDefault:
+		encCall(e, r.Call)
+	}
 }
 
 // responseSeq reads the sequence number out of a response frame's fixed
@@ -371,11 +462,11 @@ func responseSeq(b []byte) (seq uint64, ok bool) {
 }
 
 // decodeResponse parses a response frame into r, replacing whatever r
-// held. Vals and its rows are refilled in place (truncated, capacity
-// kept); Entries and Call, which only audit reads carry, are allocated.
-// On error r's contents are unspecified.
+// held. Results and each read's rows are refilled in place (truncated,
+// capacity kept); Entries and Call, which only audit reads carry, are
+// allocated. On error r's contents are unspecified.
 func decodeResponse(r *response, b []byte, in wire.Names) error {
-	*r = response{Vals: r.Vals[:0]}
+	*r = response{Results: r.Results[:0]}
 	d := wire.Dec{B: b, Names: in}
 	if k := d.U8(); k != frameResponse {
 		return fmt.Errorf("ctlchan: not a response frame (kind 0x%02x)", k)
@@ -384,27 +475,54 @@ func decodeResponse(r *response, b []byte, in wire.Names) error {
 	r.Seq = d.U64()
 	r.Status = d.U8()
 	r.ErrMsg = d.Text()
-	r.Handle = rmt.EntryHandle(d.U64())
-	r.Val = d.U64()
-	for n := d.Count(minRowSize); n > 0 && d.Err == nil; n-- {
-		var row []uint64
-		if n := len(r.Vals); n < cap(r.Vals) {
-			row = r.Vals[:n+1][n] // the row this slot last held: reuse its capacity
+	for n := d.Count(minResultSize); n > 0 && d.Err == nil; n-- {
+		i := len(r.Results)
+		var rows [][]uint64
+		if i < cap(r.Results) {
+			rows = r.Results[:i+1][i].Vals // the rows this slot last held: reuse their capacity
 		}
-		r.Vals = append(r.Vals, d.U64s(row))
+		r.Results = append(r.Results, result{})
+		decResult(&d, &r.Results[i], rows)
 	}
-	if n := d.Count(minEntrySize); n > 0 {
-		r.Entries = make([]rmt.Entry, n)
-		for i := 0; i < n && d.Err == nil; i++ {
-			decEntry(&d, &r.Entries[i])
+	return d.Leftover()
+}
+
+// decResult decodes one result into res, a read's rows into rows'
+// capacity. Whatever the kind, res keeps rows (emptied), so a slot that
+// alternates between reads and writes does not reallocate them.
+func decResult(d *wire.Dec, res *result, rows [][]uint64) {
+	res.Kind = driver.OpKind(d.U8())
+	res.Vals = rows[:0]
+	switch res.Kind {
+	case driver.OpAddEntry:
+		res.Handle = rmt.EntryHandle(d.U64())
+	case driver.OpRegRead:
+		res.Val = d.U64()
+	case driver.OpRead:
+		for n := d.Count(minRowSize); n > 0 && d.Err == nil; n-- {
+			var row []uint64
+			if k := len(res.Vals); k < cap(res.Vals) {
+				row = res.Vals[:k+1][k] // the row this slot last held: reuse its capacity
+			}
+			res.Vals = append(res.Vals, d.U64s(row))
 		}
-	}
-	switch d.U8() {
-	case 0:
-	case 1:
-		r.Call = &p4.ActionCall{Action: d.Name(), Data: d.U64s(nil)}
+	case driver.OpReadEntries:
+		if n := d.Count(minEntrySize); n > 0 {
+			res.Entries = make([]rmt.Entry, n)
+			for i := 0; i < n && d.Err == nil; i++ {
+				decEntry(d, &res.Entries[i])
+			}
+		}
+	case driver.OpReadDefault:
+		switch d.U8() {
+		case 0:
+		case 1:
+			res.Call = &p4.ActionCall{Action: d.Name(), Data: d.U64s(nil)}
+		default:
+			d.Fail()
+		}
+	case driver.OpModifyEntry, driver.OpDeleteEntry, driver.OpSetDefault, driver.OpSetHashSeed, driver.OpRegWrite:
 	default:
 		d.Fail()
 	}
-	return d.Leftover()
 }

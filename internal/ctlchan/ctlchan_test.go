@@ -356,7 +356,7 @@ func TestGhostMutationStaleRejected(t *testing.T) {
 	// Replay a ghost of seq 1 — as the network would after a dup held it.
 	ghost := appendRequest(nil, &request{
 		Kind: frameRequest, Session: 1, Epoch: 1, Seq: 1, Ack: 3,
-		op: driver.Op{Kind: driver.OpRegWrite, Table: "cnt", Idx: 0, Val: 1},
+		ops: []driver.Op{{Kind: driver.OpRegWrite, Table: "cnt", Idx: 0, Val: 1}},
 	})
 	r.link.Send(netsim.LinkSideA, ghost)
 	r.sim.RunFor(100 * time.Microsecond)

@@ -41,7 +41,7 @@ func TestDedupReplayIsByteIdentical(t *testing.T) {
 	send := func(seq uint64, reqs []driver.ReadReq) {
 		link.Send(netsim.LinkSideA, appendRequest(nil, &request{
 			Kind: frameRequest, Session: 1, Epoch: 1, Seq: seq, Ack: 1,
-			op: driver.Op{Kind: driver.OpRead, Batched: true, Reqs: reqs},
+			ops: []driver.Op{{Kind: driver.OpRead, Batched: true, Reqs: reqs}},
 		}))
 		s.RunFor(10 * time.Microsecond)
 	}
@@ -68,8 +68,8 @@ func TestDedupReplayIsByteIdentical(t *testing.T) {
 	if err := decodeResponse(&r, replies[1][1], nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Vals) != 1 || fmt.Sprint(r.Vals[0]) != "[10 11 12 13]" {
-		t.Fatalf("replayed values = %v, want the values read the first time", r.Vals)
+	if len(r.Results) != 1 || len(r.Results[0].Vals) != 1 || fmt.Sprint(r.Results[0].Vals[0]) != "[10 11 12 13]" {
+		t.Fatalf("replayed results = %+v, want the values read the first time", r.Results)
 	}
 }
 

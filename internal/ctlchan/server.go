@@ -1,7 +1,9 @@
 package ctlchan
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
@@ -11,10 +13,10 @@ import (
 )
 
 // Server is the switch-side endpoint of the control channel: it decodes
-// request frames arriving on attached links, executes them on each
-// session's inner driver channel, and replies. One dispatcher process
-// serves all sessions, so execution is serialized exactly like the
-// single control CPU it models.
+// request frames arriving on attached links, executes each frame's run
+// of ops on the session's inner driver channel, and replies. One
+// dispatcher process serves all sessions, so execution is serialized
+// exactly like the single control CPU it models.
 //
 // The server is where at-most-once lands: executed responses are cached
 // by (session, seq) and retransmits are answered from the cache, while
@@ -23,7 +25,8 @@ import (
 // rejected without executing. Epoch fencing is also enforced here (and
 // again by the ctlplane service below, when the inner channel is a
 // ctlplane session): a mutation carrying an epoch lower than the
-// highest the server has seen is refused.
+// highest the server has seen is refused. Each of these is decided once
+// per frame, for the whole run it carries.
 type Server struct {
 	sim      *sim.Simulator
 	sessions map[uint32]*serverSession
@@ -67,13 +70,14 @@ type serverSession struct {
 	// floor is the client's lowest unresolved seq: responses below it
 	// are garbage-collected, and mutating requests below it are stale.
 	floor uint64
-	// cache holds encoded responses by seq for retransmit replay. Each
-	// response is encoded once, into a buffer the cache owns from then
-	// until the floor passes its seq.
-	cache map[uint64][]byte
+	// cache holds encoded responses in seq order for retransmit replay.
+	// Each response is encoded once, into a buffer the cache owns from
+	// then until the floor passes its seq and it is trimmed off the front.
+	cache []cachedResponse
 
 	// req is the decoded form of the frame in hand and rows the result
-	// matrix of its batched read; both are refilled in place per frame.
+	// matrices of its batched reads, back to back; both are refilled in
+	// place per frame.
 	req  request
 	rows [][]uint64
 
@@ -81,19 +85,37 @@ type serverSession struct {
 	lastMutationAt sim.Time
 }
 
+// cachedResponse is one encoded response in a session's dedup cache.
+type cachedResponse struct {
+	seq uint64
+	buf []byte
+}
+
+// lookup returns the cached response to seq, if there is one.
+func (sess *serverSession) lookup(seq uint64) ([]byte, bool) {
+	i, ok := slices.BinarySearchFunc(sess.cache, seq, cmpSeq)
+	if !ok {
+		return nil, false
+	}
+	return sess.cache[i].buf, true
+}
+
+func cmpSeq(c cachedResponse, seq uint64) int { return cmp.Compare(c.seq, seq) }
+
 // ServerStats counts server-side frame outcomes.
 type ServerStats struct {
 	// Frames counts frames received (including duplicates and garbage).
 	Frames uint64
 	// BadFrames counts frames that failed to decode.
 	BadFrames uint64
-	// Executed counts requests executed on an inner channel.
+	// Executed counts ops executed on an inner channel, each op of a run
+	// once.
 	Executed uint64
 	// MutationsExecuted counts the mutating subset of Executed — the
 	// number the at-most-once property is asserted against.
 	MutationsExecuted uint64
-	// DedupHits counts retransmits answered from the response cache
-	// without re-executing.
+	// DedupHits counts retransmitted frames answered from the response
+	// cache without re-executing.
 	DedupHits uint64
 	// FencedWrites counts mutations rejected for carrying a stale epoch.
 	FencedWrites uint64
@@ -121,10 +143,7 @@ func NewServer(s *sim.Simulator) *Server {
 // the session's decoded request, which the next frame overwrites; like
 // every driver.Channel it copies what it keeps.
 func (srv *Server) Attach(link *netsim.Link, side int, sessionID uint32, epoch uint64, ch driver.Channel) {
-	sess := &serverSession{
-		id: sessionID, epoch: epoch, link: link, side: side, ch: ch,
-		cache: make(map[uint64][]byte),
-	}
+	sess := &serverSession{id: sessionID, epoch: epoch, link: link, side: side, ch: ch}
 	srv.sessions[sessionID] = sess
 	if epoch > srv.epoch {
 		srv.epoch = epoch
@@ -196,7 +215,8 @@ func (srv *Server) run(p *sim.Proc) {
 }
 
 // handle processes one frame end to end: decode, dedup, fence, execute,
-// cache, reply.
+// cache, reply. Dedup, the stale floor and fencing each judge the frame
+// once, for every op of its run.
 func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	srv.stats.Frames++
 	req := &sess.req
@@ -207,41 +227,44 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 
 	// Datagrams execute without sequencing or reply; a lost one is lost.
 	if req.Kind == frameDatagram {
-		if req.op.Kind == opMemoize {
-			sess.ch.Memoize(req.op.Table, req.op.Handle)
+		for i := range req.ops {
+			if op := &req.ops[i]; op.Kind == opMemoize {
+				sess.ch.Memoize(op.Table, op.Handle)
+			}
 		}
 		return
 	}
 
 	// The piggybacked ack advances the resolved floor: everything below
-	// it is settled client-side, so its cached responses can go.
+	// it is settled client-side, so its cached responses can go, in seq
+	// order off the front of the cache.
 	if req.Ack > sess.floor {
 		sess.floor = req.Ack
-		for seq, buf := range sess.cache {
-			if seq < sess.floor {
-				delete(sess.cache, seq)
-				srv.bufs = append(srv.bufs, buf)
-			}
+		k := 0
+		for k < len(sess.cache) && sess.cache[k].seq < sess.floor {
+			srv.bufs = append(srv.bufs, sess.cache[k].buf)
+			k++
 		}
+		n := copy(sess.cache, sess.cache[k:])
+		clear(sess.cache[n:])
+		sess.cache = sess.cache[:n]
 	}
 
 	// Retransmit of an already-answered request: replay the cached
 	// response, do not re-execute. This is the at-most-once mechanism.
-	if cached, ok := sess.cache[req.Seq]; ok {
+	if cached, ok := sess.lookup(req.Seq); ok {
 		srv.stats.DedupHits++
 		sess.link.Send(sess.side, cached)
 		return
 	}
 
 	// A ghost copy below the floor: the client has already abandoned
-	// this op (and quarantined past the link's max delay before doing
+	// this run (and quarantined past the link's max delay before doing
 	// anything else), so executing it now would be a lost update wearing
 	// a valid seq. Refuse; mutations are the dangerous case.
 	if req.Seq < sess.floor {
-		if req.op.Kind.Mutating() {
-			srv.stats.StaleWrites++
-		}
-		srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusStale}
+		srv.stats.StaleWrites += uint64(mutating(req.ops))
+		srv.begin(sess, statusStale)
 		buf := appendResponse(srv.takeBuf(), &srv.resp)
 		sess.link.Send(sess.side, buf)
 		srv.bufs = append(srv.bufs, buf)
@@ -255,9 +278,9 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 		srv.epoch = req.Epoch
 		srv.epochAt = srv.sim.Now()
 	}
-	if req.op.Kind.Mutating() && req.Epoch < srv.epoch {
-		srv.stats.FencedWrites++
-		srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusFenced}
+	if n := mutating(req.ops); n > 0 && req.Epoch < srv.epoch {
+		srv.stats.FencedWrites += uint64(n)
+		srv.begin(sess, statusFenced)
 		srv.reply(sess)
 		return
 	}
@@ -266,44 +289,52 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	srv.reply(sess)
 }
 
-// execute runs the request's op on the session's inner channel (paying
-// its channel latency on the dispatcher process) and builds the response
-// in srv.resp.
+// begin starts the response to the frame in hand in srv.resp, with no
+// results yet (their array is kept for reuse).
+func (srv *Server) begin(sess *serverSession, status uint8) *response {
+	srv.resp = response{Session: sess.id, Seq: sess.req.Seq, Status: status, Results: srv.resp.Results[:0]}
+	return &srv.resp
+}
+
+// execute runs the request's ops in order on the session's inner channel
+// (paying each op's channel latency on the dispatcher process), stops at
+// the first that fails, and builds the response in srv.resp: a result per
+// applied op, then the stopping op's status.
 func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
-	srv.resp = response{Session: sess.id, Seq: req.Seq, Status: statusOK}
-	resp, op := &srv.resp, &req.op
-	if op.Kind >= driver.NumOpKinds {
-		resp.Status = statusError
-		resp.ErrMsg = "unknown verb"
-		return
-	}
-	if op.Kind == driver.OpRead {
-		for len(sess.rows) < len(op.Reqs) {
-			sess.rows = append(sess.rows, nil)
+	resp := srv.begin(sess, statusOK)
+	rows := 0
+	for i := range req.ops {
+		op := &req.ops[i]
+		if op.Kind >= driver.NumOpKinds {
+			resp.Status, resp.ErrMsg = statusError, "unknown verb"
+			return
 		}
-		op.Rows = sess.rows[:len(op.Reqs)]
-	}
-	err := driver.Apply(sess.ch, p, op)
-	if err == nil {
-		resp.carry(op)
-	}
-	srv.stats.Executed++
-	if err == nil && op.Kind.Mutating() {
-		srv.stats.MutationsExecuted++
-		sess.lastMutationAt = srv.sim.Now()
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, ctlplane.ErrNotPrimary):
-		// The inner ctlplane session was demoted: the second fence.
-		resp.Status = statusFenced
-		resp.ErrMsg = err.Error()
-	case driver.IsTransient(err):
-		resp.Status = statusTransient
-		resp.ErrMsg = err.Error()
-	default:
-		resp.Status = statusError
-		resp.ErrMsg = err.Error()
+		if op.Kind == driver.OpRead {
+			for len(sess.rows) < rows+len(op.Reqs) {
+				sess.rows = append(sess.rows, nil)
+			}
+			op.Rows = sess.rows[rows : rows+len(op.Reqs)]
+			rows += len(op.Reqs)
+		}
+		err := driver.Apply(sess.ch, p, op)
+		srv.stats.Executed++
+		if err != nil {
+			resp.Status, resp.ErrMsg = statusError, err.Error()
+			switch {
+			case errors.Is(err, ctlplane.ErrNotPrimary):
+				// The inner ctlplane session was demoted: the second fence.
+				resp.Status = statusFenced
+			case driver.IsTransient(err):
+				resp.Status = statusTransient
+			}
+			return
+		}
+		if op.Kind.Mutating() {
+			srv.stats.MutationsExecuted++
+			sess.lastMutationAt = srv.sim.Now()
+		}
+		resp.Results = append(resp.Results, result{})
+		resp.Results[i].carry(op)
 	}
 }
 
@@ -312,6 +343,7 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
 // bytes.
 func (srv *Server) reply(sess *serverSession) {
 	buf := appendResponse(srv.takeBuf(), &srv.resp)
-	sess.cache[srv.resp.Seq] = buf
+	i, _ := slices.BinarySearchFunc(sess.cache, srv.resp.Seq, cmpSeq)
+	sess.cache = slices.Insert(sess.cache, i, cachedResponse{seq: srv.resp.Seq, buf: buf})
 	sess.link.Send(sess.side, buf)
 }

@@ -76,7 +76,8 @@ type CoordinatorStats struct {
 	// AuditRetries counts audit reads that themselves failed (channel
 	// still down) and were retried after retryBackoff.
 	AuditRetries uint64
-	// TransientRetries counts installs retried on ErrTransient.
+	// TransientRetries counts runs whose unapplied rest was retried on
+	// ErrTransient.
 	TransientRetries uint64
 	// InstallErrors counts installs abandoned on permanent errors.
 	InstallErrors uint64
@@ -172,12 +173,17 @@ type Reroute struct {
 // so one partitioned switch can stall only its own installer, never the
 // agents or its peers.
 //
-// At-most-once discipline: an install abandoned with
-// driver.ErrChannelDegraded MAY have executed server-side, and by the
-// time the error surfaces the channel's MSL quarantine guarantees no
-// copy is still in flight. The installer therefore audits the filter
-// table (reads are idempotent) and reissues only if the entry is
-// definitely absent — a blind retry could double-install.
+// Each installer sends everything queued for its node as one run — one
+// frame, one round trip — which the node's server applies in order,
+// all-or-prefix.
+//
+// At-most-once discipline: a run abandoned with
+// driver.ErrChannelDegraded MAY have executed server-side, in part or
+// whole, and by the time the error surfaces the channel's MSL quarantine
+// guarantees no copy is still in flight. The installer therefore audits
+// the tables the run writes (reads are idempotent) and reissues only the
+// ops whose write is definitely absent — a blind retry could
+// double-install.
 type Coordinator struct {
 	sim  *sim.Simulator
 	opts CoordinatorOptions
@@ -499,8 +505,8 @@ func (co *Coordinator) Stats() CoordinatorStats { return co.stats }
 
 func (co *Coordinator) stop() {
 	co.stopped = true
-	for _, ins := range co.installers {
-		ins.stop()
+	for _, name := range co.order {
+		co.installers[name].stop()
 	}
 }
 
@@ -525,14 +531,29 @@ type routeOp struct {
 	rr     *Reroute
 }
 
-// installer serializes one node's filter installs on its own process,
-// so a wedged channel to this node cannot block installs elsewhere.
+// target is the table op writes and the key its entry is audited by.
+func (op *installOp) target() (table string, key uint64) {
+	if op.route != nil {
+		return RouteTable, uint64(op.route.dst)
+	}
+	return FilterTable, op.src
+}
+
+// installer serializes one node's filter installs and route moves on its
+// own process, so a wedged channel to this node cannot block work
+// elsewhere.
 type installer struct {
 	co    *Coordinator
 	node  *Node
 	proc  *sim.Proc
 	queue []installOp
 	idle  bool
+
+	// ops is the queue prefix in flight as driver ops, keys and ports the
+	// backing of their keys and data; all three are reused across runs.
+	ops   []driver.Op
+	keys  []rmt.KeySpec
+	ports []uint64
 }
 
 func (ins *installer) enqueue(op installOp) {
@@ -551,125 +572,141 @@ func (ins *installer) stop() {
 }
 
 func (ins *installer) run(p *sim.Proc) {
-	for {
-		if ins.co.stopped {
-			return
-		}
+	for !ins.co.stopped {
 		if len(ins.queue) == 0 {
 			ins.idle = true
 			p.Park()
 			continue
 		}
-		op := ins.queue[0]
+		ins.flush(p)
+	}
+}
+
+// flush sends the head of the queue as one run and settles it. The
+// applied prefix is finished. After ErrTransient the rest stays at the
+// front and goes again after retryBackoff. After ErrChannelDegraded an
+// audit finishes the ops that landed and leaves the rest at the front
+// to be reissued. Any other error drops the op that failed.
+func (ins *installer) flush(p *sim.Proc) {
+	co := ins.co
+	n := ins.build()
+	// Observe may append to the queue while the run is out, never
+	// reorder it: its first n ops stay the run's.
+	applied, err := ins.node.CoordCli.DoRun(p, ins.ops[:n])
+	ins.settle(applied, nil)
+	switch {
+	case err == nil:
+	case errors.Is(err, driver.ErrChannelDegraded):
+		ins.recoverDegraded(p, n-applied)
+	case errors.Is(err, driver.ErrTransient):
+		co.stats.TransientRetries++
+		p.Sleep(retryBackoff)
+	default:
+		table, key := ins.queue[0].target()
+		co.stats.InstallErrors++
+		co.setErr(fmt.Errorf("fabric: write %s %#x on %s: %w", table, key, ins.node.Name, err))
 		ins.queue = ins.queue[1:]
-		if op.route != nil {
-			ins.moveRoute(p, op.route)
-		} else {
-			ins.install(p, op)
+	}
+}
+
+// build lays out in ins.ops the longest queue prefix that writes each
+// entry at most once, so that an audit can tell every op of the run
+// apart, and returns its length.
+func (ins *installer) build() int {
+	n := 1
+	for ; n < len(ins.queue); n++ {
+		table, key := ins.queue[n].target()
+		dup := false
+		for i := range ins.queue[:n] {
+			if t, k := ins.queue[i].target(); t == table && k == key {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			break
 		}
 	}
-}
-
-// moveRoute applies one route modification; it has landed once the
-// entry shows the new port. Modify is idempotent in effect, but a blind
-// retry would still burn channel budget and blur the stats that separate
-// ambiguity from repetition.
-func (ins *installer) moveRoute(p *sim.Proc, op *routeOp) {
-	st := &ins.co.stats
-	if ins.apply(p, write{
-		what: "move route", table: RouteTable, key: uint64(op.dst),
-		issue: func() error {
-			return ins.node.CoordCli.ModifyEntry(p, RouteTable, op.handle, RouteAction, []uint64{op.port})
-		},
-		landed:   func(e rmt.Entry) bool { return len(e.Data) == 1 && e.Data[0] == op.port },
-		degraded: &st.DegradedRouteMoves, confirmed: &st.RouteAuditConfirmed, reissued: &st.RouteReissues,
-	}) {
-		ins.co.finishRoute(op)
+	if cap(ins.ops) < n {
+		ins.ops, ins.keys, ins.ports = make([]driver.Op, n), make([]rmt.KeySpec, n), make([]uint64, n)
 	}
-}
-
-// install applies one filter; it has landed once an entry for the
-// source exists.
-func (ins *installer) install(p *sim.Proc, op installOp) {
-	st := &ins.co.stats
-	if ins.apply(p, write{
-		what: "install filter", table: FilterTable, key: op.src,
-		issue: func() error {
-			_, err := ins.node.CoordCli.AddEntry(p, FilterTable, rmt.Entry{
-				Keys: []rmt.KeySpec{rmt.ExactKey(op.src)}, Action: FilterAction,
-			})
-			return err
-		},
-		landed:   func(rmt.Entry) bool { return true },
-		degraded: &st.DegradedInstalls, confirmed: &st.AuditConfirmed, reissued: &st.Reissues,
-	}) {
-		ins.co.finishInstall(ins.node, op)
+	for i := range ins.queue[:n] {
+		if r := ins.queue[i].route; r != nil {
+			ins.ports[i] = r.port
+			ins.ops[i] = driver.Op{Kind: driver.OpModifyEntry, Table: RouteTable, Handle: r.handle,
+				Action: RouteAction, Data: ins.ports[i : i+1]}
+		} else {
+			ins.keys[i] = rmt.ExactKey(ins.queue[i].src)
+			ins.ops[i] = driver.Op{Kind: driver.OpAddEntry, Table: FilterTable,
+				Keys: ins.keys[i : i+1], Action: FilterAction}
+		}
 	}
+	return n
 }
 
-// write is one installer write and what recovering it needs: the table
-// and key to audit it by, whether the audited entry shows it landed, and
-// the stats that count its degraded / found-landed / reissued outcomes.
-type write struct {
-	what, table string
-	key         uint64
-	issue       func() error
-	landed      func(rmt.Entry) bool
-
-	degraded, confirmed, reissued *uint64
+// settle finishes the first k queued ops and takes them off the queue;
+// with landed set, it finishes only the ops landed marks and leaves the
+// others at the front, in order.
+func (ins *installer) settle(k int, landed []bool) {
+	kept := 0
+	for i := range ins.queue[:k] {
+		op := ins.queue[i]
+		if landed != nil && !landed[i] {
+			ins.queue[kept] = op
+			kept++
+			continue
+		}
+		if op.route != nil {
+			ins.co.finishRoute(op.route)
+		} else {
+			ins.co.finishInstall(ins.node, op)
+		}
+	}
+	ins.queue = append(ins.queue[:kept], ins.queue[k:]...)
 }
 
-// apply issues w with the at-most-once discipline described on
-// Coordinator — after a degraded channel, audit, and reissue only if the
-// entry is absent or does not show the write — and reports whether w is
-// known to have landed.
-func (ins *installer) apply(p *sim.Proc, w write) bool {
-	co := ins.co
-	for !co.stopped {
-		err := w.issue()
-		switch {
-		case err == nil:
-			return true
-		case errors.Is(err, driver.ErrChannelDegraded):
-			*w.degraded++
-			for !co.stopped {
-				ok, aerr := ins.audit(p, w)
-				if aerr == nil {
-					if ok {
-						*w.confirmed++
-						return true
-					}
-					*w.reissued++
-					break
-				}
-				co.stats.AuditRetries++
+// recoverDegraded settles the first n queued ops after their run went
+// degraded: one audit read per table they write, retried while the
+// channel stays down, decides which of them landed. A filter has landed
+// once an entry for its source exists, a route move once the
+// destination's entry points at the new port.
+func (ins *installer) recoverDegraded(p *sim.Proc, n int) {
+	co, st := ins.co, &ins.co.stats
+	audited := make(map[string][]rmt.Entry, 2)
+	landed := make([]bool, n)
+	for i := range ins.queue[:n] {
+		op := &ins.queue[i]
+		table, key := op.target()
+		entries, ok := audited[table]
+		for !ok {
+			var err error
+			if entries, err = ins.node.CoordCli.ReadEntries(p, table); err == nil {
+				audited[table], ok = entries, true
+			} else if co.stopped {
+				return
+			} else {
+				st.AuditRetries++
 				p.Sleep(retryBackoff)
 			}
-		case errors.Is(err, driver.ErrTransient):
-			co.stats.TransientRetries++
-			p.Sleep(retryBackoff)
-		default:
-			co.stats.InstallErrors++
-			co.setErr(fmt.Errorf("fabric: %s %#x on %s: %w", w.what, w.key, ins.node.Name, err))
-			return false
+		}
+		for _, e := range entries {
+			if len(e.Keys) == 1 && e.Keys[0].Value == key {
+				landed[i] = op.route == nil || len(e.Data) == 1 && e.Data[0] == op.route.port
+				break
+			}
+		}
+		degraded, confirmed, reissued := &st.DegradedInstalls, &st.AuditConfirmed, &st.Reissues
+		if op.route != nil {
+			degraded, confirmed, reissued = &st.DegradedRouteMoves, &st.RouteAuditConfirmed, &st.RouteReissues
+		}
+		*degraded++
+		if landed[i] {
+			*confirmed++
+		} else {
+			*reissued++
 		}
 	}
-	return false
-}
-
-// audit reads w's table (reads are idempotent) and reports whether the
-// entry under w's key is there and shows the write.
-func (ins *installer) audit(p *sim.Proc, w write) (bool, error) {
-	entries, err := ins.node.CoordCli.ReadEntries(p, w.table)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		if len(e.Keys) == 1 && e.Keys[0].Value == w.key {
-			return w.landed(e), nil
-		}
-	}
-	return false, nil
+	ins.settle(n, landed)
 }
 
 func (co *Coordinator) setErr(err error) {

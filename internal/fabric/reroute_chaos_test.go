@@ -1,9 +1,14 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/ctlplane"
+	"repro/internal/driver"
+	"repro/internal/netsim"
+	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -102,56 +107,130 @@ func TestChaosSpineCrashMidGrayReroute(t *testing.T) {
 	}
 }
 
-// TestChaosGrayRerouteOverPartitionedChannel partitions the
-// coordinator's control link to the evidence leaf before the gray
-// failure lands, so the exclude route-move can only go through the
-// degraded audit-then-reissue path once the link heals. The move must
-// eventually commit exactly once.
+// coordTap sits between a node's control server and its coordinator
+// session. It counts the route modifications that reach the switch per
+// entry, and cuts the coordinator's op number cut: it calls onCut, which
+// partitions the link so that the answer is lost, and fails the op, so
+// that the run stops there.
+type coordTap struct {
+	driver.Adapter
+	inner    driver.Channel
+	modified map[rmt.EntryHandle]int
+	seen     int
+	cut      int
+	onCut    func()
+}
+
+func (c *coordTap) Do(p *sim.Proc, op *driver.Op) error {
+	i := c.seen
+	c.seen++
+	if i == c.cut {
+		c.onCut()
+		return fmt.Errorf("tap: cut: %w", driver.ErrTransient)
+	}
+	err := driver.Apply(c.inner, p, op)
+	if err == nil && op.Kind == driver.OpModifyEntry && op.Table == RouteTable {
+		c.modified[op.Handle]++
+	}
+	return err
+}
+
+// TestChaosGrayRerouteOverPartitionedChannel grays one trunk of the
+// evidence leaf, whose installer then holds several route moves, and
+// loses the run that carries them: either the coordinator's control link
+// to the leaf is partitioned before the failure lands, so no op of the
+// run arrives, or the link is cut while the leaf executes the run, after
+// its first ops applied. Either way the run can only finish through the
+// degraded audit once the link heals, past the run's deadline: the
+// audit must confirm the applied prefix, and every move of the unapplied
+// suffix must be reissued and reach the switch exactly once.
 func TestChaosGrayRerouteOverPartitionedChannel(t *testing.T) {
-	s := sim.New(3)
-	f, err := Build(s, Config{Leaves: 2, Spines: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	s.RunFor(time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		cut  int // the coordinator op the link is cut at; -1: cut before the failure
+	}{{"partitioned-before", -1}, {"cut-mid-run", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(3)
+			f, err := Build(s, Config{Leaves: 4, Spines: 2, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := f.Leaves[0]
+			sess, err := leaf.Svc.Open(ctlplane.SessionOptions{Name: "leaf0/coord-tap", Role: ctlplane.RoleLegacy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The outage outlasts the run's deadline and quarantine, so
+			// no retransmit gets through before the run goes degraded.
+			const outage = 2 * time.Millisecond
+			var healAt sim.Time
+			partition := func() {
+				leaf.CoordLink.SetPartitioned(true)
+				healAt = s.Now() + sim.Time(outage)
+				s.Schedule(outage, func() { leaf.CoordLink.SetPartitioned(false) })
+			}
+			tap := &coordTap{inner: sess, modified: map[rmt.EntryHandle]int{}, cut: tc.cut, onCut: partition}
+			tap.Adapter = driver.NewAdapter(tap.Do, sess)
+			leaf.Srv.Attach(leaf.CoordLink, netsim.LinkSideB, 2, 1, tap)
+			f.Start()
+			s.RunFor(time.Millisecond)
 
-	dst := HostAddr(1, 1)
-	sp := f.SpineFor(dst)
-	other := uint64(f.UplinkPort(1 - sp))
+			sp := f.SpineFor(HostAddr(1, 1))
+			other := uint64(f.UplinkPort(1 - sp))
+			var moved []uint32
+			for dst := range leaf.RouteHandles {
+				if f.SpineFor(dst) == sp {
+					moved = append(moved, dst)
+				}
+			}
+			if len(moved) <= tc.cut+1 {
+				t.Fatalf("leaf0 has %d moves queued; the test needs more than %d", len(moved), tc.cut+1)
+			}
 
-	f.Leaves[0].CoordLink.SetPartitioned(true)
-	f.Trunks[0][sp].SetGray(1.0)
-	healAt := s.Now() + sim.Time(500*time.Microsecond)
-	s.Schedule(500*time.Microsecond, func() {
-		f.Leaves[0].CoordLink.SetPartitioned(false)
-	})
-	s.RunFor(3 * time.Millisecond)
+			if tc.cut < 0 {
+				partition()
+			}
+			f.Trunks[0][sp].SetGray(1.0)
+			s.RunFor(outage + 3*time.Millisecond)
+			if healAt == 0 {
+				t.Fatal("the coordinator never sent leaf0 the run")
+			}
 
-	if got := routePort(t, f.Leaves[0], dst); got != other {
-		t.Fatalf("route for %#x: port %d, want %d after the heal", dst, got, other)
-	}
-	if got := routeEntryCount(t, f.Leaves[0], dst); got != 1 {
-		t.Fatalf("%d route entries for %#x, want 1 (at-most-once violated)", got, dst)
-	}
-	rrs := f.Coord.Reroutes()
-	if len(rrs) == 0 {
-		t.Fatal("no reroute recorded")
-	}
-	if rrs[0].DoneAt < healAt {
-		t.Fatalf("reroute committed at %v, before the channel heal at %v — wrote through a dead link?",
-			rrs[0].DoneAt, healAt)
-	}
-	// The partition must leave a trace: the move went degraded (audited,
-	// possibly reissued) or at least retried.
-	st := f.Coord.Stats()
-	if st.DegradedRouteMoves == 0 && st.TransientRetries == 0 {
-		t.Fatalf("partition left no trace in route-move stats: %+v", st)
-	}
-	f.Stop()
-	s.RunFor(100 * time.Microsecond)
-	if err := f.Coord.Err(); err != nil {
-		t.Fatal(err)
+			for _, dst := range moved {
+				if got := routePort(t, leaf, dst); got != other {
+					t.Fatalf("route for %#x: port %d, want %d after the heal", dst, got, other)
+				}
+				if got := routeEntryCount(t, leaf, dst); got != 1 {
+					t.Fatalf("%d route entries for %#x, want 1 (at-most-once violated)", got, dst)
+				}
+				if got := tap.modified[leaf.RouteHandles[dst]]; got != 1 {
+					t.Fatalf("the move of %#x reached the switch %d times, want exactly once", dst, got)
+				}
+			}
+			if len(tap.modified) != len(moved) {
+				t.Fatalf("%d routes modified on leaf0, want the %d moves", len(tap.modified), len(moved))
+			}
+			applied := max(tc.cut, 0)
+			st := f.Coord.Stats()
+			if st.DegradedRouteMoves != uint64(len(moved)) || st.RouteAuditConfirmed != uint64(applied) ||
+				st.RouteReissues != uint64(len(moved)-applied) {
+				t.Fatalf("stats %+v: want all %d moves degraded, the %d applied confirmed by the audit and the rest reissued",
+					st, len(moved), applied)
+			}
+			rrs := f.Coord.Reroutes()
+			if len(rrs) == 0 {
+				t.Fatal("no reroute recorded")
+			}
+			if rrs[0].DoneAt < healAt {
+				t.Fatalf("reroute committed at %v, before the channel heal at %v — wrote through a dead link?",
+					rrs[0].DoneAt, healAt)
+			}
+			f.Stop()
+			s.RunFor(100 * time.Microsecond)
+			if err := f.Coord.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
