@@ -27,7 +27,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,13 +96,14 @@ type Stats struct {
 	// failed.
 	Degraded uint64
 	// RepairOps counts shadow-side operations that could not complete
-	// during rollback or mirror and were queued to drain before the
-	// next commit.
+	// during rollback or mirror and were left to the resync before the
+	// next iteration.
 	RepairOps uint64
-	// Resyncs counts completed channel resynchronizations: after an
-	// iteration died on driver.ErrChannelDegraded (the op's fate
-	// unknown), the agent audited the switch against its committed
-	// image and reconciled any divergence before proceeding.
+	// Resyncs counts completed resynchronizations: after an iteration
+	// died on driver.ErrChannelDegraded (the op's fate unknown) or a
+	// shadow-side write failed for good, the agent audited the switch
+	// against its committed image and reconciled any divergence before
+	// proceeding.
 	Resyncs uint64
 	// ResyncWrites counts the fix-up writes those resyncs issued.
 	ResyncWrites uint64
@@ -177,8 +177,7 @@ type Agent struct {
 	drv driver.Channel
 	// retry is drv with the retry policy applied: an Adapter over drvDo
 	// (recovery.go). Raw drv calls are the exceptions that must not
-	// retry — repair bodies (drainRepairs retries them whole) and the
-	// flip-resolution read.
+	// retry — memoization and the flip-resolution read.
 	retry driver.Adapter
 	plan  *compiler.Plan
 	opts  Options
@@ -188,8 +187,8 @@ type Agent struct {
 	// table, indexed like plan.InitTables.
 	initData [][]uint64
 	// initHandles[t][v] is the entry handle of non-master init table t
-	// (t>0) for version v.
-	initHandles map[int][2]rmt.EntryHandle
+	// (t>0) for version v, indexed like plan.InitTables.
+	initHandles [][2]rmt.EntryHandle
 
 	mblCache   map[string]uint64
 	pendingMbl map[string]uint64
@@ -247,20 +246,20 @@ type Agent struct {
 	// Recovery state (see recovery.go). iterDeadline is the watchdog
 	// cutoff for the current iteration (0 = none); iterRetries counts
 	// retries spent inside it; iterDegraded marks that some reaction ran
-	// on a stale snapshot; pendingRepairs holds shadow-side operations
-	// that must complete before the next vv flip.
-	iterDeadline   sim.Time
-	iterRetries    int
-	iterDegraded   bool
-	pendingRepairs []chanOp
-	// resyncPending marks that some abandoned operation may have applied
-	// switch-side (the channel went degraded mid-iteration); before the
-	// next iteration stages anything, resync audits the switch against
-	// the committed image and reconciles. flipUnresolved marks a stop
-	// honored while a master flip's fate was still unknown: the exit
-	// path must NOT roll back or retire the journal intent — the
-	// CommitStaged record is exactly what a successor needs to classify
-	// the torn state.
+	// on a stale snapshot.
+	iterDeadline sim.Time
+	iterRetries  int
+	iterDegraded bool
+	// resyncPending marks that the switch may differ from the committed
+	// image: an abandoned operation may have applied switch-side (the
+	// channel went degraded mid-iteration), or a shadow-side write failed
+	// for good (leaveToResync). Before the next iteration stages
+	// anything, resync audits the switch against the committed image and
+	// reconciles, so no vv flip exposes an unconverged shadow.
+	// flipUnresolved marks a stop honored while a master flip's fate was
+	// still unknown: the exit path must NOT roll back or retire the
+	// journal intent — the CommitStaged record is exactly what a
+	// successor needs to classify the torn state.
 	resyncPending  bool
 	flipUnresolved bool
 
@@ -283,7 +282,7 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 		drv:         drv,
 		plan:        plan,
 		opts:        opts,
-		initHandles: make(map[int][2]rmt.EntryHandle),
+		initHandles: make([][2]rmt.EntryHandle, len(plan.InitTables)),
 		mblCache:    make(map[string]uint64),
 		pendingMbl:  make(map[string]uint64),
 		tables:      make(map[string]*tableManager),
@@ -657,21 +656,14 @@ func (a *Agent) iteration(p *sim.Proc) error {
 	a.iterRetries = 0
 	a.iterDegraded = false
 
-	// 0. Settle repair debt from earlier failures before anything new is
-	// staged. Repairs rewrite shadow copies with committed data; running
-	// one after a reaction has staged fresh shadow updates would stomp
-	// them, so this must precede the reaction phase — and no vv flip may
-	// happen over an unconverged shadow. On failure the debt stays
-	// queued and the iteration is abandoned with nothing staged.
-	if err := a.drainRepairs(p); err != nil {
-		return err
-	}
-
-	// 0b. If a degraded-channel abandon left the switch's state in
-	// doubt, audit and reconcile before staging anything new. A resync
-	// that fails because the channel is still down is itself recoverable
-	// — the flag stays set and the next iteration tries again, which is
-	// what lets a partitioned agent heal without a session restart.
+	// 0. If a degraded-channel abandon or a failed shadow-side write left
+	// the switch's state in doubt, audit and reconcile before staging
+	// anything new: the fixes rewrite shadow copies with committed data,
+	// which would stomp fresh prepares, and no vv flip may happen over an
+	// unconverged shadow. A resync that fails because the channel is
+	// still down is itself recoverable — the flag stays set and the next
+	// iteration tries again, which is what lets a partitioned agent heal
+	// without a session restart.
 	if a.resyncPending {
 		if err := a.resync(p); err != nil {
 			return err
@@ -753,8 +745,8 @@ func (a *Agent) iteration(p *sim.Proc) error {
 // succeeds. A failure before the flip rolls the prepared shadow entries
 // back (they were never packet-visible) and abandons the iteration. A
 // failure after the flip cannot un-commit — the change is live — so the
-// unfinished mirror work is queued as repair debt and drained, with
-// retries, before any future flip.
+// unfinished mirror work is left to the resync, which runs before any
+// future flip.
 func (a *Agent) commit(p *sim.Proc) error {
 	newVV := a.vv ^ 1
 
@@ -846,31 +838,22 @@ func (a *Agent) commit(p *sim.Proc) error {
 			if !a.opts.Recovery.Enabled() {
 				return err
 			}
-			a.repairInit("mirror init", t, oldVV)
+			a.leaveToResync()
 		}
 	}
 	return a.fillShadow(p)
 }
 
-// repairInit queues rewriting version v of non-master init table t with
-// a copy of its committed data as repair debt.
-func (a *Agent) repairInit(desc string, t int, v uint64) {
-	it, h, data := a.plan.InitTables[t], a.initHandles[t][v], slices.Clone(a.initData[t])
-	a.queueRepair(chanOp{desc: desc + " " + it.Table, fn: func(p *sim.Proc) error {
-		return a.drv.ModifyEntry(p, it.Table, h, it.Action, data)
-	}})
-}
-
 // undoNonMaster restores already-prepared non-master shadow entries to
 // their committed data after a pre-flip commit failure. If an undo
-// write itself fails, it is queued as repair debt — the dirty entry is
-// in a shadow copy, invisible to packets, and repairs drain before any
+// write itself fails, the entry is left to the resync — it is in a
+// shadow copy, invisible to packets, and the resync runs before any
 // future flip could expose it.
 func (a *Agent) undoNonMaster(p *sim.Proc, prepared []int, shadowVV uint64) {
 	for _, t := range prepared {
 		it := a.plan.InitTables[t]
 		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[t][shadowVV], it.Action, a.initData[t]); err != nil {
-			a.repairInit("restore init", t, shadowVV)
+			a.leaveToResync()
 		}
 	}
 }

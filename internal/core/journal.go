@@ -13,7 +13,7 @@ import (
 // journal (internal/journal). The write points:
 //
 //   - prologue end: checkpoint + heartbeat (the recovery baseline);
-//   - iteration start (after repair debt drains): intent in PhaseBegun;
+//   - iteration start (after any pending resync): intent in PhaseBegun;
 //   - commit start (before the prepare phase touches the switch):
 //     intent upgraded to PhaseCommitStaged with the staged user-level
 //     ops and the exact init data the flip will install;

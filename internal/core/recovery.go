@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/driver"
@@ -150,14 +149,6 @@ func (r RecoveryOptions) Enabled() bool {
 		(r.ChannelRTT > 0 && r.WatchdogRTTs > 0)
 }
 
-// chanOp is one raw driver-channel operation queued for undo or repair.
-// The closure must be resumable: executing it again after a partial
-// failure continues where it left off.
-type chanOp struct {
-	desc string
-	fn   func(p *sim.Proc) error
-}
-
 // recoverable reports whether err abandons the iteration (rollback and
 // continue) rather than killing the agent. A degraded channel
 // (driver.ErrChannelDegraded) is recoverable but additionally marks the
@@ -182,51 +173,36 @@ func (r RecoveryOptions) backoff(s *sim.Simulator) *faults.Backoff {
 // call the agent makes reaches it — a.retry, the agent's driver.Channel
 // view of its own channel, is an Adapter over drvDo — so the policy
 // applies uniformly: prologue, measurement polls, three-phase prepares,
-// the master flip, mirrors, undos, audits and repairs.
-func (a *Agent) drvDo(p *sim.Proc, op *driver.Op) error { return a.withRetry(p, op, nil) }
-
-// withRetry is the retry loop: it applies op to the channel — or, for
-// queued repair work, runs rep — until it succeeds or fails for good.
-// Transient failures back off exponentially (with jitter) and reissue,
-// up to MaxAttempts per op and retryBudget per iteration, never past the
-// iteration deadline or a stop request. The operation is named only on
-// the error path; the fault-free path allocates nothing.
-func (a *Agent) withRetry(p *sim.Proc, op *driver.Op, rep *chanOp) error {
+// the master flip, mirrors, undos and audits. Transient failures back
+// off exponentially (with jitter) and reissue, up to MaxAttempts per op
+// and retryBudget per iteration, never past the iteration deadline or a
+// stop request. The operation is named only on the error path; the
+// fault-free path allocates nothing.
+func (a *Agent) drvDo(p *sim.Proc, op *driver.Op) error {
 	rec := a.opts.Recovery
-	name := func() string {
-		if rep != nil {
-			return "repair: " + rep.desc
-		}
-		return op.Name()
-	}
 	var bo *faults.Backoff // built on the first retry
 	for attempt := 1; ; attempt++ {
 		if a.iterDeadline > 0 && p.Now() >= a.iterDeadline {
-			return fmt.Errorf("%s: %w", name(), ErrWatchdog)
+			return fmt.Errorf("%s: %w", op.Name(), ErrWatchdog)
 		}
-		var err error
-		if rep != nil {
-			err = rep.fn(p)
-		} else {
-			err = driver.Apply(a.drv, p, op)
-		}
+		err := driver.Apply(a.drv, p, op)
 		if err == nil {
 			return nil
 		}
 		if !driver.IsTransient(err) {
-			return fmt.Errorf("%s: %w", name(), err)
+			return fmt.Errorf("%s: %w", op.Name(), err)
 		}
 		if a.stopRequested() {
-			return fmt.Errorf("%s: %w (last transient: %v)", name(), ErrStopped, err)
+			return fmt.Errorf("%s: %w (last transient: %v)", op.Name(), ErrStopped, err)
 		}
 		if a.iterDeadline > 0 && p.Now() >= a.iterDeadline {
-			return fmt.Errorf("%s: %w (last transient: %v)", name(), ErrWatchdog, err)
+			return fmt.Errorf("%s: %w (last transient: %v)", op.Name(), ErrWatchdog, err)
 		}
 		if attempt >= max(rec.MaxAttempts, 1) {
-			return fmt.Errorf("%s: %d attempts: %w: %w", name(), attempt, ErrRetriesExhausted, err)
+			return fmt.Errorf("%s: %d attempts: %w: %w", op.Name(), attempt, ErrRetriesExhausted, err)
 		}
 		if a.iterRetries >= retryBudget {
-			return fmt.Errorf("%s: iteration retry budget %d spent: %w: %w", name(), retryBudget, ErrRetriesExhausted, err)
+			return fmt.Errorf("%s: iteration retry budget %d spent: %w: %w", op.Name(), retryBudget, ErrRetriesExhausted, err)
 		}
 		a.iterRetries++
 		a.stats.Retries++
@@ -237,36 +213,25 @@ func (a *Agent) withRetry(p *sim.Proc, op *driver.Op, rep *chanOp) error {
 	}
 }
 
-// ---- Rollback and repair ----
+// ---- Rollback ----
 
-// queueRepair defers a shadow-side operation that could not complete
-// now. Repairs drain (with retries) at the start of the next commit,
-// before any flip — shadow copies must converge to the committed state
-// before they can become primary, but until then their content is
-// invisible to packets, so deferring is safe.
-func (a *Agent) queueRepair(op chanOp) {
-	a.pendingRepairs = append(a.pendingRepairs, op)
+// leaveToResync records a shadow-side write that failed for good — an
+// undo, a mirror, an init table's restore or mirror. Its op has already
+// brought the agent's image to the committed state, so nothing is
+// replayed: a write whose fate is unknown may have landed, and
+// reissuing it could add a duplicate or delete a handle that is gone.
+// The resync before the next iteration audits the switch and
+// reconciles it against the image instead; the shadow copy is invisible
+// to packets until the next flip, and no flip happens before that
+// resync succeeds.
+func (a *Agent) leaveToResync() {
+	a.resyncPending = true
 	a.stats.RepairOps++
-}
-
-// drainRepairs completes deferred shadow-side work. On failure the
-// remaining repairs stay queued and the commit is abandoned (no flip
-// happens over an unconverged shadow).
-func (a *Agent) drainRepairs(p *sim.Proc) error {
-	for i := range a.pendingRepairs {
-		if err := a.withRetry(p, nil, &a.pendingRepairs[i]); err != nil {
-			// Keep what is left at the front of the same backing array.
-			a.pendingRepairs = slices.Delete(a.pendingRepairs, 0, i)
-			return err
-		}
-	}
-	a.pendingRepairs = slices.Delete(a.pendingRepairs, 0, len(a.pendingRepairs))
-	return nil
 }
 
 // rollbackIteration reverts everything the abandoned iteration staged:
 // pending malleable writes are dropped and shadow-entry prepares are
-// undone (or queued as repairs if the channel is still failing). The
+// undone (or left to the resync if the channel is still failing). The
 // committed configuration — what packets observe — was never touched,
 // because vv only flips on a fully-successful commit.
 func (a *Agent) rollbackIteration(p *sim.Proc) {

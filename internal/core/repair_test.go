@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 // window, the first ModifyEntry that is a mirror (one of the first two
 // MEs after a SetDefaultAction, i.e. after the vv flip) trips the
 // fault, and from then on every ModifyEntry fails until the window
-// ends. Tripping on a mirror is what forces the repair-debt path: the
-// flip has already committed, so the agent cannot abandon — it must
-// defer the shadow work and then keep failing to drain it at the start
-// of each subsequent iteration until the channel heals.
+// ends. Tripping on a mirror is what forces the failed-shadow-write
+// path: the flip has already committed, so the agent cannot abandon —
+// it must leave the shadow to the resync, whose reconcile writes then
+// keep failing at the start of each subsequent iteration until the
+// channel heals.
 type flakyMirrorChannel struct {
 	driver.Channel
 	sim              *sim.Simulator
@@ -29,8 +31,8 @@ type flakyMirrorChannel struct {
 	latched          bool
 	failures         int
 	// poisoned counts writes that carried what the rig scribbles over the
-	// staged-op log between iterations: a repair that aliased its slot
-	// instead of copying it out would send exactly that.
+	// staged-op log between iterations: anything that outlived its
+	// iteration by aliasing a slot would send exactly that.
 	poisoned int
 }
 
@@ -64,7 +66,7 @@ func (f *flakyMirrorChannel) ModifyEntry(p *sim.Proc, table string, h rmt.EntryH
 
 // buildRepairRig wires the two-table workload over a flaky-mirror
 // channel, with a tight retry policy so mirror failures exhaust their
-// retries quickly and become repair debt. After every iteration the rig
+// retries quickly and are left to the resync. After every iteration the rig
 // does to the staged-op log the worst the next iteration's reuse of it
 // could: it overwrites every slot, buffers included.
 func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirrorChannel, *check.Audit) {
@@ -99,13 +101,12 @@ func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirror
 }
 
 // TestRepairDebtAcrossIterations opens a mirror-failure window long
-// enough that repair attempts themselves fail across several iteration
-// boundaries: debt queued by fillShadow must survive repeated failed
-// drainRepairs calls (each an abandoned iteration), then drain fully
-// once the window heals, with no packet ever observing mixed state and
-// no flip happening over an unconverged shadow — and what drains is the
-// slot as it was copied out, although the log it came from has been
-// overwritten since.
+// enough that the resync itself fails across several iteration
+// boundaries: the resync a failed mirror scheduled must stay pending
+// through repeated failed attempts (each an abandoned iteration), then
+// complete once the window heals, with no packet ever observing mixed
+// state and no flip happening over an unconverged shadow — and nothing
+// it writes comes from the log, which has been overwritten since.
 func TestRepairDebtAcrossIterations(t *testing.T) {
 	r, fc, audit := buildRepairRig(t,
 		sim.Time(200*sim.Microsecond), sim.Time(450*sim.Microsecond))
@@ -119,55 +120,222 @@ func TestRepairDebtAcrossIterations(t *testing.T) {
 	}
 	st := r.agent.Stats()
 	if st.RepairOps == 0 {
-		t.Fatalf("failing mirrors queued no repair debt: %+v", st)
+		t.Fatalf("failing mirrors left nothing to the resync: %+v", st)
 	}
 	if st.Abandoned == 0 {
-		t.Fatalf("failing drains abandoned no iterations (window too short to cross a boundary?): %+v", st)
+		t.Fatalf("failing resyncs abandoned no iterations (window too short to cross a boundary?): %+v", st)
 	}
-	if len(r.agent.pendingRepairs) != 0 {
-		t.Fatalf("%d repairs still queued after the window healed", len(r.agent.pendingRepairs))
+	if st.Resyncs == 0 {
+		t.Fatalf("failed mirrors were never resynced: %+v", st)
+	}
+	if r.agent.resyncPending {
+		t.Fatal("resync still pending after the window healed")
 	}
 	if fc.poisoned != 0 {
-		t.Fatalf("%d writes carried the scribbled-over log's content: repair debt aliases its slot", fc.poisoned)
+		t.Fatalf("%d writes carried the scribbled-over log's content: a failed shadow write aliases its slot", fc.poisoned)
 	}
 	if st.Commits < 100 {
 		t.Fatalf("agent made little progress after healing: %+v", st)
 	}
 	if err := audit.Err(); err != nil {
-		t.Fatalf("despite repair gating: %v", err)
+		t.Fatalf("despite resync gating: %v", err)
 	}
 }
 
-// TestRepairStopRace stops the agent while repair debt is outstanding
-// and the channel is still failing: the stop must win — clean exit, no
-// error, debt left queued — rather than the agent spinning on repairs
-// or dying on the transient failures.
+// TestRepairStopRace stops the agent while a resync is outstanding and
+// the channel is still failing: the stop must win — clean exit, no
+// error, resync left pending — rather than the agent spinning on the
+// resync or dying on the transient failures.
 func TestRepairStopRace(t *testing.T) {
 	// The window opens at 200µs and never heals.
 	r, fc, audit := buildRepairRig(t,
 		sim.Time(200*sim.Microsecond), sim.Time(1<<62))
 	r.agent.Start()
 	tick := check.TwoTableTraffic(r.sim, r.sw)
-	// Stop lands while drainRepairs is failing back to back.
+	// Stop lands while the resync is failing back to back.
 	r.sim.Schedule(600*sim.Microsecond, func() { r.agent.Stop() })
 	r.sim.RunFor(2 * time.Millisecond)
 	tick.Stop()
 	r.sim.RunFor(time.Millisecond)
 
 	if err := r.agent.Err(); err != nil {
-		t.Fatalf("stop during pending repairs reported error: %v", err)
+		t.Fatalf("stop during a pending resync reported error: %v", err)
 	}
 	if fc.failures == 0 {
 		t.Fatal("the mirror window failed nothing; the test is vacuous")
 	}
 	st := r.agent.Stats()
 	if st.RepairOps == 0 {
-		t.Fatalf("no repair debt was ever queued: %+v", st)
+		t.Fatalf("no shadow write was ever left to the resync: %+v", st)
 	}
-	if len(r.agent.pendingRepairs) == 0 {
-		t.Fatal("unhealable window left no queued repairs at exit")
+	if !r.agent.resyncPending {
+		t.Fatal("unhealable window left no resync pending at exit")
 	}
 	if err := audit.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// churn is lockstep plus entry churn: every run of the reaction also
+// adds a fresh t1 entry and deletes the one the last committed run
+// added, so adds and deletes reach the mirror and undo phases, not only
+// modifies. A run whose iteration was abandoned leaves no entry behind,
+// so the entry to delete is the newest one an iteration committed.
+type churn struct {
+	lockstep
+	agent         *Agent
+	prev, pending UserHandle
+	commits       uint64 // Commits when pending was staged
+	key           uint64
+}
+
+func (c *churn) react(ctx *Ctx) error {
+	if c.pending != 0 && c.agent.stats.Commits > c.commits {
+		c.prev = c.pending
+	}
+	c.pending = 0
+	t1, _ := ctx.Table("t1")
+	c.key++
+	h, err := t1.AddEntry(UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(8 + c.key%200)}, Action: "set1", Data: []uint64{c.key}})
+	if err != nil {
+		return err
+	}
+	c.pending, c.commits = h, c.agent.stats.Commits
+	if c.prev != 0 {
+		if err := t1.DeleteEntry(c.prev); err != nil {
+			return err
+		}
+	}
+	return c.lockstep.react(ctx)
+}
+
+// landedChan reports chosen writes as driver.ErrChannelDegraded after
+// applying them: the lost-acknowledgment half of an unreliable control
+// channel, where the caller cannot tell the write landed. Once armed,
+// each predicate of faults fires once, in order, on the first write it
+// matches; flipped tells a predicate whether the iteration's vv flip
+// has been issued, that is whether a table write is a mirror.
+type landedChan struct {
+	driver.Adapter
+	below   driver.Channel
+	agent   *Agent
+	armed   bool
+	flipped bool
+	faults  []func(op *driver.Op, flipped bool) bool
+	fired   int
+}
+
+func (c *landedChan) do(p *sim.Proc, op *driver.Op) error {
+	if op.Kind == driver.OpSetDefault {
+		// The mv flip and a resync's master fix keep vv; only the commit
+		// moves it, and the agent learns so once this call returns.
+		vv, _ := masterVersions(c.agent.plan.InitTables[0], op.Call, c.agent.vv, 0)
+		c.flipped = c.flipped || vv != c.agent.vv
+	}
+	err := driver.Apply(c.below, p, op)
+	if !c.armed || err != nil {
+		return err
+	}
+	if c.fired < len(c.faults) && c.faults[c.fired](op, c.flipped) {
+		c.fired++
+		return fmt.Errorf("ack lost for landed %s %s: %w", op.Kind, op.Table, driver.ErrChannelDegraded)
+	}
+	return nil
+}
+
+// t1Concrete lists, as comparable lines, the concrete t1 entries of the
+// agent's committed image and those the switch holds.
+func t1Concrete(t *testing.T, r *rig) (image, onSwitch []string) {
+	t.Helper()
+	tm := r.agent.tables["t1"]
+	line := func(e rmt.Entry) string { return fmt.Sprintf("%s %s %v", entryFP(e), e.Action, e.Data) }
+	th, _ := r.agent.Table("t1")
+	for _, ue := range th.Entries() {
+		for v := uint64(0); v < 2; v++ {
+			for ci := range tm.combos {
+				e, err := tm.concreteEntry(nil, &ue, ci, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				image = append(image, line(e))
+			}
+		}
+	}
+	es, err := r.sw.Entries(tm.info.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range es {
+		onSwitch = append(onSwitch, line(e))
+	}
+	slices.Sort(image)
+	slices.Sort(onSwitch)
+	return image, onSwitch
+}
+
+// TestRepairAmbiguousShadowWrite lands a shadow-side write whose
+// acknowledgment is lost — a mirror add, a mirror delete, and the undo
+// of an add after a prepare of the same iteration failed the same way.
+// Replaying such a write adds a duplicate or deletes a handle that is
+// gone; the agent must instead leave the shadow to the resync audit,
+// stay alive, keep every packet on one version, and end with t1 on the
+// switch equal to its committed image.
+func TestRepairAmbiguousShadowWrite(t *testing.T) {
+	on := func(kind driver.OpKind, table string, mirror bool) func(*driver.Op, bool) bool {
+		return func(op *driver.Op, flipped bool) bool {
+			return op.Kind == kind && op.Table == table && flipped == mirror
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		faults []func(*driver.Op, bool) bool
+	}{
+		{"mirror-add", []func(*driver.Op, bool) bool{on(driver.OpAddEntry, "t1", true)}},
+		{"mirror-delete", []func(*driver.Op, bool) bool{on(driver.OpDeleteEntry, "t1", true)}},
+		// The t2 prepare is the reaction's last, so the rollback it
+		// triggers undoes the t1 add: the first t1 delete after it.
+		{"undo-add", []func(*driver.Op, bool) bool{on(driver.OpModifyEntry, "t2", false), on(driver.OpDeleteEntry, "t1", false)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := buildRig(t, check.TwoTableSrc, Options{})
+			lc := &landedChan{below: base.drv, faults: tc.faults}
+			lc.Adapter = driver.NewAdapter(lc.do, base.drv)
+			c := &churn{}
+			base.agent = NewAgent(base.sim, lc, base.plan, Options{
+				Recovery: DefaultRecovery(),
+				Prologue: c.prologue,
+				AfterIteration: func(_ *sim.Proc, a *Agent) {
+					lc.flipped = false
+					lc.armed = a.stats.Commits >= 3
+				},
+			})
+			c.agent, lc.agent = base.agent, base.agent
+			if err := base.agent.RegisterNativeReaction("bump", c.react); err != nil {
+				t.Fatal(err)
+			}
+			audit := check.Attach(base.sw)
+			base.runTraffic(2 * time.Millisecond)
+
+			if err := base.agent.Err(); err != nil {
+				t.Fatalf("agent died: %v", err)
+			}
+			if lc.fired != len(tc.faults) {
+				t.Fatalf("%d of %d lost acks fired; the test is vacuous", lc.fired, len(tc.faults))
+			}
+			st := base.agent.Stats()
+			if st.Resyncs == 0 {
+				t.Fatalf("a write of unknown fate was never audited: %+v", st)
+			}
+			if st.Commits < 20 {
+				t.Fatalf("agent made little progress: %+v", st)
+			}
+			if err := audit.Err(); err != nil {
+				t.Fatal(err)
+			}
+			image, onSwitch := t1Concrete(t, base)
+			if !slices.Equal(image, onSwitch) {
+				t.Fatalf("switch t1 diverged from the committed image:\nimage:  %q\nswitch: %q", image, onSwitch)
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/p4"
-	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
@@ -16,14 +15,16 @@ import (
 // not hold the write. Two mechanisms resolve the two places ambiguity
 // bites:
 //
-//   - resync: after an iteration is abandoned on a degraded error, the
-//     switch is audited (master default action + every recovery-audited
-//     table) against the agent's committed in-memory image — the same
-//     image the journal checkpoints — and reconciled with minimal
-//     writes, exactly as a standby takeover would, but in-session and
-//     without restarting. Until the audit itself succeeds the flag
-//     stays set, so a partitioned agent keeps degrading and retrying
-//     until the heal, then resyncs once.
+//   - resync: after an iteration is abandoned on a degraded error, or a
+//     shadow-side write failed for good (leaveToResync), the switch is
+//     audited (master default action + every recovery-audited table)
+//     against the agent's committed in-memory image — the same image
+//     the journal checkpoints — and reconciled with minimal writes,
+//     exactly as a standby takeover would, but in-session and without
+//     restarting. Nothing is replayed: a write of unknown fate is
+//     settled by what the audit finds. Until the audit itself succeeds
+//     the flag stays set, so a partitioned agent keeps degrading and
+//     retrying until the heal, then resyncs once.
 //
 //   - resolveFlip: the master vv flip cannot wait for a later audit —
 //     if a flip reported as degraded actually landed, the former shadow
@@ -57,8 +58,8 @@ func masterVersions(master *compiler.InitTableInfo, call *p4.ActionCall, vv, mv 
 }
 
 // resync audits the switch against the committed image and reconciles
-// any divergence left by operations whose fate was unknown. Runs at
-// iteration start, after repair debt drains and before anything new is
+// any divergence left by operations whose fate was unknown or that
+// failed for good. Runs at iteration start, before anything new is
 // staged; failures (e.g. the channel is still partitioned) abandon the
 // iteration again with the resync still pending.
 func (a *Agent) resync(p *sim.Proc) error {
@@ -66,12 +67,11 @@ func (a *Agent) resync(p *sim.Proc) error {
 		a.stats.Resyncs++
 		return nil
 	}
-	master := a.plan.InitTables[0]
-	masterCall, err := a.retry.ReadDefaultAction(p, master.Table)
+	au, err := a.audit(p)
 	if err != nil {
-		return fmt.Errorf("resync: master audit: %w", err)
+		return fmt.Errorf("resync: %w", err)
 	}
-	actualVV, actualMV := masterVersions(master, masterCall, a.vv, a.mv)
+	actualVV, actualMV := masterVersions(a.plan.InitTables[0], au.master, a.vv, a.mv)
 	// vv never moves ambiguously: commit resolves degraded flips inline
 	// before the iteration can be abandoned. A mismatch here means that
 	// invariant broke — stop rather than guess which copies are live.
@@ -92,20 +92,10 @@ func (a *Agent) resync(p *sim.Proc) error {
 		}
 	}
 
-	auditTables := auditTableSet(a.plan)
-	audited := make(map[string][]rmt.Entry, len(auditTables))
-	for _, table := range auditTables {
-		es, err := a.retry.ReadEntries(p, table)
-		if err != nil {
-			return fmt.Errorf("resync: audit %s: %w", table, err)
-		}
-		audited[table] = es
-	}
-
 	// mv flips are measurement-only; adopt whatever the switch holds (a
 	// degraded mv flip that silently landed is absorbed here).
 	a.mv = actualMV
-	writes, err := a.reconcile(p, masterCall, audited, auditTables, actualMV)
+	writes, err := a.reconcile(p, au, actualMV)
 	a.stats.ResyncWrites += uint64(writes)
 	if err != nil {
 		return fmt.Errorf("resync: reconcile: %w", err)

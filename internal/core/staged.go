@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/journal"
 	"repro/internal/sim"
 )
@@ -16,10 +14,8 @@ import (
 //
 // Slots are reused from iteration to iteration: oldData and newData are
 // the slot's own buffers, refilled in place, so staging allocates
-// nothing. A slot therefore dies with its iteration; the one thing that
-// outlives it — a mirror or undo that failed and becomes repair debt —
-// takes a copy (Agent.repairLater). The error path may allocate; the
-// fault-free path may not.
+// nothing. A slot dies with its iteration: a mirror or undo that fails
+// leaves nothing queued behind it, only the resync (leaveToResync).
 type stagedOp struct {
 	kind journal.TableOpKind
 	tm   *tableManager
@@ -82,7 +78,9 @@ func (a *Agent) perform(p *sim.Proc, s *stagedOp) error {
 		return err
 	}
 	if err != nil {
-		_ = s.undo(p)
+		if s.undo(p) != nil {
+			a.leaveToResync()
+		}
 	} else {
 		err = s.mirror(p)
 	}
@@ -108,15 +106,15 @@ func (s *stagedOp) prepare(p *sim.Proc) error {
 	}
 }
 
-// undo reverts the slot's prepare, completed or not.
+// undo reverts the slot's prepare, completed or not. Undo and mirror
+// bring the agent's image to its end state before they write the
+// switch, so a write that fails leaves an image the resync can
+// reconcile the switch against.
 func (s *stagedOp) undo(p *sim.Proc) error {
 	switch s.kind {
 	case journal.OpAdd:
-		if err := s.tm.uninstall(p, s.ue, s.shadow); err != nil {
-			return err
-		}
 		s.tm.drop(s.h)
-		return nil
+		return s.tm.uninstall(p, s.ue, s.shadow)
 	case journal.OpModify:
 		s.ue.setSpec(s.oldAction, s.oldData)
 		return s.tm.applyAll(p, s.ue, s.shadow, s.oldAction, s.oldData)
@@ -133,61 +131,41 @@ func (s *stagedOp) mirror(p *sim.Proc) error {
 	case journal.OpModify:
 		return s.tm.applyAll(p, s.ue, s.shadow^1, s.newAction, s.newData)
 	default:
-		if err := s.tm.uninstall(p, s.ue, s.shadow^1); err != nil {
-			return err
-		}
 		s.tm.drop(s.h)
-		return nil
+		return s.tm.uninstall(p, s.ue, s.shadow^1)
 	}
-}
-
-// repairLater queues a copy of the slot — the log is reused by the next
-// iteration — to finish as repair debt.
-func (a *Agent) repairLater(desc string, s *stagedOp, run func(*stagedOp, *sim.Proc) error) {
-	c := *s
-	c.oldData, c.newData = slices.Clone(s.oldData), slices.Clone(s.newData)
-	a.queueRepair(chanOp{desc: desc + " " + s.tm.info.Table, fn: func(p *sim.Proc) error { return run(&c, p) }})
 }
 
 // fillShadow runs the mirror phase over the log, in staging order. When
-// recovery is enabled, a mirror that keeps failing is queued as repair
-// debt instead of killing the agent — and with it every later op on the
-// same table, which may build on it (an add, then a modify of the added
-// entry); other tables' ops still run. The flip already committed the
-// change, and the unfinished shadow work is invisible to packets until
-// the next flip, which drainRepairs gates.
+// recovery is enabled, a mirror that keeps failing leaves the shadow to
+// the resync instead of killing the agent, and the phase goes on: each
+// mirror has brought the image to the committed state before its write,
+// the flip already committed the change, and the unfinished shadow work
+// is invisible to packets until the next flip, which the resync gates.
 func (a *Agent) fillShadow(p *sim.Proc) error {
-	for i := range a.staged {
-		a.staged[i].tm.mirrorDeferred = false
-	}
 	for i := range a.staged {
 		s := &a.staged[i]
 		if !s.prepared {
 			continue
 		}
-		if !s.tm.mirrorDeferred {
-			err := s.mirror(p)
-			if err == nil {
-				continue
-			}
+		if err := s.mirror(p); err != nil {
 			if !a.opts.Recovery.Enabled() {
 				return err
 			}
-			s.tm.mirrorDeferred = true
+			a.leaveToResync()
 		}
-		a.repairLater("mirror", s, (*stagedOp).mirror)
 	}
 	return nil
 }
 
 // rollbackStaged reverts the iteration's prepares, newest first. An undo
-// that still fails is queued as repair debt (its target is a shadow
-// copy, so deferring it is safe). The undos use the retry-wrapped
-// helpers, so a failure here means retries were already spent.
+// that still fails leaves the shadow to the resync. The undos use the
+// retry-wrapped helpers, so a failure here means retries were already
+// spent.
 func (a *Agent) rollbackStaged(p *sim.Proc) {
 	for i := len(a.staged) - 1; i >= 0; i-- {
-		if s := &a.staged[i]; s.undo(p) != nil {
-			a.repairLater("undo "+string(s.kind), s, (*stagedOp).undo)
+		if a.staged[i].undo(p) != nil {
+			a.leaveToResync()
 		}
 	}
 	a.staged = a.staged[:0]

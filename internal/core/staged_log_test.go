@@ -251,13 +251,13 @@ const stagedGoldenFile = "testdata/staged_log.golden"
 
 // stagedFaultWindow is how many op indices from the start of the
 // dialogue the sweeps fault: the first three iterations or so, leaving
-// the rest of the run to drain repair debt.
+// the rest of the run to resync what a failed shadow write left.
 const stagedFaultWindow = 36
 
 // TestStagedLogMatchesParent is the differential test of the staged-op
 // log: seeded random reactions, a transient burst (one retry heals it,
 // or it outlasts the retries and the iteration is abandoned or its
-// mirror becomes repair debt) or a crash at every op index of the first
+// mirror is left to the resync) or a crash at every op index of the first
 // iterations, compared with the behaviour of the commit before the log
 // replaced the per-table closure lists — every intent journaled, the
 // outcome, the final user-level entries and the switch's content, as a

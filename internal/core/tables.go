@@ -55,10 +55,6 @@ type tableManager struct {
 	// which copies what it keeps (the driver.Channel contract).
 	keyScratch []rmt.KeySpec
 
-	// mirrorDeferred is fillShadow's mark, for one mirror phase, that one
-	// of the table's mirrors failed and the rest are repair debt.
-	mirrorDeferred bool
-
 	// th and rxn are the handles Agent.Table and Ctx.Table hand out.
 	th  TableHandle
 	rxn RxnTable
@@ -218,8 +214,8 @@ func (tm *tableManager) versioned() bool { return tm.info.VVCol >= 0 }
 // All three maintain the invariant that ue.concrete[version] holds the
 // handles of a prefix of tm.combos, so re-running an operation after a
 // mid-way transient failure resumes instead of duplicating work: that
-// is what lets a failed prepare be retried, undone, or queued as a
-// repair without tracking per-combo state externally.
+// is what lets a failed prepare be retried or undone without tracking
+// per-combo state externally.
 
 // install extends version's concrete entries until every combo is
 // installed, using the entry's current spec.

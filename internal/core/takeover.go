@@ -136,23 +136,16 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 
 	// ---- Audit: read back version bits and every reconciled table ----
 	auditStart := p.Now()
-	master := plan.InitTables[0]
-	masterCall, err := a.retry.ReadDefaultAction(p, master.Table)
+	au, err := a.audit(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: recover: audit master: %w", err)
+		return nil, nil, fmt.Errorf("core: recover: %w", err)
 	}
-	actualVV, actualMV := masterVersions(master, masterCall, cp.VV, cp.MV)
-	audited := make(map[string][]rmt.Entry)
-	auditTables := auditTableSet(plan)
-	for _, table := range auditTables {
-		es, err := a.retry.ReadEntries(p, table)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: recover: audit %s: %w", table, err)
-		}
-		audited[table] = es
+	master := plan.InitTables[0]
+	actualVV, actualMV := masterVersions(master, au.master, cp.VV, cp.MV)
+	for _, es := range au.entries {
 		rep.AuditedEntries += len(es)
 	}
-	rep.AuditedTables = len(auditTables)
+	rep.AuditedTables = len(au.tables)
 	rep.AuditTime = p.Now().Sub(auditStart)
 
 	// ---- Classify and pick the target state ----
@@ -224,7 +217,7 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 
 	// ---- Reconcile the switch onto the target state ----
 	reconStart := p.Now()
-	writes, err := a.reconcile(p, masterCall, audited, auditTables, actualMV)
+	writes, err := a.reconcile(p, au, actualMV)
 	rep.RepairWrites = writes
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recover: reconcile: %w", err)
@@ -237,9 +230,9 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 	// Memoize the descriptors the dialogue loop repeats, as the original
 	// prologue did.
 	a.drv.Memoize(master.Table, 0)
-	for t, hs := range a.initHandles {
-		a.drv.Memoize(plan.InitTables[t].Table, hs[0])
-		a.drv.Memoize(plan.InitTables[t].Table, hs[1])
+	for t := 1; t < len(plan.InitTables); t++ {
+		a.drv.Memoize(plan.InitTables[t].Table, a.initHandles[t][0])
+		a.drv.Memoize(plan.InitTables[t].Table, a.initHandles[t][1])
 	}
 
 	// The switch now matches the successor's image: journal it as the
@@ -346,6 +339,35 @@ func auditTableSet(plan *compiler.Plan) []string {
 	return out
 }
 
+// switchAudit is an audit's read-back: the master default action and
+// the entries of every table in tables (auditTableSet's list).
+type switchAudit struct {
+	master  *p4.ActionCall
+	tables  []string
+	entries map[string][]rmt.Entry
+}
+
+// audit reads back everything reconcile compares with the agent's
+// image: the master default action, then every auditTableSet table.
+// Resync and Recover both start here.
+func (a *Agent) audit(p *sim.Proc) (switchAudit, error) {
+	master := a.plan.InitTables[0].Table
+	call, err := a.retry.ReadDefaultAction(p, master)
+	if err != nil {
+		return switchAudit{}, fmt.Errorf("audit master: %w", err)
+	}
+	au := switchAudit{master: call, tables: auditTableSet(a.plan)}
+	au.entries = make(map[string][]rmt.Entry, len(au.tables))
+	for _, table := range au.tables {
+		es, err := a.retry.ReadEntries(p, table)
+		if err != nil {
+			return switchAudit{}, fmt.Errorf("audit %s: %w", table, err)
+		}
+		au.entries[table] = es
+	}
+	return au, nil
+}
+
 // expSlot is one concrete entry the target state requires, with an
 // optional callback receiving the handle it ends up installed under.
 type expSlot struct {
@@ -382,7 +404,7 @@ func equalU64(a, b []uint64) bool {
 // mismatched entries, delete torn leftovers, install missing ones. It
 // also relearns every handle the dialogue loop needs (init-table pairs,
 // concrete malleable entries) from the audit. Returns the write count.
-func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[string][]rmt.Entry, auditTables []string, actualMV uint64) (int, error) {
+func (a *Agent) reconcile(p *sim.Proc, au switchAudit, actualMV uint64) (int, error) {
 	writes := 0
 
 	// Master default action: the target image with the live version bits
@@ -399,7 +421,7 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 		}
 	}
 	a.initData[0] = expMaster
-	if masterCall == nil || masterCall.Action != master.Action || !equalU64(masterCall.Data, expMaster) {
+	if au.master == nil || au.master.Action != master.Action || !equalU64(au.master.Data, expMaster) {
 		if err := a.retry.SetDefaultAction(p, master.Table, &p4.ActionCall{
 			Action: master.Action, Data: append([]uint64(nil), expMaster...),
 		}); err != nil {
@@ -412,19 +434,13 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 	byTable := make(map[string][]*expSlot)
 	for t := 1; t < len(a.plan.InitTables); t++ {
 		it := a.plan.InitTables[t]
-		t := t
 		for v := uint64(0); v < 2; v++ {
-			v := v
 			byTable[it.Table] = append(byTable[it.Table], &expSlot{
 				entry: rmt.Entry{
 					Keys: []rmt.KeySpec{rmt.ExactKey(v)}, Action: it.Action,
 					Data: append([]uint64(nil), a.initData[t]...),
 				},
-				record: func(h rmt.EntryHandle) {
-					hs := a.initHandles[t]
-					hs[v] = h
-					a.initHandles[t] = hs
-				},
+				record: func(h rmt.EntryHandle) { a.initHandles[t][v] = h },
 			})
 		}
 	}
@@ -443,7 +459,6 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 					if err != nil {
 						return writes, err
 					}
-					ue, v, ci := ue, v, ci
 					byTable[tm.info.Table] = append(byTable[tm.info.Table], &expSlot{
 						entry:  e,
 						record: func(rh rmt.EntryHandle) { ue.concrete[v][ci] = rh },
@@ -456,14 +471,14 @@ func (a *Agent) reconcile(p *sim.Proc, masterCall *p4.ActionCall, audited map[st
 		byTable[se.Table] = append(byTable[se.Table], &expSlot{entry: se.Entry})
 	}
 
-	for _, table := range auditTables {
+	for _, table := range au.tables {
 		exp := byTable[table]
 		byFP := make(map[string][]*expSlot, len(exp))
 		for _, sl := range exp {
 			fp := entryFP(sl.entry)
 			byFP[fp] = append(byFP[fp], sl)
 		}
-		for _, got := range audited[table] {
+		for _, got := range au.entries[table] {
 			fp := entryFP(got)
 			if slots := byFP[fp]; len(slots) > 0 {
 				sl := slots[0]
