@@ -475,9 +475,9 @@ func runSwitch(c *config, path string) ([]report.Table, error) {
 	} else if ctlEnabled {
 		// Message-channel mode: the agent's session is reached over a
 		// simulated lossy link — request/response frames with sequence
-		// numbers, retransmission, and epoch fencing — instead of
-		// in-process calls. The link starts clean so the prologue installs
-		// reliably; the configured faults arm at 50µs.
+		// numbers and retransmission, fenced by the session's election —
+		// instead of in-process calls. The link starts clean so the
+		// prologue installs reliably; the configured faults arm at 50µs.
 		delay := c.ctlDelay
 		if delay <= 0 {
 			delay = 500 * time.Nanosecond

@@ -297,8 +297,8 @@ func mustOpen(t *testing.T, svc *ctlplane.Service, name string, electionID uint6
 
 // TestSplitBrainFencedOnTakeover is the split-brain property: a primary
 // partitioned across a standby takeover must have every post-takeover
-// mutation fenced — by epoch at the channel server, and by election at
-// the ctlplane service — so its stale writes never reach the switch.
+// mutation fenced by the ctlplane election, answered as fenced by the
+// channel server, so its stale writes never reach the switch.
 func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	// Assembled by hand rather than via buildStack: the two controllers
 	// need separate links into one server over one ctlplane service.
@@ -413,6 +413,63 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	}
 	if audit.Packets < 1000 {
 		t.Fatalf("only %d packets audited", audit.Packets)
+	}
+}
+
+// TestDialoguePriorityOverWire: one server fronts a ctlplane service with
+// a primary and a legacy session, as in the fabric. A legacy run of n
+// default-action reads arrives 100 ns before the primary's one-op read.
+// The read waits only for the one bulk op already in flight, never for the
+// rest of the run, so its round trip is the same at every n: the service's
+// priority holds over the wire.
+func TestDialoguePriorityOverWire(t *testing.T) {
+	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	const want = 4100 * time.Nanosecond
+	for _, n := range []int{1, 8, 32} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			s := sim.New(1)
+			sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
+			if err != nil {
+				t.Fatalf("switch: %v", err)
+			}
+			svc := ctlplaneNew(s, driver.New(s, sw, driver.DefaultCostModel()))
+			legacy, err := svc.Open(ctlplane.SessionOptions{Name: "legacy", Role: ctlplane.RoleLegacy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(s)
+			primLink := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 1)
+			bulkLink := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 2)
+			srv.Attach(primLink, netsim.LinkSideB, 1, 1, mustOpen(t, svc, "primary", 1))
+			srv.Attach(bulkLink, netsim.LinkSideB, 2, 1, legacy)
+			prim := NewClient(s, primLink, netsim.LinkSideA, ClientOptions{Session: 1, Epoch: 1})
+			bulk := NewClient(s, bulkLink, netsim.LinkSideA, ClientOptions{Session: 2, Epoch: 1})
+
+			run := make([]driver.Op, n)
+			for i := range run {
+				run[i] = driver.Op{Kind: driver.OpReadDefault, Table: "t1"}
+			}
+			var bulkErr, readErr error
+			var took time.Duration
+			s.Spawn("legacy", func(p *sim.Proc) { _, bulkErr = bulk.DoRun(p, run) })
+			s.Schedule(100*time.Nanosecond, func() {
+				s.Spawn("primary", func(p *sim.Proc) {
+					start := p.Now()
+					_, readErr = prim.DoRun(p, []driver.Op{{Kind: driver.OpReadDefault, Table: "t1"}})
+					took = p.Now().Sub(start)
+				})
+			})
+			s.Run()
+			if bulkErr != nil || readErr != nil {
+				t.Fatalf("legacy run: %v; primary read: %v", bulkErr, readErr)
+			}
+			if took != want {
+				t.Fatalf("primary read behind a legacy run of %d took %v, want %v", n, took, want)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // ClientOptions tunes the agent-side endpoint of the control channel.
 type ClientOptions struct {
 	// Session identifies this client to the server; Epoch is its
-	// election epoch, stamped on every request for fencing.
+	// election epoch, stamped on every request and reported by the
+	// server (the ctlplane election fences, not the epoch).
 	Session uint32
 	Epoch   uint64
 
@@ -124,7 +125,7 @@ type call struct {
 // Adapter, over Do) whose every run of operations (DoRun; Do is a run of
 // one) becomes a sequenced request frame on a netsim.Link, with
 // retransmission, idempotent delivery (via server dedup keyed on the
-// seq), epoch fencing, and an MSL quarantine before any mutation is
+// seq), fencing, and an MSL quarantine before any mutation is
 // reported as possibly-lost. The channel is stop-and-wait: one request is
 // outstanding at a time, and a caller that arrives meanwhile waits its
 // turn.
@@ -165,8 +166,9 @@ type Client struct {
 	// response (late ones included) — the channel-health signal the
 	// agent's staleness budget consumes.
 	degraded bool
-	// fenced latches when the server rejects a mutation for a stale
-	// epoch; every later mutation fails fast with ErrFenced.
+	// fenced latches when the server answers a mutation as fenced (the
+	// ctlplane election refused it); every later mutation fails fast
+	// with ErrFenced.
 	fenced bool
 	// lastCause is the classification of the most recent timeout.
 	lastCause DegradeCause

@@ -30,14 +30,14 @@
 //     virtual-clock analogue of TCP's MSL quarantine — which makes a
 //     subsequent switch audit definitive.
 //
-//   - Epoch fencing. Write sessions carry an election epoch. The server
-//     tracks the highest epoch it has seen and rejects lower-epoch
-//     mutations with ErrFenced, so a partitioned-then-healed old
-//     primary cannot push stale writes past a standby takeover. The
-//     per-session execution channel is expected to be a ctlplane
-//     session opened with the same epoch as its election ID, so
-//     demotion fences writes at the service too — two independent
-//     fences.
+//   - Fencing, decided by the ctlplane election. Each attached session
+//     executes on a ctlplane session, served by its own process, so the
+//     service schedules every session's frames and refuses a demoted
+//     primary's writes. The server answers such a write as fenced and
+//     the client reports ErrFenced, so a partitioned-then-healed old
+//     primary cannot push stale writes past a standby takeover. Requests
+//     still carry the session's election epoch, which the server only
+//     reports.
 //
 // The channel is stop-and-wait: a client has one request outstanding,
 // and a caller that arrives meanwhile waits its turn. Reads share the
@@ -55,10 +55,10 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrFenced marks a mutation rejected because a higher election epoch
-// has been seen by the server: the issuing session lost a takeover while
-// partitioned. Fenced is terminal for the session — not transient — so
-// a demoted agent stops instead of retrying into a split brain.
+// ErrFenced marks a mutation the ctlplane election refused: the issuing
+// session lost a takeover, typically while partitioned. Fenced is
+// terminal for the session — not transient — so a demoted agent stops
+// instead of retrying into a split brain.
 var ErrFenced = errors.New("ctlchan: session fenced by higher epoch")
 
 // Frame kinds (first byte on the wire).
@@ -83,7 +83,8 @@ const (
 	// rebuilds an error wrapping driver.ErrTransient so the agent's
 	// retry policy applies unchanged.
 	statusTransient
-	// statusFenced: the mutation was rejected by epoch fencing.
+	// statusFenced: the ctlplane election refused the mutation
+	// (ctlplane.ErrNotPrimary).
 	statusFenced
 	// statusStale: the request's seq is below the session's resolved
 	// floor — a ghost copy of an operation the client already gave up

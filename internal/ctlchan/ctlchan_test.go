@@ -114,6 +114,21 @@ func buildChanRig(t *testing.T, prof faults.LinkProfile, opts ClientOptions) *ch
 	return &chanRig{sim: s, link: link, fake: fake, srv: srv, cli: cli}
 }
 
+// buildElectedRig is buildChanRig over a clean link with the fake behind
+// a ctlplane service, the client's session attached as its primary at
+// election id 1, so the service's election is the fence.
+func buildElectedRig(t *testing.T) (*chanRig, *ctlplane.Service) {
+	t.Helper()
+	s := sim.New(1)
+	link := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 7)
+	fake := newFakeChan()
+	svc := ctlplane.New(s, fake, ctlplane.Options{})
+	srv := NewServer(s)
+	srv.Attach(link, netsim.LinkSideB, 1, 1, mustOpen(t, svc, "primary", 1))
+	cli := NewClient(s, link, netsim.LinkSideA, ClientOptions{Session: 1, Epoch: 1})
+	return &chanRig{sim: s, link: link, fake: fake, srv: srv, cli: cli}, svc
+}
+
 // do runs fn on a spawned proc and returns its error after the sim runs
 // to completion of the proc (bounded by d).
 func (r *chanRig) do(t *testing.T, d time.Duration, fn func(p *sim.Proc) error) error {
@@ -371,11 +386,12 @@ func TestGhostMutationStaleRejected(t *testing.T) {
 	}
 }
 
-// TestEpochFencing: once the server sees a higher epoch, lower-epoch
-// mutations are refused and the old client latches fenced — while its
-// reads still work, so a demoted agent can observe state on its way out.
+// TestEpochFencing: once a successor wins the ctlplane election, the old
+// primary's mutations are refused and its client latches fenced — while
+// its reads still work, so a demoted agent can observe state on its way
+// out.
 func TestEpochFencing(t *testing.T) {
-	r := buildChanRig(t, faults.LinkNone(), ClientOptions{Session: 1, Epoch: 1})
+	r, svc := buildElectedRig(t)
 	err := r.do(t, time.Millisecond, func(p *sim.Proc) error {
 		return r.cli.RegWrite(p, "cnt", 0, 1)
 	})
@@ -383,9 +399,9 @@ func TestEpochFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A successor attaches at epoch 2 on its own link.
+	// A successor wins the election with id 2 and attaches on its own link.
 	link2 := netsim.NewLink(r.sim, 500*time.Nanosecond, faults.LinkNone(), 8)
-	r.srv.Attach(link2, netsim.LinkSideB, 2, 2, r.fake)
+	r.srv.Attach(link2, netsim.LinkSideB, 2, 2, mustOpen(t, svc, "successor", 2))
 	cli2 := NewClient(r.sim, link2, netsim.LinkSideA, ClientOptions{Session: 2, Epoch: 2})
 
 	err = r.do(t, time.Millisecond, func(p *sim.Proc) error {

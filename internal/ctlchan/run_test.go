@@ -201,13 +201,13 @@ func TestRunRetransmitExecutesOnce(t *testing.T) {
 	}
 }
 
-// TestRunFencedAndStale: fencing and the stale floor judge a run as a
-// whole. A run from a fenced epoch executes none of its ops; a ghost of
-// a run below the floor executes none either; each counts every
-// mutation it refused.
+// TestRunFencedAndStale: a run from a primary that lost the election
+// executes none of its writes; a ghost of a run below the floor, which
+// the stale floor judges as a whole, executes none either; each counts
+// every mutation it refused.
 func TestRunFencedAndStale(t *testing.T) {
 	const n = 4
-	r := buildChanRig(t, faults.LinkNone(), ClientOptions{Session: 1, Epoch: 1})
+	r, svc := buildElectedRig(t)
 	err := r.do(t, time.Millisecond, func(p *sim.Proc) error {
 		for i := 0; i < 2; i++ {
 			if _, err := r.cli.DoRun(p, addRun(n)); err != nil {
@@ -228,10 +228,10 @@ func TestRunFencedAndStale(t *testing.T) {
 		t.Fatalf("server %+v: want the ghost's %d mutations refused, none executed", ss, n)
 	}
 
-	// A successor takes over at epoch 2; the old client's next run is
-	// fenced whole, and the one after is refused without a frame.
+	// A successor takes over at election id 2; the old client's next run
+	// is fenced whole, and the one after is refused without a frame.
 	link2 := netsim.NewLink(r.sim, 500*time.Nanosecond, faults.LinkNone(), 8)
-	r.srv.Attach(link2, netsim.LinkSideB, 2, 2, r.fake)
+	r.srv.Attach(link2, netsim.LinkSideB, 2, 2, mustOpen(t, svc, "successor", 2))
 	cli2 := NewClient(r.sim, link2, netsim.LinkSideA, ClientOptions{Session: 2, Epoch: 2})
 	if err := r.do(t, time.Millisecond, func(p *sim.Proc) error {
 		_, err := cli2.DoRun(p, addRun(1))

@@ -14,58 +14,51 @@ import (
 
 // Server is the switch-side endpoint of the control channel: it decodes
 // request frames arriving on attached links, executes each frame's run
-// of ops on the session's inner driver channel, and replies. One
-// dispatcher process serves all sessions, so execution is serialized
-// exactly like the single control CPU it models.
+// of ops on the session's inner driver channel, and replies. It is
+// transport only. Each session is served by its own process, one frame
+// at a time in arrival order, so the frames of different sessions
+// contend at the inner channel — a ctlplane.Service, the one scheduler
+// and the one model of the switch CPU — which decides who runs next and
+// who may write.
 //
 // The server is where at-most-once lands: executed responses are cached
 // by (session, seq) and retransmits are answered from the cache, while
 // mutations whose seq has fallen below the session's resolved floor —
 // ghost copies of operations the client already abandoned — are
-// rejected without executing. Epoch fencing is also enforced here (and
-// again by the ctlplane service below, when the inner channel is a
-// ctlplane session): a mutation carrying an epoch lower than the
-// highest the server has seen is refused. Each of these is decided once
-// per frame, for the whole run it carries.
+// rejected without executing. Each of these is decided once per frame,
+// for the whole run it carries. A write the ctlplane election refuses
+// (ctlplane.ErrNotPrimary) is answered as fenced.
 type Server struct {
 	sim      *sim.Simulator
 	sessions map[uint32]*serverSession
 
-	// queue holds frames awaiting the dispatcher, consumed from head. An
-	// arriving frame is the link's only until the receive callback
-	// returns, so it is copied into a buffer from bufs, the freelist that
-	// also supplies the dedup caches' response buffers.
-	queue []inbound
-	head  int
-	bufs  [][]byte
-	disp  *sim.Proc
-	idle  bool
-
-	// Dispatcher scratch, reused for every frame: the response under
-	// construction and the name table of decoded requests.
-	resp  response
+	// bufs is the freelist of frame buffers. An arriving frame is the
+	// link's only until the receive callback returns, so it is copied
+	// into one; the dedup caches' response buffers come from it too.
+	bufs [][]byte
+	// names interns the names of every session's decoded requests.
 	names wire.Names
 
-	// epoch is the highest election epoch seen on any session; mutations
-	// below it are fenced. epochAt records when it last rose — the
-	// fencing point a split-brain audit compares mutation times against.
+	// epoch is the highest election epoch seen on any session and
+	// epochAt when it last rose: a label the server reports, not a fence.
 	epoch   uint64
 	epochAt sim.Time
 
 	stats ServerStats
 }
 
-type inbound struct {
-	sess *serverSession
-	msg  []byte
-}
-
 type serverSession struct {
-	id    uint32
-	epoch uint64
-	link  *netsim.Link
-	side  int // the server's side of the link; replies go out here
-	ch    driver.Channel
+	id   uint32
+	link *netsim.Link
+	side int // the server's side of the link; replies go out here
+	ch   driver.Channel
+
+	// proc serves the session's frames. It takes them from inbox, from
+	// head on, and parks with idle set when inbox is empty.
+	proc  *sim.Proc
+	idle  bool
+	inbox [][]byte
+	head  int
 
 	// floor is the client's lowest unresolved seq: responses below it
 	// are garbage-collected, and mutating requests below it are stale.
@@ -75,11 +68,12 @@ type serverSession struct {
 	// then until the floor passes its seq and it is trimmed off the front.
 	cache []cachedResponse
 
-	// req is the decoded form of the frame in hand and rows the result
-	// matrices of its batched reads, back to back; both are refilled in
-	// place per frame.
+	// req is the decoded form of the frame in hand, rows the result
+	// matrices of its batched reads, back to back, and resp its response
+	// under construction; all are refilled in place per frame.
 	req  request
 	rows [][]uint64
+	resp response
 
 	// lastMutationAt is when the session last executed a mutation.
 	lastMutationAt sim.Time
@@ -117,7 +111,8 @@ type ServerStats struct {
 	// DedupHits counts retransmitted frames answered from the response
 	// cache without re-executing.
 	DedupHits uint64
-	// FencedWrites counts mutations rejected for carrying a stale epoch.
+	// FencedWrites counts mutations the ctlplane election refused
+	// (ctlplane.ErrNotPrimary): the failing op and the rest of its run.
 	FencedWrites uint64
 	// StaleWrites counts mutations rejected for a seq below the
 	// session's resolved floor.
@@ -128,44 +123,48 @@ type ServerStats struct {
 	EpochBumpedAt sim.Time
 }
 
-// NewServer starts a control-channel server. Its dispatcher process
-// spawns immediately and parks until the first frame arrives.
+// NewServer returns a control-channel server with no sessions yet; each
+// Attach starts the process that serves its session.
 func NewServer(s *sim.Simulator) *Server {
-	srv := &Server{sim: s, sessions: make(map[uint32]*serverSession), names: make(wire.Names)}
-	srv.disp = s.Spawn("ctlchan-server", srv.run)
-	return srv
+	return &Server{sim: s, sessions: make(map[uint32]*serverSession), names: make(wire.Names)}
 }
 
 // Attach binds a session to the server: frames arriving at side of link
-// are decoded and executed on ch (typically a ctlplane session opened
-// with ElectionID == epoch, so demotion fences writes below this layer
-// too). Replies are sent back out the same side. ch is handed slices of
-// the session's decoded request, which the next frame overwrites; like
-// every driver.Channel it copies what it keeps.
+// are served by the session's own process and executed on ch, typically
+// a ctlplane session opened with ElectionID == epoch. The service behind
+// it schedules this session's ops against every other session's and
+// refuses a demoted primary's writes. Replies are sent back out the same
+// side. ch is handed slices of the session's decoded request, which the
+// next frame overwrites; like every driver.Channel it copies what it
+// keeps.
 func (srv *Server) Attach(link *netsim.Link, side int, sessionID uint32, epoch uint64, ch driver.Channel) {
-	sess := &serverSession{id: sessionID, epoch: epoch, link: link, side: side, ch: ch}
+	sess := &serverSession{id: sessionID, link: link, side: side, ch: ch}
 	srv.sessions[sessionID] = sess
 	if epoch > srv.epoch {
 		srv.epoch = epoch
 		srv.epochAt = srv.sim.Now()
 	}
-	link.SetRecv(side, func(msg []byte) {
-		srv.enqueue(sess, msg)
-		srv.kick()
-	})
+	sess.proc = srv.sim.Spawn("ctlchan-session", func(p *sim.Proc) { srv.serve(p, sess) })
+	link.SetRecv(side, func(msg []byte) { srv.enqueue(sess, msg) })
 }
 
-// enqueue copies an arriving frame into a recycled buffer and queues it.
-// The consumed prefix of the queue is reclaimed before the slice would
-// grow, so the queue's footprint tracks the deepest backlog, not the
-// frame count.
+// enqueue copies an arriving frame into a recycled buffer, queues it for
+// the session and wakes the session's process if it is parked; the idle
+// flag flips here, so two arrivals at the same instant cannot
+// double-unpark it. The consumed prefix of the inbox is reclaimed before
+// the slice would grow, so its footprint tracks the deepest backlog, not
+// the frame count.
 func (srv *Server) enqueue(sess *serverSession, msg []byte) {
-	if srv.head > 0 && len(srv.queue) == cap(srv.queue) {
-		n := copy(srv.queue, srv.queue[srv.head:])
-		clear(srv.queue[n:])
-		srv.queue, srv.head = srv.queue[:n], 0
+	if sess.head > 0 && len(sess.inbox) == cap(sess.inbox) {
+		n := copy(sess.inbox, sess.inbox[sess.head:])
+		clear(sess.inbox[n:])
+		sess.inbox, sess.head = sess.inbox[:n], 0
 	}
-	srv.queue = append(srv.queue, inbound{sess: sess, msg: append(srv.takeBuf(), msg...)})
+	sess.inbox = append(sess.inbox, append(srv.takeBuf(), msg...))
+	if sess.idle {
+		sess.idle = false
+		sess.proc.Unpark()
+	}
 }
 
 // takeBuf pops an empty buffer off the freelist (nil if it has none).
@@ -187,36 +186,27 @@ func (srv *Server) Stats() ServerStats {
 	return st
 }
 
-// kick wakes the dispatcher if it is parked; the idle flag flips here
-// so two arrivals at the same instant cannot double-unpark it.
-func (srv *Server) kick() {
-	if srv.idle {
-		srv.idle = false
-		srv.disp.Unpark()
-	}
-}
-
-// run is the dispatcher: drain the frame queue in arrival order, park
-// when empty.
-func (srv *Server) run(p *sim.Proc) {
+// serve is a session's process: handle its frames in arrival order, park
+// when none is waiting.
+func (srv *Server) serve(p *sim.Proc, sess *serverSession) {
 	for {
-		if srv.head == len(srv.queue) {
-			srv.queue, srv.head = srv.queue[:0], 0
-			srv.idle = true
+		if sess.head == len(sess.inbox) {
+			sess.inbox, sess.head = sess.inbox[:0], 0
+			sess.idle = true
 			p.Park()
 			continue
 		}
-		in := srv.queue[srv.head]
-		srv.queue[srv.head] = inbound{}
-		srv.head++
-		srv.handle(p, in.sess, in.msg)
-		srv.bufs = append(srv.bufs, in.msg)
+		msg := sess.inbox[sess.head]
+		sess.inbox[sess.head] = nil
+		sess.head++
+		srv.handle(p, sess, msg)
+		srv.bufs = append(srv.bufs, msg)
 	}
 }
 
-// handle processes one frame end to end: decode, dedup, fence, execute,
-// cache, reply. Dedup, the stale floor and fencing each judge the frame
-// once, for every op of its run.
+// handle processes one frame end to end: decode, dedup, execute, cache,
+// reply. Dedup and the stale floor each judge the frame once, for every
+// op of its run.
 func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	srv.stats.Frames++
 	req := &sess.req
@@ -264,44 +254,34 @@ func (srv *Server) handle(p *sim.Proc, sess *serverSession, msg []byte) {
 	// a valid seq. Refuse; mutations are the dangerous case.
 	if req.Seq < sess.floor {
 		srv.stats.StaleWrites += uint64(mutating(req.ops))
-		srv.begin(sess, statusStale)
-		buf := appendResponse(srv.takeBuf(), &srv.resp)
+		buf := appendResponse(srv.takeBuf(), sess.begin(statusStale))
 		sess.link.Send(sess.side, buf)
 		srv.bufs = append(srv.bufs, buf)
 		return
 	}
 
-	// Epoch fencing: a mutation from a session that lost an election may
-	// not touch the switch, even if its request was composed before the
-	// takeover and merely delayed in flight.
+	// The epoch is only reported; the ctlplane election under ch fences.
 	if req.Epoch > srv.epoch {
 		srv.epoch = req.Epoch
 		srv.epochAt = srv.sim.Now()
 	}
-	if n := mutating(req.ops); n > 0 && req.Epoch < srv.epoch {
-		srv.stats.FencedWrites += uint64(n)
-		srv.begin(sess, statusFenced)
-		srv.reply(sess)
-		return
-	}
-
 	srv.execute(p, sess, req)
 	srv.reply(sess)
 }
 
-// begin starts the response to the frame in hand in srv.resp, with no
+// begin starts the response to the frame in hand in sess.resp, with no
 // results yet (their array is kept for reuse).
-func (srv *Server) begin(sess *serverSession, status uint8) *response {
-	srv.resp = response{Session: sess.id, Seq: sess.req.Seq, Status: status, Results: srv.resp.Results[:0]}
-	return &srv.resp
+func (sess *serverSession) begin(status uint8) *response {
+	sess.resp = response{Session: sess.id, Seq: sess.req.Seq, Status: status, Results: sess.resp.Results[:0]}
+	return &sess.resp
 }
 
 // execute runs the request's ops in order on the session's inner channel
-// (paying each op's channel latency on the dispatcher process), stops at
-// the first that fails, and builds the response in srv.resp: a result per
-// applied op, then the stopping op's status.
+// (paying each op's channel latency on the session's process), stops at
+// the first that fails, and builds the response in sess.resp: a result
+// per applied op, then the stopping op's status.
 func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
-	resp := srv.begin(sess, statusOK)
+	resp := sess.begin(statusOK)
 	rows := 0
 	for i := range req.ops {
 		op := &req.ops[i]
@@ -322,8 +302,10 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
 			resp.Status, resp.ErrMsg = statusError, err.Error()
 			switch {
 			case errors.Is(err, ctlplane.ErrNotPrimary):
-				// The inner ctlplane session was demoted: the second fence.
+				// The ctlplane election demoted the session: the rest of
+				// the run's writes are fenced.
 				resp.Status = statusFenced
+				srv.stats.FencedWrites += uint64(mutating(req.ops[i:]))
 			case driver.IsTransient(err):
 				resp.Status = statusTransient
 			}
@@ -338,12 +320,12 @@ func (srv *Server) execute(p *sim.Proc, sess *serverSession, req *request) {
 	}
 }
 
-// reply encodes srv.resp once, into a buffer the session's dedup cache
+// reply encodes sess.resp once, into a buffer the session's dedup cache
 // keeps, and sends those bytes; a retransmit is answered from the same
 // bytes.
 func (srv *Server) reply(sess *serverSession) {
-	buf := appendResponse(srv.takeBuf(), &srv.resp)
-	i, _ := slices.BinarySearchFunc(sess.cache, srv.resp.Seq, cmpSeq)
-	sess.cache = slices.Insert(sess.cache, i, cachedResponse{seq: srv.resp.Seq, buf: buf})
+	buf := appendResponse(srv.takeBuf(), &sess.resp)
+	i, _ := slices.BinarySearchFunc(sess.cache, sess.resp.Seq, cmpSeq)
+	sess.cache = slices.Insert(sess.cache, i, cachedResponse{seq: sess.resp.Seq, buf: buf})
 	sess.link.Send(sess.side, buf)
 }

@@ -76,8 +76,8 @@ func (k OpKind) String() string {
 }
 
 // Mutating reports whether the kind changes switch state — the set
-// subject to session write permission, idempotency tokens, the MSL
-// quarantine and epoch fencing.
+// subject to session write permission (which fences a demoted primary),
+// idempotency tokens and the MSL quarantine.
 func (k OpKind) Mutating() bool { return k >= OpAddEntry && k <= OpRegWrite }
 
 // Op is one control operation as data: the request, and after it ran

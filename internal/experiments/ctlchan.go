@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ctlchan"
+	"repro/internal/ctlplane"
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/netsim"
@@ -20,11 +21,12 @@ import (
 // call path. Two sweeps:
 //
 //   - Reaction latency vs. loss: the full stack (agent -> ctlchan.Client
-//     -> netsim.Link -> ctlchan.Server -> driver) under 0–5% frame loss,
-//     reporting per-iteration latency distributions and the recovery
-//     traffic (retransmits, dedup hits) that kept every mutation
-//     at-most-once. The acceptance bar — p99 at 1% loss within 5x the
-//     lossless p99 — is enforced here, not just eyeballed.
+//     -> netsim.Link -> ctlchan.Server -> ctlplane session -> driver)
+//     under 0–5% frame loss, reporting per-iteration latency
+//     distributions and the recovery traffic (retransmits, dedup hits)
+//     that kept every mutation at-most-once. The acceptance bar — p99
+//     at 1% loss within 5x the lossless p99 — is enforced here, not
+//     just eyeballed.
 //
 //   - Partition-heal recovery: periodic 300µs partitions every 700µs;
 //     for each heal, the time until the agent's next commit landed. The
@@ -112,8 +114,12 @@ func buildCtlchanRig(prof faults.LinkProfile, seed int64) (*ctlchanRig, error) {
 	}
 	s := l.sim
 	link := netsim.NewLink(s, ctlchanLinkDelay, faults.LinkNone(), seed)
+	sess, err := ctlplane.New(s, l.drv, ctlplane.Options{}).Open(ctlplane.SessionOptions{Name: "agent", Role: ctlplane.RolePrimary, ElectionID: 1})
+	if err != nil {
+		return nil, err
+	}
 	srv := ctlchan.NewServer(s)
-	srv.Attach(link, netsim.LinkSideB, 1, 1, l.drv)
+	srv.Attach(link, netsim.LinkSideB, 1, 1, sess)
 	cli := ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: l.drv})
 	s.Schedule(50*time.Microsecond, func() { link.SetProfile(prof) })
 
