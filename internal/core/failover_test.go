@@ -398,3 +398,94 @@ func TestReelectionDuringIteration(t *testing.T) {
 		t.Fatalf("successor vv=%d disagrees with switch vv=%d", got, want)
 	}
 }
+
+// TestDialogueRunsMemoized pins the price the agent pays for its writes:
+// every table op of a steady-state lockstep iteration on a raw driver is
+// memoized, because install memoizes each concrete entry it adds. The
+// same holds for a successor's first iteration after a Recover from a
+// torn prepare whose reconcile re-added an entry: reconcile memoizes
+// the handles it records, re-added ones included.
+func TestDialogueRunsMemoized(t *testing.T) {
+	const steady = 20
+	ls := &lockstep{}
+	r := buildRig(t, check.TwoTableSrc, Options{})
+	store := journal.NewMemStore()
+	// Armed after the last steady iteration, the injector crashes the
+	// primary before that next iteration's commit flip, its second
+	// master write (the first is the mv flip).
+	inj := faults.Wrap(r.sim, r.drv, faults.CrashAtCommit(), 1)
+	inj.SetEnabled(false)
+	var start, end driver.Stats
+	tear := false
+	primary := NewAgent(r.sim, inj, r.plan, Options{
+		Journal:  &JournalConfig{Store: store},
+		Prologue: ls.prologue,
+		AfterIteration: func(p *sim.Proc, a *Agent) {
+			switch a.stats.Iterations {
+			case 1:
+				start = r.drv.Stats()
+			case 1 + steady:
+				end = r.drv.Stats()
+				tear = true
+				inj.SetEnabled(true)
+			}
+		},
+	})
+	// The torn iteration deletes t1's entry: its prepare removes the
+	// shadow copy, and the crash leaves it removed for Recover to re-add.
+	if err := primary.RegisterNativeReaction("bump", func(ctx *Ctx) error {
+		if !tear {
+			return ls.react(ctx)
+		}
+		t1, _ := ctx.Table("t1")
+		return t1.DeleteEntry(ls.h1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	primary.Start()
+	r.sim.RunFor(time.Millisecond)
+	if !inj.Crashed() {
+		t.Fatal("the primary never crashed; the takeover half is vacuous")
+	}
+	checkMemoized(t, "primary, steady state", start, end)
+
+	var rep *RecoverReport
+	var succStart, succEnd driver.Stats
+	r.sim.Spawn("successor", func(p *sim.Proc) {
+		succ, rrep, err := Recover(p, r.sim, r.drv, store, r.plan, Options{
+			MaxIterations: 1,
+			AfterIteration: func(p *sim.Proc, a *Agent) {
+				succEnd = r.drv.Stats()
+			},
+		})
+		if err != nil {
+			t.Errorf("recover: %v", err)
+			return
+		}
+		rep = rrep
+		if err := succ.RegisterNativeReaction("bump", ls.react); err != nil {
+			t.Error(err)
+			return
+		}
+		succStart = r.drv.Stats()
+		succ.Start()
+	})
+	r.sim.RunFor(time.Millisecond)
+	if rep == nil {
+		t.Fatal("recovery never completed")
+	}
+	if rep.Outcome != OutcomeTornPrepare || rep.RepairWrites == 0 {
+		t.Fatalf("recover: outcome %s with %d repair writes, want a torn prepare that re-adds t1's shadow entry", rep.Outcome, rep.RepairWrites)
+	}
+	checkMemoized(t, "successor's first iteration", succStart, succEnd)
+}
+
+// checkMemoized fails unless the driver ran table ops between two Stats
+// snapshots and every one of them paid the memoized price.
+func checkMemoized(t *testing.T, what string, from, to driver.Stats) {
+	t.Helper()
+	ops, memo := to.TableOps-from.TableOps, to.MemoizedOps-from.MemoizedOps
+	if ops == 0 || memo != ops {
+		t.Fatalf("%s: %d of %d table ops memoized, want all", what, memo, ops)
+	}
+}

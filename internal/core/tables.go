@@ -218,7 +218,9 @@ func (tm *tableManager) versioned() bool { return tm.info.VVCol >= 0 }
 // per-combo state externally.
 
 // install extends version's concrete entries until every combo is
-// installed, using the entry's current spec.
+// installed, using the entry's current spec. Each new handle is
+// memoized, so every later rewrite of the entry — a prepare, a mirror,
+// an undo — pays the memoized price.
 func (tm *tableManager) install(p *sim.Proc, ue *userEntry, version uint64) error {
 	for len(ue.concrete[version]) < len(tm.combos) {
 		e, err := tm.concreteEntry(tm.keyScratch, &ue.spec, len(ue.concrete[version]), version)
@@ -229,6 +231,7 @@ func (tm *tableManager) install(p *sim.Proc, ue *userEntry, version uint64) erro
 		if err != nil {
 			return err
 		}
+		tm.agent.drv.Memoize(tm.info.Table, rh)
 		ue.concrete[version] = append(ue.concrete[version], rh)
 	}
 	return nil

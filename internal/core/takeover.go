@@ -227,13 +227,9 @@ func Recover(p *sim.Proc, s *sim.Simulator, ch driver.Channel, store journal.Sto
 	}
 	rep.ReconcileTime = p.Now().Sub(reconStart)
 
-	// Memoize the descriptors the dialogue loop repeats, as the original
-	// prologue did.
+	// reconcile memoized every entry handle it recorded; the master
+	// default is the one descriptor left, as in the original prologue.
 	a.drv.Memoize(master.Table, 0)
-	for t := 1; t < len(plan.InitTables); t++ {
-		a.drv.Memoize(plan.InitTables[t].Table, a.initHandles[t][0])
-		a.drv.Memoize(plan.InitTables[t].Table, a.initHandles[t][1])
-	}
 
 	// The switch now matches the successor's image: journal it as the
 	// new baseline and retire the crashed iteration's intent.
@@ -403,7 +399,8 @@ func equalU64(a, b []uint64) bool {
 // (already seeded) target image and issues the minimal fixes: modify
 // mismatched entries, delete torn leftovers, install missing ones. It
 // also relearns every handle the dialogue loop needs (init-table pairs,
-// concrete malleable entries) from the audit. Returns the write count.
+// concrete malleable entries) from the audit, and memoizes each one,
+// adopted or re-added. Returns the write count.
 func (a *Agent) reconcile(p *sim.Proc, au switchAudit, actualMV uint64) (int, error) {
 	writes := 0
 
@@ -490,9 +487,7 @@ func (a *Agent) reconcile(p *sim.Proc, au switchAudit, actualMV uint64) (int, er
 					}
 					writes++
 				}
-				if sl.record != nil {
-					sl.record(got.Handle)
-				}
+				a.adopt(table, sl, got.Handle)
 				continue
 			}
 			// No expected entry has this identity: a torn write from the
@@ -511,12 +506,19 @@ func (a *Agent) reconcile(p *sim.Proc, au switchAudit, actualMV uint64) (int, er
 				return writes, err
 			}
 			writes++
-			if sl.record != nil {
-				sl.record(h)
-			}
+			a.adopt(table, sl, h)
 		}
 	}
 	return writes, nil
+}
+
+// adopt hands a slot the handle its entry is installed under and
+// memoizes the handle if the dialogue loop will rewrite it.
+func (a *Agent) adopt(table string, sl *expSlot, h rmt.EntryHandle) {
+	if sl.record != nil {
+		sl.record(h)
+		a.drv.Memoize(table, h)
+	}
 }
 
 // RecoverSessionAgent opens a primary control-plane session (demoting

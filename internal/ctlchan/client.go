@@ -267,12 +267,13 @@ func (c *Client) transmit(cl *call) {
 	c.link.Send(c.side, c.txBuf)
 }
 
-// arm schedules the call's retransmission timer: RTO plus a full-jitter
-// draw, so clients that tripped over the same loss burst or partition
-// heal do not retransmit in lockstep.
-func (c *Client) arm(cl *call) {
+// arm schedules the call's retransmission timer after d: the bare RTO
+// for the first transmit, RTO plus a full-jitter draw for every
+// retransmit, so clients that tripped over the same loss burst or
+// partition heal do not retransmit in lockstep.
+func (c *Client) arm(cl *call, d time.Duration) {
 	cl.armed = true
-	cl.timer = c.sim.Schedule(cl.rto+cl.bo.Next(), c.timerFn)
+	cl.timer = c.sim.Schedule(d, c.timerFn)
 }
 
 // onTimer fires when the call's retransmission timer expires.
@@ -317,7 +318,7 @@ func (c *Client) onTimer() {
 	}
 	c.stats.Retransmits++
 	c.transmit(cl)
-	c.arm(cl)
+	c.arm(cl, cl.rto+cl.bo.Next())
 }
 
 func (c *Client) degradedErr(cl *call) error {
@@ -432,7 +433,7 @@ func (c *Client) roundTrip(p *sim.Proc, cl *call, ops []driver.Op) (int, error) 
 	cl.rto, cl.deadline = rto, c.sim.Now().Add(deadline)
 	c.cur = cl
 	c.transmit(cl)
-	c.arm(cl)
+	c.arm(cl, cl.rto)
 	p.Park()
 
 	if cl.failErr != nil {

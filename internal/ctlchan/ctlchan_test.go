@@ -322,33 +322,57 @@ func TestReadDeadlineFailsFast(t *testing.T) {
 
 // TestMutationQuarantineOutlivesMaxDelay: an abandoned mutation must not
 // be reported until every copy the client ever transmitted is off the
-// wire — failure time >= last transmit + link MaxDelay.
+// wire — failure time >= last transmit + link MaxDelay — nor before its
+// deadline.
 func TestMutationQuarantineOutlivesMaxDelay(t *testing.T) {
 	// High skew so the quarantine is visibly longer than the deadline
-	// alone: MaxDelay = 500ns + (10+10+10)µs.
+	// alone: MaxDelay = 500ns + (10+10+10)µs. A 2µs RTO caps the gap
+	// between the last transmit and the timer that finds the deadline
+	// passed at RTO plus the 8x RTO backoff ceiling, 18µs, so that timer
+	// always fires inside the quarantine.
 	prof := faults.LinkProfile{
 		Name: "skewed", Jitter: 10 * time.Microsecond,
 		Reorder: 0.5, ReorderDelay: 10 * time.Microsecond,
 		Dup: 0.5, DupDelay: 10 * time.Microsecond,
 	}
-	r := buildChanRig(t, prof, ClientOptions{OpDeadline: 50 * time.Microsecond})
+	r := buildChanRig(t, prof, ClientOptions{RTO: 2 * time.Microsecond, OpDeadline: 50 * time.Microsecond})
 	r.link.SetPartitioned(true)
+	// A watcher samples the call every 100ns while it is outstanding:
+	// its last transmit and deadline (release clears both once the
+	// caller returns), and abandonedAt, the first sample after the client
+	// counted the deadline timeout — no earlier than the timer that gave
+	// the call up.
+	var abandonedAt, lastTx, deadline sim.Time
+	finished := false
+	r.sim.Spawn("watch", func(p *sim.Proc) {
+		for !finished {
+			if cl := r.cli.cur; cl != nil {
+				lastTx, deadline = cl.lastTx, cl.deadline
+			}
+			if abandonedAt == 0 && r.cli.ChanStats().Timeouts > 0 {
+				abandonedAt = p.Now()
+			}
+			p.Sleep(100 * time.Nanosecond)
+		}
+	})
 	var failedAt sim.Time
 	err := r.do(t, 10*time.Millisecond, func(p *sim.Proc) error {
 		werr := r.cli.RegWrite(p, "cnt", 0, 1)
-		failedAt = r.sim.Now()
+		failedAt, finished = r.sim.Now(), true
 		return werr
 	})
 	if !errors.Is(err, driver.ErrChannelDegraded) {
 		t.Fatalf("err = %v, want ErrChannelDegraded", err)
 	}
-	// The last retransmit happened at or before the deadline; the report
-	// must wait out MaxDelay past it. We can't see lastTx directly, but
-	// deadline + MaxDelay - RTO is a safe lower bound on the earliest
-	// legal report (the final transmit is at most one RTO before the
-	// deadline check... conservatively assert > deadline).
-	if failedAt < sim.Time(50*time.Microsecond+r.link.MaxDelay()/2) {
-		t.Fatalf("mutation failure reported at %v — quarantine skipped (MaxDelay %v)", failedAt, r.link.MaxDelay())
+	if quarantineEnd := lastTx.Add(r.link.MaxDelay()); failedAt < quarantineEnd {
+		t.Fatalf("mutation failure reported at %v, before last transmit %v + MaxDelay %v — quarantine skipped",
+			failedAt, lastTx, r.link.MaxDelay())
+	}
+	if failedAt < deadline {
+		t.Fatalf("mutation failure reported at %v, before its deadline %v", failedAt, deadline)
+	}
+	if abandonedAt == 0 || abandonedAt >= failedAt {
+		t.Fatalf("abandoned at %v, failed at %v: the quarantine wait is empty, so the test proves nothing", abandonedAt, failedAt)
 	}
 }
 

@@ -11,7 +11,10 @@
 //
 //   - every operation pays a base software + PCIe round-trip cost;
 //   - repeated table operations with a memoized descriptor pay a reduced
-//     cost (the memoization win);
+//     cost (the memoization win). The agent memoizes the master default
+//     and the init-table pairs in its prologue, every concrete entry it
+//     installs, and every entry handle a takeover's reconcile adopts or
+//     re-adds; deleting an entry forgets its descriptor;
 //   - a batched register read pays one base cost plus a small per-byte
 //     DMA cost, instead of one base cost per register (the batching win,
 //     visible as the near-flat register series of Figure 10a).
@@ -103,10 +106,10 @@ type Driver struct {
 	// before the previous one completes, regardless of issuing process.
 	busyUntil sim.Time
 
-	// memo holds descriptors precomputed in the prologue. Memoization is
-	// keyed by table name + entry handle (or the table itself for default
-	// actions), matching "caching/memoization of device instructions ...
-	// for repeated table modifications".
+	// memo holds the precomputed descriptors of live entries. Memoization
+	// is keyed by table name + entry handle (or the table itself for
+	// default actions), matching "caching/memoization of device
+	// instructions ... for repeated table modifications".
 	memo map[memoKey]bool
 	// memoEnabled can be cleared for the ablation benchmarks.
 	memoEnabled bool
@@ -134,7 +137,9 @@ func (d *Driver) SetMemoization(on bool) { d.memoEnabled = on }
 
 // Memoize precomputes the descriptor for repeated operations on the
 // given table entry (handle 0 memoizes the table's default-action and
-// add paths). Called from the agent prologue.
+// add paths). The agent calls it in its prologue, for each entry it
+// installs and for each handle a takeover's reconcile records;
+// DeleteEntry forgets the descriptor again.
 func (d *Driver) Memoize(table string, handle rmt.EntryHandle) {
 	d.memo[memoKey{table, handle}] = true
 }
@@ -174,10 +179,15 @@ func (d *Driver) ModifyEntry(p *sim.Proc, table string, h rmt.EntryHandle, actio
 	return d.sw.ModifyEntry(table, h, action, data)
 }
 
-// DeleteEntry removes an entry.
+// DeleteEntry removes an entry and, once it is gone, forgets its
+// memoized descriptor, so the memo tracks live entries only.
 func (d *Driver) DeleteEntry(p *sim.Proc, table string, h rmt.EntryHandle) error {
 	d.occupy(p, d.tableCost(table, h))
-	return d.sw.DeleteEntry(table, h)
+	if err := d.sw.DeleteEntry(table, h); err != nil {
+		return err
+	}
+	delete(d.memo, memoKey{table, h})
+	return nil
 }
 
 // SetDefaultAction replaces a table's miss action.

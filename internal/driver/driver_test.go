@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -107,6 +108,41 @@ func TestMemoizationDisabled(t *testing.T) {
 	s.Run()
 	if lat != DefaultCostModel().TableOp {
 		t.Fatalf("disabled memoization latency = %v, want cold cost", lat)
+	}
+}
+
+// TestMemoForgottenOnDelete: a deleted entry's descriptor leaves the
+// memo, so add/memoize/delete churn leaves the map at its starting size,
+// and a deleted handle stays unknown to a later modify.
+func TestMemoForgottenOnDelete(t *testing.T) {
+	s := sim.New(1)
+	d := New(s, testSwitch(t, s), DefaultCostModel())
+	d.Memoize("fw", 0)
+	start := len(d.memo)
+	var last rmt.EntryHandle
+	var modErr error
+	s.Spawn("cp", func(p *sim.Proc) {
+		for i := 0; i < 1000; i++ {
+			h, err := d.AddEntry(p, "fw", rmt.Entry{Keys: []rmt.KeySpec{rmt.ExactKey(1)}, Action: "fwd", Data: []uint64{1}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d.Memoize("fw", h)
+			if err := d.DeleteEntry(p, "fw", h); err != nil {
+				t.Error(err)
+				return
+			}
+			last = h
+		}
+		modErr = d.ModifyEntry(p, "fw", last, "fwd", []uint64{2})
+	})
+	s.Run()
+	if len(d.memo) != start {
+		t.Fatalf("memo holds %d descriptors after 1000 add/delete rounds, want %d", len(d.memo), start)
+	}
+	if !errors.Is(modErr, rmt.ErrUnknownEntry) {
+		t.Fatalf("modify of deleted handle %d: err = %v, want ErrUnknownEntry", last, modErr)
 	}
 }
 
