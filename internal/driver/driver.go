@@ -14,7 +14,9 @@
 //     cost (the memoization win). The agent memoizes the master default
 //     and the init-table pairs in its prologue, every concrete entry it
 //     installs, and every entry handle a takeover's reconcile adopts or
-//     re-adds; deleting an entry forgets its descriptor;
+//     re-adds; a fabric leaf's prologue memoizes the route handles the
+//     fabric coordinator rewrites; deleting an entry forgets its
+//     descriptor;
 //   - a batched register read pays one base cost plus a small per-byte
 //     DMA cost, instead of one base cost per register (the batching win,
 //     visible as the near-flat register series of Figure 10a).
@@ -138,8 +140,9 @@ func (d *Driver) SetMemoization(on bool) { d.memoEnabled = on }
 // Memoize precomputes the descriptor for repeated operations on the
 // given table entry (handle 0 memoizes the table's default-action and
 // add paths). The agent calls it in its prologue, for each entry it
-// installs and for each handle a takeover's reconcile records;
-// DeleteEntry forgets the descriptor again.
+// installs and for each handle a takeover's reconcile records; a fabric
+// leaf's prologue calls it for each route handle the fabric coordinator
+// rewrites. DeleteEntry forgets the descriptor again.
 func (d *Driver) Memoize(table string, handle rmt.EntryHandle) {
 	d.memo[memoKey{table, handle}] = true
 }

@@ -190,7 +190,6 @@ type Coordinator struct {
 
 	f          *Fabric
 	installers map[string]*installer
-	order      []string // node names, deterministic dispatch order
 
 	stopped bool
 
@@ -230,7 +229,6 @@ func (co *Coordinator) attach(f *Fabric) {
 		co.health[sp].Suspects = make(map[string]bool)
 	}
 	for _, n := range f.Nodes() {
-		co.order = append(co.order, n.Name)
 		ins := &installer{co: co, node: n}
 		ins.proc = co.sim.Spawn("fabric-install-"+n.Name, ins.run)
 		co.installers[n.Name] = ins
@@ -358,12 +356,8 @@ func (co *Coordinator) reroute(evLeaf *Node, sp int, exclude bool, at sim.Time) 
 			as = make(map[uint32]int)
 			co.assign[src.Name] = as
 		}
-		dsts := make([]uint32, 0, len(src.RouteHandles))
-		for dst := range src.RouteHandles {
-			dsts = append(dsts, dst)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, dst := range dsts {
+		for _, rt := range src.Routes {
+			dst := rt.Dst
 			dl := AddrLeaf(dst)
 			if src != evLeaf && dl != evLeaf.Index {
 				continue // path touches neither side of the evidence trunk
@@ -379,10 +373,8 @@ func (co *Coordinator) reroute(evLeaf *Node, sp int, exclude bool, at sim.Time) 
 			as[dst] = want
 			rr.Moves++
 			rr.pending++
-			co.installers[src.Name].enqueue(installOp{route: &routeOp{
-				dst: dst, handle: src.RouteHandles[dst],
-				port: uint64(co.f.UplinkPort(want)), rr: rr,
-			}})
+			co.installers[src.Name].enqueue(installOp{route: routeOp{
+				Route: rt, port: uint64(co.f.UplinkPort(want)), rr: rr}})
 		}
 	}
 	if rr.pending == 0 {
@@ -411,12 +403,12 @@ func (co *Coordinator) unionExclude(src string, dstLeaf int) map[int]bool {
 	return u
 }
 
-// finishRoute records one committed route move.
-func (co *Coordinator) finishRoute(op *routeOp) {
+// finishRoute records one committed route move of rr.
+func (co *Coordinator) finishRoute(rr *Reroute) {
 	co.stats.RouteMoves++
-	op.rr.pending--
-	if op.rr.pending == 0 {
-		op.rr.DoneAt = co.sim.Now()
+	rr.pending--
+	if rr.pending == 0 {
+		rr.DoneAt = co.sim.Now()
 	}
 }
 
@@ -449,15 +441,15 @@ func (co *Coordinator) escalate(ev core.Event) {
 	if co.opts.OnEscalation != nil {
 		co.opts.OnEscalation(esc)
 	}
-	for _, name := range co.order {
-		if name == ev.Agent {
+	for _, n := range co.f.Nodes() {
+		if n.Name == ev.Agent {
 			continue // the detecting switch already blocks locally
 		}
 		esc.targets++
-		if co.installers[name].node.IsSpine {
+		if n.IsSpine {
 			esc.spineTargets++
 		}
-		co.installers[name].enqueue(installOp{src: ev.Key, esc: esc})
+		co.installers[n.Name].enqueue(installOp{src: ev.Key, esc: esc})
 	}
 }
 
@@ -505,36 +497,36 @@ func (co *Coordinator) Stats() CoordinatorStats { return co.stats }
 
 func (co *Coordinator) stop() {
 	co.stopped = true
-	for _, name := range co.order {
-		co.installers[name].stop()
+	for _, n := range co.f.Nodes() {
+		co.installers[n.Name].stop()
 	}
 }
 
 // ---- per-node installer ----
 
 // installOp is one unit of installer work: either an escalation filter
-// (esc set) or a reroute route-move (route set). Both ride the same
+// (esc set) or a reroute route-move (route.rr set). Both ride the same
 // per-node FIFO, so a node's filters and route moves apply in the
 // order the coordinator decided them.
 type installOp struct {
 	src uint64
 	esc *Escalation
 
-	route *routeOp
+	route routeOp
 }
 
-// routeOp modifies one destination's route entry to a new uplink port.
+// routeOp modifies one destination's route entry to a new uplink port;
+// rr is the reroute it belongs to, nil when the op is a filter.
 type routeOp struct {
-	dst    uint32
-	handle rmt.EntryHandle
-	port   uint64
-	rr     *Reroute
+	Route
+	port uint64
+	rr   *Reroute
 }
 
 // target is the table op writes and the key its entry is audited by.
 func (op *installOp) target() (table string, key uint64) {
-	if op.route != nil {
-		return RouteTable, uint64(op.route.dst)
+	if op.route.rr != nil {
+		return RouteTable, uint64(op.route.Dst)
 	}
 	return FilterTable, op.src
 }
@@ -631,9 +623,9 @@ func (ins *installer) build() int {
 		ins.ops, ins.keys, ins.ports = make([]driver.Op, n), make([]rmt.KeySpec, n), make([]uint64, n)
 	}
 	for i := range ins.queue[:n] {
-		if r := ins.queue[i].route; r != nil {
+		if r := &ins.queue[i].route; r.rr != nil {
 			ins.ports[i] = r.port
-			ins.ops[i] = driver.Op{Kind: driver.OpModifyEntry, Table: RouteTable, Handle: r.handle,
+			ins.ops[i] = driver.Op{Kind: driver.OpModifyEntry, Table: RouteTable, Handle: r.Handle,
 				Action: RouteAction, Data: ins.ports[i : i+1]}
 		} else {
 			ins.keys[i] = rmt.ExactKey(ins.queue[i].src)
@@ -656,8 +648,8 @@ func (ins *installer) settle(k int, landed []bool) {
 			kept++
 			continue
 		}
-		if op.route != nil {
-			ins.co.finishRoute(op.route)
+		if op.route.rr != nil {
+			ins.co.finishRoute(op.route.rr)
 		} else {
 			ins.co.finishInstall(ins.node, op)
 		}
@@ -691,12 +683,12 @@ func (ins *installer) recoverDegraded(p *sim.Proc, n int) {
 		}
 		for _, e := range entries {
 			if len(e.Keys) == 1 && e.Keys[0].Value == key {
-				landed[i] = op.route == nil || len(e.Data) == 1 && e.Data[0] == op.route.port
+				landed[i] = op.route.rr == nil || len(e.Data) == 1 && e.Data[0] == op.route.port
 				break
 			}
 		}
 		degraded, confirmed, reissued := &st.DegradedInstalls, &st.AuditConfirmed, &st.Reissues
-		if op.route != nil {
+		if op.route.rr != nil {
 			degraded, confirmed, reissued = &st.DegradedRouteMoves, &st.RouteAuditConfirmed, &st.RouteReissues
 		}
 		*degraded++

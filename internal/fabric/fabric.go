@@ -171,12 +171,17 @@ type Node struct {
 	CoordCli  *ctlchan.Client
 	Agent     *core.Agent
 
-	// RouteHandles maps each remote destination installed by this
-	// node's prologue to its route-table entry handle — handles are
-	// switch-level, so the coordinator's session can ModifyEntry them
-	// for ECMP-exclude reroutes. Leaf nodes only (spines route each
-	// destination straight to its leaf and are never rerouted).
-	RouteHandles map[uint32]rmt.EntryHandle
+	// Routes lists a leaf's remote destinations, sorted, with the
+	// switch-level handles of their route entries, which the
+	// coordinator's session rewrites for ECMP-exclude reroutes. Spines
+	// route each destination straight to its leaf and have none.
+	Routes []Route
+}
+
+// Route is one remote destination of a leaf and its route-table entry.
+type Route struct {
+	Dst    uint32
+	Handle rmt.EntryHandle
 }
 
 // Fabric is a built topology plus its coordinator.
@@ -189,6 +194,7 @@ type Fabric struct {
 	Trunks [][]*netsim.Trunk
 	Coord  *Coordinator
 
+	nodes []*Node // Leaves then Spines, returned by Nodes
 	// crashed tracks nodes taken down by Crash (by name).
 	crashed map[string]bool
 	// hbTicker drives the per-trunk probe heartbeats; hbSrc/hbDst/
@@ -241,6 +247,7 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 		}
 		f.Spines = append(f.Spines, n)
 	}
+	f.nodes = append(append(f.nodes, f.Leaves...), f.Spines...)
 	for l, leaf := range f.Leaves {
 		row := make([]*netsim.Trunk, cfg.Spines)
 		for sp, spine := range f.Spines {
@@ -352,10 +359,11 @@ func (f *Fabric) buildNode(name string, idx int, isSpine bool, plan *compiler.Pl
 
 // installRoutes populates n's route table with every fabric host
 // address: local hosts out their port, remote hosts toward the
-// dst-hashed spine, spine entries toward the destination leaf.
+// dst-hashed spine, spine entries toward the destination leaf. Remote
+// handles are memoized: the coordinator rewrites them on reroutes.
 func (f *Fabric) installRoutes(n *Node, p *sim.Proc, a *core.Agent) error {
 	if !n.IsSpine {
-		n.RouteHandles = make(map[uint32]rmt.EntryHandle)
+		n.Routes = n.Routes[:0]
 		// Count-and-absorb probe heartbeats per ingress port.
 		if _, err := a.Driver().AddEntry(p, HeartbeatTable, rmt.Entry{
 			Keys: []rmt.KeySpec{rmt.ExactKey(HeartbeatProto)}, Action: HeartbeatAction,
@@ -384,7 +392,8 @@ func (f *Fabric) installRoutes(n *Node, p *sim.Proc, a *core.Agent) error {
 				return fmt.Errorf("fabric: %s: route %#x: %w", n.Name, dst, err)
 			}
 			if remote {
-				n.RouteHandles[dst] = handle
+				n.Routes = append(n.Routes, Route{dst, handle})
+				a.Driver().Memoize(RouteTable, handle)
 			}
 		}
 	}
@@ -443,12 +452,8 @@ func ecmpMix(x uint64) uint64 {
 func (f *Fabric) BorderPort() int { return f.Cfg.Leaves }
 
 // Nodes returns all nodes, leaves first — the coordinator's canonical
-// order.
-func (f *Fabric) Nodes() []*Node {
-	out := make([]*Node, 0, len(f.Leaves)+len(f.Spines))
-	out = append(out, f.Leaves...)
-	return append(out, f.Spines...)
-}
+// order. The slice is shared: callers must not modify it.
+func (f *Fabric) Nodes() []*Node { return f.nodes }
 
 // Node returns the named node, or nil.
 func (f *Fabric) Node(name string) *Node {

@@ -327,9 +327,9 @@ func TestFabricSpineCrashHealthDead(t *testing.T) {
 	}
 	// Every leaf's remote destinations must route via spine0 now.
 	for _, leaf := range f.Leaves {
-		for dst := range leaf.RouteHandles {
-			if got := routePort(t, leaf, dst); got != uint64(f.UplinkPort(0)) {
-				t.Fatalf("%s: route %#x on port %d during crash, want %d", leaf.Name, dst, got, f.UplinkPort(0))
+		for _, rt := range leaf.Routes {
+			if got := routePort(t, leaf, rt.Dst); got != uint64(f.UplinkPort(0)) {
+				t.Fatalf("%s: route %#x on port %d during crash, want %d", leaf.Name, rt.Dst, got, f.UplinkPort(0))
 			}
 		}
 	}
@@ -359,10 +359,10 @@ func TestFabricSpineCrashHealthDead(t *testing.T) {
 		t.Fatalf("post-restore health %v, want healthy", h.State)
 	}
 	for _, leaf := range f.Leaves {
-		for dst := range leaf.RouteHandles {
-			want := uint64(f.UplinkPort(f.SpineFor(dst)))
-			if got := routePort(t, leaf, dst); got != want {
-				t.Fatalf("%s: post-restore route %#x on port %d, want %d", leaf.Name, dst, got, want)
+		for _, rt := range leaf.Routes {
+			want := uint64(f.UplinkPort(f.SpineFor(rt.Dst)))
+			if got := routePort(t, leaf, rt.Dst); got != want {
+				t.Fatalf("%s: post-restore route %#x on port %d, want %d", leaf.Name, rt.Dst, got, want)
 			}
 		}
 	}

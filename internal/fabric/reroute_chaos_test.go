@@ -86,9 +86,9 @@ func TestChaosSpineCrashMidGrayReroute(t *testing.T) {
 		t.Fatalf("route for %#x ends on port %d, want home %d", dst, got, f.UplinkPort(spGray))
 	}
 	for _, leaf := range f.Leaves {
-		for d := range leaf.RouteHandles {
-			if got := routeEntryCount(t, leaf, d); got != 1 {
-				t.Fatalf("%s: %d route entries for %#x, want 1", leaf.Name, got, d)
+		for _, rt := range leaf.Routes {
+			if got := routeEntryCount(t, leaf, rt.Dst); got != 1 {
+				t.Fatalf("%s: %d route entries for %#x, want 1", leaf.Name, got, rt.Dst)
 			}
 		}
 	}
@@ -177,10 +177,10 @@ func TestChaosGrayRerouteOverPartitionedChannel(t *testing.T) {
 
 			sp := f.SpineFor(HostAddr(1, 1))
 			other := uint64(f.UplinkPort(1 - sp))
-			var moved []uint32
-			for dst := range leaf.RouteHandles {
-				if f.SpineFor(dst) == sp {
-					moved = append(moved, dst)
+			var moved []Route
+			for _, rt := range leaf.Routes {
+				if f.SpineFor(rt.Dst) == sp {
+					moved = append(moved, rt)
 				}
 			}
 			if len(moved) <= tc.cut+1 {
@@ -196,14 +196,15 @@ func TestChaosGrayRerouteOverPartitionedChannel(t *testing.T) {
 				t.Fatal("the coordinator never sent leaf0 the run")
 			}
 
-			for _, dst := range moved {
+			for _, rt := range moved {
+				dst := rt.Dst
 				if got := routePort(t, leaf, dst); got != other {
 					t.Fatalf("route for %#x: port %d, want %d after the heal", dst, got, other)
 				}
 				if got := routeEntryCount(t, leaf, dst); got != 1 {
 					t.Fatalf("%d route entries for %#x, want 1 (at-most-once violated)", got, dst)
 				}
-				if got := tap.modified[leaf.RouteHandles[dst]]; got != 1 {
+				if got := tap.modified[rt.Handle]; got != 1 {
 					t.Fatalf("the move of %#x reached the switch %d times, want exactly once", dst, got)
 				}
 			}

@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/sim"
+	"repro/internal/usecases"
 )
 
 // TestRerouteScenarioModes drives the fig-reroute scenario end to end
@@ -110,5 +113,94 @@ func TestSteadyStatePacketPathAllocFree(t *testing.T) {
 	s.RunFor(200 * time.Microsecond)
 	if err := r.F.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// quietFabric builds and starts a 4×2 fabric with no traffic, lets every
+// prologue finish, then stops the agents and the probe heartbeats, so
+// that the coordinator alone drives the switches from here on.
+func quietFabric(t *testing.T) (*sim.Simulator, *Fabric) {
+	t.Helper()
+	s := sim.New(1)
+	f, err := Build(s, Config{Leaves: 4, Spines: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	s.RunFor(time.Millisecond)
+	for _, n := range f.Nodes() {
+		n.Agent.Stop()
+	}
+	f.hbTicker.Stop()
+	s.RunFor(200 * time.Microsecond)
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return s, f
+}
+
+// grayCycle feeds the coordinator leaf0's suspect and then its clear
+// for spine sp, each run to completion, as the leaf's detector would.
+func grayCycle(s *sim.Simulator, f *Fabric, sp int) {
+	for _, kind := range []string{usecases.EventGraySuspect, usecases.EventGrayClear} {
+		f.Coord.Observe(core.Event{At: s.Now(), Agent: f.Leaves[0].Name, Kind: kind, Key: uint64(f.UplinkPort(sp))})
+		s.RunFor(100 * time.Microsecond)
+	}
+}
+
+// TestRerouteMovesMemoized pins the price of a reroute: the prologue
+// memoizes every route handle the coordinator rewrites, so an exclude
+// and its restore pay only memoized table operations on the leaves.
+func TestRerouteMovesMemoized(t *testing.T) {
+	s, f := quietFabric(t)
+	leafStats := func() (st driver.Stats) {
+		for _, n := range f.Leaves {
+			ds := n.Drv.Stats()
+			st.TableOps += ds.TableOps
+			st.MemoizedOps += ds.MemoizedOps
+		}
+		return st
+	}
+	before := leafStats()
+	grayCycle(s, f, 1)
+	after := leafStats()
+	ops, memo := after.TableOps-before.TableOps, after.MemoizedOps-before.MemoizedOps
+	if moves := f.Coord.Stats().RouteMoves; ops == 0 || moves == 0 {
+		t.Fatalf("%d table ops and %d route moves on the leaves; the cycle moved nothing", ops, moves)
+	}
+	if memo != ops {
+		t.Fatalf("%d of %d leaf table ops memoized, want all", memo, ops)
+	}
+	for _, rr := range f.Coord.Reroutes() {
+		if rr.DoneAt == 0 {
+			t.Fatalf("reroute %+v never completed", rr)
+		}
+	}
+}
+
+// TestRerouteAllocatesOnlyItsLog pins that a reroute allocates nothing
+// per route move: after one warm-up cycle, an exclude→restore pair run
+// to completion (decision, installer runs over ctlchan, ctlplane and the
+// driver, settlement) allocates at most its two Reroute records and
+// their share of the log's growth. Skipped under the race detector,
+// whose instrumentation allocates.
+func TestRerouteAllocatesOnlyItsLog(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s, f := quietFabric(t)
+	grayCycle(s, f, 1)
+	moves := f.Coord.Stats().RouteMoves
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { grayCycle(s, f, 1) })
+	perPair := (f.Coord.Stats().RouteMoves - moves) / (runs + 1) // AllocsPerRun adds one warm-up call
+	if perPair == 0 {
+		t.Fatal("the pairs moved no routes")
+	}
+	t.Logf("%.2f allocations per exclude→restore pair of %d route moves", allocs, perPair)
+	// Two Reroute records per pair; the log's doubling adds well under
+	// one more per pair, averaged over the runs.
+	if allocs > 3 {
+		t.Fatalf("%.2f allocations per pair of %d route moves, budget 3 (two Reroute records and the log's growth)", allocs, perPair)
 	}
 }
