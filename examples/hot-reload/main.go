@@ -1,15 +1,14 @@
 // The hot-reload example demonstrates §7's dynamic loading: the
-// reaction body is swapped at runtime — first from one embedded C-like
-// body to another, then to a native Go function — without stopping the
-// agent or disturbing the data plane. This mirrors the original's
-// signal-triggered unload/relink of reaction .so files.
+// reaction body is swapped at runtime, twice, from one embedded C-like
+// body to the next, without stopping the agent or disturbing the data
+// plane. This mirrors the original's signal-triggered unload/relink of
+// reaction .so files.
 //
 // The reloaded bodies also update a malleable table the way the paper's
 // C-like bodies do: each iteration deletes the entry the body pinned last
-// time and adds a fresh one stamped with the time. The C-like body does
-// it through the generated library calls (hosts.delEntry, hosts.addEntry,
-// now()), the native one through Ctx.Table, and the example checks what
-// is left in the table at the end.
+// time and adds a fresh one stamped with the time, through the generated
+// library calls (hosts.delEntry, hosts.addEntry, now()), and the example
+// checks what is left in the table at the end.
 package main
 
 import (
@@ -62,6 +61,17 @@ if (pinned != 0) {
 pinned = hosts.addEntry(2, "stamp", now() % 65536);
 `
 
+// pinV3 steps the mode through 300-309. pinV2's statics went with it, so
+// its last entry stays and this body pins its own, keyed 3.
+const pinV3 = `
+static unsigned int pinned = 0;
+if (pinned != 0) {
+  hosts.delEntry(pinned);
+}
+pinned = hosts.addEntry(3, "stamp", now() % 65536);
+${mode} = 300 + (${mode} + 1) % 10;
+`
+
 func main() {
 	plan, err := compiler.CompileSource(program, compiler.DefaultOptions())
 	if err != nil {
@@ -85,39 +95,18 @@ func main() {
 	s.RunFor(100 * time.Microsecond)
 	report("v1 (compiled body)")
 
-	// Hot-swap to a new interpreted body — the agent keeps looping.
-	if err := agent.SwapReaction("policy", nil, pinV2, false); err != nil {
+	// Hot-swap to a new body — the agent keeps looping.
+	if err := agent.SwapReaction("policy", pinV2, false); err != nil {
 		log.Fatal(err)
 	}
 	s.RunFor(100 * time.Microsecond)
 	report("v2 (reloaded body)")
 
-	// Hot-swap to a native Go policy that steps the mode through 300-309.
-	// The C-like body's statics went with it, so its last entry stays and
-	// this body pins its own, keyed 3.
-	var pinned core.UserHandle
-	if err := agent.SwapReaction("policy", func(ctx *core.Ctx) error {
-		tbl, err := ctx.Table("hosts")
-		if err != nil {
-			return err
-		}
-		if pinned != 0 {
-			if err := tbl.DeleteEntry(pinned); err != nil {
-				return err
-			}
-		}
-		pinned, err = tbl.AddEntry(core.UserEntry{
-			Keys: []rmt.KeySpec{rmt.ExactKey(3)}, Action: "stamp", Data: []uint64{uint64(ctx.Now()) % 65536},
-		})
-		if err != nil {
-			return err
-		}
-		return ctx.SetMbl("mode", 300+(ctx.Mbl("mode")+1)%10)
-	}, "", false); err != nil {
+	if err := agent.SwapReaction("policy", pinV3, false); err != nil {
 		log.Fatal(err)
 	}
 	s.RunFor(100 * time.Microsecond)
-	report("v3 (native function)")
+	report("v3 (reloaded body)")
 
 	agent.Stop()
 	s.Run()

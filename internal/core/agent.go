@@ -378,19 +378,17 @@ func (a *Agent) stopRequested() bool { return a.stopReq.Load() }
 // reactionSwap is a staged reaction reload.
 type reactionSwap struct {
 	name      string
-	native    NativeReaction
 	body      string
 	rerunInit bool
 }
 
 // SwapReaction replaces a running reaction's body without stopping the
 // agent — the paper's dynamic-loading path: the swap takes effect after
-// the current dialogue iteration completes. Exactly one of native or
-// body must be provided; rerunInit re-executes the user prologue hook
-// after linking.
-func (a *Agent) SwapReaction(name string, native NativeReaction, body string, rerunInit bool) error {
-	if (native == nil) == (body == "") {
-		return fmt.Errorf("core: SwapReaction needs exactly one of a native function or a body")
+// the current dialogue iteration completes. rerunInit re-executes the
+// user prologue hook after linking.
+func (a *Agent) SwapReaction(name, body string, rerunInit bool) error {
+	if body == "" {
+		return fmt.Errorf("core: SwapReaction needs a body")
 	}
 	found := false
 	for _, r := range a.plan.Reactions {
@@ -401,7 +399,7 @@ func (a *Agent) SwapReaction(name string, native NativeReaction, body string, re
 	if !found {
 		return fmt.Errorf("core: no reaction %q", name)
 	}
-	a.pendingSwaps = append(a.pendingSwaps, reactionSwap{name: name, native: native, body: body, rerunInit: rerunInit})
+	a.pendingSwaps = append(a.pendingSwaps, reactionSwap{name: name, body: body, rerunInit: rerunInit})
 	return nil
 }
 
@@ -415,17 +413,12 @@ func (a *Agent) applySwaps(p *sim.Proc) error {
 			if rr.info.Name != sw.name {
 				continue
 			}
-			if sw.native != nil {
-				rr.native = sw.native
-				rr.prog = nil
-			} else {
-				prog, err := rcl.Compile(sw.body)
-				if err != nil {
-					return fmt.Errorf("swap %s: %w", sw.name, err)
-				}
-				rr.prog = prog
-				rr.native = nil
+			prog, err := rcl.Compile(sw.body)
+			if err != nil {
+				return fmt.Errorf("swap %s: %w", sw.name, err)
 			}
+			rr.prog = prog
+			rr.native = nil
 			// Relink the compiled dispatch (frame bindings, buffers) to
 			// the new body.
 			a.setupReactionRuntime(p, rr)

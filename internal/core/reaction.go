@@ -39,15 +39,6 @@ func (c *Ctx) Field(name string) uint64 { return c.fields[name] }
 // [lo..hi] cells hold the freshest serializable values.
 func (c *Ctx) Reg(name string) []uint64 { return c.regs[name] }
 
-// Mbl returns the visible value of a malleable (pending write from this
-// iteration, else last committed).
-func (c *Ctx) Mbl(name string) uint64 {
-	if v, ok := c.agent.pendingMbl[name]; ok {
-		return v
-	}
-	return c.agent.mblCache[name]
-}
-
 // SetMbl stages a write to a malleable value (or a malleable field's
 // alt index); it commits atomically with the iteration's vv flip.
 func (c *Ctx) SetMbl(name string, v uint64) error {
@@ -80,7 +71,7 @@ func (t *RxnTable) ModifyEntry(h UserHandle, action string, data []uint64) error
 }
 
 // DeleteEntry stages a user entry removal.
-func (t *RxnTable) DeleteEntry(h UserHandle) error { return t.th.DeleteEntry(t.p, h) }
+func (t *RxnTable) DeleteEntry(h UserHandle) error { return t.th.tm.deleteEntry(t.p, h) }
 
 // stageMblWrite validates and stages a malleable write.
 func (a *Agent) stageMblWrite(name string, v uint64) error {
@@ -468,6 +459,14 @@ func (a *Agent) registerDefaultBuiltins() {
 		}
 		ag.emit(p, args[0].S, uint64(args[1].I), uint64(args[2].I))
 		return 0, nil
+	}
+	// rand(n) draws uniformly from [0, n) with the simulator's seeded
+	// RNG, so a body that explores repeats under one seed.
+	a.builtins["rand"] = func(_ *sim.Proc, ag *Agent, args []rcl.Arg) (int64, error) {
+		if len(args) != 1 || args[0].IsStr || args[0].I <= 0 {
+			return 0, fmt.Errorf("rand(n) needs one positive integer")
+		}
+		return ag.sim.Rand().Int63n(args[0].I), nil
 	}
 	// channel_clean() is 1 unless the agent's control channel retransmitted
 	// or timed out since the previous call. A reaction that measures over

@@ -78,15 +78,6 @@ type RecoveryOptions struct {
 	// of reacting to ancient data. Zero = no bound (a reaction degrades
 	// indefinitely).
 	StalenessBudget time.Duration
-	// ChannelRTT, when set with WatchdogRTTs, scales the iteration
-	// watchdog to the control channel: an explicit IterationDeadline
-	// wins, otherwise the deadline is WatchdogRTTs * ChannelRTT. A
-	// fixed wall deadline tuned for an in-process channel trips
-	// constantly once every driver op pays a real (and possibly
-	// retransmitted) round trip; scaling by RTT keeps the watchdog
-	// meaningful across channel speeds.
-	ChannelRTT   time.Duration
-	WatchdogRTTs int
 }
 
 // DefaultRecovery returns the recovery configuration used by cmd/mantisd
@@ -110,15 +101,16 @@ const (
 )
 
 // RecoveryForChannel returns DefaultRecovery rescaled to a message
-// channel with the given fault-free round trip time: the watchdog
-// becomes RTT-proportional (DefaultWatchdogRTTs round trips) instead of
-// a fixed wall deadline, and the retry backoff starts at one RTT.
+// channel with the given fault-free round trip time: the watchdog is
+// DefaultWatchdogRTTs round trips instead of a fixed wall deadline, and
+// the retry backoff starts at one RTT. A fixed deadline tuned for an
+// in-process channel trips constantly once every driver op pays a real
+// (and possibly retransmitted) round trip; scaling by RTT keeps the
+// watchdog meaningful across channel speeds.
 func RecoveryForChannel(rtt time.Duration) RecoveryOptions {
 	r := DefaultRecovery()
 	if rtt > 0 {
-		r.IterationDeadline = 0
-		r.ChannelRTT = rtt
-		r.WatchdogRTTs = DefaultWatchdogRTTs
+		r.IterationDeadline = DefaultWatchdogRTTs * rtt
 		r.RetryBackoff = rtt
 	}
 	return r
@@ -131,22 +123,17 @@ func RecoveryForChannel(rtt time.Duration) RecoveryOptions {
 const DefaultWatchdogRTTs = 400
 
 // watchdogDeadline computes the iteration watchdog cutoff starting at
-// start: an explicit IterationDeadline wins; otherwise WatchdogRTTs
-// channel round trips; otherwise no watchdog (0).
+// start, or 0 for no watchdog.
 func (r RecoveryOptions) watchdogDeadline(start sim.Time) sim.Time {
 	if r.IterationDeadline > 0 {
 		return start.Add(r.IterationDeadline)
-	}
-	if r.ChannelRTT > 0 && r.WatchdogRTTs > 0 {
-		return start.Add(time.Duration(r.WatchdogRTTs) * r.ChannelRTT)
 	}
 	return 0
 }
 
 // Enabled reports whether any recovery behavior is configured.
 func (r RecoveryOptions) Enabled() bool {
-	return r.MaxAttempts > 1 || r.IterationDeadline > 0 ||
-		(r.ChannelRTT > 0 && r.WatchdogRTTs > 0)
+	return r.MaxAttempts > 1 || r.IterationDeadline > 0
 }
 
 // recoverable reports whether err abandons the iteration (rollback and

@@ -354,11 +354,6 @@ func (th *TableHandle) ModifyEntry(p *sim.Proc, h UserHandle, action string, dat
 	return th.tm.modifyEntry(p, h, action, data)
 }
 
-// DeleteEntry removes a user entry.
-func (th *TableHandle) DeleteEntry(p *sim.Proc, h UserHandle) error {
-	return th.tm.deleteEntry(p, h)
-}
-
 // Entries returns the user-level entries (sorted by handle).
 func (th *TableHandle) Entries() []UserEntry {
 	hs := th.tm.handles()

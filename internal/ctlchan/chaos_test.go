@@ -598,8 +598,6 @@ func TestWatchdogScalesWithRTT(t *testing.T) {
 	// the two reaction prepares alone take ~2 RTTs (~104µs), so every
 	// iteration trips before its master flip can commit.
 	fixed := buildStack(t, slowDelay, ClientOptions{}, func(rec *core.RecoveryOptions) {
-		rec.ChannelRTT = 0
-		rec.WatchdogRTTs = 0
 		rec.IterationDeadline = 100 * time.Microsecond
 	})
 	fixed.run(faults.LinkNone(), 20*time.Millisecond)

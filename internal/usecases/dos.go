@@ -130,6 +130,10 @@ const (
 	EventPolarWindow = "polar.window"
 	// EventPolarShift reports a hash-input shift to alternative Key.
 	EventPolarShift = "polar.shift"
+	// EventRLUpdate reports one Q-learning update: Key is the greedy
+	// threshold for a 16-31 packet queue after it, Val the step's reward
+	// as a two's-complement fixed-point value with 32 fractional bits.
+	EventRLUpdate = "rl.update"
 )
 
 // DosAddressing places one instance of the DoS scenario onto a

@@ -13,6 +13,7 @@ package usecases_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -182,11 +183,9 @@ func (h *replayHost) Call(name string, args []rcl.Arg) (int64, error) {
 	return 0, fmt.Errorf("unknown builtin %s", name)
 }
 
-// replay runs the reaction's rcl body over the recorded stream and fails
-// t at the first poll whose decisions differ from the oracle's. It
-// returns the number of decisions compared.
-func (rec *recording) replay(t *testing.T, label string) int {
-	t.Helper()
+// frame builds the reaction's rcl body with its parameters bound, and
+// the function that loads one recorded poll into them.
+func (rec *recording) frame() (*rcl.Frame, func(*poll)) {
 	info := rec.info
 	fr := rcl.NewProgram(info.Stmts).NewFrame()
 	scalars := map[string]*int64{}
@@ -200,8 +199,7 @@ func (rec *recording) replay(t *testing.T, label string) int {
 		arrays[rp.Var] = make([]int64, rp.Hi+1)
 		fr.BindArray(rp.Var, arrays[rp.Var])
 	}
-	decisions := 0
-	for i, p := range rec.polls {
+	return fr, func(p *poll) {
 		for k, v := range p.fields {
 			*scalars[k] = int64(v)
 		}
@@ -210,13 +208,25 @@ func (rec *recording) replay(t *testing.T, label string) int {
 				arrays[k][j] = int64(x)
 			}
 		}
+	}
+}
+
+// replay runs the reaction's rcl body over the recorded stream and fails
+// t at the first poll whose decisions differ from the oracle's. It
+// returns the number of decisions compared.
+func (rec *recording) replay(t *testing.T, label string) int {
+	t.Helper()
+	fr, load := rec.frame()
+	decisions := 0
+	for i, p := range rec.polls {
+		load(p)
 		h := &replayHost{p: p}
 		if err := fr.Exec(h); err != nil {
-			t.Fatalf("%s %s poll %d at %v: %v", label, info.Name, i, p.now, err)
+			t.Fatalf("%s %s poll %d at %v: %v", label, rec.info.Name, i, p.now, err)
 		}
 		if !slices.Equal(h.got, p.want) || h.clean != len(p.clean) {
 			t.Fatalf("%s %s poll %d at %v (channel_clean asked %d, oracle %d):\n rcl    %q\n oracle %q",
-				label, info.Name, i, p.now, h.clean, len(p.clean), h.got, p.want)
+				label, rec.info.Name, i, p.now, h.clean, len(p.clean), h.got, p.want)
 		}
 		decisions += len(p.want)
 	}
@@ -459,6 +469,452 @@ func meanAbsDevFromMedian(xs []float64) float64 {
 	return sum / float64(n)
 }
 
+// qConfig parameterizes qLearner.
+type qConfig struct {
+	// States and Actions size the Q table.
+	States  int
+	Actions int
+	// Alpha is the learning rate, Gamma the discount factor.
+	Alpha float64
+	Gamma float64
+	// Epsilon is the exploration probability; it decays by EpsilonDecay
+	// (multiplicative) after each update, to a floor of MinEpsilon.
+	Epsilon      float64
+	EpsilonDecay float64
+	MinEpsilon   float64
+	Seed         int64
+}
+
+// defaultQConfig returns the hyperparameters rl_react hard-codes.
+func defaultQConfig(states, actions int) qConfig {
+	return qConfig{
+		States: states, Actions: actions,
+		Alpha: 0.2, Gamma: 0.9,
+		Epsilon: 0.3, EpsilonDecay: 0.999, MinEpsilon: 0.02,
+		Seed: 1,
+	}
+}
+
+// draws is where a qLearner's exploration comes from.
+type draws interface {
+	Float64() float64
+	Intn(n int) int
+}
+
+// qLearner is tabular off-policy Q-learning with an ε-greedy behaviour
+// policy, the TD control algorithm (Sutton & Barto) of use case #4, in
+// float64: the oracle rl_react's fixed-point body is held to.
+type qLearner struct {
+	cfg qConfig
+	q   [][]float64
+	rng draws
+}
+
+// newQLearner builds a learner with a zero-initialized Q table.
+func newQLearner(cfg qConfig) (*qLearner, error) {
+	if cfg.States <= 0 || cfg.Actions <= 0 {
+		return nil, fmt.Errorf("rl: need positive state/action counts, got %d/%d", cfg.States, cfg.Actions)
+	}
+	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
+		return nil, fmt.Errorf("rl: alpha %v out of (0,1]", cfg.Alpha)
+	}
+	if cfg.Gamma < 0 || cfg.Gamma > 1 {
+		return nil, fmt.Errorf("rl: gamma %v out of [0,1]", cfg.Gamma)
+	}
+	q := make([][]float64, cfg.States)
+	for i := range q {
+		q[i] = make([]float64, cfg.Actions)
+	}
+	return &qLearner{cfg: cfg, q: q, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+}
+
+// Best returns the greedy action for a state (ties break toward the
+// lowest index, deterministically).
+func (l *qLearner) Best(state int) int {
+	best, bestV := 0, l.q[state][0]
+	for a := 1; a < l.cfg.Actions; a++ {
+		if l.q[state][a] > bestV {
+			best, bestV = a, l.q[state][a]
+		}
+	}
+	return best
+}
+
+// Act picks an action ε-greedily.
+func (l *qLearner) Act(state int) int {
+	if l.rng.Float64() < l.cfg.Epsilon {
+		return l.rng.Intn(l.cfg.Actions)
+	}
+	return l.Best(state)
+}
+
+// Update applies one TD(0) control update for the transition
+// (s, a, r, s') and decays ε.
+func (l *qLearner) Update(s, a int, r float64, s2 int) {
+	maxNext := l.q[s2][l.Best(s2)]
+	l.q[s][a] += l.cfg.Alpha * (r + l.cfg.Gamma*maxNext - l.q[s][a])
+	if l.cfg.Epsilon > l.cfg.MinEpsilon {
+		l.cfg.Epsilon *= l.cfg.EpsilonDecay
+		if l.cfg.Epsilon < l.cfg.MinEpsilon {
+			l.cfg.Epsilon = l.cfg.MinEpsilon
+		}
+	}
+}
+
+// rlOracle is use case #4's tuner in float64: the state is the polled
+// depth's bucket, the reward the bottleneck's utilization (at most 1)
+// minus β·state/8 with β = 1/2, and each poll updates the previous
+// step's Q-value before it picks the next threshold.
+type rlOracle struct {
+	l       *qLearner
+	linkBps float64
+
+	lastTx    uint64
+	lastTime  sim.Time
+	lastState int
+	lastAct   int
+	primed    bool
+}
+
+// rlThresholds is the action space: candidate ECN thresholds.
+var rlThresholds = []uint64{2, 4, 8, 16, 32, 64, 128}
+
+func newRLOracle(linkBps float64) *rlOracle {
+	l, err := newQLearner(defaultQConfig(8, len(rlThresholds)))
+	if err != nil {
+		panic(err)
+	}
+	return &rlOracle{l: l, linkBps: linkBps}
+}
+
+// qdepth buckets: 0, 1-2, 3-7, 8-15, 16-31, 32-63, 64-127, 128+
+func depthState(q uint64) int {
+	switch {
+	case q == 0:
+		return 0
+	case q <= 2:
+		return 1
+	case q <= 7:
+		return 2
+	case q <= 15:
+		return 3
+	case q <= 31:
+		return 4
+	case q <= 63:
+		return 5
+	case q <= 127:
+		return 6
+	default:
+		return 7
+	}
+}
+
+// step is one poll. It returns the action taken, -1 for none, and
+// whether it updated, with the update's reward.
+func (o *rlOracle) step(now sim.Time, q, tx uint64) (act int, updated bool, reward float64) {
+	state := depthState(q)
+	if !o.primed {
+		o.primed = true
+		o.lastTx, o.lastTime, o.lastState = tx, now, state
+		o.lastAct = o.l.Act(state)
+		return o.lastAct, false, 0
+	}
+	elapsed := now.Sub(o.lastTime).Seconds()
+	if elapsed <= 0 {
+		return -1, false, 0
+	}
+	util := float64((tx-o.lastTx)*8) / elapsed / o.linkBps
+	if util > 1 {
+		util = 1
+	}
+	reward = util - 0.5*float64(state)/8.0
+	o.l.Update(o.lastState, o.lastAct, reward, state)
+	o.lastState, o.lastAct = state, o.l.Act(state)
+	o.lastTx, o.lastTime = tx, now
+	return o.lastAct, true, reward
+}
+
+// react is the oracle as a live reaction.
+func (o *rlOracle) react(l *live) error {
+	act, _, _ := o.step(l.Now(), l.Reg("q_sample")[0], l.Reg("tx_bytes")[0])
+	if act < 0 {
+		return nil
+	}
+	return l.SetMbl("ecn_thresh", rlThresholds[act])
+}
+
+// draw is one number an oracle drew: u from Float64, or k from Intn(n).
+type draw struct {
+	u    float64
+	n, k int
+}
+
+// drawLog passes a seeded source's draws through and keeps them.
+type drawLog struct {
+	src  *rand.Rand
+	kept []draw
+}
+
+func (d *drawLog) Float64() float64 {
+	u := d.src.Float64()
+	d.kept = append(d.kept, draw{u: u})
+	return u
+}
+
+func (d *drawLog) Intn(n int) int {
+	k := d.src.Intn(n)
+	d.kept = append(d.kept, draw{n: n, k: k})
+	return k
+}
+
+// rlHost replays RL's body: rand answers from the oracle's draws in
+// order, a Float64 draw u as floor(u·n), and the threshold writes and
+// update rewards are kept as numbers.
+type rlHost struct {
+	replayHost
+	draws   []draw
+	thresh  []int64
+	rewards []int64
+}
+
+func (h *rlHost) WriteMbl(name string, v int64) error {
+	h.thresh = append(h.thresh, v)
+	return nil
+}
+
+func (h *rlHost) Call(name string, args []rcl.Arg) (int64, error) {
+	switch name {
+	case "rand":
+		n := args[0].I
+		if len(h.draws) == 0 {
+			// The body explores where the oracle did not: any answer
+			// will do, since that poll's ε draw lies at ε.
+			return 0, nil
+		}
+		d := h.draws[0]
+		h.draws = h.draws[1:]
+		if d.n == 0 {
+			return int64(d.u * float64(n)), nil
+		}
+		if int64(d.n) != n {
+			return 0, fmt.Errorf("rand(%d) answered by the oracle's Intn(%d)", n, d.n)
+		}
+		return int64(d.k), nil
+	case "emit":
+		if args[0].S != usecases.EventRLUpdate {
+			return 0, fmt.Errorf("unexpected event %q", args[0].S)
+		}
+		h.rewards = append(h.rewards, args[2].I)
+		return 0, nil
+	}
+	return h.replayHost.Call(name, args)
+}
+
+// rlResolution is how far apart the body's fixed-point values (32
+// fractional bits, truncated) and the oracle's float64 ones may drift
+// over a run: every reward must agree to within it, and the body may
+// pick another threshold than the oracle only on a poll where the
+// oracle's ε draw and ε, or the top two Q-values of the greedy state,
+// lie within it.
+const rlResolution = 1.0 / (1 << 20)
+
+// replayRL runs RL's body over the recorded stream beside a fresh float
+// oracle stepped on the same polls with the live oracle's seed, whose
+// draws answer the body's rand. Until the two first part at a near-tie,
+// the replayed oracle must decide as the live one did; at a near-tie it
+// takes the body's action, so both go on learning the same transitions.
+// It returns the number of polls compared and of near-tie departures.
+func (rec *recording) replayRL(t *testing.T, linkBps float64) (polls, ties int) {
+	t.Helper()
+	fr, load := rec.frame()
+	o := newRLOracle(linkBps)
+	log := &drawLog{src: rand.New(rand.NewSource(o.l.cfg.Seed))}
+	o.l.rng = log
+	for i, p := range rec.polls {
+		log.kept = log.kept[:0]
+		act, updated, reward := o.step(p.now, p.regs["q_sample"][0], p.regs["tx_bytes"][0])
+		eps := o.l.cfg.Epsilon // as the step's Act saw it
+		var want []int64
+		if act >= 0 {
+			want = []int64{int64(rlThresholds[act])}
+			if ties == 0 && !slices.Equal(p.want, []string{fmt.Sprintf("${ecn_thresh} = %d", want[0])}) {
+				t.Fatalf("poll %d: the replayed oracle sets %d, the live one %q", i, want[0], p.want)
+			}
+		}
+		load(p)
+		h := &rlHost{replayHost: replayHost{p: p}, draws: slices.Clone(log.kept)}
+		if err := fr.Exec(h); err != nil {
+			t.Fatalf("poll %d at %v: %v", i, p.now, err)
+		}
+		if updated != (len(h.rewards) == 1) || len(h.rewards) > 1 {
+			t.Fatalf("poll %d: oracle updated %v, body emitted %d updates", i, updated, len(h.rewards))
+		}
+		if updated {
+			if got := float64(h.rewards[0]) / (1 << 32); math.Abs(got-reward) > rlResolution {
+				t.Fatalf("poll %d: reward %v, oracle %v", i, got, reward)
+			}
+		}
+		if len(want) == 0 && len(h.thresh) == 0 {
+			continue
+		}
+		polls++
+		if slices.Equal(h.thresh, want) {
+			continue
+		}
+		if len(want) == 0 || len(h.thresh) != 1 {
+			t.Fatalf("poll %d: body sets %v, oracle %v", i, h.thresh, want)
+		}
+		// A departure is allowed only at a near-tie.
+		state := depthState(p.regs["q_sample"][0])
+		row := slices.Clone(o.l.q[state])
+		slices.Sort(row)
+		near := math.Abs(log.kept[0].u-eps) < rlResolution ||
+			(log.kept[0].u >= eps && row[len(row)-1]-row[len(row)-2] < rlResolution)
+		if !near {
+			t.Fatalf("poll %d at %v: body sets %d, oracle %d (ε draw %v of %v, Q row %v)",
+				i, p.now, h.thresh[0], want[0], log.kept[0].u, eps, o.l.q[state])
+		}
+		ties++
+		o.lastAct = slices.Index(rlThresholds, uint64(h.thresh[0]))
+	}
+	return polls, ties
+}
+
+func TestQLearnerNewValidation(t *testing.T) {
+	if _, err := newQLearner(qConfig{States: 0, Actions: 2, Alpha: 0.1}); err == nil {
+		t.Fatal("zero states accepted")
+	}
+	if _, err := newQLearner(qConfig{States: 2, Actions: 2, Alpha: 0}); err == nil {
+		t.Fatal("zero alpha accepted")
+	}
+	if _, err := newQLearner(qConfig{States: 2, Actions: 2, Alpha: 0.5, Gamma: 1.5}); err == nil {
+		t.Fatal("gamma > 1 accepted")
+	}
+	if _, err := newQLearner(defaultQConfig(4, 3)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQLearnerUpdateMovesTowardTarget(t *testing.T) {
+	l, _ := newQLearner(qConfig{States: 2, Actions: 2, Alpha: 0.5, Gamma: 0, Seed: 1})
+	l.Update(0, 1, 10, 1)
+	if l.q[0][1] != 5 { // 0 + 0.5*(10 - 0)
+		t.Fatalf("Q(0,1) = %v", l.q[0][1])
+	}
+	l.Update(0, 1, 10, 1)
+	if l.q[0][1] != 7.5 {
+		t.Fatalf("Q(0,1) = %v", l.q[0][1])
+	}
+}
+
+func TestQLearnerBestAndGreedy(t *testing.T) {
+	l, _ := newQLearner(qConfig{States: 1, Actions: 3, Alpha: 1, Gamma: 0, Epsilon: 0, Seed: 1})
+	l.Update(0, 2, 5, 0)
+	if l.Best(0) != 2 {
+		t.Fatalf("Best = %d", l.Best(0))
+	}
+	if l.Act(0) != 2 {
+		t.Fatal("greedy Act ignored best action")
+	}
+}
+
+func TestQLearnerEpsilonDecay(t *testing.T) {
+	cfg := defaultQConfig(2, 2)
+	cfg.Epsilon = 1.0
+	cfg.EpsilonDecay = 0.5
+	cfg.MinEpsilon = 0.1
+	l, _ := newQLearner(cfg)
+	for i := 0; i < 10; i++ {
+		l.Update(0, 0, 0, 0)
+	}
+	if l.cfg.Epsilon != 0.1 {
+		t.Fatalf("epsilon = %v, want floor 0.1", l.cfg.Epsilon)
+	}
+}
+
+func TestQLearnerExplorationHappens(t *testing.T) {
+	cfg := defaultQConfig(1, 4)
+	cfg.Epsilon = 1.0
+	cfg.EpsilonDecay = 1.0
+	l, _ := newQLearner(cfg)
+	seen := map[int]bool{}
+	for i := 0; i < 200; i++ {
+		seen[l.Act(0)] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("pure exploration visited %d/4 actions", len(seen))
+	}
+}
+
+// TestQLearnerLearnsSimpleMDP: a 1-state bandit where action 1 pays 1 and
+// action 0 pays 0 — the learner must converge to action 1.
+func TestQLearnerLearnsSimpleMDP(t *testing.T) {
+	cfg := defaultQConfig(1, 2)
+	l, _ := newQLearner(cfg)
+	for i := 0; i < 500; i++ {
+		a := l.Act(0)
+		r := 0.0
+		if a == 1 {
+			r = 1
+		}
+		l.Update(0, a, r, 0)
+	}
+	if l.Best(0) != 1 {
+		t.Fatalf("did not learn the bandit: Q = [%v %v]", l.q[0][0], l.q[0][1])
+	}
+}
+
+// TestQLearnerLearnsChainMDP: states 0..4; action 1 moves right (reward 1 at
+// the end), action 0 stays. Discounted lookahead must propagate value
+// back so the learner walks right from state 0.
+func TestQLearnerLearnsChainMDP(t *testing.T) {
+	cfg := defaultQConfig(5, 2)
+	cfg.Epsilon = 0.3
+	l, _ := newQLearner(cfg)
+	rng := rand.New(rand.NewSource(2))
+	s := 0
+	for i := 0; i < 20000; i++ {
+		a := l.Act(s)
+		s2, r := s, 0.0
+		if a == 1 {
+			s2 = s + 1
+			if s2 == 4 {
+				r = 1
+				s2 = 0 // episode restarts
+			}
+		}
+		l.Update(s, a, r, s2)
+		s = s2
+		if rng.Float64() < 0.01 {
+			s = rng.Intn(4)
+		}
+	}
+	for st := 0; st < 4; st++ {
+		if l.Best(st) != 1 {
+			t.Fatalf("state %d: best = %d, want move-right", st, l.Best(st))
+		}
+	}
+}
+
+func TestQLearnerDeterministicPerSeed(t *testing.T) {
+	run := func() []int {
+		l, _ := newQLearner(defaultQConfig(3, 3))
+		var out []int
+		for i := 0; i < 100; i++ {
+			a := l.Act(i % 3)
+			out = append(out, a)
+			l.Update(i%3, a, float64(i%5), (i+1)%3)
+		}
+		return out
+	}
+	a, b := run(), run()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("nondeterministic trajectory")
+		}
+	}
+}
+
 func TestMAD(t *testing.T) {
 	// Balanced: identical values -> deviation 0.
 	if meanAbsDevFromMedian([]float64{7, 7, 7, 7}) != 0 {
@@ -505,9 +961,10 @@ func TestPropertyMADTranslationInvariant(t *testing.T) {
 
 // TestReactionsMatchOracles replays every ported reaction's poll stream
 // through its rcl body and requires the oracle's decisions on every
-// poll: Fig. 15, every Fig. 16 sweep point and trial, RunPolar, the DoS
-// fabric's leaves (both reactions) and the reroute fabric's gray leaves,
-// at the sizes, modes and seeds the experiments run.
+// poll: Fig. 15, every Fig. 16 sweep point and trial, RunPolar, RunRL
+// (up to near-ties, see rlResolution), the DoS fabric's leaves (both
+// reactions) and the reroute fabric's gray leaves, at the sizes, modes
+// and seeds the experiments run.
 func TestReactionsMatchOracles(t *testing.T) {
 	t.Run("fig15", func(t *testing.T) {
 		rig, err := usecases.BuildDos(1, usecases.DefaultDosAddressing().Routes(25))
@@ -569,6 +1026,24 @@ func TestReactionsMatchOracles(t *testing.T) {
 			if rec.replay(t, fmt.Sprint("seed ", seed)) == 0 || !res.Shifted {
 				t.Fatalf("seed %d: the stream holds no shift", seed)
 			}
+		}
+	})
+	t.Run("rl", func(t *testing.T) {
+		// RunRL's streams: the test's seed and the example's.
+		for _, seed := range []int64{1, 5} {
+			rig, err := usecases.BuildRL(seed, 50*time.Microsecond, 1e9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := record(t, rig.Agent, rig.Plan, "rl_react", nil, newRLOracle(1e9).react)
+			if _, err := rig.RunRL(50 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			polls, ties := rec.replayRL(t, 1e9)
+			if polls < 900 {
+				t.Fatalf("seed %d: the stream holds only %d decisions", seed, polls)
+			}
+			t.Logf("seed %d: %d polls, %d near-tie departures", seed, polls, ties)
 		}
 	})
 	sizes := []struct{ leaves, spines int }{{2, 2}, {4, 2}, {6, 3}}

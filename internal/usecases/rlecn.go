@@ -1,6 +1,8 @@
 package usecases
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/compiler"
@@ -8,14 +10,17 @@ import (
 	"repro/internal/driver"
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/rl"
 	"repro/internal/rmt"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // RLECNP4R is use case #4's program: the DCTCP ECN marking threshold
 // is a malleable value compared against queue depth in the egress
 // pipeline; queue depth and a byte counter are polled as the RL state.
+// The reaction learns the threshold with ε-greedy Q-learning, whose
+// reward combines link utilization with a queue penalty ("the sum of the
+// utilization ... with the inverse of queue length"), all in integers.
 const RLECNP4R = `
 header_type ipv4_t {
   fields { srcAddr : 32; dstAddr : 32; protocol : 8; ecn : 1; }
@@ -59,7 +64,58 @@ table sampler {
 }
 
 reaction rl_react(reg q_sample, reg tx_bytes) {
-  // Implemented natively: off-policy Q-learning over the threshold.
+  // Tabular Q-learning (TD control) over queue depth. Action a sets the
+  // threshold to 2 << a packets, 2 to 128. The state is the depth's
+  // bucket: empty, 1-2, 3-7, 8-15, 16-31, 32-63, 64-127, 128 or more.
+  // Q-values, rewards and epsilon are fixed point with 32 fractional
+  // bits, exact while a window carries under 2^31 bits.
+  int link_bps = 1000000000;
+  int one = 1 << 32;
+  static int q[56];
+  static int eps = 3 * (1 << 32) / 10;
+  static int primed = 0;
+  static int last_tx = 0, last_t = 0, last_s = 0, last_a = 0;
+  int depth = q_sample[0];
+  int s = (depth > 0) + (depth > 2) + (depth > 7) + (depth > 15) +
+          (depth > 31) + (depth > 63) + (depth > 127);
+  int t = now();
+  if (primed) {
+    int dt = t - last_t;
+    if (dt <= 0) return;
+    // Reward: the bottleneck's utilization over the window, at most 1,
+    // minus the depth bucket over 16.
+    int bits = (tx_bytes[0] - last_tx) * 8;
+    int cap = dt * link_bps / 1000000000;
+    int util = one;
+    if (bits < cap) util = bits * one / cap;
+    int reward = util - s * one / 16;
+    // Q(s, a) += alpha * (reward + gamma * max Q(s', .) - Q(s, a)) for
+    // the previous step, with alpha = 1/5 and gamma = 9/10.
+    int next = q[7 * s];
+    for (int a = 1; a < 7; a++) next = max(next, q[7 * s + a]);
+    int i = 7 * last_s + last_a;
+    q[i] += (reward + next * 9 / 10 - q[i]) / 5;
+    // Exploration decays by 0.999 per update, to a floor of 0.02.
+    if (eps > one / 50) eps = max(eps * 999 / 1000, one / 50);
+    // The learned threshold is the greedy one for a 16-31 packet queue.
+    int mid = 0;
+    for (int a = 1; a < 7; a++) if (q[28 + a] > q[28 + mid]) mid = a;
+    emit("rl.update", 2 << mid, reward);
+  }
+  // Epsilon-greedy: explore with probability eps, else take the best
+  // action, the lowest on a tie.
+  int act = 0;
+  if (rand(one) < eps) {
+    act = rand(7);
+  } else {
+    for (int a = 1; a < 7; a++) if (q[7 * s + a] > q[7 * s + act]) act = a;
+  }
+  primed = 1;
+  last_tx = tx_bytes[0];
+  last_t = t;
+  last_s = s;
+  last_a = act;
+  ${ecn_thresh} = 2 << act;
 }
 
 control ingress {
@@ -73,97 +129,10 @@ control egress {
 }
 `
 
-// RLTuner is the native reaction body of use case #4: ε-greedy
-// Q-learning over discretized queue depth, with actions that move the
-// ECN threshold and a reward of throughput minus a queue penalty
-// (maximizing "the sum of the utilization ... with the inverse of
-// queue length").
-type RLTuner struct {
-	Learner *rl.QLearner
-	// Thresholds is the action space: candidate ECN thresholds.
-	Thresholds []uint64
-	// Beta weights the queue-length penalty against utilization.
-	Beta float64
-	// LinkBps normalizes the throughput term.
-	LinkBps float64
-
-	lastTx    uint64
-	lastTime  sim.Time
-	lastState int
-	lastAct   int
-	primed    bool
-
-	// RewardHistory records the per-step rewards (for convergence
-	// checks); ThresholdHistory the chosen thresholds.
-	RewardHistory    []float64
-	ThresholdHistory []uint64
-}
-
-// qdepth buckets: 0, 1-2, 3-7, 8-15, 16-31, 32-63, 64-127, 128+
-func depthState(q uint64) int {
-	switch {
-	case q == 0:
-		return 0
-	case q <= 2:
-		return 1
-	case q <= 7:
-		return 2
-	case q <= 15:
-		return 3
-	case q <= 31:
-		return 4
-	case q <= 63:
-		return 5
-	case q <= 127:
-		return 6
-	default:
-		return 7
-	}
-}
-
-// NewRLTuner builds the tuner.
-func NewRLTuner(linkBps float64, seed int64) (*RLTuner, error) {
-	thresholds := []uint64{2, 4, 8, 16, 32, 64, 128}
-	cfg := rl.DefaultConfig(8, len(thresholds))
-	cfg.Seed = seed
-	l, err := rl.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &RLTuner{Learner: l, Thresholds: thresholds, Beta: 0.5, LinkBps: linkBps}, nil
-}
-
-// React is the reaction body (registered for "rl_react").
-func (r *RLTuner) React(ctx *core.Ctx) error {
-	q := ctx.Reg("q_sample")[0]
-	tx := ctx.Reg("tx_bytes")[0]
-	now := ctx.Now()
-	state := depthState(q)
-	if !r.primed {
-		r.primed = true
-		r.lastTx, r.lastTime, r.lastState = tx, now, state
-		r.lastAct = r.Learner.Act(state)
-		return ctx.SetMbl("ecn_thresh", r.Thresholds[r.lastAct])
-	}
-	elapsed := now.Sub(r.lastTime).Seconds()
-	if elapsed <= 0 {
-		return nil
-	}
-	util := float64((tx-r.lastTx)*8) / elapsed / r.LinkBps
-	if util > 1 {
-		util = 1
-	}
-	// Reward: utilization plus inverse queue pressure.
-	reward := util - r.Beta*float64(depthState(q))/8.0
-	r.RewardHistory = append(r.RewardHistory, reward)
-	r.Learner.Update(r.lastState, r.lastAct, reward, state)
-
-	act := r.Learner.Act(state)
-	r.lastState, r.lastAct = state, act
-	r.lastTx, r.lastTime = tx, now
-	r.ThresholdHistory = append(r.ThresholdHistory, r.Thresholds[act])
-	return ctx.SetMbl("ecn_thresh", r.Thresholds[act])
-}
+// rlLinkRate is the line of RLECNP4R's rl_react that names the
+// bottleneck rate in bits per second; as written it fits RunRL's 1 Gbps
+// link, and BuildRL writes each rig's own.
+const rlLinkRate = "int link_bps = 1000000000;"
 
 // RLRig is a ready-to-run use case #4 deployment.
 type RLRig struct {
@@ -173,13 +142,15 @@ type RLRig struct {
 	Plan  *compiler.Plan
 	Agent *core.Agent
 	Net   *netsim.Network
-	Tuner *RLTuner
+	// Events is every event the reaction emitted, in order.
+	Events []core.Event
 }
 
 // BuildRL compiles and wires use case #4 with the given dialogue
 // pacing and bottleneck rate on port 1.
 func BuildRL(seed int64, td time.Duration, bottleneckBps float64) (*RLRig, error) {
-	plan, err := compiler.CompileSource(RLECNP4R, compiler.DefaultOptions())
+	src := strings.Replace(RLECNP4R, rlLinkRate, fmt.Sprintf("int link_bps = %d;", int64(bottleneckBps)), 1)
+	plan, err := compiler.CompileSource(src, compiler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -192,12 +163,10 @@ func BuildRL(seed int64, td time.Duration, bottleneckBps float64) (*RLRig, error
 	}
 	sw.SetPortBandwidth(1, bottleneckBps)
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	tuner, err := NewRLTuner(bottleneckBps, seed)
-	if err != nil {
-		return nil, err
-	}
-	agent := core.NewAgent(s, drv, plan, core.Options{
-		Pacing: td,
+	rig := &RLRig{Sim: s, Sw: sw, Drv: drv, Plan: plan}
+	rig.Agent = core.NewAgent(s, drv, plan, core.Options{
+		Pacing:    td,
+		EventSink: func(ev core.Event) { rig.Events = append(rig.Events, ev) },
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
 			// dst → port, in ascending address order: a slice, not a map, so
 			// entry handles repeat from run to run.
@@ -211,11 +180,8 @@ func BuildRL(seed int64, td time.Duration, bottleneckBps float64) (*RLRig, error
 			return nil
 		},
 	})
-	if err := agent.RegisterNativeReaction("rl_react", tuner.React); err != nil {
-		return nil, err
-	}
-	net := netsim.New(s, sw, 25e9, 5*time.Microsecond)
-	return &RLRig{Sim: s, Sw: sw, Drv: drv, Plan: plan, Agent: agent, Net: net, Tuner: tuner}, nil
+	rig.Net = netsim.New(s, sw, 25e9, 5*time.Microsecond)
+	return rig, nil
 }
 
 // RLResult summarizes an RL tuning run.
@@ -226,20 +192,25 @@ type RLResult struct {
 	LateReward  float64
 	// Updates counts TD updates.
 	Updates uint64
-	// FinalGreedyThreshold is the learned threshold at the most common
-	// late state.
+	// FinalGreedyThreshold is the greedy threshold for a 16-31 packet
+	// queue after the last update.
 	FinalGreedyThreshold uint64
 	// DeliveredBytes is the DCTCP flow's goodput.
 	DeliveredBytes uint64
 }
 
-// RunRL drives a DCTCP flow through the tuned bottleneck and reports
-// the learning outcome.
+// RunRL drives a DCTCP flow through a 1 Gbps tuned bottleneck and
+// reports the learning outcome.
 func RunRL(seed int64, duration time.Duration) (*RLResult, error) {
 	rig, err := BuildRL(seed, 50*time.Microsecond, 1e9)
 	if err != nil {
 		return nil, err
 	}
+	return rig.RunRL(duration)
+}
+
+// RunRL drives the rig's DCTCP flow for duration.
+func (rig *RLRig) RunRL(duration time.Duration) (*RLResult, error) {
 	a := rig.Net.AddHost(0, 1)
 	b := rig.Net.AddHost(1, 2)
 	wire := func(h *netsim.Host) {
@@ -262,24 +233,19 @@ func RunRL(seed int64, duration time.Duration) (*RLResult, error) {
 	if err := rig.Agent.Err(); err != nil {
 		return nil, err
 	}
-	res := &RLResult{
-		Updates:        rig.Tuner.Learner.Updates,
-		DeliveredBytes: flow.DeliveredBytes,
-	}
-	hist := rig.Tuner.RewardHistory
-	if len(hist) >= 8 {
-		q := len(hist) / 4
-		var early, late float64
-		for _, r := range hist[:q] {
-			early += r
+	res := &RLResult{DeliveredBytes: flow.DeliveredBytes}
+	var rewards []float64
+	for _, ev := range rig.Events {
+		if ev.Kind == EventRLUpdate {
+			rewards = append(rewards, float64(int64(ev.Val))/(1<<32))
+			res.FinalGreedyThreshold = ev.Key
 		}
-		for _, r := range hist[len(hist)-q:] {
-			late += r
-		}
-		res.EarlyReward = early / float64(q)
-		res.LateReward = late / float64(q)
 	}
-	// Greedy threshold for a mid-pressure state.
-	res.FinalGreedyThreshold = rig.Tuner.Thresholds[rig.Tuner.Learner.Best(depthState(16))]
+	res.Updates = uint64(len(rewards))
+	if len(rewards) >= 8 {
+		q := len(rewards) / 4
+		res.EarlyReward = stats.Mean(rewards[:q])
+		res.LateReward = stats.Mean(rewards[len(rewards)-q:])
+	}
 	return res, nil
 }

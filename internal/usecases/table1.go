@@ -70,7 +70,7 @@ var useCaseSources = []struct {
 	{"Hash polarization mitigation", HashPolarP4R,
 		"Compares MAD/mean of the per-path packet deltas with 0.5 in integers; three imbalanced windows in a row shift the ECMP hash input field."},
 	{"Reinforcement Learning", RLECNP4R,
-		"Native Go, not rcl (Q-values are float64, rcl is int64): Q-learning over queue depth and byte counters tunes the DCTCP ECN marking threshold."},
+		"Epsilon-greedy Q-learning in fixed point (Q-values in a static array) over queue-depth buckets, rewarding utilization minus a queue penalty, picks the DCTCP ECN marking threshold."},
 }
 
 // cost is a compiled program's resource footprint in Table 1's units,

@@ -234,6 +234,22 @@ func TestRLECNTuning(t *testing.T) {
 	}
 }
 
+// TestRunRLRepeats: the body explores with rand, which draws from the
+// simulator's seeded RNG, so one seed gives one outcome.
+func TestRunRLRepeats(t *testing.T) {
+	first, err := RunRL(1, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunRL(1, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *first != *second {
+		t.Fatalf("two runs of one seed differ:\n %+v\n %+v", *first, *second)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	rows, err := Table1()
 	if err != nil {
