@@ -7,6 +7,7 @@ import (
 	"repro/internal/p4"
 	"repro/internal/p4r"
 	"repro/internal/p4r/diag"
+	"repro/internal/rcl"
 )
 
 func measTableName(reaction, pipe string) string {
@@ -20,6 +21,10 @@ func (c *compiler) lowerReactions() error {
 	dupRegs := make(map[string]*RegParamInfo)
 
 	for _, r := range c.f.Reactions {
+		// A body the agent could not lower is the program's error.
+		if _, err := rcl.NewProgram(r.Stmts); err != nil {
+			return lerr(diag.LowerInvalid, r.Line, r.Col, "reaction %s: %v", r.Name, err)
+		}
 		info := &ReactionInfo{Name: r.Name, Body: r.Body, Stmts: r.Stmts}
 		var ingFields, egrFields []SlotField
 

@@ -211,9 +211,6 @@ type Agent struct {
 	// dialogue loop links them in between iterations (§7's dynamic
 	// loading of new .so files without interrupting switch operations).
 	pendingSwaps []reactionSwap
-	// batchedReads selects one driver transaction per reaction poll
-	// (default) vs one per range — the batching ablation.
-	batchedReads bool
 	stats        Stats
 
 	// Control-plane fast-path scratch: the master init table's call is a
@@ -290,7 +287,6 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 		natives:     make(map[string]NativeReaction),
 		builtins:    make(map[string]builtinFunc),
 	}
-	a.batchedReads = true
 	a.retry = driver.NewAdapter(a.drvDo, drv)
 	a.stats.Latencies = make([]time.Duration, 0, opts.LatencySamples)
 	for name, info := range plan.MblTables {
@@ -431,10 +427,6 @@ func (a *Agent) applySwaps(p *sim.Proc) error {
 	}
 	return nil
 }
-
-// SetBatchedReads toggles batched measurement polling (ablation; on by
-// default).
-func (a *Agent) SetBatchedReads(on bool) { a.batchedReads = on }
 
 func (a *Agent) run(p *sim.Proc) {
 	if err := a.prologue(p); err != nil {
@@ -581,10 +573,11 @@ func (a *Agent) prologue(p *sim.Proc) error {
 	// frame).
 	for _, info := range a.plan.Reactions {
 		rr := &runtimeReaction{info: info}
+		var err error
 		if fn, ok := a.natives[info.Name]; ok {
 			rr.native = fn
-		} else {
-			rr.prog = rcl.NewProgram(info.Stmts)
+		} else if rr.prog, err = rcl.NewProgram(info.Stmts); err != nil {
+			return fmt.Errorf("reaction %s: %w", info.Name, err)
 		}
 		a.reactions = append(a.reactions, rr)
 		for _, rp := range info.RegParams {

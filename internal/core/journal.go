@@ -35,8 +35,7 @@ import (
 // dialogue loop.
 type JournalConfig struct {
 	// Store is the durability backend (journal.MemStore models a
-	// battery-backed journal region a standby can read; journal.FileStore
-	// persists across real process restarts).
+	// battery-backed journal region a standby can read).
 	Store journal.Store
 }
 

@@ -297,12 +297,11 @@ func (rr *runtimeReaction) restoreSnapshot() {
 }
 
 // pollReaction reads one reaction's parameters from the checkpoint
-// copies (a single batched driver transaction on the default path; one
-// per range under the batching ablation) into rr.rows — refilled in
-// place down the whole stack — and from there into the reaction's
-// persistent parameter storage.
+// copies (a single driver transaction while the driver batches) into
+// rr.rows — refilled in place down the whole stack — and from there into
+// the reaction's persistent parameter storage.
 func (a *Agent) pollReaction(p *sim.Proc, rr *runtimeReaction, checkpoint uint64) error {
-	rr.poll.Reqs, rr.poll.Batched = rr.pollReqs[checkpoint], a.batchedReads
+	rr.poll.Reqs = rr.pollReqs[checkpoint]
 	if len(rr.poll.Reqs) == 0 {
 		return nil
 	}
@@ -362,9 +361,13 @@ func (a *Agent) runReaction(p *sim.Proc, rr *runtimeReaction, checkpoint uint64)
 // ---- rcl host binding ----
 
 // rclHost adapts the agent to the reaction language's Host interface.
+// keys and data are TableOp's scratch: the table manager copies what it
+// keeps, so a table call allocates nothing.
 type rclHost struct {
 	agent *Agent
 	proc  *sim.Proc
+	keys  []rmt.KeySpec
+	data  []uint64
 }
 
 func (h *rclHost) ReadMbl(name string) (int64, error) {
@@ -394,35 +397,29 @@ func (h *rclHost) TableOp(table, method string, args []rcl.Arg) (int64, error) {
 		if len(args) < nkeys+1 {
 			return 0, fmt.Errorf("%s.addEntry needs %d keys and an action name", table, nkeys)
 		}
-		spec := UserEntry{}
+		h.keys = h.keys[:0]
 		for i := 0; i < nkeys; i++ {
 			if args[i].IsStr {
 				return 0, fmt.Errorf("%s.addEntry: key %d must be numeric", table, i)
 			}
-			spec.Keys = append(spec.Keys, rmt.ExactKey(uint64(args[i].I)))
+			h.keys = append(h.keys, rmt.ExactKey(uint64(args[i].I)))
 		}
 		if !args[nkeys].IsStr {
 			return 0, fmt.Errorf("%s.addEntry: argument %d must be the action name", table, nkeys)
 		}
-		spec.Action = args[nkeys].S
-		for _, a := range args[nkeys+1:] {
-			if a.IsStr {
-				return 0, fmt.Errorf("%s.addEntry: action data must be numeric", table)
-			}
-			spec.Data = append(spec.Data, uint64(a.I))
+		data, err := h.actionData(table, "addEntry", args[nkeys+1:])
+		if err != nil {
+			return 0, err
 		}
-		hdl, err := tm.addEntry(h.proc, spec)
+		hdl, err := tm.addEntry(h.proc, UserEntry{Keys: h.keys, Action: args[nkeys].S, Data: data})
 		return int64(hdl), err
 	case "modEntry":
 		if len(args) < 2 || args[0].IsStr || !args[1].IsStr {
 			return 0, fmt.Errorf("%s.modEntry(handle, \"action\", data...)", table)
 		}
-		var data []uint64
-		for _, a := range args[2:] {
-			if a.IsStr {
-				return 0, fmt.Errorf("%s.modEntry: action data must be numeric", table)
-			}
-			data = append(data, uint64(a.I))
+		data, err := h.actionData(table, "modEntry", args[2:])
+		if err != nil {
+			return 0, err
 		}
 		return 0, tm.modifyEntry(h.proc, UserHandle(args[0].I), args[1].S, data)
 	case "delEntry":
@@ -433,6 +430,22 @@ func (h *rclHost) TableOp(table, method string, args []rcl.Arg) (int64, error) {
 	default:
 		return 0, fmt.Errorf("unknown table method %s.%s", table, method)
 	}
+}
+
+// actionData fills the host's data scratch from a table call's action
+// arguments (nil for none).
+func (h *rclHost) actionData(table, method string, args []rcl.Arg) ([]uint64, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	h.data = h.data[:0]
+	for _, a := range args {
+		if a.IsStr {
+			return nil, fmt.Errorf("%s.%s: action data must be numeric", table, method)
+		}
+		h.data = append(h.data, uint64(a.I))
+	}
+	return h.data, nil
 }
 
 func (h *rclHost) Call(name string, args []rcl.Arg) (int64, error) {

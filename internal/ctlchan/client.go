@@ -479,10 +479,9 @@ func (c *Client) roundTrip(p *sim.Proc, cl *call, ops []driver.Op) (int, error) 
 // driver.ErrChannelDegraded: any prefix may have applied, and once the
 // error surfaces an audit read shows which.
 //
-// A batched read's result decodes straight into the op's rows (one per
+// A range read's result decodes straight into the op's rows (one per
 // range, refilled in place), so the deployed stack's poll allocates
-// nothing here. A run holds no unbatched read: Do sends one as a frame
-// per range.
+// nothing here.
 func (c *Client) DoRun(p *sim.Proc, ops []driver.Op) (applied int, err error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -507,13 +506,8 @@ func (c *Client) DoRun(p *sim.Proc, ops []driver.Op) (applied int, err error) {
 }
 
 // Do sends one operation as a run of one: the whole synchronous
-// driver.Channel surface. An unbatched read is one run per range — the
-// baseline pays a full channel round trip per range here just as it pays
-// per-op channel latency below.
+// driver.Channel surface.
 func (c *Client) Do(p *sim.Proc, op *driver.Op) error {
-	if op.Kind == driver.OpRead && !op.Batched {
-		return driver.PerRange(op, func(sub *driver.Op) error { return c.Do(p, sub) })
-	}
 	_, err := c.DoRun(p, unsafe.Slice(op, 1))
 	return err
 }

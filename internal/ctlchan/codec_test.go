@@ -39,7 +39,7 @@ func sampleOps(k driver.OpKind) []driver.Op {
 	case driver.OpRegRead:
 		return []driver.Op{{Table: "cnt", Idx: 12}}
 	case driver.OpRead:
-		return []driver.Op{{Batched: true, Reqs: []driver.ReadReq{{Reg: "a", Lo: 0, Hi: 3}, {Reg: "b", Lo: 5, Hi: 5}}}}
+		return []driver.Op{{Reqs: []driver.ReadReq{{Reg: "a", Lo: 0, Hi: 3}, {Reg: "b", Lo: 5, Hi: 5}}}}
 	case driver.OpReadEntries, driver.OpReadDefault:
 		return []driver.Op{{Table: "t2"}}
 	case opMemoize:
@@ -206,7 +206,7 @@ func opDiff(check func(string, bool), g, w *driver.Op, eqU64 func(a, b []uint64)
 		check("Call", g.Call.Action == w.Call.Action && eqU64(g.Call.Data, w.Call.Data))
 	}
 	check("Idx/Val", g.Idx == w.Idx && g.Val == w.Val)
-	check("Reqs", len(g.Reqs) == len(w.Reqs) && g.Batched == w.Batched)
+	check("Reqs", len(g.Reqs) == len(w.Reqs))
 	for i := range w.Reqs {
 		if i < len(g.Reqs) {
 			check("Reqs", g.Reqs[i] == w.Reqs[i])

@@ -394,7 +394,6 @@ func decOp(d *wire.Dec, op *driver.Op, callBuf *p4.ActionCall) error {
 		op.Table = d.Name()
 		op.Idx = d.U64()
 	case driver.OpRead:
-		op.Batched = true
 		for n := d.Count(minReadReqSize); n > 0 && d.Err == nil; n-- {
 			op.Reqs = append(op.Reqs, driver.ReadReq{Reg: d.Name(), Lo: d.U64(), Hi: d.U64()})
 		}

@@ -41,7 +41,7 @@ func TestDedupReplayIsByteIdentical(t *testing.T) {
 	send := func(seq uint64, reqs []driver.ReadReq) {
 		link.Send(netsim.LinkSideA, appendRequest(nil, &request{
 			Kind: frameRequest, Session: 1, Epoch: 1, Seq: seq, Ack: 1,
-			ops: []driver.Op{{Kind: driver.OpRead, Batched: true, Reqs: reqs}},
+			ops: []driver.Op{{Kind: driver.OpRead, Reqs: reqs}},
 		}))
 		s.RunFor(10 * time.Microsecond)
 	}

@@ -115,6 +115,8 @@ type Driver struct {
 	memo map[memoKey]bool
 	// memoEnabled can be cleared for the ablation benchmarks.
 	memoEnabled bool
+	// batching can be cleared for the ablation benchmarks.
+	batching bool
 }
 
 type memoKey struct {
@@ -124,7 +126,7 @@ type memoKey struct {
 
 // New returns a driver for sw with the given cost model.
 func New(s *sim.Simulator, sw *rmt.Switch, cost CostModel) *Driver {
-	return &Driver{sw: sw, sim: s, cost: cost, memo: make(map[memoKey]bool), memoEnabled: true}
+	return &Driver{sw: sw, sim: s, cost: cost, memo: make(map[memoKey]bool), memoEnabled: true, batching: true}
 }
 
 // Switch exposes the underlying switch (for instantaneous reads in
@@ -136,6 +138,10 @@ func (d *Driver) Stats() Stats { return d.stats }
 
 // SetMemoization enables or disables descriptor memoization (ablation).
 func (d *Driver) SetMemoization(on bool) { d.memoEnabled = on }
+
+// SetBatching enables or disables read batching (ablation): with it
+// off, BatchRead and BatchReadInto cost what UnbatchedRead does.
+func (d *Driver) SetBatching(on bool) { d.batching = on }
 
 // Memoize precomputes the descriptor for repeated operations on the
 // given table entry (handle 0 memoizes the table's default-action and
@@ -306,9 +312,10 @@ func (d *Driver) readInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64, batched b
 
 // BatchRead reads several register ranges in one driver transaction:
 // one base cost plus the per-byte DMA cost of all ranges. Values are
-// captured at the completion time of the whole batch.
+// captured at the completion time of the whole batch. SetBatching(false)
+// makes it UnbatchedRead.
 func (d *Driver) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	return d.readFresh(p, reqs, true)
+	return d.readFresh(p, reqs, d.batching)
 }
 
 // BatchReadInto is BatchRead without the result allocation: dst must
@@ -316,7 +323,7 @@ func (d *Driver) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
 // on row[:0], retaining capacity). The agent's steady-state poll path
 // reuses one dst matrix across all iterations.
 func (d *Driver) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
-	return d.readInto(p, reqs, dst, true)
+	return d.readInto(p, reqs, dst, d.batching)
 }
 
 // ReadEntries dumps a table's installed entries, paying one audit

@@ -146,28 +146,51 @@ func TestMemoForgottenOnDelete(t *testing.T) {
 	}
 }
 
+// TestBatchedVsUnbatchedReads: a batched read is one transaction, an
+// unbatched one a transaction per range, and with batching off
+// (SetBatching(false), the ablation) a batched read costs exactly what
+// UnbatchedRead does, down to the driver counters.
 func TestBatchedVsUnbatchedReads(t *testing.T) {
-	s := sim.New(1)
-	d := New(s, testSwitch(t, s), DefaultCostModel())
 	reqs := []ReadReq{
 		{Reg: "ctr", Lo: 0, Hi: 16},
 		{Reg: "ctr", Lo: 16, Hi: 32},
 		{Reg: "wide", Lo: 0, Hi: 8},
 	}
-	var batched, unbatched time.Duration
-	s.Spawn("cp", func(p *sim.Proc) {
-		t0 := p.Now()
-		if _, err := d.BatchRead(p, reqs); err != nil {
-			t.Error(err)
+	// read times one read on a fresh driver and returns its cost and the
+	// driver's read counters.
+	read := func(batching bool, do func(d *Driver, p *sim.Proc) error) (cost time.Duration, st Stats) {
+		s := sim.New(1)
+		d := New(s, testSwitch(t, s), DefaultCostModel())
+		d.SetBatching(batching)
+		s.Spawn("cp", func(p *sim.Proc) {
+			if err := do(d, p); err != nil {
+				t.Error(err)
+			}
+			cost = p.Now().Sub(0)
+		})
+		s.Run()
+		return cost, d.Stats()
+	}
+	batchRead := func(d *Driver, p *sim.Proc) error { _, err := d.BatchRead(p, reqs); return err }
+	batchReadInto := func(d *Driver, p *sim.Proc) error { return d.BatchReadInto(p, reqs, make([][]uint64, len(reqs))) }
+	unbatchedRead := func(d *Driver, p *sim.Proc) error { _, err := d.UnbatchedRead(p, reqs); return err }
+
+	batched, bst := read(true, batchRead)
+	unbatched, ust := read(true, unbatchedRead)
+	if bst.RegReads != 1 || ust.RegReads != 3 || bst.RegReadBytes != 192 || ust.RegReadBytes != 192 {
+		t.Fatalf("read counters: batched %d reads/%d B, unbatched %d reads/%d B; want 1/192 and 3/192",
+			bst.RegReads, bst.RegReadBytes, ust.RegReads, ust.RegReadBytes)
+	}
+	for name, do := range map[string]func(*Driver, *sim.Proc) error{"BatchRead": batchRead, "BatchReadInto": batchReadInto} {
+		off, ost := read(false, do)
+		if off != unbatched || ost.RegReads != ust.RegReads || ost.RegReadBytes != ust.RegReadBytes {
+			t.Errorf("%s with batching off = %v, %d reads, %d B; UnbatchedRead = %v, %d reads, %d B",
+				name, off, ost.RegReads, ost.RegReadBytes, unbatched, ust.RegReads, ust.RegReadBytes)
 		}
-		batched = p.Now().Sub(t0)
-		t0 = p.Now()
-		if _, err := d.UnbatchedRead(p, reqs); err != nil {
-			t.Error(err)
-		}
-		unbatched = p.Now().Sub(t0)
-	})
-	s.Run()
+	}
+	if off, _ := read(false, unbatchedRead); off != unbatched {
+		t.Errorf("UnbatchedRead with batching off = %v, want %v", off, unbatched)
+	}
 	cm := DefaultCostModel()
 	// 16*4 + 16*4 + 8*8 = 192 bytes across 3 ranges.
 	wantBatched := cm.RegReadBase + 3*cm.RegReadPerReq + 192*cm.RegReadPerByte

@@ -38,8 +38,9 @@ const (
 	OpRegWrite
 	// OpRegRead reads one register cell into Val.
 	OpRegRead
-	// OpRead reads the register ranges Reqs into Rows: one transaction
-	// when Batched, one per range (the batching ablation) otherwise.
+	// OpRead reads the register ranges Reqs into Rows; the driver's
+	// batching setting decides whether that is one transaction or one
+	// per range.
 	OpRead
 	// OpReadEntries dumps a table's installed entries into Entries.
 	OpReadEntries
@@ -66,8 +67,8 @@ var opKindNames = [NumOpKinds]string{
 
 // String names the kind after its Channel method, for stats, errors and
 // the fault profiles that pin a crash to one operation
-// (faults.Profile.CrashOp). A range read is "BatchRead" in both modes:
-// an unbatched one reaches the lower layers as single-range batches.
+// (faults.Profile.CrashOp). A range read is "BatchRead"; an
+// Adapter's UnbatchedRead reaches the lower layers as single-range ones.
 func (k OpKind) String() string {
 	if k < NumOpKinds {
 		return opKindNames[k]
@@ -89,14 +90,11 @@ func (k OpKind) Mutating() bool { return k >= OpAddEntry && k <= OpRegWrite }
 // delivered it. Results (Entries, a read-back Call, refilled Rows) belong
 // to the caller once the op completes.
 type Op struct {
-	Kind OpKind
-	// Batched is an OpRead's cost flag: one transaction for all of Reqs,
-	// or one per range.
-	Batched bool
-	Table   string          // table, register, or hash-calculation name
-	Handle  rmt.EntryHandle // entry to modify/delete; an added entry's own Handle field
-	Action  string
-	Data    []uint64
+	Kind   OpKind
+	Table  string          // table, register, or hash-calculation name
+	Handle rmt.EntryHandle // entry to modify/delete; an added entry's own Handle field
+	Action string
+	Data   []uint64
 	// Keys/Priority are an OpAddEntry's match spec.
 	Keys     []rmt.KeySpec
 	Priority int
@@ -170,43 +168,21 @@ func Apply(ch Channel, p *sim.Proc, op *Op) error {
 }
 
 // applyRead reads op.Reqs into op.Rows: in place through the channel's
-// RangeReader when batched, otherwise (the ablation, or a channel
-// without the extension) by copying the returned rows out.
+// RangeReader, otherwise (a channel without the extension) by copying
+// the returned rows out.
 func applyRead(ch Channel, p *sim.Proc, op *Op) error {
 	if err := checkRows(op.Reqs, op.Rows); err != nil {
 		return err
 	}
-	var (
-		vals [][]uint64
-		err  error
-	)
-	if !op.Batched {
-		vals, err = ch.UnbatchedRead(p, op.Reqs)
-	} else if rr, ok := ch.(RangeReader); ok {
+	if rr, ok := ch.(RangeReader); ok {
 		return rr.BatchReadInto(p, op.Reqs, op.Rows)
-	} else {
-		vals, err = ch.BatchRead(p, op.Reqs)
 	}
+	vals, err := ch.BatchRead(p, op.Reqs)
 	if err != nil {
 		return err
 	}
 	for i := range vals {
 		op.Rows[i] = append(op.Rows[i][:0], vals[i]...)
-	}
-	return nil
-}
-
-// PerRange runs an unbatched range read the way a layer whose behaviour
-// is per transaction has to — a fault decision, a wire frame — as one
-// single-range batched read per range, in order, each through do. Each
-// sub-read costs the driver what the unbatched range would have.
-func PerRange(op *Op, do func(sub *Op) error) error {
-	sub := Op{Kind: OpRead, Batched: true}
-	for i := range op.Reqs {
-		sub.Reqs, sub.Rows = op.Reqs[i:i+1], op.Rows[i:i+1]
-		if err := do(&sub); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -322,10 +298,11 @@ func (a *Adapter) RegRead(p *sim.Proc, reg string, idx uint64) (uint64, error) {
 	return v, err
 }
 
-// read is the one range-read entry point. An empty read is a no-op at
-// every layer, decided here: no op is built, so no fault is drawn, no
-// queue slot taken, no frame sent.
-func (a *Adapter) read(p *sim.Proc, reqs []ReadReq, dst [][]uint64, batched bool) error {
+// BatchReadInto reads register ranges in one transaction into dst, one
+// row per range, refilled in place. It is the one range-read entry
+// point. An empty read is a no-op at every layer, decided here: no op is
+// built, so no fault is drawn, no queue slot taken, no frame sent.
+func (a *Adapter) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
 	if len(reqs) == 0 {
 		return nil
 	}
@@ -333,39 +310,37 @@ func (a *Adapter) read(p *sim.Proc, reqs []ReadReq, dst [][]uint64, batched bool
 		return err
 	}
 	op := a.get(OpRead, "")
-	op.Reqs, op.Rows, op.Batched = reqs, dst, batched
+	op.Reqs, op.Rows = reqs, dst
 	err := a.do(p, op)
 	a.put(op)
 	return err
 }
 
-// readFresh is read into a fresh result matrix.
-func (a *Adapter) readFresh(p *sim.Proc, reqs []ReadReq, batched bool) ([][]uint64, error) {
+// BatchRead is BatchReadInto with a fresh result matrix.
+func (a *Adapter) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	out := make([][]uint64, len(reqs))
-	if err := a.read(p, reqs, out, batched); err != nil {
+	if err := a.BatchReadInto(p, reqs, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// BatchReadInto reads register ranges in one transaction into dst, one
-// row per range, refilled in place.
-func (a *Adapter) BatchReadInto(p *sim.Proc, reqs []ReadReq, dst [][]uint64) error {
-	return a.read(p, reqs, dst, true)
-}
-
-// BatchRead is BatchReadInto with a fresh result matrix.
-func (a *Adapter) BatchRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	return a.readFresh(p, reqs, true)
-}
-
-// UnbatchedRead reads the ranges one transaction each (the batching
-// ablation).
+// UnbatchedRead reads the ranges one single-range read each, in order,
+// so every layer's per-transaction behaviour — a fault decision, a wire
+// frame, the driver's cost — applies to each range on its own.
 func (a *Adapter) UnbatchedRead(p *sim.Proc, reqs []ReadReq) ([][]uint64, error) {
-	return a.readFresh(p, reqs, false)
+	var out [][]uint64
+	for i := range reqs {
+		row, err := a.BatchRead(p, reqs[i:i+1])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, row[0])
+	}
+	return out, nil
 }
 
 // ReadEntries dumps a table's installed entries (the audit path).

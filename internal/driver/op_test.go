@@ -30,7 +30,7 @@ func kindSample(k OpKind) *Op {
 	case OpRegRead:
 		return &Op{Kind: k, Table: "ctr", Idx: 3}
 	case OpRead:
-		return &Op{Kind: k, Batched: true, Reqs: []ReadReq{{Reg: "ctr", Lo: 0, Hi: 4}, {Reg: "wide", Lo: 1, Hi: 2}},
+		return &Op{Kind: k, Reqs: []ReadReq{{Reg: "ctr", Lo: 0, Hi: 4}, {Reg: "wide", Lo: 1, Hi: 2}},
 			Rows: make([][]uint64, 2)}
 	case OpReadEntries, OpReadDefault:
 		return &Op{Kind: k, Table: "fw"}
@@ -44,8 +44,11 @@ func kindSample(k OpKind) *Op {
 // inverses and a kind added without both fails here.
 func TestOpVocabularyIsExhaustive(t *testing.T) {
 	names := map[string]OpKind{}
-	var got Op
-	rec := NewAdapter(func(p *sim.Proc, op *Op) error { got = *op; return nil }, nil)
+	var (
+		got  Op
+		sent int
+	)
+	rec := NewAdapter(func(p *sim.Proc, op *Op) error { got = *op; sent++; return nil }, nil)
 	for k := OpNone + 1; k < NumOpKinds; k++ {
 		name := k.String()
 		if prev, dup := names[name]; dup || name == "" || name == OpNone.String() {
@@ -68,9 +71,10 @@ func TestOpVocabularyIsExhaustive(t *testing.T) {
 			t.Errorf("%v through Apply then the Adapter:\n got %+v\nwant %+v", k, got, *op)
 		}
 		if k == OpRead {
-			got = Op{}
-			if _, err := rec.UnbatchedRead(nil, op.Reqs); err != nil || got.Batched || got.Kind != OpRead {
-				t.Errorf("UnbatchedRead built %+v, %v", got, err)
+			got, sent = Op{}, 0
+			if _, err := rec.UnbatchedRead(nil, op.Reqs); err != nil || sent != len(op.Reqs) ||
+				got.Kind != OpRead || !reflect.DeepEqual(got.Reqs, op.Reqs[len(op.Reqs)-1:]) {
+				t.Errorf("UnbatchedRead sent %d ops, the last %+v, %v; want one single-range read per range", sent, got, err)
 			}
 		}
 	}

@@ -189,8 +189,8 @@ func RunAblations() (*AblationResult, error) {
 		}
 		drv := driver.New(s, sw, driver.DefaultCostModel())
 		drv.SetMemoization(memo)
+		drv.SetBatching(batch)
 		agent := core.NewAgent(s, drv, plan, core.Options{MaxIterations: 200})
-		agent.SetBatchedReads(batch)
 		agent.Start()
 		s.Run()
 		if err := agent.Err(); err != nil {

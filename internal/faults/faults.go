@@ -328,14 +328,10 @@ func (f *Injector) fail(p *sim.Proc, op string) error {
 
 // Do runs one operation through the injector: the common fault prologue,
 // keyed by the op's Channel method name, then the wrapped channel. A
-// batched read can additionally abort partway, paying for a prefix of its
+// range read can additionally abort partway, paying for a prefix of its
 // ranges and reporting no values (the prefix's rows are overwritten and
-// must not be used). An unbatched read is one transaction per range, so
-// each range passes through here — and can fault — on its own.
+// must not be used).
 func (f *Injector) Do(p *sim.Proc, op *driver.Op) error {
-	if op.Kind == driver.OpRead && !op.Batched {
-		return driver.PerRange(op, func(sub *driver.Op) error { return f.Do(p, sub) })
-	}
 	if err := f.inject(p, op.Kind.String()); err != nil {
 		return err
 	}
@@ -343,7 +339,7 @@ func (f *Injector) Do(p *sim.Proc, op *driver.Op) error {
 		f.rng.Float64() < f.prof.PartialBatchRate {
 		f.stats.PartialBatches++
 		cut := 1 + f.rng.Intn(len(op.Reqs)-1)
-		prefix := driver.Op{Kind: driver.OpRead, Batched: true, Reqs: op.Reqs[:cut], Rows: op.Rows[:cut]}
+		prefix := driver.Op{Kind: driver.OpRead, Reqs: op.Reqs[:cut], Rows: op.Rows[:cut]}
 		if err := driver.Apply(f.inner, p, &prefix); err != nil {
 			return err
 		}

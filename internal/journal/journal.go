@@ -35,10 +35,9 @@
 // (roll forward by applying the intent's ops to the checkpoint).
 //
 // Store implementations must be atomic per record: a reader sees either
-// the previous record or the new one, never a torn write. MemStore
-// models battery-backed controller RAM shared with a standby; FileStore
-// persists files for processes that genuinely restart. Both hold the
-// framed binary records of record.go.
+// the previous record or the new one, never a torn write. MemStore, the
+// one implementation, models battery-backed controller RAM shared with
+// a standby and holds the framed binary records of record.go.
 package journal
 
 import (
@@ -197,149 +196,115 @@ const (
 	numCells
 )
 
-// medium is where a store keeps its cells' bytes. put must be atomic — a
-// get sees the previous bytes or the new ones, never a mixture — and
-// copies b; get returns nil, nil for a cell never put (or deleted), and
-// bytes valid until the next put.
-type medium interface {
-	put(c cell, b []byte) error
-	get(c cell) ([]byte, error)
-	del(c cell) error
-}
-
-// store implements Store over a medium: the one place records are
-// encoded, decoded and counted. Every record is encoded into the store's
-// own buffer, so a steady-state write allocates nothing.
-type store struct {
+// MemStore is the journal's Store: the model of a journal region in
+// battery-backed controller RAM (or a replicated KV namespace) that a
+// standby on the same failure domain boundary can read after the
+// primary dies. Records are stored encoded, so a loaded record is always
+// a deep copy — exactly the aliasing semantics a real durable store
+// gives. Every record is encoded into the store's own buffer, so a
+// steady-state write allocates nothing.
+type MemStore struct {
 	mu    sync.Mutex
-	m     medium
 	enc   Encoder
 	buf   []byte
-	stats StoreStats
+	cells [numCells]memCell
 }
 
-// StoreStats counts journal activity (for experiments and tests).
-type StoreStats struct {
-	CheckpointSaves uint64
-	IntentWrites    uint64
-	Truncates       uint64
-	Heartbeats      uint64
+// memCell holds one cell in two store-owned buffers: a put fills the
+// spare one and only then makes it current, so whatever interrupts a
+// write, a get sees the old bytes or the new ones, never half of each —
+// and a steady-state put allocates nothing.
+type memCell struct {
+	bufs [2][]byte
+	cur  int
+	set  bool
+}
+
+// NewMemStore returns an empty in-memory journal store.
+func NewMemStore() *MemStore { return &MemStore{} }
+
+// put makes a copy of b the cell's content.
+func (s *MemStore) put(c cell, b []byte) {
+	m := &s.cells[c]
+	spare := m.cur ^ 1
+	m.bufs[spare] = append(m.bufs[spare][:0], b...)
+	m.cur, m.set = spare, true
+}
+
+// get returns the cell's content, nil for a cell never put (or
+// truncated); the bytes are valid until the next put.
+func (s *MemStore) get(c cell) []byte {
+	if m := &s.cells[c]; m.set {
+		return m.bufs[m.cur]
+	}
+	return nil
 }
 
 // SaveCheckpoint atomically replaces the checkpoint record.
-func (s *store) SaveCheckpoint(c *Checkpoint) error {
+func (s *MemStore) SaveCheckpoint(c *Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.buf = s.enc.AppendCheckpoint(s.buf[:0], c)
-	s.stats.CheckpointSaves++
-	return s.m.put(cellCheckpoint, s.buf)
+	s.put(cellCheckpoint, s.buf)
+	return nil
 }
 
 // LoadCheckpoint returns the last saved checkpoint (nil, nil if none).
-func (s *store) LoadCheckpoint() (*Checkpoint, error) {
+func (s *MemStore) LoadCheckpoint() (*Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, err := s.m.get(cellCheckpoint)
-	if b == nil || err != nil {
-		return nil, err
+	if b := s.get(cellCheckpoint); b != nil {
+		return DecodeCheckpoint(b)
 	}
-	return DecodeCheckpoint(b)
+	return nil, nil
 }
 
 // WriteIntent atomically replaces the intent record.
-func (s *store) WriteIntent(it *Intent) error {
+func (s *MemStore) WriteIntent(it *Intent) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.buf = s.enc.AppendIntent(s.buf[:0], it)
-	s.stats.IntentWrites++
-	return s.m.put(cellIntent, s.buf)
+	s.put(cellIntent, s.buf)
+	return nil
 }
 
 // LoadIntent returns the outstanding intent (nil, nil if none).
-func (s *store) LoadIntent() (*Intent, error) {
+func (s *MemStore) LoadIntent() (*Intent, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, err := s.m.get(cellIntent)
-	if b == nil || err != nil {
-		return nil, err
+	if b := s.get(cellIntent); b != nil {
+		return DecodeIntent(b)
 	}
-	return DecodeIntent(b)
+	return nil, nil
 }
 
 // TruncateIntent clears the intent record.
-func (s *store) TruncateIntent() error {
+func (s *MemStore) TruncateIntent() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Truncates++
-	return s.m.del(cellIntent)
+	s.cells[cellIntent].set = false
+	return nil
 }
 
 // Heartbeat records the primary's liveness.
-func (s *store) Heartbeat(now int64) error {
+func (s *MemStore) Heartbeat(now int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.buf = binary.LittleEndian.AppendUint64(s.buf[:0], uint64(now))
-	s.stats.Heartbeats++
-	return s.m.put(cellHeartbeat, s.buf)
+	s.put(cellHeartbeat, s.buf)
+	return nil
 }
 
 // LastHeartbeat returns the last recorded beat (0 = never).
-func (s *store) LastHeartbeat() (int64, error) {
+func (s *MemStore) LastHeartbeat() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, err := s.m.get(cellHeartbeat)
-	if b == nil || err != nil {
-		return 0, err
+	b := s.get(cellHeartbeat)
+	if b == nil {
+		return 0, nil
 	}
 	if len(b) != 8 {
 		return 0, fmt.Errorf("%w: %d-byte heartbeat", ErrCorrupt, len(b))
 	}
 	return int64(binary.LittleEndian.Uint64(b)), nil
 }
-
-// MemStore is an in-memory Store: the model of a journal region in
-// battery-backed controller RAM (or a replicated KV namespace) that a
-// standby on the same failure domain boundary can read after the
-// primary dies. Records are stored encoded, so a loaded record is always
-// a deep copy — exactly the aliasing semantics a real durable store
-// gives.
-type MemStore struct{ store }
-
-// NewMemStore returns an empty in-memory journal store.
-func NewMemStore() *MemStore {
-	m := &MemStore{}
-	m.m = new(memory)
-	return m
-}
-
-// memory holds each cell in two store-owned buffers: a put fills the
-// spare one and only then makes it current, so whatever interrupts a
-// write, a get sees the old bytes or the new ones, never half of each —
-// and a steady-state put allocates nothing.
-type memory [numCells]struct {
-	bufs [2][]byte
-	cur  int
-	set  bool
-}
-
-func (m *memory) put(c cell, b []byte) error {
-	s := &m[c]
-	spare := s.cur ^ 1
-	s.bufs[spare] = append(s.bufs[spare][:0], b...)
-	s.cur, s.set = spare, true
-	return nil
-}
-
-func (m *memory) get(c cell) ([]byte, error) {
-	if s := &m[c]; s.set {
-		return s.bufs[s.cur], nil
-	}
-	return nil, nil
-}
-
-func (m *memory) del(c cell) error {
-	m[c].set = false
-	return nil
-}
-
-var _ Store = (*MemStore)(nil)

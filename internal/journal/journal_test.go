@@ -47,7 +47,7 @@ func sampleIntent() *Intent {
 	}
 }
 
-// exerciseStore runs the round-trip contract shared by every Store.
+// exerciseStore runs the Store round-trip contract.
 func exerciseStore(t *testing.T, st Store) {
 	t.Helper()
 
@@ -125,38 +125,3 @@ func exerciseStore(t *testing.T, st Store) {
 }
 
 func TestMemStore(t *testing.T) { exerciseStore(t, NewMemStore()) }
-
-func TestFileStore(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir() + "/journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exerciseStore(t, fs)
-
-	// A second FileStore on the same directory sees the records — the
-	// actual restart path.
-	fs2, err := NewFileStore(fs.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, err := fs2.LoadCheckpoint(); err != nil || c == nil || c.Iteration != 42 {
-		t.Fatalf("reopened store checkpoint = %+v, %v", c, err)
-	}
-	if hb, _ := fs2.LastHeartbeat(); hb != 12400 {
-		t.Fatalf("reopened store heartbeat = %d", hb)
-	}
-}
-
-func TestMemStoreStats(t *testing.T) {
-	st := NewMemStore()
-	_ = st.SaveCheckpoint(sampleCheckpoint())
-	_ = st.WriteIntent(sampleIntent())
-	_ = st.WriteIntent(sampleIntent())
-	_ = st.TruncateIntent()
-	_ = st.Heartbeat(1)
-	got := st.stats
-	want := StoreStats{CheckpointSaves: 1, IntentWrites: 2, Truncates: 1, Heartbeats: 1}
-	if got != want {
-		t.Fatalf("stats = %+v, want %+v", got, want)
-	}
-}

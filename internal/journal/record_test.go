@@ -5,11 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -440,45 +437,4 @@ func TestLoadsSeeOnlyWholeRecords(t *testing.T) {
 	}()
 	wg.Wait()
 	t.Logf("%d loads interleaved with %d writes", loads, writes)
-}
-
-// TestFileStoreRefusesJSONJournal: a directory the JSON journal wrote is
-// refused by name, not read as empty or misparsed.
-func TestFileStoreRefusesJSONJournal(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte(`{"iteration":42,"vv":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := journal.NewFileStore(dir)
-	if err == nil || fs != nil {
-		t.Fatalf("NewFileStore on a JSON journal = %v, %v; want a refusal", fs, err)
-	}
-	for _, word := range []string{"checkpoint.json", "JSON", "binary"} {
-		if !strings.Contains(err.Error(), word) {
-			t.Errorf("refusal %q does not mention %q", err, word)
-		}
-	}
-}
-
-// TestFileStoreDetectsTornFile: a record file cut short on disk loads as
-// ErrCorrupt.
-func TestFileStoreDetectsTornFile(t *testing.T) {
-	fs, err := journal.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SaveCheckpoint(&journal.Checkpoint{Iteration: 7, InitData: [][]uint64{{1, 2, 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(fs.Dir(), "checkpoint.rec")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b[:len(b)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if cp, err := fs.LoadCheckpoint(); !errors.Is(err, journal.ErrCorrupt) {
-		t.Fatalf("torn file loaded as %+v, %v", cp, err)
-	}
 }

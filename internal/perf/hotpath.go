@@ -347,13 +347,10 @@ control ingress { apply(t1); apply(t2); }
 // updateKeys is the number of entries per table the write path rewrites.
 const updateKeys = 4
 
-// newStackedUpdate is the write path behind the deployed stack: per
-// iteration, eight staged modifies (sixteen entry writes and two master
-// flips on the channel), a CommitStaged intent listing them and a
-// checkpoint of both tables.
-func newStackedUpdate() (*stackedDialogue, error) {
-	var h1, h2 [updateKeys]core.UserHandle
-	prologue := func(p *sim.Proc, a *core.Agent) error {
+// updatePrologue installs updateKeys entries in each of updateSrc's
+// tables and records their user handles in h1 and h2.
+func updatePrologue(h1, h2 *[updateKeys]core.UserHandle) func(*sim.Proc, *core.Agent) error {
+	return func(p *sim.Proc, a *core.Agent) error {
 		t1, err := a.Table("t1")
 		if err != nil {
 			return err
@@ -373,8 +370,16 @@ func newStackedUpdate() (*stackedDialogue, error) {
 		}
 		return nil
 	}
+}
+
+// newStackedUpdate is the write path behind the deployed stack: per
+// iteration, eight staged modifies (sixteen entry writes and two master
+// flips on the channel), a CommitStaged intent listing them and a
+// checkpoint of both tables.
+func newStackedUpdate() (*stackedDialogue, error) {
+	var h1, h2 [updateKeys]core.UserHandle
 	data := make([]uint64, 1)
-	return newStackedDialogue(updateSrc, prologue, func(a *core.Agent) error {
+	return newStackedDialogue(updateSrc, updatePrologue(&h1, &h2), func(a *core.Agent) error {
 		return a.RegisterNativeReaction("bump", func(ctx *core.Ctx) error {
 			t1, err := ctx.Table("t1")
 			if err != nil {

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func baselineFixture() *Baseline {
@@ -194,6 +196,41 @@ func stackedAllocs(t *testing.T, d *stackedDialogue) float64 {
 		t.Fatalf("measured %d commits (%d abandoned), want 501 clean iterations", n, after.Abandoned)
 	}
 	return got
+}
+
+// TestUpdateBodyAllocFree is TestUpdateCommitAllocFree with the update
+// written as an rcl body instead of a native reaction: eight modEntry
+// calls per iteration, whose action data the host builds in its own
+// scratch, so a table call from a body allocates nothing either.
+func TestUpdateBodyAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const body = `reaction bump() {
+  static int v = 0;
+  v = v + 1;
+  for (int h = 1; h <= 4; h++) {
+    t1.modEntry(h, "set1", v);
+    t2.modEntry(h, "set2", v);
+  }
+}`
+	src := strings.Replace(updateSrc, "reaction bump() { }", body, 1)
+	var h1, h2 [updateKeys]core.UserHandle
+	d, err := newStackedDialogue(src, updatePrologue(&h1, &h2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stackedAllocs(t, d); got != 0 {
+		t.Fatalf("a steady-state body update through the deployed stack allocates %.2f times, want 0", got)
+	}
+	for k := range h1 {
+		if h1[k] != core.UserHandle(k+1) || h2[k] != core.UserHandle(k+1) {
+			t.Fatalf("entry %d has handles %d/%d; the body rewrites handles 1..%d", k, h1[k], h2[k], updateKeys)
+		}
+	}
+	if st := d.agent.Stats(); st.ReactionErrors != 0 {
+		t.Fatalf("%d reaction errors", st.ReactionErrors)
+	}
 }
 
 // TestStackedIterationAllocBudget drives poll → react → commit through

@@ -16,13 +16,12 @@ import "fmt"
 // array's length is the program's deepest live-variable count. Names
 // that resolve to no declaration are parameters: they get slots in a
 // separate params array that Frame.BindScalar/BindArray fill before
-// execution. Reading an unbound parameter reports the same "undefined
-// variable" error the dynamic interpreter produced.
+// execution. Reading an unbound parameter is an "undefined variable"
+// error at run time, since which names get bound is the host's choice.
 //
 // Semantic errors found during lowering (redeclaration, bad assignment
-// targets, array misuse) are deferred: Compile still succeeds and the
-// first Exec returns the error, matching the dynamic interpreter's
-// behavior that callers and tests rely on.
+// targets, array misuse) are Compile's errors, so a P4R program whose
+// body has one is rejected when it compiles, not when it first runs.
 
 // evalFn computes one expression.
 type evalFn func(in *interp) (int64, error)
@@ -71,16 +70,15 @@ type compEnv struct {
 	high   int         // locals high-water mark
 }
 
-// compile lowers prog.stmts into prog.code. Errors are recorded in
-// prog.compileErr rather than returned (see the file comment).
-func (p *Program) compile() {
+// compile lowers prog.stmts into prog.code.
+func (p *Program) compile() error {
 	ce := &compEnv{prog: p}
 	ce.pushScope()
 	code, err := ce.compileStmts(p.stmts)
 	ce.popScope()
 	p.code = code
 	p.nlocals = ce.high
-	p.compileErr = err
+	return err
 }
 
 func (ce *compEnv) pushScope() {

@@ -73,9 +73,6 @@ func (f *Frame) BindArray(name string, arr []int64) {
 // Steady-state cost is the compiled closure tree only: no allocation,
 // no name resolution.
 func (f *Frame) Exec(host Host) error {
-	if err := f.prog.compileErr; err != nil {
-		return err
-	}
 	f.st.argbuf = f.st.argbuf[:0]
 	f.in = interp{prog: f.prog, host: host, st: &f.st, max: f.prog.MaxSteps}
 	if f.in.max == 0 {

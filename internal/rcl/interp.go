@@ -40,10 +40,6 @@ type Program struct {
 	nlocals     int
 	params      map[string]int // free name → params-array slot
 	staticCells map[string]*staticCell
-	// compileErr defers semantic errors found during lowering
-	// (redeclaration, bad assignment targets) to Exec time, preserving
-	// the dynamic interpreter's error surface.
-	compileErr error
 
 	// MaxSteps bounds interpreted loop iterations per invocation;
 	// reaction loops must terminate for the dialogue to advance.
@@ -59,21 +55,24 @@ func Compile(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewProgram(stmts), nil
+	return NewProgram(stmts)
 }
 
 // NewProgram lowers parsed statements into an executable Program with
-// its own statics. A P4R file's bodies are parsed once, with the file
-// (p4r.Reaction.Stmts); each agent that runs one builds its Program
-// from those statements.
-func NewProgram(stmts []Stmt) *Program {
+// its own statics, or reports the body's first semantic error. A P4R
+// file's bodies are parsed once, with the file (p4r.Reaction.Stmts);
+// the compiler lowers each once to reject a bad one, and each agent
+// that runs one builds its Program from those statements.
+func NewProgram(stmts []Stmt) (*Program, error) {
 	p := &Program{
 		stmts:       stmts,
 		params:      make(map[string]int),
 		staticCells: make(map[string]*staticCell),
 	}
-	p.compile()
-	return p
+	if err := p.compile(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // cell is a variable binding: a scalar or an array, with an optional

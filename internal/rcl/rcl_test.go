@@ -416,9 +416,8 @@ func TestUndefinedVariable(t *testing.T) {
 }
 
 func TestRedeclaration(t *testing.T) {
-	prog, _ := Compile("int x = 1; int x = 2;")
-	if err := prog.Exec(newTestHost(), nil); err == nil || !strings.Contains(err.Error(), "redeclaration") {
-		t.Fatalf("err = %v", err)
+	if prog, err := Compile("int x = 1; int x = 2;"); prog != nil || err == nil || !strings.Contains(err.Error(), "redeclaration") {
+		t.Fatalf("Compile = %v, %v; want a redeclaration error", prog, err)
 	}
 	// Shadowing in an inner scope is fine (C semantics).
 	h := run(t, "int x = 1; if (1) { int x = 2; } ${out} = x;", nil)
@@ -464,14 +463,8 @@ func TestCompileErrors(t *testing.T) {
 		"while (1) { break",
 	}
 	for _, src := range bad {
-		if _, err := Compile(src); err == nil {
-			// Some of these fail at runtime rather than compile time.
-			prog, _ := Compile(src)
-			if prog != nil {
-				if err := prog.Exec(newTestHost(), nil); err == nil {
-					t.Errorf("no error for %q", src)
-				}
-			}
+		if prog, err := Compile(src); err == nil {
+			t.Errorf("Compile(%q) = %v, nil; want an error", src, prog)
 		}
 	}
 }

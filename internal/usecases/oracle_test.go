@@ -185,9 +185,14 @@ func (h *replayHost) Call(name string, args []rcl.Arg) (int64, error) {
 
 // frame builds the reaction's rcl body with its parameters bound, and
 // the function that loads one recorded poll into them.
-func (rec *recording) frame() (*rcl.Frame, func(*poll)) {
+func (rec *recording) frame(t *testing.T) (*rcl.Frame, func(*poll)) {
+	t.Helper()
 	info := rec.info
-	fr := rcl.NewProgram(info.Stmts).NewFrame()
+	prog, err := rcl.NewProgram(info.Stmts)
+	if err != nil {
+		t.Fatalf("reaction %s: %v", info.Name, err)
+	}
+	fr := prog.NewFrame()
 	scalars := map[string]*int64{}
 	for _, s := range append(slices.Clone(info.IngSlots), info.EgrSlots...) {
 		for _, f := range s.Fields {
@@ -216,7 +221,7 @@ func (rec *recording) frame() (*rcl.Frame, func(*poll)) {
 // returns the number of decisions compared.
 func (rec *recording) replay(t *testing.T, label string) int {
 	t.Helper()
-	fr, load := rec.frame()
+	fr, load := rec.frame(t)
 	decisions := 0
 	for i, p := range rec.polls {
 		load(p)
@@ -726,7 +731,7 @@ const rlResolution = 1.0 / (1 << 20)
 // It returns the number of polls compared and of near-tie departures.
 func (rec *recording) replayRL(t *testing.T, linkBps float64) (polls, ties int) {
 	t.Helper()
-	fr, load := rec.frame()
+	fr, load := rec.frame(t)
 	o := newRLOracle(linkBps)
 	log := &drawLog{src: rand.New(rand.NewSource(o.l.cfg.Seed))}
 	o.l.rng = log
