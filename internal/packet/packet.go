@@ -12,7 +12,10 @@ package packet
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"sync"
+	"unsafe"
 )
 
 // FieldID indexes a field within a Schema's packet layout.
@@ -22,12 +25,18 @@ type FieldID int
 const Invalid FieldID = -1
 
 // Schema maps dotted field names to packet-vector slots. A Schema is
-// immutable once packets have been created from it; Define must not be
-// called concurrently with packet processing.
+// immutable once packets have been created from it: the first New fixes
+// the packet layout, and a Define that would add a field after it
+// panics. Define must not be called concurrently with packet processing.
 type Schema struct {
 	names  []string
 	widths []int
 	index  map[string]FieldID
+
+	// layout is the one object New allocates per packet, fixed by the
+	// first New: the Packet header followed by the field vector.
+	once   sync.Once
+	layout reflect.Type
 }
 
 // NewSchema returns an empty schema.
@@ -48,6 +57,9 @@ func (s *Schema) Define(name string, width int) FieldID {
 			panic(fmt.Sprintf("packet: field %q redefined with width %d (was %d)", name, width, s.widths[id]))
 		}
 		return id
+	}
+	if s.layout != nil {
+		panic(fmt.Sprintf("packet: field %q defined after packets were created from the schema", name))
 	}
 	id := FieldID(len(s.names))
 	s.names = append(s.names, name)
@@ -112,7 +124,8 @@ type Packet struct {
 	// Dropped marks the packet as discarded.
 	Dropped bool
 	// released marks a packet in a Pool's freelist; it fits Dropped's
-	// padding, where an owner pointer would leave the 96 B size class.
+	// padding, where an owner pointer would grow the 96 B header and push
+	// header plus field vector into the next size class.
 	released bool
 	// Recirculations counts trips back through the pipeline.
 	Recirculations int
@@ -123,13 +136,26 @@ type Packet struct {
 	Payload any
 }
 
-// New creates a zero-filled packet for this schema.
+// New creates a zero-filled packet for this schema. The header and its
+// field vector are one allocation, sized to the two together.
 func (s *Schema) New() *Packet {
-	return &Packet{
-		schema:     s,
-		fields:     make([]uint64, len(s.names)),
-		EgressPort: -1,
-	}
+	s.once.Do(s.fixLayout)
+	base := reflect.New(s.layout).UnsafePointer()
+	p := (*Packet)(base)
+	p.schema = s
+	p.fields = unsafe.Slice((*uint64)(unsafe.Add(base, unsafe.Sizeof(Packet{}))), len(s.names))
+	p.EgressPort = -1
+	return p
+}
+
+// fixLayout builds the type New allocates: the Packet header, then the
+// field vector right after it. Header first, the collector's scan of a
+// packet stops at the header's last pointer.
+func (s *Schema) fixLayout() {
+	s.layout = reflect.StructOf([]reflect.StructField{
+		{Name: "P", Type: reflect.TypeFor[Packet]()},
+		{Name: "F", Type: reflect.ArrayOf(len(s.names), reflect.TypeFor[uint64]())},
+	})
 }
 
 // Released reports whether the packet has been put back into a Pool and

@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -199,4 +201,93 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// sink makes the measured packets escape, as a packet handed to a
+// switch or a link does.
+var sink *Packet
+
+// TestNewIsOneAllocation: a fresh packet's header and field vector are
+// one object, whatever the schema's width.
+func TestNewIsOneAllocation(t *testing.T) {
+	for _, n := range []int{0, 1, 18, 100} {
+		s := schemaOf(n)
+		s.New() // fixes the layout outside the measured runs
+		if got := testing.AllocsPerRun(100, func() { sink = s.New() }); got != 1 {
+			t.Errorf("%d fields: New made %v allocations, want 1", n, got)
+		}
+	}
+}
+
+// TestFieldsDoNotOverlapHeader writes all-ones to every field of one
+// shared object and checks the header next to the vector is untouched.
+func TestFieldsDoNotOverlapHeader(t *testing.T) {
+	for _, n := range []int{1, 18, 100} {
+		s := schemaOf(n)
+		p := s.New()
+		p.Size, p.EgressPort, p.Payload = 1500, 3, "ctx"
+		for i := 0; i < n; i++ {
+			p.Set(FieldID(i), ^uint64(0))
+		}
+		if p.Size != 1500 || p.EgressPort != 3 || p.Payload != "ctx" || p.Released() {
+			t.Fatalf("%d fields: header changed by field writes: %+v", n, p)
+		}
+		pl := NewPool(s)
+		q := pl.Get()
+		p.CloneInto(q)
+		for i := 0; i < n; i++ {
+			if q.Get(FieldID(i)) != ^uint64(0) {
+				t.Fatalf("%d fields: CloneInto lost field %d", n, i)
+			}
+		}
+		pl.Put(q)
+		if r := pl.Get(); r != q || r.Get(FieldID(n-1)) != 0 || r.Size != 0 || r.EgressPort != -1 {
+			t.Fatalf("%d fields: pool round trip did not reset the packet: %+v", n, r)
+		}
+		if p.Get(0) != ^uint64(0) || p.Size != 1500 {
+			t.Fatalf("%d fields: pool round trip touched the source packet", n)
+		}
+	}
+}
+
+// TestDefineAfterNewPanics: the first New fixes the layout, so a new
+// field after it is refused; re-defining an existing one is a lookup.
+func TestDefineAfterNewPanics(t *testing.T) {
+	s := NewSchema()
+	a := s.Define("a", 8)
+	s.New()
+	if s.Define("a", 8) != a {
+		t.Fatal("re-Define after New returned a new ID")
+	}
+	mustPanic(t, "Define of a new field after New", func() { s.Define("b", 8) })
+}
+
+// TestConcurrentNew: the layout is built once even when the first New
+// calls race; run under -race.
+func TestConcurrentNew(t *testing.T) {
+	s := schemaOf(18)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				p := s.New()
+				p.Set(FieldID(i%18), uint64(i))
+				if len(p.fields) != 18 {
+					t.Error("packet has the wrong number of fields")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func schemaOf(n int) *Schema {
+	s := NewSchema()
+	for i := 0; i < n; i++ {
+		s.Define(fmt.Sprintf("f%d", i), 64)
+	}
+	return s
 }
