@@ -182,6 +182,12 @@ func TestChannelChaosSerializability(t *testing.T) {
 			if prof.PartitionEvery > 0 && st.Resyncs == 0 {
 				t.Fatalf("%s: post-partition heal without resync: %+v", prof.Name, st)
 			}
+			// A profile that only delays or copies frames loses none: the
+			// retransmission timer's margin covers the skew it adds, so
+			// almost nothing is sent twice.
+			if prof.Loss == 0 && prof.PartitionEvery == 0 && cs.Retransmits*100 > cs.Sent {
+				t.Fatalf("%s only delays frames, yet %d of %d frames were resent", prof.Name, cs.Retransmits, cs.Sent)
+			}
 		})
 	}
 }

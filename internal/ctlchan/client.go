@@ -21,12 +21,15 @@ type ClientOptions struct {
 	Session uint32
 	Epoch   uint64
 
-	// RTO is the initial retransmission timeout; each retransmit re-arms
-	// at RTO plus a full-jitter backoff draw capped at 8x RTO. Default:
-	// 2 link RTTs plus a fixed service allowance (the server executes a
-	// request on its driver before replying, so the response takes wire +
-	// execution + wire — an RTO of bare wire time retransmits spuriously
-	// on a perfectly healthy channel).
+	// RTO is the initial retransmission timeout and its ceiling. Once an
+	// op kind has a round trip measured, a single op of that kind times
+	// out at the kind's estimate instead, never later than RTO; a run of
+	// several ops always starts from RTO. Each retransmit re-arms at the
+	// call's RTO plus a full-jitter backoff draw capped at 8x that RTO.
+	// Default: 2 link RTTs plus a fixed service allowance (the server
+	// executes a request on its driver before replying, so the response
+	// takes wire + execution + wire — an RTO of bare wire time
+	// retransmits spuriously on a perfectly healthy channel).
 	RTO time.Duration
 	// OpDeadline bounds how long one operation retransmits before the
 	// client gives up and reports driver.ErrChannelDegraded. Default
@@ -112,7 +115,8 @@ type call struct {
 	timer    sim.EventID
 	armed    bool
 	lastTx   sim.Time
-	rto      time.Duration // the client's RTO stretched to this run's length
+	retx     bool          // sent more than once: its response times no round trip
+	rto      time.Duration // the measured RTO, or the client's stretched to this run's length
 	deadline sim.Time
 
 	done      bool
@@ -173,7 +177,36 @@ type Client struct {
 	// lastCause is the classification of the most recent timeout.
 	lastCause DegradeCause
 
+	// rtt is the round-trip estimate of each op kind, which times a
+	// single op's retransmissions once the kind has a sample.
+	rtt [driver.NumOpKinds]rttEstimate
+
 	stats ClientStats
+}
+
+// rttEstimate is one op kind's round-trip estimate (RFC 6298): the
+// smoothed RTT and its mean deviation, sampled only from single-op calls
+// answered without a retransmit, whose response can only be to the one
+// frame sent (Karn's rule).
+type rttEstimate struct {
+	srtt, rttvar time.Duration
+	sampled      bool
+}
+
+// sample folds one measured round trip r into the estimate, with RFC
+// 6298's gains: rttvar = 3/4 rttvar + 1/4 |srtt - r|, then
+// srtt = 7/8 srtt + 1/8 r.
+func (e *rttEstimate) sample(r time.Duration) {
+	if !e.sampled {
+		e.srtt, e.rttvar, e.sampled = r, r/2, true
+		return
+	}
+	d := e.srtt - r
+	if d < 0 {
+		d = -d
+	}
+	e.rttvar = (3*e.rttvar + d) / 4
+	e.srtt = (7*e.srtt + r) / 8
 }
 
 var (
@@ -317,6 +350,7 @@ func (c *Client) onTimer() {
 		return
 	}
 	c.stats.Retransmits++
+	cl.retx = true
 	c.transmit(cl)
 	c.arm(cl, cl.rto+cl.bo.Next())
 }
@@ -354,6 +388,9 @@ func (c *Client) onFrame(msg []byte) {
 	}
 	cl.done = true
 	c.degraded = false
+	if e := c.estimate(cl.req.ops); e != nil && !cl.retx {
+		e.sample(c.sim.Now().Sub(cl.lastTx))
+	}
 	if cl.armed {
 		c.sim.Cancel(cl.timer)
 		cl.armed = false
@@ -415,6 +452,27 @@ func (c *Client) runTimers(n int) (rto, deadline time.Duration) {
 	return rto, time.Duration(int64(c.opts.OpDeadline) * int64(rto) / int64(c.opts.RTO))
 }
 
+// estimate is the round-trip estimate that times a call of ops: its
+// kind's for a single op, nil for a run, whose service time grows with
+// its length.
+func (c *Client) estimate(ops []driver.Op) *rttEstimate {
+	if len(ops) != 1 || ops[0].Kind >= driver.NumOpKinds {
+		return nil
+	}
+	return &c.rtt[ops[0].Kind]
+}
+
+// measuredRTO is the retransmission timeout an estimate gives: the
+// smoothed RTT plus a margin of four mean deviations, at least one
+// fault-free RTT and at least the link's skew bound. The margin keeps a
+// response the wire only delayed from being asked for again; without
+// it a deterministic RTT would drive the deviation to zero and the timer
+// to the response's own instant. The configured RTO is the ceiling.
+func (c *Client) measuredRTO(e *rttEstimate) time.Duration {
+	margin := max(4*e.rttvar, c.RTT(), c.link.MaxDelay()-c.link.Delay())
+	return min(e.srtt+margin, c.opts.RTO)
+}
+
 // roundTrip runs the request in cl, a copy of ops, to completion:
 // transmit, retransmit until response or deadline, then hand each applied
 // op of ops its result. It returns how many ops applied and the error of
@@ -428,9 +486,17 @@ func (c *Client) roundTrip(p *sim.Proc, cl *call, ops []driver.Op) (int, error) 
 	c.nextSeq++
 
 	cl.seq, cl.waiter = req.Seq, p
-	cl.bo.Reset()
 	rto, deadline := c.runTimers(len(req.ops))
 	cl.rto, cl.deadline = rto, c.sim.Now().Add(deadline)
+	// The backoff scales from the RTO a measured call starts from; a run,
+	// or an op whose kind has no sample yet, keeps the configured one.
+	base := c.opts.RTO
+	if e := c.estimate(req.ops); e != nil && e.sampled {
+		cl.rto = c.measuredRTO(e)
+		base = cl.rto
+	}
+	cl.bo.Base, cl.bo.Max = base, 8*base
+	cl.bo.Reset()
 	c.cur = cl
 	c.transmit(cl)
 	c.arm(cl, cl.rto)
