@@ -152,34 +152,42 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 
 	var agent *Agent
 	rng := rand.New(rand.NewSource(seed))
-	nextKey := [2]uint64{10, 10}
+	calls := uint64(0)
 	tableNames := [2]string{"t1", "t2"}
 	actions := [2]string{"set1", "set2"}
+	// The body draws all of an invocation's choices before its first
+	// table call and keys an add by the invocation count, so which ops it
+	// asks for does not depend on whether a failing call stops it early.
 	reaction := func(ctx *Ctx) error {
+		calls++
+		type choice struct{ ti, kind, pick, val int }
+		choices := make([]choice, 1+rng.Intn(4))
+		for i := range choices {
+			choices[i] = choice{rng.Intn(2), rng.Intn(4), rng.Intn(1 << 20), rng.Intn(1000)}
+		}
 		gone := map[UserHandle]bool{}
-		for n := 1 + rng.Intn(4); n > 0; n-- {
-			ti := rng.Intn(2)
-			tbl, err := ctx.Table(tableNames[ti])
+		for i, c := range choices {
+			tbl, err := ctx.Table(tableNames[c.ti])
 			if err != nil {
 				return err
 			}
 			var live []UserHandle
-			for _, h := range agent.tables[tableNames[ti]].handles() {
+			for _, h := range agent.tables[tableNames[c.ti]].handles() {
 				if !gone[h] {
 					live = append(live, h)
 				}
 			}
-			kind, val := rng.Intn(4), uint64(rng.Intn(1000))
+			val := uint64(c.val)
 			switch {
-			case len(live) == 0 || (kind == 0 && len(live) < 3):
-				nextKey[ti]++
-				_, err = tbl.AddEntry(UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(nextKey[ti])}, Action: actions[ti], Data: []uint64{val}})
-			case kind == 3 && len(live) > 1:
-				h := live[rng.Intn(len(live))]
+			case len(live) == 0 || (c.kind == 0 && len(live) < 3):
+				key := 10 + 4*calls + uint64(i)
+				_, err = tbl.AddEntry(UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(key)}, Action: actions[c.ti], Data: []uint64{val}})
+			case c.kind == 3 && len(live) > 1:
+				h := live[c.pick%len(live)]
 				gone[h] = true
 				err = tbl.DeleteEntry(h)
 			default:
-				err = tbl.ModifyEntry(live[rng.Intn(len(live))], actions[ti], []uint64{val})
+				err = tbl.ModifyEntry(live[c.pick%len(live)], actions[c.ti], []uint64{val})
 			}
 			if err != nil {
 				return err
@@ -258,10 +266,13 @@ const stagedFaultWindow = 36
 // log: seeded random reactions, a transient burst (one retry heals it,
 // or it outlasts the retries and the iteration is abandoned or its
 // mirror is left to the resync) or a crash at every op index of the first
-// iterations, compared with the behaviour of the commit before the log
-// replaced the per-table closure lists — every intent journaled, the
+// iterations, compared with the behaviour of the commit before a
+// reaction's table calls only staged — every intent journaled, the
 // outcome, the final user-level entries and the switch's content, as a
-// digest per scenario captured there.
+// digest per scenario captured there. (The digests were first captured
+// at the commit before the log replaced the per-table closure lists, and
+// recaptured once, with that log, when the body began to draw its
+// choices up front.)
 func TestStagedLogMatchesParent(t *testing.T) {
 	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
