@@ -11,7 +11,10 @@ import "repro/internal/sim"
 // Kind is an application-level tag (e.g. "dos.block"); Key and Val are
 // its payload, with meaning fixed by the kind. Events are facts about
 // committed or in-flight reaction decisions, not control messages: the
-// emitting agent does not wait for consumers.
+// emitting agent does not wait for consumers. An emit is delivered once
+// the table calls staged before it are prepared, so events are at least
+// once: an abandoned iteration's retry delivers its events again, while
+// its native Go state and rand() draws are not rolled back.
 type Event struct {
 	// At is the virtual time of emission.
 	At sim.Time
@@ -26,10 +29,18 @@ type Event struct {
 
 // Emit exports an event to the agent's EventSink. Without a sink it is
 // a no-op, so reaction bodies can emit unconditionally.
-func (c *Ctx) Emit(kind string, key, val uint64) { c.agent.emit(c.proc, kind, key, val) }
+func (c *Ctx) Emit(kind string, key, val uint64) { c.agent.emit(kind, key, val) }
 
-func (a *Agent) emit(p *sim.Proc, kind string, key, val uint64) {
-	if sink := a.opts.EventSink; sink != nil {
-		sink(Event{At: p.Now(), Agent: a.opts.Name, Kind: kind, Key: key, Val: val})
+// heldEvent is an emitted event waiting for its prepares (prepareStaged):
+// pos is the log position it follows.
+type heldEvent struct {
+	pos      int
+	kind     string
+	key, val uint64
+}
+
+func (a *Agent) emit(kind string, key, val uint64) {
+	if a.opts.EventSink != nil {
+		a.held = append(a.held, heldEvent{pos: len(a.staged), kind: kind, key: key, val: val})
 	}
 }

@@ -166,7 +166,7 @@ func (a *Agent) journalBegin(p *sim.Proc) error {
 }
 
 // journalCommitStaged upgrades the iteration's intent with the staged
-// ops — the log's prepared slots, whose buffers the record aliases — and
+// ops — the log's slots, all prepared, whose buffers the record aliases — and
 // the init data the flip will install. Must complete before the prepare
 // phase issues its first driver write.
 func (a *Agent) journalCommitStaged(p *sim.Proc, targetInit [][]uint64) error {
@@ -175,9 +175,7 @@ func (a *Agent) journalCommitStaged(p *sim.Proc, targetInit [][]uint64) error {
 	}
 	ops := a.intentScratch.Ops[:0]
 	for i := range a.staged {
-		if s := &a.staged[i]; s.prepared {
-			ops = append(ops, s.tableOp())
-		}
+		ops = append(ops, a.staged[i].tableOp())
 	}
 	return a.writeIntent(p, "commit intent", journal.Intent{
 		Phase: journal.PhaseCommitStaged, Ops: ops, PendingMbl: a.pendingMbl, TargetInitData: targetInit,

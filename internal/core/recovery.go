@@ -217,8 +217,9 @@ func (a *Agent) leaveToResync() {
 }
 
 // rollbackIteration reverts everything the abandoned iteration staged:
-// pending malleable writes are dropped and shadow-entry prepares are
-// undone (or left to the resync if the channel is still failing). The
+// pending malleable writes are dropped, shadow-entry prepares are
+// undone (or left to the resync if the channel is still failing), and
+// the interpreted bodies' statics go back to the last commit. The
 // committed configuration — what packets observe — was never touched,
 // because vv only flips on a fully-successful commit.
 func (a *Agent) rollbackIteration(p *sim.Proc) {
@@ -231,4 +232,7 @@ func (a *Agent) rollbackIteration(p *sim.Proc) {
 	}
 	clear(a.pendingMbl)
 	a.rollbackStaged(p)
+	for _, rr := range a.reactions {
+		rr.restoreImage()
+	}
 }

@@ -8,9 +8,10 @@ import (
 // stagedOp is one slot of the agent's staged-op log: one user-level
 // table operation a reaction staged this iteration. The log is the only
 // record of what the iteration staged — in global staging order, across
-// tables — and each phase is a walk over it: rollback undoes the slots
-// backwards, the mirror phase re-applies the prepared ones forwards, and
-// the CommitStaged intent lists them (journalCommitStaged).
+// tables — and each phase is a walk over it: the prepares follow a body
+// that only appended (prepareStaged), rollback undoes the slots
+// backwards, the mirror phase re-applies them forwards, and the
+// CommitStaged intent lists them (journalCommitStaged).
 //
 // Slots are reused from iteration to iteration: oldData and newData are
 // the slot's own buffers, refilled in place, so staging allocates
@@ -24,11 +25,8 @@ type stagedOp struct {
 	// shadow is the version the prepare wrote (vv^1 at staging time);
 	// the mirror writes shadow^1.
 	shadow uint64
-	// prepared marks a slot whose shadow-side prepare completed: only
-	// those are journaled and mirrored. Undo runs for every slot — a
-	// prepare that failed partway still has to be reverted.
-	prepared bool
-	// The spec before (modify) and after (add, modify) the op.
+	// The spec before (modify, taken by its prepare) and after (add,
+	// modify) the op.
 	oldAction, newAction string
 	oldData, newData     []uint64
 }
@@ -48,7 +46,7 @@ func next[T any](s []T) []T {
 func (a *Agent) stage(kind journal.TableOpKind, tm *tableManager, h UserHandle, ue *userEntry) *stagedOp {
 	a.staged = next(a.staged)
 	s := &a.staged[len(a.staged)-1]
-	s.kind, s.tm, s.h, s.ue, s.shadow, s.prepared = kind, tm, h, ue, a.vv^1, false
+	s.kind, s.tm, s.h, s.ue, s.shadow = kind, tm, h, ue, a.vv^1
 	return s
 }
 
@@ -66,17 +64,48 @@ func (s *stagedOp) tableOp() journal.TableOp {
 	return op
 }
 
-// perform runs a freshly staged op's prepare. Inside a reaction that is
-// all: the slot stays in the log for the commit to mirror or the rollback
-// to undo. Outside one (prologue, ad-hoc) there is no commit to wait for,
-// so the op is mirrored at once — or undone, if its prepare failed — and
-// the slot leaves the log again.
-func (a *Agent) perform(p *sim.Proc, s *stagedOp) error {
-	err := s.prepare(p)
-	s.prepared = err == nil
-	if a.inReaction {
-		return err
+// prepareStaged issues the prepares of the slots a reaction staged, from
+// log position from on, in staging order, and delivers each held event
+// once the slots staged before it are prepared: the timeline of a body
+// that prepared inline. A failed prepare stays in the log for the
+// rollback to undo, since it may have landed partway; the slots and
+// events behind it are dropped, so every slot in the log was issued.
+func (a *Agent) prepareStaged(p *sim.Proc, from int) error {
+	for i, ev := from, 0; ; i++ {
+		for ; ev < len(a.held) && a.held[ev].pos <= i; ev++ {
+			h := &a.held[ev]
+			a.opts.EventSink(Event{At: p.Now(), Agent: a.opts.Name, Kind: h.kind, Key: h.key, Val: h.val})
+		}
+		if i == len(a.staged) {
+			a.held = a.held[:0]
+			return nil
+		}
+		if err := a.staged[i].prepare(p); err != nil {
+			a.dropStaged(i + 1)
+			return err
+		}
 	}
+}
+
+// dropStaged takes the slots from log position n on, never prepared, off
+// the log with the held events; an add gives its user handle back.
+func (a *Agent) dropStaged(n int) {
+	for i := len(a.staged) - 1; i >= n; i-- {
+		if s := &a.staged[i]; s.kind == journal.OpAdd {
+			s.tm.drop(s.h)
+			s.tm.nextHandle = s.h - 1
+		}
+	}
+	a.staged = a.staged[:n]
+	a.held = a.held[:0]
+}
+
+// settle runs the op just staged outside a reaction, where no commit
+// follows: it is prepared and mirrored at once — or undone, if its
+// prepare failed — and the slot leaves the log again.
+func (a *Agent) settle(p *sim.Proc) error {
+	s := &a.staged[len(a.staged)-1]
+	err := s.prepare(p)
 	if err != nil {
 		if s.undo(p) != nil {
 			a.leaveToResync()
@@ -96,6 +125,7 @@ func (s *stagedOp) prepare(p *sim.Proc) error {
 	case journal.OpAdd:
 		return s.tm.install(p, s.ue, s.shadow)
 	case journal.OpModify:
+		s.oldAction, s.oldData = s.ue.spec.Action, append(s.oldData[:0], s.ue.spec.Data...)
 		if err := s.tm.applyAll(p, s.ue, s.shadow, s.newAction, s.newData); err != nil {
 			return err
 		}
@@ -144,11 +174,7 @@ func (s *stagedOp) mirror(p *sim.Proc) error {
 // is invisible to packets until the next flip, which the resync gates.
 func (a *Agent) fillShadow(p *sim.Proc) error {
 	for i := range a.staged {
-		s := &a.staged[i]
-		if !s.prepared {
-			continue
-		}
-		if err := s.mirror(p); err != nil {
+		if err := a.staged[i].mirror(p); err != nil {
 			if !a.opts.Recovery.Enabled() {
 				return err
 			}

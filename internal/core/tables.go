@@ -262,10 +262,11 @@ func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, act
 	return nil
 }
 
-// addEntry prepares a new user entry: concrete entries are installed
-// for the shadow version (vv^1) immediately; installation for the
-// primary version is the op's mirror (see Agent.perform for when that
-// runs). For unversioned tables the entries install directly.
+// addEntry mints a user handle for a new entry and stages its add: the
+// concrete entries are installed for the shadow version (vv^1) by the
+// op's prepare and for the primary by its mirror (see prepareStaged and
+// settle for when those run). For unversioned tables the entries install
+// directly.
 func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error) {
 	if _, ok := tm.agent.plan.Prog.Actions[spec.Action]; !ok {
 		if _, specialized := tm.info.ActionSpec[spec.Action]; !specialized {
@@ -290,16 +291,12 @@ func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error
 		return h, nil
 	}
 	tm.put(h, ue)
-	s := tm.agent.stage(journal.OpAdd, tm, h, ue)
-	s.setNew(spec.Action, spec.Data)
-	err := tm.agent.perform(p, s)
-	if !s.prepared {
-		return 0, err
-	}
-	return h, err
+	tm.agent.stage(journal.OpAdd, tm, h, ue).setNew(spec.Action, spec.Data)
+	return h, nil
 }
 
-// modifyEntry rebinds a user entry's action/data via three-phase update.
+// modifyEntry stages a rebind of a user entry's action/data for the
+// three-phase update.
 func (tm *tableManager) modifyEntry(p *sim.Proc, h UserHandle, action string, data []uint64) error {
 	ue, ok := tm.entries[h]
 	if !ok {
@@ -315,14 +312,12 @@ func (tm *tableManager) modifyEntry(p *sim.Proc, h UserHandle, action string, da
 		ue.setSpec(action, data)
 		return nil
 	}
-	s := tm.agent.stage(journal.OpModify, tm, h, ue)
-	s.oldAction, s.oldData = ue.spec.Action, append(s.oldData[:0], ue.spec.Data...)
-	s.setNew(action, data)
-	return tm.agent.perform(p, s)
+	tm.agent.stage(journal.OpModify, tm, h, ue).setNew(action, data)
+	return nil
 }
 
-// deleteEntry removes a user entry: the shadow copy is deleted in the
-// prepare phase, the old primary after commit (§5.1.2).
+// deleteEntry stages a user entry's removal: the shadow copy is deleted
+// in the prepare phase, the old primary after commit (§5.1.2).
 func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
 	ue, ok := tm.entries[h]
 	if !ok {
@@ -335,7 +330,8 @@ func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
 		tm.drop(h)
 		return nil
 	}
-	return tm.agent.perform(p, tm.agent.stage(journal.OpDelete, tm, h, ue))
+	tm.agent.stage(journal.OpDelete, tm, h, ue)
+	return nil
 }
 
 // TableHandle is the user-facing API of a malleable table.
@@ -343,15 +339,14 @@ type TableHandle struct {
 	tm *tableManager
 }
 
-// AddEntry installs a user entry (serializably, when invoked from a
-// reaction).
+// AddEntry installs a user entry outside a reaction (prologue, ad hoc):
+// there is no commit to wait for, so the entry is settled at once.
 func (th *TableHandle) AddEntry(p *sim.Proc, e UserEntry) (UserHandle, error) {
-	return th.tm.addEntry(p, e)
-}
-
-// ModifyEntry rebinds a user entry's action and data.
-func (th *TableHandle) ModifyEntry(p *sim.Proc, h UserHandle, action string, data []uint64) error {
-	return th.tm.modifyEntry(p, h, action, data)
+	h, err := th.tm.addEntry(p, e)
+	if err == nil && th.tm.versioned() {
+		err = th.tm.agent.settle(p)
+	}
+	return h, err
 }
 
 // Entries returns the user-level entries (sorted by handle).

@@ -1,6 +1,9 @@
 package rcl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file lowers the parsed AST into closure trees once, at Compile
 // time. The tree-walking interpreter this replaces re-dispatched on
@@ -36,6 +39,7 @@ type storeFn func(in *interp, v int64) error
 // Closures capture it, so statics persist per-Program across Exec
 // calls, as before.
 type staticCell struct {
+	name string
 	c    cell
 	done bool
 }
@@ -111,11 +115,12 @@ func (ce *compEnv) declareLocal(name string, line int) (int, error) {
 }
 
 func (ce *compEnv) declareStatic(name string, width int) *staticCell {
-	sc, ok := ce.prog.staticCells[name]
-	if !ok {
-		sc = &staticCell{c: cell{width: width}}
-		ce.prog.staticCells[name] = sc
+	i := slices.IndexFunc(ce.prog.statics, func(sc *staticCell) bool { return sc.name == name })
+	if i < 0 {
+		i = len(ce.prog.statics)
+		ce.prog.statics = append(ce.prog.statics, &staticCell{name: name, c: cell{width: width}})
 	}
+	sc := ce.prog.statics[i]
 	top := &ce.scopes[len(ce.scopes)-1]
 	if top.names == nil {
 		top.names = make(map[string]slotRef)

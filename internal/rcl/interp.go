@@ -22,7 +22,7 @@ type Host interface {
 	ReadMbl(name string) (int64, error)
 	// WriteMbl stages a write to a malleable value or field.
 	WriteMbl(name string, v int64) error
-	// TableOp performs a malleable-table library call
+	// TableOp stages a malleable-table library call
 	// (addEntry/modEntry/delEntry) and returns a handle or 0.
 	TableOp(table, method string, args []Arg) (int64, error)
 	// Call invokes a host builtin (now(), emit(...), ...).
@@ -36,10 +36,12 @@ type Host interface {
 type Program struct {
 	stmts []Stmt
 
-	code        []stmtFn
-	nlocals     int
-	params      map[string]int // free name → params-array slot
-	staticCells map[string]*staticCell
+	code    []stmtFn
+	nlocals int
+	params  map[string]int // free name → params-array slot
+	// statics in declaration order, and their last SaveStatics image.
+	statics []*staticCell
+	image   []int64
 
 	// MaxSteps bounds interpreted loop iterations per invocation;
 	// reaction loops must terminate for the dialogue to advance.
@@ -65,14 +67,40 @@ func Compile(src string) (*Program, error) {
 // that runs one builds its Program from those statements.
 func NewProgram(stmts []Stmt) (*Program, error) {
 	p := &Program{
-		stmts:       stmts,
-		params:      make(map[string]int),
-		staticCells: make(map[string]*staticCell),
+		stmts:  stmts,
+		params: make(map[string]int),
 	}
 	if err := p.compile(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// SaveStatics records every static's value and run-once flag for
+// RestoreStatics, so a caller can take back what Execs did. Once the
+// statics are initialized, a save allocates nothing.
+func (p *Program) SaveStatics() {
+	img := p.image[:0]
+	for _, sc := range p.statics {
+		img = append(img, sc.c.scalar, boolToInt(sc.done))
+		if sc.done {
+			img = append(img, sc.c.arr...)
+		}
+	}
+	p.image = img
+}
+
+// RestoreStatics returns the statics to the last SaveStatics; an array
+// saved before its first initialization is initialized again.
+func (p *Program) RestoreStatics() {
+	img := p.image
+	for _, sc := range p.statics {
+		sc.c.scalar, sc.done = img[0], img[1] != 0
+		img = img[2:]
+		if sc.done {
+			img = img[copy(sc.c.arr, img):]
+		}
+	}
 }
 
 // cell is a variable binding: a scalar or an array, with an optional
