@@ -193,6 +193,8 @@ type DosDetector struct {
 
 	lastTotal uint64
 	senders   map[uint64]*senderState
+	// staged is the sender whose block the previous run staged (0: none).
+	staged uint64
 }
 
 type senderState struct {
@@ -239,6 +241,10 @@ func (d *DosDetector) Observe(now sim.Time, src, total uint64) (est, rate uint64
 
 // React is the reaction body (registered for "dos_react").
 func (d *DosDetector) React(ctx *core.Ctx) error {
+	if ctx.Abandoned() && d.staged != 0 {
+		d.senders[d.staged].blocked = false // that block never committed
+	}
+	d.staged = 0
 	src := ctx.Field("ipv4.srcAddr")
 	est, rate, block := d.Observe(ctx.Now(), src, ctx.Reg("total_bytes")[0])
 	if est == 0 {
@@ -258,6 +264,7 @@ func (d *DosDetector) React(ctx *core.Ctx) error {
 		d.senders[src].blocked = false // a later poll tries again
 		return fmt.Errorf("dos: blocking %#x: %w", src, err)
 	}
+	d.staged = src
 	ctx.Emit(EventDosBlock, src, rate)
 	return nil
 }
