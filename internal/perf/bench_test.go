@@ -8,6 +8,6 @@ import "testing"
 //	go test ./internal/perf -bench 'HotPaths/dialogue_iteration' -benchmem
 func BenchmarkHotPaths(b *testing.B) {
 	for _, nb := range HotPathBenchmarks() {
-		b.Run(nb.Name, nb.Bench)
+		b.Run(nb.Name, nb.bench)
 	}
 }

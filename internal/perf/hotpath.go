@@ -19,12 +19,14 @@ import (
 	"repro/internal/sim"
 )
 
-// NamedBench is one entry of the hot-path suite: a benchmark runnable
-// both under `go test -bench` (bench_test.go wraps the suite in b.Run)
-// and from cmd/perfbench via testing.Benchmark.
+// NamedBench is one entry of the hot-path suite. Setup builds the path,
+// warms it (warmOps) and returns run, which performs n more operations
+// of it. perfbench times run(b.N) (Run, and
+// BenchmarkHotPaths under `go test -bench`); TestHotPathsAllocateNothing
+// counts the allocations of a fixed number.
 type NamedBench struct {
 	Name  string
-	Bench func(b *testing.B)
+	Setup func(tb testing.TB) (run func(n int))
 }
 
 // HotPathBenchmarks returns the microbenchmark suite behind
@@ -33,31 +35,105 @@ type NamedBench struct {
 // missing until the baseline is regenerated.
 func HotPathBenchmarks() []NamedBench {
 	return []NamedBench{
-		{"exact_lookup_1k", benchExactLookup},
-		{"ternary_lookup_bucketed_1k", benchTernaryBucketed},
-		{"ternary_lookup_linear_1k", benchTernaryLinear},
-		{"pipeline_packet", benchPipelinePacket},
-		{"trunk_hop", benchTrunkHop},
-		{"tcp_segment", benchTCPSegment},
-		{"dialogue_iteration", benchDialogueIteration},
-		{"dialogue_iteration@ctlchan", benchDialogueIterationCtlchan},
-		{"update_commit@ctlchan", benchUpdateCommitCtlchan},
-		{"poll_batch", benchPollBatch},
-		{"reaction_dispatch", benchReactionDispatch},
-		{"proc_sleep", benchProcSleep},
-		{"proc_handoff", benchProcHandoff},
+		{"exact_lookup_1k", exactLookup},
+		{"ternary_lookup_bucketed_1k", ternaryBucketed},
+		{"ternary_lookup_linear_1k", ternaryLinear},
+		{"pipeline_packet", pipelinePacket},
+		{"trunk_hop", trunkHop},
+		{"tcp_segment", tcpSegment},
+		{"dialogue_iteration", dialogueIteration},
+		{"dialogue_iteration@ctlchan", dialogueIterationCtlchan},
+		{"update_commit@ctlchan", updateCommitCtlchan},
+		{"poll_batch", pollBatch},
+		{"reaction_dispatch", reactionDispatch},
+		{"proc_sleep", procSleep},
+		{"proc_handoff", procHandoff},
 	}
+}
+
+// bench times run(b.N) on nb's warmed path.
+func (nb NamedBench) bench(b *testing.B) {
+	run := nb.Setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// warmOps is how many operations Setup performs before it returns. A
+// path's own one-time growth (freelists, pools, the journal's buffers)
+// ends within its first few dozen; what Go's runtime adds later, at
+// random, is the allocation gate's business (allocs in perf_test.go).
+const warmOps = 1024
+
+// warm performs warmOps operations of run and returns it.
+func warm(run func(n int)) func(n int) {
+	run(warmOps)
+	return run
+}
+
+// loop drives a simulation whose processes perform the measured
+// operation forever and call tick after each one. tick stops the
+// simulator at the target, so run(n) raises the target by n and resumes
+// the processes where the last run left them.
+type loop struct {
+	s            *sim.Simulator
+	done, target int
+	// err is a process's failure; the process returns after setting it.
+	err error
+}
+
+func (l *loop) tick() {
+	l.done++
+	if l.done == l.target {
+		l.s.Stop()
+	}
+}
+
+// start warms l and returns its run. check, if set, reports a failure
+// no process could (an agent's error).
+func (l *loop) start(tb testing.TB, check func() error) func(n int) {
+	return warm(func(n int) {
+		l.target += n
+		l.s.Run()
+		if l.err == nil && check != nil {
+			l.err = check()
+		}
+		if l.err != nil {
+			tb.Fatal(l.err)
+		}
+		if l.done != l.target {
+			tb.Fatalf("%d of %d operations ran", l.done, l.target)
+		}
+	})
+}
+
+// newSwitch builds prog's switch on s.
+func newSwitch(tb testing.TB, s *sim.Simulator, prog *p4.Program) *rmt.Switch {
+	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sw
+}
+
+// compile compiles a P4R source.
+func compile(tb testing.TB, src string) *compiler.Plan {
+	plan, err := compiler.CompileSource(src, compiler.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
 }
 
 const lookupEntries = 1024
 
-// lookupProbe builds a switch with one 1k-entry table and returns its
-// raw lookup hook. kind selects the index under test: a single-column
-// exact table ("exact"), a two-column table whose exact first column
-// partitions the TCAM into buckets ("bucketed"), or a pure-ternary
-// table that can only scan linearly ("linear").
-func lookupProbe(b *testing.B, kind string) func(vals []uint64) bool {
-	b.Helper()
+// lookup builds a switch with one 1k-entry table and returns the run of
+// its raw lookup hook, cycling through the entries. kind selects the
+// index under test: a single-column exact table ("exact"), a two-column
+// table whose exact first column partitions the TCAM into buckets
+// ("bucketed"), or a pure-ternary table that can only scan linearly
+// ("linear").
+func lookup(tb testing.TB, kind string) func(n int) {
 	prog := p4.NewProgram("perf-" + kind)
 	prog.DefineStandardMetadata()
 	fsel := prog.Schema.Define("h.sel", 16)
@@ -75,11 +151,7 @@ func lookupProbe(b *testing.B, kind string) func(vals []uint64) bool {
 		}
 	}
 	prog.AddTable(&p4.Table{Name: "t", Keys: keys, ActionNames: []string{"hit"}, Size: lookupEntries})
-	s := sim.New(1)
-	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	sw := newSwitch(tb, sim.New(1), prog)
 	for i := 0; i < lookupEntries; i++ {
 		sel := rmt.ExactKey(uint64(i))
 		if kind == "linear" {
@@ -90,38 +162,32 @@ func lookupProbe(b *testing.B, kind string) func(vals []uint64) bool {
 			e.Keys = append(e.Keys, rmt.TernaryKey(0, 0))
 		}
 		if _, err := sw.AddEntry("t", e); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	probe, err := sw.LookupProbe("t")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return probe
-}
-
-func benchLookup(b *testing.B, kind string, ncols int) {
-	probe := lookupProbe(b, kind)
-	vals := make([]uint64, ncols)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vals[0] = uint64(i % lookupEntries)
-		if !probe(vals) {
-			b.Fatal("miss")
+	vals := make([]uint64, len(keys))
+	return warm(func(n int) {
+		for i := 0; i < n; i++ {
+			vals[0] = uint64(i % lookupEntries)
+			if !probe(vals) {
+				tb.Fatal("miss")
+			}
 		}
-	}
+	})
 }
 
-func benchExactLookup(b *testing.B)     { benchLookup(b, "exact", 1) }
-func benchTernaryBucketed(b *testing.B) { benchLookup(b, "bucketed", 2) }
-func benchTernaryLinear(b *testing.B)   { benchLookup(b, "linear", 2) }
+func exactLookup(tb testing.TB) func(n int)     { return lookup(tb, "exact") }
+func ternaryBucketed(tb testing.TB) func(n int) { return lookup(tb, "bucketed") }
+func ternaryLinear(tb testing.TB) func(n int)   { return lookup(tb, "linear") }
 
-// benchPipelinePacket measures one full ingress-to-egress pass —
-// admission, compiled ingress (ternary ACL + exact forward + register
-// count), queueing, serialization, compiled egress — with a pooled
-// packet. Steady state must be allocation-free.
-func benchPipelinePacket(b *testing.B) {
+// pipelinePacket is one full ingress-to-egress pass — admission,
+// compiled ingress (ternary ACL + exact forward + register count),
+// queueing, serialization, compiled egress — with a pooled packet.
+func pipelinePacket(tb testing.TB) func(n int) {
 	prog := p4.NewProgram("perf-pipeline")
 	prog.DefineStandardMetadata()
 	dst := prog.Schema.Define("ipv4.dstAddr", 32)
@@ -162,37 +228,29 @@ func benchPipelinePacket(b *testing.B) {
 		p4.Apply{Table: "acl"}, p4.Apply{Table: "forward"}, p4.Apply{Table: "rx_counter"},
 	}
 	s := sim.New(1)
-	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	sw := newSwitch(tb, s, prog)
 	if _, err := sw.AddEntry("forward", rmt.Entry{
 		Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set_egress", Data: []uint64{2},
 	}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pool := packet.NewPool(prog.Schema)
 	tmpl := prog.Schema.New()
 	tmpl.SetName("ipv4.dstAddr", 7)
 	tmpl.Size = 256
-	send := func() {
-		p := pool.Get()
-		tmpl.CloneInto(p)
-		sw.Inject(0, p)
-		s.Run()
-		pool.Put(p)
-	}
-	for i := 0; i < 100; i++ {
-		send() // warm the packet pool and event freelist
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
-	}
-	if sw.Stats().TxPackets == 0 {
-		b.Fatal("no packets transmitted")
-	}
+	return warm(func(n int) {
+		sent := sw.Stats().TxPackets
+		for i := 0; i < n; i++ {
+			p := pool.Get()
+			tmpl.CloneInto(p)
+			sw.Inject(0, p)
+			s.Run()
+			pool.Put(p)
+		}
+		if got := sw.Stats().TxPackets - sent; got != uint64(n) {
+			tb.Fatalf("%d of %d packets transmitted", got, n)
+		}
+	})
 }
 
 // dialogueSrc is a representative Mantis program: a register-mirroring
@@ -218,117 +276,74 @@ reaction r(reg qdepths) {
 control ingress { apply(t); }
 `
 
-// benchDialogueIteration measures the host cost of one virtual dialogue
-// iteration: measurement reads, the interpreted reaction, and the
-// serializable commit.
-func benchDialogueIteration(b *testing.B) {
-	plan, err := compiler.CompileSource(dialogueSrc, compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
+// dialogue starts plan's agent on ch and returns the run of its
+// iterations (poll → react → commit), each of which must commit.
+// configure, if set, sees the agent before it starts.
+func dialogue(tb testing.TB, s *sim.Simulator, ch driver.Channel, plan *compiler.Plan, opts core.Options, configure func(*core.Agent) error) func(n int) {
+	l := &loop{s: s}
+	opts.AfterIteration = func(*sim.Proc, *core.Agent) { l.tick() }
+	a := core.NewAgent(s, ch, plan, opts)
+	if configure != nil {
+		if err := configure(a); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	s := sim.New(1)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
-	agent := core.NewAgent(s, drv, plan, core.Options{MaxIterations: uint64(b.N)})
-	b.ReportAllocs()
-	b.ResetTimer()
-	agent.Start()
-	s.Run()
-	if err := agent.Err(); err != nil {
-		b.Fatal(err)
-	}
+	a.Start()
+	tb.Cleanup(func() {
+		if st := a.Stats(); st.Commits != uint64(l.done) {
+			tb.Errorf("%d of %d iterations committed (%d abandoned)", st.Commits, l.done, st.Abandoned)
+		}
+	})
+	return l.start(tb, a.Err)
 }
 
-// stackedDialogue is an agent behind the control stack
-// fabric.buildNode deploys for every node: core.Agent → ctlchan.Client →
-// 1µs netsim.Link → ctlchan.Server → primary ctlplane.Session →
-// driver.Driver, journaling to a journal.MemStore with the
-// channel-scaled recovery options. The raw-driver dialogue_iteration
-// measures the loop; this measures what the fabric runs.
-type stackedDialogue struct {
-	sim   *sim.Simulator
-	agent *core.Agent
+// dialogueIteration is one virtual dialogue iteration on the raw driver:
+// measurement reads, the interpreted reaction, and the serializable
+// commit.
+func dialogueIteration(tb testing.TB) func(n int) {
+	plan := compile(tb, dialogueSrc)
+	s := sim.New(1)
+	drv := driver.New(s, newSwitch(tb, s, plan.Prog), driver.DefaultCostModel())
+	return dialogue(tb, s, drv, plan, core.Options{}, nil)
 }
 
-// newStackedDialogue compiles src and starts its agent behind the stack.
-// configure, if set, sees the agent before it starts; prologue is the
-// agent's.
-func newStackedDialogue(src string, prologue func(*sim.Proc, *core.Agent) error, configure func(*core.Agent) error) (*stackedDialogue, error) {
-	plan, err := compiler.CompileSource(src, compiler.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New(1)
-	sw, err := rmt.New(s, plan.Prog, rmt.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
+// deploy puts prog's switch behind the control stack fabric.buildNode
+// deploys for every node: ctlchan.Client → 1µs netsim.Link →
+// ctlchan.Server → primary ctlplane.Session → driver.Driver. It returns
+// both ends.
+func deploy(tb testing.TB, s *sim.Simulator, prog *p4.Program) (*ctlchan.Client, *driver.Driver) {
+	drv := driver.New(s, newSwitch(tb, s, prog), driver.DefaultCostModel())
 	svc := ctlplane.New(s, drv, ctlplane.Options{})
 	sess, err := svc.Open(ctlplane.SessionOptions{Name: "agent", Role: ctlplane.RolePrimary, ElectionID: 1})
 	if err != nil {
-		return nil, err
+		tb.Fatal(err)
 	}
 	link := netsim.NewLink(s, time.Microsecond, faults.LinkNone(), 1)
 	ctlchan.NewServer(s).Attach(link, netsim.LinkSideB, 1, 1, sess)
-	cli := ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: drv})
-	d := &stackedDialogue{sim: s}
-	d.agent = core.NewAgent(s, cli, plan, core.Options{
+	return ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: drv}), drv
+}
+
+// stackedDialogue is src's dialogue behind the deployed stack, journaling
+// to a journal.MemStore with the channel-scaled recovery options: what
+// the fabric runs, where dialogue_iteration measures the loop. prologue
+// is the agent's.
+func stackedDialogue(tb testing.TB, src string, prologue func(*sim.Proc, *core.Agent) error, configure func(*core.Agent) error) func(n int) {
+	plan := compile(tb, src)
+	s := sim.New(1)
+	cli, _ := deploy(tb, s, plan.Prog)
+	return dialogue(tb, s, cli, plan, core.Options{
 		Recovery:       core.RecoveryForChannel(cli.RTT()),
 		Journal:        &core.JournalConfig{Store: journal.NewMemStore()},
 		LatencySamples: 1,
 		Prologue:       prologue,
-		AfterIteration: func(*sim.Proc, *core.Agent) { s.Stop() },
-	})
-	if configure != nil {
-		if err := configure(d.agent); err != nil {
-			return nil, err
-		}
-	}
-	d.agent.Start()
-	return d, nil
+	}, configure)
 }
 
-// step runs the simulation until the agent has finished one more
-// iteration (poll → react → commit → checkpoint).
-func (d *stackedDialogue) step() error {
-	d.sim.Run()
-	return d.agent.Err()
-}
-
-// stackedWarmup fills the stack's freelists, buffers and name tables
-// before anything is measured.
-const stackedWarmup = 256
-
-// run warms d up and measures b.N iterations.
-func (d *stackedDialogue) run(b *testing.B) {
-	for i := 0; i < stackedWarmup; i++ {
-		if err := d.step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchDialogueIterationCtlchan measures the host cost of one dialogue
-// iteration through the deployed control stack, journal included: two
-// intents and a checkpoint, encoded into the store's own buffers.
-// Nothing in it allocates; TestStackedIterationAllocBudget pins that.
-func benchDialogueIterationCtlchan(b *testing.B) {
-	d, err := newStackedDialogue(dialogueSrc, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.run(b)
+// dialogueIterationCtlchan is one dialogue iteration through the
+// deployed control stack, journal included: two intents and a
+// checkpoint, encoded into the store's own buffers.
+func dialogueIterationCtlchan(tb testing.TB) func(n int) {
+	return stackedDialogue(tb, dialogueSrc, nil, nil)
 }
 
 // updateSrc is the write path: two malleable tables of four entries
@@ -372,14 +387,15 @@ func updatePrologue(h1, h2 *[updateKeys]core.UserHandle) func(*sim.Proc, *core.A
 	}
 }
 
-// newStackedUpdate is the write path behind the deployed stack: per
+// updateCommitCtlchan is the write path behind the deployed stack: per
 // iteration, eight staged modifies (sixteen entry writes and two master
 // flips on the channel), a CommitStaged intent listing them and a
-// checkpoint of both tables.
-func newStackedUpdate() (*stackedDialogue, error) {
+// checkpoint of both tables. The staged-op log, the entries' data and the
+// journal records are all refilled in place.
+func updateCommitCtlchan(tb testing.TB) func(n int) {
 	var h1, h2 [updateKeys]core.UserHandle
 	data := make([]uint64, 1)
-	return newStackedDialogue(updateSrc, updatePrologue(&h1, &h2), func(a *core.Agent) error {
+	return stackedDialogue(tb, updateSrc, updatePrologue(&h1, &h2), func(a *core.Agent) error {
 		return a.RegisterNativeReaction("bump", func(ctx *core.Ctx) error {
 			t1, err := ctx.Table("t1")
 			if err != nil {
@@ -403,113 +419,91 @@ func newStackedUpdate() (*stackedDialogue, error) {
 	})
 }
 
-// benchUpdateCommitCtlchan measures the host cost of one write-path
-// iteration through the deployed control stack. Steady state must be
-// allocation-free: the staged-op log, the entries' data and the journal
-// records are all refilled in place (TestUpdateCommitAllocFree).
-func benchUpdateCommitCtlchan(b *testing.B) {
-	d, err := newStackedUpdate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.run(b)
-}
-
-// benchPollBatch measures the agent's measurement-poll shape: one
-// batched register read per iteration into a caller-owned dst matrix.
-// Steady state must be allocation-free (BatchReadInto refills rows in
-// place).
-func benchPollBatch(b *testing.B) {
-	s := sim.New(1)
+// pollBatch is the agent's measurement-poll shape: one batched register
+// read into a caller-owned dst matrix, whose rows BatchReadInto refills
+// in place.
+func pollBatch(tb testing.TB) func(n int) {
 	prog := p4.NewProgram("perf-poll")
 	prog.DefineStandardMetadata()
 	prog.AddRegister(&p4.Register{Name: "qdepths", Width: 32, Instances: 16})
-	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	drv := driver.New(s, sw, driver.DefaultCostModel())
+	s := sim.New(1)
+	drv := driver.New(s, newSwitch(tb, s, prog), driver.DefaultCostModel())
 	reqs := []driver.ReadReq{{Reg: "qdepths", Lo: 0, Hi: 16}}
 	dst := make([][]uint64, 1)
+	l := &loop{s: s}
 	s.Spawn("poll", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			if err := drv.BatchReadInto(p, reqs, dst); err != nil {
-				b.Error(err) // not Fatal: this is a process goroutine
-				return
-			}
+		for l.err == nil {
+			l.err = drv.BatchReadInto(p, reqs, dst)
+			l.tick()
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
+	return l.start(tb, nil)
 }
 
-// benchReactionDispatch measures one compiled-reaction execution: the
-// fold from dialogueSrc run through a prepared rcl Frame with bound
-// parameters, isolated from polling and commit. This is the interpreter
-// cost the closure compiler is accountable for.
-func benchReactionDispatch(b *testing.B) {
+// reactionDispatch is one compiled-reaction execution: the fold from
+// dialogueSrc run through a prepared rcl Frame with bound parameters,
+// isolated from polling and commit. This is the interpreter cost the
+// closure compiler is accountable for.
+func reactionDispatch(tb testing.TB) func(n int) {
 	prog, err := rcl.Compile(`
 		uint16_t m = 0;
 		for (int i = 0; i < 16; ++i) { if (qdepths[i] > m) { m = qdepths[i]; } }
 		${v} = m;
 	`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f := prog.NewFrame()
 	q := make([]int64, 16)
 	f.BindArray("qdepths", q)
 	host := &noopHost{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q[i%16] = int64(i)
-		if err := f.Exec(host); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchProcSleep measures the kernel's cheapest modelled wait: a process
-// whose own wake-up is the next event, so Sleep schedules, pops and
-// returns without leaving its goroutine.
-func benchProcSleep(b *testing.B) {
-	s := sim.New(1)
-	s.Spawn("sleeper", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
+	return warm(func(n int) {
+		for i := 0; i < n; i++ {
+			q[i%16] = int64(i)
+			if err := f.Exec(host); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
 }
 
-// benchProcHandoff measures the kernel's dearest wait: a Park/Unpark
-// round trip between two processes, each wake-up one goroutine switch.
-func benchProcHandoff(b *testing.B) {
-	s := sim.New(1)
+// procSleep is the kernel's cheapest modelled wait: a process whose own
+// wake-up is the next event, so Sleep schedules, pops and returns
+// without leaving its goroutine.
+func procSleep(tb testing.TB) func(n int) {
+	l := &loop{s: sim.New(1)}
+	l.s.Spawn("sleeper", func(p *sim.Proc) {
+		for {
+			p.Sleep(time.Nanosecond)
+			l.tick()
+		}
+	})
+	return l.start(tb, nil)
+}
+
+// procHandoff is the kernel's dearest wait: a Park/Unpark round trip
+// between two processes, each wake-up one goroutine switch.
+func procHandoff(tb testing.TB) func(n int) {
+	l := &loop{s: sim.New(1)}
 	var ping, pong *sim.Proc
-	pong = s.Spawn("pong", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
+	pong = l.s.Spawn("pong", func(p *sim.Proc) {
+		for {
 			p.Park()
 			ping.Unpark()
 		}
 	})
-	ping = s.Spawn("ping", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
+	ping = l.s.Spawn("ping", func(p *sim.Proc) {
+		for {
 			pong.Unpark()
 			p.Park()
+			l.tick()
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
+	return l.start(tb, nil)
 }
 
-// noopHost absorbs malleable writes so benchReactionDispatch measures
-// pure dispatch.
+// noopHost absorbs malleable writes so reactionDispatch measures pure
+// dispatch.
 type noopHost struct{ last int64 }
 
 func (h *noopHost) ReadMbl(string) (int64, error)                   { return h.last, nil }
@@ -517,13 +511,13 @@ func (h *noopHost) WriteMbl(_ string, v int64) error                { h.last = v
 func (h *noopHost) TableOp(_, _ string, _ []rcl.Arg) (int64, error) { return 0, nil }
 func (h *noopHost) Call(_ string, _ []rcl.Arg) (int64, error)       { return 0, nil }
 
-// Run executes the whole suite via testing.Benchmark and returns the
+// Run times the whole suite via testing.Benchmark and returns the
 // measured metrics in suite order. It is the entry point cmd/perfbench
 // uses to produce a Baseline outside `go test`.
 func Run() []Metric {
 	var ms []Metric
 	for _, nb := range HotPathBenchmarks() {
-		r := testing.Benchmark(nb.Bench)
+		r := testing.Benchmark(nb.bench)
 		ms = append(ms, Metric{
 			Name:        nb.Name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),

@@ -1,9 +1,11 @@
 package perf
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -109,99 +111,72 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHotPathSuite runs the real suite once (the same entry point
-// cmd/perfbench uses) and checks the invariants the checked-in baseline
-// encodes: every metric measured, and the lookup and per-packet paths
-// allocation-free.
-func TestHotPathSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark suite is slow")
+// gateOps is how many warmed operations an allocation check counts.
+const gateOps = 1000
+
+// gateWindows is how many runs of gateOps operations allocs counts at
+// most.
+const gateWindows = 3
+
+// allocs returns the fewest heap allocations run makes in gateOps
+// operations, counted exactly over up to gateWindows consecutive runs
+// (testing.AllocsPerRun runs each once more first, uncounted); it stops
+// at a clean one. Go's runtime allocates on its own now and then — a
+// type assertion fills its call site's cache after a random one in 1024
+// misses, a GC worker takes a sudog — so a one-time allocation can land
+// in any window, while an allocation the path makes every gateOps
+// operations or more often lands in all of them.
+func allocs(run func(n int)) float64 {
+	least := math.Inf(1)
+	for i := 0; i < gateWindows && least > 0; i++ {
+		least = min(least, testing.AllocsPerRun(1, func() { run(gateOps) }))
 	}
-	ms := Run()
-	if len(ms) != len(HotPathBenchmarks()) {
-		t.Fatalf("measured %d of %d benchmarks", len(ms), len(HotPathBenchmarks()))
-	}
-	byName := map[string]Metric{}
-	for _, m := range ms {
-		if m.NsPerOp <= 0 {
-			t.Fatalf("%s: ns/op = %v", m.Name, m.NsPerOp)
-		}
-		byName[m.Name] = m
-	}
-	for _, name := range []string{"exact_lookup_1k", "ternary_lookup_bucketed_1k", "pipeline_packet"} {
-		if m := byName[name]; m.AllocsPerOp != 0 {
-			t.Errorf("%s allocates %d/op, want 0", name, m.AllocsPerOp)
-		}
-	}
-	// The point of the bucket index: beating the linear scan by a wide
-	// margin on a 1k-entry table. The acceptance floor is 10x; use 5x
-	// here to keep the test robust to a noisy machine.
-	lin, buck := byName["ternary_lookup_linear_1k"], byName["ternary_lookup_bucketed_1k"]
-	if buck.NsPerOp*5 > lin.NsPerOp {
-		t.Errorf("bucketed TCAM %.1f ns/op not ≥5x faster than linear %.1f ns/op", buck.NsPerOp, lin.NsPerOp)
-	}
+	return least
 }
 
-// TestZeroAllocSteadyState pins the fast-path invariants: one dialogue
-// iteration — and each of its decomposed hot stages — and one pooled
-// packet's trip over a trunk or through a TCP exchange heap allocate
-// nothing at steady state. Prologue and warmup costs amortize
-// to zero across testing.Benchmark's iteration count; any per-iteration
-// allocation survives the division and fails here. Skipped under the
-// race detector, whose instrumentation allocates.
-func TestZeroAllocSteadyState(t *testing.T) {
+// TestHotPathsAllocateNothing is the allocation gate of the suite
+// perfbench times: every path, set up and warmed as perfbench runs it,
+// makes no heap allocation in gateOps more operations. The count is
+// exact, not a quotient, so one allocation in gateOps fails. Skipped
+// under the race detector, whose instrumentation allocates.
+func TestHotPathsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	if testing.Short() {
-		t.Skip("benchmark suite is slow")
-	}
-	targets := map[string]bool{
-		"dialogue_iteration": true,
-		"poll_batch":         true,
-		"reaction_dispatch":  true,
-		"proc_sleep":         true,
-		"proc_handoff":       true,
-		"trunk_hop":          true,
-		"tcp_segment":        true,
-	}
 	for _, nb := range HotPathBenchmarks() {
-		if !targets[nb.Name] {
-			continue
-		}
-		r := testing.Benchmark(nb.Bench)
-		if a := r.AllocsPerOp(); a != 0 {
-			t.Errorf("%s: %d allocs/op (%d B/op), want 0", nb.Name, a, r.AllocedBytesPerOp())
-		}
+		t.Run(nb.Name, func(t *testing.T) {
+			if got := allocs(nb.Setup(t)); got != 0 {
+				t.Errorf("%s allocates %.0f times in %d warmed operations, want 0", nb.Name, got, gateOps)
+			}
+		})
 	}
 }
 
-// stackedAllocs reports the allocations of one steady-state iteration
-// of d, after checking that the measured iterations all committed.
-func stackedAllocs(t *testing.T, d *stackedDialogue) float64 {
-	t.Helper()
-	for i := 0; i < stackedWarmup; i++ {
-		if err := d.step(); err != nil {
-			t.Fatal(err)
+// TestBucketedLookupBeatsLinear: the point of the bucket index is to
+// beat the linear scan by a wide margin on a 1k-entry table. The
+// acceptance floor is 10x; 5x keeps the test robust on a noisy machine,
+// and each side's best of five runs keeps a preempted run out of it.
+func TestBucketedLookupBeatsLinear(t *testing.T) {
+	const probes = 4 * lookupEntries
+	best := func(setup func(testing.TB) func(int)) time.Duration {
+		run, fastest := setup(t), time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			run(probes)
+			fastest = min(fastest, time.Since(start))
 		}
+		return fastest
 	}
-	before := d.agent.Stats()
-	got := testing.AllocsPerRun(500, func() {
-		if err := d.step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	after := d.agent.Stats()
-	if n := after.Commits - before.Commits; n != 501 || after.Abandoned != 0 {
-		t.Fatalf("measured %d commits (%d abandoned), want 501 clean iterations", n, after.Abandoned)
+	if lin, buck := best(ternaryLinear), best(ternaryBucketed); buck*5 > lin {
+		t.Errorf("bucketed TCAM %v per %d probes not ≥5x faster than linear %v", buck, probes, lin)
 	}
-	return got
 }
 
-// TestUpdateBodyAllocFree is TestUpdateCommitAllocFree with the update
+// TestUpdateBodyAllocFree is update_commit@ctlchan with the update
 // written as an rcl body instead of a native reaction: eight modEntry
 // calls per iteration, whose action data the host builds in its own
 // scratch, so a table call from a body allocates nothing either.
+// Skipped under the race detector, whose instrumentation allocates.
 func TestUpdateBodyAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -216,55 +191,12 @@ func TestUpdateBodyAllocFree(t *testing.T) {
 }`
 	src := strings.Replace(updateSrc, "reaction bump() { }", body, 1)
 	var h1, h2 [updateKeys]core.UserHandle
-	d, err := newStackedDialogue(src, updatePrologue(&h1, &h2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stackedAllocs(t, d); got != 0 {
-		t.Fatalf("a steady-state body update through the deployed stack allocates %.2f times, want 0", got)
+	if got := allocs(stackedDialogue(t, src, updatePrologue(&h1, &h2), nil)); got != 0 {
+		t.Fatalf("a steady-state body update through the deployed stack allocates %.0f times in %d iterations, want 0", got, gateOps)
 	}
 	for k := range h1 {
 		if h1[k] != core.UserHandle(k+1) || h2[k] != core.UserHandle(k+1) {
 			t.Fatalf("entry %d has handles %d/%d; the body rewrites handles 1..%d", k, h1[k], h2[k], updateKeys)
 		}
-	}
-	if st := d.agent.Stats(); st.ReactionErrors != 0 {
-		t.Fatalf("%d reaction errors", st.ReactionErrors)
-	}
-}
-
-// TestStackedIterationAllocBudget drives poll → react → commit through
-// Client → Link → Server → Session → Driver with a MemStore
-// journal and holds the iteration to its budget — zero, since the journal
-// records are encoded into store-owned buffers — so a per-call allocation
-// creeping back into any layer of the stack fails here with the count.
-// Skipped under the race detector, whose instrumentation allocates.
-func TestStackedIterationAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	d, err := newStackedDialogue(dialogueSrc, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stackedAllocs(t, d); got != 0 {
-		t.Fatalf("a steady-state iteration through the deployed stack allocates %.2f times, budget 0", got)
-	}
-}
-
-// TestUpdateCommitAllocFree is the same gate on the write path: eight
-// entries of two tables modified per iteration — staged in the log,
-// prepared, journaled as a CommitStaged intent, flipped, mirrored and
-// checkpointed — without a single allocation.
-func TestUpdateCommitAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	d, err := newStackedUpdate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stackedAllocs(t, d); got != 0 {
-		t.Fatalf("a steady-state table update through the deployed stack allocates %.2f times, want 0", got)
 	}
 }

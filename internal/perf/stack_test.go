@@ -2,34 +2,19 @@ package perf
 
 import (
 	"testing"
-	"time"
 
-	"repro/internal/ctlchan"
-	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/faults"
-	"repro/internal/netsim"
 	"repro/internal/p4"
 	"repro/internal/packet"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
 
-// opStack is one channel call at a time through every op-handling layer
-// there is: faults.Injector → ctlchan.Client → netsim.Link →
-// ctlchan.Server → ctlplane.Session → driver.Driver.
-type opStack struct {
-	sim *sim.Simulator
-	top driver.Channel
-	raw *driver.Driver
-	// call is the operation the driving process issues next, on top or on
-	// raw; err is what it last returned.
-	call func(p *sim.Proc, ch driver.Channel) error
-	on   driver.Channel
-	err  error
-}
-
-func newOpStack(t *testing.T) *opStack {
+// opRun returns the run of call, issued on the raw driver or, when top,
+// through every op-handling layer there is: faults.Injector on the
+// deployed stack.
+func opRun(t *testing.T, top bool, call func(p *sim.Proc, ch driver.Channel) error) func(n int) {
 	prog := p4.NewProgram("op-stack")
 	prog.DefineStandardMetadata()
 	dst := prog.Schema.Define("ipv4.dstAddr", 32)
@@ -43,44 +28,19 @@ func newOpStack(t *testing.T) *opStack {
 		Size:        128,
 	})
 	prog.Ingress = []p4.ControlStmt{p4.Apply{Table: "fw"}}
-	s := sim.New(1)
-	sw, err := rmt.New(s, prog, rmt.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	l := &loop{s: sim.New(1)}
+	cli, raw := deploy(t, l.s, prog)
+	var ch driver.Channel = raw
+	if top {
+		ch = faults.Wrap(l.s, cli, faults.None(), 1)
 	}
-	st := &opStack{sim: s, raw: driver.New(s, sw, driver.DefaultCostModel())}
-	svc := ctlplane.New(s, st.raw, ctlplane.Options{})
-	sess, err := svc.Open(ctlplane.SessionOptions{Name: "agent", Role: ctlplane.RolePrimary, ElectionID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := netsim.NewLink(s, time.Microsecond, faults.LinkNone(), 1)
-	ctlchan.NewServer(s).Attach(link, netsim.LinkSideB, 1, 1, sess)
-	cli := ctlchan.NewClient(s, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: st.raw})
-	st.top = faults.Wrap(s, cli, faults.None(), 1)
-	s.Spawn("caller", func(p *sim.Proc) {
-		for {
-			st.err = st.call(p, st.on)
-			s.Stop()
-			p.Yield()
+	l.s.Spawn("caller", func(p *sim.Proc) {
+		for l.err == nil {
+			l.err = call(p, ch)
+			l.tick()
 		}
 	})
-	return st
-}
-
-// allocs reports the allocations of one call on ch, once warm.
-func (st *opStack) allocs(t *testing.T, ch driver.Channel, call func(p *sim.Proc, ch driver.Channel) error) float64 {
-	st.call, st.on = call, ch
-	step := func() {
-		st.sim.Run()
-		if st.err != nil {
-			t.Fatal(st.err)
-		}
-	}
-	for i := 0; i < stackedWarmup; i++ {
-		step()
-	}
-	return testing.AllocsPerRun(200, step)
+	return l.start(t, nil)
 }
 
 // TestStackedOpsAllocateNothing: every write kind and the range read,
@@ -93,7 +53,6 @@ func TestStackedOpsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	st := newOpStack(t)
 	var (
 		h     rmt.EntryHandle
 		key   uint64
@@ -126,11 +85,11 @@ func TestStackedOpsAllocateNothing(t *testing.T) {
 		}
 	)
 	for _, c := range calls {
-		raw := st.allocs(t, st.raw, c.fn)
-		if got := st.allocs(t, st.top, c.fn); got != raw {
-			t.Errorf("%s: %.2f allocs through the stack, %.2f on the raw driver", c.name, got, raw)
+		raw := allocs(opRun(t, false, c.fn))
+		if got := allocs(opRun(t, true, c.fn)); got != raw {
+			t.Errorf("%s: %.0f allocs through the stack, %.0f on the raw driver, in %d calls", c.name, got, raw, gateOps)
 		} else if raw != 0 && c.name != "AddEntry+DeleteEntry" {
-			t.Errorf("%s: %.2f allocs on the raw driver, want 0", c.name, raw)
+			t.Errorf("%s: %.0f allocs on the raw driver in %d calls, want 0", c.name, raw, gateOps)
 		}
 	}
 }
