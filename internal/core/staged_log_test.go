@@ -99,15 +99,18 @@ func fmtIntent(out *strings.Builder, it *journal.Intent) {
 	}
 }
 
-// fmtState writes the user-level entries of both tables as a sees them
-// and the switch's own content: the master default action and every
-// audited table, entries ordered by identity rather than by handle.
+// fmtState writes the user-level entries of both tables as a sees them,
+// each under its handle, and each table's next handle, then the switch's
+// own content: the master default action and every audited table,
+// entries ordered by identity rather than by handle.
 func fmtState(out *strings.Builder, a *Agent, sw *rmt.Switch) {
 	for _, name := range []string{"t1", "t2"} {
-		th, _ := a.Table(name)
-		for _, e := range th.Entries() {
-			fmt.Fprintf(out, "user %s keys=%v prio=%d action=%q data=%v\n", name, e.Keys, e.Priority, e.Action, e.Data)
+		tm := a.tables[name]
+		for _, h := range tm.handles() {
+			e := &tm.entries[h].spec
+			fmt.Fprintf(out, "user %s h=%d keys=%v prio=%d action=%q data=%v\n", name, h, e.Keys, e.Priority, e.Action, e.Data)
 		}
+		fmt.Fprintf(out, "user %s next=%d\n", name, tm.nextHandle)
 	}
 	master := a.plan.InitTables[0]
 	call, _ := sw.DefaultAction(master.Table)
@@ -270,9 +273,11 @@ const stagedFaultWindow = 36
 // reaction's table calls only staged — every intent journaled, the
 // outcome, the final user-level entries and the switch's content, as a
 // digest per scenario captured there. (The digests were first captured
-// at the commit before the log replaced the per-table closure lists, and
-// recaptured once, with that log, when the body began to draw its
-// choices up front.)
+// at the commit before the log replaced the per-table closure lists,
+// recaptured with that log when the body began to draw its choices up
+// front, and again, before the takeover's roll-forward moved onto the
+// agent's image, when the state began to print user handles and each
+// table's next handle.)
 func TestStagedLogMatchesParent(t *testing.T) {
 	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {
