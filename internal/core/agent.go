@@ -4,10 +4,13 @@
 // The agent runs as a simulated process on the switch CPU. Its life is
 // split into the two phases of the paper:
 //
-//   - Prologue: initialize malleables (master init default action,
-//     vv-keyed entries of any additional init tables), install static
-//     loader entries, memoize driver descriptors for the operations the
-//     dialogue repeats, compile reaction bodies, and run user setup.
+//   - Prologue: seed the agent's image from the plan's initial
+//     malleable values and reconcile a fresh switch onto it — the same
+//     reconcile a takeover and a resync run — which installs the master
+//     init default action, the vv-keyed entries of any additional init
+//     tables and the static loader entries, and memoizes the driver
+//     descriptors the dialogue repeats; then compile reaction bodies and
+//     run user setup.
 //
 //   - Dialogue: a (optionally paced) loop that, per iteration, flips
 //     the measurement version bit, polls each reaction's parameters
@@ -192,9 +195,8 @@ type Agent struct {
 
 	tables   map[string]*tableManager
 	regCache map[string]*regCacheState
-	// tableNames is the key set of tables in sorted order, fixed at
-	// construction; regNames is the same for regCache, rebuilt when the
-	// cache has grown (see sortedRegNames).
+	// tableNames and regNames are the key sets of tables and regCache in
+	// sorted order; both maps are fixed at construction.
 	tableNames []string
 	regNames   []string
 
@@ -289,6 +291,15 @@ func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Op
 		a.tableNames = append(a.tableNames, name)
 	}
 	sort.Strings(a.tableNames)
+	for _, info := range plan.Reactions {
+		for _, rp := range info.RegParams {
+			if _, ok := a.regCache[rp.Orig]; !ok {
+				a.regCache[rp.Orig] = newRegCacheState(rp)
+				a.regNames = append(a.regNames, rp.Orig)
+			}
+		}
+	}
+	sort.Strings(a.regNames)
 	return a
 }
 
@@ -493,72 +504,39 @@ func (a *Agent) run(p *sim.Proc) {
 // ---- Prologue ----
 
 func (a *Agent) prologue(p *sim.Proc) error {
-	// A recovered agent's configuration (version bits, init data,
-	// malleable cache, table entries, handles) was reconstructed by
-	// Recover from journal + switch audit; re-installing it here would
-	// clobber live state. Only the in-process setup below (reaction
-	// compilation, register cache wiring) still runs.
-	if !a.recovered {
-		// Seed malleable cache and init data from the plan.
-		a.initData = make([][]uint64, len(a.plan.InitTables))
-		for t, it := range a.plan.InitTables {
-			data := make([]uint64, len(it.Params))
-			for i, ip := range it.Params {
-				data[i] = ip.Init
-				switch ip.Kind {
-				case compiler.InitValue, compiler.InitField:
-					a.mblCache[ip.Mbl] = ip.Init
-				}
-			}
-			a.initData[t] = data
-		}
-
-		// Master init table: configure via default action.
-		if len(a.plan.InitTables) > 0 {
-			master := a.plan.InitTables[0]
-			if err := a.retry.SetDefaultAction(p, master.Table, &p4.ActionCall{
-				Action: master.Action, Data: append([]uint64(nil), a.initData[0]...),
-			}); err != nil {
-				return err
-			}
-			a.drv.Memoize(master.Table, 0)
-		}
-		// Non-master init tables: one entry per version.
-		for t := 1; t < len(a.plan.InitTables); t++ {
-			it := a.plan.InitTables[t]
-			var handles [2]rmt.EntryHandle
-			for v := uint64(0); v < 2; v++ {
-				h, err := a.retry.AddEntry(p, it.Table, rmt.Entry{
-					Keys: []rmt.KeySpec{rmt.ExactKey(v)}, Action: it.Action,
-					Data: append([]uint64(nil), a.initData[t]...),
-				})
-				if err != nil {
-					return err
-				}
-				handles[v] = h
-				a.drv.Memoize(it.Table, h)
-			}
-			a.initHandles[t] = handles
-		}
-
-		// Static entries (carrier loaders).
-		for _, se := range a.plan.StaticEntries {
-			if _, err := a.retry.AddEntry(p, se.Table, se.Entry); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The master flip fast path: one persistent ActionCall and the op
-	// that carries it, shared by the mv flip and the commit flip (they
-	// never overlap within an iteration). rmt's setDefault deep-copies,
-	// so reusing the data scratch across flips is safe. Recovered agents
-	// need this too.
 	if len(a.plan.InitTables) > 0 {
+		// The master flip fast path: one persistent ActionCall and the op
+		// that carries it, shared by the mv flip and the commit flip (they
+		// never overlap within an iteration). rmt's setDefault deep-copies,
+		// so reusing the data scratch across flips is safe.
 		master := a.plan.InitTables[0]
 		a.masterCall.Action = master.Action
 		a.masterScratch = make([]uint64, 0, len(master.Params))
 		a.flipOp = driver.Op{Kind: driver.OpSetDefault, Table: master.Table, Call: &a.masterCall}
+
+		// A recovered agent's image was loaded from the journal and its
+		// switch reconciled by Recover. A fresh agent seeds the image from
+		// the plan and reconciles a fresh switch onto it: the audit found
+		// nothing, so the master default and every table's entries
+		// (init-table pairs, loader entries) are installed.
+		if !a.recovered {
+			a.initData = make([][]uint64, len(a.plan.InitTables))
+			for t, it := range a.plan.InitTables {
+				data := make([]uint64, len(it.Params))
+				for i, ip := range it.Params {
+					data[i] = ip.Init
+					switch ip.Kind {
+					case compiler.InitValue, compiler.InitField:
+						a.mblCache[ip.Mbl] = ip.Init
+					}
+				}
+				a.initData[t] = data
+			}
+			if _, err := a.reconcile(p, switchAudit{tables: auditTableSet(a.plan)}, a.mv); err != nil {
+				return err
+			}
+			a.drv.Memoize(master.Table, 0)
+		}
 	}
 
 	// Reaction bodies: native overrides win; otherwise build the
@@ -574,11 +552,6 @@ func (a *Agent) prologue(p *sim.Proc) error {
 			return fmt.Errorf("reaction %s: %w", info.Name, err)
 		}
 		a.reactions = append(a.reactions, rr)
-		for _, rp := range info.RegParams {
-			if _, ok := a.regCache[rp.Orig]; !ok {
-				a.regCache[rp.Orig] = newRegCacheState(rp)
-			}
-		}
 		a.setupReactionRuntime(p, rr)
 	}
 

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/journal"
 	"repro/internal/sim"
@@ -49,20 +49,6 @@ func specFromJournal(es journal.EntrySpec) UserEntry {
 	return UserEntry{Keys: slices.Clone(es.Keys), Priority: es.Priority, Action: es.Action, Data: slices.Clone(es.Data)}
 }
 
-// sortedRegNames returns the register-cache names in sorted order. The
-// cache only ever grows (prologue, Recover), so the list is current
-// exactly when it is as long as the cache.
-func (a *Agent) sortedRegNames() []string {
-	if len(a.regNames) != len(a.regCache) {
-		a.regNames = a.regNames[:0]
-		for name := range a.regCache {
-			a.regNames = append(a.regNames, name)
-		}
-		sort.Strings(a.regNames)
-	}
-	return a.regNames
-}
-
 // buildCheckpoint captures the committed configuration as a journal
 // checkpoint. Called only between iterations (or at prologue end), when
 // every in-memory spec reflects committed state. The record is the
@@ -103,11 +89,10 @@ func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
 		}
 	}
 
-	regNames := a.sortedRegNames()
-	if len(cp.RegCaches) != len(regNames) {
-		cp.RegCaches = make([]journal.RegCache, len(regNames))
+	if len(cp.RegCaches) != len(a.regNames) {
+		cp.RegCaches = make([]journal.RegCache, len(a.regNames))
 	}
-	for i, name := range regNames {
+	for i, name := range a.regNames {
 		rc, out := a.regCache[name], &cp.RegCaches[i]
 		out.Name = name
 		out.Vals = append(out.Vals[:0], rc.vals...)
@@ -115,6 +100,43 @@ func (a *Agent) buildCheckpoint(now sim.Time) *journal.Checkpoint {
 		out.LastTs[1] = append(out.LastTs[1][:0], rc.lastTs[1]...)
 	}
 	return cp
+}
+
+// load seeds the agent's image from a checkpoint — the inverse of
+// buildCheckpoint: version bits, iteration count, init data, malleable
+// values, every table's user entries under their handles and next
+// handle, and the register caches, so the ts-guarded merge stays
+// monotonic across a takeover.
+func (a *Agent) load(cp *journal.Checkpoint) error {
+	a.vv, a.mv, a.stats.Iterations = cp.VV, cp.MV, cp.Iteration
+	a.loadInitData(cp.InitData)
+	maps.Copy(a.mblCache, cp.Mbl)
+	for _, ts := range cp.Tables {
+		tm, ok := a.tables[ts.Table]
+		if !ok {
+			return fmt.Errorf("checkpoint names unknown malleable table %q", ts.Table)
+		}
+		tm.nextHandle = UserHandle(ts.NextHandle)
+		for _, es := range ts.Entries {
+			tm.put(UserHandle(es.Handle), &userEntry{spec: specFromJournal(es.Spec)})
+		}
+	}
+	for _, rc := range cp.RegCaches {
+		if st, ok := a.regCache[rc.Name]; ok {
+			copy(st.vals, rc.Vals)
+			copy(st.lastTs[0], rc.LastTs[0])
+			copy(st.lastTs[1], rc.LastTs[1])
+		}
+	}
+	return nil
+}
+
+// loadInitData replaces the init data with a copy of data.
+func (a *Agent) loadInitData(data [][]uint64) {
+	a.initData = make([][]uint64, len(data))
+	for i, d := range data {
+		a.initData[i] = slices.Clone(d)
+	}
 }
 
 // saveCheckpoint writes a fresh checkpoint.
