@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) (int, map[string]result) {
 	var p params
 	fs.Float64Var(&p.scale, "scale", 0.05, "fig14 trace scale in (0,1] relative to one full CAIDA block (8.9M packets)")
 	fs.IntVar(&p.trials, "trials", 5, "fig16 trials per parameter point (at least 1)")
-	fs.IntVar(&p.workers, "parallel", runtime.GOMAXPROCS(0), "max simulation trials in flight at once (1 = serial; results are identical at any value)")
+	fs.IntVar(&p.workers, "parallel", runtime.GOMAXPROCS(0), "max simulation trials in flight at once, at least 1 (1 = serial; results are identical at any value)")
 	fs.Int64Var(&p.seed, "seed", 1, "random seed")
 	fs.StringVar(&p.jsonDir, "json", "", "directory to write BENCH_<name>.json machine-readable results into (created if missing)")
 	if err := fs.Parse(args); err != nil {
@@ -121,6 +121,10 @@ func run(args []string, stdout, stderr io.Writer) (int, map[string]result) {
 	}
 	if !(p.scale > 0 && p.scale <= 1) {
 		fmt.Fprintf(stderr, "experiments: -scale %v out of (0,1]\n", p.scale)
+		return 2, nil
+	}
+	if p.workers < 1 {
+		fmt.Fprintf(stderr, "experiments: -parallel %d, want at least 1\n", p.workers)
 		return 2, nil
 	}
 

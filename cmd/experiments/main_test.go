@@ -46,12 +46,15 @@ func TestUnknownExperimentIsAnError(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFlagIsAnError: a -trials below 1 or a -scale outside
-// (0,1] exits 2 with a message naming the flag, before any experiment
-// runs — not after -run all has printed the experiments ahead of the one
-// that reads it.
+// TestOutOfRangeFlagIsAnError: a -trials or -parallel below 1 or a
+// -scale outside (0,1] exits 2 with a message naming the flag, before
+// any experiment runs — not after -run all has printed the experiments
+// ahead of the one that reads it. (-parallel used to run serially.)
 func TestOutOfRangeFlagIsAnError(t *testing.T) {
-	for _, args := range [][]string{{"-trials", "-1"}, {"-trials", "0"}, {"-scale", "0"}, {"-scale", "2"}} {
+	for _, args := range [][]string{
+		{"-trials", "-1"}, {"-trials", "0"}, {"-scale", "0"}, {"-scale", "2"},
+		{"-parallel", "0", "-run", "fig-place"}, {"-parallel", "-3", "-run", "fig-place"},
+	} {
 		var stdout, stderr bytes.Buffer
 		if code, _ := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%q exited %d, want 2", args, code)

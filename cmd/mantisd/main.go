@@ -121,6 +121,16 @@ func daemon(c *config, args []string) ([]report.Table, error) {
 	if c.interval, err = trafficInterval(c.duration, c.pps); err != nil {
 		return nil, usageError{err}
 	}
+	switch {
+	case c.pacing < 0:
+		return nil, usagef("-pacing %v: must not be negative", c.pacing)
+	case c.ctlDelay < 0:
+		return nil, usagef("-ctl-delay %v: must not be negative", c.ctlDelay)
+	case c.legacyClients < 0:
+		return nil, usagef("-legacy-clients %d: must not be negative", c.legacyClients)
+	case c.failSpine < -1:
+		return nil, usagef("-fail-spine %d: want a spine index, or -1 for none", c.failSpine)
+	}
 	if c.topology != "" {
 		if len(args) != 0 {
 			return nil, usagef("-topology uses the built-in fabric programs; no program argument")
@@ -169,13 +179,16 @@ func ctlLinkProfile(loss float64, partition string) (faults.LinkProfile, error) 
 }
 
 // trafficInterval checks -duration and turns -pps into the period of the
-// synthetic-traffic ticker (0 = no traffic).
+// synthetic-traffic ticker (-pps 0 = no traffic).
 func trafficInterval(duration time.Duration, pps float64) (time.Duration, error) {
 	if duration <= 0 {
 		return 0, fmt.Errorf("-duration %v: must be positive", duration)
 	}
-	if !(pps > 0) {
+	if pps == 0 {
 		return 0, nil
+	}
+	if !(pps > 0) {
+		return 0, fmt.Errorf("-pps %g: want a rate ≥ 0", pps)
 	}
 	interval := time.Duration(float64(time.Second) / pps)
 	if interval <= 0 {

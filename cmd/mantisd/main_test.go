@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,8 +44,9 @@ func TestTrafficInterval(t *testing.T) {
 	}{
 		{10 * time.Millisecond, 100000, 10 * time.Microsecond, true},
 		{time.Millisecond, 1e9, time.Nanosecond, true},
-		{time.Millisecond, 0, 0, true},    // no traffic
-		{time.Millisecond, -5, 0, true},   // no traffic
+		{time.Millisecond, 0, 0, true},   // no traffic
+		{time.Millisecond, -5, 0, false}, // used to mean no traffic
+		{time.Millisecond, math.NaN(), 0, false},
 		{time.Millisecond, 2e9, 0, false}, // used to panic: ticker period 0
 		{time.Millisecond, math.Inf(1), 0, false},
 		{0, 100000, 0, false},
@@ -81,6 +84,33 @@ func TestParseGrayTrunk(t *testing.T) {
 		if (err == nil) != c.ok || leaf != c.leaf || spine != c.spine || rate != c.rate {
 			t.Errorf("parseGrayTrunk(%q) = %d, %d, %g, %v; want %d, %d, %g, ok=%v",
 				c.spec, leaf, spine, rate, err, c.leaf, c.spine, c.rate, c.ok)
+		}
+	}
+}
+
+// TestOutOfRangeFlagIsAnError: each of these used to run silently — a
+// negative or NaN -pps with no traffic, a negative -pacing as a busy
+// loop, a negative -ctl-delay over in-process calls, a negative
+// -legacy-clients with none, a -fail-spine below -1 with no failure. Each
+// now exits 2 with a message naming the flag, before anything runs.
+func TestOutOfRangeFlagIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-pps", "-5", fig1},
+		{"-pps", "NaN", fig1},
+		{"-pacing", "-1us", fig1},
+		{"-ctl-delay", "-1us", fig1},
+		{"-legacy-clients", "-1", fig1},
+		{"-fail-spine", "-2", "-topology", "leafspine:2,2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-duration", "1ms"}, args...), &stdout, &stderr); code != 2 {
+			t.Errorf("%q exited %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q ran before failing:\n%s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), args[0]) {
+			t.Errorf("%q: error does not name the flag: %q", args, stderr.String())
 		}
 	}
 }
