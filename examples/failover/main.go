@@ -104,13 +104,12 @@ func main() {
 	// The standby watches the journal heartbeat; on silence it opens a
 	// primary session with a higher election id and recovers.
 	sb := core.NewStandby(s, svc, core.StandbyOptions{
-		Name:             "standby",
-		ElectionID:       2,
-		Store:            store,
-		Plan:             plan,
-		HeartbeatTimeout: 50 * time.Microsecond,
-		CheckEvery:       3 * time.Microsecond,
-		Agent:            core.Options{Recovery: core.DefaultRecovery()},
+		Name:       "standby",
+		ElectionID: 2,
+		Store:      store,
+		Plan:       plan,
+		CheckEvery: 3 * time.Microsecond,
+		Agent:      core.Options{Recovery: core.DefaultRecovery()},
 		Configure: func(a *core.Agent) error {
 			return a.RegisterNativeReaction("react", react)
 		},

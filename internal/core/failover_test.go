@@ -125,12 +125,11 @@ func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRi
 	}
 
 	r.sb = NewStandby(s, svc, StandbyOptions{
-		Name:             "standby",
-		ElectionID:       2,
-		Store:            store,
-		Plan:             plan,
-		HeartbeatTimeout: 30 * time.Microsecond,
-		CheckEvery:       3 * time.Microsecond,
+		Name:       "standby",
+		ElectionID: 2,
+		Store:      store,
+		Plan:       plan,
+		CheckEvery: 3 * time.Microsecond,
 		Agent: Options{
 			Recovery:       DefaultRecovery(),
 			AfterIteration: r.afterIterationHook(false),

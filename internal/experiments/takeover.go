@@ -110,13 +110,12 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 	}
 
 	r.sb = core.NewStandby(s, svc, core.StandbyOptions{
-		Name:             "standby",
-		ElectionID:       2,
-		Store:            store,
-		Plan:             l.plan,
-		HeartbeatTimeout: 50 * time.Microsecond,
-		CheckEvery:       3 * time.Microsecond,
-		Agent:            core.Options{Recovery: core.DefaultRecovery()},
+		Name:       "standby",
+		ElectionID: 2,
+		Store:      store,
+		Plan:       l.plan,
+		CheckEvery: 3 * time.Microsecond,
+		Agent:      core.Options{Recovery: core.DefaultRecovery()},
 		Configure: func(a *core.Agent) error {
 			return a.RegisterNativeReaction("react", l.react)
 		},
