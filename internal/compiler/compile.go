@@ -45,27 +45,15 @@ func DefaultOptions() Options {
 	return Options{ProgramName: "p4r", MaxInitActionBits: 512, MeasSlotBits: 64}
 }
 
-// lerr builds a positioned lowering diagnostic. Line/col may be zero
-// when the AST carries no position for the construct.
-func lerr(code string, line, col int, format string, args ...any) error {
-	return diag.Errorf(code, line, col, format, args...)
-}
-
 type compiler struct {
 	f    *p4r.File
 	opts Options
 	prog *p4.Program
 	plan *Plan
 
-	// headerTypes by name; instance type by instance name.
-	headerTypes map[string]*p4r.HeaderType
-
 	// specs records specialization layouts for actions that use
 	// malleable fields.
 	specs map[string]*ActionSpecInfo
-
-	// paramWidths caches inferred action parameter widths.
-	mvID, vvID int
 }
 
 // Compile lowers a parsed P4R file into a program + plan and places it
@@ -84,11 +72,10 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 		opts.ProgramName = "p4r"
 	}
 	c := &compiler{
-		f:           f,
-		opts:        opts,
-		prog:        p4.NewProgram(opts.ProgramName),
-		headerTypes: make(map[string]*p4r.HeaderType),
-		specs:       make(map[string]*ActionSpecInfo),
+		f:     f,
+		opts:  opts,
+		prog:  p4.NewProgram(opts.ProgramName),
+		specs: make(map[string]*ActionSpecInfo),
 	}
 	c.plan = &Plan{
 		Prog:      c.prog,
@@ -96,9 +83,9 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 		MblFields: make(map[string]*MblFieldInfo),
 		MblTables: make(map[string]*MblTableInfo),
 	}
-	// Mandatory front-end phase: the semantic analyzer validates the
-	// transformation preconditions collect-all before any lowering runs,
-	// so a broken program reports every problem, not just the first.
+	// The semantic analyzer alone decides whether the program is valid,
+	// collect-all, so a broken program reports every problem and the
+	// lowering below is a plain translation that cannot fail.
 	diags := analysis.Analyze(f, analysis.Limits{
 		MaxInitActionBits: opts.MaxInitActionBits,
 		MeasSlotBits:      opts.MeasSlotBits,
@@ -111,7 +98,7 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 	if diags.HasErrors() {
 		return nil, diags
 	}
-	steps := []func() error{
+	steps := []func(){
 		c.defineSchema,
 		c.defineRegisters,
 		c.defineMalleables,
@@ -123,12 +110,10 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 		c.buildControlFlow,
 	}
 	for _, step := range steps {
-		if err := step(); err != nil {
-			return nil, err
-		}
+		step()
 	}
 	if err := c.prog.Validate(); err != nil {
-		return nil, lerr(diag.LowerInternal, 0, 0, "generated program invalid: %v", err)
+		return nil, diag.Errorf(diag.LowerInternal, 0, 0, "generated program invalid: %v", err)
 	}
 	prof, derr := place.Find(opts.Target)
 	if derr != nil {
@@ -225,46 +210,29 @@ func sanitize(name string) string { return strings.ReplaceAll(name, ".", "_") }
 
 // ---- Step 1: schema ----
 
-func (c *compiler) defineSchema() error {
+func (c *compiler) defineSchema() {
 	c.prog.DefineStandardMetadata()
+	headerTypes := make(map[string]*p4r.HeaderType, len(c.f.HeaderTypes))
 	for _, ht := range c.f.HeaderTypes {
-		if _, dup := c.headerTypes[ht.Name]; dup {
-			return lerr(diag.LowerInvalid, ht.Line, ht.Col, "duplicate header_type %s", ht.Name)
-		}
-		c.headerTypes[ht.Name] = ht
+		headerTypes[ht.Name] = ht
 	}
 	for _, inst := range c.f.Instances {
-		ht, ok := c.headerTypes[inst.TypeName]
-		if !ok {
-			return lerr(diag.LowerUnknown, inst.Line, inst.Col, "instance %s of unknown header_type %s", inst.Name, inst.TypeName)
-		}
-		for _, fd := range ht.Fields {
-			if fd.Width <= 0 || fd.Width > 64 {
-				return lerr(diag.LowerCapacity, ht.Line, ht.Col, "header_type %s: field %s has unsupported width %d", ht.Name, fd.Name, fd.Width)
-			}
+		for _, fd := range headerTypes[inst.TypeName].Fields {
 			c.prog.Schema.Define(inst.Name+"."+fd.Name, fd.Width)
 		}
 	}
-	return nil
 }
 
-func (c *compiler) defineRegisters() error {
+func (c *compiler) defineRegisters() {
 	for _, r := range c.f.Registers {
-		if r.Width <= 0 || r.Width > 64 {
-			return lerr(diag.LowerCapacity, r.Line, r.Col, "register %s has unsupported width %d", r.Name, r.Width)
-		}
 		c.prog.AddRegister(&p4.Register{Name: r.Name, Width: r.Width, Instances: r.InstanceCount})
 	}
-	return nil
 }
 
 // ---- Step 2: malleable declarations ----
 
-func (c *compiler) defineMalleables() error {
+func (c *compiler) defineMalleables() {
 	for _, mv := range c.f.MblValues {
-		if mv.Width <= 0 || mv.Width > 64 {
-			return lerr(diag.LowerCapacity, mv.Line, mv.Col, "malleable value %s has unsupported width %d", mv.Name, mv.Width)
-		}
 		meta := MetaPrefix + mv.Name
 		c.prog.Schema.Define(meta, mv.Width)
 		c.plan.MblValues[mv.Name] = &MblValueInfo{
@@ -272,16 +240,6 @@ func (c *compiler) defineMalleables() error {
 		}
 	}
 	for _, mf := range c.f.MblFields {
-		for _, alt := range mf.Alts {
-			id, ok := c.prog.Schema.Lookup(alt)
-			if !ok {
-				return lerr(diag.LowerUnknown, mf.Line, mf.Col, "malleable field %s: unknown alt %q", mf.Name, alt)
-			}
-			if w := c.prog.Schema.Width(id); w != mf.Width {
-				return lerr(diag.LowerInvalid, mf.Line, mf.Col, "malleable field %s (width %d): alt %q has width %d",
-					mf.Name, mf.Width, alt, w)
-			}
-		}
 		selWidth := ceilLog2(len(mf.Alts))
 		if selWidth == 0 {
 			selWidth = 1
@@ -310,7 +268,6 @@ func (c *compiler) defineMalleables() error {
 			c.prog.Schema.Define(MVField, 1)
 		}
 	}
-	return nil
 }
 
 // ---- Step 3: init-table bin packing (§4.1 compound usages) ----
@@ -349,7 +306,7 @@ func firstFitDecreasing(reserved, items []InitParam, capBits int) [][]InitParam 
 	return bins
 }
 
-func (c *compiler) packInitTables() error {
+func (c *compiler) packInitTables() {
 	var reserved, items []InitParam
 	if c.plan.UsesVV {
 		reserved = append(reserved, InitParam{Kind: InitVV, Width: 1})
@@ -366,12 +323,7 @@ func (c *compiler) packInitTables() error {
 		items = append(items, InitParam{Kind: InitField, Mbl: mf.Name, Width: selWidth, Init: uint64(info.InitAlt)})
 	}
 	if len(reserved)+len(items) == 0 {
-		return nil
-	}
-	for _, it := range append(append([]InitParam(nil), reserved...), items...) {
-		if it.Width > c.opts.MaxInitActionBits {
-			return lerr(diag.LowerCapacity, 0, 0, "malleable %s (%d bits) exceeds MaxInitActionBits %d", it.Mbl, it.Width, c.opts.MaxInitActionBits)
-		}
+		return
 	}
 	bins := firstFitDecreasing(reserved, items, c.opts.MaxInitActionBits)
 
@@ -427,22 +379,17 @@ func (c *compiler) packInitTables() error {
 			Table: tname, Action: aname, Params: bin, Master: b == 0,
 		})
 	}
-	return nil
 }
 
 // ---- Step 4: field lists and hash calculations ----
 
 // carrierFor ensures a malleable field has a carrier metadata field and
 // loader table (the "load values in prior stages" optimization), and
-// returns the carrier field name. line/col position the diagnostic at
-// the referencing construct.
-func (c *compiler) carrierFor(mblName string, line, col int) (string, error) {
-	info, ok := c.plan.MblFields[mblName]
-	if !ok {
-		return "", lerr(diag.LowerUnknown, line, col, "unknown malleable field %q", mblName)
-	}
+// returns the carrier field name.
+func (c *compiler) carrierFor(mblName string) string {
+	info := c.plan.MblFields[mblName]
 	if info.Carrier != "" {
-		return info.Carrier, nil
+		return info.Carrier
 	}
 	carrier := MetaPrefix + mblName + "_val"
 	c.prog.Schema.Define(carrier, info.Width)
@@ -476,61 +423,38 @@ func (c *compiler) carrierFor(mblName string, line, col int) (string, error) {
 		ActionNames: actionNames,
 		Size:        len(info.Alts),
 	})
-	return carrier, nil
+	return carrier
 }
 
-func (c *compiler) lowerFieldLists() error {
+func (c *compiler) lowerFieldLists() {
 	lists := make(map[string][]string) // field list name -> resolved field names
 	for _, fl := range c.f.FieldLists {
 		var fields []string
 		for _, e := range fl.Entries {
-			switch e.Kind {
-			case p4r.ArgIdent:
-				if _, ok := c.prog.Schema.Lookup(e.Ident); !ok {
-					return lerr(diag.LowerUnknown, e.Line, e.Col, "field_list %s: unknown field %q", fl.Name, e.Ident)
-				}
+			switch {
+			case e.Kind == p4r.ArgIdent:
 				fields = append(fields, e.Ident)
-			case p4r.ArgMblRef:
-				if mv, isVal := c.plan.MblValues[e.Mbl]; isVal {
-					fields = append(fields, mv.MetaField)
-					continue
-				}
-				carrier, err := c.carrierFor(e.Mbl, e.Line, e.Col)
-				if err != nil {
-					return err
-				}
-				fields = append(fields, carrier)
+			case c.plan.MblValues[e.Mbl] != nil:
+				fields = append(fields, c.plan.MblValues[e.Mbl].MetaField)
 			default:
-				return lerr(diag.LowerInvalid, fl.Line, fl.Col, "field_list %s: constants are not allowed", fl.Name)
+				fields = append(fields, c.carrierFor(e.Mbl))
 			}
 		}
 		lists[fl.Name] = fields
 	}
 	for _, calc := range c.f.Calcs {
-		fields, ok := lists[calc.Input]
-		if !ok {
-			return lerr(diag.LowerUnknown, calc.Line, calc.Col, "field_list_calculation %s: unknown field_list %q", calc.Name, calc.Input)
-		}
-		var algo p4.HashAlgo
-		switch calc.Algorithm {
-		case "crc16":
-			algo = p4.HashCRC16
-		case "crc32":
-			algo = p4.HashCRC32
-		case "identity":
-			algo = p4.HashIdentity
-		default:
-			return lerr(diag.LowerUnknown, calc.Line, calc.Col, "field_list_calculation %s: unknown algorithm %q", calc.Name, calc.Algorithm)
-		}
 		width := calc.OutputWidth
 		if width == 0 {
 			width = 16
 		}
-		h := &p4.HashCalc{Name: calc.Name, Algo: algo, Width: width}
-		for _, fn := range fields {
+		h := &p4.HashCalc{Name: calc.Name, Algo: hashAlgos[calc.Algorithm], Width: width}
+		for _, fn := range lists[calc.Input] {
 			h.Fields = append(h.Fields, c.prog.Schema.MustID(fn))
 		}
 		c.prog.AddHash(h)
 	}
-	return nil
+}
+
+var hashAlgos = map[string]p4.HashAlgo{
+	"crc16": p4.HashCRC16, "crc32": p4.HashCRC32, "identity": p4.HashIdentity,
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/p4r"
+	"repro/internal/p4r/analysis"
 	"repro/internal/p4r/diag"
 	"repro/internal/rcl"
 )
@@ -17,7 +18,8 @@ import (
 // ends in a plan or an error, placement included. Compiled a second
 // time with DefaultOptions (the unbounded profile), every plan carries
 // a placement and no budget finding (P001–P006), since an unbounded
-// profile never rejects on budget. Seeded with the example
+// profile never rejects on budget, and a program the analyzer accepts
+// always has a plan: lowering cannot fail. Seeded with the example
 // programs, the benchmark's programs, internal/check's programs and
 // the analyzer's corpus (broken programs, and reaction bodies with a
 // brace inside a comment or a string).
@@ -80,6 +82,9 @@ func FuzzCompileSource(f *testing.F) {
 		if plan == nil {
 			if err == nil {
 				t.Fatal("no plan and no error")
+			}
+			if file, perr := p4r.Parse(src); perr == nil && !analysis.Analyze(file, analysis.Limits{}).HasErrors() {
+				t.Fatalf("the analyzer accepts a program that does not compile: %v", err)
 			}
 			return
 		}

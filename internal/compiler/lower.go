@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/p4"
 	"repro/internal/p4r"
-	"repro/internal/p4r/diag"
 	"repro/internal/packet"
 )
 
@@ -31,15 +30,11 @@ func (c *compiler) mblFieldsUsed(a *p4r.ActionDecl) []string {
 	return out
 }
 
-func (c *compiler) lowerActions() error {
+func (c *compiler) lowerActions() {
 	for _, a := range c.f.Actions {
 		fields := c.mblFieldsUsed(a)
 		if len(fields) == 0 {
-			la, err := c.lowerAction(a, a.Name, nil)
-			if err != nil {
-				return err
-			}
-			c.prog.AddAction(la)
+			c.prog.AddAction(c.lowerAction(a, a.Name, nil))
 			continue
 		}
 		// Specialize over the cartesian product of alternatives — the
@@ -58,11 +53,7 @@ func (c *compiler) lowerActions() error {
 				parts[i] = sanitize(alt)
 			}
 			vname := a.Name + "__" + strings.Join(parts, "__") + "_"
-			la, err := c.lowerAction(a, vname, binding)
-			if err != nil {
-				return err
-			}
-			c.prog.AddAction(la)
+			c.prog.AddAction(c.lowerAction(a, vname, binding))
 			spec.Variants = append(spec.Variants, vname)
 			// Advance the combination, last index fastest (row-major, so
 			// VariantFor's Horner indexing matches).
@@ -81,77 +72,37 @@ func (c *compiler) lowerActions() error {
 		}
 		c.specs[a.Name] = spec
 	}
-	return nil
 }
 
 // resolveOperand maps a P4R argument to a p4 operand in the context of
 // an action declaration and a malleable-field binding.
-func (c *compiler) resolveOperand(arg p4r.Arg, decl *p4r.ActionDecl, binding map[string]string) (p4.Operand, error) {
+func (c *compiler) resolveOperand(arg p4r.Arg, decl *p4r.ActionDecl, binding map[string]string) p4.Operand {
 	switch arg.Kind {
 	case p4r.ArgConst:
-		return p4.ConstOp(arg.Value), nil
+		return p4.ConstOp(arg.Value)
 	case p4r.ArgIdent:
-		if decl != nil {
-			for i, pn := range decl.Params {
-				if pn == arg.Ident {
-					return p4.ParamOp(i, pn), nil
-				}
+		for i, pn := range decl.Params {
+			if pn == arg.Ident {
+				return p4.ParamOp(i, pn)
 			}
 		}
-		if id, ok := c.prog.Schema.Lookup(arg.Ident); ok {
-			return p4.FieldOp(id, arg.Ident), nil
-		}
-		return p4.Operand{}, lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown field or parameter %q", arg.Ident)
-	case p4r.ArgMblRef:
-		if mv, ok := c.plan.MblValues[arg.Mbl]; ok {
-			id := c.prog.Schema.MustID(mv.MetaField)
-			return p4.FieldOp(id, mv.MetaField), nil
-		}
-		if _, ok := c.plan.MblFields[arg.Mbl]; ok {
-			alt, bound := binding[arg.Mbl]
-			if !bound {
-				return p4.Operand{}, lerr(diag.LowerInvalid, arg.Line, arg.Col, "malleable field ${%s} used outside a specializable context", arg.Mbl)
-			}
-			id := c.prog.Schema.MustID(alt)
-			return p4.FieldOp(id, alt), nil
-		}
-		return p4.Operand{}, lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown malleable ${%s}", arg.Mbl)
+		return p4.FieldOp(c.prog.Schema.MustID(arg.Ident), arg.Ident)
 	}
-	return p4.Operand{}, lerr(diag.LowerInvalid, arg.Line, arg.Col, "bad argument")
+	if mv, ok := c.plan.MblValues[arg.Mbl]; ok {
+		return p4.FieldOp(c.prog.Schema.MustID(mv.MetaField), mv.MetaField)
+	}
+	alt := binding[arg.Mbl]
+	return p4.FieldOp(c.prog.Schema.MustID(alt), alt)
 }
 
-// resolveDst resolves an argument that must denote a writable field.
-func (c *compiler) resolveDst(arg p4r.Arg, binding map[string]string) (packet.FieldID, string, error) {
-	switch arg.Kind {
-	case p4r.ArgIdent:
-		if id, ok := c.prog.Schema.Lookup(arg.Ident); ok {
-			return id, arg.Ident, nil
-		}
-		return 0, "", lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown destination field %q", arg.Ident)
-	case p4r.ArgMblRef:
-		if _, isVal := c.plan.MblValues[arg.Mbl]; isVal {
-			return 0, "", lerr(diag.LowerInvalid, arg.Line, arg.Col, "malleable value ${%s} cannot be assigned in the data plane (values are set by reactions)", arg.Mbl)
-		}
-		if _, isField := c.plan.MblFields[arg.Mbl]; isField {
-			alt, bound := binding[arg.Mbl]
-			if !bound {
-				return 0, "", lerr(diag.LowerInvalid, arg.Line, arg.Col, "malleable field ${%s} used outside a specializable context", arg.Mbl)
-			}
-			return c.prog.Schema.MustID(alt), alt, nil
-		}
-		return 0, "", lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown malleable ${%s}", arg.Mbl)
+// resolveDst resolves an argument that denotes a writable field: a
+// field, or the bound alternative of a malleable field.
+func (c *compiler) resolveDst(arg p4r.Arg, binding map[string]string) (packet.FieldID, string) {
+	name := arg.Ident
+	if arg.Kind == p4r.ArgMblRef {
+		name = binding[arg.Mbl]
 	}
-	return 0, "", lerr(diag.LowerInvalid, arg.Line, arg.Col, "destination must be a field")
-}
-
-func (c *compiler) registerName(arg p4r.Arg) (string, error) {
-	if arg.Kind != p4r.ArgIdent {
-		return "", lerr(diag.LowerInvalid, arg.Line, arg.Col, "register name expected")
-	}
-	if _, ok := c.prog.Registers[arg.Ident]; !ok {
-		return "", lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown register %q", arg.Ident)
-	}
-	return arg.Ident, nil
+	return c.prog.Schema.MustID(name), name
 }
 
 var aluOps = map[string]p4.ALUOp{
@@ -161,7 +112,7 @@ var aluOps = map[string]p4.ALUOp{
 	"min": p4.ALUMin, "max": p4.ALUMax,
 }
 
-func (c *compiler) lowerAction(decl *p4r.ActionDecl, name string, binding map[string]string) (*p4.Action, error) {
+func (c *compiler) lowerAction(decl *p4r.ActionDecl, name string, binding map[string]string) *p4.Action {
 	a := &p4.Action{Name: name}
 	widths := make([]int, len(decl.Params))
 	for i := range widths {
@@ -175,58 +126,23 @@ func (c *compiler) lowerAction(decl *p4r.ActionDecl, name string, binding map[st
 	fieldWidth := func(id packet.FieldID) int { return c.prog.Schema.Width(id) }
 
 	for _, call := range decl.Body {
-		argc := func(n int) error {
-			if len(call.Args) != n {
-				return lerr(diag.LowerInvalid, call.Line, call.Col, "%s takes %d arguments, got %d", call.Name, n, len(call.Args))
-			}
-			return nil
-		}
+		args := call.Args
+		operand := func(i int) p4.Operand { return c.resolveOperand(args[i], decl, binding) }
 		switch call.Name {
 		case "modify_field":
-			if err := argc(2); err != nil {
-				return nil, err
-			}
-			dst, dstName, err := c.resolveDst(call.Args[0], binding)
-			if err != nil {
-				return nil, err
-			}
-			src, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
+			dst, dstName := c.resolveDst(args[0], binding)
+			src := operand(1)
 			noteParamWidth(src, fieldWidth(dst))
 			a.Body = append(a.Body, p4.ModifyField{Dst: dst, DstName: dstName, Src: src})
 		case "add", "subtract", "bit_and", "bit_or", "bit_xor", "shift_left", "shift_right", "min", "max":
-			if err := argc(3); err != nil {
-				return nil, err
-			}
-			dst, dstName, err := c.resolveDst(call.Args[0], binding)
-			if err != nil {
-				return nil, err
-			}
-			x, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			y, err := c.resolveOperand(call.Args[2], decl, binding)
-			if err != nil {
-				return nil, err
-			}
+			dst, dstName := c.resolveDst(args[0], binding)
+			x, y := operand(1), operand(2)
 			noteParamWidth(x, fieldWidth(dst))
 			noteParamWidth(y, fieldWidth(dst))
 			a.Body = append(a.Body, p4.ALU{Op: aluOps[call.Name], Dst: dst, DstName: dstName, A: x, B: y})
 		case "add_to_field", "subtract_from_field":
-			if err := argc(2); err != nil {
-				return nil, err
-			}
-			dst, dstName, err := c.resolveDst(call.Args[0], binding)
-			if err != nil {
-				return nil, err
-			}
-			v, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
+			dst, dstName := c.resolveDst(args[0], binding)
+			v := operand(1)
 			op := p4.ALUAdd
 			if call.Name == "subtract_from_field" {
 				op = p4.ALUSub
@@ -234,125 +150,37 @@ func (c *compiler) lowerAction(decl *p4r.ActionDecl, name string, binding map[st
 			noteParamWidth(v, fieldWidth(dst))
 			a.Body = append(a.Body, p4.ALU{Op: op, Dst: dst, DstName: dstName, A: p4.FieldOp(dst, dstName), B: v})
 		case "drop":
-			if err := argc(0); err != nil {
-				return nil, err
-			}
 			a.Body = append(a.Body, p4.Drop{})
 		case "no_op":
-			if err := argc(0); err != nil {
-				return nil, err
-			}
 			a.Body = append(a.Body, p4.NoOp{})
 		case "recirculate":
-			if err := argc(0); err != nil {
-				return nil, err
-			}
 			a.Body = append(a.Body, p4.Recirculate{})
 		case "register_read":
-			if err := argc(3); err != nil {
-				return nil, err
-			}
-			dst, dstName, err := c.resolveDst(call.Args[0], binding)
-			if err != nil {
-				return nil, err
-			}
-			reg, err := c.registerName(call.Args[1])
-			if err != nil {
-				return nil, err
-			}
-			idx, err := c.resolveOperand(call.Args[2], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			a.Body = append(a.Body, p4.RegisterRead{Dst: dst, DstName: dstName, Reg: reg, Index: idx})
+			dst, dstName := c.resolveDst(args[0], binding)
+			a.Body = append(a.Body, p4.RegisterRead{Dst: dst, DstName: dstName, Reg: args[1].Ident, Index: operand(2)})
 		case "register_write":
-			if err := argc(3); err != nil {
-				return nil, err
-			}
-			reg, err := c.registerName(call.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			idx, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			val, err := c.resolveOperand(call.Args[2], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			noteParamWidth(val, c.prog.Registers[reg].Width)
-			a.Body = append(a.Body, p4.RegisterWrite{Reg: reg, Index: idx, Value: val})
+			val := operand(2)
+			noteParamWidth(val, c.prog.Registers[args[0].Ident].Width)
+			a.Body = append(a.Body, p4.RegisterWrite{Reg: args[0].Ident, Index: operand(1), Value: val})
 		case "register_increment":
-			if err := argc(3); err != nil {
-				return nil, err
-			}
-			reg, err := c.registerName(call.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			idx, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			by, err := c.resolveOperand(call.Args[2], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			a.Body = append(a.Body, p4.RegisterIncrement{Reg: reg, Index: idx, By: by})
+			a.Body = append(a.Body, p4.RegisterIncrement{Reg: args[0].Ident, Index: operand(1), By: operand(2)})
 		case "count":
-			if err := argc(2); err != nil {
-				return nil, err
-			}
-			reg, err := c.registerName(call.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			idx, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
-			a.Body = append(a.Body, p4.RegisterIncrement{Reg: reg, Index: idx, By: p4.ConstOp(1)})
+			a.Body = append(a.Body, p4.RegisterIncrement{Reg: args[0].Ident, Index: operand(1), By: p4.ConstOp(1)})
 		case "count_bytes":
-			if err := argc(2); err != nil {
-				return nil, err
-			}
-			reg, err := c.registerName(call.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			idx, err := c.resolveOperand(call.Args[1], decl, binding)
-			if err != nil {
-				return nil, err
-			}
 			plen := c.prog.Schema.MustID(p4.FieldPacketLen)
-			a.Body = append(a.Body, p4.RegisterIncrement{Reg: reg, Index: idx, By: p4.FieldOp(plen, p4.FieldPacketLen)})
+			a.Body = append(a.Body, p4.RegisterIncrement{Reg: args[0].Ident, Index: operand(1), By: p4.FieldOp(plen, p4.FieldPacketLen)})
 		case "modify_field_with_hash_based_offset":
-			if err := argc(4); err != nil {
-				return nil, err
-			}
-			dst, dstName, err := c.resolveDst(call.Args[0], binding)
-			if err != nil {
-				return nil, err
-			}
-			if call.Args[1].Kind != p4r.ArgConst || call.Args[3].Kind != p4r.ArgConst {
-				return nil, lerr(diag.LowerInvalid, call.Line, call.Col, "hash base and size must be constants")
-			}
-			if call.Args[2].Kind != p4r.ArgIdent {
-				return nil, lerr(diag.LowerInvalid, call.Line, call.Col, "hash calculation name expected")
-			}
+			dst, dstName := c.resolveDst(args[0], binding)
 			a.Body = append(a.Body, p4.ModifyFieldWithHash{
 				Dst: dst, DstName: dstName,
-				Base: call.Args[1].Value, Hash: call.Args[2].Ident, Size: call.Args[3].Value,
+				Base: args[1].Value, Hash: args[2].Ident, Size: args[3].Value,
 			})
-		default:
-			return nil, lerr(diag.LowerUnknown, call.Line, call.Col, "unknown primitive %q", call.Name)
 		}
 	}
 	for i, pn := range decl.Params {
 		a.Params = append(a.Params, p4.Param{Name: pn, Width: widths[i]})
 	}
-	return a, nil
+	return a
 }
 
 // ---- Table lowering (Figs. 5, 6 and §5.1.2) ----
@@ -361,7 +189,7 @@ var matchKindOf = map[string]p4.MatchKind{
 	"exact": p4.MatchExact, "ternary": p4.MatchTernary, "lpm": p4.MatchLPM, "range": p4.MatchRange,
 }
 
-func (c *compiler) lowerTables() error {
+func (c *compiler) lowerTables() {
 	for _, t := range c.f.Tables {
 		tbl := &p4.Table{Name: t.Name, Malleable: t.Malleable}
 		info := &MblTableInfo{Table: t.Name, SelectorCol: make(map[string]int), VVCol: -1, ActionSpec: make(map[string]*ActionSpecInfo)}
@@ -381,12 +209,11 @@ func (c *compiler) lowerTables() error {
 		for _, rk := range t.Reads {
 			uk := UserKey{MatchType: rk.MatchType}
 			info.ColOffset = append(info.ColOffset, len(tbl.Keys))
-			switch rk.Target.Kind {
-			case p4r.ArgIdent:
-				id, ok := c.prog.Schema.Lookup(rk.Target.Ident)
-				if !ok {
-					return lerr(diag.LowerUnknown, rk.Line, rk.Col, "table %s: unknown match field %q", t.Name, rk.Target.Ident)
-				}
+			mv, isVal := c.plan.MblValues[rk.Target.Mbl]
+			mf, isField := c.plan.MblFields[rk.Target.Mbl]
+			switch {
+			case rk.Target.Kind == p4r.ArgIdent:
+				id := c.prog.Schema.MustID(rk.Target.Ident)
 				uk.FieldName = rk.Target.Ident
 				uk.Width = c.prog.Schema.Width(id)
 				mk := p4.MatchKey{
@@ -396,24 +223,15 @@ func (c *compiler) lowerTables() error {
 					mk.StaticMask = rk.Mask
 				}
 				tbl.Keys = append(tbl.Keys, mk)
-			case p4r.ArgMblRef:
-				if mv, isVal := c.plan.MblValues[rk.Target.Mbl]; isVal {
-					// Matching on a malleable value is matching its metadata.
-					id := c.prog.Schema.MustID(mv.MetaField)
-					uk.FieldName = mv.MetaField
-					uk.Width = mv.Width
-					tbl.Keys = append(tbl.Keys, p4.MatchKey{
-						FieldName: mv.MetaField, Field: id, Width: mv.Width, Kind: matchKindOf[rk.MatchType],
-					})
-					break
-				}
-				mf, isField := c.plan.MblFields[rk.Target.Mbl]
-				if !isField {
-					return lerr(diag.LowerUnknown, rk.Line, rk.Col, "table %s: unknown malleable ${%s}", t.Name, rk.Target.Mbl)
-				}
-				if rk.MatchType == "range" {
-					return lerr(diag.LowerInvalid, rk.Line, rk.Col, "table %s: range match on malleable field ${%s} is not supported", t.Name, mf.Name)
-				}
+			case isVal:
+				// Matching on a malleable value is matching its metadata.
+				id := c.prog.Schema.MustID(mv.MetaField)
+				uk.FieldName = mv.MetaField
+				uk.Width = mv.Width
+				tbl.Keys = append(tbl.Keys, p4.MatchKey{
+					FieldName: mv.MetaField, Field: id, Width: mv.Width, Kind: matchKindOf[rk.MatchType],
+				})
+			case isField:
 				// Fig. 6: one ternary column per alternative. Exact user
 				// matches become ternary to admit the wildcard.
 				uk.MblField = mf.Name
@@ -434,8 +252,6 @@ func (c *compiler) lowerTables() error {
 					}
 					tbl.Keys = append(tbl.Keys, mk)
 				}
-			default:
-				return lerr(diag.LowerInvalid, rk.Line, rk.Col, "table %s: invalid match key", t.Name)
 			}
 			info.Keys = append(info.Keys, uk)
 		}
@@ -449,9 +265,6 @@ func (c *compiler) lowerTables() error {
 				}
 				tbl.ActionNames = append(tbl.ActionNames, spec.Variants...)
 				continue
-			}
-			if _, ok := c.prog.Actions[an]; !ok {
-				return lerr(diag.LowerUnknown, t.Line, t.Col, "table %s: unknown action %q", t.Name, an)
 			}
 			tbl.ActionNames = append(tbl.ActionNames, an)
 		}
@@ -467,12 +280,6 @@ func (c *compiler) lowerTables() error {
 		}
 
 		if t.Default != nil {
-			if _, specialized := c.specs[t.Default.Action]; specialized {
-				return lerr(diag.LowerInvalid, t.Line, t.Col, "table %s: default action %q uses malleable fields, which is not supported (install a low-priority entry instead)", t.Name, t.Default.Action)
-			}
-			if _, ok := c.prog.Actions[t.Default.Action]; !ok {
-				return lerr(diag.LowerUnknown, t.Line, t.Col, "table %s: unknown default action %q", t.Name, t.Default.Action)
-			}
 			tbl.DefaultAction = &p4.ActionCall{Action: t.Default.Action, Data: append([]uint64(nil), t.Default.Args...)}
 		}
 
@@ -496,87 +303,48 @@ func (c *compiler) lowerTables() error {
 			c.plan.MblTables[t.Name] = info
 		}
 	}
-	return nil
 }
 
 // ---- Control flow ----
 
-func (c *compiler) condOperand(arg p4r.Arg) (p4.Operand, error) {
-	switch arg.Kind {
-	case p4r.ArgConst:
-		return p4.ConstOp(arg.Value), nil
-	case p4r.ArgIdent:
-		id, ok := c.prog.Schema.Lookup(arg.Ident)
-		if !ok {
-			return p4.Operand{}, lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown field %q in condition", arg.Ident)
-		}
-		return p4.FieldOp(id, arg.Ident), nil
-	case p4r.ArgMblRef:
-		if mv, ok := c.plan.MblValues[arg.Mbl]; ok {
-			return p4.FieldOp(c.prog.Schema.MustID(mv.MetaField), mv.MetaField), nil
-		}
-		if _, ok := c.plan.MblFields[arg.Mbl]; ok {
-			carrier, err := c.carrierFor(arg.Mbl, arg.Line, arg.Col)
-			if err != nil {
-				return p4.Operand{}, err
-			}
-			return p4.FieldOp(c.prog.Schema.MustID(carrier), carrier), nil
-		}
-		return p4.Operand{}, lerr(diag.LowerUnknown, arg.Line, arg.Col, "unknown malleable ${%s} in condition", arg.Mbl)
+func (c *compiler) condOperand(arg p4r.Arg) p4.Operand {
+	if arg.Kind == p4r.ArgConst {
+		return p4.ConstOp(arg.Value)
 	}
-	return p4.Operand{}, lerr(diag.LowerInvalid, arg.Line, arg.Col, "bad condition operand")
+	name := arg.Ident
+	if arg.Kind == p4r.ArgMblRef {
+		if mv, isVal := c.plan.MblValues[arg.Mbl]; isVal {
+			name = mv.MetaField
+		} else {
+			name = c.carrierFor(arg.Mbl)
+		}
+	}
+	return p4.FieldOp(c.prog.Schema.MustID(name), name)
 }
 
 var cmpOps = map[string]p4.CmpOp{
 	"==": p4.CmpEQ, "!=": p4.CmpNE, "<": p4.CmpLT, "<=": p4.CmpLE, ">": p4.CmpGT, ">=": p4.CmpGE,
 }
 
-func (c *compiler) lowerStmts(stmts []p4r.Stmt) ([]p4.ControlStmt, error) {
+func (c *compiler) lowerStmts(stmts []p4r.Stmt) []p4.ControlStmt {
 	var out []p4.ControlStmt
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case p4r.ApplyStmt:
-			if _, ok := c.prog.Tables[st.Table]; !ok {
-				return nil, lerr(diag.LowerUnknown, st.Line, st.Col, "apply of unknown table %q", st.Table)
-			}
 			out = append(out, p4.Apply{Table: st.Table})
 		case p4r.IfStmt:
-			l, err := c.condOperand(st.Cond.Left)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.condOperand(st.Cond.Right)
-			if err != nil {
-				return nil, err
-			}
-			then, err := c.lowerStmts(st.Then)
-			if err != nil {
-				return nil, err
-			}
-			els, err := c.lowerStmts(st.Else)
-			if err != nil {
-				return nil, err
-			}
+			l, r := c.condOperand(st.Cond.Left), c.condOperand(st.Cond.Right)
 			out = append(out, p4.If{
 				Cond: p4.CondExpr{Left: l, Op: cmpOps[st.Cond.Op], Right: r},
-				Then: then, Else: els,
+				Then: c.lowerStmts(st.Then), Else: c.lowerStmts(st.Else),
 			})
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (c *compiler) buildControlFlow() error {
-	// lowerStmts errors are already positioned diagnostics; no prefix
-	// wrapping — the line number locates the pipeline.
-	userIng, err := c.lowerStmts(c.f.Ingress)
-	if err != nil {
-		return err
-	}
-	userEgr, err := c.lowerStmts(c.f.Egress)
-	if err != nil {
-		return err
-	}
+func (c *compiler) buildControlFlow() {
+	userIng, userEgr := c.lowerStmts(c.f.Ingress), c.lowerStmts(c.f.Egress)
 	var ing []p4.ControlStmt
 	for _, it := range c.plan.InitTables {
 		ing = append(ing, p4.Apply{Table: it.Table})
@@ -607,5 +375,4 @@ func (c *compiler) buildControlFlow() error {
 	}
 	c.prog.Ingress = ing
 	c.prog.Egress = egr
-	return nil
 }

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/p4"
 	"repro/internal/p4r"
-	"repro/internal/p4r/diag"
-	"repro/internal/rcl"
 )
 
 func measTableName(reaction, pipe string) string {
@@ -16,15 +14,11 @@ func measTableName(reaction, pipe string) string {
 
 // ---- Reactions: measurement generation (§4.2, Fig. 9, §5.2) ----
 
-func (c *compiler) lowerReactions() error {
+func (c *compiler) lowerReactions() {
 	// dupRegs dedupes duplicated registers shared by multiple reactions.
 	dupRegs := make(map[string]*RegParamInfo)
 
 	for _, r := range c.f.Reactions {
-		// A body the agent could not lower is the program's error.
-		if _, err := rcl.NewProgram(r.Stmts); err != nil {
-			return lerr(diag.LowerInvalid, r.Line, r.Col, "reaction %s: %v", r.Name, err)
-		}
 		info := &ReactionInfo{Name: r.Name, Body: r.Body, Stmts: r.Stmts}
 		var ingFields, egrFields []SlotField
 
@@ -32,40 +26,21 @@ func (c *compiler) lowerReactions() error {
 			switch p.Kind {
 			case p4r.ParamIng, p4r.ParamEgr:
 				if p.IsMbl {
-					if _, isVal := c.plan.MblValues[p.Target]; !isVal {
-						if _, isField := c.plan.MblFields[p.Target]; !isField {
-							return lerr(diag.LowerUnknown, p.Line, p.Col, "reaction %s: unknown malleable parameter ${%s}", r.Name, p.Target)
-						}
-					}
 					info.MblParams = append(info.MblParams, MblParamInfo{Name: p.Target, Var: sanitize(p.Target)})
 					continue
 				}
-				id, ok := c.prog.Schema.Lookup(p.Target)
-				if !ok {
-					return lerr(diag.LowerUnknown, p.Line, p.Col, "reaction %s: unknown field parameter %q", r.Name, p.Target)
-				}
+				id := c.prog.Schema.MustID(p.Target)
 				sf := SlotField{Param: p.Target, Var: sanitize(p.Target), Width: c.prog.Schema.Width(id)}
-				if sf.Width > c.opts.MeasSlotBits {
-					return lerr(diag.LowerCapacity, p.Line, p.Col, "reaction %s: field %q (%d bits) exceeds measurement slot width %d",
-						r.Name, p.Target, sf.Width, c.opts.MeasSlotBits)
-				}
 				if p.Kind == p4r.ParamIng {
 					ingFields = append(ingFields, sf)
 				} else {
 					egrFields = append(egrFields, sf)
 				}
 			case p4r.ParamReg:
-				reg, ok := c.prog.Registers[p.Target]
-				if !ok {
-					return lerr(diag.LowerUnknown, p.Line, p.Col, "reaction %s: unknown register parameter %q", r.Name, p.Target)
-				}
+				reg := c.prog.Registers[p.Target]
 				lo, hi := p.Lo, p.Hi
 				if hi < 0 {
 					lo, hi = 0, reg.Instances-1
-				}
-				if hi >= reg.Instances {
-					return lerr(diag.LowerCapacity, p.Line, p.Col, "reaction %s: register %s[%d:%d] out of range (instances %d)",
-						r.Name, p.Target, lo, hi, reg.Instances)
 				}
 				rp, exists := dupRegs[p.Target]
 				if !exists {
@@ -79,15 +54,8 @@ func (c *compiler) lowerReactions() error {
 			}
 		}
 
-		var err error
-		info.IngSlots, err = c.packMeasurement(r.Name, "ing", ingFields)
-		if err != nil {
-			return err
-		}
-		info.EgrSlots, err = c.packMeasurement(r.Name, "egr", egrFields)
-		if err != nil {
-			return err
-		}
+		info.IngSlots = c.packMeasurement(r.Name, "ing", ingFields)
+		info.EgrSlots = c.packMeasurement(r.Name, "egr", egrFields)
 		c.plan.Reactions = append(c.plan.Reactions, info)
 	}
 
@@ -101,15 +69,14 @@ func (c *compiler) lowerReactions() error {
 	for _, name := range regs {
 		c.injectMirrors(name, dupRegs[name])
 	}
-	return nil
 }
 
 // packMeasurement packs field parameters into 64-bit measurement slots
 // using sorted first-fit, generates the per-slot registers, and emits
 // the measurement action/table for one pipeline.
-func (c *compiler) packMeasurement(reaction, pipe string, fields []SlotField) ([]MeasSlot, error) {
+func (c *compiler) packMeasurement(reaction, pipe string, fields []SlotField) []MeasSlot {
 	if len(fields) == 0 {
-		return nil, nil
+		return nil
 	}
 	sorted := append([]SlotField(nil), fields...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -180,7 +147,7 @@ func (c *compiler) packMeasurement(reaction, pipe string, fields []SlotField) ([
 		DefaultAction: &p4.ActionCall{Action: action.Name},
 		Size:          1,
 	})
-	return slots, nil
+	return slots
 }
 
 // duplicateRegister creates the mv-indexed duplicate and timestamp

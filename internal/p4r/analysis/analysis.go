@@ -1,8 +1,9 @@
 // Package analysis implements the semantic analyzer of the P4R
 // frontend. It runs over the parsed AST before lowering and reports
 // everything it finds as structured diagnostics (internal/p4r/diag)
-// instead of dying on the first problem, the way the backend's
-// fail-first lowering does.
+// instead of dying on the first problem. It alone decides whether a
+// program is valid: the compiler lowers every program it accepts
+// without an error path of its own.
 //
 // The passes encode the preconditions of the Mantis program
 // transformations (§4–§5 of the paper): malleable declaration/use
@@ -25,7 +26,7 @@ import (
 
 // Limits are the platform capacities the analyzer checks against. They
 // mirror the knobs of compiler.Options so mantisc -check sees the same
-// limits the backend would enforce.
+// limits a compile does.
 type Limits struct {
 	// MaxInitActionBits bounds the total parameter width of one init
 	// action (§5.1.1); a single malleable wider than this can never be
@@ -71,6 +72,7 @@ type checker struct {
 	mblFields map[string]*p4r.MblField
 	actions   map[string]*p4r.ActionDecl
 	tables    map[string]*p4r.TableDecl
+	calcs     map[string]*p4r.FieldListCalc
 
 	mblUsed    map[string]bool // malleable name -> referenced anywhere
 	regWritten map[string]bool // register name -> written by a data-plane action
@@ -90,6 +92,7 @@ func Analyze(f *p4r.File, lim Limits) *diag.List {
 		mblFields:  make(map[string]*p4r.MblField),
 		actions:    make(map[string]*p4r.ActionDecl),
 		tables:     make(map[string]*p4r.TableDecl),
+		calcs:      make(map[string]*p4r.FieldListCalc),
 		mblUsed:    make(map[string]bool),
 		regWritten: make(map[string]bool),
 	}
@@ -140,7 +143,27 @@ func (c *checker) mblWidth(name string) int {
 	return 0
 }
 
-// ---- Symbol construction + duplicate detection (M013) ----
+// ---- Symbol construction, duplicates and reserved names (M013), widths (L003) ----
+
+// reserved reports whether a declared name could collide with one the
+// compiler generates: every generated table, action and register, and
+// the metadata instance p4r_meta_, ends in "_" and most start with p4r_.
+func reserved(name string) bool {
+	return strings.HasSuffix(name, "_") || strings.HasPrefix(name, "p4r_")
+}
+
+func (c *checker) reservedName(kind, name string, line, col int) {
+	c.errorf(diag.DuplicateDecl, line, col, "%s %s: reserved name", kind, name).Hint =
+		"names that end in _ or start with p4r_ belong to the compiler"
+}
+
+// checkWidth reports a width the packet schema or a register cannot
+// hold (L003).
+func (c *checker) checkWidth(w, line, col int, format string, args ...any) {
+	if w < 1 || w > 64 {
+		c.errorf(diag.LowerCapacity, line, col, format+" has unsupported width %d", append(args, w)...)
+	}
+}
 
 func (c *checker) buildSymbols() {
 	// Standard metadata is always in scope (p4.DefineStandardMetadata).
@@ -159,6 +182,9 @@ func (c *checker) buildSymbols() {
 			continue
 		}
 		headerTypes[ht.Name] = ht
+		for _, fd := range ht.Fields {
+			c.checkWidth(fd.Width, ht.Line, ht.Col, "header_type %s: field %s", ht.Name, fd.Name)
+		}
 	}
 	instances := make(map[string]*p4r.Instance)
 	for _, inst := range c.f.Instances {
@@ -167,6 +193,10 @@ func (c *checker) buildSymbols() {
 			continue
 		}
 		instances[inst.Name] = inst
+		if reserved(inst.Name) {
+			c.reservedName("instance", inst.Name, inst.Line, inst.Col)
+			continue
+		}
 		ht, ok := headerTypes[inst.TypeName]
 		if !ok {
 			c.errorf(diag.UnknownSymbol, inst.Line, inst.Col, "instance %s of unknown header_type %s", inst.Name, inst.TypeName)
@@ -189,12 +219,17 @@ func (c *checker) buildSymbols() {
 			continue
 		}
 		c.registers[r.Name] = r
+		if reserved(r.Name) {
+			c.reservedName("register", r.Name, r.Line, r.Col)
+		}
+		c.checkWidth(r.Width, r.Line, r.Col, "register %s", r.Name)
 	}
 	for _, mv := range c.f.MblValues {
 		if c.declaredMblDup(mv.Name, mv.Line, mv.Col) {
 			continue
 		}
 		c.mblValues[mv.Name] = mv
+		c.checkWidth(mv.Width, mv.Line, mv.Col, "malleable value %s", mv.Name)
 	}
 	for _, mf := range c.f.MblFields {
 		if c.declaredMblDup(mf.Name, mf.Line, mf.Col) {
@@ -202,12 +237,21 @@ func (c *checker) buildSymbols() {
 		}
 		c.mblFields[mf.Name] = mf
 	}
+	for _, mv := range c.f.MblValues {
+		c.checkMblName("value", mv.Name, mv.Line, mv.Col)
+	}
+	for _, mf := range c.f.MblFields {
+		c.checkMblName("field", mf.Name, mf.Line, mf.Col)
+	}
 	for _, a := range c.f.Actions {
 		if prev, dup := c.actions[a.Name]; dup {
 			c.errorf(diag.DuplicateDecl, a.Line, a.Col, "duplicate action %s (first declared on line %d)", a.Name, prev.Line)
 			continue
 		}
 		c.actions[a.Name] = a
+		if reserved(a.Name) {
+			c.reservedName("action", a.Name, a.Line, a.Col)
+		}
 	}
 	for _, t := range c.f.Tables {
 		if prev, dup := c.tables[t.Name]; dup {
@@ -215,6 +259,16 @@ func (c *checker) buildSymbols() {
 			continue
 		}
 		c.tables[t.Name] = t
+		if reserved(t.Name) {
+			c.reservedName("table", t.Name, t.Line, t.Col)
+		}
+	}
+	for _, calc := range c.f.Calcs {
+		if prev, dup := c.calcs[calc.Name]; dup {
+			c.errorf(diag.DuplicateDecl, calc.Line, calc.Col, "duplicate field_list_calculation %s (first declared on line %d)", calc.Name, prev.Line)
+			continue
+		}
+		c.calcs[calc.Name] = calc
 	}
 	seenRxn := make(map[string]*p4r.Reaction)
 	for _, r := range c.f.Reactions {
@@ -252,11 +306,36 @@ func (c *checker) declaredMblDup(name string, line, col int) bool {
 	return false
 }
 
-// ---- Malleable field alternatives (M005/M014) ----
+// checkMblName reports a malleable whose name the compiler's metadata
+// fields (p4r_meta_.<name>) could collide with: the version bits and
+// scratch fields end in _, measurement staging starts with meas_,
+// register mirroring with mirr_, and a malleable field f owns f_alt and
+// f_val besides the value named f.
+func (c *checker) checkMblName(kind, name string, line, col int) {
+	clash := reserved(name) || strings.HasPrefix(name, "meas_") || strings.HasPrefix(name, "mirr_")
+	for _, suffix := range []string{"_alt", "_val"} {
+		if f, ok := strings.CutSuffix(name, suffix); ok && kind == "value" && c.mblFields[f] != nil {
+			clash = true
+		}
+	}
+	if clash {
+		c.errorf(diag.DuplicateDecl, line, col, "malleable %s %s: reserved name", kind, name).Hint =
+			"the compiler's metadata fields start with p4r_, meas_ or mirr_, end in _, or add _alt or _val to a malleable field's name"
+	}
+}
+
+// ---- Malleable field alternatives (M005/M013/M014) ----
 
 func (c *checker) checkMblFieldAlts() {
 	for _, mf := range c.f.MblFields {
+		// Each alt names the actions specialised over it (§4.1).
+		named := make(map[string]string, len(mf.Alts))
 		for _, alt := range mf.Alts {
+			if prev, dup := named[sanitize(alt)]; dup {
+				c.errorf(diag.DuplicateDecl, mf.Line, mf.Col, "malleable field %s: alts %q and %q name the same specialisation", mf.Name, prev, alt)
+				continue
+			}
+			named[sanitize(alt)] = alt
 			w, ok := c.fields[alt]
 			if !ok {
 				c.errorf(diag.UnknownSymbol, mf.Line, mf.Col, "malleable field %s: unknown alt %q", mf.Name, alt)
@@ -270,59 +349,120 @@ func (c *checker) checkMblFieldAlts() {
 	}
 }
 
-// ---- Actions: malleable references + symbol resolution (M001) ----
+// ---- Actions: primitives, argument kinds, symbol resolution (M001/M014/L002) ----
+
+// argKind is what one argument of a primitive must denote.
+type argKind int
+
+const (
+	argDst     argKind = iota // a header field or a malleable field
+	argOperand                // a constant, parameter, field or malleable
+	argReg                    // a register
+	argConst                  // a constant
+	argCalc                   // a field_list_calculation
+)
+
+var aluArgs = []argKind{argDst, argOperand, argOperand}
+
+// primitives gives the argument kinds, by position, of every primitive
+// the compiler lowers.
+var primitives = map[string][]argKind{
+	"modify_field":        {argDst, argOperand},
+	"add_to_field":        {argDst, argOperand},
+	"subtract_from_field": {argDst, argOperand},
+	"register_read":       {argDst, argReg, argOperand},
+	"register_write":      {argReg, argOperand, argOperand},
+	"register_increment":  {argReg, argOperand, argOperand},
+	"count":               {argReg, argOperand},
+	"count_bytes":         {argReg, argOperand},
+
+	"add": aluArgs, "subtract": aluArgs, "min": aluArgs, "max": aluArgs,
+	"bit_and": aluArgs, "bit_or": aluArgs, "bit_xor": aluArgs,
+	"shift_left": aluArgs, "shift_right": aluArgs,
+	"drop": nil, "no_op": nil, "recirculate": nil,
+
+	"modify_field_with_hash_based_offset": {argDst, argConst, argCalc, argConst},
+}
 
 func (c *checker) checkActions() {
 	for _, a := range c.f.Actions {
+		if strings.Contains(a.Name, "__") && len(c.actionMblFields(a)) > 0 {
+			c.errorf(diag.DuplicateDecl, a.Line, a.Col, "action %s: reserved name", a.Name).Hint =
+				"a specialised action's name may not contain __, which separates it from its alts"
+		}
 		params := make(map[string]bool, len(a.Params))
 		for _, pn := range a.Params {
 			params[pn] = true
 		}
 		for _, call := range a.Body {
+			kinds, known := primitives[call.Name]
+			switch {
+			case !known:
+				c.errorf(diag.UnknownSymbol, call.Line, call.Col, "unknown primitive %q", call.Name)
+			case len(call.Args) != len(kinds):
+				c.errorf(diag.LowerInvalid, call.Line, call.Col, "%s takes %d arguments, got %d", call.Name, len(kinds), len(call.Args))
+				known = false
+			}
 			for i, arg := range call.Args {
-				switch arg.Kind {
-				case p4r.ArgMblRef:
-					if !c.mblDeclared(arg.Mbl) {
-						c.errorf(diag.UndeclaredMbl, arg.Line, arg.Col,
-							"action %s: reference to undeclared malleable ${%s}", a.Name, arg.Mbl).Hint =
-							"declare it with `malleable value` or `malleable field`"
-					}
-				case p4r.ArgIdent:
-					// Identifiers resolve as action parameters, fields,
-					// registers (for register_* primitives), or hash
-					// calculation names. Leave primitive-specific arity and
-					// operand-kind checking to the backend; here only flag
-					// names that resolve to nothing at all.
-					if params[arg.Ident] {
-						continue
-					}
-					if _, ok := c.fields[arg.Ident]; ok {
-						continue
-					}
-					if _, ok := c.registers[arg.Ident]; ok {
-						continue
-					}
-					if c.isCalcName(arg.Ident) {
-						continue
-					}
-					c.errorf(diag.UnknownSymbol, arg.Line, arg.Col,
-						"action %s: %s argument %d: unknown field or parameter %q", a.Name, call.Name, i+1, arg.Ident)
+				if c.resolveArg(a, params, call, i) && known {
+					c.checkArgKind(kinds[i], arg, params)
 				}
 			}
 		}
 	}
 }
 
-func (c *checker) isCalcName(name string) bool {
-	for _, calc := range c.f.Calcs {
-		if calc.Name == name {
-			return true
+// resolveArg reports an argument naming nothing (M001, M014) and
+// whether it resolves. Identifiers resolve as action parameters,
+// fields, registers, or hash calculation names.
+func (c *checker) resolveArg(a *p4r.ActionDecl, params map[string]bool, call p4r.PrimCall, i int) bool {
+	arg := call.Args[i]
+	switch arg.Kind {
+	case p4r.ArgMblRef:
+		if !c.mblDeclared(arg.Mbl) {
+			c.errorf(diag.UndeclaredMbl, arg.Line, arg.Col,
+				"action %s: reference to undeclared malleable ${%s}", a.Name, arg.Mbl).Hint =
+				"declare it with `malleable value` or `malleable field`"
+			return false
+		}
+	case p4r.ArgIdent:
+		_, isField := c.fields[arg.Ident]
+		if !params[arg.Ident] && !isField && c.registers[arg.Ident] == nil && c.calcs[arg.Ident] == nil {
+			c.errorf(diag.UnknownSymbol, arg.Line, arg.Col,
+				"action %s: %s argument %d: unknown field or parameter %q", a.Name, call.Name, i+1, arg.Ident)
+			return false
 		}
 	}
-	return false
+	return true
 }
 
-// ---- Field lists and hash calculations (M001/M014) ----
+// checkArgKind reports a resolved argument of the wrong kind (L002).
+func (c *checker) checkArgKind(kind argKind, arg p4r.Arg, params map[string]bool) {
+	_, isField := c.fields[arg.Ident]
+	isIdent := arg.Kind == p4r.ArgIdent
+	var msg string
+	switch {
+	case kind == argDst && arg.Kind == p4r.ArgConst:
+		msg = "destination must be a field"
+	case kind == argDst && arg.Kind == p4r.ArgMblRef && c.mblValues[arg.Mbl] != nil:
+		msg = fmt.Sprintf("malleable value ${%s} cannot be assigned in the data plane (values are set by reactions)", arg.Mbl)
+	case kind == argDst && isIdent && !isField:
+		msg = fmt.Sprintf("destination %q is not a field", arg.Ident)
+	case kind == argOperand && isIdent && !isField && !params[arg.Ident]:
+		msg = fmt.Sprintf("operand %q is not a field or parameter", arg.Ident)
+	case kind == argReg && (!isIdent || c.registers[arg.Ident] == nil):
+		msg = "register name expected"
+	case kind == argConst && arg.Kind != p4r.ArgConst:
+		msg = "hash base and size must be constants"
+	case kind == argCalc && (!isIdent || c.calcs[arg.Ident] == nil):
+		msg = "hash calculation name expected"
+	default:
+		return
+	}
+	c.errorf(diag.LowerInvalid, arg.Line, arg.Col, "%s", msg)
+}
+
+// ---- Field lists and hash calculations (M001/M014/L002) ----
 
 func (c *checker) checkFieldLists() {
 	lists := make(map[string]*p4r.FieldList)
@@ -342,15 +482,20 @@ func (c *checker) checkFieldLists() {
 				if !c.mblDeclared(e.Mbl) {
 					c.errorf(diag.UndeclaredMbl, e.Line, e.Col, "field_list %s: reference to undeclared malleable ${%s}", fl.Name, e.Mbl)
 				}
+			case p4r.ArgConst:
+				c.errorf(diag.LowerInvalid, e.Line, e.Col, "field_list %s: constants are not allowed", fl.Name)
 			}
 		}
 	}
 	for _, calc := range c.f.Calcs {
+		if c.calcs[calc.Name] != calc {
+			continue // a duplicate, reported with the declarations
+		}
 		if _, ok := lists[calc.Input]; !ok {
 			c.errorf(diag.UnknownSymbol, calc.Line, calc.Col, "field_list_calculation %s: unknown field_list %q", calc.Name, calc.Input)
 		}
 		switch calc.Algorithm {
-		case "crc16", "crc32", "identity", "":
+		case "crc16", "crc32", "identity":
 		default:
 			c.errorf(diag.UnknownSymbol, calc.Line, calc.Col, "field_list_calculation %s: unknown algorithm %q", calc.Name, calc.Algorithm)
 		}
@@ -521,6 +666,25 @@ func (c *checker) checkInitCapacity() {
 				"malleable field %s selector (%d bits) exceeds the init-action capacity %d", mf.Name, sel, c.lim.MaxInitActionBits)
 		}
 	}
+	// The master init action also holds the version bits: vv when
+	// anything is malleable, mv when a reaction polls. Reported at the
+	// first reaction, whose mv bit is the one a capacity of 1 lacks.
+	bits, line, col := 0, 0, 0
+	for _, t := range c.f.Tables {
+		if t.Malleable {
+			bits = 1
+		}
+	}
+	if len(c.f.MblValues)+len(c.f.MblFields) > 0 {
+		bits = 1
+	}
+	if len(c.f.Reactions) > 0 {
+		bits, line, col = bits+1, c.f.Reactions[0].Line, c.f.Reactions[0].Col
+	}
+	if bits > c.lim.MaxInitActionBits {
+		c.errorf(diag.InitCapacity, line, col,
+			"the master init action's %d version bits exceed the init-action capacity %d", bits, c.lim.MaxInitActionBits)
+	}
 }
 
 // ---- Unused declarations (M002, M011 — warnings) ----
@@ -554,7 +718,7 @@ func (c *checker) checkUnused() {
 	}
 }
 
-// ---- Reactions (M001, M003, M004, M005, M006, M007, M010, M014) ----
+// ---- Reactions (M001, M003, M004, M005, M006, M007, M010, M014, L002) ----
 
 func (c *checker) checkReactions() {
 	for _, r := range c.f.Reactions {
@@ -603,6 +767,10 @@ func (c *checker) checkReactions() {
 			}
 		}
 		rx.checkBody()
+		// A body the agent could not lower is the program's error.
+		if _, err := rcl.NewProgram(r.Stmts); err != nil {
+			c.errorf(diag.LowerInvalid, r.Line, r.Col, "reaction %s: %v", r.Name, err)
+		}
 	}
 }
 

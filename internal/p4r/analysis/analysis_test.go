@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,8 +20,9 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 // corpusLimits shrinks platform limits for the capacity-oriented corpus
 // files so the overflow cases stay small and readable.
 var corpusLimits = map[string]analysis.Limits{
-	"init_capacity.p4r":   {MaxInitActionBits: 16, MeasSlotBits: 8},
-	"table_expansion.p4r": {MaxTableEntries: 100},
+	"init_capacity.p4r":     {MaxInitActionBits: 16, MeasSlotBits: 8},
+	"init_version_bits.p4r": {MaxInitActionBits: 1},
+	"table_expansion.p4r":   {MaxTableEntries: 100},
 }
 
 // placementTargets routes the placement-failure corpus files through
@@ -68,13 +70,23 @@ func runPlacement(t *testing.T, src, target string) string {
 	opts := compiler.DefaultOptions()
 	opts.Target = target
 	plan, err := compiler.CompileSource(src, opts)
+	return renderCompile(t, plan, err)
+}
+
+// renderCompile renders a compile's diagnostics one per line: the plan's
+// list when there is a plan, else the error's (a parse error is one
+// diagnostic).
+func renderCompile(t *testing.T, plan *compiler.Plan, err error) string {
+	t.Helper()
 	list := &diag.List{}
-	if plan != nil && plan.Diags != nil {
+	var d *diag.Diagnostic
+	switch {
+	case plan != nil && plan.Diags != nil:
 		list = plan.Diags
-	} else if err != nil {
-		if !asList(err, &list) {
-			t.Fatalf("placement corpus: non-diagnostic error: %v", err)
-		}
+	case errors.As(err, &d):
+		list.Add(d)
+	case err != nil && !asList(err, &list):
+		t.Fatalf("non-diagnostic compile error: %v", err)
 	}
 	var b strings.Builder
 	for _, d := range list.Diags {
@@ -109,6 +121,45 @@ func TestGolden(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestCompileVerdict holds the compiler to the analyzer's verdict: every
+// corpus program outside placementTargets, compiled under its corpus
+// limits, fails exactly when its golden has an error, and reports the
+// golden's diagnostics. Lowering adds none of its own.
+func TestCompileVerdict(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.p4r")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus files: %v", err)
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		if _, ok := placementTargets[name]; ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(strings.TrimSuffix(path, ".p4r") + ".golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lim := corpusLimits[name]
+			plan, cerr := compiler.CompileSource(string(src), compiler.Options{
+				MaxInitActionBits: lim.MaxInitActionBits,
+				MeasSlotBits:      lim.MeasSlotBits,
+				MaxTableEntries:   lim.MaxTableEntries,
+			})
+			if failed, rejects := cerr != nil, strings.Contains(string(want), ": error["); failed != rejects {
+				t.Fatalf("compile error %v, golden has an error: %v\n%s", cerr, rejects, want)
+			}
+			if got := renderCompile(t, plan, cerr); got != string(want) {
+				t.Errorf("compile diagnostics differ from the golden\n--- got ---\n%s--- want ---\n%s", got, want)
 			}
 		})
 	}

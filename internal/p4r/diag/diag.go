@@ -14,7 +14,8 @@
 //
 //	S0xx — syntax errors from the lexer/parser (always fail-first)
 //	M0xx — semantic analysis findings (collect-all, pre-lowering)
-//	L0xx — lowering errors from the compiler backend
+//	L0xx — constructs the compiler cannot lower, found by the analyzer
+//	       (collect-all, pre-lowering), and the backend's self-check
 //	P0xx — placement/fit findings from the RMT resource-allocation
 //	       pass (internal/compiler/place, collect-all, post-lowering)
 package diag
@@ -70,12 +71,13 @@ const (
 	UnknownSymbol   = "M014" // reference to an undeclared field, action, or table
 )
 
-// Lowering codes (internal/compiler backend). These group the backend's
-// fail-first errors; positions are attached where the AST carries them.
+// Lowering codes. The analyzer reports L002 and L003 before lowering
+// runs, so lowering itself cannot fail; L004 is the backend's check of
+// its own output. L001 (an unknown name met during lowering) is
+// retired: the analyzer reports every unknown name as M001 or M014.
 const (
-	LowerUnknown  = "L001" // unknown field/action/table/register during lowering
 	LowerInvalid  = "L002" // construct cannot be lowered as written
-	LowerCapacity = "L003" // width or capacity limit exceeded
+	LowerCapacity = "L003" // width outside 1..64
 	LowerInternal = "L004" // generated program failed validation
 )
 
