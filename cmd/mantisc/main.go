@@ -7,16 +7,18 @@
 //
 //	mantisc [-o out.p4] [-plan] [-check] [-Werror] [-target profile] [-report] program.p4r
 //
-// With -check, mantisc runs the full analysis pipeline (semantic
-// analyzer, lowering and the RMT placement pass) printing every
-// diagnostic without generating code. -target selects the switch
+// With -check, mantisc runs the semantic analyzer, which alone decides
+// whether the program is valid, then lowering, which cannot fail, and
+// the RMT placement pass, and prints every diagnostic without
+// generating code. -target selects the switch
 // profile the placement pass charges the program against (a built-in
 // name like generic-16stage/tofino-like/mini, a JSON profile file, or
 // none: assign stages without budgets); -report prints the placement
 // stage map with per-stage utilization to stdout.
 //
 // Both the -check and full compile paths end with a one-line summary
-// "path: N errors, M warnings" on stderr, and exit non-zero iff N > 0.
+// "path: N errors, M warnings" on stderr, and exit 1 iff N > 0. A usage
+// error, such as a -max-init-bits below 1, exits 2.
 package main
 
 import (
@@ -52,6 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: mantisc [-o out.p4] [-check] [-Werror] [-target profile] [-report] program.p4r")
+		return 2
+	}
+	if *maxInitBits <= 0 {
+		fmt.Fprintf(stderr, "mantisc: -max-init-bits %d: must be positive\n", *maxInitBits)
 		return 2
 	}
 	path := fs.Arg(0)

@@ -137,6 +137,14 @@ func TestBadUsageExitsTwo(t *testing.T) {
 	if code, _, _ := runCLI(t); code != 2 {
 		t.Fatalf("no-args exit %d, want 2", code)
 	}
+	// A capacity of zero or less is a usage error, not the default or a
+	// capacity every malleable overflows.
+	for _, bits := range []string{"0", "-1"} {
+		code, _, stderr := runCLI(t, "-max-init-bits", bits, fig1Path)
+		if code != 2 || !strings.Contains(stderr, "-max-init-bits "+bits+": must be positive") {
+			t.Errorf("-max-init-bits %s: exit %d, want 2; stderr:\n%s", bits, code, stderr)
+		}
+	}
 }
 
 // TestReportWithoutBudgets: -target none still places, so -report
