@@ -138,7 +138,7 @@ type Service struct {
 
 	// rrNext[class] is the session index to start the round-robin scan
 	// at for that class.
-	rrNext map[Class]int
+	rrNext [len(classOrder)]int
 
 	// free keeps the steady-state path allocation-free.
 	free []*waiter
@@ -151,7 +151,7 @@ type Service struct {
 // parameter stays because bench/, which this package may not change,
 // passes it.
 func New(_ *sim.Simulator, ch driver.Channel, opts Options) *Service {
-	return &Service{ch: ch, opts: opts, rrNext: make(map[Class]int)}
+	return &Service{ch: ch, opts: opts}
 }
 
 // Stats returns a copy of the service counters.

@@ -48,6 +48,7 @@ func HotPathBenchmarks() []NamedBench {
 		{"reaction_dispatch", reactionDispatch},
 		{"proc_sleep", procSleep},
 		{"proc_handoff", procHandoff},
+		{"event_run", eventRun},
 	}
 }
 
@@ -468,8 +469,8 @@ func reactionDispatch(tb testing.TB) func(n int) {
 }
 
 // procSleep is the kernel's cheapest modelled wait: a process whose own
-// wake-up is the next event, so Sleep schedules, pops and returns
-// without leaving its goroutine.
+// wake-up would be the next event, so Sleep advances the clock in place
+// and returns without queuing an event or leaving its goroutine.
 func procSleep(tb testing.TB) func(n int) {
 	l := &loop{s: sim.New(1)}
 	l.s.Spawn("sleeper", func(p *sim.Proc) {
@@ -500,6 +501,38 @@ func procHandoff(tb testing.TB) func(n int) {
 		}
 	})
 	return l.start(tb, nil)
+}
+
+// eventBurst is how many same-instant callbacks one event_run operation
+// drains, and eventBacklog how many later events stay queued meanwhile,
+// about as many as fabric_reroute keeps.
+const (
+	eventBurst   = 16
+	eventBacklog = 32
+)
+
+// eventRun is the kernel's event path where events collide: per
+// operation, eventBurst callbacks scheduled for the current instant are
+// drained while eventBacklog later events wait behind them.
+func eventRun(tb testing.TB) func(n int) {
+	s := sim.New(1)
+	for i := 0; i < eventBacklog; i++ {
+		s.Schedule(time.Duration(i+1)*time.Hour, func() {})
+	}
+	fired := 0
+	one := func() { fired++ }
+	return warm(func(n int) {
+		fired = 0
+		for i := 0; i < n; i++ {
+			for j := 0; j < eventBurst; j++ {
+				s.Schedule(0, one)
+			}
+			s.RunUntil(s.Now())
+		}
+		if fired != n*eventBurst || s.Pending() != eventBacklog {
+			tb.Fatalf("%d of %d callbacks ran, %d events pending; want %d", fired, n*eventBurst, s.Pending(), eventBacklog)
+		}
+	})
 }
 
 // noopHost absorbs malleable writes so reactionDispatch measures pure

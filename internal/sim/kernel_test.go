@@ -12,11 +12,12 @@ import (
 )
 
 var updateKernelGolden = flag.Bool("update-kernel-golden", false,
-	"rewrite testdata/kernel.golden and testdata/chain.golden from this build's behaviour")
+	"rewrite testdata/kernel.golden, chain.golden and collide.golden from this build's behaviour")
 
 const (
-	kernelGoldenFile = "testdata/kernel.golden"
-	chainGoldenFile  = "testdata/chain.golden"
+	kernelGoldenFile  = "testdata/kernel.golden"
+	chainGoldenFile   = "testdata/chain.golden"
+	collideGoldenFile = "testdata/collide.golden"
 )
 
 // matchGolden compares a step-by-step transcript with the golden file
@@ -58,15 +59,19 @@ func matchGolden(t *testing.T, file, got string) {
 // ScheduleCall / At events, Cancel, a Ticker, Stop from an event and from
 // processes with further Run calls after it, and RunUntil bounds that fall
 // between a sleeper's start and its wake-up — and returns one
-// "now executed actor step" line per step. It uses exported names only
-// (and Proc.name), so it runs unchanged on the kernel it was captured from.
-func kernelTranscript(t *testing.T, seed int64) string {
+// "now executed actor step" line per step. Every delay it draws is
+// rounded down to a multiple of quantum, and with a quantum above 1 the
+// ticker's period is the quantum, so a coarse quantum makes most events
+// share their instant with others. It uses exported names only (and
+// Proc.name), so it runs unchanged on the kernel it was captured from.
+func kernelTranscript(t *testing.T, seed int64, quantum time.Duration) string {
 	s := New(seed)
 	rnd := s.Rand()
 	var out strings.Builder
 	log := func(actor, format string, args ...any) {
 		fmt.Fprintf(&out, "%d %d %s %s\n", int64(s.Now()), s.Executed(), actor, fmt.Sprintf(format, args...))
 	}
+	quantize := func(d time.Duration) time.Duration { return d - d%quantum }
 
 	// parked holds the processes inside Park; whoever removes one owes it
 	// exactly one Unpark.
@@ -85,7 +90,7 @@ func kernelTranscript(t *testing.T, seed int64) string {
 
 	var pending []EventID
 	plain := func(actor string, n int) {
-		d := time.Duration(rnd.Intn(250))
+		d := quantize(time.Duration(rnd.Intn(250)))
 		tag := fmt.Sprintf("%s.ev%d", actor, n)
 		fire := func() { log(tag, "fire") }
 		switch rnd.Intn(3) {
@@ -95,7 +100,7 @@ func kernelTranscript(t *testing.T, seed int64) string {
 			pending = append(pending, s.ScheduleCall(d, func(a any) { log(tag, "call %v", a) }, n))
 		default:
 			// An absolute time that may lie in the past (clamped to now).
-			pending = append(pending, s.At(s.Now()+Time(d)-60, fire))
+			pending = append(pending, s.At(s.Now()+Time(d-quantize(60)), fire))
 		}
 		log(actor, "schedule %s +%d", tag, d)
 	}
@@ -109,14 +114,14 @@ func kernelTranscript(t *testing.T, seed int64) string {
 			for i := 0; i < steps; i++ {
 				switch rnd.Intn(14) {
 				case 0, 1, 2:
-					d := time.Duration(rnd.Intn(400))
+					d := quantize(time.Duration(rnd.Intn(400)))
 					log(name, "sleep %d", d)
 					p.Sleep(d)
 				case 3:
 					log(name, "yield")
 					p.Yield()
 				case 4:
-					at := s.Now() + Time(rnd.Intn(300)) - 100
+					at := s.Now() + Time(quantize(time.Duration(rnd.Intn(300)))) - 100
 					log(name, "waituntil %d", int64(at))
 					p.WaitUntil(at)
 				case 5, 6:
@@ -126,7 +131,7 @@ func kernelTranscript(t *testing.T, seed int64) string {
 				case 7:
 					unparkOne(name)
 				case 8:
-					d := time.Duration(rnd.Intn(200))
+					d := quantize(time.Duration(rnd.Intn(200)))
 					log(name, "unpark-event +%d", d)
 					s.Schedule(d, func() { unparkOne(name + ".waker") })
 				case 9:
@@ -163,8 +168,12 @@ func kernelTranscript(t *testing.T, seed int64) string {
 	// The ticker sweeps up whoever is still parked (an event-side Unpark)
 	// and ends the run once every process has returned.
 	ticks := 0
+	period := 97 * Nanosecond
+	if quantum > 1 {
+		period = quantum
+	}
 	var tk *Ticker
-	tk = s.Every(97*Nanosecond, func() {
+	tk = s.Every(period, func() {
 		ticks++
 		log("ticker", "tick %d parked %d live %d", ticks, len(parked), live)
 		for len(parked) > 0 {
@@ -183,7 +192,7 @@ func kernelTranscript(t *testing.T, seed int64) string {
 	log("driver", "run returned pending %d", s.Pending())
 	bound := s.Now()
 	for i := 0; i < 16; i++ {
-		bound += Time(40 + rnd.Intn(300))
+		bound += Time(quantize(time.Duration(40 + rnd.Intn(300))))
 		s.RunUntil(bound)
 		log("driver", "rununtil %d returned pending %d", int64(bound), s.Pending())
 	}
@@ -204,7 +213,16 @@ func kernelTranscript(t *testing.T, seed int64) string {
 // produced at the commit before it was replaced, captured there with
 // -update-kernel-golden.
 func TestKernelScheduleMatchesParent(t *testing.T) {
-	matchGolden(t, kernelGoldenFile, kernelTranscript(t, 1)+kernelTranscript(t, 7919))
+	matchGolden(t, kernelGoldenFile, kernelTranscript(t, 1, 1)+kernelTranscript(t, 7919, 1))
+}
+
+// TestKernelCollidingInstantsMatchParent is the same differential test
+// with every delay a multiple of 50 ns, so most events join others at
+// their instant: same-instant runs that grow while they drain, wake-ups
+// that join a run or start one, and cancels anywhere in a run. The
+// golden was captured at the commit before the queue held runs.
+func TestKernelCollidingInstantsMatchParent(t *testing.T) {
+	matchGolden(t, collideGoldenFile, kernelTranscript(t, 3, 50)+kernelTranscript(t, 7919, 50))
 }
 
 // ring runs k processes passing one token around for rounds rounds; each
@@ -268,7 +286,11 @@ func TestChainUnwind(t *testing.T) {
 // over random rounds of scheduling (few distinct times, so ties are the
 // rule), cancelling and bounded running, events must fire in the order a
 // stable sort on time gives — (at, seq), equal times FIFO — with cancelled
-// ones skipped.
+// ones skipped. Then random order programs (FuzzEventOrder's) collide
+// instants harder: callbacks push into the run being drained and into
+// later ones, cancels hit a run's head, middle and tail, a Stop cuts a
+// run partway and the next RunUntil drains the rest, and a process's
+// sleeps are fast-forwarded between them.
 func TestQueueMatchesStableSort(t *testing.T) {
 	type ref struct {
 		at        Time
@@ -317,6 +339,81 @@ func TestQueueMatchesStableSort(t *testing.T) {
 			t.Fatalf("seed %d: %d events left after the last round", seed, s.Pending())
 		}
 	}
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		prog := make([]byte, 64+rnd.Intn(2048))
+		rnd.Read(prog)
+		runOrderProgram(t, prog)
+	}
+}
+
+// TestSameInstantEventsShareOneRun pins the queue's mechanism by count: a
+// burst of events for one instant, and every event its callbacks
+// schedule for that instant while it drains, is one run, so one heap
+// insertion.
+func TestSameInstantEventsShareOneRun(t *testing.T) {
+	s := New(1)
+	fired := 0
+	var fire func()
+	fire = func() {
+		if fired++; fired <= 100 {
+			s.Schedule(0, fire)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		s.Schedule(5*Nanosecond, fire)
+	}
+	s.Run()
+	if fired != 200 || s.pushes != 200 || s.starts != 1 {
+		t.Fatalf("%d events fired of %d queued in %d runs; want 200 in 1", fired, s.pushes, s.starts)
+	}
+}
+
+// TestLoneSleepsQueueNothing: a process whose wake-up would be the next
+// event popped advances the clock in place. N sleeps, yields and waits
+// with nothing else queued push no event, yet count as scheduled and
+// executed, and cost no transfer, exactly as the popped wake-ups did. A
+// sleep that lands on the instant of a queued event, or beyond the
+// RunUntil bound, still queues its wake-up behind it.
+func TestLoneSleepsQueueNothing(t *testing.T) {
+	const n = 1000
+	s := New(1)
+	var woke []Time
+	s.Schedule(1500*Nanosecond, func() {})
+	s.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(Nanosecond)
+			p.Yield()
+			p.WaitUntil(p.Now() + 1)
+			woke = append(woke, p.Now())
+		}
+	})
+	s.RunUntil(1000)
+	// The spawn and the event at 1500 ns, and the wake-up at 1001 ns that
+	// lies beyond the bound.
+	if s.pushes != 3 || s.Executed() != 1+3*500 || s.Now() != 1000 {
+		t.Fatalf("until 1000 ns: %d events queued, %d executed, clock %v; want 3, 1501, 1000ns", s.pushes, s.Executed(), s.Now())
+	}
+	s.Run()
+	// One more: the wake-up at 1500 ns, behind the event there.
+	if s.pushes != 4 || s.Executed() != 1+1+3*n || s.transfers != 2+2 {
+		t.Fatalf("%d events queued, %d executed, %d transfers; want 4, %d, 4 (start, unwind at the bound, resume, exit)", s.pushes, s.Executed(), s.transfers, 2+3*n)
+	}
+	if len(woke) != n || woke[n-1] != 2*n {
+		t.Fatalf("woke %d times, last at %v; want %d, %v", len(woke), woke[len(woke)-1], n, Time(2*n))
+	}
+
+	// After a Stop the sleep queues its wake-up and the run returns.
+	s = New(1)
+	s.Spawn("stopper", func(p *Proc) {
+		s.Stop()
+		p.Sleep(Nanosecond)
+	})
+	s.Run()
+	if s.Pending() != 1 || s.Now() != 0 {
+		t.Fatalf("a sleep after Stop: %d pending at %v; want its wake-up pending at 0s", s.Pending(), s.Now())
+	}
+	s.Run()
 }
 
 // sleeperTransfers runs one process that sleeps n times and returns how
@@ -374,7 +471,8 @@ func TestOtherWakeupCostsOneTransfer(t *testing.T) {
 }
 
 // TestKernelSteadyStateAllocFree: a modelled wait, a wake-up of another
-// process and a tick allocate nothing once the event freelist is warm.
+// process, a tick, a long run of same-instant callbacks and a
+// fast-forwarded sleep allocate nothing once the event freelist is warm.
 func TestKernelSteadyStateAllocFree(t *testing.T) {
 	s := New(1)
 	done := false
@@ -407,6 +505,39 @@ func TestKernelSteadyStateAllocFree(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("%d events left after the processes exited", s.Pending())
 	}
+
+	// Every 100 ns a tick schedules a burst of 64 callbacks at its own
+	// instant, which drain as one run, while a process sleeps 1 ns at a
+	// time with nothing queued before its wake-up but at the ticks.
+	s = New(1)
+	done = false
+	burst := 0
+	one := func() { burst++ }
+	tk = s.Every(100*Nanosecond, func() {
+		for i := 0; i < 64; i++ {
+			s.Schedule(0, one)
+		}
+	})
+	s.Spawn("lone", func(p *Proc) {
+		for !done {
+			p.Sleep(Nanosecond)
+		}
+	})
+	s.RunFor(1000 * Nanosecond)
+	burst, pushes := 0, s.pushes
+	if avg := testing.AllocsPerRun(10, func() { s.RunFor(1000 * Nanosecond) }); avg != 0 {
+		t.Errorf("10 bursts of 64 same-instant callbacks and 1000 sleeps allocate %.0f objects, want 0", avg)
+	}
+	// Per 1000 ns: 10 ticks, 640 callbacks, and 20 wake-ups — the 10 that
+	// land on a tick's instant, and the 10 the process schedules there
+	// while the tick's burst is still queued; the other 980 sleeps queue
+	// nothing.
+	if burst != 11*640 || s.pushes-pushes != 11*670 {
+		t.Errorf("11 runs of 1000 ns: %d callbacks, %d events queued; want %d, %d", burst, s.pushes-pushes, 11*640, 11*670)
+	}
+	done = true
+	tk.Stop()
+	s.Run()
 }
 
 // TestWakeOfFinishedProcPanics: a wake-up that comes up after the body

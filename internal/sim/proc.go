@@ -59,9 +59,7 @@ func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 // wakeAt schedules p's wake-up at t: an event that carries the process
 // instead of a callback.
 func (s *Simulator) wakeAt(t Time, p *Proc) {
-	e := s.newEvent(t)
-	e.proc = p
-	s.push(e)
+	s.newEvent(t).proc = p
 }
 
 // resume hands control to p, which is not on the chain and whose wake-up
@@ -97,8 +95,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		d = 0
 	}
-	p.sim.wakeAt(p.sim.now.Add(d), p)
-	p.sim.loop(p)
+	s := p.sim
+	t := s.now.Add(d)
+	if !s.skipTo(t) {
+		s.wakeAt(t, p)
+		s.loop(p)
+	}
 }
 
 // WaitUntil suspends the process until the absolute virtual time t. If
