@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&c.pacing, "pacing", 0, "dialogue pacing (0 = busy loop)")
 	fs.Float64Var(&c.pps, "pps", 100000, "synthetic traffic rate (packets/second)")
 	fs.Int64Var(&c.seed, "seed", 1, "random seed")
-	fs.StringVar(&c.faults, "faults", "", "inject driver-channel faults: none|transient|latency|partial-batch|stuck (enables agent recovery), or crash the primary with crash-prepare|crash-commit|crash-mirror (enables journaled failover to a standby)")
+	fs.StringVar(&c.faults, "faults", "", "inject driver-channel faults: none|transient|latency|partial-batch|stuck, or crash the primary with crash-prepare|crash-commit|crash-mirror (enables journaled failover to a standby)")
 	fs.Int64Var(&c.faultSeed, "fault-seed", 1, "fault injector seed (independent of -seed)")
 	fs.IntVar(&c.legacyClients, "legacy-clients", 0, "concurrent legacy control-plane clients churning a table through bulk sessions")
 	fs.StringVar(&c.sched, "sched", "priority", "control-plane scheduling policy: priority|fifo")
@@ -444,7 +444,6 @@ func runSwitch(c *config, path string) ([]report.Table, error) {
 		// control-plane service; the agent's recovery loop survives them.
 		inj = faults.Wrap(s, drv, prof, c.faultSeed)
 		ch = inj
-		opts.Recovery = core.DefaultRecovery()
 		// Let the prologue install cleanly; faults start shortly after.
 		inj.SetEnabled(false)
 		s.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
@@ -473,7 +472,6 @@ func runSwitch(c *config, path string) ([]report.Table, error) {
 		// and reconcile the switch.
 		inj = faults.Wrap(s, sess, prof, c.faultSeed)
 		store := journal.NewMemStore()
-		opts.Recovery = core.DefaultRecovery()
 		opts.Journal = &core.JournalConfig{Store: store}
 		agent = core.NewAgent(s, inj, plan, opts)
 		inj.SetEnabled(false)
@@ -483,7 +481,7 @@ func runSwitch(c *config, path string) ([]report.Table, error) {
 			ElectionID: 2,
 			Store:      store,
 			Plan:       plan,
-			Agent:      core.Options{Pacing: c.pacing, Recovery: core.DefaultRecovery()},
+			Agent:      core.Options{Pacing: c.pacing},
 		})
 	} else if ctlEnabled {
 		// Message-channel mode: the agent's session is reached over a
@@ -502,7 +500,6 @@ func runSwitch(c *config, path string) ([]report.Table, error) {
 			Session: 1, Epoch: 1, Meta: drv,
 		})
 		s.Schedule(50*sim.Microsecond, func() { ctlLink.SetProfile(c.ctlProf) })
-		opts.Recovery = core.RecoveryForChannel(ctlCli.RTT())
 		opts.Journal = &core.JournalConfig{Store: journal.NewMemStore()}
 		agent = core.NewAgent(s, ctlCli, plan, opts)
 	} else if agent, _, err = core.NewSessionAgent(s, svc, 1, plan, opts); err != nil {

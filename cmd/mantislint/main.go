@@ -1,18 +1,18 @@
 // Command mantislint runs this repository's custom Go invariant
-// checkers (internal/lint): wrapcheck, simclock, and journalintent.
+// checkers (internal/lint): wrapcheck, simclock, journalintent and diagcode.
 //
-// It speaks two protocols:
+// It runs as a vet tool, and -list names the analyzers:
 //
-//	mantislint ./...                 # standalone: walk the module, report findings
-//	go vet -vettool=$(pwd)/mantislint ./...   # unit-checker mode driven by cmd/go
+//	go vet -vettool=$(pwd)/mantislint ./...
+//	mantislint -list
 //
-// In vettool mode cmd/go invokes the binary once per package with a
-// single .cfg (JSON) argument describing the unit, after querying
-// `-V=full` (version fingerprint for the build cache) and `-flags`
-// (supported analyzer flags). Findings go to stderr as
-// file:line:col: message, with a nonzero exit status — the same
-// contract golang.org/x/tools' unitchecker implements, hand-rolled here
-// because the module graph is hermetic (no external deps).
+// cmd/go invokes the binary once per package with a single .cfg (JSON)
+// argument describing the unit, after querying `-V=full` (version
+// fingerprint for the build cache) and `-flags` (supported analyzer
+// flags). Findings go to stderr as file:line:col: message (analyzer),
+// with a nonzero exit status — the same contract golang.org/x/tools'
+// unitchecker implements, hand-rolled here because the module graph is
+// hermetic (no external deps).
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
@@ -51,10 +50,11 @@ func main() {
 		}
 	}
 
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0]))
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(pwd)/mantislint ./...  |  mantislint -list")
+		os.Exit(2)
 	}
-	os.Exit(runStandalone(args))
+	os.Exit(runUnit(args[0]))
 }
 
 // printVersion emits the `name version ... buildID=` line cmd/go hashes
@@ -111,88 +111,12 @@ func runUnit(cfgPath string) int {
 		return 2
 	}
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Pos, d.Message)
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// runStandalone walks package directories (the "./..." form or explicit
-// dirs) under the current module and analyzes each.
-func runStandalone(args []string) int {
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	module, root, err := moduleInfo()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mantislint: %v\n", err)
-		return 2
-	}
-
-	dirs := map[string]bool{}
-	for _, arg := range args {
-		recursive := false
-		if strings.HasSuffix(arg, "/...") {
-			recursive = true
-			arg = strings.TrimSuffix(arg, "/...")
-		}
-		if arg == "" || arg == "." {
-			arg = root
-		}
-		if !recursive {
-			dirs[filepath.Clean(arg)] = true
-			continue
-		}
-		err := filepath.Walk(arg, func(path string, info os.FileInfo, walkErr error) error {
-			if walkErr != nil {
-				return walkErr
-			}
-			if info.IsDir() {
-				base := filepath.Base(path)
-				if base == "testdata" || base == ".git" || base == "vendor" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if filepath.Ext(path) == ".go" {
-				dirs[filepath.Dir(path)] = true
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantislint: %v\n", err)
-			return 2
-		}
-	}
-
-	exit := 0
-	for _, dir := range sortedKeys(dirs) {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			rel = dir
-		}
-		importPath := module
-		if rel != "." {
-			importPath += "/" + filepath.ToSlash(rel)
-		}
-		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantislint: %v\n", err)
-			return 2
-		}
-		diags, err := analyzeFiles(paths, importPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mantislint: %v\n", err)
-			return 2
-		}
-		for _, d := range diags {
-			fmt.Printf("%s: %s (%s)\n", d.Pos, d.Message, d.Analyzer)
-			exit = 1
-		}
-	}
-	return exit
 }
 
 func analyzeFiles(paths []string, importPath string) ([]lint.Diagnostic, error) {
@@ -206,42 +130,4 @@ func analyzeFiles(paths []string, importPath string) ([]lint.Diagnostic, error) 
 		files = append(files, f)
 	}
 	return lint.RunAll(fset, files, importPath)
-}
-
-// moduleInfo finds the enclosing go.mod and returns its module path and
-// directory.
-func moduleInfo() (module, root string, err error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return strings.TrimSpace(rest), dir, nil
-				}
-			}
-			return "", "", fmt.Errorf("%s/go.mod: no module line", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

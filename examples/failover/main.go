@@ -77,8 +77,7 @@ func main() {
 	}
 
 	primary := core.NewAgent(s, inj, plan, core.Options{
-		Recovery: core.DefaultRecovery(),
-		Journal:  &core.JournalConfig{Store: store},
+		Journal: &core.JournalConfig{Store: store},
 		AfterIteration: func(p *sim.Proc, a *core.Agent) {
 			// Arm at an iteration boundary so the crash lands at a
 			// deterministic protocol phase.
@@ -109,7 +108,6 @@ func main() {
 		Store:      store,
 		Plan:       plan,
 		CheckEvery: 3 * time.Microsecond,
-		Agent:      core.Options{Recovery: core.DefaultRecovery()},
 		Configure: func(a *core.Agent) error {
 			return a.RegisterNativeReaction("react", react)
 		},

@@ -36,9 +36,8 @@ func (f *failChan) do(p *sim.Proc, op *driver.Op) error {
 
 func (f *failChan) Faults() uint64 { return f.faults }
 
-// abandonRig is an agent with recovery on, two attempts per op, behind
-// a failChan that arms at the end of the prologue, with every event
-// collected.
+// abandonRig is an agent with two attempts per op, behind a failChan
+// that arms at the end of the prologue, with every event collected.
 type abandonRig struct {
 	sim    *sim.Simulator
 	sw     *rmt.Switch
@@ -60,7 +59,7 @@ func buildAbandonRig(t *testing.T, src string, fail func(op *driver.Op) bool) *a
 	}
 	r.ch = &failChan{below: driver.New(r.sim, r.sw, driver.DefaultCostModel()), fail: fail}
 	r.ch.Adapter = driver.NewAdapter(r.ch.do, r.ch.below)
-	rec := core.DefaultRecovery()
+	rec := core.RecoveryForChannel(0)
 	rec.MaxAttempts = 2
 	rec.RetryBackoff = time.Microsecond
 	r.agent = core.NewAgent(r.sim, r.ch, plan, core.Options{

@@ -68,8 +68,8 @@ type Options struct {
 	// AfterIteration, if set, runs after each dialogue iteration.
 	AfterIteration func(p *sim.Proc, a *Agent)
 	// Recovery configures fault tolerance for the dialogue loop. The
-	// zero value keeps the historical fail-fast behavior: any driver
-	// error stops the agent.
+	// zero value derives it from the channel: RecoveryForChannel of the
+	// channel's RTT() when it has one (a ctlchan.Client), else of 0.
 	Recovery RecoveryOptions
 	// Journal, if set, makes the loop crash-consistent: a write-ahead
 	// intent record precedes every three-phase update and a checkpoint
@@ -160,8 +160,8 @@ type runtimeReaction struct {
 	host rclHost // reused for interpreted dispatch
 
 	// hasSnapshot marks that fields and regs hold a successful poll —
-	// the degradation snapshot a reaction runs on when polling fails with
-	// recovery enabled, since only a successful poll refills them.
+	// the degradation snapshot a reaction runs on when polling fails,
+	// since only a successful poll refills them.
 	// lastPollAt stamps that poll, so the staleness budget can refuse
 	// snapshots that have aged past usefulness.
 	hasSnapshot bool
@@ -271,6 +271,13 @@ type Agent struct {
 func NewAgent(s *sim.Simulator, drv driver.Channel, plan *compiler.Plan, opts Options) *Agent {
 	if opts.LatencySamples == 0 {
 		opts.LatencySamples = 4096
+	}
+	if opts.Recovery == (RecoveryOptions{}) {
+		var rtt time.Duration
+		if c, ok := drv.(interface{ RTT() time.Duration }); ok {
+			rtt = c.RTT()
+		}
+		opts.Recovery = RecoveryForChannel(rtt)
 	}
 	a := &Agent{
 		sim:         s,
@@ -458,7 +465,7 @@ func (a *Agent) run(p *sim.Proc) {
 					_ = a.journalAbandon(p)
 				}
 				return
-			case a.recoverable(err):
+			case recoverable(err):
 				// Abandon the iteration: undo its staged shadow updates,
 				// keep the committed configuration, and continue the loop.
 				if errors.Is(err, ErrWatchdog) {
@@ -764,7 +771,7 @@ func (a *Agent) commit(p *sim.Proc) error {
 		if err == nil {
 			break
 		}
-		if !a.opts.Recovery.Enabled() || !errors.Is(err, driver.ErrChannelDegraded) {
+		if !errors.Is(err, driver.ErrChannelDegraded) {
 			a.undoNonMaster(p, changed, newVV)
 			return err
 		}
@@ -791,13 +798,11 @@ func (a *Agent) commit(p *sim.Proc) error {
 		it := a.plan.InitTables[t]
 		a.initData[t] = append(a.initData[t][:0], a.targetInit[t]...)
 		if err := a.retry.ModifyEntry(p, it.Table, a.initHandles[t][oldVV], it.Action, a.initData[t]); err != nil {
-			if !a.opts.Recovery.Enabled() {
-				return err
-			}
 			a.leaveToResync()
 		}
 	}
-	return a.fillShadow(p)
+	a.fillShadow(p)
+	return nil
 }
 
 // undoNonMaster restores already-prepared non-master shadow entries to

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/compiler"
+	"repro/internal/ctlchan"
 	"repro/internal/driver"
 	"repro/internal/faults"
+	"repro/internal/netsim"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 )
@@ -69,7 +72,7 @@ func TestChaosSerializability(t *testing.T) {
 				checkFailover(t, r)
 				return
 			}
-			r, inj, audit, gen := chaosScenario(t, prof, 1234, DefaultRecovery(), 4*time.Millisecond)
+			r, inj, audit, gen := chaosScenario(t, prof, 1234, RecoveryForChannel(0), 4*time.Millisecond)
 			if err := r.agent.Err(); err != nil {
 				t.Fatalf("agent died under %s faults: %v", prof.Name, err)
 			}
@@ -103,12 +106,53 @@ func TestChaosSerializability(t *testing.T) {
 	}
 }
 
+// TestChaosZeroOptionsRecovers runs the transient profile against an
+// agent that sets no recovery budgets: it derives them from its channel,
+// so the injected errors are retried or rolled back, it keeps
+// committing, and no packet observes a mixed snapshot.
+func TestChaosZeroOptionsRecovers(t *testing.T) {
+	r, inj, audit, gen := chaosScenario(t, faults.TransientErrors(), 1234, RecoveryOptions{}, 4*time.Millisecond)
+	if err := r.agent.Err(); err != nil {
+		t.Fatalf("agent died: %v", err)
+	}
+	if err := audit.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.agent.Stats()
+	if inj.FaultStats().InjectedErrors == 0 || st.Retries == 0 {
+		t.Fatalf("no fault was injected and retried: %+v", st)
+	}
+	if audit.Packets < 1000 || gen < 5 || st.Commits == 0 {
+		t.Fatalf("no progress: packets=%d generations=%d commits=%d", audit.Packets, gen, st.Commits)
+	}
+}
+
+// TestChaosRecoveryDerivedFromChannel checks the budgets NewAgent
+// derives for a zero Options.Recovery: RecoveryForChannel of the
+// channel's round trip on a message channel, of 0 on a raw driver.
+func TestChaosRecoveryDerivedFromChannel(t *testing.T) {
+	r := buildRig(t, fig1Src, Options{})
+	if got, want := r.agent.opts.Recovery, RecoveryForChannel(0); got != want {
+		t.Fatalf("raw driver: derived %+v, want %+v", got, want)
+	}
+	link := netsim.NewLink(r.sim, time.Microsecond, faults.LinkNone(), 1)
+	cli := ctlchan.NewClient(r.sim, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: r.drv})
+	a := NewAgent(r.sim, cli, r.plan, Options{})
+	want := RecoveryForChannel(cli.RTT())
+	if got := a.opts.Recovery; got != want {
+		t.Fatalf("ctlchan client: derived %+v, want %+v", got, want)
+	}
+	if want == RecoveryForChannel(0) {
+		t.Fatal("a message channel's budgets equal the raw driver's; the check is vacuous")
+	}
+}
+
 // TestChaosRollback cranks the error rate past the retry budget so
 // iterations are abandoned, and checks that rollback keeps the
 // committed state consistent while the loop keeps going.
 func TestChaosRollback(t *testing.T) {
 	prof := faults.Profile{Name: "harsh", ErrorRate: 0.30, ErrorBurst: 6}
-	rec := DefaultRecovery()
+	rec := RecoveryForChannel(0)
 	rec.MaxAttempts = 2 // give up fast so abandons actually happen
 	r, _, audit, _ := chaosScenario(t, prof, 99, rec, 6*time.Millisecond)
 	if err := r.agent.Err(); err != nil {
@@ -131,7 +175,7 @@ func TestChaosRollback(t *testing.T) {
 // stretching iterations.
 func TestChaosWatchdog(t *testing.T) {
 	prof := faults.StuckChannel() // wedges 300µs out of every 2ms
-	rec := DefaultRecovery()
+	rec := RecoveryForChannel(0)
 	rec.IterationDeadline = 150 * time.Microsecond
 	r, inj, audit, _ := chaosScenario(t, prof, 7, rec, 10*time.Millisecond)
 	if err := r.agent.Err(); err != nil {
@@ -154,7 +198,7 @@ func TestChaosWatchdog(t *testing.T) {
 // snapshot instead of stalling the agent.
 func TestChaosDegradedPolls(t *testing.T) {
 	prof := faults.Profile{Name: "flaky-reads", ErrorRate: 0.30}
-	rec := DefaultRecovery()
+	rec := RecoveryForChannel(0)
 	rec.MaxAttempts = 2
 	r, inj := buildChaosRig(t, fig1Src, prof, 5, Options{Recovery: rec})
 	inj.SetEnabled(false)
@@ -180,17 +224,21 @@ func TestChaosDegradedPolls(t *testing.T) {
 	}
 }
 
-// TestFaultsFatalWithoutRecovery pins the compatibility contract: with
-// zero-value RecoveryOptions the historical fail-fast behavior remains
-// — the first transient failure stops the agent.
-func TestFaultsFatalWithoutRecovery(t *testing.T) {
+// TestPrologueFaultIsFatal checks that a prologue that cannot reach the
+// switch is fatal whatever the recovery settings are: the agent has no
+// committed configuration to fall back on, so it stops with the
+// transient cause instead of entering the dialogue loop.
+func TestPrologueFaultIsFatal(t *testing.T) {
 	prof := faults.Profile{Name: "always", ErrorRate: 1.0}
 	r, _ := buildChaosRig(t, fig1Src, prof, 1, Options{})
 	r.agent.Start()
 	r.sim.RunFor(time.Millisecond)
 	err := r.agent.Err()
 	if err == nil {
-		t.Fatal("agent survived guaranteed failures with recovery disabled")
+		t.Fatal("agent survived a prologue that could not reach the switch")
+	}
+	if !strings.HasPrefix(err.Error(), "prologue: ") {
+		t.Fatalf("agent died outside the prologue: %v", err)
 	}
 	if !driver.IsTransient(err) {
 		t.Fatalf("fatal error lost its transient cause: %v", err)
@@ -231,7 +279,6 @@ func TestStopHonoredMidIteration(t *testing.T) {
 			h1, err = t1.AddEntry(p, UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}})
 			return err
 		},
-		Recovery: DefaultRecovery(),
 	})
 	if err := r.agent.RegisterNativeReaction("bump", func(ctx *Ctx) error {
 		t1, _ := ctx.Table("t1")

@@ -115,7 +115,6 @@ func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRi
 		ls: &lockstep{}, audit: check.Attach(sw), committed: make(map[uint64]bool),
 	}
 	r.agent = NewAgent(s, inj, plan, Options{
-		Recovery:       DefaultRecovery(),
 		Journal:        &JournalConfig{Store: store},
 		AfterIteration: r.afterIterationHook(true),
 		Prologue:       r.ls.prologue,
@@ -131,7 +130,6 @@ func buildFailoverRig(t testing.TB, prof faults.Profile, seed int64) *failoverRi
 		Plan:       plan,
 		CheckEvery: 3 * time.Microsecond,
 		Agent: Options{
-			Recovery:       DefaultRecovery(),
 			AfterIteration: r.afterIterationHook(false),
 		},
 		Configure: func(a *Agent) error {
@@ -367,9 +365,7 @@ func TestReelectionDuringIteration(t *testing.T) {
 			// (iterations are a few µs long and back to back).
 			p.Sleep(1700 * sim.Nanosecond)
 			var err error
-			succ, rep, err = RecoverSessionAgent(p, r.sim, r.svc, "usurper", 5, r.store, r.plan, Options{
-				Recovery: DefaultRecovery(),
-			})
+			succ, rep, err = RecoverSessionAgent(p, r.sim, r.svc, "usurper", 5, r.store, r.plan, Options{})
 			if err != nil {
 				t.Errorf("usurper recovery: %v", err)
 			}

@@ -321,8 +321,7 @@ func (a *Agent) runReaction(p *sim.Proc, rr *runtimeReaction, checkpoint uint64)
 	case err == nil:
 		rr.hasSnapshot = true
 		rr.lastPollAt = p.Now()
-	case a.opts.Recovery.Enabled() && rr.hasSnapshot &&
-		(errors.Is(err, ErrRetriesExhausted) || errors.Is(err, driver.ErrChannelDegraded)):
+	case rr.hasSnapshot && (errors.Is(err, ErrRetriesExhausted) || errors.Is(err, driver.ErrChannelDegraded)):
 		// Graceful degradation: the channel would not yield a fresh
 		// snapshot, so the reaction runs on the last checkpointed one,
 		// which only a successful poll would have replaced.

@@ -46,9 +46,8 @@ var (
 )
 
 // RecoveryOptions configures how the dialogue loop survives transient
-// driver-channel failures. The zero value disables all recovery: any
-// driver error is fatal and stops the agent, the pre-robustness
-// behavior.
+// driver-channel failures. NewAgent derives it from the channel
+// (RecoveryForChannel) when Options.Recovery is the zero value.
 type RecoveryOptions struct {
 	// MaxAttempts is the number of tries per driver operation (1 = no
 	// retry). Only failures wrapping driver.ErrTransient are retried;
@@ -68,27 +67,15 @@ type RecoveryOptions struct {
 	// operation finally returns, bounding damage to one op.)
 	IterationDeadline time.Duration
 	// StalenessBudget bounds how old a degraded reaction's snapshot may
-	// be. With recovery enabled, a reaction whose poll fails past the
-	// retry limits runs on its previous checkpointed measurement
-	// snapshot instead of abandoning the iteration: reactions go briefly
-	// stale rather than silent — the paper's measurement checkpoint
-	// (Fig. 9) is exactly a consistent snapshot, so reusing the last one
-	// preserves serializability. Once the last successful poll is
-	// further in the past than this, the iteration is abandoned instead
-	// of reacting to ancient data. Zero = no bound (a reaction degrades
-	// indefinitely).
+	// be. A reaction whose poll fails past the retry limits runs on its
+	// previous checkpointed measurement snapshot instead of abandoning
+	// the iteration: reactions go briefly stale rather than silent — the
+	// paper's measurement checkpoint (Fig. 9) is exactly a consistent
+	// snapshot, so reusing the last one preserves serializability. Once
+	// the last successful poll is further in the past than this, the
+	// iteration is abandoned instead of reacting to ancient data. Zero =
+	// no bound (a reaction degrades indefinitely).
 	StalenessBudget time.Duration
-}
-
-// DefaultRecovery returns the recovery configuration used by cmd/mantisd
-// and the chaos suite: retries with backoff (2µs matches the scale of one
-// driver op) and a 2ms watchdog.
-func DefaultRecovery() RecoveryOptions {
-	return RecoveryOptions{
-		MaxAttempts:       5,
-		RetryBackoff:      2 * time.Microsecond,
-		IterationDeadline: 2 * time.Millisecond,
-	}
 }
 
 const (
@@ -100,27 +87,32 @@ const (
 	minMaxBackoff = 64 * time.Microsecond
 )
 
-// RecoveryForChannel returns DefaultRecovery rescaled to a message
-// channel with the given fault-free round trip time: the watchdog is
-// DefaultWatchdogRTTs round trips instead of a fixed wall deadline, and
-// the retry backoff starts at one RTT. A fixed deadline tuned for an
-// in-process channel trips constantly once every driver op pays a real
-// (and possibly retransmitted) round trip; scaling by RTT keeps the
-// watchdog meaningful across channel speeds.
+// RecoveryForChannel returns the recovery budgets for a channel with the
+// given fault-free round trip time. An in-process channel (rtt 0) gets
+// five tries per op, a 2µs backoff (the scale of one driver op) and a
+// 2ms watchdog. A message channel gets a watchdog of watchdogRTTs round
+// trips and a backoff that starts at one RTT instead: a fixed deadline
+// tuned for an in-process channel trips constantly once every driver op
+// pays a real (and possibly retransmitted) round trip; scaling by RTT
+// keeps the watchdog meaningful across channel speeds.
 func RecoveryForChannel(rtt time.Duration) RecoveryOptions {
-	r := DefaultRecovery()
+	r := RecoveryOptions{
+		MaxAttempts:       5,
+		RetryBackoff:      2 * time.Microsecond,
+		IterationDeadline: 2 * time.Millisecond,
+	}
 	if rtt > 0 {
-		r.IterationDeadline = DefaultWatchdogRTTs * rtt
+		r.IterationDeadline = watchdogRTTs * rtt
 		r.RetryBackoff = rtt
 	}
 	return r
 }
 
-// DefaultWatchdogRTTs is the RTT-scaled watchdog budget: an iteration
-// gets this many channel round trips before it is abandoned. Sized for
-// the chaos suite's workloads (tens of ops per iteration, each possibly
+// watchdogRTTs is the RTT-scaled watchdog budget: an iteration gets
+// this many channel round trips before it is abandoned. Sized for the
+// chaos suite's workloads (tens of ops per iteration, each possibly
 // retransmitted several times).
-const DefaultWatchdogRTTs = 400
+const watchdogRTTs = 400
 
 // watchdogDeadline computes the iteration watchdog cutoff starting at
 // start, or 0 for no watchdog.
@@ -131,20 +123,12 @@ func (r RecoveryOptions) watchdogDeadline(start sim.Time) sim.Time {
 	return 0
 }
 
-// Enabled reports whether any recovery behavior is configured.
-func (r RecoveryOptions) Enabled() bool {
-	return r.MaxAttempts > 1 || r.IterationDeadline > 0
-}
-
 // recoverable reports whether err abandons the iteration (rollback and
 // continue) rather than killing the agent. A degraded channel
 // (driver.ErrChannelDegraded) is recoverable but additionally marks the
 // agent for a resynchronizing audit before its next iteration, because
 // the abandoned operation may have applied switch-side.
-func (a *Agent) recoverable(err error) bool {
-	if !a.opts.Recovery.Enabled() {
-		return false
-	}
+func recoverable(err error) bool {
 	return errors.Is(err, ErrWatchdog) || errors.Is(err, ErrRetriesExhausted) ||
 		driver.IsTransient(err) || errors.Is(err, driver.ErrChannelDegraded)
 }

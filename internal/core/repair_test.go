@@ -74,7 +74,7 @@ func buildRepairRig(t *testing.T, failFrom, failTo sim.Time) (*rig, *flakyMirror
 	ls := &lockstep{}
 	base := buildRig(t, check.TwoTableSrc, Options{})
 	fc := &flakyMirrorChannel{Channel: base.drv, sim: base.sim, failFrom: failFrom, failTo: failTo}
-	rec := DefaultRecovery()
+	rec := RecoveryForChannel(0)
 	rec.MaxAttempts = 2
 	rec.RetryBackoff = time.Microsecond
 	agent := NewAgent(base.sim, fc, base.plan, Options{
@@ -302,7 +302,7 @@ func TestRepairAmbiguousShadowWrite(t *testing.T) {
 			lc.Adapter = driver.NewAdapter(lc.do, base.drv)
 			c := &churn{}
 			base.agent = NewAgent(base.sim, lc, base.plan, Options{
-				Recovery: DefaultRecovery(),
+				Recovery: RecoveryForChannel(0),
 				Prologue: c.prologue,
 				AfterIteration: func(_ *sim.Proc, a *Agent) {
 					lc.flipped = false

@@ -101,7 +101,7 @@ func TestSessionAgentDialogue(t *testing.T) {
 func TestChaosSerializabilityThroughSession(t *testing.T) {
 	prof := faults.TransientErrors()
 	ls := &lockstep{}
-	r := buildSessionRig(t, sessionChaosSrc, prof, 4321, Options{Recovery: DefaultRecovery(), Prologue: ls.prologue})
+	r := buildSessionRig(t, sessionChaosSrc, prof, 4321, Options{Prologue: ls.prologue})
 	if err := r.agent.RegisterNativeReaction("bump", ls.react); err != nil {
 		t.Fatal(err)
 	}

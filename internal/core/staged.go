@@ -166,22 +166,18 @@ func (s *stagedOp) mirror(p *sim.Proc) error {
 	}
 }
 
-// fillShadow runs the mirror phase over the log, in staging order. When
-// recovery is enabled, a mirror that keeps failing leaves the shadow to
-// the resync instead of killing the agent, and the phase goes on: each
-// mirror has brought the image to the committed state before its write,
-// the flip already committed the change, and the unfinished shadow work
-// is invisible to packets until the next flip, which the resync gates.
-func (a *Agent) fillShadow(p *sim.Proc) error {
+// fillShadow runs the mirror phase over the log, in staging order. A
+// mirror that keeps failing leaves the shadow to the resync instead of
+// killing the agent, and the phase goes on: each mirror has brought the
+// image to the committed state before its write, the flip already
+// committed the change, and the unfinished shadow work is invisible to
+// packets until the next flip, which the resync gates.
+func (a *Agent) fillShadow(p *sim.Proc) {
 	for i := range a.staged {
-		if err := a.staged[i].mirror(p); err != nil {
-			if !a.opts.Recovery.Enabled() {
-				return err
-			}
+		if a.staged[i].mirror(p) != nil {
 			a.leaveToResync()
 		}
 	}
-	return nil
 }
 
 // rollbackStaged reverts the iteration's prepares, newest first. An undo

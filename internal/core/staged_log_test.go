@@ -149,7 +149,7 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 	fc.at, fc.burst, fc.crash = at, burst, burst == 0 && at >= 0
 	var out strings.Builder
 	store := &intentLog{MemStore: journal.NewMemStore(), out: &out}
-	rec := DefaultRecovery()
+	rec := RecoveryForChannel(0)
 	rec.MaxAttempts = 2
 	rec.RetryBackoff = time.Microsecond
 

@@ -241,7 +241,6 @@ func TestChannelChaosChurn(t *testing.T) {
 			r := buildStack(t, 500*time.Nanosecond, ClientOptions{}, nil)
 			c := &churn{agent: r.agent}
 			r.agent = core.NewAgent(r.sim, r.cli, r.plan, core.Options{
-				Recovery: core.RecoveryForChannel(r.cli.RTT()),
 				Journal:  &core.JournalConfig{Store: r.store},
 				Prologue: c.prologue,
 			})
@@ -330,7 +329,6 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 	audit := check.Attach(sw)
 	ls := &lockstep{}
 	agent1 := core.NewAgent(s, cli1, plan, core.Options{
-		Recovery: core.RecoveryForChannel(cli1.RTT()),
 		Journal:  &core.JournalConfig{Store: store},
 		Prologue: ls.prologue,
 	})
@@ -358,9 +356,7 @@ func TestSplitBrainFencedOnTakeover(t *testing.T) {
 			link2 := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 22)
 			srv.Attach(link2, netsim.LinkSideB, 2, 2, sess2)
 			cli2 := NewClient(s, link2, netsim.LinkSideA, ClientOptions{Session: 2, Epoch: 2, Meta: drv})
-			agent2, _, recErr = core.Recover(p, s, cli2, store, plan, core.Options{
-				Recovery: core.RecoveryForChannel(cli2.RTT()),
-			})
+			agent2, _, recErr = core.Recover(p, s, cli2, store, plan, core.Options{})
 			if recErr != nil {
 				return
 			}

@@ -126,8 +126,7 @@ func buildCtlchanRig(prof faults.LinkProfile, seed int64) (*ctlchanRig, error) {
 	r := &ctlchanRig{lockstep: l, link: link, srv: srv, cli: cli}
 	var lastCommits uint64
 	r.agent, err = l.agent(cli, core.Options{
-		Recovery: core.RecoveryForChannel(cli.RTT()),
-		Journal:  &core.JournalConfig{Store: journal.NewMemStore()},
+		Journal: &core.JournalConfig{Store: journal.NewMemStore()},
 		AfterIteration: func(p *sim.Proc, a *core.Agent) {
 			if c := a.Stats().Commits; c > lastCommits {
 				lastCommits = c

@@ -51,7 +51,7 @@ type FaultRow struct {
 type FaultRows []FaultRow
 
 // RunFaultSweep runs the chaos scenario once per fault profile: the
-// agent (with DefaultRecovery) updates two tables in lockstep every
+// agent (recovering from what it can) updates two tables in lockstep every
 // iteration while the injector disturbs the driver channel, and every
 // forwarded packet checks that it observed a consistent (vv, config)
 // snapshot.
@@ -115,7 +115,7 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 	}
 	s := l.sim
 	inj := faults.Wrap(s, l.drv, prof, seed)
-	agent, err := l.agent(inj, core.Options{Recovery: core.DefaultRecovery()})
+	agent, err := l.agent(inj, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -97,8 +97,7 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 	r := &takeoverRig{lockstep: l, inj: inj}
 
 	r.agent, err = l.agent(inj, core.Options{
-		Recovery: core.DefaultRecovery(),
-		Journal:  &core.JournalConfig{Store: store},
+		Journal: &core.JournalConfig{Store: store},
 		AfterIteration: func(p *sim.Proc, a *core.Agent) {
 			if a.Stats().Iterations == takeoverArmIteration {
 				inj.SetEnabled(true)
@@ -115,7 +114,6 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 		Store:      store,
 		Plan:       l.plan,
 		CheckEvery: 3 * time.Microsecond,
-		Agent:      core.Options{Recovery: core.DefaultRecovery()},
 		Configure: func(a *core.Agent) error {
 			return a.RegisterNativeReaction("react", l.react)
 		},

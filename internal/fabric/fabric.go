@@ -348,7 +348,6 @@ func (f *Fabric) buildNode(name string, idx int, isSpine bool, plan *compiler.Pl
 		Name:      name,
 		EventSink: f.Coord.Observe,
 		Pacing:    cfg.Pacing,
-		Recovery:  core.RecoveryForChannel(n.AgentCli.RTT()),
 		Journal:   &core.JournalConfig{Store: journal.NewMemStore()},
 		Prologue: func(p *sim.Proc, a *core.Agent) error {
 			return f.installRoutes(n, p, a)

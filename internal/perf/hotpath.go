@@ -333,7 +333,6 @@ func stackedDialogue(tb testing.TB, src string, prologue func(*sim.Proc, *core.A
 	s := sim.New(1)
 	cli, _ := deploy(tb, s, plan.Prog)
 	return dialogue(tb, s, cli, plan, core.Options{
-		Recovery:       core.RecoveryForChannel(cli.RTT()),
 		Journal:        &core.JournalConfig{Store: journal.NewMemStore()},
 		LatencySamples: 1,
 		Prologue:       prologue,
