@@ -143,7 +143,7 @@ func (c *checker) mblWidth(name string) int {
 	return 0
 }
 
-// ---- Symbol construction, duplicates and reserved names (M013), widths (L003) ----
+// ---- Symbol construction, duplicates and reserved names (M013), widths and counts (L003) ----
 
 // reserved reports whether a declared name could collide with one the
 // compiler generates: every generated table, action and register, and
@@ -162,6 +162,19 @@ func (c *checker) reservedName(kind, name string, line, col int) {
 func (c *checker) checkWidth(w, line, col int, format string, args ...any) {
 	if w < 1 || w > 64 {
 		c.errorf(diag.LowerCapacity, line, col, format+" has unsupported width %d", append(args, w)...)
+	}
+}
+
+// maxCount bounds a register's instance_count and a table's declared
+// size; the largest in the repository are 600 and 1024. A count past it
+// would only overflow the compiler's arithmetic.
+const maxCount = 1 << 20
+
+// checkCount reports a count outside 1..maxCount (L003). The parser
+// stores the literal's uint64 as an int, so uint64(n) prints it back.
+func (c *checker) checkCount(n, line, col int, format string, args ...any) {
+	if n < 1 || n > maxCount {
+		c.errorf(diag.LowerCapacity, line, col, format+" %d outside 1..%d", append(args, uint64(n), maxCount)...)
 	}
 }
 
@@ -223,6 +236,7 @@ func (c *checker) buildSymbols() {
 			c.reservedName("register", r.Name, r.Line, r.Col)
 		}
 		c.checkWidth(r.Width, r.Line, r.Col, "register %s", r.Name)
+		c.checkCount(r.InstanceCount, r.CountLine, r.CountCol, "register %s: instance_count", r.Name)
 	}
 	for _, mv := range c.f.MblValues {
 		if c.declaredMblDup(mv.Name, mv.Line, mv.Col) {
@@ -261,6 +275,9 @@ func (c *checker) buildSymbols() {
 		c.tables[t.Name] = t
 		if reserved(t.Name) {
 			c.reservedName("table", t.Name, t.Line, t.Col)
+		}
+		if t.SizeLine > 0 {
+			c.checkCount(t.Size, t.SizeLine, t.SizeCol, "table %s: size", t.Name)
 		}
 	}
 	for _, calc := range c.f.Calcs {

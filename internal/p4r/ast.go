@@ -48,6 +48,9 @@ type RegisterDecl struct {
 	InstanceCount int
 	Line          int
 	Col           int
+	// CountLine and CountCol place the instance_count attribute; 0 when
+	// it is absent and the count is 1.
+	CountLine, CountCol int
 }
 
 // FieldList names an ordered list of fields (possibly malleable refs).
@@ -137,6 +140,8 @@ type TableDecl struct {
 	Size      int
 	Line      int
 	Col       int
+	// SizeLine and SizeCol place the size attribute; 0 when it is absent.
+	SizeLine, SizeCol int
 }
 
 // MblValue is a `malleable value` declaration: a runtime-settable

@@ -77,7 +77,7 @@ const (
 // retired: the analyzer reports every unknown name as M001 or M014.
 const (
 	LowerInvalid  = "L002" // construct cannot be lowered as written
-	LowerCapacity = "L003" // width outside 1..64
+	LowerCapacity = "L003" // width or count outside its range
 	LowerInternal = "L004" // generated program failed validation
 )
 

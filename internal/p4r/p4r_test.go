@@ -1,8 +1,12 @@
 package p4r
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/p4r/diag"
+	"repro/internal/rcl"
 )
 
 // fig1Source is essentially the example program from Figure 1 of the
@@ -272,64 +276,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestLexerTokens(t *testing.T) {
-	lx := NewLexer(`foo.bar 0x1F 42 ${mbl} == <= { } ;`)
-	var toks []Token
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tok.Kind == TokEOF {
-			break
-		}
-		toks = append(toks, tok)
-	}
-	if len(toks) != 9 {
-		t.Fatalf("got %d tokens: %v", len(toks), toks)
-	}
-	if toks[0].Kind != TokIdent || toks[0].Text != "foo.bar" {
-		t.Fatalf("tok0 = %+v", toks[0])
-	}
-	if toks[1].Kind != TokNumber || toks[1].Num != 0x1F {
-		t.Fatalf("tok1 = %+v", toks[1])
-	}
-	if toks[2].Num != 42 {
-		t.Fatalf("tok2 = %+v", toks[2])
-	}
-	if toks[3].Kind != TokMblRef || toks[3].Text != "mbl" {
-		t.Fatalf("tok3 = %+v", toks[3])
-	}
-	if toks[4].Text != "==" || toks[5].Text != "<=" {
-		t.Fatalf("operators: %+v %+v", toks[4], toks[5])
-	}
-}
-
-func TestLexerComments(t *testing.T) {
-	lx := NewLexer("a // line comment\n/* block\ncomment */ b")
-	t1, _ := lx.Next()
-	t2, _ := lx.Next()
-	t3, _ := lx.Next()
-	if t1.Text != "a" || t2.Text != "b" || t3.Kind != TokEOF {
-		t.Fatalf("tokens: %v %v %v", t1, t2, t3)
-	}
-	if t2.Line != 3 {
-		t.Fatalf("line tracking: b at line %d, want 3", t2.Line)
-	}
-}
-
-func TestLexerPositions(t *testing.T) {
-	lx := NewLexer("x\n  y")
-	a, _ := lx.Next()
-	b, _ := lx.Next()
-	if a.Line != 1 || a.Col != 1 {
-		t.Fatalf("a at %d:%d", a.Line, a.Col)
-	}
-	if b.Line != 2 || b.Col != 3 {
-		t.Fatalf("b at %d:%d", b.Line, b.Col)
-	}
-}
-
 func TestReactionBodyNestedBraces(t *testing.T) {
 	src := `reaction r() { while (1) { if (2) { x = 3; } } done = 1; }`
 	f, err := Parse(src)
@@ -389,5 +335,56 @@ table t {
 	}
 	if reads[2].HasMask {
 		t.Fatalf("read2 unexpectedly masked: %+v", reads[2])
+	}
+}
+
+// TestLiteralRulesAgree: a P4R file has one lexer, so a literal means
+// the same in the P4 part and in a reaction body: the same value, or the
+// same lexical error, positions and the body's "reaction r: " prefix
+// aside. A body's value is the int64 of the literal's 64 bits.
+func TestLiteralRulesAgree(t *testing.T) {
+	cases := []struct {
+		lit  string
+		want uint64 // when err is empty
+		err  string // code and message
+	}{
+		{lit: "010", err: `S006 bad number "010": leading zero`},
+		{lit: "09", err: `S006 bad number "09": leading zero`},
+		{lit: "0x", err: `S006 bad number "0x"`},
+		{lit: "0x1F", want: 31},
+		{lit: "18446744073709551615", want: 1<<64 - 1},
+		{lit: "${}", err: "S006 malformed malleable reference"},
+		{lit: "${v", err: "S006 malformed malleable reference"},
+		{lit: "@", err: `S006 unexpected character "@"`},
+		{lit: "/* open", err: "S006 unterminated comment"},
+	}
+	describe := func(err error) string {
+		var d *diag.Diagnostic
+		if !errors.As(err, &d) {
+			return "not a diagnostic: " + err.Error()
+		}
+		return d.Code + " " + strings.TrimPrefix(d.Msg, "reaction r: ")
+	}
+	for _, c := range cases {
+		p4, p4Err := Parse("malleable value v { width : 64; init : " + c.lit + "; }")
+		body, bodyErr := Parse("reaction r() { x = " + c.lit + "; }")
+		if c.err != "" {
+			if p4Err == nil || bodyErr == nil {
+				t.Errorf("%s: P4 part %v, body %v; want %s in both", c.lit, p4Err, bodyErr, c.err)
+				continue
+			}
+			if got, inBody := describe(p4Err), describe(bodyErr); got != c.err || inBody != c.err {
+				t.Errorf("%s: P4 part %q, body %q; want %q", c.lit, got, inBody, c.err)
+			}
+			continue
+		}
+		if p4Err != nil || bodyErr != nil {
+			t.Errorf("%s: P4 part %v, body %v", c.lit, p4Err, bodyErr)
+			continue
+		}
+		v := body.Reactions[0].Stmts[0].(rcl.ExprStmt).E.(rcl.AssignExpr).Val.(rcl.NumLit).V
+		if got := p4.MblValues[0].Init; got != c.want || v != int64(c.want) {
+			t.Errorf("%s: P4 part %d, body %d; want %d", c.lit, got, v, c.want)
+		}
 	}
 }

@@ -1,27 +1,41 @@
+// Package p4r implements the P4R language frontend: a recursive-descent
+// parser for the P4-14 v1.0.5 subset extended with the Mantis constructs
+// of the paper's Figure 3 — `malleable value`, `malleable field`,
+// `malleable table`, `${...}` malleable references, and `reaction`
+// declarations with embedded C-like bodies, which internal/rcl parses
+// from the same token stream (internal/p4r/lex).
+//
+// The original Mantis frontend is written in Flex/Bison; this package is
+// a hand-written equivalent producing the same surface AST, which the
+// Mantis compiler (internal/compiler) lowers to a malleable p4.Program
+// plus a reaction plan.
 package p4r
 
 import (
 	"fmt"
 
 	"repro/internal/p4r/diag"
+	"repro/internal/p4r/lex"
 	"repro/internal/rcl"
 )
 
 // Parser is a recursive-descent parser for P4R source with one token of
 // lookahead.
 type Parser struct {
-	lx  *Lexer
-	cur Token
+	src string
+	lx  *lex.Lexer
+	cur lex.Token
 	f   *File
 }
 
 // Parse parses a complete P4R source file.
 func Parse(src string) (*File, error) {
-	p := &Parser{lx: NewLexer(src), f: &File{}}
+	p := &Parser{src: src, lx: lex.New(src), f: &File{}}
+	p.lx.Dotted = true
 	if err := p.next(); err != nil {
 		return nil, err
 	}
-	for p.cur.Kind != TokEOF {
+	for p.cur.Kind != lex.EOF {
 		if err := p.parseTopLevel(); err != nil {
 			return nil, err
 		}
@@ -48,16 +62,16 @@ func (p *Parser) errc(code, format string, args ...any) error {
 	return diag.Errorf(code, p.cur.Line, p.cur.Col, format, args...)
 }
 
-func (p *Parser) expectIdent() (Token, error) {
-	if p.cur.Kind != TokIdent {
-		return Token{}, p.errf("expected identifier, got %s", p.cur)
+func (p *Parser) expectIdent() (lex.Token, error) {
+	if p.cur.Kind != lex.Ident {
+		return lex.Token{}, p.errf("expected identifier, got %s", p.cur)
 	}
 	tok := p.cur
 	return tok, p.next()
 }
 
 func (p *Parser) expectNumber() (uint64, error) {
-	if p.cur.Kind != TokNumber {
+	if p.cur.Kind != lex.Number {
 		return 0, p.errf("expected number, got %s", p.cur)
 	}
 	v := p.cur.Num
@@ -65,14 +79,14 @@ func (p *Parser) expectNumber() (uint64, error) {
 }
 
 func (p *Parser) expectPunct(text string) error {
-	if p.cur.Kind != TokPunct || p.cur.Text != text {
+	if p.cur.Kind != lex.Punct || p.cur.Text != text {
 		return p.errf("expected %q, got %s", text, p.cur)
 	}
 	return p.next()
 }
 
 func (p *Parser) isPunct(text string) bool {
-	return p.cur.Kind == TokPunct && p.cur.Text == text
+	return p.cur.Kind == lex.Punct && p.cur.Text == text
 }
 
 func (p *Parser) acceptPunct(text string) (bool, error) {
@@ -96,7 +110,7 @@ func (p *Parser) keyNumber() (uint64, error) {
 }
 
 func (p *Parser) parseTopLevel() error {
-	if p.cur.Kind != TokIdent {
+	if p.cur.Kind != lex.Ident {
 		return p.errf("expected declaration, got %s", p.cur)
 	}
 	switch p.cur.Text {
@@ -222,7 +236,7 @@ func (p *Parser) parseRegister() error {
 		case "width":
 			r.Width = int(v)
 		case "instance_count":
-			r.InstanceCount = int(v)
+			r.InstanceCount, r.CountLine, r.CountCol = int(v), key.Line, key.Col
 		default:
 			return diag.Errorf(diag.UnknownConstruct, key.Line, key.Col, "unknown register attribute %q", key.Text)
 		}
@@ -233,7 +247,7 @@ func (p *Parser) parseRegister() error {
 	if r.Width == 0 {
 		return diag.Errorf(diag.MissingAttr, name.Line, name.Col, "register %s missing width", r.Name)
 	}
-	if r.InstanceCount == 0 {
+	if r.CountLine == 0 {
 		r.InstanceCount = 1
 	}
 	p.f.Registers = append(p.f.Registers, r)
@@ -243,13 +257,13 @@ func (p *Parser) parseRegister() error {
 // parseArg parses an identifier, number, or ${mbl} reference.
 func (p *Parser) parseArg() (Arg, error) {
 	switch p.cur.Kind {
-	case TokIdent:
+	case lex.Ident:
 		a := Arg{Kind: ArgIdent, Ident: p.cur.Text, Line: p.cur.Line, Col: p.cur.Col}
 		return a, p.next()
-	case TokNumber:
+	case lex.Number:
 		a := Arg{Kind: ArgConst, Value: p.cur.Num, Line: p.cur.Line, Col: p.cur.Col}
 		return a, p.next()
-	case TokMblRef:
+	case lex.MblRef:
 		a := Arg{Kind: ArgMblRef, Mbl: p.cur.Text, Line: p.cur.Line, Col: p.cur.Col}
 		return a, p.next()
 	default:
@@ -448,7 +462,7 @@ func (p *Parser) parseTable(malleable bool) error {
 					return diag.Errorf(diag.SyntaxError, target.Line, target.Col, "table %s: read key cannot be a constant", t.Name)
 				}
 				rk := ReadKey{Target: target, Line: target.Line, Col: target.Col}
-				if p.cur.Kind == TokIdent && p.cur.Text == "mask" {
+				if p.cur.Kind == lex.Ident && p.cur.Text == "mask" {
 					if err := p.next(); err != nil {
 						return err
 					}
@@ -529,7 +543,7 @@ func (p *Parser) parseTable(malleable bool) error {
 			if err != nil {
 				return err
 			}
-			t.Size = int(v)
+			t.Size, t.SizeLine, t.SizeCol = int(v), key.Line, key.Col
 		default:
 			return diag.Errorf(diag.UnknownConstruct, key.Line, key.Col, "unknown table attribute %q", key.Text)
 		}
@@ -712,20 +726,18 @@ func (p *Parser) parseReaction() error {
 	if !p.isPunct("{") {
 		return p.errf("expected reaction body, got %s", p.cur)
 	}
-	// The lexer sits just past the '{' of the body: the reaction
-	// language parses from there to the matching brace, and this lexer
-	// resumes after it.
-	lx := p.lx
-	at := rcl.Pos{Off: lx.pos, Line: lx.line, Col: lx.col}
-	stmts, end, err := rcl.ParseBlock(lx.src, at)
+	// The lexer has just returned the body's '{': the reaction language
+	// reads on from there to the matching brace, and hands the lexer back
+	// just past it.
+	start := p.lx.Offset()
+	stmts, err := rcl.ParseBlock(p.lx)
 	if d, ok := err.(*diag.Diagnostic); ok {
 		d.Msg = fmt.Sprintf("reaction %s: %s", r.Name, d.Msg)
 	}
 	if err != nil {
 		return err
 	}
-	r.Body, r.Stmts = lx.src[at.Off:end.Off-1], stmts
-	lx.pos, lx.line, lx.col = end.Off, end.Line, end.Col
+	r.Body, r.Stmts = p.src[start:p.lx.Offset()-1], stmts
 	if err := p.next(); err != nil {
 		return err
 	}
@@ -865,7 +877,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.cur.Kind != TokPunct {
+		if p.cur.Kind != lex.Punct {
 			return nil, p.errf("expected comparison operator, got %s", p.cur)
 		}
 		op := p.cur.Text
@@ -892,7 +904,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			return nil, err
 		}
 		st := IfStmt{Cond: CondExpr{Left: left, Op: op, Right: right}, Then: then}
-		if p.cur.Kind == TokIdent && p.cur.Text == "else" {
+		if p.cur.Kind == lex.Ident && p.cur.Text == "else" {
 			if err := p.next(); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,32 @@
+// Package rcl implements the Reaction C-like Language: the C-style
+// bodies of P4R `reaction` declarations.
+//
+// In the original Mantis, reaction bodies are extracted from the .p4r
+// file, compiled with gcc into a shared object, and dynamically loaded
+// by the agent. Go has no equivalent of dlopen for Go code, so this
+// package interprets the same language instead. The semantics preserved
+// are the ones the paper relies on:
+//
+//   - arbitrary (Turing-complete) computation over polled parameters,
+//   - reads and writes of malleables via ${name},
+//   - malleable table manipulation via generated library functions
+//     (table.addEntry / modEntry / delEntry),
+//   - `static` variables that persist across dialogue iterations (the
+//     paper's "stateful dialogue" via C statics), and
+//   - host builtins (now(), min(), max(), ...).
+//
+// A body is lexed by internal/p4r/lex, the lexer of the whole P4R
+// file, with its Dotted mode off.
+//
+// Values are signed 64-bit integers with C-like operator semantics.
+// Declared widths (uint16_t, ...) mask on assignment the way C integer
+// conversion would.
 package rcl
 
-import "repro/internal/p4r/diag"
+import (
+	"repro/internal/p4r/diag"
+	"repro/internal/p4r/lex"
+)
 
 // ---- AST ----
 
@@ -165,29 +191,66 @@ const maxArraySize = 4096
 
 // ---- Parser ----
 
+// parser reads statements from a lexer one token at a time. Its first
+// lexical error is sticky: the current token becomes EOF and every later
+// error the parser reports is that one, so errors come in text order.
 type parser struct {
-	toks []token
-	pos  int
+	lx       *lex.Lexer
+	tok, nxt lex.Token
+	hasNxt   bool
+	err      error
+	// block is set inside a reaction body, which must not end before
+	// its closing brace; line:col is just past its opening one.
+	block     bool
+	line, col int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+func (p *parser) cur() lex.Token { return p.tok }
+
+// peek returns the token after the current one. It is asked only where
+// the current token is inside the statement, so it never reads past a
+// block's closing brace.
+func (p *parser) peek() lex.Token {
+	if !p.hasNxt {
+		p.nxt, p.hasNxt = p.lexNext(), true
+	}
+	return p.nxt
+}
+
+func (p *parser) advance() lex.Token {
+	t := p.tok
+	switch {
+	case p.hasNxt:
+		p.tok, p.hasNxt = p.nxt, false
+	case t.Kind != lex.EOF:
+		p.tok = p.lexNext()
+	}
+	return t
+}
+
+func (p *parser) lexNext() lex.Token {
+	t, err := p.lx.Next()
+	if err == nil && t.Kind == lex.EOF && p.block {
+		err = diag.Errorf(diag.BadLiteral, p.line, p.col, "unterminated block")
+	}
+	if err != nil {
+		p.err = err
+		return lex.Token{Kind: lex.EOF}
 	}
 	return t
 }
 
 // errf reports a syntax error at the current token as an S001
-// diagnostic at its line and column.
+// diagnostic at its line and column, unless a lexical error came first.
 func (p *parser) errf(format string, args ...any) error {
-	return diag.Errorf(diag.SyntaxError, p.cur().line, p.cur().col, format, args...)
+	if p.err != nil {
+		return p.err
+	}
+	return diag.Errorf(diag.SyntaxError, p.cur().Line, p.cur().Col, format, args...)
 }
 
 func (p *parser) isPunct(s string) bool {
-	return p.cur().kind == tPunct && p.cur().text == s
+	return p.cur().Kind == lex.Punct && p.cur().Text == s
 }
 
 func (p *parser) expect(s string) error {
@@ -202,34 +265,33 @@ func (p *parser) expect(s string) error {
 // positioned from line 1, column 1. Its error, like ParseBlock's, is a
 // *diag.Diagnostic.
 func ParseBody(src string) ([]Stmt, error) {
-	stmts, _, err := parse(src, Pos{Line: 1, Col: 1}, false)
-	return stmts, err
+	return parse(&parser{lx: lex.New(src)})
 }
 
-// ParseBlock parses the reaction body that opens just before at in src
-// (at sits past its '{') up to the matching '}', and returns the
-// position just past that brace. Comments and string literals are the
-// body's own tokens, so a brace inside one neither opens nor closes the
-// block, and every position is src's.
-func ParseBlock(src string, at Pos) ([]Stmt, Pos, error) {
-	return parse(src, at, true)
+// ParseBlock parses the reaction body whose '{' lx has just returned,
+// up to the matching '}', and leaves lx just past that brace with its
+// Dotted mode as it was. Comments and string literals are the body's
+// own tokens, so a brace inside one neither opens nor closes the block,
+// and every position is lx's.
+func ParseBlock(lx *lex.Lexer) ([]Stmt, error) {
+	defer func(dotted bool) { lx.Dotted = dotted }(lx.Dotted)
+	lx.Dotted = false
+	p := &parser{lx: lx, block: true}
+	p.line, p.col = lx.Pos()
+	return parse(p)
 }
 
-func parse(src string, at Pos, block bool) ([]Stmt, Pos, error) {
-	toks, end, err := lex(src, at, block)
-	if err != nil {
-		return nil, Pos{}, err
-	}
-	p := &parser{toks: toks}
+func parse(p *parser) ([]Stmt, error) {
+	p.tok = p.lexNext()
 	var stmts []Stmt
-	for p.cur().kind != tEOF {
+	for p.cur().Kind != lex.EOF && !(p.block && p.isPunct("}")) {
 		s, err := p.parseStmt()
 		if err != nil {
-			return nil, Pos{}, err
+			return nil, err
 		}
 		stmts = append(stmts, s)
 	}
-	return stmts, end, nil
+	return stmts, p.err
 }
 
 // parseBlockOrStmt parses `{ ... }` or a single statement.
@@ -238,7 +300,7 @@ func (p *parser) parseBlockOrStmt() ([]Stmt, error) {
 		p.advance()
 		var out []Stmt
 		for !p.isPunct("}") {
-			if p.cur().kind == tEOF {
+			if p.cur().Kind == lex.EOF {
 				return nil, p.errf("unterminated block")
 			}
 			s, err := p.parseStmt()
@@ -259,8 +321,8 @@ func (p *parser) parseBlockOrStmt() ([]Stmt, error) {
 
 func (p *parser) parseStmt() (Stmt, error) {
 	t := p.cur()
-	if t.kind == tIdent {
-		switch t.text {
+	if t.Kind == lex.Ident {
+		switch t.Text {
 		case "if":
 			return p.parseIf()
 		case "while":
@@ -269,10 +331,10 @@ func (p *parser) parseStmt() (Stmt, error) {
 			return p.parseFor()
 		case "break":
 			p.advance()
-			return BreakStmt{Line: t.line}, p.expect(";")
+			return BreakStmt{Line: t.Line}, p.expect(";")
 		case "continue":
 			p.advance()
-			return ContinueStmt{Line: t.line}, p.expect(";")
+			return ContinueStmt{Line: t.Line}, p.expect(";")
 		case "return":
 			p.advance()
 			if p.isPunct(";") {
@@ -288,7 +350,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 			p.advance()
 			return p.parseDecl(true)
 		}
-		if _, isType := typeWidths[t.text]; isType {
+		if _, isType := typeWidths[t.Text]; isType {
 			return p.parseDecl(false)
 		}
 	}
@@ -302,36 +364,35 @@ func (p *parser) parseStmt() (Stmt, error) {
 
 func (p *parser) parseDecl(static bool) (Stmt, error) {
 	t := p.cur()
-	width, ok := typeWidths[t.text]
+	width, ok := typeWidths[t.Text]
 	if !ok {
 		return nil, p.errf("expected type name, got %s", t)
 	}
 	p.advance()
 	// Skip a second type word ("unsigned int", "long long").
-	if p.cur().kind == tIdent {
-		if w2, ok := typeWidths[p.cur().text]; ok && p.peek().kind == tIdent {
+	if p.cur().Kind == lex.Ident {
+		if w2, ok := typeWidths[p.cur().Text]; ok && p.peek().Kind == lex.Ident {
 			width = w2
 			p.advance()
 		}
 	}
-	d := DeclStmt{Static: static, Type: t.text, Width: width, Line: t.line}
+	d := DeclStmt{Static: static, Type: t.Text, Width: width, Line: t.Line}
 	for {
-		if p.cur().kind != tIdent {
+		if p.cur().Kind != lex.Ident {
 			return nil, p.errf("expected variable name, got %s", p.cur())
 		}
-		v := DeclVar{Name: p.advance().text}
+		v := DeclVar{Name: p.advance().Text}
 		if p.isPunct("[") {
 			p.advance()
-			if p.cur().kind != tNumber {
+			if p.cur().Kind != lex.Number {
 				return nil, p.errf("array size must be a constant")
 			}
-			if n := p.cur().num; n <= 0 {
+			if n := int64(p.cur().Num); n <= 0 {
 				return nil, p.errf("array size must be positive")
 			} else if n > maxArraySize {
 				return nil, p.errf("array size %d exceeds the limit of %d", n, maxArraySize)
 			}
-			n := p.advance().num
-			v.ArraySize = int(n)
+			v.ArraySize = int(p.advance().Num)
 			if err := p.expect("]"); err != nil {
 				return nil, err
 			}
@@ -371,9 +432,9 @@ func (p *parser) parseIf() (Stmt, error) {
 		return nil, err
 	}
 	st := IfStmt{Cond: cond, Then: then}
-	if p.cur().kind == tIdent && p.cur().text == "else" {
+	if p.cur().Kind == lex.Ident && p.cur().Text == "else" {
 		p.advance()
-		if p.cur().kind == tIdent && p.cur().text == "if" {
+		if p.cur().Kind == lex.Ident && p.cur().Text == "if" {
 			nested, err := p.parseIf()
 			if err != nil {
 				return nil, err
@@ -416,8 +477,8 @@ func (p *parser) parseFor() (Stmt, error) {
 	}
 	var st ForStmt
 	if !p.isPunct(";") {
-		if p.cur().kind == tIdent {
-			if _, isType := typeWidths[p.cur().text]; isType {
+		if p.cur().Kind == lex.Ident {
+			if _, isType := typeWidths[p.cur().Text]; isType {
 				d, err := p.parseDecl(false) // consumes trailing ';'
 				if err != nil {
 					return nil, err
@@ -477,11 +538,11 @@ func (p *parser) parseExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().kind == tPunct {
-		op := p.cur().text
+	if p.cur().Kind == lex.Punct {
+		op := p.cur().Text
 		switch op {
 		case "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=":
-			line := p.cur().line
+			line := p.cur().Line
 			switch lhs.(type) {
 			case VarRef, IndexExpr, MblExpr:
 			default:
@@ -546,10 +607,10 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().kind == tPunct {
+	for p.cur().Kind == lex.Punct {
 		matched := ""
 		for _, op := range precLevels[level] {
-			if p.cur().text == op {
+			if p.cur().Text == op {
 				matched = op
 				break
 			}
@@ -557,7 +618,7 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 		if matched == "" {
 			break
 		}
-		line := p.cur().line
+		line := p.cur().Line
 		p.advance()
 		rhs, err := p.parseBinary(level + 1)
 		if err != nil {
@@ -570,25 +631,25 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	t := p.cur()
-	if t.kind == tPunct {
-		switch t.text {
+	if t.Kind == lex.Punct {
+		switch t.Text {
 		case "-", "~", "!", "+":
 			p.advance()
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			if t.text == "+" {
+			if t.Text == "+" {
 				return x, nil
 			}
-			return UnaryExpr{Op: t.text, X: x, Line: t.line}, nil
+			return UnaryExpr{Op: t.Text, X: x, Line: t.Line}, nil
 		case "++", "--":
 			p.advance()
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			return UnaryExpr{Op: t.text, X: x, Line: t.line}, nil
+			return UnaryExpr{Op: t.Text, X: x, Line: t.Line}, nil
 		}
 	}
 	return p.parsePostfix()
@@ -602,7 +663,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 	for {
 		switch {
 		case p.isPunct("["):
-			line := p.cur().line
+			line := p.cur().Line
 			p.advance()
 			idx, err := p.parseExpr()
 			if err != nil {
@@ -618,17 +679,17 @@ func (p *parser) parsePostfix() (Expr, error) {
 				return nil, p.errf("method call on non-table expression")
 			}
 			p.advance()
-			if p.cur().kind != tIdent {
+			if p.cur().Kind != lex.Ident {
 				return nil, p.errf("expected method name after '.'")
 			}
-			method := p.advance().text
+			method := p.advance().Text
 			args, err := p.parseCallArgs()
 			if err != nil {
 				return nil, err
 			}
 			e = TableCallExpr{Table: vr.Name, Method: method, Args: args, Line: vr.Line}
 		case p.isPunct("++") || p.isPunct("--"):
-			op := p.advance().text
+			op := p.advance().Text
 			e = UnaryExpr{Op: op, X: e, Postfix: true}
 		default:
 			return e, nil
@@ -657,28 +718,28 @@ func (p *parser) parseCallArgs() ([]Expr, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
-	switch t.kind {
-	case tNumber:
+	switch t.Kind {
+	case lex.Number:
 		p.advance()
-		return NumLit{V: t.num}, nil
-	case tString:
+		return NumLit{V: int64(t.Num)}, nil
+	case lex.String:
 		p.advance()
-		return StrLit{S: t.text}, nil
-	case tMbl:
+		return StrLit{S: t.Text}, nil
+	case lex.MblRef:
 		p.advance()
-		return MblExpr{Name: t.text, Line: t.line}, nil
-	case tIdent:
+		return MblExpr{Name: t.Text, Line: t.Line}, nil
+	case lex.Ident:
 		p.advance()
 		if p.isPunct("(") {
 			args, err := p.parseCallArgs()
 			if err != nil {
 				return nil, err
 			}
-			return CallExpr{Name: t.text, Args: args, Line: t.line}, nil
+			return CallExpr{Name: t.Text, Args: args, Line: t.Line}, nil
 		}
-		return VarRef{Name: t.text, Line: t.line}, nil
-	case tPunct:
-		if t.text == "(" {
+		return VarRef{Name: t.Text, Line: t.Line}, nil
+	case lex.Punct:
+		if t.Text == "(" {
 			p.advance()
 			e, err := p.parseExpr()
 			if err != nil {
