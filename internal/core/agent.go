@@ -263,7 +263,8 @@ type Agent struct {
 	held   []heldEvent
 	// recovered marks an agent reconstructed by Recover, whose prologue
 	// must not re-install switch state.
-	recovered bool
+	recovered  bool
+	builtinTap func(name string, v int64, err error) // if set, sees every builtin's answer
 }
 
 // NewAgent creates an agent for a compiled plan over a driver channel

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ctlchan"
 	"repro/internal/driver"
 	"repro/internal/faults"
+	"repro/internal/journal"
 	"repro/internal/netsim"
 	"repro/internal/rmt"
 	"repro/internal/sim"
@@ -101,6 +102,99 @@ func TestChaosSerializability(t *testing.T) {
 				if fst.StuckWaits == 0 {
 					t.Fatal("stuck profile blocked no operations")
 				}
+			}
+		})
+	}
+}
+
+// churnSrc is check.TwoTableSrc with a bump body that churns t1 as it
+// goes: each run adds a t1 entry, deletes the one the previous run
+// added, and moves handle 1 of both tables (lockstep.prologue's) to the
+// next generation, so adds and deletes reach the mirror and undo phases,
+// whose replay, unlike a modify's, is not harmless. An abandoned run's
+// statics roll back with it, so prev is always a committed run's entry.
+var churnSrc = strings.Replace(check.TwoTableSrc, "reaction bump() { }", `reaction bump() {
+  static int gen = 0;
+  static int key = 0;
+  static int prev = 0;
+  gen++;
+  key++;
+  int h = t1.addEntry(8 + key % 200, "set1", key);
+  if (prev != 0) t1.delEntry(prev);
+  prev = h;
+  t1.modEntry(1, "set1", gen);
+  t2.modEntry(1, "set2", gen);
+}`, 1)
+
+// TestSpecChurn runs the churn body on the raw driver, fault-free and
+// under every fault profile but the crashes (a takeover restarts the
+// statics, which the spec cannot follow): every commit leaves the
+// switch where the body's sequential runs put it.
+func TestSpecChurn(t *testing.T) {
+	for _, prof := range faults.Profiles() {
+		if prof.CrashEnabled() {
+			continue
+		}
+		t.Run(prof.Name, func(t *testing.T) {
+			r, inj := buildChaosRig(t, churnSrc, prof, 1234, Options{Prologue: (&lockstep{}).prologue})
+			spec := AttachSpec(t, r.agent, r.sw)
+			inj.SetEnabled(false)
+			r.sim.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
+			audit := check.Attach(r.sw)
+			r.runTraffic(4 * time.Millisecond)
+			if err := r.agent.Err(); err != nil {
+				t.Fatalf("agent died under %s faults: %v", prof.Name, err)
+			}
+			if err := audit.Err(); err != nil {
+				t.Fatalf("under %s faults: %v", prof.Name, err)
+			}
+			if spec.Checked < 20 {
+				t.Fatalf("under %s faults only %d iterations completed: %+v", prof.Name, spec.Checked, r.agent.Stats())
+			}
+			fst := inj.FaultStats()
+			if prof.Name != "none" && fst.InjectedErrors+fst.InjectedSpikes+fst.PartialBatches+fst.StuckWaits == 0 {
+				t.Fatalf("the %s profile injected nothing", prof.Name)
+			}
+		})
+	}
+}
+
+// TestSpecChurnOverChannel runs the churn body over the message channel
+// under every link profile: an add or delete whose acknowledgment the
+// wire lost must be settled by the resync audit, not replayed, and no
+// mutation may execute twice. The link heals for the last millisecond.
+func TestSpecChurnOverChannel(t *testing.T) {
+	for _, prof := range faults.LinkProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			// Long enough that partition and chaos each lose the ack of a
+			// landed add or delete.
+			const d = 10 * time.Millisecond
+			r := buildRig(t, churnSrc, Options{})
+			link := netsim.NewLink(r.sim, 500*time.Nanosecond, faults.LinkNone(), 11)
+			srv := ctlchan.NewServer(r.sim)
+			srv.Attach(link, netsim.LinkSideB, 1, 1, r.drv)
+			cli := ctlchan.NewClient(r.sim, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: r.drv})
+			r.agent = NewAgent(r.sim, cli, r.plan, Options{
+				Journal:  &JournalConfig{Store: journal.NewMemStore()},
+				Prologue: (&lockstep{}).prologue,
+			})
+			spec := AttachSpec(t, r.agent, r.sw)
+			audit := check.Attach(r.sw)
+			r.sim.Schedule(50*time.Microsecond, func() { link.SetProfile(prof) })
+			r.sim.Schedule(d-time.Millisecond, func() { link.SetProfile(faults.LinkNone()) })
+			r.runTraffic(d)
+
+			if err := r.agent.Err(); err != nil {
+				t.Fatalf("agent died under %s channel faults: %v", prof.Name, err)
+			}
+			if err := audit.Err(); err != nil {
+				t.Fatalf("under %s channel faults: %v", prof.Name, err)
+			}
+			if spec.Checked < 5 {
+				t.Fatalf("no progress under %s channel faults: %+v", prof.Name, r.agent.Stats())
+			}
+			if cs, ss := cli.ChanStats(), srv.Stats(); ss.MutationsExecuted > cs.Ops {
+				t.Fatalf("more mutations executed (%d) than operations issued (%d)", ss.MutationsExecuted, cs.Ops)
 			}
 		})
 	}

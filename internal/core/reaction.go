@@ -71,7 +71,7 @@ type RxnTable struct {
 }
 
 // AddEntry stages a user entry add and returns the entry's handle, which
-// an abandoned iteration may hand out again (see Ctx.Abandoned).
+// an abandoned iteration gives back to the next add (see Ctx.Abandoned).
 func (t *RxnTable) AddEntry(e UserEntry) (UserHandle, error) { return t.tm.addEntry(t.p, e) }
 
 // ModifyEntry stages a user entry modification.
@@ -459,6 +459,14 @@ func (h *rclHost) actionData(table, method string, args []rcl.Arg) ([]uint64, er
 
 // Call runs one of the host functions every reaction can call.
 func (h *rclHost) Call(name string, args []rcl.Arg) (int64, error) {
+	v, err := h.call(name, args)
+	if h.agent.builtinTap != nil {
+		h.agent.builtinTap(name, v, err)
+	}
+	return v, err
+}
+
+func (h *rclHost) call(name string, args []rcl.Arg) (int64, error) {
 	switch name {
 	case "now":
 		return int64(h.proc.Now()), nil

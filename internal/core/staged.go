@@ -136,14 +136,15 @@ func (s *stagedOp) prepare(p *sim.Proc) error {
 	}
 }
 
-// undo reverts the slot's prepare, completed or not. Undo and mirror
-// bring the agent's image to its end state before they write the
-// switch, so a write that fails leaves an image the resync can
-// reconcile the switch against.
+// undo reverts the slot's prepare, completed or not; an add gives its
+// handle back. Undo and mirror bring the agent's image to its end state
+// before they write the switch, so a write that fails leaves an image
+// the resync can reconcile the switch against.
 func (s *stagedOp) undo(p *sim.Proc) error {
 	switch s.kind {
 	case journal.OpAdd:
 		s.tm.drop(s.h)
+		s.tm.nextHandle = s.h - 1
 		return s.tm.uninstall(p, s.ue, s.shadow)
 	case journal.OpModify:
 		s.ue.setSpec(s.oldAction, s.oldData)

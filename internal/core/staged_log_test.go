@@ -277,7 +277,8 @@ const stagedFaultWindow = 36
 // recaptured with that log when the body began to draw its choices up
 // front, and again, before the takeover's roll-forward moved onto the
 // agent's image, when the state began to print user handles and each
-// table's next handle.)
+// table's next handle; and once more when a rolled-back add began to give
+// its user handle back, which renumbers later adds after an abandon.)
 func TestStagedLogMatchesParent(t *testing.T) {
 	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {

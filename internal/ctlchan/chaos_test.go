@@ -3,7 +3,6 @@ package ctlchan
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -187,101 +186,6 @@ func TestChannelChaosSerializability(t *testing.T) {
 			// almost nothing is sent twice.
 			if prof.Loss == 0 && prof.PartitionEvery == 0 && cs.Retransmits*100 > cs.Sent {
 				t.Fatalf("%s only delays frames, yet %d of %d frames were resent", prof.Name, cs.Retransmits, cs.Sent)
-			}
-		})
-	}
-}
-
-// churn is lockstep plus entry churn: every run of the reaction also
-// adds a fresh t1 entry and deletes the one the last committed run
-// added, so adds and deletes reach the mirror and undo phases — whose
-// replay, unlike a modify's, is not harmless. A run whose iteration was
-// abandoned leaves no entry behind, so the entry to delete is the
-// newest one an iteration committed.
-type churn struct {
-	lockstep
-	agent         *core.Agent
-	prev, pending core.UserHandle
-	commits       uint64 // Commits when pending was staged
-	key           uint64
-}
-
-func (c *churn) react(ctx *core.Ctx) error {
-	commits := c.agent.Stats().Commits
-	if c.pending != 0 && commits > c.commits {
-		c.prev = c.pending
-	}
-	c.pending = 0
-	t1, _ := ctx.Table("t1")
-	c.key++
-	h, err := t1.AddEntry(core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(8 + c.key%200)}, Action: "set1", Data: []uint64{c.key}})
-	if err != nil {
-		return err
-	}
-	c.pending, c.commits = h, commits
-	if c.prev != 0 {
-		if err := t1.DeleteEntry(c.prev); err != nil {
-			return err
-		}
-	}
-	return c.lockstep.react(ctx)
-}
-
-// TestChannelChaosChurn is the serializability sweep with entry churn:
-// under every channel fault profile, an add or delete whose
-// acknowledgment the wire lost must be settled by the resync audit, not
-// replayed. The link heals for the last millisecond, so the agent ends
-// alive with t1 on the switch equal to its committed image.
-func TestChannelChaosChurn(t *testing.T) {
-	for _, prof := range faults.LinkProfiles() {
-		t.Run(prof.Name, func(t *testing.T) {
-			// Twice the serializability sweep's run, so that partition
-			// and chaos each lose the ack of a landed add or delete.
-			const d = 10 * time.Millisecond
-			r := buildStack(t, 500*time.Nanosecond, ClientOptions{}, nil)
-			c := &churn{agent: r.agent}
-			r.agent = core.NewAgent(r.sim, r.cli, r.plan, core.Options{
-				Journal:  &core.JournalConfig{Store: r.store},
-				Prologue: c.prologue,
-			})
-			c.agent = r.agent
-			if err := r.agent.RegisterNativeReaction("bump", c.react); err != nil {
-				t.Fatal(err)
-			}
-			r.sim.Schedule(d-time.Millisecond, func() { r.link.SetProfile(faults.LinkNone()) })
-			r.run(prof, d)
-
-			if err := r.agent.Err(); err != nil {
-				t.Fatalf("agent died under %s channel faults: %v", prof.Name, err)
-			}
-			if err := r.audit.Err(); err != nil {
-				t.Fatalf("under %s channel faults: %v", prof.Name, err)
-			}
-			if st := r.agent.Stats(); st.Commits == 0 || c.key < 5 {
-				t.Fatalf("no progress under %s channel faults: %+v", prof.Name, st)
-			}
-			if cs, ss := r.cli.ChanStats(), r.srv.Stats(); ss.MutationsExecuted > cs.Ops {
-				t.Fatalf("more mutations executed (%d) than operations issued (%d)", ss.MutationsExecuted, cs.Ops)
-			}
-			var image, onSwitch []string
-			th, _ := r.agent.Table("t1")
-			for _, e := range th.Entries() {
-				for v := uint64(0); v < 2; v++ {
-					keys := append(slices.Clone(e.Keys), rmt.ExactKey(v))
-					image = append(image, fmt.Sprintf("%v %d %s %v", keys, e.Priority, e.Action, e.Data))
-				}
-			}
-			es, err := r.sw.Entries(r.plan.MblTables["t1"].Table)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range es {
-				onSwitch = append(onSwitch, fmt.Sprintf("%v %d %s %v", e.Keys, e.Priority, e.Action, e.Data))
-			}
-			slices.Sort(image)
-			slices.Sort(onSwitch)
-			if !slices.Equal(image, onSwitch) {
-				t.Fatalf("switch t1 diverged from the committed image:\nimage:  %q\nswitch: %q", image, onSwitch)
 			}
 		})
 	}

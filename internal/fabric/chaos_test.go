@@ -41,9 +41,12 @@ func TestChaosPartitionedLeafMidEscalation(t *testing.T) {
 
 	s := sim.New(1)
 	cfg := DosFabricConfig{Fabric: Config{Leaves: 3, Spines: 2, Seed: 4}}
-	var d *DosFabric
+	d, err := NewDosFabric(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var partitionedAt, healedAt sim.Time
-	cfg.Fabric.Coordinator.OnEscalation = func(esc *Escalation) {
+	d.F.Coord.onEscalation = func(esc *Escalation) {
 		if esc.Src != AttackerAddr || partitionedAt != 0 {
 			return
 		}
@@ -58,11 +61,6 @@ func TestChaosPartitionedLeafMidEscalation(t *testing.T) {
 		})
 	}
 
-	var err error
-	d, err = NewDosFabric(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Generous tail: leaf1's install must ride out the partition, the
 	// channel's degraded-mode quarantine, and the audit backoff loop.
 	if err := d.Run(2*time.Millisecond, 6*time.Millisecond); err != nil {

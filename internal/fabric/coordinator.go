@@ -14,14 +14,6 @@ import (
 	"repro/internal/usecases"
 )
 
-// CoordinatorOptions carries the coordinator's test hook.
-type CoordinatorOptions struct {
-	// OnEscalation, if set, runs synchronously when an escalation is
-	// created, before any install is issued — the chaos tests' hook for
-	// injecting faults "mid-escalation".
-	OnEscalation func(esc *Escalation)
-}
-
 // retryBackoff spaces install/audit retries while a node's control
 // channel is degraded.
 const retryBackoff = 50 * time.Microsecond
@@ -185,8 +177,11 @@ type Reroute struct {
 // ops whose write is definitely absent — a blind retry could
 // double-install.
 type Coordinator struct {
-	sim  *sim.Simulator
-	opts CoordinatorOptions
+	sim *sim.Simulator
+	// onEscalation, if set, runs synchronously when an escalation is
+	// created, before any install is issued — the chaos tests' hook for
+	// injecting faults "mid-escalation".
+	onEscalation func(esc *Escalation)
 
 	f          *Fabric
 	installers map[string]*installer
@@ -209,9 +204,9 @@ type Coordinator struct {
 	err   error
 }
 
-func newCoordinator(s *sim.Simulator, opts CoordinatorOptions) *Coordinator {
+func newCoordinator(s *sim.Simulator) *Coordinator {
 	return &Coordinator{
-		sim: s, opts: opts,
+		sim:         s,
 		installers:  make(map[string]*installer),
 		escalations: make(map[uint64]*Escalation),
 		hh:          make(map[uint64]uint64),
@@ -438,8 +433,8 @@ func (co *Coordinator) escalate(ev core.Event) {
 		Installed: make(map[string]sim.Time),
 	}
 	co.escalations[ev.Key] = esc
-	if co.opts.OnEscalation != nil {
-		co.opts.OnEscalation(esc)
+	if co.onEscalation != nil {
+		co.onEscalation(esc)
 	}
 	for _, n := range co.f.Nodes() {
 		if n.Name == ev.Agent {

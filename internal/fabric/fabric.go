@@ -107,9 +107,6 @@ type Config struct {
 
 	// Seed derives every per-node and per-link RNG seed.
 	Seed int64
-
-	// Coordinator carries the coordinator's test hook.
-	Coordinator CoordinatorOptions
 }
 
 // Fixed parameters of every fabric.
@@ -232,7 +229,7 @@ func Build(s *sim.Simulator, cfg Config) (*Fabric, error) {
 	}
 
 	f := &Fabric{Sim: s, Cfg: cfg, crashed: make(map[string]bool)}
-	f.Coord = newCoordinator(s, cfg.Coordinator)
+	f.Coord = newCoordinator(s)
 	for l := 0; l < cfg.Leaves; l++ {
 		n, err := f.buildNode(fmt.Sprintf("leaf%d", l), l, false, leafPlan)
 		if err != nil {

@@ -158,23 +158,18 @@ func (c *checker) reservedName(kind, name string, line, col int) {
 }
 
 // checkWidth reports a width the packet schema or a register cannot
-// hold (L003).
+// hold (L003), printed back as the literal's uint64.
 func (c *checker) checkWidth(w, line, col int, format string, args ...any) {
 	if w < 1 || w > 64 {
-		c.errorf(diag.LowerCapacity, line, col, format+" has unsupported width %d", append(args, w)...)
+		c.errorf(diag.LowerCapacity, line, col, format+" has unsupported width %d", append(args, uint64(w))...)
 	}
 }
 
-// maxCount bounds a register's instance_count and a table's declared
-// size; the largest in the repository are 600 and 1024. A count past it
-// would only overflow the compiler's arithmetic.
-const maxCount = 1 << 20
-
-// checkCount reports a count outside 1..maxCount (L003). The parser
+// checkCount reports a count outside 1..p4r.MaxCount (L003). The parser
 // stores the literal's uint64 as an int, so uint64(n) prints it back.
 func (c *checker) checkCount(n, line, col int, format string, args ...any) {
-	if n < 1 || n > maxCount {
-		c.errorf(diag.LowerCapacity, line, col, format+" %d outside 1..%d", append(args, uint64(n), maxCount)...)
+	if n < 1 || n > p4r.MaxCount {
+		c.errorf(diag.LowerCapacity, line, col, format+" %d outside 1..%d", append(args, uint64(n), p4r.MaxCount)...)
 	}
 }
 

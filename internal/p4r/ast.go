@@ -186,6 +186,12 @@ const (
 	ParamReg
 )
 
+// MaxCount bounds a register's instance_count and a table's declared
+// size, and so a register slice's bounds; the largest in the repository
+// are 600 and 1024. A count past it would only overflow the compiler's
+// arithmetic.
+const MaxCount = 1 << 20
+
 // ReactionParam is one polled parameter of a reaction.
 type ReactionParam struct {
 	Kind ReactionParamKind
@@ -194,7 +200,8 @@ type ReactionParam struct {
 	Target string
 	IsMbl  bool
 	// Lo, Hi bound a register slice parameter reg name[lo:hi]
-	// (inclusive, as in the paper's `reg qdepths[1:10]`).
+	// (inclusive, as in the paper's `reg qdepths[1:10]`); Hi is -1 for
+	// the whole register.
 	Lo, Hi int
 	Line   int
 	Col    int

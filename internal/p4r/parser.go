@@ -784,10 +784,17 @@ func (p *Parser) parseReactionParam() (ReactionParam, error) {
 			if err := p.expectPunct("]"); err != nil {
 				return ReactionParam{}, err
 			}
-			rp.Lo, rp.Hi = int(lo), int(hi)
-			if rp.Hi < rp.Lo {
-				return ReactionParam{}, diag.Errorf(diag.BadReactionParam, rp.Line, rp.Col, "register slice [%d:%d] inverted", rp.Lo, rp.Hi)
+			// Compared as written: as an int, a bound of 2^64-1 would read
+			// as -1, the whole-register sentinel below.
+			for _, b := range [2]uint64{lo, hi} {
+				if b > MaxCount {
+					return ReactionParam{}, diag.Errorf(diag.BadReactionParam, rp.Line, rp.Col, "register slice bound %d exceeds %d, the largest instance_count", b, MaxCount)
+				}
 			}
+			if hi < lo {
+				return ReactionParam{}, diag.Errorf(diag.BadReactionParam, rp.Line, rp.Col, "register slice [%d:%d] inverted", lo, hi)
+			}
+			rp.Lo, rp.Hi = int(lo), int(hi)
 		} else {
 			rp.Lo, rp.Hi = 0, -1 // full array, resolved at compile time
 		}

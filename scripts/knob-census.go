@@ -168,6 +168,7 @@ func (c *census) check(path string, files []*ast.File, info *types.Info) *types.
 func (c *census) scan(dir string) {
 	pkg, inTest, extTest := c.parse(dir)
 	path := importPath(dir)
+	var under *types.Package
 	for i, set := range [][]*ast.File{append(pkg, inTest...), extTest} {
 		if len(set) == 0 {
 			continue
@@ -177,13 +178,47 @@ func (c *census) scan(dir string) {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		if i == 1 {
+			if len(inTest) > 0 {
+				defer c.testVariant(path, under)()
+			}
 			path += "_test"
 		}
-		c.check(path, set, info)
+		if p := c.check(path, set, info); i == 0 {
+			under = p
+		}
 		for _, f := range set {
 			c.record(path, f, info)
 		}
 	}
+}
+
+// testVariant makes path resolve to under, the package checked with its
+// in-package tests, as go test builds an external test package: every
+// cached module package that imports path is dropped, so Import checks
+// it again against under. The returned func restores the cache.
+func (c *census) testVariant(path string, under *types.Package) func() {
+	saved := c.pkgs
+	c.pkgs = map[string]*types.Package{path: under}
+	for p, pkg := range saved {
+		if p != path && !dependsOn(pkg, path, map[*types.Package]bool{}) {
+			c.pkgs[p] = pkg
+		}
+	}
+	return func() { c.pkgs = saved }
+}
+
+// dependsOn reports whether p imports path, directly or not.
+func dependsOn(p *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[p] {
+		return false
+	}
+	seen[p] = true
+	for _, q := range p.Imports() {
+		if q.Path() == path || dependsOn(q, path, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // declare registers the exported fields of p's option structs.
