@@ -1,18 +1,20 @@
 // Package check is the executable form of the paper's §5 isolation
-// guarantee on the workload the repository audits it with: two
-// malleable tables that one reaction moves to a new generation
-// together.
+// guarantee, checked at its two attachment points: the packets a switch
+// forwards, and the op stream between a controller and the switch.
 //
 // Every lockstep program here writes t1's generation into hdr.o1 and
 // t2's into hdr.o2, so a packet that saw one table before a commit and
 // the other after it leaves the switch with o1 != o2. Audit counts those
-// packets on a switch's egress. It only observes: it never sleeps,
-// schedules or writes the switch, so attaching it moves no virtual-time
-// result.
+// packets on a switch's egress. Tap is a driver.Channel interposer that
+// numbers the ops passing it and lets a test fail, park, record or
+// re-answer them; Rules, attached to a tap, checks every op against the
+// snapshot rules (tap.go, rules.go). Both only observe: they never
+// sleep, schedule or write the switch, so attaching them moves no
+// virtual-time result.
 //
-// The package imports rmt, packet and sim only, never core, so core's
-// in-package tests can use it. The prologue and reaction that drive a
-// lockstep program are the caller's: they are core code.
+// The package imports driver, compiler, rmt, packet and sim, never core,
+// so core's in-package tests can use it. The prologue and reaction that
+// drive a lockstep program are the caller's: they are core code.
 package check
 
 import (

@@ -1,4 +1,4 @@
-package compiler
+package compiler_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/compiler"
 	"repro/internal/p4r"
 	"repro/internal/p4r/analysis"
 	"repro/internal/p4r/diag"
@@ -73,12 +74,12 @@ func FuzzCompileSource(f *testing.F) {
 				}
 			}
 		}
-		opts := DefaultOptions()
+		opts := compiler.DefaultOptions()
 		opts.Target = "generic-16stage"
-		if plan, err := CompileSource(src, opts); plan == nil && err == nil {
+		if plan, err := compiler.CompileSource(src, opts); plan == nil && err == nil {
 			t.Fatal("no plan and no error")
 		}
-		plan, err := CompileSource(src, DefaultOptions())
+		plan, err := compiler.CompileSource(src, compiler.DefaultOptions())
 		if plan == nil {
 			if err == nil {
 				t.Fatal("no plan and no error")

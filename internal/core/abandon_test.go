@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -15,34 +16,14 @@ import (
 	"repro/internal/usecases"
 )
 
-// failChan sits between an agent and the raw driver. Once armed it
-// hands every op to fail, which decides whether the op fails
-// transiently instead of reaching the switch. It also counts channel
-// faults the way a message channel does, for channel_clean().
-type failChan struct {
-	driver.Adapter
-	below  driver.Channel
-	armed  bool
-	fail   func(op *driver.Op) bool
-	faults uint64
-}
-
-func (f *failChan) do(p *sim.Proc, op *driver.Op) error {
-	if f.armed && f.fail(op) {
-		return fmt.Errorf("injected %s: %w", op.Kind, driver.ErrTransient)
-	}
-	return driver.Apply(f.below, p, op)
-}
-
-func (f *failChan) Faults() uint64 { return f.faults }
-
-// abandonRig is an agent with two attempts per op, behind a failChan
-// that arms at the end of the prologue, with every event collected.
+// abandonRig is an agent with two attempts per op, with every event
+// collected, on a tap over the raw driver that, from the end of the
+// prologue on, fails transiently every op fail picks.
 type abandonRig struct {
 	sim    *sim.Simulator
 	sw     *rmt.Switch
 	plan   *compiler.Plan
-	ch     *failChan
+	tap    *check.Tap
 	agent  *core.Agent
 	events []core.Event
 }
@@ -57,16 +38,22 @@ func buildAbandonRig(t *testing.T, src string, fail func(op *driver.Op) bool) *a
 	if r.sw, err = rmt.New(r.sim, plan.Prog, rmt.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	r.ch = &failChan{below: driver.New(r.sim, r.sw, driver.DefaultCostModel()), fail: fail}
-	r.ch.Adapter = driver.NewAdapter(r.ch.do, r.ch.below)
+	r.tap = check.NewTap(driver.New(r.sim, r.sw, driver.DefaultCostModel()))
+	armed := false
+	r.tap.Before = func(_ *sim.Proc, _ int, op *driver.Op) error {
+		if armed && fail(op) {
+			return fmt.Errorf("injected %s: %w", op.Kind, driver.ErrTransient)
+		}
+		return nil
+	}
 	rec := core.RecoveryForChannel(0)
 	rec.MaxAttempts = 2
 	rec.RetryBackoff = time.Microsecond
-	r.agent = core.NewAgent(r.sim, r.ch, plan, core.Options{
+	r.agent = core.NewAgent(r.sim, r.tap, plan, core.Options{
 		Recovery:  rec,
 		EventSink: func(ev core.Event) { r.events = append(r.events, ev) },
 		Prologue: func(*sim.Proc, *core.Agent) error {
-			r.ch.armed = true
+			armed = true
 			return nil
 		},
 	})
@@ -300,14 +287,14 @@ func TestAbandonedPrepareDropsLaterEvents(t *testing.T) {
 func TestChannelCleanIsPerReaction(t *testing.T) {
 	src := fmt.Sprintf(hitTableSrc, `reaction r1() { emit("r1", channel_clean(), 0); }
 reaction r2() { emit("r2", channel_clean(), 0); }`)
+	var r *abandonRig
 	ops := 0
-	r := buildAbandonRig(t, src, nil)
-	r.ch.fail = func(*driver.Op) bool {
+	r = buildAbandonRig(t, src, func(*driver.Op) bool {
 		if ops++; ops == 5 {
-			r.ch.faults++
+			r.tap.ExtraFaults++
 		}
 		return false
-	}
+	})
 	r.run(t, 100*time.Microsecond)
 	for _, kind := range []string{"r1", "r2"} {
 		got := r.keys(kind)

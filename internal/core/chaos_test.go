@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -107,13 +108,13 @@ func TestChaosSerializability(t *testing.T) {
 	}
 }
 
-// churnSrc is check.TwoTableSrc with a bump body that churns t1 as it
-// goes: each run adds a t1 entry, deletes the one the previous run
-// added, and moves handle 1 of both tables (lockstep.prologue's) to the
-// next generation, so adds and deletes reach the mirror and undo phases,
-// whose replay, unlike a modify's, is not harmless. An abandoned run's
-// statics roll back with it, so prev is always a committed run's entry.
-var churnSrc = strings.Replace(check.TwoTableSrc, "reaction bump() { }", `reaction bump() {
+// churnBody adds an entry to t1 each run, deletes the one the previous
+// run added, and moves handle 1 of both tables (lockstep.prologue's) to
+// the next generation, so adds and deletes reach the mirror and undo
+// phases, whose replay, unlike a modify's, is not harmless. An abandoned
+// run's statics roll back with it, so prev is always a committed run's
+// entry.
+const churnBody = `{
   static int gen = 0;
   static int key = 0;
   static int prev = 0;
@@ -124,7 +125,15 @@ var churnSrc = strings.Replace(check.TwoTableSrc, "reaction bump() { }", `reacti
   prev = h;
   t1.modEntry(1, "set1", gen);
   t2.modEntry(1, "set2", gen);
-}`, 1)
+}`
+
+// churnSrc is check.TwoTableSrc with churnBody as bump, and
+// churnPolledSrc check.FaultSweepSrc with it as react, behind the
+// polled register qd.
+var (
+	churnSrc       = strings.Replace(check.TwoTableSrc, "reaction bump() { }", "reaction bump() "+churnBody, 1)
+	churnPolledSrc = strings.Replace(check.FaultSweepSrc, "reaction react(reg qd) { }", "reaction react(reg qd) "+churnBody, 1)
+)
 
 // TestSpecChurn runs the churn body on the raw driver, fault-free and
 // under every fault profile but the crashes (a takeover restarts the
@@ -138,6 +147,7 @@ func TestSpecChurn(t *testing.T) {
 		t.Run(prof.Name, func(t *testing.T) {
 			r, inj := buildChaosRig(t, churnSrc, prof, 1234, Options{Prologue: (&lockstep{}).prologue})
 			spec := AttachSpec(t, r.agent, r.sw)
+			AttachRules(t, r.agent)
 			inj.SetEnabled(false)
 			r.sim.Schedule(50*sim.Microsecond, func() { inj.SetEnabled(true) })
 			audit := check.Attach(r.sw)
@@ -159,45 +169,100 @@ func TestSpecChurn(t *testing.T) {
 	}
 }
 
+// TestSpecChurnRollback runs the churn body on the raw driver and fails
+// the t2 prepare of every fifth iteration on every attempt, so that
+// iteration is abandoned after the body ran and its rollback undoes an
+// add, a delete and two modifies. The spec compares each rollback with
+// the last commit, and the next run with the fold.
+func TestSpecChurnRollback(t *testing.T) {
+	r := buildRig(t, churnSrc, Options{Prologue: (&lockstep{}).prologue})
+	spec := AttachSpec(t, r.agent, r.sw)
+	tap, _ := AttachRules(t, r.agent)
+	failed, left := uint64(0), 0
+	tap.Before = func(_ *sim.Proc, _ int, op *driver.Op) error {
+		if it := r.agent.stats.Iterations; it%5 == 4 && it != failed {
+			// The iteration's first t2 modify is its prepare.
+			if op.Kind == driver.OpModifyEntry && op.Table == "t2" {
+				if left++; left == r.agent.opts.Recovery.MaxAttempts {
+					failed, left = it, 0
+				}
+				return fmt.Errorf("injected t2 prepare failure: %w", driver.ErrTransient)
+			}
+		}
+		return nil
+	}
+	r.runTraffic(4 * time.Millisecond)
+	if err := r.agent.Err(); err != nil {
+		t.Fatalf("agent died: %v", err)
+	}
+	if st := r.agent.Stats(); st.Rollbacks < 5 || spec.Checked < 20 {
+		t.Fatalf("%d rollbacks and %d iterations checked, want at least 5 and 20: %+v", st.Rollbacks, spec.Checked, st)
+	}
+}
+
 // TestSpecChurnOverChannel runs the churn body over the message channel
-// under every link profile: an add or delete whose acknowledgment the
-// wire lost must be settled by the resync audit, not replayed, and no
-// mutation may execute twice. The link heals for the last millisecond.
+// under every link profile, with the snapshot rules on both sides of
+// the channel: an add or delete whose acknowledgment the wire lost must
+// be settled by the resync audit, not replayed, and no mutation may
+// execute twice. The link heals for the last millisecond. Under chaos
+// the body also runs behind a polled register, so the measurement rule
+// sees polls on both sides.
 func TestSpecChurnOverChannel(t *testing.T) {
 	for _, prof := range faults.LinkProfiles() {
 		t.Run(prof.Name, func(t *testing.T) {
-			// Long enough that partition and chaos each lose the ack of a
-			// landed add or delete.
-			const d = 10 * time.Millisecond
-			r := buildRig(t, churnSrc, Options{})
-			link := netsim.NewLink(r.sim, 500*time.Nanosecond, faults.LinkNone(), 11)
-			srv := ctlchan.NewServer(r.sim)
-			srv.Attach(link, netsim.LinkSideB, 1, 1, r.drv)
-			cli := ctlchan.NewClient(r.sim, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: r.drv})
-			r.agent = NewAgent(r.sim, cli, r.plan, Options{
-				Journal:  &JournalConfig{Store: journal.NewMemStore()},
-				Prologue: (&lockstep{}).prologue,
-			})
-			spec := AttachSpec(t, r.agent, r.sw)
-			audit := check.Attach(r.sw)
-			r.sim.Schedule(50*time.Microsecond, func() { link.SetProfile(prof) })
-			r.sim.Schedule(d-time.Millisecond, func() { link.SetProfile(faults.LinkNone()) })
-			r.runTraffic(d)
-
-			if err := r.agent.Err(); err != nil {
-				t.Fatalf("agent died under %s channel faults: %v", prof.Name, err)
-			}
-			if err := audit.Err(); err != nil {
-				t.Fatalf("under %s channel faults: %v", prof.Name, err)
-			}
-			if spec.Checked < 5 {
-				t.Fatalf("no progress under %s channel faults: %+v", prof.Name, r.agent.Stats())
-			}
-			if cs, ss := cli.ChanStats(), srv.Stats(); ss.MutationsExecuted > cs.Ops {
-				t.Fatalf("more mutations executed (%d) than operations issued (%d)", ss.MutationsExecuted, cs.Ops)
+			runSpecChurnOverChannel(t, churnSrc, prof)
+		})
+		if prof.Name != "chaos" {
+			continue
+		}
+		t.Run("polled-chaos", func(t *testing.T) {
+			cli, srv := runSpecChurnOverChannel(t, churnPolledSrc, prof)
+			if cli.Reads == 0 || srv.Reads == 0 {
+				t.Fatalf("the measurement rule checked %d reads on the client side and %d on the server side", cli.Reads, srv.Reads)
 			}
 		})
 	}
+}
+
+// runSpecChurnOverChannel runs src's churn body over the message channel
+// under prof, with the spec attached, and returns the snapshot rules of
+// the client side and of the server side.
+func runSpecChurnOverChannel(t *testing.T, src string, prof faults.LinkProfile) (cliRules, srvRules *check.Rules) {
+	// Long enough that partition and chaos each lose the ack of a
+	// landed add or delete.
+	const d = 10 * time.Millisecond
+	r := buildRig(t, src, Options{})
+	link := netsim.NewLink(r.sim, 500*time.Nanosecond, faults.LinkNone(), 11)
+	srv := ctlchan.NewServer(r.sim)
+	srvTap := check.NewTap(r.drv)
+	srv.Attach(link, netsim.LinkSideB, 1, 1, srvTap)
+	cli := ctlchan.NewClient(r.sim, link, netsim.LinkSideA, ctlchan.ClientOptions{Session: 1, Epoch: 1, Meta: r.drv})
+	r.agent = NewAgent(r.sim, cli, r.plan, Options{
+		Journal:  &JournalConfig{Store: journal.NewMemStore()},
+		Prologue: (&lockstep{}).prologue,
+	})
+	spec := AttachSpec(t, r.agent, r.sw)
+	_, cliRules = AttachRules(t, r.agent)
+	srvRules = srvTap.Check(r.plan)
+	ArmRules(t, r.agent, srvRules, "server side")
+	audit := check.Attach(r.sw)
+	r.sim.Schedule(50*time.Microsecond, func() { link.SetProfile(prof) })
+	r.sim.Schedule(d-time.Millisecond, func() { link.SetProfile(faults.LinkNone()) })
+	r.runTraffic(d)
+
+	if err := r.agent.Err(); err != nil {
+		t.Fatalf("agent died under %s channel faults: %v", prof.Name, err)
+	}
+	if err := audit.Err(); err != nil {
+		t.Fatalf("under %s channel faults: %v", prof.Name, err)
+	}
+	if spec.Checked < 5 {
+		t.Fatalf("no progress under %s channel faults: %+v", prof.Name, r.agent.Stats())
+	}
+	if cs, ss := cli.ChanStats(), srv.Stats(); ss.MutationsExecuted > cs.Ops {
+		t.Fatalf("more mutations executed (%d) than operations issued (%d)", ss.MutationsExecuted, cs.Ops)
+	}
+	return cliRules, srvRules
 }
 
 // TestChaosZeroOptionsRecovers runs the transient profile against an
@@ -223,7 +288,8 @@ func TestChaosZeroOptionsRecovers(t *testing.T) {
 
 // TestChaosRecoveryDerivedFromChannel checks the budgets NewAgent
 // derives for a zero Options.Recovery: RecoveryForChannel of the
-// channel's round trip on a message channel, of 0 on a raw driver.
+// channel's round trip on a message channel, also through a check.Tap
+// above it, and of 0 on a raw driver.
 func TestChaosRecoveryDerivedFromChannel(t *testing.T) {
 	r := buildRig(t, fig1Src, Options{})
 	if got, want := r.agent.opts.Recovery, RecoveryForChannel(0); got != want {
@@ -235,6 +301,9 @@ func TestChaosRecoveryDerivedFromChannel(t *testing.T) {
 	want := RecoveryForChannel(cli.RTT())
 	if got := a.opts.Recovery; got != want {
 		t.Fatalf("ctlchan client: derived %+v, want %+v", got, want)
+	}
+	if got := NewAgent(r.sim, check.NewTap(cli), r.plan, Options{}).opts.Recovery; got != want {
+		t.Fatalf("check.Tap over the client: derived %+v, want the client's %+v", got, want)
 	}
 	if want == RecoveryForChannel(0) {
 		t.Fatal("a message channel's budgets equal the raw driver's; the check is vacuous")

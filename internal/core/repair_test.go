@@ -175,43 +175,11 @@ func TestRepairStopRace(t *testing.T) {
 	}
 }
 
-// landedChan reports chosen writes as driver.ErrChannelDegraded after
-// applying them: the lost-acknowledgment half of an unreliable control
-// channel, where the caller cannot tell the write landed. Once armed,
-// each predicate of faults fires once, in order, on the first write it
-// matches; flipped tells a predicate whether the iteration's vv flip
-// has been issued, that is whether a table write is a mirror.
-type landedChan struct {
-	driver.Adapter
-	below   driver.Channel
-	agent   *Agent
-	armed   bool
-	flipped bool
-	faults  []func(op *driver.Op, flipped bool) bool
-	fired   int
-}
-
-func (c *landedChan) do(p *sim.Proc, op *driver.Op) error {
-	if op.Kind == driver.OpSetDefault {
-		// The mv flip and a resync's master fix keep vv; only the commit
-		// moves it, and the agent learns so once this call returns.
-		vv, _ := masterVersions(c.agent.plan.InitTables[0], op.Call, c.agent.vv, 0)
-		c.flipped = c.flipped || vv != c.agent.vv
-	}
-	err := driver.Apply(c.below, p, op)
-	if !c.armed || err != nil {
-		return err
-	}
-	if c.fired < len(c.faults) && c.faults[c.fired](op, c.flipped) {
-		c.fired++
-		return fmt.Errorf("ack lost for landed %s %s: %w", op.Kind, op.Table, driver.ErrChannelDegraded)
-	}
-	return nil
-}
-
 // TestRepairAmbiguousShadowWrite lands a shadow-side write whose
 // acknowledgment is lost — a mirror add, a mirror delete, and the undo
-// of an add after a prepare of the same iteration failed the same way.
+// of an add after a prepare of the same iteration failed the same way:
+// the tap's After hook reports the applied write as
+// driver.ErrChannelDegraded.
 // Replaying such a write adds a duplicate or deletes a handle that is
 // gone; the agent must instead leave the shadow to the resync audit,
 // stay alive, keep every packet on one version, and leave the switch
@@ -234,16 +202,34 @@ func TestRepairAmbiguousShadowWrite(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := buildRig(t, churnSrc, Options{})
-			lc := &landedChan{below: base.drv, faults: tc.faults}
-			lc.Adapter = driver.NewAdapter(lc.do, base.drv)
-			base.agent = NewAgent(base.sim, lc, base.plan, Options{
+			// Once armed, each predicate of tc.faults fires once, in order,
+			// on the first write it matches that lands; flipped tells it
+			// whether the iteration's vv flip has been issued, that is
+			// whether a table write is a mirror.
+			var armed, flipped bool
+			fired := 0
+			base.agent = NewAgent(base.sim, base.drv, base.plan, Options{
 				Prologue: (&lockstep{}).prologue,
 				AfterIteration: func(_ *sim.Proc, a *Agent) {
-					lc.flipped = false
-					lc.armed = a.stats.Commits >= 3
+					flipped = false
+					armed = a.stats.Commits >= 3
 				},
 			})
-			lc.agent = base.agent
+			tap, _ := AttachRules(t, base.agent)
+			tap.After = func(_ *sim.Proc, _ int, op *driver.Op, err error) error {
+				if op.Kind == driver.OpSetDefault {
+					// The mv flip and a resync's master fix keep vv; only the
+					// commit moves it, and the agent learns so once this call
+					// returns.
+					vv, _ := masterVersions(base.plan.InitTables[0], op.Call, base.agent.vv, 0)
+					flipped = flipped || vv != base.agent.vv
+				}
+				if !armed || err != nil || fired == len(tc.faults) || !tc.faults[fired](op, flipped) {
+					return err
+				}
+				fired++
+				return fmt.Errorf("ack lost for landed %s %s: %w", op.Kind, op.Table, driver.ErrChannelDegraded)
+			}
 			AttachSpec(t, base.agent, base.sw)
 			audit := check.Attach(base.sw)
 			base.runTraffic(2 * time.Millisecond)
@@ -251,8 +237,8 @@ func TestRepairAmbiguousShadowWrite(t *testing.T) {
 			if err := base.agent.Err(); err != nil {
 				t.Fatalf("agent died: %v", err)
 			}
-			if lc.fired != len(tc.faults) {
-				t.Fatalf("%d of %d lost acks fired; the test is vacuous", lc.fired, len(tc.faults))
+			if fired != len(tc.faults) {
+				t.Fatalf("%d of %d lost acks fired; the test is vacuous", fired, len(tc.faults))
 			}
 			st := base.agent.Stats()
 			if st.Resyncs == 0 {

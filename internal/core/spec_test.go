@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/packet"
 	"repro/internal/rcl"
@@ -102,6 +103,40 @@ func AttachSpec(t testing.TB, a *Agent, sw *rmt.Switch) *Spec {
 		}
 	})
 	return s
+}
+
+// AttachRules puts a check.Tap carrying §5's snapshot rules directly
+// above a's channel and arms them with ArmRules. Call it before Start.
+func AttachRules(t testing.TB, a *Agent) (*check.Tap, *check.Rules) {
+	t.Helper()
+	tap := check.NewTap(a.drv)
+	a.drv = tap // a.retry's drvDo applies its ops to a.drv
+	rules := tap.Check(a.plan)
+	ArmRules(t, a, rules, "agent side")
+	return tap, rules
+}
+
+// ArmRules arms rules, whatever tap they ride on, at the end of a's
+// prologue, and fails t at cleanup, naming side, on a violation or if
+// they checked no op.
+func ArmRules(t testing.TB, a *Agent, rules *check.Rules, side string) {
+	prologue := a.opts.Prologue
+	a.opts.Prologue = func(p *sim.Proc, a *Agent) error {
+		if prologue != nil {
+			if err := prologue(p, a); err != nil {
+				return err
+			}
+		}
+		rules.Arm()
+		return nil
+	}
+	t.Cleanup(func() {
+		if err := rules.Err(); err != nil {
+			t.Errorf("%s: %v", side, err)
+		} else if rules.Reads+rules.Writes == 0 {
+			t.Errorf("%s: the snapshot rules checked no op", side)
+		}
+	})
 }
 
 // start takes the starting image: the agent's tables and malleables as

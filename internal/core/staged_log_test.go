@@ -24,46 +24,6 @@ import (
 var updateStagedGolden = flag.Bool("update-staged-golden", false,
 	"rewrite testdata/staged_log.golden from this build's behaviour")
 
-// faultChan sits between an agent and the raw driver. Once armed it
-// numbers every op that reaches it (a retry is a new op), records it,
-// and faults by number: ops [at, at+burst) fail transiently, or — with
-// crash set — the calling process halts for good at op at.
-type faultChan struct {
-	driver.Adapter
-	below driver.Channel
-
-	armed   bool
-	at      int
-	burst   int
-	crash   bool
-	crashed bool
-	trace   []string
-}
-
-func newFaultChan(below driver.Channel) *faultChan {
-	f := &faultChan{below: below, at: -1}
-	f.Adapter = driver.NewAdapter(f.do, below)
-	return f
-}
-
-func (f *faultChan) do(p *sim.Proc, op *driver.Op) error {
-	if !f.armed {
-		return driver.Apply(f.below, p, op)
-	}
-	i := len(f.trace)
-	f.trace = append(f.trace, fmt.Sprintf("%s %s %d", op.Kind, op.Table, op.Handle))
-	if f.crash && (f.crashed || i == f.at) {
-		f.crashed = true
-		for {
-			p.Park()
-		}
-	}
-	if !f.crash && f.at >= 0 && i >= f.at && i < f.at+f.burst {
-		return fmt.Errorf("injected at op %d: %w", i, driver.ErrTransient)
-	}
-	return driver.Apply(f.below, p, op)
-}
-
 // intentLog is a MemStore that also writes every intent it is handed
 // into a transcript, times left out.
 type intentLog struct {
@@ -145,8 +105,34 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 		t.Fatal(err)
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	fc := newFaultChan(drv)
-	fc.at, fc.burst, fc.crash = at, burst, burst == 0 && at >= 0
+	// Once armed, the tap numbers every op that reaches it (a retry is a
+	// new op), records it, and faults by number: ops [at, at+burst) fail
+	// transiently, or, with crash set, the calling process halts for good
+	// at op at.
+	tap := check.NewTap(drv)
+	rules := tap.Check(plan)
+	var (
+		armed, crashed bool
+		trace          []string
+	)
+	crash := burst == 0 && at >= 0
+	tap.Before = func(p *sim.Proc, _ int, op *driver.Op) error {
+		if !armed {
+			return nil
+		}
+		i := len(trace)
+		trace = append(trace, fmt.Sprintf("%s %s %d", op.Kind, op.Table, op.Handle))
+		if crash && (crashed || i == at) {
+			crashed = true
+			for {
+				p.Park()
+			}
+		}
+		if !crash && at >= 0 && i >= at && i < at+burst {
+			return fmt.Errorf("injected at op %d: %w", i, driver.ErrTransient)
+		}
+		return nil
+	}
 	var out strings.Builder
 	store := &intentLog{MemStore: journal.NewMemStore(), out: &out}
 	rec := RecoveryForChannel(0)
@@ -168,7 +154,11 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 		for i := range choices {
 			choices[i] = choice{rng.Intn(2), rng.Intn(4), rng.Intn(1 << 20), rng.Intn(1000)}
 		}
-		gone := map[UserHandle]bool{}
+		type entry struct {
+			ti int
+			h  UserHandle
+		}
+		gone := map[entry]bool{}
 		for i, c := range choices {
 			tbl, err := ctx.Table(tableNames[c.ti])
 			if err != nil {
@@ -176,7 +166,7 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 			}
 			var live []UserHandle
 			for _, h := range agent.tables[tableNames[c.ti]].handles() {
-				if !gone[h] {
+				if !gone[entry{c.ti, h}] {
 					live = append(live, h)
 				}
 			}
@@ -187,7 +177,7 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 				_, err = tbl.AddEntry(UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(key)}, Action: actions[c.ti], Data: []uint64{val}})
 			case c.kind == 3 && len(live) > 1:
 				h := live[c.pick%len(live)]
-				gone[h] = true
+				gone[entry{c.ti, h}] = true
 				err = tbl.DeleteEntry(h)
 			default:
 				err = tbl.ModifyEntry(live[c.pick%len(live)], actions[c.ti], []uint64{val})
@@ -198,7 +188,7 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 		}
 		return nil
 	}
-	agent = NewAgent(s, fc, plan, Options{
+	agent = NewAgent(s, tap, plan, Options{
 		Recovery:      rec,
 		Journal:       &JournalConfig{Store: store},
 		MaxIterations: stagedIterations,
@@ -211,7 +201,8 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 					}
 				}
 			}
-			fc.armed = true
+			armed = true
+			rules.Arm()
 			return nil
 		},
 	})
@@ -223,11 +214,13 @@ func runStagedScenario(t *testing.T, plan *compiler.Plan, seed int64, at, burst 
 	if err := agent.Err(); err != nil {
 		t.Fatalf("seed %d at %d burst %d: agent died: %v", seed, at, burst, err)
 	}
-	fc.armed = false
-	trace := fc.trace
+	armed = false
+	if err := rules.Err(); err != nil {
+		t.Fatalf("seed %d at %d burst %d: %v", seed, at, burst, err)
+	}
 
 	final := agent
-	if fc.crashed {
+	if crashed {
 		it, err := store.LoadIntent()
 		if err != nil {
 			t.Fatal(err)
@@ -277,8 +270,11 @@ const stagedFaultWindow = 36
 // recaptured with that log when the body began to draw its choices up
 // front, and again, before the takeover's roll-forward moved onto the
 // agent's image, when the state began to print user handles and each
-// table's next handle; and once more when a rolled-back add began to give
-// its user handle back, which renumbers later adds after an abandon.)
+// table's next handle; once more when a rolled-back add began to give
+// its user handle back, which renumbers later adds after an abandon; and
+// when the body's deleted-handle set was keyed by table and handle, so a
+// delete in one table no longer hides the other table's entry with the
+// same handle. The snapshot rules hold at every op of every scenario.)
 func TestStagedLogMatchesParent(t *testing.T) {
 	plan, err := compiler.CompileSource(check.TwoTableSrc, compiler.DefaultOptions())
 	if err != nil {

@@ -11,9 +11,10 @@ import (
 
 // TestSpecUseCases runs each use case's P4R body, fault-free, on its
 // usecases.Build* rig under the traffic its Run* drives, with the
-// sequential spec attached: every commit leaves the tables, malleables
-// and delivered events where the body's sequential runs put them, and
-// nothing is delivered twice.
+// sequential spec and the snapshot rules attached: every commit leaves
+// the tables, malleables and delivered events where the body's
+// sequential runs put them, nothing is delivered twice, and every poll
+// and every versioned write addresses the copy packets do not use.
 func TestSpecUseCases(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -25,6 +26,7 @@ func TestSpecUseCases(t *testing.T) {
 				return nil, err
 			}
 			spec := core.AttachSpec(t, rig.Agent, rig.Sw)
+			core.AttachRules(t, rig.Agent)
 			res, err := rig.RunFig15(usecases.DefaultFig15Config())
 			if err == nil && res.BlockedAt == 0 {
 				err = errors.New("the attacker was never blocked")
@@ -37,6 +39,7 @@ func TestSpecUseCases(t *testing.T) {
 				return nil, err
 			}
 			spec := core.AttachSpec(t, rig.Agent, rig.Sw)
+			core.AttachRules(t, rig.Agent)
 			res, err := rig.RunFig16(3, 500*time.Microsecond)
 			if err == nil && !res.Detected {
 				err = errors.New("the gray failure was never detected")
@@ -49,6 +52,7 @@ func TestSpecUseCases(t *testing.T) {
 				return nil, err
 			}
 			spec := core.AttachSpec(t, rig.Agent, rig.Sw)
+			core.AttachRules(t, rig.Agent)
 			res, err := rig.RunPolar(3 * time.Millisecond)
 			if err == nil && !res.Shifted {
 				err = errors.New("the hash was never shifted")
@@ -61,6 +65,7 @@ func TestSpecUseCases(t *testing.T) {
 				return nil, err
 			}
 			spec := core.AttachSpec(t, rig.Agent, rig.Sw)
+			core.AttachRules(t, rig.Agent)
 			_, err = rig.RunRL(20 * time.Millisecond)
 			return spec, err
 		}},

@@ -407,28 +407,6 @@ reaction my_reaction(reg qdepths) {
 control ingress { apply(t); }
 `
 
-// readFaultChan wraps the server's inner channel and fails measurement
-// reads with a transient error while tripped, leaving mutations alone.
-// This is the degraded-polls regime: the wire still carries flips and
-// commits, but no fresh measurement snapshot can be fetched. (A full
-// partition cannot produce it — there the measurement-version flip fails
-// before any poll is attempted and the iteration abandons early.)
-type readFaultChan struct {
-	driver.Adapter
-	fail bool
-}
-
-func newReadFaultChan(inner driver.Channel) *readFaultChan {
-	c := &readFaultChan{}
-	c.Adapter = driver.NewAdapter(func(p *sim.Proc, op *driver.Op) error {
-		if c.fail && op.Kind == driver.OpRead {
-			return fmt.Errorf("measurement unit offline: %w", driver.ErrTransient)
-		}
-		return driver.Apply(inner, p, op)
-	}, inner)
-	return c
-}
-
 // TestStalenessBudgetAborts: while polls fail, degraded reactions run on
 // the cached snapshot only as long as it is younger than the staleness
 // budget — past it the iteration aborts instead of reacting to ancient
@@ -444,7 +422,18 @@ func TestStalenessBudgetAborts(t *testing.T) {
 		t.Fatalf("switch: %v", err)
 	}
 	drv := driver.New(s, sw, driver.DefaultCostModel())
-	inner := newReadFaultChan(drv)
+	// While readsFail, the server's channel fails measurement reads
+	// transiently and leaves mutations alone: the degraded-polls regime,
+	// where the wire still carries flips and commits but no fresh
+	// snapshot can be fetched. (A full partition cannot produce it: there
+	// the mv flip fails before any poll and the iteration abandons early.)
+	inner, readsFail := check.NewTap(drv), false
+	inner.Before = func(_ *sim.Proc, _ int, op *driver.Op) error {
+		if readsFail && op.Kind == driver.OpRead {
+			return fmt.Errorf("measurement unit offline: %w", driver.ErrTransient)
+		}
+		return nil
+	}
 	link := netsim.NewLink(s, 500*time.Nanosecond, faults.LinkNone(), 31)
 	srv := NewServer(s)
 	srv.Attach(link, netsim.LinkSideB, 1, 1, inner)
@@ -459,10 +448,10 @@ func TestStalenessBudgetAborts(t *testing.T) {
 
 	// Reads fail from 200µs to 800µs: 600µs without a fresh snapshot
 	// against a 150µs budget.
-	s.Schedule(200*time.Microsecond, func() { inner.fail = true })
+	s.Schedule(200*time.Microsecond, func() { readsFail = true })
 	var commitsAtHeal uint64
 	s.Schedule(800*time.Microsecond, func() {
-		inner.fail = false
+		readsFail = false
 		commitsAtHeal = agent.Stats().Commits
 	})
 

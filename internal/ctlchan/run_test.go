@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/driver"
 	"repro/internal/faults"
 	"repro/internal/netsim"
@@ -13,46 +14,19 @@ import (
 	"repro/internal/sim"
 )
 
-// cutChan executes ops on a fakeChan, except that the op at index cut,
-// counted over everything it executes, first calls onCut and then, when
-// err is set, fails with it instead of executing.
-type cutChan struct {
-	driver.Adapter
-	fake  *fakeChan
-	seen  int
-	cut   int
-	err   error
-	onCut func()
-}
-
-func (c *cutChan) Do(p *sim.Proc, op *driver.Op) error {
-	i := c.seen
-	c.seen++
-	if i == c.cut {
-		if c.onCut != nil {
-			c.onCut()
-		}
-		if c.err != nil {
-			return c.err
-		}
-	}
-	return driver.Apply(c.fake, p, op)
-}
-
-// buildCutRig is buildChanRig with a cutChan between the server and the
-// fake switch.
-func buildCutRig(t *testing.T, prof faults.LinkProfile, opts ClientOptions) (*chanRig, *cutChan) {
+// buildCutRig is buildChanRig with a check.Tap between the server and
+// the fake switch.
+func buildCutRig(t *testing.T, prof faults.LinkProfile, opts ClientOptions) (*chanRig, *check.Tap) {
 	t.Helper()
 	s := sim.New(1)
 	link := netsim.NewLink(s, 500*time.Nanosecond, prof, 7)
 	fake := newFakeChan()
-	cc := &cutChan{fake: fake, cut: -1}
-	cc.Adapter = driver.NewAdapter(cc.Do, fake)
+	tap := check.NewTap(fake)
 	srv := NewServer(s)
-	srv.Attach(link, netsim.LinkSideB, 1, 1, cc)
+	srv.Attach(link, netsim.LinkSideB, 1, 1, tap)
 	opts.Session, opts.Epoch = 1, 1
 	cli := NewClient(s, link, netsim.LinkSideA, opts)
-	return &chanRig{sim: s, link: link, fake: fake, srv: srv, cli: cli}, cc
+	return &chanRig{sim: s, link: link, fake: fake, srv: srv, cli: cli}, tap
 }
 
 // addRun is a run of n entry installs, keyed 0..n-1.
@@ -77,21 +51,32 @@ func TestRunCutSweep(t *testing.T) {
 	for _, mode := range []string{"transient", "permanent", "lost-response"} {
 		for k := 0; k <= n; k++ {
 			t.Run(fmt.Sprintf("%s/k=%d", mode, k), func(t *testing.T) {
-				r, cc := buildCutRig(t, faults.LinkNone(), ClientOptions{OpDeadline: 100 * time.Microsecond})
-				cc.cut = k
+				r, tap := buildCutRig(t, faults.LinkNone(), ClientOptions{OpDeadline: 100 * time.Microsecond})
+				// The op numbered cut first calls onCut and then, when
+				// cutErr is set, fails with it instead of executing.
+				cut, lost := k, false
+				var cutErr error
 				switch mode {
 				case "transient":
-					cc.err = transient
+					cutErr = transient
 				case "permanent":
-					cc.err = permanent
+					cutErr = permanent
 				case "lost-response":
 					// Cut at k and lose the answer; with no op to cut, run
 					// to the end and lose the answer to that.
-					cc.err = transient
+					cutErr, lost = transient, true
 					if k == n {
-						cc.cut, cc.err = n-1, nil
+						cut, cutErr = n-1, nil
 					}
-					cc.onCut = func() { r.link.SetPartitioned(true) }
+				}
+				tap.Before = func(_ *sim.Proc, i int, _ *driver.Op) error {
+					if i != cut {
+						return nil
+					}
+					if lost {
+						r.link.SetPartitioned(true)
+					}
+					return cutErr
 				}
 				ops := addRun(n)
 				var applied int

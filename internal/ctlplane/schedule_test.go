@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/driver"
 	"repro/internal/rmt"
 	"repro/internal/sim"
@@ -17,28 +18,6 @@ var updateScheduleGolden = flag.Bool("update-schedule-golden", false,
 	"rewrite testdata/schedule.golden from this build's behaviour")
 
 const scheduleGoldenFile = "testdata/schedule.golden"
-
-// serviceLog sits below the service and records when each operation
-// held the channel. The service is exclusive and every operation costs
-// channel time, so completion instants are unique and identify the op.
-type serviceLog struct {
-	driver.Adapter
-	below driver.Channel
-	spans [][2]sim.Time
-}
-
-func newServiceLog(below driver.Channel) *serviceLog {
-	l := &serviceLog{below: below}
-	l.Adapter = driver.NewAdapter(l.do, below)
-	return l
-}
-
-func (l *serviceLog) do(p *sim.Proc, op *driver.Op) error {
-	start := p.Now()
-	err := driver.Apply(l.below, p, op)
-	l.spans = append(l.spans, [2]sim.Time{start, p.Now()})
-	return err
-}
 
 // scheduleTranscript runs 1 primary, 8 legacy writers and 2 observers
 // against one service — all starting at the same instant, each thinking
@@ -53,7 +32,22 @@ func scheduleTranscript(t *testing.T, policy Policy) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := newServiceLog(driver.New(s, sw, driver.DefaultCostModel()))
+	// The tap below the service records when each operation held the
+	// channel. The service is exclusive and every operation costs channel
+	// time, so completion instants are unique and identify the op.
+	log := check.NewTap(driver.New(s, sw, driver.DefaultCostModel()))
+	var (
+		spans [][2]sim.Time
+		start sim.Time
+	)
+	log.Before = func(p *sim.Proc, _ int, _ *driver.Op) error {
+		start = p.Now()
+		return nil
+	}
+	log.After = func(p *sim.Proc, _ int, _ *driver.Op, err error) error {
+		spans = append(spans, [2]sim.Time{start, p.Now()})
+		return err
+	}
 	svc := New(s, log, Options{Policy: policy})
 
 	const opsEach = 24
@@ -120,7 +114,7 @@ func scheduleTranscript(t *testing.T, policy Policy) string {
 	s.Run()
 
 	var out strings.Builder
-	for _, sp := range log.spans {
+	for _, sp := range spans {
 		fmt.Fprintf(&out, "%s %s %d %d\n", policy, owner[sp[1]], int64(sp[0]), int64(sp[1]))
 	}
 	return out.String()

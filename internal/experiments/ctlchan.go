@@ -114,7 +114,7 @@ func buildCtlchanRig(prof faults.LinkProfile, seed int64) (*ctlchanRig, error) {
 	}
 	s := l.sim
 	link := netsim.NewLink(s, ctlchanLinkDelay, faults.LinkNone(), seed)
-	sess, err := ctlplane.New(s, l.drv, ctlplane.Options{}).Open(ctlplane.SessionOptions{Name: "agent", Role: ctlplane.RolePrimary, ElectionID: 1})
+	sess, err := ctlplane.New(s, l.ch, ctlplane.Options{}).Open(ctlplane.SessionOptions{Name: "agent", Role: ctlplane.RolePrimary, ElectionID: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func (r *ctlchanRig) check(label string) error {
 	if err := r.agent.Err(); err != nil {
 		return fmt.Errorf("%s: agent died: %w", label, err)
 	}
-	if err := r.audit.Err(); err != nil {
+	if err := r.err(); err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
 	st := r.agent.Stats()

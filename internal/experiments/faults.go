@@ -114,7 +114,7 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 		return nil, err
 	}
 	s := l.sim
-	inj := faults.Wrap(s, l.drv, prof, seed)
+	inj := faults.Wrap(s, l.ch, prof, seed)
 	agent, err := l.agent(inj, core.Options{})
 	if err != nil {
 		return nil, err
@@ -133,7 +133,7 @@ func runFaultProfile(prof faults.Profile, seed int64) (*FaultRow, error) {
 	if err := agent.Err(); err != nil {
 		return nil, err
 	}
-	if err := l.audit.Err(); err != nil {
+	if err := l.err(); err != nil {
 		return nil, err
 	}
 

@@ -14,21 +14,24 @@ import (
 // agent that rewrites one entry in each of the two tables to the same
 // generation every iteration, and traffic in which every forwarded
 // packet is audited for having seen the two tables at one generation.
-// The callers differ in what they stack between the driver and the
-// agent.
+// Directly above the driver, a check.Tap holds every op to §5's
+// snapshot rules. The callers differ in what they stack between that
+// tap and the agent.
 type lockstep struct {
 	sim   *sim.Simulator
 	plan  *compiler.Plan
 	sw    *rmt.Switch
 	drv   *driver.Driver
+	ch    *check.Tap // drv, with the rules
 	audit *check.Audit
+	rules *check.Rules
 
 	h1, h2 core.UserHandle
 	gen    uint64
 }
 
 // newLockstep compiles the program onto a fresh simulator and switch and
-// attaches the per-packet audit.
+// attaches the per-packet audit and the op-stream rules.
 func newLockstep(seed int64) (*lockstep, error) {
 	plan, err := compiler.CompileSource(check.FaultSweepSrc, compiler.DefaultOptions())
 	if err != nil {
@@ -39,10 +42,23 @@ func newLockstep(seed int64) (*lockstep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &lockstep{sim: s, plan: plan, sw: sw, drv: driver.New(s, sw, driver.DefaultCostModel()), audit: check.Attach(sw)}, nil
+	l := &lockstep{sim: s, plan: plan, sw: sw, drv: driver.New(s, sw, driver.DefaultCostModel()), audit: check.Attach(sw)}
+	l.ch = check.NewTap(l.drv)
+	l.rules = l.ch.Check(plan)
+	return l, nil
 }
 
-// prologue installs the two entries the reaction rewrites.
+// err reports a packet that saw two versions or an op that broke a
+// snapshot rule, or nil.
+func (l *lockstep) err() error {
+	if err := l.audit.Err(); err != nil {
+		return err
+	}
+	return l.rules.Err()
+}
+
+// prologue installs the two entries the reaction rewrites and arms the
+// snapshot rules.
 func (l *lockstep) prologue(p *sim.Proc, a *core.Agent) error {
 	t1, _ := a.Table("t1")
 	t2, _ := a.Table("t2")
@@ -50,8 +66,11 @@ func (l *lockstep) prologue(p *sim.Proc, a *core.Agent) error {
 	if l.h1, err = t1.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set1", Data: []uint64{0}}); err != nil {
 		return err
 	}
-	l.h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}})
-	return err
+	if l.h2, err = t2.AddEntry(p, core.UserEntry{Keys: []rmt.KeySpec{rmt.ExactKey(7)}, Action: "set2", Data: []uint64{0}}); err != nil {
+		return err
+	}
+	l.rules.Arm()
+	return nil
 }
 
 // react is the native body of "react": both entries move to the next

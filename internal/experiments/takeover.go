@@ -86,7 +86,7 @@ func buildTakeoverRig(prof faults.Profile, seed int64) (*takeoverRig, error) {
 		return nil, err
 	}
 	s := l.sim
-	svc := ctlplane.New(s, l.drv, ctlplane.Options{})
+	svc := ctlplane.New(s, l.ch, ctlplane.Options{})
 	sess, err := svc.Open(ctlplane.SessionOptions{Name: "primary", Role: ctlplane.RolePrimary, ElectionID: 1})
 	if err != nil {
 		return nil, err
@@ -154,7 +154,7 @@ func (r *takeoverRig) point(k int) (*TakeoverPoint, error) {
 	if err := succ.Err(); err != nil {
 		return nil, fmt.Errorf("successor died: %w", err)
 	}
-	if err := r.audit.Err(); err != nil {
+	if err := r.err(); err != nil {
 		return nil, err
 	}
 	crashAt := r.inj.CrashedAt()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/ctlplane"
 	"repro/internal/driver"
 	"repro/internal/netsim"
@@ -107,34 +108,6 @@ func TestChaosSpineCrashMidGrayReroute(t *testing.T) {
 	}
 }
 
-// coordTap sits between a node's control server and its coordinator
-// session. It counts the route modifications that reach the switch per
-// entry, and cuts the coordinator's op number cut: it calls onCut, which
-// partitions the link so that the answer is lost, and fails the op, so
-// that the run stops there.
-type coordTap struct {
-	driver.Adapter
-	inner    driver.Channel
-	modified map[rmt.EntryHandle]int
-	seen     int
-	cut      int
-	onCut    func()
-}
-
-func (c *coordTap) Do(p *sim.Proc, op *driver.Op) error {
-	i := c.seen
-	c.seen++
-	if i == c.cut {
-		c.onCut()
-		return fmt.Errorf("tap: cut: %w", driver.ErrTransient)
-	}
-	err := driver.Apply(c.inner, p, op)
-	if err == nil && op.Kind == driver.OpModifyEntry && op.Table == RouteTable {
-		c.modified[op.Handle]++
-	}
-	return err
-}
-
 // TestChaosGrayRerouteOverPartitionedChannel grays one trunk of the
 // evidence leaf, whose installer then holds several route moves, and
 // loses the run that carries them: either the coordinator's control link
@@ -169,8 +142,25 @@ func TestChaosGrayRerouteOverPartitionedChannel(t *testing.T) {
 				healAt = s.Now() + sim.Time(outage)
 				s.Schedule(outage, func() { leaf.CoordLink.SetPartitioned(false) })
 			}
-			tap := &coordTap{inner: sess, modified: map[rmt.EntryHandle]int{}, cut: tc.cut, onCut: partition}
-			tap.Adapter = driver.NewAdapter(tap.Do, sess)
+			// A tap between leaf0's control server and its coordinator
+			// session counts the route modifications that reach the switch
+			// per entry, and cuts the coordinator's op number tc.cut: it
+			// partitions the link, so that the answer is lost, and fails
+			// the op, so that the run stops there.
+			tap, modified := check.NewTap(sess), map[rmt.EntryHandle]int{}
+			tap.Before = func(_ *sim.Proc, n int, _ *driver.Op) error {
+				if n != tc.cut {
+					return nil
+				}
+				partition()
+				return fmt.Errorf("tap: cut: %w", driver.ErrTransient)
+			}
+			tap.After = func(_ *sim.Proc, _ int, op *driver.Op, err error) error {
+				if err == nil && op.Kind == driver.OpModifyEntry && op.Table == RouteTable {
+					modified[op.Handle]++
+				}
+				return err
+			}
 			leaf.Srv.Attach(leaf.CoordLink, netsim.LinkSideB, 2, 1, tap)
 			f.Start()
 			s.RunFor(time.Millisecond)
@@ -204,12 +194,12 @@ func TestChaosGrayRerouteOverPartitionedChannel(t *testing.T) {
 				if got := routeEntryCount(t, leaf, dst); got != 1 {
 					t.Fatalf("%d route entries for %#x, want 1 (at-most-once violated)", got, dst)
 				}
-				if got := tap.modified[rt.Handle]; got != 1 {
+				if got := modified[rt.Handle]; got != 1 {
 					t.Fatalf("the move of %#x reached the switch %d times, want exactly once", dst, got)
 				}
 			}
-			if len(tap.modified) != len(moved) {
-				t.Fatalf("%d routes modified on leaf0, want the %d moves", len(tap.modified), len(moved))
+			if len(modified) != len(moved) {
+				t.Fatalf("%d routes modified on leaf0, want the %d moves", len(modified), len(moved))
 			}
 			applied := max(tc.cut, 0)
 			st := f.Coord.Stats()
