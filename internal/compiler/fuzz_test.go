@@ -2,12 +2,9 @@ package compiler_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"regexp"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/compiler"
 	"repro/internal/p4r"
 	"repro/internal/p4r/analysis"
@@ -32,26 +29,8 @@ import (
 // reaction's body text on its own. Positions aside: embedded, they are
 // the file's.
 func FuzzCompileSource(f *testing.F) {
-	f.Add(check.TwoTableSrc)
-	f.Add(check.FaultSweepSrc)
-	var paths []string
-	for _, glob := range []string{
-		"../../examples/p4r/*.p4r",
-		"../../bench/programs/*.p4r",
-		"../p4r/analysis/testdata/*.p4r",
-	} {
-		matches, err := filepath.Glob(glob)
-		if err != nil || len(matches) == 0 {
-			f.Fatalf("%s: %v", glob, err)
-		}
-		paths = append(paths, matches...)
-	}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
+	for _, prog := range compileSeeds(f) {
+		f.Add(prog.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if stmts, err := rcl.ParseBody(src); err == nil {

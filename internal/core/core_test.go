@@ -702,9 +702,21 @@ func TestRandRepeatsUnderOneSeed(t *testing.T) {
 
 // TestRandRejectsBadArguments: a non-positive bound, a string or a wrong
 // arity stops the agent with an error instead of panicking in the RNG.
+// The analyzer already rejects a call that cannot match rand's
+// signature; a swapped body skips the analyzer, so the host refuses it
+// as well.
 func TestRandRejectsBadArguments(t *testing.T) {
+	for _, call := range []string{`rand("x")`, "rand()", "rand(1, 2)"} {
+		_, err := compiler.CompileSource(fmt.Sprintf(randSrc, "int x = "+call+";"), compiler.DefaultOptions())
+		if err == nil || !strings.Contains(err.Error(), "rand(n) needs one positive integer") {
+			t.Fatalf("compile %s: err = %v", call, err)
+		}
+	}
 	for _, call := range []string{"rand(0)", "rand(-1)", `rand("x")`, "rand()", "rand(1, 2)"} {
-		r := buildRig(t, fmt.Sprintf(randSrc, "int x = "+call+";"), Options{})
+		r := buildRig(t, fmt.Sprintf(randSrc, "int x = 1;"), Options{})
+		if err := r.agent.SwapReaction("r", "int x = "+call+";", false); err != nil {
+			t.Fatal(err)
+		}
 		r.agent.Start()
 		r.sim.RunFor(time.Millisecond)
 		if err := r.agent.Err(); err == nil || !strings.Contains(err.Error(), "rand(n) needs one positive integer") {

@@ -52,19 +52,23 @@ func (c *Ctx) SetMbl(name string, v uint64) error {
 }
 
 // Table returns a reaction-scoped handle of a malleable table whose
-// operations participate in the three-phase protocol.
+// operations participate in the three-phase protocol. A table without
+// the vv column has no shadow copy to stage into, so a reaction may not
+// write it.
 func (c *Ctx) Table(name string) (*RxnTable, error) {
 	th, err := c.agent.Table(name)
 	if err != nil {
 		return nil, err
+	}
+	if !th.tm.versioned() {
+		return nil, fmt.Errorf("core: table %q is not malleable (no vv column)", name)
 	}
 	th.tm.rxn = RxnTable{tm: th.tm, p: c.proc}
 	return &th.tm.rxn, nil
 }
 
 // RxnTable is a malleable table as a reaction sees it: its calls only
-// stage (an unversioned table's apply directly), and the agent prepares
-// them once the reaction returns.
+// stage, and the agent prepares them once the reaction returns.
 type RxnTable struct {
 	tm *tableManager
 	p  *sim.Proc
@@ -76,11 +80,11 @@ func (t *RxnTable) AddEntry(e UserEntry) (UserHandle, error) { return t.tm.addEn
 
 // ModifyEntry stages a user entry modification.
 func (t *RxnTable) ModifyEntry(h UserHandle, action string, data []uint64) error {
-	return t.tm.modifyEntry(t.p, h, action, data)
+	return t.tm.modifyEntry(h, action, data)
 }
 
 // DeleteEntry stages a user entry removal.
-func (t *RxnTable) DeleteEntry(h UserHandle) error { return t.tm.deleteEntry(t.p, h) }
+func (t *RxnTable) DeleteEntry(h UserHandle) error { return t.tm.deleteEntry(h) }
 
 // stageMblWrite validates and stages a malleable write.
 func (a *Agent) stageMblWrite(name string, v uint64) error {
@@ -395,7 +399,7 @@ func (h *rclHost) WriteMbl(name string, v int64) error {
 
 func (h *rclHost) TableOp(table, method string, args []rcl.Arg) (int64, error) {
 	tm, ok := h.agent.tables[table]
-	if !ok {
+	if !ok || !tm.versioned() {
 		return 0, fmt.Errorf("unknown malleable table %q", table)
 	}
 	info := tm.info
@@ -430,12 +434,12 @@ func (h *rclHost) TableOp(table, method string, args []rcl.Arg) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return 0, tm.modifyEntry(h.proc, UserHandle(args[0].I), args[1].S, data)
+		return 0, tm.modifyEntry(UserHandle(args[0].I), args[1].S, data)
 	case "delEntry":
 		if len(args) != 1 || args[0].IsStr {
 			return 0, fmt.Errorf("%s.delEntry(handle)", table)
 		}
-		return 0, tm.deleteEntry(h.proc, UserHandle(args[0].I))
+		return 0, tm.deleteEntry(UserHandle(args[0].I))
 	default:
 		return 0, fmt.Errorf("unknown table method %s.%s", table, method)
 	}
@@ -467,23 +471,27 @@ func (h *rclHost) Call(name string, args []rcl.Arg) (int64, error) {
 }
 
 func (h *rclHost) call(name string, args []rcl.Arg) (int64, error) {
+	b, ok := rcl.Builtins[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown builtin %q", name)
+	}
+	if !b.Takes(args) {
+		return 0, errors.New(b.Usage)
+	}
 	switch name {
 	case "now":
 		return int64(h.proc.Now()), nil
 	case "port_count":
 		return int64(h.agent.drv.Switch().Config().NumPorts), nil
 	case "emit": // emit("kind", key, val) is Ctx.Emit for interpreted bodies.
-		if len(args) != 3 || !args[0].IsStr || args[1].IsStr || args[2].IsStr {
-			return 0, fmt.Errorf(`emit("kind", key, val)`)
-		}
 		h.agent.emit(args[0].S, uint64(args[1].I), uint64(args[2].I))
 		return 0, nil
 	case "rand":
 		// rand(n) draws uniformly from [0, n) with the simulator's seeded
 		// RNG, so a body that explores repeats under one seed. An abandoned
 		// iteration does not give its draws back.
-		if len(args) != 1 || args[0].IsStr || args[0].I <= 0 {
-			return 0, fmt.Errorf("rand(n) needs one positive integer")
+		if args[0].I <= 0 {
+			return 0, errors.New(b.Usage)
 		}
 		return h.agent.sim.Rand().Int63n(args[0].I), nil
 	case "channel_clean":

@@ -265,8 +265,8 @@ func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, act
 // addEntry mints a user handle for a new entry and stages its add: the
 // concrete entries are installed for the shadow version (vv^1) by the
 // op's prepare and for the primary by its mirror (see prepareStaged and
-// settle for when those run). For unversioned tables the entries install
-// directly.
+// settle for when those run). An unversioned table, which only a
+// prologue writes (TableHandle.AddEntry), installs directly.
 func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error) {
 	if _, ok := tm.agent.plan.Prog.Actions[spec.Action]; !ok {
 		if _, specialized := tm.info.ActionSpec[spec.Action]; !specialized {
@@ -296,39 +296,24 @@ func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error
 }
 
 // modifyEntry stages a rebind of a user entry's action/data for the
-// three-phase update.
-func (tm *tableManager) modifyEntry(p *sim.Proc, h UserHandle, action string, data []uint64) error {
+// three-phase update. Only a versioned table gets here: Ctx.Table and
+// the host's table calls refuse the others.
+func (tm *tableManager) modifyEntry(h UserHandle, action string, data []uint64) error {
 	ue, ok := tm.entries[h]
 	if !ok {
 		return fmt.Errorf("table %s: no user entry %d: %w", tm.info.Table, h, rmt.ErrUnknownEntry)
-	}
-	if !tm.versioned() {
-		// Packet-visible as it lands: on failure re-apply the old spec so
-		// the copy is not left half-updated.
-		if err := tm.applyAll(p, ue, 0, action, data); err != nil {
-			_ = tm.applyAll(p, ue, 0, ue.spec.Action, ue.spec.Data)
-			return err
-		}
-		ue.setSpec(action, data)
-		return nil
 	}
 	tm.agent.stage(journal.OpModify, tm, h, ue).setNew(action, data)
 	return nil
 }
 
 // deleteEntry stages a user entry's removal: the shadow copy is deleted
-// in the prepare phase, the old primary after commit (§5.1.2).
-func (tm *tableManager) deleteEntry(p *sim.Proc, h UserHandle) error {
+// in the prepare phase, the old primary after commit (§5.1.2). Like
+// modifyEntry, only for a versioned table.
+func (tm *tableManager) deleteEntry(h UserHandle) error {
 	ue, ok := tm.entries[h]
 	if !ok {
 		return fmt.Errorf("table %s: no user entry %d: %w", tm.info.Table, h, rmt.ErrUnknownEntry)
-	}
-	if !tm.versioned() {
-		if err := tm.uninstall(p, ue, 0); err != nil {
-			return err
-		}
-		tm.drop(h)
-		return nil
 	}
 	tm.agent.stage(journal.OpDelete, tm, h, ue)
 	return nil

@@ -16,6 +16,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/p4"
@@ -749,6 +750,8 @@ func (c *checker) checkReactions() {
 						c.errorf(diag.UndeclaredMbl, p.Line, p.Col,
 							"reaction %s: reference to undeclared malleable ${%s}", r.Name, p.Target)
 					}
+					// The body reads it as a polled parameter of its width.
+					rx.fieldParam[sanitize(p.Target)] = c.mblWidth(p.Target)
 					continue
 				}
 				w, ok := c.fields[p.Target]
@@ -896,17 +899,100 @@ func (rx *reactionScope) walkExpr(e rcl.Expr) {
 			rx.walkExpr(ix.Idx)
 		}
 	case rcl.CallExpr:
+		rx.checkCall(x)
 		for _, a := range x.Args {
 			rx.walkExpr(a)
 		}
 	case rcl.TableCallExpr:
-		if _, ok := rx.c.tables[x.Table]; !ok {
-			rx.c.errorf(diag.UnknownSymbol, bodyLine(rx.r, x.Line), 0,
-				"reaction %s: table call on unknown table %q", rx.r.Name, x.Table)
-		}
+		rx.checkTableCall(x)
 		for _, a := range x.Args {
 			rx.walkExpr(a)
 		}
+	}
+}
+
+// checkCall reports a call of a builtin the host does not have, or one
+// whose arguments cannot match its signature (rcl.Builtins). The
+// interpreter's own builtins are checked when the body is lowered.
+func (rx *reactionScope) checkCall(x rcl.CallExpr) {
+	switch x.Name {
+	case "min", "max", "abs", "len":
+		return
+	}
+	line := bodyLine(rx.r, x.Line)
+	b, ok := rcl.Builtins[x.Name]
+	if !ok {
+		rx.c.errorf(diag.UnknownSymbol, line, 0, "reaction %s: unknown builtin %q", rx.r.Name, x.Name)
+		return
+	}
+	args := make([]rcl.Arg, len(x.Args))
+	for i, a := range x.Args {
+		_, args[i].IsStr = a.(rcl.StrLit)
+	}
+	if !b.Takes(args) {
+		rx.c.errorf(diag.LowerInvalid, line, 0, "reaction %s: %s", rx.r.Name, b.Usage)
+	}
+}
+
+// checkTableCall reports a table call the agent would refuse: on an
+// unknown or non-malleable table (a reaction may write only a table with
+// the vv column, §5.1.2), of an unknown method, or whose arguments do
+// not fit the table: addEntry(key..., "action", data...),
+// modEntry(handle, "action", data...) and delEntry(handle). Only a
+// literal is a string, so where the action name stands is static.
+func (rx *reactionScope) checkTableCall(x rcl.TableCallExpr) {
+	line := bodyLine(rx.r, x.Line)
+	t, ok := rx.c.tables[x.Table]
+	if !ok {
+		rx.c.errorf(diag.UnknownSymbol, line, 0, "reaction %s: table call on unknown table %q", rx.r.Name, x.Table)
+		return
+	}
+	name := -1 // the action name's argument index
+	switch x.Method {
+	case "addEntry":
+		name = len(t.Reads)
+	case "modEntry":
+		name = 1
+	case "delEntry":
+		if len(x.Args) != 1 {
+			rx.c.errorf(diag.LowerInvalid, line, 0, "reaction %s: %s.delEntry takes one handle, got %d arguments", rx.r.Name, x.Table, len(x.Args))
+		}
+	default:
+		rx.c.errorf(diag.UnknownSymbol, line, 0, "reaction %s: unknown table method %s.%s", rx.r.Name, x.Table, x.Method).Hint =
+			"a table has addEntry, modEntry and delEntry"
+		return
+	}
+	if !t.Malleable {
+		rx.c.errorf(diag.WriteNonMbl, line, 0, "reaction %s: writes to table %s, which is not malleable", rx.r.Name, x.Table).Hint =
+			"declare it `malleable table` so the reaction's writes are versioned"
+	}
+	for i, a := range x.Args {
+		if _, isStr := a.(rcl.StrLit); isStr != (i == name) {
+			what := "a number"
+			if i == name {
+				what = "the action name"
+			}
+			rx.c.errorf(diag.LowerInvalid, line, 0, "reaction %s: %s.%s: argument %d must be %s", rx.r.Name, x.Table, x.Method, i+1, what)
+			return
+		}
+	}
+	if name < 0 {
+		return
+	}
+	if len(x.Args) <= name {
+		rx.c.errorf(diag.LowerInvalid, line, 0, "reaction %s: %s.%s: argument %d must be the action name", rx.r.Name, x.Table, x.Method, name+1)
+		return
+	}
+	action := x.Args[name].(rcl.StrLit).S
+	a := rx.c.actions[action]
+	if a == nil || !slices.Contains(t.Actions, action) {
+		rx.c.errorf(diag.LowerInvalid, line, 0, "reaction %s: %s.%s: action %q is not one of table %s's actions",
+			rx.r.Name, x.Table, x.Method, action, x.Table)
+		return
+	}
+	if n := len(x.Args) - name - 1; n != len(a.Params) {
+		rx.c.errorf(diag.LowerInvalid, line, 0, "reaction %s: %s.%s: action %s takes %d arguments, got %d",
+			rx.r.Name, x.Table, x.Method, action, len(a.Params), n)
 	}
 }
 
@@ -932,8 +1018,16 @@ func (rx *reactionScope) checkRead(name string, line int) {
 				fmt.Sprintf("add `reg %s` to the reaction parameters", name)
 		}
 	}
-	// Other unknown names may be host builtins or native bindings; the
-	// interpreter reports those at run time.
+	if _, isReg := rx.c.registers[name]; !isReg {
+		rx.undefined(name, line)
+	}
+}
+
+// undefined reports a name the body neither declares nor has bound: a
+// body sees only its locals, its statics and its parameters.
+func (rx *reactionScope) undefined(name string, line int) {
+	rx.c.errorf(diag.UnknownSymbol, bodyLine(rx.r, line), 0, "reaction %s: undefined name %s", rx.r.Name, name).Hint =
+		"a body sees its locals and statics, and its parameters: a field f.g as f_g, a register or ${m} by its name"
 }
 
 // checkWrite flags writes through anything but a local variable or a
@@ -963,13 +1057,17 @@ func (rx *reactionScope) checkWrite(target rcl.Expr, line int, val rcl.Expr) {
 			rx.c.errorf(diag.WriteNonMbl, bodyLine(rx.r, line), 0,
 				"reaction %s: writes to register %s", rx.r.Name, t.Name).Hint =
 				"register snapshots are read-only; the data plane owns register state"
+			return
 		}
+		rx.undefined(t.Name, line)
 	case rcl.IndexExpr:
 		if base, ok := t.Base.(rcl.VarRef); ok && !rx.locals[base.Name] {
 			if rx.regParam[base.Name] || rx.c.registers[base.Name] != nil {
 				rx.c.errorf(diag.WriteNonMbl, bodyLine(rx.r, line), 0,
 					"reaction %s: writes to polled register %s", rx.r.Name, base.Name).Hint =
 					"register snapshots are read-only; the data plane owns register state"
+			} else if _, ok := rx.fieldParam[base.Name]; !ok {
+				rx.undefined(base.Name, line)
 			}
 		}
 	}

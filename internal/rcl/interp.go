@@ -29,6 +29,38 @@ type Host interface {
 	Call(name string, args []Arg) (int64, error)
 }
 
+// Builtin is the signature of a host function a reaction body can call.
+type Builtin struct {
+	// Args has one letter per argument: s a string, n a number.
+	Args string
+	// Usage is what a call that does not match Args reports.
+	Usage string
+}
+
+// Builtins are the host functions a body can call beyond the
+// interpreter's own (min, max, abs, len). The analyzer checks a body's
+// calls against them and the agent's host refuses any other call.
+var Builtins = map[string]Builtin{
+	"now":           {"", "now() takes no arguments"},
+	"port_count":    {"", "port_count() takes no arguments"},
+	"channel_clean": {"", "channel_clean() takes no arguments"},
+	"rand":          {"n", "rand(n) needs one positive integer"},
+	"emit":          {"snn", `emit("kind", key, val)`},
+}
+
+// Takes reports whether args match b's signature.
+func (b Builtin) Takes(args []Arg) bool {
+	if len(args) != len(b.Args) {
+		return false
+	}
+	for i, a := range args {
+		if a.IsStr != (b.Args[i] == 's') {
+			return false
+		}
+	}
+	return true
+}
+
 // Program is a compiled reaction body: the AST lowered into closure
 // trees with compile-time slot resolution (compile.go). Static
 // variables persist on the Program across Exec calls, mirroring C
