@@ -138,7 +138,7 @@ func printPlan(w io.Writer, plan *compiler.Plan) {
 	fmt.Fprintf(w, "version bits: vv=%v mv=%v\n", plan.UsesVV, plan.UsesMV)
 	for i, it := range plan.InitTables {
 		role := "shadowed"
-		if it.Master {
+		if i == 0 {
 			role = "master"
 		}
 		fmt.Fprintf(w, "init table %d: %s (%s, %d params)\n", i, it.Table, role, len(it.Params))
@@ -168,7 +168,7 @@ func printPlan(w io.Writer, plan *compiler.Plan) {
 	sort.Strings(names)
 	for _, name := range names {
 		ti := plan.MblTables[name]
-		fmt.Fprintf(w, "malleable table %s: %d generated key columns (vv col %d)\n", name, ti.GenKeyCount, ti.VVCol)
+		fmt.Fprintf(w, "malleable table %s: %d generated key columns (vv col %d)\n", name, len(ti.Combos[0].Keys), ti.VVCol)
 	}
 	for _, rxn := range plan.Reactions {
 		fmt.Fprintf(w, "reaction %s: %d ing slots, %d egr slots, %d register params, %d malleable params\n",

@@ -96,13 +96,13 @@ func main() {
 	report("v1 (compiled body)")
 
 	// Hot-swap to a new body — the agent keeps looping.
-	if err := agent.SwapReaction("policy", pinV2, false); err != nil {
+	if err := agent.SwapReaction("policy", pinV2); err != nil {
 		log.Fatal(err)
 	}
 	s.RunFor(100 * time.Microsecond)
 	report("v2 (reloaded body)")
 
-	if err := agent.SwapReaction("policy", pinV3, false); err != nil {
+	if err := agent.SwapReaction("policy", pinV3); err != nil {
 		log.Fatal(err)
 	}
 	s.RunFor(100 * time.Microsecond)

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/p4r"
 	"repro/internal/p4r/analysis"
 	"repro/internal/p4r/diag"
+	"repro/internal/rcl"
 	"repro/internal/rmt"
 )
 
@@ -51,9 +53,12 @@ type compiler struct {
 	prog *p4.Program
 	plan *Plan
 
-	// specs records specialization layouts for actions that use
-	// malleable fields.
-	specs map[string]*ActionSpecInfo
+	// fieldDecls and actions index the file's malleable fields and
+	// actions for p4r's expansion functions; variants lists each
+	// specialised action's generated variants in combos order.
+	fieldDecls map[string]*p4r.MblField
+	actions    map[string]*p4r.ActionDecl
+	variants   map[string][]string
 }
 
 // Compile lowers a parsed P4R file into a program + plan and places it
@@ -72,12 +77,22 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 		opts.ProgramName = "p4r"
 	}
 	c := &compiler{
-		f:     f,
-		opts:  opts,
-		prog:  p4.NewProgram(opts.ProgramName),
-		specs: make(map[string]*ActionSpecInfo),
+		f:          f,
+		opts:       opts,
+		prog:       p4.NewProgram(opts.ProgramName),
+		fieldDecls: make(map[string]*p4r.MblField),
+		actions:    make(map[string]*p4r.ActionDecl),
+		variants:   make(map[string][]string),
+	}
+	for _, mf := range f.MblFields {
+		c.fieldDecls[mf.Name] = mf
+	}
+	for _, a := range f.Actions {
+		c.actions[a.Name] = a
 	}
 	c.plan = &Plan{
+		file:      f,
+		opts:      opts,
 		Prog:      c.prog,
 		MblValues: make(map[string]*MblValueInfo),
 		MblFields: make(map[string]*MblFieldInfo),
@@ -86,14 +101,7 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 	// The semantic analyzer alone decides whether the program is valid,
 	// collect-all, so a broken program reports every problem and the
 	// lowering below is a plain translation that cannot fail.
-	diags := analysis.Analyze(f, analysis.Limits{
-		MaxInitActionBits: opts.MaxInitActionBits,
-		MeasSlotBits:      opts.MeasSlotBits,
-		MaxTableEntries:   opts.MaxTableEntries,
-	})
-	if opts.Werror {
-		diags.Promote()
-	}
+	diags := analyze(f, opts)
 	c.plan.Diags = diags
 	if diags.HasErrors() {
 		return nil, diags
@@ -127,6 +135,42 @@ func Compile(f *p4r.File, opts Options) (*Plan, error) {
 		return c.plan, c.plan.Diags
 	}
 	return c.plan, nil
+}
+
+// analyze runs the semantic analyzer on f under opts' limits.
+func analyze(f *p4r.File, opts Options) *diag.List {
+	diags := analysis.Analyze(f, analysis.Limits{
+		MaxInitActionBits: opts.MaxInitActionBits,
+		MeasSlotBits:      opts.MeasSlotBits,
+		MaxTableEntries:   opts.MaxTableEntries,
+	})
+	if opts.Werror {
+		diags.Promote()
+	}
+	return diags
+}
+
+// CheckBody checks body as reaction name's body in the compiled program,
+// the way Compile's analyzer checked the program's own, and returns its
+// statements, or the analyzer's diagnostics. The other reactions keep
+// the bodies they were compiled with.
+func (p *Plan) CheckBody(name, body string) ([]rcl.Stmt, error) {
+	i := slices.IndexFunc(p.file.Reactions, func(r *p4r.Reaction) bool { return r.Name == name })
+	if i < 0 {
+		return nil, diag.Errorf(diag.UnknownSymbol, 0, 0, "no reaction %q", name)
+	}
+	stmts, err := rcl.ParseBody(body)
+	if err != nil {
+		return nil, err
+	}
+	f, r := *p.file, *p.file.Reactions[i]
+	r.Body, r.Stmts = body, stmts
+	f.Reactions = slices.Clone(f.Reactions)
+	f.Reactions[i] = &r
+	if diags := analyze(&f, p.opts); diags.HasErrors() {
+		return nil, diags
+	}
+	return stmts, nil
 }
 
 // placementPositions maps lowered table and register names back to P4R
@@ -348,14 +392,6 @@ func (c *compiler) packInitTables() {
 			action.Body = append(action.Body, p4.ModifyField{
 				Dst: c.prog.Schema.MustID(meta), DstName: meta, Src: p4.ParamOp(pidx, pname),
 			})
-			switch ip.Kind {
-			case InitValue:
-				c.plan.MblValues[ip.Mbl].InitTable = b
-				c.plan.MblValues[ip.Mbl].ParamIdx = pidx
-			case InitField:
-				c.plan.MblFields[ip.Mbl].InitTable = b
-				c.plan.MblFields[ip.Mbl].ParamIdx = pidx
-			}
 		}
 		c.prog.AddAction(action)
 		tbl := &p4.Table{Name: tname, ActionNames: []string{aname}, Size: 2}
@@ -376,7 +412,7 @@ func (c *compiler) packInitTables() {
 		}
 		c.prog.AddTable(tbl)
 		c.plan.InitTables = append(c.plan.InitTables, &InitTableInfo{
-			Table: tname, Action: aname, Params: bin, Master: b == 0,
+			Table: tname, Action: aname, Params: bin,
 		})
 	}
 }

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,25 +62,20 @@ control ingress { apply(t); }
 	}
 	// What the packets show of the split (which table is the master,
 	// that it holds vv, that the others match on it) the behaviour check
-	// covers; the slots below no run-time code reads.
-	// Every malleable is assigned to exactly one init slot.
-	for name, mv := range plan.MblValues {
-		it := plan.InitTables[mv.InitTable]
-		if paramIndexOf(it, name) != mv.ParamIdx {
-			t.Fatalf("%s slot mismatch", name)
+	// covers. Every malleable is packed into exactly one init slot.
+	for name := range plan.MblValues {
+		slots := 0
+		for _, it := range plan.InitTables {
+			for _, p := range it.Params {
+				if p.Mbl == name {
+					slots++
+				}
+			}
+		}
+		if slots != 1 {
+			t.Fatalf("%s in %d init slots", name, slots)
 		}
 	}
-}
-
-// paramIndexOf returns the action-parameter index of a malleable in an
-// init table, or -1.
-func paramIndexOf(it *InitTableInfo, mbl string) int {
-	for i, p := range it.Params {
-		if p.Mbl == mbl && (p.Kind == InitValue || p.Kind == InitField) {
-			return i
-		}
-	}
-	return -1
 }
 
 func TestSortedFirstFitProperty(t *testing.T) {
@@ -347,10 +343,11 @@ func loweringSrc(t *testing.T) string {
 // TestWhatPacketsDoNotShow pins what the behaviour check
 // (TestMalleableEquivalence) cannot see of testdata/lowering.p4r, whose
 // lowerings the retired shape tests covered one by one: resources, the
-// generated names, plan fields no run-time code reads, the master's
+// generated names, the declared initial values, the master's
 // declared default (the agent installs its own), the vv column's place
-// (the agent reads it from the plan), and that a specialised action's
-// own name is not in the program.
+// (the agent reads it from the plan), the combinations' install order
+// (every handle and op the agent issues follows it), and that a
+// specialised action's own name is not in the program.
 func TestWhatPacketsDoNotShow(t *testing.T) {
 	f, err := p4r.Parse(loweringSrc(t))
 	if err != nil {
@@ -372,7 +369,7 @@ func TestWhatPacketsDoNotShow(t *testing.T) {
 	}
 	// 16 init bits: vv, mv and the three selectors in the master, then v
 	// and thresh alone.
-	if len(plan.InitTables) != 3 || plan.InitTables[0].Table != "p4r_init1_" || !plan.InitTables[0].Master || plan.InitTables[1].Master {
+	if len(plan.InitTables) != 3 || plan.InitTables[0].Table != "p4r_init1_" {
 		t.Fatalf("init tables %+v", plan.InitTables)
 	}
 	master := plan.InitTables[0]
@@ -381,24 +378,34 @@ func TestWhatPacketsDoNotShow(t *testing.T) {
 			t.Errorf("master default param %d = %d, want %d", i, got, ip.Init)
 		}
 	}
-	for name, mv := range plan.MblValues {
-		if paramIndexOf(plan.InitTables[mv.InitTable], name) != mv.ParamIdx {
-			t.Errorf("%s slot mismatch", name)
-		}
-	}
 	// Entries: declared size × alt combinations (× 2 copies when malleable).
 	for name, size := range map[string]int{"match_f": 4 * 6 * 2, "two": 2 * 6 * 2, "expd": 2 * 6, "out": 4 * 2} {
 		if got := plan.Prog.Tables[name].Size; got != size {
 			t.Errorf("%s size %d, want %d", name, got, size)
 		}
-		if ti := plan.MblTables[name]; ti.VVCol >= 0 && ti.VVCol != ti.GenKeyCount-1 {
-			t.Errorf("%s: vv column %d of %d", name, ti.VVCol, ti.GenKeyCount)
+		if ti := plan.MblTables[name]; ti.VVCol >= 0 && ti.VVCol != len(ti.Combos[0].Keys)-1 {
+			t.Errorf("%s: vv column %d of %d", name, ti.VVCol, len(ti.Combos[0].Keys))
 		}
 	}
 	// Two uses of one field specialise once; two fields multiply.
-	specs := plan.MblTables["match_f"].ActionSpec
-	if len(specs["rw"].Fields) != 1 || len(specs["rw"].Variants) != 2 || len(specs["mix"].Variants) != 6 {
-		t.Errorf("rw over %v in %d variants, mix in %d", specs["rw"].Fields, len(specs["rw"].Variants), len(specs["mix"].Variants))
+	variants := map[string]map[string]bool{"rw": {}, "mix": {}}
+	for _, cb := range plan.MblTables["match_f"].Combos {
+		for a, vs := range variants {
+			vs[cb.Action(a)] = true
+		}
+	}
+	if len(variants["rw"]) != 2 || len(variants["mix"]) != 6 {
+		t.Errorf("rw in %d variants, mix in %d", len(variants["rw"]), len(variants["mix"]))
+	}
+	// match_f expands over f1 (2 alts) then f2 (3 alts), its selectors
+	// after f1's two columns and hdr.k: combinations by selector column,
+	// the last fastest.
+	var order [][2]uint64
+	for _, cb := range plan.MblTables["match_f"].Combos {
+		order = append(order, [2]uint64{cb.Keys[3].Value, cb.Keys[4].Value})
+	}
+	if want := [][2]uint64{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}}; !slices.Equal(order, want) {
+		t.Errorf("match_f combinations %v, want %v", order, want)
 	}
 	if plan.Prog.Actions["mix"] != nil {
 		t.Error("the unspecialised action is in the program too")

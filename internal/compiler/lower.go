@@ -1,76 +1,64 @@
 package compiler
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/p4"
 	"repro/internal/p4r"
 	"repro/internal/packet"
+	"repro/internal/rmt"
 )
 
 // ---- Action lowering and specialization (Figs. 4, 5, 6) ----
 
-// mblFieldsUsed returns the malleable *fields* referenced by an action,
-// in order of first occurrence.
-func (c *compiler) mblFieldsUsed(a *p4r.ActionDecl) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, call := range a.Body {
-		for _, arg := range call.Args {
-			if arg.Kind != p4r.ArgMblRef {
-				continue
-			}
-			if _, isField := c.plan.MblFields[arg.Mbl]; isField && !seen[arg.Mbl] {
-				seen[arg.Mbl] = true
-				out = append(out, arg.Mbl)
+// combos lists every combination of fields' alternatives, row-major
+// (the last field fastest): the order of an action's variants and of a
+// table's MblTableInfo.Combos.
+func (c *compiler) combos(fields []string) [][]int {
+	out := [][]int{nil}
+	for _, fn := range fields {
+		var next [][]int
+		for _, combo := range out {
+			for i := range c.plan.MblFields[fn].Alts {
+				next = append(next, append(slices.Clip(combo), i))
 			}
 		}
+		out = next
 	}
 	return out
 }
 
+// variant names action's specialisation for the alternatives combo
+// picks for fields (a table's expansion fields, a superset of the
+// action's own), and returns the binding lowerAction resolves
+// ${field} references through.
+func (c *compiler) variant(action string, fields []string, combo []int) (string, map[string]string) {
+	own := p4r.SpecialisedOver(c.actions[action], c.fieldDecls)
+	binding := make(map[string]string, len(own))
+	parts := make([]string, len(own))
+	for i, fn := range own {
+		alt := c.plan.MblFields[fn].Alts[combo[slices.Index(fields, fn)]]
+		binding[fn], parts[i] = alt, sanitize(alt)
+	}
+	return action + "__" + strings.Join(parts, "__") + "_", binding
+}
+
 func (c *compiler) lowerActions() {
 	for _, a := range c.f.Actions {
-		fields := c.mblFieldsUsed(a)
+		fields := p4r.SpecialisedOver(a, c.fieldDecls)
 		if len(fields) == 0 {
 			c.prog.AddAction(c.lowerAction(a, a.Name, nil))
 			continue
 		}
 		// Specialize over the cartesian product of alternatives — the
 		// action-instantiation strategy of Figs. 5 and 6.
-		spec := &ActionSpecInfo{Fields: fields}
-		for _, fn := range fields {
-			spec.AltCounts = append(spec.AltCounts, len(c.plan.MblFields[fn].Alts))
+		for _, combo := range c.combos(fields) {
+			name, binding := c.variant(a.Name, fields, combo)
+			c.prog.AddAction(c.lowerAction(a, name, binding))
+			c.variants[a.Name] = append(c.variants[a.Name], name)
 		}
-		combo := make([]int, len(fields))
-		for {
-			binding := make(map[string]string, len(fields))
-			parts := make([]string, len(fields))
-			for i, fn := range fields {
-				alt := c.plan.MblFields[fn].Alts[combo[i]]
-				binding[fn] = alt
-				parts[i] = sanitize(alt)
-			}
-			vname := a.Name + "__" + strings.Join(parts, "__") + "_"
-			c.prog.AddAction(c.lowerAction(a, vname, binding))
-			spec.Variants = append(spec.Variants, vname)
-			// Advance the combination, last index fastest (row-major, so
-			// VariantFor's Horner indexing matches).
-			i := len(combo) - 1
-			for i >= 0 {
-				combo[i]++
-				if combo[i] < spec.AltCounts[i] {
-					break
-				}
-				combo[i] = 0
-				i--
-			}
-			if i < 0 {
-				break
-			}
-		}
-		c.specs[a.Name] = spec
 	}
 }
 
@@ -192,32 +180,22 @@ var matchKindOf = map[string]p4.MatchKind{
 func (c *compiler) lowerTables() {
 	for _, t := range c.f.Tables {
 		tbl := &p4.Table{Name: t.Name, Malleable: t.Malleable}
-		info := &MblTableInfo{Table: t.Name, SelectorCol: make(map[string]int), VVCol: -1, ActionSpec: make(map[string]*ActionSpecInfo)}
-		needsInfo := t.Malleable
-		var selectorOrder []string
-		expansion := 1
-		seenMbl := map[string]bool{}
-
-		noteMbl := func(name string) {
-			if !seenMbl[name] {
-				seenMbl[name] = true
-				selectorOrder = append(selectorOrder, name)
-				expansion *= len(c.plan.MblFields[name].Alts)
-			}
-		}
+		info := &MblTableInfo{Table: t.Name, VVCol: -1}
+		fields := p4r.ExpandedOver(t, c.fieldDecls, c.actions)
+		// keyCol[i] is user key i's first generated column; fieldOf[i]
+		// its malleable field's index in fields, or -1.
+		var keyCol, fieldOf []int
 
 		for _, rk := range t.Reads {
-			uk := UserKey{MatchType: rk.MatchType}
-			info.ColOffset = append(info.ColOffset, len(tbl.Keys))
+			keyCol = append(keyCol, len(tbl.Keys))
+			fieldOf = append(fieldOf, -1)
 			mv, isVal := c.plan.MblValues[rk.Target.Mbl]
 			mf, isField := c.plan.MblFields[rk.Target.Mbl]
 			switch {
 			case rk.Target.Kind == p4r.ArgIdent:
 				id := c.prog.Schema.MustID(rk.Target.Ident)
-				uk.FieldName = rk.Target.Ident
-				uk.Width = c.prog.Schema.Width(id)
 				mk := p4.MatchKey{
-					FieldName: rk.Target.Ident, Field: id, Width: uk.Width, Kind: matchKindOf[rk.MatchType],
+					FieldName: rk.Target.Ident, Field: id, Width: c.prog.Schema.Width(id), Kind: matchKindOf[rk.MatchType],
 				}
 				if rk.HasMask {
 					mk.StaticMask = rk.Mask
@@ -226,18 +204,13 @@ func (c *compiler) lowerTables() {
 			case isVal:
 				// Matching on a malleable value is matching its metadata.
 				id := c.prog.Schema.MustID(mv.MetaField)
-				uk.FieldName = mv.MetaField
-				uk.Width = mv.Width
 				tbl.Keys = append(tbl.Keys, p4.MatchKey{
 					FieldName: mv.MetaField, Field: id, Width: mv.Width, Kind: matchKindOf[rk.MatchType],
 				})
 			case isField:
 				// Fig. 6: one ternary column per alternative. Exact user
 				// matches become ternary to admit the wildcard.
-				uk.MblField = mf.Name
-				uk.Width = mf.Width
-				needsInfo = true
-				noteMbl(mf.Name)
+				fieldOf[len(fieldOf)-1] = slices.Index(fields, mf.Name)
 				for _, alt := range mf.Alts {
 					id := c.prog.Schema.MustID(alt)
 					kind := p4.MatchTernary
@@ -253,29 +226,22 @@ func (c *compiler) lowerTables() {
 					tbl.Keys = append(tbl.Keys, mk)
 				}
 			}
-			info.Keys = append(info.Keys, uk)
 		}
 
 		for _, an := range t.Actions {
-			if spec, ok := c.specs[an]; ok {
-				needsInfo = true
-				info.ActionSpec[an] = spec
-				for _, fn := range spec.Fields {
-					noteMbl(fn)
-				}
-				tbl.ActionNames = append(tbl.ActionNames, spec.Variants...)
-				continue
+			if vs, ok := c.variants[an]; ok {
+				tbl.ActionNames = append(tbl.ActionNames, vs...)
+			} else {
+				tbl.ActionNames = append(tbl.ActionNames, an)
 			}
-			tbl.ActionNames = append(tbl.ActionNames, an)
 		}
 
-		// Selector columns, in order of first use.
-		for _, fn := range selectorOrder {
-			mf := c.plan.MblFields[fn]
-			id := c.prog.Schema.MustID(mf.Selector)
-			info.SelectorCol[fn] = len(tbl.Keys)
+		// Selector columns, in ExpandedOver's order.
+		selCol := len(tbl.Keys)
+		for _, fn := range fields {
+			id := c.prog.Schema.MustID(c.plan.MblFields[fn].Selector)
 			tbl.Keys = append(tbl.Keys, p4.MatchKey{
-				FieldName: mf.Selector, Field: id, Width: c.prog.Schema.Width(id), Kind: p4.MatchExact,
+				FieldName: c.plan.MblFields[fn].Selector, Field: id, Width: c.prog.Schema.Width(id), Kind: p4.MatchExact,
 			})
 		}
 
@@ -290,16 +256,37 @@ func (c *compiler) lowerTables() {
 			tbl.Keys = append(tbl.Keys, p4.MatchKey{FieldName: VVField, Field: vvID, Width: 1, Kind: p4.MatchExact})
 		}
 
+		for _, combo := range c.combos(fields) {
+			cb := Combo{Keys: make([]rmt.KeySpec, len(tbl.Keys))}
+			for i, alt := range combo {
+				cb.Keys[selCol+i] = rmt.ExactKey(uint64(alt))
+			}
+			for i, col := range keyCol {
+				if fieldOf[i] >= 0 {
+					col += combo[fieldOf[i]]
+				}
+				cb.KeyCol = append(cb.KeyCol, col)
+			}
+			for _, an := range t.Actions {
+				if _, ok := c.variants[an]; ok {
+					if cb.Variant == nil {
+						cb.Variant = make(map[string]string)
+					}
+					cb.Variant[an], _ = c.variant(an, fields, combo)
+				}
+			}
+			info.Combos = append(info.Combos, cb)
+		}
+
 		if t.Size > 0 {
-			gen := t.Size * expansion
+			gen := t.Size * len(info.Combos)
 			if t.Malleable {
 				gen *= 2
 			}
 			tbl.Size = gen
 		}
-		info.GenKeyCount = len(tbl.Keys)
 		c.prog.AddTable(tbl)
-		if needsInfo {
+		if t.Malleable || len(fields) > 0 {
 			c.plan.MblTables[t.Name] = info
 		}
 	}

@@ -17,6 +17,7 @@ package compiler
 import (
 	"repro/internal/compiler/place"
 	"repro/internal/p4"
+	"repro/internal/p4r"
 	"repro/internal/p4r/diag"
 	"repro/internal/rcl"
 	"repro/internal/rmt"
@@ -39,8 +40,8 @@ type Plan struct {
 
 	MblValues map[string]*MblValueInfo
 	MblFields map[string]*MblFieldInfo
-	// InitOrder lists init-parameter names in packed order; element 0 of
-	// InitTables is the master (holds vv and mv).
+	// InitTables are the packed init tables; element 0 is the master
+	// (holds vv and mv).
 	InitTables []*InitTableInfo
 
 	MblTables map[string]*MblTableInfo
@@ -65,6 +66,10 @@ type Plan struct {
 	// program's one resource model: stage counts and SRAM/TCAM totals
 	// are read from it.
 	Placement *place.Placement
+
+	// file and opts are what the plan was compiled from, for CheckBody.
+	file *p4r.File
+	opts Options
 }
 
 // MblValueInfo describes one malleable value.
@@ -74,10 +79,6 @@ type MblValueInfo struct {
 	MetaField string
 	Width     int
 	Init      uint64
-	// InitTable / ParamIdx locate the value's slot in the packed init
-	// tables.
-	InitTable int
-	ParamIdx  int
 }
 
 // MblFieldInfo describes one malleable field.
@@ -96,8 +97,6 @@ type MblFieldInfo struct {
 	Carrier string
 	// LoaderTable is the table loading Carrier, if any.
 	LoaderTable string
-	InitTable   int
-	ParamIdx    int
 }
 
 // InitParamKind classifies init-table action parameters.
@@ -128,66 +127,55 @@ type InitTableInfo struct {
 	Table  string
 	Action string
 	Params []InitParam
-	Master bool
 }
 
-// UserKey describes one user-visible key column of a malleable table,
-// before vv and alt expansion.
-type UserKey struct {
-	// FieldName is the concrete field, or "" when MblField is set.
-	FieldName string
-	MatchType string
-	// MblField names the malleable field matched by this column; the
-	// generated table carries |alts| ternary columns plus the selector.
-	MblField string
-	Width    int
-}
-
-// MblTableInfo maps a malleable table's user-visible schema onto the
-// generated table layout. Generated column order is:
+// MblTableInfo is the generated layout of a table that is malleable or
+// expanded over malleable fields (§4.1, Figs. 5–6; §5.1.2). Its
+// generated key columns are
 //
 //	[expanded user columns...] [selector columns...] [vv column]
 //
-// where a plain user column occupies one generated column and a
-// malleable-field user column occupies |alts| ternary columns (its
-// selector column is appended in order of first use).
+// where a plain user column occupies one generated column, a
+// malleable-field user column one ternary column per alternative, and
+// the selector columns follow p4r.ExpandedOver's order.
 type MblTableInfo struct {
 	Table string
-	Keys  []UserKey
-	// GenKeyCount is the number of generated key columns.
-	GenKeyCount int
-	// ColOffset[i] is the first generated column of user key i.
-	ColOffset []int
-	// SelectorCol maps malleable field name -> generated selector column.
-	SelectorCol map[string]int
-	// VVCol is the generated vv column index (last).
+	// VVCol is the generated vv column (the last), or -1 for a table
+	// that is not malleable and so has no vv column.
 	VVCol int
-	// ActionSpec maps a user action name to its specialization layout.
-	ActionSpec map[string]*ActionSpecInfo
+	// Combos lists the combinations of the table's malleable-field
+	// alternatives in install order: by selector column, the last field
+	// fastest. A table without malleable fields has one. Every user
+	// entry is installed once per combination, in this order, in each
+	// vv copy; the agent reads it (core's tableManager), nothing else
+	// re-derives it.
+	Combos []Combo
 }
 
-// ActionSpecInfo records how a user action was specialized over the
-// malleable fields it uses.
-type ActionSpecInfo struct {
-	// Fields are the malleable fields the action uses, in specialization
-	// order (outermost first).
-	Fields []string
-	// AltCounts[i] is len(alts) of Fields[i].
-	AltCounts []int
-	// Variant returns the generated action name for a combination of alt
-	// indices (row-major over AltCounts); stored flattened.
-	Variants []string
+// Combo is one combination of a table's malleable-field alternatives:
+// where a user entry's keys go and which action it runs there.
+type Combo struct {
+	// Keys is the generated key row before a user entry fills it: each
+	// selector column holds its field's alternative index, exact, and
+	// every other column is a wildcard.
+	Keys []rmt.KeySpec
+	// KeyCol[i] is the generated column that carries user key i: its
+	// field's column, or the combination's alternative's column of a
+	// malleable field.
+	KeyCol []int
+	// Variant maps each listed user action that specialises over
+	// malleable fields to its generated action for this combination;
+	// nil when no listed action does.
+	Variant map[string]string
 }
 
-// VariantFor returns the generated action name for the given alt
-// indices (one per specialized field; empty if the action was not
-// specialized).
-func (a *ActionSpecInfo) VariantFor(alts []int) string {
-	idx := 0
-	for i, ai := range alts {
-		idx = idx*a.AltCounts[i] + ai
+// Action returns the generated action combination c runs for user
+// action a.
+func (c *Combo) Action(a string) string {
+	if v, ok := c.Variant[a]; ok {
+		return v
 	}
-	return a.Variants[idx]
+	return a
 }
 
 // SlotField places one reaction field parameter inside a packed

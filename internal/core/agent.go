@@ -386,29 +386,25 @@ func (a *Agent) stopRequested() bool { return a.stopReq.Load() }
 
 // reactionSwap is a staged reaction reload.
 type reactionSwap struct {
-	name      string
-	body      string
-	rerunInit bool
+	name  string
+	stmts []rcl.Stmt
 }
 
 // SwapReaction replaces a running reaction's body without stopping the
 // agent — the paper's dynamic-loading path: the swap takes effect after
-// the current dialogue iteration completes. rerunInit re-executes the
-// user prologue hook after linking.
-func (a *Agent) SwapReaction(name, body string, rerunInit bool) error {
+// the current dialogue iteration completes. The body is checked in the
+// running program as the analyzer checks a compiled one
+// (compiler.Plan.CheckBody); one it rejects is refused here, with the
+// analyzer's diagnostics.
+func (a *Agent) SwapReaction(name, body string) error {
 	if body == "" {
 		return fmt.Errorf("core: SwapReaction needs a body")
 	}
-	found := false
-	for _, r := range a.plan.Reactions {
-		if r.Name == name {
-			found = true
-		}
+	stmts, err := a.plan.CheckBody(name, body)
+	if err != nil {
+		return fmt.Errorf("core: swap %s: %w", name, err)
 	}
-	if !found {
-		return fmt.Errorf("core: no reaction %q", name)
-	}
-	a.pendingSwaps = append(a.pendingSwaps, reactionSwap{name: name, body: body, rerunInit: rerunInit})
+	a.pendingSwaps = append(a.pendingSwaps, reactionSwap{name: name, stmts: stmts})
 	return nil
 }
 
@@ -422,7 +418,7 @@ func (a *Agent) applySwaps(p *sim.Proc) error {
 			if rr.info.Name != sw.name {
 				continue
 			}
-			prog, err := rcl.Compile(sw.body)
+			prog, err := rcl.NewProgram(sw.stmts)
 			if err != nil {
 				return fmt.Errorf("swap %s: %w", sw.name, err)
 			}
@@ -431,11 +427,6 @@ func (a *Agent) applySwaps(p *sim.Proc) error {
 			// Relink the compiled dispatch (frame bindings, buffers) to
 			// the new body.
 			a.setupReactionRuntime(p, rr)
-			if sw.rerunInit && a.opts.Prologue != nil {
-				if err := a.opts.Prologue(p, a); err != nil {
-					return fmt.Errorf("swap %s: re-running prologue: %w", sw.name, err)
-				}
-			}
 		}
 	}
 	return nil

@@ -700,26 +700,31 @@ func TestRandRepeatsUnderOneSeed(t *testing.T) {
 	}
 }
 
-// TestRandRejectsBadArguments: a non-positive bound, a string or a wrong
-// arity stops the agent with an error instead of panicking in the RNG.
-// The analyzer already rejects a call that cannot match rand's
-// signature; a swapped body skips the analyzer, so the host refuses it
-// as well.
+// TestRandRejectsBadArguments: a call that cannot match rand's
+// signature is the analyzer's error, in a compiled body and in a swapped
+// one alike. A non-positive bound shows only at run time: the host
+// refuses it, and the agent stops with an error instead of panicking in
+// the RNG.
 func TestRandRejectsBadArguments(t *testing.T) {
+	const usage = "rand(n) needs one positive integer"
 	for _, call := range []string{`rand("x")`, "rand()", "rand(1, 2)"} {
 		_, err := compiler.CompileSource(fmt.Sprintf(randSrc, "int x = "+call+";"), compiler.DefaultOptions())
-		if err == nil || !strings.Contains(err.Error(), "rand(n) needs one positive integer") {
+		if err == nil || !strings.Contains(err.Error(), usage) {
 			t.Fatalf("compile %s: err = %v", call, err)
 		}
-	}
-	for _, call := range []string{"rand(0)", "rand(-1)", `rand("x")`, "rand()", "rand(1, 2)"} {
 		r := buildRig(t, fmt.Sprintf(randSrc, "int x = 1;"), Options{})
-		if err := r.agent.SwapReaction("r", "int x = "+call+";", false); err != nil {
+		if err := r.agent.SwapReaction("r", "int x = "+call+";"); err == nil || !strings.Contains(err.Error(), usage) {
+			t.Fatalf("swap %s: err = %v", call, err)
+		}
+	}
+	for _, call := range []string{"rand(0)", "rand(-1)"} {
+		r := buildRig(t, fmt.Sprintf(randSrc, "int x = 1;"), Options{})
+		if err := r.agent.SwapReaction("r", "int x = "+call+";"); err != nil {
 			t.Fatal(err)
 		}
 		r.agent.Start()
 		r.sim.RunFor(time.Millisecond)
-		if err := r.agent.Err(); err == nil || !strings.Contains(err.Error(), "rand(n) needs one positive integer") {
+		if err := r.agent.Err(); err == nil || !strings.Contains(err.Error(), usage) {
 			t.Fatalf("%s: err = %v", call, err)
 		}
 	}
@@ -792,7 +797,7 @@ control ingress { apply(t); }
 		t.Fatalf("initial body: v = %d", v)
 	}
 	// Swap to a new body.
-	if err := r.agent.SwapReaction("r", "${v} = 2;", false); err != nil {
+	if err := r.agent.SwapReaction("r", "${v} = 2;"); err != nil {
 		t.Fatal(err)
 	}
 	r.sim.RunFor(200 * time.Microsecond)
@@ -812,63 +817,53 @@ control ingress { apply(t); }
 
 func TestSwapReactionValidation(t *testing.T) {
 	r := buildRig(t, fig1Src, Options{})
-	if err := r.agent.SwapReaction("ghost", "${v} = 1;", false); err == nil {
+	if err := r.agent.SwapReaction("ghost", "${v} = 1;"); err == nil {
 		t.Fatal("unknown reaction accepted")
 	}
-	if err := r.agent.SwapReaction("my_reaction", "", false); err == nil {
+	if err := r.agent.SwapReaction("my_reaction", ""); err == nil {
 		t.Fatal("empty body accepted")
 	}
 }
 
-// TestSwapReactionBadBodyStopsAgent: a broken reload surfaces as an
-// agent error at link time, not a silent wedge.
-func TestSwapReactionBadBodyStopsAgent(t *testing.T) {
-	r := buildRig(t, fig1Src, Options{})
-	r.agent.Start()
-	r.sim.RunFor(100 * time.Microsecond)
-	if err := r.agent.SwapReaction("my_reaction", "int x = ;", false); err != nil {
-		t.Fatal(err)
-	}
-	r.sim.RunFor(100 * time.Microsecond)
-	if err := r.agent.Err(); err == nil || !strings.Contains(err.Error(), "swap") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestSwapReactionRerunsPrologue: rerunInit re-executes the user
-// initialization hook, per §7 ("Users can specify whether the prologue
-// user initialization should be re-executed").
-func TestSwapReactionRerunsPrologue(t *testing.T) {
-	prologueRuns := 0
-	src := `
-header_type h_t { fields { x : 16; } }
+// swapSrc has a plain table and a malleable one for swapped bodies to
+// call.
+const swapSrc = `
+header_type h_t { fields { x : 8; y : 8; } }
 header h_t hdr;
-malleable value v { width : 16; init : 0; }
+malleable value v { width : 8; init : 0; }
 action tag() { modify_field(hdr.x, ${v}); }
+action stamp(p) { modify_field(hdr.y, p); }
 table t { actions { tag; } default_action : tag; size : 1; }
-reaction r() { }
-control ingress { apply(t); }
+malleable table hosts { reads { hdr.x : exact; } actions { stamp; } size : 4; }
+reaction r() { ${v} = 1; }
+control ingress { apply(t); apply(hosts); }
 `
-	r := buildRig(t, src, Options{
-		Prologue: func(p *sim.Proc, a *Agent) error {
-			prologueRuns++
-			return nil
-		},
-	})
-	r.agent.Start()
-	r.sim.RunFor(100 * time.Microsecond)
-	if prologueRuns != 1 {
-		t.Fatalf("prologue runs = %d", prologueRuns)
+
+// TestSwapReactionRefusesWhatTheAnalyzerRejects: a swapped body is
+// checked in the running program as a compiled one is, so each body the
+// analyzer rejects is refused at the call with the analyzer's code, and
+// the agent runs on with the body it had.
+func TestSwapReactionRefusesWhatTheAnalyzerRejects(t *testing.T) {
+	for _, c := range []struct{ body, code string }{
+		{"int x = ;", "[S001]"},                 // a syntax error
+		{"int x = frobnicate(1);", "[M014]"},    // an unknown builtin
+		{`t.addEntry("tag");`, "[M003]"},        // a table call on a table that is not malleable
+		{`hosts.addEntry(1, "tag");`, "[L002]"}, // an action the table does not list
+		{"${v} = y;", "[M014]"},                 // an undefined name
+		{`int x = rand("x");`, "[L002]"},        // a builtin's wrong arguments
+	} {
+		r := buildRig(t, swapSrc, Options{})
+		err := r.agent.SwapReaction("r", c.body)
+		if err == nil || !strings.Contains(err.Error(), c.code) {
+			t.Errorf("swap %q: err = %v, want %s", c.body, err, c.code)
+			continue
+		}
+		r.agent.Start()
+		r.sim.RunFor(200 * time.Microsecond)
+		if v, _ := r.agent.Mbl("v"); v != 1 || r.agent.Err() != nil {
+			t.Errorf("after refusing %q: v = %d, err = %v", c.body, v, r.agent.Err())
+		}
 	}
-	if err := r.agent.SwapReaction("r", "int x = 1;", true); err != nil {
-		t.Fatal(err)
-	}
-	r.sim.RunFor(100 * time.Microsecond)
-	if prologueRuns != 2 {
-		t.Fatalf("prologue not re-run: %d", prologueRuns)
-	}
-	r.agent.Stop()
-	r.sim.Run()
 }
 
 // TestPropertyTableExpansion: for random alt counts, a user entry in a

@@ -399,14 +399,13 @@ func (h *rclHost) WriteMbl(name string, v int64) error {
 
 func (h *rclHost) TableOp(table, method string, args []rcl.Arg) (int64, error) {
 	tm, ok := h.agent.tables[table]
-	if !ok || !tm.versioned() {
+	if !ok {
 		return 0, fmt.Errorf("unknown malleable table %q", table)
 	}
-	info := tm.info
 	switch method {
 	case "addEntry":
 		// addEntry(key..., "action", data...)
-		nkeys := len(info.Keys)
+		nkeys := tm.userKeys()
 		if len(args) < nkeys+1 {
 			return 0, fmt.Errorf("%s.addEntry needs %d keys and an action name", table, nkeys)
 		}

@@ -306,7 +306,7 @@ func (s *Spec) compare() {
 func lines(tm *tableManager, es map[UserHandle]*UserEntry, v uint64) map[UserHandle][]string {
 	out := make(map[UserHandle][]string, len(es))
 	for h, e := range es {
-		for ci := range tm.combos {
+		for ci := range tm.info.Combos {
 			ce, _ := tm.concreteEntry(nil, e, ci, v)
 			out[h] = append(out[h], entryLine(ce))
 		}
@@ -369,7 +369,7 @@ func (s *Spec) WriteMbl(name string, v int64) error {
 // TableOp applies a call the agent accepted, so its arguments are
 // well formed.
 func (s *Spec) TableOp(table, method string, args []rcl.Arg) (int64, error) {
-	es, nkeys := s.tables[table], len(s.a.tables[table].info.Keys)
+	es, nkeys := s.tables[table], s.a.tables[table].userKeys()
 	data := func(args []rcl.Arg) (d []uint64) {
 		for _, x := range args {
 			d = append(d, uint64(x.I))

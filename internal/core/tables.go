@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/compiler"
 	"repro/internal/journal"
@@ -43,14 +42,6 @@ type tableManager struct {
 	sortedOK   bool
 	nextHandle UserHandle
 
-	// Derived from the (immutable) table info once at construction and
-	// shared by all user entries: the expansion fields in selector-column
-	// order, every alt combination over them, and each specialised
-	// action's generated variant per combination.
-	fields   []string
-	combos   [][]int
-	variants map[string][]string
-
 	// keyScratch backs the generated keys install hands the channel,
 	// which copies what it keeps (the driver.Channel contract).
 	keyScratch []rmt.KeySpec
@@ -65,8 +56,7 @@ type userEntry struct {
 	// is refilled in place by every modify.
 	spec UserEntry
 	// concrete[v] holds the installed rmt handles for version v, aligned
-	// with the manager's combos. For non-vv tables only concrete[0] is
-	// used.
+	// with the plan's Combos. For non-vv tables only concrete[0] is used.
 	concrete [2][]rmt.EntryHandle
 }
 
@@ -79,30 +69,10 @@ func (ue *userEntry) setSpec(action string, data []uint64) {
 func newTableManager(a *Agent, info *compiler.MblTableInfo) *tableManager {
 	tm := &tableManager{
 		agent: a, info: info, entries: make(map[UserHandle]*userEntry),
-		keyScratch: make([]rmt.KeySpec, info.GenKeyCount), variants: make(map[string][]string),
+		keyScratch: make([]rmt.KeySpec, len(info.Combos[0].Keys)),
 	}
 	tm.th = TableHandle{tm: tm}
-	tm.fields = tm.expandFields()
-	tm.combos = tm.allCombos()
-	for name, as := range info.ActionSpec {
-		alts := make([]int, len(as.Fields))
-		for _, combo := range tm.combos {
-			for i, f := range as.Fields {
-				alts[i] = tm.alt(combo, f)
-			}
-			tm.variants[name] = append(tm.variants[name], as.VariantFor(alts))
-		}
-	}
 	return tm
-}
-
-// alt is the alternative combo selects for malleable field f; a field
-// outside the table's expansion stays at alternative 0.
-func (tm *tableManager) alt(combo []int, f string) int {
-	if i := slices.Index(tm.fields, f); i >= 0 {
-		return combo[i]
-	}
-	return 0
 }
 
 func (tm *tableManager) put(h UserHandle, ue *userEntry) {
@@ -129,81 +99,29 @@ func (tm *tableManager) handles() []UserHandle {
 	return tm.sorted
 }
 
-// expandFields returns the malleable fields involved in this table's
-// expansion, ordered by selector column for determinism.
-func (tm *tableManager) expandFields() []string {
-	fields := make([]string, 0, len(tm.info.SelectorCol))
-	for f := range tm.info.SelectorCol {
-		fields = append(fields, f)
-	}
-	sort.Slice(fields, func(i, j int) bool {
-		return tm.info.SelectorCol[fields[i]] < tm.info.SelectorCol[fields[j]]
-	})
-	return fields
-}
-
-// allCombos enumerates all alt combinations over the expansion fields.
-func (tm *tableManager) allCombos() [][]int {
-	fields := tm.fields
-	if len(fields) == 0 {
-		return [][]int{nil}
-	}
-	counts := make([]int, len(fields))
-	for i, f := range fields {
-		counts[i] = len(tm.agent.plan.MblFields[f].Alts)
-	}
-	var out [][]int
-	combo := make([]int, len(fields))
-	for {
-		out = append(out, append([]int(nil), combo...))
-		i := len(combo) - 1
-		for i >= 0 {
-			combo[i]++
-			if combo[i] < counts[i] {
-				break
-			}
-			combo[i] = 0
-			i--
-		}
-		if i < 0 {
-			return out
-		}
-	}
-}
+// userKeys is the number of user-visible key columns.
+func (tm *tableManager) userKeys() int { return len(tm.info.Combos[0].KeyCol) }
 
 // concreteEntry builds the generated-table entry for one user entry,
 // combination ci, and one vv version, with its keys in gen (nil: fresh).
 func (tm *tableManager) concreteEntry(gen []rmt.KeySpec, spec *UserEntry, ci int, version uint64) (rmt.Entry, error) {
-	if len(spec.Keys) != len(tm.info.Keys) {
-		return rmt.Entry{}, fmt.Errorf("table %s: entry has %d user keys, want %d", tm.info.Table, len(spec.Keys), len(tm.info.Keys))
+	if len(spec.Keys) != tm.userKeys() {
+		return rmt.Entry{}, fmt.Errorf("table %s: entry has %d user keys, want %d", tm.info.Table, len(spec.Keys), tm.userKeys())
 	}
-	combo := tm.combos[ci]
+	combo := &tm.info.Combos[ci]
 	if gen == nil {
-		gen = make([]rmt.KeySpec, tm.info.GenKeyCount)
+		gen = make([]rmt.KeySpec, len(combo.Keys))
 	}
-	for i := range gen {
-		gen[i] = rmt.WildcardKey()
-	}
-	for ui, uk := range tm.info.Keys {
+	copy(gen, combo.Keys)
+	for ui, col := range combo.KeyCol {
 		// Fig. 6: the active alternative's column carries the user key
 		// (ternary full-mask for user-exact); the others stay wildcard.
-		gen[tm.info.ColOffset[ui]+tm.alt(combo, uk.MblField)] = spec.Keys[ui]
-	}
-	for i, f := range tm.fields {
-		gen[tm.info.SelectorCol[f]] = rmt.ExactKey(uint64(combo[i]))
+		gen[col] = spec.Keys[ui]
 	}
 	if tm.info.VVCol >= 0 {
 		gen[tm.info.VVCol] = rmt.ExactKey(version)
 	}
-	return rmt.Entry{Keys: gen, Priority: spec.Priority, Action: tm.variant(spec.Action, ci), Data: spec.Data}, nil
-}
-
-// variant is the generated action combination ci runs for a user action.
-func (tm *tableManager) variant(action string, ci int) string {
-	if vs := tm.variants[action]; vs != nil {
-		return vs[ci]
-	}
-	return action
+	return rmt.Entry{Keys: gen, Priority: spec.Priority, Action: combo.Action(spec.Action), Data: spec.Data}, nil
 }
 
 // versioned reports whether the table carries the vv column.
@@ -212,17 +130,17 @@ func (tm *tableManager) versioned() bool { return tm.info.VVCol >= 0 }
 // ---- Resumable concrete-entry operations ----
 //
 // All three maintain the invariant that ue.concrete[version] holds the
-// handles of a prefix of tm.combos, so re-running an operation after a
-// mid-way transient failure resumes instead of duplicating work: that
-// is what lets a failed prepare be retried or undone without tracking
-// per-combo state externally.
+// handles of a prefix of the plan's Combos, so re-running an operation
+// after a mid-way transient failure resumes instead of duplicating work:
+// that is what lets a failed prepare be retried or undone without
+// tracking per-combo state externally.
 
 // install extends version's concrete entries until every combo is
 // installed, using the entry's current spec. Each new handle is
 // memoized, so every later rewrite of the entry — a prepare, a mirror,
 // an undo — pays the memoized price.
 func (tm *tableManager) install(p *sim.Proc, ue *userEntry, version uint64) error {
-	for len(ue.concrete[version]) < len(tm.combos) {
+	for len(ue.concrete[version]) < len(tm.info.Combos) {
 		e, err := tm.concreteEntry(tm.keyScratch, &ue.spec, len(ue.concrete[version]), version)
 		if err != nil {
 			return err
@@ -255,7 +173,7 @@ func (tm *tableManager) uninstall(p *sim.Proc, ue *userEntry, version uint64) er
 // re-running after a partial failure is safe without progress tracking.
 func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, action string, data []uint64) error {
 	for ci, rh := range ue.concrete[version] {
-		if err := tm.agent.retry.ModifyEntry(p, tm.info.Table, rh, tm.variant(action, ci), data); err != nil {
+		if err := tm.agent.retry.ModifyEntry(p, tm.info.Table, rh, tm.info.Combos[ci].Action(action), data); err != nil {
 			return err
 		}
 	}
@@ -269,7 +187,7 @@ func (tm *tableManager) applyAll(p *sim.Proc, ue *userEntry, version uint64, act
 // prologue writes (TableHandle.AddEntry), installs directly.
 func (tm *tableManager) addEntry(p *sim.Proc, spec UserEntry) (UserHandle, error) {
 	if _, ok := tm.agent.plan.Prog.Actions[spec.Action]; !ok {
-		if _, specialized := tm.info.ActionSpec[spec.Action]; !specialized {
+		if _, specialized := tm.info.Combos[0].Variant[spec.Action]; !specialized {
 			return 0, fmt.Errorf("table %s: unknown action %q: %w", tm.info.Table, spec.Action, rmt.ErrUnknownAction)
 		}
 	}

@@ -365,8 +365,8 @@ func (a *Agent) reconcile(p *sim.Proc, au switchAudit, actualMV uint64) (int, er
 		for _, h := range tm.handles() {
 			ue := tm.entries[h]
 			for _, v := range versions {
-				ue.concrete[v] = make([]rmt.EntryHandle, len(tm.combos))
-				for ci := range tm.combos {
+				ue.concrete[v] = make([]rmt.EntryHandle, len(tm.info.Combos))
+				for ci := range tm.info.Combos {
 					e, err := tm.concreteEntry(nil, &ue.spec, ci, v)
 					if err != nil {
 						return writes, err

@@ -399,7 +399,7 @@ var primitives = map[string][]argKind{
 
 func (c *checker) checkActions() {
 	for _, a := range c.f.Actions {
-		if strings.Contains(a.Name, "__") && len(c.actionMblFields(a)) > 0 {
+		if strings.Contains(a.Name, "__") && len(p4r.SpecialisedOver(a, c.mblFields)) > 0 {
 			c.errorf(diag.DuplicateDecl, a.Line, a.Col, "action %s: reserved name", a.Name).Hint =
 				"a specialised action's name may not contain __, which separates it from its alts"
 		}
@@ -517,36 +517,8 @@ func (c *checker) checkFieldLists() {
 
 // ---- Tables (M001, M008, M009, M012, M014) ----
 
-// actionMblFields returns the distinct malleable fields an action's body
-// references (the fields the compiler specializes over, Figs. 5–6).
-func (c *checker) actionMblFields(a *p4r.ActionDecl) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, call := range a.Body {
-		for _, arg := range call.Args {
-			if arg.Kind != p4r.ArgMblRef {
-				continue
-			}
-			if _, isField := c.mblFields[arg.Mbl]; isField && !seen[arg.Mbl] {
-				seen[arg.Mbl] = true
-				out = append(out, arg.Mbl)
-			}
-		}
-	}
-	return out
-}
-
 func (c *checker) checkTables() {
 	for _, t := range c.f.Tables {
-		expansion := 1
-		expanded := map[string]bool{}
-		noteMbl := func(name string) {
-			if mf, ok := c.mblFields[name]; ok && !expanded[name] {
-				expanded[name] = true
-				expansion *= len(mf.Alts)
-			}
-		}
-
 		for _, rk := range t.Reads {
 			switch rk.Target.Kind {
 			case p4r.ArgIdent:
@@ -558,11 +530,8 @@ func (c *checker) checkTables() {
 					c.errorf(diag.UndeclaredMbl, rk.Line, rk.Col, "table %s: reference to undeclared malleable ${%s}", t.Name, rk.Target.Mbl)
 					continue
 				}
-				if mf, isField := c.mblFields[rk.Target.Mbl]; isField {
-					if rk.MatchType == "range" {
-						c.errorf(diag.LowerInvalid, rk.Line, rk.Col, "table %s: range match on malleable field ${%s} is not supported", t.Name, mf.Name)
-					}
-					noteMbl(mf.Name)
+				if mf, isField := c.mblFields[rk.Target.Mbl]; isField && rk.MatchType == "range" {
+					c.errorf(diag.LowerInvalid, rk.Line, rk.Col, "table %s: range match on malleable field ${%s} is not supported", t.Name, mf.Name)
 				}
 			}
 		}
@@ -576,13 +545,8 @@ func (c *checker) checkTables() {
 				continue
 			}
 			seenAction[an] = t.Line
-			a, ok := c.actions[an]
-			if !ok {
+			if _, ok := c.actions[an]; !ok {
 				c.errorf(diag.UnknownSymbol, t.Line, t.Col, "table %s: unknown action %q", t.Name, an)
-				continue
-			}
-			for _, fn := range c.actionMblFields(a) {
-				noteMbl(fn)
 			}
 		}
 
@@ -591,7 +555,7 @@ func (c *checker) checkTables() {
 			switch {
 			case !ok:
 				c.errorf(diag.UnknownSymbol, t.Line, t.Col, "table %s: unknown default action %q", t.Name, t.Default.Action)
-			case len(c.actionMblFields(a)) > 0:
+			case len(p4r.SpecialisedOver(a, c.mblFields)) > 0:
 				c.errorf(diag.LowerInvalid, t.Line, t.Col,
 					"table %s: default action %q uses malleable fields, which is not supported", t.Name, t.Default.Action).Hint =
 					"install a low-priority entry instead"
@@ -605,6 +569,10 @@ func (c *checker) checkTables() {
 		// per alt combination and doubled for the two config versions. The
 		// generated capacity must fit the platform table limit.
 		if t.Size > 0 {
+			expansion := 1
+			for _, fn := range p4r.ExpandedOver(t, c.mblFields, c.actions) {
+				expansion *= len(c.mblFields[fn].Alts)
+			}
 			gen := t.Size * expansion
 			if t.Malleable {
 				gen *= 2
